@@ -146,23 +146,30 @@ def _pack_block(
     order — the per-source-block unit of redistribution packing, pure so
     the machine's executor can fan source blocks across host cores.
     """
-    out: list[tuple[int, int, SpMat]] = []
+    if not src.nnz:
+        return []
     g_rows = src.rows + r0
     g_cols = src.cols + c0
     ti = np.searchsorted(row_splits, g_rows, side="right") - 1
     tj = np.searchsorted(col_splits, g_cols, side="right") - 1
-    for a in np.unique(ti):
-        for b in np.unique(tj[ti == a]):
-            sel = ((ti == a) & (tj == b)).nonzero()[0]
-            piece = SpMat(
-                int(row_splits[a + 1] - row_splits[a]),
-                int(col_splits[b + 1] - col_splits[b]),
-                g_rows[sel] - row_splits[a],
-                g_cols[sel] - col_splits[b],
-                {k: v[sel] for k, v in src.vals.items()},
-                monoid,
-            )
-            out.append((int(a), int(b), piece))
+    # group entries by target tile with one stable sort: each group keeps the
+    # source block's (row, col) order, so every piece is canonical as cut
+    tile = ti * (len(col_splits) - 1) + tj
+    order = np.argsort(tile, kind="stable")
+    tile = tile[order]
+    out: list[tuple[int, int, SpMat]] = []
+    for sel in np.split(order, np.flatnonzero(tile[1:] != tile[:-1]) + 1):
+        a, b = int(ti[sel[0]]), int(tj[sel[0]])
+        piece = SpMat(
+            int(row_splits[a + 1] - row_splits[a]),
+            int(col_splits[b + 1] - col_splits[b]),
+            g_rows[sel] - row_splits[a],
+            g_cols[sel] - col_splits[b],
+            {k: v[sel] for k, v in src.vals.items()},
+            monoid,
+            canonical=True,
+        )
+        out.append((a, b, piece))
     return out
 
 
@@ -755,37 +762,24 @@ class DistMat:
 
     def gather(self, *, charge: bool = True) -> SpMat:
         """Reassemble the full matrix on a single node (CTF read-back path)."""
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        vals_parts: list[FieldArray] = []
+        parts = []
         pr, pc = self.grid_shape
         for i in range(pr):
             for j in range(pc):
                 b = self.blocks[i][j]
-                if b.nnz == 0:
-                    continue
-                rows_parts.append(b.rows + self.row_splits[i])
-                cols_parts.append(b.cols + self.col_splits[j])
-                vals_parts.append(b.vals)
+                if b.nnz:
+                    parts.append(
+                        (b.rows + self.row_splits[i], b.cols + self.col_splits[j], b.vals)
+                    )
         if charge:
             flat_ranks = np.unique(self.ranks2d.ravel())
             if len(flat_ranks) > 1:
                 self.machine.charge_collective(
                     flat_ranks, self.words(), weight=1.0, category="gather"
                 )
-        if not rows_parts:
-            return SpMat.empty(self.nrows, self.ncols, self.monoid)
-        from repro.algebra.fields import concat_fields
-
-        return SpMat(
-            self.nrows,
-            self.ncols,
-            np.concatenate(rows_parts),
-            np.concatenate(cols_parts),
-            concat_fields(vals_parts),
-            self.monoid,
-            canonical=False,
-        )
+        # blocks tile the matrix disjointly, and a single block column
+        # already concatenates in row-major order
+        return SpMat._merged(self.nrows, self.ncols, parts, self.monoid)
 
     # -- elementwise (communication-free on co-distributed operands) -------------
 
@@ -970,10 +964,9 @@ class DistMat:
                 elif len(pieces) == 1:
                     row.append(pieces[0])
                 else:
-                    acc = pieces[0]
-                    for piece in pieces[1:]:
-                        acc = acc.combine(piece)
-                    row.append(acc)
+                    # pieces of distinct source blocks never share a coordinate
+                    parts = [(q.rows, q.cols, q.vals) for q in pieces]
+                    row.append(SpMat._merged(*shape, parts, self.monoid))
             assembled.append(row)
         return DistMat(
             self.machine, ranks2d, row_splits, col_splits, assembled, self.monoid

@@ -43,13 +43,18 @@ import numpy as np
 import scipy.sparse
 
 from repro.algebra.centpath import CentpathMonoid, brandes_action
-from repro.algebra.fields import FieldArray, concat_fields, take_fields
+from repro.algebra.fields import FieldArray
 from repro.algebra.matmul import MatMulSpec
 from repro.algebra.monoid import MaxMonoid, MinMonoid, PlusMonoid
 from repro.algebra.multpath import MultpathMonoid, bellman_ford_action
 from repro.algebra.semiring import SemiringAction
 from repro.obs import api as obs
-from repro.sparse.spgemm import SpGemmResult, _expansion_chunks, count_ops
+from repro.sparse.spgemm import (
+    SpGemmResult,
+    _assemble,
+    _expansion_chunks,
+    count_ops,
+)
 from repro.sparse.spmatrix import SpMat
 
 __all__ = [
@@ -407,47 +412,6 @@ def _pathsum_kernel(
         parts_k.append(uniq)
         parts_v.append(out)
     return _assemble(a.nrows, b.ncols, parts_k, parts_v, monoid, ops_done)
-
-
-def _assemble(
-    nrows: int,
-    ncols: int,
-    parts_k: list[np.ndarray],
-    parts_v: list[FieldArray],
-    monoid,
-    ops: int,
-) -> SpGemmResult:
-    """Final construction, matching the generic kernel's output exactly.
-
-    Single-chunk partials are already key-unique and sorted, so the generic
-    constructor's second reduce is the identity — skip it and prune identity
-    entries directly.  Multi-chunk partials go through the canonicalizing
-    constructor exactly as the generic kernel's do.
-    """
-    if not parts_k:
-        return SpGemmResult(SpMat.empty(nrows, ncols, monoid), ops)
-    divisor = np.int64(ncols)
-    if len(parts_k) == 1:
-        keys, vals = parts_k[0], parts_v[0]
-        keep = ~monoid.is_identity(vals)
-        if not keep.all():
-            idx = keep.nonzero()[0]
-            keys = keys[idx]
-            vals = take_fields(vals, idx)
-        mat = SpMat(
-            nrows,
-            ncols,
-            keys // divisor,
-            keys % divisor,
-            vals,
-            monoid,
-            canonical=True,
-        )
-        return SpGemmResult(mat, ops)
-    keys = np.concatenate(parts_k)
-    vals = concat_fields(parts_v)
-    mat = SpMat(nrows, ncols, keys // divisor, keys % divisor, vals, monoid)
-    return SpGemmResult(mat, ops)
 
 
 register_fast_path(_recognize_semiring, _semiring_kernel)

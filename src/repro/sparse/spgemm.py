@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.algebra.fields import concat_fields, take_fields
+from repro.algebra.fields import FieldArray, concat_fields, take_fields
 from repro.algebra.matmul import MatMulSpec
 from repro.sparse.spmatrix import SpMat
 
@@ -298,14 +298,36 @@ def _spgemm_generic(
         partial_vals.append({
             name: data[f"f_{name}"] for name in monoid.field_names
         })
-    if not partial_keys:
-        return SpGemmResult(SpMat.empty(*out_shape, monoid), ops_done)
-    keys = np.concatenate(partial_keys)
-    vals = concat_fields(partial_vals)
-    rows = keys // np.int64(b.ncols)
-    cols = keys % np.int64(b.ncols)
-    c_mat = SpMat(out_shape[0], out_shape[1], rows, cols, vals, monoid)
-    return SpGemmResult(c_mat, ops_done)
+    return _assemble(*out_shape, partial_keys, partial_vals, monoid, ops_done)
+
+
+def _assemble(
+    nrows: int,
+    ncols: int,
+    parts_k: list[np.ndarray],
+    parts_v: list[FieldArray],
+    monoid,
+    ops: int,
+) -> SpGemmResult:
+    """Final construction from per-chunk reduced ``(keys, vals)`` partials —
+    the one tail the generic kernel and every fast path finish through.
+
+    A single chunk's partial is already key-unique and sorted, so a second
+    reduce would be the identity — skip it and prune identity entries
+    directly.  Multi-chunk partials can repeat a key across chunks and go
+    through the canonicalizing constructor.
+    """
+    if not parts_k:
+        return SpGemmResult(SpMat.empty(nrows, ncols, monoid), ops)
+    if len(parts_k) == 1:
+        rows, cols, vals = SpMat._split_pruned(parts_k[0], parts_v[0], ncols, monoid)
+        mat = SpMat(nrows, ncols, rows, cols, vals, monoid, canonical=True)
+    else:
+        keys = np.concatenate(parts_k)
+        mat = SpMat(
+            nrows, ncols, keys // ncols, keys % ncols, concat_fields(parts_v), monoid
+        )
+    return SpGemmResult(mat, ops)
 
 
 def _chunk_bounds(counts: np.ndarray, chunk: int) -> list[tuple[int, int]]:

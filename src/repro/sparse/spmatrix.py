@@ -10,7 +10,7 @@ additive identity defines sparsity).
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -28,6 +28,10 @@ __all__ = ["SpMat"]
 
 class SpMat:
     """A sparse ``nrows × ncols`` matrix over ``monoid``'s carrier set.
+
+    Instances are immutable after construction: operations return new
+    matrices (or, when the result would be identical, an operand itself)
+    and never write into ``rows``/``cols``/``vals``.
 
     Parameters
     ----------
@@ -92,12 +96,19 @@ class SpMat:
     ) -> tuple[np.ndarray, np.ndarray, FieldArray]:
         keys = rows * self.ncols + cols
         keys, vals = self.monoid.reduce_by_key(keys, vals)
-        keep = ~self.monoid.is_identity(vals)
+        return self._split_pruned(keys, vals, self.ncols, self.monoid)
+
+    @staticmethod
+    def _split_pruned(
+        keys: np.ndarray, vals: FieldArray, ncols: int, monoid: Monoid
+    ) -> tuple[np.ndarray, np.ndarray, FieldArray]:
+        """Drop identity entries of reduced ``(keys, vals)``; unlinearize."""
+        keep = ~monoid.is_identity(vals)
         if not keep.all():
             keys = keys[keep]
             vals = take_fields(vals, keep.nonzero()[0])
-        if self.ncols:
-            return keys // self.ncols, keys % self.ncols, vals
+        if ncols:
+            return keys // ncols, keys % ncols, vals
         return keys[:0], keys[:0], vals
 
     @classmethod
@@ -105,6 +116,41 @@ class SpMat:
         """An all-identity (empty) matrix."""
         z = np.empty(0, dtype=np.int64)
         return cls(nrows, ncols, z, z, monoid.empty(), monoid, canonical=True)
+
+    @classmethod
+    def _merged(
+        cls,
+        nrows: int,
+        ncols: int,
+        parts: Sequence[tuple[np.ndarray, np.ndarray, FieldArray]],
+        monoid: Monoid,
+    ) -> "SpMat":
+        """``⊕`` of canonical ``(rows, cols, vals)`` parts in one frame.
+
+        Each part must be sorted, unique and identity-free over ``monoid``
+        (a canonical matrix's triples, possibly shifted by a constant).
+        Parts that already concatenate in ascending key order need no work;
+        otherwise one stable key sort merges them.  ``⊕`` and identity
+        pruning run only if two parts share a coordinate — on the same
+        sorted sequence the canonicalizing constructor would reduce, so the
+        values are bit-identical to it.
+        """
+        if not parts:
+            return cls.empty(nrows, ncols, monoid)
+        rows = np.concatenate([p[0] for p in parts])
+        cols = np.concatenate([p[1] for p in parts])
+        vals = concat_fields([p[2] for p in parts])
+        keys = rows * ncols + cols
+        if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            vals = take_fields(vals, order)
+            if (keys[1:] == keys[:-1]).any():
+                keys, vals = monoid._reduce_sorted(keys, vals)
+                rows, cols, vals = cls._split_pruned(keys, vals, ncols, monoid)
+            else:
+                rows, cols = rows[order], cols[order]
+        return cls(nrows, ncols, rows, cols, vals, monoid, canonical=True)
 
     @classmethod
     def from_scipy(
@@ -209,29 +255,52 @@ class SpMat:
 
     # -- elementwise operations ----------------------------------------------
 
+    def _take(self, idx: np.ndarray, vals: FieldArray, monoid: Monoid) -> "SpMat":
+        """Entries ``idx`` (ascending) of this support carrying ``vals[idx]``:
+        a subsequence of a canonical matrix is canonical."""
+        return SpMat(
+            self.nrows,
+            self.ncols,
+            self.rows[idx],
+            self.cols[idx],
+            take_fields(vals, idx),
+            monoid,
+            canonical=True,
+        )
+
+    def _with_values(self, vals: FieldArray, monoid: Monoid) -> "SpMat":
+        """Same support, new values over ``monoid``: the coordinates stay
+        sorted and unique, so only results equal to the identity are pruned."""
+        vals = {name: np.asarray(vals[name], dtype=dt) for name, dt in monoid.field_spec}
+        if fields_length(vals) != self.nnz:
+            raise ValueError(
+                f"coords/vals length mismatch: {self.nnz} vs {fields_length(vals)}"
+            )
+        keep = ~monoid.is_identity(vals)
+        if not keep.all():
+            return self._take(keep.nonzero()[0], vals, monoid)
+        return SpMat(
+            self.nrows, self.ncols, self.rows, self.cols, vals, monoid, canonical=True
+        )
+
     def combine(self, other: "SpMat") -> "SpMat":
         """Elementwise monoid accumulation ``self ⊕ other`` (union of supports)."""
         self._check_same_space(other)
-        rows = np.concatenate([self.rows, other.rows])
-        cols = np.concatenate([self.cols, other.cols])
-        vals = concat_fields([self.vals, other.vals])
-        return SpMat(self.nrows, self.ncols, rows, cols, vals, self.monoid)
+        if other.monoid is not self.monoid:  # re-prune under this identity
+            other = SpMat(*other.shape, other.rows, other.cols, other.vals, self.monoid)
+        if not other.nnz:
+            return self
+        if not self.nnz:
+            return other
+        parts = [(m.rows, m.cols, m.vals) for m in (self, other)]
+        return SpMat._merged(self.nrows, self.ncols, parts, self.monoid)
 
     def filter(self, predicate: Callable[[FieldArray], np.ndarray]) -> "SpMat":
         """Keep entries where ``predicate(vals)`` is True (CTF ``sparsify``)."""
         keep = np.asarray(predicate(self.vals), dtype=bool)
         if keep.shape != self.rows.shape:
             raise ValueError("predicate must return a mask over stored entries")
-        idx = keep.nonzero()[0]
-        return SpMat(
-            self.nrows,
-            self.ncols,
-            self.rows[idx],
-            self.cols[idx],
-            take_fields(self.vals, idx),
-            self.monoid,
-            canonical=True,
-        )
+        return self._take(keep.nonzero()[0], self.vals, self.monoid)
 
     def map(
         self,
@@ -245,9 +314,7 @@ class SpMat:
         """
         monoid = monoid or self.monoid
         new_vals = fn({k: v.copy() for k, v in self.vals.items()})
-        return SpMat(
-            self.nrows, self.ncols, self.rows, self.cols, new_vals, monoid
-        )
+        return self._with_values(new_vals, monoid)
 
     def align_values(self, other: "SpMat") -> FieldArray:
         """For each stored entry of ``self``, the value of ``other`` at the
@@ -283,16 +350,7 @@ class SpMat:
         ``other`` has no entry)."""
         other_vals = self.align_values(other)
         keep = np.asarray(predicate(self.vals, other_vals), dtype=bool)
-        idx = keep.nonzero()[0]
-        return SpMat(
-            self.nrows,
-            self.ncols,
-            self.rows[idx],
-            self.cols[idx],
-            take_fields(self.vals, idx),
-            self.monoid,
-            canonical=True,
-        )
+        return self._take(keep.nonzero()[0], self.vals, self.monoid)
 
     def zip_map(
         self,
@@ -308,9 +366,7 @@ class SpMat:
         monoid = monoid or self.monoid
         other_vals = self.align_values(other)
         new_vals = fn({k: v.copy() for k, v in self.vals.items()}, other_vals)
-        return SpMat(
-            self.nrows, self.ncols, self.rows, self.cols, new_vals, monoid
-        )
+        return self._with_values(new_vals, monoid)
 
     def column_sums(self, field: str) -> np.ndarray:
         """Per-column sums of one numeric field (dense length-``ncols``)."""
@@ -325,9 +381,17 @@ class SpMat:
     # -- structural operations -------------------------------------------------
 
     def transpose(self) -> "SpMat":
-        """The transposed matrix (values unchanged)."""
+        """The transposed matrix (values unchanged): a permutation of the
+        entries, so one key sort and nothing to fold or prune."""
+        order = np.argsort(self.cols * self.nrows + self.rows, kind="stable")
         return SpMat(
-            self.ncols, self.nrows, self.cols, self.rows, self.vals, self.monoid
+            self.ncols,
+            self.nrows,
+            self.cols[order],
+            self.rows[order],
+            take_fields(self.vals, order),
+            self.monoid,
+            canonical=True,
         )
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "SpMat":
@@ -350,8 +414,17 @@ class SpMat:
         )
 
     def select_rows(self, row_ids: np.ndarray) -> "SpMat":
-        """Gather the given rows (in order) into a ``len(row_ids) × ncols`` matrix."""
+        """Gather the given (distinct) rows, in order, into a
+        ``len(row_ids) × ncols`` matrix."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
+        bad = row_ids[(row_ids < 0) | (row_ids >= self.nrows)]
+        if len(bad):
+            raise ValueError(
+                f"row id {int(bad[0])} out of range for {self.nrows} rows"
+            )
+        uniq, counts = np.unique(row_ids, return_counts=True)
+        if len(uniq) != len(row_ids):
+            raise ValueError(f"duplicate row id {int(uniq[counts > 1][0])}")
         # invert: position of each stored row in row_ids, -1 if absent
         lookup = np.full(self.nrows, -1, dtype=np.int64)
         lookup[row_ids] = np.arange(len(row_ids))
@@ -365,6 +438,8 @@ class SpMat:
             self.cols[idx],
             take_fields(self.vals, idx),
             self.monoid,
+            # ascending ids keep the stored order; a permutation needs a sort
+            canonical=np.array_equal(uniq, row_ids),
         )
 
     def get(self, row: int, col: int) -> dict[str, object]:

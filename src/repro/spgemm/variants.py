@@ -734,29 +734,12 @@ def _reassemble(
     charge — the caller's final redistribution to the home layout pays the
     real shuffle.
     """
-    full_rows: list[np.ndarray] = []
-    full_cols: list[np.ndarray] = []
-    full_vals = []
+    parts = []
     for dm, roff, coff in pieces:
         local = dm.gather(charge=False)
-        if local.nnz == 0:
-            continue
-        full_rows.append(local.rows + roff)
-        full_cols.append(local.cols + coff)
-        full_vals.append(local.vals)
-    if not full_rows:
-        full = SpMat.empty(nrows, ncols, monoid)
-    else:
-        from repro.algebra.fields import concat_fields
-
-        full = SpMat(
-            nrows,
-            ncols,
-            np.concatenate(full_rows),
-            np.concatenate(full_cols),
-            concat_fields(full_vals),
-            monoid,
-        )
+        if local.nnz:
+            parts.append((local.rows + roff, local.cols + coff, local.vals))
+    full = SpMat._merged(nrows, ncols, parts, monoid)
     p = machine.p
     # provisional machine-wide 1 × p layout; caller redistributes to home
     return DistMat.distribute(

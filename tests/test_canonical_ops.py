@@ -1,0 +1,332 @@
+"""Canonical-by-construction producers vs the canonicalizing constructor.
+
+Every internal :class:`SpMat` producer builds its result ``canonical=True``
+from an argument about its inputs (see "Canonical-form contract" in
+docs/performance_model.md).  Here each one is checked against the public
+constructor — which sorts, folds and prunes from scratch — on the same
+triples: the output must have zero ``check_spmat`` violations and ``.equals``
+the reference.  The structural tests at the bottom pin that the hot
+redistribution path performs no monoid reduction and that an ``mfbc`` run
+stays off the canonicalizing constructor.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.algebra.centpath import CENTPATH
+from repro.algebra.fields import concat_fields, take_fields
+from repro.algebra.monoid import MaxMonoid, MinMonoid, PlusMonoid
+from repro.algebra.multpath import MULTPATH
+from repro.check import check_spmat
+from repro.check import strategies as cst
+from repro.core import mfbc
+from repro.dist import DistMat, DistributedEngine
+from repro.dist.distmat import _pack_block
+from repro.graphs import uniform_random_graph_nm
+from repro.machine import Machine
+from repro.sparse import SpMat
+from repro.spgemm.variants import _reassemble
+
+#: one object per library monoid, so operands of a case share their monoid
+MONOIDS = [MinMonoid(), PlusMonoid(), MaxMonoid(), MULTPATH, CENTPATH]
+PLUS = MONOIDS[1]
+
+
+def assert_canonical(out: SpMat, ref: SpMat) -> None:
+    assert check_spmat(out) == []
+    assert out.monoid is ref.monoid
+    assert out.equals(ref)
+
+
+def triples(mats):
+    """Concatenated (rows, cols, vals) of ``mats`` — raw constructor input."""
+    rows = np.concatenate([m.rows for m in mats])
+    cols = np.concatenate([m.cols for m in mats])
+    return rows, cols, concat_fields([m.vals for m in mats])
+
+
+@st.composite
+def same_space(draw, count=2, max_side=6):
+    """``count`` canonical matrices sharing one shape and one monoid object
+    (small sides, so supports overlap often)."""
+    monoid = draw(st.sampled_from(MONOIDS))
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    return [draw(cst.spmats(monoid, shape=shape)) for _ in range(count)]
+
+
+@st.composite
+def masks(draw, n):
+    return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+
+
+@st.composite
+def splits(draw, n, parts=None):
+    """Ascending boundaries of ``parts`` blocks (drawn when ``None``) over
+    ``range(n)``; repeated boundaries make zero-width blocks."""
+    k = parts or draw(st.integers(1, 4))
+    inner = sorted(draw(st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1)))
+    return np.array([0, *inner, n], dtype=np.int64)
+
+
+# -- SpMat algebra ------------------------------------------------------------
+
+
+@given(same_space())
+def test_combine(pair):
+    a, b = pair
+    ref = SpMat(*a.shape, *triples([a, b]), a.monoid)
+    assert_canonical(a.combine(b), ref)
+
+
+@given(cst.spmats(PLUS))
+def test_combine_hits_identity(a):
+    neg = a.map(lambda v: {"w": -v["w"]})
+    assert_canonical(a.combine(neg), SpMat.empty(*a.shape, PLUS))
+
+
+@given(cst.spmats())
+def test_combine_with_empty_returns_the_operand(a):
+    empty = SpMat.empty(*a.shape, a.monoid)
+    assert a.combine(empty) is a
+    assert empty.combine(a) is (a if a.nnz else empty)
+
+
+def test_combine_across_monoid_objects_prunes_under_self():
+    # same schema, different identity: min's entry 0.0 is plus's identity
+    m = SpMat(2, 2, [0, 1], [0, 1], {"w": [0.0, 3.0]}, MinMonoid())
+    for lhs in (SpMat.empty(2, 2, PLUS), SpMat(2, 2, [0], [1], {"w": [1.0]}, PLUS)):
+        out = lhs.combine(m)
+        assert_canonical(out, SpMat(2, 2, *triples([lhs, m]), PLUS))
+        assert out.nnz == lhs.nnz + 1  # (0, 0) is not stored
+
+
+@given(cst.spmats(), st.data())
+def test_merged_disjoint_parts(a, data):
+    owner = np.array(
+        data.draw(st.lists(st.integers(0, 3), min_size=a.nnz, max_size=a.nnz)),
+        dtype=np.int64,
+    )
+    parts = []
+    for k in range(4):  # part 3 may be empty; subsequences stay canonical
+        idx = (owner == k).nonzero()[0]
+        parts.append((a.rows[idx], a.cols[idx], take_fields(a.vals, idx)))
+    assert_canonical(SpMat._merged(*a.shape, parts, a.monoid), a)
+    assert_canonical(SpMat._merged(*a.shape, [], a.monoid), SpMat.empty(*a.shape, a.monoid))
+
+
+@given(same_space(count=3))
+def test_merged_overlapping_parts_fall_back_to_reducing(mats):
+    parts = [(m.rows, m.cols, m.vals) for m in mats]
+    ref = SpMat(*mats[0].shape, *triples(mats), mats[0].monoid)
+    assert_canonical(SpMat._merged(*mats[0].shape, parts, mats[0].monoid), ref)
+
+
+@given(cst.spmats(), st.sampled_from(MONOIDS), st.data())
+def test_map_prunes_identity(a, out_monoid, data):
+    hit = data.draw(masks(a.nnz))
+    fresh = data.draw(cst.values_for(out_monoid, a.nnz))
+    new = {
+        name: np.where(hit, out_monoid.identity[name], fresh[name]).astype(dt)
+        for name, dt in out_monoid.field_spec
+    }
+    ref = SpMat(*a.shape, a.rows, a.cols, new, out_monoid)
+    assert_canonical(a.map(lambda v: new, monoid=out_monoid), ref)
+    assert ref.nnz == a.nnz - hit.sum()
+
+
+def test_map_validates_length():
+    a = SpMat(2, 2, [0, 1], [0, 1], {"w": [1.0, 2.0]}, PLUS)
+    with pytest.raises(ValueError, match="length mismatch"):
+        a.map(lambda v: {"w": v["w"][:1]})
+
+
+@given(same_space())
+def test_zip_map(pair):
+    a, b = pair
+    monoid = a.monoid
+    new = monoid.combine(a.vals, a.align_values(b))
+    ref = SpMat(*a.shape, a.rows, a.cols, new, monoid)
+    assert_canonical(a.zip_map(b, monoid.combine), ref)
+
+
+@given(cst.spmats(PLUS))
+def test_zip_map_hits_identity(a):
+    neg = a.map(lambda v: {"w": -v["w"]})
+    assert_canonical(a.zip_map(neg, PLUS.combine), SpMat.empty(*a.shape, PLUS))
+
+
+@given(same_space(), st.data())
+def test_filter_and_zip_filter(pair, data):
+    a, b = pair
+    keep = data.draw(masks(a.nnz))
+    idx = keep.nonzero()[0]
+    ref = SpMat(*a.shape, a.rows[idx], a.cols[idx], take_fields(a.vals, idx), a.monoid)
+    assert_canonical(a.filter(lambda v: keep), ref)
+    stored = ~b.monoid.is_identity(a.align_values(b))
+    idx = stored.nonzero()[0]
+    ref = SpMat(*a.shape, a.rows[idx], a.cols[idx], take_fields(a.vals, idx), a.monoid)
+    out = a.zip_filter(b, lambda v, o: ~b.monoid.is_identity(o))
+    assert_canonical(out, ref)
+
+
+@given(cst.spmats(), st.data())
+def test_block(a, data):
+    r0, r1 = sorted(data.draw(st.tuples(*[st.integers(0, a.nrows)] * 2)))
+    c0, c1 = sorted(data.draw(st.tuples(*[st.integers(0, a.ncols)] * 2)))
+    inside = (a.rows >= r0) & (a.rows < r1) & (a.cols >= c0) & (a.cols < c1)
+    idx = inside.nonzero()[0]
+    ref = SpMat(
+        r1 - r0, c1 - c0, a.rows[idx] - r0, a.cols[idx] - c0,
+        take_fields(a.vals, idx), a.monoid,
+    )
+    assert_canonical(a.block(r0, r1, c0, c1), ref)
+
+
+@given(cst.spmats())
+def test_transpose(a):
+    ref = SpMat(a.ncols, a.nrows, a.cols, a.rows, a.vals, a.monoid)
+    assert_canonical(a.transpose(), ref)
+    assert_canonical(a.transpose().transpose(), a)
+
+
+@given(cst.spmats(), st.data())
+def test_select_rows(a, data):
+    ids = np.array(
+        data.draw(st.lists(st.integers(0, a.nrows - 1), unique=True)), dtype=np.int64
+    )
+    for row_ids in (ids, np.sort(ids)):
+        out = a.select_rows(row_ids)
+        assert check_spmat(out) == []
+        assert out.shape == (len(row_ids), a.ncols)
+        for pos, r in enumerate(row_ids):
+            assert out.block(pos, pos + 1, 0, a.ncols).equals(a.block(r, r + 1, 0, a.ncols))
+
+
+# -- redistribution -----------------------------------------------------------
+
+
+@given(cst.spmats(), st.data())
+def test_pack_block(src, data):
+    r0, c0 = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    row_splits = data.draw(splits(src.nrows + r0 + data.draw(st.integers(0, 2))))
+    col_splits = data.draw(splits(src.ncols + c0 + data.draw(st.integers(0, 2))))
+    pieces = _pack_block(src, r0, c0, row_splits, col_splits, src.monoid)
+    assert [(a, b) for a, b, _ in pieces] == sorted((a, b) for a, b, _ in pieces)
+    framed = SpMat(
+        int(row_splits[-1]), int(col_splits[-1]), src.rows + r0, src.cols + c0,
+        src.vals, src.monoid,
+    )
+    for a, b, piece in pieces:
+        assert piece.nnz
+        ref = framed.block(
+            int(row_splits[a]), int(row_splits[a + 1]),
+            int(col_splits[b]), int(col_splits[b + 1]),
+        )
+        assert_canonical(piece, ref)
+    assert sum(piece.nnz for _, _, piece in pieces) == src.nnz
+
+
+def assert_distributed(d: DistMat, mat: SpMat) -> None:
+    """Every block of ``d`` is canonical and is the matching slice of ``mat``."""
+    pr, pc = d.grid_shape
+    for i in range(pr):
+        for j in range(pc):
+            ref = mat.block(
+                int(d.row_splits[i]), int(d.row_splits[i + 1]),
+                int(d.col_splits[j]), int(d.col_splits[j + 1]),
+            )
+            assert_canonical(d.blocks[i][j], ref)
+    assert_canonical(d.gather(charge=False), mat)
+
+
+@given(cst.spmats(max_side=9), st.integers(1, 8), st.data())
+def test_redistribute_and_gather(mat, p, data):
+    # sides below the grid's give zero-width blocks; grids() includes the
+    # one-column (p × 1) and one-row layouts
+    machine = Machine(p)
+    d = DistMat.distribute(mat, machine, data.draw(cst.grids(p)), charge=False)
+    assert_distributed(d, mat)
+    ranks2d = data.draw(cst.grids(p))
+    uneven = data.draw(st.booleans())
+    moved = d.redistribute(
+        ranks2d,
+        data.draw(splits(mat.nrows, ranks2d.shape[0])) if uneven else None,
+        data.draw(splits(mat.ncols, ranks2d.shape[1])) if uneven else None,
+    )
+    assert_distributed(moved, mat)
+
+
+@pytest.mark.parametrize("monoid", MONOIDS, ids=lambda m: type(m).__name__)
+def test_one_column_grid_roundtrip(monoid):
+    rng = np.random.default_rng(3)
+    flat = np.sort(rng.choice(40 * 7, 60, replace=False))
+    vals = {n: rng.integers(1, 9, 60).astype(dt) for n, dt in monoid.field_spec}
+    mat = SpMat(40, 7, flat // 7, flat % 7, vals, monoid)
+    machine = Machine(4)
+    home = DistMat.distribute(mat, machine, np.arange(4).reshape(2, 2), charge=False)
+    col1 = home.redistribute(np.arange(4).reshape(4, 1))
+    assert_distributed(col1, mat)
+    assert_distributed(col1.redistribute(np.arange(4).reshape(1, 4)), mat)
+
+
+@given(cst.spmats(max_side=9), st.booleans(), st.data())
+def test_reassemble(mat, by_rows, data):
+    machine = Machine(4)
+    layers = [np.array([[0, 1]]), np.array([[2], [3]])]
+    cut = data.draw(st.integers(0, mat.nrows if by_rows else mat.ncols))
+    pieces = []
+    for layer, (lo, hi) in zip(layers, [(0, cut), (cut, None)]):
+        if by_rows:
+            hi = mat.nrows if hi is None else hi
+            sub, off = mat.block(lo, hi, 0, mat.ncols), (lo, 0)
+        else:
+            hi = mat.ncols if hi is None else hi
+            sub, off = mat.block(0, mat.nrows, lo, hi), (0, lo)
+        pieces.append((DistMat.distribute(sub, machine, layer, charge=False), *off))
+    out = _reassemble(machine, pieces, mat.nrows, mat.ncols, mat.monoid)
+    assert_distributed(out, mat)
+
+
+# -- structural regression: the property cannot silently rot -------------------
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_redistribute_and_gather_reduce_nothing(monkeypatch, rng):
+    flat = np.sort(rng.choice(64 * 48, 700, replace=False))
+    mat = SpMat(64, 48, flat // 48, flat % 48, MULTPATH.make(np.ones(700), np.ones(700)), MULTPATH)
+    machine = Machine(16)
+    d = DistMat.distribute(mat, machine, np.arange(16).reshape(4, 4))
+    cls = type(MULTPATH)
+    calls = count_calls(monkeypatch, cls, "reduce_by_key")
+    calls += count_calls(monkeypatch, cls, "_reduce_sorted")
+    builds = count_calls(monkeypatch, SpMat, "_canonicalize")
+    for ranks2d in (np.arange(16).reshape(1, 16), np.arange(16).reshape(16, 1),
+                    np.arange(16).reshape(2, 8)):
+        moved = d.redistribute(ranks2d)
+        assert moved.gather().equals(mat)
+        assert moved.redistribute(d.ranks2d).gather().equals(mat)
+    assert calls == [] and builds == []
+
+
+def test_mfbc_stays_off_the_canonicalizing_constructor(monkeypatch):
+    g = uniform_random_graph_nm(96, 6.0, seed=5)
+    engine = DistributedEngine(Machine(4))
+    builds = count_calls(monkeypatch, SpMat, "_canonicalize")
+    result = mfbc(g, sources=np.arange(12), batch_size=6, engine=engine)
+    assert result.scores.shape == (g.n,)
+    # what is left builds from raw triples: the adjacency matrix and each of
+    # the two batches' seed frontier (the parent commit made 771 on this run)
+    assert len(builds) <= 3
