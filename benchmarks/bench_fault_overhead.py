@@ -88,7 +88,7 @@ def test_fault_overhead(save_table):
         assert snap == ref_snap, label
 
     # the inert plan really is unarmed, so the machine never installed hooks
-    assert not resolve_fault_plan(INERT_SPEC, env=False).armed
+    assert not resolve_fault_plan(INERT_SPEC).armed
 
     save_table(
         "fault_overhead",

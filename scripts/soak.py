@@ -53,7 +53,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.cli import add_run_flags, build_machine  # noqa: E402
 from repro.graphs import rmat_graph  # noqa: E402
+from repro.machine import Machine  # noqa: E402
 from repro.serve import BCService, OverloadConfig  # noqa: E402
 from repro.serve.loadgen import (  # noqa: E402
     DEFAULT_MIX,
@@ -71,11 +73,10 @@ def calibrate(graph, args) -> float:
     """Closed-loop queries/second of a clean service (no faults, no bounds)."""
     service = BCService(
         graph,
-        p=args.p,
+        machine=Machine(args.p, check=args.check),
         max_batch=args.max_batch,
         batch_window=args.batch_window,
         cache_capacity=args.cache_capacity,
-        check=args.check,
     )
     try:
         specs = generate_queries(args.calibrate_queries, graph.n, seed=args.seed + 1)
@@ -97,16 +98,11 @@ def soak(graph, capacity_qps: float, args) -> tuple[dict, int]:
     )
     service = BCService(
         graph,
-        p=args.p,
+        machine=build_machine(args),
         max_batch=args.max_batch,
         batch_window=args.batch_window,
         cache_capacity=args.cache_capacity,
-        faults=args.faults,
-        elastic=args.elastic,
-        check=args.check,
         overload=cfg,
-        memory_words=args.memory_words,
-        spill_dir=args.spill_dir,
     )
     offered = args.factor * capacity_qps
     n_queries = max(int(offered * args.duration), args.concurrency)
@@ -301,9 +297,8 @@ def soak(graph, capacity_qps: float, args) -> tuple[dict, int]:
 def _reference_rows(graph, sources, args):
     from repro.core.mfbc import mfbc_per_source
     from repro.dist.engine import DistributedEngine
-    from repro.machine.machine import Machine
 
-    engine = DistributedEngine(Machine(args.p), check=args.check)
+    engine = DistributedEngine(Machine(args.p, check=args.check))
     return mfbc_per_source(
         graph, np.asarray(sources, dtype=np.int64), engine=engine
     )
@@ -341,19 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--max-queued", type=int, default=64)
     parser.add_argument("--max-queued-seconds", type=float, default=None)
-    parser.add_argument("--faults", default=None)
-    parser.add_argument(
-        "--memory-words",
-        type=int,
-        default=None,
-        help="per-rank memory budget for the soak service (words); arms "
-        "the spill/shrink ladder under the storm (calibration stays clean)",
-    )
-    parser.add_argument(
-        "--spill-dir", default=None, help="spill-segment directory"
-    )
-    parser.add_argument("--elastic", default=None)
-    parser.add_argument("--check", default=None)
+    # --memory-words budgets the soak service only: it arms the spill/shrink
+    # ladder under the storm while calibration stays clean
+    add_run_flags(parser, "faults", "memory_words", "spill_dir", "elastic", "check")
     parser.add_argument("--calibrate-queries", type=int, default=150)
     parser.add_argument("--goodput-floor", type=float, default=0.5)
     parser.add_argument("--p99-budget", type=float, default=30.0)

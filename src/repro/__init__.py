@@ -122,7 +122,6 @@ from repro.machine import (
 )
 from repro import obs
 from repro.sparse import (
-    KERNEL_ENV,
     KERNEL_MODES,
     KernelTraits,
     SpGemmResult,
@@ -131,7 +130,6 @@ from repro.sparse import (
     recognize,
     register_fast_path,
     resolve_kernel_mode,
-    set_default_kernel_mode,
     spgemm,
 )
 from repro.tensor import SpTensor, contract
@@ -166,13 +164,11 @@ __all__ = [
     "SpTensor",
     "contract",
     # kernel dispatch tier
-    "KERNEL_ENV",
     "KERNEL_MODES",
     "KernelTraits",
     "recognize",
     "register_fast_path",
     "resolve_kernel_mode",
-    "set_default_kernel_mode",
     # core
     "mfbc",
     "mfbf",

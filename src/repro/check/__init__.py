@@ -13,9 +13,8 @@ Three parts:
   :class:`~repro.core.engine.Engine` wrapper that validates every
   ``spgemm``'s operands and results and differentially replays a
   configurable sample of products against the sequential kernel.  Enabled
-  via ``Machine``/``DistributedEngine(check=...)``, the ``REPRO_CHECK``
-  environment variable (``off``/``cheap``/``full``/``sample:N``), or the
-  CLI ``--check`` flag.
+  by the ``check`` knob (:mod:`repro.config`):
+  ``off``/``cheap``/``full``/``sample:N``.
 * :mod:`repro.check.strategies` — hypothesis strategies shared by the test
   suite (monoids, sparse matrices, graphs, grids, matmul specs).  Imported
   lazily because it requires ``hypothesis``, which is a test-only extra.
@@ -24,7 +23,6 @@ See ``docs/testing.md`` for the full tour.
 """
 
 from repro.check.engine import (
-    CHECK_ENV,
     CheckConfig,
     CheckedEngine,
     CheckFailure,
@@ -43,7 +41,6 @@ from repro.check.invariants import (
 from repro.check.replay import ReplayCase, ReplayReport, load_case, replay
 
 __all__ = [
-    "CHECK_ENV",
     "CheckConfig",
     "CheckedEngine",
     "CheckError",

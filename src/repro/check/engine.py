@@ -20,14 +20,10 @@ every product into a self-checking one:
   plumbing, writes a standalone replay script, emits a ``repro.obs``
   event, and raises :class:`CheckFailure` pointing at both artifacts.
 
-Enablement — all three roads lead to :func:`resolve_check_config`:
-
-* ``DistributedEngine(machine, check="full")`` or
-  ``Machine(p, check="cheap")``;
-* the ``REPRO_CHECK`` environment variable
-  (``off`` / ``cheap`` / ``full`` / ``sample:N`` — same spirit as
-  ``REPRO_FAULTS``);
-* the CLI's ``--check`` flag.
+Enablement is the ``check`` knob (:mod:`repro.config`; ``off`` / ``cheap``
+/ ``full`` / ``sample:N``): ``Machine(p, check="cheap")`` resolves it for a
+run, and ``DistributedEngine(machine, check="full")`` overrides the
+machine's level for one engine.
 
 When checking is off nothing wraps anything: the hot paths are exactly the
 unchecked ones.
@@ -50,24 +46,18 @@ from repro.check.invariants import (
     require_clean,
 )
 from repro.check.replay import ReplayCase, emit_case, matrices_match
+from repro import config
 from repro.obs import api as obs
 from repro.sparse.spgemm import spgemm
 from repro.sparse.spmatrix import SpMat
 
 __all__ = [
-    "CHECK_ENV",
     "CheckConfig",
     "CheckFailure",
     "CheckedEngine",
     "maybe_checked",
     "resolve_check_config",
 ]
-
-#: environment variable consulted when no explicit ``check=`` is given.
-CHECK_ENV = "REPRO_CHECK"
-
-#: where mismatch artifacts land when the config doesn't say.
-ARTIFACT_DIR_ENV = "REPRO_CHECK_DIR"
 
 
 @dataclass(frozen=True)
@@ -82,8 +72,8 @@ class CheckConfig:
 
     mode: str
     sample: int = 0
-    #: where to write mismatch repro cases; ``None`` → ``$REPRO_CHECK_DIR``
-    #: or the current directory.
+    #: where to write mismatch repro cases; ``None`` → the ambient
+    #: ``check_dir`` knob, else the current directory.
     artifact_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -103,30 +93,25 @@ class CheckConfig:
 
 
 def resolve_check_config(
-    spec: "CheckConfig | str | None" = None, *, env: bool = True
+    spec: "CheckConfig | str | None" = None,
 ) -> CheckConfig | None:
     """Normalize a check specification; ``None`` means checking is off.
 
     Accepts a :class:`CheckConfig` (passed through), a spec string
-    (``""``/``"none"``/``"off"`` → off, ``"cheap"``, ``"full"``,
-    ``"sample:N"``), or ``None`` — which consults ``$REPRO_CHECK`` when
-    ``env`` is true and otherwise resolves to off.
+    (``"cheap"``, ``"full"``, ``"sample:N"``, or an off-spelling), or
+    ``None`` for the ambient ``check`` knob (:mod:`repro.config`).
     """
     if isinstance(spec, CheckConfig):
         return spec
-    if spec is None:
-        if not env:
-            return None
-        spec = os.environ.get(CHECK_ENV)
-        if spec is None:
-            return None
+    return config.ambient("check", spec, _parse_spec)
+
+
+def _parse_spec(spec: str) -> CheckConfig:
     if not isinstance(spec, str):
         raise TypeError(
             f"check must be a CheckConfig, a spec string, or None, got {spec!r}"
         )
     s = spec.strip().lower()
-    if s in ("", "none", "off", "0", "false"):
-        return None
     if s == "cheap":
         return CheckConfig("cheap")
     if s == "full":
@@ -187,7 +172,7 @@ class CheckedEngine:
     """
 
     def __init__(self, engine, check: "CheckConfig | str" = "cheap") -> None:
-        cfg = resolve_check_config(check, env=False)
+        cfg = resolve_check_config(check)
         if cfg is None:
             # Explicitly constructing a CheckedEngine means the caller wants
             # checking; "off" degenerates to the cheapest level, not to a
@@ -384,8 +369,8 @@ class CheckedEngine:
         )
         case_path = script_path = None
         artifact_note = ""
-        directory = self.config.artifact_dir or os.environ.get(
-            ARTIFACT_DIR_ENV, os.getcwd()
+        directory = (
+            config.ambient("check_dir", self.config.artifact_dir) or os.getcwd()
         )
         try:
             case_path, script_path = emit_case(
@@ -417,8 +402,8 @@ class CheckedEngine:
 def maybe_checked(engine, check: "CheckConfig | str | None" = None):
     """Wrap ``engine`` when checking is enabled; return it untouched otherwise.
 
-    ``check=None`` consults ``$REPRO_CHECK``.  Already-checked engines pass
-    through, so layering ``maybe_checked`` is idempotent.
+    ``check=None`` means the ambient ``check`` knob.  Already-checked
+    engines pass through, so layering ``maybe_checked`` is idempotent.
     """
     if isinstance(engine, CheckedEngine):
         return engine

@@ -24,11 +24,11 @@ Examples
     python -m repro serve g.txt --p 16 --port 8734 --elastic replica
     python -m repro info g.txt
 
-Fault injection (``--faults`` / ``$REPRO_FAULTS``) and per-batch
-checkpointing (``--checkpoint``; re-running the same command resumes from
-the file if it exists) are documented in ``docs/robustness.md``.
-Correctness checking (``--check`` / ``$REPRO_CHECK``: ``cheap``, ``full``,
-or ``sample:N``) is documented in ``docs/testing.md``.
+The run flags (``--executor``, ``--faults``, ``--check``, ``--elastic``,
+``--kernel``, ``--memory-words``, ``--spill-dir``) are the knobs of
+:mod:`repro.config`, each with an environment fallback; they, ``--deadline``,
+``--checkpoint`` (re-running the same command resumes from the file if it
+exists) and ``--policy`` are declared once, in :func:`add_run_flags`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,68 @@ import sys
 
 import numpy as np
 
-__all__ = ["main", "build_parser"]
+from repro.config import KNOBS
+
+__all__ = ["main", "build_parser", "add_run_flags", "build_machine"]
+
+#: argparse keywords of the knob flags that are not plain strings
+_KNOB_ARGS = {
+    "kernel": {"choices": KNOBS["kernel"].grammar.split(" | ")},
+    "memory_words": {"type": int},
+}
+
+#: the run flags that are not ambient knobs
+_PLAIN_FLAGS = {
+    "deadline": (
+        "--deadline",
+        dict(
+            type=float,
+            default=None,
+            metavar="SECONDS",
+            help="modeled critical-path time budget; the run aborts with "
+            "DeadlineExceeded once the clock passes it",
+        ),
+    ),
+    "checkpoint": (
+        "--checkpoint",
+        dict(
+            default=None,
+            metavar="PATH",
+            help="checkpoint scores after every batch; resumes from PATH if it "
+            "already holds a compatible checkpoint (.npz binary, else JSON)",
+        ),
+    ),
+    "policy": ("--policy", dict(choices=["auto", "ca", "square2d"], default="auto")),
+}
+
+
+def add_run_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Declare the named run flags on ``parser`` — their one definition.
+
+    A name is a :data:`repro.config.KNOBS` key (flag, metavar, grammar and
+    help come from the table; the default is ``None``: the ambient value)
+    or one of ``deadline`` / ``checkpoint`` / ``policy`` (which brings
+    ``--c`` along).  Every ``repro`` subcommand, ``repro.serve.loadgen``
+    and ``scripts/soak.py`` declare their run flags through here.
+    """
+    for name in names:
+        if name in KNOBS:
+            knob = KNOBS[name]
+            parser.add_argument(
+                knob.flag,
+                default=None,
+                metavar=knob.metavar,
+                help=f"{knob.help}; {knob.grammar}; "
+                f"default: ${knob.env} or {knob.default or 'off'}",
+                **_KNOB_ARGS.get(name, {}),
+            )
+        else:
+            flag, kwargs = _PLAIN_FLAGS[name]
+            parser.add_argument(flag, **kwargs)
+            if name == "policy":
+                parser.add_argument(
+                    "--c", type=int, default=1, help="replication (ca policy)"
+                )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,6 +108,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="MFBC betweenness centrality (SC'17 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # what simulate / trace / serve share: a graph on a configured machine
+    on_machine = argparse.ArgumentParser(add_help=False)
+    on_machine.add_argument("graph")
+    on_machine.add_argument("--directed", action="store_true")
+    on_machine.add_argument("--p", type=int, default=16, help="simulated ranks")
+    add_run_flags(
+        on_machine, "policy", "executor", "faults", "check", "elastic",
+        "kernel", "memory_words", "spill_dir",
+    )
+    # what simulate / trace add: a bounded, checkpointable batch run
+    batch_run = argparse.ArgumentParser(add_help=False)
+    batch_run.add_argument("--batch", type=int, default=64)
+    batch_run.add_argument("--batches", type=int, default=1, help="batches to run")
+    add_run_flags(batch_run, "checkpoint", "deadline")
 
     p_bc = sub.add_parser("bc", help="compute betweenness centrality")
     p_bc.add_argument("graph", help="edge-list file (src dst [weight])")
@@ -79,20 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bc.add_argument("--top", type=int, default=10, help="print this many vertices")
     p_bc.add_argument("--normalized", action="store_true")
     p_bc.add_argument("-o", "--output", default=None, help="write all scores here")
-    p_bc.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="checkpoint scores after every batch; resumes from PATH if it "
-        "already holds a compatible checkpoint (.npz binary, else JSON)",
-    )
-    p_bc.add_argument(
-        "--kernel",
-        choices=["generic", "auto", "fast"],
-        default=None,
-        help="SpGEMM kernel-dispatch mode (see docs/performance_model.md); "
-        "default: $REPRO_KERNEL or auto",
-    )
+    add_run_flags(p_bc, "checkpoint", "kernel")
 
     p_gen = sub.add_parser("generate", help="generate a synthetic graph")
     p_gen.add_argument(
@@ -106,98 +169,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", required=True)
 
-    p_sim = sub.add_parser(
-        "simulate", help="distributed MFBC on the simulated machine"
-    )
-    p_sim.add_argument("graph")
-    p_sim.add_argument("--directed", action="store_true")
-    p_sim.add_argument("--p", type=int, default=16, help="simulated ranks")
-    p_sim.add_argument(
-        "--policy", choices=["auto", "ca", "square2d"], default="auto"
-    )
-    p_sim.add_argument("--c", type=int, default=1, help="replication (ca policy)")
-    p_sim.add_argument("--batch", type=int, default=64)
-    p_sim.add_argument("--batches", type=int, default=1, help="batches to run")
-    p_sim.add_argument(
-        "--executor",
-        default=None,
-        metavar="BACKEND[:N]",
-        help="local execution backend (serial/thread/process, e.g. thread:8);"
-        " default: $REPRO_EXECUTOR or serial",
-    )
-    p_sim.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="fault-injection plan, e.g. seed:3,crash:0.05,limit:2 "
-        "(see docs/robustness.md); default: $REPRO_FAULTS or none",
-    )
-    p_sim.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="checkpoint scores after every batch; resumes from PATH if it "
-        "already holds a compatible checkpoint (.npz binary, else JSON)",
-    )
-    p_sim.add_argument(
-        "--check",
-        default=None,
-        metavar="LEVEL",
-        help="correctness checking: cheap, full, or sample:N "
-        "(see docs/testing.md); default: $REPRO_CHECK or off",
-    )
-    p_sim.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="modeled critical-path time budget; the run aborts with "
-        "DeadlineExceeded once the clock passes it",
-    )
-    p_sim.add_argument(
-        "--elastic",
-        default=None,
-        metavar="POLICY",
-        help="in-flight rank-failure recovery: replica, replica:STRIDE, or "
-        "source (see docs/robustness.md); default: $REPRO_ELASTIC or off",
-    )
-    p_sim.add_argument(
-        "--kernel",
-        choices=["generic", "auto", "fast"],
-        default=None,
-        help="SpGEMM kernel-dispatch mode (see docs/performance_model.md); "
-        "default: $REPRO_KERNEL or auto",
-    )
-    p_sim.add_argument(
-        "--memory-words",
-        type=int,
-        default=None,
-        metavar="WORDS",
-        help="per-rank memory budget; under pressure the OOM ladder shrinks "
-        "batches, spills cold blocks, and drops replica redundancy "
-        "(docs/robustness.md); default: $REPRO_MEMORY or unlimited",
-    )
-    p_sim.add_argument(
-        "--spill-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for spilled block segments; default: $REPRO_SPILL_DIR "
-        "or a private temporary directory",
+    sub.add_parser(
+        "simulate",
+        parents=[on_machine, batch_run],
+        help="distributed MFBC on the simulated machine",
     )
 
     p_tr = sub.add_parser(
         "trace",
+        parents=[on_machine, batch_run],
         help="traced distributed MFBC: Chrome trace JSON + phase timeline",
     )
-    p_tr.add_argument("graph")
-    p_tr.add_argument("--directed", action="store_true")
-    p_tr.add_argument("--p", type=int, default=16, help="simulated ranks")
-    p_tr.add_argument(
-        "--policy", choices=["auto", "ca", "square2d"], default="auto"
-    )
-    p_tr.add_argument("--c", type=int, default=1, help="replication (ca policy)")
-    p_tr.add_argument("--batch", type=int, default=64)
-    p_tr.add_argument("--batches", type=int, default=1, help="batches to run")
     p_tr.add_argument(
         "-o", "--output", default="trace.json",
         help="Chrome trace_event JSON output (load in ui.perfetto.dev)",
@@ -205,84 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument(
         "--jsonl", default=None, help="also write flat span/metric JSONL here"
     )
-    p_tr.add_argument(
-        "--executor",
-        default=None,
-        metavar="BACKEND[:N]",
-        help="local execution backend (serial/thread/process, e.g. thread:8);"
-        " default: $REPRO_EXECUTOR or serial",
-    )
-    p_tr.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="fault-injection plan, e.g. seed:3,crash:0.05,limit:2 "
-        "(see docs/robustness.md); default: $REPRO_FAULTS or none",
-    )
-    p_tr.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="checkpoint scores after every batch; resumes from PATH if it "
-        "already holds a compatible checkpoint (.npz binary, else JSON)",
-    )
-    p_tr.add_argument(
-        "--check",
-        default=None,
-        metavar="LEVEL",
-        help="correctness checking: cheap, full, or sample:N "
-        "(see docs/testing.md); default: $REPRO_CHECK or off",
-    )
-    p_tr.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="modeled critical-path time budget; the run aborts with "
-        "DeadlineExceeded once the clock passes it",
-    )
-    p_tr.add_argument(
-        "--elastic",
-        default=None,
-        metavar="POLICY",
-        help="in-flight rank-failure recovery: replica, replica:STRIDE, or "
-        "source (see docs/robustness.md); default: $REPRO_ELASTIC or off",
-    )
-    p_tr.add_argument(
-        "--kernel",
-        choices=["generic", "auto", "fast"],
-        default=None,
-        help="SpGEMM kernel-dispatch mode (see docs/performance_model.md); "
-        "default: $REPRO_KERNEL or auto",
-    )
-    p_tr.add_argument(
-        "--memory-words",
-        type=int,
-        default=None,
-        metavar="WORDS",
-        help="per-rank memory budget; under pressure the OOM ladder shrinks "
-        "batches, spills cold blocks, and drops replica redundancy "
-        "(docs/robustness.md); default: $REPRO_MEMORY or unlimited",
-    )
-    p_tr.add_argument(
-        "--spill-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for spilled block segments; default: $REPRO_SPILL_DIR "
-        "or a private temporary directory",
-    )
 
     p_srv = sub.add_parser(
         "serve",
+        parents=[on_machine],
         help="persistent BC-as-a-service HTTP/JSON front end (docs/serving.md)",
     )
-    p_srv.add_argument("graph")
-    p_srv.add_argument("--directed", action="store_true")
-    p_srv.add_argument("--p", type=int, default=16, help="simulated ranks")
-    p_srv.add_argument(
-        "--policy", choices=["auto", "ca", "square2d"], default="auto"
-    )
-    p_srv.add_argument("--c", type=int, default=1, help="replication (ca policy)")
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8734, help="0 picks a free port")
     p_srv.add_argument(
@@ -301,57 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--cache-capacity", type=int, default=4096, help="score-cache LRU entries"
-    )
-    p_srv.add_argument(
-        "--executor",
-        default=None,
-        metavar="BACKEND[:N]",
-        help="local execution backend (serial/thread/process, e.g. thread:8);"
-        " default: $REPRO_EXECUTOR or serial",
-    )
-    p_srv.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="fault-injection plan (see docs/robustness.md); "
-        "default: $REPRO_FAULTS or none",
-    )
-    p_srv.add_argument(
-        "--check",
-        default=None,
-        metavar="LEVEL",
-        help="correctness checking: cheap, full, or sample:N "
-        "(see docs/testing.md); default: $REPRO_CHECK or off",
-    )
-    p_srv.add_argument(
-        "--elastic",
-        default=None,
-        metavar="POLICY",
-        help="in-flight rank-failure recovery: replica, replica:STRIDE, or "
-        "source (see docs/robustness.md); default: $REPRO_ELASTIC or off",
-    )
-    p_srv.add_argument(
-        "--kernel",
-        choices=["generic", "auto", "fast"],
-        default=None,
-        help="SpGEMM kernel-dispatch mode (see docs/performance_model.md); "
-        "default: $REPRO_KERNEL or auto",
-    )
-    p_srv.add_argument(
-        "--memory-words",
-        type=int,
-        default=None,
-        metavar="WORDS",
-        help="per-rank memory budget; memory-infeasible queries are rejected "
-        "up front and the OOM ladder degrades pressured sweeps "
-        "(docs/robustness.md); default: $REPRO_MEMORY or unlimited",
-    )
-    p_srv.add_argument(
-        "--spill-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for spilled block segments; default: $REPRO_SPILL_DIR "
-        "or a private temporary directory",
     )
     p_srv.add_argument(
         "--verbose", action="store_true", help="log HTTP requests to stderr"
@@ -435,13 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--p", type=int, default=4, help="also verify on a simulated machine"
     )
-    p_ver.add_argument(
-        "--check",
-        default=None,
-        metavar="LEVEL",
-        help="correctness checking for the simulated run: cheap, full, or "
-        "sample:N (see docs/testing.md); default: $REPRO_CHECK or off",
-    )
+    add_run_flags(p_ver, "check")
 
     return parser
 
@@ -466,6 +319,25 @@ def _checkpoint_kwargs(path: str | None) -> dict:
             f"(batches completed: {state.batch_index})"
         )
     return {"checkpoint": store, "resume_from": store}
+
+
+def build_machine(args):
+    """The run's :class:`Machine`, from whichever run flags ``args`` carries."""
+    from repro.machine import Machine
+
+    names = ("deadline", *(name for name, knob in KNOBS.items() if knob.flag))
+    return Machine(args.p, **{k: getattr(args, k, None) for k in names})
+
+
+def _build_policy(args):
+    """``--policy`` / ``--c`` → a selection policy (None: model search)."""
+    from repro.spgemm import PinnedPolicy, Square2DPolicy
+
+    if args.policy == "ca":
+        return PinnedPolicy.ca_mfbc(args.p, args.c)
+    if args.policy == "square2d":
+        return Square2DPolicy()
+    return None
 
 
 def _cmd_bc(args) -> int:
@@ -553,56 +425,98 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    """``simulate``, and ``trace``: the same run inside an obs session."""
+    from repro import obs
     from repro.core import mfbc
     from repro.dist import DistributedEngine
-    from repro.machine import Machine
-    from repro.spgemm import PinnedPolicy, Square2DPolicy
 
     g = _load(args.graph, args.directed)
-    machine = Machine(
-        args.p,
-        executor=args.executor,
-        faults=args.faults,
-        deadline=args.deadline,
-        elastic=args.elastic,
-        kernel=args.kernel,
-        memory_words=args.memory_words,
-        spill_dir=args.spill_dir,
-    )
-    policy = None
-    if args.policy == "ca":
-        policy = PinnedPolicy.ca_mfbc(args.p, args.c)
-    elif args.policy == "square2d":
-        policy = Square2DPolicy()
-    engine = DistributedEngine(machine, policy=policy, check=args.check)
-    res = mfbc(
-        g,
-        batch_size=args.batch,
-        engine=engine,
-        max_batches=args.batches,
-        **_checkpoint_kwargs(args.checkpoint),
-    )
-    led = machine.ledger.snapshot()
+    machine = build_machine(args)
+    session = None
+    if args.command == "trace":
+        session = obs.enable()
+        obs.set_modeled_clock(machine.ledger.critical_time)
+    try:
+        engine = DistributedEngine(machine, policy=_build_policy(args))
+        res = mfbc(
+            g,
+            batch_size=args.batch,
+            engine=engine,
+            max_batches=args.batches,
+            **_checkpoint_kwargs(args.checkpoint),
+        )
+    finally:
+        if session is not None:
+            obs.disable()
     print(
         f"graph: {g}; p={args.p}; policy={args.policy}; "
         f"executor={machine.executor.name}"
     )
-    print(f"sources processed : {res.stats.sources_processed}")
-    print(f"matmuls           : {res.stats.total_multiplications}")
-    print(f"critical words    : {led['words']:.0f}")
-    print(f"critical messages : {led['msgs']:.0f}")
-    print(f"modeled comm time : {led['comm_time'] * 1e3:.3f} ms")
-    print(f"modeled total time: {led['time'] * 1e3:.3f} ms")
-    if machine.faults is not None:
-        print(
-            f"faults            : {machine.faults.describe()} "
-            f"({machine.faults.injected} injected, "
-            f"{len(machine.faults.events)} events)"
-        )
+    if session is not None:
+        _print_trace_reports(args, session, machine, res)
+    else:
+        led = machine.ledger.snapshot()
+        print(f"sources processed : {res.stats.sources_processed}")
+        print(f"matmuls           : {res.stats.total_multiplications}")
+        print(f"critical words    : {led['words']:.0f}")
+        print(f"critical messages : {led['msgs']:.0f}")
+        print(f"modeled comm time : {led['comm_time'] * 1e3:.3f} ms")
+        print(f"modeled total time: {led['time'] * 1e3:.3f} ms")
+        if machine.faults is not None:
+            print(
+                f"faults            : {machine.faults.describe()} "
+                f"({machine.faults.injected} injected, "
+                f"{len(machine.faults.events)} events)"
+            )
     _print_memory_summary(machine)
     _print_recovery_summary(machine)
     _print_check_summary(engine)
+    if session is not None:
+        rec = obs.reconcile(session.tracer, machine.ledger)
+        print(
+            f"\nreconciliation: span modeled total "
+            f"{rec['span_modeled_seconds']:.6e}s vs ledger critical path "
+            f"{rec['ledger_seconds']:.6e}s "
+            f"(relative error {rec['relative_error']:.2e})"
+        )
+        print(f"\nwrote Chrome trace to {args.output} (load in ui.perfetto.dev)")
+        if args.jsonl:
+            print(f"wrote span/metric JSONL to {args.jsonl}")
     return 0
+
+
+def _print_trace_reports(args, session, machine, res) -> None:
+    """Write the trace files; print the timeline and every captured report."""
+    from repro import obs
+    from repro.analysis import report
+
+    obs.write_chrome_trace(session.tracer, args.output)
+    if args.jsonl:
+        obs.write_jsonl(session.tracer, args.jsonl, metrics=session.metrics)
+    print(f"sources processed: {res.stats.sources_processed}")
+    print()
+    print(obs.render_timeline(session.tracer))
+    print(report.format_trace_report(session.tracer, machine.ledger))
+    if machine.executor.name != "serial":
+        from repro.machine.executor import executor_skew_report
+
+        print()
+        print(executor_skew_report(session.metrics, machine))
+    if machine.faults is not None:
+        from repro.faults import format_fault_report
+
+        print()
+        print(format_fault_report(machine.faults))
+    for render in (
+        report.format_cache_report,
+        report.format_overload_report,
+        report.format_approx_report,
+        report.format_memory_report,
+    ):
+        table = render(session.metrics)
+        if table:
+            print()
+            print(table)
 
 
 def _print_memory_summary(machine) -> None:
@@ -648,118 +562,13 @@ def _print_check_summary(engine) -> None:
         )
 
 
-def _cmd_trace(args) -> int:
-    from repro import obs
-    from repro.analysis.report import (
-        format_approx_report,
-        format_cache_report,
-        format_memory_report,
-        format_overload_report,
-        format_trace_report,
-    )
-    from repro.core import mfbc
-    from repro.dist import DistributedEngine
-    from repro.machine import Machine
-    from repro.spgemm import PinnedPolicy, Square2DPolicy
-
-    g = _load(args.graph, args.directed)
-    machine = Machine(
-        args.p,
-        executor=args.executor,
-        faults=args.faults,
-        deadline=args.deadline,
-        elastic=args.elastic,
-        kernel=args.kernel,
-        memory_words=args.memory_words,
-        spill_dir=args.spill_dir,
-    )
-    policy = None
-    if args.policy == "ca":
-        policy = PinnedPolicy.ca_mfbc(args.p, args.c)
-    elif args.policy == "square2d":
-        policy = Square2DPolicy()
-
-    session = obs.enable()
-    obs.set_modeled_clock(machine.ledger.critical_time)
-    try:
-        engine = DistributedEngine(machine, policy=policy, check=args.check)
-        res = mfbc(
-            g,
-            batch_size=args.batch,
-            engine=engine,
-            max_batches=args.batches,
-            **_checkpoint_kwargs(args.checkpoint),
-        )
-    finally:
-        obs.disable()
-
-    obs.write_chrome_trace(session.tracer, args.output)
-    if args.jsonl:
-        obs.write_jsonl(session.tracer, args.jsonl, metrics=session.metrics)
-
-    print(
-        f"graph: {g}; p={args.p}; policy={args.policy}; "
-        f"executor={machine.executor.name}"
-    )
-    print(f"sources processed: {res.stats.sources_processed}")
-    print()
-    print(obs.render_timeline(session.tracer))
-    print(format_trace_report(session.tracer, machine.ledger))
-    if machine.executor.name != "serial":
-        from repro.machine.executor import executor_skew_report
-
-        print()
-        print(executor_skew_report(session.metrics, machine))
-    if machine.faults is not None:
-        from repro.faults import format_fault_report
-
-        print()
-        print(format_fault_report(machine.faults))
-    cache_table = format_cache_report(session.metrics)
-    if cache_table:
-        print()
-        print(cache_table)
-    overload_table = format_overload_report(session.metrics)
-    if overload_table:
-        print()
-        print(overload_table)
-    approx_table = format_approx_report(session.metrics)
-    if approx_table:
-        print()
-        print(approx_table)
-    memory_table = format_memory_report(session.metrics)
-    if memory_table:
-        print()
-        print(memory_table)
-    _print_memory_summary(machine)
-    _print_recovery_summary(machine)
-    _print_check_summary(engine)
-    rec = obs.reconcile(session.tracer, machine.ledger)
-    print(
-        f"\nreconciliation: span modeled total "
-        f"{rec['span_modeled_seconds']:.6e}s vs ledger critical path "
-        f"{rec['ledger_seconds']:.6e}s "
-        f"(relative error {rec['relative_error']:.2e})"
-    )
-    print(f"\nwrote Chrome trace to {args.output} (load in ui.perfetto.dev)")
-    if args.jsonl:
-        print(f"wrote span/metric JSONL to {args.jsonl}")
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import signal
     import threading
 
     from repro.serve import BCService, OverloadConfig, serve_http
-    from repro.spgemm import PinnedPolicy, Square2DPolicy
 
     g = _load(args.graph, args.directed)
-    policy = None
-    if args.policy == "ca":
-        policy = PinnedPolicy.ca_mfbc(args.p, args.c)
-    elif args.policy == "square2d":
-        policy = Square2DPolicy()
     overload = OverloadConfig(
         max_queued=args.max_queued,
         max_queued_seconds=args.max_queued_seconds,
@@ -772,15 +581,8 @@ def _cmd_serve(args) -> int:
     )
     service = BCService(
         g,
-        p=args.p,
-        policy=policy,
-        check=args.check,
-        executor=args.executor,
-        faults=args.faults,
-        elastic=args.elastic,
-        kernel=args.kernel,
-        memory_words=args.memory_words,
-        spill_dir=args.spill_dir,
+        machine=build_machine(args),
+        policy=_build_policy(args),
         max_batch=args.max_batch,
         batch_window=args.batch_window,
         cache_capacity=args.cache_capacity,
@@ -835,7 +637,6 @@ def _cmd_verify(args) -> int:
     from repro.baselines import brandes_bc, combblas_bc
     from repro.core import mfbc
     from repro.dist import DistributedEngine
-    from repro.machine import Machine
     from repro.utils.rng import as_rng
 
     g = _load(args.graph, args.directed)
@@ -852,7 +653,7 @@ def _cmd_verify(args) -> int:
         checks.append(("CombBLAS-style == Brandes", np.allclose(cb, ref, atol=1e-6)))
 
     if args.p > 1:
-        eng = DistributedEngine(Machine(args.p), check=args.check)
+        eng = DistributedEngine(build_machine(args))
         dist = mfbc(g, sources=sources, engine=eng).scores
         checks.append(
             (f"MFBC (simulated p={args.p}) == sequential",
@@ -874,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
         "bc": _cmd_bc,
         "generate": _cmd_generate,
         "simulate": _cmd_simulate,
-        "trace": _cmd_trace,
+        "trace": _cmd_simulate,
         "serve": _cmd_serve,
         "info": _cmd_info,
         "verify": _cmd_verify,

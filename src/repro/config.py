@@ -1,0 +1,135 @@
+"""The run configuration: every ambient knob in one table, one precedence rule.
+
+A run is configured in one place.  :data:`KNOBS` lists every ``REPRO_*``
+environment variable the package reads, with the
+:class:`~repro.machine.Machine` keyword and CLI flag that set the same
+thing explicitly, and :func:`ambient` is the only code that reads the
+environment::
+
+    explicit argument  >  $REPRO_*  >  the knob's default
+
+Off-spellings (:data:`OFF`) at either tier mean "use the default", so
+``REPRO_FAULTS=0`` and ``Machine(4, faults="off")`` both disable injection
+and ``REPRO_EXECUTOR=off`` is ``serial``.  The environment is read when a
+value is resolved (constructing a ``Machine``, calling ``spgemm`` without
+``kernel=``), never at import.
+
+Each subsystem keeps only its spec *parser* and hands it to
+:func:`ambient`; :class:`~repro.machine.Machine` resolves every knob once at
+construction and carries the concrete values downstream.  This module
+imports nothing from the package (docs/api.md, "Configuration", renders the
+table below and a test keeps the two equal).
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+from typing import Callable
+
+__all__ = ["KNOBS", "OFF", "Knob", "ambient", "is_off"]
+
+#: spellings (case-insensitive) every knob reads as "use the default".
+OFF = ("", "none", "off", "0", "false")
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One ambient setting.
+
+    ``name`` is the ``Machine`` keyword (and the :func:`ambient` key),
+    ``default`` the spec used when neither an argument nor the environment
+    supplies one (``None``: the feature is off), ``flag``/``metavar`` the
+    CLI spelling, ``grammar`` the accepted values as quoted in errors and
+    the docs table, and ``help`` what the knob does.
+    """
+
+    name: str
+    env: str
+    default: str | None
+    flag: str | None
+    metavar: str | None
+    grammar: str
+    help: str
+
+
+KNOBS: dict[str, Knob] = {
+    k.name: k
+    for k in (
+        Knob(
+            "executor", "REPRO_EXECUTOR", "serial", "--executor", "BACKEND[:N]",
+            "serial | thread[:N] | process[:N]",
+            "local execution backend for the independent per-rank kernels "
+            "(docs/parallel.md)",
+        ),
+        Knob(
+            "faults", "REPRO_FAULTS", None, "--faults", "SPEC",
+            "comma-separated key:value / kind@step tokens, "
+            "e.g. seed:3,crash:0.05,limit:2",
+            "deterministic fault-injection plan (docs/robustness.md)",
+        ),
+        Knob(
+            "check", "REPRO_CHECK", None, "--check", "LEVEL",
+            "cheap | full | sample:N",
+            "runtime correctness checking of every distributed product "
+            "(docs/testing.md)",
+        ),
+        Knob(
+            "check_dir", "REPRO_CHECK_DIR", None, None, None,
+            "a directory path",
+            "where check-mismatch repro artifacts are written "
+            "(off: the current directory)",
+        ),
+        Knob(
+            "elastic", "REPRO_ELASTIC", None, "--elastic", "POLICY",
+            "replica | replica:STRIDE | source",
+            "in-flight rank-failure recovery (docs/robustness.md)",
+        ),
+        Knob(
+            "kernel", "REPRO_KERNEL", "auto", "--kernel", None,
+            "generic | auto | fast",
+            "SpGEMM kernel-dispatch mode (docs/performance_model.md)",
+        ),
+        Knob(
+            "memory_words", "REPRO_MEMORY", None, "--memory-words", "WORDS",
+            "a positive integer",
+            "per-rank memory budget in 8-byte words (off: unlimited); under "
+            "pressure the OOM ladder shrinks batches, spills cold blocks, "
+            "and drops replica redundancy (docs/robustness.md)",
+        ),
+        Knob(
+            "spill_dir", "REPRO_SPILL_DIR", None, "--spill-dir", "DIR",
+            "a directory path",
+            "directory for spilled block segments "
+            "(off: a private temporary directory)",
+        ),
+    )
+}
+
+
+def is_off(value) -> bool:
+    """Is ``value`` one of the shared off-spellings?"""
+    return isinstance(value, str) and value.strip().lower() in OFF
+
+
+def ambient(name: str, explicit=None, parse: Callable = str):
+    """Resolve knob ``name``: explicit argument > environment > default.
+
+    ``parse`` turns a spec into the subsystem's value.  An off-spelling at
+    either tier yields the knob's default (``None`` when the default is
+    off).  A malformed *environment* value raises :class:`ValueError`
+    naming the variable and its grammar; errors from an explicit argument
+    propagate as the parser raised them.
+    """
+    knob = KNOBS[name]
+    if explicit is not None and not is_off(explicit):
+        return parse(explicit)
+    raw = os.environ.get(knob.env) if explicit is None else None
+    if raw is None or is_off(raw):
+        return None if knob.default is None else parse(knob.default)
+    try:
+        return parse(raw.strip())
+    except ValueError as exc:
+        raise ValueError(
+            f"bad ${knob.env}={raw!r}: {exc} (expected {knob.grammar})"
+        ) from exc

@@ -87,8 +87,8 @@ class SequentialEngine:
     ----------
     kernel:
         Kernel mode for the dispatch tier (``"generic"`` / ``"auto"`` /
-        ``"fast"``), resolved at construction; ``None`` defers to the
-        process default and ``$REPRO_KERNEL`` per product.
+        ``"fast"``), resolved at construction; ``None`` leaves each
+        product to the ambient ``kernel`` knob (:mod:`repro.config`).
     """
 
     #: class-level default so subclasses that skip ``__init__`` still work

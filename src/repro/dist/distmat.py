@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.algebra.fields import FieldArray
 from repro.algebra.monoid import Monoid
 from repro.machine.machine import Machine
 from repro.sparse.spmatrix import SpMat
@@ -476,33 +475,6 @@ class DistMat:
             )
 
     @classmethod
-    def from_triples(
-        cls,
-        machine: Machine,
-        ranks2d: np.ndarray,
-        nrows: int,
-        ncols: int,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: FieldArray,
-        monoid: Monoid,
-        row_splits: np.ndarray | None = None,
-        col_splits: np.ndarray | None = None,
-        *,
-        charge: bool = True,
-    ) -> "DistMat":
-        """Build and distribute from coordinate triples."""
-        mat = SpMat(nrows, ncols, rows, cols, vals, monoid)
-        return cls.distribute(
-            mat,
-            machine,
-            ranks2d,
-            row_splits=row_splits,
-            col_splits=col_splits,
-            charge=charge,
-        )
-
-    @classmethod
     def empty_like(cls, other: "DistMat", monoid: Monoid | None = None) -> "DistMat":
         """An all-identity matrix with ``other``'s distribution."""
         monoid = monoid or other.monoid
@@ -562,9 +534,6 @@ class DistMat:
     def words(self) -> int:
         return sum(w for _i, _j, _nnz, w in self._cell_meta())
 
-    def max_block_words(self) -> int:
-        return max(w for _i, _j, _nnz, w in self._cell_meta())
-
     def memory_words_per_rank(self) -> dict[int, int]:
         """Words held by each participating rank (for memory budget checks)."""
         out: dict[int, int] = {}
@@ -572,17 +541,6 @@ class DistMat:
             r = int(self.ranks2d[i, j])
             out[r] = out.get(r, 0) + w
         return out
-
-    def resident_words(self) -> int:
-        """Words currently resident in (simulated) memory, excluding spills."""
-        pr, pc = self.grid_shape
-        raw = self._resident
-        return sum(
-            raw[i][j].words()
-            for i in range(pr)
-            for j in range(pc)
-            if raw[i][j] is not None
-        )
 
     def same_distribution(self, other: "DistMat") -> bool:
         return (

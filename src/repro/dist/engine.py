@@ -48,8 +48,8 @@ class DistributedEngine:
         Correctness checking (keyword-only): a
         :class:`~repro.check.engine.CheckConfig`, a spec string
         (``"cheap"`` / ``"full"`` / ``"sample:N"`` / ``"off"``), or ``None``
-        to fall back to ``machine.check`` and then the ``REPRO_CHECK``
-        environment variable.  When checking resolves on, the constructor
+        for ``machine.check`` (the level the machine resolved, see
+        :mod:`repro.config`).  When checking resolves on, the constructor
         returns the engine wrapped in a
         :class:`~repro.check.engine.CheckedEngine`; when off, nothing is
         wrapped and the hot paths are exactly the unchecked ones.
@@ -65,16 +65,12 @@ class DistributedEngine:
         inner = super().__new__(cls)
         if machine is None:  # bare __new__ (copy/pickle protocols): no wrap
             return inner
-        from repro.check.engine import resolve_check_config
+        from repro.check.engine import CheckedEngine, resolve_check_config
 
-        if check is not None:
-            # an explicit spec — including an explicit "off" — wins outright
-            cfg = resolve_check_config(check, env=False)
-        else:
-            cfg = resolve_check_config(getattr(machine, "check", None))
+        # an explicit spec — including an explicit "off" — beats the machine's
+        cfg = machine.check if check is None else resolve_check_config(check)
         if cfg is None:
             return inner
-        from repro.check.engine import CheckedEngine
 
         # Returning a non-instance skips __init__, so run it by hand.
         inner.__init__(machine, policy=policy)

@@ -6,10 +6,9 @@ and resume the batch loop — no restart.  See :mod:`repro.elastic.policy`
 for configuration and :mod:`repro.elastic.recovery` for the coordinator.
 """
 
-from repro.elastic.policy import ELASTIC_ENV, ElasticPolicy, resolve_elastic
+from repro.elastic.policy import ElasticPolicy, resolve_elastic
 
 __all__ = [
-    "ELASTIC_ENV",
     "ElasticPolicy",
     "resolve_elastic",
     "RecoveryError",

@@ -19,18 +19,17 @@ blocks come from?
     models re-reading the input from the parallel filesystem).
 
 The grammar mirrors :mod:`repro.faults.plan` and :mod:`repro.check.engine`:
-a spec string, an :class:`ElasticPolicy`, or ``None`` to consult the
-``REPRO_ELASTIC`` environment variable.
+a spec string, an :class:`ElasticPolicy`, or ``None`` for the ambient
+``elastic`` knob (:mod:`repro.config`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-__all__ = ["ELASTIC_ENV", "ElasticPolicy", "resolve_elastic"]
+from repro import config
 
-ELASTIC_ENV = "REPRO_ELASTIC"
+__all__ = ["ElasticPolicy", "resolve_elastic"]
 
 _REDUNDANCY_MODES = ("replica", "source")
 
@@ -65,10 +64,12 @@ class ElasticPolicy:
         return self.redundancy
 
 
-def _parse_spec(spec: str) -> ElasticPolicy | None:
+def _parse_spec(spec: str) -> ElasticPolicy:
+    if not isinstance(spec, str):
+        raise TypeError(
+            f"cannot resolve elastic policy from {type(spec).__name__}"
+        )
     spec = spec.strip().lower()
-    if spec in ("", "none", "off", "0", "false"):
-        return None
     if spec in ("on", "replica", "1", "true"):
         return ElasticPolicy()
     if spec.startswith("replica:"):
@@ -85,18 +86,12 @@ def _parse_spec(spec: str) -> ElasticPolicy | None:
     )
 
 
-def resolve_elastic(spec, *, env: bool = True) -> ElasticPolicy | None:
-    """Resolve ``spec`` into an :class:`ElasticPolicy` (or ``None``).
+def resolve_elastic(spec=None) -> ElasticPolicy | None:
+    """Resolve ``spec`` into an :class:`ElasticPolicy` (or ``None``: off).
 
     Accepts an :class:`ElasticPolicy` (returned as-is), a spec string, or
-    ``None`` — which consults ``REPRO_ELASTIC`` when ``env`` is true.
+    ``None`` for the ambient ``elastic`` knob (:mod:`repro.config`).
     """
     if isinstance(spec, ElasticPolicy):
         return spec
-    if spec is None:
-        if not env:
-            return None
-        spec = os.environ.get(ELASTIC_ENV, "")
-    if isinstance(spec, str):
-        return _parse_spec(spec)
-    raise TypeError(f"cannot resolve elastic policy from {type(spec).__name__}")
+    return config.ambient("elastic", spec, _parse_spec)

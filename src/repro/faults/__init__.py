@@ -27,7 +27,6 @@ from repro.faults.checkpoint import (
     stats_to_dicts,
 )
 from repro.faults.plan import (
-    FAULTS_ENV,
     CorruptPayload,
     DeadlineExceeded,
     FaultError,
@@ -44,7 +43,6 @@ from repro.faults.plan import (
 
 __all__ = [
     # plan / injection
-    "FAULTS_ENV",
     "FaultPlan",
     "FaultEvent",
     "ScriptedFault",

@@ -50,8 +50,8 @@ call :meth:`FaultPlan.reset` or build a fresh plan to replay a schedule.
 
 Spec grammar
 ------------
-``FaultPlan.from_spec`` (also the ``REPRO_FAULTS`` environment variable
-and the CLI ``--faults`` flag) accepts comma-separated tokens::
+``FaultPlan.from_spec`` (the grammar of the ``faults`` knob, see
+:mod:`repro.config`) accepts comma-separated tokens::
 
     seed:3,crash:0.05,corrupt:0.01,straggle:0.1,poolkill:0.02,
     checksum:1,mem:0.5,skew:1e-4,limit:10,crash@12,corrupt@7,straggle@9:2
@@ -68,7 +68,8 @@ and the CLI ``--faults`` flag) accepts comma-separated tokens::
   ``STEP`` (``crash``/``straggle`` take an optional explicit rank;
   ``corrupt`` fires at the first payload delivery at-or-after the step).
 
-``""``, ``"none"`` and ``"off"`` parse to ``None`` (no injection).
+The shared off-spellings (:data:`repro.config.OFF`) parse to ``None`` (no
+injection).
 """
 
 from __future__ import annotations
@@ -78,11 +79,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import config
 from repro.obs import api as obs
 from repro.sparse.spmatrix import SpMat
 
 __all__ = [
-    "FAULTS_ENV",
     "FaultError",
     "RankFailure",
     "CorruptPayload",
@@ -96,9 +97,6 @@ __all__ = [
     "payload_checksum",
     "format_fault_report",
 ]
-
-#: environment variable consulted when ``Machine(faults=None)``.
-FAULTS_ENV = "REPRO_FAULTS"
 
 #: default modeled straggler skew scale, in seconds.
 DEFAULT_SKEW_SECONDS = 1e-4
@@ -418,9 +416,8 @@ class FaultPlan:
 
     @classmethod
     def from_spec(cls, spec: str) -> "FaultPlan | None":
-        """Parse the ``REPRO_FAULTS`` / ``--faults`` grammar; see module doc."""
-        spec = spec.strip()
-        if not spec or spec.lower() in ("none", "off"):
+        """Parse the ``faults`` knob's grammar; see module doc."""
+        if config.is_off(spec):
             return None
         kwargs: dict = {}
         script: list[ScriptedFault] = []
@@ -642,29 +639,20 @@ class FaultPlan:
         return f"FaultPlan({self.describe()}, events={len(self.events)})"
 
 
-def resolve_fault_plan(
-    spec: "FaultPlan | str | None", *, env: bool = True
-) -> "FaultPlan | None":
+def resolve_fault_plan(spec: "FaultPlan | str | None") -> "FaultPlan | None":
     """Normalize a faults specification into a plan (or ``None``).
 
-    ``spec`` may be a :class:`FaultPlan` (returned as-is), a spec string
-    (parsed; ``""``/``"none"``/``"off"`` disable), or ``None`` — in which
-    case the ``REPRO_FAULTS`` environment variable is consulted (unless
-    ``env=False``) and no-injection is the fallback.
+    ``spec`` may be a :class:`FaultPlan` (returned as-is), a spec string, or
+    ``None`` for the ambient ``faults`` knob (:mod:`repro.config`; default:
+    no injection).
     """
     if isinstance(spec, FaultPlan):
         return spec
-    if spec is None:
-        if not env:
-            return None
-        import os
-
-        spec = os.environ.get(FAULTS_ENV) or ""
-    if not isinstance(spec, str):
+    if spec is not None and not isinstance(spec, str):
         raise TypeError(
             f"faults must be a FaultPlan, spec string, or None, got {spec!r}"
         )
-    return FaultPlan.from_spec(spec)
+    return config.ambient("faults", spec, FaultPlan.from_spec)
 
 
 #: action columns of the fault summary table, in lifecycle order — injection

@@ -25,7 +25,6 @@ and hooks into every layer above; see ``docs/robustness.md``.
 """
 
 from repro.machine.executor import (
-    EXECUTOR_ENV,
     POOL_FAILURES,
     LocalExecutor,
     ProcessExecutor,
@@ -48,7 +47,6 @@ __all__ = [
     "payload_words",
     "Grid",
     "near_square_shape",
-    "EXECUTOR_ENV",
     "POOL_FAILURES",
     "LocalExecutor",
     "SerialExecutor",

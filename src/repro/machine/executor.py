@@ -36,10 +36,9 @@ Two guarantees hold for every backend:
   nonzeros touched for packing/elementwise tasks) amortizes the executor's
   per-batch overhead; otherwise it runs inline on the simulation thread.
 
-Selection is threaded through :class:`~repro.machine.machine.Machine`
-(``Machine(p=64, executor="thread")``), the ``REPRO_EXECUTOR`` environment
-variable (``serial`` | ``thread[:N]`` | ``process[:N]``), and the
-``repro`` CLI's ``--executor`` flag.
+Selection is the ``executor`` knob (:mod:`repro.config`):
+``Machine(p=64, executor="thread")``, the CLI's ``--executor``, or the
+environment — ``serial`` | ``thread[:N]`` | ``process[:N]``.
 
 **Graceful degradation** — worker pools die on real machines (OOM killer,
 container limits, a segfaulting extension).  When a fanned-out batch hits
@@ -64,13 +63,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import config
 from repro.faults.plan import WorkerPoolDied
 from repro.obs import api as obs
 from repro.sparse.spgemm import SpGemmResult, count_ops, spgemm
 from repro.sparse.spmatrix import SpMat
 
 __all__ = [
-    "EXECUTOR_ENV",
     "POOL_FAILURES",
     "LocalExecutor",
     "SerialExecutor",
@@ -97,9 +96,6 @@ def _close_live_executors() -> None:  # pragma: no cover - exit path
             ex.close()
         except Exception:
             pass
-
-#: environment variable consulted when no explicit executor is configured.
-EXECUTOR_ENV = "REPRO_EXECUTOR"
 
 #: estimated-work floors (work units ≈ elementary kernel ops) below which a
 #: batch runs inline.  Thread dispatch costs ~100 µs per batch; process
@@ -695,7 +691,7 @@ _BACKENDS: dict[str, type[LocalExecutor]] = {
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`resolve_executor` and ``REPRO_EXECUTOR``."""
+    """Backend names accepted by :func:`resolve_executor`."""
     return tuple(_BACKENDS)
 
 
@@ -703,14 +699,15 @@ def resolve_executor(spec: "str | LocalExecutor | None" = None) -> LocalExecutor
     """Turn an executor specification into a backend instance.
 
     ``spec`` may be an executor instance (returned as-is), a string
-    ``"name"`` or ``"name:workers"`` (e.g. ``"thread:8"``), or ``None`` —
-    in which case the ``REPRO_EXECUTOR`` environment variable is consulted
-    and ``serial`` is the fallback.
+    ``"name"`` or ``"name:workers"`` (e.g. ``"thread:8"``), or ``None`` for
+    the ambient ``executor`` knob (:mod:`repro.config`).
     """
     if isinstance(spec, LocalExecutor):
         return spec
-    if spec is None:
-        spec = os.environ.get(EXECUTOR_ENV) or "serial"
+    return config.ambient("executor", spec, _parse_executor)
+
+
+def _parse_executor(spec: str) -> LocalExecutor:
     if not isinstance(spec, str):
         raise TypeError(
             f"executor must be a backend name or LocalExecutor, got {spec!r}"

@@ -17,33 +17,33 @@ amount of data communicated along any dependent sequence of collectives".
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import config
 from repro.faults.plan import DeadlineExceeded, FaultPlan, resolve_fault_plan
 from repro.machine.executor import LocalExecutor, resolve_executor
 from repro.obs import api as obs
+from repro.sparse.dispatch import resolve_kernel_mode
 
 __all__ = [
     "CostParams",
     "Ledger",
     "Machine",
     "MemoryLimitExceeded",
-    "MEMORY_ENV",
-    "SPILL_DIR_ENV",
 ]
-
-#: environment variables consulted when ``Machine(memory_words=None)`` /
-#: ``Machine(spill_dir=None)`` — the ambient budget knob CI's
-#: memory-pressure leg turns (see docs/robustness.md).
-MEMORY_ENV = "REPRO_MEMORY"
-SPILL_DIR_ENV = "REPRO_SPILL_DIR"
 
 
 class MemoryLimitExceeded(RuntimeError):
     """A rank's tracked allocation exceeded the machine's memory budget."""
+
+
+def _memory_words(spec) -> int:
+    words = int(spec)
+    if words <= 0:
+        raise ValueError(f"memory_words must be positive, got {words}")
+    return words
 
 
 @dataclass(frozen=True)
@@ -168,60 +168,57 @@ class Machine:
         positive count works).
     cost:
         α-β model constants (keyword-only).
+
+    The remaining keywords are the run configuration.  Every one except
+    ``deadline`` is a knob of :mod:`repro.config`: ``None`` (the default)
+    takes the ambient value, an off-spelling the knob's default, and the
+    resolved value is stored on the attribute of the same name — the
+    machine is what carries a run's configuration to engines, executor
+    workers and :class:`~repro.serve.BCService`.
+
     memory_words:
-        Optional per-rank memory budget ``M`` in 8-byte words
-        (keyword-only); ``None`` consults the ``REPRO_MEMORY`` environment
-        variable.  Tracked allocations beyond it first trigger
-        spill-to-disk relief (:mod:`repro.memory`) and only then raise
-        :class:`MemoryLimitExceeded`, modeling the paper's
-        ``M = Ω(c·m/p)`` feasibility constraints.
+        Per-rank memory budget ``M`` in 8-byte words.  Tracked allocations
+        beyond it first trigger spill-to-disk relief (:mod:`repro.memory`)
+        and only then raise :class:`MemoryLimitExceeded`, modeling the
+        paper's ``M = Ω(c·m/p)`` feasibility constraints.
     spill_dir:
-        Directory for the spill store's evicted-block segments
-        (keyword-only); ``None`` consults ``REPRO_SPILL_DIR`` and falls
-        back to a private temporary directory on first eviction.
+        Directory for the spill store's evicted-block segments; unset, a
+        private temporary directory is created on first eviction.
     executor:
-        Local-execution backend for the independent per-rank kernels
-        (keyword-only): a :class:`~repro.machine.executor.LocalExecutor`
-        instance, a backend name like ``"thread"`` / ``"process:8"``, or
-        ``None`` to consult the ``REPRO_EXECUTOR`` environment variable
-        (default ``serial``).  Results and ledger totals are bit-identical
-        across backends; only host wall-clock time changes.
+        Local-execution backend for the independent per-rank kernels: a
+        :class:`~repro.machine.executor.LocalExecutor` instance or a
+        backend name like ``"thread"`` / ``"process:8"``.  Results and
+        ledger totals are bit-identical across backends; only host
+        wall-clock time changes.
     faults:
-        Deterministic fault injection (keyword-only): a
-        :class:`~repro.faults.FaultPlan`, a spec string like
-        ``"seed:3,crash:0.05"`` (see :mod:`repro.faults.plan` for the
-        grammar; ``""``/``"none"`` disable), or ``None`` to consult the
-        ``REPRO_FAULTS`` environment variable (default: no injection).
-        An armed plan hooks the charge paths, the collectives' payload
-        delivery, and the executor's batch dispatch; an inert plan (all
-        rates zero, no script) costs the hot paths nothing.
+        Deterministic fault injection: a :class:`~repro.faults.FaultPlan`
+        or a spec string like ``"seed:3,crash:0.05"`` (see
+        :mod:`repro.faults.plan` for the grammar).  An armed plan hooks
+        the charge paths, the collectives' payload delivery, and the
+        executor's batch dispatch; an inert plan (all rates zero, no
+        script) costs the hot paths nothing.
     check:
-        Default correctness-checking level for engines built on this
-        machine (keyword-only): a :class:`~repro.check.engine.CheckConfig`,
-        a spec string (``"cheap"`` / ``"full"`` / ``"sample:N"``), or
-        ``None`` to consult the ``REPRO_CHECK`` environment variable.
-        The machine itself never checks anything — the resolved config is
-        stored on ``self.check`` for :class:`~repro.dist.DistributedEngine`
-        to pick up at construction.
+        Correctness-checking level for engines built on this machine: a
+        :class:`~repro.check.engine.CheckConfig` or a spec string
+        (``"cheap"`` / ``"full"`` / ``"sample:N"``).  The machine itself
+        never checks anything — :class:`~repro.dist.DistributedEngine`
+        picks ``self.check`` up at construction.
     deadline:
-        Optional modeled-time budget in seconds (keyword-only).  When the
+        Optional modeled-time budget in seconds (no ambient form).  When the
         critical-path clock passes it, the next charge raises
         :class:`~repro.faults.DeadlineExceeded` — a ledger-charged, clean
         termination for straggler pile-ups and recovery storms that would
         otherwise spin forever.
     elastic:
-        In-flight rank-failure recovery (keyword-only): an
-        :class:`~repro.elastic.ElasticPolicy`, a spec string
-        (``"replica"`` / ``"replica:STRIDE"`` / ``"source"``; ``"off"``
-        disables), or ``None`` to consult the ``REPRO_ELASTIC``
-        environment variable.  The machine only stores the resolved
-        policy; :class:`~repro.dist.DistributedEngine` maintains the
-        redundancy and the MFBC driver triggers the recovery.
+        In-flight rank-failure recovery: an
+        :class:`~repro.elastic.ElasticPolicy` or a spec string
+        (``"replica"`` / ``"replica:STRIDE"`` / ``"source"``).  The machine
+        only stores the policy; :class:`~repro.dist.DistributedEngine`
+        maintains the redundancy and the MFBC driver triggers the recovery.
     kernel:
-        Kernel-dispatch mode for the local SpGEMM tier (keyword-only):
-        ``"generic"`` / ``"auto"`` / ``"fast"``, or ``None`` to defer to
-        the process default and the ``REPRO_KERNEL`` environment variable
-        per product (see :mod:`repro.sparse.dispatch`).  Every mode is
+        Kernel-dispatch mode for the local SpGEMM tier (``"generic"`` /
+        ``"auto"`` / ``"fast"``, see :mod:`repro.sparse.dispatch`), handed
+        to every local product this machine runs.  Every mode is
         bit-identical; only host wall-clock time changes.
     """
 
@@ -248,46 +245,28 @@ class Machine:
         self._fault_hook = (
             self.faults if self.faults is not None and self.faults.armed else None
         )
-        if memory_words is None:
-            env = os.environ.get(MEMORY_ENV, "").strip()
-            if env and env.lower() not in ("none", "off"):
-                memory_words = int(env)
-        if memory_words is not None and memory_words <= 0:
-            raise ValueError(
-                f"memory_words must be positive, got {memory_words}"
-            )
+        memory_words = config.ambient("memory_words", memory_words, _memory_words)
         if self._fault_hook is not None and memory_words is not None:
             memory_words = self.faults.tighten_memory(memory_words)
         self.memory_words = memory_words
-        if spill_dir is None:
-            spill_dir = os.environ.get(SPILL_DIR_ENV) or None
-        # deferred import: repro.memory imports repro.faults → fine, but
-        # keep the constructor import-light like the other subsystems
+        # deferred imports: repro.check and repro.elastic import repro.dist,
+        # which imports this module
+        from repro.check.engine import resolve_check_config
+        from repro.elastic.policy import resolve_elastic
         from repro.memory.manager import MemoryManager
 
         #: the spill/eviction manager (see docs/robustness.md, memory ladder)
-        self.memory = MemoryManager(self, spill_dir=spill_dir)
+        self.memory = MemoryManager(
+            self, spill_dir=config.ambient("spill_dir", spill_dir)
+        )
         self.executor = resolve_executor(executor)
         if self._fault_hook is not None:
             self.executor.fault_plan = self.faults
-        if kernel is not None:
-            from repro.sparse.dispatch import resolve_kernel_mode
-
-            kernel = resolve_kernel_mode(kernel)
-            self.executor.kernel_mode = kernel
-        self.kernel = kernel
-        if check is not None:
-            # deferred import: repro.check imports repro.dist → this module
-            from repro.check.engine import resolve_check_config
-
-            check = resolve_check_config(check, env=False)
-        self.check = check
+        self.kernel = self.executor.kernel_mode = resolve_kernel_mode(kernel)
+        self.check = resolve_check_config(check)
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
         self.deadline = deadline
-        # deferred import: repro.elastic.recovery imports repro.dist → here
-        from repro.elastic.policy import resolve_elastic
-
         self.elastic = resolve_elastic(elastic)
         #: machine reconfiguration counter; bumped by :meth:`shrink` so
         #: stale rank-indexed objects (groups, layouts) fail loudly.
@@ -592,8 +571,8 @@ class Machine:
         faults = f", faults={self.faults.describe()}" if self.faults else ""
         deadline = f", deadline={self.deadline}" if self.deadline is not None else ""
         elastic = f", elastic={self.elastic.describe()}" if self.elastic else ""
-        kernel = f", kernel={self.kernel}" if self.kernel is not None else ""
         return (
             f"Machine(p={self.p}, M={self.memory_words}, "
-            f"executor={self.executor.name}{faults}{deadline}{elastic}{kernel})"
+            f"executor={self.executor.name}{faults}{deadline}{elastic}, "
+            f"kernel={self.kernel})"
         )

@@ -292,6 +292,8 @@ def run_load(
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.cli import add_run_flags, build_machine
+
     parser = argparse.ArgumentParser(
         prog="repro.serve.loadgen",
         description="seeded load generator / smoke test for repro.serve",
@@ -305,10 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--batch-window", type=float, default=0.005)
     parser.add_argument("--http", action="store_true", help="drive via the HTTP front end")
-    parser.add_argument("--faults", default=None, help="fault-injection spec")
-    parser.add_argument("--elastic", default=None, help="elastic recovery policy")
-    parser.add_argument("--executor", default=None)
-    parser.add_argument("--check", default=None)
+    add_run_flags(parser, "faults", "elastic", "executor", "check")
     args = parser.parse_args(argv)
 
     from repro.graphs import rmat_graph
@@ -317,11 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     specs = generate_queries(args.queries, graph.n, seed=args.seed)
     service = BCService(
         graph,
-        p=args.p,
-        faults=args.faults,
-        elastic=args.elastic,
-        executor=args.executor,
-        check=args.check,
+        machine=build_machine(args),
         max_batch=args.max_batch,
         batch_window=args.batch_window,
     )

@@ -102,11 +102,15 @@ class BCService:
         :meth:`update_graph`, which bumps the graph version and invalidates
         the score cache.
     machine:
-        A pre-built :class:`~repro.machine.Machine` (keyword-only).  When
-        None, one is built from ``p`` / ``executor`` / ``faults`` /
-        ``elastic`` / ``deadline``.
-    p, policy, check, executor, faults, elastic, deadline, kernel:
-        Forwarded to the machine / engine exactly as the CLI does.
+        The :class:`~repro.machine.Machine` to serve on (keyword-only) —
+        it carries the run configuration (executor, faults, check,
+        elastic, deadline, kernel, memory budget; see
+        :mod:`repro.config`).  When None, ``Machine(p)`` with the ambient
+        configuration.
+    p:
+        Rank count of the default machine (ignored with ``machine=``).
+    policy:
+        SpGEMM selection policy for the engine (default: model search).
     batch_window:
         Wall-seconds the dispatcher lingers after the first queued query so
         concurrent submitters coalesce into the same sweep (0 disables).
@@ -134,14 +138,6 @@ class BCService:
         machine: "Machine | None" = None,
         p: int = 4,
         policy=None,
-        check=None,
-        executor=None,
-        faults=None,
-        elastic=None,
-        deadline: float | None = None,
-        kernel: str | None = None,
-        memory_words: int | None = None,
-        spill_dir: str | None = None,
         batch_window: float = 0.002,
         max_batch: int = 64,
         cache_capacity: int = 4096,
@@ -153,18 +149,9 @@ class BCService:
         from repro.machine.machine import Machine
 
         if machine is None:
-            machine = Machine(
-                p,
-                executor=executor,
-                faults=faults,
-                elastic=elastic,
-                deadline=deadline,
-                kernel=kernel,
-                memory_words=memory_words,
-                spill_dir=spill_dir,
-            )
+            machine = Machine(p)
         self.machine = machine
-        self.engine = DistributedEngine(machine, policy=policy, check=check)
+        self.engine = DistributedEngine(machine, policy=policy)
         self.graph = graph
         self.graph_version = 0
         self.retries = int(retries)

@@ -12,28 +12,23 @@ to bit-identical specialized fast paths.
 """
 
 from repro.sparse.dispatch import (
-    KERNEL_ENV,
     KERNEL_MODES,
     KernelTraits,
     recognize,
     register_fast_path,
     resolve_kernel_mode,
-    set_default_kernel_mode,
 )
-from repro.sparse.spgemm import SpGemmResult, count_ops, spgemm, spgemm_with_ops
+from repro.sparse.spgemm import SpGemmResult, count_ops, spgemm
 from repro.sparse.spmatrix import SpMat
 
 __all__ = [
     "SpMat",
     "spgemm",
-    "spgemm_with_ops",
     "SpGemmResult",
     "count_ops",
-    "KERNEL_ENV",
     "KERNEL_MODES",
     "KernelTraits",
     "recognize",
     "register_fast_path",
     "resolve_kernel_mode",
-    "set_default_kernel_mode",
 ]

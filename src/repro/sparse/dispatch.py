@@ -24,8 +24,7 @@ mask filtering) and reduces them with the same primitive in the same order.
 ``repro.check`` differential replay recomputes references with
 ``kernel="generic"``, making the generic kernel the oracle for this tier.
 
-The mode knob — ``spgemm(kernel=...)``, ``Machine(kernel=...)``, CLI
-``--kernel``, or ``$REPRO_KERNEL`` — selects:
+The ``kernel`` knob (:mod:`repro.config`) selects:
 
 * ``generic``: never dispatch (the pure oracle kernel);
 * ``auto`` (default): dispatch recognized specs, with a small-product guard
@@ -35,13 +34,13 @@ The mode knob — ``spgemm(kernel=...)``, ``Machine(kernel=...)``, CLI
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse
 
+from repro import config
 from repro.algebra.centpath import CentpathMonoid, brandes_action
 from repro.algebra.fields import FieldArray
 from repro.algebra.matmul import MatMulSpec
@@ -58,18 +57,13 @@ from repro.sparse.spgemm import (
 from repro.sparse.spmatrix import SpMat
 
 __all__ = [
-    "KERNEL_ENV",
     "KERNEL_MODES",
     "KernelTraits",
     "recognize",
     "register_fast_path",
     "resolve_kernel_mode",
-    "set_default_kernel_mode",
     "dispatch_spgemm",
 ]
-
-#: Environment variable supplying the ambient kernel mode.
-KERNEL_ENV = "REPRO_KERNEL"
 
 #: Valid kernel modes, weakest dispatch first.
 KERNEL_MODES = ("generic", "auto", "fast")
@@ -78,15 +72,8 @@ KERNEL_MODES = ("generic", "auto", "fast")
 #: CSR-build cost outweighs the compiled multiply on trivial products).
 _SCIPY_MIN_OPS = 4096
 
-_default_mode: str | None = None
 
-
-def resolve_kernel_mode(mode: str | None = None) -> str:
-    """Resolve a kernel mode: explicit > process default > env > ``auto``."""
-    if mode is None:
-        mode = _default_mode
-    if mode is None:
-        mode = os.environ.get(KERNEL_ENV) or "auto"
+def _parse_mode(mode: str) -> str:
     mode = str(mode).strip().lower()
     if mode not in KERNEL_MODES:
         raise ValueError(
@@ -95,14 +82,9 @@ def resolve_kernel_mode(mode: str | None = None) -> str:
     return mode
 
 
-def set_default_kernel_mode(mode: str | None) -> None:
-    """Set (or with ``None`` clear) the process-wide default kernel mode.
-
-    The default sits between explicit ``kernel=`` arguments and the
-    ``$REPRO_KERNEL`` environment variable.
-    """
-    global _default_mode
-    _default_mode = None if mode is None else resolve_kernel_mode(mode)
+def resolve_kernel_mode(mode: str | None = None) -> str:
+    """Resolve the ``kernel`` knob (see :func:`repro.config.ambient`)."""
+    return config.ambient("kernel", mode, _parse_mode)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ bit-identical (post-canonicalization) to the generic kernel here.
 from __future__ import annotations
 
 import itertools
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -43,7 +42,6 @@ from repro.sparse.spmatrix import SpMat
 
 __all__ = [
     "spgemm",
-    "spgemm_with_ops",
     "SpGemmResult",
     "count_ops",
     "staged_chunks",
@@ -179,23 +177,6 @@ def spgemm(
         a, b, spec, mask_keys=mask_keys, mask_complement=mask_complement, chunk=chunk
     )
     return result if want_ops else SpGemmResult(result.matrix, None)
-
-
-def spgemm_with_ops(
-    a: SpMat,
-    b: SpMat,
-    spec: MatMulSpec,
-    *,
-    chunk: int = 1 << 22,
-) -> SpGemmResult:
-    """Deprecated alias for :func:`spgemm` (which now always reports ops)."""
-    warnings.warn(
-        "spgemm_with_ops is deprecated; call spgemm(a, b, spec) — it returns "
-        "SpGemmResult directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return spgemm(a, b, spec, chunk=chunk)
 
 
 def _mask_keep(

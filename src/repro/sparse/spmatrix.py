@@ -10,7 +10,7 @@ additive identity defines sparsity).
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -170,20 +170,6 @@ class SpMat:
             {field: coo.data},
             monoid,
         )
-
-    @classmethod
-    def from_triples(
-        cls,
-        nrows: int,
-        ncols: int,
-        triples: Mapping[str, np.ndarray] | None,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        monoid: Monoid,
-    ) -> "SpMat":
-        """Build from coordinate triples; duplicates fold with ``⊕``."""
-        vals = triples if triples is not None else monoid.empty()
-        return cls(nrows, ncols, rows, cols, vals, monoid)
 
     # -- basic properties ----------------------------------------------------
 

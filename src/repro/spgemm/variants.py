@@ -40,7 +40,9 @@ from repro.algebra.matmul import MatMulSpec
 from repro.dist.distmat import DistMat, even_splits
 from repro.machine.machine import Machine
 from repro.obs import api as obs
-from repro.sparse.spgemm import spgemm
+# not called here (local products go through machine.executor), but
+# benchmarks/e2e/tracing.py patches the kernel under this module's name
+from repro.sparse.spgemm import spgemm  # noqa: F401
 from repro.sparse.spmatrix import SpMat
 from repro.spgemm.plan import Plan
 
@@ -107,24 +109,6 @@ def execute_plan(
 # ---------------------------------------------------------------------------
 
 
-def _local_mul(
-    machine: Machine,
-    rank: int,
-    x: SpMat,
-    y: SpMat,
-    spec,
-    *,
-    mask: SpMat | None = None,
-    mask_complement: bool = False,
-) -> tuple[SpMat, int]:
-    res = spgemm(
-        x, y, spec, mask=mask, mask_complement=mask_complement,
-        kernel=machine.executor.kernel_mode,
-    )
-    machine.charge_compute([rank], float(res.ops))
-    return res.matrix, res.ops
-
-
 def _local_mul_batch(
     machine: Machine,
     tasks: list[tuple[int, SpMat, SpMat]],
@@ -140,7 +124,7 @@ def _local_mul_batch(
     (when the work amortizes the dispatch overhead).  Results come back in
     task order and ledger charges are applied on the simulation thread in
     that same order, so matrices and ledger totals are bit-identical to
-    calling :func:`_local_mul` in a loop.  ``masks[i]`` is the structural
+    running the products one by one.  ``masks[i]`` is the structural
     output mask for task ``i`` (already sliced to the task's output frame).
     """
     results = machine.executor.run_spgemm(
@@ -604,11 +588,6 @@ def _exec_2d(
 # ---------------------------------------------------------------------------
 # 3D algorithms (§5.2.3): 1D variant X over p1 nesting 2D variant YZ
 # ---------------------------------------------------------------------------
-
-
-def _layer_home(layer_ranks: np.ndarray, nrows: int, ncols: int):
-    pr, pc = layer_ranks.shape
-    return even_splits(nrows, pr), even_splits(ncols, pc)
 
 
 def _exec_3d(

@@ -84,13 +84,6 @@ class TestResolveConfig:
         with pytest.raises(ValueError):
             CheckConfig("cheap", sample=-1)
 
-    def test_env_consulted_only_when_asked(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK", "sample:7")
-        assert resolve_check_config(None) == CheckConfig("sample", sample=7)
-        assert resolve_check_config(None, env=False) is None
-        monkeypatch.delenv("REPRO_CHECK")
-        assert resolve_check_config(None) is None
-
     def test_describe(self):
         assert CheckConfig("full", sample=1).describe() == "full"
         assert CheckConfig("sample", sample=4).describe() == "sample:4"

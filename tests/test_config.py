@@ -1,0 +1,242 @@
+"""The run configuration: one knob table, one precedence rule.
+
+Parametrized over :data:`repro.config.KNOBS`, so a knob added to the table
+is covered (or fails for want of a probe row) without a new test: explicit
+argument > ``$REPRO_*`` > default, off-spellings at either tier, the
+environment read at construction rather than import, malformed ambient
+values named in the error.  The drift tests keep the table, the docs, the
+CI workflow, the benchmark's scrub list and the CLI's flag definitions
+saying the same thing.  Grammar assertions live with each subsystem's tests.
+"""
+
+import pathlib
+import re
+
+import pytest
+
+from repro import config
+from repro.machine import Machine
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _describe(value):
+    return value if value is None else value.describe()
+
+
+#: per knob: how to read the resolved value off a Machine, an environment
+#: spec with the value it resolves to, and an explicit argument with its
+#: value (``check_dir`` has no Machine keyword: it is read through ambient)
+PROBES = {
+    "executor": (
+        lambda m: f"{m.executor.name}:{m.executor.workers}",
+        ("thread:2", "thread:2"),
+        ("thread:3", "thread:3"),
+    ),
+    "faults": (
+        lambda m: _describe(m.faults),
+        ("seed:9,crash:0.25", "seed:9,crash:0.25"),
+        ("seed:1,tear:0.5", "seed:1,tear:0.5"),
+    ),
+    "check": (
+        lambda m: _describe(m.check),
+        ("sample:7", "sample:7"),
+        ("full", "full"),
+    ),
+    "check_dir": (None, ("/tmp/ambient", "/tmp/ambient"), ("/tmp/arg", "/tmp/arg")),
+    "elastic": (
+        lambda m: _describe(m.elastic),
+        ("replica:2", "replica:2"),
+        ("source", "source"),
+    ),
+    "kernel": (lambda m: m.kernel, ("fast", "fast"), ("generic", "generic")),
+    "memory_words": (lambda m: m.memory_words, ("20000", 20000), (12345, 12345)),
+    "spill_dir": (
+        lambda m: m.memory.spill_dir,
+        ("/tmp/ambient", "/tmp/ambient"),
+        ("/tmp/arg", "/tmp/arg"),
+    ),
+}
+
+#: what each knob resolves to when nothing configures it
+DEFAULTS = {name: None for name in config.KNOBS} | {
+    "executor": "serial:1",
+    "kernel": "auto",
+}
+
+KNOB_NAMES = sorted(config.KNOBS)
+
+
+@pytest.fixture(autouse=True)
+def _bare_environment(monkeypatch):
+    """Start every test with no knob set (CI legs run the suite under some)."""
+    for knob in config.KNOBS.values():
+        monkeypatch.delenv(knob.env, raising=False)
+
+
+def _resolved(name, explicit=None):
+    read = PROBES[name][0]
+    if read is None:
+        return config.ambient(name, explicit)
+    machine = Machine(2, **{name: explicit})
+    try:
+        return read(machine)
+    finally:
+        machine.executor.close()
+
+
+def _off_id(spelling: str) -> str:
+    return spelling.strip() or "empty"
+
+
+def test_every_knob_has_a_probe():
+    assert set(PROBES) == set(config.KNOBS)
+
+
+@pytest.mark.parametrize("name", KNOB_NAMES)
+class TestPrecedence:
+    def test_default(self, name):
+        assert _resolved(name) == DEFAULTS[name]
+
+    def test_env_beats_default(self, name, monkeypatch):
+        spec, value = PROBES[name][1]
+        monkeypatch.setenv(config.KNOBS[name].env, spec)
+        assert _resolved(name) == value
+
+    def test_explicit_beats_env(self, name, monkeypatch):
+        monkeypatch.setenv(config.KNOBS[name].env, PROBES[name][1][0])
+        spec, value = PROBES[name][2]
+        assert _resolved(name, spec) == value
+
+    @pytest.mark.parametrize("off", config.OFF, ids=_off_id)
+    def test_explicit_off_beats_env(self, name, off, monkeypatch):
+        monkeypatch.setenv(config.KNOBS[name].env, PROBES[name][1][0])
+        assert _resolved(name, off) == DEFAULTS[name]
+
+    @pytest.mark.parametrize("off", [*config.OFF, " OFF "], ids=_off_id)
+    def test_env_off_spelling_is_the_default(self, name, off, monkeypatch):
+        # at the parent REPRO_FAULTS=0, REPRO_MEMORY=0, REPRO_KERNEL=off and
+        # REPRO_EXECUTOR=off raised while REPRO_ELASTIC=0 / REPRO_CHECK=0 worked
+        monkeypatch.setenv(config.KNOBS[name].env, off)
+        assert _resolved(name) == DEFAULTS[name]
+
+    def test_env_read_at_construction_not_import(self, name, monkeypatch):
+        spec, value = PROBES[name][1]
+        assert _resolved(name) == DEFAULTS[name]
+        monkeypatch.setenv(config.KNOBS[name].env, spec)
+        assert _resolved(name) == value
+        monkeypatch.delenv(config.KNOBS[name].env)
+        assert _resolved(name) == DEFAULTS[name]
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("memory_words", "abc"),
+        ("memory_words", "-5"),
+        ("executor", "thread:x"),
+        ("executor", "gpu"),
+        ("kernel", "turbo"),
+        ("check", "verbose"),
+        ("elastic", "parity"),
+        ("faults", "frobnicate:1"),
+    ],
+)
+def test_malformed_env_names_the_variable_and_grammar(name, bad, monkeypatch):
+    knob = config.KNOBS[name]
+    monkeypatch.setenv(knob.env, bad)
+    with pytest.raises(ValueError) as err:
+        _resolved(name)
+    assert f"${knob.env}={bad!r}" in str(err.value)
+    assert knob.grammar in str(err.value)
+
+
+def test_explicit_argument_errors_do_not_blame_the_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", "fast")
+    with pytest.raises(ValueError, match="unknown kernel mode 'turbo'") as err:
+        Machine(2, kernel="turbo")
+    assert "REPRO_KERNEL" not in str(err.value)
+    with pytest.raises(ValueError, match="memory_words must be positive, got 0"):
+        Machine(2, memory_words=0)
+
+
+def test_engine_takes_the_level_the_machine_resolved(monkeypatch):
+    from repro.check import CheckedEngine
+    from repro.dist import DistributedEngine
+
+    machine = Machine(2)  # resolved with checking off …
+    monkeypatch.setenv("REPRO_CHECK", "full")  # … so a later change is not seen
+    assert not isinstance(DistributedEngine(machine), CheckedEngine)
+    assert isinstance(DistributedEngine(Machine(2)), CheckedEngine)
+
+
+# ---------------------------------------------------------------------------
+# drift: the table is the only place a knob is declared
+# ---------------------------------------------------------------------------
+
+
+def _repro_names(path) -> set[str]:
+    names: set[str] = set()
+    for file in sorted(path.rglob("*")) if path.is_dir() else [path]:
+        if file.suffix in (".py", ".md", ".yml"):
+            names |= set(re.findall(r"\bREPRO_[A-Z_]+\b", file.read_text()))
+    return names
+
+
+def test_environment_names_match_the_table_everywhere():
+    table = {knob.env for knob in config.KNOBS.values()}
+    for where in (
+        ROOT / "src",
+        ROOT / "README.md",
+        ROOT / "docs",
+        ROOT / ".github" / "workflows" / "ci.yml",
+    ):
+        assert _repro_names(where) <= table, where
+    assert _repro_names(ROOT / "src" / "repro" / "config.py") == table
+    assert _repro_names(ROOT / "docs" / "api.md") == table
+    # the benchmark scrubs every ambient knob (read-only check of its list)
+    run_py = (ROOT / "benchmarks" / "e2e" / "run.py").read_text()
+    scrub = re.search(r"SCRUBBED_ENV = \((.*?)\)", run_py, re.S).group(1)
+    assert set(re.findall(r"REPRO_[A-Z_]+", scrub)) == table
+
+
+def test_only_config_reads_the_environment():
+    readers = [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        if "os.environ" in path.read_text() or "getenv" in path.read_text()
+    ]
+    assert readers == ["src/repro/config.py"]
+
+
+def test_docs_configuration_table_is_the_knob_table():
+    text = (ROOT / "docs" / "api.md").read_text()
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        tuple(
+            cell.strip().strip("`")
+            for cell in re.split(r"(?<!\\)\|", line.strip().strip("|"))
+        )
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert rows == [
+        (
+            knob.name,
+            knob.env,
+            knob.flag or "—",
+            knob.default or "off",
+            knob.grammar.replace("|", "\\|"),
+            knob.help,
+        )
+        for knob in config.KNOBS.values()
+    ]
+
+
+def test_each_run_flag_is_defined_once():
+    source = "".join(
+        path.read_text() for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+    )
+    flags = [knob.flag for knob in config.KNOBS.values() if knob.flag]
+    for flag in [*flags, "--deadline", "--checkpoint", "--policy"]:
+        assert source.count(f'"{flag}"') == 1, flag

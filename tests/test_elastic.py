@@ -25,7 +25,6 @@ from repro.elastic import (
     RecoveryReport,
     resolve_elastic,
 )
-from repro.elastic.policy import ELASTIC_ENV
 from repro.faults import DeadlineExceeded, RankFailure
 from repro.graphs import uniform_random_graph_nm
 from repro.machine import Machine
@@ -100,15 +99,8 @@ class TestElasticSpec:
         with pytest.raises(TypeError):
             resolve_elastic(42)
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(ELASTIC_ENV, "replica:2")
-        assert resolve_elastic(None) == ElasticPolicy(stride=2)
-        assert resolve_elastic(None, env=False) is None
-        # an explicit spec beats the ambient one
-        assert resolve_elastic("source").redundancy == "source"
-
     def test_machine_threads_policy_through(self, monkeypatch):
-        monkeypatch.delenv(ELASTIC_ENV, raising=False)
+        monkeypatch.delenv("REPRO_ELASTIC", raising=False)
         m = Machine(4, elastic="replica")
         assert m.elastic == ElasticPolicy()
         assert "elastic=replica" in repr(m)

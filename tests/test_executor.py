@@ -16,7 +16,6 @@ from repro.core.engine import Engine, SequentialEngine
 from repro.dist import DistMat, DistributedEngine
 from repro.machine import CostParams, Machine
 from repro.machine.executor import (
-    EXECUTOR_ENV,
     LocalExecutor,
     ProcessExecutor,
     SerialExecutor,
@@ -57,7 +56,7 @@ def pairs_for(rng, n_pairs, m=18, density=0.3):
 
 class TestResolveExecutor:
     def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         ex = resolve_executor(None)
         assert isinstance(ex, SerialExecutor)
         assert ex.name == "serial"
@@ -74,15 +73,11 @@ class TestResolveExecutor:
         ex.close()
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "thread:2")
+        monkeypatch.setenv("REPRO_EXECUTOR", "thread:2")
         ex = resolve_executor(None)
         assert isinstance(ex, ThreadExecutor)
         assert ex.workers == 2
         ex.close()
-
-    def test_explicit_spec_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "thread:2")
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
 
     def test_instance_passthrough(self):
         ex = SerialExecutor()
@@ -111,7 +106,7 @@ class TestResolveExecutor:
         m.executor.close()
 
     def test_machine_env_executor(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "thread:2")
+        monkeypatch.setenv("REPRO_EXECUTOR", "thread:2")
         m = Machine(2)
         assert m.executor.name == "thread"
         m.executor.close()

@@ -20,14 +20,11 @@ from repro.faults import (
     FaultPlan,
     MemoryCheckpointStore,
     RankFailure,
-    WorkerPoolDied,
     corrupt_copy,
     format_fault_report,
     payload_checksum,
     resolve_fault_plan,
 )
-from repro.faults.plan import FAULTS_ENV
-from repro.graphs import uniform_random_graph_nm
 from repro.machine import Group, Machine, MemoryLimitExceeded
 from repro.machine.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.sparse.spgemm import spgemm
@@ -128,24 +125,16 @@ class TestResolve:
         assert resolve_fault_plan(plan) is plan
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "seed:9,crash:0.25")
+        monkeypatch.setenv("REPRO_FAULTS", "seed:9,crash:0.25")
         plan = resolve_fault_plan(None)
         assert plan.seed == 9 and plan.crash == 0.25
-
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "seed:9,crash:0.25")
-        assert resolve_fault_plan(None, env=False) is None
-
-    def test_explicit_spec_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "seed:9,crash:0.25")
-        assert resolve_fault_plan("none") is None
 
     def test_type_error(self):
         with pytest.raises(TypeError):
             resolve_fault_plan(42)
 
     def test_machine_threads_plan_through(self, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         m = Machine(4)
         assert m.faults is None
         m = Machine(4, faults="seed:1,crash:0.5")

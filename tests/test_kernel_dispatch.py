@@ -33,15 +33,12 @@ from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC
 from repro.dist import DistributedEngine
 from repro.machine import Machine
 from repro.sparse import (
-    KERNEL_ENV,
     KernelTraits,
     SpGemmResult,
     SpMat,
     recognize,
     resolve_kernel_mode,
-    set_default_kernel_mode,
     spgemm,
-    spgemm_with_ops,
 )
 from repro.sparse import dispatch as dispatch_mod
 from repro.sparse.dispatch import dispatch_spgemm, register_fast_path
@@ -53,11 +50,8 @@ CC_SPEC = Semiring(
 
 @pytest.fixture(autouse=True)
 def _clean_kernel_env(monkeypatch):
-    """Every test starts from the ambient default (no env, no process default)."""
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    set_default_kernel_mode(None)
-    yield
-    set_default_kernel_mode(None)
+    """Every test starts from the ambient default (no env)."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +101,7 @@ class TestRecognition:
 
 
 # ---------------------------------------------------------------------------
-# mode resolution (explicit > process default > env > auto)
+# mode grammar and where the knob lands (precedence: tests/test_config.py)
 # ---------------------------------------------------------------------------
 
 
@@ -117,27 +111,13 @@ class TestModeKnob:
         assert resolve_kernel_mode(None) == "auto"
 
     def test_env_beats_nothing(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "fast")
+        monkeypatch.setenv("REPRO_KERNEL", "fast")
         assert resolve_kernel_mode() == "fast"
-
-    def test_process_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "fast")
-        set_default_kernel_mode("generic")
-        assert resolve_kernel_mode() == "generic"
-        set_default_kernel_mode(None)  # clearing re-exposes the env
-        assert resolve_kernel_mode() == "fast"
-
-    def test_explicit_beats_all(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "fast")
-        set_default_kernel_mode("generic")
-        assert resolve_kernel_mode("auto") == "auto"
 
     def test_normalization_and_rejection(self):
         assert resolve_kernel_mode("  Fast ") == "fast"
         with pytest.raises(ValueError, match="unknown kernel mode"):
             resolve_kernel_mode("turbo")
-        with pytest.raises(ValueError):
-            set_default_kernel_mode("turbo")
 
     def test_sequential_engine_knob(self):
         assert SequentialEngine(kernel="fast").kernel == "fast"
@@ -148,7 +128,9 @@ class TestModeKnob:
         assert m.kernel == "fast"
         assert m.executor.kernel_mode == "fast"
         assert "kernel=fast" in repr(m)
-        assert Machine(4).kernel is None
+        # the machine hands its workers a resolved mode, never "ask the env"
+        plain = Machine(4)
+        assert plain.kernel == plain.executor.kernel_mode == "auto"
 
     def test_cli_flag(self):
         from repro.cli import build_parser
@@ -163,7 +145,7 @@ class TestModeKnob:
         # REPRO_KERNEL=generic must disable dispatch even for recognized specs
         a = cst.random_weight_spmat(rng, 6, 6, 0.5)
         metrics = obs.Metrics()
-        monkeypatch.setenv(KERNEL_ENV, "generic")
+        monkeypatch.setenv("REPRO_KERNEL", "generic")
         with obs.use(metrics=metrics):
             spgemm(a, a, TROPICAL.matmul_spec())
         assert metrics.total("kernel.dispatch") == 0.0
@@ -315,14 +297,6 @@ class TestMaskSemantics:
 
 
 class TestUnifiedApi:
-    def test_spgemm_with_ops_deprecated(self, rng):
-        a = cst.random_weight_spmat(rng, 5, 5, 0.5)
-        spec = TROPICAL.matmul_spec()
-        with pytest.warns(DeprecationWarning, match="spgemm"):
-            old = spgemm_with_ops(a, a, spec)
-        new = spgemm(a, a, spec)
-        assert old.matrix.equals(new.matrix) and old.ops == new.ops
-
     def test_result_shape(self, rng):
         a = cst.random_weight_spmat(rng, 5, 5, 0.5)
         res = spgemm(a, a, TROPICAL.matmul_spec())

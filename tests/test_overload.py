@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import uniform_random_graph_nm
+from repro.machine import Machine
 from repro.serve import (
     AdmissionController,
     AdmissionError,
@@ -39,8 +40,11 @@ def graph():
 
 
 def _service(graph, **kw):
-    kw.setdefault("p", 4)
+    """A service on ``Machine(p=4, <the machine keywords among kw>)``."""
     kw.setdefault("batch_window", 0.05)
+    if "machine" not in kw:
+        names = ("executor", "faults", "check", "elastic", "memory_words")
+        kw["machine"] = Machine(4, **{k: kw.pop(k) for k in names if k in kw})
     return BCService(graph, **kw)
 
 

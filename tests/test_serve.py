@@ -45,8 +45,11 @@ def graph():
 
 
 def _service(graph, **kw):
-    kw.setdefault("p", 4)
+    """A service on ``Machine(p=4, <the machine keywords among kw>)``."""
     kw.setdefault("batch_window", 0.05)
+    if "machine" not in kw:
+        names = ("executor", "faults", "check", "elastic", "memory_words")
+        kw["machine"] = Machine(4, **{k: kw.pop(k) for k in names if k in kw})
     return BCService(graph, **kw)
 
 
