@@ -2,24 +2,29 @@
 
 Contextualizes the node-local kernel that plays MKL's role in the paper's
 stack: measured wall-clock throughput (elementary products per second) for
-the three operator families MFBC exercises — plus-times (what scipy's CSR
+the operator families MFBC exercises — plus-times (what scipy's CSR
 matmul computes natively, shown as the reference point), tropical min-plus,
-and the multpath monoid — across sparsity regimes.  The generalized kernel
-pays for its generality (scipy's compiled kernel is faster on plus-times);
-the ratio printed here is that generality tax.
+the multpath monoid (MFBF) and the centpath monoid under a full-support
+mask (MFBr) — across sparsity regimes.  The generalized kernel pays for its
+generality (scipy's compiled kernel is faster on plus-times); the ratios
+printed here are that generality tax.
 """
 
 import numpy as np
 import scipy.sparse
 
 from repro import obs
-from repro.algebra import MULTPATH, REAL_PLUS_TIMES, TROPICAL, MatMulSpec
+from repro.algebra import CENTPATH, MULTPATH, REAL_PLUS_TIMES, TROPICAL, MatMulSpec
 from repro.algebra import bellman_ford_action
 from repro.algebra.monoid import MinMonoid, PlusMonoid
+from repro.core.specs import BRANDES_SPEC
 from repro.sparse import SpMat, spgemm
 
 N = 2000
 DENSITIES = [0.002, 0.01]
+#: ratchet on the dense point's scipy (+,×) ÷ fast multpath ratio: the value
+#: measured when the sort-once reduction landed (3.1x; it was 7.6x) + 25 %
+MULTPATH_GAP_MAX = 3.9
 
 
 def _mats(rng, density, monoid):
@@ -30,12 +35,12 @@ def _mats(rng, density, monoid):
     return a
 
 
-def _throughput(a, b, spec, repeats=3, kernel="generic"):
+def _throughput(a, b, spec, repeats=3, kernel="generic", mask=None):
     best = float("inf")
     ops = None
     for _ in range(repeats):
         with obs.timed("bench.kernel_spgemm", spec=spec.name, kernel=kernel) as t:
-            res = spgemm(a, b, spec, kernel=kernel)
+            res = spgemm(a, b, spec, kernel=kernel, mask=mask)
         best = min(best, t.seconds)
         ops = res.ops
     return (ops / best if best > 0 else 0.0), ops
@@ -45,6 +50,12 @@ def build_rows():
     rng = np.random.default_rng(7)
     plus, tropical = PlusMonoid(), MinMonoid()
     bf = MatMulSpec(MULTPATH, bellman_ford_action, "bf")
+    # MFBr masks every product by Z's support, which is every reachable
+    # (source, vertex) pair: a full-support mask is its steady state
+    every = np.arange(64 * N)
+    ones = np.ones(64 * N)
+    full = SpMat(64, N, every // N, every % N, MULTPATH.make(ones, ones), MULTPATH,
+                 canonical=True)
     rows = []
     for density in DENSITIES:
         a_p = _mats(rng, density, plus)
@@ -84,6 +95,18 @@ def build_rows():
         rate_m, _ = _throughput(f, a_t, bf)
         rate_mf, _ = _throughput(f, a_t, bf, kernel="fast")
 
+        z = SpMat(
+            64,
+            N,
+            f.rows,
+            f.cols,
+            CENTPATH.make(f.vals["w"], rng.random(f.nnz), np.ones(f.nnz)),
+            CENTPATH,
+            canonical=True,
+        )
+        rate_c, _ = _throughput(z, a_t, BRANDES_SPEC, mask=full)
+        rate_cf, _ = _throughput(z, a_t, BRANDES_SPEC, kernel="fast", mask=full)
+
         rows.append(
             (
                 f"{density:.3%}",
@@ -95,6 +118,9 @@ def build_rows():
                 f"{rate_tf / 1e6:.1f}",
                 f"{rate_m / 1e6:.1f}",
                 f"{rate_mf / 1e6:.1f}",
+                f"{scipy_rate / max(rate_mf, 1):.2f}x",
+                f"{rate_c / 1e6:.1f}",
+                f"{rate_cf / 1e6:.1f}",
             )
         )
     return rows
@@ -137,7 +163,12 @@ def build_check_overhead_rows():
 
 
 def test_check_overhead(benchmark, save_table):
-    """Cheap-mode invariant checking must cost ≤10% on the dense-ish case.
+    """Cheap-mode invariant checking must cost ≤20% on the dense-ish case.
+
+    The budget is a few linear passes over the operands and the result
+    (≈3 ms on the 725k-entry dense result) against a kernel that now forms
+    that result in ≈40 ms; it was 10% of the ≈130 ms the kernel took before
+    the sort-once reduction.
 
     (Disabled checking has *zero* hot-path cost by construction: nothing is
     wrapped — see tests/test_check_engine.py::TestEnablement.)
@@ -154,7 +185,7 @@ def test_check_overhead(benchmark, save_table):
     # is amortized over real kernel work (the sparsest case is all fixed
     # overhead and noise)
     overhead_dense = float(rows[-1][-1].rstrip("%").replace("+", "")) / 100.0
-    assert overhead_dense <= 0.10, rows
+    assert overhead_dense <= 0.20, rows
 
 
 def test_kernel_throughput(benchmark, save_table):
@@ -173,18 +204,25 @@ def test_kernel_throughput(benchmark, save_table):
             "fast min-plus",
             "generic multpath",
             "fast multpath",
+            "scipy/fast multpath",
+            "generic centpath",
+            "fast centpath",
         ],
         rows,
     )
     # every kernel family must sustain ≥ 1 Mops/s
-    for _, kp, kpf, _, _, kt, ktf, km, kmf in rows:
-        assert all(float(x) > 1.0 for x in (kp, kpf, kt, ktf, km, kmf))
+    for _, kp, kpf, _, _, kt, ktf, km, kmf, _, kc, kcf in rows:
+        assert all(float(x) > 1.0 for x in (kp, kpf, kt, ktf, km, kmf, kc, kcf))
     # ratchet: on the dense point the dispatched plus-times path must land
     # within 2x of raw compiled scipy (it *is* scipy plus CSR conversion)
     scipy_over_fast = float(rows[-1][4].rstrip("x"))
     assert scipy_over_fast <= 2.0, rows
+    # ratchet: the MFBF hot loop's gap to compiled plus-times on the dense
+    # point (ROADMAP's exit for the compiled-kernel item is 2x)
+    assert float(rows[-1][9].rstrip("x")) <= MULTPATH_GAP_MAX, rows
     # and the fast paths must never lose to the generic kernel they shadow
-    for _, kp, kpf, _, _, kt, ktf, km, kmf in rows:
+    for _, kp, kpf, _, _, kt, ktf, km, kmf, _, kc, kcf in rows:
         assert float(kpf) >= 0.8 * float(kp)
         assert float(ktf) >= 0.8 * float(kt)
         assert float(kmf) >= 0.8 * float(km)
+        assert float(kcf) >= 0.8 * float(kc)

@@ -14,23 +14,73 @@ The base class implements ``reduce_by_key`` by sorting and folding with
 ``combine`` works out of the box.  Subclasses with more structure
 (:class:`PlusMonoid`, :class:`MinMonoid`, :class:`MinWeightTieSumMonoid`)
 override it with single-pass ``reduceat`` kernels.
+
+Every reduction here is *sort-once*: :func:`stable_key_sort` orders the keys
+(the only sort), :func:`segments` finds the key runs in one linear pass, and
+the per-run fold never sorts or searches again.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.algebra.fields import FieldArray, empty_fields, take_fields
 
 __all__ = [
+    "stable_key_sort",
+    "segments",
     "Monoid",
     "PlusMonoid",
     "MinMonoid",
     "MaxMonoid",
     "MinWeightTieSumMonoid",
 ]
+
+
+def stable_key_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys[order], order)`` for ``order = argsort(keys, kind="stable")``.
+
+    Sorts the packed words ``key << bits | position`` by value
+    (``bits = (n-1).bit_length()``): they are distinct, so any sort of them
+    is the stable key order, and numpy's in-place integer sort is several
+    times faster than an ``argsort``.  Keys and permutation fall out by shift
+    and mask.  Negative keys, or keys too large to pack into 62 bits, take
+    the plain stable ``argsort``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    n = len(keys)
+    if n < 2:
+        return keys, np.arange(n)
+    bits = (n - 1).bit_length()
+    # one unsigned pass bounds both ends: a negative key reads as >= 2**63
+    if int(keys.view(np.uint64).max()) << bits >= 1 << 62:
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    packed = keys << bits
+    packed |= np.arange(n)
+    packed.sort()
+    order = packed & ((1 << bits) - 1)
+    packed >>= bits
+    return packed, order
+
+
+def segments(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, seg_id)`` of the runs of equal keys in ``sorted_keys``.
+
+    ``starts[r]`` is the first position of run ``r`` (so
+    ``sorted_keys[starts]`` are the unique keys) and ``seg_id[i]`` is the run
+    that position ``i`` belongs to: one ``!=`` pass and one ``repeat``.
+    """
+    n = len(sorted_keys)
+    new_run = np.empty(n, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
+    starts = new_run.nonzero()[0]
+    lengths = np.concatenate((starts[1:], (n,))) - starts
+    seg_id = np.repeat(np.arange(len(starts)), lengths)
+    return starts, seg_id
 
 
 class Monoid:
@@ -130,10 +180,8 @@ class Monoid:
         """
         if len(keys) == 0:
             return keys[:0], self.empty()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        vals = take_fields(vals, order)
-        return self._reduce_sorted(keys, vals)
+        keys, order = stable_key_sort(keys)
+        return self._reduce_sorted(keys, take_fields(vals, order))
 
     def _reduce_sorted(
         self, keys: np.ndarray, vals: FieldArray
@@ -146,10 +194,9 @@ class Monoid:
         total, fully vectorized — correct for *any* monoid.
         """
         while len(keys):
-            _, starts = np.unique(keys, return_index=True)
+            starts, seg_id = segments(keys)
             if len(starts) == len(keys):
                 return keys, vals
-            seg_id = np.searchsorted(starts, np.arange(len(keys)), side="right") - 1
             pos = np.arange(len(keys)) - starts[seg_id]
             has_next = np.zeros(len(keys), dtype=bool)
             has_next[:-1] = keys[1:] == keys[:-1]
@@ -182,8 +229,8 @@ class PlusMonoid(Monoid):
         return {self._field: a[self._field] + b[self._field]}
 
     def _reduce_sorted(self, keys, vals):
-        uniq, starts = np.unique(keys, return_index=True)
-        return uniq, {self._field: np.add.reduceat(vals[self._field], starts)}
+        starts, _ = segments(keys)
+        return keys[starts], {self._field: np.add.reduceat(vals[self._field], starts)}
 
 
 class MinMonoid(Monoid):
@@ -197,8 +244,8 @@ class MinMonoid(Monoid):
         return {self._field: np.minimum(a[self._field], b[self._field])}
 
     def _reduce_sorted(self, keys, vals):
-        uniq, starts = np.unique(keys, return_index=True)
-        return uniq, {self._field: np.minimum.reduceat(vals[self._field], starts)}
+        starts, _ = segments(keys)
+        return keys[starts], {self._field: np.minimum.reduceat(vals[self._field], starts)}
 
 
 class MaxMonoid(Monoid):
@@ -212,8 +259,8 @@ class MaxMonoid(Monoid):
         return {self._field: np.maximum(a[self._field], b[self._field])}
 
     def _reduce_sorted(self, keys, vals):
-        uniq, starts = np.unique(keys, return_index=True)
-        return uniq, {self._field: np.maximum.reduceat(vals[self._field], starts)}
+        starts, _ = segments(keys)
+        return keys[starts], {self._field: np.maximum.reduceat(vals[self._field], starts)}
 
 
 class MinWeightTieSumMonoid(Monoid):
@@ -225,9 +272,9 @@ class MinWeightTieSumMonoid(Monoid):
     instance over ``(w, m)``; centpath (§4.2.1) is the ``select="max"``
     instance over ``(w, p, c)``.
 
-    The vectorized reduction sorts each key group by weight, finds the
-    best weight, and sums payload fields over the tied prefix — one pass,
-    no Python-level loops.
+    The vectorized reduction (:meth:`tie_sum`) finds each key group's best
+    weight and sums payload fields over the tied entries — linear passes, no
+    weight sort, no Python-level loops.
     """
 
     def __init__(
@@ -273,24 +320,58 @@ class MinWeightTieSumMonoid(Monoid):
     # -- reduction ---------------------------------------------------------
 
     def _reduce_sorted(self, keys, vals):
-        w = vals[self.weight_field]
-        # Re-sort within key groups by weight (best first).
-        w_order = w if self.select == "min" else -w
-        order = np.lexsort((w_order, keys))
-        keys = keys[order]
-        vals = take_fields(vals, order)
-        w = vals[self.weight_field]
+        starts, seg_id = segments(keys)
+        out = self.tie_sum(
+            vals[self.weight_field],
+            starts,
+            seg_id,
+            lambda idx: {name: vals[name][idx] for name in self.sum_fields},
+        )
+        return keys[starts], out
 
-        uniq, starts = np.unique(keys, return_index=True)
-        best_w = w[starts]
-        # Broadcast each group's best weight to its members.
-        seg_id = np.searchsorted(starts, np.arange(len(keys)), side="right") - 1
-        tied = w == best_w[seg_id]
+    def tie_sum(
+        self,
+        w_sorted: np.ndarray,
+        starts: np.ndarray,
+        seg_id: np.ndarray,
+        payload: Callable[["np.ndarray | slice"], Mapping[str, np.ndarray]],
+    ) -> FieldArray:
+        """Fold every key run to its best weight and its tied payload sums.
 
-        out: FieldArray = {self.weight_field: best_w}
-        for name in self.sum_fields:
-            col = np.where(tied, vals[name], 0)
-            out[name] = np.add.reduceat(col, starts).astype(
-                dict(self.field_spec)[name], copy=False
-            )
-        return uniq, out
+        ``w_sorted`` holds the (NaN-free) weights in stable key order,
+        ``starts`` / ``seg_id`` come from :func:`segments`, and
+        ``payload(idx)`` returns the sum fields at the sorted positions
+        ``idx`` — it is asked once, for the tied entries only.
+
+        No weight sort: a linear stable partition moves each run's tied
+        entries to the front of the run, in position order, with zeros
+        behind.  That is the layout a ``(key, weight, position)`` lexsort
+        feeds to ``np.add.reduceat``, whose pairwise summation depends only
+        on run length and operand order, so the sums are bit-identical to
+        that reduction's.  The run's weight is its first tied entry's, as
+        under the lexsort, so a signed zero survives.
+        """
+        pick = np.minimum if self.select == "min" else np.maximum
+        tied = w_sorted == pick.reduceat(w_sorted, starts)[seg_id]
+        all_tied = bool(tied.all())  # e.g. every unweighted frontier
+        if all_tied:
+            idx, first = slice(None), starts
+        else:
+            idx = tied.nonzero()[0]
+            tied_seg = seg_id[idx]
+            counts = np.bincount(tied_seg, minlength=len(starts))
+            ahead = np.cumsum(counts) - counts  # tied entries before each run
+            first = idx[ahead]
+            # run r's j-th tied entry, the (ahead[r] + j)-th overall, goes
+            # to starts[r] + j
+            dest = (starts - ahead)[tied_seg]
+            dest += np.arange(len(idx))
+        out: FieldArray = {self.weight_field: w_sorted[first]}
+        dtypes = dict(self.field_spec)
+        for name, col in payload(idx).items():
+            if not all_tied:
+                tied_vals = col
+                col = np.zeros(len(tied), dtype=tied_vals.dtype)
+                col[dest] = tied_vals
+            out[name] = np.add.reduceat(col, starts).astype(dtypes[name], copy=False)
+        return out

@@ -14,6 +14,7 @@ import heapq
 import numpy as np
 import scipy.sparse
 
+from repro.algebra.monoid import segments, stable_key_sort
 from repro.graphs.graph import Graph
 
 __all__ = ["dijkstra_sssp", "bellman_ford_sssp", "bfs_sssp"]
@@ -118,11 +119,11 @@ def bellman_ford_sssp(
         cand_w = f_w[src_rep] + data[pos]
         cand_m = f_m[src_rep]
         # reduce candidates per destination: min weight, sum multiplicities
-        order = np.lexsort((cand_w, cand_v))
-        cand_v, cand_w, cand_m = cand_v[order], cand_w[order], cand_m[order]
-        uniq, starts = np.unique(cand_v, return_index=True)
-        best_w = cand_w[starts]
-        seg = np.searchsorted(starts, np.arange(len(cand_v)), side="right") - 1
+        cand_v, order = stable_key_sort(cand_v)
+        cand_w, cand_m = cand_w[order], cand_m[order]
+        starts, seg = segments(cand_v)
+        uniq = cand_v[starts]
+        best_w = np.minimum.reduceat(cand_w, starts)
         tied = cand_w == best_w[seg]
         best_m = np.add.reduceat(np.where(tied, cand_m, 0.0), starts)
         # merge into dist/sigma; survivors form the next frontier

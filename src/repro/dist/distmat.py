@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.algebra.monoid import Monoid
+from repro.algebra.monoid import Monoid, stable_key_sort
 from repro.machine.machine import Machine
 from repro.sparse.spmatrix import SpMat
 
@@ -154,8 +154,7 @@ def _pack_block(
     # group entries by target tile with one stable sort: each group keeps the
     # source block's (row, col) order, so every piece is canonical as cut
     tile = ti * (len(col_splits) - 1) + tj
-    order = np.argsort(tile, kind="stable")
-    tile = tile[order]
+    tile, order = stable_key_sort(tile)
     out: list[tuple[int, int, SpMat]] = []
     for sel in np.split(order, np.flatnonzero(tile[1:] != tile[:-1]) + 1):
         a, b = int(ti[sel[0]]), int(tj[sel[0]])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from repro.algebra.monoid import MinMonoid
+from repro.algebra.monoid import MinMonoid, segments, stable_key_sort
 from repro.sparse.spmatrix import SpMat
 from repro.utils.validation import check_positive_int
 
@@ -81,12 +81,12 @@ class Graph:
             hi = np.maximum(src, dst)
             src, dst = lo, hi
         key = src * np.int64(n) + dst
-        order = np.argsort(key, kind="stable")
-        key, src, dst = key[order], src[order], dst[order]
+        key, order = stable_key_sort(key)
+        src, dst = src[order], dst[order]
         if w is not None:
             w = w[order]
-        uniq, starts = np.unique(key, return_index=True)
-        if len(uniq) != len(key):
+        starts, _ = segments(key)
+        if len(starts) != len(key):
             if w is not None:
                 w = np.minimum.reduceat(w, starts) if len(w) else w
             src = src[starts]

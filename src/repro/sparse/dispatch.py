@@ -14,8 +14,8 @@ paper's stack (§6.2):
   bottleneck max-min, label-propagation min/left, …) → a structure-of-arrays
   path that skips the field-array plumbing;
 * **multpath / centpath** (the Bellman-Ford and Brandes actions of §4.1/§4.2)
-  → a fused path that replaces the generic sort-then-resort reduction with a
-  single ``lexsort``.
+  → a fused path that forms only the weight column before the one key sort
+  and gathers payload columns for the tied entries alone.
 
 Every fast path is **bit-identical** to the generic kernel after
 canonicalization: it consumes the exact expansion chunks the generic kernel
@@ -42,9 +42,15 @@ import scipy.sparse
 
 from repro import config
 from repro.algebra.centpath import CentpathMonoid, brandes_action
-from repro.algebra.fields import FieldArray
+from repro.algebra.fields import FieldArray, take_fields
 from repro.algebra.matmul import MatMulSpec
-from repro.algebra.monoid import MaxMonoid, MinMonoid, PlusMonoid
+from repro.algebra.monoid import (
+    MaxMonoid,
+    MinMonoid,
+    PlusMonoid,
+    segments,
+    stable_key_sort,
+)
 from repro.algebra.multpath import MultpathMonoid, bellman_ford_action
 from repro.algebra.semiring import SemiringAction
 from repro.obs import api as obs
@@ -332,12 +338,11 @@ def _soa_semiring(
         if len(keys) == 0:
             continue
         vals = np.asarray(multiply(av[a_idx], bv[b_idx]))
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        vals = vals[order]
-        uniq, starts = np.unique(keys, return_index=True)
-        red = reducer.reduceat(vals, starts).astype(dtype, copy=False)
-        parts_k.append(uniq)
+        del a_idx, b_idx
+        keys, order = stable_key_sort(keys)
+        starts, _ = segments(keys)
+        red = reducer.reduceat(vals[order], starts).astype(dtype, copy=False)
+        parts_k.append(keys[starts])
         parts_v.append({field: red})
     return _assemble(a.nrows, b.ncols, parts_k, parts_v, monoid, ops_done)
 
@@ -355,19 +360,19 @@ def _pathsum_kernel(
 ) -> SpGemmResult:
     """Fused path for the multpath/centpath monoids (MFBF/MFBr hot loop).
 
-    The generic reduction stable-sorts by key and then re-sorts each key
-    group by weight; both sorts are stable, so their composition equals one
-    ``lexsort((weight, key))`` on the raw expansion — ordering by (key,
-    weight, original position) either way.  This path does that single
-    lexsort and applies the same best-weight / tie-sum ``reduceat`` the
-    monoid would, bitwise identically.
+    The generic kernel materializes every output field of ``f`` for every
+    joined pair before reducing.  Both actions pass A's payload through
+    unchanged and only add (Bellman-Ford) or subtract (Brandes) the weights,
+    so this path forms the weight column alone, sorts the keys once, and
+    lets :meth:`MinWeightTieSumMonoid.tie_sum` gather payloads for the tied
+    entries only — the same reduction on the same sorted sequence, bitwise
+    identically.
     """
     monoid = spec.monoid
     wf = monoid.weight_field
     negate = spec.f is brandes_action
-    select_min = monoid.select == "min"
-    dtypes = dict(monoid.field_spec)
     aw, bw = a.vals[wf], b.vals[wf]
+    sums = {name: a.vals[name] for name in monoid.sum_fields}
     ops_done = 0
     parts_k: list[np.ndarray] = []
     parts_v: list[FieldArray] = []
@@ -378,21 +383,17 @@ def _pathsum_kernel(
         if len(keys) == 0:
             continue
         w = aw[a_idx] - bw[b_idx] if negate else aw[a_idx] + bw[b_idx]
-        w_order = w if select_min else -w
-        order = np.lexsort((w_order, keys))
-        keys_s = keys[order]
-        w_s = w[order]
-        uniq, starts = np.unique(keys_s, return_index=True)
-        best_w = w_s[starts]
-        seg_id = np.searchsorted(starts, np.arange(len(keys_s)), side="right") - 1
-        tied = w_s == best_w[seg_id]
-        out: FieldArray = {wf: best_w}
-        a_sorted = a_idx[order]
-        for name in monoid.sum_fields:
-            col = np.where(tied, a.vals[name][a_sorted], 0)
-            out[name] = np.add.reduceat(col, starts).astype(dtypes[name], copy=False)
-        parts_k.append(uniq)
-        parts_v.append(out)
+        del b_idx
+        keys, order = stable_key_sort(keys)
+        w = w[order]
+        starts, seg_id = segments(keys)
+        parts_k.append(keys[starts])
+        del keys
+        parts_v.append(
+            monoid.tie_sum(
+                w, starts, seg_id, lambda idx: take_fields(sums, a_idx[order[idx]])
+            )
+        )
     return _assemble(a.nrows, b.ncols, parts_k, parts_v, monoid, ops_done)
 
 

@@ -6,8 +6,8 @@ on local blocks, and the sequential MFBC engine calls it on whole matrices.
 
 Algorithm (the *generic* kernel): a sort-free hash-free *expansion join* —
 
-1. B is canonical (row-major sorted), so a row pointer is recovered with
-   ``searchsorted``;
+1. B is canonical (row-major sorted), so its cached ``bincount`` row
+   pointer (:meth:`SpMat.row_pointer`) delimits every row;
 2. every nonzero ``A(i,k)`` is joined against all nonzeros of B's row ``k``
    by vectorized repetition (this enumerates exactly the ``ops(A, B)``
    nonzero products of the paper's cost model);
@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -135,10 +135,10 @@ def spgemm(
     chunk:
         Upper bound on the number of joined pairs materialized at once.
     kernel:
-        Kernel mode ``"generic"`` / ``"auto"`` / ``"fast"``; ``None`` falls
-        back to the process default and then ``$REPRO_KERNEL`` (default
-        ``auto``).  Every non-generic path is bit-identical to the generic
-        kernel post-canonicalization.
+        Kernel mode ``"generic"`` / ``"auto"`` / ``"fast"``; ``None`` takes
+        the ambient ``kernel`` knob (``$REPRO_KERNEL``, default ``auto``; see
+        :mod:`repro.config`).  Every non-generic path is bit-identical to the
+        generic kernel post-canonicalization.
     """
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimension mismatch: {a.shape} × {b.shape}")
@@ -179,17 +179,30 @@ def spgemm(
     return result if want_ops else SpGemmResult(result.matrix, None)
 
 
-def _mask_keep(
-    keys: np.ndarray, mask_keys: np.ndarray, complement: bool
-) -> np.ndarray:
-    """Membership mask of ``keys`` against the sorted ``mask_keys`` support."""
-    if len(mask_keys) == 0:
-        member = np.zeros(len(keys), dtype=bool)
-    else:
-        pos = np.searchsorted(mask_keys, keys)
-        pos_clipped = np.minimum(pos, len(mask_keys) - 1)
-        member = mask_keys[pos_clipped] == keys
-    return ~member if complement else member
+#: a dense membership table over the output space answers mask lookups
+#: when the space is at most this many times the expansion it filters
+_MASK_TABLE_SPAN = 4
+
+
+def _mask_filter(
+    mask_keys: np.ndarray, complement: bool, space: int, expansion: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``keep(keys)``: which output keys survive the sorted ``mask_keys``
+    support (its complement when ``complement``).
+
+    Built once per product.  A boolean table over the ``space`` of output
+    keys makes each lookup one gather; it is used when it costs no more
+    than a few bytes per joined pair of the ``expansion`` it will filter,
+    and a binary search per key answers otherwise.
+    """
+    if space <= _MASK_TABLE_SPAN * expansion:
+        table = np.full(space, complement, dtype=bool)
+        table[mask_keys] = not complement
+        return table.__getitem__
+    # a sentinel past every key keeps the probe in range (and lets an empty
+    # mask match nothing)
+    padded = np.append(mask_keys, space)
+    return lambda keys: (padded[np.searchsorted(mask_keys, keys)] == keys) != complement
 
 
 def _expansion_chunks(
@@ -209,27 +222,35 @@ def _expansion_chunks(
     ptr = b.row_pointer()
     b_start = ptr[a.cols]
     counts = ptr[a.cols + 1] - b_start
-    if int(counts.sum()) == 0:
+    total = int(counts.sum())
+    if total == 0:
         return
-    for lo, hi in _chunk_bounds(counts, chunk):
-        c = counts[lo:hi]
-        nz = c.nonzero()[0] + lo
-        if len(nz) == 0:
-            continue
+    keep = None
+    if mask_keys is not None:
+        keep = _mask_filter(
+            mask_keys, mask_complement, a.nrows * b.ncols, min(total, chunk)
+        )
+
+    def expand(lo: int, hi: int):
+        nz = counts[lo:hi].nonzero()[0] + lo
         reps = counts[nz]
         a_idx = np.repeat(nz, reps)
         # b-side index: for each joined pair, offset within its B row run.
-        offs = np.arange(len(a_idx)) - np.repeat(
-            np.cumsum(reps) - reps, reps
-        )
-        b_idx = b_start[a_idx] + offs
+        b_idx = np.arange(len(a_idx))
+        b_idx -= np.repeat(np.cumsum(reps) - reps, reps)
+        b_idx += b_start[a_idx]
         keys = a.rows[a_idx] * np.int64(b.ncols) + b.cols[b_idx]
-        if mask_keys is not None:
-            keep = _mask_keep(keys, mask_keys, mask_complement)
-            if not keep.all():
-                idx = keep.nonzero()[0]
-                a_idx, b_idx, keys = a_idx[idx], b_idx[idx], keys[idx]
-        yield a_idx, b_idx, keys
+        if keep is not None:
+            kept = keep(keys)
+            if not kept.all():
+                idx = kept.nonzero()[0]
+                return a_idx[idx], b_idx[idx], keys[idx]
+        return a_idx, b_idx, keys
+
+    for lo, hi in _chunk_bounds(counts, chunk):
+        # yielded straight from the call: the suspended generator keeps no
+        # reference, so a consumer's ``del`` really frees a chunk array
+        yield expand(lo, hi)
 
 
 def _spgemm_generic(
@@ -259,6 +280,7 @@ def _spgemm_generic(
         if len(keys) == 0:
             continue
         vals = spec.apply_f(take_fields(a.vals, a_idx), take_fields(b.vals, b_idx))
+        del a_idx, b_idx
         keys, vals = monoid.reduce_by_key(keys, vals)
         if sink is not None:
             store, site = sink

@@ -21,7 +21,7 @@ from repro.algebra.fields import (
     fields_length,
     take_fields,
 )
-from repro.algebra.monoid import Monoid
+from repro.algebra.monoid import Monoid, stable_key_sort
 
 __all__ = ["SpMat"]
 
@@ -142,8 +142,7 @@ class SpMat:
         vals = concat_fields([p[2] for p in parts])
         keys = rows * ncols + cols
         if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
+            keys, order = stable_key_sort(keys)
             vals = take_fields(vals, order)
             if (keys[1:] == keys[:-1]).any():
                 keys, vals = monoid._reduce_sorted(keys, vals)
@@ -369,7 +368,7 @@ class SpMat:
     def transpose(self) -> "SpMat":
         """The transposed matrix (values unchanged): a permutation of the
         entries, so one key sort and nothing to fold or prune."""
-        order = np.argsort(self.cols * self.nrows + self.rows, kind="stable")
+        _, order = stable_key_sort(self.cols * self.nrows + self.rows)
         return SpMat(
             self.ncols,
             self.nrows,
