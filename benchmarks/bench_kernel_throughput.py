@@ -25,6 +25,8 @@ DENSITIES = [0.002, 0.01]
 #: ratchet on the dense point's scipy (+,×) ÷ fast multpath ratio: the value
 #: measured when the sort-once reduction landed (3.1x; it was 7.6x) + 25 %
 MULTPATH_GAP_MAX = 3.9
+#: unchecked / checked timings per density in the check-overhead table
+CHECK_REPEATS = 15
 
 
 def _mats(rng, density, monoid):
@@ -127,7 +129,7 @@ def build_rows():
 
 
 def build_check_overhead_rows():
-    """REPRO_CHECK=cheap cost on the node-local kernel (best-of-5 timing)."""
+    """REPRO_CHECK=cheap cost on the node-local kernel (best-of-N, interleaved)."""
     from repro.check import CheckedEngine
     from repro.core.engine import SequentialEngine
 
@@ -140,16 +142,15 @@ def build_check_overhead_rows():
         a = _mats(rng, density, tropical)
         b = _mats(rng, density, tropical)
 
-        def best(fn, repeats=5):
-            t_best = float("inf")
-            for _ in range(repeats):
-                with obs.timed("bench.check_overhead") as t:
-                    fn()
-                t_best = min(t_best, t.seconds)
-            return t_best
-
-        raw = best(lambda: spgemm(a, b, spec, kernel="generic"))
-        checked = best(lambda: engine.spgemm(a, b, spec))
+        # alternate the two so a noisy stretch of the machine lands on both
+        raw = checked = float("inf")
+        for _ in range(CHECK_REPEATS):
+            with obs.timed("bench.check_overhead") as t:
+                spgemm(a, b, spec, kernel="generic")
+            raw = min(raw, t.seconds)
+            with obs.timed("bench.check_overhead") as t:
+                engine.spgemm(a, b, spec)
+            checked = min(checked, t.seconds)
         overhead = checked / max(raw, 1e-9) - 1.0
         rows.append(
             (
@@ -163,12 +164,7 @@ def build_check_overhead_rows():
 
 
 def test_check_overhead(benchmark, save_table):
-    """Cheap-mode invariant checking must cost ≤20% on the dense-ish case.
-
-    The budget is a few linear passes over the operands and the result
-    (≈3 ms on the 725k-entry dense result) against a kernel that now forms
-    that result in ≈40 ms; it was 10% of the ≈130 ms the kernel took before
-    the sort-once reduction.
+    """Cheap-mode invariant checking must cost ≤10% on the dense-ish case.
 
     (Disabled checking has *zero* hot-path cost by construction: nothing is
     wrapped — see tests/test_check_engine.py::TestEnablement.)
@@ -177,7 +173,7 @@ def test_check_overhead(benchmark, save_table):
     save_table(
         "check_overhead",
         f"Supplementary: REPRO_CHECK=cheap overhead on the node-local "
-        f"generalized-SpGEMM kernel (tropical, n={N}, best of 5)",
+        f"generalized-SpGEMM kernel (tropical, n={N}, best of {CHECK_REPEATS})",
         ["density", "unchecked ms", "checked ms", "overhead"],
         rows,
     )
@@ -185,7 +181,7 @@ def test_check_overhead(benchmark, save_table):
     # is amortized over real kernel work (the sparsest case is all fixed
     # overhead and noise)
     overhead_dense = float(rows[-1][-1].rstrip("%").replace("+", "")) / 100.0
-    assert overhead_dense <= 0.20, rows
+    assert overhead_dense <= 0.10, rows
 
 
 def test_kernel_throughput(benchmark, save_table):

@@ -30,6 +30,7 @@ from repro.algebra.fields import FieldArray, empty_fields, take_fields
 
 __all__ = [
     "stable_key_sort",
+    "run_starts",
     "segments",
     "Monoid",
     "PlusMonoid",
@@ -66,21 +67,21 @@ def stable_key_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return packed, order
 
 
-def segments(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(starts, seg_id)`` of the runs of equal keys in ``sorted_keys``.
-
-    ``starts[r]`` is the first position of run ``r`` (so
-    ``sorted_keys[starts]`` are the unique keys) and ``seg_id[i]`` is the run
-    that position ``i`` belongs to: one ``!=`` pass and one ``repeat``.
-    """
-    n = len(sorted_keys)
-    new_run = np.empty(n, dtype=bool)
+def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """First position of every run of equal keys in ``sorted_keys`` (so
+    ``sorted_keys[starts]`` are the unique keys): one ``!=`` pass."""
+    new_run = np.empty(len(sorted_keys), dtype=bool)
     new_run[:1] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
-    starts = new_run.nonzero()[0]
-    lengths = np.concatenate((starts[1:], (n,))) - starts
-    seg_id = np.repeat(np.arange(len(starts)), lengths)
-    return starts, seg_id
+    return new_run.nonzero()[0]
+
+
+def segments(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, seg_id)``: :func:`run_starts` plus, by one ``repeat``, the
+    run ``seg_id[i]`` that each position ``i`` belongs to."""
+    starts = run_starts(sorted_keys)
+    lengths = np.concatenate((starts[1:], (len(sorted_keys),))) - starts
+    return starts, np.repeat(np.arange(len(starts)), lengths)
 
 
 class Monoid:
@@ -229,7 +230,7 @@ class PlusMonoid(Monoid):
         return {self._field: a[self._field] + b[self._field]}
 
     def _reduce_sorted(self, keys, vals):
-        starts, _ = segments(keys)
+        starts = run_starts(keys)
         return keys[starts], {self._field: np.add.reduceat(vals[self._field], starts)}
 
 
@@ -244,7 +245,7 @@ class MinMonoid(Monoid):
         return {self._field: np.minimum(a[self._field], b[self._field])}
 
     def _reduce_sorted(self, keys, vals):
-        starts, _ = segments(keys)
+        starts = run_starts(keys)
         return keys[starts], {self._field: np.minimum.reduceat(vals[self._field], starts)}
 
 
@@ -259,7 +260,7 @@ class MaxMonoid(Monoid):
         return {self._field: np.maximum(a[self._field], b[self._field])}
 
     def _reduce_sorted(self, keys, vals):
-        starts, _ = segments(keys)
+        starts = run_starts(keys)
         return keys[starts], {self._field: np.maximum.reduceat(vals[self._field], starts)}
 
 
@@ -338,7 +339,7 @@ class MinWeightTieSumMonoid(Monoid):
     ) -> FieldArray:
         """Fold every key run to its best weight and its tied payload sums.
 
-        ``w_sorted`` holds the (NaN-free) weights in stable key order,
+        ``w_sorted`` holds the weights in stable key order (a NaN raises),
         ``starts`` / ``seg_id`` come from :func:`segments`, and
         ``payload(idx)`` returns the sum fields at the sorted positions
         ``idx`` — it is asked once, for the tied entries only.
@@ -360,6 +361,8 @@ class MinWeightTieSumMonoid(Monoid):
             idx = tied.nonzero()[0]
             tied_seg = seg_id[idx]
             counts = np.bincount(tied_seg, minlength=len(starts))
+            if counts.min() == 0:  # NaN != NaN: the run ties with nothing
+                raise ValueError("NaN weight in a tie-sum reduction")
             ahead = np.cumsum(counts) - counts  # tied entries before each run
             first = idx[ahead]
             # run r's j-th tied entry, the (ahead[r] + j)-th overall, goes

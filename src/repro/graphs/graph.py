@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from repro.algebra.monoid import MinMonoid, segments, stable_key_sort
+from repro.algebra.monoid import MinMonoid, run_starts, stable_key_sort
 from repro.sparse.spmatrix import SpMat
 from repro.utils.validation import check_positive_int
 
@@ -85,7 +85,7 @@ class Graph:
         src, dst = src[order], dst[order]
         if w is not None:
             w = w[order]
-        starts, _ = segments(key)
+        starts = run_starts(key)
         if len(starts) != len(key):
             if w is not None:
                 w = np.minimum.reduceat(w, starts) if len(w) else w

@@ -48,6 +48,7 @@ from repro.algebra.monoid import (
     MaxMonoid,
     MinMonoid,
     PlusMonoid,
+    run_starts,
     segments,
     stable_key_sort,
 )
@@ -340,7 +341,7 @@ def _soa_semiring(
         vals = np.asarray(multiply(av[a_idx], bv[b_idx]))
         del a_idx, b_idx
         keys, order = stable_key_sort(keys)
-        starts, _ = segments(keys)
+        starts = run_starts(keys)
         red = reducer.reduceat(vals[order], starts).astype(dtype, copy=False)
         parts_k.append(keys[starts])
         parts_v.append({field: red})

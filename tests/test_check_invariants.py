@@ -66,6 +66,26 @@ class TestCheckSpmat:
         bad = _raw_spmat(3, 3, [0, 1], [-1, 1], {"w": [1.0, 2.0]})
         assert "range" in _rules(check_spmat(bad))
 
+    def test_out_of_range_row_hidden_mid_array(self):
+        # row extremes come from the two ends only once the order is proven
+        bad = _raw_spmat(3, 3, [0, 7, 1], [0, 0, 0], {"w": [1.0, 2.0, 3.0]})
+        assert _rules(check_spmat(bad)) == {"range"}
+        bad = _raw_spmat(3, 3, [0, -2, 1], [0, 0, 0], {"w": [1.0, 2.0, 3.0]})
+        assert _rules(check_spmat(bad)) == {"range"}
+        bad = _raw_spmat(3, 3, [-1, 0], [0, 0], {"w": [1.0, 2.0]})
+        assert _rules(check_spmat(bad)) == {"range"}
+
+    def test_column_range_is_two_sided_for_any_integer_dtype(self):
+        bad = _raw_spmat(3, 3, [0, 1], [0, 3], {"w": [1.0, 2.0]})
+        assert _rules(check_spmat(bad)) == {"range"}
+        bad = _raw_spmat(3, 3, [0, 1], [0, -1], {"w": [1.0, 2.0]})
+        bad.cols = bad.cols.astype(np.int32)
+        assert _rules(check_spmat(bad)) == {"dtype", "range"}
+
+    def test_columns_descend_within_a_row(self):
+        bad = _raw_spmat(3, 3, [0, 1, 1], [0, 2, 1], {"w": [1.0, 2.0, 3.0]})
+        assert _rules(check_spmat(bad)) == {"sorted"}
+
     def test_stored_identity(self):
         bad = _raw_spmat(3, 3, [0, 1], [0, 1], {"w": [1.0, np.inf]})
         assert "identity" in _rules(check_spmat(bad))

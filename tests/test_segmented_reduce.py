@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.algebra.centpath import CENTPATH
 from repro.algebra.monoid import (
     MinWeightTieSumMonoid,
+    run_starts,
     segments,
     stable_key_sort,
 )
@@ -111,6 +112,7 @@ def test_segments_match_unique_and_searchsorted(keys):
     starts, seg_id = segments(keys)
     uniq, ref_starts = np.unique(keys, return_index=True)
     assert np.array_equal(starts, ref_starts)
+    assert np.array_equal(run_starts(keys), ref_starts)
     assert np.array_equal(keys[starts], uniq)
     ref_ids = np.searchsorted(ref_starts, np.arange(len(keys)), side="right") - 1
     assert np.array_equal(seg_id, ref_ids)
@@ -217,6 +219,22 @@ def test_tie_sum_asks_payload_for_tied_entries_only():
     assert [a.tolist() for a in asked] == [[1, 2, 4]]
     assert out["w"].tolist() == [1.0, 2.0]
     assert out["m"].tolist() == [23.0, 14.0]
+
+
+@pytest.mark.parametrize("monoid", TIE_MONOIDS)
+@pytest.mark.parametrize("where", ["last run", "middle run", "every entry"])
+def test_tie_sum_rejects_nan_weights(monoid, where):
+    """A NaN ties with nothing, so its run has no best entry: that must
+    raise, not borrow the next run's entry."""
+    keys = np.array([0, 0, 1, 1, 2])
+    w = np.array([1.0, 2.0, 3.0, 3.0, 4.0])
+    w[{"last run": [4], "middle run": [2], "every entry": slice(None)}[where]] = np.nan
+    vals = {monoid.weight_field: w}
+    for name in monoid.sum_fields:
+        vals[name] = np.ones(5)
+    vals = {name: vals[name].astype(dtype) for name, dtype in monoid.field_spec}
+    with pytest.raises(ValueError, match="NaN weight"):
+        monoid.reduce_by_key(keys, vals)
 
 
 # -- mask membership: table vs binary search -----------------------------------
