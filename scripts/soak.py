@@ -23,12 +23,20 @@ on — then asserts the liveness invariants the overload design promises:
 7. **bit-exact answers after the storm** — once pressure subsides,
    admitted non-degraded exact queries return bit-identical rows to a
    solo fault-free run (run under ``REPRO_CHECK=cheap`` to also arm the
-   differential-replay validator underneath).
+   differential-replay validator underneath);
+8. **corruption caught** — when the plan arms ``corrupt`` with
+   ``checksum:1``, at least one in-flight payload of a real product was
+   corrupted, detected by the collective's CRC guard and retried (the
+   hard-failure count above stays zero).  The CI spec scripts its two
+   corruptions (``corrupt@STEP``): a sweep issues dozens of collectives,
+   so a per-delivery *rate* high enough to fire reliably inside a 60 s
+   run also corrupts most attempts of the first batches until ``limit``
+   is spent — three in a row exhaust the service's retry ladder.
 
 Run the CI smoke configuration::
 
     python scripts/soak.py --duration 60 --factor 4 \
-        --faults "seed:3,crash@25:1,corrupt:0.02,checksum:1,tear:0.05,limit:6" \
+        --faults "seed:3,crash@25:1,corrupt@60,corrupt@400,checksum:1,tear:0.05,limit:6" \
         --elastic replica --check cheap --memory-words 30000
 
 ``--memory-words`` arms the memory ladder under the storm: the soak
@@ -253,11 +261,23 @@ def soak(graph, capacity_qps: float, args) -> tuple[dict, int]:
 
     service.close(drain_timeout=10.0)
     stats = service.stats()
-    injected = (
-        service.machine.faults.injected
-        if service.machine.faults is not None
-        else 0
-    )
+    plan = service.machine.faults
+    injected = plan.injected if plan is not None else 0
+    if (
+        plan is not None
+        and plan.checksum
+        and (plan.corrupt or any(sc.kind == "corrupt" for sc in plan.script))
+    ):
+        # the products' collectives run through the guard, so armed
+        # corruption that never trips it means the path went dead again
+        caught = sum(
+            (ev.kind, ev.action) == ("corrupt", "detected") for ev in plan.events
+        )
+        check(
+            "corruption-caught",
+            caught > 0,
+            f"{caught} corrupted payloads caught by the checksum guard",
+        )
     _print_checks(checks)
     print(f"  {report.summary()}")
     machine_recoveries = len(getattr(service.machine, "recoveries", ()))

@@ -112,7 +112,6 @@ from repro.graphs import (
 )
 from repro.machine import (
     CostParams,
-    Grid,
     LocalExecutor,
     Machine,
     ProcessExecutor,
@@ -189,7 +188,6 @@ __all__ = [
     # machine / dist
     "Machine",
     "CostParams",
-    "Grid",
     "DistMat",
     "DistributedEngine",
     # local executors (rank-parallel simulation backend)

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import zlib
+from collections import Counter
 
 import numpy as np
 
@@ -462,11 +464,19 @@ def _cmd_simulate(args) -> int:
         print(f"critical messages : {led['msgs']:.0f}")
         print(f"modeled comm time : {led['comm_time'] * 1e3:.3f} ms")
         print(f"modeled total time: {led['time'] * 1e3:.3f} ms")
+        # one number to compare two runs' scores by (bit-identity, e.g. a
+        # recovered faulty run against the fault-free one)
+        print(f"scores crc32      : {zlib.crc32(res.scores.tobytes()):08x}")
         if machine.faults is not None:
+            tally = Counter(
+                f"{ev.kind}/{ev.action}" for ev in machine.faults.events
+            )
             print(
                 f"faults            : {machine.faults.describe()} "
                 f"({machine.faults.injected} injected, "
-                f"{len(machine.faults.events)} events)"
+                f"{len(machine.faults.events)} events"
+                + "".join(f", {name} {k}" for name, k in tally.items())
+                + ")"
             )
     _print_memory_summary(machine)
     _print_recovery_summary(machine)

@@ -375,23 +375,26 @@ def _schedule_crc(n: int, seed: int, batch_size: int, shards: int) -> int:
     )
 
 
-def _charge_state_reduction(machine, n: int) -> None:
-    """Charge the allreduce that merges per-rank sampler partials.
+def _reduce_state(machine, x_rows: np.ndarray) -> None:
+    """Allreduce the per-rank sampler partials of one batch.
 
-    The simulation folds shards locally (so values are independent of the
-    physical rank layout) but the modeled machine still pays for the
-    collective: ``2n + 1`` words per rank (sums, sums-of-squares, count)
-    through a reduce + broadcast, the same weight-2 pair
-    :meth:`repro.machine.collectives.Group.allreduce` charges.  Routed
-    through ``charge_collective`` so fault plans can crash ranks inside
-    the reduction like any other collective.
+    Rank ``r`` holds the samples dealt to it round-robin and contributes
+    their moments — ``2n + 1`` words: sums, sums-of-squares, count — to a
+    reduce + broadcast over the whole machine, paid for (and failing, under
+    a fault plan) like any collective.  The result is not read back: the
+    estimator folds the rows shard by shard (:meth:`SamplerState.update`),
+    which keeps its values independent of the physical rank layout.
     """
     if machine is None or machine.p <= 1:
         return
-    ranks = np.arange(machine.p)
-    words = 2.0 * n + 1.0
-    machine.charge_collective(ranks, words, weight=2.0, category="reduce")
-    machine.charge_collective(ranks, words, weight=2.0, category="bcast")
+
+    def moments(rows: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            [rows.sum(axis=0), (rows * rows).sum(axis=0), [len(rows)]]
+        )
+
+    parts = [moments(x_rows[r :: machine.p]) for r in range(machine.p)]
+    machine.world().allreduce(parts, np.add)
 
 
 def adaptive_bc(
@@ -593,11 +596,12 @@ def adaptive_bc(
                     attempt=attempt,
                 ):
                     rows = mfbc_per_source(graph, batch, engine=engine, adj=adj)
+                    rows = rows * scale
                     # merging the per-rank partials is paid for (and can
                     # fail) like any collective, so it sits inside the
                     # recovery ladder with the sweep itself
                     with obs.span("reduce_state", cat="phase"):
-                        _charge_state_reduction(machine, n)
+                        _reduce_state(machine, rows)
                 return rows
 
             rows = run_batch_with_recovery(
@@ -611,7 +615,7 @@ def adaptive_bc(
             )
             # fold exactly once per completed batch — retries and elastic
             # re-executions above never reach this line twice
-            sampler.update(rows * scale, cursor)
+            sampler.update(rows, cursor)
             cursor += count
             batch_index += 1
             executed += 1

@@ -3,8 +3,11 @@
 :class:`~repro.dist.distmat.DistMat` is a block-distributed sparse matrix
 over a 2D facet of a processor grid, mirroring CTF's distributed tensors:
 blocks are plain :class:`~repro.sparse.SpMat` instances held in per-rank
-stores, and every movement (scatter, gather, redistribution) goes through
-the machine's collectives so the α-β ledger sees the real traffic.
+stores, and every movement is a :class:`~repro.machine.collectives.Group`
+collective on the blocks that move — ``distribute`` a ``scatter``,
+``gather`` a ``gather``, ``redistribute`` an ``alltoall``, replica
+installation a ``shift`` — so the α-β ledger is charged with the real
+traffic.
 
 :class:`~repro.dist.engine.DistributedEngine` implements the MFBC engine
 protocol on top: generalized products run through the CTF-style algorithm

@@ -84,6 +84,16 @@ def _release_charge(holder: _MemCharge) -> None:
     holder.release()
 
 
+def _by_owner(ranks2d: np.ndarray, blocks) -> tuple[np.ndarray, list[list[SpMat]]]:
+    """The grid's distinct ranks (ascending) and the blocks each one holds:
+    the participants and per-participant parts of a scatter or gather."""
+    ranks, owner = np.unique(ranks2d.ravel(), return_inverse=True)
+    held: list[list[SpMat]] = [[] for _ in ranks]
+    for k, blk in zip(owner, (blk for row in blocks for blk in row)):
+        held[k].append(blk)
+    return ranks, held
+
+
 class _LazyBlockRow:
     """One row of a spilled matrix's block grid; faults blocks in on read."""
 
@@ -292,15 +302,16 @@ class DistMat:
         row_splits: np.ndarray | None = None,
         col_splits: np.ndarray | None = None,
         charge: bool = True,
+        category: str = "input",
         redundancy=None,
         replicate: bool = True,
     ) -> "DistMat":
         """Scatter a node-local matrix into blocks (root-owned input).
 
-        ``row_splits`` / ``col_splits`` / ``charge`` / ``redundancy`` are
-        keyword-only.  Charged as a scatter where the root owns the whole
-        matrix — the bulk-synchronous graph input path (CTF
-        ``Tensor::write``).
+        ``row_splits`` / ``col_splits`` / ``charge`` / ``category`` /
+        ``redundancy`` are keyword-only.  Charged as a scatter where the
+        root owns the whole matrix — the bulk-synchronous graph input path
+        (CTF ``Tensor::write``) — under ledger category ``category``.
 
         ``redundancy`` (an :class:`~repro.elastic.ElasticPolicy`) arms
         elastic recovery for this matrix: under ``"replica"`` every block is
@@ -328,11 +339,8 @@ class DistMat:
             for i in range(pr)
         ]
         if charge:
-            flat_ranks = np.unique(ranks2d.ravel())
-            if len(flat_ranks) > 1:
-                machine.charge_collective(
-                    flat_ranks, mat.words(), weight=1.0, category="input"
-                )
+            ranks, parts = _by_owner(ranks2d, blocks)
+            machine.group(ranks).scatter(parts, category=category)
         out = cls(machine, ranks2d, row_splits, col_splits, blocks, monoid=mat.monoid)
         if redundancy is not None:
             out._install_redundancy(
@@ -346,7 +354,8 @@ class DistMat:
         """Arm this matrix for elastic repair under ``policy``.
 
         Replica mode ships every rank's blocks to its buddy
-        ``(owner + stride) % p`` — one shift collective, charged by the
+        ``(owner + stride) % p`` — one
+        :meth:`~repro.machine.collectives.Group.shift`, charged by the
         busiest sender (category ``"redundancy"``) — and records a CRC-32
         per replica so repair can verify integrity before trusting it.
         The source handle is kept in both modes as the re-materialization
@@ -363,15 +372,14 @@ class DistMat:
         p = self.machine.p
         pr, pc = self.grid_shape
         replicas: dict[tuple[int, int], tuple[int, int, SpMat]] = {}
-        shipped = np.zeros(p)
+        shipped: list[list[SpMat]] = [[] for _ in range(p)]
         for i in range(pr):
             for j in range(pc):
                 owner = int(self.ranks2d[i, j])
                 buddy = (owner + policy.stride) % p
                 blk = self.blocks[i][j]
                 replicas[(i, j)] = (buddy, payload_checksum(blk), blk)
-                if buddy != owner:
-                    shipped[owner] += blk.words()
+                shipped[owner].append(blk)
         rep_charges: dict[int, int] = {}
         for (_i, _j), (buddy, _crc, blk) in replicas.items():
             w = blk.words()
@@ -379,12 +387,9 @@ class DistMat:
                 rep_charges[buddy] = rep_charges.get(buddy, 0) + w
         self._memcharge.add(rep_charges, site="redundancy")
         self._replicas = replicas
-        if charge and p > 1 and shipped.max() > 0:
-            self.machine.charge_collective(
-                np.arange(p),
-                float(shipped.max()),
-                weight=1.0,
-                category="redundancy",
+        if charge:
+            self.machine.world().shift(
+                shipped, policy.stride, category="redundancy"
             )
 
     def repair_lost(self, dead) -> dict[str, int]:
@@ -540,6 +545,10 @@ class DistMat:
             r = int(self.ranks2d[i, j])
             out[r] = out.get(r, 0) + w
         return out
+
+    def owned_blocks(self) -> tuple[np.ndarray, list[list[SpMat]]]:
+        """The distinct owning ranks (ascending) and each one's blocks."""
+        return _by_owner(self.ranks2d, self.blocks)
 
     def same_distribution(self, other: "DistMat") -> bool:
         return (
@@ -729,11 +738,8 @@ class DistMat:
                         (b.rows + self.row_splits[i], b.cols + self.col_splits[j], b.vals)
                     )
         if charge:
-            flat_ranks = np.unique(self.ranks2d.ravel())
-            if len(flat_ranks) > 1:
-                self.machine.charge_collective(
-                    flat_ranks, self.words(), weight=1.0, category="gather"
-                )
+            ranks, held = self.owned_blocks()
+            self.machine.group(ranks).gather(held)
         # blocks tile the matrix disjointly, and a single block column
         # already concatenates in row-major order
         return SpMat._merged(self.nrows, self.ncols, parts, self.monoid)
@@ -845,10 +851,13 @@ class DistMat:
     ) -> "DistMat":
         """Move to a new blocking/rank assignment (CTF sparse redistribution).
 
-        Every source block is sliced against the target blocking; pieces that
-        change owner are charged as one all-to-all-v collective sized by the
-        busiest rank's sent+received volume (CTF's sparse-to-sparse
-        redistribution kernel, §6.2).
+        Every source block is sliced against the target blocking; the
+        pieces that change owner travel in one
+        :meth:`~repro.machine.collectives.Group.alltoall` over both grids'
+        ranks, sized by the busiest rank's sent+received volume (CTF's
+        sparse-to-sparse redistribution kernel, §6.2).  ``charge=False``
+        re-blocks without communicating — for callers whose own collective
+        pays for the movement.
         """
         ranks2d = np.asarray(ranks2d, dtype=np.int64)
         prn, pcn = ranks2d.shape
@@ -862,8 +871,15 @@ class DistMat:
         new_blocks: list[list[list[SpMat]]] = [
             [[] for _ in range(pcn)] for _ in range(prn)
         ]
-        sent = np.zeros(self.machine.p)
-        recv = np.zeros(self.machine.p)
+        participants = np.unique(
+            np.concatenate([self.ranks2d.ravel(), ranks2d.ravel()])
+        )
+        index = {int(r): k for k, r in enumerate(participants)}
+        # the exchange, per participant: pieces leaving it, pieces arriving,
+        # and the (target cell, position) each arrival lands in
+        sent: list[list[SpMat]] = [[] for _ in participants]
+        received: list[list[SpMat]] = [[] for _ in participants]
+        landing: list[list[tuple[list, int]]] = [[] for _ in participants]
         pr, pc = self.grid_shape
         # packing each source block against the target blocking is
         # independent work: fan the nonempty blocks through the executor,
@@ -887,25 +903,22 @@ class DistMat:
             ranks=[int(self.ranks2d[i, j]) for i, j in sources],
         )
         for (i, j), pieces in zip(sources, piece_lists):
-            src_rank = int(self.ranks2d[i, j])
+            src = index[int(self.ranks2d[i, j])]
             for a, b, piece in pieces:
-                new_blocks[a][b].append(piece)
-                dst_rank = int(ranks2d[a, b])
-                if src_rank != dst_rank and piece.nnz:
-                    sent[src_rank] += piece.words()
-                    recv[dst_rank] += piece.words()
+                cell = new_blocks[a][b]
+                dst = index[int(ranks2d[a, b])]
+                if src != dst and piece.nnz:
+                    sent[src].append(piece)
+                    received[dst].append(piece)
+                    landing[dst].append((cell, len(cell)))
+                cell.append(piece)
         if charge:
-            moved = sent + recv
-            participants = np.unique(
-                np.concatenate([self.ranks2d.ravel(), ranks2d.ravel()])
+            delivered = self.machine.group(participants).alltoall(
+                sent, received, category="redistribute"
             )
-            if moved.max() > 0 and len(participants) > 1:
-                self.machine.charge_collective(
-                    participants,
-                    float(moved.max()),
-                    weight=1.0,
-                    category="redistribute",
-                )
+            for slots, arrivals in zip(landing, delivered):
+                for (cell, pos), piece in zip(slots, arrivals):
+                    cell[pos] = piece
 
         assembled: list[list[SpMat]] = []
         for a in range(prn):

@@ -149,20 +149,16 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
         engine._invariant_ids.clear()
         engine._invariant_bases.clear()
         for mat in bases:
-            full = mat.gather(charge=False)
-            if machine.p > 1:
-                machine.charge_collective(
-                    np.arange(machine.p),
-                    full.words(),
-                    weight=1.0,
-                    category="recovery",
-                )
+            # the scatter (category "recovery") and the re-armed redundancy
+            # for the new grid (category "redundancy") are both charged,
+            # like the original installation's were
             rebuilt = DistMat.distribute(
-                full, machine, engine.home_ranks2d, charge=False
+                mat.gather(charge=False),
+                machine,
+                engine.home_ranks2d,
+                category="recovery",
+                redundancy=machine.elastic,
             )
-            # re-arm redundancy for the new grid, charging its collective
-            # (category "redundancy") like the original installation did
-            rebuilt._install_redundancy(full, machine.elastic, charge=True)
             mat._adopt(rebuilt)
             engine.register_invariant(mat)
 

@@ -17,10 +17,14 @@ Fault kinds
     analogue of a node dying during a collective.
 ``corrupt``
     A collective payload is perturbed in flight (a copy is perturbed; the
-    sender's buffer is never mutated).  With the opt-in checksum guard
-    (``checksum:1``) the receiving :class:`Group` collective detects the
-    mismatch and raises :class:`CorruptPayload`; without it the corruption
-    propagates silently, as on real hardware.
+    sender's buffer is never mutated).  Every broadcast, reduction and
+    redistribution of a product is a :class:`Group` call, so this lands on
+    a block a real run is moving.  With the opt-in checksum guard
+    (``checksum:1``) the receiving collective detects the mismatch and
+    raises :class:`CorruptPayload`, which the drivers' batch ladder
+    retries; without it the corruption propagates silently, as on real
+    hardware.  (The set-up collectives — ``scatter`` / ``gather`` /
+    ``shift`` — run outside that ladder and are not hooked.)
 ``straggle``
     One participant's modeled clock is skewed forward by a random factor of
     ``skew`` seconds, charged straight to the ledger — a slow rank
@@ -549,9 +553,10 @@ class FaultPlan:
     def deliver(self, payload, site: str):
         """Possibly corrupt one in-flight payload → ``(payload, corrupted)``.
 
-        Called by :class:`~repro.machine.collectives.Group` after charging
-        a collective; the checksum guard (when armed) is the *Group's* job,
-        so detection is a real mechanism rather than a flag.
+        Called by the hooked :class:`~repro.machine.collectives.Group` ops
+        (``bcast``, the reduce class, ``allgather``, ``alltoall``) after
+        charging; the checksum guard (when armed) is the *Group's* job, so
+        detection is a real mechanism rather than a flag.
         """
         fire = False
         for sc in self.script:

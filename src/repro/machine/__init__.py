@@ -8,12 +8,15 @@ bulk-synchronous p-rank machine (see DESIGN.md).  It provides:
   that reproduces §7.4's methodology: for each collective over a set of
   processors, the critical-path costs are max-merged over the participants
   before the collective's cost is added;
-* :class:`~repro.machine.collectives.Group` — broadcast / reduce /
-  allreduce / scatter / gather / allgather / sparse-reduce operations that
-  both *move real payloads* between rank-local stores and charge the model
-  costs, so distribution logic is genuinely exercised;
-* :class:`~repro.machine.grid.Grid` — 1/2/3-dimensional processor grids
-  with axis subgroup enumeration, the substrate of the SpGEMM variants;
+* :class:`~repro.machine.collectives.Group` — the one data-movement
+  path: broadcast / reduce / sparse-reduce / allreduce / scatter / gather
+  / allgather / all-to-all / shift operations that take the payload that
+  really moves, size it, charge the model cost (the only callers of
+  ``Machine.charge_collective``) and return it through the fault plan's
+  delivery hook — every SpGEMM variant, ``DistMat`` layout change and
+  driver-level reduction is one of these calls;
+* :mod:`~repro.machine.grid` — processor-grid shape arithmetic
+  (factorizations, the near-square resting layout, survivor renumbering);
 * :mod:`~repro.machine.executor` — pluggable local-execution backends
   (serial / thread-pool / process-pool with shared-memory ndarray
   transfer) that fan the independent per-rank local kernels across host
@@ -36,7 +39,7 @@ from repro.machine.executor import (
 )
 from repro.machine.machine import CostParams, Ledger, Machine, MemoryLimitExceeded
 from repro.machine.collectives import Group, payload_words
-from repro.machine.grid import Grid, near_square_shape
+from repro.machine.grid import near_square_shape
 
 __all__ = [
     "Machine",
@@ -45,7 +48,6 @@ __all__ = [
     "MemoryLimitExceeded",
     "Group",
     "payload_words",
-    "Grid",
     "near_square_shape",
     "POOL_FAILURES",
     "LocalExecutor",

@@ -1,26 +1,39 @@
-"""Collective operations over rank groups: real data movement + model costs.
+"""Collective operations over rank groups: the one data-movement path.
 
-A :class:`Group` is an ordered set of ranks.  Its collectives take a list of
-per-participant payloads (index ``i`` belongs to ``group.ranks[i]``), return
-the moved payloads, and charge the machine's ledger with the α-β cost of the
-operation, sized by the *actual* payload sizes — so the simulator's cost
-reports reflect what the distribution logic really shipped.
+A :class:`Group` is an ordered set of ranks, and its methods are the only
+code that charges a collective: an algorithm hands the payload that
+actually moves to ``machine.group(ranks).<op>(...)``; the op sizes it with
+:func:`payload_words`, applies its §7.4 weight, charges the ledger through
+:meth:`~repro.machine.Machine.charge_collective`, and returns what the
+receivers hold.  So the words the ledger reports are the words the
+distribution logic really shipped, and the cost model's constants and
+per-op conventions live here and nowhere else — each method's docstring
+states its weight and its ``x``; ``docs/performance_model.md`` §6 is this
+module as one table, with who calls what.  A single-rank group
+communicates nothing and is always free.
 
-Payloads are :class:`~repro.sparse.SpMat` matrices, numpy arrays, or
-``None``; :func:`payload_words` measures them in 8-byte words.
+Payloads are :class:`~repro.sparse.SpMat` matrices, numpy arrays, ``None``,
+or lists/dicts of those.  Ops that take one payload per participant index
+them like ``group.ranks``.
 
 Bad wiring fails loudly: group construction rejects empty, duplicate, and
 out-of-range rank sets; every rooted collective validates its ``root``
-index; payload lists must match the group size exactly.
+index (into the group, not a machine rank); per-participant lists must
+match the group size exactly.
 
 When the machine carries an armed :class:`~repro.faults.FaultPlan`, the
-moving payloads of ``bcast`` / ``reduce`` / ``sparse_reduce`` /
-``allgather`` pass through the plan's delivery hook, which may perturb an
-in-flight *copy* (senders' buffers are never mutated).  With the plan's
-opt-in checksum guard (``checksum:1``) each such collective verifies a
-CRC-32 of the payload across the transfer and raises
-:class:`~repro.faults.CorruptPayload` on mismatch; without the guard the
-corruption propagates silently, as it would on real hardware.
+payloads of ``bcast`` / ``reduce`` / ``sparse_reduce`` / ``allgather`` /
+``alltoall`` — the collectives a product or a batch issues — pass through
+the plan's delivery hook, which may perturb an in-flight *copy* (senders'
+buffers are never mutated).  With the plan's opt-in checksum guard
+(``checksum:1``) each such collective verifies a CRC-32 of the payload
+across the transfer and raises :class:`~repro.faults.CorruptPayload` on
+mismatch, which the drivers' batch ladder retries; without the guard the
+corruption propagates silently, as it would on real hardware.  ``scatter``
+/ ``gather`` / ``shift`` are the set-up path (graph input, result
+read-back, replica installation, the elastic re-scatter): they run outside
+any batch ladder, and replicas carry their own CRC, so the hook leaves
+them alone.
 """
 
 from __future__ import annotations
@@ -33,6 +46,11 @@ from repro.faults.plan import CorruptPayload, payload_checksum
 from repro.sparse.spmatrix import SpMat
 
 __all__ = ["Group", "payload_words"]
+
+#: §7.4's constants: a broadcast or reduction of ``x`` words over ``q`` ranks
+#: costs ``2x·β + 2⌈log₂ q⌉·α``, scatter / gather / all-to-all half that.
+_TREE = 2.0
+_LINEAR = 1.0
 
 
 def payload_words(payload) -> int:
@@ -72,23 +90,24 @@ class Group:
     def size(self) -> int:
         return len(self.ranks)
 
-    def _check(self, payloads: Sequence) -> None:
+    def _check(self, parts: Sequence | None = None, root: int = 0) -> None:
         if self._epoch != getattr(self.machine, "epoch", 0):
             raise RuntimeError(
                 f"group built at machine epoch {self._epoch} used after a "
                 f"shrink (epoch is now {self.machine.epoch}); rebuild groups "
                 f"from the recovered layout"
             )
-        if len(payloads) != self.size:
+        if parts is not None and len(parts) != self.size:
             raise ValueError(
-                f"expected {self.size} payloads (one per rank), got {len(payloads)}"
+                f"expected {self.size} payloads (one per rank), got {len(parts)}"
             )
-
-    def _check_root(self, root: int) -> None:
         if not 0 <= root < self.size:
             raise ValueError(
                 f"root index {root} out of range for group of size {self.size}"
             )
+
+    def _charge(self, words: float, weight: float, category: str) -> None:
+        self.machine.charge_collective(self.ranks, words, weight, category)
 
     def _deliver(self, payload, site: str):
         """Run one moving payload through the fault plan's delivery hook.
@@ -99,7 +118,7 @@ class Group:
         mechanism here, not a flag set by the injector.
         """
         plan = self.machine._fault_hook
-        if plan is None:
+        if plan is None or self.size == 1:
             return payload
         sent_crc = payload_checksum(payload) if plan.checksum else None
         payload, _ = plan.deliver(payload, site)
@@ -116,91 +135,142 @@ class Group:
                 raise CorruptPayload(site, plan.step)
         return payload
 
+    @staticmethod
+    def _fold(parts: Sequence, combine: Callable):
+        """Left fold of the non-``None`` parts, in participant order."""
+        acc = None
+        for part in parts:
+            if part is not None:
+                acc = part if acc is None else combine(acc, part)
+        return acc
+
     # -- collectives -----------------------------------------------------------
 
-    def bcast(self, payloads: Sequence, root: int = 0) -> list:
-        """Broadcast the root's payload to every participant.
+    def bcast(self, payload, root: int = 0, *, category: str = "bcast"):
+        """Broadcast the root's ``payload``; returns what the receivers hold.
 
-        ``root`` is an index into the group, not a global rank.
+        Weight 2, ``x`` = the payload's words — charged (latency only) even
+        when that is zero: a caller with nothing to send does not call.
         """
-        self._check(payloads)
-        self._check_root(root)
-        data = payloads[root]
-        self.machine.charge_collective(self.ranks, payload_words(data), weight=2.0)
-        data = self._deliver(data, "bcast")
-        return [data for _ in range(self.size)]
+        self._check(root=root)
+        self._charge(payload_words(payload), _TREE, category)
+        return self._deliver(payload, "bcast")
 
     def reduce(
-        self, payloads: Sequence, combine: Callable, root: int = 0
-    ) -> object:
-        """Fold all payloads with ``combine`` onto the root; returns the result.
+        self,
+        parts: Sequence,
+        combine: Callable,
+        root: int = 0,
+        *,
+        category: str = "reduce",
+    ):
+        """Fold every participant's part with ``combine`` onto the root.
 
-        The charged size is the maximum of input and output sizes (each
-        processor "owns x words at the start or end" — §5.1).
+        A left fold over the non-``None`` parts in participant order;
+        returns the result (``None``, uncharged, when every part is
+        ``None``).  Weight 2, ``x`` = the maximum of the input and output
+        sizes (each processor "owns x words at the start or end" — §5.1).
         """
-        self._check(payloads)
-        self._check_root(root)
-        present = [p for p in payloads if p is not None]
-        if not present:
+        self._check(parts, root)
+        acc = self._fold(parts, combine)
+        if acc is None:
             return None
-        acc = present[0]
-        for nxt in present[1:]:
-            acc = combine(acc, nxt)
-        x = max(
-            max(payload_words(p) for p in payloads),
-            payload_words(acc),
-        )
-        self.machine.charge_collective(self.ranks, x, weight=2.0)
+        x = max(max(payload_words(p) for p in parts), payload_words(acc))
+        self._charge(x, _TREE, category)
         return self._deliver(acc, "reduce")
 
-    def allreduce(self, payloads: Sequence, combine: Callable) -> list:
-        """Reduce + broadcast (charged as both)."""
-        self._check(payloads)
-        acc = self.reduce(payloads, combine)
-        out = self.bcast([acc] * self.size, root=0)
-        return out
-
-    def sparse_reduce(self, payloads: Sequence, combine: Callable, root: int = 0):
+    def sparse_reduce(
+        self,
+        parts: Sequence,
+        combine: Callable,
+        root: int = 0,
+        *,
+        category: str = "reduce",
+    ):
         """Sparse reduction: cost scales with the *output* nonzeros (§5.1).
 
-        Charged ``O(β·x_out + α·log q)`` with weight 2, where ``x_out`` is
-        the reduced result's size — cheaper than a dense reduce when inputs
-        overlap little.
+        Like :meth:`reduce`, but ``x`` = the reduced result's words —
+        cheaper than a dense reduce when inputs overlap little.
         """
-        self._check(payloads)
-        self._check_root(root)
-        present = [p for p in payloads if p is not None]
-        if not present:
+        self._check(parts, root)
+        acc = self._fold(parts, combine)
+        if acc is None:
             return None
-        acc = present[0]
-        for nxt in present[1:]:
-            acc = combine(acc, nxt)
-        self.machine.charge_collective(self.ranks, payload_words(acc), weight=2.0)
+        self._charge(payload_words(acc), _TREE, category)
         return self._deliver(acc, "sparse_reduce")
 
-    def scatter(self, parts: Sequence, root: int = 0) -> list:
-        """Distribute ``parts[i]`` (held by the root) to participant ``i``."""
-        self._check(parts)
-        self._check_root(root)
-        x = max(payload_words(p) for p in parts)
-        self.machine.charge_collective(self.ranks, x, weight=1.0)
+    def allreduce(self, parts: Sequence, combine: Callable):
+        """Reduce then broadcast (charged as both); returns the result."""
+        return self.bcast(self.reduce(parts, combine))
+
+    def scatter(
+        self, parts: Sequence, root: int = 0, *, category: str = "scatter"
+    ) -> list:
+        """Hand ``parts[i]`` (all held by the root) to participant ``i``.
+
+        Weight 1, ``x`` = the root's whole payload (every part).
+        """
+        self._check(parts, root)
+        self._charge(sum(payload_words(p) for p in parts), _LINEAR, category)
         return list(parts)
 
-    def gather(self, payloads: Sequence, root: int = 0) -> list:
-        """Collect every participant's payload at the root (returns the list)."""
-        self._check(payloads)
-        self._check_root(root)
-        x = sum(payload_words(p) for p in payloads)
-        self.machine.charge_collective(self.ranks, x, weight=1.0)
-        return list(payloads)
+    def gather(
+        self, parts: Sequence, root: int = 0, *, category: str = "gather"
+    ) -> list:
+        """Collect every participant's part at the root (returns the list).
 
-    def allgather(self, payloads: Sequence) -> list[list]:
-        """Every participant receives every payload."""
-        self._check(payloads)
-        x = sum(payload_words(p) for p in payloads)
-        self.machine.charge_collective(self.ranks, x, weight=1.0)
-        shipped = self._deliver(list(payloads), "allgather")
-        return [list(shipped) for _ in range(self.size)]
+        Weight 1, ``x`` = everything the root ends up holding.
+        """
+        self._check(parts, root)
+        self._charge(sum(payload_words(p) for p in parts), _LINEAR, category)
+        return list(parts)
+
+    def allgather(self, parts: Sequence, *, category: str = "allgather") -> list:
+        """Every participant receives every part (returns the shipped list).
+
+        Weight 1, ``x`` = all parts.
+        """
+        self._check(parts)
+        self._charge(sum(payload_words(p) for p in parts), _LINEAR, category)
+        return self._deliver(list(parts), "allgather")
+
+    def alltoall(
+        self, sent: Sequence, received: Sequence, *, category: str = "alltoall"
+    ) -> list:
+        """Personalized exchange (all-to-all-v); returns the delivered
+        ``received``.
+
+        ``sent[i]`` is what participant ``i`` hands to other ranks and
+        ``received[i]`` what arrives at it from them (what stays on a rank
+        appears in neither).  Weight 1, ``x`` = the busiest participant's
+        sent + received words — CTF's sparse redistribution kernel (§6.2);
+        free when no word changes rank.
+        """
+        self._check(sent)
+        self._check(received)
+        x = max(
+            payload_words(s) + payload_words(r) for s, r in zip(sent, received)
+        )
+        if x == 0:
+            return list(received)
+        self._charge(x, _LINEAR, category)
+        return self._deliver(list(received), "alltoall")
+
+    def shift(
+        self, parts: Sequence, stride: int, *, category: str = "shift"
+    ) -> list:
+        """Participant ``i`` ships ``parts[i]`` to participant ``i + stride``
+        (cyclically); returns the parts as the receivers hold them.
+
+        A full-duplex neighbour exchange: weight 1, ``x`` = the largest
+        shipment; free when no word changes rank.
+        """
+        self._check(parts)
+        stride %= self.size
+        x = max(payload_words(p) for p in parts) if stride else 0
+        if x:
+            self._charge(x, _LINEAR, category)
+        return [parts[i - stride] for i in range(self.size)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Group(ranks={self.ranks.tolist()})"

@@ -1,22 +1,19 @@
-"""Processor grids: mapping ranks to 1/2/3-D coordinates.
+"""Processor-grid shapes: factorizations, resting layouts, survivor maps.
 
 All SpGEMM variants (§5.2) operate on processor grids: 1D algorithms on a
-``p`` vector, 2D on ``pr × pc``, 3D on ``p1 × p2 × p3``.  A :class:`Grid`
-wraps a machine with a row-major rank ↔ coordinate mapping and enumerates
-the axis subgroups (grid rows / columns / fibers) collectives run over.
+``p`` vector, 2D on ``pr × pc``, 3D on ``p1 × p2 × p3``.  A grid is a plain
+row-major rank array (``np.arange(p).reshape(dims)``) whose rows / columns
+/ fibers are sliced into :class:`~repro.machine.collectives.Group` s; this
+module holds the shape arithmetic around it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from repro.machine.machine import Machine
-
 __all__ = [
-    "Grid",
     "factorizations",
     "near_square_shape",
     "nearest_feasible_p",
@@ -74,78 +71,6 @@ def survivor_map(p: int, dead) -> np.ndarray:
     alive = np.setdiff1d(np.arange(p, dtype=np.int64), dead)
     mapping[alive] = np.arange(len(alive), dtype=np.int64)
     return mapping
-
-
-class Grid:
-    """A d-dimensional processor grid over all ranks of ``machine``."""
-
-    def __init__(self, machine: Machine, dims: tuple[int, ...]) -> None:
-        dims = tuple(int(d) for d in dims)
-        if any(d <= 0 for d in dims):
-            raise ValueError(f"grid dims must be positive, got {dims}")
-        if math.prod(dims) != machine.p:
-            raise ValueError(
-                f"grid {dims} has {math.prod(dims)} cells but machine has "
-                f"p={machine.p} ranks"
-            )
-        self.machine = machine
-        self.dims = dims
-
-    @property
-    def ndim(self) -> int:
-        return len(self.dims)
-
-    # -- rank/coordinate mapping (row-major) -----------------------------------
-
-    def rank(self, coords: tuple[int, ...]) -> int:
-        if len(coords) != self.ndim:
-            raise ValueError(f"expected {self.ndim} coordinates, got {len(coords)}")
-        r = 0
-        for c, d in zip(coords, self.dims):
-            if not 0 <= c < d:
-                raise ValueError(f"coordinate {coords} out of grid {self.dims}")
-            r = r * d + c
-        return r
-
-    def coords(self, rank: int) -> tuple[int, ...]:
-        if not 0 <= rank < self.machine.p:
-            raise ValueError(f"rank {rank} out of range")
-        out = []
-        for d in reversed(self.dims):
-            out.append(rank % d)
-            rank //= d
-        return tuple(reversed(out))
-
-    def all_coords(self):
-        """Iterate every coordinate tuple in rank order."""
-        return itertools.product(*(range(d) for d in self.dims))
-
-    # -- subgroups ----------------------------------------------------------------
-
-    def axis_ranks(self, axis: int, fixed: tuple[int, ...]) -> np.ndarray:
-        """Ranks of the fiber along ``axis`` with the other coordinates fixed.
-
-        ``fixed`` gives the coordinates of the *other* axes in axis order
-        (skipping ``axis`` itself).
-        """
-        if not 0 <= axis < self.ndim:
-            raise ValueError(f"axis {axis} out of range for {self.ndim}-d grid")
-        if len(fixed) != self.ndim - 1:
-            raise ValueError(
-                f"need {self.ndim - 1} fixed coordinates, got {len(fixed)}"
-            )
-        ranks = []
-        for i in range(self.dims[axis]):
-            coords = list(fixed)
-            coords.insert(axis, i)
-            ranks.append(self.rank(tuple(coords)))
-        return np.asarray(ranks, dtype=np.int64)
-
-    def axis_group(self, axis: int, fixed: tuple[int, ...]):
-        return self.machine.group(self.axis_ranks(axis, fixed))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Grid(dims={self.dims})"
 
 
 def factorizations(p: int, ndim: int) -> list[tuple[int, ...]]:

@@ -24,6 +24,7 @@ import numpy as np
 from repro import config
 from repro.faults.plan import DeadlineExceeded, FaultPlan, resolve_fault_plan
 from repro.machine.executor import LocalExecutor, resolve_executor
+from repro.machine.grid import survivor_map
 from repro.obs import api as obs
 from repro.sparse.dispatch import resolve_kernel_mode
 
@@ -381,11 +382,13 @@ class Machine:
     ) -> None:
         """Charge one collective over ``ranks``.
 
-        ``words_per_rank`` is the maximum words any participant owns at the
-        start or end (the paper's ``x``); ``weight`` is 2 for
+        Called by the :class:`~repro.machine.collectives.Group` ops and by
+        nothing else: they size the payload that moves and own §7.4's
+        constants.  ``words_per_rank`` is the maximum words any participant
+        owns at the start or end (the paper's ``x``); ``weight`` is 2 for
         broadcast/reduce-class collectives and 1 for scatter/gather-class
-        ones (§7.4's constants).  ``category`` tags the traffic for the
-        per-category volume breakdown.
+        ones.  ``category`` tags the traffic for the per-category volume
+        breakdown.
         """
         ranks = np.asarray(ranks, dtype=np.int64)
         q = len(ranks)
@@ -430,7 +433,13 @@ class Machine:
             self._check_deadline(category)
 
     def charge_pointtopoint(self, src: int, dst: int, words: float) -> None:
-        """Charge one point-to-point message (used by redistribution)."""
+        """Charge one point-to-point message between ``src`` and ``dst``.
+
+        The α-β primitive of §5.1 (``α + β·words``), kept for algorithms
+        written against sends rather than collectives; nothing in the
+        package calls it today — every layout change is a
+        :class:`~repro.machine.collectives.Group` collective.
+        """
         if self._fault_hook is not None:
             self._fault_hook.on_collective(self, [src, dst], "p2p")
         t = self.cost.alpha + words * self.cost.beta
@@ -534,9 +543,6 @@ class Machine:
         invariants still hold.  Bumps :attr:`epoch`; groups built before the
         shrink refuse to operate afterwards.
         """
-        # deferred import: grid.py imports this module at the top level
-        from repro.machine.grid import survivor_map
-
         mapping = survivor_map(self.p, dead)
         alive = np.flatnonzero(mapping >= 0)
         led = self.ledger

@@ -3,9 +3,19 @@
 Every variant of §5.2 is implemented with *real block movement* — operands
 are redistributed into the variant's native layouts, panels/pieces are
 extracted, local products run through the vectorized kernel, and outputs are
-reassembled — while every communication phase charges the machine's ledger
-with the measured payload sizes through the same collective constants the
-analysis uses (broadcast/reduce weight 2, scatter/all-to-all weight 1).
+reassembled — and every communication phase is a
+:class:`~repro.machine.collectives.Group` call on the block it hands over:
+``bcast`` along a grid row / column / fiber, ``sparse_reduce`` of the
+partial products, ``DistMat.redistribute``'s all-to-all.  The group sizes
+the payload, charges the ledger with the collective constants the analysis
+uses, and returns what the receivers hold (through the fault plan's
+delivery hook), which is what the local products then consume.
+
+A piece or partial with no nonzeros is not sent — no collective, no
+latency — in the 2D and 3D variants; the 1D variants always run their one
+replication / reduction, even on an empty operand (a convention as old as
+the variants, pinned by the golden ledger in
+``tests/test_spgemm_variants.py``).
 
 Layout conventions (C = A •⟨⊕,f⟩ B, A is m×k, B is k×n):
 
@@ -116,8 +126,9 @@ def _local_mul_batch(
     *,
     masks: list[SpMat | None] | None = None,
     mask_complement: bool = False,
-) -> list[tuple[SpMat, int]]:
-    """Run independent local products ``[(rank, x, y), ...]``.
+) -> tuple[list[SpMat], int]:
+    """Run independent local products ``[(rank, x, y), ...]``; returns the
+    product matrices in task order and the total elementary operations.
 
     On real hardware the per-rank kernels between two collectives run
     concurrently; here the machine's executor fans them across host cores
@@ -134,11 +145,9 @@ def _local_mul_batch(
         mask_complement=mask_complement,
         ranks=[rank for rank, _, _ in tasks],
     )
-    out = []
     for (rank, _, _), res in zip(tasks, results):
         machine.charge_compute([rank], float(res.ops))
-        out.append((res.matrix, res.ops))
-    return out
+    return [res.matrix for res in results], sum(res.ops for res in results)
 
 
 def _embed(piece: SpMat, nrows: int, ncols: int, roff: int, coff: int) -> SpMat:
@@ -154,6 +163,13 @@ def _embed(piece: SpMat, nrows: int, ncols: int, roff: int, coff: int) -> SpMat:
     )
 
 
+def _nonempty(mat: SpMat | None) -> SpMat | None:
+    """A local product as a ``sparse_reduce`` part: ``None`` when the rank
+    ran no product or it came out empty — an empty part is not sent, and a
+    reduction nobody contributes to is not charged."""
+    return mat if mat is not None and mat.nnz else None
+
+
 def _replicate_cached(
     cache: dict | None,
     key,
@@ -164,14 +180,14 @@ def _replicate_cached(
         if obs.enabled():
             obs.count("spgemm.replication_cache", 1.0, outcome="hit")
             obs.set_attr(replication_cache="hit")
-        return cache[key], True
+        return cache[key]
     value = build()
     if cache is not None:
         cache[key] = value
         if obs.enabled():
             obs.count("spgemm.replication_cache", 1.0, outcome="miss")
             obs.set_attr(replication_cache="miss")
-    return value, False
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +206,18 @@ def _exec_1d(
     cache: dict | None,
 ) -> tuple[DistMat, int]:
     p = machine.p
-    all_ranks = np.arange(p)
-    row1 = all_ranks.reshape(1, p)
-    col1 = all_ranks.reshape(p, 1)
+    world = machine.world()
+    row1 = world.ranks.reshape(1, p)
+    col1 = world.ranks.reshape(p, 1)
     monoid = spec.monoid
     m, k, n = a.nrows, a.ncols, b.ncols
-    total_ops = 0
 
     if x == "A":
         # replicate A (broadcast), block B and C by columns.
         def build():
-            full = a.gather(charge=False)
-            machine.charge_collective(
-                all_ranks, full.words(), weight=2.0, category="replicate"
-            )
-            return full
+            return world.bcast(a.gather(charge=False), category="replicate")
 
-        a_full, _ = _replicate_cached(cache, ("1dA", id(a)), build)
+        a_full = _replicate_cached(cache, ("1dA", id(a)), build)
         b1 = b.redistribute(row1)
         # C is column-blocked like B: each rank's output frame is a column
         # stripe, so it sees the matching column slice of the mask.
@@ -216,17 +227,13 @@ def _exec_1d(
                 mask.block(0, m, int(b1.col_splits[j]), int(b1.col_splits[j + 1]))
                 for j in range(p)
             ]
-        outs = _local_mul_batch(
+        c_blocks, total_ops = _local_mul_batch(
             machine,
             [(j, a_full, b1.blocks[0][j]) for j in range(p)],
             spec,
             masks=masks,
             mask_complement=mask_complement,
         )
-        c_blocks = []
-        for blk, ops in outs:
-            total_ops += ops
-            c_blocks.append(blk)
         c = DistMat(
             machine, row1, even_splits(m, 1), b1.col_splits, [c_blocks], monoid
         )
@@ -235,13 +242,9 @@ def _exec_1d(
     if x == "B":
         # replicate B, block A and C by rows.
         def build():
-            full = b.gather(charge=False)
-            machine.charge_collective(
-                all_ranks, full.words(), weight=2.0, category="replicate"
-            )
-            return full
+            return world.bcast(b.gather(charge=False), category="replicate")
 
-        b_full, _ = _replicate_cached(cache, ("1dB", id(b)), build)
+        b_full = _replicate_cached(cache, ("1dB", id(b)), build)
         a1 = a.redistribute(col1)
         # C is row-blocked like A: each rank sees its row stripe of the mask.
         masks = None
@@ -250,19 +253,20 @@ def _exec_1d(
                 mask.block(int(a1.row_splits[i]), int(a1.row_splits[i + 1]), 0, n)
                 for i in range(p)
             ]
-        outs = _local_mul_batch(
+        c_blocks, total_ops = _local_mul_batch(
             machine,
             [(i, a1.blocks[i][0], b_full) for i in range(p)],
             spec,
             masks=masks,
             mask_complement=mask_complement,
         )
-        c_blocks = []
-        for blk, ops in outs:
-            total_ops += ops
-            c_blocks.append([blk])
         c = DistMat(
-            machine, col1, a1.row_splits, even_splits(n, 1), c_blocks, monoid
+            machine,
+            col1,
+            a1.row_splits,
+            even_splits(n, 1),
+            [[blk] for blk in c_blocks],
+            monoid,
         )
         return c, total_ops
 
@@ -272,24 +276,15 @@ def _exec_1d(
     # every rank forms a full-shape partial, so every rank masks with the
     # full mask; the masked ops total is still partition-invariant because
     # the k-slices partition the join pairs disjointly.
-    outs = _local_mul_batch(
+    partials, total_ops = _local_mul_batch(
         machine,
         [(r, a1.blocks[0][r], b1.blocks[r][0]) for r in range(p)],
         spec,
         masks=None if mask is None else [mask] * p,
         mask_complement=mask_complement,
     )
-    partial = None
-    for blk, ops in outs:
-        total_ops += ops
-        partial = blk if partial is None else partial.combine(blk)
-    if partial is None:
-        partial = SpMat.empty(m, n, monoid)
-    machine.charge_collective(
-        all_ranks, partial.words(), weight=2.0, category="reduce"
-    )
-    home = np.arange(p).reshape(1, p) if p > 1 else np.zeros((1, 1), dtype=np.int64)
-    c = DistMat.distribute(partial, machine, home, charge=True)
+    partial = world.sparse_reduce(partials, SpMat.combine)
+    c = DistMat.distribute(partial, machine, row1, charge=True)
     return c, total_ops
 
 
@@ -319,6 +314,8 @@ def _exec_2d(
     monoid = spec.monoid
     lcm = math.lcm(pr, pc)
     total_ops = 0
+    row_groups = [machine.group(ranks2d[i, :]) for i in range(pr)]
+    col_groups = [machine.group(ranks2d[:, j]) for j in range(pc)]
 
     if yz == "AB":
         a_n = a.redistribute(ranks2d, even_splits(m, pr), even_splits(k, pc))
@@ -357,21 +354,17 @@ def _exec_2d(
             for i in range(pr):
                 lo, hi = _chunk_of(a_n.col_splits, t_lo, t_hi, ja)
                 piece = a_n.blocks[i][ja].block(0, a_n.blocks[i][ja].nrows, lo, hi)
+                if piece.nnz:
+                    piece = row_groups[i].bcast(piece, root=ja)
                 a_pieces.append(piece)
-                if piece.nnz and pc > 1:
-                    machine.charge_collective(
-                        ranks2d[i, :], piece.words(), weight=2.0, category="bcast"
-                    )
             # B pieces broadcast along grid columns.
             b_pieces = []
             for j in range(pc):
                 lo, hi = _chunk_of(b_n.row_splits, t_lo, t_hi, ib)
                 piece = b_n.blocks[ib][j].block(lo, hi, 0, b_n.blocks[ib][j].ncols)
+                if piece.nnz:
+                    piece = col_groups[j].bcast(piece, root=ib)
                 b_pieces.append(piece)
-                if piece.nnz and pr > 1:
-                    machine.charge_collective(
-                        ranks2d[:, j], piece.words(), weight=2.0, category="bcast"
-                    )
             # per-step local products are independent across (i, j): batch
             # them through the executor, merge in serial iteration order
             cells = [
@@ -381,7 +374,7 @@ def _exec_2d(
                 for j in range(pc)
                 if b_pieces[j].nnz
             ]
-            outs = _local_mul_batch(
+            prods, ops = _local_mul_batch(
                 machine,
                 [(int(ranks2d[i, j]), a_pieces[i], b_pieces[j]) for i, j in cells],
                 spec,
@@ -389,8 +382,8 @@ def _exec_2d(
                 else [mask_cells[i][j] for i, j in cells],
                 mask_complement=mask_complement,
             )
-            for (i, j), (prod, ops) in zip(cells, outs):
-                total_ops += ops
+            total_ops += ops
+            for (i, j), prod in zip(cells, prods):
                 if prod.nnz:
                     c_blocks[i][j] = c_blocks[i][j].combine(prod)
         c = DistMat(machine, ranks2d, a_n.row_splits, b_n.col_splits, c_blocks, monoid)
@@ -419,11 +412,9 @@ def _exec_2d(
             for j in range(pc):
                 lo, hi = _chunk_of(b_n.col_splits, t_lo, t_hi, tb)
                 piece = b_n.blocks[j][tb].block(0, b_n.blocks[j][tb].nrows, lo, hi)
+                if piece.nnz:
+                    piece = col_groups[j].bcast(piece, root=tb)
                 b_pieces.append(piece)
-                if piece.nnz and pr > 1:
-                    machine.charge_collective(
-                        ranks2d[:, j], piece.words(), weight=2.0, category="bcast"
-                    )
             # products are independent across the whole (i, j) step; grid
             # rows touch disjoint rank sets, so batching them ahead of the
             # per-row reductions leaves the ledger bit-identical
@@ -446,38 +437,26 @@ def _exec_2d(
                     )
                     for i in range(pr)
                 ]
-            outs = dict(
-                zip(
-                    cells,
-                    _local_mul_batch(
-                        machine,
-                        [
-                            (int(ranks2d[i, j]), a_n.blocks[i][j], b_pieces[j])
-                            for i, j in cells
-                        ],
-                        spec,
-                        masks=None if mask_rows is None
-                        else [mask_rows[i] for i, j in cells],
-                        mask_complement=mask_complement,
-                    ),
-                )
+            prods, ops = _local_mul_batch(
+                machine,
+                [
+                    (int(ranks2d[i, j]), a_n.blocks[i][j], b_pieces[j])
+                    for i, j in cells
+                ],
+                spec,
+                masks=None if mask_rows is None
+                else [mask_rows[i] for i, j in cells],
+                mask_complement=mask_complement,
             )
+            total_ops += ops
+            outs = dict(zip(cells, prods))
             for i in range(pr):
-                partial = None
-                for j in range(pc):
-                    if (i, j) not in outs:
-                        continue
-                    prod, ops = outs[(i, j)]
-                    total_ops += ops
-                    partial = prod if partial is None else partial.combine(prod)
-                if partial is not None and partial.nnz:
-                    if pc > 1:
-                        machine.charge_collective(
-                            ranks2d[i, :],
-                            partial.words(),
-                            weight=2.0,
-                            category="reduce",
-                        )
+                partial = row_groups[i].sparse_reduce(
+                    [_nonempty(outs.get((i, j))) for j in range(pc)],
+                    SpMat.combine,
+                    root=jc,
+                )
+                if partial is not None:
                     placed = _embed(
                         partial,
                         c_blocks[i][jc].nrows,
@@ -512,11 +491,9 @@ def _exec_2d(
             for i in range(pr):
                 lo, hi = _chunk_of(a_n.row_splits, t_lo, t_hi, ta)
                 piece = a_n.blocks[ta][i].block(lo, hi, 0, a_n.blocks[ta][i].ncols)
+                if piece.nnz:
+                    piece = row_groups[i].bcast(piece, root=ta)
                 a_pieces.append(piece)
-                if piece.nnz and pc > 1:
-                    machine.charge_collective(
-                        ranks2d[i, :], piece.words(), weight=2.0, category="bcast"
-                    )
             # mirror of BC: batch the step's products; grid columns touch
             # disjoint rank sets, so the per-column reductions still see a
             # bit-identical ledger
@@ -539,38 +516,26 @@ def _exec_2d(
                     )
                     for j in range(pc)
                 ]
-            outs = dict(
-                zip(
-                    cells,
-                    _local_mul_batch(
-                        machine,
-                        [
-                            (int(ranks2d[i, j]), a_pieces[i], b_n.blocks[i][j])
-                            for j, i in cells
-                        ],
-                        spec,
-                        masks=None if mask_cols is None
-                        else [mask_cols[j] for j, i in cells],
-                        mask_complement=mask_complement,
-                    ),
-                )
+            prods, ops = _local_mul_batch(
+                machine,
+                [
+                    (int(ranks2d[i, j]), a_pieces[i], b_n.blocks[i][j])
+                    for j, i in cells
+                ],
+                spec,
+                masks=None if mask_cols is None
+                else [mask_cols[j] for j, i in cells],
+                mask_complement=mask_complement,
             )
+            total_ops += ops
+            outs = dict(zip(cells, prods))
             for j in range(pc):
-                partial = None
-                for i in range(pr):
-                    if (j, i) not in outs:
-                        continue
-                    prod, ops = outs[(j, i)]
-                    total_ops += ops
-                    partial = prod if partial is None else partial.combine(prod)
-                if partial is not None and partial.nnz:
-                    if pr > 1:
-                        machine.charge_collective(
-                            ranks2d[:, j],
-                            partial.words(),
-                            weight=2.0,
-                            category="reduce",
-                        )
+                partial = col_groups[j].sparse_reduce(
+                    [_nonempty(outs.get((j, i))) for i in range(pr)],
+                    SpMat.combine,
+                    root=ic,
+                )
+                if partial is not None:
                     placed = _embed(
                         partial,
                         c_blocks[ic][j].nrows,
@@ -612,21 +577,31 @@ def _exec_3d(
         """One copy of ``mat`` per layer; broadcast charged once per fiber."""
 
         def build():
-            copies = [mat.redistribute(layers[l], charge=(l == 0)) for l in range(p1)]
+            ref = mat.redistribute(layers[0])
             # fiber broadcasts: each (i, j) position's block travels to the
             # p1 ranks {ranks3d[:, i, j]} — the W_X(X[p2, p3]) term.
-            ref = copies[0]
-            for i in range(p2):
-                for j in range(p3):
-                    w = ref.blocks[i][j].words()
-                    if w and p1 > 1:
-                        machine.charge_collective(
-                            ranks3d[:, i, j], w, weight=2.0, category="replicate"
-                        )
-            return copies
+            blocks = [
+                [
+                    machine.group(ranks3d[:, i, j]).bcast(blk, category="replicate")
+                    if blk.nnz
+                    else blk
+                    for j, blk in enumerate(row)
+                ]
+                for i, row in enumerate(ref.blocks)
+            ]
+            return [ref] + [
+                DistMat(
+                    machine,
+                    layers[l],
+                    ref.row_splits,
+                    ref.col_splits,
+                    [list(row) for row in blocks],
+                    ref.monoid,
+                )
+                for l in range(1, p1)
+            ]
 
-        copies, _ = _replicate_cached(cache, ("3d" + tag, id(mat), p1, p2, p3), build)
-        return copies
+        return _replicate_cached(cache, ("3d" + tag, id(mat), p1, p2, p3), build)
 
     if x == "A":
         a_layers = replicate(a, "A")
@@ -684,14 +659,11 @@ def _exec_3d(
     for i in range(p2):
         row = []
         for j in range(p3):
-            acc = base.blocks[i][j]
-            for l in range(1, p1):
-                acc = acc.combine(partials[l].blocks[i][j])
-            if acc.nnz and p1 > 1:
-                machine.charge_collective(
-                    ranks3d[:, i, j], acc.words(), weight=2.0, category="reduce"
-                )
-            row.append(acc)
+            acc = machine.group(ranks3d[:, i, j]).sparse_reduce(
+                [_nonempty(c_l.blocks[i][j]) for c_l in partials],
+                SpMat.combine,
+            )
+            row.append(base.blocks[i][j] if acc is None else acc)
         out_blocks.append(row)
     c = DistMat(
         machine, layers[0], base.row_splits, base.col_splits, out_blocks, monoid

@@ -12,8 +12,6 @@ matrix multiplication"), then runs the distributed SpGEMM stack.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algebra.matmul import MatMulSpec
 from repro.dist.distmat import DistMat
 from repro.dist.engine import DistributedEngine
@@ -112,26 +110,33 @@ class DistTensor:
     def reunfold(self, row_modes: tuple[int, ...]) -> "DistTensor":
         """Switch to a different stored unfolding (a global transposition).
 
-        Charged as one all-to-all over the participating ranks sized by the
-        per-rank share of the tensor — every element moves once, which is
-        what CTF's sparse redistribution pays for a transposition.
+        Charged as one all-to-all (see :meth:`_transposed`).
         """
         row_modes = tuple(int(m) for m in row_modes)
         if row_modes == self.row_modes:
             return self
-        machine = self.distmat.machine
-        local = self.gather(charge=False)
-        out = DistTensor.distribute_uncharged(
-            local, machine, self.distmat.ranks2d, row_modes
+        return DistTensor._transposed(
+            self.distmat,
+            self.gather(charge=False),
+            self.distmat.ranks2d,
+            row_modes,
         )
-        participants = np.unique(self.distmat.ranks2d.ravel())
-        if len(participants) > 1 and self.distmat.words():
-            machine.charge_collective(
-                participants,
-                self.distmat.words() / len(participants) * 2.0,
-                weight=1.0,
-                category="redistribute",
-            )
+
+    @classmethod
+    def _transposed(cls, old: DistMat, tensor: SpTensor, ranks2d, row_modes):
+        """``tensor`` — ``old``'s elements, re-ordered — stored under a new
+        unfolding on ``ranks2d`` (the same ranks ``old`` lives on).
+
+        A global transposition: one all-to-all in which every element moves
+        once, so each rank hands over the blocks it held and ends with its
+        blocks of the new layout — what CTF's sparse redistribution pays.
+        (The simulation re-slices the gathered tensor, so the blocks the
+        collective delivers are checked in flight but not re-installed.)
+        """
+        out = cls.distribute_uncharged(tensor, old.machine, ranks2d, row_modes)
+        ranks, sent = old.owned_blocks()
+        _, received = out.distmat.owned_blocks()
+        old.machine.group(ranks).alltoall(sent, received, category="redistribute")
         return out
 
     @classmethod
@@ -204,18 +209,7 @@ def contract_distributed(
     local = tensor.gather(charge=False).permute(
         [natural.index(c) for c in out]
     )
-    result = DistTensor.distribute_uncharged(
-        local, engine.machine, engine.home_ranks2d, (0,)
-    )
-    participants = np.unique(c_mat.ranks2d.ravel())
-    if len(participants) > 1 and c_mat.words():
-        engine.machine.charge_collective(
-            participants,
-            c_mat.words() / len(participants) * 2.0,
-            weight=1.0,
-            category="redistribute",
-        )
-    return result
+    return DistTensor._transposed(c_mat, local, engine.home_ranks2d, (0,))
 
 
 class _Shim:

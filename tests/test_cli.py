@@ -149,6 +149,25 @@ class TestSimulateAndInfo:
         out = capsys.readouterr().out
         assert "critical words" in out
 
+    def test_simulate_corruption_detected_and_recovered(self, graph_file, capsys):
+        """A scripted in-product corruption under the checksum guard: one
+        injection, one detection, one recovered batch, fault-free scores."""
+        path, _ = graph_file
+        base = ["simulate", path, "--p", "16", "--elastic", "off"]
+
+        def crc(out):
+            return [l for l in out.splitlines() if l.startswith("scores crc32")]
+
+        assert main(base + ["--faults", "off"]) == 0
+        clean = capsys.readouterr().out
+        assert main(base + ["--faults", "corrupt@5,checksum:1"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "(1 injected, 3 events, corrupt/injected 1, corrupt/detected 1, "
+            "batch/recovered 1)" in out
+        )
+        assert crc(out) and crc(out) == crc(clean)
+
     def test_info(self, graph_file, capsys):
         path, n = graph_file
         assert main(["info", path]) == 0

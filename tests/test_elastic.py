@@ -162,11 +162,10 @@ class TestGridHelpers:
     def test_group_epoch_guard(self):
         m = quiet(4)
         g = m.group(np.arange(4))
-        payloads = [np.zeros(2)] * 4
-        g.bcast(payloads)
+        g.bcast(np.zeros(2))
         m.shrink([3])
         with pytest.raises(RuntimeError, match="epoch"):
-            g.bcast(payloads)
+            g.bcast(np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

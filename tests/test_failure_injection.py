@@ -170,7 +170,7 @@ class TestCollectiveWiring:
         g = self._group(4)
         payloads = [np.ones(2)] * 4
         with pytest.raises(ValueError, match="root index"):
-            g.bcast(payloads, root=root)
+            g.bcast(payloads[0], root=root)
         with pytest.raises(ValueError, match="root index"):
             g.reduce(payloads, np.add, root=root)
         with pytest.raises(ValueError, match="root index"):
@@ -185,7 +185,7 @@ class TestCollectiveWiring:
         schema mismatch cannot silently be charged as zero words."""
         g = self._group(2)
         with pytest.raises(TypeError, match="cannot size payload"):
-            g.bcast([object(), None])
+            g.bcast(object())
 
 
 class TestAdaptiveSamplerFaults:

@@ -2,7 +2,8 @@
 
 Covers the :class:`FaultPlan` spec grammar and validation, seed-exact
 determinism of the injected event stream, payload corruption + the checksum
-guard at the Group collectives, straggler skew, memory-pressure tightening,
+guard at the Group collectives (on their own and inside the products of a
+real ``mfbc``), straggler skew, memory-pressure tightening,
 the executors' pool-kill injection and process → thread → serial graceful
 degradation (bit-identical results), the mfbc retry loop, and the ISSUE's
 end-to-end acceptance criteria (crash → checkpoint → resume re-executes
@@ -28,6 +29,8 @@ from repro.faults import (
 from repro.machine import Group, Machine, MemoryLimitExceeded
 from repro.machine.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.sparse.spgemm import spgemm
+from repro.spgemm import Plan
+from repro.spgemm.selector import PinnedPolicy
 
 from conftest import random_weight_spmat
 
@@ -158,7 +161,7 @@ class TestDeterminism:
         g = Group(m, np.arange(4))
         try:
             for _ in range(60):
-                g.bcast([np.ones(4), None, None, None], root=0)
+                g.bcast(np.ones(4), root=0)
         except RankFailure:
             pass
         return m.faults.signature()
@@ -180,7 +183,7 @@ class TestDeterminism:
         g = Group(m, np.arange(4))
         try:
             for _ in range(60):
-                g.bcast([np.ones(4), None, None, None], root=0)
+                g.bcast(np.ones(4), root=0)
         except RankFailure:
             pass
         first = plan.signature()
@@ -188,7 +191,7 @@ class TestDeterminism:
         assert plan.signature() == []
         try:
             for _ in range(60):
-                g.bcast([np.ones(4), None, None, None], root=0)
+                g.bcast(np.ones(4), root=0)
         except RankFailure:
             pass
         assert plan.signature() == first
@@ -245,7 +248,7 @@ class TestCorruption:
         m = Machine(4, faults="seed:0,corrupt:1,checksum:1")
         g = Group(m, np.arange(4))
         with pytest.raises(CorruptPayload, match="checksum mismatch"):
-            g.bcast([np.ones(8), None, None, None], root=0)
+            g.bcast(np.ones(8), root=0)
         actions = {(e.kind, e.action) for e in m.faults.events}
         assert ("corrupt", "injected") in actions
         assert ("corrupt", "detected") in actions
@@ -254,15 +257,17 @@ class TestCorruption:
         m = Machine(4, faults="seed:0,corrupt:1")
         g = Group(m, np.arange(4))
         sent = np.ones(8)
-        out = g.bcast([sent, None, None, None], root=0)
+        out = g.bcast(sent, root=0)
         assert np.array_equal(sent, np.ones(8))  # sender buffer intact
-        assert not np.array_equal(out[0], sent)  # receivers got damage
+        assert not np.array_equal(out, sent)  # receivers got damage
         assert [e.action for e in m.faults.events] == ["injected"]
 
     def test_reduce_and_allgather_guarded(self):
         for site, call in [
             ("reduce", lambda g: g.reduce([np.ones(8)] * 4, np.add)),
+            ("sparse_reduce", lambda g: g.sparse_reduce([np.ones(8)] * 4, np.add)),
             ("allgather", lambda g: g.allgather([np.ones(8)] * 4)),
+            ("alltoall", lambda g: g.alltoall([[np.ones(8)]] * 4, [[np.ones(8)]] * 4)),
         ]:
             m = Machine(4, faults="seed:0,corrupt:1,checksum:1")
             g = Group(m, np.arange(4))
@@ -273,10 +278,61 @@ class TestCorruption:
     def test_scripted_corrupt_fires_once(self):
         m = Machine(4, faults="corrupt@1")
         g = Group(m, np.arange(4))
-        out1 = g.bcast([np.ones(8), None, None, None], root=0)
-        out2 = g.bcast([np.ones(8), None, None, None], root=0)
-        assert not np.array_equal(out1[0], np.ones(8))
-        assert np.array_equal(out2[0], np.ones(8))
+        out1 = g.bcast(np.ones(8), root=0)
+        out2 = g.bcast(np.ones(8), root=0)
+        assert not np.array_equal(out1, np.ones(8))
+        assert np.array_equal(out2, np.ones(8))
+
+
+class TestCorruptionInsideProducts:
+    """Every collective of a product is a ``Group`` call, so a scripted
+    corruption lands on a block a real ``mfbc`` is moving: with the checksum
+    guard it is detected at that site and the driver's ladder re-runs the
+    batch to bit-identical scores; without it the damage reaches the scores.
+    """
+
+    #: (pinned plan, scripted step, the collective it fires in) at p = 8
+    CASES = [
+        pytest.param(Plan(8, 1, 1, "B", "AB"), 3, "bcast", id="1d-replicate"),
+        pytest.param(Plan(8, 1, 1, "B", "AB"), 5, "alltoall", id="1d-redistribute"),
+        pytest.param(Plan(1, 2, 4, "A", "AC"), 5, "sparse_reduce", id="2d-reduce"),
+        pytest.param(Plan(2, 2, 2, "B", "AC"), 5, "bcast", id="3d-bcast"),
+    ]
+
+    @staticmethod
+    def _run(graph, plan, faults):
+        # explicit everything: ambient elastic/check legs must not repair or
+        # flag the corruption before the path under test does
+        m = Machine(8, faults=faults, elastic="off", check="off")
+        engine = DistributedEngine(m, policy=PinnedPolicy(plan))
+        return m, mfbc(graph, batch_size=8, engine=engine).scores
+
+    @pytest.mark.parametrize("plan, step, site", CASES)
+    def test_detected_and_retried_to_fault_free_scores(
+        self, small_undirected, plan, step, site
+    ):
+        _, ref = self._run(small_undirected, plan, "off")
+        m, scores = self._run(
+            small_undirected, plan, f"corrupt@{step},checksum:1"
+        )
+        assert [(e.kind, e.action, e.site) for e in m.faults.events] == [
+            ("corrupt", "injected", site),
+            ("corrupt", "detected", site),
+            ("batch", "recovered", "mfbc"),
+        ]
+        assert m.faults.events[-1].detail["error"] == "CorruptPayload"
+        assert np.array_equal(scores, ref)
+
+    @pytest.mark.parametrize("plan, step, site", CASES)
+    def test_unguarded_corruption_reaches_the_scores(
+        self, small_undirected, plan, step, site
+    ):
+        _, ref = self._run(small_undirected, plan, "off")
+        m, scores = self._run(small_undirected, plan, f"corrupt@{step}")
+        assert [(e.kind, e.action, e.site) for e in m.faults.events] == [
+            ("corrupt", "injected", site)
+        ]
+        assert not np.array_equal(scores, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +344,9 @@ class TestStragglersAndMemory:
     def test_scripted_straggler_skews_target_rank(self):
         m = Machine(4, faults="straggle@2:1,skew:1.0")
         g = Group(m, np.arange(4))
-        g.bcast([np.ones(4), None, None, None])
+        g.bcast(np.ones(4))
         before = m.ledger.time.copy()
-        g.bcast([np.ones(4), None, None, None])
+        g.bcast(np.ones(4))
         skew = m.ledger.time - before
         # rank 1 got between 0.5 and 2.0 modeled seconds of extra time
         assert skew[1] > 0.4
@@ -311,7 +367,7 @@ class TestStragglersAndMemory:
         m = Machine(4, faults="seed:0,straggle:1,limit:3")
         g = Group(m, np.arange(4))
         for _ in range(10):
-            g.bcast([np.ones(4), None, None, None])
+            g.bcast(np.ones(4))
         assert m.faults.injected == 3
 
 

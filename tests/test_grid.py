@@ -1,62 +1,6 @@
-"""Processor grids and factorization enumeration."""
+"""Processor-grid factorization enumeration."""
 
-import pytest
-
-from repro.machine import Grid, Machine
 from repro.machine.grid import factorizations
-
-
-class TestGrid:
-    def test_rank_coords_roundtrip(self):
-        m = Machine(24)
-        g = Grid(m, (2, 3, 4))
-        for r in range(24):
-            assert g.rank(g.coords(r)) == r
-
-    def test_all_coords_rank_order(self):
-        m = Machine(6)
-        g = Grid(m, (2, 3))
-        assert [g.rank(c) for c in g.all_coords()] == list(range(6))
-
-    def test_dims_must_multiply_to_p(self):
-        m = Machine(8)
-        with pytest.raises(ValueError, match="cells"):
-            Grid(m, (2, 3))
-
-    def test_nonpositive_dims_raise(self):
-        m = Machine(4)
-        with pytest.raises(ValueError, match="positive"):
-            Grid(m, (4, 0))
-
-    def test_axis_ranks_fiber(self):
-        m = Machine(12)
-        g = Grid(m, (3, 4))
-        col = g.axis_ranks(0, (2,))  # vary axis 0, col fixed at 2
-        assert list(col) == [g.rank((i, 2)) for i in range(3)]
-        row = g.axis_ranks(1, (1,))
-        assert list(row) == [g.rank((1, j)) for j in range(4)]
-
-    def test_axis_group_is_group(self):
-        m = Machine(4)
-        g = Grid(m, (2, 2))
-        grp = g.axis_group(0, (1,))
-        assert grp.size == 2
-
-    def test_axis_validation(self):
-        m = Machine(4)
-        g = Grid(m, (2, 2))
-        with pytest.raises(ValueError, match="axis"):
-            g.axis_ranks(2, (0,))
-        with pytest.raises(ValueError, match="fixed"):
-            g.axis_ranks(0, ())
-
-    def test_coords_validation(self):
-        m = Machine(4)
-        g = Grid(m, (2, 2))
-        with pytest.raises(ValueError):
-            g.rank((2, 0))
-        with pytest.raises(ValueError):
-            g.coords(10)
 
 
 class TestFactorizations:

@@ -206,14 +206,16 @@ class TestGroups:
         m = Machine(2)
         g = m.world()
         with pytest.raises(ValueError, match="payloads"):
-            g.bcast([None])
+            g.gather([None])
 
     def test_bcast_moves_root_payload(self):
         m = Machine(3)
         g = m.world()
-        out = g.bcast([np.arange(4), None, None], root=0)
-        assert all(np.array_equal(o, np.arange(4)) for o in out)
-        assert m.ledger.critical_words() > 0
+        out = g.bcast(np.arange(4), root=0)
+        assert np.array_equal(out, np.arange(4))
+        # weight 2, sized by the payload, tagged with the op's category
+        assert m.ledger.critical_words() == 2 * 4
+        assert m.ledger.category_words == {"bcast": 2 * 4 * 3}
 
     def test_reduce_combines(self):
         m = Machine(3)
@@ -228,7 +230,9 @@ class TestGroups:
     def test_allreduce(self):
         m = Machine(2)
         out = m.world().allreduce([np.ones(2), np.ones(2)], lambda a, b: a + b)
-        assert len(out) == 2 and np.allclose(out[0], 2)
+        assert np.allclose(out, 2)
+        # one reduce and one bcast, each weight 2 over the 2-word state
+        assert m.ledger.category_words == {"reduce": 8.0, "bcast": 8.0}
 
     def test_sparse_reduce_charges_output_size(self):
         m = Machine(2, cost=CostParams(alpha=1.0, beta=1.0, compute_rate=1.0))
@@ -244,12 +248,53 @@ class TestGroups:
     def test_scatter_gather_allgather(self):
         m = Machine(2)
         g = m.world()
-        parts = [np.zeros(2), np.ones(2)]
+        parts = [np.zeros(2), np.ones(3)]
         assert np.allclose(g.scatter(parts)[1], 1)
+        # scatter / gather charge everything the root holds, weight 1
+        assert m.ledger.critical_words() == 5
         gathered = g.gather(parts)
         assert len(gathered) == 2
+        assert m.ledger.critical_words() == 10
         ag = g.allgather(parts)
-        assert len(ag) == 2 and len(ag[0]) == 2
+        assert len(ag) == 2 and np.allclose(ag[1], 1)
+        assert m.ledger.category_words == {
+            "scatter": 10.0, "gather": 10.0, "allgather": 10.0
+        }
+
+    def test_alltoall_charges_busiest_rank(self):
+        m = Machine(3)
+        g = m.world()
+        a, b = np.ones(4), np.ones(2)
+        # rank 0 sends a to rank 1 and b to rank 2; rank 2 sends b to rank 1
+        out = g.alltoall([[a, b], [], [b]], [[], [a, b], [b]])
+        assert [len(x) for x in out] == [0, 2, 1] and out[1][0] is a
+        # busiest rank: 0 sent 6 words, 1 received 6 → x = 6, weight 1
+        assert m.ledger.critical_words() == 6
+        assert m.ledger.critical_msgs() == 2  # ⌈log₂ 3⌉
+        # nothing changes rank → free
+        g.alltoall([[], [], []], [[], [], []])
+        assert m.ledger.total_msgs == 2 * 3
+
+    def test_shift_charges_largest_shipment(self):
+        m = Machine(4)
+        g = m.world()
+        parts = [np.ones(1), np.ones(5), np.ones(2), None]
+        out = g.shift(parts, 1, category="redundancy")
+        assert out[2] is parts[1] and out[0] is None
+        assert m.ledger.critical_words() == 5
+        assert m.ledger.category_words == {"redundancy": 5.0 * 4}
+        # a full turn (or only empty shipments) moves nothing
+        g.shift(parts, 4)
+        g.shift([None] * 4, 1)
+        assert m.ledger.total_words == 5.0 * 4
+
+    def test_single_rank_group_is_free_and_undelivered(self):
+        m = Machine(4, faults="seed:0,corrupt:1,checksum:1")
+        g = m.group([2])
+        payload = np.ones(8)
+        assert g.bcast(payload) is payload
+        assert g.sparse_reduce([payload], np.add) is payload
+        assert m.ledger.total_msgs == 0 and m.faults.events == []
 
 
 class TestPayloadWords:

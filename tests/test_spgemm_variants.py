@@ -17,7 +17,7 @@ from repro.sparse import SpMat, spgemm
 from repro.spgemm import Plan, execute_plan
 from repro.spgemm.selector import enumerate_plans
 
-from conftest import random_weight_spmat
+from conftest import WEIGHT, random_weight_spmat
 
 SPEC = TROPICAL.matmul_spec()
 BF = MatMulSpec(MULTPATH, bellman_ford_action, "bf")
@@ -155,3 +155,94 @@ class TestCostAccounting:
         a, b, da, db = dist_pair(rng, machine, 10, 10, 10, 0.4, 0.4)
         execute_plan(Plan(1, 1, 1, "A", "AB"), da, db, SPEC, home(1))
         assert machine.ledger.critical_words() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# golden ledger: what each §5.2 plan kind charges, pinned
+# ---------------------------------------------------------------------------
+
+
+def _golden_operands():
+    """One fixed multpath frontier × weight adjacency (arithmetic patterns,
+    so the operands depend on no random generator)."""
+    n = 48
+    i = np.arange(n)
+    rows = np.concatenate([i, i, i])
+    cols = np.concatenate([(7 * i + 3) % n, (11 * i + 5) % n, (i * i + 1) % n])
+    adj = SpMat(n, n, rows, cols, {"w": 1.0 + (13 * np.arange(3 * n)) % 5}, WEIGHT)
+    r = np.repeat(np.arange(6), 4)
+    t = np.tile(np.arange(4), 6)
+    vals = MULTPATH.make(1.0 + (r + t) % 3, 1 + (r * t) % 2)
+    return SpMat(6, n, r, (5 * r + 9 * t) % n, vals, MULTPATH), adj
+
+
+#: p -> (2D grid, 3D grid) the golden plans run on
+_GOLDEN_GRIDS = {8: ((2, 4), (2, 2, 2)), 16: ((4, 4), (4, 2, 2))}
+
+
+def _golden_plans(p):
+    """The 15 plan kinds of §5.2: 1D A/B/C, 2D AB/BC/AC, 3D X×YZ."""
+    (p2, p3), (q1, q2, q3) = _GOLDEN_GRIDS[p]
+    plans = [Plan(p, 1, 1, x, "AB") for x in "ABC"]
+    plans += [Plan(1, p2, p3, "A", yz) for yz in ("AB", "BC", "AC")]
+    plans += [Plan(q1, q2, q3, x, yz) for x in "ABC" for yz in ("AB", "BC", "AC")]
+    return plans
+
+
+# Recorded at the commit before the collectives moved behind ``Group``
+# (``ledger.snapshot()`` plus ``category_words``); the refactor had to
+# reproduce every number, and so must any later change to a variant or to a
+# collective's charging convention (docs/performance_model.md §6).
+# fmt: off
+GOLDEN_LEDGER = {
+    (8, '1D-A(p=8)'): {'time': 1.2506500000000001e-05, 'comm_time': 1.2492500000000001e-05, 'words': 394.0, 'msgs': 12.0, 'total_words': 3152.0, 'total_msgs': 96.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1616.0, 'replicate': 1536.0}},
+    (8, '1D-B(p=8)'): {'time': 1.3206999999999999e-05, 'comm_time': 1.3195e-05, 'words': 956.0, 'msgs': 12.0, 'total_words': 7648.0, 'total_msgs': 96.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 832.0, 'replicate': 6816.0}},
+    (8, '1D-C(p=8)'): {'time': 1.923625e-05, 'comm_time': 1.922125e-05, 'words': 977.0, 'msgs': 18.0, 'total_words': 7816.0, 'total_msgs': 144.0, 'compute_ops': 71.0, 'category_words': {'input': 2112.0, 'redistribute': 1480.0, 'reduce': 4224.0}},
+    (8, '2D-AB(2x4)'): {'time': 2.4526999999999997e-05, 'comm_time': 2.4514999999999995e-05, 'words': 412.0, 'msgs': 24.0, 'total_words': 2472.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'bcast': 2472.0}},
+    (8, '2D-BC(2x4)'): {'time': 2.7898749999999994e-05, 'comm_time': 2.7878749999999998e-05, 'words': 703.0, 'msgs': 27.0, 'total_words': 4704.0, 'total_msgs': 216.0, 'compute_ops': 71.0, 'category_words': {'bcast': 1704.0, 'redistribute': 888.0, 'reduce': 2112.0}},
+    (8, '2D-AC(2x4)'): {'time': 2.7518e-05, 'comm_time': 2.7495e-05, 'words': 396.0, 'msgs': 27.0, 'total_words': 1984.0, 'total_msgs': 216.0, 'compute_ops': 71.0, 'category_words': {'bcast': 768.0, 'redistribute': 160.0, 'reduce': 1056.0}},
+    (8, '3D-A,AB(2x2x2)'): {'time': 3.1357249999999995e-05, 'comm_time': 3.133625e-05, 'words': 1069.0, 'msgs': 30.0, 'total_words': 4720.0, 'total_msgs': 176.0, 'compute_ops': 71.0, 'category_words': {'bcast': 2472.0, 'redistribute': 1864.0, 'replicate': 384.0}},
+    (8, '3D-A,BC(2x2x2)'): {'time': 3.568299999999999e-05, 'comm_time': 3.565e-05, 'words': 1320.0, 'msgs': 34.0, 'total_words': 5860.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'bcast': 1704.0, 'redistribute': 2716.0, 'reduce': 1056.0, 'replicate': 384.0}},
+    (8, '3D-A,AC(2x2x2)'): {'time': 3.519025e-05, 'comm_time': 3.516124999999999e-05, 'words': 929.0, 'msgs': 34.0, 'total_words': 4296.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'bcast': 768.0, 'redistribute': 2088.0, 'reduce': 1056.0, 'replicate': 384.0}},
+    (8, '3D-B,AB(2x2x2)'): {'time': 3.2034e-05, 'comm_time': 3.201e-05, 'words': 1608.0, 'msgs': 30.0, 'total_words': 7880.0, 'total_msgs': 176.0, 'compute_ops': 71.0, 'category_words': {'bcast': 3792.0, 'redistribute': 2384.0, 'replicate': 1704.0}},
+    (8, '3D-B,BC(2x2x2)'): {'time': 3.676449999999998e-05, 'comm_time': 3.673749999999999e-05, 'words': 2190.0, 'msgs': 34.0, 'total_words': 10160.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'bcast': 3408.0, 'redistribute': 3992.0, 'reduce': 1056.0, 'replicate': 1704.0}},
+    (8, '3D-B,AC(2x2x2)'): {'time': 3.5378e-05, 'comm_time': 3.534500000000001e-05, 'words': 1076.0, 'msgs': 34.0, 'total_words': 5704.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'bcast': 384.0, 'redistribute': 2560.0, 'reduce': 1056.0, 'replicate': 1704.0}},
+    (8, '3D-C,AB(2x2x2)'): {'time': 3.44235e-05, 'comm_time': 3.44025e-05, 'words': 1122.0, 'msgs': 33.0, 'total_words': 5880.0, 'total_msgs': 200.0, 'compute_ops': 71.0, 'category_words': {'bcast': 2088.0, 'redistribute': 2736.0, 'reduce': 1056.0}},
+    (8, '3D-C,BC(2x2x2)'): {'time': 3.897700000000001e-05, 'comm_time': 3.8950000000000005e-05, 'words': 1560.0, 'msgs': 37.0, 'total_words': 7472.0, 'total_msgs': 216.0, 'compute_ops': 71.0, 'category_words': {'bcast': 1704.0, 'redistribute': 3576.0, 'reduce': 2192.0}},
+    (8, '3D-C,AC(2x2x2)'): {'time': 3.833150000000001e-05, 'comm_time': 3.830250000000001e-05, 'words': 1042.0, 'msgs': 37.0, 'total_words': 5488.0, 'total_msgs': 216.0, 'compute_ops': 71.0, 'category_words': {'bcast': 384.0, 'redistribute': 2912.0, 'reduce': 2192.0}},
+    (16, '1D-A(p=16)'): {'time': 1.639925e-05, 'comm_time': 1.639125e-05, 'words': 313.0, 'msgs': 16.0, 'total_words': 5008.0, 'total_msgs': 256.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1936.0, 'replicate': 3072.0}},
+    (16, '1D-B(p=16)'): {'time': 1.7166999999999997e-05, 'comm_time': 1.7154999999999998e-05, 'words': 924.0, 'msgs': 16.0, 'total_words': 14784.0, 'total_msgs': 256.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1152.0, 'replicate': 13632.0}},
+    (16, '1D-C(p=16)'): {'time': 2.5137750000000002e-05, 'comm_time': 2.5128750000000002e-05, 'words': 903.0, 'msgs': 24.0, 'total_words': 14448.0, 'total_msgs': 384.0, 'compute_ops': 71.0, 'category_words': {'input': 4224.0, 'redistribute': 1776.0, 'reduce': 8448.0}},
+    (16, '2D-AB(4x4)'): {'time': 3.2461e-05, 'comm_time': 3.2455e-05, 'words': 364.0, 'msgs': 32.0, 'total_words': 4176.0, 'total_msgs': 480.0, 'compute_ops': 71.0, 'category_words': {'bcast': 4176.0}},
+    (16, '2D-BC(4x4)'): {'time': 3.670225e-05, 'comm_time': 3.668625e-05, 'words': 549.0, 'msgs': 36.0, 'total_words': 6624.0, 'total_msgs': 576.0, 'compute_ops': 71.0, 'category_words': {'bcast': 3408.0, 'redistribute': 1104.0, 'reduce': 2112.0}},
+    (16, '2D-AC(4x4)'): {'time': 3.6436e-05, 'comm_time': 3.642e-05, 'words': 336.0, 'msgs': 36.0, 'total_words': 3136.0, 'total_msgs': 544.0, 'compute_ops': 71.0, 'category_words': {'bcast': 768.0, 'redistribute': 256.0, 'reduce': 2112.0}},
+    (16, '3D-A,AB(4x2x2)'): {'time': 6.169050000000001e-05, 'comm_time': 6.16675e-05, 'words': 1334.0, 'msgs': 60.0, 'total_words': 7240.0, 'total_msgs': 576.0, 'compute_ops': 71.0, 'category_words': {'bcast': 3240.0, 'redistribute': 3232.0, 'replicate': 768.0}},
+    (16, '3D-A,BC(4x2x2)'): {'time': 6.964524999999999e-05, 'comm_time': 6.961124999999999e-05, 'words': 1289.0, 'msgs': 68.0, 'total_words': 7612.0, 'total_msgs': 600.0, 'compute_ops': 71.0, 'category_words': {'bcast': 1704.0, 'redistribute': 4084.0, 'reduce': 1056.0, 'replicate': 768.0}},
+    (16, '3D-A,AC(4x2x2)'): {'time': 6.96275e-05, 'comm_time': 6.959250000000002e-05, 'words': 1274.0, 'msgs': 68.0, 'total_words': 7040.0, 'total_msgs': 600.0, 'compute_ops': 71.0, 'category_words': {'bcast': 1536.0, 'redistribute': 3680.0, 'reduce': 1056.0, 'replicate': 768.0}},
+    (16, '3D-B,AB(4x2x2)'): {'time': 6.314275e-05, 'comm_time': 6.311875e-05, 'words': 2495.0, 'msgs': 60.0, 'total_words': 14464.0, 'total_msgs': 560.0, 'compute_ops': 71.0, 'category_words': {'bcast': 7200.0, 'redistribute': 3856.0, 'replicate': 3408.0}},
+    (16, '3D-B,BC(4x2x2)'): {'time': 7.237475e-05, 'comm_time': 7.234374999999998e-05, 'words': 3475.0, 'msgs': 68.0, 'total_words': 18352.0, 'total_msgs': 592.0, 'compute_ops': 71.0, 'category_words': {'bcast': 6816.0, 'redistribute': 7072.0, 'reduce': 1056.0, 'replicate': 3408.0}},
+    (16, '3D-B,AC(4x2x2)'): {'time': 6.130674999999998e-05, 'comm_time': 6.127374999999999e-05, 'words': 1019.0, 'msgs': 60.0, 'total_words': 8880.0, 'total_msgs': 576.0, 'compute_ops': 71.0, 'category_words': {'bcast': 384.0, 'redistribute': 4032.0, 'reduce': 1056.0, 'replicate': 3408.0}},
+    (16, '3D-C,AB(4x2x2)'): {'time': 7.34415e-05, 'comm_time': 7.34125e-05, 'words': 1130.0, 'msgs': 72.0, 'total_words': 9800.0, 'total_msgs': 760.0, 'compute_ops': 71.0, 'category_words': {'bcast': 2088.0, 'redistribute': 5600.0, 'reduce': 2112.0}},
+    (16, '3D-C,BC(4x2x2)'): {'time': 8.204099999999998e-05, 'comm_time': 8.200999999999997e-05, 'words': 1608.0, 'msgs': 80.0, 'total_words': 11368.0, 'total_msgs': 800.0, 'compute_ops': 71.0, 'category_words': {'bcast': 1704.0, 'redistribute': 6416.0, 'reduce': 3248.0}},
+    (16, '3D-C,AC(4x2x2)'): {'time': 8.138949999999998e-05, 'comm_time': 8.13575e-05, 'words': 1086.0, 'msgs': 80.0, 'total_words': 9424.0, 'total_msgs': 792.0, 'compute_ops': 71.0, 'category_words': {'bcast': 384.0, 'redistribute': 5792.0, 'reduce': 3248.0}},
+}
+# fmt: on
+
+
+class TestGoldenLedger:
+    @pytest.mark.parametrize("p", sorted(_GOLDEN_GRIDS))
+    def test_every_plan_kind_charges_the_pinned_ledger(self, p):
+        f, adj = _golden_operands()
+        ref = spgemm(f, adj, BF).matrix
+        for plan in _golden_plans(p):
+            machine = Machine(
+                p, faults="off", elastic="off", check="off", memory_words="off"
+            )
+            h = home(p)
+            df = DistMat.distribute(f, machine, h, charge=False)
+            dadj = DistMat.distribute(adj, machine, h, charge=False)
+            c, _ = execute_plan(plan, df, dadj, BF, h)
+            assert c.gather(charge=False).equals(ref), plan.describe()
+            snap = machine.ledger.snapshot()
+            snap["category_words"] = machine.ledger.category_words
+            assert snap == GOLDEN_LEDGER[p, plan.describe()], plan.describe()
