@@ -39,11 +39,11 @@ Run the CI smoke configuration::
         --faults "seed:3,crash@25:1,corrupt@60,corrupt@400,checksum:1,tear:0.05,limit:6" \
         --elastic replica --check cheap --memory-words 30000
 
-``--memory-words`` arms the memory ladder under the storm: the soak
-service runs inside a per-rank budget (with ``tear:RATE`` injecting torn
-spill-segment writes), so admission control, elastic recovery, and the
-spill/shrink ladder all defend the same run — still with zero non-shed
-failures and bit-identical post-storm answers.
+``--memory-words`` arms the ladder's memory rungs under the storm: the
+soak service runs inside a per-rank budget (with ``tear:RATE`` injecting
+torn spill-segment writes), so admission control and every rung of the
+recovery ladder (shrink / spill, elastic, retry) defend the same run —
+still with zero non-shed failures and bit-identical post-storm answers.
 
 Exit code 0 when every invariant held.
 """
@@ -284,7 +284,7 @@ def soak(graph, capacity_qps: float, args) -> tuple[dict, int]:
     print(
         f"  service: {injected} faults injected, "
         f"{machine_recoveries} elastic recoveries "
-        f"({stats['recoveries']} via the service retry ladder), "
+        f"({stats['recoveries']} inside served sweeps), "
         f"{stats['retries']} retries, breaker opened "
         f"{service.breaker.opened_total}x, "
         f"{stats['dispatcher_restarts']} dispatcher restarts, "

@@ -54,12 +54,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.engine import Engine, SequentialEngine
-from repro.core.mfbc import (
-    default_batch_size,
-    mfbc,
-    mfbc_per_source,
-    run_batch_with_recovery,
-)
+from repro.core.ladder import RecoveryLadder
+from repro.core.mfbc import default_batch_size, mfbc, per_source_rows
 from repro.faults.checkpoint import (
     CheckpointState,
     CheckpointStore,
@@ -456,15 +452,20 @@ def adaptive_bc(
         bit-identical to an uninterrupted one.
     retries, retry_backoff, retry_jitter_seed:
         The per-batch recovery ladder, exactly as on
-        :func:`~repro.core.mfbc.mfbc` (elastic recovery included).
+        :func:`~repro.core.mfbc.mfbc` (memory rungs and elastic recovery
+        included): under a budget a sample batch is swept as narrower
+        sub-sweeps — same rows, same estimate.
     """
     engine = engine or SequentialEngine()
     epsilon, delta = validate_epsilon_delta(epsilon, delta)
     seed = normalize_seed(seed)
-    if retries < 0:
-        raise ValueError(f"retries must be non-negative, got {retries}")
-    if retry_backoff < 0:
-        raise ValueError(f"retry_backoff must be non-negative, got {retry_backoff}")
+    ladder = RecoveryLadder(
+        engine,
+        site="adaptive_bc",
+        retries=retries,
+        retry_backoff=retry_backoff,
+        retry_jitter_seed=retry_jitter_seed,
+    )
     n = graph.n
     machine = getattr(engine, "machine", None)
     plan = getattr(machine, "faults", None)
@@ -577,7 +578,7 @@ def adaptive_bc(
         delta=delta,
     ):
         with obs.span("adjacency", cat="phase"):
-            adj = engine.adjacency(graph)
+            adj = ladder.run(lambda *_: engine.adjacency(graph))
         while not converged and cursor < max_samples:
             if max_batches is not None and executed >= max_batches:
                 break
@@ -587,7 +588,7 @@ def adaptive_bc(
                 0, n, size=count, dtype=np.int64
             )
 
-            def attempt_batch(attempt, batch=batch, batch_index=batch_index):
+            def attempt_batch(attempt, width, batch=batch, batch_index=batch_index):
                 with obs.span(
                     "batch",
                     cat="batch",
@@ -595,7 +596,7 @@ def adaptive_bc(
                     sources=len(batch),
                     attempt=attempt,
                 ):
-                    rows = mfbc_per_source(graph, batch, engine=engine, adj=adj)
+                    rows = per_source_rows(engine, graph, adj, batch, width)
                     rows = rows * scale
                     # merging the per-rank partials is paid for (and can
                     # fail) like any collective, so it sits inside the
@@ -604,15 +605,8 @@ def adaptive_bc(
                         _reduce_state(machine, rows)
                 return rows
 
-            rows = run_batch_with_recovery(
-                attempt_batch,
-                engine=engine,
-                batch_index=batch_index,
-                retries=retries,
-                retry_backoff=retry_backoff,
-                retry_jitter_seed=retry_jitter_seed,
-                site="adaptive_bc",
-            )
+            rows = ladder.run(attempt_batch, index=batch_index, width=count)
+            ladder.after_success()
             # fold exactly once per completed batch — retries and elastic
             # re-executions above never reach this line twice
             sampler.update(rows, cursor)

@@ -1,0 +1,266 @@
+"""The recovery ladder: which failure gets which relief, in what order.
+
+A batch is the paper's unit of both storage and restart (§5.3 picks
+``n_b = c·m/n`` to fill memory), so every driver — ``mfbc``,
+``mfbc_per_source``, ``adaptive_bc`` and the serving layer's fault path —
+answers a failed batch the same way: walk :data:`RUNGS` top to bottom,
+apply the first rung that gives relief, and re-attempt.  The table *is* the
+policy; ``docs/robustness.md`` ("The recovery ladder") renders it row for
+row with what each rung costs and why it is exact.
+
+Only ``retry`` burns retry budget.  The three memory rungs are
+bit-identical by construction (per-source rows never interact, scores
+accumulate strictly left to right, spill segments round-trip binary-exact,
+replicas are never read by a product) and each fires a bounded number of
+times; each elastic recovery strictly shrinks ``p``, so storms terminate
+on their own; ``deadline`` is terminal because retrying cannot un-spend
+modeled time.  A failure no rung relieves is noted ``abandoned`` and
+re-raised by the caller.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.faults.plan import DeadlineExceeded, FaultError, RankFailure
+from repro.machine.machine import MemoryLimitExceeded
+from repro.obs import api as obs
+
+__all__ = ["RecoveryLadder", "RUNGS"]
+
+#: ``(rung name, exception class it answers)`` in the order ``advance``
+#: tries them; rung ``name`` is implemented by ``RecoveryLadder._<name>``.
+RUNGS = (
+    ("deadline", DeadlineExceeded),
+    ("shrink_batch", MemoryLimitExceeded),
+    ("spill", MemoryLimitExceeded),
+    ("drop_redundancy", MemoryLimitExceeded),
+    ("elastic", RankFailure),
+    ("retry", FaultError),
+)
+
+
+class RecoveryLadder:
+    """One driver's ladder state (see the module docstring for the policy).
+
+    ``site`` tags every note with the calling driver (``mfbc`` /
+    ``adaptive_bc`` / ``serve``); ``retries`` / ``retry_backoff`` /
+    ``retry_jitter_seed`` are the drivers' keywords of the same names.
+    ``width`` holds the (possibly shrunken) sweep width to re-attempt with
+    and ``attempt`` the retries the current batch has burned — ``run``
+    zeroes it per batch; a caller that re-attempts across calls (the
+    service's requeue) sets it before asking ``advance``.
+    """
+
+    def __init__(
+        self,
+        engine,
+        *,
+        site: str = "mfbc",
+        retries: int = 2,
+        retry_backoff: float = 0.05,
+        retry_jitter_seed: int | None = 0,
+    ) -> None:
+        if retries < 0:
+            raise ValueError(f"retries must be non-negative, got {retries}")
+        if retry_backoff < 0:
+            raise ValueError(
+                f"retry_backoff must be non-negative, got {retry_backoff}"
+            )
+        self.engine = engine
+        self.machine = getattr(engine, "machine", None)
+        self.site = site
+        self.retries = retries
+        self.retry_backoff = retry_backoff
+        self.retry_jitter_seed = retry_jitter_seed
+        self.width: int | None = None
+        self.attempt = 0
+        self.rungs_taken: list[str] = []
+        self._jitter = None  # (rng, previous backoff), built on first retry
+        self._spilled = False
+        self._dropped = False
+        #: words the drop rung freed — what re-arming will cost (the
+        #: resident replica count is 0 once dropped, so it can't be used)
+        self._dropped_words = 0
+
+    def run(self, attempt, *, index: int | None = None, width: int = 1):
+        """Call ``attempt(retries_burned, width)`` until it returns.
+
+        ``index`` is the batch index (notes, jitter key); the default marks
+        set-up work that is no batch — the adjacency build — where only the
+        memory rungs apply and a fault stays the caller's.  The next attempt
+        starts only after the ``except`` block has exited: the failed
+        attempt's traceback, its frames and the ``DistMat`` blocks they
+        charged are released before anything new is allocated.
+        """
+        self.attempt = 0
+        self.width = width
+        self._jitter = None
+        while True:
+            try:
+                return attempt(self.attempt, self.width)
+            except (FaultError, MemoryLimitExceeded) as exc:
+                if self.advance(exc, index=index, width=self.width) is None:
+                    raise
+
+    def advance(self, exc, *, index: int | None, width: int) -> str | None:
+        """Apply the first rung that relieves ``exc``; return its name.
+
+        ``None`` means give up (the caller re-raises).  A rung method
+        returns True (relieved: re-attempt), False (nothing to give: try the
+        next rung) or None (terminal).
+        """
+        if index is None and isinstance(exc, FaultError):
+            return None
+        for name, answers in RUNGS:
+            if not isinstance(exc, answers):
+                continue
+            relieved = getattr(self, "_" + name)(exc, index, width)
+            if relieved:
+                self.rungs_taken.append(name)
+                return name
+            if relieved is None:
+                break
+        if isinstance(exc, MemoryLimitExceeded):
+            self._emit(
+                "mem",
+                "abandoned",
+                rungs=",".join(self.rungs_taken) or "none",
+                error=str(exc),
+            )
+        else:
+            self._emit(
+                "batch",
+                "abandoned",
+                index=index,
+                attempts=self.attempt + 1,
+                error=type(exc).__name__,
+            )
+        return None
+
+    def after_success(self) -> None:
+        """Called after each completed batch: re-arm what pressure dropped.
+
+        Replica redundancy returns once the pressured rank has headroom for
+        it again; chunk staging is switched off as soon as a batch fits.
+        """
+        machine = self.machine
+        manager = getattr(machine, "memory", None)
+        if manager is not None and manager.chunk_staging:
+            manager.chunk_staging = False
+        if not self._dropped or machine is None:
+            return
+        rearm = getattr(self.engine, "rearm_redundancy", None)
+        if rearm is None:
+            return
+        budget = machine.memory_words
+        if budget is not None and self._dropped_words > 0:
+            headroom = budget - machine.memory_used()
+            if headroom < 2 * self._dropped_words:
+                return  # pressure has not cleared yet
+        if rearm():
+            self._dropped = False
+            self._dropped_words = 0
+            self._emit("mem", "recovered", rung="rearm")
+
+    # -- the rungs, in table order ---------------------------------------------
+
+    def _deadline(self, exc, index, width):
+        return None
+
+    def _shrink_batch(self, exc, index, width):
+        if width <= 1:
+            return False
+        self.width = max(1, width // 2)
+        self._emit(
+            "mem", "degraded", rung="shrink_batch", batch_size=self.width, was=width
+        )
+        return True
+
+    def _spill(self, exc, index, width):
+        manager = getattr(self.machine, "memory", None)
+        if self._spilled or manager is None:
+            return False
+        self._spilled = True
+        freed = manager.spill_all()
+        manager.chunk_staging = True
+        if freed <= 0:
+            return False
+        self._emit("mem", "degraded", rung="spill", words=int(freed))
+        return True
+
+    def _drop_redundancy(self, exc, index, width):
+        if self._dropped:
+            return False
+        self._dropped = True
+        drop = getattr(self.engine, "drop_redundancy", None)
+        freed = drop() if drop is not None else 0
+        if freed <= 0:
+            return False
+        self._dropped_words = int(freed)
+        self._emit("mem", "degraded", rung="drop_redundancy", words=int(freed))
+        return True
+
+    def _elastic(self, exc, index, width):
+        engine = self.engine
+        if (
+            getattr(self.machine, "elastic", None) is None
+            or not hasattr(engine, "recover_from")
+        ):
+            return False
+        # deferred import: the coordinator pulls in repro.dist
+        from repro.elastic.recovery import RecoveryError
+
+        try:
+            report = engine.recover_from(exc)
+        except RecoveryError as err:
+            self._emit(
+                "crash", "degraded", rank=getattr(exc, "rank", None), reason=str(err)
+            )
+            return False
+        # re-execute only this batch on the survivors
+        self._emit(
+            "batch", "recovered", index=index, mode="elastic", p=report.p_after
+        )
+        return True
+
+    def _retry(self, exc, index, width):
+        if self.attempt >= self.retries:
+            return False
+        self.attempt += 1
+        recover = getattr(self.engine, "recover", None)
+        if recover is not None:
+            recover()
+        base = self.retry_backoff
+        if self.retry_jitter_seed is None:
+            backoff = base * (2.0 ** (self.attempt - 1))
+        else:
+            # decorrelated jitter: draw from [base, 3·prev], capped at the
+            # jitter-free schedule's final rung
+            rng, prev = self._jitter or (
+                np.random.default_rng([self.retry_jitter_seed, index]),
+                base,
+            )
+            cap = base * (2.0 ** max(self.retries - 1, 0))
+            backoff = min(cap, float(rng.uniform(base, prev * 3.0)))
+            self._jitter = (rng, backoff)
+        if self.machine is not None and backoff > 0:
+            self.machine.charge_overhead(backoff)
+        self._emit(
+            "batch",
+            "recovered",
+            index=index,
+            attempt=self.attempt,
+            backoff_s=backoff,
+            error=type(exc).__name__,
+        )
+        return True
+
+    def _emit(self, kind: str, action: str, **detail) -> None:
+        """The ladder's one emitter: a fault-plan event, else an obs count."""
+        plan = getattr(self.machine, "faults", None)
+        if plan is not None:
+            plan.note(kind, action, site=self.site, **detail)
+        elif obs.enabled():
+            rung = detail.get("rung", action)
+            obs.count("memory.ladder", 1.0, rung=rung, site=self.site)

@@ -15,27 +15,19 @@ The batch boundary is also the driver's fault-tolerance unit.  With
 after every batch (see :mod:`repro.faults.checkpoint`), and
 ``resume_from=`` replays only the remaining batches — bit-identical to an
 uninterrupted run, because partial sums accumulate in the same order
-either way.  Injected failures (:class:`~repro.faults.FaultError`) inside
-a batch are retried up to ``retries`` times with exponential backoff
-charged to the machine's modeled clock.
+either way.
 
-When the machine carries an :class:`~repro.elastic.ElasticPolicy`, a
-:class:`~repro.faults.RankFailure` takes the elastic path before burning a
-retry: the engine shrinks onto the survivors
-(:meth:`~repro.dist.engine.DistributedEngine.recover_from`) and only the
-interrupted batch re-executes — no restart, and the final scores stay
-bit-identical because completed batches' partial sums are untouched.
-Recovery never consumes retry budget (each success strictly shrinks ``p``,
-so storms terminate); when recovery itself is impossible
-(:class:`~repro.elastic.RecoveryError`) the driver falls back to the plain
-retry ladder.  :class:`~repro.faults.DeadlineExceeded` is terminal by
-design — retrying a blown time budget would only spin.
-
-:class:`~repro.machine.MemoryLimitExceeded` gets its own ladder
-(:class:`~repro.memory.MemoryLadder`): shrink the batch width, spill cold
-blocks to the checksummed store, drop replica redundancy — every rung
-bit-identical, re-armed once pressure clears — before falling through to
-the retry ladder above.  See docs/robustness.md, "The memory ladder".
+A batch that fails — an injected :class:`~repro.faults.FaultError`, or
+:class:`~repro.machine.MemoryLimitExceeded` under a per-rank budget — is
+answered by the one recovery ladder (:mod:`repro.core.ladder`): shrink the
+batch width, spill cold blocks, drop replica redundancy (every memory rung
+bit-identical, re-armed once pressure clears), recover elastically from a
+:class:`~repro.faults.RankFailure` when the machine carries an
+:class:`~repro.elastic.ElasticPolicy` (only the interrupted batch
+re-executes on the survivors; never burns a retry), then retry up to
+``retries`` times with backoff charged to the machine's modeled clock.
+:class:`~repro.faults.DeadlineExceeded` is terminal by design.  See
+docs/robustness.md, "The recovery ladder".
 """
 
 from __future__ import annotations
@@ -47,6 +39,7 @@ import numpy as np
 
 from repro.algebra.monoid import PlusMonoid
 from repro.core.engine import Engine, SequentialEngine
+from repro.core.ladder import RecoveryLadder
 from repro.core.mfbf import mfbf
 from repro.core.mfbr import mfbr
 from repro.core.stats import BatchStats, MFBCStats
@@ -58,17 +51,13 @@ from repro.faults.checkpoint import (
     stats_from_dicts,
     stats_to_dicts,
 )
-from repro.faults.plan import DeadlineExceeded, FaultError, RankFailure
 from repro.graphs.graph import Graph
-from repro.machine.machine import MemoryLimitExceeded
-from repro.memory.ladder import MemoryLadder
 from repro.obs import api as obs
 
 __all__ = [
     "mfbc",
     "mfbc_per_source",
     "betweenness_centrality",
-    "run_batch_with_recovery",
     "MFBCResult",
     "default_batch_size",
 ]
@@ -166,11 +155,12 @@ def mfbc(
     retry_jitter_seed:
         Seed for the decorrelated-jitter backoff: each retry sleeps
         ``min(cap, U[base, 3·prev])`` with the RNG keyed on
-        ``(seed, batch_index)``, so concurrent coalesced ladders (many
-        service batches retrying the same fault storm) desynchronize
-        instead of hammering the machine in lockstep, while a fixed seed
-        keeps every run bit-reproducible.  ``None`` restores the legacy
-        jitter-free ``base·2^(attempt-1)`` schedule.
+        ``(seed, batch_index)``, so drivers launched with different seeds
+        retrying through the same fault storm desynchronize instead of
+        backing off in lockstep, while a fixed seed keeps every run
+        bit-reproducible.  (The serving layer requeues with zero backoff
+        and never passes it.)  ``None`` restores the legacy jitter-free
+        ``base·2^(attempt-1)`` schedule.
 
     Returns
     -------
@@ -179,10 +169,13 @@ def mfbc(
     undirected unordered-pair convention).
     """
     engine = engine or SequentialEngine()
-    if retries < 0:
-        raise ValueError(f"retries must be non-negative, got {retries}")
-    if retry_backoff < 0:
-        raise ValueError(f"retry_backoff must be non-negative, got {retry_backoff}")
+    ladder = RecoveryLadder(
+        engine,
+        site="mfbc",
+        retries=retries,
+        retry_backoff=retry_backoff,
+        retry_jitter_seed=retry_jitter_seed,
+    )
     if sources is None:
         sources = np.arange(graph.n, dtype=np.int64)
     else:
@@ -243,67 +236,45 @@ def mfbc(
         m=graph.nnz_adjacency,
         batch_size=batch_size,
     ):
-        ladder = MemoryLadder(engine)
         with obs.span("adjacency", cat="phase"):
-            while True:
-                try:
-                    adj = engine.adjacency(graph)
-                    break
-                except MemoryLimitExceeded as exc:
-                    # only the spill / drop-redundancy rungs can help here
-                    # (there is no batch to shrink yet)
-                    if ladder.advance(exc) is None:
-                        raise
+            # no batch to shrink or re-execute yet: memory rungs only
+            adj = ladder.run(lambda *_: engine.adjacency(graph))
         executed = 0
         lo = cursor
         while lo < len(sources):
-            batch = sources[lo : lo + batch_size]
-            while True:
 
-                def attempt_batch(attempt, batch=batch, batch_index=batch_index):
-                    batch_stats = BatchStats(sources=len(batch))
-                    with obs.span(
-                        "batch",
-                        cat="batch",
-                        index=batch_index,
-                        sources=len(batch),
-                        attempt=attempt,
-                    ):
-                        with obs.span("mfbf", cat="phase"):
-                            t_mat = mfbf(adj, batch, engine=engine, stats=batch_stats)
-                        with obs.span("mfbr", cat="phase"):
-                            z_mat = mfbr(adj, t_mat, engine=engine, stats=batch_stats)
-                        with obs.span("accumulate", cat="phase"):
-                            terms = _accumulate(engine, graph.n, batch, t_mat, z_mat)
-                    return terms, batch_stats
+            def attempt_batch(attempt, width, lo=lo, batch_index=batch_index):
+                batch = sources[lo : lo + width]
+                batch_stats = BatchStats(sources=len(batch))
+                with obs.span(
+                    "batch",
+                    cat="batch",
+                    index=batch_index,
+                    sources=len(batch),
+                    attempt=attempt,
+                ):
+                    with obs.span("mfbf", cat="phase"):
+                        t_mat = mfbf(adj, batch, engine=engine, stats=batch_stats)
+                    with obs.span("mfbr", cat="phase"):
+                        z_mat = mfbr(adj, t_mat, engine=engine, stats=batch_stats)
+                    with obs.span("accumulate", cat="phase"):
+                        _, cols, weights = _accumulate(engine, batch, t_mat, z_mat)
+                return batch, (cols, weights), batch_stats
 
-                try:
-                    terms, batch_stats = run_batch_with_recovery(
-                        attempt_batch,
-                        engine=engine,
-                        batch_index=batch_index,
-                        retries=retries,
-                        retry_backoff=retry_backoff,
-                        retry_jitter_seed=retry_jitter_seed,
-                    )
-                    break
-                except MemoryLimitExceeded as exc:
-                    # the OOM degradation ladder: shrink the batch width,
-                    # spill cold blocks, drop replica redundancy — every
-                    # rung bit-identical — before the error turns terminal.
-                    # (Per-source score rows are independent and cross-batch
-                    # accumulation is strictly left-to-right, so narrower
-                    # retries reproduce the exact same scores.)
-                    rung = ladder.advance(exc, batch_width=len(batch))
-                    if rung is None:
-                        raise
-                    if rung == "shrink_batch":
-                        batch_size = ladder.batch_size
-                        batch = sources[lo : lo + batch_size]
+            width = min(batch_size, len(sources) - lo)
+            batch, terms, batch_stats = ladder.run(
+                attempt_batch, index=batch_index, width=width
+            )
+            if len(batch) < width:
+                # the shrink rung narrowed it; later batches keep the width
+                # that fit.  (Per-source score rows are independent and
+                # cross-batch accumulation is strictly left-to-right, so
+                # narrower batches reproduce the exact same scores.)
+                batch_size = len(batch)
             ladder.after_success()
             # ordered in-place accumulation: see _accumulate on why this
             # keeps scores bit-identical across batch widths
-            np.add.at(scores, terms[0], terms[1])
+            np.add.at(scores, *terms)
             stats.batches.append(batch_stats)
             batch_index += 1
             executed += 1
@@ -335,6 +306,7 @@ def mfbc_per_source(
     *,
     engine: Engine | None = None,
     adj=None,
+    ladder: RecoveryLadder | None = None,
 ) -> np.ndarray:
     """One k-wide MFBF + MFBr sweep, split into per-source score rows.
 
@@ -358,215 +330,67 @@ def mfbc_per_source(
         Optional pre-distributed adjacency matrix in the engine's
         representation — the serving layer pins this once per graph version
         so repeated sweeps skip redistribution entirely.
+    ladder:
+        The caller's :class:`~repro.core.ladder.RecoveryLadder`, so the
+        memory rungs taken here carry its site and state (the serving layer
+        passes its own).  Only the memory rungs apply — under a budget the
+        sweep runs as narrower sub-sweeps; a fault propagates to the
+        caller, who owns the batch and its retry budget.
     """
     engine = engine or SequentialEngine()
     sources = np.asarray(sources, dtype=np.int64)
     if len(sources) == 0:
         raise ValueError("empty source batch")
+    ladder = ladder or RecoveryLadder(engine, site="mfbc_per_source")
     with obs.span(
         "mfbc_per_source", cat="run", n=graph.n, sources=len(sources)
     ):
-        ladder = MemoryLadder(engine, site="serve")
         if adj is None:
             with obs.span("adjacency", cat="phase"):
-                while True:
-                    try:
-                        adj = engine.adjacency(graph)
-                        break
-                    except MemoryLimitExceeded as exc:
-                        if ladder.advance(exc) is None:
-                            raise
-        while True:
-            try:
-                out = _per_source_sweep(engine, graph, adj, sources)
-                break
-            except MemoryLimitExceeded as exc:
-                # the serve-side OOM ladder: halve the coalesced batch (rows
-                # are independent, so stacking two half-sweeps is
-                # bit-identical to one full sweep), then spill / drop
-                # redundancy at width one
-                rung = ladder.advance(exc, batch_width=len(sources))
-                if rung is None:
-                    raise
-                if rung == "shrink_batch":
-                    half = ladder.batch_size
-                    out = np.vstack([
-                        mfbc_per_source(
-                            graph, sources[:half], engine=engine, adj=adj
-                        ),
-                        mfbc_per_source(
-                            graph, sources[half:], engine=engine, adj=adj
-                        ),
-                    ])
-                    break
+                adj = ladder.run(lambda *_: engine.adjacency(graph))
+        out = ladder.run(
+            lambda _, width: per_source_rows(engine, graph, adj, sources, width),
+            width=len(sources),
+        )
         ladder.after_success()
     return out
 
 
-def _per_source_sweep(engine, graph, adj, sources) -> np.ndarray:
-    """One MFBF + MFBr sweep split into per-source rows (see caller)."""
-    with obs.span("mfbf", cat="phase"):
-        t_mat = mfbf(adj, sources, engine=engine)
-    with obs.span("mfbr", cat="phase"):
-        z_mat = mfbr(adj, t_mat, engine=engine)
-    with obs.span("accumulate", cat="phase"):
-        delta = z_mat.zip_map(
-            t_mat,
-            lambda zv, tv: {"w": zv["p"] * tv["m"]},
-            monoid=_PLUS,
-        )
-        local = engine.gather(delta)
-        keep = local.cols != sources[local.rows]
-        out = np.zeros((len(sources), graph.n), dtype=np.float64)
-        # canonical SpMat stores each (row, col) once, so this is a
-        # plain scatter — no accumulation-order concerns
-        out[local.rows[keep], local.cols[keep]] = local.vals["w"][keep]
+def per_source_rows(engine, graph, adj, sources, width) -> np.ndarray:
+    """Per-source score rows of ``sources`` from ``width``-wide sweeps.
+
+    Rows are independent, so filling ``out`` from sub-sweeps narrower than
+    ``len(sources)`` (the shrink rung's relief) is bit-identical to one
+    full-width sweep.  Ladder-free: callers run it under their own.
+    """
+    out = np.zeros((len(sources), graph.n), dtype=np.float64)
+    for lo in range(0, len(sources), width):
+        part = sources[lo : lo + width]
+        with obs.span("mfbf", cat="phase"):
+            t_mat = mfbf(adj, part, engine=engine)
+        with obs.span("mfbr", cat="phase"):
+            z_mat = mfbr(adj, t_mat, engine=engine)
+        with obs.span("accumulate", cat="phase"):
+            rows, cols, weights = _accumulate(engine, part, t_mat, z_mat)
+            # canonical SpMat stores each (row, col) once, so this is a
+            # plain scatter — no accumulation-order concerns
+            out[lo + rows, cols] = weights
     return out
 
 
-def run_batch_with_recovery(
-    run_batch,
-    *,
-    engine: Engine,
-    batch_index: int,
-    retries: int = 2,
-    retry_backoff: float = 0.05,
-    retry_jitter_seed: int | None = 0,
-    site: str = "mfbc",
-):
-    """Execute one batch under the driver's full recovery ladder.
-
-    ``run_batch(attempt)`` is called until it returns without raising a
-    :class:`~repro.faults.FaultError`; its return value passes through.
-    The ladder is the one documented on :func:`mfbc` — elastic recovery
-    for :class:`~repro.faults.RankFailure` when the machine carries a
-    policy (never burns a retry), then up to ``retries`` re-runs with
-    decorrelated-jitter backoff charged to the machine's modeled clock,
-    :class:`~repro.faults.DeadlineExceeded` always terminal.  Shared by
-    ``mfbc`` and the adaptive sampler
-    (:func:`repro.core.approx.adaptive_bc`); ``site`` tags the fault-plan
-    notes with the calling driver.
-    """
-    machine = getattr(engine, "machine", None)
-    plan = getattr(machine, "faults", None)
-    attempt = 0
-    jitter_rng = (
-        None
-        if retry_jitter_seed is None
-        else np.random.default_rng([retry_jitter_seed, batch_index])
-    )
-    prev_backoff = retry_backoff
-    while True:
-        try:
-            return run_batch(attempt)
-        except FaultError as exc:
-            if isinstance(exc, DeadlineExceeded):
-                if plan is not None:
-                    plan.note(
-                        "batch",
-                        "abandoned",
-                        site=site,
-                        index=batch_index,
-                        attempts=attempt + 1,
-                        error="DeadlineExceeded",
-                    )
-                raise
-            if (
-                isinstance(exc, RankFailure)
-                and machine is not None
-                and getattr(machine, "elastic", None) is not None
-                and getattr(engine, "recover_from", None) is not None
-                and _elastic_recover(engine, machine, exc, plan, batch_index, site)
-            ):
-                continue  # re-execute only this batch on the survivors
-            attempt += 1
-            if attempt > retries:
-                if plan is not None:
-                    plan.note(
-                        "batch",
-                        "abandoned",
-                        site=site,
-                        index=batch_index,
-                        attempts=attempt,
-                        error=type(exc).__name__,
-                    )
-                raise
-            recover = getattr(engine, "recover", None)
-            if recover is not None:
-                recover()
-            if jitter_rng is None:
-                backoff = retry_backoff * (2.0 ** (attempt - 1))
-            else:
-                # decorrelated jitter: draw from [base, 3·prev],
-                # capped at the legacy ladder's final rung
-                cap = retry_backoff * (2.0 ** max(retries - 1, 0))
-                backoff = min(
-                    cap,
-                    float(jitter_rng.uniform(retry_backoff, prev_backoff * 3.0)),
-                )
-                prev_backoff = backoff
-            if machine is not None and backoff > 0:
-                machine.charge_overhead(backoff)
-            if plan is not None:
-                plan.note(
-                    "batch",
-                    "recovered",
-                    site=site,
-                    index=batch_index,
-                    attempt=attempt,
-                    backoff_s=backoff,
-                    error=type(exc).__name__,
-                )
-
-
-def _elastic_recover(
-    engine, machine, failure, plan, batch_index, site="mfbc"
-) -> bool:
-    """One elastic recovery attempt; True means the batch can re-execute."""
-    # deferred import: the coordinator pulls in repro.dist
-    from repro.elastic.recovery import RecoveryError
-
-    try:
-        report = engine.recover_from(failure)
-    except RecoveryError as err:
-        if plan is not None:
-            plan.note(
-                "crash",
-                "degraded",
-                site=site,
-                rank=getattr(failure, "rank", None),
-                reason=str(err),
-            )
-        elif obs.enabled():
-            obs.count("elastic.fallbacks", 1.0)
-        return False
-    if plan is not None:
-        plan.note(
-            "batch",
-            "recovered",
-            site=site,
-            index=batch_index,
-            mode="elastic",
-            p=report.p_after,
-        )
-    elif obs.enabled():
-        obs.count("faults.recovered", 1.0, kind="batch", mode="elastic")
-    return True
-
-
-def _accumulate(engine, n, batch, t_mat, z_mat) -> tuple[np.ndarray, np.ndarray]:
+def _accumulate(engine, batch, t_mat, z_mat) -> tuple[np.ndarray, ...]:
     """``λ(v) += Σ_s ζ(s,v) · σ̄(s,v)`` terms, excluding the source itself.
 
     The diagonal exclusion (pair ``v = s``) implements the convention
     ``σ(s, t, s) = 0``: a source accumulates back-propagated factors from its
     whole DAG, but its own centrality must not count paths it terminates.
 
-    Returns the ``(target, weight)`` entry arrays in canonical
+    Returns the ``(batch row, target, weight)`` entry arrays in canonical
     (source-major, target-ascending) order *without* summing them: the
     driver folds them into the running scores with an ordered in-place
     ``np.add.at``, so the floating-point grouping per target is one strict
     left-to-right walk over sources — making the accumulated scores
-    bit-identical for every batch width (what lets the OOM ladder's
+    bit-identical for every batch width (what lets the ladder's
     shrink-batch rung retry narrower without changing the answer).
     """
     delta = z_mat.zip_map(
@@ -576,7 +400,7 @@ def _accumulate(engine, n, batch, t_mat, z_mat) -> tuple[np.ndarray, np.ndarray]
     )
     local = engine.gather(delta)
     keep = local.cols != batch[local.rows]
-    return local.cols[keep], local.vals["w"][keep]
+    return local.rows[keep], local.cols[keep], local.vals["w"][keep]
 
 
 def betweenness_centrality(

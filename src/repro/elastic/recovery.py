@@ -126,15 +126,19 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
         retired = survivors[p_target:]
         removed = sorted(dead + retired)
 
-        # 3a. repair the dead ranks' blocks while the old numbering (and
-        # the replica map keyed on it) is still in force
+        # 3a. repair the dead ranks' blocks — and gather each repaired
+        # matrix — while the old numbering (and the replica map keyed on
+        # it) is still in force: a block the memory manager spilled faults
+        # back in on its old owner, which the shrink may retire
         blocks_replica = blocks_source = words_restored = 0
         bases = list(engine._invariant_bases)
+        repaired = []
         for mat in bases:
             stats = mat.repair_lost(dead)
             blocks_replica += stats["replica"]
             blocks_source += stats["source"]
             words_restored += stats["words"]
+            repaired.append(mat.gather(charge=False))
 
         machine.shrink(removed)
         pr, pc = near_square_shape(p_target)
@@ -148,12 +152,12 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
         engine._invariants.clear()
         engine._invariant_ids.clear()
         engine._invariant_bases.clear()
-        for mat in bases:
+        for mat, whole in zip(bases, repaired):
             # the scatter (category "recovery") and the re-armed redundancy
             # for the new grid (category "redundancy") are both charged,
             # like the original installation's were
             rebuilt = DistMat.distribute(
-                mat.gather(charge=False),
+                whole,
                 machine,
                 engine.home_ranks2d,
                 category="recovery",

@@ -1,17 +1,16 @@
-"""Memory-pressure robustness: spill-to-disk store, OOM degradation ladder.
+"""Memory-pressure robustness: spill-to-disk store and relief eviction.
 
-See :mod:`repro.memory.spill` (the checksummed segment store),
-:mod:`repro.memory.manager` (LRU eviction under pressure), and
-:mod:`repro.memory.ladder` (the driver-level degradation ladder), plus the
-"memory ladder" section of ``docs/robustness.md``.
+See :mod:`repro.memory.spill` (the checksummed segment store) and
+:mod:`repro.memory.manager` (LRU eviction under pressure).  What a driver
+does when relief is not enough — shrink, spill, drop redundancy — is the
+memory rungs of :mod:`repro.core.ladder` ("The recovery ladder" in
+``docs/robustness.md``).
 """
 
-from repro.memory.ladder import MemoryLadder
 from repro.memory.manager import MemoryManager
 from repro.memory.spill import SpillError, SpillSegment, SpillStore
 
 __all__ = [
-    "MemoryLadder",
     "MemoryManager",
     "SpillError",
     "SpillSegment",

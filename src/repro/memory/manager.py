@@ -11,8 +11,8 @@ per-rank budget: replicas on the pressured rank go first (cold by
 definition — they are only read at repair time), then the least recently
 used matrices' resident blocks, until enough words are freed or nothing
 spillable remains.  Only then does the allocation raise
-:class:`~repro.machine.MemoryLimitExceeded` — which the MFBC driver's
-degradation ladder (:mod:`repro.memory.ladder`) catches.
+:class:`~repro.machine.MemoryLimitExceeded` — which the drivers'
+recovery ladder (:mod:`repro.core.ladder`) catches.
 
 Every spill/unspill round-trips through the checksummed
 :class:`~repro.memory.spill.SpillStore`, so relieved runs stay

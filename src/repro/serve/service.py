@@ -23,12 +23,16 @@ and answers a concurrent query mix:
 Execution is single-flight: one dispatcher thread drains the coalescer and
 runs each batch on the machine, so the ledger stays a coherent single
 timeline while any number of client threads submit/poll/cancel.  Faults
-compose with serving: a :class:`~repro.faults.RankFailure` mid-batch takes
-the existing elastic-recovery path (grid shrink + block repair) and the
-batch transparently re-executes on the survivors; per-query ``deadline``
-budgets reuse ``Machine(deadline=)`` — the strictest member of a batch
-arms the machine's modeled-time guard, and on expiry only the blown
-queries fail while the rest retry.
+compose with serving: a failed batch is answered by the drivers' own
+recovery ladder (:mod:`repro.core.ladder`) — a
+:class:`~repro.faults.RankFailure` mid-batch recovers elastically (grid
+shrink + block repair) and the batch transparently re-executes on the
+survivors, anything else burns one of ``retries`` — while what is serve
+policy stays here: survivors requeue at the queue front with zero backoff,
+the circuit breaker counts the failure, and per-query ``deadline`` budgets
+reuse ``Machine(deadline=)`` — the strictest member of a batch arms the
+machine's modeled-time guard, and on expiry only the blown queries fail
+while the rest retry.
 
 Overload composes with both (:mod:`repro.serve.overload`): every
 submission passes a cost-aware :class:`~repro.serve.overload.AdmissionController`
@@ -53,8 +57,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.ladder import RecoveryLadder
 from repro.core.mfbc import mfbc, mfbc_per_source
-from repro.faults.plan import DeadlineExceeded, FaultError, RankFailure
+from repro.faults.plan import DeadlineExceeded, FaultError
 from repro.graphs.graph import Graph
 from repro.obs import api as obs
 from repro.serve.cache import ScoreCache, cache_key
@@ -664,6 +669,12 @@ class BCService:
             )
         for q in queries:
             q.attempts += 1
+        # one ladder per sweep: the memory rungs of a ``bc_source`` sweep and
+        # the fault rungs of ``_handle_fault`` share its site and state
+        ladder = RecoveryLadder(
+            self.engine, site="serve", retries=self.retries, retry_backoff=0.0
+        )
+        recoveries = len(machine.recoveries)
         t0 = _wall()
         try:
             with obs.span(
@@ -673,7 +684,7 @@ class BCService:
                 size=len(queries),
                 version=version,
             ) as sp:
-                results = self._compute(algorithm, queries, version)
+                results = self._compute(algorithm, queries, version, ladder)
                 modeled_cost = machine.ledger.critical_time() - start_modeled
                 if obs.enabled():
                     sp.set(modeled_cost=modeled_cost)
@@ -704,10 +715,18 @@ class BCService:
                 self._requeue(survivors)
             return
         except FaultError as exc:
-            self._handle_fault(queries, exc)
+            self._handle_fault(queries, exc, ladder)
             return
         finally:
             machine.deadline = saved_deadline
+            # elastic recoveries this sweep took, whichever ladder took them
+            # (ours in ``_handle_fault``, or ``mfbc`` / ``adaptive_bc``'s own)
+            recovered = len(machine.recoveries) - recoveries
+            if recovered:
+                with self._registry_lock:
+                    self._counters["recoveries"] += recovered
+                if obs.enabled():
+                    obs.count("serve.recoveries", float(recovered), mode="elastic")
         compute = _wall() - t0
         self.breaker.record_success()
         self.estimator.observe(
@@ -723,46 +742,38 @@ class BCService:
             self.cache.put(cache_key(version, algorithm, q.params), payload)
             self._complete(q, payload, version, batch_size=len(queries))
 
-    def _handle_fault(self, queries: list[Query], exc: FaultError) -> None:
-        """Recover from an injected fault and transparently retry the batch."""
-        self.breaker.record_failure()
-        recovered = False
-        if (
-            isinstance(exc, RankFailure)
-            and getattr(self.machine, "elastic", None) is not None
-        ):
-            from repro.elastic.recovery import RecoveryError
+    def _handle_fault(
+        self, queries: list[Query], exc: FaultError, ladder: RecoveryLadder
+    ) -> None:
+        """Ask the ladder what a failed batch gets; requeue or fail it.
 
-            try:
-                self.engine.recover_from(exc)
-                recovered = True
-                with self._registry_lock:
-                    self._counters["recoveries"] += 1
-                if obs.enabled():
-                    obs.count("serve.recoveries", 1.0, mode="elastic")
-            except RecoveryError:
-                recovered = False
-        if not recovered:
-            # plain retry ladder: reset transient engine state, bounded budget
-            max_attempts = self.retries + 1
-            if any(q.attempts >= max_attempts for q in queries):
-                for q in queries:
-                    self._fail(
-                        q,
-                        QueryState.FAILED,
-                        f"{type(exc).__name__} after {q.attempts} attempts",
-                    )
-                return
-            recover = getattr(self.engine, "recover", None)
-            if recover is not None:
-                recover()
-            with self._registry_lock:
-                self._counters["retries"] += 1
-        # requeue: elastic recovery never burns retry budget (each success
-        # strictly shrinks p, so storms terminate — same contract as mfbc)
-        if recovered:
+        The policy — elastic recovery first and free, else one of
+        ``retries`` — is the ladder's; requeue-at-front (zero backoff) and
+        the circuit breaker are the service's.
+        """
+        self.breaker.record_failure()
+        # the budget is per query across requeues: the batch has burned what
+        # its most-retried member has
+        ladder.attempt = max(q.attempts for q in queries) - 1
+        rung = ladder.advance(
+            exc, index=int(self._counters["batches"]), width=len(queries)
+        )
+        if rung is None:
+            for q in queries:
+                self._fail(
+                    q,
+                    QueryState.FAILED,
+                    f"{type(exc).__name__} after {q.attempts} attempts",
+                )
+            return
+        if rung == "elastic":
+            # never burns retry budget (each success strictly shrinks p, so
+            # storms terminate — same contract as mfbc)
             for q in queries:
                 q.attempts -= 1
+        else:
+            with self._registry_lock:
+                self._counters["retries"] += 1
         self._requeue(queries)
 
     def _requeue(self, queries: list[Query]) -> None:
@@ -778,9 +789,17 @@ class BCService:
     # -- kernels -------------------------------------------------------------
 
     def _compute(
-        self, algorithm: str, queries: list[Query], version: int
+        self,
+        algorithm: str,
+        queries: list[Query],
+        version: int,
+        ladder: RecoveryLadder,
     ) -> dict[str, object]:
-        """One sweep answering every query; returns payloads by query id."""
+        """One sweep answering every query; returns payloads by query id.
+
+        Faults are ``_handle_fault``'s: the whole-graph drivers run with
+        ``retries=0`` so the service's budget is the only one a query sees.
+        """
         graph = self.graph
         engine = self.engine
         if algorithm in SOURCE_ALGORITHMS:
@@ -790,7 +809,11 @@ class BCService:
             src = np.asarray(sources, dtype=np.int64)
             if algorithm == "bc_source":
                 rows = mfbc_per_source(
-                    graph, src, engine=engine, adj=self._pin("weighted")
+                    graph,
+                    src,
+                    engine=engine,
+                    adj=self._pin("weighted"),
+                    ladder=ladder,
                 )
             elif algorithm == "bfs":
                 from repro.apps import bfs_levels
@@ -836,6 +859,7 @@ class BCService:
                 delta=float(params["delta"]),
                 seed=int(params["seed"]),
                 engine=engine,
+                retries=0,
             ).scores
         elif algorithm == "connected":
             from repro.apps import connected_components

@@ -40,7 +40,7 @@ TWO_CRASHES = "seed:3,crash@4:2,crash@60:1"
 
 def quiet(p, **kw):
     """A machine opted out of any ambient REPRO_FAULTS / REPRO_ELASTIC
-    (the CI chaos leg sets both) — for references and unit fixtures."""
+    (the CI ladder leg sets both) — for references and unit fixtures."""
     kw.setdefault("faults", "off")
     kw.setdefault("elastic", "off")
     return Machine(p, **kw)
@@ -342,7 +342,7 @@ class TestRecoveryDifferential:
         ref = scores_of(graph, quiet(6))
         m = Machine(6, faults=ONE_CRASH, elastic="replica")
         assert np.array_equal(scores_of(graph, m, retries=0), ref)
-        # no elastic (explicitly, the chaos leg sets REPRO_ELASTIC):
+        # no elastic (explicitly, the ladder leg sets REPRO_ELASTIC):
         # the same spec aborts
         m2 = Machine(6, faults=ONE_CRASH, elastic="off")
         with pytest.raises(RankFailure):
@@ -464,3 +464,66 @@ class TestAdaptiveRecovery:
             **self.ADAPTIVE_KW
         )
         assert np.array_equal(resumed.scores, ref.scores)
+
+
+# ---------------------------------------------------------------------------
+# one ladder: a rank crash and a memory squeeze in the same batch
+# ---------------------------------------------------------------------------
+
+
+class TestCrashAndSqueezeSameBatch:
+    """A scripted crash and a per-rank budget hit batch 0 of both drivers,
+    with replica recovery and cheap checking on: the memory rungs and the
+    elastic rung are rungs of one ladder, so the batch shrinks, recovers on
+    the survivors and completes — bit-identical to the fault-free unbudgeted
+    run, with a clean ledger."""
+
+    def _graph(self):
+        from repro.graphs import rmat_graph
+
+        return rmat_graph(scale=7, avg_degree=8, seed=1)
+
+    def _machines(self, crash_step):
+        ref = Machine(4, faults="off", elastic="off", memory_words=1 << 40)
+        hit = Machine(
+            4, memory_words=12_000, faults=f"seed:1,crash@{crash_step}:1",
+            elastic="replica", check="cheap",
+        )
+        return ref, hit
+
+    def _assert_same_batch(self, machine, site):
+        notes = [
+            (e.kind, e.action, e.site, e.detail.get("index"))
+            for e in machine.faults.events
+        ]
+        squeeze = notes.index(("mem", "degraded", site, None))
+        recovered = notes.index(("batch", "recovered", site, 0))
+        assert squeeze < recovered  # both inside batch 0
+        assert [(r.p_before, r.p_after) for r in machine.recoveries] == [(4, 3)]
+        assert check_ledger(machine) == []
+
+    @pytest.mark.parametrize("crash_step", [20, 30])
+    def test_mfbc(self, crash_step):
+        g = self._graph()
+        kw = dict(batch_size=16, sources=np.arange(16))
+        ref_m, m = self._machines(crash_step)
+        ref = mfbc(g, engine=DistributedEngine(ref_m), **kw).scores
+        res = mfbc(g, engine=DistributedEngine(m), retries=0, **kw).scores
+        assert np.array_equal(res, ref)
+        self._assert_same_batch(m, "mfbc")
+
+    # at step 20 relief has spilled a block of the rank the shrink retires:
+    # recovery must fault it back in under the old numbering
+    @pytest.mark.parametrize("crash_step", [20, 30])
+    def test_adaptive_bc(self, crash_step):
+        from repro.core.approx import adaptive_bc
+
+        g = self._graph()
+        kw = dict(epsilon=0.3, delta=0.3, batch_size=16, max_samples=32)
+        ref_m, m = self._machines(crash_step)
+        ref = adaptive_bc(g, engine=DistributedEngine(ref_m), **kw)
+        res = adaptive_bc(g, engine=DistributedEngine(m), retries=0, **kw)
+        assert np.array_equal(res.scores, ref.scores)
+        assert res.width_history == ref.width_history
+        assert res.samples_used == ref.samples_used
+        self._assert_same_batch(m, "adaptive_bc")

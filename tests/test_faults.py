@@ -492,7 +492,7 @@ class TestMfbcRetry:
 
     def test_retries_zero_propagates_failure(self, small_undirected):
         # elastic="off": this test asserts the *non-elastic* abort path even
-        # under the CI chaos leg's ambient REPRO_ELASTIC
+        # under the CI ladder leg's ambient REPRO_ELASTIC
         m = Machine(4, faults="seed:2,crash:0.01,limit:1", elastic="off")
         with pytest.raises(RankFailure):
             mfbc(
@@ -544,7 +544,7 @@ class TestMfbcRetry:
         monkeypatch.setattr(mfbc_mod, "mfbf", flaky)
         # the synthetic mfbf fault must be the only one: opt out of any
         # ambient REPRO_FAULTS plan (the CI fault leg sets one) and of
-        # ambient elastic recovery (the chaos leg), which would skip retry
+        # ambient elastic recovery (the ladder leg), which would skip retry
         m = Machine(4, faults="off", elastic="off")
         t_before = m.ledger.critical_time()
         mfbc_mod.mfbc(

@@ -1,9 +1,9 @@
-"""repro.memory: spill-to-disk store, relief eviction, the OOM ladder.
+"""repro.memory: spill-to-disk store, relief eviction, the memory rungs.
 
 Covers the checksummed :class:`SpillStore` (round-trip bit-exactness,
 write-then-verify torn-write handling, generation rotation, chunk
 staging), DistMat block/replica eviction and lazy fault-in,
-:class:`MemoryLadder` rung progression and re-arming, and the ISSUE's
+:class:`RecoveryLadder` rung progression and re-arming, and the ISSUE's
 acceptance bar: a seed-graph MFBC run under a per-rank budget well below
 the unpressured peak completes **bit-identically** via the ladder with its
 tracked peak under the budget and spill traffic visible on the ledger and
@@ -11,7 +11,7 @@ the memory report.  Crash-safe streamed ingestion (resume from the last
 durable shard, injected torn shard writes) is covered here too.
 
 Every machine built here opts out of ambient ``REPRO_FAULTS`` /
-``REPRO_ELASTIC`` / ``REPRO_MEMORY`` (the CI memory-pressure leg sets
+``REPRO_ELASTIC`` / ``REPRO_MEMORY`` (the CI ladder leg sets
 them) unless the test is specifically about them.
 """
 
@@ -22,7 +22,9 @@ import pytest
 
 from repro import obs
 from repro.analysis.report import format_memory_report, memory_attribution
-from repro.core import mfbc
+from repro.core import mfbc, mfbc_per_source
+from repro.core.approx import adaptive_bc
+from repro.core.ladder import RUNGS, RecoveryLadder
 from repro.dist import DistributedEngine
 from repro.faults import FaultPlan
 from repro.faults.plan import payload_checksum
@@ -35,7 +37,7 @@ from repro.graphs import (
     write_edgelist,
 )
 from repro.machine import Machine, MemoryLimitExceeded
-from repro.memory import MemoryLadder, SpillError, SpillStore
+from repro.memory import SpillError, SpillStore
 
 from conftest import random_weight_spmat
 
@@ -213,7 +215,7 @@ class TestEvictionAndRelief:
 
 
 # ---------------------------------------------------------------------------
-# MemoryLadder rung progression
+# RecoveryLadder: the memory rungs' progression
 # ---------------------------------------------------------------------------
 
 
@@ -242,19 +244,20 @@ class _StubEngine:
 class TestMemoryLadder:
     def test_rung_progression_shrink_spill_drop_exhaust(self, monkeypatch):
         machine = quiet(2)
-        ladder = MemoryLadder(_StubEngine(machine))
+        ladder = RecoveryLadder(_StubEngine(machine))
         exc = MemoryLimitExceeded("boom")
-        assert ladder.advance(exc, batch_width=8) == "shrink_batch"
-        assert ladder.batch_size == 4
-        assert ladder.advance(exc, batch_width=4) == "shrink_batch"
-        assert ladder.batch_size == 2
-        assert ladder.advance(exc, batch_width=2) == "shrink_batch"
-        assert ladder.batch_size == 1
+        assert ladder.advance(exc, index=0, width=8) == "shrink_batch"
+        assert ladder.width == 4
+        assert ladder.advance(exc, index=0, width=4) == "shrink_batch"
+        assert ladder.width == 2
+        assert ladder.advance(exc, index=0, width=2) == "shrink_batch"
+        assert ladder.width == 1
         monkeypatch.setattr(machine.memory, "spill_all", lambda: 4096)
-        assert ladder.advance(exc) == "spill"
+        assert ladder.advance(exc, index=0, width=1) == "spill"
         assert machine.memory.chunk_staging
-        assert ladder.advance(exc) == "drop_redundancy"
-        assert ladder.advance(exc) is None  # exhausted: caller re-raises
+        assert ladder.advance(exc, index=0, width=1) == "drop_redundancy"
+        # exhausted: caller re-raises
+        assert ladder.advance(exc, index=0, width=1) is None
         assert ladder.rungs_taken == [
             "shrink_batch", "shrink_batch", "shrink_batch",
             "spill", "drop_redundancy",
@@ -263,17 +266,17 @@ class TestMemoryLadder:
     def test_spill_rung_skipped_when_nothing_spillable(self):
         machine = quiet(2)
         engine = _StubEngine(machine)
-        ladder = MemoryLadder(engine)
+        ladder = RecoveryLadder(engine)
         exc = MemoryLimitExceeded("boom")
         # nothing registered: spill_all frees 0, falls through to the drop
-        assert ladder.advance(exc) == "drop_redundancy"
+        assert ladder.advance(exc, index=None, width=1) == "drop_redundancy"
         assert engine.dropped
 
     def test_after_success_rearms_once_pressure_clears(self):
         machine = quiet(2, memory_words=10_000)
         engine = _StubEngine(machine, redundancy=512)
-        ladder = MemoryLadder(engine)
-        ladder.advance(MemoryLimitExceeded("boom"))
+        ladder = RecoveryLadder(engine)
+        ladder.advance(MemoryLimitExceeded("boom"), index=0, width=1)
         assert engine.dropped
         machine.memory.chunk_staging = True
         # headroom 10_000 >= 2 * 512: replicas come back, staging disarms
@@ -281,13 +284,16 @@ class TestMemoryLadder:
         assert not engine.dropped
         assert not machine.memory.chunk_staging
         # and the drop rung is available again on the next pressure spike
-        assert ladder.advance(MemoryLimitExceeded("boom")) == "drop_redundancy"
+        assert (
+            ladder.advance(MemoryLimitExceeded("boom"), index=0, width=1)
+            == "drop_redundancy"
+        )
 
     def test_after_success_keeps_drop_while_pressure_persists(self):
         machine = quiet(2, memory_words=10_000)
         engine = _StubEngine(machine, redundancy=512)
-        ladder = MemoryLadder(engine)
-        ladder.advance(MemoryLimitExceeded("boom"))
+        ladder = RecoveryLadder(engine)
+        ladder.advance(MemoryLimitExceeded("boom"), index=0, width=1)
         machine.allocate(0, 9_500)  # headroom 500 < 2 * 512
         ladder.after_success()
         assert engine.dropped
@@ -296,11 +302,25 @@ class TestMemoryLadder:
         machine = Machine(
             2, faults=FaultPlan(seed=0), elastic="off", memory_words=UNLIMITED
         )
-        ladder = MemoryLadder(_StubEngine(machine), site="mfbc")
-        ladder.advance(MemoryLimitExceeded("boom"), batch_width=4)
-        ladder.advance(MemoryLimitExceeded("boom"))
+        ladder = RecoveryLadder(_StubEngine(machine), site="mfbc")
+        ladder.advance(MemoryLimitExceeded("boom"), index=0, width=4)
+        ladder.advance(MemoryLimitExceeded("boom"), index=0, width=1)
         sigs = [(e.kind, e.action, e.site) for e in machine.faults.events]
         assert sigs.count(("mem", "degraded", "mfbc")) == 2
+
+    def test_doc_table_is_the_rung_table(self):
+        # docs/robustness.md, "The recovery ladder": the numbered rows of
+        # its table are the code's rungs, in the code's order
+        doc = os.path.join(
+            os.path.dirname(__file__), "..", "docs", "robustness.md"
+        )
+        names = []
+        with open(doc, encoding="utf-8") as fh:
+            for line in fh:
+                cells = [c.strip() for c in line.split("|")]
+                if len(cells) > 3 and cells[1].isdigit():
+                    names.append(cells[2].strip("`"))
+        assert names == [name for name, _ in RUNGS]
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +409,179 @@ class TestPressuredRuns:
         machine = quiet(4, memory_words=50, spill_dir=str(tmp_path))
         with pytest.raises(MemoryLimitExceeded):
             run_mfbc(g, machine)
+
+
+# ---------------------------------------------------------------------------
+# one ladder for every driver: the budget table, and rungs that compose
+# ---------------------------------------------------------------------------
+
+
+def _rungs(machine):
+    return [
+        (e.detail["rung"], e.site)
+        for e in machine.faults.events
+        if (e.kind, e.action) == ("mem", "degraded")
+    ]
+
+
+class TestBudgetTable:
+    """Every driver completes under a per-rank budget — 16 sources of the
+    seed graph on p=3, whose unbudgeted peak is ~18k words/rank — taking
+    memory rungs only, bit-identically to the unbudgeted run.  (A retry made
+    *inside* the ``except`` block kept the failed sweep's blocks charged
+    through its traceback: ``mfbc_per_source`` and ``adaptive_bc`` raised.)"""
+
+    SOURCES = np.arange(16)
+
+    def _run(self, driver, g, machine):
+        engine = DistributedEngine(machine)
+        if driver == "mfbc":
+            return mfbc(
+                g, batch_size=16, sources=self.SOURCES, engine=engine
+            ).scores
+        if driver == "mfbc_per_source":
+            return mfbc_per_source(g, self.SOURCES, engine=engine)
+        return adaptive_bc(
+            g, epsilon=0.3, delta=0.3, batch_size=16, max_samples=32,
+            engine=engine,
+        ).scores
+
+    @pytest.mark.parametrize("budget", [16_000, 8_000, 4_000])
+    @pytest.mark.parametrize(
+        "driver", ["mfbc", "mfbc_per_source", "adaptive_bc"]
+    )
+    def test_driver_completes_bit_identically(self, driver, budget):
+        g = seed_graph()
+        ref = self._run(driver, g, quiet(3))
+        machine = Machine(
+            3, memory_words=budget, faults="seed:1", elastic="off"
+        )
+        out = self._run(driver, g, machine)
+        np.testing.assert_array_equal(out, ref)
+        assert machine.memory_peak() <= budget
+        # memory rungs only, each noted with its caller's site; no elastic /
+        # retry / abandoned note
+        rungs = _rungs(machine)
+        assert {r for r, _ in rungs} <= {
+            "shrink_batch", "spill", "drop_redundancy"
+        }
+        assert {site for _, site in rungs} <= {driver}
+        assert not [e for e in machine.faults.events if e.kind == "batch"]
+
+    def test_service_answers_a_wave_under_budget(self):
+        from repro.serve import BCService
+
+        g = seed_graph()
+        ref = mfbc_per_source(
+            g, self.SOURCES, engine=DistributedEngine(quiet(3))
+        )
+        machine = Machine(
+            3, memory_words=16_000, faults="seed:1", elastic="off"
+        )
+        # the window only closes early once max_batch queries are pending,
+        # so the 16 queries share one sweep
+        with BCService(
+            g, machine=machine, max_batch=16, batch_window=5.0
+        ) as svc:
+            ids = [svc.submit("bc_source", source=int(s)) for s in self.SOURCES]
+            rows = [svc.result(qid, timeout=120.0) for qid in ids]
+            stats = svc.stats()
+        assert stats["failed"] == 0 and stats["batches"] == 1
+        np.testing.assert_array_equal(np.vstack(rows), ref)
+        rungs = _rungs(machine)
+        assert rungs and {site for _, site in rungs} == {"serve"}
+
+
+class TestRungsCompose:
+    def _flaky_mfbf(self, monkeypatch, failures):
+        """Make the next ``len(failures)`` sweeps raise, in order."""
+        import sys
+
+        mfbc_mod = sys.modules["repro.core.mfbc"]
+        real = mfbc_mod.mfbf
+        pending = list(failures)
+
+        def flaky(*args, **kwargs):
+            if pending:
+                raise pending.pop(0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mfbc_mod, "mfbf", flaky)
+
+    def _mfbc(self, g, retries):
+        machine = Machine(
+            4, faults=FaultPlan(seed=0), elastic="off", memory_words=UNLIMITED
+        )
+        res = mfbc(
+            g, batch_size=8, sources=np.arange(8), retries=retries,
+            retry_backoff=1.0, retry_jitter_seed=7,
+            engine=DistributedEngine(machine),
+        )
+        backoffs = [
+            (e.detail["attempt"], e.detail["backoff_s"])
+            for e in machine.faults.events
+            if (e.kind, e.action) == ("batch", "recovered")
+        ]
+        return res.scores, backoffs
+
+    def test_oom_rung_does_not_reset_the_retry_budget(self, monkeypatch):
+        from repro.faults import CorruptPayload
+
+        g = seed_graph()
+        ref, _ = self._mfbc(g, retries=2)
+        # two corruptions in one batch, an OOM rung between them: with one
+        # retry the second corruption is terminal ...
+        storm = lambda: [
+            CorruptPayload("bcast", 1),
+            MemoryLimitExceeded("boom"),
+            CorruptPayload("bcast", 2),
+        ]
+        self._flaky_mfbf(monkeypatch, storm())
+        with pytest.raises(CorruptPayload):
+            self._mfbc(g, retries=1)
+        # ... and with two it completes on the same attempt numbers and
+        # jitter draws as the storm without the OOM in the middle
+        self._flaky_mfbf(monkeypatch, storm())
+        scores, backoffs = self._mfbc(g, retries=2)
+        np.testing.assert_array_equal(scores, ref)
+        self._flaky_mfbf(
+            monkeypatch, [CorruptPayload("bcast", 1), CorruptPayload("bcast", 2)]
+        )
+        _, plain = self._mfbc(g, retries=2)
+        assert [a for a, _ in backoffs] == [1, 2]
+        assert backoffs == plain
+
+    def test_service_wave_survives_crash_and_squeeze(self):
+        # one bc_source wave hit by a memory squeeze *and* a rank crash,
+        # with elastic recovery and cheap checking on: the memory rungs are
+        # taken inside the sweep, the crash is recovered by _handle_fault
+        # through the same ladder, and the answers do not move
+        from repro.check import check_ledger
+        from repro.serve import BCService
+
+        g = seed_graph()
+        src = np.arange(16)
+        ref = mfbc_per_source(g, src, engine=DistributedEngine(quiet(4)))
+        machine = Machine(
+            4, memory_words=12_000, faults="seed:1,crash@30:1",
+            elastic="replica", check="cheap",
+        )
+        with BCService(
+            g, machine=machine, max_batch=16, batch_window=5.0
+        ) as svc:
+            ids = [svc.submit("bc_source", source=int(s)) for s in src]
+            rows = [svc.result(qid, timeout=120.0) for qid in ids]
+            stats = svc.stats()
+        np.testing.assert_array_equal(np.vstack(rows), ref)
+        assert stats["failed"] == 0 and stats["recoveries"] == 1
+        assert machine.p == 3 and check_ledger(machine) == []
+        notes = [(e.kind, e.action, e.site) for e in machine.faults.events]
+        assert ("mem", "degraded", "serve") in notes
+        # the served recovery leaves the drivers' note, with the serve site
+        assert ("batch", "recovered", "serve") in notes
+        assert notes.index(("mem", "degraded", "serve")) < notes.index(
+            ("batch", "recovered", "serve")
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -563,6 +563,50 @@ class TestServiceFaults:
                 svc.result(qid, timeout=120.0)
             assert svc.stats()["failed"] == 1
 
+    @pytest.mark.parametrize("algorithm", ["bc", "adaptive_bc"])
+    @pytest.mark.parametrize("retries", [0, 1, 2])
+    def test_service_retry_budget_is_the_only_one(
+        self, graph, monkeypatch, algorithm, retries
+    ):
+        # every collective of every sweep is corrupted and caught, so each
+        # sweep dies in its first MFBF: the whole-graph drivers must not
+        # multiply the service's budget by a nested one of their own
+        import sys
+
+        mfbc_mod = sys.modules["repro.core.mfbc"]
+        real_mfbf = mfbc_mod.mfbf
+        sweeps = []
+
+        def counting(*args, **kwargs):
+            sweeps.append(1)
+            return real_mfbf(*args, **kwargs)
+
+        monkeypatch.setattr(mfbc_mod, "mfbf", counting)
+        with _service(
+            graph,
+            faults="seed:1,corrupt:1.0,checksum:1",
+            elastic="off",
+            retries=retries,
+        ) as svc:
+            qid = svc.submit(algorithm)
+            with pytest.raises(QueryError, match=f"after {retries + 1} attempts"):
+                svc.result(qid, timeout=120.0)
+            assert svc.stats()["retries"] == retries
+        assert len(sweeps) == retries + 1
+
+    def test_recovery_inside_a_served_driver_is_counted(self, graph):
+        # the crash lands inside mfbc's own batch loop (retries=0, elastic
+        # rung): the service still reports the recovery
+        with _service(
+            graph, faults="seed:3,crash@10:1", elastic="replica"
+        ) as svc:
+            scores = svc.result(svc.submit("bc"), timeout=120.0)
+            stats = svc.stats()
+            assert len(svc.machine.recoveries) == 1
+        assert stats["recoveries"] == 1 and stats["failed"] == 0
+        ref = mfbc(graph, engine=DistributedEngine(Machine(4))).scores
+        assert np.array_equal(scores, ref)
+
 
 # ---------------------------------------------------------------------------
 # HTTP front end
