@@ -114,7 +114,6 @@ from repro.machine import (
     CostParams,
     LocalExecutor,
     Machine,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     resolve_executor,
@@ -194,7 +193,6 @@ __all__ = [
     "LocalExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "resolve_executor",
     # observability
     "obs",

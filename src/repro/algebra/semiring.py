@@ -62,14 +62,13 @@ class Semiring:
 
 @dataclass(frozen=True)
 class SemiringAction:
-    """Picklable ``f(a, b) = {field: a.field ⊗ b.field}``.
+    """Structural ``f(a, b) = {field: a.field ⊗ b.field}``.
 
-    A closure would do for in-process execution, but specs must cross the
-    :class:`~repro.machine.executor.ProcessExecutor` boundary by pickle.
-    The structural form is also what makes a spec *recognizable*: the kernel
-    dispatcher (:mod:`repro.sparse.dispatch`) routes any spec whose ``f`` is
-    a :class:`SemiringAction` over a single-field plus/min/max monoid to a
-    specialized structure-of-arrays fast path.
+    The structural form (rather than a closure) is what makes a spec
+    *recognizable*: the kernel dispatcher (:mod:`repro.sparse.dispatch`)
+    routes a spec whose ``f`` is a :class:`SemiringAction` multiplying with
+    ``np.multiply`` over a single-field plus monoid to scipy's compiled
+    ``csr @ csr``.
     """
 
     multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]

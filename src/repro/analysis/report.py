@@ -259,7 +259,7 @@ def memory_attribution(metrics) -> list[dict]:
     """Per-site memory-pressure event totals from a metrics registry.
 
     Reads the ``memory.*`` counter families the spill store, memory
-    manager, and OOM ladder emit (:mod:`repro.memory`): spill/unspill/stage
+    manager, and OOM ladder emit (:mod:`repro.memory`): spill/unspill
     traffic with word volumes, torn writes, relief evictions, and the
     ladder rungs taken.  Empty when the run never came under memory
     pressure.

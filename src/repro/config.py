@@ -58,7 +58,7 @@ KNOBS: dict[str, Knob] = {
     for k in (
         Knob(
             "executor", "REPRO_EXECUTOR", "serial", "--executor", "BACKEND[:N]",
-            "serial | thread[:N] | process[:N]",
+            "serial | thread[:N]",
             "local execution backend for the independent per-rank kernels "
             "(docs/parallel.md)",
         ),
@@ -87,7 +87,7 @@ KNOBS: dict[str, Knob] = {
         ),
         Knob(
             "kernel", "REPRO_KERNEL", "auto", "--kernel", None,
-            "generic | auto | fast",
+            "generic | auto",
             "SpGEMM kernel-dispatch mode (docs/performance_model.md)",
         ),
         Knob(

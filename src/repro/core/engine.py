@@ -86,9 +86,9 @@ class SequentialEngine:
     Parameters
     ----------
     kernel:
-        Kernel mode for the dispatch tier (``"generic"`` / ``"auto"`` /
-        ``"fast"``), resolved at construction; ``None`` leaves each
-        product to the ambient ``kernel`` knob (:mod:`repro.config`).
+        Kernel mode for the dispatch tier (``"generic"`` / ``"auto"``),
+        resolved at construction; ``None`` leaves each product to the
+        ambient ``kernel`` knob (:mod:`repro.config`).
     """
 
     #: class-level default so subclasses that skip ``__init__`` still work

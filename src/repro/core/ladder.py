@@ -142,12 +142,9 @@ class RecoveryLadder:
         """Called after each completed batch: re-arm what pressure dropped.
 
         Replica redundancy returns once the pressured rank has headroom for
-        it again; chunk staging is switched off as soon as a batch fits.
+        it again.
         """
         machine = self.machine
-        manager = getattr(machine, "memory", None)
-        if manager is not None and manager.chunk_staging:
-            manager.chunk_staging = False
         if not self._dropped or machine is None:
             return
         rearm = getattr(self.engine, "rearm_redundancy", None)
@@ -183,7 +180,6 @@ class RecoveryLadder:
             return False
         self._spilled = True
         freed = manager.spill_all()
-        manager.chunk_staging = True
         if freed <= 0:
             return False
         self._emit("mem", "degraded", rung="spill", words=int(freed))

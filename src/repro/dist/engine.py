@@ -14,7 +14,6 @@ cache, reproducing the amortization in the proof of Theorem 5.1.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -222,23 +221,16 @@ class DistributedEngine:
                 and id(replicated_operand) in self._invariant_ids
                 else None
             )
-            if memory is not None and memory.chunk_staging:
-                from repro.sparse.spgemm import staged_chunks
-
-                staging = staged_chunks(memory.store())
-            else:
-                staging = nullcontext()
-            with staging:
-                out, ops = execute_plan(
-                    plan,
-                    a,
-                    b,
-                    spec,
-                    self.home_ranks2d,
-                    mask=local_mask,
-                    mask_complement=mask_complement,
-                    replication_cache=cache,
-                )
+            out, ops = execute_plan(
+                plan,
+                a,
+                b,
+                spec,
+                self.home_ranks2d,
+                mask=local_mask,
+                mask_complement=mask_complement,
+                replication_cache=cache,
+            )
             # fixed per-product setup overhead on every rank (see CostParams)
             self.machine.charge_overhead(self.machine.cost.product_overhead)
             if obs.enabled():

@@ -30,10 +30,9 @@ Fault kinds
     ``skew`` seconds, charged straight to the ledger — a slow rank
     lengthening the critical path.
 ``poolkill``
-    The local executor's worker pool dies mid-batch (the process backend
-    SIGKILLs one of its own workers; the thread backend raises
-    :class:`WorkerPoolDied`).  Recovery is the executor's graceful
-    degradation chain (process → thread → serial).
+    The local executor's worker pool dies mid-batch (the thread backend
+    raises :class:`WorkerPoolDied`).  Recovery is the executor's graceful
+    degradation (thread → serial).
 ``mem``
     Memory pressure: the machine's per-rank budget is tightened by a
     factor at construction, so allocations/plans that would have fit now

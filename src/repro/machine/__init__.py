@@ -18,10 +18,10 @@ bulk-synchronous p-rank machine (see DESIGN.md).  It provides:
 * :mod:`~repro.machine.grid` — processor-grid shape arithmetic
   (factorizations, the near-square resting layout, survivor renumbering);
 * :mod:`~repro.machine.executor` — pluggable local-execution backends
-  (serial / thread-pool / process-pool with shared-memory ndarray
-  transfer) that fan the independent per-rank local kernels across host
-  cores while keeping results and ledger totals bit-identical, and that
-  degrade gracefully (process → thread → serial) when a pool dies.
+  (serial / thread-pool) that fan the independent per-rank local kernels
+  across host cores while keeping results and ledger totals
+  bit-identical, and that degrade gracefully (thread → serial) when a
+  pool dies.
 
 Fault injection (``Machine(p, faults=...)``) lives in :mod:`repro.faults`
 and hooks into every layer above; see ``docs/robustness.md``.
@@ -30,7 +30,6 @@ and hooks into every layer above; see ``docs/robustness.md``.
 from repro.machine.executor import (
     POOL_FAILURES,
     LocalExecutor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     available_backends,
@@ -53,7 +52,6 @@ __all__ = [
     "LocalExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "available_backends",
     "resolve_executor",
     "executor_skew_report",

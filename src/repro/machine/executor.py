@@ -10,7 +10,7 @@ local products inside the §5.2 variant executors, the per-block elementwise
 operations of :class:`~repro.dist.distmat.DistMat`, and redistribution
 block packing all fan out across host cores.
 
-Three backends implement one surface (:class:`LocalExecutor`):
+Two backends implement one surface (:class:`LocalExecutor`):
 
 * :class:`SerialExecutor` — runs every task inline (the default; zero
   overhead, reference semantics);
@@ -18,12 +18,7 @@ Three backends implement one surface (:class:`LocalExecutor`):
   kernels are dominated by large-array NumPy primitives (``argsort``,
   ``searchsorted``, ``reduceat``, fancy indexing) that release the GIL, so
   threads overlap on multi-core hosts while still sharing operands
-  zero-copy;
-* :class:`ProcessExecutor` — a lazily created (fork-context) process pool
-  for workloads whose kernels hold the GIL.  Operand and result ndarrays
-  cross the process boundary through :mod:`multiprocessing.shared_memory`
-  segments rather than pickle streams; operands repeated within a batch
-  (e.g. a replicated adjacency matrix) are exported once.
+  zero-copy.
 
 Two guarantees hold for every backend:
 
@@ -38,30 +33,27 @@ Two guarantees hold for every backend:
 
 Selection is the ``executor`` knob (:mod:`repro.config`):
 ``Machine(p=64, executor="thread")``, the CLI's ``--executor``, or the
-environment — ``serial`` | ``thread[:N]`` | ``process[:N]``.
+environment — ``serial`` | ``thread[:N]``.
 
 **Graceful degradation** — worker pools die on real machines (OOM killer,
 container limits, a segfaulting extension).  When a fanned-out batch hits
 a pool failure (:class:`concurrent.futures.BrokenExecutor` or an injected
 :class:`~repro.faults.WorkerPoolDied`), the executor closes the broken
-pool, builds its fallback backend (process → thread → serial), transfers
-any attached fault plan, records a ``pool/degraded`` event, and re-runs
-the batch there — callers see the same bit-identical results, one backend
+pool, builds its fallback backend (thread → serial), transfers any
+attached fault plan, records a ``pool/degraded`` event, and re-runs the
+batch there — callers see the same bit-identical results, one backend
 slower.  All pool-owning executors register for interpreter-exit cleanup
-so a crashed run cannot leak shared-memory segments.
+so a crashed run cannot leak worker threads.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-import signal
 import time
 import weakref
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from typing import Callable, Sequence
-
-import numpy as np
 
 from repro import config
 from repro.faults.plan import WorkerPoolDied
@@ -74,18 +66,17 @@ __all__ = [
     "LocalExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "available_backends",
     "resolve_executor",
     "executor_skew_report",
 ]
 
 #: exception classes treated as "the worker pool died" → degrade and re-run.
-#: ``BrokenExecutor`` covers ``BrokenProcessPool``/``BrokenThreadPool``.
+#: ``BrokenExecutor`` covers ``BrokenThreadPool``.
 POOL_FAILURES = (BrokenExecutor, WorkerPoolDied)
 
 #: live pool-owning executors, closed at interpreter exit so a crashed or
-#: abandoned run cannot leak shared-memory segments or worker processes.
+#: abandoned run cannot leak worker threads.
 _LIVE_EXECUTORS: "weakref.WeakSet[LocalExecutor]" = weakref.WeakSet()
 
 
@@ -97,13 +88,11 @@ def _close_live_executors() -> None:  # pragma: no cover - exit path
         except Exception:
             pass
 
-#: estimated-work floors (work units ≈ elementary kernel ops) below which a
-#: batch runs inline.  Thread dispatch costs ~100 µs per batch; process
-#: dispatch additionally pays shared-memory export/import, hence the higher
-#: floor.  At the default ``compute_rate`` of 1e9 ops/s these floors
-#: correspond to ~0.2 ms / ~2 ms of modeled local work.
+#: estimated-work floor (work units ≈ elementary kernel ops) below which a
+#: batch runs inline.  Thread dispatch costs ~100 µs per batch; at the
+#: default ``compute_rate`` of 1e9 ops/s the floor corresponds to ~0.2 ms
+#: of modeled local work.
 THREAD_FANOUT_MIN_WORK = 200_000
-PROCESS_FANOUT_MIN_WORK = 2_000_000
 
 
 def _worker_default() -> int:
@@ -117,18 +106,16 @@ class LocalExecutor:
     """Common surface of the local execution backends.
 
     Subclasses override :meth:`_submit_thunks` (arbitrary callables; used
-    by elementwise and packing fan-out, requires ``supports_closures``) and
-    :meth:`_submit_spgemm` (local generalized products).  Batch entry
-    points :meth:`run_tasks` / :meth:`run_spgemm` apply the dispatch gate,
-    record observability events, and preserve submission order.
+    by elementwise and packing fan-out) and :meth:`_submit_spgemm` (local
+    generalized products).  Batch entry points :meth:`run_tasks` /
+    :meth:`run_spgemm` apply the dispatch gate, record observability
+    events, and preserve submission order.
     """
 
-    #: backend identifier (``serial`` / ``thread`` / ``process``)
+    #: backend identifier (``serial`` / ``thread``)
     name = "serial"
     #: worker slots the backend can occupy concurrently
     workers = 1
-    #: whether arbitrary closures can be shipped to the workers
-    supports_closures = True
     #: estimated-work floor for fan-out; ``inf`` means never fan out
     fanout_min_work: float = float("inf")
     #: backends to fall back to, in order, when the worker pool dies
@@ -160,8 +147,7 @@ class LocalExecutor:
     ) -> list:
         """Run zero-argument callables; results in submission order.
 
-        Falls back to inline execution when the gate rejects the batch or
-        the backend cannot ship closures (:class:`ProcessExecutor`).  A
+        Falls back to inline execution when the gate rejects the batch.  A
         pool failure mid-batch degrades to the fallback backend and
         re-runs the whole batch there.
         """
@@ -169,7 +155,7 @@ class LocalExecutor:
             return self._successor.run_tasks(
                 thunks, site=site, est_work=est_work, ranks=ranks
             )
-        if not (self.supports_closures and self.should_fanout(len(thunks), est_work)):
+        if not self.should_fanout(len(thunks), est_work):
             self._note_inline(site, len(thunks))
             return [fn() for fn in thunks]
         try:
@@ -256,10 +242,6 @@ class LocalExecutor:
         if plan is None or not plan.take_poolkill(site):
             return
         plan.note("pool", "injected", site=site, backend=self.name)
-        self._kill_pool_for_injection(site)
-
-    def _kill_pool_for_injection(self, site: str) -> None:
-        """Make the pool die; backends with real workers kill one for real."""
         raise WorkerPoolDied(self.name, site)
 
     def _degrade(self, exc: BaseException, site: str) -> "LocalExecutor":
@@ -279,8 +261,7 @@ class LocalExecutor:
             raise exc
         name = self.fallback_chain[0]
         fallback = _BACKENDS[name](
-            None if name == "serial" else self.workers,
-            fanout_min_work=self.fanout_min_work,
+            self.workers, fanout_min_work=self.fanout_min_work
         )
         fallback.fault_plan = self.fault_plan
         fallback.kernel_mode = self.kernel_mode
@@ -399,7 +380,6 @@ class ThreadExecutor(LocalExecutor):
     """Fan tasks across a host-local thread pool (lazily created)."""
 
     name = "thread"
-    supports_closures = True
     fallback_chain = ("serial",)
 
     def __init__(
@@ -444,249 +424,12 @@ class ThreadExecutor(LocalExecutor):
 
 
 # ---------------------------------------------------------------------------
-# process backend: shared-memory ndarray transfer
-# ---------------------------------------------------------------------------
-#
-# An SpMat is exported as one shared-memory segment holding the byte-
-# concatenation of its coordinate and value arrays, plus a picklable
-# manifest (segment name, dims, per-array dtype/length, monoid).  Workers
-# attach and rebuild zero-copy views; results travel back the same way.
-# With the fork start method the resource-tracker process is shared by
-# parent and workers, so create/attach registrations and the single unlink
-# stay consistent.
-
-
-def _export_spmat(mat: SpMat):
-    """Pack ``mat``'s arrays into a shared-memory segment → (manifest, shm)."""
-    from multiprocessing import shared_memory
-
-    arrays = [("rows", mat.rows), ("cols", mat.cols)] + [
-        (f"v:{name}", mat.vals[name]) for name in mat.vals
-    ]
-    layout = []
-    offset = 0
-    for label, arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        layout.append((label, str(arr.dtype), len(arr), offset))
-        offset += arr.nbytes
-    shm = None
-    segment = None
-    if offset > 0:  # SharedMemory rejects zero-size segments
-        shm = shared_memory.SharedMemory(create=True, size=offset)
-        segment = shm.name
-        for (label, dtype, length, off), (_, arr) in zip(layout, arrays):
-            view = np.ndarray((length,), dtype=dtype, buffer=shm.buf, offset=off)
-            view[:] = np.ascontiguousarray(arr)
-    manifest = {
-        "segment": segment,
-        "nrows": mat.nrows,
-        "ncols": mat.ncols,
-        "monoid": mat.monoid,
-        "layout": layout,
-    }
-    return manifest, shm
-
-
-def _import_spmat(manifest, *, copy: bool):
-    """Rebuild an SpMat from a manifest → (mat, shm or None).
-
-    With ``copy=False`` the arrays are zero-copy views into the segment:
-    the caller must keep the returned shm object alive while using them.
-    """
-    from multiprocessing import shared_memory
-
-    shm = None
-    parts: dict[str, np.ndarray] = {}
-    if manifest["segment"] is not None:
-        shm = shared_memory.SharedMemory(name=manifest["segment"])
-    for label, dtype, length, off in manifest["layout"]:
-        if shm is None:
-            arr = np.empty(0, dtype=dtype)
-        else:
-            arr = np.ndarray((length,), dtype=dtype, buffer=shm.buf, offset=off)
-            if copy:
-                arr = arr.copy()
-        parts[label] = arr
-    monoid = manifest["monoid"]
-    vals = {name: parts[f"v:{name}"] for name in monoid.field_names}
-    mat = SpMat(
-        manifest["nrows"],
-        manifest["ncols"],
-        parts["rows"],
-        parts["cols"],
-        vals,
-        monoid,
-        canonical=True,
-    )
-    return mat, shm
-
-
-def _release(shm, *, unlink: bool) -> None:
-    if shm is not None:
-        shm.close()
-        if unlink:
-            shm.unlink()
-
-
-def _spgemm_shm_worker(
-    a_manifest, b_manifest, spec, mask_manifest=None, mask_complement=False, kernel=None
-):
-    """Worker-side product: attach operands, compute, export the result."""
-    a, a_shm = _import_spmat(a_manifest, copy=False)
-    b, b_shm = _import_spmat(b_manifest, copy=False)
-    mask, mask_shm = (
-        _import_spmat(mask_manifest, copy=False)
-        if mask_manifest is not None
-        else (None, None)
-    )
-    try:
-        t0 = time.perf_counter()
-        res = spgemm(
-            a, b, spec, mask=mask, mask_complement=mask_complement, kernel=kernel
-        )
-        dt = time.perf_counter() - t0
-    finally:
-        del a, b, mask  # drop the zero-copy views before detaching
-        _release(a_shm, unlink=False)
-        _release(b_shm, unlink=False)
-        _release(mask_shm, unlink=False)
-    out_manifest, out_shm = _export_spmat(res.matrix)
-    _release(out_shm, unlink=False)  # parent copies out, then unlinks
-    return out_manifest, res.ops, dt
-
-
-class ProcessExecutor(LocalExecutor):
-    """Fan local products across a (fork-context) process pool.
-
-    Sidesteps the GIL entirely, at the price of moving operands and
-    results between address spaces — done through shared-memory segments,
-    with operands repeated inside a batch exported only once.  Closure
-    batches (:meth:`run_tasks`) are not shippable and run inline; the
-    products this backend accelerates are where the profile concentrates.
-    """
-
-    name = "process"
-    supports_closures = False
-    fallback_chain = ("thread", "serial")
-
-    def __init__(
-        self, workers: int | None = None, *, fanout_min_work: float | None = None
-    ) -> None:
-        self.workers = int(workers) if workers else _worker_default()
-        self.fanout_min_work = (
-            PROCESS_FANOUT_MIN_WORK
-            if fanout_min_work is None
-            else float(fanout_min_work)
-        )
-        self._pool: ProcessPoolExecutor | None = None
-        _LIVE_EXECUTORS.add(self)
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            import multiprocessing
-
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=ctx
-            )
-        return self._pool
-
-    def _submit_spgemm(
-        self, pairs: list, spec, masks: list, mask_complement: bool
-    ) -> list[tuple[object, float]]:
-        pool = self._ensure_pool()
-        # export each distinct operand once, even when it appears in many
-        # tasks (replicated adjacency matrices do, every batch)
-        exported: dict[int, tuple[dict, object]] = {}
-        for (x, y), mk in zip(pairs, masks):
-            for mat in (x, y) + (() if mk is None else (mk,)):
-                if id(mat) not in exported:
-                    exported[id(mat)] = _export_spmat(mat)
-        try:
-            futures = [
-                pool.submit(
-                    _spgemm_shm_worker,
-                    exported[id(x)][0],
-                    exported[id(y)][0],
-                    spec,
-                    None if mk is None else exported[id(mk)][0],
-                    mask_complement,
-                    self.kernel_mode,
-                )
-                for (x, y), mk in zip(pairs, masks)
-            ]
-            out: list[tuple[object, float]] = []
-            try:
-                for f in futures:
-                    manifest, ops, dt = f.result()
-                    matrix, shm = _import_spmat(manifest, copy=True)
-                    _release(shm, unlink=True)
-                    out.append((SpGemmResult(matrix, ops), dt))
-            except Exception:
-                self._drain_result_segments(futures[len(out):])
-                raise
-            return out
-        finally:
-            for _, shm in exported.values():
-                _release(shm, unlink=True)
-
-    @staticmethod
-    def _drain_result_segments(futures) -> None:
-        """Unlink result segments of tasks that completed before a failure.
-
-        When the pool breaks mid-batch, tasks that already finished have
-        exported result segments the parent never imported; without this
-        they would outlive the run (until atexit/resource-tracker cleanup).
-        """
-        from multiprocessing import shared_memory
-
-        for f in futures:
-            if not f.done() or f.cancelled():
-                continue
-            try:
-                manifest, _, _ = f.result()
-            except Exception:
-                continue
-            if manifest["segment"] is None:
-                continue
-            try:
-                shm = shared_memory.SharedMemory(name=manifest["segment"])
-            except FileNotFoundError:  # pragma: no cover - already reclaimed
-                continue
-            _release(shm, unlink=True)
-
-    def _kill_pool_for_injection(self, site: str) -> None:
-        """SIGKILL one live pool worker — a real death, not a simulated one.
-
-        The subsequent batch submission then observes ``BrokenProcessPool``
-        exactly as it would after an OOM-killed worker.  Workers spawn
-        lazily, so a no-op task is run first to guarantee one exists.
-        """
-        pool = self._ensure_pool()
-        pool.submit(int).result()
-        procs = list(getattr(pool, "_processes", {}).values())
-        if not procs:  # pragma: no cover - defensive
-            raise WorkerPoolDied(self.name, site)
-        os.kill(procs[0].pid, signal.SIGKILL)
-
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        super().close()
-
-
-# ---------------------------------------------------------------------------
 # selection
 # ---------------------------------------------------------------------------
 
 _BACKENDS: dict[str, type[LocalExecutor]] = {
     "serial": SerialExecutor,
     "thread": ThreadExecutor,
-    "process": ProcessExecutor,
 }
 
 

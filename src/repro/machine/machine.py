@@ -188,7 +188,7 @@ class Machine:
     executor:
         Local-execution backend for the independent per-rank kernels: a
         :class:`~repro.machine.executor.LocalExecutor` instance or a
-        backend name like ``"thread"`` / ``"process:8"``.  Results and
+        backend name like ``"thread"`` / ``"thread:8"``.  Results and
         ledger totals are bit-identical across backends; only host
         wall-clock time changes.
     faults:
@@ -218,9 +218,9 @@ class Machine:
         maintains the redundancy and the MFBC driver triggers the recovery.
     kernel:
         Kernel-dispatch mode for the local SpGEMM tier (``"generic"`` /
-        ``"auto"`` / ``"fast"``, see :mod:`repro.sparse.dispatch`), handed
-        to every local product this machine runs.  Every mode is
-        bit-identical; only host wall-clock time changes.
+        ``"auto"``, see :mod:`repro.sparse.dispatch`), handed to every
+        local product this machine runs.  Both modes are bit-identical;
+        only host wall-clock time changes.
     """
 
     def __init__(
@@ -490,7 +490,7 @@ class Machine:
     ) -> None:
         """Charge one spill-store segment transfer (modeled local I/O).
 
-        ``rank=None`` charges the busiest rank (machine-wide staging).
+        ``rank=None`` charges the busiest rank.
         Spill traffic is node-local, so only the rank's modeled clock and
         the ``"spill"`` volume category move — never the critical-path
         words/messages, which track interconnect traffic.

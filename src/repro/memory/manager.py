@@ -49,9 +49,6 @@ class MemoryManager:
         #: oldest entry is the coldest candidate
         self._registry: dict[int, tuple[weakref.ref, str]] = {}
         self._in_relief = False
-        #: arm SpGEMM expansion-chunk staging (set by the ladder's spill
-        #: rung; read by DistributedEngine.spgemm)
-        self.chunk_staging = False
         self.relieved_words = 0
         self.reliefs = 0
 

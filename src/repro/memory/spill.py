@@ -229,29 +229,6 @@ class SpillStore:
         with np.load(path) as data:
             return _block_from_npz(data, seg.monoid)
 
-    # -- chunk staging (SpGEMM expansion) ------------------------------------
-
-    def stage_chunk(self, key: str, arrays: dict, *, site: str = "spgemm"):
-        """Stage one SpGEMM expansion chunk's reduced arrays to disk.
-
-        Returns an opaque handle for :meth:`fetch_chunk`; the round trip is
-        binary-exact, so staged and unstaged products are bit-identical.
-        """
-        path = os.path.join(self.directory, f"chunk-{key}.npz")
-        atomic_save_npz(path, arrays)
-        words = sum(a.nbytes for a in arrays.values()) // 8
-        self._charge(None, words, op="spill")
-        if obs.enabled():
-            obs.count("memory.spill.events", 1.0, op="stage", site=site)
-            obs.count("memory.spill.words", float(words), op="stage", site=site)
-        return path
-
-    def fetch_chunk(self, handle) -> dict:
-        with np.load(handle) as data:
-            out = {k: data[k] for k in data.files}
-        os.remove(handle)
-        return out
-
     # -- accounting -----------------------------------------------------------
 
     def _fault_plan(self):

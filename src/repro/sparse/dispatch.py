@@ -8,28 +8,27 @@ specialized kernel, playing the role MKL's compiled sparse BLAS plays in the
 paper's stack (§6.2):
 
 * **plus-times** (:class:`PlusMonoid` + ``np.multiply`` semiring action) →
-  scipy's compiled ``csr @ csr`` when eligible, else a structure-of-arrays
-  path;
-* **any single-field semiring action over plus/min/max** (tropical min-plus,
-  bottleneck max-min, label-propagation min/left, …) → a structure-of-arrays
-  path that skips the field-array plumbing;
+  scipy's compiled ``csr @ csr`` when the product is unmasked, fits one
+  expansion chunk and is large enough to repay the CSR conversion;
 * **multpath / centpath** (the Bellman-Ford and Brandes actions of §4.1/§4.2)
   → a fused path that forms only the weight column before the one key sort
   and gathers payload columns for the tied entries alone.
 
+Every other product — the remaining semirings (tropical min-plus, bottleneck
+max-min, label-propagation min/left, …) included — runs the generic kernel.
+
 Every fast path is **bit-identical** to the generic kernel after
-canonicalization: it consumes the exact expansion chunks the generic kernel
-would (:func:`repro.sparse.spgemm._expansion_chunks`, including in-expansion
-mask filtering) and reduces them with the same primitive in the same order.
+canonicalization: the path kernel consumes the exact expansion chunks the
+generic kernel would (:func:`repro.sparse.spgemm._expansion_chunks`,
+including in-expansion mask filtering) and reduces them with the same
+primitive in the same order; scipy accumulates in the same order.
 ``repro.check`` differential replay recomputes references with
 ``kernel="generic"``, making the generic kernel the oracle for this tier.
 
 The ``kernel`` knob (:mod:`repro.config`) selects:
 
 * ``generic``: never dispatch (the pure oracle kernel);
-* ``auto`` (default): dispatch recognized specs, with a small-product guard
-  on the scipy conversion;
-* ``fast``: dispatch recognized specs unconditionally.
+* ``auto`` (default): dispatch recognized specs.
 """
 
 from __future__ import annotations
@@ -44,14 +43,7 @@ from repro import config
 from repro.algebra.centpath import CentpathMonoid, brandes_action
 from repro.algebra.fields import FieldArray, take_fields
 from repro.algebra.matmul import MatMulSpec
-from repro.algebra.monoid import (
-    MaxMonoid,
-    MinMonoid,
-    PlusMonoid,
-    run_starts,
-    segments,
-    stable_key_sort,
-)
+from repro.algebra.monoid import PlusMonoid, segments, stable_key_sort
 from repro.algebra.multpath import MultpathMonoid, bellman_ford_action
 from repro.algebra.semiring import SemiringAction
 from repro.obs import api as obs
@@ -73,9 +65,9 @@ __all__ = [
 ]
 
 #: Valid kernel modes, weakest dispatch first.
-KERNEL_MODES = ("generic", "auto", "fast")
+KERNEL_MODES = ("generic", "auto")
 
-#: Below this ops count ``auto`` skips the scipy conversion (its fixed
+#: Below this ops count the scipy conversion is skipped (its fixed
 #: CSR-build cost outweighs the compiled multiply on trivial products).
 _SCIPY_MIN_OPS = 4096
 
@@ -101,18 +93,17 @@ class KernelTraits:
     Attributes
     ----------
     path:
-        Registered fast-path name (``"plus-times"``, ``"soa-min"``,
-        ``"soa-max"``, ``"soa-plus"``, ``"multpath"``, ``"centpath"``, or an
-        extension's name).
+        Registered fast-path name (``"plus-times"``, ``"multpath"``,
+        ``"centpath"``, or an extension's name).
     field:
-        The single carrier field for semiring paths, ``None`` otherwise.
+        The single carrier field for the semiring path, ``None`` otherwise.
     """
 
     path: str
     field: str | None = None
 
 
-#: impl(a, b, spec, traits, *, mask_keys, mask_complement, chunk, mode)
+#: impl(a, b, spec, traits, *, mask_keys, mask_complement, chunk)
 #: returning a result or ``None`` to decline (caller falls back to generic).
 KernelImpl = Callable[..., "SpGemmResult | None"]
 
@@ -149,7 +140,6 @@ def dispatch_spgemm(
     mask_keys: np.ndarray | None,
     mask_complement: bool,
     chunk: int,
-    mode: str,
 ) -> SpGemmResult | None:
     """Route one product through the fast-path table.
 
@@ -170,7 +160,6 @@ def dispatch_spgemm(
             mask_keys=mask_keys,
             mask_complement=mask_complement,
             chunk=chunk,
-            mode=mode,
         )
         if result is not None:
             _count_dispatch(traits.path, "hit", spec.name)
@@ -189,21 +178,15 @@ def _count_dispatch(kernel: str, outcome: str, phase: str) -> None:
 # -- recognition (built-ins) -------------------------------------------------
 
 
-def _recognize_semiring(spec: MatMulSpec) -> KernelTraits | None:
+def _recognize_plus_times(spec: MatMulSpec) -> KernelTraits | None:
     f = spec.f
-    if not isinstance(f, SemiringAction):
-        return None
-    monoid = spec.monoid
-    if monoid.field_names != (f.field,):
-        return None
-    if isinstance(monoid, PlusMonoid):
-        if f.multiply is np.multiply:
-            return KernelTraits("plus-times", field=f.field)
-        return KernelTraits("soa-plus", field=f.field)
-    if isinstance(monoid, MinMonoid):
-        return KernelTraits("soa-min", field=f.field)
-    if isinstance(monoid, MaxMonoid):
-        return KernelTraits("soa-max", field=f.field)
+    if (
+        isinstance(f, SemiringAction)
+        and f.multiply is np.multiply
+        and isinstance(spec.monoid, PlusMonoid)
+        and spec.monoid.field_names == (f.field,)
+    ):
+        return KernelTraits("plus-times", field=f.field)
     return None
 
 
@@ -218,15 +201,7 @@ def _recognize_pathsum(spec: MatMulSpec) -> KernelTraits | None:
 # -- kernels -----------------------------------------------------------------
 
 
-_SOA_REDUCERS = {
-    "plus-times": np.add,
-    "soa-plus": np.add,
-    "soa-min": np.minimum,
-    "soa-max": np.maximum,
-}
-
-
-def _semiring_kernel(
+def _scipy_plus_times(
     a: SpMat,
     b: SpMat,
     spec: MatMulSpec,
@@ -235,34 +210,6 @@ def _semiring_kernel(
     mask_keys: np.ndarray | None,
     mask_complement: bool,
     chunk: int,
-    mode: str,
-) -> SpGemmResult | None:
-    if traits.path == "plus-times":
-        result = _scipy_plus_times(
-            a, b, spec, traits, mask_keys=mask_keys, chunk=chunk, mode=mode
-        )
-        if result is not None:
-            return result
-    return _soa_semiring(
-        a,
-        b,
-        spec,
-        traits,
-        mask_keys=mask_keys,
-        mask_complement=mask_complement,
-        chunk=chunk,
-    )
-
-
-def _scipy_plus_times(
-    a: SpMat,
-    b: SpMat,
-    spec: MatMulSpec,
-    traits: KernelTraits,
-    *,
-    mask_keys: np.ndarray | None,
-    chunk: int,
-    mode: str,
 ) -> SpGemmResult | None:
     """Compiled ``csr @ csr`` for the (R, +, ×) semiring.
 
@@ -271,7 +218,7 @@ def _scipy_plus_times(
     ``add.reduceat`` does (an initial ``+0.0`` can only differ on the sign
     of a zero, and zero results are pruned by both sides); it therefore
     declines multi-chunk products, whose per-chunk partial sums group
-    differently, and masked products, which the SoA path handles
+    differently, and masked products, which the generic kernel filters
     in-expansion.
     """
     if mask_keys is not None:
@@ -279,7 +226,7 @@ def _scipy_plus_times(
     if spec.monoid.field_spec[0][1] != np.dtype(np.float64):
         return None
     total = count_ops(a, b)
-    if total > chunk or (mode == "auto" and total < _SCIPY_MIN_OPS):
+    if total > chunk or total < _SCIPY_MIN_OPS:
         return None
     field = traits.field
     sa = scipy.sparse.csr_matrix(
@@ -307,47 +254,6 @@ def _scipy_plus_times(
     return SpGemmResult(mat, total)
 
 
-def _soa_semiring(
-    a: SpMat,
-    b: SpMat,
-    spec: MatMulSpec,
-    traits: KernelTraits,
-    *,
-    mask_keys: np.ndarray | None,
-    mask_complement: bool,
-    chunk: int,
-) -> SpGemmResult:
-    """Structure-of-arrays path for single-field semiring actions.
-
-    Mirrors the generic kernel chunk-for-chunk — same expansion, same stable
-    key sort, same ``reduceat`` — on bare value columns instead of
-    field-array dicts, so the result is bitwise the generic one.
-    """
-    monoid = spec.monoid
-    field = traits.field
-    dtype = monoid.field_spec[0][1]
-    reducer = _SOA_REDUCERS[traits.path]
-    multiply = spec.f.multiply
-    av, bv = a.vals[field], b.vals[field]
-    ops_done = 0
-    parts_k: list[np.ndarray] = []
-    parts_v: list[FieldArray] = []
-    for a_idx, b_idx, keys in _expansion_chunks(
-        a, b, mask_keys, mask_complement, chunk
-    ):
-        ops_done += len(keys)
-        if len(keys) == 0:
-            continue
-        vals = np.asarray(multiply(av[a_idx], bv[b_idx]))
-        del a_idx, b_idx
-        keys, order = stable_key_sort(keys)
-        starts = run_starts(keys)
-        red = reducer.reduceat(vals[order], starts).astype(dtype, copy=False)
-        parts_k.append(keys[starts])
-        parts_v.append({field: red})
-    return _assemble(a.nrows, b.ncols, parts_k, parts_v, monoid, ops_done)
-
-
 def _pathsum_kernel(
     a: SpMat,
     b: SpMat,
@@ -357,7 +263,6 @@ def _pathsum_kernel(
     mask_keys: np.ndarray | None,
     mask_complement: bool,
     chunk: int,
-    mode: str,
 ) -> SpGemmResult:
     """Fused path for the multpath/centpath monoids (MFBF/MFBr hot loop).
 
@@ -398,5 +303,5 @@ def _pathsum_kernel(
     return _assemble(a.nrows, b.ncols, parts_k, parts_v, monoid, ops_done)
 
 
-register_fast_path(_recognize_semiring, _semiring_kernel)
+register_fast_path(_recognize_plus_times, _scipy_plus_times)
 register_fast_path(_recognize_pathsum, _pathsum_kernel)

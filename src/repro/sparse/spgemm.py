@@ -23,14 +23,12 @@ proportional to ``chunk`` rather than ``ops(A, B)``.
 
 The public :func:`spgemm` entry point routes recognized specs through the
 kernel-dispatch tier (:mod:`repro.sparse.dispatch`) — scipy's compiled
-plus-times path and structure-of-arrays specializations — all of which are
+plus-times path and the fused multpath/centpath kernel — both of which are
 bit-identical (post-canonicalization) to the generic kernel here.
 """
 
 from __future__ import annotations
 
-import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -44,34 +42,7 @@ __all__ = [
     "spgemm",
     "SpGemmResult",
     "count_ops",
-    "staged_chunks",
 ]
-
-#: when armed (the memory ladder's spill rung), the generic kernel stages
-#: each reduced expansion chunk to this spill store instead of keeping it
-#: in memory until the final concatenation — same chunks, same order, so
-#: staged and unstaged products are bit-identical
-_CHUNK_SINK = None
-_CHUNK_IDS = itertools.count()
-
-
-@contextmanager
-def staged_chunks(store, *, site: str = "spgemm"):
-    """Stage generic-kernel expansion chunks to ``store`` inside the block.
-
-    Bounds peak memory to roughly one chunk (plus the final assembly)
-    instead of the whole reduced expansion.  Only kernels running in this
-    process observe the sink: a process-pool executor's workers keep the
-    in-memory path, which is safe — staging is a degradation, never a
-    correctness requirement.
-    """
-    global _CHUNK_SINK
-    prev = _CHUNK_SINK
-    _CHUNK_SINK = (store, site)
-    try:
-        yield
-    finally:
-        _CHUNK_SINK = prev
 
 
 @dataclass(frozen=True)
@@ -81,9 +52,8 @@ class SpGemmResult:
     matrix: SpMat
     #: number of nonzero elementary products formed — ``ops(A, B)`` in §5.1.
     #: With a mask this counts only the products that survive the mask (the
-    #: saved work is the point of masking).  ``None`` when the caller passed
-    #: ``want_ops=False``.
-    ops: int | None
+    #: saved work is the point of masking).
+    ops: int
 
     def __iter__(self):
         """Unpack like the historical ``(matrix, ops)`` tuple."""
@@ -108,7 +78,6 @@ def spgemm(
     *,
     mask: SpMat | None = None,
     mask_complement: bool = False,
-    want_ops: bool = True,
     chunk: int = 1 << 22,
     kernel: str | None = None,
 ) -> SpGemmResult:
@@ -129,13 +98,10 @@ def spgemm(
         materializing settled vertices).  Values of ``mask`` are ignored.
     mask_complement:
         Complement the mask's support (requires ``mask``).
-    want_ops:
-        When False, ``result.ops`` is ``None`` (callers that only need the
-        matrix).
     chunk:
         Upper bound on the number of joined pairs materialized at once.
     kernel:
-        Kernel mode ``"generic"`` / ``"auto"`` / ``"fast"``; ``None`` takes
+        Kernel mode ``"generic"`` / ``"auto"``; ``None`` takes
         the ambient ``kernel`` knob (``$REPRO_KERNEL``, default ``auto``; see
         :mod:`repro.config`).  Every non-generic path is bit-identical to the
         generic kernel post-canonicalization.
@@ -151,17 +117,14 @@ def spgemm(
         )
     # A non-complemented empty mask annihilates the product outright.
     if mask is not None and mask.nnz == 0 and not mask_complement:
-        return SpGemmResult(
-            SpMat.empty(*out_shape, spec.monoid), 0 if want_ops else None
-        )
+        return SpGemmResult(SpMat.empty(*out_shape, spec.monoid), 0)
     # An empty complemented mask excludes nothing: treat as unmasked.
     mask_keys = mask.keys() if (mask is not None and mask.nnz) else None
 
     # deferred import: dispatch imports this module's internals
     from repro.sparse import dispatch
 
-    mode = dispatch.resolve_kernel_mode(kernel)
-    if mode != "generic":
+    if dispatch.resolve_kernel_mode(kernel) != "generic":
         result = dispatch.dispatch_spgemm(
             a,
             b,
@@ -169,14 +132,12 @@ def spgemm(
             mask_keys=mask_keys,
             mask_complement=mask_complement,
             chunk=chunk,
-            mode=mode,
         )
         if result is not None:
-            return result if want_ops else SpGemmResult(result.matrix, None)
-    result = _spgemm_generic(
+            return result
+    return _spgemm_generic(
         a, b, spec, mask_keys=mask_keys, mask_complement=mask_complement, chunk=chunk
     )
-    return result if want_ops else SpGemmResult(result.matrix, None)
 
 
 #: a dense membership table over the output space answers mask lookups
@@ -215,7 +176,7 @@ def _expansion_chunks(
     """Yield the (a_idx, b_idx, keys) expansion join in bounded chunks.
 
     The single source of truth for join enumeration and in-expansion mask
-    filtering: the generic kernel and every structure-of-arrays fast path in
+    filtering: the generic kernel and the fused path kernel in
     :mod:`repro.sparse.dispatch` iterate these exact chunks, which is what
     makes their per-chunk reductions bit-identical.
     """
@@ -269,10 +230,8 @@ def _spgemm_generic(
         return SpGemmResult(SpMat.empty(*out_shape, monoid), 0)
 
     ops_done = 0
-    sink = _CHUNK_SINK
     partial_keys: list[np.ndarray] = []
     partial_vals = []
-    staged: list = []
     for a_idx, b_idx, keys in _expansion_chunks(
         a, b, mask_keys, mask_complement, chunk
     ):
@@ -282,25 +241,8 @@ def _spgemm_generic(
         vals = spec.apply_f(take_fields(a.vals, a_idx), take_fields(b.vals, b_idx))
         del a_idx, b_idx
         keys, vals = monoid.reduce_by_key(keys, vals)
-        if sink is not None:
-            store, site = sink
-            arrays = {"keys": keys}
-            for name in monoid.field_names:
-                arrays[f"f_{name}"] = np.asarray(vals[name])
-            staged.append(store.stage_chunk(
-                str(next(_CHUNK_IDS)), arrays, site=site
-            ))
-        else:
-            partial_keys.append(keys)
-            partial_vals.append(vals)
-
-    for handle in staged:
-        store, _site = sink
-        data = store.fetch_chunk(handle)
-        partial_keys.append(data["keys"])
-        partial_vals.append({
-            name: data[f"f_{name}"] for name in monoid.field_names
-        })
+        partial_keys.append(keys)
+        partial_vals.append(vals)
     return _assemble(*out_shape, partial_keys, partial_vals, monoid, ops_done)
 
 

@@ -49,7 +49,7 @@ PROBES = {
         ("replica:2", "replica:2"),
         ("source", "source"),
     ),
-    "kernel": (lambda m: m.kernel, ("fast", "fast"), ("generic", "generic")),
+    "kernel": (lambda m: m.kernel, ("generic", "generic"), ("auto", "auto")),
     "memory_words": (lambda m: m.memory_words, ("20000", 20000), (12345, 12345)),
     "spill_dir": (
         lambda m: m.memory.spill_dir,
@@ -136,7 +136,9 @@ class TestPrecedence:
         ("memory_words", "-5"),
         ("executor", "thread:x"),
         ("executor", "gpu"),
+        ("executor", "process"),
         ("kernel", "turbo"),
+        ("kernel", "fast"),
         ("check", "verbose"),
         ("elastic", "parity"),
         ("faults", "frobnicate:1"),
@@ -152,7 +154,7 @@ def test_malformed_env_names_the_variable_and_grammar(name, bad, monkeypatch):
 
 
 def test_explicit_argument_errors_do_not_blame_the_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "fast")
+    monkeypatch.setenv("REPRO_KERNEL", "generic")
     with pytest.raises(ValueError, match="unknown kernel mode 'turbo'") as err:
         Machine(2, kernel="turbo")
     assert "REPRO_KERNEL" not in str(err.value)

@@ -9,10 +9,11 @@ redistribution, piece extraction, reduction order, or identity pruning
 shows up here.
 
 The cross-*executor* tests at the bottom re-run the same programs on the
-distributed engine under every local backend (serial / thread / process,
-with the dispatch gate forced open) and require bit-identical gathered
-matrices *and* bit-identical ``ledger.snapshot()`` — the determinism
-guarantee the executor subsystem promises.
+distributed engine under every route a local multiply can take (serial /
+thread backend, with the dispatch gate forced open, × generic / auto
+kernel mode) and require bit-identical gathered matrices *and*
+bit-identical ``ledger.snapshot()`` — the determinism guarantee the
+executor subsystem and the kernel tier promise.
 """
 
 import numpy as np
@@ -29,7 +30,8 @@ from repro.core.engine import SequentialEngine
 from repro.dist import DistributedEngine
 from repro.graphs import Graph
 from repro.machine import Machine
-from repro.machine.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.machine.executor import SerialExecutor, ThreadExecutor
+from repro.sparse import KERNEL_MODES
 from repro.spgemm import Plan
 from repro.spgemm.selector import PinnedPolicy
 
@@ -105,7 +107,7 @@ def test_multpath_product_chain_agrees(seed, p):
 
 
 # ---------------------------------------------------------------------------
-# cross-executor determinism: serial vs thread vs process
+# cross-route determinism: serial vs thread, generic vs auto
 # ---------------------------------------------------------------------------
 
 # Pools are shared across examples (and the gate forced open with
@@ -115,11 +117,7 @@ def test_multpath_product_chain_agrees(seed, p):
 
 @pytest.fixture(scope="module")
 def executors():
-    exs = [
-        SerialExecutor(),
-        ThreadExecutor(2, fanout_min_work=0),
-        ProcessExecutor(2, fanout_min_work=0),
-    ]
+    exs = [SerialExecutor(), ThreadExecutor(2, fanout_min_work=0)]
     yield exs
     for ex in exs:
         ex.close()
@@ -132,12 +130,12 @@ def test_pipelines_agree_across_executors(executors, pipeline):
     ref = _run(SequentialEngine(), n, seed, ops)
     snaps = []
     for ex in executors:
-        machine = Machine(p, executor=ex)
-        got = _run(DistributedEngine(machine), n, seed, ops)
-        assert got.equals(ref), (n, seed, p, ops, ex.name)
-        snaps.append(machine.ledger.snapshot())
-    assert snaps[1] == snaps[0], (n, seed, p, ops, "thread ledger diverged")
-    assert snaps[2] == snaps[0], (n, seed, p, ops, "process ledger diverged")
+        for kernel in KERNEL_MODES:
+            machine = Machine(p, executor=ex, kernel=kernel)
+            got = _run(DistributedEngine(machine), n, seed, ops)
+            assert got.equals(ref), (n, seed, p, ops, ex.name, kernel)
+            snaps.append(machine.ledger.snapshot())
+    assert snaps.count(snaps[0]) == len(snaps), (n, seed, p, ops, "ledger diverged")
 
 
 #: pinned p=4 plans covering every variant class: pure 1D (A/B/C), pure 2D
@@ -158,7 +156,9 @@ PLANS_P4 = [
 @given(st.integers(0, 5000), st.sampled_from(PLANS_P4))
 @settings(max_examples=18)
 def test_variant_classes_agree_across_executors(executors, seed, plan):
-    """Every §5.2 variant class, every backend: same matrix, same ledger."""
+    """Every §5.2 variant class, every backend and kernel mode (the
+    products here take the fused path kernel under ``auto``): same matrix,
+    same ledger."""
     n = 16
     rng = np.random.default_rng(seed)
     mask = rng.random((n, n)) < 0.3
@@ -166,8 +166,8 @@ def test_variant_classes_agree_across_executors(executors, seed, plan):
     aw = rng.integers(1, 9, len(ar)).astype(float)
     srcs = rng.choice(n, size=3, replace=False).astype(np.int64)
 
-    def run(executor):
-        machine = Machine(4, executor=executor)
+    def run(executor, kernel):
+        machine = Machine(4, executor=executor, kernel=kernel)
         engine = DistributedEngine(machine, policy=PinnedPolicy(plan))
         adj = engine.matrix(n, n, ar, ac, {"w": aw}, W)
         engine.register_invariant(adj)
@@ -183,11 +183,12 @@ def test_variant_classes_agree_across_executors(executors, seed, plan):
             f, _ = engine.spgemm(f, adj, BF)
         return engine.gather(f), machine.ledger.snapshot()
 
-    ref_mat, ref_snap = run(executors[0])
-    for ex in executors[1:]:
-        got, snap = run(ex)
-        assert got.equals(ref_mat), (seed, plan.describe(), ex.name)
-        assert snap == ref_snap, (seed, plan.describe(), ex.name)
+    routes = [(ex, kernel) for ex in executors for kernel in KERNEL_MODES]
+    ref_mat, ref_snap = run(*routes[0])  # serial, generic
+    for ex, kernel in routes[1:]:
+        got, snap = run(ex, kernel)
+        assert got.equals(ref_mat), (seed, plan.describe(), ex.name, kernel)
+        assert snap == ref_snap, (seed, plan.describe(), ex.name, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ Two guarantees worth pinning separately from correctness:
 * the graph generators are pure functions of their seed — same seed, same
   edge list, byte for byte (regressions here silently invalidate every
   cross-run comparison in the benchmark suite);
-* MFBC itself is deterministic across *executor backends*: serial, thread
-  pool, and process pool runs of the same problem produce bit-identical
-  score vectors, not merely close ones (floating-point min/+ reductions are
+* MFBC itself is deterministic across *executor backends*: serial and
+  thread pool runs of the same problem produce bit-identical score
+  vectors, not merely close ones (floating-point min/+ reductions are
   reassociation-sensitive, so this pins the merge order too).
 """
 
@@ -22,7 +22,7 @@ from repro.graphs import (
     with_random_weights,
 )
 from repro.machine import Machine
-from repro.machine.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.machine.executor import SerialExecutor, ThreadExecutor
 
 
 def _edges(g):
@@ -76,7 +76,6 @@ class TestScoreDeterminism:
         for make in (
             lambda: SerialExecutor(),
             lambda: ThreadExecutor(2, fanout_min_work=0),
-            lambda: ProcessExecutor(2, fanout_min_work=0),
         ):
             ex = make()
             try:

@@ -2,11 +2,10 @@
 
 Covers executor resolution (instances, ``name[:N]`` strings, the
 ``REPRO_EXECUTOR`` environment fallback), the cost-aware dispatch gate,
-result ordering, shared-memory SpMat transport for the process backend,
-the per-rank skew report, the deprecation shims for the pre-audit
-positional constructors, and the runtime-checkable :class:`Engine`
-protocol.  Cross-backend *equivalence* over randomized inputs lives in
-``test_cross_engine_fuzz.py``.
+result ordering, the per-rank skew report, the deprecation shims for the
+pre-audit positional constructors, and the runtime-checkable
+:class:`Engine` protocol.  Cross-backend *equivalence* over randomized
+inputs lives in ``test_cross_engine_fuzz.py``.
 """
 
 import numpy as np
@@ -17,22 +16,17 @@ from repro.dist import DistMat, DistributedEngine
 from repro.machine import CostParams, Machine
 from repro.machine.executor import (
     LocalExecutor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    _export_spmat,
-    _import_spmat,
-    _release,
     available_backends,
     executor_skew_report,
     resolve_executor,
 )
 from repro.obs import api as obs
-from repro.sparse import SpMat
 from repro.sparse.spgemm import spgemm
 from repro.spgemm.selector import PinnedPolicy
 
-from conftest import WEIGHT, random_weight_spmat
+from conftest import random_weight_spmat
 
 from repro.algebra import TROPICAL
 
@@ -96,7 +90,7 @@ class TestResolveExecutor:
             resolve_executor(42)
 
     def test_available_backends(self):
-        assert set(available_backends()) == {"serial", "thread", "process"}
+        assert available_backends() == ("serial", "thread")
 
     def test_machine_threads_executor_through(self):
         m = Machine(4, executor="thread:2")
@@ -190,53 +184,6 @@ class TestThreadExecutor:
         ex.close()
 
 
-class TestProcessExecutor:
-    def test_closures_fall_back_inline(self):
-        with ProcessExecutor(2, fanout_min_work=0) as ex:
-            out = ex.run_tasks(
-                [lambda: "a", lambda: "b"], site="t", est_work=1e12
-            )
-        assert out == ["a", "b"]
-
-    def test_run_spgemm_matches_serial_kernel(self, rng):
-        pairs = pairs_for(rng, 3)
-        # repeated operand exercises the export-once dedupe path
-        pairs.append((pairs[0][0], pairs[1][1]))
-        ref = [spgemm(x, y, SPEC) for x, y in pairs]
-        with ProcessExecutor(2, fanout_min_work=0) as ex:
-            out = ex.run_spgemm(pairs, SPEC)
-        for got, want in zip(out, ref):
-            assert got.matrix.equals(want.matrix)
-            assert got.ops == want.ops
-
-
-class TestSharedMemoryTransport:
-    def test_roundtrip(self, rng):
-        mat = random_weight_spmat(rng, 12, 9, 0.4)
-        manifest, shm = _export_spmat(mat)
-        try:
-            back, back_shm = _import_spmat(manifest, copy=True)
-            _release(back_shm, unlink=False)
-            assert back.equals(mat)
-        finally:
-            _release(shm, unlink=True)
-
-    def test_empty_matrix_needs_no_segment(self):
-        empty = SpMat(
-            4,
-            4,
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            {"w": np.array([], dtype=np.float64)},
-            WEIGHT,
-        )
-        manifest, shm = _export_spmat(empty)
-        assert manifest["segment"] is None and shm is None
-        back, back_shm = _import_spmat(manifest, copy=True)
-        assert back_shm is None
-        assert back.nnz == 0 and back.nrows == 4 and back.ncols == 4
-
-
 # ---------------------------------------------------------------------------
 # skew report
 # ---------------------------------------------------------------------------
@@ -317,7 +264,6 @@ class TestEngineProtocol:
             "LocalExecutor",
             "SerialExecutor",
             "ThreadExecutor",
-            "ProcessExecutor",
             "resolve_executor",
         ):
             assert name in repro.__all__

@@ -4,7 +4,7 @@ Covers the :class:`FaultPlan` spec grammar and validation, seed-exact
 determinism of the injected event stream, payload corruption + the checksum
 guard at the Group collectives (on their own and inside the products of a
 real ``mfbc``), straggler skew, memory-pressure tightening,
-the executors' pool-kill injection and process → thread → serial graceful
+the executors' pool-kill injection and thread → serial graceful
 degradation (bit-identical results), the mfbc retry loop, and the ISSUE's
 end-to-end acceptance criteria (crash → checkpoint → resume re-executes
 only the remaining batches, bit-identical scores).
@@ -27,7 +27,7 @@ from repro.faults import (
     resolve_fault_plan,
 )
 from repro.machine import Group, Machine, MemoryLimitExceeded
-from repro.machine.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.machine.executor import SerialExecutor, ThreadExecutor
 from repro.sparse.spgemm import spgemm
 from repro.spgemm import Plan
 from repro.spgemm.selector import PinnedPolicy
@@ -389,28 +389,6 @@ class TestExecutorDegradation:
         assert actions == [("pool", "injected"), ("pool", "degraded")]
         ex.close()
 
-    def test_process_pool_sigkill_degrades_down_the_chain(self, rng):
-        """Acceptance: a real SIGKILLed pool worker degrades process →
-        thread (→ serial after a second injection) with no intervention and
-        bit-identical results."""
-        pairs = spgemm_pairs(rng)
-        ref = [spgemm(x, y, SPEC) for x, y in pairs]
-        ex = ProcessExecutor(2, fanout_min_work=0)
-        ex.fault_plan = FaultPlan(0, poolkill=1.0, limit=2)
-        try:
-            out = ex.run_spgemm(pairs, SPEC)
-            assert_results_equal(out, ref)
-            chain = []
-            cur = ex
-            while cur is not None:
-                chain.append(cur.name)
-                cur = cur._successor
-            assert chain == ["process", "thread", "serial"]
-            kinds = [(e.kind, e.action) for e in ex.fault_plan.events]
-            assert kinds.count(("pool", "degraded")) == 2
-        finally:
-            ex.close()
-
     def test_degraded_executor_delegates_future_batches(self, rng):
         ex = ThreadExecutor(2, fanout_min_work=0)
         ex.fault_plan = FaultPlan(0, poolkill=1.0, limit=1)
@@ -457,13 +435,10 @@ class TestExecutorDegradation:
         from repro.machine.executor import _LIVE_EXECUTORS
 
         ex = ThreadExecutor(2)
-        px = ProcessExecutor(2)
         try:
             assert ex in _LIVE_EXECUTORS
-            assert px in _LIVE_EXECUTORS
         finally:
             ex.close()
-            px.close()
 
     def test_serial_reference_untouched_by_fault_plan(self, rng):
         ex = SerialExecutor()

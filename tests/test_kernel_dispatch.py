@@ -64,16 +64,18 @@ class TestRecognition:
         "spec, path, field",
         [
             (REAL_PLUS_TIMES.matmul_spec(), "plus-times", "w"),
-            (TROPICAL.matmul_spec(), "soa-min", "w"),
-            (TROPICAL.matmul_spec(name="bfs"), "soa-min", "w"),
-            (MAX_MIN.matmul_spec(), "soa-max", "w"),
-            (CC_SPEC, "soa-min", "w"),
+            # every other semiring runs the generic kernel
+            (TROPICAL.matmul_spec(), None, None),
+            (TROPICAL.matmul_spec(name="bfs"), None, None),
+            (MAX_MIN.matmul_spec(), None, None),
+            (CC_SPEC, None, None),
             (BELLMAN_FORD_SPEC, "multpath", None),
             (BRANDES_SPEC, "centpath", None),
         ],
     )
     def test_builtin_traits(self, spec, path, field):
-        assert recognize(spec) == KernelTraits(path, field=field)
+        expected = KernelTraits(path, field=field) if path else None
+        assert recognize(spec) == expected
 
     def test_opaque_action_unrecognized(self):
         # a bare callable carries no recognizable algebraic structure
@@ -93,7 +95,7 @@ class TestRecognition:
             a = cst.random_weight_spmat(rng, 3, 3, 0.5)
             got = dispatch_spgemm(
                 a, a, spec, mask_keys=None, mask_complement=False,
-                chunk=1 << 22, mode="fast",
+                chunk=1 << 22,
             )
             assert got is sentinel
         finally:
@@ -111,23 +113,24 @@ class TestModeKnob:
         assert resolve_kernel_mode(None) == "auto"
 
     def test_env_beats_nothing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "fast")
-        assert resolve_kernel_mode() == "fast"
+        monkeypatch.setenv("REPRO_KERNEL", "generic")
+        assert resolve_kernel_mode() == "generic"
 
     def test_normalization_and_rejection(self):
-        assert resolve_kernel_mode("  Fast ") == "fast"
-        with pytest.raises(ValueError, match="unknown kernel mode"):
-            resolve_kernel_mode("turbo")
+        assert resolve_kernel_mode("  Generic ") == "generic"
+        for gone in ("turbo", "fast"):
+            with pytest.raises(ValueError, match="unknown kernel mode"):
+                resolve_kernel_mode(gone)
 
     def test_sequential_engine_knob(self):
-        assert SequentialEngine(kernel="fast").kernel == "fast"
+        assert SequentialEngine(kernel="generic").kernel == "generic"
         assert SequentialEngine().kernel is None
 
     def test_machine_knob(self):
-        m = Machine(4, kernel="fast")
-        assert m.kernel == "fast"
-        assert m.executor.kernel_mode == "fast"
-        assert "kernel=fast" in repr(m)
+        m = Machine(4, kernel="generic")
+        assert m.kernel == "generic"
+        assert m.executor.kernel_mode == "generic"
+        assert "kernel=generic" in repr(m)
         # the machine hands its workers a resolved mode, never "ask the env"
         plain = Machine(4)
         assert plain.kernel == plain.executor.kernel_mode == "auto"
@@ -135,11 +138,12 @@ class TestModeKnob:
     def test_cli_flag(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["bc", "g.txt", "--kernel", "fast"])
-        assert args.kernel == "fast"
+        args = build_parser().parse_args(["bc", "g.txt", "--kernel", "generic"])
+        assert args.kernel == "generic"
         assert build_parser().parse_args(["bc", "g.txt"]).kernel is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bc", "g.txt", "--kernel", "turbo"])
+        for gone in ("turbo", "fast"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bc", "g.txt", "--kernel", gone])
 
     def test_spgemm_reads_env(self, rng, monkeypatch):
         # REPRO_KERNEL=generic must disable dispatch even for recognized specs
@@ -150,14 +154,22 @@ class TestModeKnob:
             spgemm(a, a, TROPICAL.matmul_spec())
         assert metrics.total("kernel.dispatch") == 0.0
 
-    def test_dispatch_counter(self, rng):
+    def test_dispatch_counter(self, rng, monkeypatch):
         a = cst.random_weight_spmat(rng, 6, 6, 0.5)
         metrics = obs.Metrics()
         with obs.use(metrics=metrics):
-            spgemm(a, a, TROPICAL.matmul_spec(), kernel="fast")
-        assert (
-            metrics.total("kernel.dispatch", kernel="soa-min", outcome="hit") == 1.0
-        )
+            spgemm(a, a, TROPICAL.matmul_spec(), kernel="auto")
+            # too small to repay the CSR conversion: scipy declines
+            spgemm(a, a, REAL_PLUS_TIMES.matmul_spec(), kernel="auto")
+            monkeypatch.setattr(dispatch_mod, "_SCIPY_MIN_OPS", 0)
+            spgemm(a, a, REAL_PLUS_TIMES.matmul_spec(), kernel="auto")
+
+        def count(kernel, outcome):
+            return metrics.total("kernel.dispatch", kernel=kernel, outcome=outcome)
+
+        assert count("generic", "unrecognized") == 1.0
+        assert count("plus-times", "declined") == 1.0
+        assert count("plus-times", "hit") == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +182,16 @@ def _assert_identical(a, b, spec, mask, complement, chunk):
         a, b, spec, mask=mask, mask_complement=complement, chunk=chunk,
         kernel="generic",
     )
-    for mode in ("fast", "auto"):
-        got = spgemm(
-            a, b, spec, mask=mask, mask_complement=complement, chunk=chunk,
-            kernel=mode,
-        )
-        assert got.matrix.equals(gen.matrix), mode
-        assert got.ops == gen.ops, mode
+    # with the small-product guard lifted (scipy on tiny operands), then as is
+    for min_ops in (0, dispatch_mod._SCIPY_MIN_OPS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dispatch_mod, "_SCIPY_MIN_OPS", min_ops)
+            got = spgemm(
+                a, b, spec, mask=mask, mask_complement=complement, chunk=chunk,
+                kernel="auto",
+            )
+        assert got.matrix.equals(gen.matrix), min_ops
+        assert got.ops == gen.ops, min_ops
 
 
 @st.composite
@@ -256,7 +271,7 @@ class TestMaskSemantics:
         mask = cst.random_weight_spmat(rng, 8, 8, 0.3)
         return a, b, mask
 
-    @pytest.mark.parametrize("kernel", ["generic", "fast"])
+    @pytest.mark.parametrize("kernel", ["generic", "auto"])
     def test_mask_restricts_support(self, abm, kernel):
         a, b, mask = abm
         spec = TROPICAL.matmul_spec()
@@ -272,7 +287,7 @@ class TestMaskSemantics:
         # masked ops count only the surviving elementary products
         assert kept.ops + comp.ops == full.ops
 
-    @pytest.mark.parametrize("kernel", ["generic", "fast"])
+    @pytest.mark.parametrize("kernel", ["generic", "auto"])
     def test_empty_mask(self, abm, kernel):
         a, b, _ = abm
         spec = TROPICAL.matmul_spec()
@@ -314,16 +329,15 @@ class TestEndToEnd:
     def test_mfbc_sequential_bitwise(self):
         g = rmat_graph(scale=5, avg_degree=4, seed=3)
         ref = mfbc(g, engine=SequentialEngine(kernel="generic")).scores
-        for mode in ("auto", "fast"):
-            got = mfbc(g, engine=SequentialEngine(kernel=mode)).scores
-            assert np.array_equal(ref, got), mode
+        got = mfbc(g, engine=SequentialEngine(kernel="auto")).scores
+        assert np.array_equal(ref, got)
 
     def test_mfbc_distributed_checked_fast(self):
         # full differential replay: every fast-path product is re-verified
         # against the generic oracle inside CheckedEngine
         g = rmat_graph(scale=4, avg_degree=4, seed=7)
         ref = mfbc(g, engine=SequentialEngine(kernel="generic")).scores
-        machine = Machine(4, kernel="fast")
+        machine = Machine(4, kernel="auto")
         engine = DistributedEngine(machine, check="full")
         got = mfbc(g, engine=engine).scores
         assert np.array_equal(ref, got)

@@ -1,8 +1,8 @@
 """repro.memory: spill-to-disk store, relief eviction, the memory rungs.
 
 Covers the checksummed :class:`SpillStore` (round-trip bit-exactness,
-write-then-verify torn-write handling, generation rotation, chunk
-staging), DistMat block/replica eviction and lazy fault-in,
+write-then-verify torn-write handling, generation rotation), DistMat
+block/replica eviction and lazy fault-in,
 :class:`RecoveryLadder` rung progression and re-arming, and the ISSUE's
 acceptance bar: a seed-graph MFBC run under a per-rank budget well below
 the unpressured peak completes **bit-identically** via the ladder with its
@@ -64,7 +64,7 @@ def run_mfbc(g, machine, *, batch=64):
 
 
 # ---------------------------------------------------------------------------
-# SpillStore: segments, torn writes, rotation, chunks
+# SpillStore: segments, torn writes, rotation
 # ---------------------------------------------------------------------------
 
 
@@ -137,16 +137,6 @@ class TestSpillStore:
         store.drop("k")
         with pytest.raises(SpillError):
             store.fetch(seg)
-
-    def test_chunk_staging_round_trip_is_binary_exact(self, tmp_path, rng):
-        store = SpillStore(tmp_path)
-        arrays = {
-            "rows": rng.integers(0, 100, 50),
-            "wts": rng.random(50),
-        }
-        handle = store.fetch_chunk(store.stage_chunk("c0", arrays))
-        np.testing.assert_array_equal(handle["rows"], arrays["rows"])
-        np.testing.assert_array_equal(handle["wts"], arrays["wts"])
 
     def test_bad_keep_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="keep"):
@@ -254,7 +244,6 @@ class TestMemoryLadder:
         assert ladder.width == 1
         monkeypatch.setattr(machine.memory, "spill_all", lambda: 4096)
         assert ladder.advance(exc, index=0, width=1) == "spill"
-        assert machine.memory.chunk_staging
         assert ladder.advance(exc, index=0, width=1) == "drop_redundancy"
         # exhausted: caller re-raises
         assert ladder.advance(exc, index=0, width=1) is None
@@ -278,11 +267,9 @@ class TestMemoryLadder:
         ladder = RecoveryLadder(engine)
         ladder.advance(MemoryLimitExceeded("boom"), index=0, width=1)
         assert engine.dropped
-        machine.memory.chunk_staging = True
-        # headroom 10_000 >= 2 * 512: replicas come back, staging disarms
+        # headroom 10_000 >= 2 * 512: replicas come back
         ladder.after_success()
         assert not engine.dropped
-        assert not machine.memory.chunk_staging
         # and the drop rung is available again on the next pressure spike
         assert (
             ladder.advance(MemoryLimitExceeded("boom"), index=0, width=1)
@@ -307,6 +294,24 @@ class TestMemoryLadder:
         ladder.advance(MemoryLimitExceeded("boom"), index=0, width=1)
         sigs = [(e.kind, e.action, e.site) for e in machine.faults.events]
         assert sigs.count(("mem", "degraded", "mfbc")) == 2
+
+    def test_past_spill_rung_ledger_is_kernel_independent(self, tmp_path):
+        # the oracle chain's "same ledger across kernels and memory rungs"
+        # link: a batch run past the spill rung charges the same under the
+        # generic oracle as under the dispatched kernels
+        g = seed_graph()
+        runs = {}
+        for kernel in ("generic", "auto"):
+            machine = quiet(4, kernel=kernel, spill_dir=str(tmp_path / kernel))
+            engine = DistributedEngine(machine)
+            engine.adjacency(g)  # resident, spillable blocks for the rung
+            ladder = RecoveryLadder(engine)
+            exc = MemoryLimitExceeded("boom")
+            assert ladder.advance(exc, index=0, width=1) == "spill"
+            result = mfbc(g, batch_size=16, max_batches=1, engine=engine)
+            runs[kernel] = (result.scores, machine.ledger.snapshot())
+        np.testing.assert_array_equal(runs["generic"][0], runs["auto"][0])
+        assert runs["generic"][1] == runs["auto"][1]
 
     def test_doc_table_is_the_rung_table(self):
         # docs/robustness.md, "The recovery ladder": the numbered rows of
@@ -396,13 +401,6 @@ class TestPressuredRuns:
         scores = run_mfbc(g, machine)
         np.testing.assert_array_equal(scores, ref)
         assert machine.memory_peak() <= machine.memory_words
-
-    def test_forced_chunk_staging_bit_identical(self, tmp_path):
-        g, ref, _ = self._baseline()
-        machine = quiet(4, spill_dir=str(tmp_path))
-        machine.memory.chunk_staging = True
-        scores = run_mfbc(g, machine)
-        np.testing.assert_array_equal(scores, ref)
 
     def test_infeasible_budget_is_terminal(self, tmp_path):
         g = seed_graph()

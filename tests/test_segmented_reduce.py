@@ -268,7 +268,7 @@ def test_masked_product_same_either_side_of_table_threshold(
     results = []
     for span in (0, 1 << 30):  # never / always the dense table
         monkeypatch.setattr(kernel, "_MASK_TABLE_SPAN", span)
-        for mode in ("generic", "fast"):
+        for mode in ("generic", "auto"):
             results.append(
                 spgemm(front, adj, BRANDES_SPEC, mask=mask,
                        mask_complement=complement, kernel=mode, chunk=97)
