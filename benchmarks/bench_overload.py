@@ -13,7 +13,7 @@ services at each overload factor:
   queue (the pre-overload behaviour): every arrival is admitted and
   waits.
 
-The table committed to ``benchmarks/results/overload.txt`` is the classic
+The table written to ``benchmarks/results/overload.txt`` is the classic
 load-shedding picture: without admission control the backlog — and with
 it every admitted query's p50/p99 — grows with the overload factor,
 while with shedding the queue and the admitted tail stay flat no matter

@@ -5,7 +5,7 @@ Communication-Efficient Sparse Matrix Multiplication"* (Solomonik, Besta,
 Vella, Hoefler — SC'17): the monoid-based MFBC algorithm, a mini-CTF
 distributed sparse-matrix substrate with the full §5.2 SpGEMM algorithm
 space and model-driven selection, a simulated α-β distributed machine, and
-the paper's baselines (Brandes, CombBLAS-style BC, APSP).
+the paper's baselines (Brandes, CombBLAS-style BC).
 
 Quickstart
 ----------
@@ -130,7 +130,6 @@ from repro.sparse import (
     resolve_kernel_mode,
     spgemm,
 )
-from repro.tensor import SpTensor, contract
 from repro.spgemm import (
     AutoPolicy,
     PinnedPolicy,
@@ -154,13 +153,11 @@ __all__ = [
     "bellman_ford_action",
     "brandes_action",
     "left_project",
-    # sparse / tensor
+    # sparse
     "SpMat",
     "spgemm",
     "SpGemmResult",
     "count_ops",
-    "SpTensor",
-    "contract",
     # kernel dispatch tier
     "KERNEL_MODES",
     "KernelTraits",

@@ -78,10 +78,6 @@ class SemiringAction:
         return {self.field: self.multiply(a[self.field], b[self.field])}
 
 
-#: Backward-compatible private alias (pre-dispatch-tier name).
-_SemiringAction = SemiringAction
-
-
 def left_project(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``⊗`` keeping the left operand — label/frontier propagation.
 

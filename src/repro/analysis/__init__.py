@@ -31,7 +31,6 @@ from repro.analysis.report import (
     format_table,
     format_trace_report,
     trace_attribution,
-    write_markdown_table,
 )
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "edge_weak_scaling",
     "vertex_weak_scaling",
     "format_table",
-    "write_markdown_table",
     "trace_attribution",
     "format_trace_report",
 ]

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 from repro.core.stats import MFBCStats
 from repro.machine.machine import CostParams
-from repro.spgemm.plan import Plan
 from repro.spgemm.selector import (
     SelectionPolicy,
     amortized_model_plan,
+    cheapest_plan,
     enumerate_plans,
 )
 
@@ -49,40 +49,6 @@ class ModeledRun:
             "words": self.words,
             "msgs": self.msgs,
         }
-
-
-def _best_estimate(
-    p: int,
-    m: int,
-    k: int,
-    n: int,
-    nnz_a: int,
-    nnz_b: int,
-    nnz_c: int,
-    ops: int,
-    cost: CostParams,
-    memory_words: float | None,
-    plans: list[Plan],
-):
-    best = None
-    best_t = float("inf")
-    for plan in plans:
-        # The adjacency matrix is always the second (B) operand of MFBC's
-        # products and its replication is amortized across the whole run.
-        est = amortized_model_plan(
-            plan, m, k, n, nnz_a, nnz_b, frozenset("B"), nnz_c=nnz_c, ops=ops
-        )
-        if memory_words is not None and est.memory_words > memory_words:
-            continue
-        t = est.time(cost.alpha, cost.beta, cost.compute_rate)
-        if t < best_t:
-            best, best_t = est, t
-    if best is None:
-        raise ValueError(
-            f"no plan fits memory budget {memory_words} at p={p} "
-            f"(nnz_a={nnz_a}, nnz_b={nnz_b})"
-        )
-    return best
 
 
 def model_run(
@@ -145,19 +111,22 @@ def model_run(
     for batch in stats.batches:
         nb = batch.sources
         for it in batch.iterations:
-            est = _best_estimate(
-                p,
-                nb,
-                n,
-                n,
-                it.frontier_nnz,
-                nnz_adj,
-                it.product_nnz,
-                it.ops,
+            # The adjacency matrix is always the second (B) operand of MFBC's
+            # products and its replication is amortized across the whole run.
+            _plan, est, _seconds, _feasible = cheapest_plan(
+                plans,
+                lambda plan: amortized_model_plan(
+                    plan, nb, n, n, it.frontier_nnz, nnz_adj, frozenset("B"),
+                    nnz_c=it.product_nnz, ops=it.ops,
+                ),
                 cost,
                 memory_words,
-                plans,
             )
+            if est is None:
+                raise ValueError(
+                    f"no plan fits memory budget {memory_words} at p={p} "
+                    f"(nnz_a={it.frontier_nnz}, nnz_b={nnz_adj})"
+                )
             comm_s += est.msgs * cost.alpha + est.words * cost.beta
             compute_s += est.flops / cost.compute_rate
             words += est.words

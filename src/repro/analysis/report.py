@@ -1,23 +1,19 @@
-"""Plain-text and markdown table rendering for benchmark reports."""
+"""Plain-text table rendering for benchmark and trace reports."""
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 __all__ = [
     "format_table",
-    "write_markdown_table",
     "trace_attribution",
     "format_trace_report",
     "cache_attribution",
-    "format_cache_report",
     "overload_attribution",
-    "format_overload_report",
     "approx_attribution",
-    "format_approx_report",
     "memory_attribution",
-    "format_memory_report",
+    "REPORTS",
+    "format_report",
 ]
 
 
@@ -44,26 +40,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     out = [line(headers), line(["-" * w for w in widths])]
     out.extend(line(r) for r in cells)
     return "\n".join(out)
-
-
-def write_markdown_table(
-    path: str | os.PathLike,
-    title: str,
-    headers: Sequence[str],
-    rows: Sequence[Sequence],
-    *,
-    append: bool = True,
-) -> None:
-    """Write a markdown table section (used to build EXPERIMENTS.md)."""
-    cells = [[_fmt(v) for v in row] for row in rows]
-    lines = [f"\n## {title}\n"]
-    lines.append("| " + " | ".join(headers) + " |")
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for r in cells:
-        lines.append("| " + " | ".join(r) + " |")
-    mode = "a" if append else "w"
-    with open(path, mode) as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def trace_attribution(tracer, ledger) -> list[dict]:
@@ -122,31 +98,6 @@ def cache_attribution(metrics) -> list[dict]:
     return rows
 
 
-def format_cache_report(metrics) -> str:
-    """Render :func:`cache_attribution` as an aligned text table.
-
-    Returns the empty string when the registry holds no cache events, so
-    callers can print it unconditionally.
-    """
-    rows = cache_attribution(metrics)
-    if not rows:
-        return ""
-    table = format_table(
-        ["algorithm", "hits", "misses", "invalidated", "hit rate"],
-        [
-            [
-                r["algorithm"],
-                r["hits"],
-                r["misses"],
-                r["invalidated"],
-                f"{100.0 * r['hit_rate']:.1f}%",
-            ]
-            for r in rows
-        ],
-    )
-    return "cache events (serve.cache.*):\n" + table
-
-
 #: the labeled overload counter families the serving layer emits
 _OVERLOAD_COUNTERS: tuple[tuple[str, str], ...] = (
     ("serve.overload.shed", "reason"),
@@ -181,23 +132,6 @@ def overload_attribution(metrics) -> list[dict]:
     return rows
 
 
-def format_overload_report(metrics) -> str:
-    """Render :func:`overload_attribution` as an aligned text table.
-
-    Returns the empty string when the registry holds no overload events,
-    so callers can print it unconditionally (mirrors
-    :func:`format_cache_report`).
-    """
-    rows = overload_attribution(metrics)
-    if not rows:
-        return ""
-    table = format_table(
-        ["event", "label", "count"],
-        [[r["event"], r["label"], r["count"]] for r in rows],
-    )
-    return "overload events (serve.overload.*):\n" + table
-
-
 def approx_attribution(metrics) -> list[dict]:
     """Per-algorithm adaptive-sampling totals from a metrics registry.
 
@@ -226,33 +160,6 @@ def approx_attribution(metrics) -> list[dict]:
             }
         )
     return rows
-
-
-def format_approx_report(metrics) -> str:
-    """Render :func:`approx_attribution` as an aligned text table.
-
-    Returns the empty string when the registry holds no sampling events,
-    so callers can print it unconditionally (mirrors
-    :func:`format_cache_report`).
-    """
-    rows = approx_attribution(metrics)
-    if not rows:
-        return ""
-    table = format_table(
-        ["algorithm", "runs", "converged", "batches", "samples", "last width"],
-        [
-            [
-                r["algorithm"],
-                r["runs"],
-                r["converged"],
-                r["batches"],
-                r["samples"],
-                "-" if r["last_width"] is None else r["last_width"],
-            ]
-            for r in rows
-        ],
-    )
-    return "adaptive sampling (approx.*):\n" + table
 
 
 def memory_attribution(metrics) -> list[dict]:
@@ -316,20 +223,60 @@ def memory_attribution(metrics) -> list[dict]:
     return rows
 
 
-def format_memory_report(metrics) -> str:
-    """Render :func:`memory_attribution` as an aligned text table.
+#: the metric reports ``repro trace`` prints, in print order:
+#: name -> (title, attribution function, headers, row dict -> cells)
+REPORTS: dict[str, tuple] = {
+    "cache": (
+        "cache events (serve.cache.*)",
+        cache_attribution,
+        ["algorithm", "hits", "misses", "invalidated", "hit rate"],
+        lambda r: [
+            r["algorithm"],
+            r["hits"],
+            r["misses"],
+            r["invalidated"],
+            f"{100.0 * r['hit_rate']:.1f}%",
+        ],
+    ),
+    "overload": (
+        "overload events (serve.overload.*)",
+        overload_attribution,
+        ["event", "label", "count"],
+        lambda r: [r["event"], r["label"], r["count"]],
+    ),
+    "approx": (
+        "adaptive sampling (approx.*)",
+        approx_attribution,
+        ["algorithm", "runs", "converged", "batches", "samples", "last width"],
+        lambda r: [
+            r["algorithm"],
+            r["runs"],
+            r["converged"],
+            r["batches"],
+            r["samples"],
+            "-" if r["last_width"] is None else r["last_width"],
+        ],
+    ),
+    "memory": (
+        "memory pressure (memory.*)",
+        memory_attribution,
+        ["event", "site", "count", "words"],
+        lambda r: [r["event"], r["site"], r["count"], r["words"]],
+    ),
+}
 
-    Returns the empty string when the registry holds no memory-pressure
-    events, so callers can print it unconditionally.
+
+def format_report(name: str, metrics) -> str:
+    """Render the :data:`REPORTS` entry ``name`` as an aligned text table.
+
+    Returns the empty string when the registry holds no events of that
+    family, so callers can print it unconditionally.
     """
-    rows = memory_attribution(metrics)
+    title, attribution, headers, cells = REPORTS[name]
+    rows = attribution(metrics)
     if not rows:
         return ""
-    table = format_table(
-        ["event", "site", "count", "words"],
-        [[r["event"], r["site"], r["count"], r["words"]] for r in rows],
-    )
-    return "memory pressure (memory.*):\n" + table
+    return f"{title}:\n" + format_table(headers, [cells(r) for r in rows])
 
 
 def format_trace_report(tracer, ledger) -> str:

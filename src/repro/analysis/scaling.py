@@ -21,7 +21,7 @@ import numpy as np
 from repro.analysis.perfmodel import model_run
 from repro.analysis.teps import mteps_per_node
 from repro.core.mfbc import mfbc
-from repro.core.stats import BatchStats, MFBCStats
+from repro.core.stats import MFBCStats
 from repro.graphs.graph import Graph
 from repro.machine.machine import CostParams
 from repro.spgemm.selector import SelectionPolicy
@@ -68,23 +68,11 @@ def trace_combblas(
     *,
     max_batches: int | None = None,
 ) -> tuple[MFBCStats, int]:
-    """CombBLAS-style trace converted into the shared stats shape.
-
-    The CombBLAS result records aggregate matmul/ops counters; to price it
-    per product we re-run its batches capturing per-product sizes through a
-    recording engine.
-    """
-    from repro.analysis._trace import RecordingEngine
-
-    eng = RecordingEngine()
+    """Sequential CombBLAS-style trace; returns (stats, sources traced)."""
     from repro.baselines.combblas_bc import combblas_bc
 
-    res = combblas_bc(
-        graph, batch_size=batch_size, engine=eng, max_batches=max_batches
-    )
-    stats = MFBCStats()
-    stats.batches.append(BatchStats(sources=res._sources, iterations=eng.records))
-    return stats, res._sources
+    res = combblas_bc(graph, batch_size=batch_size, max_batches=max_batches)
+    return res.stats, res.stats.sources_processed
 
 
 #: Memory slack factor on the adjacency share: the graph fits with this much

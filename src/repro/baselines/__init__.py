@@ -7,21 +7,16 @@
   multiplicity counting (Bellman-Ford, Dijkstra);
 * :mod:`repro.baselines.combblas_bc` — a CombBLAS-style batched algebraic
   BC (semiring SpGEMM batch-BFS + back-propagation, unweighted graphs,
-  square 2D process grids): the performance comparison target of §7;
-* :mod:`repro.baselines.apsp` — all-pairs shortest paths via Floyd-Warshall
-  and min-plus path doubling, the §5.3.2 memory/bandwidth comparison point.
+  square 2D process grids): the performance comparison target of §7.
 """
 
 from repro.baselines.brandes import brandes_bc
 from repro.baselines.combblas_bc import combblas_bc
 from repro.baselines.sssp import bellman_ford_sssp, dijkstra_sssp
-from repro.baselines.apsp import floyd_warshall, path_doubling_apsp
 
 __all__ = [
     "brandes_bc",
     "combblas_bc",
     "bellman_ford_sssp",
     "dijkstra_sssp",
-    "floyd_warshall",
-    "path_doubling_apsp",
 ]

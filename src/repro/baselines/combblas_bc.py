@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.algebra.semiring import REAL_PLUS_TIMES
 from repro.core.engine import Engine, SequentialEngine
+from repro.core.stats import BatchStats, IterationStats, MFBCStats
 from repro.graphs.graph import Graph
 from repro.obs import api as obs
 
@@ -43,21 +44,31 @@ _SPEC = REAL_PLUS_TIMES.matmul_spec()
 
 @dataclass
 class CombBLASResult:
-    """Scores plus the counters the benchmarks report."""
+    """Scores plus the counters the benchmarks report.
+
+    ``stats`` has the shape of :attr:`MFBCResult.stats` — one
+    :class:`BatchStats` per batch, one :class:`IterationStats` per product —
+    so :func:`~repro.analysis.perfmodel.model_run` prices both algorithms.
+    """
 
     scores: np.ndarray
     batch_size: int
     elapsed_seconds: float
-    matmuls: int = 0
-    ops: int = 0
+    stats: MFBCStats = field(default_factory=MFBCStats)
     levels_per_batch: list[int] = field(default_factory=list)
+
+    @property
+    def matmuls(self) -> int:
+        return self.stats.total_multiplications
+
+    @property
+    def ops(self) -> int:
+        return self.stats.total_ops
 
     def teps(self, graph: Graph) -> float:
         """Edge traversals per second, same convention as MFBC (§7.1)."""
-        traversals = len(self.scores) and self._sources * graph.nnz_adjacency
+        traversals = self.stats.sources_processed * graph.nnz_adjacency
         return traversals / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
-
-    _sources: int = 0
 
 
 def combblas_bc(
@@ -101,10 +112,10 @@ def combblas_bc(
         nbatches = 0
         for lo in range(0, len(sources), batch_size):
             batch = sources[lo : lo + batch_size]
+            result.stats.batches.append(BatchStats(sources=len(batch)))
             with obs.span("batch", cat="batch", index=nbatches, sources=len(batch)):
                 _one_batch(engine, adj, adj_t, batch, n, scores, result)
             nbatches += 1
-            result._sources += len(batch)
             if max_batches is not None and nbatches >= max_batches:
                 break
     result.elapsed_seconds = time.perf_counter() - t0
@@ -114,6 +125,7 @@ def combblas_bc(
 def _one_batch(engine, adj, adj_t, batch, n, scores, result) -> None:
     nb = len(batch)
     plus = _SPEC.monoid
+    iterations = result.stats.batches[-1].iterations
 
     # nsp(s, s) = 1: one empty path from each source to itself.
     nsp = engine.matrix(
@@ -135,11 +147,13 @@ def _one_batch(engine, adj, adj_t, batch, n, scores, result) -> None:
             # every stored count is positive) are expanded, so the settled
             # part of the frontier never even forms its products.  This is
             # the ``mxmm_msa_cmask`` idiom of GraphBLAS BC.
-            fringe, ops = engine.spgemm(
+            product, ops = engine.spgemm(
                 fringe, adj, _SPEC, mask=nsp, mask_complement=True
             )
-            result.matmuls += 1
-            result.ops += ops
+            iterations.append(
+                IterationStats(_SPEC.name, fringe.nnz, product.nnz, ops)
+            )
+            fringe = product
             if fringe.nnz == 0:
                 break
             nsp = nsp.combine(fringe)
@@ -164,8 +178,7 @@ def _one_batch(engine, adj, adj_t, batch, n, scores, result) -> None:
             # Only contributions landing on the previous level survive the
             # zip_map below (its support is levels[d-1]), so mask to it.
             back, ops = engine.spgemm(w1, adj_t, _SPEC, mask=levels[d - 1])
-            result.matmuls += 1
-            result.ops += ops
+            iterations.append(IterationStats(_SPEC.name, w1.nnz, back.nnz, ops))
             # Keep contributions landing on the previous level, scale by
             # σ̄(s, v).
             upd = levels[d - 1].zip_map(back, lambda lv, bv: {"w": lv["w"] * bv["w"]})

@@ -27,15 +27,9 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from repro.algebra.centpath import CENTPATH
-from repro.algebra.matmul import MatMulSpec
 from repro.algebra.monoid import MaxMonoid, MinMonoid, Monoid, PlusMonoid
 from repro.algebra.multpath import MULTPATH
-from repro.graphs import (
-    Graph,
-    rmat_graph,
-    uniform_random_graph_nm,
-    with_random_weights,
-)
+from repro.graphs import Graph
 from repro.sparse.spmatrix import SpMat
 
 __all__ = [
@@ -46,10 +40,8 @@ __all__ = [
     "spmats",
     "graphs",
     "tiny_graphs",
-    "generated_graphs",
     "grids",
     "survivor_sets",
-    "matmul_specs",
     "pipelines",
     "sampler_states",
     "epsilon_delta_params",
@@ -212,32 +204,6 @@ def tiny_graphs(draw, max_n: int = 7, max_weight: int = 4) -> Graph:
     return Graph(n, src, dst, weight, directed=directed)
 
 
-@st.composite
-def generated_graphs(draw, max_scale: int = 5) -> Graph:
-    """A graph from the library's own generators (R-MAT / uniform),
-    optionally weighted — the family the paper benchmarks on (§7.1)."""
-    seed = draw(st.integers(0, 10_000))
-    kind = draw(st.sampled_from(["rmat", "uniform"]))
-    directed = draw(st.booleans())
-    if kind == "rmat":
-        scale = draw(st.integers(3, max_scale))
-        g = rmat_graph(
-            scale,
-            draw(st.integers(2, 6)),
-            directed=directed,
-            seed=seed,
-        )
-    else:
-        n = draw(st.integers(8, 1 << max_scale))
-        g = uniform_random_graph_nm(
-            n, draw(st.integers(2, 6)), directed=directed, seed=seed
-        )
-    assume(g.m >= 1)
-    if draw(st.booleans()):
-        g = with_random_weights(g, 1, 9, seed=seed)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # machines, grids, specs, pipelines
 # ---------------------------------------------------------------------------
@@ -326,17 +292,6 @@ def sampler_states(
     state = SamplerState.empty(n, shards)
     state.update(rows, start)
     return state
-
-
-def matmul_specs() -> st.SearchStrategy[MatMulSpec]:
-    """One of the library's replayable generalized-matmul operators."""
-    from repro.check.replay import _spec_registry
-
-    reg = _spec_registry()
-    return st.sampled_from(
-        sorted({spec.name: spec for spec in reg.values()}.values(),
-               key=lambda s: s.name)
-    )
 
 
 @st.composite

@@ -345,14 +345,17 @@ def _build_policy(args):
 def _cmd_bc(args) -> int:
     from repro.core import SequentialEngine, adaptive_bc, approximate_bc, mfbc
 
+    if args.samples is not None:
+        # fixed-size sampling is neither adaptive nor checkpointed
+        for flag in ("epsilon", "checkpoint"):
+            if getattr(args, flag) is not None:
+                print(f"error: --samples and --{flag} are mutually exclusive")
+                return 2
     g = _load(args.graph, args.directed)
     engine = (
         SequentialEngine(kernel=args.kernel) if args.kernel is not None else None
     )
     if args.epsilon is not None:
-        if args.samples is not None:
-            print("error: --samples and --epsilon are mutually exclusive")
-            return 2
         res = adaptive_bc(
             g,
             epsilon=args.epsilon,
@@ -517,13 +520,8 @@ def _print_trace_reports(args, session, machine, res) -> None:
 
         print()
         print(format_fault_report(machine.faults))
-    for render in (
-        report.format_cache_report,
-        report.format_overload_report,
-        report.format_approx_report,
-        report.format_memory_report,
-    ):
-        table = render(session.metrics)
+    for name in report.REPORTS:
+        table = report.format_report(name, session.metrics)
         if table:
             print()
             print(table)

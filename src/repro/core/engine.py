@@ -91,7 +91,6 @@ class SequentialEngine:
         ambient ``kernel`` knob (:mod:`repro.config`).
     """
 
-    #: class-level default so subclasses that skip ``__init__`` still work
     kernel: str | None = None
 
     def __init__(self, *, kernel: str | None = None) -> None:

@@ -546,10 +546,6 @@ class DistMat:
             out[r] = out.get(r, 0) + w
         return out
 
-    def owned_blocks(self) -> tuple[np.ndarray, list[list[SpMat]]]:
-        """The distinct owning ranks (ascending) and each one's blocks."""
-        return _by_owner(self.ranks2d, self.blocks)
-
     def same_distribution(self, other: "DistMat") -> bool:
         return (
             np.array_equal(self.ranks2d, other.ranks2d)
@@ -738,7 +734,7 @@ class DistMat:
                         (b.rows + self.row_splits[i], b.cols + self.col_splits[j], b.vals)
                     )
         if charge:
-            ranks, held = self.owned_blocks()
+            ranks, held = _by_owner(self.ranks2d, self.blocks)
             self.machine.group(ranks).gather(held)
         # blocks tile the matrix disjointly, and a single block column
         # already concatenates in row-major order

@@ -27,9 +27,7 @@ from repro.obs import api as obs
 from repro.sparse.spmatrix import SpMat
 from repro.spgemm.selector import AutoPolicy, SelectionPolicy
 
-# near_square_shape is re-exported for backward compatibility; the
-# canonical definition lives in repro.machine.grid.
-__all__ = ["DistributedEngine", "near_square_shape"]
+__all__ = ["DistributedEngine"]
 
 
 class DistributedEngine:

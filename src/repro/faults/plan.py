@@ -681,6 +681,8 @@ def format_fault_report(plan: "FaultPlan | None") -> str:
     outcomes are distinguishable at a glance instead of being scattered
     over per-action tallies.
     """
+    from repro.analysis.report import format_table  # lazy: imports this package
+
     if plan is None:
         return "faults: no fault plan attached"
     lines = [f"fault injection summary (plan {plan.describe()}):"]
@@ -699,17 +701,14 @@ def format_fault_report(plan: "FaultPlan | None") -> str:
         for a in (*_REPORT_ACTIONS, *extra_actions)
         if any(a in row for row in by_row.values())
     ]
-    kind_w = max(4, max(len(k) for k, _ in by_row))
-    site_w = max(4, max(len(s) for _, s in by_row))
-    header = f"  {'kind':<{kind_w}}  {'site':<{site_w}}"
-    for a in actions:
-        header += f"  {a:>9}"
-    lines.append(header)
-    for (kind, site), row in sorted(by_row.items()):
-        line = f"  {kind:<{kind_w}}  {site:<{site_w}}"
-        for a in actions:
-            line += f"  {row.get(a, 0) or '-':>9}"
-        lines.append(line)
+    table = format_table(
+        ["kind", "site", *actions],
+        [
+            [kind, site, *(row.get(a, 0) or "-" for a in actions)]
+            for (kind, site), row in sorted(by_row.items())
+        ],
+    )
+    lines.extend("  " + ln for ln in table.splitlines())
     lines.append("  events:")
     for ev in plan.events:
         rank = "-" if ev.rank is None else str(ev.rank)

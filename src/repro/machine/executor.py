@@ -484,6 +484,8 @@ def executor_skew_report(metrics, machine) -> str:
     host kernel disagree only by a constant; non-uniform skew exposes ranks
     whose local work the model mis-prices.
     """
+    from repro.analysis.report import format_table  # lazy: imports this package
+
     series = metrics.series("executor.rank_wall_seconds")
     if not series:
         return "executor: no fanned-out batches recorded"
@@ -493,8 +495,7 @@ def executor_skew_report(metrics, machine) -> str:
         total, count = per_rank.get(rank, (0.0, 0))
         per_rank[rank] = (total + hist.total, count + hist.count)
     rate = machine.cost.compute_rate
-    lines = ["executor per-rank wall vs modeled compute:"]
-    lines.append(f"{'rank':>6} {'tasks':>7} {'wall ms':>10} {'modeled ms':>11} {'skew':>7}")
+    rows = []
     for rank in sorted(per_rank):
         wall, count = per_rank[rank]
         modeled = (
@@ -502,8 +503,8 @@ def executor_skew_report(metrics, machine) -> str:
             if 0 <= rank < machine.p
             else 0.0
         )
-        skew = f"{wall / modeled:7.2f}" if modeled > 0 else "      -"
-        lines.append(
-            f"{rank:>6} {count:>7} {wall * 1e3:>10.3f} {modeled * 1e3:>11.3f} {skew}"
-        )
-    return "\n".join(lines)
+        skew = f"{wall / modeled:.2f}" if modeled > 0 else "-"
+        rows.append([rank, count, f"{wall * 1e3:.3f}", f"{modeled * 1e3:.3f}", skew])
+    return "executor per-rank wall vs modeled compute:\n" + format_table(
+        ["rank", "tasks", "wall ms", "modeled ms", "skew"], rows
+    )

@@ -18,9 +18,8 @@ shared :data:`NULL_SPAN` singleton without allocating, and
 
 Sessions form a stack: :func:`enable` pushes a (tracer, metrics) pair that
 receives all events until :func:`disable` pops it.  :func:`use` is the
-context-manager form, which also lets a component capture its own private
-stream (see ``repro.analysis._trace.RecordingEngine``) without touching an
-outer session.
+context-manager form; an inner ``use`` block captures its own private
+stream without touching an outer session.
 """
 
 from __future__ import annotations

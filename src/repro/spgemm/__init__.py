@@ -29,7 +29,6 @@ from repro.spgemm.selector import (
     AutoPolicy,
     PinnedPolicy,
     Square2DPolicy,
-    select_plan,
 )
 from repro.spgemm.variants import execute_plan
 
@@ -41,7 +40,6 @@ __all__ = [
     "model_2d",
     "model_3d",
     "Plan",
-    "select_plan",
     "AutoPolicy",
     "PinnedPolicy",
     "Square2DPolicy",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.machine.grid import factorizations
 from repro.machine.machine import Machine, MemoryLimitExceeded
 from repro.obs import api as obs
-from repro.spgemm.costmodel import estimate_nnz_c, estimate_ops, model_plan
+from repro.spgemm.costmodel import model_plan
 from repro.spgemm.plan import Plan
 
 __all__ = [
@@ -31,9 +31,9 @@ __all__ = [
     "AutoPolicy",
     "PinnedPolicy",
     "Square2DPolicy",
-    "select_plan",
     "enumerate_plans",
     "amortized_model_plan",
+    "cheapest_plan",
 ]
 
 
@@ -94,6 +94,32 @@ def amortized_model_plan(
     return est
 
 
+def cheapest_plan(plans, estimate, cost, memory_words):
+    """The one selection loop: estimate → memory-filter → argmin.
+
+    ``estimate(plan)`` prices one plan; plans whose estimate exceeds
+    ``memory_words`` (``None`` = unbounded) are skipped, ties within 1e-18
+    modeled seconds go to the smaller ``p1``.  Returns ``(plan, estimate,
+    modeled seconds, feasible count)``; ``plan`` is ``None`` when nothing
+    fits, and the caller raises its own error.
+    """
+    best: Plan | None = None
+    best_est = None
+    best_time = math.inf
+    feasible = 0
+    for plan in plans:
+        est = estimate(plan)
+        if memory_words is not None and est.memory_words > memory_words:
+            continue
+        feasible += 1
+        t = est.time(cost.alpha, cost.beta, cost.compute_rate)
+        if t < best_time - 1e-18 or (
+            abs(t - best_time) <= 1e-18 and best is not None and plan.p1 < best.p1
+        ):
+            best, best_est, best_time = plan, est, t
+    return best, best_est, best_time, feasible
+
+
 class SelectionPolicy:
     """Base policy interface."""
 
@@ -141,37 +167,24 @@ class AutoPolicy(SelectionPolicy):
 
     def select(self, machine, m, k, n, nnz_a, nnz_b, amortized=frozenset()):
         with obs.span("select", cat="selector") as sp:
-            cost = machine.cost
-            best: Plan | None = None
-            best_time = math.inf
-            considered = 0
-            feasible = 0
-            ops = estimate_ops(m, k, n, nnz_a, nnz_b)
-            nnz_c = estimate_nnz_c(m, k, n, nnz_a, nnz_b)
-            for plan in enumerate_plans(machine.p):
-                considered += 1
-                est = amortized_model_plan(plan, m, k, n, nnz_a, nnz_b, amortized)
-                if (
-                    machine.memory_words is not None
-                    and est.memory_words > machine.memory_words
-                ):
-                    continue
-                feasible += 1
-                t = est.time(cost.alpha, cost.beta, cost.compute_rate)
-                if t < best_time - 1e-18 or (
-                    abs(t - best_time) <= 1e-18 and best is not None and plan.p1 < best.p1
-                ):
-                    best, best_time = plan, t
+            plans = enumerate_plans(machine.p)
+            best, _est, best_time, feasible = cheapest_plan(
+                plans,
+                lambda plan: amortized_model_plan(
+                    plan, m, k, n, nnz_a, nnz_b, amortized
+                ),
+                machine.cost,
+                machine.memory_words,
+            )
             if best is None:
                 raise MemoryLimitExceeded(
                     f"no SpGEMM plan fits the per-rank memory budget "
                     f"{machine.memory_words} words for nnz(A)={nnz_a}, nnz(B)={nnz_b}"
                 )
-            _ = (ops, nnz_c)
             self.history.append((best, best_time))
             if obs.enabled():
                 sp.set(
-                    candidates=considered,
+                    candidates=len(plans),
                     feasible=feasible,
                     chosen=best.describe(),
                     modeled_seconds=best_time,
@@ -248,17 +261,3 @@ class Square2DPolicy(SelectionPolicy):
 
     def feasible_p(self, p: int) -> bool:
         return p >= 1 and math.isqrt(p) ** 2 == p
-
-
-def select_plan(
-    policy: SelectionPolicy,
-    machine: Machine,
-    m: int,
-    k: int,
-    n: int,
-    nnz_a: int,
-    nnz_b: int,
-    amortized: frozenset[str] = frozenset(),
-) -> Plan:
-    """Convenience dispatcher."""
-    return policy.select(machine, m, k, n, nnz_a, nnz_b, amortized)

@@ -1,18 +1,15 @@
 """Small shared utilities: validation helpers and seeded RNG plumbing."""
 
-from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.rng import as_rng
 from repro.utils.validation import (
     check_positive_int,
     check_probability,
-    check_square,
     require,
 )
 
 __all__ = [
     "as_rng",
-    "spawn_rngs",
     "check_positive_int",
     "check_probability",
-    "check_square",
     "require",
 ]

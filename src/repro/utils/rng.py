@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_rng", "spawn_rngs"]
+__all__ = ["as_rng"]
 
 
 def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -22,16 +22,3 @@ def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int | np.random.Generator | None, k: int) -> list[np.random.Generator]:
-    """Derive ``k`` statistically independent child generators from ``seed``.
-
-    Used when a workload (e.g. a weak-scaling sweep) needs one independent
-    stream per experiment point.
-    """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    root = as_rng(seed)
-    seeds = root.integers(0, 2**63 - 1, size=k, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

@@ -6,7 +6,7 @@ public API boundary rather than deep inside a kernel.
 
 from __future__ import annotations
 
-__all__ = ["require", "check_positive_int", "check_probability", "check_square"]
+__all__ = ["require", "check_positive_int", "check_probability"]
 
 
 def require(condition: bool, message: str) -> None:
@@ -30,9 +30,3 @@ def check_probability(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return value
-
-
-def check_square(nrows: int, ncols: int, what: str = "matrix") -> None:
-    """Raise unless the given shape is square."""
-    if nrows != ncols:
-        raise ValueError(f"{what} must be square, got shape ({nrows}, {ncols})")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_table, mteps, mteps_per_node, traversed_edges
-from repro.analysis.report import write_markdown_table
 from repro.graphs import Graph
 
 
@@ -48,28 +47,18 @@ class TestFormatTable:
         assert "a" in out and "b" in out
 
 
-class TestMarkdown:
-    def test_write_and_append(self, tmp_path):
-        p = tmp_path / "exp.md"
-        write_markdown_table(p, "T1", ["x"], [[1]], append=False)
-        write_markdown_table(p, "T2", ["y"], [[2]])
-        text = p.read_text()
-        assert "## T1" in text and "## T2" in text
-        assert "| x |" in text and "| 1 |" in text
-
-
 class TestApproxReport:
     def test_empty_registry_renders_nothing(self):
-        from repro.analysis.report import approx_attribution, format_approx_report
+        from repro.analysis.report import approx_attribution, format_report
         from repro.obs.metrics import Metrics
 
         reg = Metrics()
         assert approx_attribution(reg) == []
-        assert format_approx_report(reg) == ""
+        assert format_report("approx", reg) == ""
 
     def test_counters_from_a_real_run(self):
         from repro import obs
-        from repro.analysis.report import approx_attribution, format_approx_report
+        from repro.analysis.report import approx_attribution, format_report
         from repro.core.approx import adaptive_bc
         from repro.graphs import uniform_random_graph_nm
 
@@ -88,6 +77,135 @@ class TestApproxReport:
         assert row["batches"] == res.batches
         assert row["samples"] == res.samples_used
         assert row["last_width"] == pytest.approx(res.width)
-        out = format_approx_report(session.metrics)
+        out = format_report("approx", session.metrics)
         assert "adaptive sampling (approx.*)" in out
         assert "adaptive_bc" in out
+
+
+class TestLiteralReports:
+    """Exact text of every report, from a hand-filled registry: the layout
+    is what ``repro trace`` prints, so a renderer change must show here."""
+
+    def test_cache(self):
+        from repro.analysis.report import format_report
+        from repro.obs.metrics import Metrics
+
+        m = Metrics()
+        m.count("serve.cache.hit", 3, algorithm="bc_source")
+        m.count("serve.cache.miss", 1, algorithm="bc_source")
+        m.count("serve.cache.miss", 2, algorithm="top_k")
+        m.count("serve.cache.invalidate", 5, algorithm="top_k")
+        assert format_report("cache", m) == (
+            "cache events (serve.cache.*):\n"
+            "algorithm  hits  misses  invalidated  hit rate\n"
+            "---------  ----  ------  -----------  --------\n"
+            "bc_source     3       1            0     75.0%\n"
+            "    top_k     0       2            5      0.0%"
+        )
+
+    def test_overload(self):
+        from repro.analysis.report import format_report
+        from repro.obs.metrics import Metrics
+
+        m = Metrics()
+        m.count("serve.overload.shed", 4, reason="queue_full")
+        m.count("serve.overload.degraded", 2, algorithm="bc_all")
+        m.count("serve.overload.state", 1, transition="normal->brownout")
+        m.count("serve.overload.dispatcher_restart", 1)
+        m.count("serve.overload.stale", 0, algorithm="bc_all")  # zero: no row
+        assert format_report("overload", m) == (
+            "overload events (serve.overload.*):\n"
+            "             event             label  count\n"
+            "------------------  ----------------  -----\n"
+            "              shed        queue_full      4\n"
+            "          degraded            bc_all      2\n"
+            "             state  normal->brownout      1\n"
+            "dispatcher_restart                        1"
+        )
+
+    def test_approx(self):
+        from repro.analysis.report import format_report
+        from repro.obs.metrics import Metrics
+
+        m = Metrics()
+        m.count("approx.runs", 2, algorithm="adaptive_bc", converged="true")
+        m.count("approx.runs", 1, algorithm="adaptive_bc", converged="false")
+        m.count("approx.batches", 7, algorithm="adaptive_bc")
+        m.count("approx.samples", 224, algorithm="adaptive_bc")
+        m.gauge("approx.width", 0.0625, algorithm="adaptive_bc")
+        m.count("approx.batches", 1, algorithm="approximate_bc")
+        m.count("approx.samples", 16, algorithm="approximate_bc")
+        assert format_report("approx", m) == (
+            "adaptive sampling (approx.*):\n"
+            "     algorithm  runs  converged  batches  samples  last width\n"
+            "--------------  ----  ---------  -------  -------  ----------\n"
+            "   adaptive_bc     3          2        7      224      0.0625\n"
+            "approximate_bc     0          0        1       16           -"
+        )
+
+    def test_memory(self):
+        from repro.analysis.report import format_report
+        from repro.obs.metrics import Metrics
+
+        m = Metrics()
+        m.count("memory.spill.events", 3, op="spill", site="distmat")
+        m.count("memory.spill.words", 1200, op="spill", site="distmat")
+        m.count("memory.spill.events", 2, op="unspill", site="distmat")
+        m.count("memory.spill.words", 800, op="unspill", site="distmat")
+        m.count("memory.spill.torn", 1, site="distmat")
+        m.count("memory.reliefs", 4, site="spgemm")
+        m.count("memory.ladder", 2, rung="shrink_batch", site="mfbc.batch")
+        assert format_report("memory", m) == (
+            "memory pressure (memory.*):\n"
+            "              event        site  count  words\n"
+            "-------------------  ----------  -----  -----\n"
+            "        spill.spill     distmat      3   1200\n"
+            "      spill.unspill     distmat      2    800\n"
+            "         spill.torn     distmat      1      0\n"
+            "             relief      spgemm      4      0\n"
+            "ladder.shrink_batch  mfbc.batch      2      0"
+        )
+
+    def test_faults(self):
+        from repro.faults import FaultEvent, FaultPlan, format_fault_report
+
+        plan = FaultPlan.from_spec("seed:3,crash:0.02,limit:2")
+        plan.events.extend(
+            [
+                FaultEvent("crash", "injected", 12, "bcast", rank=1),
+                FaultEvent("crash", "recovered", 12, "bcast", rank=1, detail={"p": 3}),
+                FaultEvent("batch", "recovered", 40, "mfbc.batch"),
+                FaultEvent("mem", "squeezed", 41, "spgemm", rank=0),
+            ]
+        )
+        assert format_fault_report(plan) == (
+            "fault injection summary (plan seed:3,crash:0.02,limit:2):\n"
+            "   kind        site  injected  recovered  squeezed\n"
+            "  -----  ----------  --------  ---------  --------\n"
+            "  batch  mfbc.batch         -          1         -\n"
+            "  crash       bcast         1          1         -\n"
+            "    mem      spgemm         -          -         1\n"
+            "  events:\n"
+            "    step    12  crash    injected  rank   1  bcast\n"
+            "    step    12  crash    recovered rank   1  bcast p=3\n"
+            "    step    40  batch    recovered rank   -  mfbc.batch\n"
+            "    step    41  mem      squeezed  rank   0  spgemm"
+        )
+
+    def test_executor_skew(self):
+        from repro.machine import Machine, executor_skew_report
+        from repro.obs.metrics import Metrics
+
+        machine = Machine(2)
+        machine.charge_compute([0], 4.0e6)
+        m = Metrics()
+        m.observe("executor.rank_wall_seconds", 0.002, rank=0)
+        m.observe("executor.rank_wall_seconds", 0.004, rank=0)
+        m.observe("executor.rank_wall_seconds", 0.001, rank=1)
+        assert executor_skew_report(m, machine) == (
+            "executor per-rank wall vs modeled compute:\n"
+            "rank  tasks  wall ms  modeled ms  skew\n"
+            "----  -----  -------  ----------  ----\n"
+            "   0      2    6.000       4.000  1.50\n"
+            "   1      1    1.000       0.000     -"
+        )

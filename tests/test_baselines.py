@@ -1,16 +1,10 @@
-"""SSSP kernels and APSP baselines as independent cross-checks."""
+"""SSSP kernels and Brandes as independent cross-checks."""
 
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
 
-from repro.baselines import (
-    bellman_ford_sssp,
-    dijkstra_sssp,
-    floyd_warshall,
-    path_doubling_apsp,
-)
-from repro.baselines.apsp import dense_distance_matrix
+from repro.baselines import bellman_ford_sssp, dijkstra_sssp
 from repro.baselines.brandes import brandes_bc, brandes_single_source
 from repro.baselines.sssp import bfs_sssp
 from repro.graphs import uniform_random_graph_nm, with_random_weights
@@ -48,30 +42,6 @@ class TestSSSP:
         for fn in (bfs_sssp, dijkstra_sssp, bellman_ford_sssp):
             d, s = fn(diamond_graph, 0)
             assert d[3] == 2.0 and s[3] == 2.0, fn.__name__
-
-
-class TestAPSP:
-    def test_fw_matches_scipy(self, small_weighted):
-        fw = floyd_warshall(small_weighted)
-        ref = scipy.sparse.csgraph.shortest_path(small_weighted.adjacency_scipy())
-        assert _cmp_dist(fw, ref)
-
-    def test_path_doubling_matches_fw(self, small_weighted):
-        fw = floyd_warshall(small_weighted)
-        pd, rounds = path_doubling_apsp(small_weighted)
-        assert _cmp_dist(fw, pd)
-        # log-depth round count (§5.3.3's latency advantage)
-        assert rounds <= int(np.ceil(np.log2(small_weighted.n))) + 1
-
-    def test_dense_matrix_diagonal_zero(self, small_weighted):
-        d = dense_distance_matrix(small_weighted)
-        assert np.allclose(np.diag(d), 0.0)
-
-    def test_directed_apsp(self):
-        g = uniform_random_graph_nm(25, 3.0, directed=True, seed=2)
-        fw = floyd_warshall(g)
-        ref = scipy.sparse.csgraph.shortest_path(g.adjacency_scipy(), directed=True)
-        assert _cmp_dist(fw, ref)
 
 
 class TestBrandes:

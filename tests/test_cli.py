@@ -82,6 +82,15 @@ class TestBC:
         assert main(["bc", path, "--epsilon", "0.3", "--samples", "5"]) == 2
         assert "mutually exclusive" in capsys.readouterr().out
 
+    def test_samples_excludes_checkpoint(self, graph_file, tmp_path, capsys):
+        # a sampled run writes no checkpoint: refused before anything runs
+        path, _ = graph_file
+        ck = tmp_path / "c.json"
+        assert main(["bc", path, "--samples", "8", "--checkpoint", str(ck)]) == 2
+        out = capsys.readouterr().out
+        assert "--samples" in out and "--checkpoint" in out
+        assert "approximate BC" not in out and not ck.exists()
+
 
 class TestGenerate:
     @pytest.mark.parametrize("family", ["rmat", "uniform"])

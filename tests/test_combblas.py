@@ -79,4 +79,14 @@ class TestCounters:
 
     def test_max_batches(self, small_undirected):
         res = combblas_bc(small_undirected, batch_size=10, max_batches=1)
-        assert res._sources == 10
+        assert res.stats.sources_processed == 10
+
+    def test_stats_record_every_product(self):
+        g = uniform_random_graph_nm(60, 4.0, seed=11)
+        res = combblas_bc(g, batch_size=30, max_batches=1)
+        (batch,) = res.stats.batches
+        assert batch.sources == 30
+        assert batch.iterations
+        assert all(it.phase == "real" for it in batch.iterations)
+        assert len(batch.iterations) == res.matmuls
+        assert sum(it.ops for it in batch.iterations) == res.ops

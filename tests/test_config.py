@@ -202,6 +202,18 @@ def test_environment_names_match_the_table_everywhere():
     assert set(re.findall(r"REPRO_[A-Z_]+", scrub)) == table
 
 
+def test_every_cited_results_file_is_committed():
+    results = ROOT / "benchmarks" / "results"
+    docs = [ROOT / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
+    missing = {
+        f"{doc.name}: {cited}"
+        for doc in [*docs, *sorted((ROOT / "docs").glob("*.md"))]
+        for cited in re.findall(r"\bresults/([\w.*-]+\.\w+)", doc.read_text())
+        if not list(results.glob(cited))
+    }
+    assert not missing
+
+
 def test_only_config_reads_the_environment():
     readers = [
         str(path.relative_to(ROOT))

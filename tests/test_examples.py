@@ -14,7 +14,6 @@ CASES = [
     ("weighted_transport_network.py", ["--side", "7"]),
     ("distributed_simulation.py", ["--p", "4", "--n", "80", "--batch", "20"]),
     ("community_detection.py", ["--size", "10"]),
-    ("hypergraph_analysis.py", ["--authors", "30", "--papers", "80"]),
 ]
 
 

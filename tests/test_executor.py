@@ -205,8 +205,8 @@ class TestSkewReport:
                 machine.charge_compute([rank], float(max(r.ops, 1)))
         report = executor_skew_report(session.metrics, machine)
         assert "rank" in report and "skew" in report
-        # one header + one title + one row per rank
-        assert len(report.splitlines()) == 2 + 4
+        # one title + one header + one rule + one row per rank
+        assert len(report.splitlines()) == 3 + 4
         machine.executor.close()
 
 

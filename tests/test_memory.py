@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.analysis.report import format_memory_report, memory_attribution
+from repro.analysis.report import format_report, memory_attribution
 from repro.core import mfbc, mfbc_per_source
 from repro.core.approx import adaptive_bc
 from repro.core.ladder import RUNGS, RecoveryLadder
@@ -607,14 +607,14 @@ class TestMemoryReport:
         assert "relief" in events
         spilled = [r for r in rows if r["event"] == "spill.spill"]
         assert sum(r["words"] for r in spilled) > 0
-        text = format_memory_report(session.metrics)
+        text = format_report("memory", session.metrics)
         assert "memory pressure" in text and "spill.spill" in text
 
     def test_report_empty_without_pressure(self):
         session = obs.enable()
         obs.disable()
         assert memory_attribution(session.metrics) == []
-        assert format_memory_report(session.metrics) == ""
+        assert format_report("memory", session.metrics) == ""
 
 
 # ---------------------------------------------------------------------------

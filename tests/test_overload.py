@@ -776,7 +776,7 @@ class TestOverloadReport:
     def test_overload_events_render_in_report(self, graph):
         from repro import obs
         from repro.analysis.report import (
-            format_overload_report,
+            format_report,
             overload_attribution,
         )
 
@@ -797,14 +797,14 @@ class TestOverloadReport:
         rows = overload_attribution(session.metrics)
         events = {r["event"] for r in rows}
         assert "shed" in events and "degraded" in events
-        text = format_overload_report(session.metrics)
+        text = format_report("overload", session.metrics)
         assert "serve.overload" in text and "shed" in text
 
     def test_empty_metrics_render_empty(self):
-        from repro.analysis.report import format_overload_report
+        from repro.analysis.report import format_report
         from repro.obs.metrics import Metrics
 
-        assert format_overload_report(Metrics()) == ""
+        assert format_report("overload", Metrics()) == ""
 
 
 # ---------------------------------------------------------------------------

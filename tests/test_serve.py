@@ -807,7 +807,7 @@ class TestCLI:
 
 class TestCacheReport:
     def test_cache_events_render_in_report(self, graph):
-        from repro.analysis.report import cache_attribution, format_cache_report
+        from repro.analysis.report import cache_attribution, format_report
 
         session = obs.enable()
         try:
@@ -818,11 +818,11 @@ class TestCacheReport:
             obs.disable()
         rows = cache_attribution(session.metrics)
         assert any(r["algorithm"] == "bc_source" and r["hits"] >= 1 for r in rows)
-        text = format_cache_report(session.metrics)
+        text = format_report("cache", session.metrics)
         assert "serve.cache" in text and "bc_source" in text
 
     def test_empty_metrics_render_empty(self):
-        from repro.analysis.report import format_cache_report
+        from repro.analysis.report import format_report
         from repro.obs.metrics import Metrics
 
-        assert format_cache_report(Metrics()) == ""
+        assert format_report("cache", Metrics()) == ""
