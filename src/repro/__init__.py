@@ -67,7 +67,6 @@ from repro.core import (
     Engine,
     MFBCResult,
     SequentialEngine,
-    adaptive_vertex_bc,
     approximate_bc,
     betweenness_centrality,
     ca_mfbc,
@@ -171,7 +170,6 @@ __all__ = [
     "betweenness_centrality",
     "edge_betweenness_centrality",
     "approximate_bc",
-    "adaptive_vertex_bc",
     "ca_mfbc",
     "MFBCResult",
     "Engine",

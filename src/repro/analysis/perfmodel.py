@@ -18,13 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.stats import MFBCStats
+from repro.machine.collectives import TREE
+from repro.machine.grid import log2ceil
 from repro.machine.machine import CostParams
-from repro.spgemm.selector import (
-    SelectionPolicy,
-    amortized_model_plan,
-    cheapest_plan,
-    enumerate_plans,
-)
+from repro.spgemm.costmodel import model_plan
+from repro.spgemm.selector import SelectionPolicy, cheapest_plan, enumerate_plans
 
 __all__ = ["ModeledRun", "model_run"]
 
@@ -97,13 +95,11 @@ def model_run(
 
     # adjacency replication charged once (amortized over all products);
     # a single rank holds everything already, so p = 1 communicates nothing
-    import math
-
     if p > 1:
-        lg = math.ceil(math.log2(p))
-        words += 2.0 * nnz_adj / p
-        msgs += 2.0 * lg
-        comm_s += 2.0 * (nnz_adj / p) * cost.beta + 2.0 * lg * cost.alpha
+        lg = log2ceil(p)
+        words += TREE * nnz_adj / p
+        msgs += TREE * lg
+        comm_s += TREE * (nnz_adj / p) * cost.beta + TREE * lg * cost.alpha
 
     n_products = sum(len(b.iterations) for b in stats.batches)
     compute_s += n_products * cost.product_overhead
@@ -115,9 +111,9 @@ def model_run(
             # products and its replication is amortized across the whole run.
             _plan, est, _seconds, _feasible = cheapest_plan(
                 plans,
-                lambda plan: amortized_model_plan(
-                    plan, nb, n, n, it.frontier_nnz, nnz_adj, frozenset("B"),
-                    nnz_c=it.product_nnz, ops=it.ops,
+                lambda plan: model_plan(
+                    plan, nb, n, n, it.frontier_nnz, nnz_adj,
+                    nnz_c=it.product_nnz, ops=it.ops, amortized=frozenset("B"),
                 ),
                 cost,
                 memory_words,

@@ -15,10 +15,8 @@
 
 from repro.core.approx import (
     AdaptiveBCResult,
-    AdaptiveEstimate,
     SamplerState,
     adaptive_bc,
-    adaptive_vertex_bc,
     approximate_bc,
 )
 from repro.core.ca_mfbc import ca_engine, ca_mfbc
@@ -43,9 +41,7 @@ __all__ = [
     "IterationStats",
     "approximate_bc",
     "adaptive_bc",
-    "adaptive_vertex_bc",
     "AdaptiveBCResult",
-    "AdaptiveEstimate",
     "SamplerState",
     "ca_mfbc",
     "ca_engine",

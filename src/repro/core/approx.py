@@ -2,7 +2,7 @@
 
 The paper cites Bader, Kintali, Madduri & Mihail [4] for approximating BC;
 production deployments virtually always sample sources because exact BC is
-Θ(n) SSSP sweeps.  Three estimators are provided:
+Θ(n) SSSP sweeps.  Two estimators are provided:
 
 * :func:`approximate_bc` — the uniform fixed-pivot estimator: run MFBC from
   ``k`` sampled sources and scale by ``n/k`` (unbiased for every vertex,
@@ -12,13 +12,9 @@ production deployments virtually always sample sources because exact BC is
   batches through the distributed MFBC driver, maintain per-shard running
   sums and sums-of-squares of the normalized per-source dependencies, and
   stop as soon as an empirical-Bernstein confidence bound certifies that
-  every vertex's normalized score is within ε with probability ≥ 1 − δ;
-* :func:`adaptive_vertex_bc` — Bader et al.'s adaptive estimator for one
-  vertex of interest: sample sources until the accumulated dependency mass
-  exceeds ``c·n``, giving a multiplicative guarantee for high-centrality
-  vertices with very few samples.
+  every vertex's normalized score is within ε with probability ≥ 1 − δ.
 
-All run on any engine (sequential or simulated-distributed) since they
+Both run on any engine (sequential or simulated-distributed) since they
 delegate to :mod:`repro.core.mfbc`.
 
 Estimator and guarantee of :func:`adaptive_bc`
@@ -69,8 +65,6 @@ from repro.utils.rng import as_rng
 __all__ = [
     "approximate_bc",
     "adaptive_bc",
-    "adaptive_vertex_bc",
-    "AdaptiveEstimate",
     "AdaptiveBCResult",
     "SamplerState",
     "bernstein_half_width",
@@ -673,75 +667,4 @@ def adaptive_bc(
         width_history=width_history,
         batch_size=batch_size,
         elapsed_seconds=time.perf_counter() - t0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Bader et al. single-vertex estimator
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdaptiveEstimate:
-    """Result of the adaptive single-vertex estimator."""
-
-    vertex: int
-    estimate: float
-    samples_used: int
-    converged: bool
-
-
-def adaptive_vertex_bc(
-    graph: Graph,
-    vertex: int,
-    *,
-    c: float = 5.0,
-    max_samples: int | None = None,
-    seed: int | np.random.Generator | None = None,
-    batch_size: int = 16,
-    engine: Engine | None = None,
-) -> AdaptiveEstimate:
-    """Bader et al.'s adaptive sampling estimate of ``λ(vertex)``.
-
-    Sources are sampled in batches until the accumulated dependency mass at
-    ``vertex`` exceeds ``c·n`` (then ``n·S/k`` estimates λ with a
-    multiplicative guarantee for vertices whose centrality is Ω(n)), or
-    until ``max_samples`` sources have been used (the estimate is still
-    returned, flagged unconverged).
-    """
-    if not 0 <= vertex < graph.n:
-        raise ValueError(f"vertex {vertex} out of range")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    rng = as_rng(seed)
-    if max_samples is None:
-        max_samples = graph.n
-    else:
-        max_samples = validate_sample_count(
-            max_samples, graph.n, name="max_samples"
-        )
-
-    order = rng.permutation(graph.n)
-    mass = 0.0
-    used = 0
-    threshold = c * graph.n
-    while used < max_samples:
-        batch = order[used : used + batch_size]
-        res = mfbc(graph, batch_size=len(batch), sources=batch, engine=engine)
-        mass += float(res.scores[vertex])
-        used += len(batch)
-        if mass >= threshold:
-            return AdaptiveEstimate(
-                vertex=vertex,
-                estimate=graph.n * mass / used,
-                samples_used=used,
-                converged=True,
-            )
-    return AdaptiveEstimate(
-        vertex=vertex,
-        estimate=graph.n * mass / used if used else 0.0,
-        samples_used=used,
-        converged=False,
     )

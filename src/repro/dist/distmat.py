@@ -23,7 +23,7 @@ from repro.algebra.monoid import Monoid, stable_key_sort
 from repro.machine.machine import Machine
 from repro.sparse.spmatrix import SpMat
 
-__all__ = ["DistMat", "even_splits"]
+__all__ = ["DistMat", "axis_block", "even_splits"]
 
 #: process-wide ids for spill segment keys (stable across re-spills,
 #: never recycled like ``id()`` can be)
@@ -186,6 +186,13 @@ def even_splits(n: int, parts: int) -> np.ndarray:
     if parts <= 0:
         raise ValueError(f"parts must be positive, got {parts}")
     return np.linspace(0, n, parts + 1).astype(np.int64)
+
+
+def axis_block(mat: SpMat, axis: int, lo: int, hi: int) -> SpMat:
+    """Rows (``axis`` 0) or columns (``axis`` 1) [lo, hi) of ``mat``."""
+    bounds = [0, mat.nrows, 0, mat.ncols]
+    bounds[2 * axis : 2 * axis + 2] = lo, hi
+    return mat.block(*bounds)
 
 
 class DistMat:
@@ -938,61 +945,40 @@ class DistMat:
             self.machine, ranks2d, row_splits, col_splits, assembled, self.monoid
         )
 
-    def extract_col_range(self, c0: int, c1: int) -> "DistMat":
-        """Restrict to global columns [c0, c1) — purely local slicing.
+    def extract_row_range(self, r0: int, r1: int) -> "DistMat":
+        """Restrict to global rows [r0, r1) — purely local slicing."""
+        return self._extract_range(0, r0, r1)
 
-        The resulting column splits are the old ones clipped to the range,
-        so the rank grid is unchanged (blocks fully outside become empty).
+    def extract_col_range(self, c0: int, c1: int) -> "DistMat":
+        """Restrict to global columns [c0, c1) — purely local slicing."""
+        return self._extract_range(1, c0, c1)
+
+    def _extract_range(self, axis: int, lo: int, hi: int) -> "DistMat":
+        """Rows (``axis`` 0) or columns (``axis`` 1) [lo, hi) of the matrix.
+
+        The resulting splits along ``axis`` are the old ones clipped to the
+        range, so the rank grid is unchanged (blocks fully outside become
+        empty).
         """
-        if not 0 <= c0 <= c1 <= self.ncols:
-            raise ValueError(f"column range [{c0}, {c1}) out of bounds")
-        new_col_splits = np.clip(self.col_splits, c0, c1) - c0
+        splits = [self.row_splits, self.col_splits]
+        old = splits[axis]
+        if not 0 <= lo <= hi <= old[-1]:
+            raise ValueError(
+                f"{('row', 'column')[axis]} range [{lo}, {hi}) out of bounds"
+            )
+        splits[axis] = np.clip(old, lo, hi) - lo
+        # the local range each block along ``axis`` keeps
+        start = (np.clip(lo, old[:-1], old[1:]) - old[:-1]).tolist()
+        stop = (np.clip(hi, old[:-1], old[1:]) - old[:-1]).tolist()
         pr, pc = self.grid_shape
         blocks = []
         for i in range(pr):
             row = []
             for j in range(pc):
-                width = int(self.col_splits[j + 1] - self.col_splits[j])
-                lo = min(max(c0 - int(self.col_splits[j]), 0), width)
-                hi = min(max(c1 - int(self.col_splits[j]), 0), width)
-                hi = max(hi, lo)
-                row.append(self.blocks[i][j].block(0, self.blocks[i][j].nrows, lo, hi))
+                b = (i, j)[axis]
+                row.append(axis_block(self.blocks[i][j], axis, start[b], stop[b]))
             blocks.append(row)
-        return DistMat(
-            self.machine,
-            self.ranks2d,
-            self.row_splits,
-            new_col_splits,
-            blocks,
-            self.monoid,
-        )
-
-    def extract_row_range(self, r0: int, r1: int) -> "DistMat":
-        """Restrict to global rows [r0, r1) — purely local slicing."""
-        if not 0 <= r0 <= r1 <= self.nrows:
-            raise ValueError(f"row range [{r0}, {r1}) out of bounds")
-        new_row_splits = np.clip(self.row_splits, r0, r1) - r0
-        pr, pc = self.grid_shape
-        blocks = []
-        for i in range(pr):
-            height = int(self.row_splits[i + 1] - self.row_splits[i])
-            lo = min(max(r0 - int(self.row_splits[i]), 0), height)
-            hi = min(max(r1 - int(self.row_splits[i]), 0), height)
-            hi = max(hi, lo)
-            blocks.append(
-                [
-                    self.blocks[i][j].block(lo, hi, 0, self.blocks[i][j].ncols)
-                    for j in range(pc)
-                ]
-            )
-        return DistMat(
-            self.machine,
-            self.ranks2d,
-            new_row_splits,
-            self.col_splits,
-            blocks,
-            self.monoid,
-        )
+        return DistMat(self.machine, self.ranks2d, *splits, blocks, self.monoid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -212,13 +212,7 @@ class DistributedEngine:
             # frontier matrices are freed every iteration and Python may
             # recycle their ids, so caching them would risk stale hits (and
             # buys nothing).
-            replicated_operand = {"A": a, "B": b}.get(plan.x)
-            cache = (
-                self._replication_cache
-                if replicated_operand is not None
-                and id(replicated_operand) in self._invariant_ids
-                else None
-            )
+            cache = self._replication_cache if plan.x in amortized else None
             out, ops = execute_plan(
                 plan,
                 a,

@@ -38,10 +38,9 @@ Fault kinds
     factor at construction, so allocations/plans that would have fit now
     raise ``MemoryLimitExceeded``.
 ``tear``
-    A spill-segment or ingest-shard write is torn mid-file (truncated
-    after the atomic rename).  The spill store's write-then-verify
-    read-back and the ingest manifest's per-shard CRCs must detect the
-    damage and keep the data resident / re-ingest the shard.
+    A spill-segment write is torn mid-file (truncated after the atomic
+    rename).  The spill store's write-then-verify read-back must detect
+    the damage and keep the data resident.
 
 Determinism
 -----------

@@ -20,14 +20,7 @@ from repro.graphs.preprocess import (
     remove_isolated_vertices,
 )
 from repro.graphs.weights import with_random_weights
-from repro.graphs.io import (
-    IngestError,
-    IngestManifest,
-    ingest_edgelist,
-    read_edgelist,
-    read_edgelist_streamed,
-    write_edgelist,
-)
+from repro.graphs.io import read_edgelist, write_edgelist
 
 __all__ = [
     "Graph",
@@ -42,8 +35,4 @@ __all__ = [
     "with_random_weights",
     "read_edgelist",
     "write_edgelist",
-    "read_edgelist_streamed",
-    "ingest_edgelist",
-    "IngestError",
-    "IngestManifest",
 ]

@@ -206,6 +206,10 @@ class Graph:
         Matches the 90-percentile effective diameter column ``d̄`` of the
         paper's Table 2 (computed on hop counts, ignoring weights).
         """
+        # imported here: csgraph (and the scipy.linalg it loads) is 40–95 ms
+        # of ``import repro`` that only three rarely called functions need
+        from scipy.sparse import csgraph
+
         from repro.utils.rng import as_rng
 
         if self.m == 0:
@@ -213,8 +217,7 @@ class Graph:
         adj = self.adjacency_scipy()
         rng = as_rng(seed)
         sources = rng.choice(self.n, size=min(samples, self.n), replace=False)
-        dists = scipy.sparse.csgraph.breadth_first_order  # noqa: F841 (doc aid)
-        hops = scipy.sparse.csgraph.shortest_path(
+        hops = csgraph.shortest_path(
             adj, method="D", unweighted=True, indices=sources, directed=self.directed
         )
         finite = hops[np.isfinite(hops)]
@@ -229,11 +232,13 @@ class Graph:
         Exact for graphs up to ``exact_limit`` vertices; otherwise a sampled
         lower bound (sufficient for reports — Table 2's ``d`` column).
         """
+        from scipy.sparse import csgraph  # off the start-up path, as above
+
         if self.m == 0:
             return 0
         adj = self.adjacency_scipy()
         if self.n <= exact_limit:
-            hops = scipy.sparse.csgraph.shortest_path(
+            hops = csgraph.shortest_path(
                 adj, unweighted=True, directed=self.directed
             )
         else:
@@ -241,7 +246,7 @@ class Graph:
 
             rng = as_rng(seed)
             sources = rng.choice(self.n, size=32, replace=False)
-            hops = scipy.sparse.csgraph.shortest_path(
+            hops = csgraph.shortest_path(
                 adj, unweighted=True, indices=sources, directed=self.directed
             )
         finite = hops[np.isfinite(hops)]

@@ -1,61 +1,29 @@
-"""Edge-list I/O in the SNAP text format, plus crash-safe streamed ingestion.
+"""Edge-list I/O in the SNAP text format.
 
 Files are whitespace-separated ``src dst [weight]`` lines; ``#`` lines are
 comments.  Vertex IDs need not be contiguous — they are compacted on read,
 matching how SNAP datasets are customarily loaded.
 
-Two ingestion paths share one line parser:
-
-* :func:`read_edgelist` — one-shot, chunked reads (peak memory bounded by
-  the chunk size plus the final arrays), with malformed lines reported as
-  ``file:line: malformed edge line '...'``.
-* :func:`ingest_edgelist` / :func:`read_edgelist_streamed` — sharded
-  ingestion for inputs that should not be re-read from scratch after a
-  crash.  Edges land in ``.npz`` shards written atomically
-  (:func:`~repro.faults.checkpoint.atomic_save_npz`), each CRC-32
-  checksummed in a ``manifest.json`` that also records the source byte
-  range per shard.  A crashed (or torn — the ``tear`` fault kind)
-  ingest resumes from the last shard that verifies, re-reading only the
-  bytes after it; the assembled graph is bit-identical to a one-shot read.
+:func:`read_edgelist` parses in chunks (peak memory bounded by the chunk
+size plus the final arrays) and reports malformed lines as
+``file:line: malformed edge line '...'``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
-import tempfile
-import zipfile
-import zlib
 
 import numpy as np
 
-from repro.faults.checkpoint import atomic_save_npz
 from repro.graphs.graph import Graph
-from repro.obs import api as obs
 
-__all__ = [
-    "read_edgelist",
-    "write_edgelist",
-    "ingest_edgelist",
-    "read_edgelist_streamed",
-    "IngestError",
-    "IngestManifest",
-]
+__all__ = ["read_edgelist", "write_edgelist"]
 
-#: edges per parse chunk for the one-shot reader (bounds peak list memory)
+#: edges per parse chunk for the reader (bounds peak list memory)
 _CHUNK_EDGES = 1 << 18
-#: edges per shard for streamed ingestion
-_SHARD_EDGES = 1 << 18
 #: edges per formatting batch for the writer
 _WRITE_BATCH = 1 << 16
-
-_MANIFEST = "manifest.json"
-_MANIFEST_VERSION = 1
-
-
-class IngestError(ValueError):
-    """A shard directory's manifest is unusable for the requested source."""
 
 
 def write_edgelist(
@@ -87,7 +55,7 @@ def write_edgelist(
 
 
 class _EdgeParser:
-    """Shared line parser: accumulates edge chunks as compact arrays.
+    """The line parser: accumulates edge chunks as compact arrays.
 
     Peak memory is one chunk of Python ints plus the already-frozen
     ``int64``/``float64`` arrays — never a Python list of every edge.
@@ -260,343 +228,4 @@ def read_edgelist(
         directed=directed,
         name=name,
         declared_n=parser.declared_n,
-    )
-
-
-# -- streamed, sharded ingestion ----------------------------------------------
-
-
-class IngestManifest:
-    """The durable record of a sharded ingest (see module docstring).
-
-    ``shards`` entries record per shard: ``name``, ``edges``, ``weighted``,
-    ``crc`` (CRC-32 over the shard's edge bytes), the source byte range
-    ``[start_offset, end_offset)`` it was parsed from, and the 1-based
-    ``start_lineno`` — enough to verify durability and to resume parsing
-    right after the last shard that still verifies.
-    """
-
-    def __init__(self, directory: str, source: str) -> None:
-        self.directory = directory
-        self.source = source
-        self.shards: list[dict] = []
-        self.complete = False
-        self.declared_n: int | None = None
-        self.declared_directed: bool | None = None
-
-    # -- persistence ---------------------------------------------------------
-
-    @property
-    def path(self) -> str:
-        return os.path.join(self.directory, _MANIFEST)
-
-    def save(self) -> None:
-        payload = {
-            "version": _MANIFEST_VERSION,
-            "source": self.source,
-            "complete": self.complete,
-            "declared_n": self.declared_n,
-            "declared_directed": self.declared_directed,
-            "shards": self.shards,
-        }
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=1)
-        os.replace(tmp, self.path)
-
-    @classmethod
-    def load(cls, directory: str) -> "IngestManifest | None":
-        path = os.path.join(directory, _MANIFEST)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (ValueError, OSError):
-            return None  # torn manifest: start over
-        if payload.get("version") != _MANIFEST_VERSION:
-            return None
-        out = cls(directory, payload.get("source", ""))
-        out.shards = list(payload.get("shards", []))
-        out.complete = bool(payload.get("complete", False))
-        out.declared_n = payload.get("declared_n")
-        directed = payload.get("declared_directed")
-        out.declared_directed = None if directed is None else bool(directed)
-        return out
-
-    # -- shard verification ---------------------------------------------------
-
-    def shard_path(self, record: dict) -> str:
-        return os.path.join(self.directory, record["name"])
-
-    def load_shard(self, record: dict):
-        """Load and CRC-verify one shard; ``None`` when torn/missing."""
-        path = self.shard_path(record)
-        if not os.path.exists(path):
-            return None
-        try:
-            with np.load(path) as data:
-                src = data["src"]
-                dst = data["dst"]
-                wts = data["wts"] if record.get("weighted") else None
-        except (ValueError, KeyError, EOFError, OSError, zipfile.BadZipFile):
-            return None
-        if _edges_crc(src, dst, wts) != record["crc"]:
-            return None
-        return src, dst, wts
-
-    def durable_prefix(self) -> int:
-        """Number of leading shards that verify on disk right now."""
-        for idx, record in enumerate(self.shards):
-            if self.load_shard(record) is None:
-                return idx
-        return len(self.shards)
-
-
-def _edges_crc(
-    src: np.ndarray, dst: np.ndarray, wts: np.ndarray | None
-) -> int:
-    crc = zlib.crc32(np.ascontiguousarray(src).tobytes())
-    crc = zlib.crc32(np.ascontiguousarray(dst).tobytes(), crc)
-    if wts is not None:
-        crc = zlib.crc32(np.ascontiguousarray(wts).tobytes(), crc)
-    return crc
-
-
-def _tear_shard(path: str) -> None:
-    """Truncate a just-written shard mid-file (injected torn write)."""
-    size = os.path.getsize(path)
-    with open(path, "r+b") as fh:
-        fh.truncate(max(size // 2, 1))
-
-
-def ingest_edgelist(
-    path: str | os.PathLike,
-    shard_dir: str | os.PathLike,
-    *,
-    shard_edges: int = _SHARD_EDGES,
-    faults=None,
-) -> IngestManifest:
-    """Stream ``path`` into CRC-checksummed ``.npz`` edge shards.
-
-    Peak memory is bounded by one shard (``shard_edges`` edges) regardless
-    of input size.  The per-shard manifest makes the ingest crash-safe:
-    rerunning after an interruption (or a torn shard write — the ``tear``
-    fault kind fires here when a :class:`~repro.faults.FaultPlan` is
-    passed) verifies the existing shards and resumes parsing at the byte
-    offset right after the last durable one.  Already-complete manifests
-    whose shards all verify return immediately.
-    """
-    path = os.fspath(path)
-    shard_dir = os.fspath(shard_dir)
-    os.makedirs(shard_dir, exist_ok=True)
-    if shard_edges <= 0:
-        raise ValueError(f"shard_edges must be positive, got {shard_edges}")
-
-    manifest = IngestManifest.load(shard_dir)
-    if manifest is not None and manifest.source != path:
-        raise IngestError(
-            f"shard directory {shard_dir!r} holds an ingest of "
-            f"{manifest.source!r}, not {path!r}"
-        )
-    resumed = False
-    if manifest is None:
-        manifest = IngestManifest(shard_dir, path)
-    else:
-        durable = manifest.durable_prefix()
-        torn = len(manifest.shards) - durable
-        if manifest.complete and torn == 0:
-            return manifest
-        resumed = True
-        if faults is not None:
-            faults.note(
-                "tear" if torn else "crash",
-                "detected",
-                site="ingest",
-                durable_shards=durable,
-                torn_shards=torn,
-            )
-        elif obs.enabled():
-            obs.count("ingest.resumes", 1.0, torn=str(bool(torn)))
-        manifest.shards = manifest.shards[:durable]
-        manifest.complete = False
-
-    if manifest.shards:
-        last = manifest.shards[-1]
-        offset = int(last["end_offset"])
-        lineno = int(last["end_lineno"])
-        weighted = bool(last["weighted"])
-    else:
-        offset = 0
-        lineno = 0
-        weighted = None
-
-    parser = _EdgeParser(path, shard_edges)
-    parser.have_weights = weighted
-    shard_start_offset = offset
-    shard_start_lineno = lineno + 1
-
-    def flush_shard(end_offset: int, end_lineno: int) -> None:
-        nonlocal shard_start_offset, shard_start_lineno
-        src, dst, wts = parser.arrays()
-        if not len(src):
-            shard_start_offset = end_offset
-            shard_start_lineno = end_lineno + 1
-            return
-        name = f"shard-{len(manifest.shards):05d}.npz"
-        spath = os.path.join(shard_dir, name)
-        arrays = {"src": src, "dst": dst}
-        if wts is not None:
-            arrays["wts"] = wts
-        atomic_save_npz(spath, arrays)
-        if faults is not None and faults.take_tear("ingest"):
-            faults.note("tear", "injected", site="ingest", shard=name)
-            _tear_shard(spath)
-        record = {
-            "name": name,
-            "edges": int(len(src)),
-            "weighted": wts is not None,
-            "crc": _edges_crc(src, dst, wts),
-            "start_offset": int(shard_start_offset),
-            "end_offset": int(end_offset),
-            "start_lineno": int(shard_start_lineno),
-            "end_lineno": int(end_lineno),
-        }
-        manifest.shards.append(record)
-        manifest.save()
-        if obs.enabled():
-            obs.count("ingest.shards", 1.0)
-            obs.count("ingest.edges", float(record["edges"]))
-        shard_start_offset = end_offset
-        shard_start_lineno = end_lineno + 1
-
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        while True:
-            raw = fh.readline()
-            if not raw:
-                break
-            lineno += 1
-            parser.feed(raw.decode("utf-8", errors="replace"), lineno)
-            if parser.edges and parser.edges % shard_edges == 0:
-                flush_shard(fh.tell(), lineno)
-                parser.edges = 0
-        flush_shard(fh.tell(), lineno)
-    # the header lives on line 1, so only a fresh (non-resumed) parse sees
-    # it — a resumed manifest keeps the values recorded by the first run
-    if parser.declared_n is not None:
-        manifest.declared_n = parser.declared_n
-    if parser.declared_directed is not None:
-        manifest.declared_directed = parser.declared_directed
-
-    # self-heal: a shard torn *this* run (injected after the atomic rename)
-    # is caught by the final verification sweep and re-ingested from its
-    # recorded source byte range before the manifest goes complete
-    for idx, record in enumerate(manifest.shards):
-        if manifest.load_shard(record) is not None:
-            continue
-        if faults is not None:
-            faults.note("tear", "detected", site="ingest", shard=record["name"])
-        elif obs.enabled():
-            obs.count("ingest.torn_shards", 1.0)
-        reparser = _EdgeParser(path, shard_edges)
-        reparser.have_weights = record["weighted"] or None
-        with open(path, "rb") as fh:
-            fh.seek(int(record["start_offset"]))
-            relineno = int(record["start_lineno"]) - 1
-            while fh.tell() < int(record["end_offset"]):
-                raw = fh.readline()
-                if not raw:
-                    break
-                relineno += 1
-                reparser.feed(raw.decode("utf-8", errors="replace"), relineno)
-        src, dst, wts = reparser.arrays()
-        arrays = {"src": src, "dst": dst}
-        if wts is not None:
-            arrays["wts"] = wts
-        atomic_save_npz(manifest.shard_path(record), arrays)
-        record["crc"] = _edges_crc(src, dst, wts)
-        record["edges"] = int(len(src))
-        manifest.shards[idx] = record
-        if faults is not None:
-            faults.note("tear", "recovered", site="ingest", shard=record["name"])
-        elif obs.enabled():
-            obs.count("ingest.healed_shards", 1.0)
-    manifest.complete = True
-    manifest.save()
-    if resumed and faults is not None:
-        faults.note(
-            "crash", "recovered", site="ingest", shards=len(manifest.shards)
-        )
-    return manifest
-
-
-def read_edgelist_streamed(
-    path: str | os.PathLike,
-    *,
-    shard_dir: str | os.PathLike | None = None,
-    directed: bool | None = None,
-    name: str = "",
-    shard_edges: int = _SHARD_EDGES,
-    faults=None,
-) -> Graph:
-    """Read an edge list through the sharded ingest path.
-
-    Equivalent to :func:`read_edgelist` (bit-identical graph), but parsing
-    goes through :func:`ingest_edgelist` first: with a persistent
-    ``shard_dir`` an interrupted read is resumed instead of restarted, and
-    a repeated read skips parsing entirely.  ``shard_dir=None`` uses a
-    throwaway temporary directory (still bounds peak parse memory).
-    """
-    if shard_dir is None:
-        with tempfile.TemporaryDirectory(prefix="repro-ingest-") as tmp:
-            manifest = ingest_edgelist(
-                path, tmp, shard_edges=shard_edges, faults=faults
-            )
-            return _graph_from_manifest(
-                manifest, directed=directed, name=name
-            )
-    manifest = ingest_edgelist(
-        path, shard_dir, shard_edges=shard_edges, faults=faults
-    )
-    return _graph_from_manifest(manifest, directed=directed, name=name)
-
-
-def _graph_from_manifest(
-    manifest: IngestManifest, *, directed: bool | None, name: str
-) -> Graph:
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    wt_parts: list[np.ndarray] = []
-    weighted = False
-    for record in manifest.shards:
-        loaded = manifest.load_shard(record)
-        if loaded is None:
-            raise IngestError(
-                f"shard {record['name']!r} failed verification after a "
-                f"completed ingest (corrupt at rest?)"
-            )
-        src, dst, wts = loaded
-        src_parts.append(src)
-        dst_parts.append(dst)
-        if wts is not None:
-            weighted = True
-            wt_parts.append(wts)
-    if src_parts:
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-        wts = np.concatenate(wt_parts) if weighted else None
-    else:
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
-        wts = None
-    if directed is None:
-        directed = bool(manifest.declared_directed)
-    return _compact_graph(
-        src,
-        dst,
-        wts,
-        directed=directed,
-        name=name,
-        declared_n=manifest.declared_n,
     )

@@ -9,8 +9,6 @@ largest-connected-component extraction used to build well-posed test cases.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from repro.graphs.graph import Graph
 from repro.utils.rng import as_rng
@@ -55,8 +53,11 @@ def remove_isolated_vertices(g: Graph) -> Graph:
 
 def largest_connected_component(g: Graph) -> Graph:
     """Restrict to the largest (weakly) connected component."""
+    # off the start-up path: see Graph.effective_diameter
+    from scipy.sparse import csgraph
+
     adj = g.adjacency_scipy()
-    ncomp, labels = scipy.sparse.csgraph.connected_components(
+    ncomp, labels = csgraph.connected_components(
         adj, directed=g.directed, connection="weak"
     )
     if ncomp <= 1:

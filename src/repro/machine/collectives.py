@@ -45,12 +45,12 @@ import numpy as np
 from repro.faults.plan import CorruptPayload, payload_checksum
 from repro.sparse.spmatrix import SpMat
 
-__all__ = ["Group", "payload_words"]
+__all__ = ["Group", "payload_words", "TREE", "LINEAR"]
 
 #: §7.4's constants: a broadcast or reduction of ``x`` words over ``q`` ranks
 #: costs ``2x·β + 2⌈log₂ q⌉·α``, scatter / gather / all-to-all half that.
-_TREE = 2.0
-_LINEAR = 1.0
+TREE = 2.0
+LINEAR = 1.0
 
 
 def payload_words(payload) -> int:
@@ -153,7 +153,7 @@ class Group:
         when that is zero: a caller with nothing to send does not call.
         """
         self._check(root=root)
-        self._charge(payload_words(payload), _TREE, category)
+        self._charge(payload_words(payload), TREE, category)
         return self._deliver(payload, "bcast")
 
     def reduce(
@@ -176,7 +176,7 @@ class Group:
         if acc is None:
             return None
         x = max(max(payload_words(p) for p in parts), payload_words(acc))
-        self._charge(x, _TREE, category)
+        self._charge(x, TREE, category)
         return self._deliver(acc, "reduce")
 
     def sparse_reduce(
@@ -196,7 +196,7 @@ class Group:
         acc = self._fold(parts, combine)
         if acc is None:
             return None
-        self._charge(payload_words(acc), _TREE, category)
+        self._charge(payload_words(acc), TREE, category)
         return self._deliver(acc, "sparse_reduce")
 
     def allreduce(self, parts: Sequence, combine: Callable):
@@ -211,7 +211,7 @@ class Group:
         Weight 1, ``x`` = the root's whole payload (every part).
         """
         self._check(parts, root)
-        self._charge(sum(payload_words(p) for p in parts), _LINEAR, category)
+        self._charge(sum(payload_words(p) for p in parts), LINEAR, category)
         return list(parts)
 
     def gather(
@@ -222,7 +222,7 @@ class Group:
         Weight 1, ``x`` = everything the root ends up holding.
         """
         self._check(parts, root)
-        self._charge(sum(payload_words(p) for p in parts), _LINEAR, category)
+        self._charge(sum(payload_words(p) for p in parts), LINEAR, category)
         return list(parts)
 
     def allgather(self, parts: Sequence, *, category: str = "allgather") -> list:
@@ -231,7 +231,7 @@ class Group:
         Weight 1, ``x`` = all parts.
         """
         self._check(parts)
-        self._charge(sum(payload_words(p) for p in parts), _LINEAR, category)
+        self._charge(sum(payload_words(p) for p in parts), LINEAR, category)
         return self._deliver(list(parts), "allgather")
 
     def alltoall(
@@ -253,7 +253,7 @@ class Group:
         )
         if x == 0:
             return list(received)
-        self._charge(x, _LINEAR, category)
+        self._charge(x, LINEAR, category)
         return self._deliver(list(received), "alltoall")
 
     def shift(
@@ -269,7 +269,7 @@ class Group:
         stride %= self.size
         x = max(payload_words(p) for p in parts) if stride else 0
         if x:
-            self._charge(x, _LINEAR, category)
+            self._charge(x, LINEAR, category)
         return [parts[i - stride] for i in range(self.size)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

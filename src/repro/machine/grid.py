@@ -15,10 +15,17 @@ import numpy as np
 
 __all__ = [
     "factorizations",
+    "log2ceil",
     "near_square_shape",
     "nearest_feasible_p",
     "survivor_map",
 ]
+
+
+def log2ceil(q: int) -> int:
+    """``⌈log₂ q⌉``: the depth of a collective's tree over ``q`` ranks
+    (§7.4's latency factor); 0 for a single rank."""
+    return math.ceil(math.log2(q)) if q > 1 else 0
 
 
 def near_square_shape(p: int) -> tuple[int, int]:

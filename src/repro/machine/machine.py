@@ -16,15 +16,15 @@ amount of data communicated along any dependent sequence of collectives".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import config
 from repro.faults.plan import DeadlineExceeded, FaultPlan, resolve_fault_plan
+from repro.machine.collectives import TREE, Group
 from repro.machine.executor import LocalExecutor, resolve_executor
-from repro.machine.grid import survivor_map
+from repro.machine.grid import log2ceil, survivor_map
 from repro.obs import api as obs
 from repro.sparse.dispatch import resolve_kernel_mode
 
@@ -377,7 +377,7 @@ class Machine:
         self,
         ranks: np.ndarray | list[int],
         words_per_rank: float,
-        weight: float = 2.0,
+        weight: float = TREE,
         category: str = "collective",
     ) -> None:
         """Charge one collective over ``ranks``.
@@ -397,7 +397,7 @@ class Machine:
         if self._fault_hook is not None:
             # may skew a straggler's clock or raise RankFailure
             self._fault_hook.on_collective(self, ranks, category)
-        lg = math.ceil(math.log2(q))
+        lg = log2ceil(q)
         t = weight * (words_per_rank * self.cost.beta + lg * self.cost.alpha)
         msgs = weight * lg
         led = self.ledger
@@ -565,12 +565,10 @@ class Machine:
 
     # -- groups -------------------------------------------------------------
 
-    def group(self, ranks) -> "Group":
-        from repro.machine.collectives import Group
-
+    def group(self, ranks) -> Group:
         return Group(self, np.asarray(ranks, dtype=np.int64))
 
-    def world(self) -> "Group":
+    def world(self) -> Group:
         return self.group(np.arange(self.p))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

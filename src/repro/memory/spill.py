@@ -1,7 +1,7 @@
 """The spill-to-disk block store: checksummed, atomic, generation-rotated.
 
-Out-of-core runs (hypersparse blocks at high ``p``, ingest-scale working
-sets) need somewhere to put cold state when a rank's budget is tight.  A
+Out-of-core runs (hypersparse blocks at high ``p``, working sets past a
+rank's budget) need somewhere to put cold state when that budget is tight.  A
 :class:`SpillStore` holds evicted :class:`~repro.sparse.SpMat` blocks as
 one ``.npz`` segment per block, written through
 :func:`~repro.faults.checkpoint.atomic_save_npz` (temp file +

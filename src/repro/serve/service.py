@@ -719,6 +719,10 @@ class BCService:
             return
         finally:
             machine.deadline = saved_deadline
+            # the engine logs one plan per product for whoever built it to
+            # read after a run; nothing reads it here, and a service lives
+            # for millions of products
+            self.engine.plan_log.clear()
             # elastic recoveries this sweep took, whichever ladder took them
             # (ours in ``_handle_fault``, or ``mfbc`` / ``adaptive_bc``'s own)
             recovered = len(machine.recoveries) - recoveries

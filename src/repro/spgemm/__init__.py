@@ -20,9 +20,7 @@ from repro.spgemm.costmodel import (
     CostEstimate,
     estimate_nnz_c,
     estimate_ops,
-    model_1d,
-    model_2d,
-    model_3d,
+    model_plan,
 )
 from repro.spgemm.plan import Plan
 from repro.spgemm.selector import (
@@ -36,9 +34,7 @@ __all__ = [
     "CostEstimate",
     "estimate_ops",
     "estimate_nnz_c",
-    "model_1d",
-    "model_2d",
-    "model_3d",
+    "model_plan",
     "Plan",
     "AutoPolicy",
     "PinnedPolicy",

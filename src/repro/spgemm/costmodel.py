@@ -1,13 +1,21 @@
-"""Closed-form α-β cost models for the SpGEMM algorithm space (§5.2).
+"""The closed-form α-β cost model of the SpGEMM algorithm space (§5.2).
 
-These are the expressions the paper derives, with the same structure CTF's
-mapping search evaluates: per-variant message counts and word volumes as
-functions of the operand/output nonzero counts and the grid factorization.
-The selector uses them a priori (with model-estimated ``nnz(C)``); the
-theory benches print them directly.
+One expression prices every plan, with the structure CTF's mapping search
+evaluates (§5.2.3)::
 
-All functions return a :class:`CostEstimate` with separate latency-message
-and bandwidth-word tallies so callers can apply any machine's α and β.
+    W_{X,YZ} = W_X(X[p2,p3]) + W_YZ
+
+``W_X = O(α·log p1 + β·nnz(X)/(p2·p3))`` is the 1D level moving X over
+``p1`` (a broadcast of an operand, a sparse reduction of C) and
+``W_YZ = O(α·lcm(p2,p3)·log(p2·p3) + β·(nnz(Y)/p2 + nnz(Z)/p3))`` the 2D
+level, which sees every matrix but X shrunk by ``p1``.  A 1D plan is the
+``p2·p3 = 1`` case and a 2D plan the ``p1 = 1`` case of the same formula.
+The selector evaluates it a priori (with model-estimated ``nnz(C)``); the
+theory benches print it directly.
+
+:func:`model_plan` returns a :class:`CostEstimate` with separate
+latency-message and bandwidth-word tallies so callers can apply any
+machine's α and β.
 """
 
 from __future__ import annotations
@@ -15,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.machine.collectives import TREE
+from repro.machine.grid import log2ceil
+
 __all__ = [
     "CostEstimate",
     "estimate_ops",
     "estimate_nnz_c",
-    "model_1d",
-    "model_2d",
-    "model_3d",
     "model_plan",
 ]
 
@@ -52,90 +60,6 @@ def estimate_nnz_c(m: int, k: int, n: int, nnz_a: int, nnz_b: int) -> float:
     return min(float(m) * float(n), estimate_ops(m, k, n, nnz_a, nnz_b))
 
 
-def _lg(q: float) -> float:
-    return math.ceil(math.log2(q)) if q > 1 else 0.0
-
-
-def model_1d(
-    variant: str, p: int, nnz_a: float, nnz_b: float, nnz_c: float, ops: float
-) -> CostEstimate:
-    """The 1D algorithms (§5.2.1): ``W_X = O(α·log p + β·nnz(X))``.
-
-    Variant A broadcasts A (everyone ends up holding all of A), B broadcasts
-    B, and C forms full partial outputs reduced with a sparse reduction.
-    """
-    nnz = {"A": nnz_a, "B": nnz_b, "C": nnz_c}[variant]
-    # bcast/reduce-class collective: weight-2 constants as in §7.4
-    msgs = 2.0 * _lg(p)
-    words = 2.0 * nnz
-    # replicated operand (or full partial output) is held entirely per rank
-    others = {"A": nnz_b + nnz_c, "B": nnz_a + nnz_c, "C": nnz_a + nnz_b}[variant]
-    memory = nnz + others / p
-    return CostEstimate(msgs, words, ops / p, memory)
-
-
-def model_2d(
-    variant: str,
-    pr: int,
-    pc: int,
-    nnz_a: float,
-    nnz_b: float,
-    nnz_c: float,
-    ops: float,
-) -> CostEstimate:
-    """The 2D algorithms (§5.2.2).
-
-    ``W_YZ = O(α·max(pr,pc)·log p + β·(nnz(Y)/pr + nnz(Z)/pc))`` — CTF runs
-    ``lcm(pr, pc)`` broadcast/reduction steps and prefers grids where
-    ``lcm ≈ max``.
-    """
-    p = pr * pc
-    steps = math.lcm(pr, pc)
-    nnz = {"A": nnz_a, "B": nnz_b, "C": nnz_c}
-    y, z = variant[0], variant[1]
-    msgs = 2.0 * steps * _lg(p)
-    words = 2.0 * (nnz[y] / pr + nnz[z] / pc)
-    memory = (nnz_a + nnz_b + nnz_c) / p + nnz[y] / pr + nnz[z] / pc
-    return CostEstimate(msgs, words, ops / p, memory)
-
-
-def model_3d(
-    x: str,
-    yz: str,
-    p1: int,
-    p2: int,
-    p3: int,
-    nnz_a: float,
-    nnz_b: float,
-    nnz_c: float,
-    ops: float,
-) -> CostEstimate:
-    """The nine 3D nestings (§5.2.3).
-
-    ``W_{X,YZ} = W_X(X[p2,p3]) + W_YZ(...)`` where the 1D variant handles
-    blocks of X from a ``p2 × p3`` distribution and the 2D algorithm sees
-    the other matrices shrunk by ``p1`` in the dimension the 1D split cuts.
-    Memory grows by the replication factor: ``nnz(X)·p1/p`` per rank.
-    """
-    p = p1 * p2 * p3
-    nnz = {"A": nnz_a, "B": nnz_b, "C": nnz_c}
-    # -- 1D part over p1 on X blocks from the p2 × p3 layer distribution.
-    msgs = 2.0 * _lg(p1)
-    words = 2.0 * nnz[x] / (p2 * p3)
-
-    # -- 2D part per layer; matrices ≠ X are split by p1 along one dimension.
-    def layer_nnz(name: str) -> float:
-        return nnz[name] if name == x else nnz[name] / p1
-
-    steps = math.lcm(p2, p3)
-    y, z = yz[0], yz[1]
-    msgs += 2.0 * steps * _lg(max(p2 * p3, 1))
-    words += 2.0 * (layer_nnz(y) / p2 + layer_nnz(z) / p3)
-    memory = (nnz_a + nnz_b + nnz_c) / p + nnz[x] * p1 / p
-    memory += layer_nnz(y) / p2 + layer_nnz(z) / p3
-    return CostEstimate(msgs, words, ops / p, memory)
-
-
 def model_plan(
     plan,
     m: int,
@@ -145,18 +69,40 @@ def model_plan(
     nnz_b: float,
     nnz_c: float | None = None,
     ops: float | None = None,
+    amortized: frozenset[str] = frozenset(),
 ) -> CostEstimate:
-    """Evaluate any :class:`~repro.spgemm.plan.Plan` under the §5.2 models."""
+    """Price any :class:`~repro.spgemm.plan.Plan`: ``W_X + W_YZ``.
+
+    ``amortized`` names the loop-invariant operands.  MFBC replicates the
+    adjacency matrix once and reuses it across all ``O(d · n/nb)`` products
+    (the amortization in Theorem 5.1's proof), so a plan that moves such an
+    X is priced without its ``W_X`` term; the selector must see that
+    discount or it would never choose replication.
+    """
     if ops is None:
         ops = estimate_ops(m, k, n, int(nnz_a), int(nnz_b))
     if nnz_c is None:
         nnz_c = estimate_nnz_c(m, k, n, int(nnz_a), int(nnz_b))
-    kind = plan.kind
-    if kind == "1d":
-        q = plan.p1 if plan.p1 > 1 else plan.p2 * plan.p3
-        return model_1d(plan.x, max(q, 1), nnz_a, nnz_b, nnz_c, ops)
-    if kind == "2d":
-        return model_2d(plan.yz, plan.p2, plan.p3, nnz_a, nnz_b, nnz_c, ops)
-    return model_3d(
-        plan.x, plan.yz, plan.p1, plan.p2, plan.p3, nnz_a, nnz_b, nnz_c, ops
-    )
+    p1, p2, p3 = plan.p1, plan.p2, plan.p3
+    p = plan.p
+    nnz = {"A": nnz_a, "B": nnz_b, "C": nnz_c}
+    msgs = words = 0.0
+    # every matrix's resting share of the machine
+    memory = (nnz_a + nnz_b + nnz_c) / p
+    if p1 > 1:
+        # W_X: the 1D level handles blocks of X from a p2 × p3 distribution
+        # with one broadcast/reduce-class collective over p1 ranks
+        if plan.x not in amortized:
+            msgs += TREE * log2ceil(p1)
+            words += TREE * nnz[plan.x] / (p2 * p3)
+        # memory grows by the replication factor, counted beside X's share
+        memory += nnz[plan.x] * p1 / p
+    if p2 * p3 > 1:
+        # W_YZ per layer: matrices ≠ X are split by p1 along one dimension;
+        # CTF runs lcm(p2, p3) broadcast/reduction steps and prefers grids
+        # where lcm ≈ max
+        y, z = (nnz[v] if v == plan.x else nnz[v] / p1 for v in plan.yz)
+        msgs += TREE * math.lcm(p2, p3) * log2ceil(p2 * p3)
+        words += TREE * (y / p2 + z / p3)
+        memory += y / p2 + z / p3
+    return CostEstimate(msgs, words, ops / p, memory)

@@ -18,7 +18,7 @@ Two pinned policies reproduce the paper's named configurations:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.machine.grid import factorizations
 from repro.machine.machine import Machine, MemoryLimitExceeded
@@ -32,7 +32,6 @@ __all__ = [
     "PinnedPolicy",
     "Square2DPolicy",
     "enumerate_plans",
-    "amortized_model_plan",
     "cheapest_plan",
 ]
 
@@ -56,42 +55,6 @@ def enumerate_plans(p: int) -> list[Plan]:
             for yz in ("AB", "AC", "BC"):
                 plans.append(Plan(p1, p2, p3, x, yz))
     return plans
-
-
-def amortized_model_plan(
-    plan: Plan, m, k, n, nnz_a, nnz_b, amortized: frozenset[str], **kwargs
-):
-    """Model cost with the replication of loop-invariant operands discounted.
-
-    MFBC replicates the adjacency matrix once and reuses it across all
-    ``O(d · n/nb)`` products (the amortization in Theorem 5.1's proof); the
-    selector must see that discount or it would never choose replication.
-    Extra ``kwargs`` (``nnz_c``, ``ops``) pass through to
-    :func:`~repro.spgemm.costmodel.model_plan`.
-    """
-    est = model_plan(plan, m, k, n, nnz_a, nnz_b, **kwargs)
-    if plan.kind == "3d" and plan.x in amortized:
-        nnz = {"A": nnz_a, "B": nnz_b}.get(plan.x)
-        if nnz is not None:
-            lg = math.ceil(math.log2(plan.p1)) if plan.p1 > 1 else 0
-            est = type(est)(
-                msgs=est.msgs - 2.0 * lg,
-                words=est.words - 2.0 * nnz / (plan.p2 * plan.p3),
-                flops=est.flops,
-                memory_words=est.memory_words,
-            )
-    elif plan.kind == "1d" and plan.x in amortized:
-        nnz = {"A": nnz_a, "B": nnz_b}.get(plan.x)
-        if nnz is not None:
-            q = plan.p1 if plan.p1 > 1 else plan.p2 * plan.p3
-            lg = math.ceil(math.log2(q)) if q > 1 else 0
-            est = type(est)(
-                msgs=est.msgs - 2.0 * lg,
-                words=est.words - 2.0 * nnz,
-                flops=est.flops,
-                memory_words=est.memory_words,
-            )
-    return est
 
 
 def cheapest_plan(plans, estimate, cost, memory_words):
@@ -162,16 +125,13 @@ class SelectionPolicy:
 class AutoPolicy(SelectionPolicy):
     """Full model-driven search over grids × variants (CTF behaviour)."""
 
-    #: record of (plan, modeled time) choices, newest last — for diagnostics.
-    history: list[tuple[Plan, float]] = field(default_factory=list)
-
     def select(self, machine, m, k, n, nnz_a, nnz_b, amortized=frozenset()):
         with obs.span("select", cat="selector") as sp:
             plans = enumerate_plans(machine.p)
             best, _est, best_time, feasible = cheapest_plan(
                 plans,
-                lambda plan: amortized_model_plan(
-                    plan, m, k, n, nnz_a, nnz_b, amortized
+                lambda plan: model_plan(
+                    plan, m, k, n, nnz_a, nnz_b, amortized=amortized
                 ),
                 machine.cost,
                 machine.memory_words,
@@ -181,7 +141,6 @@ class AutoPolicy(SelectionPolicy):
                     f"no SpGEMM plan fits the per-rank memory budget "
                     f"{machine.memory_words} words for nnz(A)={nnz_a}, nnz(B)={nnz_b}"
                 )
-            self.history.append((best, best_time))
             if obs.enabled():
                 sp.set(
                     candidates=len(plans),

@@ -42,12 +42,13 @@ Layout conventions (C = A •⟨⊕,f⟩ B, A is m×k, B is k×n):
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from repro.algebra.matmul import MatMulSpec
-from repro.dist.distmat import DistMat, even_splits
+from repro.dist.distmat import DistMat, axis_block, even_splits
 from repro.machine.machine import Machine
 from repro.obs import api as obs
 # not called here (local products go through machine.executor), but
@@ -191,6 +192,26 @@ def _replicate_cached(
 
 
 # ---------------------------------------------------------------------------
+# the algorithm space, written once: a variant names the matrices that move
+# ---------------------------------------------------------------------------
+
+#: C[m,n] = A[m,k] • B[k,n]: the dimensions each matrix spans, rows first.
+#: Every layout, output frame, mask slice, piece offset and reduction root
+#: below is read from this table and three facts of §5.2:
+#: (i)   a level that moves X splits the other two matrices along the one
+#:       dimension X does not span (n for A, m for B, k for C);
+#: (ii)  on a ``pr × pc`` grid the stationary matrix S — the one YZ does not
+#:       name — has its row dimension blocked over grid rows and its column
+#:       dimension over grid columns; the ``lcm(pr, pc)`` steps walk the
+#:       dimension S does not span; the mover sharing S's row dimension
+#:       travels along grid rows, the other along grid columns; an operand
+#:       whose row dimension is blocked over grid *columns* rests on
+#:       ``ranks2d.T``, so a piece always starts on the rank that roots it;
+#: (iii) a mover is broadcast when it is an operand, sparse-reduced when C.
+_DIMS = {"A": "mk", "B": "kn", "C": "mn"}
+
+
+# ---------------------------------------------------------------------------
 # 1D algorithms (§5.2.1)
 # ---------------------------------------------------------------------------
 
@@ -207,96 +228,71 @@ def _exec_1d(
 ) -> tuple[DistMat, int]:
     p = machine.p
     world = machine.world()
-    row1 = world.ranks.reshape(1, p)
-    col1 = world.ranks.reshape(p, 1)
-    monoid = spec.monoid
-    m, k, n = a.nrows, a.ncols, b.ncols
+    mats = {"A": a, "B": b}
+    size = {"m": a.nrows, "k": a.ncols, "n": b.ncols}
+    (d,) = set("mkn") - set(_DIMS[x])  # fact (i)
 
-    if x == "A":
-        # replicate A (broadcast), block B and C by columns.
-        def build():
-            return world.bcast(a.gather(charge=False), category="replicate")
+    def strips(name: str) -> np.ndarray:
+        """The ``p × 1`` or ``1 × p`` grid that blocks ``name`` along ``d``."""
+        return world.ranks.reshape((p, 1) if _DIMS[name][0] == d else (1, p))
 
-        a_full = _replicate_cached(cache, ("1dA", id(a)), build)
-        b1 = b.redistribute(row1)
-        # C is column-blocked like B: each rank's output frame is a column
-        # stripe, so it sees the matching column slice of the mask.
-        masks = None
-        if mask is not None:
-            masks = [
-                mask.block(0, m, int(b1.col_splits[j]), int(b1.col_splits[j + 1]))
-                for j in range(p)
-            ]
-        c_blocks, total_ops = _local_mul_batch(
-            machine,
-            [(j, a_full, b1.blocks[0][j]) for j in range(p)],
-            spec,
-            masks=masks,
-            mask_complement=mask_complement,
+    # X moves first: an operand's one broadcast precedes the other operand's
+    # re-blocking (both span the world, so the ledger's max-merge cannot
+    # tell, but the fault plan's step counter can); A before B otherwise.
+    local = {}
+    if x != "C":
+        whole = _replicate_cached(
+            cache,
+            ("1d" + x, id(mats[x])),
+            lambda: world.bcast(mats[x].gather(charge=False), category="replicate"),
         )
-        c = DistMat(
-            machine, row1, even_splits(m, 1), b1.col_splits, [c_blocks], monoid
-        )
-        return c, total_ops
-
-    if x == "B":
-        # replicate B, block A and C by rows.
-        def build():
-            return world.bcast(b.gather(charge=False), category="replicate")
-
-        b_full = _replicate_cached(cache, ("1dB", id(b)), build)
-        a1 = a.redistribute(col1)
-        # C is row-blocked like A: each rank sees its row stripe of the mask.
-        masks = None
-        if mask is not None:
-            masks = [
-                mask.block(int(a1.row_splits[i]), int(a1.row_splits[i + 1]), 0, n)
-                for i in range(p)
-            ]
-        c_blocks, total_ops = _local_mul_batch(
-            machine,
-            [(i, a1.blocks[i][0], b_full) for i in range(p)],
-            spec,
-            masks=masks,
-            mask_complement=mask_complement,
-        )
-        c = DistMat(
-            machine,
-            col1,
-            a1.row_splits,
-            even_splits(n, 1),
-            [[blk] for blk in c_blocks],
-            monoid,
-        )
-        return c, total_ops
-
-    # x == "C": block A by columns and B by rows; sparse-reduce full partials.
-    a1 = a.redistribute(row1)  # (m × k) split along k
-    b1 = b.redistribute(col1)  # (k × n) split along k
-    # every rank forms a full-shape partial, so every rank masks with the
-    # full mask; the masked ops total is still partition-invariant because
-    # the k-slices partition the join pairs disjointly.
-    partials, total_ops = _local_mul_batch(
+        local[x] = [whole] * p
+    blocked = {
+        name: mat.redistribute(strips(name)) for name, mat in mats.items() if name != x
+    }
+    for name, dm in blocked.items():
+        local[name] = [blk for row in dm.blocks for blk in row]
+    # each rank's output frame is its strip of C along d, so it sees the
+    # matching slice of the mask.  When C is the mover every rank forms a
+    # full-shape partial and masks with the full mask; the masked ops total
+    # is still partition-invariant because the k-slices partition the join
+    # pairs disjointly.
+    masks = None
+    if mask is not None and x == "C":
+        masks = [mask] * p
+    elif mask is not None:
+        cuts = even_splits(size[d], p)
+        masks = [
+            axis_block(mask, _DIMS["C"].index(d), int(cuts[r]), int(cuts[r + 1]))
+            for r in range(p)
+        ]
+    prods, total_ops = _local_mul_batch(
         machine,
-        [(r, a1.blocks[0][r], b1.blocks[r][0]) for r in range(p)],
+        [(r, local["A"][r], local["B"][r]) for r in range(p)],
         spec,
-        masks=None if mask is None else [mask] * p,
+        masks=masks,
         mask_complement=mask_complement,
     )
-    partial = world.sparse_reduce(partials, SpMat.combine)
-    c = DistMat.distribute(partial, machine, row1, charge=True)
+    if x == "C":
+        total = world.sparse_reduce(prods, SpMat.combine)
+        c = DistMat.distribute(total, machine, world.ranks.reshape(1, p), charge=True)
+        return c, total_ops
+    grid = strips("C")
+    pr, pc = grid.shape
+    c = DistMat(
+        machine,
+        grid,
+        even_splits(size["m"], pr),
+        even_splits(size["n"], pc),
+        [prods[i * pc : (i + 1) * pc] for i in range(pr)],
+        spec.monoid,
+    )
     return c, total_ops
 
 
 # ---------------------------------------------------------------------------
 # 2D algorithms (§5.2.2)
 # ---------------------------------------------------------------------------
-
-
-def _chunk_of(splits: np.ndarray, t_lo: int, t_hi: int, block: int) -> tuple[int, int]:
-    """Local [lo, hi) range of global chunk [t_lo, t_hi) inside ``block``."""
-    base = int(splits[block])
-    return t_lo - base, t_hi - base
 
 
 def _exec_2d(
@@ -310,244 +306,155 @@ def _exec_2d(
     mask_complement: bool = False,
 ) -> tuple[DistMat, int]:
     pr, pc = ranks2d.shape
-    m, k, n = a.nrows, a.ncols, b.ncols
+    mats = {"A": a, "B": b}
+    size = {"m": a.nrows, "k": a.ncols, "n": b.ncols}
     monoid = spec.monoid
     lcm = math.lcm(pr, pc)
     total_ops = 0
     row_groups = [machine.group(ranks2d[i, :]) for i in range(pr)]
     col_groups = [machine.group(ranks2d[:, j]) for j in range(pc)]
 
-    if yz == "AB":
-        a_n = a.redistribute(ranks2d, even_splits(m, pr), even_splits(k, pc))
-        b_n = b.redistribute(ranks2d, even_splits(k, pr), even_splits(n, pc))
-        ks = even_splits(k, lcm)
-        c_blocks = [
-            [SpMat.empty(
-                int(a_n.row_splits[i + 1] - a_n.row_splits[i]),
-                int(b_n.col_splits[j + 1] - b_n.col_splits[j]),
-                monoid,
-            ) for j in range(pc)]
-            for i in range(pr)
-        ]
-        # every step's (i, j) product lands on C's stationary (i, j) block,
-        # so the per-cell mask slices are loop-invariant: cut them once.
-        mask_cells = None
-        if mask is not None:
-            mask_cells = [
-                [
-                    mask.block(
-                        int(a_n.row_splits[i]),
-                        int(a_n.row_splits[i + 1]),
-                        int(b_n.col_splits[j]),
-                        int(b_n.col_splits[j + 1]),
-                    )
-                    for j in range(pc)
-                ]
-                for i in range(pr)
-            ]
-        for t in range(lcm):
-            t_lo, t_hi = int(ks[t]), int(ks[t + 1])
-            ja = t // (lcm // pc)
-            ib = t // (lcm // pr)
-            # A pieces broadcast along grid rows.
-            a_pieces = []
-            for i in range(pr):
-                lo, hi = _chunk_of(a_n.col_splits, t_lo, t_hi, ja)
-                piece = a_n.blocks[i][ja].block(0, a_n.blocks[i][ja].nrows, lo, hi)
+    # -- fact (ii): who is stationary, what the steps walk, who rests where
+    (s,) = set("ABC") - set(yz)
+    sr, sc = _DIMS[s]
+    (w,) = set("mkn") - {sr, sc}
+
+    @functools.cache
+    def cut(dim: str, parts: int) -> np.ndarray:
+        """Boundaries of dimension ``dim`` blocked evenly ``parts`` ways."""
+        return even_splits(size[dim], parts)
+
+    steps = cut(w, lcm)
+
+    def axis_of(name: str, dim: str) -> int:
+        """The grid axis (0: over grid rows, 1: over grid columns) that
+        dimension ``dim`` of matrix ``name`` is blocked over."""
+        if dim == w:
+            # the mover sharing S's row dimension travels along grid rows,
+            # so its walked dimension is blocked over grid columns
+            return 1 if sr in _DIMS[name] else 0
+        return 0 if dim == sr else 1
+
+    def cell(axis: int, line: int, pos: int) -> tuple[int, int]:
+        """Grid coordinates of position ``pos`` on line ``line`` along ``axis``."""
+        return (line, pos) if axis else (pos, line)
+
+    #: an operand whose row dimension is blocked over grid columns rests on
+    #: the transposed grid
+    flipped = {name: axis_of(name, _DIMS[name][0]) for name in mats}
+    # the stationary operand is re-blocked (evenly) first, A before B otherwise
+    rest = {
+        name: mats[name].redistribute(ranks2d.T if flipped[name] else ranks2d)
+        for name in sorted(mats, key=lambda name: name != s)
+    }
+    #: resting[name][i][j]: the block of operand ``name`` on ``ranks2d[i, j]``
+    resting = {
+        name: list(zip(*dm.blocks)) if flipped[name] else dm.blocks
+        for name, dm in rest.items()
+    }
+
+    #: the grid axis each mover travels along: the one its walked dimension
+    #: is blocked over
+    along = {name: axis_of(name, w) for name in yz}
+
+    def route(name: str, t: int):
+        """Mover ``name`` at step ``t``: the grid axis it travels along, the
+        groups that are its lines, the position on every line that roots
+        the chunk, and the chunk's offset inside the root's block."""
+        axis = along[name]
+        lines = (col_groups, row_groups)[axis]
+        root = t // (lcm // lines[0].size)
+        return axis, lines, root, int(steps[t] - cut(w, lines[0].size)[root])
+
+    # C always rests on ranks2d: its row dimension m is S's row dimension or
+    # the walked one, blocked over grid rows either way
+    c_rows, c_cols = cut("m", pr), cut("n", pc)
+    c_blocks = [
+        [SpMat.empty(int(h), int(wd), monoid) for wd in np.diff(c_cols)]
+        for h in np.diff(c_rows)
+    ]
+    # a step's products are independent across the grid: they are batched
+    # through the executor in the order of the lines C is reduced along
+    # (grid rows when C is stationary); lines touch disjoint rank sets, so
+    # batching ahead of the per-line reductions leaves the ledger
+    # bit-identical
+    c_axis = along.get("C", 1)
+    order = sorted(np.ndindex(pr, pc), key=lambda ij: ij[1 - c_axis])
+    # a product's output frame is C's stripe or step chunk along each of its
+    # dimensions; the sub-mask of each distinct frame is cut once (for a
+    # stationary C the frames are loop-invariant)
+    frames: dict[tuple[int, ...], SpMat] = {}
+
+    def frame_mask(i: int, j: int, t: int) -> SpMat:
+        spans = {"m": c_rows[i : i + 2], "n": c_cols[j : j + 2], w: steps[t : t + 2]}
+        key = (*spans["m"].tolist(), *spans["n"].tolist())
+        if key not in frames:
+            frames[key] = mask.block(*key)
+        return frames[key]
+
+    pieces: dict[str, list[SpMat]] = {}
+
+    def operand(name: str, i: int, j: int) -> SpMat:
+        """What ``ranks2d[i, j]`` multiplies: its resting block of the
+        stationary operand, its line's piece of a moving one."""
+        if name == s:
+            return resting[name][i][j]
+        return pieces[name][(j, i)[along[name]]]
+
+    for t in range(lcm):
+        width = int(steps[t + 1] - steps[t])
+        # fact (iii), operands: A's pieces, then B's, each broadcast along
+        # its line from the rank it rests on (an empty piece is not sent)
+        for name in yz:
+            if name == "C":
+                continue
+            axis, lines, root, lo = route(name, t)
+            pieces[name] = []
+            for line, group in enumerate(lines):
+                i, j = cell(axis, line, root)
+                piece = axis_block(
+                    resting[name][i][j], _DIMS[name].index(w), lo, lo + width
+                )
                 if piece.nnz:
-                    piece = row_groups[i].bcast(piece, root=ja)
-                a_pieces.append(piece)
-            # B pieces broadcast along grid columns.
-            b_pieces = []
-            for j in range(pc):
-                lo, hi = _chunk_of(b_n.row_splits, t_lo, t_hi, ib)
-                piece = b_n.blocks[ib][j].block(lo, hi, 0, b_n.blocks[ib][j].ncols)
-                if piece.nnz:
-                    piece = col_groups[j].bcast(piece, root=ib)
-                b_pieces.append(piece)
-            # per-step local products are independent across (i, j): batch
-            # them through the executor, merge in serial iteration order
-            cells = [
-                (i, j)
-                for i in range(pr)
-                if a_pieces[i].nnz
-                for j in range(pc)
-                if b_pieces[j].nnz
-            ]
-            prods, ops = _local_mul_batch(
-                machine,
-                [(int(ranks2d[i, j]), a_pieces[i], b_pieces[j]) for i, j in cells],
-                spec,
-                masks=None if mask_cells is None
-                else [mask_cells[i][j] for i, j in cells],
-                mask_complement=mask_complement,
-            )
-            total_ops += ops
-            for (i, j), prod in zip(cells, prods):
+                    piece = group.bcast(piece, root=root)
+                pieces[name].append(piece)
+        live = {}
+        for i, j in order:
+            x, y = operand("A", i, j), operand("B", i, j)
+            if x.nnz and y.nnz:
+                live[i, j] = x, y
+        prods, ops = _local_mul_batch(
+            machine,
+            [(int(ranks2d[ij]), x, y) for ij, (x, y) in live.items()],
+            spec,
+            masks=None if mask is None else [frame_mask(*ij, t) for ij in live],
+            mask_complement=mask_complement,
+        )
+        total_ops += ops
+        outs = dict(zip(live, prods))
+        if "C" not in yz:
+            # stationary C: every step's (i, j) product lands on its block
+            for (i, j), prod in outs.items():
                 if prod.nnz:
                     c_blocks[i][j] = c_blocks[i][j].combine(prod)
-        c = DistMat(machine, ranks2d, a_n.row_splits, b_n.col_splits, c_blocks, monoid)
-        return c, total_ops
-
-    if yz == "BC":
-        # A stationary; B pieces broadcast along grid columns; C chunks
-        # sparse-reduced along grid rows.
-        a_n = a.redistribute(ranks2d, even_splits(m, pr), even_splits(k, pc))
-        b_n = b.redistribute(ranks2d.T, even_splits(k, pc), even_splits(n, pr))
-        ns = even_splits(n, lcm)
-        cs = even_splits(n, pc)
-        c_blocks = [
-            [SpMat.empty(
-                int(a_n.row_splits[i + 1] - a_n.row_splits[i]),
-                int(cs[j + 1] - cs[j]),
-                monoid,
-            ) for j in range(pc)]
-            for i in range(pr)
-        ]
-        for t in range(lcm):
-            t_lo, t_hi = int(ns[t]), int(ns[t + 1])
-            tb = t // (lcm // pr)
-            jc = t // (lcm // pc)
-            b_pieces = []
-            for j in range(pc):
-                lo, hi = _chunk_of(b_n.col_splits, t_lo, t_hi, tb)
-                piece = b_n.blocks[j][tb].block(0, b_n.blocks[j][tb].nrows, lo, hi)
-                if piece.nnz:
-                    piece = col_groups[j].bcast(piece, root=tb)
-                b_pieces.append(piece)
-            # products are independent across the whole (i, j) step; grid
-            # rows touch disjoint rank sets, so batching them ahead of the
-            # per-row reductions leaves the ledger bit-identical
-            cells = [
-                (i, j)
-                for i in range(pr)
-                for j in range(pc)
-                if b_pieces[j].nnz and a_n.blocks[i][j].nnz
-            ]
-            # each product covers C's (row stripe i) × (column chunk t):
-            # slice that frame's sub-mask, shared by all j in grid row i.
-            mask_rows = None
-            if mask is not None:
-                mask_rows = [
-                    mask.block(
-                        int(a_n.row_splits[i]),
-                        int(a_n.row_splits[i + 1]),
-                        t_lo,
-                        t_hi,
-                    )
-                    for i in range(pr)
-                ]
-            prods, ops = _local_mul_batch(
-                machine,
-                [
-                    (int(ranks2d[i, j]), a_n.blocks[i][j], b_pieces[j])
-                    for i, j in cells
-                ],
-                spec,
-                masks=None if mask_rows is None
-                else [mask_rows[i] for i, j in cells],
-                mask_complement=mask_complement,
+            continue
+        # fact (iii), C: each line's partial chunks are sparse-reduced onto
+        # the rank whose C block holds the chunk, and placed there
+        axis, lines, root, lo = route("C", t)
+        offset = [0, 0]
+        offset[_DIMS["C"].index(w)] = lo
+        for line, group in enumerate(lines):
+            partial = group.sparse_reduce(
+                [_nonempty(outs.get(cell(axis, line, pos))) for pos in range(group.size)],
+                SpMat.combine,
+                root=root,
             )
-            total_ops += ops
-            outs = dict(zip(cells, prods))
-            for i in range(pr):
-                partial = row_groups[i].sparse_reduce(
-                    [_nonempty(outs.get((i, j))) for j in range(pc)],
-                    SpMat.combine,
-                    root=jc,
-                )
-                if partial is not None:
-                    placed = _embed(
-                        partial,
-                        c_blocks[i][jc].nrows,
-                        c_blocks[i][jc].ncols,
-                        0,
-                        t_lo - int(cs[jc]),
-                    )
-                    c_blocks[i][jc] = c_blocks[i][jc].combine(placed)
-        c = DistMat(machine, ranks2d, a_n.row_splits, cs, c_blocks, monoid)
-        return c, total_ops
-
-    if yz == "AC":
-        # B stationary; A pieces broadcast along grid rows; C chunks
-        # sparse-reduced along grid columns.
-        b_n = b.redistribute(ranks2d, even_splits(k, pr), even_splits(n, pc))
-        a_n = a.redistribute(ranks2d.T, even_splits(m, pc), even_splits(k, pr))
-        ms = even_splits(m, lcm)
-        rs = even_splits(m, pr)
-        c_blocks = [
-            [SpMat.empty(
-                int(rs[i + 1] - rs[i]),
-                int(b_n.col_splits[j + 1] - b_n.col_splits[j]),
-                monoid,
-            ) for j in range(pc)]
-            for i in range(pr)
-        ]
-        for t in range(lcm):
-            t_lo, t_hi = int(ms[t]), int(ms[t + 1])
-            ta = t // (lcm // pc)
-            ic = t // (lcm // pr)
-            a_pieces = []
-            for i in range(pr):
-                lo, hi = _chunk_of(a_n.row_splits, t_lo, t_hi, ta)
-                piece = a_n.blocks[ta][i].block(lo, hi, 0, a_n.blocks[ta][i].ncols)
-                if piece.nnz:
-                    piece = row_groups[i].bcast(piece, root=ta)
-                a_pieces.append(piece)
-            # mirror of BC: batch the step's products; grid columns touch
-            # disjoint rank sets, so the per-column reductions still see a
-            # bit-identical ledger
-            cells = [
-                (j, i)
-                for j in range(pc)
-                for i in range(pr)
-                if a_pieces[i].nnz and b_n.blocks[i][j].nnz
-            ]
-            # each product covers C's (row chunk t) × (column stripe j):
-            # slice that frame's sub-mask, shared by all i in grid column j.
-            mask_cols = None
-            if mask is not None:
-                mask_cols = [
-                    mask.block(
-                        t_lo,
-                        t_hi,
-                        int(b_n.col_splits[j]),
-                        int(b_n.col_splits[j + 1]),
-                    )
-                    for j in range(pc)
-                ]
-            prods, ops = _local_mul_batch(
-                machine,
-                [
-                    (int(ranks2d[i, j]), a_pieces[i], b_n.blocks[i][j])
-                    for j, i in cells
-                ],
-                spec,
-                masks=None if mask_cols is None
-                else [mask_cols[j] for j, i in cells],
-                mask_complement=mask_complement,
-            )
-            total_ops += ops
-            outs = dict(zip(cells, prods))
-            for j in range(pc):
-                partial = col_groups[j].sparse_reduce(
-                    [_nonempty(outs.get((j, i))) for i in range(pr)],
-                    SpMat.combine,
-                    root=ic,
-                )
-                if partial is not None:
-                    placed = _embed(
-                        partial,
-                        c_blocks[ic][j].nrows,
-                        c_blocks[ic][j].ncols,
-                        t_lo - int(rs[ic]),
-                        0,
-                    )
-                    c_blocks[ic][j] = c_blocks[ic][j].combine(placed)
-        c = DistMat(machine, ranks2d, rs, b_n.col_splits, c_blocks, monoid)
-        return c, total_ops
-
-    raise ValueError(f"unknown 2D variant {yz!r}")
+            if partial is not None:
+                i, j = cell(axis, line, root)
+                home = c_blocks[i][j]
+                placed = _embed(partial, home.nrows, home.ncols, *offset)
+                c_blocks[i][j] = home.combine(placed)
+    return DistMat(machine, ranks2d, c_rows, c_cols, c_blocks, monoid), total_ops
 
 
 # ---------------------------------------------------------------------------
@@ -568,99 +475,82 @@ def _exec_3d(
     cache: dict | None,
 ) -> tuple[DistMat, int]:
     p1, p2, p3 = ranks3d.shape
-    m, k, n = a.nrows, a.ncols, b.ncols
+    mats = {"A": a, "B": b}
+    size = {"m": a.nrows, "k": a.ncols, "n": b.ncols}
     monoid = spec.monoid
     layers = [ranks3d[l] for l in range(p1)]
     total_ops = 0
+    (d,) = set("mkn") - set(_DIMS[x])  # fact (i): layer l owns cuts[l:l+2] of d
+    cuts = even_splits(size[d], p1)
 
-    def replicate(mat: DistMat, tag: str) -> list[DistMat]:
-        """One copy of ``mat`` per layer; broadcast charged once per fiber."""
-
-        def build():
-            ref = mat.redistribute(layers[0])
-            # fiber broadcasts: each (i, j) position's block travels to the
-            # p1 ranks {ranks3d[:, i, j]} — the W_X(X[p2, p3]) term.
-            blocks = [
-                [
-                    machine.group(ranks3d[:, i, j]).bcast(blk, category="replicate")
-                    if blk.nnz
-                    else blk
-                    for j, blk in enumerate(row)
-                ]
-                for i, row in enumerate(ref.blocks)
+    def replicate() -> list[DistMat]:
+        """One copy of operand X per layer; broadcast charged once per fiber."""
+        ref = mats[x].redistribute(layers[0])
+        # fiber broadcasts: each (i, j) position's block travels to the
+        # p1 ranks {ranks3d[:, i, j]} — the W_X(X[p2, p3]) term.
+        blocks = [
+            [
+                machine.group(ranks3d[:, i, j]).bcast(blk, category="replicate")
+                if blk.nnz
+                else blk
+                for j, blk in enumerate(row)
             ]
-            return [ref] + [
-                DistMat(
-                    machine,
-                    layers[l],
-                    ref.row_splits,
-                    ref.col_splits,
-                    [list(row) for row in blocks],
-                    ref.monoid,
-                )
-                for l in range(1, p1)
-            ]
-
-        return _replicate_cached(cache, ("3d" + tag, id(mat), p1, p2, p3), build)
-
-    if x == "A":
-        a_layers = replicate(a, "A")
-        bs = even_splits(n, p1)
-        pieces = []
-        for l in range(p1):
-            b_l = b.extract_col_range(int(bs[l]), int(bs[l + 1])).redistribute(layers[l])
-            # layer l owns C's column range [bs[l], bs[l+1]): its sub-mask
-            mask_l = (
-                None if mask is None
-                else mask.block(0, m, int(bs[l]), int(bs[l + 1]))
+            for i, row in enumerate(ref.blocks)
+        ]
+        return [ref] + [
+            DistMat(
+                machine,
+                layers[l],
+                ref.row_splits,
+                ref.col_splits,
+                [list(row) for row in blocks],
+                ref.monoid,
             )
-            c_l, ops = _exec_2d(
-                yz, layers[l], machine, a_layers[l], b_l, spec,
-                mask_l, mask_complement,
-            )
-            total_ops += ops
-            pieces.append((c_l, 0, int(bs[l])))
-        return _reassemble(machine, pieces, m, n, monoid), total_ops
+            for l in range(1, p1)
+        ]
 
-    if x == "B":
-        b_layers = replicate(b, "B")
-        as_ = even_splits(m, p1)
-        pieces = []
-        for l in range(p1):
-            a_l = a.extract_row_range(int(as_[l]), int(as_[l + 1])).redistribute(layers[l])
-            # layer l owns C's row range [as_[l], as_[l+1]): its sub-mask
-            mask_l = (
-                None if mask is None
-                else mask.block(int(as_[l]), int(as_[l + 1]), 0, n)
-            )
-            c_l, ops = _exec_2d(
-                yz, layers[l], machine, a_l, b_layers[l], spec,
-                mask_l, mask_complement,
-            )
-            total_ops += ops
-            pieces.append((c_l, int(as_[l]), 0))
-        return _reassemble(machine, pieces, m, n, monoid), total_ops
-
-    # x == "C": split the contraction dimension; sparse-reduce layer partials.
-    ks = even_splits(k, p1)
-    partials = []
+    # X moves first when it is an operand; per layer A before B
+    if x != "C":
+        copies = _replicate_cached(
+            cache, ("3d" + x, id(mats[x]), p1, p2, p3), replicate
+        )
+    layer_mats: dict[str, DistMat] = {}
+    outs = []
     for l in range(p1):
-        a_l = a.extract_col_range(int(ks[l]), int(ks[l + 1])).redistribute(layers[l])
-        b_l = b.extract_row_range(int(ks[l]), int(ks[l + 1])).redistribute(layers[l])
-        # every layer's partial spans all of C: mask with the full mask
+        lo, hi = int(cuts[l]), int(cuts[l + 1])
+        for name, mat in mats.items():
+            if name == x:
+                layer_mats[name] = copies[l]
+            else:
+                extract = (mat.extract_row_range, mat.extract_col_range)
+                layer_mats[name] = extract[_DIMS[name].index(d)](lo, hi).redistribute(
+                    layers[l]
+                )
+        # layer l owns C's range [lo, hi) along d: its sub-mask.  When C is
+        # the mover every layer's partial spans all of C: the full mask.
+        mask_l = mask
+        if mask is not None and x != "C":
+            mask_l = axis_block(mask, _DIMS["C"].index(d), lo, hi)
         c_l, ops = _exec_2d(
-            yz, layers[l], machine, a_l, b_l, spec, mask, mask_complement
+            yz, layers[l], machine, layer_mats["A"], layer_mats["B"], spec,
+            mask_l, mask_complement,
         )
         total_ops += ops
-        partials.append(c_l)
+        outs.append(c_l)
+    if x != "C":
+        # layer l's output sits at cuts[l] along d in C
+        offsets = np.zeros((p1, 2), dtype=np.int64)
+        offsets[:, _DIMS["C"].index(d)] = cuts[:-1]
+        pieces = [(c_l, *off) for c_l, off in zip(outs, offsets.tolist())]
+        return _reassemble(machine, pieces, size["m"], size["n"], monoid), total_ops
     # reduce across layers, block position by block position (fiber groups)
-    base = partials[0]
+    base = outs[0]
     out_blocks = []
     for i in range(p2):
         row = []
         for j in range(p3):
             acc = machine.group(ranks3d[:, i, j]).sparse_reduce(
-                [_nonempty(c_l.blocks[i][j]) for c_l in partials],
+                [_nonempty(c_l.blocks[i][j]) for c_l in outs],
                 SpMat.combine,
             )
             row.append(base.blocks[i][j] if acc is None else acc)

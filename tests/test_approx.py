@@ -5,14 +5,12 @@ import pytest
 
 from repro.baselines import brandes_bc
 from repro.core import (
-    AdaptiveEstimate,
-    adaptive_vertex_bc,
     approximate_bc,
     ca_engine,
     ca_mfbc,
     mfbc,
 )
-from repro.graphs import Graph, uniform_random_graph_nm
+from repro.graphs import uniform_random_graph_nm
 from repro.machine import Machine
 
 
@@ -50,33 +48,6 @@ class TestApproximateBC:
             approximate_bc(small_undirected, 0)
         with pytest.raises(ValueError):
             approximate_bc(small_undirected, small_undirected.n + 1)
-
-
-class TestAdaptiveVertexBC:
-    def test_high_centrality_converges_fast(self):
-        """The star centre accumulates dependency mass immediately."""
-        n = 40
-        g = Graph(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
-        est = adaptive_vertex_bc(g, 0, c=2.0, seed=0, batch_size=8)
-        assert isinstance(est, AdaptiveEstimate)
-        assert est.converged
-        assert est.samples_used < n
-        exact = (n - 1) * (n - 2)
-        assert est.estimate == pytest.approx(exact, rel=0.35)
-
-    def test_low_centrality_exhausts_budget(self):
-        n = 40
-        g = Graph(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
-        est = adaptive_vertex_bc(g, 5, c=2.0, seed=0, max_samples=16)
-        assert not est.converged
-        assert est.samples_used == 16
-        assert est.estimate == pytest.approx(0.0)
-
-    def test_validation(self, small_undirected):
-        with pytest.raises(ValueError, match="range"):
-            adaptive_vertex_bc(small_undirected, 10_000)
-        with pytest.raises(ValueError, match="positive"):
-            adaptive_vertex_bc(small_undirected, 0, c=0)
 
 
 class TestCAMFBC:

@@ -28,7 +28,6 @@ from repro.core import mfbc
 from repro.core.approx import (
     SamplerState,
     adaptive_bc,
-    adaptive_vertex_bc,
     approximate_bc,
     bernstein_half_width,
     normalize_seed,
@@ -215,8 +214,6 @@ class TestValidationUnified:
         expected = f"must be in [1, n={graph.n}]"
         with pytest.raises(ValueError, match="n_samples must be in"):
             approximate_bc(graph, 0)
-        with pytest.raises(ValueError, match="max_samples must be in"):
-            adaptive_vertex_bc(graph, 0, max_samples=graph.n + 1)
         for bad in (0, graph.n + 1, -3):
             with pytest.raises(ValueError) as exc:
                 validate_sample_count(bad, graph.n)

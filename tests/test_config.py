@@ -11,6 +11,8 @@ saying the same thing.  Grammar assertions live with each subsystem's tests.
 
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -254,3 +256,24 @@ def test_each_run_flag_is_defined_once():
     flags = [knob.flag for knob in config.KNOBS.values() if knob.flag]
     for flag in [*flags, "--deadline", "--checkpoint", "--policy"]:
         assert source.count(f'"{flag}"') == 1, flag
+
+
+def test_import_keeps_csgraph_off_the_start_up_path():
+    """``import repro`` is part of every run's set-up; ``scipy.sparse.csgraph``
+    (and the ``scipy.linalg`` it loads) serves three rarely called graph
+    functions, which import it themselves — and still work when called first."""
+    script = (
+        "import sys, repro\n"
+        "loaded = {'scipy.sparse.csgraph', 'scipy.linalg'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "g = repro.uniform_random_graph_nm(40, 3.0, seed=1)\n"
+        "assert g.diameter_hops() > 0\n"
+        "assert 'scipy.sparse.csgraph' in sys.modules\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

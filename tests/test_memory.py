@@ -7,8 +7,7 @@ block/replica eviction and lazy fault-in,
 acceptance bar: a seed-graph MFBC run under a per-rank budget well below
 the unpressured peak completes **bit-identically** via the ladder with its
 tracked peak under the budget and spill traffic visible on the ledger and
-the memory report.  Crash-safe streamed ingestion (resume from the last
-durable shard, injected torn shard writes) is covered here too.
+the memory report.
 
 Every machine built here opts out of ambient ``REPRO_FAULTS`` /
 ``REPRO_ELASTIC`` / ``REPRO_MEMORY`` (the CI ladder leg sets
@@ -28,14 +27,7 @@ from repro.core.ladder import RUNGS, RecoveryLadder
 from repro.dist import DistributedEngine
 from repro.faults import FaultPlan
 from repro.faults.plan import payload_checksum
-from repro.graphs import (
-    IngestManifest,
-    ingest_edgelist,
-    read_edgelist,
-    read_edgelist_streamed,
-    rmat_graph,
-    write_edgelist,
-)
+from repro.graphs import rmat_graph
 from repro.machine import Machine, MemoryLimitExceeded
 from repro.memory import SpillError, SpillStore
 
@@ -615,98 +607,3 @@ class TestMemoryReport:
         obs.disable()
         assert memory_attribution(session.metrics) == []
         assert format_report("memory", session.metrics) == ""
-
-
-# ---------------------------------------------------------------------------
-# crash-safe streamed ingestion
-# ---------------------------------------------------------------------------
-
-
-class TestIngest:
-    def _write(self, tmp_path, *, weighted=False, n=600, deg=6.0, seed=7):
-        from repro.graphs import uniform_random_graph_nm, with_random_weights
-
-        g = uniform_random_graph_nm(n, deg, seed=seed)
-        if weighted:
-            g = with_random_weights(g, 1, 100, seed=seed)
-        path = tmp_path / "g.txt"
-        write_edgelist(g, path)
-        return g, path
-
-    @staticmethod
-    def _same(a, b):
-        assert a.n == b.n and a.m == b.m and a.directed == b.directed
-        np.testing.assert_array_equal(a.src, b.src)
-        np.testing.assert_array_equal(a.dst, b.dst)
-        if a.weighted or b.weighted:
-            np.testing.assert_array_equal(a.weight, b.weight)
-
-    def test_streamed_matches_one_shot_bit_identically(self, tmp_path):
-        for weighted in (False, True):
-            g, path = self._write(tmp_path, weighted=weighted)
-            one = read_edgelist(path)
-            streamed = read_edgelist_streamed(
-                path, shard_dir=tmp_path / f"s{weighted}", shard_edges=256
-            )
-            self._same(one, streamed)
-            self._same(g, streamed)
-
-    def test_manifest_records_durable_shards(self, tmp_path):
-        _, path = self._write(tmp_path)
-        shard_dir = tmp_path / "shards"
-        manifest = ingest_edgelist(path, shard_dir, shard_edges=256)
-        assert manifest.complete
-        assert manifest.durable_prefix() == len(manifest.shards)
-        assert sum(s["edges"] for s in manifest.shards) > 0
-        reloaded = IngestManifest.load(shard_dir)
-        assert reloaded is not None
-        assert reloaded.durable_prefix() == len(manifest.shards)
-
-    def test_resume_after_torn_last_shard(self, tmp_path):
-        g, path = self._write(tmp_path)
-        shard_dir = tmp_path / "shards"
-        manifest = ingest_edgelist(path, shard_dir, shard_edges=256)
-        assert len(manifest.shards) >= 3
-        # crash simulation: the last shard's write tore mid-file and the
-        # manifest never learned the ingest finished
-        last = manifest.shards[-1]
-        spath = manifest.shard_path(last)
-        size = os.path.getsize(spath)
-        with open(spath, "r+b") as fh:
-            fh.truncate(max(size // 2, 1))
-        manifest.complete = False
-        manifest.save()
-        reloaded = IngestManifest.load(shard_dir)
-        assert reloaded.durable_prefix() == len(manifest.shards) - 1
-        resumed = ingest_edgelist(path, shard_dir, shard_edges=256)
-        assert resumed.complete
-        streamed = read_edgelist_streamed(path, shard_dir=shard_dir)
-        self._same(g, streamed)
-
-    def test_resume_after_missing_manifest_restarts_cleanly(self, tmp_path):
-        g, path = self._write(tmp_path)
-        shard_dir = tmp_path / "shards"
-        ingest_edgelist(path, shard_dir, shard_edges=256)
-        (shard_dir / "manifest.json").unlink()
-        streamed = read_edgelist_streamed(path, shard_dir=shard_dir)
-        self._same(g, streamed)
-
-    def test_fault_injected_tears_self_heal(self, tmp_path):
-        g, path = self._write(tmp_path, weighted=True)
-        plan = FaultPlan(seed=1, tear=1.0, limit=2)
-        streamed = read_edgelist_streamed(
-            path, shard_dir=tmp_path / "shards", shard_edges=128, faults=plan
-        )
-        self._same(g, streamed)
-        sigs = [(e.kind, e.action) for e in plan.events]
-        assert sigs.count(("tear", "injected")) == 2
-        assert sigs.count(("tear", "recovered")) == 2
-
-    def test_streamed_bc_scores_match_one_shot(self, tmp_path):
-        g, path = self._write(tmp_path, n=200, deg=4.0)
-        streamed = read_edgelist_streamed(
-            path, shard_dir=tmp_path / "shards", shard_edges=128
-        )
-        ref = run_mfbc(g, quiet(2), batch=16)
-        got = run_mfbc(streamed, quiet(2), batch=16)
-        np.testing.assert_array_equal(got, ref)

@@ -1,10 +1,13 @@
 """Cost models and the plan selector (CTF mapping-search behaviour)."""
 
 
+import math
+
 import pytest
 
 from repro.machine import CostParams, Machine
 from repro.machine.machine import MemoryLimitExceeded
+from repro.obs import api as obs
 from repro.spgemm import (
     AutoPolicy,
     PinnedPolicy,
@@ -12,12 +15,9 @@ from repro.spgemm import (
     Square2DPolicy,
     estimate_nnz_c,
     estimate_ops,
-    model_1d,
-    model_2d,
-    model_3d,
+    model_plan,
 )
-from repro.spgemm.costmodel import model_plan
-from repro.spgemm.selector import amortized_model_plan, enumerate_plans
+from repro.spgemm.selector import enumerate_plans
 
 
 class TestEstimators:
@@ -32,34 +32,40 @@ class TestEstimators:
         assert estimate_ops(5, 0, 5, 0, 0) == 0.0
 
 
+def priced(plan, nnz_a, nnz_b, nnz_c, ops, amortized=frozenset()):
+    """``model_plan`` with every size given (the dimensions then play no part)."""
+    return model_plan(plan, 1, 1, 1, nnz_a, nnz_b, nnz_c, ops, amortized)
+
+
 class TestModels:
     def test_1d_words_scale_with_replicated_operand(self):
-        a = model_1d("A", 16, nnz_a=1000, nnz_b=10, nnz_c=10, ops=100)
-        b = model_1d("B", 16, nnz_a=1000, nnz_b=10, nnz_c=10, ops=100)
+        a = priced(Plan(16, 1, 1, "A", "AB"), nnz_a=1000, nnz_b=10, nnz_c=10, ops=100)
+        b = priced(Plan(16, 1, 1, "B", "AB"), nnz_a=1000, nnz_b=10, nnz_c=10, ops=100)
         assert a.words == 2000 and b.words == 20
 
     def test_2d_words_formula(self):
-        est = model_2d("AB", 4, 8, nnz_a=800, nnz_b=1600, nnz_c=0, ops=0)
+        est = priced(Plan(1, 4, 8, "A", "AB"), nnz_a=800, nnz_b=1600, nnz_c=0, ops=0)
         assert est.words == pytest.approx(2 * (800 / 4 + 1600 / 8))
 
     def test_2d_latency_lcm_steps(self):
-        est_sq = model_2d("AB", 4, 4, 1, 1, 1, 0)
-        est_bad = model_2d("AB", 8, 2, 1, 1, 1, 0)
+        est_sq = priced(Plan(1, 4, 4, "A", "AB"), 1, 1, 1, 0)
+        est_bad = priced(Plan(1, 8, 2, "A", "AB"), 1, 1, 1, 0)
         # lcm(8,2)=8 = max; lcm(4,4)=4: fewer steps on the square grid
         assert est_sq.msgs < est_bad.msgs
 
     def test_3d_memory_includes_replication(self):
-        est = model_3d("A", "AB", 4, 2, 2, nnz_a=1600, nnz_b=16, nnz_c=16, ops=0)
+        est = priced(Plan(4, 2, 2, "A", "AB"), nnz_a=1600, nnz_b=16, nnz_c=16, ops=0)
         # replicated A: nnz_a·p1/p = 1600·4/16 = 400 per rank at least
         assert est.memory_words >= 400
 
     def test_time_combines_terms(self):
-        est = model_1d("A", 4, 100, 0, 0, ops=1000)
+        est = priced(Plan(4, 1, 1, "A", "AB"), 100, 0, 0, ops=1000)
         # msgs = 2·log2(4) = 4, words = 2·nnz(A) = 200, flops = ops/p = 250
         t = est.time(alpha=1.0, beta=0.5, compute_rate=100.0)
         assert t == pytest.approx(4 * 1.0 + 200 * 0.5 + 250 / 100.0)
 
     def test_model_plan_dispatch(self):
+        """1D and 2D plans are the degenerate cases of the one formula."""
         p1d = model_plan(Plan(4, 1, 1, "A", "AB"), 10, 10, 10, 80, 20)
         p2d = model_plan(Plan(1, 2, 2, "A", "AB"), 10, 10, 10, 80, 20)
         p3d = model_plan(Plan(2, 2, 1, "A", "AB"), 10, 10, 10, 80, 20)
@@ -67,25 +73,74 @@ class TestModels:
         assert p1d.words == pytest.approx(160)
         assert p2d.words == pytest.approx(100)
         assert p3d.memory_words >= p2d.memory_words
+        # W_X alone, W_YZ alone, and their sum on the nesting of the two
+        assert (p1d.msgs, p2d.msgs, p3d.msgs) == (2 * 2, 2 * 2 * 2, 2 * 1 + 2 * 2 * 1)
+        assert p3d.words == pytest.approx(2 * 80 / 2 + 2 * (80 / 2 + 20 / 2 / 1))
+
+    @pytest.mark.parametrize("p", [4, 16, 64])
+    def test_every_plan_matches_the_closed_forms(self, p):
+        """``W_X`` when p1 > 1 plus ``W_YZ`` when p2·p3 > 1 is, bit for bit,
+        the three per-kind expressions the one function replaced (written
+        out below) — except a 1D plan's memory, which now counts the
+        replica beside X's resting share, as a 3D plan's always did."""
+        nnz = {"A": 1234.0, "B": 98765.0, "C": 4321.0}
+        total, ops = sum(nnz.values()), 55555.0
+
+        def lg(q):
+            return math.ceil(math.log2(q)) if q > 1 else 0
+
+        for plan in enumerate_plans(p):
+            p1, p2, p3, x, (y, z) = plan.p1, plan.p2, plan.p3, plan.x, plan.yz
+            if plan.kind == "1d":
+                msgs, words = 2.0 * lg(p), 2.0 * nnz[x]
+                # was nnz(X) + others/p: reads nnz(X)/p higher now
+                memory = nnz[x] + (total - nnz[x]) / p + nnz[x] / p
+            elif plan.kind == "2d":
+                msgs = 2.0 * math.lcm(p2, p3) * lg(p)
+                words = 2.0 * (nnz[y] / p2 + nnz[z] / p3)
+                memory = total / p + nnz[y] / p2 + nnz[z] / p3
+            else:
+                layer = {v: nnz[v] if v == x else nnz[v] / p1 for v in nnz}
+                msgs = 2.0 * lg(p1) + 2.0 * math.lcm(p2, p3) * lg(p2 * p3)
+                words = 2.0 * nnz[x] / (p2 * p3)
+                words += 2.0 * (layer[y] / p2 + layer[z] / p3)
+                memory = total / p + nnz[x] * p1 / p
+                memory += layer[y] / p2 + layer[z] / p3
+            est = priced(plan, nnz["A"], nnz["B"], nnz["C"], ops)
+            assert (est.msgs, est.words, est.flops) == (msgs, words, ops / p), plan
+            # one association of the memory sum serves all kinds: exact for
+            # 3D plans, within an ulp of the 2D expression
+            assert est.memory_words == pytest.approx(memory, rel=1e-15), plan
+            assert plan.kind != "3d" or est.memory_words == memory, plan
+            # the discount is W_X left out — W_YZ itself, where the parent
+            # added W_X and subtracted it again (the same words up to that
+            # cancellation's rounding; every other field untouched)
+            disc = priced(plan, nnz["A"], nnz["B"], nnz["C"], ops, frozenset(x))
+            w_x = (2.0 * lg(p1), 2.0 * nnz[x] / (p2 * p3)) if p1 > 1 else (0.0, 0.0)
+            assert disc.msgs == msgs - w_x[0], plan
+            assert disc.words == pytest.approx(words - w_x[1], abs=words * 2.0**-51), plan
+            assert (disc.flops, disc.memory_words) == (est.flops, est.memory_words)
+            other = priced(plan, nnz["A"], nnz["B"], nnz["C"], ops, frozenset("ABC") - {x})
+            assert other == est, plan
 
 
 class TestAmortization:
     def test_discount_removes_replication_words(self):
         plan = Plan(4, 2, 2, "B", "AB")
-        full = amortized_model_plan(plan, 10, 100, 100, 50, 5000, frozenset())
-        disc = amortized_model_plan(plan, 10, 100, 100, 50, 5000, frozenset("B"))
+        full = model_plan(plan, 10, 100, 100, 50, 5000)
+        disc = model_plan(plan, 10, 100, 100, 50, 5000, amortized=frozenset("B"))
         assert disc.words == pytest.approx(full.words - 2 * 5000 / 4)
 
     def test_discount_1d(self):
         plan = Plan(4, 1, 1, "B", "AB")
-        full = amortized_model_plan(plan, 10, 100, 100, 50, 5000, frozenset())
-        disc = amortized_model_plan(plan, 10, 100, 100, 50, 5000, frozenset("B"))
+        full = model_plan(plan, 10, 100, 100, 50, 5000)
+        disc = model_plan(plan, 10, 100, 100, 50, 5000, amortized=frozenset("B"))
         assert disc.words == pytest.approx(full.words - 2 * 5000)
 
     def test_no_discount_for_other_operand(self):
         plan = Plan(4, 2, 2, "A", "AB")
-        full = amortized_model_plan(plan, 10, 100, 100, 50, 5000, frozenset())
-        disc = amortized_model_plan(plan, 10, 100, 100, 50, 5000, frozenset("B"))
+        full = model_plan(plan, 10, 100, 100, 50, 5000)
+        disc = model_plan(plan, 10, 100, 100, 50, 5000, amortized=frozenset("B"))
         assert disc.words == full.words
 
 
@@ -97,11 +152,9 @@ class TestAutoPolicy:
         machine = Machine(16)
         pol = AutoPolicy()
         plan = pol.select(machine, 8, 10000, 10000, 50, 500_000)
-        est = amortized_model_plan(plan, 8, 10000, 10000, 50, 500_000, frozenset())
+        est = model_plan(plan, 8, 10000, 10000, 50, 500_000)
         for other in enumerate_plans(16):
-            est_o = amortized_model_plan(
-                other, 8, 10000, 10000, 50, 500_000, frozenset()
-            )
+            est_o = model_plan(other, 8, 10000, 10000, 50, 500_000)
             assert est.time(1e-6, 1e-9, 1e9) <= est_o.time(1e-6, 1e-9, 1e9) + 1e-15
 
     def test_memory_budget_filters(self):
@@ -120,10 +173,17 @@ class TestAutoPolicy:
             AutoPolicy().select(machine, 100, 100, 100, 10_000, 10_000)
 
     def test_history_recorded(self):
+        """The ``select`` span is the record of a choice (the policy itself
+        keeps no per-product log to grow for the life of a service)."""
         machine = Machine(4)
-        pol = AutoPolicy()
-        pol.select(machine, 10, 10, 10, 20, 20)
-        assert len(pol.history) == 1
+        with obs.use() as session:
+            plan = AutoPolicy().select(machine, 10, 10, 10, 20, 20)
+        (span,) = session.tracer.find("select")
+        cost = machine.cost
+        assert span.args["chosen"] == plan.describe()
+        assert span.args["modeled_seconds"] == model_plan(
+            plan, 10, 10, 10, 20, 20
+        ).time(cost.alpha, cost.beta, cost.compute_rate)
 
     def test_amortized_adjacency_prefers_replication_at_scale(self):
         """With the adjacency's replication amortized away and latency

@@ -25,7 +25,7 @@ from repro import obs
 from repro.core import mfbc
 from repro.core.mfbc import mfbc_per_source
 from repro.dist import DistributedEngine
-from repro.graphs import uniform_random_graph_nm
+from repro.graphs import rmat_graph, uniform_random_graph_nm
 from repro.machine import Machine
 from repro.serve import (
     BCService,
@@ -475,6 +475,23 @@ class TestServiceLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             svc.submit("bc_source", source=0)
         svc.close()  # idempotent
+
+    def test_per_product_logs_do_not_grow_with_service_lifetime(self):
+        """``engine.plan_log`` gains an entry per product; a batch that has
+        finished must not leave them behind (13 / 26 / 39 after three waves
+        before the service cleared it)."""
+        rmat = rmat_graph(scale=7, avg_degree=8, seed=1)
+        lengths = []
+        with _service(rmat, batch_window=0.2) as svc:
+            for wave in range(3):
+                ids = [
+                    svc.submit("bc_source", source=16 * wave + s) for s in range(16)
+                ]
+                for qid in ids:
+                    svc.result(qid, timeout=60.0)
+                lengths.append(len(svc.engine.plan_log))
+            assert svc.stats()["swept_sources"] == 48
+        assert lengths[2] <= lengths[0], lengths
 
     def test_stats_shape(self, graph):
         with _service(graph) as svc:

@@ -6,6 +6,8 @@ all nine 3D nestings — run on real partitioned data and must reproduce the
 node-local product bit-for-bit, for single-field and multpath monoids alike.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,125 @@ class TestGoldenLedger:
             snap = machine.ledger.snapshot()
             snap["category_words"] = machine.ledger.category_words
             assert snap == GOLDEN_LEDGER[p, plan.describe()], plan.describe()
+
+
+# ---------------------------------------------------------------------------
+# golden sequence: the *order* of every collective a plan kind issues
+# ---------------------------------------------------------------------------
+
+
+def _golden_mask():
+    """One fixed structural mask of C's shape (6 × 48): an arithmetic
+    pattern keeping about half of every row."""
+    r = np.repeat(np.arange(6), 48)
+    c = np.tile(np.arange(48), 6)
+    keep = (3 * r + 5 * c) % 7 < 4
+    return SpMat(6, 48, r[keep], c[keep], {"w": np.ones(int(keep.sum()))}, WEIGHT)
+
+
+def _charges_of(plan, p, mask):
+    """Run one golden product; return its ordered ``(category, ranks, words,
+    weight)`` charges and its ops total."""
+    f, adj = _golden_operands()
+    machine = Machine(p, faults="off", elastic="off", check="off", memory_words="off")
+    charges = []
+    charge = machine.charge_collective
+
+    def recording(ranks, words, weight, category):
+        charges.append(
+            (category, tuple(int(r) for r in ranks), float(words), float(weight))
+        )
+        charge(ranks, words, weight, category)
+
+    machine.charge_collective = recording
+    h = home(p)
+    df = DistMat.distribute(f, machine, h, charge=False)
+    dadj = DistMat.distribute(adj, machine, h, charge=False)
+    c, ops = execute_plan(plan, df, dadj, BF, h, mask=mask)
+    assert c.gather(charge=False).equals(spgemm(f, adj, BF, mask=mask).matrix)
+    return charges, ops
+
+
+# (p, plan, masked) -> (charges, CRC-32 of the ordered charge list, ops).
+# Recorded at the commit before §5.2 was written once over ``_DIMS``; the
+# ledger's max-merge cannot see the order of two collectives over the same
+# ranks, but the fault plan's step counter, the ambient ``REPRO_FAULTS`` CI
+# legs and ``repro trace`` all depend on it.
+# fmt: off
+GOLDEN_SEQUENCE = {
+    (8, '1D-A(p=8)', False): (3, 546310306, 71),
+    (8, '1D-A(p=8)', True): (3, 3179789982, 36),
+    (8, '1D-B(p=8)', False): (3, 2886537782, 71),
+    (8, '1D-B(p=8)', True): (3, 823829514, 36),
+    (8, '1D-C(p=8)', False): (5, 302244153, 71),
+    (8, '1D-C(p=8)', True): (5, 2577709714, 36),
+    (8, '2D-AB(2x4)', False): (24, 1843729238, 71),
+    (8, '2D-AB(2x4)', True): (24, 1843729238, 36),
+    (8, '2D-BC(2x4)', False): (25, 2470384900, 71),
+    (8, '2D-BC(2x4)', True): (25, 2160061789, 36),
+    (8, '2D-AC(2x4)', False): (25, 3409249977, 71),
+    (8, '2D-AC(2x4)', True): (24, 2298339776, 36),
+    (8, '3D-A,AB(2x2x2)', False): (24, 3585000186, 71),
+    (8, '3D-A,AB(2x2x2)', True): (24, 1220113606, 36),
+    (8, '3D-A,BC(2x2x2)', False): (26, 3837669610, 71),
+    (8, '3D-A,BC(2x2x2)', True): (26, 2099681006, 36),
+    (8, '3D-A,AC(2x2x2)', False): (26, 1179499062, 71),
+    (8, '3D-A,AC(2x2x2)', True): (26, 110865630, 36),
+    (8, '3D-B,AB(2x2x2)', False): (24, 837735212, 71),
+    (8, '3D-B,AB(2x2x2)', True): (24, 2902025488, 36),
+    (8, '3D-B,BC(2x2x2)', False): (26, 2770218571, 71),
+    (8, '3D-B,BC(2x2x2)', True): (26, 4117341851, 36),
+    (8, '3D-B,AC(2x2x2)', False): (26, 365672155, 71),
+    (8, '3D-B,AC(2x2x2)', True): (26, 714526732, 36),
+    (8, '3D-C,AB(2x2x2)', False): (25, 728905897, 71),
+    (8, '3D-C,AB(2x2x2)', True): (25, 4005869140, 36),
+    (8, '3D-C,BC(2x2x2)', False): (27, 2172471680, 71),
+    (8, '3D-C,BC(2x2x2)', True): (27, 242599412, 36),
+    (8, '3D-C,AC(2x2x2)', False): (27, 2112192780, 71),
+    (8, '3D-C,AC(2x2x2)', True): (27, 2315655559, 36),
+    (16, '1D-A(p=16)', False): (3, 754737087, 71),
+    (16, '1D-A(p=16)', True): (3, 3617510664, 36),
+    (16, '1D-B(p=16)', False): (3, 387401216, 71),
+    (16, '1D-B(p=16)', True): (3, 4131990585, 36),
+    (16, '1D-C(p=16)', False): (5, 804365848, 71),
+    (16, '1D-C(p=16)', True): (5, 3734626234, 36),
+    (16, '2D-AB(4x4)', False): (30, 649733104, 71),
+    (16, '2D-AB(4x4)', True): (30, 649733104, 36),
+    (16, '2D-BC(4x4)', False): (33, 3614880865, 71),
+    (16, '2D-BC(4x4)', True): (32, 920053155, 36),
+    (16, '2D-AC(4x4)', False): (31, 73218257, 71),
+    (16, '2D-AC(4x4)', True): (30, 3451805739, 36),
+    (16, '3D-A,AB(4x2x2)', False): (42, 382427481, 71),
+    (16, '3D-A,AB(4x2x2)', True): (42, 3987336174, 36),
+    (16, '3D-A,BC(4x2x2)', False): (44, 1390699132, 71),
+    (16, '3D-A,BC(4x2x2)', True): (43, 2705312496, 36),
+    (16, '3D-A,AC(4x2x2)', False): (44, 972222429, 71),
+    (16, '3D-A,AC(4x2x2)', True): (43, 1230164359, 36),
+    (16, '3D-B,AB(4x2x2)', False): (38, 2906271465, 71),
+    (16, '3D-B,AB(4x2x2)', True): (38, 1448649822, 36),
+    (16, '3D-B,BC(4x2x2)', False): (42, 2676921298, 71),
+    (16, '3D-B,BC(4x2x2)', True): (42, 4236380538, 36),
+    (16, '3D-B,AC(4x2x2)', False): (38, 582339159, 71),
+    (16, '3D-B,AC(4x2x2)', True): (38, 4039806502, 36),
+    (16, '3D-C,AB(4x2x2)', False): (43, 2562902816, 71),
+    (16, '3D-C,AB(4x2x2)', True): (43, 2606238145, 36),
+    (16, '3D-C,BC(4x2x2)', False): (49, 2769668151, 71),
+    (16, '3D-C,BC(4x2x2)', True): (47, 1776602898, 36),
+    (16, '3D-C,AC(4x2x2)', False): (47, 784807859, 71),
+    (16, '3D-C,AC(4x2x2)', True): (45, 2299776940, 36),
+}
+# fmt: on
+
+
+class TestGoldenSequence:
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("p", sorted(_GOLDEN_GRIDS))
+    def test_every_plan_kind_issues_the_pinned_collectives_in_order(self, p, masked):
+        mask = _golden_mask() if masked else None
+        for plan in _golden_plans(p):
+            charges, ops = _charges_of(plan, p, mask)
+            got = (len(charges), zlib.crc32(repr(charges).encode()), ops)
+            assert got == GOLDEN_SEQUENCE[p, plan.describe(), masked], (
+                f"{plan.describe()} masked={masked}:\n"
+                + "\n".join(map(repr, charges))
+            )
