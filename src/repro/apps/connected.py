@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.algebra.monoid import MinMonoid
 from repro.algebra.semiring import Semiring, left_project
+from repro.apps.sssp import _relax_to_fixpoint
 from repro.core.engine import Engine, SequentialEngine
 from repro.graphs.graph import Graph
 
@@ -50,14 +51,9 @@ def connected_components(
         {"w": ids.astype(np.float64)},
         _MIN,
     )
-    frontier = labels
-    for _ in range(n + 1):
-        if frontier.nnz == 0:
-            out = engine.gather(labels).to_dense("w")[0]
-            # isolated vertices keep their own id (their row is its label)
-            return out.astype(np.int64)
-        product, _ = engine.spgemm(frontier, adj, _SPEC)
-        # keep only strict improvements (smaller labels)
-        frontier = product.zip_filter(labels, lambda pv, lv: pv["w"] < lv["w"])
-        labels = labels.combine(frontier)
-    raise RuntimeError("label propagation failed to converge")
+    # keep only strict improvements (smaller labels); isolated vertices keep
+    # their own id (their row is its label)
+    out = _relax_to_fixpoint(
+        engine, adj, labels, _SPEC, lambda pv, lv: pv["w"] < lv["w"], n + 1
+    )
+    return out[0].astype(np.int64)

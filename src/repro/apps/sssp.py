@@ -16,6 +16,28 @@ from repro.graphs.graph import Graph
 
 __all__ = ["sssp_distances"]
 
+
+def _relax_to_fixpoint(engine, adj, seed, spec, improves, max_iterations):
+    """Frontier relaxation to a fixpoint: multiply the frontier by ``adj``
+    under ``spec``, keep the products that strictly ``improves(product,
+    state)`` the stored state, fold them in, repeat until none does.
+
+    Returns the dense ``w`` field of the final state.  The frontier only
+    overwrites or extends the state, which :meth:`SpMat.combine` serves by
+    locating it — the state is never re-sorted.
+    """
+    state = frontier = seed
+    for _ in range(max_iterations):
+        if frontier.nnz == 0:
+            return engine.gather(state).to_dense("w")
+        product, _ = engine.spgemm(frontier, adj, spec)
+        frontier = product.zip_filter(state, improves)
+        state = state.combine(frontier)
+    raise RuntimeError(
+        f"{spec.name} relaxation did not converge within {max_iterations} "
+        "iterations (shortest paths: a non-positive-weight cycle)"
+    )
+
 _MIN = MinMonoid()
 # min-plus as a named semiring action so the kernel-dispatch tier
 # recognizes it (Bellman-Ford relaxations may *improve* stored distances,
@@ -48,22 +70,10 @@ def sssp_distances(
     if max_iterations is None:
         max_iterations = n + 1
 
-    dist = engine.matrix(
-        nb,
-        n,
-        np.arange(nb, dtype=np.int64),
-        sources,
-        {"w": np.zeros(nb)},
-        _MIN,
+    seed = engine.matrix(
+        nb, n, np.arange(nb, dtype=np.int64), sources, {"w": np.zeros(nb)}, _MIN
     )
-    frontier = dist
-    for _ in range(max_iterations):
-        if frontier.nnz == 0:
-            return engine.gather(dist).to_dense("w")
-        product, _ = engine.spgemm(frontier, adj, _SPEC)
-        # relaxations that strictly improve the tentative distance
-        frontier = product.zip_filter(dist, lambda pv, dv: pv["w"] < dv["w"])
-        dist = dist.combine(frontier)
-    raise RuntimeError(
-        "Bellman-Ford did not converge: non-positive-weight cycle?"
+    # relaxations that strictly improve the tentative distance
+    return _relax_to_fixpoint(
+        engine, adj, seed, _SPEC, lambda pv, dv: pv["w"] < dv["w"], max_iterations
     )

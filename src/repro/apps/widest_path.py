@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.algebra.monoid import MaxMonoid
 from repro.algebra.semiring import MAX_MIN
+from repro.apps.sssp import _relax_to_fixpoint
 from repro.core.engine import Engine, SequentialEngine
 from repro.graphs.graph import Graph
 
@@ -54,20 +55,11 @@ def widest_path_widths(
     if max_iterations is None:
         max_iterations = n + 1
 
-    width = engine.matrix(
-        nb,
-        n,
-        np.arange(nb, dtype=np.int64),
-        sources,
-        {"w": np.full(nb, np.inf)},
-        _MAX,
+    # the empty path has unbounded capacity
+    seed = engine.matrix(
+        nb, n, np.arange(nb, dtype=np.int64), sources, {"w": np.full(nb, np.inf)}, _MAX
     )
-    frontier = width
-    for _ in range(max_iterations):
-        if frontier.nnz == 0:
-            return engine.gather(width).to_dense("w")
-        product, _ = engine.spgemm(frontier, adj, _SPEC)
-        # keep only strict improvements (wider bottlenecks)
-        frontier = product.zip_filter(width, lambda pv, wv: pv["w"] > wv["w"])
-        width = width.combine(frontier)
-    raise RuntimeError("widest-path relaxation failed to converge")
+    # keep only strict improvements (wider bottlenecks)
+    return _relax_to_fixpoint(
+        engine, adj, seed, _SPEC, lambda pv, wv: pv["w"] > wv["w"], max_iterations
+    )

@@ -188,6 +188,8 @@ def check_spmat(mat: SpMat, *, site: str = "spmat") -> list[Violation]:
         np.cumsum(np.bincount(mat.rows, minlength=mat.nrows), out=expect[1:])
         if not np.array_equal(cached, expect):
             bad("rowptr", "cached row pointer is stale")
+    if mat._keys is not None and not np.array_equal(mat._keys, rows * mat.ncols + cols):
+        bad("keys", "cached linearized keys are stale")
     return out
 
 

@@ -19,8 +19,10 @@ gate:
    tie with ``τ(s,v)``) therefore decrement the receiver's counter while
    accumulating ``1/σ̄(s,u) + ζ(s,u)`` into its partial factor;
 3. a counter hitting 0 fires the vertex into the next frontier with value
-   ``(τ(s,v), Z(s,v).p + 1/σ̄(s,v), −1)`` and is then parked at ``−1`` so it
-   can never fire twice (the paper's lines 7–11).
+   ``(τ(s,v), Z(s,v).p + 1/σ̄(s,v), −1)`` (the paper's lines 7–11).  It is
+   looked for only among the entries a contribution just touched — an
+   untouched 0 has fired already — and all fired counters are parked at
+   ``−1`` in one pass on return.
 
 As in :mod:`repro.core.mfbf`, "empty" centpath entries are simply unstored
 (the centpath identity is ``(−∞, 0, 0)``; see :mod:`repro.algebra.centpath`
@@ -109,18 +111,13 @@ def mfbr(
 
     ready = z_mat.filter(lambda zv: zv["c"] == 0)
     frontier = fire(ready, t_mat)
-    # Park fired counters at −1 (they are final; nothing arrives afterwards).
-    z_mat = z_mat.map(
-        lambda zv: {
-            "w": zv["w"],
-            "p": zv["p"],
-            "c": np.where(zv["c"] == 0, -1, zv["c"]),
-        }
-    )
-
     for _ in range(max_iterations):
         if frontier.nnz == 0:
-            return z_mat
+            # Fired counters are final and, by Lemma 4.2, received nothing
+            # after firing: one pass parks them all at −1.
+            return z_mat.map(
+                lambda zv: {"w": zv["w"], "p": zv["p"], "c": np.where(zv["c"] == 0, -1, zv["c"])}
+            )
         # Back-propagate the frontier of centralities (line 6), masked to
         # Z's support: contributions elsewhere cannot tie with a finalized
         # weight, so they would be dropped by the zip_filter anyway.
@@ -135,16 +132,10 @@ def mfbr(
         # Accumulate centralities and decrement counters (line 8): the
         # centpath ⊗ sums p and c on the weight tie.
         z_mat = z_mat.combine(valid)
-        # New frontier: counters that just reached zero (lines 9-11).
-        ready = z_mat.filter(lambda zv: zv["c"] == 0)
+        # New frontier (lines 9-11): a counter can only have reached zero
+        # where a contribution just landed, so only those entries are read.
+        ready = valid.zip_map(z_mat, lambda vv, zv: zv).filter(lambda zv: zv["c"] == 0)
         frontier = fire(ready, t_mat)
-        z_mat = z_mat.map(
-            lambda zv: {
-                "w": zv["w"],
-                "p": zv["p"],
-                "c": np.where(zv["c"] == 0, -1, zv["c"]),
-            }
-        )
     raise RuntimeError(
         f"MFBr did not converge within {max_iterations} iterations; "
         "the shortest-path DAG counters are inconsistent (corrupt T input?)"

@@ -49,7 +49,7 @@ class SpMat:
         skip canonicalization (internal fast path).
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "cols", "vals", "monoid", "_rowptr")
+    __slots__ = ("nrows", "ncols", "rows", "cols", "vals", "monoid", "_rowptr", "_keys")
 
     def __init__(
         self,
@@ -84,6 +84,7 @@ class SpMat:
         self.ncols = int(ncols)
         self.monoid = monoid
         self._rowptr: np.ndarray | None = None
+        self._keys: np.ndarray | None = None
         if canonical:
             self.rows, self.cols, self.vals = rows, cols, vals
         else:
@@ -222,8 +223,12 @@ class SpMat:
         return out
 
     def keys(self) -> np.ndarray:
-        """Linearized coordinates ``row * ncols + col`` (sorted ascending)."""
-        return self.rows * self.ncols + self.cols
+        """Linearized coordinates ``row * ncols + col`` (sorted ascending),
+        computed once and cached like :meth:`row_pointer`: every alignment
+        of a state matrix against a product searches the same keys."""
+        if self._keys is None:
+            self._keys = self.rows * self.ncols + self.cols
+        return self._keys
 
     def row_pointer(self) -> np.ndarray:
         """CSR-style row pointer (length ``nrows + 1``), computed lazily and
@@ -253,6 +258,13 @@ class SpMat:
             canonical=True,
         )
 
+    def _kept(self, keep: np.ndarray) -> "SpMat":
+        """The entries under the boolean mask ``keep`` — this matrix itself
+        when nothing is dropped."""
+        if keep.all():
+            return self
+        return self._take(keep.nonzero()[0], self.vals, self.monoid)
+
     def _with_values(self, vals: FieldArray, monoid: Monoid) -> "SpMat":
         """Same support, new values over ``monoid``: the coordinates stay
         sorted and unique, so only results equal to the identity are pruned."""
@@ -269,7 +281,14 @@ class SpMat:
         )
 
     def combine(self, other: "SpMat") -> "SpMat":
-        """Elementwise monoid accumulation ``self ⊕ other`` (union of supports)."""
+        """Elementwise monoid accumulation ``self ⊕ other`` (union of supports).
+
+        ``other``'s keys are located in this matrix's with one binary search
+        each; no entry of ``self`` that ``other`` misses is compared, moved
+        twice or re-sorted.  A hit is folded as ``self ⊕ other`` — the pair,
+        in the order, that a stable merge would reduce — into a copy of the
+        value columns; a miss is spliced in at its sorted position.
+        """
         self._check_same_space(other)
         if other.monoid is not self.monoid:  # re-prune under this identity
             other = SpMat(*other.shape, other.rows, other.cols, other.vals, self.monoid)
@@ -277,15 +296,46 @@ class SpMat:
             return self
         if not self.nnz:
             return other
-        parts = [(m.rows, m.cols, m.vals) for m in (self, other)]
-        return SpMat._merged(self.nrows, self.ncols, parts, self.monoid)
+        keys, rows, cols, vals = self.keys(), self.rows, self.cols, self.vals
+        pos = np.searchsorted(keys, other.keys())
+        hit = keys[np.minimum(pos, len(keys) - 1)] == other.keys()
+        dead = False
+        if hit.any():
+            at = pos[hit]
+            folded = self.monoid.combine(
+                take_fields(vals, at), take_fields(other.vals, hit.nonzero()[0])
+            )
+            vals = {name: col.copy() for name, col in vals.items()}
+            for name, col in vals.items():
+                col[at] = folded[name]
+            dead = self.monoid.is_identity(folded).any()
+        if not hit.all():
+            miss = (~hit).nonzero()[0]
+            # the j-th miss has pos[miss[j]] stored keys and j misses below it
+            dest = pos[miss] + np.arange(len(miss))
+            old = np.ones(len(keys) + len(miss), dtype=bool)
+            old[dest] = False
+
+            def splice(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:
+                out = np.empty(len(old), dtype=mine.dtype)
+                out[old] = mine
+                out[dest] = theirs[miss]
+                return out
+
+            keys = splice(keys, other.keys())
+            rows, cols = splice(rows, other.rows), splice(cols, other.cols)
+            vals = {name: splice(col, other.vals[name]) for name, col in vals.items()}
+        out = SpMat(self.nrows, self.ncols, rows, cols, vals, self.monoid, canonical=True)
+        out._keys = keys
+        # only a folded pair can have become the identity (plus: 1 ⊕ −1)
+        return out._kept(~self.monoid.is_identity(vals)) if dead else out
 
     def filter(self, predicate: Callable[[FieldArray], np.ndarray]) -> "SpMat":
         """Keep entries where ``predicate(vals)`` is True (CTF ``sparsify``)."""
         keep = np.asarray(predicate(self.vals), dtype=bool)
         if keep.shape != self.rows.shape:
             raise ValueError("predicate must return a mask over stored entries")
-        return self._take(keep.nonzero()[0], self.vals, self.monoid)
+        return self._kept(keep)
 
     def map(
         self,
@@ -311,18 +361,13 @@ class SpMat:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
         my_keys = self.keys()
         other_keys = other.keys()
-        pos = np.searchsorted(other_keys, my_keys)
-        pos_clipped = np.minimum(pos, max(len(other_keys) - 1, 0))
+        out = other.monoid.identity_array(len(my_keys))
         if len(other_keys):
-            found = other_keys[pos_clipped] == my_keys
-        else:
-            found = np.zeros(len(my_keys), dtype=bool)
-        out: FieldArray = {}
-        for name, dtype in other.monoid.field_spec:
-            col = np.full(len(my_keys), other.monoid.identity[name], dtype=dtype)
-            if found.any():
-                col[found] = other.vals[name][pos_clipped[found]]
-            out[name] = col
+            pos = np.minimum(np.searchsorted(other_keys, my_keys), len(other_keys) - 1)
+            found = (other_keys[pos] == my_keys).nonzero()[0]
+            src = pos[found]
+            for name, col in out.items():
+                col[found] = other.vals[name][src]
         return out
 
     def zip_filter(
@@ -335,7 +380,7 @@ class SpMat:
         ``other`` has no entry)."""
         other_vals = self.align_values(other)
         keep = np.asarray(predicate(self.vals, other_vals), dtype=bool)
-        return self._take(keep.nonzero()[0], self.vals, self.monoid)
+        return self._kept(keep)
 
     def zip_map(
         self,
@@ -430,8 +475,9 @@ class SpMat:
     def get(self, row: int, col: int) -> dict[str, object]:
         """Read a single entry (identity if unstored) — for tests/debugging."""
         key = row * self.ncols + col
-        pos = np.searchsorted(self.keys(), key)
-        if pos < self.nnz and self.keys()[pos] == key:
+        keys = self.keys()
+        pos = np.searchsorted(keys, key)
+        if pos < self.nnz and keys[pos] == key:
             return {k: v[pos] for k, v in self.vals.items()}
         return dict(self.monoid.identity)
 

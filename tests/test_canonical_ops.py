@@ -10,6 +10,8 @@ redistribution path performs no monoid reduction and that an ``mfbc`` run
 stays off the canonicalizing constructor.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -78,6 +80,79 @@ def test_combine(pair):
     a, b = pair
     ref = SpMat(*a.shape, *triples([a, b]), a.monoid)
     assert_canonical(a.combine(b), ref)
+
+
+@st.composite
+def located_updates(draw, max_side=6):
+    """``(state, update)`` in one space over one monoid object, the update's
+    support drawn *relative to* the state's — empty, disjoint, a subset, or
+    any — which are the cases ``combine`` tells apart.  Values are small
+    signed integers and both zeros, so plus sums annihilate (1 ⊕ −1), weights
+    tie and lose, and signed-zero payloads occur; the constructor prunes
+    whatever is an identity."""
+    monoid = draw(st.sampled_from(MONOIDS))
+    nrows, ncols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    cells = list(range(nrows * ncols))
+    mine = draw(st.lists(st.sampled_from(cells), unique=True))
+    pool = {
+        "empty": [],
+        "disjoint": sorted(set(cells) - set(mine)),
+        "subset": mine,
+        "any": cells,
+    }[draw(st.sampled_from(["empty", "disjoint", "subset", "any"]))]
+    theirs = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+
+    def build(flat):
+        vals = {
+            name: np.array(
+                draw(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                              min_size=len(flat), max_size=len(flat))),
+            ).astype(dtype)
+            for name, dtype in monoid.field_spec
+        }
+        rows, cols = np.divmod(np.array(flat, dtype=np.int64), ncols)
+        return SpMat(nrows, ncols, rows, cols, vals, monoid)
+
+    return build(mine), build(theirs)
+
+
+def columns(m: SpMat) -> list[np.ndarray]:
+    return [m.rows, m.cols, *m.vals.values()]
+
+
+@given(located_updates(), st.booleans())
+def test_combine_locates_the_update(pair, foreign):
+    a, b = pair
+    ref = SpMat(*a.shape, *triples([a, b]), a.monoid)
+    if foreign:  # an equal monoid that is another object: re-pruned, same result
+        b = SpMat(*b.shape, b.rows, b.cols, b.vals, copy.copy(b.monoid), canonical=True)
+    for col in columns(a) + columns(b):
+        col.flags.writeable = False  # a write into an operand raises
+    out = a.combine(b)
+    assert_canonical(out, ref)
+    for col, want in zip(columns(out), columns(ref)):
+        assert col.dtype == want.dtype and np.array_equal(col, want)
+    assert np.array_equal(out.keys(), out.rows * out.ncols + out.cols)
+
+
+def test_combine_prunes_an_annihilated_pair_among_hits_and_misses():
+    a = SpMat(2, 3, [0, 0, 1], [0, 2, 1], {"w": [1.0, 2.0, 3.0]}, PLUS)
+    b = SpMat(2, 3, [0, 0, 1, 1], [1, 2, 1, 2], {"w": [5.0, -2.0, 1.0, 7.0]}, PLUS)
+    out = a.combine(b)
+    assert_canonical(out, SpMat(2, 3, *triples([a, b]), PLUS))
+    assert out.keys().tolist() == [0, 1, 4, 5] and out.vals["w"].tolist() == [1.0, 5.0, 4.0, 7.0]
+
+
+def test_combine_keeps_signed_zeros_like_the_constructor():
+    # (0, 0): the weights tie as −0.0 == 0.0 and the fold keeps the first
+    # (self's) zero; the payload −0.0 + −0.0 stays negative
+    a = SpMat(1, 3, [0, 0], [0, 1], MULTPATH.make([-0.0, 1.0], [-0.0, 2.0]), MULTPATH)
+    b = SpMat(1, 3, [0, 0], [0, 2], MULTPATH.make([0.0, 1.0], [-0.0, 1.0]), MULTPATH)
+    out, ref = a.combine(b), SpMat(1, 3, *triples([a, b]), MULTPATH)
+    assert_canonical(out, ref)
+    for name in MULTPATH.field_names:
+        assert np.signbit(out.vals[name][0])
+        assert np.array_equal(np.signbit(out.vals[name]), np.signbit(ref.vals[name]))
 
 
 @given(cst.spmats(PLUS))

@@ -174,7 +174,7 @@ class TestCleanRuns:
         bad.cols = np.array([0, 1], dtype=np.int64)
         bad.vals = {"w": np.array([1.0, 2.0])}
         bad.monoid = W
-        bad._rowptr = None
+        bad._rowptr = bad._keys = None
         rng = np.random.default_rng(1)
         good = _mat(engine, rng, 4)
         with pytest.raises(CheckError, match="operand_a"):

@@ -36,7 +36,7 @@ def _raw_spmat(nrows, ncols, rows, cols, vals):
     mat.cols = np.asarray(cols, dtype=np.int64)
     mat.vals = {k: np.asarray(v, dtype=np.float64) for k, v in vals.items()}
     mat.monoid = W
-    mat._rowptr = None
+    mat._rowptr = mat._keys = None
     return mat
 
 
@@ -109,6 +109,12 @@ class TestCheckSpmat:
         mat._rowptr = mat._rowptr.copy()
         mat._rowptr[1] = 99
         assert "rowptr" in _rules(check_spmat(mat))
+
+    def test_stale_keys(self):
+        mat = SpMat(3, 3, np.array([0, 2]), np.array([1, 0]), {"w": [1.0, 2.0]}, W)
+        assert check_spmat(mat) == [] and mat.keys() is mat.keys()
+        mat._keys = mat._keys + 1
+        assert "keys" in _rules(check_spmat(mat))
 
     def test_site_is_reported(self):
         bad = _raw_spmat(3, 3, [0, 5], [0, 1], {"w": [1.0, 2.0]})

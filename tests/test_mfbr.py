@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import mfbf, mfbr
+from repro.core.engine import SequentialEngine
 from repro.core.stats import BatchStats
+from repro.dist import DistributedEngine
 from repro.graphs import Graph, uniform_random_graph_nm, with_random_weights
 from repro.baselines.brandes import brandes_single_source
 from repro.baselines.sssp import bfs_sssp, dijkstra_sssp
+from repro.machine import Machine
 
 
 def zeta_reference(graph, s):
@@ -90,6 +93,22 @@ class TestCounters:
         w = t.to_dense("w")[0]
         reachable = np.isfinite(w)
         assert np.all(c[0][reachable] == -1)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("distributed", [False, True])
+    def test_returned_counters_are_all_parked(self, weighted, distributed):
+        """The return contract: Z is stored exactly on T's support, every
+        entry has fired and carries −1, and none is left at the 0 it fired
+        from — counters are parked once, on return, not as they fire."""
+        g = uniform_random_graph_nm(40, 4.0, seed=9)
+        if weighted:
+            g = with_random_weights(g, 1, 6, seed=9)
+        engine = DistributedEngine(Machine(4)) if distributed else SequentialEngine()
+        adj = engine.adjacency(g)
+        t = mfbf(adj, np.array([0, 5, 11]), engine=engine)
+        z = engine.gather(mfbr(adj, t, engine=engine))
+        assert np.array_equal(z.keys(), engine.gather(t).keys())
+        assert z.nnz > 40 and np.all(z.vals["c"] == -1)
 
     def test_frontier_sizes_recorded(self, small_undirected):
         adj = small_undirected.adjacency()

@@ -4,8 +4,10 @@ membership table (``repro.sparse.spgemm``).
 ``stable_key_sort`` must be ``np.argsort(kind="stable")`` on both sides of
 its packing guard; ``tie_sum`` must equal, bit for bit, the
 ``lexsort((weight, key))`` reduction it replaced (kept here as the
-reference); the dense mask table must agree with the binary search; and an
-``mfbc`` run must stay off ``np.lexsort`` / ``np.unique`` altogether.
+reference); the dense mask table must agree with the binary search; an
+``mfbc`` run must stay off ``np.lexsort`` / ``np.unique`` altogether; and a
+state update must cost what the update holds — ``SpMat.combine`` sorts
+nothing, and ``mfbr`` scans its whole state once on entry and once on exit.
 """
 
 import importlib
@@ -24,9 +26,9 @@ from repro.algebra.monoid import (
 )
 from repro.algebra.multpath import MULTPATH
 from repro.check import strategies as cst
-from repro.core import mfbc
+from repro.core import mfbc, mfbf, mfbr
 from repro.core.specs import BRANDES_SPEC
-from repro.graphs import uniform_random_graph_nm, with_random_weights
+from repro.graphs import Graph, uniform_random_graph_nm, with_random_weights
 from repro.sparse import SpMat, spgemm
 
 #: the module: ``repro.sparse.spgemm`` as an attribute is the function
@@ -295,3 +297,54 @@ def test_mfbc_makes_no_lexsort_or_unique_calls(monkeypatch, weighted):
     result = mfbc(graph, 8, sources=np.arange(16))
     assert result.scores.max() > 0
     assert lexsorts == [] and uniques == []
+
+
+# -- structural: a state update never re-sorts or re-scans the state -------------
+
+
+@pytest.mark.parametrize("monoid", [MULTPATH, CENTPATH], ids=["multpath", "centpath"])
+def test_combine_never_sorts(monkeypatch, rng, monoid):
+    def matrix(flat):
+        vals = {n: rng.integers(1, 4, len(flat)).astype(dt) for n, dt in monoid.field_spec}
+        return SpMat(8, 64, flat // 64, flat % 64, vals, monoid, canonical=True)
+
+    state = matrix(np.sort(rng.choice(512, 300, replace=False)))
+    sorts = count_calls(monkeypatch, "argsort") + count_calls(monkeypatch, "sort")
+    for module in ("repro.algebra.monoid", "repro.sparse.spmatrix"):
+        original = stable_key_sort
+
+        def spy(keys, _original=original):
+            sorts.append("stable_key_sort")
+            return _original(keys)
+
+        monkeypatch.setattr(importlib.import_module(module), "stable_key_sort", spy)
+    # hits only, misses only, both
+    inside, outside = state.keys(), np.setdiff1d(np.arange(512), state.keys())
+    for flat in (inside[::3], outside[::2], np.sort(np.r_[inside[::5], outside[::7]])):
+        out = state.combine(matrix(flat))
+        assert out.nnz == len(np.union1d(inside, flat))
+    assert sorts == []
+    state.transpose()  # the spy is live: a transpose does sort
+    assert sorts == ["stable_key_sort"]
+
+
+def test_mfbr_scans_its_state_on_entry_and_exit_only(monkeypatch):
+    # a binary tree, three levels below the source: its 4 leaves fire first,
+    # then the 2 inner vertices, then the source, whose frontier reaches nothing
+    tree = Graph(7, np.array([0, 0, 1, 1, 2, 2]), np.array([1, 2, 3, 4, 5, 6]))
+    adj = tree.adjacency()
+    t_mat = mfbf(adj, np.array([0]))
+    scans = []
+    for name in ("map", "filter"):
+        def spy(self, *args, _name=name, _original=getattr(SpMat, name), **kwargs):
+            scans.append((_name, self.nnz))
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpMat, name, spy)
+    z_mat = mfbr(adj, t_mat)
+    # seed, leaves; then zero counters are looked for among the touched
+    # entries alone; one pass parks every fired counter on return
+    assert scans == [
+        ("map", 7), ("filter", 7), ("filter", 2), ("filter", 1), ("filter", 0), ("map", 7),
+    ]
+    assert z_mat.vals["c"].tolist() == [-1] * 7
