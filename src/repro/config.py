@@ -3,8 +3,8 @@
 A run is configured in one place.  :data:`KNOBS` lists every ``REPRO_*``
 environment variable the package reads, with the
 :class:`~repro.machine.Machine` keyword and CLI flag that set the same
-thing explicitly, and :func:`ambient` is the only code that reads the
-environment::
+thing explicitly, and :func:`ambient` is the only code that reads one of
+them::
 
     explicit argument  >  $REPRO_*  >  the knob's default
 
@@ -19,6 +19,11 @@ Each subsystem keeps only its spec *parser* and hands it to
 construction and carries the concrete values downstream.  This module
 imports nothing from the package (docs/api.md, "Configuration", renders the
 table below and a test keeps the two equal).
+
+One variable that is not ours is read here too, because this module is
+where the environment is read: :func:`user_cache_dir` follows the XDG
+``$XDG_CACHE_HOME`` convention.  It is a place, not a knob — no result
+depends on it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["KNOBS", "OFF", "Knob", "ambient", "is_off"]
+__all__ = ["KNOBS", "OFF", "Knob", "ambient", "is_off", "user_cache_dir"]
 
 #: spellings (case-insensitive) every knob reads as "use the default".
 OFF = ("", "none", "off", "0", "false")
@@ -133,3 +138,10 @@ def ambient(name: str, explicit=None, parse: Callable = str):
         raise ValueError(
             f"bad ${knob.env}={raw!r}: {exc} (expected {knob.grammar})"
         ) from exc
+
+
+def user_cache_dir() -> str:
+    """The user's cache directory: ``$XDG_CACHE_HOME``, else ``~/.cache``."""
+    return os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )

@@ -554,10 +554,13 @@ class DistMat:
         return out
 
     def same_distribution(self, other: "DistMat") -> bool:
+        return self._laid_out_as(other.ranks2d, other.row_splits, other.col_splits)
+
+    def _laid_out_as(self, ranks2d, row_splits, col_splits) -> bool:
         return (
-            np.array_equal(self.ranks2d, other.ranks2d)
-            and np.array_equal(self.row_splits, other.row_splits)
-            and np.array_equal(self.col_splits, other.col_splits)
+            np.array_equal(self.ranks2d, ranks2d)
+            and np.array_equal(self.row_splits, row_splits)
+            and np.array_equal(self.col_splits, col_splits)
         )
 
     # -- spill / fault-in ---------------------------------------------------------
@@ -764,8 +767,7 @@ class DistMat:
                 "operands live on different machines and cannot be "
                 "co-distributed"
             )
-        if self.same_distribution(other):
-            return other
+        # (itself, untouched, when it already is)
         return other.redistribute(
             self.ranks2d, self.row_splits, self.col_splits
         )
@@ -860,7 +862,8 @@ class DistMat:
         ranks, sized by the busiest rank's sent+received volume (CTF's
         sparse-to-sparse redistribution kernel, §6.2).  ``charge=False``
         re-blocks without communicating — for callers whose own collective
-        pays for the movement.
+        pays for the movement.  A target equal to the current grid and
+        splits returns this matrix itself.
         """
         ranks2d = np.asarray(ranks2d, dtype=np.int64)
         prn, pcn = ranks2d.shape
@@ -870,6 +873,8 @@ class DistMat:
             col_splits = even_splits(self.ncols, pcn)
         row_splits = np.asarray(row_splits, dtype=np.int64)
         col_splits = np.asarray(col_splits, dtype=np.int64)
+        if self._laid_out_as(ranks2d, row_splits, col_splits):
+            return self  # already there: nothing to pack, move or hold twice
 
         new_blocks: list[list[list[SpMat]]] = [
             [[] for _ in range(pcn)] for _ in range(prn)

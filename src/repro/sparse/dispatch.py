@@ -11,17 +11,18 @@ paper's stack (§6.2):
   scipy's compiled ``csr @ csr`` when the product is unmasked, fits one
   expansion chunk and is large enough to repay the CSR conversion;
 * **multpath / centpath** (the Bellman-Ford and Brandes actions of §4.1/§4.2)
-  → a fused path that forms only the weight column before the one key sort
-  and gathers payload columns for the tied entries alone.
+  → a compiled row-wise accumulator (``_pathsum.c``) that never forms the
+  joined pairs as a table and copies payload words for the tied entries
+  alone; where it cannot be built or loaded the generic kernel serves.
 
 Every other product — the remaining semirings (tropical min-plus, bottleneck
 max-min, label-propagation min/left, …) included — runs the generic kernel.
 
 Every fast path is **bit-identical** to the generic kernel after
-canonicalization: the path kernel consumes the exact expansion chunks the
-generic kernel would (:func:`repro.sparse.spgemm._expansion_chunks`,
-including in-expansion mask filtering) and reduces them with the same
-primitive in the same order; scipy accumulates in the same order.
+canonicalization: the path kernel cuts the join at the generic kernel's
+chunk bounds (:func:`repro.sparse.spgemm._chunk_bounds`), filters by the
+mask inside the join and reduces with the same primitive in the same order;
+scipy accumulates in the same order.
 ``repro.check`` differential replay recomputes references with
 ``kernel="generic"``, making the generic kernel the oracle for this tier.
 
@@ -41,16 +42,17 @@ import scipy.sparse
 
 from repro import config
 from repro.algebra.centpath import CentpathMonoid, brandes_action
-from repro.algebra.fields import FieldArray, take_fields
+from repro.algebra.fields import FieldArray
 from repro.algebra.matmul import MatMulSpec
-from repro.algebra.monoid import PlusMonoid, segments, stable_key_sort
+from repro.algebra.monoid import PlusMonoid
 from repro.algebra.multpath import MultpathMonoid, bellman_ford_action
 from repro.algebra.semiring import SemiringAction
 from repro.obs import api as obs
+from repro.sparse import _native
 from repro.sparse.spgemm import (
     SpGemmResult,
-    _assemble,
-    _expansion_chunks,
+    _assemble_coords,
+    _chunk_bounds,
     count_ops,
 )
 from repro.sparse.spmatrix import SpMat
@@ -263,44 +265,117 @@ def _pathsum_kernel(
     mask_keys: np.ndarray | None,
     mask_complement: bool,
     chunk: int,
-) -> SpGemmResult:
-    """Fused path for the multpath/centpath monoids (MFBF/MFBr hot loop).
+) -> SpGemmResult | None:
+    """Compiled path for the multpath/centpath monoids (MFBF/MFBr hot loop).
 
     The generic kernel materializes every output field of ``f`` for every
     joined pair before reducing.  Both actions pass A's payload through
     unchanged and only add (Bellman-Ford) or subtract (Brandes) the weights,
-    so this path forms the weight column alone, sorts the keys once, and
-    lets :meth:`MinWeightTieSumMonoid.tie_sum` gather payloads for the tied
-    entries only — the same reduction on the same sorted sequence, bitwise
-    identically.
+    so the pairs never need to exist as rows of a table: the compiled
+    row-wise accumulator (``_pathsum.c``, built on first use by
+    :mod:`repro.sparse._native`) walks the join and lays each chunk out for
+    the ``add.reduceat`` that :meth:`MinWeightTieSumMonoid.tie_sum` runs, so
+    it is bit-identical to the generic kernel.  Declines — the generic
+    kernel serves — where the library is not to be had or an operand is not
+    one C can read.
     """
+    compiled = _native.pathsum()
+    if compiled is None:
+        return None
+    return _pathsum_compiled(compiled, a, b, spec, mask_keys, mask_complement, chunk)
+
+
+def _head(buf: np.ndarray, n: int) -> np.ndarray:
+    """``buf[:n]``, copied when a view would pin a buffer twice its size."""
+    return buf[:n] if 2 * n >= len(buf) else buf[:n].copy()
+
+
+def _pathsum_compiled(
+    compiled: Callable[..., int],
+    a: SpMat,
+    b: SpMat,
+    spec: MatMulSpec,
+    mask_keys: np.ndarray | None,
+    mask_complement: bool,
+    chunk: int,
+) -> SpGemmResult | None:
+    """One ``pathsum_chunk`` call per expansion chunk, ``add.reduceat`` over
+    what it lays out; ``None`` (decline) for operands C cannot read as
+    they are.
+
+    Per chunk the C side returns the output coordinates in key order, each
+    run's weight and start, and per sum field the array ``tie_sum`` calls
+    ``col`` — a run's tied payloads first, in join order, ``+0.0`` behind.
+    The chunks are :func:`_chunk_bounds`'s, so a row cut by a boundary is
+    reduced in the same two pieces as by the generic kernel.
+    """
+    if a.ncols != b.nrows:  # C indexes B's row pointer by A's columns
+        raise ValueError(f"inner dimension mismatch: {a.shape} × {b.shape}")
     monoid = spec.monoid
     wf = monoid.weight_field
-    negate = spec.f is brandes_action
-    aw, bw = a.vals[wf], b.vals[wf]
-    sums = {name: a.vals[name] for name in monoid.sum_fields}
-    ops_done = 0
-    parts_k: list[np.ndarray] = []
-    parts_v: list[FieldArray] = []
-    for a_idx, b_idx, keys in _expansion_chunks(
-        a, b, mask_keys, mask_complement, chunk
+    names = monoid.sum_fields
+    a_rows, a_cols, b_cols = (_native.words(x, np.int64) for x in (a.rows, a.cols, b.cols))
+    aw, bw = (_native.words(m.vals[wf], np.float64) for m in (a, b))
+    sums = [_native.words(a.vals[name]) for name in names]
+    if len(sums) > _native.MAX_SUM or any(
+        x is None for x in (a_rows, a_cols, b_cols, aw, bw, *sums)
     ):
-        ops_done += len(keys)
-        if len(keys) == 0:
+        return None
+    ptr = b.row_pointer()
+    counts = ptr[a_cols + 1] - ptr[a_cols]
+    args = _native.PathsumArgs(
+        a_rows=a_rows.ctypes.data, a_cols=a_cols.ctypes.data, a_w=aw.ctypes.data,
+        b_ptr=ptr.ctypes.data, b_cols=b_cols.ctypes.data, b_w=bw.ctypes.data,
+        ncols=b.ncols,
+        complement=mask_complement,
+        negate=spec.f is brandes_action,
+        select_max=monoid.select == "max",
+        n_sum=len(sums),
+    )
+    if mask_keys is not None:
+        mask_keys = np.ascontiguousarray(mask_keys, dtype=np.int64)
+        args.mask_keys, args.n_mask = mask_keys.ctypes.data, len(mask_keys)
+    for f, col in enumerate(sums):
+        args.sum_in[f] = col.ctypes.data
+    dtypes = dict(monoid.field_spec)
+    ops_done = 0
+    parts_rc: list[tuple[np.ndarray, np.ndarray]] = []
+    parts_v: list[FieldArray] = []
+    for lo, hi in _chunk_bounds(counts, chunk):
+        joined = int(counts[lo:hi].sum())
+        if joined == 0:
             continue
-        w = aw[a_idx] - bw[b_idx] if negate else aw[a_idx] + bw[b_idx]
-        del b_idx
-        keys, order = stable_key_sort(keys)
-        w = w[order]
-        starts, seg_id = segments(keys)
-        parts_k.append(keys[starts])
-        del keys
-        parts_v.append(
-            monoid.tie_sum(
-                w, starts, seg_id, lambda idx: take_fields(sums, a_idx[order[idx]])
+        # a run per pair at most, and per (row run of the chunk, column) at
+        # most — counted, not inferred from A being sorted: C must never be
+        # handed fewer slots than it can fill
+        row_runs = 1 + np.count_nonzero(a_rows[lo + 1 : hi] != a_rows[lo : hi - 1])
+        room = min(joined, int(row_runs) * b.ncols)
+        rows, cols, starts = (np.empty(room, dtype=np.int64) for _ in range(3))
+        w = np.empty(room, dtype=np.float64)
+        layout = [np.zeros(joined, dtype=col.dtype) for col in sums]
+        args.lo, args.hi = lo, hi
+        args.out_rows, args.out_cols = rows.ctypes.data, cols.ctypes.data
+        args.out_starts, args.out_w = starts.ctypes.data, w.ctypes.data
+        for f, col in enumerate(layout):
+            args.sum_out[f] = col.ctypes.data
+        status = compiled(args)  # by reference: argtypes is a pointer
+        if status == _native.STATUS_NAN:
+            raise ValueError("NaN weight in a tie-sum reduction")
+        if status:
+            raise MemoryError("pathsum_chunk could not allocate its accumulator")
+        n_runs, n_pairs = args.n_runs, args.n_pairs
+        ops_done += n_pairs
+        if n_pairs == 0:
+            continue
+        starts = starts[:n_runs]
+        vals: FieldArray = {wf: _head(w, n_runs)}
+        for name, col in zip(names, layout):
+            vals[name] = np.add.reduceat(col[:n_pairs], starts).astype(
+                dtypes[name], copy=False
             )
-        )
-    return _assemble(a.nrows, b.ncols, parts_k, parts_v, monoid, ops_done)
+        parts_rc.append((_head(rows, n_runs), _head(cols, n_runs)))
+        parts_v.append(vals)
+    return _assemble_coords(a.nrows, b.ncols, parts_rc, parts_v, monoid, ops_done)
 
 
 register_fast_path(_recognize_plus_times, _scipy_plus_times)

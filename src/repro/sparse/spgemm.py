@@ -176,9 +176,10 @@ def _expansion_chunks(
     """Yield the (a_idx, b_idx, keys) expansion join in bounded chunks.
 
     The single source of truth for join enumeration and in-expansion mask
-    filtering: the generic kernel and the fused path kernel in
-    :mod:`repro.sparse.dispatch` iterate these exact chunks, which is what
-    makes their per-chunk reductions bit-identical.
+    filtering in numpy.  The compiled path kernel in
+    :mod:`repro.sparse.dispatch` walks the same join cut at the same
+    :func:`_chunk_bounds`, which is what makes its per-chunk reductions
+    bit-identical.
     """
     ptr = b.row_pointer()
     b_start = ptr[a.cols]
@@ -254,23 +255,45 @@ def _assemble(
     monoid,
     ops: int,
 ) -> SpGemmResult:
-    """Final construction from per-chunk reduced ``(keys, vals)`` partials —
-    the one tail the generic kernel and every fast path finish through.
+    """:func:`_assemble_coords` for partials keyed ``row * ncols + col``."""
+    parts_rc = [(keys // ncols, keys % ncols) for keys in parts_k]
+    return _assemble_coords(nrows, ncols, parts_rc, parts_v, monoid, ops)
 
-    A single chunk's partial is already key-unique and sorted, so a second
-    reduce would be the identity — skip it and prune identity entries
-    directly.  Multi-chunk partials can repeat a key across chunks and go
-    through the canonicalizing constructor.
+
+def _assemble_coords(
+    nrows: int,
+    ncols: int,
+    parts_rc: list[tuple[np.ndarray, np.ndarray]],
+    parts_v: list[FieldArray],
+    monoid,
+    ops: int,
+) -> SpGemmResult:
+    """Final construction from per-chunk reduced ``((rows, cols), vals)``
+    partials — the one tail the generic kernel and every fast path finish
+    through.
+
+    A single chunk's partial is already coordinate-unique and sorted, so a
+    second reduce would be the identity — skip it and prune identity entries
+    directly.  Multi-chunk partials can repeat a coordinate across chunks
+    and go through the canonicalizing constructor.
     """
-    if not parts_k:
+    if not parts_rc:
         return SpGemmResult(SpMat.empty(nrows, ncols, monoid), ops)
-    if len(parts_k) == 1:
-        rows, cols, vals = SpMat._split_pruned(parts_k[0], parts_v[0], ncols, monoid)
+    if len(parts_rc) == 1:
+        (rows, cols), vals = parts_rc[0], parts_v[0]
+        keep = ~monoid.is_identity(vals)
+        if not keep.all():
+            idx = keep.nonzero()[0]
+            rows, cols, vals = rows[idx], cols[idx], take_fields(vals, idx)
         mat = SpMat(nrows, ncols, rows, cols, vals, monoid, canonical=True)
     else:
-        keys = np.concatenate(parts_k)
         mat = SpMat(
-            nrows, ncols, keys // ncols, keys % ncols, concat_fields(parts_v), monoid
+            nrows,
+            ncols,
+            np.concatenate([rows for rows, _ in parts_rc]),
+            np.concatenate([cols for _, cols in parts_rc]),
+            concat_fields(parts_v),
+            monoid,
         )
     return SpGemmResult(mat, ops)
 

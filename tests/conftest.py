@@ -11,6 +11,10 @@ per-file ``@settings`` decorators are gone — see docs/testing.md):
 Select with ``HYPOTHESIS_PROFILE=dev pytest ...``.  Individual tests may
 still override ``max_examples`` where an example is unusually expensive
 (never the deadline or derandomization).
+
+The compiled path kernel's loader (:mod:`repro.sparse._native`) is pointed at
+a session temporary directory, so the suite builds its library once there and
+never writes into the user's cache.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from hypothesis import settings
 
 from repro.check.strategies import WEIGHT_MONOID, random_weight_spmat
 from repro.graphs import Graph, uniform_random_graph_nm, with_random_weights
+from repro.sparse import _native
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=50)
 settings.register_profile("dev", deadline=None, max_examples=50)
@@ -34,6 +39,15 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 WEIGHT = WEIGHT_MONOID
 
 __all__ = ["WEIGHT", "random_weight_spmat"]
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _pathsum_cache(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as patch:  # the environment: child processes too
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        _native.pathsum.cache_clear()
+        yield
+    _native.pathsum.cache_clear()
 
 
 @pytest.fixture

@@ -107,6 +107,29 @@ class TestRedistribute:
         d.redistribute(np.arange(4).reshape(4, 1))
         assert machine.ledger.critical_words() > w0
 
+    def test_identity_returns_self_and_touches_nothing(self, rng, monkeypatch):
+        mat = random_weight_spmat(rng, 16, 16, 0.5)
+        machine = Machine(4, faults="seed:1")
+        d = DistMat.distribute(mat, machine, home_grid(4))
+        step, held = machine.faults.step, machine.memory_peak()
+        monkeypatch.setattr(
+            machine, "group", lambda ranks: pytest.fail("a Group for a no-op")
+        )
+        monkeypatch.setattr(
+            machine.executor, "run_tasks", lambda *a, **k: pytest.fail("packed a block")
+        )
+        # the grid alone (even splits implied), and spelled out in full
+        assert d.redistribute(home_grid(4)) is d
+        assert d.redistribute(d.ranks2d.copy(), d.row_splits.copy(), d.col_splits.copy()) is d
+        assert d.redistribute(home_grid(4), charge=False) is d
+        assert machine.faults.step == step and machine.memory_peak() == held
+
+    def test_same_grid_other_splits_still_moves(self, rng):
+        mat = random_weight_spmat(rng, 16, 16, 0.5)
+        d = DistMat.distribute(mat, Machine(4), home_grid(4))
+        r = d.redistribute(home_grid(4), row_splits=np.array([0, 3, 16]))
+        assert r is not d and r.gather(charge=False).equals(mat)
+
     def test_custom_splits(self, rng):
         mat = random_weight_spmat(rng, 10, 10, 0.5)
         machine = Machine(2)

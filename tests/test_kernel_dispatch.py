@@ -7,6 +7,7 @@ is the oracle throughout.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.core.engine import SequentialEngine
 from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC
 from repro.dist import DistributedEngine
 from repro.machine import Machine
+from repro.machine.executor import ThreadExecutor
 from repro.sparse import (
     KernelTraits,
     SpGemmResult,
@@ -40,8 +42,11 @@ from repro.sparse import (
     resolve_kernel_mode,
     spgemm,
 )
+from repro.sparse import _native
 from repro.sparse import dispatch as dispatch_mod
 from repro.sparse.dispatch import dispatch_spgemm, register_fast_path
+
+spgemm_mod = sys.modules[spgemm.__module__]
 
 CC_SPEC = Semiring(
     add_monoid=MinMonoid(), multiply=left_project, name="cc"
@@ -256,6 +261,188 @@ class TestDifferentialFuzz:
             a = SpMat.empty(4, 5, monoid)
             b = SpMat.empty(5, 3, WEIGHT_MONOID)
             _assert_identical(a, b, spec, None, False, 1 << 22)
+
+
+# ---------------------------------------------------------------------------
+# the compiled path kernel == generic, to the bit
+# ---------------------------------------------------------------------------
+
+#: weights that tie, tie across a sign (±0.0), overflow to ±inf, and (with
+#: NaN, and inf − inf) make the reduction refuse; payloads whose sum depends
+#: on the order and grouping of the additions
+_WEIGHTS = [0.0, -0.0, 0.5, 1.0, 1.25, 2.0, np.inf, -np.inf, np.nan]
+_PAYLOADS = [0.0, -0.0, 0.1, 0.2, 0.3, 1.0, -1.0, 1e16, 1 / 3]
+
+PATHSUM_SPECS = pytest.mark.parametrize(
+    "spec, a_monoid",
+    [(BELLMAN_FORD_SPEC, MULTPATH), (BRANDES_SPEC, CENTPATH)],
+    ids=["multpath", "centpath"],
+)
+
+
+@st.composite
+def _path_operand(draw, monoid, nrows, ncols):
+    """A canonical matrix over ``monoid`` drawing from the awkward values."""
+    cells = nrows * ncols
+    flat = draw(st.lists(st.integers(0, cells - 1), unique=True, max_size=min(cells, 20)))
+    rows, cols = np.divmod(np.array(sorted(flat), dtype=np.int64), ncols)
+    vals = {}
+    for name, dtype in monoid.field_spec:
+        if dtype == np.int64:
+            pool = st.integers(-3, 3)
+        else:
+            pool = st.sampled_from(_WEIGHTS if name == "w" else _PAYLOADS)
+        vals[name] = np.array(
+            draw(st.lists(pool, min_size=len(flat), max_size=len(flat))), dtype=dtype
+        )
+    # canonical by hand: the canonicalizing constructor refuses a NaN weight
+    keep = ~monoid.is_identity(vals)
+    vals = {name: col[keep] for name, col in vals.items()}
+    return SpMat(nrows, ncols, rows[keep], cols[keep], vals, monoid, canonical=True)
+
+
+@st.composite
+def _path_products(draw, a_monoid):
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    a = draw(_path_operand(a_monoid, m, k))
+    b = draw(_path_operand(WEIGHT_MONOID, k, n))
+    mask = draw(st.none() | cst.spmats(monoid=WEIGHT_MONOID, shape=(m, n)))
+    complement = draw(st.booleans()) if mask is not None else False
+    # 1 and 3 cut rows of A between chunks
+    chunk = draw(st.sampled_from([1, 3, 7, 1 << 22]))
+    return a, b, mask, complement, chunk
+
+
+def _outcome(a, b, spec, mask, complement, chunk, kernel):
+    """The product, or the message of the ``ValueError`` it raised."""
+    try:
+        return spgemm(
+            a, b, spec, mask=mask, mask_complement=complement, chunk=chunk,
+            kernel=kernel,
+        )
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_bits(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.ops == want.ops
+    x, y = got.matrix, want.matrix
+    assert x.shape == y.shape
+    assert np.array_equal(x.rows, y.rows) and np.array_equal(x.cols, y.cols)
+    for name, col in y.vals.items():
+        assert x.vals[name].dtype == col.dtype, name
+        assert np.array_equal(x.vals[name].view(np.uint64), col.view(np.uint64)), name
+
+
+def _random_path_spmat(rng, monoid, m, n, density=0.5):
+    rows, cols = (rng.random((m, n)) < density).nonzero()
+    vals = {
+        name: rng.integers(1, 4, len(rows)).astype(dtype)
+        for name, dtype in monoid.field_spec
+    }
+    return SpMat(m, n, rows, cols, vals, monoid)
+
+
+class TestCompiledPathsum:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf − inf
+    @PATHSUM_SPECS
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_generic_bitwise(self, spec, a_monoid, data):
+        if _native.pathsum() is None:
+            pytest.skip("compiled path kernel unavailable here")
+        product = data.draw(_path_products(a_monoid))
+        want = _outcome(*product[:2], spec, *product[2:], "generic")
+        _assert_same_bits(_outcome(*product[:2], spec, *product[2:], "auto"), want)
+
+    @PATHSUM_SPECS
+    def test_compiled_body_is_the_one_running(self, spec, a_monoid, rng, monkeypatch):
+        # the property above proves nothing about C if C quietly declines
+        if _native.pathsum() is None:
+            pytest.skip("compiled path kernel unavailable here")
+        a = _random_path_spmat(rng, a_monoid, 5, 6)
+        b = cst.random_weight_spmat(rng, 6, 7, 0.6)
+        mask = cst.random_weight_spmat(rng, 5, 7, 0.5)
+        for chunk in (2, 1 << 22):
+            want = spgemm(
+                a, b, spec, mask=mask, mask_complement=True, chunk=chunk,
+                kernel="generic",
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    spgemm_mod, "_spgemm_generic", lambda *a, **k: pytest.fail("declined")
+                )
+                got = spgemm(a, b, spec, mask=mask, mask_complement=True, chunk=chunk)
+            _assert_same_bits(got, want)
+
+    @PATHSUM_SPECS
+    def test_nan_weight_raises_the_generic_error(self, spec, a_monoid):
+        vals = {n: np.ones(1, dtype=d) for n, d in a_monoid.field_spec}
+        a = SpMat(1, 1, [0], [0], vals, a_monoid, canonical=True)
+        b = SpMat(1, 1, [0], [0], {"w": np.array([np.nan])}, WEIGHT_MONOID, canonical=True)
+        with pytest.raises(ValueError, match="NaN weight in a tie-sum reduction"):
+            spgemm(a, b, spec, kernel="generic")
+        with pytest.raises(ValueError, match="NaN weight in a tie-sum reduction"):
+            spgemm(a, b, spec)
+        # masked out, the pair is never formed: neither kernel may look at it
+        hidden = SpMat(1, 1, [0], [0], {"w": np.ones(1)}, WEIGHT_MONOID)
+        assert spgemm(a, b, spec, mask=hidden, mask_complement=True).ops == 0
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_tied_signed_zero_weights_keep_the_first(self, first):
+        # +0.0 == −0.0 ties; the run's weight is the first pair's, sign and all
+        a = SpMat(
+            1, 2, [0, 0], [0, 1], MULTPATH.make([first, -first], [1.0, 2.0]), MULTPATH
+        )
+        b = SpMat(2, 1, [0, 1], [0, 0], {"w": np.array([first, -first])}, WEIGHT_MONOID)
+        want = spgemm(a, b, BELLMAN_FORD_SPEC, kernel="generic")
+        assert np.signbit(want.matrix.vals["w"][0]) == np.signbit(first)
+        assert want.matrix.vals["m"][0] == 3.0
+        _assert_same_bits(spgemm(a, b, BELLMAN_FORD_SPEC), want)
+
+    def test_negative_zero_payload_takes_tie_sums_side(self):
+        # docs/performance_model.md §5: a lone winner beside a loser is padded
+        # with +0.0 by tie_sum, so its −0.0 payload reads +0.0 — from both kernels
+        a = SpMat(
+            1, 2, [0, 0], [0, 1], MULTPATH.make([1.0, 5.0], [-0.0, 7.0]), MULTPATH
+        )
+        b = SpMat(2, 1, [0, 1], [0, 0], {"w": np.array([1.0, 1.0])}, WEIGHT_MONOID)
+        want = spgemm(a, b, BELLMAN_FORD_SPEC, kernel="generic")
+        assert not np.signbit(want.matrix.vals["m"][0])
+        _assert_same_bits(spgemm(a, b, BELLMAN_FORD_SPEC), want)
+
+    @PATHSUM_SPECS
+    def test_threads_multiplying_at_once_agree_with_serial(
+        self, spec, a_monoid, rng, tmp_path, monkeypatch
+    ):
+        """The thread executor's route: more workers than cores, a short
+        switch interval, and a cold loader cache so the first products of
+        several threads race into the build as well."""
+        pairs = [
+            (_random_path_spmat(rng, a_monoid, 9, 11), cst.random_weight_spmat(rng, 11, 13, 0.5))
+            for _ in range(24)
+        ]
+        masks = [cst.random_weight_spmat(rng, 9, 13, 0.5) for _ in pairs]
+        want = [
+            spgemm(x, y, spec, mask=m, kernel="generic")
+            for (x, y), m in zip(pairs, masks)
+        ]
+        monkeypatch.setattr(_native, "_cache_dirs", lambda: [tmp_path / "cache"])
+        _native.pathsum.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadExecutor(8, fanout_min_work=0) as ex:
+                for _ in range(5):
+                    got = ex.run_spgemm(pairs, spec, masks=masks)
+                    for g, w in zip(got, want):
+                        _assert_same_bits(g, w)
+        finally:
+            sys.setswitchinterval(interval)
+            _native.pathsum.cache_clear()
 
 
 # ---------------------------------------------------------------------------
