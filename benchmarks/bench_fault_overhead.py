@@ -35,7 +35,7 @@ OVERHEAD_CEILING = 0.02  # inert plan: <2% wall-clock overhead
 
 #: every rate zero -> resolve_fault_plan() yields an unarmed plan and the
 #: machine skips the hooks entirely
-INERT_SPEC = "seed:0,crash:0,corrupt:0,straggle:0,poolkill:0"
+INERT_SPEC = "seed:0,crash:0,corrupt:0,straggle:0,tear:0"
 #: armed (nonzero rates) but vanishingly unlikely to fire -> hooks run on
 #: every charge, nothing injects (deterministic under the seeded rng)
 SILENT_SPEC = "seed:0,crash:1e-9,straggle:1e-9,limit:1"
@@ -52,7 +52,6 @@ def run_config(graph, faults):
         res = mfbc(graph, batch_size=BATCH, max_batches=1, engine=engine)
         best = min(best, time.perf_counter() - t0)
         scores, snap = res.scores, machine.ledger.snapshot()
-        machine.executor.close()
     return scores, snap, best
 
 

@@ -48,7 +48,6 @@ def run_config(graph, elastic, faults="off"):
         res = mfbc(graph, batch_size=BATCH, max_batches=1, engine=engine)
         best = min(best, time.perf_counter() - t0)
         scores, snap = res.scores, machine.ledger.snapshot()
-        machine.executor.close()
     return scores, snap, best, machine
 
 

@@ -94,7 +94,6 @@ from repro.faults import (
     MemoryCheckpointStore,
     NpzCheckpointStore,
     RankFailure,
-    WorkerPoolDied,
     format_fault_report,
     resolve_checkpoint_store,
     resolve_fault_plan,
@@ -113,9 +112,6 @@ from repro.machine import (
     CostParams,
     LocalExecutor,
     Machine,
-    SerialExecutor,
-    ThreadExecutor,
-    resolve_executor,
 )
 from repro import obs
 from repro.sparse import (
@@ -184,11 +180,7 @@ __all__ = [
     "CostParams",
     "DistMat",
     "DistributedEngine",
-    # local executors (rank-parallel simulation backend)
     "LocalExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "resolve_executor",
     # observability
     "obs",
     # correctness checking
@@ -209,7 +201,6 @@ __all__ = [
     "FaultError",
     "RankFailure",
     "CorruptPayload",
-    "WorkerPoolDied",
     "DeadlineExceeded",
     "resolve_fault_plan",
     "format_fault_report",

@@ -16,16 +16,15 @@ Examples
     python -m repro bc g.txt --samples 128 --seed 0
     python -m repro bc g.txt --epsilon 0.05 --delta 0.1
     python -m repro simulate g.txt --p 16 --policy auto --batch 64
-    python -m repro simulate g.txt --p 16 --executor thread
     python -m repro simulate g.txt --p 16 --faults seed:3,crash:0.05,limit:2 \\
         --checkpoint run.ckpt.json
-    python -m repro trace g.txt --p 16 --executor thread:8 -o trace.json
+    python -m repro trace g.txt --p 16 -o trace.json
     python -m repro trace g.txt --p 16 --faults seed:0,straggle:0.2
     python -m repro serve g.txt --p 16 --port 8734 --elastic replica
     python -m repro info g.txt
 
-The run flags (``--executor``, ``--faults``, ``--check``, ``--elastic``,
-``--kernel``, ``--memory-words``, ``--spill-dir``) are the knobs of
+The run flags (``--faults``, ``--check``, ``--elastic``, ``--kernel``,
+``--memory-words``, ``--spill-dir``) are the knobs of
 :mod:`repro.config`, each with an environment fallback; they, ``--deadline``,
 ``--checkpoint`` (re-running the same command resumes from the file if it
 exists) and ``--policy`` are declared once, in :func:`add_run_flags`.
@@ -117,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     on_machine.add_argument("--directed", action="store_true")
     on_machine.add_argument("--p", type=int, default=16, help="simulated ranks")
     add_run_flags(
-        on_machine, "policy", "executor", "faults", "check", "elastic",
-        "kernel", "memory_words", "spill_dir",
+        on_machine, "policy", "faults", "check", "elastic", "kernel",
+        "memory_words", "spill_dir",
     )
     # what simulate / trace add: a bounded, checkpointable batch run
     batch_run = argparse.ArgumentParser(add_help=False)
@@ -453,10 +452,7 @@ def _cmd_simulate(args) -> int:
     finally:
         if session is not None:
             obs.disable()
-    print(
-        f"graph: {g}; p={args.p}; policy={args.policy}; "
-        f"executor={machine.executor.name}"
-    )
+    print(f"graph: {g}; p={args.p}; policy={args.policy}")
     if session is not None:
         _print_trace_reports(args, session, machine, res)
     else:
@@ -510,11 +506,6 @@ def _print_trace_reports(args, session, machine, res) -> None:
     print()
     print(obs.render_timeline(session.tracer))
     print(report.format_trace_report(session.tracer, machine.ledger))
-    if machine.executor.name != "serial":
-        from repro.machine.executor import executor_skew_report
-
-        print()
-        print(executor_skew_report(session.metrics, machine))
     if machine.faults is not None:
         from repro.faults import format_fault_report
 

@@ -10,7 +10,7 @@ them::
 
 Off-spellings (:data:`OFF`) at either tier mean "use the default", so
 ``REPRO_FAULTS=0`` and ``Machine(4, faults="off")`` both disable injection
-and ``REPRO_EXECUTOR=off`` is ``serial``.  The environment is read when a
+and ``REPRO_KERNEL=off`` is ``auto``.  The environment is read when a
 value is resolved (constructing a ``Machine``, calling ``spgemm`` without
 ``kernel=``), never at import.
 
@@ -61,12 +61,6 @@ class Knob:
 KNOBS: dict[str, Knob] = {
     k.name: k
     for k in (
-        Knob(
-            "executor", "REPRO_EXECUTOR", "serial", "--executor", "BACKEND[:N]",
-            "serial | thread[:N]",
-            "local execution backend for the independent per-rank kernels "
-            "(docs/parallel.md)",
-        ),
         Knob(
             "faults", "REPRO_FAULTS", None, "--faults", "SPEC",
             "comma-separated key:value / kind@step tokens, "

@@ -152,8 +152,7 @@ def _pack_block(
     """Slice one source block against a target blocking.
 
     Returns ``(a, b, piece)`` entries in deterministic (a, b ascending)
-    order — the per-source-block unit of redistribution packing, pure so
-    the machine's executor can fan source blocks across host cores.
+    order — the per-source-block unit of redistribution packing.
     """
     if not src.nnz:
         return []
@@ -774,15 +773,12 @@ class DistMat:
 
     def _blockwise(self, fn: Callable[[SpMat, tuple[int, int]], SpMat], monoid=None):
         pr, pc = self.grid_shape
-        cells = [(i, j) for i in range(pr) for j in range(pc)]
         flat = self.machine.executor.run_tasks(
             [
                 (lambda b=self.blocks[i][j], ij=(i, j): fn(b, ij))
-                for i, j in cells
-            ],
-            site="blockwise",
-            est_work=float(self.nnz),
-            ranks=[int(self.ranks2d[i, j]) for i, j in cells],
+                for i in range(pr)
+                for j in range(pc)
+            ]
         )
         blocks = [[flat[i * pc + j] for j in range(pc)] for i in range(pr)]
         return DistMat(
@@ -890,8 +886,7 @@ class DistMat:
         landing: list[list[tuple[list, int]]] = [[] for _ in participants]
         pr, pc = self.grid_shape
         # packing each source block against the target blocking is
-        # independent work: fan the nonempty blocks through the executor,
-        # then merge the pieces on the simulation thread in (i, j) order
+        # independent work; the pieces are merged in (i, j) order
         sources = [
             (i, j) for i, j, nnz, _w in self._cell_meta() if nnz
         ]
@@ -905,10 +900,7 @@ class DistMat:
                     )
                 )
                 for i, j in sources
-            ],
-            site="redistribute",
-            est_work=float(self.nnz),
-            ranks=[int(self.ranks2d[i, j]) for i, j in sources],
+            ]
         )
         for (i, j), pieces in zip(sources, piece_lists):
             src = index[int(self.ranks2d[i, j])]

@@ -1,15 +1,15 @@
 """repro.faults — deterministic fault injection and fault tolerance.
 
 The injection half lives in :mod:`repro.faults.plan`: a seeded
-:class:`FaultPlan` threaded through the machine, the collectives, and the
-local executors (rank crashes, payload corruption, stragglers, worker-pool
-death, memory pressure), every event recorded as a structured
+:class:`FaultPlan` threaded through the machine, the collectives and the
+spill store (rank crashes, payload corruption, stragglers, memory pressure,
+torn spill writes), every event recorded as a structured
 :class:`FaultEvent` on the ``repro.obs`` streams.
 
 The tolerance half lives in :mod:`repro.faults.checkpoint` (per-batch
-checkpoint/restart stores for the MFBC driver) and in the consumers: the
-``mfbc`` retry loop (``retries=``/``resume_from=``) and the executors'
-graceful degradation chain (process → thread → serial).
+checkpoint/restart stores for the MFBC driver) and in the consumer: the
+drivers' recovery ladder (:mod:`repro.core.ladder`; ``retries=`` /
+``resume_from=``).
 
 See ``docs/robustness.md`` for the fault model and walkthroughs.
 """
@@ -34,7 +34,6 @@ from repro.faults.plan import (
     FaultPlan,
     RankFailure,
     ScriptedFault,
-    WorkerPoolDied,
     corrupt_copy,
     format_fault_report,
     payload_checksum,
@@ -49,7 +48,6 @@ __all__ = [
     "FaultError",
     "RankFailure",
     "CorruptPayload",
-    "WorkerPoolDied",
     "DeadlineExceeded",
     "resolve_fault_plan",
     "corrupt_copy",

@@ -1,13 +1,13 @@
 """Deterministic fault injection: the plan, the events, the exceptions.
 
 Long-running distributed BC jobs die mid-flight — the paper's Blue Waters
-runs (§7) sit exactly in the regime where ranks crash, interconnects flip
-bits, and node-local worker pools disappear.  This module provides the
-*injection* half of the robustness story: a :class:`FaultPlan` is a seeded,
-fully deterministic schedule of failures threaded through the simulated
-machine (:class:`~repro.machine.machine.Machine`), the collectives
-(:class:`~repro.machine.collectives.Group`), and the local-execution
-backends (:mod:`repro.machine.executor`).
+runs (§7) sit exactly in the regime where ranks crash and interconnects
+flip bits.  This module provides the *injection* half of the robustness
+story: a :class:`FaultPlan` is a seeded, fully deterministic schedule of
+failures threaded through the simulated machine
+(:class:`~repro.machine.machine.Machine`), the collectives
+(:class:`~repro.machine.collectives.Group`) and the spill store
+(:class:`~repro.memory.SpillStore`).
 
 Fault kinds
 -----------
@@ -29,10 +29,6 @@ Fault kinds
     One participant's modeled clock is skewed forward by a random factor of
     ``skew`` seconds, charged straight to the ledger — a slow rank
     lengthening the critical path.
-``poolkill``
-    The local executor's worker pool dies mid-batch (the thread backend
-    raises :class:`WorkerPoolDied`).  Recovery is the executor's graceful
-    degradation (thread → serial).
 ``mem``
     Memory pressure: the machine's per-rank budget is tightened by a
     factor at construction, so allocations/plans that would have fit now
@@ -55,11 +51,11 @@ Spec grammar
 ``FaultPlan.from_spec`` (the grammar of the ``faults`` knob, see
 :mod:`repro.config`) accepts comma-separated tokens::
 
-    seed:3,crash:0.05,corrupt:0.01,straggle:0.1,poolkill:0.02,
+    seed:3,crash:0.05,corrupt:0.01,straggle:0.1,tear:0.02,
     checksum:1,mem:0.5,skew:1e-4,limit:10,crash@12,corrupt@7,straggle@9:2
 
 * ``seed:N`` — generator seed (default 0);
-* ``crash|corrupt|straggle|poolkill|tear:RATE`` — per-decision
+* ``crash|corrupt|straggle|tear:RATE`` — per-decision
   probabilities in ``[0, 1]``;
 * ``checksum:0|1`` — arm the payload checksum guard on Group collectives;
 * ``mem:FACTOR`` — multiply the machine's memory budget by ``FACTOR``
@@ -89,7 +85,6 @@ __all__ = [
     "FaultError",
     "RankFailure",
     "CorruptPayload",
-    "WorkerPoolDied",
     "DeadlineExceeded",
     "FaultEvent",
     "ScriptedFault",
@@ -102,6 +97,12 @@ __all__ = [
 
 #: default modeled straggler skew scale, in seconds.
 DEFAULT_SKEW_SECONDS = 1e-4
+
+#: fault kinds with a per-decision rate (``KIND:RATE``) and a scripted form
+#: (``KIND@STEP``); quoted in the error for a spec naming anything else
+_RATE_KINDS = ("crash", "corrupt", "straggle", "tear")
+#: every ``key:value`` key of the spec grammar
+_SPEC_KEYS = ("seed", *_RATE_KINDS, "skew", "checksum", "mem", "limit")
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +137,6 @@ class CorruptPayload(FaultError):
         self.step = step
 
 
-class WorkerPoolDied(FaultError):
-    """A local executor's worker pool died mid-batch."""
-
-    def __init__(self, backend: str, site: str) -> None:
-        super().__init__(f"{backend} worker pool died during {site!r}")
-        self.backend = backend
-        self.site = site
-
-
 class DeadlineExceeded(FaultError):
     """The machine's modeled critical-path time overran its deadline budget.
 
@@ -175,7 +167,7 @@ class DeadlineExceeded(FaultError):
 class FaultEvent:
     """One injected, detected, or recovered fault."""
 
-    kind: str  # crash | corrupt | straggle | pool | mem | batch
+    kind: str  # crash | corrupt | straggle | mem | batch
     action: str  # injected | detected | recovered | degraded | resumed | abandoned
     step: int  # the plan's collective-charge counter at the event
     site: str  # where it happened ("bcast", "spgemm", "mfbc.batch", ...)
@@ -203,8 +195,11 @@ class ScriptedFault:
     __slots__ = ("kind", "step", "rank", "fired")
 
     def __init__(self, kind: str, step: int, rank: int | None = None) -> None:
-        if kind not in ("crash", "straggle", "corrupt", "poolkill", "tear"):
-            raise ValueError(f"unknown scripted fault kind {kind!r}")
+        if kind not in _RATE_KINDS:
+            raise ValueError(
+                f"unknown scripted fault kind {kind!r} "
+                f"(expected one of {', '.join(_RATE_KINDS)})"
+            )
         if step <= 0:
             raise ValueError(f"scripted fault step must be positive, got {step}")
         self.kind = kind
@@ -346,7 +341,6 @@ class FaultPlan:
         crash: float = 0.0,
         corrupt: float = 0.0,
         straggle: float = 0.0,
-        poolkill: float = 0.0,
         tear: float = 0.0,
         skew: float = DEFAULT_SKEW_SECONDS,
         checksum: bool = False,
@@ -358,7 +352,6 @@ class FaultPlan:
             ("crash", crash),
             ("corrupt", corrupt),
             ("straggle", straggle),
-            ("poolkill", poolkill),
             ("tear", tear),
         ):
             if not 0.0 <= rate <= 1.0:
@@ -373,7 +366,6 @@ class FaultPlan:
         self.crash = float(crash)
         self.corrupt = float(corrupt)
         self.straggle = float(straggle)
-        self.poolkill = float(poolkill)
         self.tear = float(tear)
         self.skew = float(skew)
         self.checksum = bool(checksum)
@@ -403,7 +395,6 @@ class FaultPlan:
             self.crash
             or self.corrupt
             or self.straggle
-            or self.poolkill
             or self.tear
             or self.checksum
             or self.mem is not None
@@ -453,9 +444,7 @@ class FaultPlan:
             try:
                 if key == "seed":
                     kwargs["seed"] = int(value)
-                elif key in (
-                    "crash", "corrupt", "straggle", "poolkill", "tear", "skew"
-                ):
+                elif key in _RATE_KINDS or key == "skew":
                     kwargs[key] = float(value)
                 elif key == "checksum":
                     kwargs["checksum"] = bool(int(value))
@@ -464,7 +453,10 @@ class FaultPlan:
                 elif key == "limit":
                     kwargs["limit"] = int(value)
                 else:
-                    raise ValueError(f"unknown fault spec key {key!r}")
+                    raise ValueError(
+                        f"unknown fault spec key {key!r} "
+                        f"(expected one of {', '.join(_SPEC_KEYS)})"
+                    )
             except ValueError as exc:
                 if "unknown fault spec key" in str(exc):
                     raise
@@ -508,7 +500,7 @@ class FaultPlan:
     def _may_inject(self) -> bool:
         return self.limit is None or self.injected < self.limit
 
-    # -- decision hooks (called by machine / collectives / executor) ---------
+    # -- decision hooks (called by machine / collectives / spill store) ------
 
     def on_collective(self, machine, ranks, site: str) -> None:
         """Called once per charged collective; may straggle or crash.
@@ -577,20 +569,6 @@ class FaultPlan:
         self.note("corrupt", "injected", site=site)
         return damaged, True
 
-    def take_poolkill(self, site: str) -> bool:
-        """Should the executor's worker pool die before this batch?"""
-        for sc in self.script:
-            if not sc.fired and sc.kind == "poolkill" and sc.step <= self.step:
-                sc.fired = True
-                return True
-        if (
-            self.poolkill
-            and self._may_inject()
-            and self.rng.random() < self.poolkill
-        ):
-            return True
-        return False
-
     def take_tear(self, site: str) -> bool:
         """Should this spill-segment write be torn mid-file?
 
@@ -625,7 +603,7 @@ class FaultPlan:
 
     def describe(self) -> str:
         parts = [f"seed:{self.seed}"]
-        for key in ("crash", "corrupt", "straggle", "poolkill", "tear"):
+        for key in _RATE_KINDS:
             rate = getattr(self, key)
             if rate:
                 parts.append(f"{key}:{rate:g}")

@@ -17,25 +17,14 @@ bulk-synchronous p-rank machine (see DESIGN.md).  It provides:
   driver-level reduction is one of these calls;
 * :mod:`~repro.machine.grid` — processor-grid shape arithmetic
   (factorizations, the near-square resting layout, survivor renumbering);
-* :mod:`~repro.machine.executor` — pluggable local-execution backends
-  (serial / thread-pool) that fan the independent per-rank local kernels
-  across host cores while keeping results and ledger totals
-  bit-identical, and that degrade gracefully (thread → serial) when a
-  pool dies.
+* :mod:`~repro.machine.executor` — the loop that runs the independent
+  per-rank local kernels between two collectives, in rank order.
 
 Fault injection (``Machine(p, faults=...)``) lives in :mod:`repro.faults`
 and hooks into every layer above; see ``docs/robustness.md``.
 """
 
-from repro.machine.executor import (
-    POOL_FAILURES,
-    LocalExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    available_backends,
-    executor_skew_report,
-    resolve_executor,
-)
+from repro.machine.executor import LocalExecutor
 from repro.machine.machine import CostParams, Ledger, Machine, MemoryLimitExceeded
 from repro.machine.collectives import Group, payload_words
 from repro.machine.grid import near_square_shape
@@ -48,11 +37,5 @@ __all__ = [
     "Group",
     "payload_words",
     "near_square_shape",
-    "POOL_FAILURES",
     "LocalExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "available_backends",
-    "resolve_executor",
-    "executor_skew_report",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 from repro import config
 from repro.faults.plan import DeadlineExceeded, FaultPlan, resolve_fault_plan
 from repro.machine.collectives import TREE, Group
-from repro.machine.executor import LocalExecutor, resolve_executor
+from repro.machine.executor import LocalExecutor
 from repro.machine.grid import log2ceil, survivor_map
 from repro.obs import api as obs
 from repro.sparse.dispatch import resolve_kernel_mode
@@ -174,8 +174,8 @@ class Machine:
     ``deadline`` is a knob of :mod:`repro.config`: ``None`` (the default)
     takes the ambient value, an off-spelling the knob's default, and the
     resolved value is stored on the attribute of the same name — the
-    machine is what carries a run's configuration to engines, executor
-    workers and :class:`~repro.serve.BCService`.
+    machine is what carries a run's configuration to engines and
+    :class:`~repro.serve.BCService`.
 
     memory_words:
         Per-rank memory budget ``M`` in 8-byte words.  Tracked allocations
@@ -185,19 +185,12 @@ class Machine:
     spill_dir:
         Directory for the spill store's evicted-block segments; unset, a
         private temporary directory is created on first eviction.
-    executor:
-        Local-execution backend for the independent per-rank kernels: a
-        :class:`~repro.machine.executor.LocalExecutor` instance or a
-        backend name like ``"thread"`` / ``"thread:8"``.  Results and
-        ledger totals are bit-identical across backends; only host
-        wall-clock time changes.
     faults:
         Deterministic fault injection: a :class:`~repro.faults.FaultPlan`
         or a spec string like ``"seed:3,crash:0.05"`` (see
         :mod:`repro.faults.plan` for the grammar).  An armed plan hooks
-        the charge paths, the collectives' payload delivery, and the
-        executor's batch dispatch; an inert plan (all rates zero, no
-        script) costs the hot paths nothing.
+        the charge paths and the collectives' payload delivery; an inert
+        plan (all rates zero, no script) costs the hot paths nothing.
     check:
         Correctness-checking level for engines built on this machine: a
         :class:`~repro.check.engine.CheckConfig` or a spec string
@@ -229,7 +222,6 @@ class Machine:
         *,
         cost: CostParams | None = None,
         memory_words: int | None = None,
-        executor: "LocalExecutor | str | None" = None,
         faults: "FaultPlan | str | None" = None,
         check=None,
         deadline: float | None = None,
@@ -260,10 +252,9 @@ class Machine:
         self.memory = MemoryManager(
             self, spill_dir=config.ambient("spill_dir", spill_dir)
         )
-        self.executor = resolve_executor(executor)
-        if self._fault_hook is not None:
-            self.executor.fault_plan = self.faults
-        self.kernel = self.executor.kernel_mode = resolve_kernel_mode(kernel)
+        self.kernel = resolve_kernel_mode(kernel)
+        #: runs the per-rank local work between two collectives
+        self.executor = LocalExecutor(self.kernel)
         self.check = resolve_check_config(check)
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
@@ -576,7 +567,6 @@ class Machine:
         deadline = f", deadline={self.deadline}" if self.deadline is not None else ""
         elastic = f", elastic={self.elastic.describe()}" if self.elastic else ""
         return (
-            f"Machine(p={self.p}, M={self.memory_words}, "
-            f"executor={self.executor.name}{faults}{deadline}{elastic}, "
-            f"kernel={self.kernel})"
+            f"Machine(p={self.p}, M={self.memory_words}"
+            f"{faults}{deadline}{elastic}, kernel={self.kernel})"
         )

@@ -307,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--batch-window", type=float, default=0.005)
     parser.add_argument("--http", action="store_true", help="drive via the HTTP front end")
-    add_run_flags(parser, "faults", "elastic", "executor", "check")
+    add_run_flags(parser, "faults", "elastic", "check")
     args = parser.parse_args(argv)
 
     from repro.graphs import rmat_graph

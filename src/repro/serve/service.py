@@ -108,8 +108,8 @@ class BCService:
         the score cache.
     machine:
         The :class:`~repro.machine.Machine` to serve on (keyword-only) —
-        it carries the run configuration (executor, faults, check,
-        elastic, deadline, kernel, memory budget; see
+        it carries the run configuration (faults, check, elastic,
+        deadline, kernel, memory budget; see
         :mod:`repro.config`).  When None, ``Machine(p)`` with the ambient
         configuration.
     p:
@@ -310,54 +310,21 @@ class BCService:
             if floor > budget:
                 # not even a width-1 sweep fits the per-rank budget: the
                 # memory ladder has nothing left to shrink, so fail fast
-                if obs.enabled():
-                    obs.count(
-                        "serve.overload.infeasible", 1.0, algorithm=requested
-                    )
-                with self._registry_lock:
-                    self._counters["infeasible"] += 1
-                query = Query(
-                    algorithm=algorithm,
-                    params=params,
-                    deadline=deadline,
-                    degraded=degraded,
-                    requested_algorithm=requested if degraded else None,
-                    client=client,
+                return self._reject_infeasible(
+                    algorithm, params, requested,
+                    deadline=deadline, degraded=degraded, client=client,
+                    reason=f"memory infeasible: modeled peak {floor:.3e} "
+                    f"words at batch width 1 exceeds the {budget:.3e}-word "
+                    f"per-rank budget before queueing",
                 )
-                with self._registry_lock:
-                    self._queries[query.id] = query
-                    self._counters["submitted"] += 1
-                self._fail(
-                    query,
-                    QueryState.EXPIRED,
-                    f"memory infeasible: modeled peak {floor:.3e} words at "
-                    f"batch width 1 exceeds the {budget:.3e}-word per-rank "
-                    f"budget before queueing",
-                )
-                return query.id
         if deadline is not None and estimate > deadline:
-            if obs.enabled():
-                obs.count("serve.overload.infeasible", 1.0, algorithm=requested)
-            with self._registry_lock:
-                self._counters["infeasible"] += 1
-            query = Query(
-                algorithm=algorithm,
-                params=params,
-                deadline=deadline,
-                degraded=degraded,
-                requested_algorithm=requested if degraded else None,
-                client=client,
+            return self._reject_infeasible(
+                algorithm, params, requested,
+                deadline=deadline, degraded=degraded, client=client,
+                reason=f"deadline infeasible: modeled cost estimate "
+                f"{estimate:.3e}s exceeds the {deadline:.3e}s budget before "
+                f"queueing",
             )
-            with self._registry_lock:
-                self._queries[query.id] = query
-                self._counters["submitted"] += 1
-            self._fail(
-                query,
-                QueryState.EXPIRED,
-                f"deadline infeasible: modeled cost estimate {estimate:.3e}s "
-                f"exceeds the {deadline:.3e}s budget before queueing",
-            )
-            return query.id
         if self._draining:
             self._count_shed("draining")
             raise AdmissionError(
@@ -550,7 +517,6 @@ class BCService:
                     self._counters["cancelled"] += 1
         self._dispatcher.join(5.0)
         self._watchdog.join(5.0)
-        self.machine.executor.close()
 
     def __enter__(self) -> "BCService":
         return self
@@ -990,6 +956,36 @@ class BCService:
         if degraded and obs.enabled():
             obs.count("serve.overload.degraded", 1.0, algorithm=requested)
         self._note_query(query)
+        return query.id
+
+    def _reject_infeasible(
+        self,
+        algorithm: str,
+        params: dict,
+        requested: str,
+        *,
+        deadline: float | None,
+        degraded: bool,
+        client: str | None,
+        reason: str,
+    ) -> str:
+        """Register a query that can never be served and expire it unqueued."""
+        if obs.enabled():
+            obs.count("serve.overload.infeasible", 1.0, algorithm=requested)
+        with self._registry_lock:
+            self._counters["infeasible"] += 1
+        query = Query(
+            algorithm=algorithm,
+            params=params,
+            deadline=deadline,
+            degraded=degraded,
+            requested_algorithm=requested if degraded else None,
+            client=client,
+        )
+        with self._registry_lock:
+            self._queries[query.id] = query
+            self._counters["submitted"] += 1
+        self._fail(query, QueryState.EXPIRED, reason)
         return query.id
 
     def _count_shed(self, reason: str) -> None:

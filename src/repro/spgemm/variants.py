@@ -132,19 +132,16 @@ def _local_mul_batch(
     product matrices in task order and the total elementary operations.
 
     On real hardware the per-rank kernels between two collectives run
-    concurrently; here the machine's executor fans them across host cores
-    (when the work amortizes the dispatch overhead).  Results come back in
-    task order and ledger charges are applied on the simulation thread in
-    that same order, so matrices and ledger totals are bit-identical to
-    running the products one by one.  ``masks[i]`` is the structural
-    output mask for task ``i`` (already sliced to the task's output frame).
+    concurrently; here the machine's executor runs them one after another
+    in task order and the ledger charges follow in that same order.
+    ``masks[i]`` is the structural output mask for task ``i`` (already
+    sliced to the task's output frame).
     """
     results = machine.executor.run_spgemm(
         [(x, y) for _, x, y in tasks],
         spec,
         masks=masks,
         mask_complement=mask_complement,
-        ranks=[rank for rank, _, _ in tasks],
     )
     for (rank, _, _), res in zip(tasks, results):
         machine.charge_compute([rank], float(res.ops))

@@ -191,21 +191,3 @@ class TestLiteralReports:
             "    step    40  batch    recovered rank   -  mfbc.batch\n"
             "    step    41  mem      squeezed  rank   0  spgemm"
         )
-
-    def test_executor_skew(self):
-        from repro.machine import Machine, executor_skew_report
-        from repro.obs.metrics import Metrics
-
-        machine = Machine(2)
-        machine.charge_compute([0], 4.0e6)
-        m = Metrics()
-        m.observe("executor.rank_wall_seconds", 0.002, rank=0)
-        m.observe("executor.rank_wall_seconds", 0.004, rank=0)
-        m.observe("executor.rank_wall_seconds", 0.001, rank=1)
-        assert executor_skew_report(m, machine) == (
-            "executor per-rank wall vs modeled compute:\n"
-            "rank  tasks  wall ms  modeled ms  skew\n"
-            "----  -----  -------  ----------  ----\n"
-            "   0      2    6.000       4.000  1.50\n"
-            "   1      1    1.000       0.000     -"
-        )

@@ -8,12 +8,11 @@ broadest equivalence net over the distribution logic: any divergence in
 redistribution, piece extraction, reduction order, or identity pruning
 shows up here.
 
-The cross-*executor* tests at the bottom re-run the same programs on the
-distributed engine under every route a local multiply can take (serial /
-thread backend, with the dispatch gate forced open, × generic / auto
-kernel mode) and require bit-identical gathered matrices *and*
-bit-identical ``ledger.snapshot()`` — the determinism guarantee the
-executor subsystem and the kernel tier promise.
+The cross-*kernel* tests at the bottom re-run the same programs on the
+distributed engine under both routes a local multiply can take (generic /
+auto kernel mode) and require bit-identical gathered matrices *and*
+bit-identical ``ledger.snapshot()`` — the determinism guarantee the kernel
+tier promises.
 """
 
 import numpy as np
@@ -30,7 +29,6 @@ from repro.core.engine import SequentialEngine
 from repro.dist import DistributedEngine
 from repro.graphs import Graph
 from repro.machine import Machine
-from repro.machine.executor import SerialExecutor, ThreadExecutor
 from repro.sparse import KERNEL_MODES
 from repro.spgemm import Plan
 from repro.spgemm.selector import PinnedPolicy
@@ -107,34 +105,21 @@ def test_multpath_product_chain_agrees(seed, p):
 
 
 # ---------------------------------------------------------------------------
-# cross-route determinism: serial vs thread, generic vs auto
+# cross-route determinism: generic vs auto
 # ---------------------------------------------------------------------------
-
-# Pools are shared across examples (and the gate forced open with
-# ``fanout_min_work=0``) so every batch actually crosses the backend even
-# at fuzz-sized inputs, without paying pool startup per example.
-
-
-@pytest.fixture(scope="module")
-def executors():
-    exs = [SerialExecutor(), ThreadExecutor(2, fanout_min_work=0)]
-    yield exs
-    for ex in exs:
-        ex.close()
 
 
 @given(pipelines())
 @settings(max_examples=10)
-def test_pipelines_agree_across_executors(executors, pipeline):
+def test_pipelines_agree_across_kernels(pipeline):
     n, seed, p, ops = pipeline
     ref = _run(SequentialEngine(), n, seed, ops)
     snaps = []
-    for ex in executors:
-        for kernel in KERNEL_MODES:
-            machine = Machine(p, executor=ex, kernel=kernel)
-            got = _run(DistributedEngine(machine), n, seed, ops)
-            assert got.equals(ref), (n, seed, p, ops, ex.name, kernel)
-            snaps.append(machine.ledger.snapshot())
+    for kernel in KERNEL_MODES:
+        machine = Machine(p, kernel=kernel)
+        got = _run(DistributedEngine(machine), n, seed, ops)
+        assert got.equals(ref), (n, seed, p, ops, kernel)
+        snaps.append(machine.ledger.snapshot())
     assert snaps.count(snaps[0]) == len(snaps), (n, seed, p, ops, "ledger diverged")
 
 
@@ -155,10 +140,9 @@ PLANS_P4 = [
 
 @given(st.integers(0, 5000), st.sampled_from(PLANS_P4))
 @settings(max_examples=18)
-def test_variant_classes_agree_across_executors(executors, seed, plan):
-    """Every §5.2 variant class, every backend and kernel mode (the
-    products here take the fused path kernel under ``auto``): same matrix,
-    same ledger."""
+def test_variant_classes_agree_across_kernels(seed, plan):
+    """Every §5.2 variant class, both kernel modes (the products here take
+    the compiled path kernel under ``auto``): same matrix, same ledger."""
     n = 16
     rng = np.random.default_rng(seed)
     mask = rng.random((n, n)) < 0.3
@@ -166,8 +150,8 @@ def test_variant_classes_agree_across_executors(executors, seed, plan):
     aw = rng.integers(1, 9, len(ar)).astype(float)
     srcs = rng.choice(n, size=3, replace=False).astype(np.int64)
 
-    def run(executor, kernel):
-        machine = Machine(4, executor=executor, kernel=kernel)
+    def run(kernel):
+        machine = Machine(4, kernel=kernel)
         engine = DistributedEngine(machine, policy=PinnedPolicy(plan))
         adj = engine.matrix(n, n, ar, ac, {"w": aw}, W)
         engine.register_invariant(adj)
@@ -183,16 +167,14 @@ def test_variant_classes_agree_across_executors(executors, seed, plan):
             f, _ = engine.spgemm(f, adj, BF)
         return engine.gather(f), machine.ledger.snapshot()
 
-    routes = [(ex, kernel) for ex in executors for kernel in KERNEL_MODES]
-    ref_mat, ref_snap = run(*routes[0])  # serial, generic
-    for ex, kernel in routes[1:]:
-        got, snap = run(ex, kernel)
-        assert got.equals(ref_mat), (seed, plan.describe(), ex.name, kernel)
-        assert snap == ref_snap, (seed, plan.describe(), ex.name, kernel)
+    ref_mat, ref_snap = run("generic")
+    got, snap = run("auto")
+    assert got.equals(ref_mat), (seed, plan.describe())
+    assert snap == ref_snap, (seed, plan.describe())
 
 
 # ---------------------------------------------------------------------------
-# weighted-graph and degenerate-graph edge cases, cross-executor × variants
+# weighted-graph and degenerate-graph edge cases, cross-kernel × variants
 # ---------------------------------------------------------------------------
 
 
@@ -230,16 +212,16 @@ def _edge_case_graphs():
 
 
 @pytest.mark.parametrize("case", sorted(_edge_case_graphs()))
-def test_edge_case_graphs_agree_across_executors(executors, case):
-    """Empty / singleton / self-loop / disconnected graphs: every backend
-    produces the sequential scores, under full checking."""
+def test_edge_case_graphs_agree_across_kernels(case):
+    """Empty / singleton / self-loop / disconnected graphs: both kernel
+    modes produce the sequential scores, under full checking."""
     g = _edge_case_graphs()[case]
     ref = mfbc(g).scores
     assert np.allclose(ref, brandes_bc(g), atol=1e-12)
-    for ex in executors:
-        engine = DistributedEngine(Machine(4, executor=ex), check="full")
+    for kernel in KERNEL_MODES:
+        engine = DistributedEngine(Machine(4, kernel=kernel), check="full")
         got = mfbc(g, engine=engine).scores
-        assert np.allclose(got, ref, atol=1e-12), (case, ex.name)
+        assert np.allclose(got, ref, atol=1e-12), (case, kernel)
 
 
 @pytest.mark.parametrize("plan", PLANS_P4, ids=lambda p: p.describe())

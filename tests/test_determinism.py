@@ -5,10 +5,9 @@ Two guarantees worth pinning separately from correctness:
 * the graph generators are pure functions of their seed — same seed, same
   edge list, byte for byte (regressions here silently invalidate every
   cross-run comparison in the benchmark suite);
-* MFBC itself is deterministic across *executor backends*: serial and
-  thread pool runs of the same problem produce bit-identical score
-  vectors, not merely close ones (floating-point min/+ reductions are
-  reassociation-sensitive, so this pins the merge order too).
+* MFBC itself is deterministic: two runs of the same problem produce
+  bit-identical score vectors, not merely close ones (floating-point min/+
+  reductions are reassociation-sensitive, so this pins the merge order too).
 """
 
 import numpy as np
@@ -22,7 +21,6 @@ from repro.graphs import (
     with_random_weights,
 )
 from repro.machine import Machine
-from repro.machine.executor import SerialExecutor, ThreadExecutor
 
 
 def _edges(g):
@@ -70,20 +68,6 @@ class TestScoreDeterminism:
         s1 = mfbc(graph).scores
         s2 = mfbc(graph).scores
         assert np.array_equal(s1, s2)
-
-    def test_backends_are_bit_identical(self, graph):
-        ref = mfbc(graph, engine=DistributedEngine(Machine(4))).scores
-        for make in (
-            lambda: SerialExecutor(),
-            lambda: ThreadExecutor(2, fanout_min_work=0),
-        ):
-            ex = make()
-            try:
-                engine = DistributedEngine(Machine(4, executor=ex))
-                got = mfbc(graph, engine=engine).scores
-            finally:
-                ex.close()
-            assert np.array_equal(got, ref), ex.name
 
     def test_sequential_vs_distributed_bit_identical_batches(self, graph):
         """Batching changes the schedule, not the bits: the distributed run

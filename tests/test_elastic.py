@@ -6,8 +6,7 @@ redundancy and lost-block repair, the Group epoch guard, the deadline
 guard, and the ISSUE's acceptance bars: seeded runs with one and two
 injected mid-batch rank failures complete *without restart*, bit-identical
 to fault-free runs of the same configuration, across the §5.2 variant
-policies and both executors, with post-recovery ledger invariants
-intact.
+policies, with post-recovery ledger invariants intact.
 """
 
 import numpy as np
@@ -286,16 +285,13 @@ def _policy(name, p):
 
 
 class TestRecoveryDifferential:
-    @pytest.mark.parametrize("executor", ["serial", "thread:2"])
     @pytest.mark.parametrize(
         "policy_name,p,p_after", [("auto", 6, 5), ("square2d", 9, 4), ("ca", 8, 2)]
     )
-    def test_single_failure_bit_identical(
-        self, graph, policy_name, p, p_after, executor
-    ):
+    def test_single_failure_bit_identical(self, graph, policy_name, p, p_after):
         """One injected mid-batch rank failure: the run completes without
         restart, shrinks the grid, and the scores are bit-identical to
-        fault-free — on every executor, under cheap checking.
+        fault-free, under cheap checking.
 
         The crash lands in the first batch, so every batch effectively
         executes at the post-recovery configuration; the determinism claim
@@ -305,7 +301,7 @@ class TestRecoveryDifferential:
         ref = scores_of(
             graph, quiet(p_after), policy=_policy(policy_name, p_after)
         )
-        m = Machine(p, executor=executor, faults=ONE_CRASH, elastic="replica")
+        m = Machine(p, faults=ONE_CRASH, elastic="replica")
         eng = DistributedEngine(m, policy=_policy(policy_name, p), check="cheap")
         res = mfbc(graph, batch_size=8, engine=eng)
         assert np.array_equal(res.scores, ref)
@@ -319,10 +315,9 @@ class TestRecoveryDifferential:
         assert eng.stats["mismatches"] == 0
         assert check_ledger(m) == []
 
-    @pytest.mark.parametrize("executor", ["serial", "thread:2"])
-    def test_two_failures_bit_identical(self, graph, executor):
+    def test_two_failures_bit_identical(self, graph):
         ref = scores_of(graph, quiet(6))
-        m = Machine(6, executor=executor, faults=TWO_CRASHES, elastic="replica")
+        m = Machine(6, faults=TWO_CRASHES, elastic="replica")
         res = scores_of(graph, m, check="cheap")
         assert np.array_equal(res, ref)
         assert [(r.p_before, r.p_after) for r in m.recoveries] == [(6, 5), (5, 4)]

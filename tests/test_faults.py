@@ -3,9 +3,8 @@
 Covers the :class:`FaultPlan` spec grammar and validation, seed-exact
 determinism of the injected event stream, payload corruption + the checksum
 guard at the Group collectives (on their own and inside the products of a
-real ``mfbc``), straggler skew, memory-pressure tightening,
-the executors' pool-kill injection and thread → serial graceful
-degradation (bit-identical results), the mfbc retry loop, and the ISSUE's
+real ``mfbc``), straggler skew, memory-pressure tightening, the mfbc
+retry loop, and the ISSUE's
 end-to-end acceptance criteria (crash → checkpoint → resume re-executes
 only the remaining batches, bit-identical scores).
 """
@@ -27,36 +26,10 @@ from repro.faults import (
     resolve_fault_plan,
 )
 from repro.machine import Group, Machine, MemoryLimitExceeded
-from repro.machine.executor import SerialExecutor, ThreadExecutor
-from repro.sparse.spgemm import spgemm
 from repro.spgemm import Plan
 from repro.spgemm.selector import PinnedPolicy
 
 from conftest import random_weight_spmat
-
-from repro.algebra import TROPICAL
-
-SPEC = TROPICAL.matmul_spec()
-
-
-def spgemm_pairs(rng, n_pairs=6, m=18, density=0.3):
-    return [
-        (
-            random_weight_spmat(rng, m, m, density),
-            random_weight_spmat(rng, m, m, density),
-        )
-        for _ in range(n_pairs)
-    ]
-
-
-def assert_results_equal(got, ref):
-    assert len(got) == len(ref)
-    for r, e in zip(got, ref):
-        assert r.ops == e.ops
-        assert np.array_equal(r.matrix.rows, e.matrix.rows)
-        assert np.array_equal(r.matrix.cols, e.matrix.cols)
-        for name in e.matrix.monoid.field_names:
-            assert np.array_equal(r.matrix.vals[name], e.matrix.vals[name])
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +40,14 @@ def assert_results_equal(got, ref):
 class TestSpecParsing:
     def test_full_grammar(self):
         plan = FaultPlan.from_spec(
-            "seed:7,crash:0.05,corrupt:0.01,straggle:0.1,poolkill:0.02,"
+            "seed:7,crash:0.05,corrupt:0.01,straggle:0.1,tear:0.02,"
             "checksum:1,mem:0.5,skew:2e-4,limit:10,crash@12,straggle@9:2,corrupt@7"
         )
         assert plan.seed == 7
         assert plan.crash == 0.05
         assert plan.corrupt == 0.01
         assert plan.straggle == 0.1
-        assert plan.poolkill == 0.02
+        assert plan.tear == 0.02
         assert plan.checksum is True
         assert plan.mem == 0.5
         assert plan.skew == 2e-4
@@ -107,6 +80,11 @@ class TestSpecParsing:
     )
     def test_bad_specs_raise(self, spec):
         with pytest.raises(ValueError):
+            FaultPlan.from_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["seed:1,poolkill:0.1", "poolkill@3"])
+    def test_the_pool_fault_went_with_the_pool(self, spec):
+        with pytest.raises(ValueError, match="crash, corrupt, straggle, tear"):
             FaultPlan.from_spec(spec)
 
     def test_describe_round_trips(self):
@@ -369,83 +347,6 @@ class TestStragglersAndMemory:
         for _ in range(10):
             g.bcast(np.ones(4))
         assert m.faults.injected == 3
-
-
-# ---------------------------------------------------------------------------
-# executor degradation
-# ---------------------------------------------------------------------------
-
-
-class TestExecutorDegradation:
-    def test_thread_degrades_to_serial_bit_identical(self, rng):
-        pairs = spgemm_pairs(rng)
-        ref = [spgemm(x, y, SPEC) for x, y in pairs]
-        ex = ThreadExecutor(2, fanout_min_work=0)
-        ex.fault_plan = FaultPlan(0, poolkill=1.0, limit=1)
-        out = ex.run_spgemm(pairs, SPEC)
-        assert_results_equal(out, ref)
-        assert isinstance(ex._successor, SerialExecutor)
-        actions = [(e.kind, e.action) for e in ex.fault_plan.events]
-        assert actions == [("pool", "injected"), ("pool", "degraded")]
-        ex.close()
-
-    def test_degraded_executor_delegates_future_batches(self, rng):
-        ex = ThreadExecutor(2, fanout_min_work=0)
-        ex.fault_plan = FaultPlan(0, poolkill=1.0, limit=1)
-        pairs = spgemm_pairs(rng)
-        ex.run_spgemm(pairs, SPEC)  # degrades here
-        ref = [spgemm(x, y, SPEC) for x, y in pairs]
-        out = ex.run_spgemm(pairs, SPEC)  # runs on the serial successor
-        assert_results_equal(out, ref)
-        assert ex.fault_plan.events[-1].action == "degraded"  # no new faults
-        ex.close()
-
-    def test_run_tasks_degrades_too(self):
-        ex = ThreadExecutor(2, fanout_min_work=0)
-        ex.fault_plan = FaultPlan(0, poolkill=1.0, limit=1)
-        out = ex.run_tasks(
-            [lambda i=i: i * i for i in range(8)], site="tasks", est_work=1e9
-        )
-        assert out == [i * i for i in range(8)]
-        assert isinstance(ex._successor, SerialExecutor)
-        ex.close()
-
-    def test_injection_skipped_for_inline_batches(self, rng):
-        """The pool can only die when a batch actually fans out: inline
-        batches (below the work floor) never consult the poolkill hook."""
-        ex = ThreadExecutor(2)  # default floor; tiny batches run inline
-        ex.fault_plan = FaultPlan(0, poolkill=1.0)
-        pairs = spgemm_pairs(rng, n_pairs=2, m=6, density=0.2)
-        ex.run_spgemm(pairs, SPEC)
-        assert ex._successor is None
-        assert ex.fault_plan.events == []
-        ex.close()
-
-    def test_close_is_idempotent_and_closes_successor(self, rng):
-        ex = ThreadExecutor(2, fanout_min_work=0)
-        ex.fault_plan = FaultPlan(0, poolkill=1.0, limit=1)
-        ex.run_spgemm(spgemm_pairs(rng), SPEC)
-        successor = ex._successor
-        assert successor is not None
-        ex.close()
-        ex.close()  # second close is a no-op, not an error
-        assert ex._pool is None
-
-    def test_executors_registered_for_atexit_cleanup(self):
-        from repro.machine.executor import _LIVE_EXECUTORS
-
-        ex = ThreadExecutor(2)
-        try:
-            assert ex in _LIVE_EXECUTORS
-        finally:
-            ex.close()
-
-    def test_serial_reference_untouched_by_fault_plan(self, rng):
-        ex = SerialExecutor()
-        ex.fault_plan = FaultPlan(0, poolkill=1.0)
-        pairs = spgemm_pairs(rng)
-        ref = [spgemm(x, y, SPEC) for x, y in pairs]
-        assert_results_equal(ex.run_spgemm(pairs, SPEC), ref)
 
 
 # ---------------------------------------------------------------------------

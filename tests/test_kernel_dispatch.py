@@ -8,6 +8,7 @@ is the oracle throughout.
 
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from repro.core.engine import SequentialEngine
 from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC
 from repro.dist import DistributedEngine
 from repro.machine import Machine
-from repro.machine.executor import ThreadExecutor
 from repro.sparse import (
     KernelTraits,
     SpGemmResult,
@@ -418,7 +418,8 @@ class TestCompiledPathsum:
     def test_threads_multiplying_at_once_agree_with_serial(
         self, spec, a_monoid, rng, tmp_path, monkeypatch
     ):
-        """The thread executor's route: more workers than cores, a short
+        """A ``BCService`` multiplies on its dispatcher thread and two
+        services can share a process: more workers than cores, a short
         switch interval, and a cold loader cache so the first products of
         several threads race into the build as well."""
         pairs = [
@@ -435,10 +436,15 @@ class TestCompiledPathsum:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ThreadExecutor(8, fanout_min_work=0) as ex:
+            with ThreadPoolExecutor(8) as pool:
                 for _ in range(5):
-                    got = ex.run_spgemm(pairs, spec, masks=masks)
-                    for g, w in zip(got, want):
+                    got = pool.map(
+                        lambda xy, m: spgemm(*xy, spec, mask=m),
+                        pairs,
+                        masks,
+                        timeout=60.0,
+                    )
+                    for g, w in zip(got, want, strict=True):
                         _assert_same_bits(g, w)
         finally:
             sys.setswitchinterval(interval)

@@ -1,11 +1,26 @@
-"""The simulated machine: cost charging, critical paths, collectives, memory."""
+"""The simulated machine: cost charging, critical paths, collectives, memory,
+the local-work loop, and the keyword-only constructor audit."""
 
 import numpy as np
 import pytest
 
-from repro.machine import CostParams, Group, Machine, MemoryLimitExceeded, payload_words
-from repro.sparse import SpMat
+from repro.algebra import TROPICAL
 from repro.algebra.monoid import MinMonoid
+from repro.core.engine import Engine, SequentialEngine
+from repro.dist import DistMat, DistributedEngine
+from repro.machine import (
+    CostParams,
+    Group,
+    LocalExecutor,
+    Machine,
+    MemoryLimitExceeded,
+    payload_words,
+)
+from repro.machine import executor as executor_module
+from repro.sparse import SpMat
+from repro.spgemm.selector import PinnedPolicy
+
+from conftest import random_weight_spmat
 
 W = MinMonoid()
 
@@ -315,3 +330,73 @@ class TestPayloadWords:
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             payload_words(object())
+
+
+class TestLocalExecutor:
+    def test_batches_run_in_submission_order_with_the_kernel_mode(
+        self, rng, monkeypatch
+    ):
+        ex = Machine(4, kernel="generic").executor
+        assert type(ex) is LocalExecutor
+        assert ex.run_tasks([lambda i=i: i * i for i in range(8)]) == [
+            i * i for i in range(8)
+        ]
+        spec = TROPICAL.matmul_spec()
+        pairs = [
+            (random_weight_spmat(rng, 6, 6, 0.4), random_weight_spmat(rng, 6, 6, 0.4))
+            for _ in range(5)
+        ]
+        masks = [None, pairs[0][0], None, None, pairs[1][1]]
+        calls = []
+
+        def recording(x, y, spec, **kw):
+            calls.append((x, y, kw))
+            return len(calls)
+
+        monkeypatch.setattr(executor_module, "spgemm", recording)
+        got = ex.run_spgemm(pairs, spec, masks=masks, mask_complement=True)
+        assert got == [1, 2, 3, 4, 5]
+        for (x, y, kw), (px, py), mk in zip(calls, pairs, masks, strict=True):
+            assert x is px and y is py
+            assert kw == {"mask": mk, "mask_complement": True, "kernel": "generic"}
+        assert ex.run_spgemm([], spec) == []
+
+
+class TestKeywordOnlySignatures:
+    def test_machine_rejects_positional_cost(self):
+        with pytest.raises(TypeError):
+            Machine(4, CostParams())
+
+    def test_engine_rejects_positional_policy(self):
+        with pytest.raises(TypeError):
+            DistributedEngine(Machine(4), PinnedPolicy.ca_mfbc(4, 1))
+
+    def test_distribute_rejects_positional_splits(self, rng):
+        machine = Machine(4)
+        mat = random_weight_spmat(rng, 10, 10, 0.3)
+        ranks2d = np.arange(4).reshape(2, 2)
+        with pytest.raises(TypeError):
+            DistMat.distribute(
+                mat, machine, ranks2d, np.array([0, 5, 10]), np.array([0, 5, 10])
+            )
+
+    def test_keyword_calls_work(self, rng):
+        machine = Machine(4, cost=CostParams(), memory_words=None)
+        eng = DistributedEngine(machine, policy=None)
+        assert eng.machine is machine
+        DistMat.distribute(
+            random_weight_spmat(rng, 8, 8, 0.3),
+            machine,
+            np.arange(4).reshape(2, 2),
+        )
+
+
+class TestEngineProtocol:
+    def test_runtime_checks(self):
+        assert isinstance(SequentialEngine(), Engine)
+        assert isinstance(DistributedEngine(Machine(2)), Engine)
+
+    def test_sequential_register_invariant_is_noop(self, rng):
+        eng = SequentialEngine()
+        mat = random_weight_spmat(rng, 5, 5, 0.5)
+        assert eng.register_invariant(mat) is None

@@ -43,7 +43,7 @@ def _service(graph, **kw):
     """A service on ``Machine(p=4, <the machine keywords among kw>)``."""
     kw.setdefault("batch_window", 0.05)
     if "machine" not in kw:
-        names = ("executor", "faults", "check", "elastic", "memory_words")
+        names = ("faults", "check", "elastic", "memory_words")
         kw["machine"] = Machine(4, **{k: kw.pop(k) for k in names if k in kw})
     return BCService(graph, **kw)
 

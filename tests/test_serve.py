@@ -48,7 +48,7 @@ def _service(graph, **kw):
     """A service on ``Machine(p=4, <the machine keywords among kw>)``."""
     kw.setdefault("batch_window", 0.05)
     if "machine" not in kw:
-        names = ("executor", "faults", "check", "elastic", "memory_words")
+        names = ("faults", "check", "elastic", "memory_words")
         kw["machine"] = Machine(4, **{k: kw.pop(k) for k in names if k in kw})
     return BCService(graph, **kw)
 
@@ -222,16 +222,12 @@ class TestScoreCache:
 
 
 class TestServiceCoalescing:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_concurrent_bc_source_coalesces_and_is_bit_identical(
-        self, graph, executor
-    ):
+    def test_concurrent_bc_source_coalesces_and_is_bit_identical(self, graph):
         """The acceptance criterion, under REPRO_CHECK=cheap semantics."""
         k, max_batch = 10, 4
         sources = list(range(k))
         with _service(
             graph,
-            executor=executor,
             check="cheap",
             max_batch=max_batch,
             batch_window=0.2,
