@@ -6,4 +6,5 @@ from repro.cli import main
 
 __all__ = ["main"]
 
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(main())

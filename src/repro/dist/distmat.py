@@ -1,11 +1,14 @@
 """Block-distributed sparse matrices.
 
-A :class:`DistMat` assigns a ``pr × pc`` blocking of an ``nrows × ncols``
-matrix onto a 2D array of machine ranks.  Blocks are node-local
-:class:`~repro.sparse.SpMat` matrices in *local* coordinates.  Elementwise
-operations (the CTF ``Transform``/``sparsify``/summation surface that MFBC's
-frontier logic uses) act block-by-block and are communication-free whenever
-the operands are co-distributed — the engine maintains that invariant.
+A :class:`Layout` is a ``pr × pc`` blocking of an ``nrows × ncols`` matrix
+onto a 2D array of machine ranks; a :class:`DistMat` is one layout and its
+blocks, node-local :class:`~repro.sparse.SpMat` matrices in *local*
+coordinates.  Every change of layout asks the layout one question — which
+index ranges of a block overlap the target's blocks (:meth:`Layout.cut`).
+Elementwise operations (the CTF ``Transform``/``sparsify``/summation surface
+that MFBC's frontier logic uses) act block-by-block and are
+communication-free whenever the operands are co-distributed — the engine
+maintains that invariant.
 
 The paper's load-balance assumption (§5.2, balls-into-bins after random
 vertex relabeling) is what makes these oblivious even splits balanced.
@@ -13,6 +16,7 @@ vertex relabeling) is what makes these oblivious even splits balanced.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from typing import Callable
@@ -23,7 +27,7 @@ from repro.algebra.monoid import Monoid, stable_key_sort
 from repro.machine.machine import Machine
 from repro.sparse.spmatrix import SpMat
 
-__all__ = ["DistMat", "axis_block", "even_splits"]
+__all__ = ["DistMat", "Layout", "axis_block", "even_splits"]
 
 #: process-wide ids for spill segment keys (stable across re-spills,
 #: never recycled like ``id()`` can be)
@@ -84,16 +88,6 @@ def _release_charge(holder: _MemCharge) -> None:
     holder.release()
 
 
-def _by_owner(ranks2d: np.ndarray, blocks) -> tuple[np.ndarray, list[list[SpMat]]]:
-    """The grid's distinct ranks (ascending) and the blocks each one holds:
-    the participants and per-participant parts of a scatter or gather."""
-    ranks, owner = np.unique(ranks2d.ravel(), return_inverse=True)
-    held: list[list[SpMat]] = [[] for _ in ranks]
-    for k, blk in zip(owner, (blk for row in blocks for blk in row)):
-        held[k].append(blk)
-    return ranks, held
-
-
 class _LazyBlockRow:
     """One row of a spilled matrix's block grid; faults blocks in on read."""
 
@@ -141,45 +135,6 @@ class _LazyBlocks:
             yield _LazyBlockRow(self._mat, i)
 
 
-def _pack_block(
-    src: SpMat,
-    r0: int,
-    c0: int,
-    row_splits: np.ndarray,
-    col_splits: np.ndarray,
-    monoid: Monoid,
-) -> list[tuple[int, int, SpMat]]:
-    """Slice one source block against a target blocking.
-
-    Returns ``(a, b, piece)`` entries in deterministic (a, b ascending)
-    order — the per-source-block unit of redistribution packing.
-    """
-    if not src.nnz:
-        return []
-    g_rows = src.rows + r0
-    g_cols = src.cols + c0
-    ti = np.searchsorted(row_splits, g_rows, side="right") - 1
-    tj = np.searchsorted(col_splits, g_cols, side="right") - 1
-    # group entries by target tile with one stable sort: each group keeps the
-    # source block's (row, col) order, so every piece is canonical as cut
-    tile = ti * (len(col_splits) - 1) + tj
-    tile, order = stable_key_sort(tile)
-    out: list[tuple[int, int, SpMat]] = []
-    for sel in np.split(order, np.flatnonzero(tile[1:] != tile[:-1]) + 1):
-        a, b = int(ti[sel[0]]), int(tj[sel[0]])
-        piece = SpMat(
-            int(row_splits[a + 1] - row_splits[a]),
-            int(col_splits[b + 1] - col_splits[b]),
-            g_rows[sel] - row_splits[a],
-            g_cols[sel] - col_splits[b],
-            {k: v[sel] for k, v in src.vals.items()},
-            monoid,
-            canonical=True,
-        )
-        out.append((a, b, piece))
-    return out
-
-
 def even_splits(n: int, parts: int) -> np.ndarray:
     """Boundaries of an even contiguous split of ``range(n)`` into ``parts``."""
     if parts <= 0:
@@ -194,6 +149,116 @@ def axis_block(mat: SpMat, axis: int, lo: int, hi: int) -> SpMat:
     return mat.block(*bounds)
 
 
+class Layout:
+    """Where a matrix's blocks live: a value, validated once.
+
+    ``ranks2d`` is the ``pr × pc`` integer array of the ranks owning each
+    block; ``row_splits`` / ``col_splits`` (lengths ``pr + 1`` / ``pc + 1``)
+    are the block boundaries, so the matrix is ``row_splits[-1] ×
+    col_splits[-1]``.  Two layouts are equal when all three arrays are.
+    """
+
+    __slots__ = ("ranks2d", "row_splits", "col_splits", "shape", "block_shapes")
+
+    def __init__(self, ranks2d, row_splits, col_splits) -> None:
+        ranks2d = np.asarray(ranks2d, dtype=np.int64)
+        if ranks2d.ndim != 2:
+            raise ValueError("ranks2d must be 2-dimensional")
+        pr, pc = ranks2d.shape
+        row_splits = np.asarray(row_splits, dtype=np.int64)
+        col_splits = np.asarray(col_splits, dtype=np.int64)
+        if len(row_splits) != pr + 1 or len(col_splits) != pc + 1:
+            raise ValueError("split lengths must match the rank grid shape")
+        self.ranks2d = ranks2d
+        self.row_splits = row_splits
+        self.col_splits = col_splits
+        self.shape = (int(row_splits[-1]), int(col_splits[-1]))
+        widths = np.diff(col_splits).tolist()
+        #: ``block_shapes[i][j]``: the ``(rows, cols)`` of block ``(i, j)``
+        self.block_shapes = [[(h, w) for w in widths] for h in np.diff(row_splits).tolist()]
+
+    @classmethod
+    def even(cls, ranks2d, nrows: int, ncols: int) -> "Layout":
+        """``ranks2d`` blocking an ``nrows × ncols`` matrix evenly."""
+        pr, pc = np.shape(ranks2d)
+        return cls(ranks2d, even_splits(nrows, pr), even_splits(ncols, pc))
+
+    @property
+    def T(self) -> "Layout":
+        """The transposed layout: block ``(i, j)`` becomes ``(j, i)``, same owner."""
+        return Layout(self.ranks2d.T, self.col_splits, self.row_splits)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Layout):
+            return NotImplemented
+        return self is other or (
+            np.array_equal(self.ranks2d, other.ranks2d)
+            and np.array_equal(self.row_splits, other.row_splits)
+            and np.array_equal(self.col_splits, other.col_splits)
+        )
+
+    def bounds(self, i: int, j: int) -> tuple[int, int, int, int]:
+        """Global ``(r0, r1, c0, c1)`` of block ``(i, j)`` (``SpMat.block``'s order)."""
+        rs, cs = self.row_splits, self.col_splits
+        return int(rs[i]), int(rs[i + 1]), int(cs[j]), int(cs[j + 1])
+
+    def by_owner(self, blocks) -> tuple[np.ndarray, list[list[SpMat]]]:
+        """The grid's distinct ranks (ascending) and the blocks each one holds:
+        the participants and per-participant parts of a scatter or gather."""
+        ranks, owner = np.unique(self.ranks2d.ravel(), return_inverse=True)
+        held: list[list[SpMat]] = [[] for _ in ranks]
+        for k, blk in zip(owner, (blk for row in blocks for blk in row)):
+            held[k].append(blk)
+        return ranks, held
+
+    def cut(self, block: SpMat, r0: int, c0: int) -> list[tuple[int, int, SpMat]]:
+        """The pieces of ``block`` (its origin at global ``(r0, c0)``) that
+        fall in each of this layout's blocks, as ``(a, b, piece)`` in
+        ascending ``(a, b)`` order, each piece in ``(a, b)``'s local frame.
+        """
+        if not block.nnz:
+            return []
+        g_rows = block.rows + r0
+        g_cols = block.cols + c0
+        rs, cs = self.row_splits, self.col_splits
+        ti = np.searchsorted(rs, g_rows, side="right") - 1
+        tj = np.searchsorted(cs, g_cols, side="right") - 1
+        # group entries by target tile with one stable sort: each group keeps the
+        # source block's (row, col) order, so every piece is canonical as cut
+        tile, order = stable_key_sort(ti * (len(cs) - 1) + tj)
+        out: list[tuple[int, int, SpMat]] = []
+        for sel in np.split(order, np.flatnonzero(tile[1:] != tile[:-1]) + 1):
+            a, b = int(ti[sel[0]]), int(tj[sel[0]])
+            piece = SpMat(
+                *self.block_shapes[a][b],
+                g_rows[sel] - rs[a],
+                g_cols[sel] - cs[b],
+                {k: v[sel] for k, v in block.vals.items()},
+                block.monoid,
+                canonical=True,
+            )
+            out.append((a, b, piece))
+        return out
+
+    def assemble(self, pieces: list[list[list[SpMat]]], monoid: Monoid) -> list[list[SpMat]]:
+        """One block per cell from the pieces cut for it (in arrival order):
+        empty, the one piece itself, or the merge of pieces of distinct
+        source blocks, which never share a coordinate."""
+        blocks = []
+        for cells, shapes in zip(pieces, self.block_shapes):
+            row = []
+            for cell, shape in zip(cells, shapes):
+                if len(cell) == 1:
+                    row.append(cell[0])
+                elif not cell:
+                    row.append(SpMat.empty(*shape, monoid))
+                else:
+                    parts = [(q.rows, q.cols, q.vals) for q in cell]
+                    row.append(SpMat._merged(*shape, parts, monoid))
+            blocks.append(row)
+        return blocks
+
+
 class DistMat:
     """A sparse matrix distributed over a 2D rank array.
 
@@ -201,10 +266,8 @@ class DistMat:
     ----------
     machine:
         The simulated machine the blocks live on.
-    ranks2d:
-        ``pr × pc`` integer array of machine ranks owning each block.
-    row_splits, col_splits:
-        Block boundaries (lengths ``pr + 1`` / ``pc + 1``).
+    layout:
+        The :class:`Layout`: owning ranks and block boundaries.
     blocks:
         ``pr × pc`` nested list of local-coordinate :class:`SpMat` blocks.
     monoid:
@@ -213,13 +276,9 @@ class DistMat:
 
     __slots__ = (
         "machine",
-        "ranks2d",
-        "row_splits",
-        "col_splits",
+        "layout",
         "blocks",
         "monoid",
-        "nrows",
-        "ncols",
         "_cached_t",
         "redundancy",
         "_replicas",
@@ -232,44 +291,23 @@ class DistMat:
     )
 
     def __init__(
-        self,
-        machine: Machine,
-        ranks2d: np.ndarray,
-        row_splits: np.ndarray,
-        col_splits: np.ndarray,
-        blocks: list[list[SpMat]],
-        monoid: Monoid,
+        self, machine: Machine, layout: Layout, blocks: list[list[SpMat]], monoid: Monoid
     ) -> None:
-        ranks2d = np.asarray(ranks2d, dtype=np.int64)
-        if ranks2d.ndim != 2:
-            raise ValueError("ranks2d must be 2-dimensional")
-        pr, pc = ranks2d.shape
-        row_splits = np.asarray(row_splits, dtype=np.int64)
-        col_splits = np.asarray(col_splits, dtype=np.int64)
-        if len(row_splits) != pr + 1 or len(col_splits) != pc + 1:
-            raise ValueError("split lengths must match the rank grid shape")
+        pr, pc = layout.ranks2d.shape
         if len(blocks) != pr or any(len(row) != pc for row in blocks):
             raise ValueError("blocks layout must match the rank grid shape")
-        for i in range(pr):
-            for j in range(pc):
-                expect = (
-                    int(row_splits[i + 1] - row_splits[i]),
-                    int(col_splits[j + 1] - col_splits[j]),
-                )
-                if blocks[i][j].shape != expect:
+        for i, (row, shapes) in enumerate(zip(blocks, layout.block_shapes)):
+            for j, (blk, expect) in enumerate(zip(row, shapes)):
+                if blk.shape != expect:
                     raise ValueError(
-                        f"block ({i},{j}) has shape {blocks[i][j].shape}, "
-                        f"expected {expect}"
+                        f"block ({i},{j}) has shape {blk.shape}, expected {expect}"
                     )
         self.machine = machine
-        self.ranks2d = ranks2d
-        self.row_splits = row_splits
-        self.col_splits = col_splits
+        self.layout = layout
         self.blocks = blocks
         self.monoid = monoid
-        self.nrows = int(row_splits[-1])
-        self.ncols = int(col_splits[-1])
-        self._cached_t: "DistMat | None" = None
+        #: the memoized transpose (a weak reference on the transpose's side)
+        self._cached_t: "DistMat | weakref.ref | None" = None
         #: elastic redundancy (set by :meth:`distribute` when the machine
         #: runs with an ElasticPolicy): the policy, the per-block checksummed
         #: buddy replicas, and the source matrix for re-materialization
@@ -285,12 +323,11 @@ class DistMat:
         self._spill_id: int | None = None
         self._memcharge = _MemCharge(machine)
         charges: dict[int, int] = {}
-        for i in range(pr):
-            for j in range(pc):
-                w = blocks[i][j].words()
-                if w:
-                    r = int(ranks2d[i, j])
-                    charges[r] = charges.get(r, 0) + w
+        flat = (blk for row in blocks for blk in row)
+        for r, blk in zip(layout.ranks2d.ravel().tolist(), flat):
+            w = blk.words()
+            if w:
+                charges[r] = charges.get(r, 0) + w
         self._memcharge.add(charges, site="distmat")
         self._memcharge.finalizer = weakref.finalize(
             self, _release_charge, self._memcharge
@@ -305,19 +342,17 @@ class DistMat:
         machine: Machine,
         ranks2d: np.ndarray,
         *,
-        row_splits: np.ndarray | None = None,
-        col_splits: np.ndarray | None = None,
         charge: bool = True,
         category: str = "input",
         redundancy=None,
         replicate: bool = True,
     ) -> "DistMat":
-        """Scatter a node-local matrix into blocks (root-owned input).
+        """Scatter a node-local matrix evenly onto ``ranks2d`` (root-owned input).
 
-        ``row_splits`` / ``col_splits`` / ``charge`` / ``category`` /
-        ``redundancy`` are keyword-only.  Charged as a scatter where the
-        root owns the whole matrix — the bulk-synchronous graph input path
-        (CTF ``Tensor::write``) — under ledger category ``category``.
+        ``charge`` / ``category`` / ``redundancy`` are keyword-only.  Charged
+        as a scatter where the root owns the whole matrix — the
+        bulk-synchronous graph input path (CTF ``Tensor::write``) — under
+        ledger category ``category``.
 
         ``redundancy`` (an :class:`~repro.elastic.ElasticPolicy`) arms
         elastic recovery for this matrix: under ``"replica"`` every block is
@@ -326,28 +361,13 @@ class DistMat:
         under ``"source"`` the source matrix is retained for lost-block
         re-materialization at zero steady-state cost.
         """
-        ranks2d = np.asarray(ranks2d, dtype=np.int64)
-        pr, pc = ranks2d.shape
-        if row_splits is None:
-            row_splits = even_splits(mat.nrows, pr)
-        if col_splits is None:
-            col_splits = even_splits(mat.ncols, pc)
-        blocks = [
-            [
-                mat.block(
-                    int(row_splits[i]),
-                    int(row_splits[i + 1]),
-                    int(col_splits[j]),
-                    int(col_splits[j + 1]),
-                )
-                for j in range(pc)
-            ]
-            for i in range(pr)
-        ]
+        layout = Layout.even(ranks2d, mat.nrows, mat.ncols)
+        pr, pc = layout.ranks2d.shape
+        blocks = [[mat.block(*layout.bounds(i, j)) for j in range(pc)] for i in range(pr)]
         if charge:
-            ranks, parts = _by_owner(ranks2d, blocks)
+            ranks, parts = layout.by_owner(blocks)
             machine.group(ranks).scatter(parts, category=category)
-        out = cls(machine, ranks2d, row_splits, col_splits, blocks, monoid=mat.monoid)
+        out = cls(machine, layout, blocks, mat.monoid)
         if redundancy is not None:
             out._install_redundancy(
                 mat, redundancy, charge=charge, replicate=replicate
@@ -376,16 +396,13 @@ class DistMat:
             # source is the only fallback; replicas can be re-armed later
             return
         p = self.machine.p
-        pr, pc = self.grid_shape
         replicas: dict[tuple[int, int], tuple[int, int, SpMat]] = {}
         shipped: list[list[SpMat]] = [[] for _ in range(p)]
-        for i in range(pr):
-            for j in range(pc):
-                owner = int(self.ranks2d[i, j])
-                buddy = (owner + policy.stride) % p
-                blk = self.blocks[i][j]
-                replicas[(i, j)] = (buddy, payload_checksum(blk), blk)
-                shipped[owner].append(blk)
+        for (i, j), owner in np.ndenumerate(self.layout.ranks2d):
+            buddy = (int(owner) + policy.stride) % p
+            blk = self.blocks[i][j]
+            replicas[(i, j)] = (buddy, payload_checksum(blk), blk)
+            shipped[owner].append(blk)
         rep_charges: dict[int, int] = {}
         for (_i, _j), (buddy, _crc, blk) in replicas.items():
             w = blk.words()
@@ -413,42 +430,34 @@ class DistMat:
 
         dead = set(int(r) for r in dead)
         stats = {"replica": 0, "source": 0, "words": 0}
-        pr, pc = self.grid_shape
-        for i in range(pr):
-            for j in range(pc):
-                owner = int(self.ranks2d[i, j])
-                if owner not in dead:
-                    continue
-                blk = None
-                rep = (self._replicas or {}).get((i, j))
-                if rep is not None:
-                    buddy, crc, copy_ = rep
-                    if buddy not in dead:
-                        if isinstance(copy_, SpMat):
-                            if payload_checksum(copy_) == crc:
-                                blk = copy_
-                                stats["replica"] += 1
-                        else:
-                            # replica was evicted to the spill store under
-                            # memory pressure; fetch verifies its CRC
-                            blk = self._fetch_segment(copy_, site="repair")
-                            if blk is not None:
-                                stats["replica"] += 1
-                if blk is None and self._source is not None:
-                    blk = self._source.block(
-                        int(self.row_splits[i]),
-                        int(self.row_splits[i + 1]),
-                        int(self.col_splits[j]),
-                        int(self.col_splits[j + 1]),
-                    )
-                    stats["source"] += 1
-                if blk is None:
-                    raise RecoveryError(
-                        f"block ({i},{j}) lost with rank {owner}: no live "
-                        f"replica and no retained source to rebuild from"
-                    )
-                self.blocks[i][j] = blk
-                stats["words"] += blk.words()
+        for (i, j), owner in np.ndenumerate(self.layout.ranks2d):
+            if owner not in dead:
+                continue
+            blk = None
+            rep = (self._replicas or {}).get((i, j))
+            if rep is not None:
+                buddy, crc, copy_ = rep
+                if buddy not in dead:
+                    if isinstance(copy_, SpMat):
+                        if payload_checksum(copy_) == crc:
+                            blk = copy_
+                            stats["replica"] += 1
+                    else:
+                        # replica was evicted to the spill store under
+                        # memory pressure; fetch verifies its CRC
+                        blk = self._fetch_segment(copy_, site="repair")
+                        if blk is not None:
+                            stats["replica"] += 1
+            if blk is None and self._source is not None:
+                blk = self._source.block(*self.layout.bounds(i, j))
+                stats["source"] += 1
+            if blk is None:
+                raise RecoveryError(
+                    f"block ({i},{j}) lost with rank {owner}: no live "
+                    f"replica and no retained source to rebuild from"
+                )
+            self.blocks[i][j] = blk
+            stats["words"] += blk.words()
         self._cached_t = None
         return stats
 
@@ -484,40 +493,23 @@ class DistMat:
                 self, _release_charge, self._memcharge
             )
 
-    @classmethod
-    def empty_like(cls, other: "DistMat", monoid: Monoid | None = None) -> "DistMat":
-        """An all-identity matrix with ``other``'s distribution."""
-        monoid = monoid or other.monoid
-        pr, pc = other.grid_shape
-        blocks = [
-            [
-                SpMat.empty(
-                    int(other.row_splits[i + 1] - other.row_splits[i]),
-                    int(other.col_splits[j + 1] - other.col_splits[j]),
-                    monoid,
-                )
-                for j in range(pc)
-            ]
-            for i in range(pr)
-        ]
-        return cls(
-            other.machine,
-            other.ranks2d,
-            other.row_splits,
-            other.col_splits,
-            blocks,
-            monoid,
-        )
-
     # -- properties ----------------------------------------------------------------
 
     @property
     def grid_shape(self) -> tuple[int, int]:
-        return tuple(self.ranks2d.shape)  # type: ignore[return-value]
+        return self.layout.ranks2d.shape  # type: ignore[return-value]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
+        return self.layout.shape
+
+    @property
+    def nrows(self) -> int:
+        return self.layout.shape[0]
+
+    @property
+    def ncols(self) -> int:
+        return self.layout.shape[1]
 
     def _cell_meta(self):
         """Yield ``(i, j, nnz, words)`` per block WITHOUT faulting spills in.
@@ -543,24 +535,6 @@ class DistMat:
 
     def words(self) -> int:
         return sum(w for _i, _j, _nnz, w in self._cell_meta())
-
-    def memory_words_per_rank(self) -> dict[int, int]:
-        """Words held by each participating rank (for memory budget checks)."""
-        out: dict[int, int] = {}
-        for i, j, _nnz, w in self._cell_meta():
-            r = int(self.ranks2d[i, j])
-            out[r] = out.get(r, 0) + w
-        return out
-
-    def same_distribution(self, other: "DistMat") -> bool:
-        return self._laid_out_as(other.ranks2d, other.row_splits, other.col_splits)
-
-    def _laid_out_as(self, ranks2d, row_splits, col_splits) -> bool:
-        return (
-            np.array_equal(self.ranks2d, ranks2d)
-            and np.array_equal(self.row_splits, row_splits)
-            and np.array_equal(self.col_splits, col_splits)
-        )
 
     # -- spill / fault-in ---------------------------------------------------------
 
@@ -596,7 +570,7 @@ class DistMat:
         if blk is not None:
             return blk
         seg = self._spilled[(i, j)]
-        owner = int(self.ranks2d[i, j])
+        owner = int(self.layout.ranks2d[i, j])
         self._memcharge.add({owner: seg.words}, site="unspill")
         store = self._store()
         try:
@@ -627,27 +601,17 @@ class DistMat:
         read-back passes — a torn write leaves it resident.
         """
         freed = 0
-        pr, pc = self.grid_shape
         raw = self._resident
-        for i in range(pr):
-            for j in range(pc):
-                owner = int(self.ranks2d[i, j])
-                if rank is not None and owner != rank:
-                    continue
-                blk = raw[i][j]
-                if blk is None:
-                    continue
-                w = blk.words()
-                if w == 0:
-                    continue
-                seg = store.spill(self._seg_key(i, j), blk, rank=owner)
-                if seg is None:
-                    continue  # torn write detected: keep the block resident
+        for (i, j), owner in np.ndenumerate(self.layout.ranks2d):
+            blk = raw[i][j]
+            if blk is None or (rank is not None and owner != rank):
+                continue
+            seg, w = self._evict(store, i, j, blk, int(owner), replica=False)
+            if seg is not None:
                 if not isinstance(self.blocks, _LazyBlocks):
                     self.blocks = _LazyBlocks(self)
                 self._spilled[(i, j)] = seg
                 raw[i][j] = None
-                self._memcharge.sub(owner, w)
                 freed += w
         return freed
 
@@ -659,29 +623,32 @@ class DistMat:
         repairs: its segment CRC is the integrity check the resident copy's
         checksum used to provide.
         """
-        if not self._replicas:
-            return 0
         freed = 0
-        for (i, j), (buddy, crc, payload) in list(self._replicas.items()):
-            if not isinstance(payload, SpMat):
-                continue  # already spilled
-            if rank is not None and buddy != rank:
-                continue
-            w = payload.words()
-            if w == 0:
-                continue
-            seg = store.spill(
-                self._seg_key(i, j, replica=True),
-                payload,
-                rank=buddy,
-                site="replica",
-            )
-            if seg is None:
-                continue  # torn write detected: keep the replica resident
-            self._replicas[(i, j)] = (buddy, crc, seg)
-            self._memcharge.sub(buddy, w)
-            freed += w
+        for (i, j), (buddy, crc, payload) in list((self._replicas or {}).items()):
+            if not isinstance(payload, SpMat) or (rank is not None and buddy != rank):
+                continue  # already spilled, or held elsewhere
+            seg, w = self._evict(store, i, j, payload, buddy, replica=True)
+            if seg is not None:
+                self._replicas[(i, j)] = (buddy, crc, seg)
+                freed += w
         return freed
+
+    def _evict(self, store, i: int, j: int, payload: SpMat, owner: int, *, replica: bool):
+        """Spill one resident copy of block ``(i, j)`` held by ``owner``.
+
+        Returns ``(segment, words freed)``; ``(None, 0)`` for a zero-word
+        copy and for a torn write, which leaves the copy resident.
+        """
+        w = payload.words()
+        if w == 0:
+            return None, 0
+        key = self._seg_key(i, j, replica=replica)
+        site = "replica" if replica else "spill"
+        seg = store.spill(key, payload, rank=owner, site=site)
+        if seg is None:
+            return None, 0  # torn write detected: keep the copy resident
+        self._memcharge.sub(owner, w)
+        return seg, w
 
     def replica_words(self) -> int:
         """Words of *resident* replica redundancy (what dropping would free)."""
@@ -733,21 +700,19 @@ class DistMat:
 
     def gather(self, *, charge: bool = True) -> SpMat:
         """Reassemble the full matrix on a single node (CTF read-back path)."""
+        layout = self.layout
         parts = []
-        pr, pc = self.grid_shape
-        for i in range(pr):
-            for j in range(pc):
-                b = self.blocks[i][j]
+        for i, row in enumerate(self.blocks):
+            for j, b in enumerate(row):
                 if b.nnz:
-                    parts.append(
-                        (b.rows + self.row_splits[i], b.cols + self.col_splits[j], b.vals)
-                    )
+                    r0, _, c0, _ = layout.bounds(i, j)
+                    parts.append((b.rows + r0, b.cols + c0, b.vals))
         if charge:
-            ranks, held = _by_owner(self.ranks2d, self.blocks)
+            ranks, held = layout.by_owner(self.blocks)
             self.machine.group(ranks).gather(held)
         # blocks tile the matrix disjointly, and a single block column
         # already concatenates in row-major order
-        return SpMat._merged(self.nrows, self.ncols, parts, self.monoid)
+        return SpMat._merged(*layout.shape, parts, self.monoid)
 
     # -- elementwise (communication-free on co-distributed operands) -------------
 
@@ -767,9 +732,7 @@ class DistMat:
                 "co-distributed"
             )
         # (itself, untouched, when it already is)
-        return other.redistribute(
-            self.ranks2d, self.row_splits, self.col_splits
-        )
+        return other.redistribute(self.layout)
 
     def _blockwise(self, fn: Callable[[SpMat, tuple[int, int]], SpMat], monoid=None):
         pr, pc = self.grid_shape
@@ -780,15 +743,8 @@ class DistMat:
                 for j in range(pc)
             ]
         )
-        blocks = [[flat[i * pc + j] for j in range(pc)] for i in range(pr)]
-        return DistMat(
-            self.machine,
-            self.ranks2d,
-            self.row_splits,
-            self.col_splits,
-            blocks,
-            monoid or self.monoid,
-        )
+        blocks = [flat[i * pc : (i + 1) * pc] for i in range(pr)]
+        return DistMat(self.machine, self.layout, blocks, monoid or self.monoid)
 
     def combine(self, other: "DistMat") -> "DistMat":
         other = self._aligned(other)
@@ -825,122 +781,73 @@ class DistMat:
         lazily at the next redistribution).  The result is memoized so that
         loop-invariant transposes (MFBr's ``Aᵀ``) keep a stable identity —
         which is what lets the engine's replication cache amortize them.
+        The memo holds the transpose, and the transpose holds this matrix
+        only weakly: the pair is no reference cycle, so its memory charges
+        are released when the last reference goes, not whenever the cyclic
+        collector next runs (finalizers and all) on whichever thread.
         """
-        if self._cached_t is not None:
-            return self._cached_t
+        cached = self._cached_t
+        if isinstance(cached, weakref.ref):
+            cached = cached()
+        if cached is not None:
+            return cached
         pr, pc = self.grid_shape
         blocks = [[self.blocks[i][j].transpose() for i in range(pr)] for j in range(pc)]
-        out = DistMat(
-            self.machine,
-            self.ranks2d.T,
-            self.col_splits,
-            self.row_splits,
-            blocks,
-            self.monoid,
-        )
+        out = DistMat(self.machine, self.layout.T, blocks, self.monoid)
         self._cached_t = out
-        out._cached_t = self
+        out._cached_t = weakref.ref(self)
         return out
 
-    def redistribute(
-        self,
-        ranks2d: np.ndarray,
-        row_splits: np.ndarray | None = None,
-        col_splits: np.ndarray | None = None,
-        *,
-        charge: bool = True,
-    ) -> "DistMat":
-        """Move to a new blocking/rank assignment (CTF sparse redistribution).
+    def redistribute(self, layout: Layout) -> "DistMat":
+        """Move onto ``layout`` (CTF sparse redistribution).
 
-        Every source block is sliced against the target blocking; the
-        pieces that change owner travel in one
+        Every source block is cut against the target layout; the pieces
+        that change owner travel in one
         :meth:`~repro.machine.collectives.Group.alltoall` over both grids'
         ranks, sized by the busiest rank's sent+received volume (CTF's
-        sparse-to-sparse redistribution kernel, §6.2).  ``charge=False``
-        re-blocks without communicating — for callers whose own collective
-        pays for the movement.  A target equal to the current grid and
-        splits returns this matrix itself.
+        sparse-to-sparse redistribution kernel, §6.2).  A target equal to
+        the current layout returns this matrix itself.
         """
-        ranks2d = np.asarray(ranks2d, dtype=np.int64)
-        prn, pcn = ranks2d.shape
-        if row_splits is None:
-            row_splits = even_splits(self.nrows, prn)
-        if col_splits is None:
-            col_splits = even_splits(self.ncols, pcn)
-        row_splits = np.asarray(row_splits, dtype=np.int64)
-        col_splits = np.asarray(col_splits, dtype=np.int64)
-        if self._laid_out_as(ranks2d, row_splits, col_splits):
+        src = self.layout
+        if layout == src:
             return self  # already there: nothing to pack, move or hold twice
 
-        new_blocks: list[list[list[SpMat]]] = [
-            [[] for _ in range(pcn)] for _ in range(prn)
-        ]
-        participants = np.unique(
-            np.concatenate([self.ranks2d.ravel(), ranks2d.ravel()])
-        )
+        pieces: list[list[list[SpMat]]] = [[[] for _ in row] for row in layout.block_shapes]
+        participants = np.unique(np.concatenate([src.ranks2d.ravel(), layout.ranks2d.ravel()]))
         index = {int(r): k for k, r in enumerate(participants)}
         # the exchange, per participant: pieces leaving it, pieces arriving,
         # and the (target cell, position) each arrival lands in
         sent: list[list[SpMat]] = [[] for _ in participants]
         received: list[list[SpMat]] = [[] for _ in participants]
         landing: list[list[tuple[list, int]]] = [[] for _ in participants]
-        pr, pc = self.grid_shape
-        # packing each source block against the target blocking is
+        # cutting each source block against the target layout is
         # independent work; the pieces are merged in (i, j) order
-        sources = [
-            (i, j) for i, j, nnz, _w in self._cell_meta() if nnz
-        ]
-        piece_lists = self.machine.executor.run_tasks(
+        sources = [(i, j) for i, j, nnz, _w in self._cell_meta() if nnz]
+        cuts = self.machine.executor.run_tasks(
             [
-                (
-                    lambda src=self.blocks[i][j],
-                    r0=int(self.row_splits[i]),
-                    c0=int(self.col_splits[j]): _pack_block(
-                        src, r0, c0, row_splits, col_splits, self.monoid
-                    )
+                functools.partial(
+                    layout.cut, self.blocks[i][j], int(src.row_splits[i]), int(src.col_splits[j])
                 )
                 for i, j in sources
             ]
         )
-        for (i, j), pieces in zip(sources, piece_lists):
-            src = index[int(self.ranks2d[i, j])]
-            for a, b, piece in pieces:
-                cell = new_blocks[a][b]
-                dst = index[int(ranks2d[a, b])]
-                if src != dst and piece.nnz:
-                    sent[src].append(piece)
+        for (i, j), cut in zip(sources, cuts):
+            origin = index[int(src.ranks2d[i, j])]
+            for a, b, piece in cut:
+                cell = pieces[a][b]
+                dst = index[int(layout.ranks2d[a, b])]
+                if origin != dst and piece.nnz:
+                    sent[origin].append(piece)
                     received[dst].append(piece)
                     landing[dst].append((cell, len(cell)))
                 cell.append(piece)
-        if charge:
-            delivered = self.machine.group(participants).alltoall(
-                sent, received, category="redistribute"
-            )
-            for slots, arrivals in zip(landing, delivered):
-                for (cell, pos), piece in zip(slots, arrivals):
-                    cell[pos] = piece
-
-        assembled: list[list[SpMat]] = []
-        for a in range(prn):
-            row: list[SpMat] = []
-            for b in range(pcn):
-                shape = (
-                    int(row_splits[a + 1] - row_splits[a]),
-                    int(col_splits[b + 1] - col_splits[b]),
-                )
-                pieces = new_blocks[a][b]
-                if not pieces:
-                    row.append(SpMat.empty(*shape, self.monoid))
-                elif len(pieces) == 1:
-                    row.append(pieces[0])
-                else:
-                    # pieces of distinct source blocks never share a coordinate
-                    parts = [(q.rows, q.cols, q.vals) for q in pieces]
-                    row.append(SpMat._merged(*shape, parts, self.monoid))
-            assembled.append(row)
-        return DistMat(
-            self.machine, ranks2d, row_splits, col_splits, assembled, self.monoid
+        delivered = self.machine.group(participants).alltoall(
+            sent, received, category="redistribute"
         )
+        for slots, arrivals in zip(landing, delivered):
+            for (cell, pos), piece in zip(slots, arrivals):
+                cell[pos] = piece
+        return DistMat(self.machine, layout, layout.assemble(pieces, self.monoid), self.monoid)
 
     def extract_row_range(self, r0: int, r1: int) -> "DistMat":
         """Restrict to global rows [r0, r1) — purely local slicing."""
@@ -957,7 +864,7 @@ class DistMat:
         range, so the rank grid is unchanged (blocks fully outside become
         empty).
         """
-        splits = [self.row_splits, self.col_splits]
+        splits = [self.layout.row_splits, self.layout.col_splits]
         old = splits[axis]
         if not 0 <= lo <= hi <= old[-1]:
             raise ValueError(
@@ -975,7 +882,8 @@ class DistMat:
                 b = (i, j)[axis]
                 row.append(axis_block(self.blocks[i][j], axis, start[b], stop[b]))
             blocks.append(row)
-        return DistMat(self.machine, self.ranks2d, *splits, blocks, self.monoid)
+        layout = Layout(self.layout.ranks2d, *splits)
+        return DistMat(self.machine, layout, blocks, self.monoid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -16,9 +16,11 @@ elastic design:
    survivor numbering.
 3. **Repair + rebuild** — every registered invariant matrix repairs its
    lost blocks in place (checksummed buddy replicas first, source
-   re-materialization as fallback), then is redistributed onto the new
-   near-square home grid; the redistribution traffic is charged honestly
-   (category ``"recovery"``) and redundancy is re-established for the
+   re-materialization as fallback) and is gathered, uncharged, while the
+   old numbering holds; after the shrink each is re-scattered onto the new
+   near-square home grid with :meth:`DistMat.distribute
+   <repro.dist.distmat.DistMat.distribute>`, the scatter charged as
+   category ``"recovery"``, and redundancy is re-established for the
    shrunken grid.  Rebuilt matrices are *adopted* into the original
    objects, so references held by the driver stay valid.
 4. **Resume** — the policy is rescaled to ``p'``, the replication cache is

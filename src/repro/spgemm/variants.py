@@ -48,7 +48,7 @@ import math
 import numpy as np
 
 from repro.algebra.matmul import MatMulSpec
-from repro.dist.distmat import DistMat, axis_block, even_splits
+from repro.dist.distmat import DistMat, Layout, axis_block, even_splits
 from repro.machine.machine import Machine
 from repro.obs import api as obs
 # not called here (local products go through machine.executor), but
@@ -106,13 +106,7 @@ def execute_plan(
             plan.x, plan.yz, ranks3d, machine, a, b, spec,
             mask, mask_complement, replication_cache,
         )
-    if not (
-        np.array_equal(c.ranks2d, home_ranks2d)
-        and np.array_equal(c.row_splits, even_splits(c.nrows, home_ranks2d.shape[0]))
-        and np.array_equal(c.col_splits, even_splits(c.ncols, home_ranks2d.shape[1]))
-    ):
-        c = c.redistribute(home_ranks2d)
-    return c, ops
+    return _onto(c, home_ranks2d), ops
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +140,11 @@ def _local_mul_batch(
     for (rank, _, _), res in zip(tasks, results):
         machine.charge_compute([rank], float(res.ops))
     return [res.matrix for res in results], sum(res.ops for res in results)
+
+
+def _onto(mat: DistMat, ranks2d: np.ndarray) -> DistMat:
+    """``mat`` blocked evenly on ``ranks2d`` (itself when it already is)."""
+    return mat.redistribute(Layout.even(ranks2d, mat.nrows, mat.ncols))
 
 
 def _embed(piece: SpMat, nrows: int, ncols: int, roff: int, coff: int) -> SpMat:
@@ -244,9 +243,7 @@ def _exec_1d(
             lambda: world.bcast(mats[x].gather(charge=False), category="replicate"),
         )
         local[x] = [whole] * p
-    blocked = {
-        name: mat.redistribute(strips(name)) for name, mat in mats.items() if name != x
-    }
+    blocked = {name: _onto(mat, strips(name)) for name, mat in mats.items() if name != x}
     for name, dm in blocked.items():
         local[name] = [blk for row in dm.blocks for blk in row]
     # each rank's output frame is its strip of C along d, so it sees the
@@ -276,14 +273,8 @@ def _exec_1d(
         return c, total_ops
     grid = strips("C")
     pr, pc = grid.shape
-    c = DistMat(
-        machine,
-        grid,
-        even_splits(size["m"], pr),
-        even_splits(size["n"], pc),
-        [prods[i * pc : (i + 1) * pc] for i in range(pr)],
-        spec.monoid,
-    )
+    blocks = [prods[i * pc : (i + 1) * pc] for i in range(pr)]
+    c = DistMat(machine, Layout.even(grid, size["m"], size["n"]), blocks, spec.monoid)
     return c, total_ops
 
 
@@ -341,7 +332,7 @@ def _exec_2d(
     flipped = {name: axis_of(name, _DIMS[name][0]) for name in mats}
     # the stationary operand is re-blocked (evenly) first, A before B otherwise
     rest = {
-        name: mats[name].redistribute(ranks2d.T if flipped[name] else ranks2d)
+        name: _onto(mats[name], ranks2d.T if flipped[name] else ranks2d)
         for name in sorted(mats, key=lambda name: name != s)
     }
     #: resting[name][i][j]: the block of operand ``name`` on ``ranks2d[i, j]``
@@ -365,11 +356,9 @@ def _exec_2d(
 
     # C always rests on ranks2d: its row dimension m is S's row dimension or
     # the walked one, blocked over grid rows either way
-    c_rows, c_cols = cut("m", pr), cut("n", pc)
-    c_blocks = [
-        [SpMat.empty(int(h), int(wd), monoid) for wd in np.diff(c_cols)]
-        for h in np.diff(c_rows)
-    ]
+    c_layout = Layout.even(ranks2d, size["m"], size["n"])
+    c_rows, c_cols = c_layout.row_splits, c_layout.col_splits
+    c_blocks = [[SpMat.empty(*shape, monoid) for shape in row] for row in c_layout.block_shapes]
     # a step's products are independent across the grid: they are batched
     # through the executor in the order of the lines C is reduced along
     # (grid rows when C is stationary); lines touch disjoint rank sets, so
@@ -451,7 +440,7 @@ def _exec_2d(
                 home = c_blocks[i][j]
                 placed = _embed(partial, home.nrows, home.ncols, *offset)
                 c_blocks[i][j] = home.combine(placed)
-    return DistMat(machine, ranks2d, c_rows, c_cols, c_blocks, monoid), total_ops
+    return DistMat(machine, c_layout, c_blocks, monoid), total_ops
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +471,7 @@ def _exec_3d(
 
     def replicate() -> list[DistMat]:
         """One copy of operand X per layer; broadcast charged once per fiber."""
-        ref = mats[x].redistribute(layers[0])
+        ref = _onto(mats[x], layers[0])
         # fiber broadcasts: each (i, j) position's block travels to the
         # p1 ranks {ranks3d[:, i, j]} — the W_X(X[p2, p3]) term.
         blocks = [
@@ -494,15 +483,9 @@ def _exec_3d(
             ]
             for i, row in enumerate(ref.blocks)
         ]
+        splits = ref.layout.row_splits, ref.layout.col_splits
         return [ref] + [
-            DistMat(
-                machine,
-                layers[l],
-                ref.row_splits,
-                ref.col_splits,
-                [list(row) for row in blocks],
-                ref.monoid,
-            )
+            DistMat(machine, Layout(layers[l], *splits), [list(row) for row in blocks], ref.monoid)
             for l in range(1, p1)
         ]
 
@@ -520,9 +503,7 @@ def _exec_3d(
                 layer_mats[name] = copies[l]
             else:
                 extract = (mat.extract_row_range, mat.extract_col_range)
-                layer_mats[name] = extract[_DIMS[name].index(d)](lo, hi).redistribute(
-                    layers[l]
-                )
+                layer_mats[name] = _onto(extract[_DIMS[name].index(d)](lo, hi), layers[l])
         # layer l owns C's range [lo, hi) along d: its sub-mask.  When C is
         # the mover every layer's partial spans all of C: the full mask.
         mask_l = mask
@@ -552,10 +533,7 @@ def _exec_3d(
             )
             row.append(base.blocks[i][j] if acc is None else acc)
         out_blocks.append(row)
-    c = DistMat(
-        machine, layers[0], base.row_splits, base.col_splits, out_blocks, monoid
-    )
-    return c, total_ops
+    return DistMat(machine, base.layout, out_blocks, monoid), total_ops
 
 
 def _reassemble(

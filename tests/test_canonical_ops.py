@@ -24,8 +24,7 @@ from repro.algebra.multpath import MULTPATH
 from repro.check import check_spmat
 from repro.check import strategies as cst
 from repro.core import mfbc
-from repro.dist import DistMat, DistributedEngine
-from repro.dist.distmat import _pack_block
+from repro.dist import DistMat, DistributedEngine, Layout
 from repro.graphs import uniform_random_graph_nm
 from repro.machine import Machine
 from repro.sparse import SpMat
@@ -283,23 +282,18 @@ def test_select_rows(a, data):
 
 
 @given(cst.spmats(), st.data())
-def test_pack_block(src, data):
+def test_layout_cut(src, data):
     r0, c0 = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
     row_splits = data.draw(splits(src.nrows + r0 + data.draw(st.integers(0, 2))))
     col_splits = data.draw(splits(src.ncols + c0 + data.draw(st.integers(0, 2))))
-    pieces = _pack_block(src, r0, c0, row_splits, col_splits, src.monoid)
+    pr, pc = len(row_splits) - 1, len(col_splits) - 1
+    layout = Layout(np.arange(pr * pc).reshape(pr, pc), row_splits, col_splits)
+    pieces = layout.cut(src, r0, c0)
     assert [(a, b) for a, b, _ in pieces] == sorted((a, b) for a, b, _ in pieces)
-    framed = SpMat(
-        int(row_splits[-1]), int(col_splits[-1]), src.rows + r0, src.cols + c0,
-        src.vals, src.monoid,
-    )
+    framed = SpMat(*layout.shape, src.rows + r0, src.cols + c0, src.vals, src.monoid)
     for a, b, piece in pieces:
         assert piece.nnz
-        ref = framed.block(
-            int(row_splits[a]), int(row_splits[a + 1]),
-            int(col_splits[b]), int(col_splits[b + 1]),
-        )
-        assert_canonical(piece, ref)
+        assert_canonical(piece, framed.block(*layout.bounds(a, b)))
     assert sum(piece.nnz for _, _, piece in pieces) == src.nnz
 
 
@@ -308,11 +302,7 @@ def assert_distributed(d: DistMat, mat: SpMat) -> None:
     pr, pc = d.grid_shape
     for i in range(pr):
         for j in range(pc):
-            ref = mat.block(
-                int(d.row_splits[i]), int(d.row_splits[i + 1]),
-                int(d.col_splits[j]), int(d.col_splits[j + 1]),
-            )
-            assert_canonical(d.blocks[i][j], ref)
+            assert_canonical(d.blocks[i][j], mat.block(*d.layout.bounds(i, j)))
     assert_canonical(d.gather(charge=False), mat)
 
 
@@ -324,12 +314,14 @@ def test_redistribute_and_gather(mat, p, data):
     d = DistMat.distribute(mat, machine, data.draw(cst.grids(p)), charge=False)
     assert_distributed(d, mat)
     ranks2d = data.draw(cst.grids(p))
-    uneven = data.draw(st.booleans())
-    moved = d.redistribute(
-        ranks2d,
-        data.draw(splits(mat.nrows, ranks2d.shape[0])) if uneven else None,
-        data.draw(splits(mat.ncols, ranks2d.shape[1])) if uneven else None,
-    )
+    layout = Layout.even(ranks2d, *mat.shape)
+    if data.draw(st.booleans()):  # uneven
+        layout = Layout(
+            ranks2d,
+            data.draw(splits(mat.nrows, ranks2d.shape[0])),
+            data.draw(splits(mat.ncols, ranks2d.shape[1])),
+        )
+    moved = d.redistribute(layout)
     assert_distributed(moved, mat)
 
 
@@ -341,9 +333,10 @@ def test_one_column_grid_roundtrip(monoid):
     mat = SpMat(40, 7, flat // 7, flat % 7, vals, monoid)
     machine = Machine(4)
     home = DistMat.distribute(mat, machine, np.arange(4).reshape(2, 2), charge=False)
-    col1 = home.redistribute(np.arange(4).reshape(4, 1))
+    column = np.arange(4).reshape(4, 1)
+    col1 = home.redistribute(Layout.even(column, *mat.shape))
     assert_distributed(col1, mat)
-    assert_distributed(col1.redistribute(np.arange(4).reshape(1, 4)), mat)
+    assert_distributed(col1.redistribute(Layout.even(column.T, *mat.shape)), mat)
 
 
 @given(cst.spmats(max_side=9), st.booleans(), st.data())
@@ -390,9 +383,9 @@ def test_redistribute_and_gather_reduce_nothing(monkeypatch, rng):
     builds = count_calls(monkeypatch, SpMat, "_canonicalize")
     for ranks2d in (np.arange(16).reshape(1, 16), np.arange(16).reshape(16, 1),
                     np.arange(16).reshape(2, 8)):
-        moved = d.redistribute(ranks2d)
+        moved = d.redistribute(Layout.even(ranks2d, *mat.shape))
         assert moved.gather().equals(mat)
-        assert moved.redistribute(d.ranks2d).gather().equals(mat)
+        assert moved.redistribute(d.layout).gather().equals(mat)
     assert calls == [] and builds == []
 
 

@@ -20,7 +20,7 @@ from repro.check import (
     require_clean,
 )
 from repro.check import strategies as cst
-from repro.dist.distmat import DistMat
+from repro.dist.distmat import DistMat, Layout
 from repro.machine import Machine
 from repro.sparse import SpMat
 
@@ -138,19 +138,21 @@ class TestCheckDistmat:
 
     def test_rank_out_of_machine(self):
         d = self._dist()
-        d.ranks2d = d.ranks2d + 10
+        d.layout = Layout(d.layout.ranks2d + 10, d.layout.row_splits, d.layout.col_splits)
         assert "ranks" in _rules(check_distmat(d))
 
     def test_duplicate_owner(self):
         d = self._dist()
-        d.ranks2d = np.zeros_like(d.ranks2d)
+        d.layout = Layout(
+            np.zeros_like(d.layout.ranks2d), d.layout.row_splits, d.layout.col_splits
+        )
         assert "ranks" in _rules(check_distmat(d))
 
     def test_bad_splits(self):
         d = self._dist()
-        d.row_splits = d.row_splits.copy()
-        d.row_splits[-1] += 1
-        assert "splits" in _rules(check_distmat(d))
+        # shifted by one: same block shapes, but row 0 belongs to no block
+        d.layout = Layout(d.layout.ranks2d, d.layout.row_splits + 1, d.layout.col_splits)
+        assert _rules(check_distmat(d)) == {"splits"}
 
     def test_block_shape_mismatch(self):
         d = self._dist()

@@ -19,7 +19,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 from repro.algebra import TROPICAL
 from repro.check import CheckedEngine, check_ledger
 from repro.check.strategies import grids
-from repro.dist import DistributedEngine
+from repro.dist import DistributedEngine, Layout
 from repro.machine import Machine
 
 W = TROPICAL.add_monoid
@@ -77,7 +77,7 @@ class CheckedPipeline(RuleBasedStateMachine):
 
     @rule(target=mats, a=mats, grid=grids(p=P))
     def redistribute(self, a, grid):
-        return a[0].redistribute(grid), a[1]
+        return a[0].redistribute(Layout.even(grid, N, N)), a[1]
 
     @rule(a=mats)
     def gather_matches_model(self, a):

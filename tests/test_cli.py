@@ -1,5 +1,8 @@
 """The command-line interface."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -241,3 +244,15 @@ class TestVerify:
         assert main(["verify", str(p), "--samples", "4", "--p", "1"]) == 0
         out = capsys.readouterr().out
         assert "CombBLAS" not in out
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_repro_help_exits_zero(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "--help"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage" in done.stdout

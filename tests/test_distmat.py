@@ -1,10 +1,12 @@
-"""DistMat: distribution, gather, redistribution, elementwise parity."""
+"""Layout and DistMat: distribution, gather, redistribution, elementwise parity."""
+
+import gc
 
 import numpy as np
 import pytest
 
 from repro.algebra.monoid import MinMonoid
-from repro.dist import DistMat, even_splits
+from repro.dist import DistMat, Layout, even_splits
 from repro.machine.grid import near_square_shape
 from repro.machine import Machine
 
@@ -16,6 +18,10 @@ W = MinMonoid()
 def home_grid(p):
     pr, pc = near_square_shape(p)
     return np.arange(p).reshape(pr, pc)
+
+
+def column(p):
+    return np.arange(p).reshape(p, 1)
 
 
 class TestEvenSplits:
@@ -31,6 +37,52 @@ class TestEvenSplits:
     def test_invalid_parts(self):
         with pytest.raises(ValueError):
             even_splits(10, 0)
+
+
+class TestLayout:
+    def test_rejects_a_grid_that_is_not_2d(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            Layout(np.arange(4), [0, 2, 4], [0, 4])
+        with pytest.raises(ValueError, match="2-dimensional"):
+            Layout(np.arange(8).reshape(2, 2, 2), [0, 2, 4], [0, 2, 4])
+
+    def test_rejects_split_lengths_off_the_grid(self):
+        with pytest.raises(ValueError, match="split lengths"):
+            Layout(home_grid(4), [0, 10], [0, 5, 10])
+        with pytest.raises(ValueError, match="split lengths"):
+            Layout(home_grid(4), [0, 5, 10], [0, 3, 6, 10])
+
+    @pytest.mark.parametrize("grid", [home_grid(6), column(5), column(3).T])
+    def test_even_is_even_splits(self, grid):
+        layout = Layout.even(grid, 23, 17)
+        pr, pc = grid.shape
+        assert np.array_equal(layout.row_splits, even_splits(23, pr))
+        assert np.array_equal(layout.col_splits, even_splits(17, pc))
+        assert layout.shape == (23, 17)
+        assert layout == Layout(grid, even_splits(23, pr), even_splits(17, pc))
+
+    def test_equality_is_by_value(self):
+        layout = Layout.even(home_grid(6), 23, 17)
+        copy = Layout(
+            layout.ranks2d.copy(), layout.row_splits.copy(), layout.col_splits.copy()
+        )
+        assert copy == layout and copy is not layout
+        assert layout.T.T == layout
+        assert layout.T != layout
+        assert layout.T == Layout(layout.ranks2d.T, layout.col_splits, layout.row_splits)
+        assert Layout(layout.ranks2d, [0, 1, 23], layout.col_splits) != layout
+        assert Layout(layout.ranks2d[::-1], layout.row_splits, layout.col_splits) != layout
+
+    def test_bounds_and_block_shapes(self):
+        layout = Layout(np.array([[4, 5, 6], [7, 0, 1]]), [0, 3, 10], [0, 0, 2, 9])
+        assert layout.bounds(0, 0) == (0, 3, 0, 0)
+        assert layout.bounds(1, 2) == (3, 10, 2, 9)
+        assert layout.bounds(0, 1) == (0, 3, 0, 2)
+        assert layout.block_shapes == [[(3, 0), (3, 2), (3, 7)], [(7, 0), (7, 2), (7, 7)]]
+        assert layout.shape == (10, 9)
+        t = layout.T
+        assert t.bounds(2, 1) == (2, 9, 3, 10)
+        assert int(t.ranks2d[2, 1]) == 1
 
 
 class TestDistributeGather:
@@ -54,28 +106,16 @@ class TestDistributeGather:
         d = DistMat.distribute(mat, machine, home_grid(4))
         wrong = d.blocks[0][0].block(0, 2, 0, 2)  # too small for its slot
         with pytest.raises(ValueError, match="shape"):
-            DistMat(
-                machine,
-                d.ranks2d,
-                d.row_splits,
-                d.col_splits,
-                [[wrong, d.blocks[0][1]], d.blocks[1]],
-                W,
-            )
-
-    def test_empty_like(self, rng):
-        mat = random_weight_spmat(rng, 10, 10, 0.3)
-        machine = Machine(4)
-        d = DistMat.distribute(mat, machine, home_grid(4))
-        e = DistMat.empty_like(d)
-        assert e.nnz == 0 and e.same_distribution(d)
+            DistMat(machine, d.layout, [[wrong, d.blocks[0][1]], d.blocks[1]], W)
 
     def test_memory_accounting(self, rng):
         mat = random_weight_spmat(rng, 20, 20, 0.5)
         machine = Machine(4)
         d = DistMat.distribute(mat, machine, home_grid(4))
-        per_rank = d.memory_words_per_rank()
-        assert sum(per_rank.values()) == d.words()
+        held = [machine.memory_used(r) for r in range(4)]
+        assert sum(held) == d.words()
+        for (i, j), owner in np.ndenumerate(d.layout.ranks2d):
+            assert held[owner] == d.blocks[i][j].words()
 
 
 class TestRedistribute:
@@ -84,9 +124,9 @@ class TestRedistribute:
         mat = random_weight_spmat(rng, 19, 21, 0.3)
         machine = Machine(p)
         d = DistMat.distribute(mat, machine, home_grid(p))
-        r = d.redistribute(np.arange(p).reshape(p, 1))
+        r = d.redistribute(Layout.even(column(p), *mat.shape))
         assert r.gather(charge=False).equals(mat)
-        r2 = r.redistribute(np.arange(p).reshape(1, p))
+        r2 = r.redistribute(Layout.even(column(p).T, *mat.shape))
         assert r2.gather(charge=False).equals(mat)
 
     def test_to_subgrid(self, rng):
@@ -94,9 +134,9 @@ class TestRedistribute:
         machine = Machine(8)
         d = DistMat.distribute(mat, machine, home_grid(8))
         sub = np.array([[4, 5], [6, 7]])
-        r = d.redistribute(sub)
+        r = d.redistribute(Layout.even(sub, *mat.shape))
         assert r.gather(charge=False).equals(mat)
-        owners = set(r.ranks2d.ravel().tolist())
+        owners = set(r.layout.ranks2d.ravel().tolist())
         assert owners == {4, 5, 6, 7}
 
     def test_charges_alltoall(self, rng):
@@ -104,7 +144,7 @@ class TestRedistribute:
         machine = Machine(4)
         d = DistMat.distribute(mat, machine, home_grid(4), charge=False)
         w0 = machine.ledger.critical_words()
-        d.redistribute(np.arange(4).reshape(4, 1))
+        d.redistribute(Layout.even(column(4), *mat.shape))
         assert machine.ledger.critical_words() > w0
 
     def test_identity_returns_self_and_touches_nothing(self, rng, monkeypatch):
@@ -118,27 +158,24 @@ class TestRedistribute:
         monkeypatch.setattr(
             machine.executor, "run_tasks", lambda *a, **k: pytest.fail("packed a block")
         )
-        # the grid alone (even splits implied), and spelled out in full
-        assert d.redistribute(home_grid(4)) is d
-        assert d.redistribute(d.ranks2d.copy(), d.row_splits.copy(), d.col_splits.copy()) is d
-        assert d.redistribute(home_grid(4), charge=False) is d
+        # its own layout, an even one built afresh, and one of copied arrays
+        assert d.redistribute(d.layout) is d
+        assert d.redistribute(Layout.even(home_grid(4), *mat.shape)) is d
+        copied = [a.copy() for a in (d.layout.ranks2d, d.layout.row_splits, d.layout.col_splits)]
+        assert d.redistribute(Layout(*copied)) is d
         assert machine.faults.step == step and machine.memory_peak() == held
 
     def test_same_grid_other_splits_still_moves(self, rng):
         mat = random_weight_spmat(rng, 16, 16, 0.5)
         d = DistMat.distribute(mat, Machine(4), home_grid(4))
-        r = d.redistribute(home_grid(4), row_splits=np.array([0, 3, 16]))
+        r = d.redistribute(Layout(home_grid(4), [0, 3, 16], d.layout.col_splits))
         assert r is not d and r.gather(charge=False).equals(mat)
 
     def test_custom_splits(self, rng):
         mat = random_weight_spmat(rng, 10, 10, 0.5)
         machine = Machine(2)
         d = DistMat.distribute(mat, machine, np.array([[0, 1]]))
-        r = d.redistribute(
-            np.array([[0], [1]]),
-            row_splits=np.array([0, 3, 10]),
-            col_splits=np.array([0, 10]),
-        )
+        r = d.redistribute(Layout(column(2), [0, 3, 10], [0, 10]))
         assert r.gather(charge=False).equals(mat)
 
 
@@ -184,7 +221,7 @@ class TestElementwiseParity:
         """Operands on different layouts of the same machine are aligned
         automatically (charged), like CTF's distribution-oblivious ops."""
         a, b, da, db = pair
-        moved = db.redistribute(np.arange(4).reshape(4, 1))
+        moved = db.redistribute(Layout.even(column(4), *b.shape))
         w0 = da.machine.ledger.total_words
         out = da.combine(moved)
         assert out.gather(charge=False).equals(a.combine(b))
@@ -206,6 +243,21 @@ class TestTranspose:
         t2 = da.transpose()
         assert t1 is t2
         assert t1.transpose() is da
+
+    def test_released_pair_frees_without_the_cyclic_collector(self, rng):
+        """A matrix and its memoized transpose are no reference cycle: their
+        memory charges go when the last reference does, not whenever (and on
+        whichever thread) the cyclic collector next runs finalizers."""
+        machine = Machine(4)
+        da = DistMat.distribute(random_weight_spmat(rng, 9, 9, 0.4), machine, home_grid(4))
+        t = da.transpose()
+        assert machine.memory_used() > 0 and t.transpose() is da
+        gc.disable()
+        try:
+            del da, t
+            assert machine.memory_used() == 0
+        finally:
+            gc.enable()
 
 
 class TestExtractRanges:

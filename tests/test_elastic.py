@@ -194,7 +194,7 @@ class TestRedundancy:
     def test_repair_from_replica(self, rng):
         m = quiet(4)
         mat, dm = _distribute(rng, m, ElasticPolicy())
-        dead_owner = int(dm.ranks2d[0, 0])
+        dead_owner = int(dm.layout.ranks2d[0, 0])
         stats = dm.repair_lost([dead_owner])
         assert stats["replica"] >= 1 and stats["source"] == 0
         got = dm.gather(charge=False)
@@ -203,7 +203,7 @@ class TestRedundancy:
     def test_repair_falls_back_to_source_when_buddy_dead(self, rng):
         m = quiet(4)
         mat, dm = _distribute(rng, m, ElasticPolicy())
-        owner = int(dm.ranks2d[0, 0])
+        owner = int(dm.layout.ranks2d[0, 0])
         buddy = (owner + 1) % m.p
         stats = dm.repair_lost([owner, buddy])
         assert stats["source"] >= 1
@@ -217,7 +217,7 @@ class TestRedundancy:
         (i, j), (buddy, crc, copy_) = next(iter(dm._replicas.items()))
         if len(copy_.vals["w"]):
             copy_.vals["w"][0] += 1.0
-            owner = int(dm.ranks2d[i, j])
+            owner = int(dm.layout.ranks2d[i, j])
             stats = dm.repair_lost([owner])
             assert stats["source"] >= 1  # CRC mismatch forced the fallback
             got = dm.gather(charge=False)
@@ -227,7 +227,7 @@ class TestRedundancy:
         m = quiet(4)
         _, dm = _distribute(rng, m, None)
         with pytest.raises(RecoveryError, match="no live replica"):
-            dm.repair_lost([int(dm.ranks2d[0, 0])])
+            dm.repair_lost([int(dm.layout.ranks2d[0, 0])])
 
 
 # ---------------------------------------------------------------------------
