@@ -116,12 +116,9 @@ from repro.machine import (
 from repro import obs
 from repro.sparse import (
     KERNEL_MODES,
-    KernelTraits,
     SpGemmResult,
     SpMat,
     count_ops,
-    recognize,
-    register_fast_path,
     resolve_kernel_mode,
     spgemm,
 )
@@ -155,9 +152,6 @@ __all__ = [
     "count_ops",
     # kernel dispatch tier
     "KERNEL_MODES",
-    "KernelTraits",
-    "recognize",
-    "register_fast_path",
     "resolve_kernel_mode",
     # core
     "mfbc",

@@ -165,11 +165,12 @@ def approx_attribution(metrics) -> list[dict]:
 def memory_attribution(metrics) -> list[dict]:
     """Per-site memory-pressure event totals from a metrics registry.
 
-    Reads the ``memory.*`` counter families the spill store, memory
-    manager, and OOM ladder emit (:mod:`repro.memory`): spill/unspill
-    traffic with word volumes, torn writes, relief evictions, and the
-    ladder rungs taken.  Empty when the run never came under memory
-    pressure.
+    Reads the spill store's ``memory.spill.{events,words}`` traffic and the
+    run events :func:`repro.faults.note` counts: torn spill writes
+    (``faults.detected{kind="tear"}``), relief evictions
+    (``faults.evicted{kind="spill"}``) and the recovery-ladder rungs taken
+    (every ``faults.*`` series with a ``rung`` label).  Empty when the run
+    never came under memory pressure.
     """
     rows: list[dict] = []
     combos: set[tuple[str, str]] = set()
@@ -190,36 +191,23 @@ def memory_attribution(metrics) -> list[dict]:
                 ),
             }
         )
-    for name, prefix in (
-        ("memory.spill.torn", "spill.torn"),
-        ("memory.reliefs", "relief"),
+    for event, name, kind in (
+        ("spill.torn", "faults.detected", "tear"),
+        ("relief", "faults.evicted", "spill"),
     ):
-        for labels in sorted(metrics.series(name)):
-            site = dict(labels).get("site", "")
-            rows.append(
-                {
-                    "event": prefix,
-                    "site": site,
-                    "count": int(metrics.get_count(name, site=site)),
-                    "words": 0,
-                }
-            )
-    for labels in sorted(metrics.series("memory.ladder")):
-        d = dict(labels)
-        rows.append(
-            {
-                "event": f"ladder.{d.get('rung', '')}",
-                "site": d.get("site", ""),
-                "count": int(
-                    metrics.get_count(
-                        "memory.ladder",
-                        rung=d.get("rung", ""),
-                        site=d.get("site", ""),
-                    )
-                ),
-                "words": 0,
-            }
-        )
+        for labels, count in sorted(metrics.series(name).items()):
+            d = dict(labels)
+            if d["kind"] == kind:
+                rows.append({"event": event, "site": d["site"], "count": int(count), "words": 0})
+    rungs: dict[tuple[str, str], float] = {}
+    for name in metrics.names():
+        if name.startswith("faults."):
+            for labels, count in metrics.series(name).items():
+                d = dict(labels)
+                if "rung" in d:
+                    rungs[d["rung"], d["site"]] = rungs.get((d["rung"], d["site"]), 0) + count
+    for (rung, site), count in sorted(rungs.items()):
+        rows.append({"event": f"ladder.{rung}", "site": site, "count": int(count), "words": 0})
     return rows
 
 

@@ -58,6 +58,7 @@ from repro.faults.checkpoint import (
     resolve_checkpoint_store,
     sources_checksum,
 )
+from repro.faults.plan import note
 from repro.graphs.graph import Graph
 from repro.obs import api as obs
 from repro.utils.rng import as_rng
@@ -462,7 +463,6 @@ def adaptive_bc(
     )
     n = graph.n
     machine = getattr(engine, "machine", None)
-    plan = getattr(machine, "faults", None)
 
     if n < 3:
         # no vertex can mediate an ordered pair; every score is exactly 0
@@ -547,16 +547,7 @@ def adaptive_bc(
         batch_index = int(state.batch_index)
         width_history = [float(w) for w in state.sampler.get("width_history", [])]
         width = width_history[-1] if width_history else math.inf
-        if plan is not None:
-            plan.note(
-                "batch",
-                "resumed",
-                site="adaptive_bc",
-                cursor=cursor,
-                index=batch_index,
-            )
-        elif obs.enabled():
-            obs.count("faults.resumed", 1.0, kind="batch")
+        note(machine, "batch", "resumed", site="adaptive_bc", cursor=cursor, index=batch_index)
 
     raw_denom = (n - 1) * (n - 2)
     converged = width <= epsilon

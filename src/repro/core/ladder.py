@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.faults.plan import DeadlineExceeded, FaultError, RankFailure
+from repro.faults.plan import DeadlineExceeded, FaultError, RankFailure, note
 from repro.machine.machine import MemoryLimitExceeded
-from repro.obs import api as obs
 
 __all__ = ["RecoveryLadder", "RUNGS"]
 
@@ -253,10 +252,4 @@ class RecoveryLadder:
         return True
 
     def _emit(self, kind: str, action: str, **detail) -> None:
-        """The ladder's one emitter: a fault-plan event, else an obs count."""
-        plan = getattr(self.machine, "faults", None)
-        if plan is not None:
-            plan.note(kind, action, site=self.site, **detail)
-        elif obs.enabled():
-            rung = detail.get("rung", action)
-            obs.count("memory.ladder", 1.0, rung=rung, site=self.site)
+        note(self.machine, kind, action, site=self.site, **detail)

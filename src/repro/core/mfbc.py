@@ -51,6 +51,7 @@ from repro.faults.checkpoint import (
     stats_from_dicts,
     stats_to_dicts,
 )
+from repro.faults.plan import note
 from repro.graphs.graph import Graph
 from repro.obs import api as obs
 
@@ -214,19 +215,13 @@ def mfbc(
     stats = MFBCStats()
     cursor = 0
     batch_index = 0
-    machine = getattr(engine, "machine", None)
-    plan = getattr(machine, "faults", None)
     if state is not None:
         scores[:] = state.scores
         cursor = int(state.cursor)
         batch_index = int(state.batch_index)
         stats.batches = stats_from_dicts(state.stats)
-        if plan is not None:
-            plan.note(
-                "batch", "resumed", site="mfbc", cursor=cursor, index=batch_index
-            )
-        elif obs.enabled():
-            obs.count("faults.resumed", 1.0, kind="batch")
+        machine = getattr(engine, "machine", None)
+        note(machine, "batch", "resumed", site="mfbc", cursor=cursor, index=batch_index)
     t0 = time.perf_counter()
 
     with obs.span(

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.faults.plan import note
 from repro.obs import api as obs
 
 __all__ = ["RecoveryError", "RecoveryReport", "recover_engine"]
@@ -184,18 +185,18 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
             detail={"site": site, "fault_step": step},
         )
         machine.recoveries.append(report)
-        if machine.faults is not None:
-            machine.faults.note(
-                "crash",
-                "recovered",
-                site=site or "recovery",
-                rank=rank,
-                p_before=p_before,
-                p_after=p_target,
-                retired=len(retired),
-                blocks_replica=blocks_replica,
-                blocks_source=blocks_source,
-            )
+        note(
+            machine,
+            "crash",
+            "recovered",
+            site=site or "recovery",
+            rank=rank,
+            p_before=p_before,
+            p_after=p_target,
+            retired=len(retired),
+            blocks_replica=blocks_replica,
+            blocks_source=blocks_source,
+        )
         if obs.enabled():
             sp.set(
                 p_after=p_target,

@@ -3,8 +3,10 @@
 The injection half lives in :mod:`repro.faults.plan`: a seeded
 :class:`FaultPlan` threaded through the machine, the collectives and the
 spill store (rank crashes, payload corruption, stragglers, memory pressure,
-torn spill writes), every event recorded as a structured
-:class:`FaultEvent` on the ``repro.obs`` streams.
+torn spill writes).  Every run event — injected or not, with or without
+a plan — goes through :func:`note`, which records a structured
+:class:`FaultEvent` on the plan and mirrors it to the ``repro.obs``
+streams.
 
 The tolerance half lives in :mod:`repro.faults.checkpoint` (per-batch
 checkpoint/restart stores for the MFBC driver) and in the consumer: the
@@ -36,6 +38,7 @@ from repro.faults.plan import (
     ScriptedFault,
     corrupt_copy,
     format_fault_report,
+    note,
     payload_checksum,
     resolve_fault_plan,
 )
@@ -49,6 +52,7 @@ __all__ = [
     "RankFailure",
     "CorruptPayload",
     "DeadlineExceeded",
+    "note",
     "resolve_fault_plan",
     "corrupt_copy",
     "payload_checksum",

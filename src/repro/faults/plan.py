@@ -89,6 +89,7 @@ __all__ = [
     "FaultEvent",
     "ScriptedFault",
     "FaultPlan",
+    "note",
     "resolve_fault_plan",
     "corrupt_copy",
     "payload_checksum",
@@ -165,10 +166,10 @@ class DeadlineExceeded(FaultError):
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One injected, detected, or recovered fault."""
+    """One run event: a fault injected, detected or recovered (see :func:`note`)."""
 
-    kind: str  # crash | corrupt | straggle | mem | batch
-    action: str  # injected | detected | recovered | degraded | resumed | abandoned
+    kind: str  # crash | corrupt | straggle | tear | mem | spill | deadline | batch
+    action: str  # injected | detected | evicted | recovered | degraded | resumed | abandoned
     step: int  # the plan's collective-charge counter at the event
     site: str  # where it happened ("bcast", "spgemm", "mfbc.batch", ...)
     rank: int | None = None
@@ -465,38 +466,6 @@ class FaultPlan:
                 ) from exc
         return cls(script=script, **kwargs)
 
-    # -- recording -----------------------------------------------------------
-
-    def note(
-        self,
-        kind: str,
-        action: str,
-        *,
-        site: str = "",
-        rank: int | None = None,
-        **detail,
-    ) -> FaultEvent:
-        """Record one fault event (and mirror it onto the obs streams)."""
-        ev = FaultEvent(
-            kind=kind,
-            action=action,
-            step=self.step,
-            site=site,
-            rank=rank,
-            detail=detail,
-        )
-        self.events.append(ev)
-        if action == "injected":
-            self.injected += 1
-        if obs.enabled():
-            obs.complete(
-                f"fault.{kind}",
-                cat="fault",
-                args=ev.to_dict(),
-            )
-            obs.count(f"faults.{action}", 1.0, kind=kind)
-        return ev
-
     def _may_inject(self) -> bool:
         return self.limit is None or self.injected < self.limit
 
@@ -534,10 +503,10 @@ class FaultPlan:
     def _straggle(self, machine, rank: int, site: str) -> None:
         skew = self.skew * (0.5 + 1.5 * float(self.rng.random()))
         machine.ledger.time[rank] += skew
-        self.note("straggle", "injected", site=site, rank=rank, skew_s=skew)
+        _emit(self, "straggle", "injected", site=site, rank=rank, skew_s=skew)
 
     def _crash(self, rank: int, site: str) -> None:
-        self.note("crash", "injected", site=site, rank=rank)
+        _emit(self, "crash", "injected", site=site, rank=rank)
         raise RankFailure(rank, self.step, site)
 
     def deliver(self, payload, site: str):
@@ -566,7 +535,7 @@ class FaultPlan:
         damaged = corrupt_copy(payload, self.rng)
         if damaged is payload:  # nothing corruptible in this payload
             return payload, False
-        self.note("corrupt", "injected", site=site)
+        _emit(self, "corrupt", "injected", site=site)
         return damaged, True
 
     def take_tear(self, site: str) -> bool:
@@ -589,7 +558,8 @@ class FaultPlan:
         if self.mem is None:
             return budget
         tightened = max(1, int(budget * self.mem))
-        self.note(
+        _emit(
+            self,
             "mem",
             "injected",
             site="machine",
@@ -618,6 +588,46 @@ class FaultPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultPlan({self.describe()}, events={len(self.events)})"
+
+
+def note(
+    machine, kind: str, action: str, *, site: str, rank: int | None = None, **detail
+) -> FaultEvent:
+    """Record one run event: the one emitter every layer reports through.
+
+    An OOM, a ladder rung, a spill relief, a torn write, a deadline, a
+    resume or an elastic recovery goes here whether or not a fault plan is
+    attached.  ``machine`` may be ``None`` (a sequential engine).  With a
+    plan on ``machine.faults`` the event joins its ``events`` (what
+    :meth:`FaultPlan.signature` compares); with or without one it is
+    mirrored to obs the same way — a ``fault.<kind>`` trace event and one
+    ``faults.<action>{kind, site[, rung]}`` count — so a report reads the
+    same with an inert plan as with none.
+    """
+    return _emit(getattr(machine, "faults", None), kind, action, site=site, rank=rank, **detail)
+
+
+def _emit(plan, kind, action, *, site, rank=None, **detail) -> FaultEvent:
+    """:func:`note`'s body; the plan's own injections enter here directly."""
+    ev = FaultEvent(
+        kind=kind,
+        action=action,
+        step=0 if plan is None else plan.step,
+        site=site,
+        rank=rank,
+        detail=detail,
+    )
+    if plan is not None:
+        plan.events.append(ev)
+        if action == "injected":
+            plan.injected += 1
+    if obs.enabled():
+        obs.complete(f"fault.{kind}", cat="fault", args=ev.to_dict())
+        labels = {"kind": kind, "site": site}
+        if "rung" in detail:
+            labels["rung"] = detail["rung"]
+        obs.count(f"faults.{action}", 1.0, **labels)
+    return ev
 
 
 def resolve_fault_plan(spec: "FaultPlan | str | None") -> "FaultPlan | None":

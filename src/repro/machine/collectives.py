@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.faults.plan import CorruptPayload, payload_checksum
+from repro.faults.plan import CorruptPayload, note, payload_checksum
 from repro.sparse.spmatrix import SpMat
 
 __all__ = ["Group", "payload_words", "TREE", "LINEAR"]
@@ -125,7 +125,8 @@ class Group:
         if plan.checksum:
             received_crc = payload_checksum(payload)
             if received_crc != sent_crc:
-                plan.note(
+                note(
+                    self.machine,
                     "corrupt",
                     "detected",
                     site=site,

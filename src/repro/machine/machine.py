@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import config
-from repro.faults.plan import DeadlineExceeded, FaultPlan, resolve_fault_plan
+from repro.faults.plan import DeadlineExceeded, FaultPlan, note, resolve_fault_plan
 from repro.machine.collectives import TREE, Group
 from repro.machine.executor import LocalExecutor
 from repro.machine.grid import log2ceil, survivor_map
@@ -295,17 +295,15 @@ class Machine:
                 pressured = (
                     self.faults is not None and self.faults.mem is not None
                 )
-                if self.faults is not None:
-                    self.faults.note(
-                        "mem",
-                        "detected",
-                        site=site,
-                        rank=rank,
-                        needed_words=needed,
-                        budget_words=int(budget),
-                    )
-                elif obs.enabled():
-                    obs.count("memory.oom", 1.0, site=site)
+                note(
+                    self,
+                    "mem",
+                    "detected",
+                    site=site,
+                    rank=rank,
+                    needed_words=needed,
+                    budget_words=int(budget),
+                )
                 raise MemoryLimitExceeded(
                     f"rank {rank} needs {needed} words but the per-rank "
                     f"memory budget is {budget}"
@@ -510,16 +508,7 @@ class Machine:
         modeled = float(self.ledger.time.max()) if self.p else 0.0
         if modeled <= self.deadline:
             return
-        if self.faults is not None:
-            self.faults.note(
-                "deadline",
-                "detected",
-                site=site,
-                modeled=modeled,
-                deadline=self.deadline,
-            )
-        elif obs.enabled():
-            obs.count("machine.deadline", 1.0, site=site)
+        note(self, "deadline", "detected", site=site, modeled=modeled, deadline=self.deadline)
         raise DeadlineExceeded(self.deadline, modeled, site)
 
     # -- elasticity ----------------------------------------------------------

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import weakref
 
+from repro.faults.plan import note
 from repro.memory.spill import SpillStore
-from repro.obs import api as obs
 
 __all__ = ["MemoryManager"]
 
@@ -124,18 +124,15 @@ class MemoryManager:
         if freed:
             self.reliefs += 1
             self.relieved_words += freed
-            plan = machine.faults
-            if plan is not None:
-                plan.note(
-                    "spill",
-                    "evicted",
-                    site=site,
-                    rank=rank,
-                    words=int(freed),
-                    needed=int(need_words),
-                )
-            elif obs.enabled():
-                obs.count("memory.reliefs", 1.0, site=site)
+            note(
+                machine,
+                "spill",
+                "evicted",
+                site=site,
+                rank=rank,
+                words=int(freed),
+                needed=int(need_words),
+            )
         return freed
 
     def spill_all(self) -> int:

@@ -1,13 +1,15 @@
-"""The spill-to-disk block store: checksummed, atomic, generation-rotated.
+"""The spill-to-disk block store: checksummed, atomic, write-once.
 
 Out-of-core runs (hypersparse blocks at high ``p``, working sets past a
 rank's budget) need somewhere to put cold state when that budget is tight.  A
 :class:`SpillStore` holds evicted :class:`~repro.sparse.SpMat` blocks as
 one ``.npz`` segment per block, written through
 :func:`~repro.faults.checkpoint.atomic_save_npz` (temp file +
-``os.replace``), CRC-32-checksummed, and generation-rotated: re-spilling a
-key moves the previous segment to ``<key>.1`` so a torn newest generation
-falls back to the last durable one instead of losing the block.
+``os.replace``) and CRC-32-checksummed.  A segment is written once: the
+owning :class:`~repro.dist.DistMat` drops a key (the block went resident,
+or the matrix was released) before that key can be spilled again.  Each
+store writes into a private directory of its own, so stores sharing a
+``--spill-dir`` never read or delete each other's segments.
 
 Torn writes are a first-class failure mode here: every spill is verified
 by reading the segment back and comparing its CRC before the resident
@@ -23,6 +25,7 @@ segment) and surfaced via ``memory.spill.*`` obs counters.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 import zipfile
@@ -30,36 +33,35 @@ import zipfile
 import numpy as np
 
 from repro.faults.checkpoint import atomic_save_npz
-from repro.faults.plan import payload_checksum
+from repro.faults.plan import note, payload_checksum
 from repro.obs import api as obs
 from repro.sparse.spmatrix import SpMat
 
 __all__ = ["SpillError", "SpillSegment", "SpillStore"]
 
-#: load failures that mean "this generation is torn/corrupt, try the next"
+#: load failures that mean "this segment is torn or corrupt"
 _LOAD_ERRORS = (ValueError, KeyError, EOFError, OSError, zipfile.BadZipFile)
 
 
 class SpillError(RuntimeError):
-    """No durable generation of a spilled segment could be read back."""
+    """A spilled segment could not be read back intact."""
 
 
 class SpillSegment:
     """Handle to one spilled block: where it lives and how to verify it."""
 
-    __slots__ = ("key", "path", "crc", "words", "nnz", "monoid", "generation")
+    __slots__ = ("key", "path", "crc", "words", "nnz", "monoid")
 
-    def __init__(self, key, path, crc, words, monoid, generation=0, nnz=0):
+    def __init__(self, key, path, crc, words, monoid, nnz=0):
         self.key = key
         self.path = path
         self.crc = crc
         self.words = words
         self.nnz = nnz
         self.monoid = monoid
-        self.generation = generation
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SpillSegment({self.key!r}, words={self.words}, gen={self.generation})"
+        return f"SpillSegment({self.key!r}, words={self.words})"
 
 
 def _block_payload(blk: SpMat) -> dict:
@@ -91,28 +93,20 @@ class SpillStore:
     Parameters
     ----------
     directory:
-        Segment directory.  ``None`` creates a private temporary directory
-        removed when the store is garbage-collected.
+        Where the store's private ``repro-spill-*`` segment directory is
+        made (``None``: the system temporary directory).  The private
+        directory is removed when the store is garbage-collected.
     machine:
         Optional :class:`~repro.machine.Machine`; when given, spill and
         unspill traffic is charged to its ledger (category ``"spill"``).
-    keep:
-        Older generations retained per key (the newest that verifies wins
-        at fetch time).
     """
 
-    def __init__(self, directory=None, *, machine=None, keep: int = 1) -> None:
-        if keep < 0:
-            raise ValueError(f"keep must be non-negative, got {keep}")
-        self._tmpdir = None
-        if directory is None:
-            self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-spill-")
-            directory = self._tmpdir.name
-        else:
+    def __init__(self, directory=None, *, machine=None) -> None:
+        if directory is not None:
             os.makedirs(directory, exist_ok=True)
-        self.directory = os.fspath(directory)
+        self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-spill-", dir=directory)
+        self.directory = self._tmpdir.name
         self.machine = machine
-        self.keep = int(keep)
         #: running totals (also mirrored onto obs counters)
         self.spilled_blocks = 0
         self.restored_blocks = 0
@@ -120,26 +114,14 @@ class SpillStore:
         self.restored_words = 0
         self.torn_writes = 0
 
-    # -- paths and rotation ---------------------------------------------------
-
-    def _path(self, key: str, generation: int = 0) -> str:
-        base = os.path.join(self.directory, f"{key}.npz")
-        return base if generation == 0 else f"{base}.{generation}"
-
-    def _rotate(self, key: str) -> None:
-        """Shift existing generations of ``key`` one slot older."""
-        if os.path.exists(self._path(key, self.keep)):
-            os.remove(self._path(key, self.keep))
-        for gen in range(self.keep, 0, -1):
-            older = self._path(key, gen - 1)
-            if os.path.exists(older):
-                os.replace(older, self._path(key, gen))
-
     # -- spill / fetch --------------------------------------------------------
+
+    def _path(self, key: str) -> str:
+        return os.path.join(self.directory, f"{key}.npz")
 
     def spill(self, key: str, blk: SpMat, *, rank: int | None = None,
               site: str = "spill") -> "SpillSegment | None":
-        """Write ``blk`` as the newest generation of ``key``; verify; charge.
+        """Write ``blk`` as the segment of ``key``; verify; charge.
 
         Returns the segment handle, or ``None`` when the written segment
         failed read-back verification (torn write) — the caller must then
@@ -147,32 +129,23 @@ class SpillStore:
         """
         crc = payload_checksum(blk)
         words = blk.words()
-        self._rotate(key)
         path = self._path(key)
         atomic_save_npz(
             path,
             _block_payload(blk),
             meta={"nrows": blk.nrows, "ncols": blk.ncols, "crc": crc},
         )
-        plan = self._fault_plan()
-        if plan is not None and plan.take_tear(site):
-            plan.note("tear", "injected", site=site, key=key)
+        hook = getattr(self.machine, "_fault_hook", None)
+        if hook is not None and hook.take_tear(site):
+            note(self.machine, "tear", "injected", site=site, key=key)
             _tear_file(path)
         seg = SpillSegment(key, path, crc, words, blk.monoid, nnz=blk.nnz)
         # write-then-verify: only a read-back that matches the CRC makes the
         # segment durable enough to drop the resident block
-        try:
-            restored = self._load_generation(seg, 0)
-        except _LOAD_ERRORS:
-            restored = None
-        if restored is None or payload_checksum(restored) != crc:
+        if self._read(seg) is None:
             self.torn_writes += 1
-            if plan is not None:
-                plan.note("tear", "detected", site=site, key=key)
-            elif obs.enabled():
-                obs.count("memory.spill.torn", 1.0, site=site)
-            if os.path.exists(path):
-                os.remove(path)
+            note(self.machine, "tear", "detected", site=site, key=key)
+            os.remove(path)
             return None
         self.spilled_blocks += 1
         self.spilled_words += words
@@ -184,56 +157,34 @@ class SpillStore:
 
     def fetch(self, seg: "SpillSegment", *, rank: int | None = None,
               site: str = "unspill") -> SpMat:
-        """Read a segment back, newest durable generation first.
-
-        Verifies the stored CRC; a torn newest generation falls back to the
-        older rotated ones.  Raises :class:`SpillError` when none verifies.
-        """
-        errors = []
-        for gen in range(self.keep + 1):
-            try:
-                blk = self._load_generation(seg, gen)
-            except _LOAD_ERRORS as exc:
-                errors.append(f"gen {gen}: {exc}")
-                continue
-            if blk is None:
-                continue
-            if payload_checksum(blk) != seg.crc:
-                errors.append(f"gen {gen}: checksum mismatch")
-                continue
-            self.restored_blocks += 1
-            self.restored_words += seg.words
-            self._charge(rank, seg.words, op="unspill")
-            if obs.enabled():
-                obs.count("memory.spill.events", 1.0, op="unspill", site=site)
-                obs.count(
-                    "memory.spill.words", float(seg.words), op="unspill", site=site
-                )
-            return blk
-        raise SpillError(
-            f"spilled segment {seg.key!r} has no durable generation "
-            f"({'; '.join(errors) or 'no file'})"
-        )
+        """Read a segment back; raise :class:`SpillError` unless its CRC holds."""
+        blk = self._read(seg)
+        if blk is None:
+            raise SpillError(f"spilled segment {seg.key!r} is not durable")
+        self.restored_blocks += 1
+        self.restored_words += seg.words
+        self._charge(rank, seg.words, op="unspill")
+        if obs.enabled():
+            obs.count("memory.spill.events", 1.0, op="unspill", site=site)
+            obs.count("memory.spill.words", float(seg.words), op="unspill", site=site)
+        return blk
 
     def drop(self, key: str) -> None:
-        """Remove every generation of ``key`` (the block went resident)."""
-        for gen in range(self.keep + 1):
-            path = self._path(key, gen)
-            if os.path.exists(path):
-                os.remove(path)
+        """Remove the segment of ``key`` (the block went resident)."""
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self._path(key))
 
-    def _load_generation(self, seg: "SpillSegment", gen: int) -> SpMat | None:
-        path = self._path(seg.key, gen)
-        if not os.path.exists(path):
+    @staticmethod
+    def _read(seg: "SpillSegment") -> SpMat | None:
+        """The segment's block if it loads and its CRC matches, else None."""
+        try:
+            with np.load(seg.path) as data:
+                blk = _block_from_npz(data, seg.monoid)
+        except _LOAD_ERRORS:
             return None
-        with np.load(path) as data:
-            return _block_from_npz(data, seg.monoid)
+        return blk if payload_checksum(blk) == seg.crc else None
 
     # -- accounting -----------------------------------------------------------
-
-    def _fault_plan(self):
-        machine = self.machine
-        return None if machine is None else machine._fault_hook
 
     def _charge(self, rank, words, *, op) -> None:
         if self.machine is not None:

@@ -87,6 +87,25 @@ GRAPH_ALGORITHMS = frozenset(
 )
 ALGORITHMS = SOURCE_ALGORITHMS | GRAPH_ALGORITHMS
 
+#: the obs counter each ``stats()`` counter is mirrored to (see ``_count``)
+_OBS_MIRRORS = {
+    "batches": "serve.batches",
+    "recoveries": "serve.recoveries",
+    "shed": "serve.overload.shed",
+    "degraded": "serve.overload.degraded",
+    "stale": "serve.overload.stale",
+    "infeasible": "serve.overload.infeasible",
+    "breaker_fastfail": "serve.overload.breaker_fastfail",
+    "dispatcher_restarts": "serve.overload.dispatcher_restart",
+}
+#: the ``stats()`` counter of each terminal state (see ``_finish``)
+_OUTCOMES = {
+    QueryState.DONE: "completed",
+    QueryState.FAILED: "failed",
+    QueryState.EXPIRED: "expired",
+    QueryState.CANCELLED: "cancelled",
+}
+
 
 class QueryError(RuntimeError):
     """Raised by :meth:`BCService.result` when the query did not succeed."""
@@ -169,7 +188,9 @@ class BCService:
         )
         self.estimator = CostEstimator(machine, graph)
         self._queries: dict[str, Query] = {}
-        self._registry_lock = threading.Lock()
+        #: guards the registry, the counters and every query state change;
+        #: re-entrant so ``cancel`` can hold it across ``_finish``
+        self._registry_lock = threading.RLock()
         #: serializes batch execution against graph mutation
         self._exec_lock = threading.Lock()
         self._pinned: dict[str, object] = {}
@@ -267,93 +288,75 @@ class BCService:
                     "seed": cfg.brownout_seed,
                 }
             degraded = True
+        query = Query(
+            algorithm=algorithm,
+            params=params,
+            deadline=deadline,
+            degraded=degraded,
+            requested_algorithm=requested if degraded else None,
+            client=client,
+        )
         cached = self.cache.get(cache_key(version, algorithm, params))
-        if cached is not None:
-            return self._finish_fast(
-                algorithm,
-                params,
-                requested,
-                result=cached,
-                version=version,
-                degraded=degraded,
-                cache_hit=True,
-            )
-        if self.admission.brownout_active and cfg.stale_depth:
+        if cached is None and self.admission.brownout_active and cfg.stale_depth:
             # brownout: a stale answer beats a shed one — look back through
             # the retained generations before charging the queue
             for v in range(version - 1, max(version - 1 - cfg.stale_depth, -1), -1):
-                hit = self.cache.peek(cache_key(v, algorithm, params))
-                if hit is not None:
-                    if obs.enabled():
-                        obs.count(
-                            "serve.overload.stale", 1.0, algorithm=requested
-                        )
-                    with self._registry_lock:
-                        self._counters["stale"] += 1
-                    return self._finish_fast(
-                        algorithm,
-                        params,
-                        requested,
-                        result=hit,
-                        version=v,
-                        degraded=True,
-                        cache_hit=True,
-                        stale_version=v,
-                    )
+                cached = self.cache.peek(cache_key(v, algorithm, params))
+                if cached is not None:
+                    self._count("stale", algorithm=requested)
+                    query.degraded = True
+                    query.requested_algorithm = requested
+                    query.stale_version = version = v
+                    break
+        if cached is not None:
+            query.cache_hit = True
+            query.graph_version = version
+            self._register(query)
+            self._finish(query, QueryState.DONE, result=cached)
+            return query.id
         estimate = self.estimator.estimate(algorithm, params)
         memory_estimate = self.estimator.estimate_memory_words(algorithm, params)
+        infeasible = None
         budget = self.machine.memory_words
         if budget is not None:
-            floor = self.estimator.estimate_memory_words(
-                algorithm, params, width=1
-            )
+            floor = self.estimator.estimate_memory_words(algorithm, params, width=1)
             if floor > budget:
-                # not even a width-1 sweep fits the per-rank budget: the
-                # memory ladder has nothing left to shrink, so fail fast
-                return self._reject_infeasible(
-                    algorithm, params, requested,
-                    deadline=deadline, degraded=degraded, client=client,
-                    reason=f"memory infeasible: modeled peak {floor:.3e} "
-                    f"words at batch width 1 exceeds the {budget:.3e}-word "
-                    f"per-rank budget before queueing",
+                # not even a width-1 sweep fits the per-rank budget: the memory
+                # ladder has nothing left to shrink, so fail fast
+                infeasible = (
+                    f"memory infeasible: modeled peak {floor:.3e} words at batch "
+                    f"width 1 exceeds the {budget:.3e}-word per-rank budget "
+                    f"before queueing"
                 )
-        if deadline is not None and estimate > deadline:
-            return self._reject_infeasible(
-                algorithm, params, requested,
-                deadline=deadline, degraded=degraded, client=client,
-                reason=f"deadline infeasible: modeled cost estimate "
-                f"{estimate:.3e}s exceeds the {deadline:.3e}s budget before "
-                f"queueing",
+        if infeasible is None and deadline is not None and estimate > deadline:
+            infeasible = (
+                f"deadline infeasible: modeled cost estimate {estimate:.3e}s "
+                f"exceeds the {deadline:.3e}s budget before queueing"
             )
+        if infeasible is not None:
+            self._count("infeasible", algorithm=requested)
+            self._register(query)
+            self._finish(query, QueryState.EXPIRED, error=infeasible)
+            return query.id
         if self._draining:
-            self._count_shed("draining")
+            self._count("shed", reason="draining")
             raise AdmissionError(
                 "draining", "service is draining; not accepting new work", None
             )
         breaker_wait = self.breaker.retry_after()
         if breaker_wait > 0:
-            self._count_shed("circuit_open")
+            self._count("shed", reason="circuit_open")
             raise CircuitOpen(
                 f"fault circuit open; retry in {breaker_wait:.2f}s", breaker_wait
             )
         try:
             self.admission.admit(estimate, client, memory_words=memory_estimate)
         except AdmissionError as exc:
-            self._count_shed(exc.reason)
+            self._count("shed", reason=exc.reason)
             raise
-        query = Query(
-            algorithm=algorithm,
-            params=params,
-            deadline=deadline,
-            cost_estimate=estimate,
-            cost_memory_words=memory_estimate,
-            degraded=degraded,
-            requested_algorithm=requested if degraded else None,
-            client=client,
-        )
-        with self._registry_lock:
-            self._queries[query.id] = query
-            self._counters["submitted"] += 1
+        query.cost_estimate = estimate
+        query.cost_memory_words = memory_estimate
+        self._register(query)
         self.coalescer.put(query)
         return query.id
 
@@ -395,14 +398,12 @@ class BCService:
     def cancel(self, query_id: str) -> bool:
         """Withdraw a queued query; running/terminal queries are not touched."""
         q = self._get(query_id)
-        if q.state is not QueryState.QUEUED:
-            return False
-        q.state = QueryState.CANCELLED
+        with self._registry_lock:
+            if q.state is not QueryState.QUEUED:
+                return False
+            self._finish(q, QueryState.CANCELLED, error="cancelled")
         self.coalescer.remove(q)
         self._release_admission(q)
-        q.finish(QueryState.CANCELLED, error="cancelled")
-        with self._registry_lock:
-            self._counters["cancelled"] += 1
         return True
 
     def update_graph(self, graph: Graph) -> int:
@@ -508,13 +509,11 @@ class BCService:
         self.coalescer.close()
         for q in self.coalescer.drain():
             self._release_admission(q)
-            if not q.state.terminal:
-                q.finish(
-                    QueryState.CANCELLED,
-                    error="service draining: query abandoned at drain timeout",
-                )
-                with self._registry_lock:
-                    self._counters["cancelled"] += 1
+            self._finish(
+                q,
+                QueryState.CANCELLED,
+                error="service draining: query abandoned at drain timeout",
+            )
         self._dispatcher.join(5.0)
         self._watchdog.join(5.0)
 
@@ -541,8 +540,7 @@ class BCService:
                 self._execute(batch)
             except Exception as exc:  # defensive: never kill the dispatcher
                 for q in batch:
-                    if not q.state.terminal:
-                        self._fail(q, QueryState.FAILED, f"{type(exc).__name__}: {exc}")
+                    self._finish(q, QueryState.FAILED, error=f"{type(exc).__name__}: {exc}")
             finally:
                 with self._registry_lock:
                     self._inflight -= 1
@@ -553,10 +551,7 @@ class BCService:
             if self._closed:
                 return
             if not self._dispatcher.is_alive():
-                with self._registry_lock:
-                    self._counters["dispatcher_restarts"] += 1
-                if obs.enabled():
-                    obs.count("serve.overload.dispatcher_restart", 1.0)
+                self._count("dispatcher_restarts")
                 self._heartbeat = time.monotonic()
                 self._dispatcher = threading.Thread(
                     target=self._dispatch_loop,
@@ -580,11 +575,13 @@ class BCService:
             version = self.graph_version
             algorithm = batch[0].algorithm
             now = _wall()
-            batch = [q for q in batch if not q.state.terminal]  # late cancels
+            with self._registry_lock:  # a cancel lands before this or not at all
+                batch = [q for q in batch if q.state is QueryState.QUEUED]
+                for q in batch:
+                    q.state = QueryState.RUNNING
             if not batch:
                 return
             for q in batch:
-                q.state = QueryState.RUNNING
                 q.queue_seconds = now - q.submitted_wall
             # re-check the cache: an earlier batch may have answered this key
             remaining: list[Query] = []
@@ -593,27 +590,21 @@ class BCService:
                 hit = self.cache.peek(key)
                 if hit is not None:
                     q.cache_hit = True
-                    self._complete(q, hit, version, batch_size=0)
+                    q.graph_version = version
+                    self._finish(q, QueryState.DONE, result=hit)
                 else:
                     remaining.append(q)
             if not remaining:
                 return
             if not self.breaker.allow():
                 wait = self.breaker.retry_after()
-                with self._registry_lock:
-                    self._counters["breaker_fastfail"] += len(remaining)
-                if obs.enabled():
-                    obs.count(
-                        "serve.overload.breaker_fastfail",
-                        float(len(remaining)),
-                        algorithm=algorithm,
-                    )
+                self._count("breaker_fastfail", len(remaining), algorithm=algorithm)
                 for q in remaining:
-                    self._fail(
+                    self._finish(
                         q,
                         QueryState.FAILED,
-                        "circuit open after repeated fault-recovery failures; "
-                        f"retry in {wait:.2f}s",
+                        error="circuit open after repeated fault-recovery "
+                        f"failures; retry in {wait:.2f}s",
                     )
                 return
             self._execute_live(algorithm, remaining, version)
@@ -654,7 +645,6 @@ class BCService:
                 modeled_cost = machine.ledger.critical_time() - start_modeled
                 if obs.enabled():
                     sp.set(modeled_cost=modeled_cost)
-                    obs.count("serve.batches", 1.0, algorithm=algorithm)
                     obs.observe(
                         "serve.batch_size", float(len(queries)), algorithm=algorithm
                     )
@@ -666,18 +656,18 @@ class BCService:
             ]
             if not expired:  # the machine's own global deadline tripped
                 for q in queries:
-                    self._fail(q, QueryState.EXPIRED, "machine deadline exceeded")
+                    self._finish(q, QueryState.EXPIRED, error="machine deadline exceeded")
                 return
             survivors = [q for q in queries if q not in expired]
             for q in expired:
-                self._fail(
+                self._finish(
                     q,
                     QueryState.EXPIRED,
-                    f"deadline {q.deadline}s modeled exceeded ({elapsed:.3e}s elapsed)",
+                    error=f"deadline {q.deadline}s modeled exceeded "
+                    f"({elapsed:.3e}s elapsed)",
                 )
             if survivors:
-                with self._registry_lock:
-                    self._counters["retries"] += 1
+                self._count("retries")
                 self._requeue(survivors)
             return
         except FaultError as exc:
@@ -693,24 +683,22 @@ class BCService:
             # (ours in ``_handle_fault``, or ``mfbc`` / ``adaptive_bc``'s own)
             recovered = len(machine.recoveries) - recoveries
             if recovered:
-                with self._registry_lock:
-                    self._counters["recoveries"] += recovered
-                if obs.enabled():
-                    obs.count("serve.recoveries", float(recovered), mode="elastic")
+                self._count("recoveries", recovered, mode="elastic")
         compute = _wall() - t0
         self.breaker.record_success()
         self.estimator.observe(
             algorithm, self._batch_units(algorithm, queries), modeled_cost
         )
         self.admission.observe_drain(len(queries), compute)
-        with self._registry_lock:
-            self._counters["batches"] += 1
-            self._counters["swept_sources"] += len(queries)
+        self._count("batches", algorithm=algorithm)
+        self._count("swept_sources", len(queries))
         for q in queries:
             q.compute_seconds = compute
+            q.graph_version = version
+            q.batch_size = len(queries)
             payload = results[q.id]
             self.cache.put(cache_key(version, algorithm, q.params), payload)
-            self._complete(q, payload, version, batch_size=len(queries))
+            self._finish(q, QueryState.DONE, result=payload)
 
     def _handle_fault(
         self, queries: list[Query], exc: FaultError, ladder: RecoveryLadder
@@ -730,10 +718,10 @@ class BCService:
         )
         if rung is None:
             for q in queries:
-                self._fail(
+                self._finish(
                     q,
                     QueryState.FAILED,
-                    f"{type(exc).__name__} after {q.attempts} attempts",
+                    error=f"{type(exc).__name__} after {q.attempts} attempts",
                 )
             return
         if rung == "elastic":
@@ -742,8 +730,7 @@ class BCService:
             for q in queries:
                 q.attempts -= 1
         else:
-            with self._registry_lock:
-                self._counters["retries"] += 1
+            self._count("retries")
         self._requeue(queries)
 
     def _requeue(self, queries: list[Query]) -> None:
@@ -923,77 +910,6 @@ class BCService:
             raise KeyError(f"unknown query id {query_id!r}")
         return q
 
-    def _finish_fast(
-        self,
-        algorithm: str,
-        params: dict,
-        requested: str,
-        *,
-        result,
-        version: int,
-        degraded: bool,
-        cache_hit: bool,
-        stale_version: int | None = None,
-    ) -> str:
-        """Register and immediately complete a submit-time answer."""
-        query = Query(
-            algorithm=algorithm,
-            params=params,
-            degraded=degraded,
-            requested_algorithm=requested if degraded else None,
-            stale_version=stale_version,
-        )
-        query.cache_hit = cache_hit
-        query.graph_version = version
-        with self._registry_lock:
-            self._queries[query.id] = query
-            self._counters["submitted"] += 1
-        query.finish(QueryState.DONE, result=result)
-        with self._registry_lock:
-            self._counters["completed"] += 1
-            if degraded:
-                self._counters["degraded"] += 1
-        if degraded and obs.enabled():
-            obs.count("serve.overload.degraded", 1.0, algorithm=requested)
-        self._note_query(query)
-        return query.id
-
-    def _reject_infeasible(
-        self,
-        algorithm: str,
-        params: dict,
-        requested: str,
-        *,
-        deadline: float | None,
-        degraded: bool,
-        client: str | None,
-        reason: str,
-    ) -> str:
-        """Register a query that can never be served and expire it unqueued."""
-        if obs.enabled():
-            obs.count("serve.overload.infeasible", 1.0, algorithm=requested)
-        with self._registry_lock:
-            self._counters["infeasible"] += 1
-        query = Query(
-            algorithm=algorithm,
-            params=params,
-            deadline=deadline,
-            degraded=degraded,
-            requested_algorithm=requested if degraded else None,
-            client=client,
-        )
-        with self._registry_lock:
-            self._queries[query.id] = query
-            self._counters["submitted"] += 1
-        self._fail(query, QueryState.EXPIRED, reason)
-        return query.id
-
-    def _count_shed(self, reason: str) -> None:
-        with self._registry_lock:
-            self._counters["shed"] += 1
-        if obs.enabled():
-            obs.count("serve.overload.shed", 1.0, reason=reason)
-
     def _release_admission(self, q: Query) -> None:
         """Un-charge a query's cost from the queue accounting exactly once."""
         with self._registry_lock:
@@ -1006,56 +922,53 @@ class BCService:
             q.cost_estimate, memory_words=q.cost_memory_words
         )
 
-    def _complete(self, q: Query, payload, version: int, *, batch_size: int) -> None:
-        if q.state.terminal:
-            return  # cancelled while running
-        q.graph_version = version
-        q.batch_size = batch_size
-        q.finish(QueryState.DONE, result=payload)
+    def _count(self, name: str, n: float = 1, **labels) -> None:
+        """Bump one ``stats()`` counter and its obs mirror together."""
         with self._registry_lock:
-            self._counters["completed"] += 1
-            if q.degraded:
-                self._counters["degraded"] += 1
-        if q.degraded and obs.enabled():
-            obs.count(
-                "serve.overload.degraded",
-                1.0,
-                algorithm=q.requested_algorithm or q.algorithm,
-            )
-        self._note_query(q)
+            self._counters[name] += n
+        mirror = _OBS_MIRRORS.get(name)
+        if mirror is not None and obs.enabled():
+            obs.count(mirror, float(n), **labels)
 
-    def _fail(self, q: Query, state: QueryState, message: str) -> None:
-        if q.state.terminal:
-            return
-        q.finish(state, error=message)
+    def _register(self, query: Query) -> None:
+        """Make ``query`` pollable and count it submitted."""
         with self._registry_lock:
-            self._counters[
-                "expired" if state is QueryState.EXPIRED else "failed"
-            ] += 1
-        self._note_query(q)
+            self._queries[query.id] = query
+            self._counters["submitted"] += 1
 
-    def _note_query(self, q: Query) -> None:
-        if not obs.enabled():
-            return
-        obs.count(
-            "serve.queries", 1.0, algorithm=q.algorithm, outcome=q.state.value
-        )
-        obs.complete(
-            "serve.query",
-            cat="serve",
-            wall_dur=q.queue_seconds + q.compute_seconds,
-            args={
-                "id": q.id,
-                "algorithm": q.algorithm,
-                "outcome": q.state.value,
-                "cache_hit": q.cache_hit,
-                "degraded": q.degraded,
-                "queue_s": q.queue_seconds,
-                "compute_s": q.compute_seconds,
-                "batch": q.batch_size,
-                "attempts": q.attempts,
-            },
-        )
+    def _finish(self, q: Query, state: QueryState, *, result=None, error=None) -> None:
+        """Move ``q`` to the terminal ``state``; count and note it once.
+
+        The first terminal state wins: a query already finished (say,
+        cancelled before its batch ran) keeps its state and is not counted
+        again.
+        """
+        with self._registry_lock:
+            if q.state.terminal:
+                return
+            self._count(_OUTCOMES[state])
+            if state is QueryState.DONE and q.degraded:
+                self._count("degraded", algorithm=q.requested_algorithm or q.algorithm)
+            if obs.enabled():
+                obs.count("serve.queries", 1.0, algorithm=q.algorithm, outcome=state.value)
+                obs.complete(
+                    "serve.query",
+                    cat="serve",
+                    wall_dur=q.queue_seconds + q.compute_seconds,
+                    args={
+                        "id": q.id,
+                        "algorithm": q.algorithm,
+                        "outcome": state.value,
+                        "cache_hit": q.cache_hit,
+                        "degraded": q.degraded,
+                        "queue_s": q.queue_seconds,
+                        "compute_s": q.compute_seconds,
+                        "batch": q.batch_size,
+                        "attempts": q.attempts,
+                    },
+                )
+            # last: a client woken by ``done`` sees the counts already made
+            q.finish(state, result=result, error=error)
 
 
 def _wall() -> float:

@@ -7,17 +7,12 @@ of the distributed engine are made of.  The generalized SpGEMM kernel in
 :mod:`repro.sparse.spgemm` implements ``C = A •⟨⊕,f⟩ B`` for any
 :class:`~repro.algebra.matmul.MatMulSpec` with vectorized join + reduce,
 with optional GraphBLAS-style output masks; :mod:`repro.sparse.dispatch`
-routes recognized specs (plus-times, min-plus, max-min, multpath/centpath)
-to bit-identical specialized fast paths.
+routes the two recognized families — plus-times and the multpath/centpath
+path sums — to bit-identical fast paths, and every other spec (min-plus,
+max-min, ...) to the generic kernel.
 """
 
-from repro.sparse.dispatch import (
-    KERNEL_MODES,
-    KernelTraits,
-    recognize,
-    register_fast_path,
-    resolve_kernel_mode,
-)
+from repro.sparse.dispatch import KERNEL_MODES, resolve_kernel_mode
 from repro.sparse.spgemm import SpGemmResult, count_ops, spgemm
 from repro.sparse.spmatrix import SpMat
 
@@ -27,8 +22,5 @@ __all__ = [
     "SpGemmResult",
     "count_ops",
     "KERNEL_MODES",
-    "KernelTraits",
-    "recognize",
-    "register_fast_path",
     "resolve_kernel_mode",
 ]

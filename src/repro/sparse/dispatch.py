@@ -30,11 +30,14 @@ The ``kernel`` knob (:mod:`repro.config`) selects:
 
 * ``generic``: never dispatch (the pure oracle kernel);
 * ``auto`` (default): dispatch recognized specs.
+
+There is no registry: :func:`dispatch_spgemm` asks the two recognizers in
+order, and a new fast path is a new branch there, held to the same
+bit-identity contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,9 +62,6 @@ from repro.sparse.spmatrix import SpMat
 
 __all__ = [
     "KERNEL_MODES",
-    "KernelTraits",
-    "recognize",
-    "register_fast_path",
     "resolve_kernel_mode",
     "dispatch_spgemm",
 ]
@@ -88,52 +88,6 @@ def resolve_kernel_mode(mode: str | None = None) -> str:
     return config.ambient("kernel", mode, _parse_mode)
 
 
-@dataclass(frozen=True)
-class KernelTraits:
-    """What the dispatcher recognized about a :class:`MatMulSpec`.
-
-    Attributes
-    ----------
-    path:
-        Registered fast-path name (``"plus-times"``, ``"multpath"``,
-        ``"centpath"``, or an extension's name).
-    field:
-        The single carrier field for the semiring path, ``None`` otherwise.
-    """
-
-    path: str
-    field: str | None = None
-
-
-#: impl(a, b, spec, traits, *, mask_keys, mask_complement, chunk)
-#: returning a result or ``None`` to decline (caller falls back to generic).
-KernelImpl = Callable[..., "SpGemmResult | None"]
-
-#: recognizer(spec) returning :class:`KernelTraits` or ``None``.
-Recognizer = Callable[[MatMulSpec], "KernelTraits | None"]
-
-_FAST_PATHS: list[tuple[Recognizer, KernelImpl]] = []
-
-
-def register_fast_path(recognizer: Recognizer, impl: KernelImpl) -> None:
-    """Extension hook: add a recognizer + kernel pair to the dispatch table.
-
-    Later registrations are consulted after the built-ins.  A registered
-    kernel MUST be bit-identical (post-canonicalization) to the generic
-    kernel — ``repro.check`` replays will fail otherwise.
-    """
-    _FAST_PATHS.append((recognizer, impl))
-
-
-def recognize(spec: MatMulSpec) -> KernelTraits | None:
-    """The traits of the first fast path claiming ``spec``, if any."""
-    for recognizer, _ in _FAST_PATHS:
-        traits = recognizer(spec)
-        if traits is not None:
-            return traits
-    return None
-
-
 def dispatch_spgemm(
     a: SpMat,
     b: SpMat,
@@ -143,33 +97,25 @@ def dispatch_spgemm(
     mask_complement: bool,
     chunk: int,
 ) -> SpGemmResult | None:
-    """Route one product through the fast-path table.
+    """Route one product to its fast path: plus-times first, then path-sum.
 
-    Returns ``None`` when no fast path applies — the caller runs the generic
-    kernel.  Emits a ``kernel.dispatch`` counter per decision.
+    Returns ``None`` when no fast path applies or the one that applies
+    declines — the caller runs the generic kernel.  Emits one
+    ``kernel.dispatch{kernel, outcome, phase}`` count per decision.
     """
     if a.nnz == 0 or b.nnz == 0:
         return None  # the generic empty path is already optimal
-    for recognizer, impl in _FAST_PATHS:
-        traits = recognizer(spec)
-        if traits is None:
-            continue
-        result = impl(
-            a,
-            b,
-            spec,
-            traits,
-            mask_keys=mask_keys,
-            mask_complement=mask_complement,
-            chunk=chunk,
-        )
-        if result is not None:
-            _count_dispatch(traits.path, "hit", spec.name)
-            return result
-        _count_dispatch(traits.path, "declined", spec.name)
-        return None
-    _count_dispatch("generic", "unrecognized", spec.name)
-    return None
+    if _recognize_plus_times(spec):
+        kernel = "plus-times"
+        result = _scipy_plus_times(a, b, spec, mask_keys=mask_keys, chunk=chunk)
+    else:
+        kernel = _recognize_pathsum(spec)
+        if kernel is None:
+            _count_dispatch("generic", "unrecognized", spec.name)
+            return None
+        result = _pathsum_kernel(a, b, spec, mask_keys, mask_complement, chunk)
+    _count_dispatch(kernel, "declined" if result is None else "hit", spec.name)
+    return result
 
 
 def _count_dispatch(kernel: str, outcome: str, phase: str) -> None:
@@ -177,26 +123,25 @@ def _count_dispatch(kernel: str, outcome: str, phase: str) -> None:
         obs.count("kernel.dispatch", 1.0, kernel=kernel, outcome=outcome, phase=phase)
 
 
-# -- recognition (built-ins) -------------------------------------------------
+# -- recognition -------------------------------------------------------------
 
 
-def _recognize_plus_times(spec: MatMulSpec) -> KernelTraits | None:
+def _recognize_plus_times(spec: MatMulSpec) -> bool:
     f = spec.f
-    if (
+    return (
         isinstance(f, SemiringAction)
         and f.multiply is np.multiply
         and isinstance(spec.monoid, PlusMonoid)
         and spec.monoid.field_names == (f.field,)
-    ):
-        return KernelTraits("plus-times", field=f.field)
-    return None
+    )
 
 
-def _recognize_pathsum(spec: MatMulSpec) -> KernelTraits | None:
+def _recognize_pathsum(spec: MatMulSpec) -> str | None:
+    """``"multpath"`` / ``"centpath"`` for the Bellman-Ford / Brandes specs."""
     if spec.f is bellman_ford_action and isinstance(spec.monoid, MultpathMonoid):
-        return KernelTraits("multpath")
+        return "multpath"
     if spec.f is brandes_action and isinstance(spec.monoid, CentpathMonoid):
-        return KernelTraits("centpath")
+        return "centpath"
     return None
 
 
@@ -207,10 +152,8 @@ def _scipy_plus_times(
     a: SpMat,
     b: SpMat,
     spec: MatMulSpec,
-    traits: KernelTraits,
     *,
     mask_keys: np.ndarray | None,
-    mask_complement: bool,
     chunk: int,
 ) -> SpGemmResult | None:
     """Compiled ``csr @ csr`` for the (R, +, ×) semiring.
@@ -230,7 +173,7 @@ def _scipy_plus_times(
     total = count_ops(a, b)
     if total > chunk or total < _SCIPY_MIN_OPS:
         return None
-    field = traits.field
+    field = spec.f.field
     sa = scipy.sparse.csr_matrix(
         (a.vals[field], (a.rows, a.cols)), shape=a.shape
     )
@@ -260,8 +203,6 @@ def _pathsum_kernel(
     a: SpMat,
     b: SpMat,
     spec: MatMulSpec,
-    traits: KernelTraits,
-    *,
     mask_keys: np.ndarray | None,
     mask_complement: bool,
     chunk: int,
@@ -377,6 +318,3 @@ def _pathsum_compiled(
         parts_v.append(vals)
     return _assemble_coords(a.nrows, b.ncols, parts_rc, parts_v, monoid, ops_done)
 
-
-register_fast_path(_recognize_plus_times, _scipy_plus_times)
-register_fast_path(_recognize_pathsum, _pathsum_kernel)

@@ -231,8 +231,8 @@ def _spgemm_generic(
         return SpGemmResult(SpMat.empty(*out_shape, monoid), 0)
 
     ops_done = 0
-    partial_keys: list[np.ndarray] = []
-    partial_vals = []
+    parts_rc: list[tuple[np.ndarray, np.ndarray]] = []
+    parts_v: list[FieldArray] = []
     for a_idx, b_idx, keys in _expansion_chunks(
         a, b, mask_keys, mask_complement, chunk
     ):
@@ -242,22 +242,10 @@ def _spgemm_generic(
         vals = spec.apply_f(take_fields(a.vals, a_idx), take_fields(b.vals, b_idx))
         del a_idx, b_idx
         keys, vals = monoid.reduce_by_key(keys, vals)
-        partial_keys.append(keys)
-        partial_vals.append(vals)
-    return _assemble(*out_shape, partial_keys, partial_vals, monoid, ops_done)
-
-
-def _assemble(
-    nrows: int,
-    ncols: int,
-    parts_k: list[np.ndarray],
-    parts_v: list[FieldArray],
-    monoid,
-    ops: int,
-) -> SpGemmResult:
-    """:func:`_assemble_coords` for partials keyed ``row * ncols + col``."""
-    parts_rc = [(keys // ncols, keys % ncols) for keys in parts_k]
-    return _assemble_coords(nrows, ncols, parts_rc, parts_v, monoid, ops)
+        # keys are ``row * ncols + col``
+        parts_rc.append((keys // b.ncols, keys % b.ncols))
+        parts_v.append(vals)
+    return _assemble_coords(*out_shape, parts_rc, parts_v, monoid, ops_done)
 
 
 def _assemble_coords(

@@ -152,9 +152,10 @@ class TestLiteralReports:
         m.count("memory.spill.words", 1200, op="spill", site="distmat")
         m.count("memory.spill.events", 2, op="unspill", site="distmat")
         m.count("memory.spill.words", 800, op="unspill", site="distmat")
-        m.count("memory.spill.torn", 1, site="distmat")
-        m.count("memory.reliefs", 4, site="spgemm")
-        m.count("memory.ladder", 2, rung="shrink_batch", site="mfbc.batch")
+        m.count("faults.detected", 1, kind="tear", site="distmat")
+        m.count("faults.evicted", 4, kind="spill", site="spgemm")
+        m.count("faults.degraded", 2, kind="mem", rung="shrink_batch", site="mfbc.batch")
+        m.count("faults.detected", 3, kind="mem", site="spgemm")  # an OOM: no row
         assert format_report("memory", m) == (
             "memory pressure (memory.*):\n"
             "              event        site  count  words\n"

@@ -34,17 +34,10 @@ from repro.core.engine import SequentialEngine
 from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC
 from repro.dist import DistributedEngine
 from repro.machine import Machine
-from repro.sparse import (
-    KernelTraits,
-    SpGemmResult,
-    SpMat,
-    recognize,
-    resolve_kernel_mode,
-    spgemm,
-)
+from repro.sparse import SpGemmResult, SpMat, resolve_kernel_mode, spgemm
 from repro.sparse import _native
 from repro.sparse import dispatch as dispatch_mod
-from repro.sparse.dispatch import dispatch_spgemm, register_fast_path
+from repro.sparse.dispatch import dispatch_spgemm
 
 spgemm_mod = sys.modules[spgemm.__module__]
 
@@ -64,6 +57,16 @@ def _clean_kernel_env(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _dispatch_series(a, b, spec):
+    """The one ``kernel.dispatch`` series a product lands in, as a label dict."""
+    metrics = obs.Metrics()
+    with obs.use(metrics=metrics):
+        dispatch_spgemm(a, b, spec, mask_keys=None, mask_complement=False, chunk=1 << 22)
+    ((labels, count),) = metrics.series("kernel.dispatch").items()
+    assert count == 1.0
+    return dict(labels)
+
+
 class TestRecognition:
     @pytest.mark.parametrize(
         "spec, path, field",
@@ -78,33 +81,31 @@ class TestRecognition:
             (BRANDES_SPEC, "centpath", None),
         ],
     )
-    def test_builtin_traits(self, spec, path, field):
-        expected = KernelTraits(path, field=field) if path else None
-        assert recognize(spec) == expected
+    def test_builtin_traits(self, spec, path, field, rng):
+        pathsum = path in ("multpath", "centpath")
+        a = _random_path_spmat(rng, spec.monoid, 5, 6)
+        b = _random_path_spmat(rng, WEIGHT_MONOID if pathsum else spec.monoid, 6, 7)
+        if field is not None:
+            assert spec.monoid.field_names == (field,)
+        labels = _dispatch_series(a, b, spec)
+        assert labels["phase"] == spec.name
+        if path is None:
+            assert (labels["kernel"], labels["outcome"]) == ("generic", "unrecognized")
+        else:
+            # small plus-times products decline the CSR round trip
+            assert labels["kernel"] == path
+            assert labels["outcome"] in ("hit", "declined")
 
-    def test_opaque_action_unrecognized(self):
+    def test_opaque_action_unrecognized(self, rng):
         # a bare callable carries no recognizable algebraic structure
         spec = MatMulSpec(MULTPATH, lambda a, b: a, name="opaque")
-        assert recognize(spec) is None
-
-    def test_extension_registration(self, rng):
-        spec = MatMulSpec(MULTPATH, lambda a, b: a, name="ext")
-        sentinel = SpGemmResult(SpMat.empty(2, 2, MULTPATH), 0)
-        n_before = len(dispatch_mod._FAST_PATHS)
-        register_fast_path(
-            lambda s: KernelTraits("ext") if s.name == "ext" else None,
-            lambda *a, **k: sentinel,
-        )
-        try:
-            assert recognize(spec) == KernelTraits("ext")
-            a = cst.random_weight_spmat(rng, 3, 3, 0.5)
-            got = dispatch_spgemm(
-                a, a, spec, mask_keys=None, mask_complement=False,
-                chunk=1 << 22,
-            )
-            assert got is sentinel
-        finally:
-            del dispatch_mod._FAST_PATHS[n_before:]
+        a = _random_path_spmat(rng, MULTPATH, 4, 4)
+        b = cst.random_weight_spmat(rng, 4, 4, 0.6)
+        assert _dispatch_series(a, b, spec) == {
+            "kernel": "generic",
+            "outcome": "unrecognized",
+            "phase": "opaque",
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """repro.memory: spill-to-disk store, relief eviction, the memory rungs.
 
 Covers the checksummed :class:`SpillStore` (round-trip bit-exactness,
-write-then-verify torn-write handling, generation rotation), DistMat
+write-then-verify torn-write handling, private per-store directories), DistMat
 block/replica eviction and lazy fault-in,
 :class:`RecoveryLadder` rung progression and re-arming, and the ISSUE's
 acceptance bar: a seed-graph MFBC run under a per-rank budget well below
@@ -56,7 +56,7 @@ def run_mfbc(g, machine, *, batch=64):
 
 
 # ---------------------------------------------------------------------------
-# SpillStore: segments, torn writes, rotation
+# SpillStore: segments, torn writes, shared directories
 # ---------------------------------------------------------------------------
 
 
@@ -101,38 +101,27 @@ class TestSpillStore:
         assert seg is not None
         assert payload_checksum(store.fetch(seg)) == payload_checksum(blk)
 
-    def test_generation_rotation_survives_torn_newest(self, tmp_path, rng):
-        blk = random_weight_spmat(rng, 10, 7, 0.3)
-        store = SpillStore(tmp_path, keep=1)
-        store.spill("k", blk)
-        seg = store.spill("k", blk)  # rotates the first write to gen 1
-        # tear the newest generation at rest; fetch falls back to gen 1
-        with open(seg.path, "r+b") as fh:
-            fh.truncate(10)
-        back = store.fetch(seg)
-        assert payload_checksum(back) == payload_checksum(blk)
-
     def test_fetch_raises_when_no_generation_durable(self, tmp_path, rng):
         blk = random_weight_spmat(rng, 6, 6, 0.3)
         store = SpillStore(tmp_path)
         seg = store.spill("k", blk)
         with open(seg.path, "r+b") as fh:
             fh.truncate(4)
-        with pytest.raises(SpillError, match="no durable generation"):
+        with pytest.raises(SpillError, match="not durable"):
             store.fetch(seg)
 
-    def test_drop_removes_every_generation(self, tmp_path, rng):
-        blk = random_weight_spmat(rng, 6, 6, 0.3)
-        store = SpillStore(tmp_path, keep=1)
-        store.spill("k", blk)
-        seg = store.spill("k", blk)
-        store.drop("k")
+    def test_two_stores_share_a_directory(self, tmp_path, rng):
+        # keys restart at m0-... in every process: two stores on one
+        # --spill-dir must neither overwrite nor delete each other's segments
+        a_blk = random_weight_spmat(rng, 6, 6, 0.3)
+        b_blk = random_weight_spmat(rng, 7, 5, 0.3)
+        a, b = SpillStore(tmp_path), SpillStore(tmp_path)
+        a_seg = a.spill("m0-b0-0", a_blk)
+        b_seg = b.spill("m0-b0-0", b_blk)
+        b.drop("m0-b0-0")
+        assert payload_checksum(a.fetch(a_seg)) == payload_checksum(a_blk)
         with pytest.raises(SpillError):
-            store.fetch(seg)
-
-    def test_bad_keep_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="keep"):
-            SpillStore(tmp_path, keep=-1)
+            b.fetch(b_seg)  # drop removed the segment, in its own store only
 
 
 # ---------------------------------------------------------------------------
@@ -607,3 +596,20 @@ class TestMemoryReport:
         obs.disable()
         assert memory_attribution(session.metrics) == []
         assert format_report("memory", session.metrics) == ""
+
+    def test_inert_fault_plan_reports_the_same(self):
+        # every run event goes through one emitter, so attaching a plan that
+        # injects nothing must not move a row; the off-spellings are explicit
+        # because the CI ladder leg sets an ambient REPRO_FAULTS
+        g = rmat_graph(8, 8, seed=0)
+        reports = []
+        for faults in ("off", "seed:0"):
+            machine = Machine(
+                4, memory_words=6000, elastic="off", check="off", faults=faults
+            )
+            with obs.use() as session:
+                engine = DistributedEngine(machine)
+                mfbc(g, engine=engine, batch_size=32, max_batches=2)
+            reports.append(format_report("memory", session.metrics))
+        assert "relief" in reports[0] and "ladder.shrink_batch" in reports[0]
+        assert reports[1] == reports[0]

@@ -14,7 +14,9 @@ The load-bearing claims (ISSUE 6 acceptance):
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -27,6 +29,7 @@ from repro.core.mfbc import mfbc_per_source
 from repro.dist import DistributedEngine
 from repro.graphs import rmat_graph, uniform_random_graph_nm
 from repro.machine import Machine
+from repro.serve import service as service_mod
 from repro.serve import (
     BCService,
     Coalescer,
@@ -51,6 +54,14 @@ def _service(graph, **kw):
         names = ("faults", "check", "elastic", "memory_words")
         kw["machine"] = Machine(4, **{k: kw.pop(k) for k in names if k in kw})
     return BCService(graph, **kw)
+
+
+class _StalledCoalescer(Coalescer):
+    """A queue the dispatcher never takes from: what is queued stays queued."""
+
+    def take(self, timeout=None):
+        time.sleep(timeout or 0.0)
+        return None
 
 
 def _reference_row(graph, source, p=4):
@@ -450,6 +461,66 @@ class TestServiceLifecycle:
             with pytest.raises(QueryError, match="cancelled"):
                 svc.result(victim, timeout=5.0)
         assert svc.cancel(blocker) is False  # terminal: not cancellable
+
+    def test_first_terminal_state_wins(self, graph):
+        # a batch that answers a query after a cancel landed must neither
+        # revive it nor count it a second time
+        metrics = obs.Metrics()
+        with _service(graph) as svc, obs.use(metrics=metrics):
+            q = Query(algorithm="bc_source", params={"source": 0})
+            svc._register(q)
+            assert svc.cancel(q.id)
+            svc._finish(q, QueryState.DONE, result=np.zeros(graph.n))
+            stats = svc.stats()
+        assert q.state is QueryState.CANCELLED and q.result is None
+        assert (stats["submitted"], stats["cancelled"], stats["completed"]) == (1, 1, 0)
+        assert metrics.total("serve.queries") == 1
+
+    def test_cancels_and_drain_abandons_are_noted(self, graph, monkeypatch):
+        monkeypatch.setattr(service_mod, "Coalescer", _StalledCoalescer)
+        metrics = obs.Metrics()
+        svc = _service(graph)
+        with obs.use(metrics=metrics):
+            cancelled = svc.submit("bc_source", source=0)
+            abandoned = svc.submit("bc_source", source=1)
+            assert svc.cancel(cancelled)
+            svc.close(drain_timeout=0.0)
+        assert svc.poll(abandoned)["state"] == "cancelled"
+        assert svc.stats()["cancelled"] == 2
+        assert metrics.get_count(
+            "serve.queries", algorithm="bc_source", outcome="cancelled"
+        ) == 2
+
+    def test_cancels_racing_the_dispatcher_count_each_query_once(self, graph):
+        # more clients than cores, each cancelling what it submitted a few
+        # milliseconds earlier, against a dispatcher moving the same queries
+        # to RUNNING: some cancels land, some find the query running
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _service(graph, batch_window=0.0, max_batch=4) as svc:
+
+                def client(i):
+                    qid = svc.submit("bc_source", source=i % graph.n)
+                    time.sleep((i % 8) * 2e-3)
+                    svc.cancel(qid)
+                    return qid
+
+                with ThreadPoolExecutor(8) as pool:
+                    ids = list(pool.map(client, range(64), timeout=60.0))
+                for qid in ids:
+                    try:
+                        svc.result(qid, timeout=60.0)
+                    except QueryError:
+                        pass  # cancelled
+                stats = svc.stats()
+                states = [svc.poll(qid)["state"] for qid in ids]
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats["submitted"] == 64
+        assert stats["cancelled"] == states.count("cancelled")
+        assert stats["completed"] == states.count("done")
+        assert stats["cancelled"] + stats["completed"] == 64
 
     def test_unknown_query_id(self, graph):
         with _service(graph) as svc:
