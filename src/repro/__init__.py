@@ -60,7 +60,6 @@ from repro.check import (
     check_ledger,
     check_matrix,
     check_spmat,
-    maybe_checked,
     resolve_check_config,
 )
 from repro.core import (
@@ -114,14 +113,7 @@ from repro.machine import (
     Machine,
 )
 from repro import obs
-from repro.sparse import (
-    KERNEL_MODES,
-    SpGemmResult,
-    SpMat,
-    count_ops,
-    resolve_kernel_mode,
-    spgemm,
-)
+from repro.sparse import SpGemmResult, SpMat, count_ops, spgemm
 from repro.spgemm import (
     AutoPolicy,
     PinnedPolicy,
@@ -150,9 +142,6 @@ __all__ = [
     "spgemm",
     "SpGemmResult",
     "count_ops",
-    # kernel dispatch tier
-    "KERNEL_MODES",
-    "resolve_kernel_mode",
     # core
     "mfbc",
     "mfbf",
@@ -187,7 +176,6 @@ __all__ = [
     "check_distmat",
     "check_ledger",
     "check_matrix",
-    "maybe_checked",
     "resolve_check_config",
     # fault injection + tolerance
     "FaultPlan",

@@ -28,22 +28,17 @@ def bfs_levels(
     sources: np.ndarray | list[int],
     *,
     engine: Engine | None = None,
-    adj=None,
 ) -> np.ndarray:
     """Hop distances from each source to every vertex.
 
     Returns a dense ``len(sources) × n`` float array; unreachable entries
     are ``inf``.  Edge weights are ignored (every edge counts one hop).
-    ``adj`` optionally supplies a pre-built *unweighted* adjacency matrix in
-    the engine's representation (the serving layer pins one per graph
-    version so repeated queries skip redistribution).
     """
     engine = engine or SequentialEngine()
     sources = np.asarray(sources, dtype=np.int64)
     if len(sources) == 0:
         raise ValueError("empty source list")
-    if adj is None:
-        adj = engine.adjacency(graph.unweighted())
+    adj = engine.adjacency(graph.unweighted())
     n = graph.n
     nb = len(sources)
 

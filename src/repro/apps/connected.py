@@ -38,9 +38,12 @@ def connected_components(
     """
     engine = engine or SequentialEngine()
     n = graph.n
-    # symmetrize: weak connectivity
-    und = Graph(n, graph.src, graph.dst, None, directed=False, name=graph.name)
-    adj = engine.adjacency(und)
+    # the (min, left) action never reads a weight, so an undirected graph's
+    # own (pinned) adjacency serves; a directed one is symmetrized for weak
+    # connectivity
+    if graph.directed:
+        graph = Graph(n, graph.src, graph.dst, None, directed=False, name=graph.name)
+    adj = engine.adjacency(graph)
 
     ids = np.arange(n, dtype=np.int64)
     labels = engine.matrix(

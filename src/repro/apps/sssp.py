@@ -51,20 +51,17 @@ def sssp_distances(
     *,
     engine: Engine | None = None,
     max_iterations: int | None = None,
-    adj=None,
 ) -> np.ndarray:
     """Shortest-path distances from each source (weighted; positive weights).
 
     Returns a dense ``len(sources) × n`` float array with ``inf`` for
-    unreachable vertices.  ``adj`` optionally supplies a pre-built adjacency
-    matrix in the engine's representation (skips redistribution).
+    unreachable vertices.
     """
     engine = engine or SequentialEngine()
     sources = np.asarray(sources, dtype=np.int64)
     if len(sources) == 0:
         raise ValueError("empty source list")
-    if adj is None:
-        adj = engine.adjacency(graph)
+    adj = engine.adjacency(graph)
     n = graph.n
     nb = len(sources)
     if max_iterations is None:

@@ -34,22 +34,19 @@ def widest_path_widths(
     *,
     engine: Engine | None = None,
     max_iterations: int | None = None,
-    adj=None,
 ) -> np.ndarray:
     """Bottleneck capacity of the widest path from each source to every
     vertex (edge weights are the capacities).
 
     Returns a dense ``len(sources) × n`` array; unreachable entries are
     ``−inf``, and each source's own entry is ``+inf`` (the empty path has
-    unbounded capacity).  ``adj`` optionally supplies a pre-built adjacency
-    matrix in the engine's representation (skips redistribution).
+    unbounded capacity).
     """
     engine = engine or SequentialEngine()
     sources = np.asarray(sources, dtype=np.int64)
     if len(sources) == 0:
         raise ValueError("empty source list")
-    if adj is None:
-        adj = engine.adjacency(graph)
+    adj = engine.adjacency(graph)
     n = graph.n
     nb = len(sources)
     if max_iterations is None:

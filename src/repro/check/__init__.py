@@ -26,7 +26,6 @@ from repro.check.engine import (
     CheckConfig,
     CheckedEngine,
     CheckFailure,
-    maybe_checked,
     resolve_check_config,
 )
 from repro.check.invariants import (
@@ -53,7 +52,6 @@ __all__ = [
     "check_matrix",
     "check_spmat",
     "load_case",
-    "maybe_checked",
     "replay",
     "require_clean",
     "resolve_check_config",

@@ -22,8 +22,9 @@ every product into a self-checking one:
 
 Enablement is the ``check`` knob (:mod:`repro.config`; ``off`` / ``cheap``
 / ``full`` / ``sample:N``): ``Machine(p, check="cheap")`` resolves it for a
-run, and ``DistributedEngine(machine, check="full")`` overrides the
-machine's level for one engine.
+run, and every :class:`~repro.dist.DistributedEngine` built on that machine
+wraps itself.  ``CheckedEngine(engine, level)`` is the explicit wrapper for
+an engine without a machine (a sequential one).
 
 When checking is off nothing wraps anything: the hot paths are exactly the
 unchecked ones.
@@ -55,7 +56,6 @@ __all__ = [
     "CheckConfig",
     "CheckFailure",
     "CheckedEngine",
-    "maybe_checked",
     "resolve_check_config",
 ]
 
@@ -397,20 +397,6 @@ class CheckedEngine:
             case_path=case_path,
             script_path=script_path,
         )
-
-
-def maybe_checked(engine, check: "CheckConfig | str | None" = None):
-    """Wrap ``engine`` when checking is enabled; return it untouched otherwise.
-
-    ``check=None`` means the ambient ``check`` knob.  Already-checked
-    engines pass through, so layering ``maybe_checked`` is idempotent.
-    """
-    if isinstance(engine, CheckedEngine):
-        return engine
-    cfg = resolve_check_config(check)
-    if cfg is None:
-        return engine
-    return CheckedEngine(engine, cfg)
 
 
 if TYPE_CHECKING:

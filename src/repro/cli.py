@@ -23,7 +23,7 @@ Examples
     python -m repro serve g.txt --p 16 --port 8734 --elastic replica
     python -m repro info g.txt
 
-The run flags (``--faults``, ``--check``, ``--elastic``, ``--kernel``,
+The run flags (``--faults``, ``--check``, ``--elastic``,
 ``--memory-words``, ``--spill-dir``) are the knobs of
 :mod:`repro.config`, each with an environment fallback; they, ``--deadline``,
 ``--checkpoint`` (re-running the same command resumes from the file if it
@@ -44,10 +44,7 @@ from repro.config import KNOBS
 __all__ = ["main", "build_parser", "add_run_flags", "build_machine"]
 
 #: argparse keywords of the knob flags that are not plain strings
-_KNOB_ARGS = {
-    "kernel": {"choices": KNOBS["kernel"].grammar.split(" | ")},
-    "memory_words": {"type": int},
-}
+_KNOB_ARGS = {"memory_words": {"type": int}}
 
 #: the run flags that are not ambient knobs
 _PLAIN_FLAGS = {
@@ -91,7 +88,7 @@ def add_run_flags(parser: argparse.ArgumentParser, *names: str) -> None:
                 default=None,
                 metavar=knob.metavar,
                 help=f"{knob.help}; {knob.grammar}; "
-                f"default: ${knob.env} or {knob.default or 'off'}",
+                f"default: ${knob.env} or off",
                 **_KNOB_ARGS.get(name, {}),
             )
         else:
@@ -116,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     on_machine.add_argument("--directed", action="store_true")
     on_machine.add_argument("--p", type=int, default=16, help="simulated ranks")
     add_run_flags(
-        on_machine, "policy", "faults", "check", "elastic", "kernel",
-        "memory_words", "spill_dir",
+        on_machine, "policy", "faults", "check", "elastic", "memory_words",
+        "spill_dir",
     )
     # what simulate / trace add: a bounded, checkpointable batch run
     batch_run = argparse.ArgumentParser(add_help=False)
@@ -156,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bc.add_argument("--top", type=int, default=10, help="print this many vertices")
     p_bc.add_argument("--normalized", action="store_true")
     p_bc.add_argument("-o", "--output", default=None, help="write all scores here")
-    add_run_flags(p_bc, "checkpoint", "kernel")
+    add_run_flags(p_bc, "checkpoint")
 
     p_gen = sub.add_parser("generate", help="generate a synthetic graph")
     p_gen.add_argument(
@@ -342,7 +339,7 @@ def _build_policy(args):
 
 
 def _cmd_bc(args) -> int:
-    from repro.core import SequentialEngine, adaptive_bc, approximate_bc, mfbc
+    from repro.core import adaptive_bc, approximate_bc, mfbc
 
     if args.samples is not None:
         # fixed-size sampling is neither adaptive nor checkpointed
@@ -351,9 +348,6 @@ def _cmd_bc(args) -> int:
                 print(f"error: --samples and --{flag} are mutually exclusive")
                 return 2
     g = _load(args.graph, args.directed)
-    engine = (
-        SequentialEngine(kernel=args.kernel) if args.kernel is not None else None
-    )
     if args.epsilon is not None:
         res = adaptive_bc(
             g,
@@ -362,7 +356,6 @@ def _cmd_bc(args) -> int:
             seed=args.seed,
             batch_size=args.batch,
             max_samples=args.max_samples,
-            engine=engine,
             **_checkpoint_kwargs(args.checkpoint),
         )
         scores = res.scores
@@ -373,17 +366,10 @@ def _cmd_bc(args) -> int:
             f"(final width {res.width:.4g}, {res.elapsed_seconds:.2f}s)"
         )
     elif args.samples is not None:
-        scores = approximate_bc(
-            g, args.samples, seed=args.seed, batch_size=args.batch, engine=engine
-        )
+        scores = approximate_bc(g, args.samples, seed=args.seed, batch_size=args.batch)
         print(f"approximate BC from {args.samples} sampled sources")
     else:
-        res = mfbc(
-            g,
-            batch_size=args.batch,
-            engine=engine,
-            **_checkpoint_kwargs(args.checkpoint),
-        )
+        res = mfbc(g, batch_size=args.batch, **_checkpoint_kwargs(args.checkpoint))
         scores = res.scores
         print(
             f"exact BC: {res.stats.total_multiplications} matmuls in "

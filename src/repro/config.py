@@ -6,13 +6,12 @@ environment variable the package reads, with the
 thing explicitly, and :func:`ambient` is the only code that reads one of
 them::
 
-    explicit argument  >  $REPRO_*  >  the knob's default
+    explicit argument  >  $REPRO_*  >  off
 
-Off-spellings (:data:`OFF`) at either tier mean "use the default", so
-``REPRO_FAULTS=0`` and ``Machine(4, faults="off")`` both disable injection
-and ``REPRO_KERNEL=off`` is ``auto``.  The environment is read when a
-value is resolved (constructing a ``Machine``, calling ``spgemm`` without
-``kernel=``), never at import.
+Off-spellings (:data:`OFF`) at either tier mean "off", so
+``REPRO_FAULTS=0`` and ``Machine(4, faults="off")`` both disable injection.
+The environment is read when a value is resolved (constructing a
+``Machine``, say), never at import.
 
 Each subsystem keeps only its spec *parser* and hands it to
 :func:`ambient`; :class:`~repro.machine.Machine` resolves every knob once at
@@ -34,7 +33,7 @@ from typing import Callable
 
 __all__ = ["KNOBS", "OFF", "Knob", "ambient", "is_off", "user_cache_dir"]
 
-#: spellings (case-insensitive) every knob reads as "use the default".
+#: spellings (case-insensitive) every knob reads as "off".
 OFF = ("", "none", "off", "0", "false")
 
 
@@ -43,15 +42,14 @@ class Knob:
     """One ambient setting.
 
     ``name`` is the ``Machine`` keyword (and the :func:`ambient` key),
-    ``default`` the spec used when neither an argument nor the environment
-    supplies one (``None``: the feature is off), ``flag``/``metavar`` the
-    CLI spelling, ``grammar`` the accepted values as quoted in errors and
-    the docs table, and ``help`` what the knob does.
+    ``flag``/``metavar`` the CLI spelling, ``grammar`` the accepted values
+    as quoted in errors and the docs table, and ``help`` what the knob does.
+    Every knob is off (``None``) when neither an argument nor the
+    environment sets it.
     """
 
     name: str
     env: str
-    default: str | None
     flag: str | None
     metavar: str | None
     grammar: str
@@ -62,42 +60,37 @@ KNOBS: dict[str, Knob] = {
     k.name: k
     for k in (
         Knob(
-            "faults", "REPRO_FAULTS", None, "--faults", "SPEC",
+            "faults", "REPRO_FAULTS", "--faults", "SPEC",
             "comma-separated key:value / kind@step tokens, "
             "e.g. seed:3,crash:0.05,limit:2",
             "deterministic fault-injection plan (docs/robustness.md)",
         ),
         Knob(
-            "check", "REPRO_CHECK", None, "--check", "LEVEL",
+            "check", "REPRO_CHECK", "--check", "LEVEL",
             "cheap | full | sample:N",
             "runtime correctness checking of every distributed product "
             "(docs/testing.md)",
         ),
         Knob(
-            "check_dir", "REPRO_CHECK_DIR", None, None, None,
+            "check_dir", "REPRO_CHECK_DIR", None, None,
             "a directory path",
             "where check-mismatch repro artifacts are written "
             "(off: the current directory)",
         ),
         Knob(
-            "elastic", "REPRO_ELASTIC", None, "--elastic", "POLICY",
+            "elastic", "REPRO_ELASTIC", "--elastic", "POLICY",
             "replica | replica:STRIDE | source",
             "in-flight rank-failure recovery (docs/robustness.md)",
         ),
         Knob(
-            "kernel", "REPRO_KERNEL", "auto", "--kernel", None,
-            "generic | auto",
-            "SpGEMM kernel-dispatch mode (docs/performance_model.md)",
-        ),
-        Knob(
-            "memory_words", "REPRO_MEMORY", None, "--memory-words", "WORDS",
+            "memory_words", "REPRO_MEMORY", "--memory-words", "WORDS",
             "a positive integer",
             "per-rank memory budget in 8-byte words (off: unlimited); under "
             "pressure the OOM ladder shrinks batches, spills cold blocks, "
             "and drops replica redundancy (docs/robustness.md)",
         ),
         Knob(
-            "spill_dir", "REPRO_SPILL_DIR", None, "--spill-dir", "DIR",
+            "spill_dir", "REPRO_SPILL_DIR", "--spill-dir", "DIR",
             "a directory path",
             "directory for spilled block segments "
             "(off: a private temporary directory)",
@@ -112,20 +105,20 @@ def is_off(value) -> bool:
 
 
 def ambient(name: str, explicit=None, parse: Callable = str):
-    """Resolve knob ``name``: explicit argument > environment > default.
+    """Resolve knob ``name``: explicit argument > environment > off.
 
     ``parse`` turns a spec into the subsystem's value.  An off-spelling at
-    either tier yields the knob's default (``None`` when the default is
-    off).  A malformed *environment* value raises :class:`ValueError`
-    naming the variable and its grammar; errors from an explicit argument
-    propagate as the parser raised them.
+    either tier, or no setting at all, yields ``None``.  A malformed
+    *environment* value raises :class:`ValueError` naming the variable and
+    its grammar; errors from an explicit argument propagate as the parser
+    raised them.
     """
     knob = KNOBS[name]
     if explicit is not None and not is_off(explicit):
         return parse(explicit)
     raw = os.environ.get(knob.env) if explicit is None else None
     if raw is None or is_off(raw):
-        return None if knob.default is None else parse(knob.default)
+        return None
     try:
         return parse(raw.strip())
     except ValueError as exc:

@@ -403,7 +403,7 @@ def adaptive_bc(
     resume_from: "CheckpointStore | str | None" = None,
     retries: int = 2,
     retry_backoff: float = 0.05,
-    retry_jitter_seed: int | None = 0,
+    retry_jitter_seed: int = 0,
 ) -> AdaptiveBCResult:
     """Adaptive-sampling BC with a provable (ε, δ) error bound.
 

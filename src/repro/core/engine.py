@@ -81,23 +81,7 @@ class Engine(Protocol):
 
 
 class SequentialEngine:
-    """Single-node engine: matrices are plain :class:`SpMat`.
-
-    Parameters
-    ----------
-    kernel:
-        Kernel mode for the dispatch tier (``"generic"`` / ``"auto"``),
-        resolved at construction; ``None`` leaves each product to the
-        ambient ``kernel`` knob (:mod:`repro.config`).
-    """
-
-    kernel: str | None = None
-
-    def __init__(self, *, kernel: str | None = None) -> None:
-        if kernel is not None:
-            from repro.sparse.dispatch import resolve_kernel_mode
-
-            self.kernel = resolve_kernel_mode(kernel)
+    """Single-node engine: matrices are plain :class:`SpMat`."""
 
     def matrix(self, nrows, ncols, rows, cols, vals, monoid) -> SpMat:
         return SpMat(nrows, ncols, rows, cols, vals, monoid)
@@ -120,18 +104,12 @@ class SequentialEngine:
         """``(a •⟨⊕,f⟩ b, elementary product count)`` — the unified
         :class:`Engine` contract."""
         if not obs.enabled():  # unguarded fast path: no span, no kwargs dict
-            result = spgemm(
-                a, b, spec, mask=mask, mask_complement=mask_complement,
-                kernel=self.kernel,
-            )
+            result = spgemm(a, b, spec, mask=mask, mask_complement=mask_complement)
             return result.matrix, result.ops
         with obs.span(
             "spgemm", cat="spgemm", phase=spec.name, frontier_nnz=a.nnz
         ) as sp:
-            result = spgemm(
-                a, b, spec, mask=mask, mask_complement=mask_complement,
-                kernel=self.kernel,
-            )
+            result = spgemm(a, b, spec, mask=mask, mask_complement=mask_complement)
             sp.set(product_nnz=result.matrix.nnz, ops=result.ops)
             obs.count("spgemm.products", 1.0, variant="sequential", phase=spec.name)
             obs.count(

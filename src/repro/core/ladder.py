@@ -58,7 +58,7 @@ class RecoveryLadder:
         site: str = "mfbc",
         retries: int = 2,
         retry_backoff: float = 0.05,
-        retry_jitter_seed: int | None = 0,
+        retry_jitter_seed: int = 0,
     ) -> None:
         if retries < 0:
             raise ValueError(f"retries must be non-negative, got {retries}")
@@ -226,19 +226,16 @@ class RecoveryLadder:
         recover = getattr(self.engine, "recover", None)
         if recover is not None:
             recover()
+        # decorrelated jitter: draw from [base, 3·prev], capped at
+        # base·2^(retries-1)
         base = self.retry_backoff
-        if self.retry_jitter_seed is None:
-            backoff = base * (2.0 ** (self.attempt - 1))
-        else:
-            # decorrelated jitter: draw from [base, 3·prev], capped at the
-            # jitter-free schedule's final rung
-            rng, prev = self._jitter or (
-                np.random.default_rng([self.retry_jitter_seed, index]),
-                base,
-            )
-            cap = base * (2.0 ** max(self.retries - 1, 0))
-            backoff = min(cap, float(rng.uniform(base, prev * 3.0)))
-            self._jitter = (rng, backoff)
+        rng, prev = self._jitter or (
+            np.random.default_rng([self.retry_jitter_seed, index]),
+            base,
+        )
+        cap = base * (2.0 ** max(self.retries - 1, 0))
+        backoff = min(cap, float(rng.uniform(base, prev * 3.0)))
+        self._jitter = (rng, backoff)
         if self.machine is not None and backoff > 0:
             self.machine.charge_overhead(backoff)
         self._emit(

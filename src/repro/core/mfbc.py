@@ -112,7 +112,7 @@ def mfbc(
     resume_from: "CheckpointStore | str | None" = None,
     retries: int = 2,
     retry_backoff: float = 0.05,
-    retry_jitter_seed: int | None = 0,
+    retry_jitter_seed: int = 0,
 ) -> MFBCResult:
     """Compute betweenness centrality of every vertex of ``graph``.
 
@@ -155,13 +155,12 @@ def mfbc(
         ``charge_overhead`` — restarts are not free.
     retry_jitter_seed:
         Seed for the decorrelated-jitter backoff: each retry sleeps
-        ``min(cap, U[base, 3·prev])`` with the RNG keyed on
+        ``min(base·2^(retries-1), U[base, 3·prev])`` with the RNG keyed on
         ``(seed, batch_index)``, so drivers launched with different seeds
         retrying through the same fault storm desynchronize instead of
         backing off in lockstep, while a fixed seed keeps every run
         bit-reproducible.  (The serving layer requeues with zero backoff
-        and never passes it.)  ``None`` restores the legacy jitter-free
-        ``base·2^(attempt-1)`` schedule.
+        and never passes it.)
 
     Returns
     -------
@@ -300,7 +299,6 @@ def mfbc_per_source(
     sources: np.ndarray,
     *,
     engine: Engine | None = None,
-    adj=None,
     ladder: RecoveryLadder | None = None,
 ) -> np.ndarray:
     """One k-wide MFBF + MFBr sweep, split into per-source score rows.
@@ -320,11 +318,9 @@ def mfbc_per_source(
     sources:
         The coalesced batch of starting vertices (length ``k``).
     engine:
-        Execution engine (sequential by default).
-    adj:
-        Optional pre-distributed adjacency matrix in the engine's
-        representation — the serving layer pins this once per graph version
-        so repeated sweeps skip redistribution entirely.
+        Execution engine (sequential by default).  A distributed engine
+        pins the graph's adjacency on first use, so repeated sweeps over one
+        graph (the serving layer's) skip redistribution entirely.
     ladder:
         The caller's :class:`~repro.core.ladder.RecoveryLadder`, so the
         memory rungs taken here carry its site and state (the serving layer
@@ -340,9 +336,8 @@ def mfbc_per_source(
     with obs.span(
         "mfbc_per_source", cat="run", n=graph.n, sources=len(sources)
     ):
-        if adj is None:
-            with obs.span("adjacency", cat="phase"):
-                adj = ladder.run(lambda *_: engine.adjacency(graph))
+        with obs.span("adjacency", cat="phase"):
+            adj = ladder.run(lambda *_: engine.adjacency(graph))
         out = ladder.run(
             lambda _, width: per_source_rows(engine, graph, adj, sources, width),
             width=len(sources),

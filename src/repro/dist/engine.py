@@ -9,7 +9,10 @@ algorithm variants, then lands back in the home layout.
 Loop-invariant operands — the adjacency matrix and its transpose, which
 every MFBC product reuses — are registered so the selector discounts their
 replication cost and the variant executor serves their replicas from a
-cache, reproducing the amortization in the proof of Theorem 5.1.
+cache, reproducing the amortization in the proof of Theorem 5.1.  A graph's
+adjacency is distributed and registered once per engine: every later
+:meth:`DistributedEngine.adjacency` call for the same graph returns the
+same matrix, until :meth:`~DistributedEngine.release_invariants`.
 """
 
 from __future__ import annotations
@@ -41,45 +44,24 @@ class DistributedEngine:
         SpGEMM selection policy (keyword-only); default :class:`AutoPolicy`
         (CTF-style model search).  Pass ``PinnedPolicy.ca_mfbc(p, c)`` for
         CA-MFBC or ``Square2DPolicy()`` for the CombBLAS restriction.
-    check:
-        Correctness checking (keyword-only): a
-        :class:`~repro.check.engine.CheckConfig`, a spec string
-        (``"cheap"`` / ``"full"`` / ``"sample:N"`` / ``"off"``), or ``None``
-        for ``machine.check`` (the level the machine resolved, see
-        :mod:`repro.config`).  When checking resolves on, the constructor
-        returns the engine wrapped in a
-        :class:`~repro.check.engine.CheckedEngine`; when off, nothing is
-        wrapped and the hot paths are exactly the unchecked ones.
+
+    When ``machine.check`` is set (the ``check`` knob, :mod:`repro.config`)
+    the constructor returns the engine wrapped in a
+    :class:`~repro.check.engine.CheckedEngine`; when it is off nothing is
+    wrapped and the hot paths are exactly the unchecked ones.
     """
 
-    def __new__(
-        cls,
-        machine: Machine | None = None,
-        *,
-        policy: SelectionPolicy | None = None,
-        check=None,
-    ):
+    def __new__(cls, machine: Machine | None = None, *, policy: SelectionPolicy | None = None):
         inner = super().__new__(cls)
-        if machine is None:  # bare __new__ (copy/pickle protocols): no wrap
-            return inner
-        from repro.check.engine import CheckedEngine, resolve_check_config
-
-        # an explicit spec — including an explicit "off" — beats the machine's
-        cfg = machine.check if check is None else resolve_check_config(check)
-        if cfg is None:
-            return inner
+        if machine is None or machine.check is None:
+            return inner  # (no machine: bare __new__ of copy/pickle protocols)
+        from repro.check.engine import CheckedEngine
 
         # Returning a non-instance skips __init__, so run it by hand.
         inner.__init__(machine, policy=policy)
-        return CheckedEngine(inner, cfg)
+        return CheckedEngine(inner, machine.check)
 
-    def __init__(
-        self,
-        machine: Machine,
-        *,
-        policy: SelectionPolicy | None = None,
-        check=None,
-    ):
+    def __init__(self, machine: Machine, *, policy: SelectionPolicy | None = None):
         if getattr(self, "_initialized", False):
             return  # __new__ already ran __init__ before wrapping
         self._initialized = True
@@ -100,6 +82,9 @@ class DistributedEngine:
         # the registered base matrices (not their transposes): what elastic
         # recovery repairs and rebuilds on the survivor grid
         self._invariant_bases: list[DistMat] = []
+        # id(graph) -> (graph, its pinned adjacency); holding the graph keeps
+        # its id from being recycled while the entry lives
+        self._adjacency: dict[int, tuple[object, DistMat]] = {}
         #: plans chosen per product, newest last (diagnostics / tests)
         self.plan_log: list = []
         #: set by the memory ladder's drop-redundancy rung; cleared on re-arm
@@ -120,6 +105,15 @@ class DistributedEngine:
         return DistMat.distribute(local, self.machine, self.home_ranks2d)
 
     def adjacency(self, graph) -> DistMat:
+        """``graph``'s adjacency, distributed and registered on first use.
+
+        Every later call for the same graph object returns the same matrix
+        (elastic recovery rebuilds it in place), so queries and drivers
+        sharing an engine share one copy.
+        """
+        pinned = self._adjacency.get(id(graph))
+        if pinned is not None:
+            return pinned[1]
         mat = DistMat.distribute(
             graph.adjacency(),
             self.machine,
@@ -130,6 +124,7 @@ class DistributedEngine:
             replicate=not self._redundancy_dropped,
         )
         self.register_invariant(mat)
+        self._adjacency[id(graph)] = (graph, mat)
         return mat
 
     def register_invariant(self, mat: DistMat) -> None:
@@ -146,12 +141,14 @@ class DistributedEngine:
             memory.register(mat.transpose(), label="invariant-t")
 
     def release_invariants(self) -> None:
-        """Forget every registered loop-invariant operand and its replicas.
+        """Forget every pinned adjacency, registered loop-invariant operand
+        and replica.
 
-        The serving layer calls this when the pinned graph is replaced: the
-        old adjacency's replication cache and elastic redundancy would
-        otherwise be kept alive (and grow) across graph versions.
+        The serving layer calls this when the served graph is replaced: the
+        old adjacency, its replication cache and its elastic redundancy
+        would otherwise be kept alive across graph versions.
         """
+        self._adjacency.clear()
         self._invariants.clear()
         self._invariant_bases.clear()
         self._invariant_ids.clear()

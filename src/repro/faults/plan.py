@@ -29,10 +29,6 @@ Fault kinds
     One participant's modeled clock is skewed forward by a random factor of
     ``skew`` seconds, charged straight to the ledger — a slow rank
     lengthening the critical path.
-``mem``
-    Memory pressure: the machine's per-rank budget is tightened by a
-    factor at construction, so allocations/plans that would have fit now
-    raise ``MemoryLimitExceeded``.
 ``tear``
     A spill-segment write is torn mid-file (truncated after the atomic
     rename).  The spill store's write-then-verify read-back must detect
@@ -52,14 +48,12 @@ Spec grammar
 :mod:`repro.config`) accepts comma-separated tokens::
 
     seed:3,crash:0.05,corrupt:0.01,straggle:0.1,tear:0.02,
-    checksum:1,mem:0.5,skew:1e-4,limit:10,crash@12,corrupt@7,straggle@9:2
+    checksum:1,skew:1e-4,limit:10,crash@12,corrupt@7,straggle@9:2
 
 * ``seed:N`` — generator seed (default 0);
 * ``crash|corrupt|straggle|tear:RATE`` — per-decision
   probabilities in ``[0, 1]``;
 * ``checksum:0|1`` — arm the payload checksum guard on Group collectives;
-* ``mem:FACTOR`` — multiply the machine's memory budget by ``FACTOR``
-  in ``(0, 1]``;
 * ``skew:SECONDS`` — modeled straggler skew scale (default ``1e-4``);
 * ``limit:N`` — stop injecting after ``N`` faults (lets retries succeed);
 * ``KIND@STEP[:RANK]`` — a scripted event at collective-charge step
@@ -67,7 +61,8 @@ Spec grammar
   ``corrupt`` fires at the first payload delivery at-or-after the step).
 
 The shared off-spellings (:data:`repro.config.OFF`) parse to ``None`` (no
-injection).
+injection).  Memory pressure is not a fault: a smaller ``memory_words``
+budget applies it.
 """
 
 from __future__ import annotations
@@ -103,7 +98,7 @@ DEFAULT_SKEW_SECONDS = 1e-4
 #: (``KIND@STEP``); quoted in the error for a spec naming anything else
 _RATE_KINDS = ("crash", "corrupt", "straggle", "tear")
 #: every ``key:value`` key of the spec grammar
-_SPEC_KEYS = ("seed", *_RATE_KINDS, "skew", "checksum", "mem", "limit")
+_SPEC_KEYS = ("seed", *_RATE_KINDS, "skew", "checksum", "limit")
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +324,9 @@ class FaultPlan:
     """A seeded, deterministic schedule of injected failures.
 
     Parameters (all keyword-only except ``seed``) mirror the spec grammar
-    in the module docstring.  A plan with every rate at zero, no script,
-    no checksum guard, and no memory factor is *inert*: the machine skips
-    its hooks entirely, so the hot paths pay nothing (see
-    ``benchmarks/bench_fault_overhead.py``).
+    in the module docstring.  A plan with every rate at zero, no script
+    and no checksum guard is *inert*: the machine skips its hooks entirely,
+    so the hot paths pay nothing (see ``benchmarks/bench_fault_overhead.py``).
     """
 
     def __init__(
@@ -345,7 +339,6 @@ class FaultPlan:
         tear: float = 0.0,
         skew: float = DEFAULT_SKEW_SECONDS,
         checksum: bool = False,
-        mem: float | None = None,
         limit: int | None = None,
         script: "tuple | list" = (),
     ) -> None:
@@ -359,8 +352,6 @@ class FaultPlan:
                 raise ValueError(f"{name} rate must be in [0, 1], got {rate}")
         if skew < 0:
             raise ValueError(f"skew must be non-negative, got {skew}")
-        if mem is not None and not 0.0 < mem <= 1.0:
-            raise ValueError(f"mem factor must be in (0, 1], got {mem}")
         if limit is not None and limit <= 0:
             raise ValueError(f"limit must be positive, got {limit}")
         self.seed = int(seed)
@@ -370,7 +361,6 @@ class FaultPlan:
         self.tear = float(tear)
         self.skew = float(skew)
         self.checksum = bool(checksum)
-        self.mem = mem if mem is None else float(mem)
         self.limit = limit if limit is None else int(limit)
         self.script = [
             sc if isinstance(sc, ScriptedFault) else ScriptedFault(*sc)
@@ -398,7 +388,6 @@ class FaultPlan:
             or self.straggle
             or self.tear
             or self.checksum
-            or self.mem is not None
             or self.script
         )
 
@@ -449,8 +438,6 @@ class FaultPlan:
                     kwargs[key] = float(value)
                 elif key == "checksum":
                     kwargs["checksum"] = bool(int(value))
-                elif key == "mem":
-                    kwargs["mem"] = float(value)
                 elif key == "limit":
                     kwargs["limit"] = int(value)
                 else:
@@ -553,22 +540,6 @@ class FaultPlan:
             return True
         return False
 
-    def tighten_memory(self, budget: int) -> int:
-        """Apply the memory-pressure factor to a per-rank budget."""
-        if self.mem is None:
-            return budget
-        tightened = max(1, int(budget * self.mem))
-        _emit(
-            self,
-            "mem",
-            "injected",
-            site="machine",
-            budget_words=budget,
-            tightened_words=tightened,
-            factor=self.mem,
-        )
-        return tightened
-
     # -- reporting -----------------------------------------------------------
 
     def describe(self) -> str:
@@ -579,8 +550,6 @@ class FaultPlan:
                 parts.append(f"{key}:{rate:g}")
         if self.checksum:
             parts.append("checksum:1")
-        if self.mem is not None:
-            parts.append(f"mem:{self.mem:g}")
         if self.limit is not None:
             parts.append(f"limit:{self.limit}")
         parts.extend(repr(sc) for sc in self.script)

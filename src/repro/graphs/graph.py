@@ -41,7 +41,7 @@ class Graph:
         Optional label used in reports.
     """
 
-    __slots__ = ("n", "src", "dst", "weight", "directed", "name")
+    __slots__ = ("n", "src", "dst", "weight", "directed", "name", "_unweighted")
 
     def __init__(
         self,
@@ -98,6 +98,7 @@ class Graph:
         self.weight = w
         self.directed = bool(directed)
         self.name = name
+        self._unweighted = None
 
     # -- basic properties ----------------------------------------------------
 
@@ -178,10 +179,16 @@ class Graph:
     # -- transformations -------------------------------------------------------
 
     def unweighted(self) -> "Graph":
-        """This graph with weights dropped."""
-        return Graph(
-            self.n, self.src, self.dst, None, directed=self.directed, name=self.name
-        )
+        """This graph with weights dropped: itself when it has none, else one
+        view built on first use (so an engine pinning its adjacency sees the
+        same graph on every call)."""
+        if self.weight is None:
+            return self
+        if self._unweighted is None:
+            self._unweighted = Graph(
+                self.n, self.src, self.dst, None, directed=self.directed, name=self.name
+            )
+        return self._unweighted
 
     def reversed(self) -> "Graph":
         """Edge-reversed graph (no-op for undirected)."""

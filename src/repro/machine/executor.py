@@ -23,10 +23,6 @@ __all__ = ["LocalExecutor"]
 class LocalExecutor:
     """Runs batches of independent per-rank tasks, in submission order."""
 
-    def __init__(self, kernel_mode: str | None = None) -> None:
-        #: kernel-dispatch mode forwarded to every local product
-        self.kernel_mode = kernel_mode
-
     def run_tasks(self, thunks: Sequence[Callable[[], object]]) -> list:
         """Run zero-argument callables; results in submission order."""
         return [fn() for fn in thunks]
@@ -47,13 +43,6 @@ class LocalExecutor:
         if masks is None:
             masks = [None] * len(pairs)
         return [
-            spgemm(
-                x,
-                y,
-                spec,
-                mask=mk,
-                mask_complement=mask_complement,
-                kernel=self.kernel_mode,
-            )
+            spgemm(x, y, spec, mask=mk, mask_complement=mask_complement)
             for (x, y), mk in zip(pairs, masks)
         ]

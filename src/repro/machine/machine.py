@@ -26,7 +26,6 @@ from repro.machine.collectives import TREE, Group
 from repro.machine.executor import LocalExecutor
 from repro.machine.grid import log2ceil, survivor_map
 from repro.obs import api as obs
-from repro.sparse.dispatch import resolve_kernel_mode
 
 __all__ = [
     "CostParams",
@@ -194,9 +193,11 @@ class Machine:
     check:
         Correctness-checking level for engines built on this machine: a
         :class:`~repro.check.engine.CheckConfig` or a spec string
-        (``"cheap"`` / ``"full"`` / ``"sample:N"``).  The machine itself
-        never checks anything — :class:`~repro.dist.DistributedEngine`
-        picks ``self.check`` up at construction.
+        (``"cheap"`` / ``"full"`` / ``"sample:N"``; ``"off"`` beats
+        ``$REPRO_CHECK``).  The machine itself never checks anything —
+        :class:`~repro.dist.DistributedEngine` wraps itself in a
+        :class:`~repro.check.engine.CheckedEngine` exactly when
+        ``self.check`` is set; there is no per-engine override.
     deadline:
         Optional modeled-time budget in seconds (no ambient form).  When the
         critical-path clock passes it, the next charge raises
@@ -209,11 +210,6 @@ class Machine:
         (``"replica"`` / ``"replica:STRIDE"`` / ``"source"``).  The machine
         only stores the policy; :class:`~repro.dist.DistributedEngine`
         maintains the redundancy and the MFBC driver triggers the recovery.
-    kernel:
-        Kernel-dispatch mode for the local SpGEMM tier (``"generic"`` /
-        ``"auto"``, see :mod:`repro.sparse.dispatch`), handed to every
-        local product this machine runs.  Both modes are bit-identical;
-        only host wall-clock time changes.
     """
 
     def __init__(
@@ -226,7 +222,6 @@ class Machine:
         check=None,
         deadline: float | None = None,
         elastic=None,
-        kernel: str | None = None,
         spill_dir: str | None = None,
     ) -> None:
         if p <= 0:
@@ -238,10 +233,7 @@ class Machine:
         self._fault_hook = (
             self.faults if self.faults is not None and self.faults.armed else None
         )
-        memory_words = config.ambient("memory_words", memory_words, _memory_words)
-        if self._fault_hook is not None and memory_words is not None:
-            memory_words = self.faults.tighten_memory(memory_words)
-        self.memory_words = memory_words
+        self.memory_words = config.ambient("memory_words", memory_words, _memory_words)
         # deferred imports: repro.check and repro.elastic import repro.dist,
         # which imports this module
         from repro.check.engine import resolve_check_config
@@ -252,9 +244,8 @@ class Machine:
         self.memory = MemoryManager(
             self, spill_dir=config.ambient("spill_dir", spill_dir)
         )
-        self.kernel = resolve_kernel_mode(kernel)
         #: runs the per-rank local work between two collectives
-        self.executor = LocalExecutor(self.kernel)
+        self.executor = LocalExecutor()
         self.check = resolve_check_config(check)
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
@@ -292,9 +283,6 @@ class Machine:
             if self._mem_used[rank] > budget:
                 needed = int(self._mem_used[rank])
                 self._mem_used[rank] -= words  # failed allocation rolls back
-                pressured = (
-                    self.faults is not None and self.faults.mem is not None
-                )
                 note(
                     self,
                     "mem",
@@ -307,11 +295,6 @@ class Machine:
                 raise MemoryLimitExceeded(
                     f"rank {rank} needs {needed} words but the per-rank "
                     f"memory budget is {budget}"
-                    + (
-                        " (tightened by injected memory pressure)"
-                        if pressured
-                        else ""
-                    )
                 )
         if self._mem_used[rank] > self._mem_peak[rank]:
             self._mem_peak[rank] = self._mem_used[rank]
@@ -556,6 +539,5 @@ class Machine:
         deadline = f", deadline={self.deadline}" if self.deadline is not None else ""
         elastic = f", elastic={self.elastic.describe()}" if self.elastic else ""
         return (
-            f"Machine(p={self.p}, M={self.memory_words}"
-            f"{faults}{deadline}{elastic}, kernel={self.kernel})"
+            f"Machine(p={self.p}, M={self.memory_words}{faults}{deadline}{elastic})"
         )

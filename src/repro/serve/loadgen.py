@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.serve.service import BCService
+from repro.serve.service import SOURCE_ALGORITHMS, BCService
 from repro.utils.rng import as_rng
 
 __all__ = [
@@ -132,7 +132,7 @@ def generate_queries(
     for _ in range(n_queries):
         algorithm = names[int(rng.choice(len(names), p=weights))]
         spec: dict = {"algorithm": algorithm}
-        if algorithm in ("bc_source", "bfs", "sssp", "widest"):
+        if algorithm in SOURCE_ALGORITHMS:
             if rng.random() < hot_probability:
                 spec["source"] = int(hot[int(rng.integers(len(hot)))])
             else:

@@ -2,9 +2,10 @@
 
 One-shot CLI/bench runs rebuild the simulated machine, redistribute the
 graph, and compute from scratch on every invocation.  The service instead
-*pins* a distributed graph on a warm :class:`~repro.machine.Machine` —
-replication caches and elastic redundancy stay armed between requests —
-and answers a concurrent query mix:
+keeps one engine on a warm :class:`~repro.machine.Machine`; the engine pins
+the served graph's distributed adjacency once per version — queries share
+that copy, and its replication cache and elastic redundancy stay armed
+between requests — and the service answers a concurrent query mix:
 
 * ``bc`` — exact betweenness centrality of every vertex;
 * ``bc_source`` — one source's dependency contribution (the unit the
@@ -128,7 +129,7 @@ class BCService:
     machine:
         The :class:`~repro.machine.Machine` to serve on (keyword-only) —
         it carries the run configuration (faults, check, elastic,
-        deadline, kernel, memory budget; see
+        deadline, memory budget; see
         :mod:`repro.config`).  When None, ``Machine(p)`` with the ambient
         configuration.
     p:
@@ -193,7 +194,6 @@ class BCService:
         self._registry_lock = threading.RLock()
         #: serializes batch execution against graph mutation
         self._exec_lock = threading.Lock()
-        self._pinned: dict[str, object] = {}
         self._counters: dict[str, float] = {
             "submitted": 0,
             "completed": 0,
@@ -410,15 +410,15 @@ class BCService:
         """Replace the served graph; returns the new graph version.
 
         Queued queries are answered against the new version (queries bind
-        to the version current when their batch executes); the pinned
-        adjacency layouts are rebuilt lazily on the next sweep.  The score
+        to the version current when their batch executes); the engine
+        releases the old graph's pinned adjacency and pins the new one on
+        the next sweep.  The score
         cache retains the newest ``overload.stale_depth`` older generations
         for brownout stale serving and purges everything beyond them.
         """
         with self._exec_lock:
             self.graph = graph
             self.graph_version += 1
-            self._pinned.clear()
             self.engine.release_invariants()
             self.estimator.rebind(graph)
             self.cache.invalidate(
@@ -765,29 +765,19 @@ class BCService:
             order = {s: i for i, s in enumerate(sources)}
             src = np.asarray(sources, dtype=np.int64)
             if algorithm == "bc_source":
-                rows = mfbc_per_source(
-                    graph,
-                    src,
-                    engine=engine,
-                    adj=self._pin("weighted"),
-                    ladder=ladder,
-                )
+                rows = mfbc_per_source(graph, src, engine=engine, ladder=ladder)
             elif algorithm == "bfs":
                 from repro.apps import bfs_levels
 
-                rows = bfs_levels(graph, src, engine=engine, adj=self._pin("hops"))
+                rows = bfs_levels(graph, src, engine=engine)
             elif algorithm == "sssp":
                 from repro.apps import sssp_distances
 
-                rows = sssp_distances(
-                    graph, src, engine=engine, adj=self._pin("weighted")
-                )
+                rows = sssp_distances(graph, src, engine=engine)
             else:  # widest
                 from repro.apps import widest_path_widths
 
-                rows = widest_path_widths(
-                    graph, src, engine=engine, adj=self._pin("weighted")
-                )
+                rows = widest_path_widths(graph, src, engine=engine)
             return {
                 q.id: rows[order[int(q.params["source"])]].copy() for q in queries
             }
@@ -836,26 +826,6 @@ class BCService:
         if algorithm in SOURCE_ALGORITHMS:
             return float(len({int(q.params["source"]) for q in queries}))
         return self.estimator.units(algorithm, queries[0].params)
-
-    def _pin(self, flavor: str):
-        """The pinned engine adjacency for this graph version (built once).
-
-        ``"weighted"`` is the tropical adjacency MFBC/SSSP/widest multiply
-        against; ``"hops"`` is the unweighted variant BFS needs.  Pinning
-        registers the matrix as loop-invariant, so the selector amortizes
-        its replication and elastic redundancy stays armed across queries.
-        """
-        mat = self._pinned.get(flavor)
-        if mat is None:
-            if flavor == "hops" and self.graph.weighted:
-                mat = self.engine.adjacency(self.graph.unweighted())
-            else:
-                mat = self.engine.adjacency(self.graph)
-            self._pinned[flavor] = mat
-            if flavor == "hops" and not self.graph.weighted:
-                # unweighted graph: the tropical and hop adjacencies coincide
-                self._pinned["weighted"] = mat
-        return mat
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -12,15 +12,7 @@ path sums — to bit-identical fast paths, and every other spec (min-plus,
 max-min, ...) to the generic kernel.
 """
 
-from repro.sparse.dispatch import KERNEL_MODES, resolve_kernel_mode
 from repro.sparse.spgemm import SpGemmResult, count_ops, spgemm
 from repro.sparse.spmatrix import SpMat
 
-__all__ = [
-    "SpMat",
-    "spgemm",
-    "SpGemmResult",
-    "count_ops",
-    "KERNEL_MODES",
-    "resolve_kernel_mode",
-]
+__all__ = ["SpMat", "spgemm", "SpGemmResult", "count_ops"]

@@ -23,13 +23,10 @@ canonicalization: the path kernel cuts the join at the generic kernel's
 chunk bounds (:func:`repro.sparse.spgemm._chunk_bounds`), filters by the
 mask inside the join and reduces with the same primitive in the same order;
 scipy accumulates in the same order.
-``repro.check`` differential replay recomputes references with
-``kernel="generic"``, making the generic kernel the oracle for this tier.
-
-The ``kernel`` knob (:mod:`repro.config`) selects:
-
-* ``generic``: never dispatch (the pure oracle kernel);
-* ``auto`` (default): dispatch recognized specs.
+Every product dispatches; ``spgemm(..., kernel="generic")`` is how an
+oracle skips this tier — ``repro.check`` differential replay recomputes
+references that way, making the generic kernel the oracle for this tier.
+It is not a run setting: no knob, flag or environment variable selects it.
 
 There is no registry: :func:`dispatch_spgemm` asks the two recognizers in
 order, and a new fast path is a new branch there, held to the same
@@ -43,7 +40,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse
 
-from repro import config
 from repro.algebra.centpath import CentpathMonoid, brandes_action
 from repro.algebra.fields import FieldArray
 from repro.algebra.matmul import MatMulSpec
@@ -60,32 +56,11 @@ from repro.sparse.spgemm import (
 )
 from repro.sparse.spmatrix import SpMat
 
-__all__ = [
-    "KERNEL_MODES",
-    "resolve_kernel_mode",
-    "dispatch_spgemm",
-]
-
-#: Valid kernel modes, weakest dispatch first.
-KERNEL_MODES = ("generic", "auto")
+__all__ = ["dispatch_spgemm"]
 
 #: Below this ops count the scipy conversion is skipped (its fixed
 #: CSR-build cost outweighs the compiled multiply on trivial products).
 _SCIPY_MIN_OPS = 4096
-
-
-def _parse_mode(mode: str) -> str:
-    mode = str(mode).strip().lower()
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}"
-        )
-    return mode
-
-
-def resolve_kernel_mode(mode: str | None = None) -> str:
-    """Resolve the ``kernel`` knob (see :func:`repro.config.ambient`)."""
-    return config.ambient("kernel", mode, _parse_mode)
 
 
 def dispatch_spgemm(

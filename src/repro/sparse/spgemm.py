@@ -79,7 +79,7 @@ def spgemm(
     mask: SpMat | None = None,
     mask_complement: bool = False,
     chunk: int = 1 << 22,
-    kernel: str | None = None,
+    kernel: str = "auto",
 ) -> SpGemmResult:
     """Compute ``C = A •⟨⊕,f⟩ B``, optionally masked, via the kernel tier.
 
@@ -101,11 +101,13 @@ def spgemm(
     chunk:
         Upper bound on the number of joined pairs materialized at once.
     kernel:
-        Kernel mode ``"generic"`` / ``"auto"``; ``None`` takes
-        the ambient ``kernel`` knob (``$REPRO_KERNEL``, default ``auto``; see
-        :mod:`repro.config`).  Every non-generic path is bit-identical to the
+        ``"auto"`` (every caller of a run) routes the product through the
+        dispatch tier; ``"generic"`` is the oracle's way of asking for the
+        reference kernel.  Every dispatched path is bit-identical to the
         generic kernel post-canonicalization.
     """
+    if kernel not in ("auto", "generic"):
+        raise ValueError(f"unknown kernel {kernel!r}; expected 'auto' or 'generic'")
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimension mismatch: {a.shape} × {b.shape}")
     if mask_complement and mask is None:
@@ -124,7 +126,7 @@ def spgemm(
     # deferred import: dispatch imports this module's internals
     from repro.sparse import dispatch
 
-    if dispatch.resolve_kernel_mode(kernel) != "generic":
+    if kernel == "auto":
         result = dispatch.dispatch_spgemm(
             a,
             b,

@@ -443,35 +443,6 @@ class SpMat:
             canonical=True,
         )
 
-    def select_rows(self, row_ids: np.ndarray) -> "SpMat":
-        """Gather the given (distinct) rows, in order, into a
-        ``len(row_ids) × ncols`` matrix."""
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        bad = row_ids[(row_ids < 0) | (row_ids >= self.nrows)]
-        if len(bad):
-            raise ValueError(
-                f"row id {int(bad[0])} out of range for {self.nrows} rows"
-            )
-        uniq, counts = np.unique(row_ids, return_counts=True)
-        if len(uniq) != len(row_ids):
-            raise ValueError(f"duplicate row id {int(uniq[counts > 1][0])}")
-        # invert: position of each stored row in row_ids, -1 if absent
-        lookup = np.full(self.nrows, -1, dtype=np.int64)
-        lookup[row_ids] = np.arange(len(row_ids))
-        new_rows = lookup[self.rows]
-        mask = new_rows >= 0
-        idx = mask.nonzero()[0]
-        return SpMat(
-            len(row_ids),
-            self.ncols,
-            new_rows[idx],
-            self.cols[idx],
-            take_fields(self.vals, idx),
-            self.monoid,
-            # ascending ids keep the stored order; a permutation needs a sort
-            canonical=np.array_equal(uniq, row_ids),
-        )
-
     def get(self, row: int, col: int) -> dict[str, object]:
         """Read a single entry (identity if unstored) — for tests/debugging."""
         key = row * self.ncols + col

@@ -19,6 +19,7 @@ never writes into the user's cache.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -28,6 +29,7 @@ from hypothesis import settings
 from repro.check.strategies import WEIGHT_MONOID, random_weight_spmat
 from repro.graphs import Graph, uniform_random_graph_nm, with_random_weights
 from repro.sparse import _native
+from repro.sparse import dispatch
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=50)
 settings.register_profile("dev", deadline=None, max_examples=50)
@@ -38,7 +40,25 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 #: the canonical home is :mod:`repro.check.strategies`.
 WEIGHT = WEIGHT_MONOID
 
-__all__ = ["WEIGHT", "random_weight_spmat"]
+__all__ = ["KERNELS", "WEIGHT", "kernel", "random_weight_spmat"]
+
+#: the two routes a local product can take (see :func:`kernel`)
+KERNELS = ("generic", "auto")
+
+
+@contextlib.contextmanager
+def kernel(mode: str):
+    """Run the block's products through ``mode``'s route.
+
+    ``"auto"`` is what every run does.  Under ``"generic"`` the dispatch tier
+    declines every product, as it does for the path kernel on a host
+    without a compiler, so each one takes the oracle's bits.  A test seam,
+    not a setting: nothing a user can configure reaches it.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if mode == "generic":
+            patch.setattr(dispatch, "dispatch_spgemm", lambda *a, **k: None)
+        yield
 
 
 @pytest.fixture(autouse=True, scope="session")

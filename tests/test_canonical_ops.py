@@ -265,19 +265,6 @@ def test_transpose(a):
     assert_canonical(a.transpose().transpose(), a)
 
 
-@given(cst.spmats(), st.data())
-def test_select_rows(a, data):
-    ids = np.array(
-        data.draw(st.lists(st.integers(0, a.nrows - 1), unique=True)), dtype=np.int64
-    )
-    for row_ids in (ids, np.sort(ids)):
-        out = a.select_rows(row_ids)
-        assert check_spmat(out) == []
-        assert out.shape == (len(row_ids), a.ncols)
-        for pos, r in enumerate(row_ids):
-            assert out.block(pos, pos + 1, 0, a.ncols).equals(a.block(r, r + 1, 0, a.ncols))
-
-
 # -- redistribution -----------------------------------------------------------
 
 

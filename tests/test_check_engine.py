@@ -22,7 +22,6 @@ from repro.check import (
     CheckedEngine,
     CheckError,
     CheckFailure,
-    maybe_checked,
     resolve_check_config,
 )
 from repro.check.replay import load_case, replay
@@ -96,7 +95,10 @@ class TestResolveConfig:
 
 class TestEnablement:
     def test_engine_kwarg(self):
-        engine = DistributedEngine(Machine(2), check="cheap")
+        # one check level, the machine's: there is no per-engine override
+        with pytest.raises(TypeError, match="check"):
+            DistributedEngine(Machine(2), check="full")
+        engine = DistributedEngine(Machine(2, check="cheap"))
         assert isinstance(engine, CheckedEngine)
         assert isinstance(engine.engine, DistributedEngine)
 
@@ -105,7 +107,7 @@ class TestEnablement:
         engine = DistributedEngine(Machine(2))
         assert isinstance(engine, DistributedEngine)
         assert not isinstance(engine, CheckedEngine)
-        assert isinstance(DistributedEngine(Machine(2), check="off"), DistributedEngine)
+        assert isinstance(DistributedEngine(Machine(2, check="off")), DistributedEngine)
 
     def test_machine_kwarg(self):
         machine = Machine(2, check="full")
@@ -121,23 +123,12 @@ class TestEnablement:
 
     def test_explicit_off_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "full")
-        engine = DistributedEngine(Machine(2), check="off")
+        engine = DistributedEngine(Machine(2, check="off"))
         assert not isinstance(engine, CheckedEngine)
 
-    def test_maybe_checked_idempotent(self):
-        inner = SequentialEngine()
-        once = maybe_checked(inner, "cheap")
-        assert isinstance(once, CheckedEngine)
-        assert maybe_checked(once, "full") is once
-
-    def test_maybe_checked_off_is_identity(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECK", raising=False)
-        inner = SequentialEngine()
-        assert maybe_checked(inner) is inner
-
     def test_delegation(self):
-        machine = Machine(2)
-        engine = DistributedEngine(machine, check="cheap")
+        machine = Machine(2, check="cheap")
+        engine = DistributedEngine(machine)
         assert engine.machine is machine  # __getattr__ reaches through
         engine.recover()  # delegates without blowing up
 
@@ -150,7 +141,7 @@ class TestEnablement:
 class TestCleanRuns:
     def test_full_checked_mfbc_agrees(self):
         g = rmat_graph(4, 4, seed=7)
-        engine = DistributedEngine(Machine(4), check="full")
+        engine = DistributedEngine(Machine(4, check="full"))
         got = mfbc(g, engine=engine).scores
         ref = mfbc(g).scores
         assert np.allclose(got, ref, atol=1e-8)
@@ -188,7 +179,7 @@ class TestCleanRuns:
 
 def _checked_product(tmp_path, p=4, n=12, seed=3):
     cfg = CheckConfig("full", sample=1, artifact_dir=str(tmp_path))
-    engine = DistributedEngine(Machine(p), check=cfg)
+    engine = DistributedEngine(Machine(p, check=cfg))
     rng = np.random.default_rng(seed)
     return engine, _mat(engine, rng, n), _mat(engine, rng, n)
 
@@ -274,7 +265,7 @@ class TestMutationCatch:
         monkeypatch.setattr(
             variants, "execute_plan", lambda *a, **k: (lambda r: (r[0], r[1] + 1))(real(*a, **k))
         )
-        engine = DistributedEngine(Machine(4), check="full")
+        engine = DistributedEngine(Machine(4, check="full"))
         rng = np.random.default_rng(9)
         with pytest.raises(CheckFailure) as err:
             engine.spgemm(_mat(engine, rng, 10), _mat(engine, rng, 10), TROP)
@@ -287,7 +278,7 @@ class TestMutationCatch:
             variants, "execute_plan", lambda *a, **k: (lambda r: (r[0], r[1] + 1))(real(*a, **k))
         )
         cfg = CheckConfig("sample", sample=3, artifact_dir=str(tmp_path))
-        engine = DistributedEngine(Machine(4), check=cfg)
+        engine = DistributedEngine(Machine(4, check=cfg))
         rng = np.random.default_rng(11)
         a, b = _mat(engine, rng, 10), _mat(engine, rng, 10)
         engine.spgemm(a, b, TROP)  # product 1: not sampled

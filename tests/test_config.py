@@ -46,7 +46,6 @@ PROBES = {
         ("replica:2", "replica:2"),
         ("source", "source"),
     ),
-    "kernel": (lambda m: m.kernel, ("generic", "generic"), ("auto", "auto")),
     "memory_words": (lambda m: m.memory_words, ("20000", 20000), (12345, 12345)),
     "spill_dir": (
         lambda m: m.memory.spill_dir,
@@ -54,9 +53,6 @@ PROBES = {
         ("/tmp/arg", "/tmp/arg"),
     ),
 }
-
-#: what each knob resolves to when nothing configures it
-DEFAULTS = {name: None for name in config.KNOBS} | {"kernel": "auto"}
 
 KNOB_NAMES = sorted(config.KNOBS)
 
@@ -81,13 +77,13 @@ def _off_id(spelling: str) -> str:
 
 def test_every_knob_has_a_probe():
     assert set(PROBES) == set(config.KNOBS)
-    assert len(config.KNOBS) == 7
+    assert len(config.KNOBS) == 6
 
 
 @pytest.mark.parametrize("name", KNOB_NAMES)
 class TestPrecedence:
     def test_default(self, name):
-        assert _resolved(name) == DEFAULTS[name]
+        assert _resolved(name) is None
 
     def test_env_beats_default(self, name, monkeypatch):
         spec, value = PROBES[name][1]
@@ -102,20 +98,20 @@ class TestPrecedence:
     @pytest.mark.parametrize("off", config.OFF, ids=_off_id)
     def test_explicit_off_beats_env(self, name, off, monkeypatch):
         monkeypatch.setenv(config.KNOBS[name].env, PROBES[name][1][0])
-        assert _resolved(name, off) == DEFAULTS[name]
+        assert _resolved(name, off) is None
 
     @pytest.mark.parametrize("off", [*config.OFF, " OFF "], ids=_off_id)
     def test_env_off_spelling_is_the_default(self, name, off, monkeypatch):
         monkeypatch.setenv(config.KNOBS[name].env, off)
-        assert _resolved(name) == DEFAULTS[name]
+        assert _resolved(name) is None
 
     def test_env_read_at_construction_not_import(self, name, monkeypatch):
         spec, value = PROBES[name][1]
-        assert _resolved(name) == DEFAULTS[name]
+        assert _resolved(name) is None
         monkeypatch.setenv(config.KNOBS[name].env, spec)
         assert _resolved(name) == value
         monkeypatch.delenv(config.KNOBS[name].env)
-        assert _resolved(name) == DEFAULTS[name]
+        assert _resolved(name) is None
 
 
 @pytest.mark.parametrize(
@@ -123,8 +119,6 @@ class TestPrecedence:
     [
         ("memory_words", "abc"),
         ("memory_words", "-5"),
-        ("kernel", "turbo"),
-        ("kernel", "fast"),
         ("check", "verbose"),
         ("elastic", "parity"),
         ("faults", "frobnicate:1"),
@@ -140,10 +134,10 @@ def test_malformed_env_names_the_variable_and_grammar(name, bad, monkeypatch):
 
 
 def test_explicit_argument_errors_do_not_blame_the_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "generic")
-    with pytest.raises(ValueError, match="unknown kernel mode 'turbo'") as err:
-        Machine(2, kernel="turbo")
-    assert "REPRO_KERNEL" not in str(err.value)
+    monkeypatch.setenv("REPRO_CHECK", "full")
+    with pytest.raises(ValueError, match="unknown check spec 'turbo'") as err:
+        Machine(2, check="turbo")
+    assert "REPRO_CHECK" not in str(err.value)
     with pytest.raises(ValueError, match="memory_words must be positive, got 0"):
         Machine(2, memory_words=0)
 
@@ -236,7 +230,7 @@ def test_docs_configuration_table_is_the_knob_table():
             knob.name,
             knob.env,
             knob.flag or "—",
-            knob.default or "off",
+            "off",
             knob.grammar.replace("|", "\\|"),
             knob.help,
         )

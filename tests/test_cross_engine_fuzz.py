@@ -9,8 +9,9 @@ redistribution, piece extraction, reduction order, or identity pruning
 shows up here.
 
 The cross-*kernel* tests at the bottom re-run the same programs on the
-distributed engine under both routes a local multiply can take (generic /
-auto kernel mode) and require bit-identical gathered matrices *and*
+distributed engine under both routes a local multiply can take (the
+dispatch tier, and the generic kernel it falls back to — forced through the
+``conftest.kernel`` seam) and require bit-identical gathered matrices *and*
 bit-identical ``ledger.snapshot()`` — the determinism guarantee the kernel
 tier promises.
 """
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import KERNELS, kernel
 from repro.algebra import MULTPATH, TROPICAL, MatMulSpec, bellman_ford_action
 from repro.baselines import brandes_bc
 from repro.check.strategies import WEIGHT_MONOID as W
@@ -29,7 +31,6 @@ from repro.core.engine import SequentialEngine
 from repro.dist import DistributedEngine
 from repro.graphs import Graph
 from repro.machine import Machine
-from repro.sparse import KERNEL_MODES
 from repro.spgemm import Plan
 from repro.spgemm.selector import PinnedPolicy
 
@@ -115,10 +116,11 @@ def test_pipelines_agree_across_kernels(pipeline):
     n, seed, p, ops = pipeline
     ref = _run(SequentialEngine(), n, seed, ops)
     snaps = []
-    for kernel in KERNEL_MODES:
-        machine = Machine(p, kernel=kernel)
-        got = _run(DistributedEngine(machine), n, seed, ops)
-        assert got.equals(ref), (n, seed, p, ops, kernel)
+    for mode in KERNELS:
+        machine = Machine(p)
+        with kernel(mode):
+            got = _run(DistributedEngine(machine), n, seed, ops)
+        assert got.equals(ref), (n, seed, p, ops, mode)
         snaps.append(machine.ledger.snapshot())
     assert snaps.count(snaps[0]) == len(snaps), (n, seed, p, ops, "ledger diverged")
 
@@ -150,8 +152,8 @@ def test_variant_classes_agree_across_kernels(seed, plan):
     aw = rng.integers(1, 9, len(ar)).astype(float)
     srcs = rng.choice(n, size=3, replace=False).astype(np.int64)
 
-    def run(kernel):
-        machine = Machine(4, kernel=kernel)
+    def run(mode):
+        machine = Machine(4)
         engine = DistributedEngine(machine, policy=PinnedPolicy(plan))
         adj = engine.matrix(n, n, ar, ac, {"w": aw}, W)
         engine.register_invariant(adj)
@@ -163,8 +165,9 @@ def test_variant_classes_agree_across_kernels(seed, plan):
             MULTPATH.make(np.zeros(len(srcs)), np.ones(len(srcs))),
             MULTPATH,
         )
-        for _ in range(2):
-            f, _ = engine.spgemm(f, adj, BF)
+        with kernel(mode):
+            for _ in range(2):
+                f, _ = engine.spgemm(f, adj, BF)
         return engine.gather(f), machine.ledger.snapshot()
 
     ref_mat, ref_snap = run("generic")
@@ -183,7 +186,7 @@ def test_variant_classes_agree_across_kernels(seed, plan):
 def test_weighted_mfbc_agrees_across_engines(g):
     """Weighted BC: sequential vs distributed, any auto-selected plan."""
     ref = mfbc(g).scores
-    got = mfbc(g, engine=DistributedEngine(Machine(4), check="full")).scores
+    got = mfbc(g, engine=DistributedEngine(Machine(4, check="full"))).scores
     assert np.allclose(got, ref, atol=1e-8)
     assert np.allclose(ref, brandes_bc(g), atol=1e-8)
 
@@ -218,10 +221,11 @@ def test_edge_case_graphs_agree_across_kernels(case):
     g = _edge_case_graphs()[case]
     ref = mfbc(g).scores
     assert np.allclose(ref, brandes_bc(g), atol=1e-12)
-    for kernel in KERNEL_MODES:
-        engine = DistributedEngine(Machine(4, kernel=kernel), check="full")
-        got = mfbc(g, engine=engine).scores
-        assert np.allclose(got, ref, atol=1e-12), (case, kernel)
+    for mode in KERNELS:
+        engine = DistributedEngine(Machine(4, check="full"))
+        with kernel(mode):
+            got = mfbc(g, engine=engine).scores
+        assert np.allclose(got, ref, atol=1e-12), (case, mode)
 
 
 @pytest.mark.parametrize("plan", PLANS_P4, ids=lambda p: p.describe())
@@ -229,9 +233,7 @@ def test_edge_cases_under_every_variant(plan):
     """Degenerate frontier shapes through every §5.2 variant class."""
     cases = _edge_case_graphs()
     for name, g in cases.items():
-        engine = DistributedEngine(
-            Machine(4), policy=PinnedPolicy(plan), check="full"
-        )
+        engine = DistributedEngine(Machine(4, check="full"), policy=PinnedPolicy(plan))
         got = mfbc(g, engine=engine).scores
         ref = mfbc(g).scores
         assert np.allclose(got, ref, atol=1e-12), (name, plan.describe())

@@ -45,8 +45,8 @@ def quiet(p, **kw):
     return Machine(p, **kw)
 
 
-def scores_of(g, machine, *, policy=None, check=None, **kw):
-    eng = DistributedEngine(machine, policy=policy, check=check)
+def scores_of(g, machine, *, policy=None, **kw):
+    eng = DistributedEngine(machine, policy=policy)
     return mfbc(g, batch_size=8, engine=eng, **kw).scores
 
 
@@ -301,8 +301,8 @@ class TestRecoveryDifferential:
         ref = scores_of(
             graph, quiet(p_after), policy=_policy(policy_name, p_after)
         )
-        m = Machine(p, faults=ONE_CRASH, elastic="replica")
-        eng = DistributedEngine(m, policy=_policy(policy_name, p), check="cheap")
+        m = Machine(p, faults=ONE_CRASH, elastic="replica", check="cheap")
+        eng = DistributedEngine(m, policy=_policy(policy_name, p))
         res = mfbc(graph, batch_size=8, engine=eng)
         assert np.array_equal(res.scores, ref)
         assert len(m.recoveries) == 1
@@ -317,8 +317,8 @@ class TestRecoveryDifferential:
 
     def test_two_failures_bit_identical(self, graph):
         ref = scores_of(graph, quiet(6))
-        m = Machine(6, faults=TWO_CRASHES, elastic="replica")
-        res = scores_of(graph, m, check="cheap")
+        m = Machine(6, faults=TWO_CRASHES, elastic="replica", check="cheap")
+        res = scores_of(graph, m)
         assert np.array_equal(res, ref)
         assert [(r.p_before, r.p_after) for r in m.recoveries] == [(6, 5), (5, 4)]
         assert m.faults.injected == 2

@@ -3,8 +3,7 @@
 Covers the :class:`FaultPlan` spec grammar and validation, seed-exact
 determinism of the injected event stream, payload corruption + the checksum
 guard at the Group collectives (on their own and inside the products of a
-real ``mfbc``), straggler skew, memory-pressure tightening, the mfbc
-retry loop, and the ISSUE's
+real ``mfbc``), straggler skew, the mfbc retry loop, and the
 end-to-end acceptance criteria (crash → checkpoint → resume re-executes
 only the remaining batches, bit-identical scores).
 """
@@ -25,7 +24,7 @@ from repro.faults import (
     payload_checksum,
     resolve_fault_plan,
 )
-from repro.machine import Group, Machine, MemoryLimitExceeded
+from repro.machine import Group, Machine
 from repro.spgemm import Plan
 from repro.spgemm.selector import PinnedPolicy
 
@@ -41,7 +40,7 @@ class TestSpecParsing:
     def test_full_grammar(self):
         plan = FaultPlan.from_spec(
             "seed:7,crash:0.05,corrupt:0.01,straggle:0.1,tear:0.02,"
-            "checksum:1,mem:0.5,skew:2e-4,limit:10,crash@12,straggle@9:2,corrupt@7"
+            "checksum:1,skew:2e-4,limit:10,crash@12,straggle@9:2,corrupt@7"
         )
         assert plan.seed == 7
         assert plan.crash == 0.05
@@ -49,7 +48,6 @@ class TestSpecParsing:
         assert plan.straggle == 0.1
         assert plan.tear == 0.02
         assert plan.checksum is True
-        assert plan.mem == 0.5
         assert plan.skew == 2e-4
         assert plan.limit == 10
         assert [repr(sc) for sc in plan.script] == [
@@ -68,7 +66,7 @@ class TestSpecParsing:
         [
             "crash",  # missing value
             "crash:2.0",  # rate out of range
-            "mem:0",  # factor must be positive
+            "mem:0",  # memory pressure is a budget (memory_words), not a fault
             "mem:1.5",
             "limit:0",
             "skew:-1",
@@ -81,6 +79,16 @@ class TestSpecParsing:
     def test_bad_specs_raise(self, spec):
         with pytest.raises(ValueError):
             FaultPlan.from_spec(spec)
+
+    def test_memory_pressure_is_not_a_fault_key(self):
+        with pytest.raises(ValueError) as err:
+            FaultPlan.from_spec("mem:0.5")
+        assert str(err.value) == (
+            "unknown fault spec key 'mem' (expected one of seed, crash, corrupt, "
+            "straggle, tear, skew, checksum, limit)"
+        )
+        with pytest.raises(TypeError, match="mem"):
+            FaultPlan(seed=5, mem=0.5)
 
     @pytest.mark.parametrize("spec", ["seed:1,poolkill:0.1", "poolkill@3"])
     def test_the_pool_fault_went_with_the_pool(self, spec):
@@ -96,7 +104,6 @@ class TestSpecParsing:
     def test_inert_plan_is_not_armed(self):
         assert not FaultPlan(seed=5).armed
         assert FaultPlan(seed=5, checksum=True).armed
-        assert FaultPlan(seed=5, mem=0.5).armed
         assert FaultPlan(seed=5, script=[("crash", 3)]).armed
 
 
@@ -330,16 +337,6 @@ class TestStragglersAndMemory:
         assert skew[1] > 0.4
         ev = m.faults.events[-1]
         assert ev.kind == "straggle" and ev.rank == 1
-
-    def test_memory_budget_tightened_at_construction(self):
-        assert Machine(2, memory_words=1000, faults="mem:0.5").memory_words == 500
-        assert Machine(2, memory_words=1000).memory_words == 1000
-
-    def test_tightened_budget_blames_injection(self):
-        m = Machine(2, memory_words=100, faults="mem:0.1")
-        with pytest.raises(MemoryLimitExceeded, match="tightened by injected"):
-            m.allocate(0, 50)
-        assert m.faults.events[0].kind == "mem"
 
     def test_limit_caps_injections(self):
         m = Machine(4, faults="seed:0,straggle:1,limit:3")

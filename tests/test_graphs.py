@@ -71,6 +71,11 @@ class TestGraphContainer:
         g = small_weighted.unweighted()
         assert not g.weighted and g.m == small_weighted.m
 
+    def test_unweighted_view_is_one_graph(self, small_weighted, small_undirected):
+        # an engine pins adjacency per graph object: one view, not one per call
+        assert small_weighted.unweighted() is small_weighted.unweighted()
+        assert small_undirected.unweighted() is small_undirected
+
     def test_reversed_directed(self):
         g = Graph(3, np.array([0]), np.array([1]), directed=True)
         r = g.reversed()

@@ -1,4 +1,4 @@
-"""The kernel dispatch tier: recognition, knobs, and generic/fast identity.
+"""The kernel dispatch tier: recognition, the keyword, and generic/fast identity.
 
 The contract under test is the one ``repro.check`` enforces at runtime:
 every fast path must be **bit-identical** to the generic kernel at matched
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import kernel
 from repro import mfbc, obs, rmat_graph
 from repro.algebra import (
     CENTPATH,
@@ -34,7 +35,7 @@ from repro.core.engine import SequentialEngine
 from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC
 from repro.dist import DistributedEngine
 from repro.machine import Machine
-from repro.sparse import SpGemmResult, SpMat, resolve_kernel_mode, spgemm
+from repro.sparse import SpGemmResult, SpMat, spgemm
 from repro.sparse import _native
 from repro.sparse import dispatch as dispatch_mod
 from repro.sparse.dispatch import dispatch_spgemm
@@ -44,12 +45,6 @@ spgemm_mod = sys.modules[spgemm.__module__]
 CC_SPEC = Semiring(
     add_monoid=MinMonoid(), multiply=left_project, name="cc"
 ).matmul_spec()
-
-
-@pytest.fixture(autouse=True)
-def _clean_kernel_env(monkeypatch):
-    """Every test starts from the ambient default (no env)."""
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
 
 
 # ---------------------------------------------------------------------------
@@ -109,56 +104,53 @@ class TestRecognition:
 
 
 # ---------------------------------------------------------------------------
-# mode grammar and where the knob lands (precedence: tests/test_config.py)
+# the mode is no run setting: every product dispatches, and kernel="generic"
+# is the oracle's keyword on spgemm alone
 # ---------------------------------------------------------------------------
 
 
 class TestModeKnob:
-    def test_default_is_auto(self):
-        assert resolve_kernel_mode() == "auto"
-        assert resolve_kernel_mode(None) == "auto"
-
-    def test_env_beats_nothing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "generic")
-        assert resolve_kernel_mode() == "generic"
-
-    def test_normalization_and_rejection(self):
-        assert resolve_kernel_mode("  Generic ") == "generic"
-        for gone in ("turbo", "fast"):
-            with pytest.raises(ValueError, match="unknown kernel mode"):
-                resolve_kernel_mode(gone)
-
-    def test_sequential_engine_knob(self):
-        assert SequentialEngine(kernel="generic").kernel == "generic"
-        assert SequentialEngine().kernel is None
-
-    def test_machine_knob(self):
-        m = Machine(4, kernel="generic")
-        assert m.kernel == "generic"
-        assert m.executor.kernel_mode == "generic"
-        assert "kernel=generic" in repr(m)
-        # the machine hands its workers a resolved mode, never "ask the env"
-        plain = Machine(4)
-        assert plain.kernel == plain.executor.kernel_mode == "auto"
-
-    def test_cli_flag(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["bc", "g.txt", "--kernel", "generic"])
-        assert args.kernel == "generic"
-        assert build_parser().parse_args(["bc", "g.txt"]).kernel is None
-        for gone in ("turbo", "fast"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["bc", "g.txt", "--kernel", gone])
-
-    def test_spgemm_reads_env(self, rng, monkeypatch):
-        # REPRO_KERNEL=generic must disable dispatch even for recognized specs
+    def test_default_is_auto(self, rng):
         a = cst.random_weight_spmat(rng, 6, 6, 0.5)
         metrics = obs.Metrics()
-        monkeypatch.setenv("REPRO_KERNEL", "generic")
         with obs.use(metrics=metrics):
             spgemm(a, a, TROPICAL.matmul_spec())
-        assert metrics.total("kernel.dispatch") == 0.0
+        assert metrics.total("kernel.dispatch", outcome="unrecognized") == 1.0
+
+    def test_env_beats_nothing(self, rng, monkeypatch):
+        # a stray REPRO_KERNEL is read by nothing: the product still dispatches
+        if _native.pathsum() is None:
+            pytest.skip("compiled path kernel unavailable here")
+        monkeypatch.setenv("REPRO_KERNEL", "generic")
+        a = _random_path_spmat(rng, MULTPATH, 6, 6)
+        b = cst.random_weight_spmat(rng, 6, 6, 0.5)
+        metrics = obs.Metrics()
+        with obs.use(metrics=metrics):
+            spgemm(a, b, BELLMAN_FORD_SPEC)
+        assert metrics.total("kernel.dispatch", outcome="hit") == 1.0
+
+    def test_normalization_and_rejection(self, rng):
+        a = cst.random_weight_spmat(rng, 3, 3, 0.5)
+        for gone in ("turbo", "fast", "  Generic ", None):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                spgemm(a, a, TROPICAL.matmul_spec(), kernel=gone)
+
+    def test_sequential_engine_knob(self):
+        with pytest.raises(TypeError, match="takes no arguments"):
+            SequentialEngine(kernel="generic")
+
+    def test_machine_knob(self):
+        with pytest.raises(TypeError, match="kernel"):
+            Machine(4, kernel="generic")
+        assert not hasattr(Machine(4), "kernel")
+
+    def test_cli_flag(self, capsys):
+        from repro.cli import build_parser
+
+        for command in ("bc", "simulate", "trace", "serve"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "g.txt", "--kernel", "generic"])
+            assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
     def test_dispatch_counter(self, rng, monkeypatch):
         a = cst.random_weight_spmat(rng, 6, 6, 0.5)
@@ -519,20 +511,24 @@ class TestUnifiedApi:
 # ---------------------------------------------------------------------------
 
 
+def _generic_scores(graph):
+    with kernel("generic"):
+        return mfbc(graph, engine=SequentialEngine()).scores
+
+
 class TestEndToEnd:
     def test_mfbc_sequential_bitwise(self):
         g = rmat_graph(scale=5, avg_degree=4, seed=3)
-        ref = mfbc(g, engine=SequentialEngine(kernel="generic")).scores
-        got = mfbc(g, engine=SequentialEngine(kernel="auto")).scores
+        ref = _generic_scores(g)
+        got = mfbc(g, engine=SequentialEngine()).scores
         assert np.array_equal(ref, got)
 
     def test_mfbc_distributed_checked_fast(self):
         # full differential replay: every fast-path product is re-verified
         # against the generic oracle inside CheckedEngine
         g = rmat_graph(scale=4, avg_degree=4, seed=7)
-        ref = mfbc(g, engine=SequentialEngine(kernel="generic")).scores
-        machine = Machine(4, kernel="auto")
-        engine = DistributedEngine(machine, check="full")
+        ref = _generic_scores(g)
+        engine = DistributedEngine(Machine(4, check="full"))
         got = mfbc(g, engine=engine).scores
         assert np.array_equal(ref, got)
         stats = engine.stats

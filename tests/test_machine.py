@@ -336,7 +336,7 @@ class TestLocalExecutor:
     def test_batches_run_in_submission_order_with_the_kernel_mode(
         self, rng, monkeypatch
     ):
-        ex = Machine(4, kernel="generic").executor
+        ex = Machine(4).executor
         assert type(ex) is LocalExecutor
         assert ex.run_tasks([lambda i=i: i * i for i in range(8)]) == [
             i * i for i in range(8)
@@ -358,7 +358,8 @@ class TestLocalExecutor:
         assert got == [1, 2, 3, 4, 5]
         for (x, y, kw), (px, py), mk in zip(calls, pairs, masks, strict=True):
             assert x is px and y is py
-            assert kw == {"mask": mk, "mask_complement": True, "kernel": "generic"}
+            # no kernel keyword: every local product dispatches (spgemm's "auto")
+            assert kw == {"mask": mk, "mask_complement": True}
         assert ex.run_spgemm([], spec) == []
 
 

@@ -101,6 +101,25 @@ class TestLedger:
         assert t2 <= t1 * 1.1
 
 
+class TestPinnedAdjacency:
+    def test_one_adjacency_per_graph(self, graph):
+        machine = Machine(4, faults="off", elastic="off", check="off")
+        engine = DistributedEngine(machine)
+        adj = engine.adjacency(graph)
+        charged = machine.ledger.snapshot()
+        assert engine.adjacency(graph) is adj
+        assert machine.ledger.snapshot() == charged  # a hit moves nothing
+        mfbc(graph, batch_size=15, engine=engine, max_batches=1)
+        assert engine.adjacency(graph) is adj and len(engine._invariants) == 2
+
+    def test_release_forgets_the_pinned_adjacency(self, graph):
+        engine = DistributedEngine(Machine(4, faults="off", elastic="off", check="off"))
+        adj = engine.adjacency(graph)
+        engine.release_invariants()
+        assert engine.adjacency(graph) is not adj
+        assert len(engine._invariants) == 2
+
+
 class TestEveryVariantEndToEnd:
     """MFBC end-to-end under each pinned plan family — the strongest
     integration net over the variant implementations."""

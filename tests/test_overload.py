@@ -860,21 +860,6 @@ class TestRetryJitter:
         )
         assert a != b
 
-    def test_none_restores_legacy_exponential(self, graph, monkeypatch):
-        charged = self._flaky_machine_run(
-            graph,
-            monkeypatch,
-            2,
-            retries=3,
-            retry_backoff=1.0,
-            retry_jitter_seed=None,
-        )
-        baseline = self._flaky_machine_run(
-            graph, monkeypatch, 0, retries=3, retry_backoff=1.0
-        )
-        # two legacy rungs: 1.0·2⁰ + 1.0·2¹ = 3.0 modeled seconds
-        assert charged - baseline == pytest.approx(3.0)
-
     def test_jitter_stays_within_ladder_bounds(self, graph, monkeypatch):
         charged = self._flaky_machine_run(
             graph, monkeypatch, 2, retries=3, retry_backoff=1.0, retry_jitter_seed=5

@@ -331,6 +331,38 @@ class TestServiceCache:
         assert stats["cache"]["hits"] >= 1
 
 
+class TestPinnedAdjacency:
+    """Every query kind multiplies against the version's one adjacency."""
+
+    def test_whole_graph_and_source_queries_share_one_copy(self):
+        g = rmat_graph(7, 8, seed=0)
+
+        def quiet():
+            return Machine(4, faults="off", elastic="off", check="off")
+
+        scatter = quiet()
+        DistributedEngine(scatter).adjacency(g)
+        adjacency_words = scatter.ledger.category_words["input"]
+        queries = [("approx_bc", {"samples": 8, "seed": s}) for s in range(6)]
+        queries += [("bc", {}), ("connected", {})]
+        queries += [("bc_source", {"source": s}) for s in (1, 2, 3)]
+        machine = quiet()
+        used, inputs = [], []
+        with _service(g, machine=machine) as svc:
+            for algorithm, params in queries:
+                svc.result(svc.submit(algorithm, **params), timeout=120.0)
+                used.append(machine.memory_used())
+                inputs.append(machine.ledger.category_words["input"])
+            pinned = len(svc.engine._invariants)
+            svc.update_graph(rmat_graph(7, 8, seed=1))
+            released = (len(svc.engine._invariants), machine.memory_used())
+        assert used == [used[0]] * len(queries)
+        # each query scatters its frontier seeds as input, never the graph again
+        assert max(np.diff(inputs)) < adjacency_words
+        assert pinned == 2  # the adjacency and its transpose
+        assert released == (0, 0)
+
+
 class TestServiceAlgorithms:
     def test_all_algorithms_complete(self, graph):
         with _service(graph) as svc:

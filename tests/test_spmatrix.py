@@ -171,27 +171,6 @@ class TestStructural:
         with pytest.raises(ValueError, match="out of bounds"):
             a.block(0, 3, 0, 1)
 
-    def test_select_rows(self):
-        a = mk(4, 3, [(0, 0, 1.0), (2, 1, 2.0), (3, 2, 3.0)])
-        s = a.select_rows(np.array([3, 0]))
-        assert s.shape == (2, 3)
-        assert s.get(0, 2)["w"] == 3.0
-        assert s.get(1, 0)["w"] == 1.0
-        assert s.get(0, 1)["w"] == np.inf
-
-    def test_select_rows_rejects_duplicate_ids(self):
-        # the inverse-lookup scatter would keep only the last position and
-        # silently leave output row 0 empty
-        a = mk(4, 3, [(0, 0, 1.0), (2, 1, 2.0), (3, 2, 3.0)])
-        with pytest.raises(ValueError, match="duplicate row id 2"):
-            a.select_rows(np.array([2, 0, 2]))
-
-    @pytest.mark.parametrize("bad", [4, -1])
-    def test_select_rows_rejects_out_of_range_ids(self, bad):
-        a = mk(4, 3, [(0, 0, 1.0)])
-        with pytest.raises(ValueError, match=f"row id {bad} out of range"):
-            a.select_rows(np.array([0, bad]))
-
     def test_copy_independent(self):
         a = mk(2, 2, [(0, 0, 1.0)])
         b = a.copy()
