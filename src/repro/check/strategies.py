@@ -263,20 +263,18 @@ def epsilon_delta_params(draw) -> tuple[float, float]:
 def sampler_states(
     draw,
     max_n: int = 10,
-    max_shards: int = 4,
     max_samples: int = 12,
 ) -> "SamplerState":
-    """A populated adaptive-sampler state (running sums over shards).
+    """A populated adaptive-sampler state (running sums in sample order).
 
     Vertex values are small dyadic rationals (multiples of 1/4), so sums
-    and sums-of-squares are exact in binary floating point — merge-order
+    and sums-of-squares are exact in binary floating point — fold-order
     and serialization round-trip properties can assert bit identity.
     The state may be empty (zero samples folded in).
     """
     from repro.core.approx import SamplerState
 
     n = draw(st.integers(3, max_n))
-    shards = draw(st.integers(1, max_shards))
     k = draw(st.integers(0, max_samples))
     rows = np.array(
         draw(
@@ -288,9 +286,8 @@ def sampler_states(
         ),
         dtype=np.float64,
     ).reshape(k, n) / 4.0
-    start = draw(st.integers(0, 64))
-    state = SamplerState.empty(n, shards)
-    state.update(rows, start)
+    state = SamplerState.empty(n)
+    state.update(rows)
     return state
 
 

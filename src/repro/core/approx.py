@@ -9,9 +9,9 @@ production deployments virtually always sample sources because exact BC is
   error ~ O(n/√k) in dependency mass);
 * :func:`adaptive_bc` — the adaptive (ε, δ) sampler in the style of
   van der Grinten & Meyerhenke's MPI-based adaptive sampling: draw source
-  batches through the distributed MFBC driver, maintain per-shard running
-  sums and sums-of-squares of the normalized per-source dependencies, and
-  stop as soon as an empirical-Bernstein confidence bound certifies that
+  batches through the distributed MFBC driver, maintain running sums and
+  sums-of-squares of the normalized per-source dependencies, and stop as
+  soon as an empirical-Bernstein confidence bound certifies that
   every vertex's normalized score is within ε with probability ≥ 1 − δ.
 
 Both run on any engine (sequential or simulated-distributed) since they
@@ -55,10 +55,9 @@ from repro.core.mfbc import default_batch_size, mfbc, per_source_rows
 from repro.faults.checkpoint import (
     CheckpointState,
     CheckpointStore,
-    resolve_checkpoint_store,
+    resume_checkpoint,
     sources_checksum,
 )
-from repro.faults.plan import note
 from repro.graphs.graph import Graph
 from repro.obs import api as obs
 from repro.utils.rng import as_rng
@@ -150,17 +149,20 @@ def approximate_bc(
     seed: int | np.random.Generator | None = None,
     batch_size: int | None = None,
     engine: Engine | None = None,
+    retries: int = 2,
 ) -> np.ndarray:
     """Unbiased sampled estimate of every vertex's betweenness centrality.
 
     Runs MFBC from ``n_samples`` sources drawn uniformly without replacement
-    and scales the partial sums by ``n / n_samples``.
+    and scales the partial sums by ``n / n_samples``.  ``retries`` is
+    :func:`~repro.core.mfbc.mfbc`'s per-batch retry budget (the serving
+    layer passes 0 and keeps the budget its own).
     """
     n_samples = validate_sample_count(n_samples, graph.n)
     rng = as_rng(seed)
     sources = rng.choice(graph.n, size=n_samples, replace=False)
     result = mfbc(
-        graph, batch_size=batch_size, sources=sources, engine=engine
+        graph, batch_size=batch_size, sources=sources, engine=engine, retries=retries
     )
     return result.scores * (graph.n / n_samples)
 
@@ -172,121 +174,75 @@ def approximate_bc(
 
 @dataclass
 class SamplerState:
-    """Per-shard running moments of the normalized dependency samples.
+    """Running moments of the normalized dependency samples.
 
-    The adaptive run's mutable statistical state is ``Σ x_i(v)`` and
-    ``Σ x_i(v)²`` per vertex, split across ``shards`` logical shards —
-    shard ``i % shards`` owns sample ``i``, a machine-size-independent
-    assignment, so elastic shrink mid-run never reshuffles which partial a
-    sample lives in.  :meth:`merged` folds the shards in canonical index
-    order, which makes the global moments independent of how the shards
-    were physically distributed; :meth:`merge` combines per-rank partial
-    states and is exactly order-independent whenever the partials occupy
-    disjoint shards (the distributed layout) because adding a zero shard
-    is float-exact.
+    The adaptive run's mutable statistical state is the sample count and,
+    per vertex, ``Σ x_i(v)`` and ``Σ x_i(v)²``, folded strictly in sample
+    order — so the moments, and every estimate and width read from them,
+    are the same bits on every machine size and across an elastic shrink.
     """
 
     n: int
-    shards: int
-    counts: np.ndarray  # (shards,) samples folded into each shard
-    sums: np.ndarray  # (shards, n) per-shard Σ x_i(v)
-    sumsqs: np.ndarray  # (shards, n) per-shard Σ x_i(v)²
+    total_samples: int
+    sums: np.ndarray  # (n,) Σ x_i(v)
+    sumsqs: np.ndarray  # (n,) Σ x_i(v)²
 
     @classmethod
-    def empty(cls, n: int, shards: int) -> "SamplerState":
-        if shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
+    def empty(cls, n: int) -> "SamplerState":
         return cls(
             n=int(n),
-            shards=int(shards),
-            counts=np.zeros(shards, dtype=np.int64),
-            sums=np.zeros((shards, n), dtype=np.float64),
-            sumsqs=np.zeros((shards, n), dtype=np.float64),
+            total_samples=0,
+            sums=np.zeros(n, dtype=np.float64),
+            sumsqs=np.zeros(n, dtype=np.float64),
         )
 
-    @property
-    def total_samples(self) -> int:
-        return int(self.counts.sum())
-
-    def update(self, x_rows: np.ndarray, start_index: int) -> None:
-        """Fold a batch of per-sample rows; row ``i`` is global sample
-        ``start_index + i`` and lands in shard ``(start_index + i) % shards``."""
-        x_rows = np.asarray(x_rows, dtype=np.float64)
-        for i, row in enumerate(x_rows):
-            shard = (start_index + i) % self.shards
-            self.counts[shard] += 1
-            self.sums[shard] += row
-            self.sumsqs[shard] += row * row
-
-    def merged(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """Global ``(k, Σx, Σx²)`` via a left fold in shard index order."""
-        total = np.zeros(self.n, dtype=np.float64)
-        totalsq = np.zeros(self.n, dtype=np.float64)
-        for shard in range(self.shards):
-            total += self.sums[shard]
-            totalsq += self.sumsqs[shard]
-        return self.total_samples, total, totalsq
+    def update(self, x_rows: np.ndarray) -> None:
+        """Fold a batch of per-sample rows, one sample at a time in order."""
+        for row in np.asarray(x_rows, dtype=np.float64):
+            self.total_samples += 1
+            self.sums += row
+            self.sumsqs += row * row
 
     def mean_and_variance(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-vertex sample mean and (clipped, k−1 denominator) variance."""
-        k, total, totalsq = self.merged()
+        k = self.total_samples
         if k == 0:
             return np.zeros(self.n), np.zeros(self.n)
-        mean = total / k
+        mean = self.sums / k
         if k < 2:
             return mean, np.zeros(self.n)
-        var = np.maximum(totalsq - total * mean, 0.0) / (k - 1)
+        var = np.maximum(self.sumsqs - self.sums * mean, 0.0) / (k - 1)
         return mean, var
-
-    @classmethod
-    def merge(cls, parts) -> "SamplerState":
-        """Combine per-rank partial states by per-shard addition.
-
-        All partials must agree on ``(n, shards)``.  When the partials
-        occupy disjoint shards (each sample's moments live in exactly one
-        partial — the distributed layout) the result is bit-identical in
-        any merge order, since the only float additions are with zeros.
-        """
-        parts = list(parts)
-        if not parts:
-            raise ValueError("cannot merge zero sampler states")
-        first = parts[0]
-        out = cls.empty(first.n, first.shards)
-        for part in parts:
-            if (part.n, part.shards) != (first.n, first.shards):
-                raise ValueError(
-                    f"cannot merge sampler states with different shapes: "
-                    f"(n={part.n}, shards={part.shards}) vs "
-                    f"(n={first.n}, shards={first.shards})"
-                )
-            out.counts += part.counts
-            out.sums += part.sums
-            out.sumsqs += part.sumsqs
-        return out
 
     def to_payload(self) -> dict:
         """JSON-compatible dict; floats round-trip exactly through JSON."""
         return {
             "n": int(self.n),
-            "shards": int(self.shards),
-            "counts": [int(c) for c in self.counts],
-            "sums": [[float(x) for x in row] for row in self.sums],
-            "sumsqs": [[float(x) for x in row] for row in self.sumsqs],
+            "total_samples": int(self.total_samples),
+            "sums": [float(x) for x in self.sums],
+            "sumsqs": [float(x) for x in self.sumsqs],
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SamplerState":
+        if "counts" in payload:
+            # the per-shard layout of older checkpoints: its one shard is
+            # the flat state (a sharded run's schedule never matches)
+            if len(payload["counts"]) != 1:
+                raise ValueError("a sharded sampler state cannot be resumed")
+            payload = {
+                "n": payload["n"],
+                "total_samples": payload["counts"][0],
+                "sums": payload["sums"][0],
+                "sumsqs": payload["sumsqs"][0],
+            }
         state = cls(
             n=int(payload["n"]),
-            shards=int(payload["shards"]),
-            counts=np.asarray(payload["counts"], dtype=np.int64),
+            total_samples=int(payload["total_samples"]),
             sums=np.asarray(payload["sums"], dtype=np.float64),
             sumsqs=np.asarray(payload["sumsqs"], dtype=np.float64),
         )
-        if state.sums.shape != (state.shards, state.n) or state.sumsqs.shape != (
-            state.shards,
-            state.n,
-        ):
+        if state.sums.shape != (state.n,) or state.sumsqs.shape != (state.n,):
             raise ValueError("sampler payload shape mismatch")
         return state
 
@@ -359,11 +315,13 @@ class AdaptiveBCResult:
         return self.scores / denom if denom > 0 else self.scores.copy()
 
 
-def _schedule_crc(n: int, seed: int, batch_size: int, shards: int) -> int:
-    """Checksum of everything that pins the adaptive source schedule."""
-    return sources_checksum(
-        np.array([n, seed, batch_size, shards], dtype=np.int64)
-    )
+def _schedule_crc(n: int, seed: int, batch_size: int) -> int:
+    """Checksum of everything that pins the adaptive source schedule.
+
+    The trailing 1 is the shard count older checkpoints pinned: a one-shard
+    checkpoint still resumes, a sharded one reads as another schedule.
+    """
+    return sources_checksum(np.array([n, seed, batch_size, 1], dtype=np.int64))
 
 
 def _reduce_state(machine, x_rows: np.ndarray) -> None:
@@ -373,8 +331,8 @@ def _reduce_state(machine, x_rows: np.ndarray) -> None:
     their moments — ``2n + 1`` words: sums, sums-of-squares, count — to a
     reduce + broadcast over the whole machine, paid for (and failing, under
     a fault plan) like any collective.  The result is not read back: the
-    estimator folds the rows shard by shard (:meth:`SamplerState.update`),
-    which keeps its values independent of the physical rank layout.
+    estimator folds the rows in sample order (:meth:`SamplerState.update`),
+    which keeps its values independent of the rank layout.
     """
     if machine is None or machine.p <= 1:
         return
@@ -396,7 +354,6 @@ def adaptive_bc(
     seed: int | None = 0,
     batch_size: int | None = None,
     max_samples: int | None = None,
-    shards: int | None = None,
     engine: Engine | None = None,
     max_batches: int | None = None,
     checkpoint: "CheckpointStore | str | None" = None,
@@ -431,10 +388,6 @@ def adaptive_bc(
         Hard sample budget; the run returns unconverged (with its best
         estimate and honest final width) when the budget is exhausted
         before the bound is met.  Default ``max(4n, 256)``.
-    shards:
-        Logical sampler-state shards (defaults to the machine size, or 1
-        sequentially); fixed for the whole run so elastic shrink never
-        reshuffles sample-to-shard assignment.
     engine:
         Execution engine (sequential by default).
     max_batches:
@@ -449,7 +402,8 @@ def adaptive_bc(
         The per-batch recovery ladder, exactly as on
         :func:`~repro.core.mfbc.mfbc` (memory rungs and elastic recovery
         included): under a budget a sample batch is swept as narrower
-        sub-sweeps — same rows, same estimate.
+        sub-sweeps — same rows, same estimate — and later batches start at
+        the width that fit.
     """
     engine = engine or SequentialEngine()
     epsilon, delta = validate_epsilon_delta(epsilon, delta)
@@ -477,39 +431,15 @@ def adaptive_bc(
             batch_size=0,
         )
 
-    if shards is None:
-        shards = int(machine.p) if machine is not None else 1
-    if shards < 1:
-        raise ValueError(f"shards must be positive, got {shards}")
     if max_samples is None:
         max_samples = max(4 * n, 256)
     if max_samples < 1:
         raise ValueError(f"max_samples must be positive, got {max_samples}")
 
-    store = None if checkpoint is None else resolve_checkpoint_store(checkpoint)
-    state = None
-    if resume_from is not None:
-        resume_store = resolve_checkpoint_store(resume_from)
-        state = resume_store.load()
-        if state is None and not isinstance(resume_from, CheckpointStore):
-            raise FileNotFoundError(
-                f"no checkpoint to resume from at {resume_from!r}"
-            )
-    if state is not None:
+    def same_schedule(state, batch_size):
         if state.sampler is None:
             raise ValueError(
                 "checkpoint carries no sampler state — not an adaptive_bc run"
-            )
-        if state.n != n:
-            raise ValueError(
-                f"checkpoint is for a {state.n}-vertex graph, not {n}"
-            )
-        if batch_size is None:
-            batch_size = state.batch_size
-        elif batch_size != state.batch_size:
-            raise ValueError(
-                f"checkpoint used batch_size={state.batch_size}, "
-                f"cannot resume with batch_size={batch_size}"
             )
         meta = state.sampler
         if (float(meta["epsilon"]), float(meta["delta"])) != (epsilon, delta):
@@ -518,28 +448,34 @@ def adaptive_bc(
                 f"delta={meta['delta']}), cannot resume with "
                 f"(epsilon={epsilon}, delta={delta})"
             )
-    if batch_size is None:
-        batch_size = default_batch_size(graph)
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
+        if state.sources_crc != _schedule_crc(n, seed, batch_size):
+            raise ValueError(
+                "checkpoint was taken with a different sampling schedule "
+                "(seed, batch size, or shard count)"
+            )
 
-    crc = _schedule_crc(n, seed, batch_size, shards)
+    store, state, batch_size = resume_checkpoint(
+        checkpoint,
+        resume_from,
+        n=n,
+        batch_size=batch_size,
+        default_batch_size=default_batch_size(graph),
+        site="adaptive_bc",
+        machine=machine,
+        check=same_schedule,
+    )
+    crc = _schedule_crc(n, seed, batch_size)
     scale = n / ((n - 1) * (n - 2))  # per-sample normalization of δ_s
     value_range = n / (n - 1)  # x_i(v) ∈ [0, R]
 
-    sampler = SamplerState.empty(n, shards)
+    sampler = SamplerState.empty(n)
     cursor = 0  # samples drawn so far
     batch_index = 0
     width = math.inf
     width_history: list[float] = []
     if state is not None:
-        if state.sources_crc != crc:
-            raise ValueError(
-                "checkpoint was taken with a different sampling schedule "
-                "(seed, batch size, or shard count)"
-            )
         sampler = SamplerState.from_payload(state.sampler["state"])
-        if sampler.n != n or sampler.shards != shards:
+        if sampler.n != n:
             raise ValueError(
                 "checkpoint sampler state does not match this run's shape"
             )
@@ -547,7 +483,6 @@ def adaptive_bc(
         batch_index = int(state.batch_index)
         width_history = [float(w) for w in state.sampler.get("width_history", [])]
         width = width_history[-1] if width_history else math.inf
-        note(machine, "batch", "resumed", site="adaptive_bc", cursor=cursor, index=batch_index)
 
     raw_denom = (n - 1) * (n - 2)
     converged = width <= epsilon
@@ -564,6 +499,7 @@ def adaptive_bc(
     ):
         with obs.span("adjacency", cat="phase"):
             adj = ladder.run(lambda *_: engine.adjacency(graph))
+        sweep_width = batch_size  # the width that fit carries to later batches
         while not converged and cursor < max_samples:
             if max_batches is not None and executed >= max_batches:
                 break
@@ -572,8 +508,9 @@ def adaptive_bc(
             batch = np.random.default_rng([seed, batch_index]).integers(
                 0, n, size=count, dtype=np.int64
             )
+            rows, sweep = per_source_rows(engine, graph, adj, batch)
 
-            def attempt_batch(attempt, width, batch=batch, batch_index=batch_index):
+            def attempt_batch(attempt, width):
                 with obs.span(
                     "batch",
                     cat="batch",
@@ -581,20 +518,23 @@ def adaptive_bc(
                     sources=len(batch),
                     attempt=attempt,
                 ):
-                    rows = per_source_rows(engine, graph, adj, batch, width)
-                    rows = rows * scale
+                    sweep(width)
+                    x_rows = rows * scale
                     # merging the per-rank partials is paid for (and can
                     # fail) like any collective, so it sits inside the
                     # recovery ladder with the sweep itself
                     with obs.span("reduce_state", cat="phase"):
-                        _reduce_state(machine, rows)
-                return rows
+                        _reduce_state(machine, x_rows)
+                return x_rows
 
-            rows = ladder.run(attempt_batch, index=batch_index, width=count)
+            x_rows = ladder.run(
+                attempt_batch, index=batch_index, width=min(sweep_width, count)
+            )
+            sweep_width = ladder.width
             ladder.after_success()
             # fold exactly once per completed batch — retries and elastic
             # re-executions above never reach this line twice
-            sampler.update(rows, cursor)
+            sampler.update(x_rows)
             cursor += count
             batch_index += 1
             executed += 1

@@ -19,9 +19,9 @@ either way.
 
 A batch that fails — an injected :class:`~repro.faults.FaultError`, or
 :class:`~repro.machine.MemoryLimitExceeded` under a per-rank budget — is
-answered by the one recovery ladder (:mod:`repro.core.ladder`): shrink the
-batch width, spill cold blocks, drop replica redundancy (every memory rung
-bit-identical, re-armed once pressure clears), recover elastically from a
+answered by the one recovery ladder (:mod:`repro.core.ladder`): narrow the
+sweep (never the batch), spill cold blocks, drop replica redundancy (every
+memory rung bit-identical, re-armed once pressure clears), recover elastically from a
 :class:`~repro.faults.RankFailure` when the machine carries an
 :class:`~repro.elastic.ElasticPolicy` (only the interrupted batch
 re-executes on the survivors; never burns a retry), then retry up to
@@ -46,12 +46,11 @@ from repro.core.stats import BatchStats, MFBCStats
 from repro.faults.checkpoint import (
     CheckpointState,
     CheckpointStore,
-    resolve_checkpoint_store,
+    resume_checkpoint,
     sources_checksum,
     stats_from_dicts,
     stats_to_dicts,
 )
-from repro.faults.plan import note
 from repro.graphs.graph import Graph
 from repro.obs import api as obs
 
@@ -123,7 +122,9 @@ def mfbc(
         weights must be positive).
     batch_size:
         Sources per batch (``nb``).  Defaults to :func:`default_batch_size`,
-        or to the checkpoint's recorded batch size when resuming.
+        or to the checkpoint's recorded batch size when resuming.  Under a
+        memory budget the ladder sweeps a batch as narrower sub-sweeps; the
+        batch, and the batch size a checkpoint records, stay the caller's.
     engine:
         Execution engine (sequential by default; pass a
         :class:`~repro.dist.engine.DistributedEngine` to run on the
@@ -182,47 +183,37 @@ def mfbc(
         sources = np.asarray(sources, dtype=np.int64)
     src_crc = sources_checksum(sources)
 
-    store = None if checkpoint is None else resolve_checkpoint_store(checkpoint)
-    state = None
-    if resume_from is not None:
-        resume_store = resolve_checkpoint_store(resume_from)
-        state = resume_store.load()
-        if state is None and not isinstance(resume_from, CheckpointStore):
-            raise FileNotFoundError(
-                f"no checkpoint to resume from at {resume_from!r}"
-            )
-    if state is not None:
-        if state.n != graph.n:
-            raise ValueError(
-                f"checkpoint is for a {state.n}-vertex graph, not {graph.n}"
-            )
+    def same_sources(state, _batch_size):
         if state.sources_crc != src_crc:
             raise ValueError("checkpoint was taken with a different source list")
-        if batch_size is None:
-            batch_size = state.batch_size
-        elif batch_size != state.batch_size:
-            raise ValueError(
-                f"checkpoint used batch_size={state.batch_size}, "
-                f"cannot resume with batch_size={batch_size}"
-            )
-    if batch_size is None:
-        batch_size = default_batch_size(graph)
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
 
+    store, state, batch_size = resume_checkpoint(
+        checkpoint,
+        resume_from,
+        n=graph.n,
+        batch_size=batch_size,
+        default_batch_size=default_batch_size(graph),
+        site="mfbc",
+        machine=getattr(engine, "machine", None),
+        check=same_sources,
+    )
     scores = np.zeros(graph.n, dtype=np.float64)
     stats = MFBCStats()
-    cursor = 0
+    lo = 0
     batch_index = 0
     if state is not None:
         scores[:] = state.scores
-        cursor = int(state.cursor)
+        lo = int(state.cursor)
         batch_index = int(state.batch_index)
         stats.batches = stats_from_dicts(state.stats)
-        machine = getattr(engine, "machine", None)
-        note(machine, "batch", "resumed", site="mfbc", cursor=cursor, index=batch_index)
-    t0 = time.perf_counter()
 
+    def fold(_offset, _rows, cols, weights, sweep_stats):
+        # ordered in-place accumulation: see _accumulate on why this keeps
+        # scores bit-identical across sweep widths
+        np.add.at(scores, cols, weights)
+        stats.batches.append(sweep_stats)
+
+    t0 = time.perf_counter()
     with obs.span(
         "mfbc",
         cat="run",
@@ -233,13 +224,15 @@ def mfbc(
         with obs.span("adjacency", cat="phase"):
             # no batch to shrink or re-execute yet: memory rungs only
             adj = ladder.run(lambda *_: engine.adjacency(graph))
+        # the shrink rung narrows the sweep, never the batch: later batches
+        # start at the width that fit
+        width = batch_size
         executed = 0
-        lo = cursor
         while lo < len(sources):
+            batch = sources[lo : lo + batch_size]
+            sweep = _sweeper(engine, adj, batch, fold)
 
-            def attempt_batch(attempt, width, lo=lo, batch_index=batch_index):
-                batch = sources[lo : lo + width]
-                batch_stats = BatchStats(sources=len(batch))
+            def attempt_batch(attempt, width):
                 with obs.span(
                     "batch",
                     cat="batch",
@@ -247,29 +240,13 @@ def mfbc(
                     sources=len(batch),
                     attempt=attempt,
                 ):
-                    with obs.span("mfbf", cat="phase"):
-                        t_mat = mfbf(adj, batch, engine=engine, stats=batch_stats)
-                    with obs.span("mfbr", cat="phase"):
-                        z_mat = mfbr(adj, t_mat, engine=engine, stats=batch_stats)
-                    with obs.span("accumulate", cat="phase"):
-                        _, cols, weights = _accumulate(engine, batch, t_mat, z_mat)
-                return batch, (cols, weights), batch_stats
+                    sweep(width)
 
-            width = min(batch_size, len(sources) - lo)
-            batch, terms, batch_stats = ladder.run(
-                attempt_batch, index=batch_index, width=width
+            ladder.run(
+                attempt_batch, index=batch_index, width=min(width, len(batch))
             )
-            if len(batch) < width:
-                # the shrink rung narrowed it; later batches keep the width
-                # that fit.  (Per-source score rows are independent and
-                # cross-batch accumulation is strictly left-to-right, so
-                # narrower batches reproduce the exact same scores.)
-                batch_size = len(batch)
+            width = ladder.width
             ladder.after_success()
-            # ordered in-place accumulation: see _accumulate on why this
-            # keeps scores bit-identical across batch widths
-            np.add.at(scores, *terms)
-            stats.batches.append(batch_stats)
             batch_index += 1
             executed += 1
             lo += len(batch)
@@ -338,34 +315,59 @@ def mfbc_per_source(
     ):
         with obs.span("adjacency", cat="phase"):
             adj = ladder.run(lambda *_: engine.adjacency(graph))
-        out = ladder.run(
-            lambda _, width: per_source_rows(engine, graph, adj, sources, width),
-            width=len(sources),
-        )
+        out, sweep = per_source_rows(engine, graph, adj, sources)
+        ladder.run(lambda _, width: sweep(width), width=len(sources))
         ladder.after_success()
     return out
 
 
-def per_source_rows(engine, graph, adj, sources, width) -> np.ndarray:
-    """Per-source score rows of ``sources`` from ``width``-wide sweeps.
+def per_source_rows(engine, graph, adj, sources):
+    """``(out, sweep)``: per-source score rows of ``sources``, and the
+    resumable ``sweep(width)`` (see :func:`_sweeper`) that fills them.
 
     Rows are independent, so filling ``out`` from sub-sweeps narrower than
     ``len(sources)`` (the shrink rung's relief) is bit-identical to one
-    full-width sweep.  Ladder-free: callers run it under their own.
+    full-width sweep.  Ladder-free: callers run ``sweep`` under their own.
     """
     out = np.zeros((len(sources), graph.n), dtype=np.float64)
-    for lo in range(0, len(sources), width):
-        part = sources[lo : lo + width]
-        with obs.span("mfbf", cat="phase"):
-            t_mat = mfbf(adj, part, engine=engine)
-        with obs.span("mfbr", cat="phase"):
-            z_mat = mfbr(adj, t_mat, engine=engine)
-        with obs.span("accumulate", cat="phase"):
-            rows, cols, weights = _accumulate(engine, part, t_mat, z_mat)
-            # canonical SpMat stores each (row, col) once, so this is a
-            # plain scatter — no accumulation-order concerns
-            out[lo + rows, cols] = weights
-    return out
+
+    def fold(offset, rows, cols, weights, _stats):
+        # canonical SpMat stores each (row, col) once, so this is a plain
+        # scatter — no accumulation-order concerns
+        out[offset + rows, cols] = weights
+
+    return out, _sweeper(engine, adj, sources, fold)
+
+
+def _sweeper(engine, adj, sources, fold):
+    """The one sweep body: ``sweep(width)`` runs MFBF → MFBr → accumulate
+    over ``sources`` in ``width``-wide sub-sweeps, handing each one's
+    ``(offset, rows, cols, weights, stats)`` to ``fold``.
+
+    Progress outlives a failed attempt: a re-attempt (narrower, after the
+    shrink rung) resumes after the sub-sweeps already folded, which are
+    neither recomputed nor counted twice.  Each sub-sweep's T and Z are
+    released before the next one starts, so a narrower sweep's peak is its
+    own.
+    """
+    done = 0
+
+    def sweep(width):
+        nonlocal done
+        while done < len(sources):
+            part = sources[done : done + width]
+            stats = BatchStats(sources=len(part))
+            with obs.span("mfbf", cat="phase"):
+                t_mat = mfbf(adj, part, engine=engine, stats=stats)
+            with obs.span("mfbr", cat="phase"):
+                z_mat = mfbr(adj, t_mat, engine=engine, stats=stats)
+            with obs.span("accumulate", cat="phase"):
+                terms = _accumulate(engine, part, t_mat, z_mat)
+            del t_mat, z_mat
+            fold(done, *terms, stats)
+            done += len(part)
+
+    return sweep
 
 
 def _accumulate(engine, batch, t_mat, z_mat) -> tuple[np.ndarray, ...]:
@@ -380,8 +382,8 @@ def _accumulate(engine, batch, t_mat, z_mat) -> tuple[np.ndarray, ...]:
     driver folds them into the running scores with an ordered in-place
     ``np.add.at``, so the floating-point grouping per target is one strict
     left-to-right walk over sources — making the accumulated scores
-    bit-identical for every batch width (what lets the ladder's
-    shrink-batch rung retry narrower without changing the answer).
+    bit-identical for every sweep width (what lets the ladder's
+    shrink-batch rung sweep narrower without changing the answer).
     """
     delta = z_mat.zip_map(
         t_mat,

@@ -20,11 +20,14 @@ Three stores cover the practical deployments:
 File-backed stores write atomically (temp file + ``os.replace``) so a
 crash *during* checkpointing never corrupts the previous checkpoint, and
 they are hardened against corruption *at rest*: the score vector carries a
-CRC-32 verified on load, each save rotates the previous file into a
-numbered older generation (``path.1``, ``path.2``, ... up to ``keep``),
-and ``load`` falls back to the newest generation that verifies — raising
+CRC-32 verified on load, each save rotates the previous file into the
+older generation ``path.1`` (:data:`GENERATIONS` files in all), and
+``load`` falls back to the newest generation that verifies — raising
 :class:`CorruptCheckpoint` (a ``ValueError``) only when every generation
 is torn, truncated, version-incompatible, or checksum-broken.
+
+:func:`resume_checkpoint` is the one resume check ``mfbc`` and
+``adaptive_bc`` both run.
 """
 
 from __future__ import annotations
@@ -38,41 +41,53 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.faults.plan import note
+
 __all__ = [
     "CheckpointState",
     "CheckpointStore",
     "CorruptCheckpoint",
+    "GENERATIONS",
     "MemoryCheckpointStore",
     "JsonCheckpointStore",
     "NpzCheckpointStore",
     "atomic_save_npz",
     "resolve_checkpoint_store",
+    "resume_checkpoint",
     "sources_checksum",
     "stats_to_dicts",
     "stats_from_dicts",
 ]
+
+#: on-disk generations a file store keeps: the newest checkpoint and the
+#: one before it, the fallback when the newest is corrupt at rest.
+GENERATIONS = 2
+
+
+def _atomic_write(path: str, write) -> None:
+    """Write ``path`` through ``write(fh)`` on ``path + ".tmp"`` and land it
+    with ``os.replace``, so a crash mid-write never corrupts an existing file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # failed mid-write; don't leave litter
+            os.remove(tmp)
 
 
 def atomic_save_npz(path, arrays: dict, meta: dict | None = None) -> None:
     """Write ``arrays`` (plus an optional JSON ``meta`` blob under the key
     ``"meta"``, stored as a uint8 array) to ``path`` atomically.
 
-    The write goes to ``path + ".tmp"`` and lands with ``os.replace``, so a
-    crash mid-write never corrupts an existing file.  Shared by the NPZ
-    checkpoint store and :mod:`repro.check.replay`'s repro-case emitter.
+    Shared by the NPZ checkpoint store and :mod:`repro.check.replay`'s
+    repro-case emitter.
     """
-    path = os.fspath(path)
     payload = dict(arrays)
     if meta is not None:
         payload["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **payload)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # failed mid-write; don't leave litter
-            os.remove(tmp)
+    _atomic_write(os.fspath(path), lambda fh: np.savez(fh, **payload))
 
 #: bump when the persisted layout changes incompatibly.
 #: v2 added ``scores_crc`` (load-time integrity check); v3 added the
@@ -122,7 +137,7 @@ class CheckpointState:
     sources_crc: int  # checksum of the full source list
     scores: np.ndarray  # accumulated λ over completed batches
     stats: list = field(default_factory=list)  # serialized BatchStats rows
-    #: adaptive-sampling state (sums / sums-of-squares per shard, see
+    #: adaptive-sampling state (sample count, sums, sums-of-squares, see
     #: :meth:`repro.core.approx.SamplerState.to_payload`); ``None`` for
     #: plain mfbc runs.  JSON floats round-trip exactly, so a restored
     #: sampler resumes bit-identically.
@@ -244,47 +259,38 @@ class CheckpointStore:
 
 
 class MemoryCheckpointStore(CheckpointStore):
-    """Keep the latest state in process memory (copied, not aliased)."""
+    """Keep the latest state in process memory (copied, not aliased).
+
+    The state is held as its payload's JSON document, so neither a later
+    write to the caller's arrays nor one to a loaded state reaches the
+    snapshot, and ``load`` runs the same parse and CRC check as the file
+    stores.
+    """
 
     def __init__(self) -> None:
-        self._state: CheckpointState | None = None
+        self._document: str | None = None
 
     def save(self, state: CheckpointState) -> None:
-        self._state = CheckpointState(
-            cursor=state.cursor,
-            batch_index=state.batch_index,
-            batch_size=state.batch_size,
-            n=state.n,
-            sources_crc=state.sources_crc,
-            scores=np.array(state.scores, dtype=np.float64, copy=True),
-            stats=[dict(row) for row in state.stats],
-            # deep-copy through JSON: the driver mutates its sampler arrays
-            # in place after every batch, and an aliased dict would let
-            # those writes leak into the "persisted" snapshot
-            sampler=(
-                None
-                if state.sampler is None
-                else json.loads(json.dumps(state.sampler))
-            ),
-            version=state.version,
-        )
+        self._document = json.dumps(state.to_payload())
 
     def load(self) -> CheckpointState | None:
-        return self._state
+        if self._document is None:
+            return None
+        return CheckpointState.from_payload(json.loads(self._document))
 
     def clear(self) -> None:
-        self._state = None
+        self._document = None
 
 
 class _FileStore(CheckpointStore):
     """Shared plumbing for the file-backed stores: atomic writes,
     generation rotation, and corruption fallback.
 
-    Each :meth:`save` rotates the previous checkpoint into numbered older
-    generations (``path.1``, ``path.2``, ...), keeping the last ``keep``.
-    :meth:`load` returns the newest generation that parses and verifies,
-    warning when it had to skip a corrupt newer one, and raises
-    :class:`CorruptCheckpoint` only when generations exist but none loads.
+    Each :meth:`save` rotates the previous checkpoint into ``path.1``
+    (:data:`GENERATIONS` files in all).  :meth:`load` returns the newest
+    generation that parses and verifies, warning when it had to skip a
+    corrupt newer one, and raises :class:`CorruptCheckpoint` only when
+    generations exist but none loads.
     """
 
     #: exceptions that mean "this generation is unusable, try an older one":
@@ -292,42 +298,25 @@ class _FileStore(CheckpointStore):
     #: missing keys, and I/O failures.
     _LOAD_ERRORS = (ValueError, KeyError, EOFError, OSError, zipfile.BadZipFile)
 
-    def __init__(self, path, keep: int = 2) -> None:
+    def __init__(self, path) -> None:
         self.path = os.fspath(path)
-        if keep < 1:
-            raise ValueError(f"keep must be at least 1, got {keep}")
-        self.keep = int(keep)
 
     def _generation(self, i: int) -> str:
         return self.path if i == 0 else f"{self.path}.{i}"
 
     def _rotate(self) -> None:
-        if self.keep <= 1 or not os.path.exists(self.path):
-            return
-        oldest = self._generation(self.keep - 1)
-        if os.path.exists(oldest):
-            os.remove(oldest)
-        for i in range(self.keep - 2, -1, -1):
+        # oldest first: os.replace overwrites the generation it shifts onto
+        for i in range(GENERATIONS - 2, -1, -1):
             src = self._generation(i)
             if os.path.exists(src):
                 os.replace(src, self._generation(i + 1))
 
     def clear(self) -> None:
-        for i in range(self.keep):
+        for i in range(GENERATIONS):
             try:
                 os.remove(self._generation(i))
             except FileNotFoundError:
                 pass
-
-    def _atomic_write(self, write_fn) -> None:
-        self._rotate()
-        tmp = f"{self.path}.tmp"
-        try:
-            write_fn(tmp)
-            os.replace(tmp, self.path)
-        finally:
-            if os.path.exists(tmp):  # failed mid-write; don't leave litter
-                os.remove(tmp)
 
     def _load_one(self, path: str) -> CheckpointState:
         raise NotImplementedError
@@ -335,7 +324,7 @@ class _FileStore(CheckpointStore):
     def load(self) -> CheckpointState | None:
         errors: list[tuple[str, str]] = []
         found = False
-        for i in range(self.keep):
+        for i in range(GENERATIONS):
             path = self._generation(i)
             if not os.path.exists(path):
                 continue
@@ -360,17 +349,16 @@ class _FileStore(CheckpointStore):
         raise CorruptCheckpoint(self.path, errors)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.path!r}, keep={self.keep})"
+        return f"{type(self).__name__}({self.path!r})"
 
 
 class JsonCheckpointStore(_FileStore):
     """One JSON document per checkpoint; float-exact and greppable."""
 
     def save(self, state: CheckpointState) -> None:
-        payload = state.to_payload()
-        self._atomic_write(
-            lambda tmp: open(tmp, "w").write(json.dumps(payload))
-        )
+        document = json.dumps(state.to_payload()).encode()
+        self._rotate()
+        _atomic_write(self.path, lambda fh: fh.write(document))
 
     def _load_one(self, path: str) -> CheckpointState:
         with open(path) as fh:
@@ -414,3 +402,51 @@ def resolve_checkpoint_store(spec) -> CheckpointStore:
     raise TypeError(
         f"checkpoint must be a CheckpointStore or a path, got {spec!r}"
     )
+
+
+def resume_checkpoint(
+    checkpoint,
+    resume_from,
+    *,
+    n: int,
+    batch_size: int | None,
+    default_batch_size: int,
+    site: str,
+    machine,
+    check,
+) -> tuple[CheckpointStore | None, CheckpointState | None, int]:
+    """The batch drivers' one resume check: ``(store, state, batch_size)``.
+
+    Resolves both stores; a path with nothing at it is a
+    ``FileNotFoundError``, an empty store a fresh run (``state`` is None).
+    A state must match ``n``, and the caller's ``batch_size`` when one is
+    given (else it supplies it); ``check(state, batch_size)`` runs the
+    driver's own checks before the ``batch``/``resumed`` note.
+    """
+    store = None if checkpoint is None else resolve_checkpoint_store(checkpoint)
+    state = None
+    if resume_from is not None:
+        state = resolve_checkpoint_store(resume_from).load()
+        if state is None and not isinstance(resume_from, CheckpointStore):
+            raise FileNotFoundError(
+                f"no checkpoint to resume from at {resume_from!r}"
+            )
+    if state is not None:
+        if state.n != n:
+            raise ValueError(
+                f"checkpoint is for a {state.n}-vertex graph, not {n}"
+            )
+        if batch_size is None:
+            batch_size = state.batch_size
+        elif batch_size != state.batch_size:
+            raise ValueError(
+                f"checkpoint used batch_size={state.batch_size}, "
+                f"cannot resume with batch_size={batch_size}"
+            )
+        check(state, batch_size)
+        note(machine, "batch", "resumed", site=site, cursor=state.cursor, index=state.batch_index)
+    if batch_size is None:
+        batch_size = default_batch_size
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    return store, state, batch_size

@@ -793,6 +793,7 @@ class BCService:
                 int(params["samples"]),
                 seed=int(params["seed"]),
                 engine=engine,
+                retries=0,
             )
         elif algorithm == "adaptive_bc":
             from repro.core.approx import adaptive_bc

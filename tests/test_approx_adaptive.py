@@ -10,9 +10,9 @@ is zero, far under the δ the bound permits).
 
 Also the home of the shared-validation contract (the same message for a
 bad sample count or seed no matter which entry point raised it) and the
-hypothesis properties for the sampler state: merge-order invariance of
-disjoint-shard partials and bit-identical checkpoint/resume after any
-batch.
+hypothesis properties for the sampler state: one fold in sample order
+whatever the batch split, payload round trips (older one-shard layouts
+included) and bit-identical checkpoint/resume after any batch.
 """
 
 import json
@@ -36,8 +36,10 @@ from repro.core.approx import (
     validate_sample_count,
 )
 from repro.core.mfbc import mfbc_per_source
-from repro.faults.checkpoint import MemoryCheckpointStore
+from repro.dist import DistributedEngine
+from repro.faults.checkpoint import MemoryCheckpointStore, sources_checksum
 from repro.graphs import uniform_random_graph_nm
+from repro.machine import Machine
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +110,8 @@ class TestUnbiasedness:
         without any sampling noise in the way."""
         rows = mfbc_per_source(graph, np.arange(graph.n))
         scale = graph.n / ((graph.n - 1) * (graph.n - 2))
-        state = SamplerState.empty(graph.n, 3)
-        state.update(rows * scale, 0)
+        state = SamplerState.empty(graph.n)
+        state.update(rows * scale)
         mean, _ = state.mean_and_variance()
         assert np.allclose(mean, exact_normalized)
 
@@ -203,6 +205,43 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="no sampler state"):
             adaptive_bc(graph, epsilon=0.2, delta=0.1, resume_from=store)
 
+    def test_older_sampler_layouts(self, graph):
+        """A one-shard checkpoint in the older nested ``counts`` / ``sums``
+        layout resumes bit-identically, on any machine size; a sharded one
+        (taken with p > 1) is another sampling schedule and is refused."""
+        kw = dict(epsilon=0.2, delta=0.1, seed=3, batch_size=16,
+                  max_samples=320)
+        ref = adaptive_bc(graph, **kw)
+        store = MemoryCheckpointStore()
+        adaptive_bc(graph, checkpoint=store, max_batches=2, **kw)
+        state = store.load()
+        flat = state.sampler["state"]
+        state.sampler["state"] = {
+            "n": flat["n"],
+            "shards": 1,
+            "counts": [flat["total_samples"]],
+            "sums": [flat["sums"]],
+            "sumsqs": [flat["sumsqs"]],
+        }
+        store.save(state)
+        engine = DistributedEngine(Machine(4, faults="off"))
+        res = adaptive_bc(graph, resume_from=store, engine=engine, **kw)
+        assert np.array_equal(res.scores, ref.scores)
+        assert res.width_history == ref.width_history
+
+        k, n = flat["total_samples"], flat["n"]
+        state.sampler["state"] = {
+            "n": n,
+            "shards": 4,
+            "counts": [k // 4] * 4,
+            "sums": [flat["sums"]] + [[0.0] * n] * 3,
+            "sumsqs": [flat["sumsqs"]] + [[0.0] * n] * 3,
+        }
+        state.sources_crc = sources_checksum(np.array([graph.n, 3, 16, 4]))
+        store.save(state)
+        with pytest.raises(ValueError, match="different sampling schedule"):
+            adaptive_bc(graph, resume_from=store, **kw)
+
 
 # ---------------------------------------------------------------------------
 # unified parameter validation (one message per mistake, any entry point)
@@ -271,64 +310,82 @@ class TestValidationUnified:
 # ---------------------------------------------------------------------------
 
 
-def _shard_partials(state):
-    """Split a state into one single-shard-occupancy partial per shard."""
-    parts = []
-    for shard in range(state.shards):
-        part = SamplerState.empty(state.n, state.shards)
-        part.counts[shard] = state.counts[shard]
-        part.sums[shard] = state.sums[shard]
-        part.sumsqs[shard] = state.sumsqs[shard]
-        parts.append(part)
-    return parts
+def _copy(state):
+    return SamplerState.from_payload(state.to_payload())
 
 
 class TestSamplerStateProperties:
-    @given(cst.sampler_states(), st.randoms(use_true_random=False))
-    def test_merge_order_invariance(self, state, shuffler):
-        """Disjoint-shard partials merge bit-identically in any order."""
-        parts = _shard_partials(state)
-        merged = SamplerState.merge(parts)
-        shuffler.shuffle(parts)
-        remerged = SamplerState.merge(parts)
-        assert np.array_equal(merged.counts, remerged.counts)
-        assert np.array_equal(merged.sums, remerged.sums)
-        assert np.array_equal(merged.sumsqs, remerged.sumsqs)
-        assert np.array_equal(merged.counts, state.counts)
-        assert np.array_equal(merged.sums, state.sums)
+    @given(cst.sampler_states(), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    def test_split_fold_is_one_fold(self, state, cut, seed):
+        """Rows fold one sample at a time in order, so any batch split of
+        the same rows gives the same bits (no pairwise batch sum)."""
+        rows = np.random.default_rng(seed).random((8, state.n))
+        whole, split = _copy(state), _copy(state)
+        whole.update(rows)
+        split.update(rows[:cut])
+        split.update(rows[cut:])
+        assert whole.total_samples == split.total_samples == state.total_samples + 8
+        assert np.array_equal(whole.sums, split.sums)
+        assert np.array_equal(whole.sumsqs, split.sumsqs)
 
     @given(cst.sampler_states())
     def test_payload_round_trip_bit_identical(self, state):
         back = SamplerState.from_payload(
             json.loads(json.dumps(state.to_payload()))
         )
-        assert (back.n, back.shards) == (state.n, state.shards)
-        assert np.array_equal(back.counts, state.counts)
+        assert (back.n, back.total_samples) == (state.n, state.total_samples)
         assert np.array_equal(back.sums, state.sums)
         assert np.array_equal(back.sumsqs, state.sumsqs)
 
     @given(cst.sampler_states())
     def test_merged_moments_match_mean_variance(self, state):
-        k, total, totalsq = state.merged()
+        k = state.total_samples
         mean, var = state.mean_and_variance()
         if k == 0:
             assert np.array_equal(mean, np.zeros(state.n))
         else:
-            assert np.allclose(mean, total / k)
+            assert np.allclose(mean, state.sums / k)
             assert np.all(var >= 0)
 
-    def test_merge_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="different shapes"):
-            SamplerState.merge(
-                [SamplerState.empty(4, 2), SamplerState.empty(4, 3)]
-            )
-        with pytest.raises(ValueError, match="zero sampler states"):
-            SamplerState.merge([])
+    @given(cst.sampler_states())
+    def test_one_shard_payload_loads_as_the_flat_state(self, state):
+        payload = state.to_payload()
+        older = {
+            "n": payload["n"],
+            "shards": 1,
+            "counts": [payload["total_samples"]],
+            "sums": [payload["sums"]],
+            "sumsqs": [payload["sumsqs"]],
+        }
+        back = SamplerState.from_payload(json.loads(json.dumps(older)))
+        assert back.total_samples == state.total_samples
+        assert np.array_equal(back.sums, state.sums)
+        assert np.array_equal(back.sumsqs, state.sumsqs)
+        older["shards"], older["counts"] = 2, [0, payload["total_samples"]]
+        older["sums"] = older["sumsqs"] = [payload["sums"]] * 2
+        with pytest.raises(ValueError, match="sharded"):
+            SamplerState.from_payload(older)
 
     @given(cst.epsilon_delta_params())
     def test_epsilon_delta_strategy_always_valid(self, params):
         epsilon, delta = validate_epsilon_delta(*params)
         assert epsilon > 0 and 0 < delta < 1
+
+
+class TestMachineSize:
+    def test_estimate_is_bit_identical_across_p(self):
+        """The sampler folds its samples in order on every machine, so the
+        estimate and its certificate do not depend on p."""
+        g = uniform_random_graph_nm(120, 4.0, seed=7)
+        kw = dict(epsilon=0.3, delta=0.2, seed=0, batch_size=16)
+        seq = adaptive_bc(g, **kw)
+        # faults off: an ambient plan could exhaust the retry budget, and
+        # the claim is about p, not about recovery
+        dist = adaptive_bc(
+            g, engine=DistributedEngine(Machine(4, faults="off")), **kw
+        )
+        assert np.array_equal(dist.scores, seq.scores)
+        assert dist.width_history == seq.width_history
 
 
 class TestResumeProperty:

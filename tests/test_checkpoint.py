@@ -24,7 +24,12 @@ from repro.faults import (
     resolve_checkpoint_store,
     sources_checksum,
 )
-from repro.faults.checkpoint import CHECKPOINT_VERSION, stats_from_dicts, stats_to_dicts
+from repro.faults.checkpoint import (
+    CHECKPOINT_VERSION,
+    GENERATIONS,
+    stats_from_dicts,
+    stats_to_dicts,
+)
 from repro.machine import Machine
 
 
@@ -196,7 +201,7 @@ class TestHardening:
 
     def test_scores_crc_detects_bit_flip(self, tmp_path):
         path = tmp_path / "ck.json"
-        store = JsonCheckpointStore(path, keep=1)
+        store = JsonCheckpointStore(path)
         store.save(make_state(scores=np.arange(10.0)))
         doc = json.loads(path.read_text())
         doc["scores"][3] += 1.0  # silent corruption, still valid JSON
@@ -217,19 +222,17 @@ class TestHardening:
         assert np.array_equal(loaded.scores, np.arange(10.0))
 
     def test_keep_bounds_generations(self, tmp_path):
-        store = JsonCheckpointStore(tmp_path / "ck.json", keep=3)
-        for i in range(5):
+        store = JsonCheckpointStore(tmp_path / "ck.json")
+        for i in range(GENERATIONS + 3):
             store.save(make_state(scores=np.full(10, float(i))))
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["ck.json", "ck.json.1", "ck.json.2"]
-        assert store.load().scores[0] == 4.0  # newest wins
+        assert names == ["ck.json"] + [
+            f"ck.json.{i}" for i in range(1, GENERATIONS)
+        ]
+        assert store.load().scores[0] == GENERATIONS + 2  # newest wins
         store.clear()
         assert list(tmp_path.iterdir()) == []
         assert store.load() is None
-
-    def test_invalid_keep(self, tmp_path):
-        with pytest.raises(ValueError, match="keep"):
-            JsonCheckpointStore(tmp_path / "ck.json", keep=0)
 
     def test_mfbc_resumes_from_older_generation(self, tmp_path, small_undirected):
         """End-to-end: the newest on-disk checkpoint is corrupted between

@@ -180,6 +180,32 @@ class TestSimulateAndInfo:
         )
         assert crc(out) and crc(out) == crc(clean)
 
+    def test_checkpoint_resumes_under_memory_budget(self, tmp_path, capsys):
+        """Re-running a budgeted command resumes its checkpoint: the shrink
+        rung narrows the sweep, not the batch, so the checkpoint records the
+        batch size asked for, and the scores are the unbudgeted run's."""
+        g7 = str(tmp_path / "g7.txt")
+        assert main(["generate", "rmat", "--scale", "7", "--degree", "8",
+                     "--seed", "1", "-o", g7]) == 0
+        base = ["simulate", g7, "--p", "3", "--batch", "32"]
+        budgeted = base + ["--batches", "1", "--memory-words", "6000",
+                           "--checkpoint", str(tmp_path / "ck.json")]
+        capsys.readouterr()
+        assert main(budgeted) == 0
+        first = capsys.readouterr().out
+        assert "sources processed : 32" in first
+        assert main(budgeted) == 0
+        second = capsys.readouterr().out
+        assert "resuming from checkpoint" in second
+        assert "sources processed : 64" in second
+        assert main(base + ["--batches", "2"]) == 0
+        unbudgeted = capsys.readouterr().out
+
+        def crc(out):
+            return [l for l in out.splitlines() if l.startswith("scores crc32")]
+
+        assert crc(second) and crc(second) == crc(unbudgeted)
+
     def test_info(self, graph_file, capsys):
         path, n = graph_file
         assert main(["info", path]) == 0

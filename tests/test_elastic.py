@@ -452,11 +452,10 @@ class TestAdaptiveRecovery:
         res = self._run(graph, m, checkpoint=str(tmp_path / "ad.json"))
         assert np.array_equal(res.scores, ref.scores)
         assert len(m.recoveries) == 1
-        # the persisted sampler state resumes to the same converged answer
-        # (even sequentially — shards are logical, pinned by the schedule)
+        # the persisted sampler state resumes to the same converged answer,
+        # even sequentially: the state is folded in sample order on any p
         resumed = adaptive_bc(
-            graph, resume_from=str(tmp_path / "ad.json"), shards=6,
-            **self.ADAPTIVE_KW
+            graph, resume_from=str(tmp_path / "ad.json"), **self.ADAPTIVE_KW
         )
         assert np.array_equal(resumed.scores, ref.scores)
 

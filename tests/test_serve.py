@@ -679,7 +679,7 @@ class TestServiceFaults:
                 svc.result(qid, timeout=120.0)
             assert svc.stats()["failed"] == 1
 
-    @pytest.mark.parametrize("algorithm", ["bc", "adaptive_bc"])
+    @pytest.mark.parametrize("algorithm", ["bc", "adaptive_bc", "approx_bc"])
     @pytest.mark.parametrize("retries", [0, 1, 2])
     def test_service_retry_budget_is_the_only_one(
         self, graph, monkeypatch, algorithm, retries
@@ -704,11 +704,36 @@ class TestServiceFaults:
             elastic="off",
             retries=retries,
         ) as svc:
-            qid = svc.submit(algorithm)
+            params = {"samples": 8} if algorithm == "approx_bc" else {}
+            qid = svc.submit(algorithm, **params)
             with pytest.raises(QueryError, match=f"after {retries + 1} attempts"):
                 svc.result(qid, timeout=120.0)
             assert svc.stats()["retries"] == retries
         assert len(sweeps) == retries + 1
+
+    def test_approx_bc_crash_takes_the_service_ladder(self):
+        # a fixed-pivot query's crash is retried by the service (site
+        # "serve", counted, backoff-free), not inside its mfbc driver
+        g = rmat_graph(7, 8, seed=0)
+        machine = Machine(4, faults="seed:0,crash@8", elastic="off")
+        with BCService(g, machine=machine, batch_window=0.02) as svc:
+            scores = svc.result(
+                svc.submit("approx_bc", samples=16, seed=0), timeout=120.0
+            )
+            stats = svc.stats()
+        assert stats["retries"] == 1 and stats["failed"] == 0
+        recovered = [
+            e.site
+            for e in machine.faults.events
+            if (e.kind, e.action) == ("batch", "recovered")
+        ]
+        assert recovered == ["serve"]
+        from repro.core.approx import approximate_bc
+
+        ref = approximate_bc(
+            g, 16, seed=0, engine=DistributedEngine(Machine(4, faults="off"))
+        )
+        assert np.array_equal(scores, ref)
 
     def test_recovery_inside_a_served_driver_is_counted(self, graph):
         # the crash lands inside mfbc's own batch loop (retries=0, elastic
