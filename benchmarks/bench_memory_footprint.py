@@ -8,11 +8,11 @@ that inflates the resting or transient footprint past the ceiling fails CI.
 Lower the recorded peak when an optimization lands; never raise the ceiling
 without understanding what grew.
 
-The second half proves the ISSUE's acceptance bar end-to-end: the same
+The second half proves the pressured-run bar end-to-end: the same
 workload under a budget well below the unpressured peak completes
-**bit-identically** through the memory ladder (relief eviction to the
-spill store, batch shrinking), with its tracked peak under the budget and
-spill traffic visible on the ledger.
+**bit-identically** through relief eviction to the spill store (and, past
+that, the ladder's narrower sweep), with its tracked peak under the budget
+and spill traffic visible on the ledger.
 """
 
 import json
@@ -58,7 +58,7 @@ def test_memory_footprint(tmp_path, save_table):
         f"committed baseline was {ratchet['peak_words']}"
     )
 
-    # -- pressured: well under the peak, bit-identical via the spill ladder
+    # -- pressured: well under the peak, bit-identical via relief eviction
     budget = int(peak * PRESSURE)
     scores, pressured = _run(budget=budget, spill_dir=str(tmp_path))
     np.testing.assert_array_equal(scores, ref)

@@ -39,11 +39,12 @@ Run the CI smoke configuration::
         --faults "seed:3,crash@25:1,corrupt@60,corrupt@400,checksum:1,tear:0.05,limit:6" \
         --elastic replica --check cheap --memory-words 30000
 
-``--memory-words`` arms the ladder's memory rungs under the storm: the
-soak service runs inside a per-rank budget (with ``tear:RATE`` injecting
-torn spill-segment writes), so admission control and every rung of the
-recovery ladder (shrink / spill, elastic, retry) defend the same run —
-still with zero non-shed failures and bit-identical post-storm answers.
+``--memory-words`` arms memory pressure under the storm: the soak service
+runs inside a per-rank budget (with ``tear:RATE`` injecting torn
+spill-segment writes), so admission control, relief eviction to the spill
+store and every rung of the recovery ladder (shrink, elastic, retry)
+defend the same run — still with zero non-shed failures and bit-identical
+post-storm answers.
 
 Exit code 0 when every invariant held.
 """

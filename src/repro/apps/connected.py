@@ -38,12 +38,9 @@ def connected_components(
     """
     engine = engine or SequentialEngine()
     n = graph.n
-    # the (min, left) action never reads a weight, so an undirected graph's
-    # own (pinned) adjacency serves; a directed one is symmetrized for weak
-    # connectivity
-    if graph.directed:
-        graph = Graph(n, graph.src, graph.dst, None, directed=False, name=graph.name)
-    adj = engine.adjacency(graph)
+    # weak connectivity reads the symmetrized graph; the view is cached, so
+    # an engine pins its adjacency once however often this is called
+    adj = engine.adjacency(graph.undirected())
 
     ids = np.arange(n, dtype=np.int64)
     labels = engine.matrix(

@@ -20,14 +20,11 @@ _SPEC = REAL_PLUS_TIMES.matmul_spec()
 def triangle_count(graph: Graph, *, engine: Engine | None = None) -> int:
     """Number of triangles in the (undirected view of the) graph."""
     engine = engine or SequentialEngine()
-    und = Graph(
-        graph.n, graph.src, graph.dst, None, directed=False, name=graph.name
-    )
-    # adjacency over (+, ×): all stored weights are 1 for unweighted graphs
+    # adjacency over (+, ×) with every stored weight 1
     from repro.algebra.monoid import PlusMonoid
 
     plus = PlusMonoid()
-    base = und.adjacency()
+    base = graph.undirected().adjacency()
     ones = engine.matrix(
         graph.n, graph.n, base.rows, base.cols, {"w": base.vals["w"] * 0 + 1.0}, plus
     )

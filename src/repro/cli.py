@@ -228,14 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(cost-aware; default unbounded)",
     )
     p_srv.add_argument(
-        "--max-queued-memory-words",
-        type=float,
-        default=None,
-        metavar="WORDS",
-        help="admission bound: total modeled peak words of queued work "
-        "(memory-aware; default unbounded)",
-    )
-    p_srv.add_argument(
         "--rate-limit",
         type=float,
         default=None,
@@ -557,7 +549,6 @@ def _cmd_serve(args) -> int:
     overload = OverloadConfig(
         max_queued=args.max_queued,
         max_queued_seconds=args.max_queued_seconds,
-        max_queued_memory_words=args.max_queued_memory_words,
         client_rate=args.rate_limit,
         client_burst=args.rate_burst,
         brownout_algorithm=args.brownout_algorithm,

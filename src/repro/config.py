@@ -85,9 +85,9 @@ KNOBS: dict[str, Knob] = {
         Knob(
             "memory_words", "REPRO_MEMORY", "--memory-words", "WORDS",
             "a positive integer",
-            "per-rank memory budget in 8-byte words (off: unlimited); under "
-            "pressure the OOM ladder shrinks batches, spills cold blocks, "
-            "and drops replica redundancy (docs/robustness.md)",
+            "per-rank memory budget in 8-byte words (off: unlimited); an "
+            "overflowing allocation spills cold blocks, and past that the "
+            "ladder narrows the sweep (docs/robustness.md)",
         ),
         Knob(
             "spill_dir", "REPRO_SPILL_DIR", "--spill-dir", "DIR",

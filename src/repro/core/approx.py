@@ -400,7 +400,7 @@ def adaptive_bc(
         bit-identical to an uninterrupted one.
     retries, retry_backoff, retry_jitter_seed:
         The per-batch recovery ladder, exactly as on
-        :func:`~repro.core.mfbc.mfbc` (memory rungs and elastic recovery
+        :func:`~repro.core.mfbc.mfbc` (the shrink rung and elastic recovery
         included): under a budget a sample batch is swept as narrower
         sub-sweeps — same rows, same estimate — and later batches start at
         the width that fit.
@@ -498,7 +498,7 @@ def adaptive_bc(
         delta=delta,
     ):
         with obs.span("adjacency", cat="phase"):
-            adj = ladder.run(lambda *_: engine.adjacency(graph))
+            adj = engine.adjacency(graph)
         sweep_width = batch_size  # the width that fit carries to later batches
         while not converged and cursor < max_samples:
             if max_batches is not None and executed >= max_batches:
@@ -531,7 +531,6 @@ def adaptive_bc(
                 attempt_batch, index=batch_index, width=min(sweep_width, count)
             )
             sweep_width = ladder.width
-            ladder.after_success()
             # fold exactly once per completed batch — retries and elastic
             # re-executions above never reach this line twice
             sampler.update(x_rows)

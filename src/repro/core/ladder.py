@@ -8,14 +8,19 @@ apply the first rung that gives relief, and re-attempt.  The table *is* the
 policy; ``docs/robustness.md`` ("The recovery ladder") renders it row for
 row with what each rung costs and why it is exact.
 
-Only ``retry`` burns retry budget.  The three memory rungs are
-bit-identical by construction (per-source rows never interact, scores
-accumulate strictly left to right, spill segments round-trip binary-exact,
-replicas are never read by a product) and each fires a bounded number of
-times; each elastic recovery strictly shrinks ``p``, so storms terminate
-on their own; ``deadline`` is terminal because retrying cannot un-spend
-modeled time.  A failure no rung relieves is noted ``abandoned`` and
-re-raised by the caller.
+Only ``retry`` burns retry budget.  Memory pressure is relieved before
+the ladder sees it: the allocation that would overflow evicts the
+pressured rank's cold blocks and replicas to the spill store
+(:meth:`~repro.memory.MemoryManager.relieve`), so a
+:class:`~repro.machine.MemoryLimitExceeded` that reaches the ladder means
+that rank has nothing spillable left.  The one memory rung then narrows
+the sweep — the ``n·n_b/p`` working set is the only term a re-attempt can
+shrink (§5.3) — bit-identically, because per-source rows never interact
+and scores accumulate strictly left to right; it halves the width, so it
+fires a bounded number of times.  Each elastic recovery strictly shrinks
+``p``, so storms terminate on their own; ``deadline`` is terminal because
+retrying cannot un-spend modeled time.  A failure no rung relieves is
+noted ``abandoned`` and re-raised by the caller.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ __all__ = ["RecoveryLadder", "RUNGS"]
 RUNGS = (
     ("deadline", DeadlineExceeded),
     ("shrink_batch", MemoryLimitExceeded),
-    ("spill", MemoryLimitExceeded),
-    ("drop_redundancy", MemoryLimitExceeded),
     ("elastic", RankFailure),
     ("retry", FaultError),
 )
@@ -76,21 +79,17 @@ class RecoveryLadder:
         self.attempt = 0
         self.rungs_taken: list[str] = []
         self._jitter = None  # (rng, previous backoff), built on first retry
-        self._spilled = False
-        self._dropped = False
-        #: words the drop rung freed — what re-arming will cost (the
-        #: resident replica count is 0 once dropped, so it can't be used)
-        self._dropped_words = 0
 
     def run(self, attempt, *, index: int | None = None, width: int = 1):
         """Call ``attempt(retries_burned, width)`` until it returns.
 
         ``index`` is the batch index (notes, jitter key); the default marks
-        set-up work that is no batch — the adjacency build — where only the
-        memory rungs apply and a fault stays the caller's.  The next attempt
-        starts only after the ``except`` block has exited: the failed
-        attempt's traceback, its frames and the ``DistMat`` blocks they
-        charged are released before anything new is allocated.
+        a sweep that is no batch of its own — ``mfbc_per_source`` inside
+        the serving layer's batch — where only ``shrink_batch`` applies and
+        a fault stays the caller's.  The next attempt starts only after the
+        ``except`` block has exited: the failed attempt's traceback, its
+        frames and the ``DistMat`` blocks they charged are released before
+        anything new is allocated.
         """
         self.attempt = 0
         self.width = width
@@ -137,28 +136,6 @@ class RecoveryLadder:
             )
         return None
 
-    def after_success(self) -> None:
-        """Called after each completed batch: re-arm what pressure dropped.
-
-        Replica redundancy returns once the pressured rank has headroom for
-        it again.
-        """
-        machine = self.machine
-        if not self._dropped or machine is None:
-            return
-        rearm = getattr(self.engine, "rearm_redundancy", None)
-        if rearm is None:
-            return
-        budget = machine.memory_words
-        if budget is not None and self._dropped_words > 0:
-            headroom = budget - machine.memory_used()
-            if headroom < 2 * self._dropped_words:
-                return  # pressure has not cleared yet
-        if rearm():
-            self._dropped = False
-            self._dropped_words = 0
-            self._emit("mem", "recovered", rung="rearm")
-
     # -- the rungs, in table order ---------------------------------------------
 
     def _deadline(self, exc, index, width):
@@ -171,29 +148,6 @@ class RecoveryLadder:
         self._emit(
             "mem", "degraded", rung="shrink_batch", batch_size=self.width, was=width
         )
-        return True
-
-    def _spill(self, exc, index, width):
-        manager = getattr(self.machine, "memory", None)
-        if self._spilled or manager is None:
-            return False
-        self._spilled = True
-        freed = manager.spill_all()
-        if freed <= 0:
-            return False
-        self._emit("mem", "degraded", rung="spill", words=int(freed))
-        return True
-
-    def _drop_redundancy(self, exc, index, width):
-        if self._dropped:
-            return False
-        self._dropped = True
-        drop = getattr(self.engine, "drop_redundancy", None)
-        freed = drop() if drop is not None else 0
-        if freed <= 0:
-            return False
-        self._dropped_words = int(freed)
-        self._emit("mem", "degraded", rung="drop_redundancy", words=int(freed))
         return True
 
     def _elastic(self, exc, index, width):

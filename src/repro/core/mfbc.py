@@ -20,9 +20,9 @@ either way.
 A batch that fails — an injected :class:`~repro.faults.FaultError`, or
 :class:`~repro.machine.MemoryLimitExceeded` under a per-rank budget — is
 answered by the one recovery ladder (:mod:`repro.core.ladder`): narrow the
-sweep (never the batch), spill cold blocks, drop replica redundancy (every
-memory rung bit-identical, re-armed once pressure clears), recover elastically from a
-:class:`~repro.faults.RankFailure` when the machine carries an
+sweep, never the batch (bit-identical; the overflowing allocation has
+already evicted what the pressured rank could spill), recover elastically
+from a :class:`~repro.faults.RankFailure` when the machine carries an
 :class:`~repro.elastic.ElasticPolicy` (only the interrupted batch
 re-executes on the survivors; never burns a retry), then retry up to
 ``retries`` times with backoff charged to the machine's modeled clock.
@@ -222,8 +222,7 @@ def mfbc(
         batch_size=batch_size,
     ):
         with obs.span("adjacency", cat="phase"):
-            # no batch to shrink or re-execute yet: memory rungs only
-            adj = ladder.run(lambda *_: engine.adjacency(graph))
+            adj = engine.adjacency(graph)
         # the shrink rung narrows the sweep, never the batch: later batches
         # start at the width that fit
         width = batch_size
@@ -246,7 +245,6 @@ def mfbc(
                 attempt_batch, index=batch_index, width=min(width, len(batch))
             )
             width = ladder.width
-            ladder.after_success()
             batch_index += 1
             executed += 1
             lo += len(batch)
@@ -300,8 +298,8 @@ def mfbc_per_source(
         graph (the serving layer's) skip redistribution entirely.
     ladder:
         The caller's :class:`~repro.core.ladder.RecoveryLadder`, so the
-        memory rungs taken here carry its site and state (the serving layer
-        passes its own).  Only the memory rungs apply — under a budget the
+        shrinks taken here carry its site and state (the serving layer
+        passes its own).  Only ``shrink_batch`` applies — under a budget the
         sweep runs as narrower sub-sweeps; a fault propagates to the
         caller, who owns the batch and its retry budget.
     """
@@ -314,10 +312,9 @@ def mfbc_per_source(
         "mfbc_per_source", cat="run", n=graph.n, sources=len(sources)
     ):
         with obs.span("adjacency", cat="phase"):
-            adj = ladder.run(lambda *_: engine.adjacency(graph))
+            adj = engine.adjacency(graph)
         out, sweep = per_source_rows(engine, graph, adj, sources)
         ladder.run(lambda _, width: sweep(width), width=len(sources))
-        ladder.after_success()
     return out
 
 

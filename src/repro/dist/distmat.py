@@ -345,7 +345,6 @@ class DistMat:
         charge: bool = True,
         category: str = "input",
         redundancy=None,
-        replicate: bool = True,
     ) -> "DistMat":
         """Scatter a node-local matrix evenly onto ``ranks2d`` (root-owned input).
 
@@ -369,14 +368,10 @@ class DistMat:
             machine.group(ranks).scatter(parts, category=category)
         out = cls(machine, layout, blocks, mat.monoid)
         if redundancy is not None:
-            out._install_redundancy(
-                mat, redundancy, charge=charge, replicate=replicate
-            )
+            out._install_redundancy(mat, redundancy, charge=charge)
         return out
 
-    def _install_redundancy(
-        self, source: SpMat, policy, *, charge: bool = True, replicate: bool = True
-    ) -> None:
+    def _install_redundancy(self, source: SpMat, policy, *, charge: bool = True) -> None:
         """Arm this matrix for elastic repair under ``policy``.
 
         Replica mode ships every rank's blocks to its buddy
@@ -391,10 +386,8 @@ class DistMat:
 
         self.redundancy = policy
         self._source = source
-        if policy.redundancy != "replica" or not replicate:
-            # source mode (or a ladder-forced lean install): the retained
-            # source is the only fallback; replicas can be re-armed later
-            return
+        if policy.redundancy != "replica":
+            return  # source mode: the retained source is the only fallback
         p = self.machine.p
         replicas: dict[tuple[int, int], tuple[int, int, SpMat]] = {}
         shipped: list[list[SpMat]] = [[] for _ in range(p)]
@@ -592,11 +585,10 @@ class DistMat:
             if store is not None:
                 store.drop(seg.key)
 
-    def spill_blocks(self, store, rank: int | None = None) -> int:
-        """Evict resident primary blocks to ``store``; return words freed.
+    def spill_blocks(self, store, rank: int) -> int:
+        """Evict the primary blocks ``rank`` owns to ``store``; return words
+        freed.
 
-        ``rank`` restricts eviction to blocks owned by that rank (the
-        relief path); ``None`` evicts everywhere (the ladder's spill rung).
         A block is only released after the store's write-then-verify
         read-back passes — a torn write leaves it resident.
         """
@@ -604,7 +596,7 @@ class DistMat:
         raw = self._resident
         for (i, j), owner in np.ndenumerate(self.layout.ranks2d):
             blk = raw[i][j]
-            if blk is None or (rank is not None and owner != rank):
+            if blk is None or owner != rank:
                 continue
             seg, w = self._evict(store, i, j, blk, int(owner), replica=False)
             if seg is not None:
@@ -615,8 +607,9 @@ class DistMat:
                 freed += w
         return freed
 
-    def spill_replicas(self, store, rank: int | None = None) -> int:
-        """Evict resident replica copies to ``store``; return words freed.
+    def spill_replicas(self, store, rank: int) -> int:
+        """Evict the replica copies ``rank`` holds to ``store``; return words
+        freed.
 
         Replicas are the coldest data by construction (only read at repair
         time), so they go first under pressure.  A spilled replica still
@@ -625,7 +618,7 @@ class DistMat:
         """
         freed = 0
         for (i, j), (buddy, crc, payload) in list((self._replicas or {}).items()):
-            if not isinstance(payload, SpMat) or (rank is not None and buddy != rank):
+            if not isinstance(payload, SpMat) or buddy != rank:
                 continue  # already spilled, or held elsewhere
             seg, w = self._evict(store, i, j, payload, buddy, replica=True)
             if seg is not None:
@@ -649,52 +642,6 @@ class DistMat:
             return None, 0  # torn write detected: keep the copy resident
         self._memcharge.sub(owner, w)
         return seg, w
-
-    def replica_words(self) -> int:
-        """Words of *resident* replica redundancy (what dropping would free)."""
-        if not self._replicas:
-            return 0
-        return sum(
-            payload.words()
-            for _buddy, _crc, payload in self._replicas.values()
-            if isinstance(payload, SpMat)
-        )
-
-    def drop_redundancy(self) -> int:
-        """Release replica redundancy entirely; return words freed.
-
-        The ladder's last resort before falling through: recovery degrades
-        to source re-materialization (still correct, just slower).  The
-        retained source and policy are kept so redundancy can be re-armed
-        via :meth:`rearm_redundancy` once pressure clears.
-        """
-        if not self._replicas:
-            return 0
-        freed = 0
-        stale_segs = []
-        for (_i, _j), (buddy, _crc, payload) in self._replicas.items():
-            if isinstance(payload, SpMat):
-                w = payload.words()
-                if w:
-                    self._memcharge.sub(buddy, w)
-                    freed += w
-            else:
-                stale_segs.append(payload)
-        self._replicas = None
-        store = self._store()
-        if store is not None:
-            for seg in stale_segs:
-                store.drop(seg.key)
-        return freed
-
-    def rearm_redundancy(self) -> bool:
-        """Re-install replica redundancy after a pressure-forced drop."""
-        if self.redundancy is None or self._source is None:
-            return False
-        if self.redundancy.redundancy != "replica" or self._replicas is not None:
-            return False
-        self._install_redundancy(self._source, self.redundancy, charge=True)
-        return True
 
     # -- gather -----------------------------------------------------------------
 

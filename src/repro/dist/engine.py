@@ -87,8 +87,6 @@ class DistributedEngine:
         self._adjacency: dict[int, tuple[object, DistMat]] = {}
         #: plans chosen per product, newest last (diagnostics / tests)
         self.plan_log: list = []
-        #: set by the memory ladder's drop-redundancy rung; cleared on re-arm
-        self._redundancy_dropped = False
 
     # -- Engine protocol -------------------------------------------------------
 
@@ -119,9 +117,6 @@ class DistributedEngine:
             self.machine,
             self.home_ranks2d,
             redundancy=self.machine.elastic,
-            # while the memory ladder has replicas dropped, new invariants
-            # keep the source fallback but skip the replica copies
-            replicate=not self._redundancy_dropped,
         )
         self.register_invariant(mat)
         self._adjacency[id(graph)] = (graph, mat)
@@ -137,8 +132,8 @@ class DistributedEngine:
         # memory manager should evict to the spill store under pressure
         memory = getattr(self.machine, "memory", None)
         if memory is not None:
-            memory.register(mat, label="invariant")
-            memory.register(mat.transpose(), label="invariant-t")
+            memory.register(mat)
+            memory.register(mat.transpose())
 
     def release_invariants(self) -> None:
         """Forget every pinned adjacency, registered loop-invariant operand
@@ -242,13 +237,13 @@ class DistributedEngine:
 
         Drops the replication cache (replicas are rebuilt — and recharged —
         on the next product, mirroring a restarted rank that lost its
-        copies) and clears the machine's memory accounting so a half-done
-        batch's allocations don't eat the budget of its retry.  Registered
-        invariants and resting "home" layouts survive: they are the durable
-        inputs a restart would reload.
+        copies).  Memory accounting is left alone: the failed attempt's
+        blocks were released by their finalizers before the retry starts,
+        and what stays charged — registered invariants, resting "home"
+        layouts — is still resident, the durable inputs a restart would
+        reload.
         """
         self._replication_cache.clear()
-        self.machine.reset_memory()
         if obs.enabled():
             obs.count("engine.recoveries", 1.0)
 
@@ -268,31 +263,6 @@ class DistributedEngine:
         from repro.elastic.recovery import recover_engine
 
         return recover_engine(self, failure)
-
-    # -- memory-pressure ladder hooks -----------------------------------------
-
-    def redundancy_words(self) -> int:
-        """Resident replica words across registered invariants."""
-        return sum(mat.replica_words() for mat in self._invariant_bases)
-
-    def drop_redundancy(self) -> int:
-        """Drop every invariant's replica redundancy; return words freed.
-
-        A ladder rung: recovery degrades to source re-materialization until
-        :meth:`rearm_redundancy` re-installs the replicas.  Also arms a
-        guard so invariants registered *after* the drop (a replaced serving
-        graph, say) stay replica-free while pressure persists.
-        """
-        self._redundancy_dropped = True
-        return sum(mat.drop_redundancy() for mat in self._invariant_bases)
-
-    def rearm_redundancy(self) -> bool:
-        """Re-install replica redundancy dropped under memory pressure."""
-        self._redundancy_dropped = False
-        rearmed = False
-        for mat in self._invariant_bases:
-            rearmed = mat.rearm_redundancy() or rearmed
-        return rearmed
 
 
 if TYPE_CHECKING:

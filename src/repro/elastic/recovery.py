@@ -144,6 +144,10 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
             repaired.append(mat.gather(charge=False))
 
         machine.shrink(removed)
+        # every pre-shrink holder is epoch-stale now and frees nothing, so
+        # the survivors' accounting restarts here and the rebuilt invariants
+        # below charge what they hold
+        machine.reset_memory()
         pr, pc = near_square_shape(p_target)
         engine.home_ranks2d = np.arange(p_target).reshape(pr, pc)
 
@@ -169,10 +173,9 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
             mat._adopt(rebuilt)
             engine.register_invariant(mat)
 
-        # 4. resume: fresh caches, rescaled policy, clean memory accounting
+        # 4. resume: fresh caches, rescaled policy
         engine._replication_cache.clear()
         engine.policy = engine.policy.rescale(p_target)
-        machine.reset_memory()
 
         report = RecoveryReport(
             dead=tuple(dead),

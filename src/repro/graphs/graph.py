@@ -41,7 +41,9 @@ class Graph:
         Optional label used in reports.
     """
 
-    __slots__ = ("n", "src", "dst", "weight", "directed", "name", "_unweighted")
+    __slots__ = (
+        "n", "src", "dst", "weight", "directed", "name", "_unweighted", "_undirected"
+    )
 
     def __init__(
         self,
@@ -99,6 +101,7 @@ class Graph:
         self.directed = bool(directed)
         self.name = name
         self._unweighted = None
+        self._undirected = None
 
     # -- basic properties ----------------------------------------------------
 
@@ -189,6 +192,18 @@ class Graph:
                 self.n, self.src, self.dst, None, directed=self.directed, name=self.name
             )
         return self._unweighted
+
+    def undirected(self) -> "Graph":
+        """The underlying undirected graph: itself when undirected, else one
+        view built on first use (as :meth:`unweighted`), where an edge
+        stored in both orientations keeps its smaller weight."""
+        if not self.directed:
+            return self
+        if self._undirected is None:
+            self._undirected = Graph(
+                self.n, self.src, self.dst, self.weight, directed=False, name=self.name
+            )
+        return self._undirected
 
     def reversed(self) -> "Graph":
         """Edge-reversed graph (no-op for undirected)."""

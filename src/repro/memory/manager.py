@@ -45,9 +45,9 @@ class MemoryManager:
         self._machine_ref = weakref.ref(machine)
         self.spill_dir = spill_dir
         self._store: SpillStore | None = None
-        #: insertion-ordered LRU: key id(mat) -> (weakref, label); the
-        #: oldest entry is the coldest candidate
-        self._registry: dict[int, tuple[weakref.ref, str]] = {}
+        #: insertion-ordered LRU: key id(mat) -> weakref; the oldest entry
+        #: is the coldest candidate
+        self._registry: dict[int, weakref.ref] = {}
         self._in_relief = False
         self.relieved_words = 0
         self.reliefs = 0
@@ -64,13 +64,13 @@ class MemoryManager:
 
     # -- registry -------------------------------------------------------------
 
-    def register(self, mat, label: str = "") -> None:
+    def register(self, mat) -> None:
         """Mark ``mat`` (a :class:`~repro.dist.DistMat`) spillable."""
         key = id(mat)
         if key in self._registry:
             self.touch(mat)
             return
-        self._registry[key] = (weakref.ref(mat), label)
+        self._registry[key] = weakref.ref(mat)
 
     def touch(self, mat) -> None:
         """Bump ``mat`` to most-recently-used (protects in-flight operands)."""
@@ -83,12 +83,11 @@ class MemoryManager:
         """Registered matrices oldest-first, dropping dead weakrefs."""
         out = []
         for key in list(self._registry):
-            ref, label = self._registry[key]
-            mat = ref()
+            mat = self._registry[key]()
             if mat is None:
                 del self._registry[key]
             else:
-                out.append((mat, label))
+                out.append(mat)
         return out
 
     # -- eviction -------------------------------------------------------------
@@ -111,11 +110,11 @@ class MemoryManager:
             store = self.store()
             candidates = self._live()
             # replicas first: pure redundancy, only read at repair time
-            for mat, _label in candidates:
+            for mat in candidates:
                 if freed >= need_words:
                     break
                 freed += mat.spill_replicas(store, rank=rank)
-            for mat, _label in candidates:
+            for mat in candidates:
                 if freed >= need_words:
                     break
                 freed += mat.spill_blocks(store, rank=rank)
@@ -133,27 +132,6 @@ class MemoryManager:
                 words=int(freed),
                 needed=int(need_words),
             )
-        return freed
-
-    def spill_all(self) -> int:
-        """Force-spill every registered matrix everywhere (a ladder rung)."""
-        if self._in_relief:
-            return 0
-        machine = self.machine
-        if machine is None:
-            return 0
-        self._in_relief = True
-        freed = 0
-        try:
-            store = self.store()
-            for mat, _label in self._live():
-                freed += mat.spill_replicas(store)
-                freed += mat.spill_blocks(store)
-        finally:
-            self._in_relief = False
-        if freed:
-            self.reliefs += 1
-            self.relieved_words += freed
         return freed
 
     def snapshot(self) -> dict:

@@ -63,9 +63,6 @@ class Query:
     batch_size: int = 0  # width of the sweep that answered it
     #: a-priori modeled-seconds cost charged to the admission controller
     cost_estimate: float = 0.0
-    #: a-priori modeled per-rank peak words charged to the admission
-    #: controller (Theorem 5.1 memory forms)
-    cost_memory_words: float = 0.0
     #: True when answered in brownout (downgraded algorithm or stale cache)
     degraded: bool = False
     #: the algorithm the client asked for, when brownout rewrote it

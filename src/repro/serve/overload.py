@@ -84,9 +84,6 @@ class OverloadConfig:
     #: queue bound by total modeled seconds of admitted-but-unswept work
     #: (None disables the cost-aware bound)
     max_queued_seconds: float | None = None
-    #: queue bound by total modeled peak words (Theorem 5.1 memory forms)
-    #: of admitted-but-unswept work (None disables the memory-aware bound)
-    max_queued_memory_words: float | None = None
     #: per-client token-bucket refill rate in queries/second (None disables)
     client_rate: float | None = None
     #: per-client burst capacity (bucket size)
@@ -130,14 +127,6 @@ class OverloadConfig:
             raise ValueError(
                 f"max_queued_seconds must be positive, got {self.max_queued_seconds}"
             )
-        if (
-            self.max_queued_memory_words is not None
-            and self.max_queued_memory_words <= 0
-        ):
-            raise ValueError(
-                f"max_queued_memory_words must be positive, got "
-                f"{self.max_queued_memory_words}"
-            )
         for name, high, low in (
             ("brownout", self.brownout_high, self.brownout_low),
             ("shed", self.shed_high, self.shed_low),
@@ -173,8 +162,7 @@ class AdmissionError(RuntimeError):
     """Submission rejected before queueing (shed, rate limit, queue bound).
 
     ``reason`` is one of ``queue_full`` / ``queue_seconds`` /
-    ``queue_memory`` / ``rate_limited`` / ``overloaded`` /
-    ``circuit_open`` / ``draining``;
+    ``rate_limited`` / ``overloaded`` / ``circuit_open`` / ``draining``;
     ``retry_after`` is the wall-seconds hint surfaced as the HTTP
     ``Retry-After`` header (None when retrying cannot help soon).
     """
@@ -232,7 +220,6 @@ class AdmissionController:
         self._lock = threading.Lock()
         self.queued_count = 0
         self.queued_seconds = 0.0
-        self.queued_memory_words = 0.0
         self.peak_queued = 0
         self.brownout_active = False
         self.shedding_active = False
@@ -251,11 +238,6 @@ class AdmissionController:
         p = self.queued_count / self.config.max_queued
         if self.config.max_queued_seconds is not None:
             p = max(p, self.queued_seconds / self.config.max_queued_seconds)
-        if self.config.max_queued_memory_words is not None:
-            p = max(
-                p,
-                self.queued_memory_words / self.config.max_queued_memory_words,
-            )
         return p
 
     def _update_state_locked(self) -> None:
@@ -293,20 +275,14 @@ class AdmissionController:
 
     # -- admit / release ------------------------------------------------------
 
-    def admit(
-        self,
-        cost_seconds: float,
-        client: str | None = None,
-        *,
-        memory_words: float = 0.0,
-    ) -> None:
+    def admit(self, cost_seconds: float, client: str | None = None) -> None:
         """Admit one query of modeled cost ``cost_seconds`` or raise.
 
         Check order: shed state → count bound → modeled-seconds bound →
-        modeled-memory bound → per-client rate limit.  On success the queue
-        accounting is already charged when this returns.  ``memory_words``
-        is the query's modeled per-rank peak (Theorem 5.1 memory forms via
-        :meth:`CostEstimator.estimate_memory_words`).
+        per-client rate limit.  On success the queue accounting is already
+        charged when this returns.  Queued queries hold no blocks, so memory
+        is no queue bound: the machine's per-rank budget bounds the one
+        sweep that runs.
         """
         cfg = self.config
         with self._lock:
@@ -334,18 +310,6 @@ class AdmissionController:
                     f"{cfg.max_queued_seconds:.3e}s budget)",
                     self._retry_after_locked(),
                 )
-            if (
-                cfg.max_queued_memory_words is not None
-                and self.queued_memory_words + memory_words
-                > cfg.max_queued_memory_words
-            ):
-                raise AdmissionError(
-                    "queue_memory",
-                    f"queued work at {self.queued_memory_words:.3e} modeled "
-                    f"words (+{memory_words:.3e} would exceed the "
-                    f"{cfg.max_queued_memory_words:.3e}-word budget)",
-                    self._retry_after_locked(),
-                )
             if cfg.client_rate is not None:
                 key = client or ""
                 bucket = self._buckets.get(key)
@@ -363,30 +327,21 @@ class AdmissionController:
                     )
             self.queued_count += 1
             self.queued_seconds += cost_seconds
-            self.queued_memory_words += memory_words
             self.peak_queued = max(self.peak_queued, self.queued_count)
             self._update_state_locked()
 
-    def release(
-        self, cost_seconds: float, *, memory_words: float = 0.0
-    ) -> None:
+    def release(self, cost_seconds: float) -> None:
         """A query left the queue (batch started / cancelled / drained)."""
         with self._lock:
             self.queued_count = max(0, self.queued_count - 1)
             self.queued_seconds = max(0.0, self.queued_seconds - cost_seconds)
-            self.queued_memory_words = max(
-                0.0, self.queued_memory_words - memory_words
-            )
             self._update_state_locked()
 
-    def readmit(
-        self, cost_seconds: float, *, memory_words: float = 0.0
-    ) -> None:
+    def readmit(self, cost_seconds: float) -> None:
         """Re-charge a putback (retry / deadline survivor); never rejects."""
         with self._lock:
             self.queued_count += 1
             self.queued_seconds += cost_seconds
-            self.queued_memory_words += memory_words
             self.peak_queued = max(self.peak_queued, self.queued_count)
             self._update_state_locked()
 
@@ -412,7 +367,6 @@ class AdmissionController:
             return {
                 "queued_count": self.queued_count,
                 "queued_seconds": self.queued_seconds,
-                "queued_memory_words": self.queued_memory_words,
                 "peak_queued": self.peak_queued,
                 "pressure": self._pressure_locked(),
                 "brownout": self.brownout_active,

@@ -315,14 +315,13 @@ class BCService:
             self._finish(query, QueryState.DONE, result=cached)
             return query.id
         estimate = self.estimator.estimate(algorithm, params)
-        memory_estimate = self.estimator.estimate_memory_words(algorithm, params)
         infeasible = None
         budget = self.machine.memory_words
         if budget is not None:
             floor = self.estimator.estimate_memory_words(algorithm, params, width=1)
             if floor > budget:
-                # not even a width-1 sweep fits the per-rank budget: the memory
-                # ladder has nothing left to shrink, so fail fast
+                # not even a width-1 sweep fits the per-rank budget: the shrink
+                # rung has nothing left to narrow, so fail fast
                 infeasible = (
                     f"memory infeasible: modeled peak {floor:.3e} words at batch "
                     f"width 1 exceeds the {budget:.3e}-word per-rank budget "
@@ -350,12 +349,11 @@ class BCService:
                 f"fault circuit open; retry in {breaker_wait:.2f}s", breaker_wait
             )
         try:
-            self.admission.admit(estimate, client, memory_words=memory_estimate)
+            self.admission.admit(estimate, client)
         except AdmissionError as exc:
             self._count("shed", reason=exc.reason)
             raise
         query.cost_estimate = estimate
-        query.cost_memory_words = memory_estimate
         self._register(query)
         self.coalescer.put(query)
         return query.id
@@ -626,8 +624,8 @@ class BCService:
             )
         for q in queries:
             q.attempts += 1
-        # one ladder per sweep: the memory rungs of a ``bc_source`` sweep and
-        # the fault rungs of ``_handle_fault`` share its site and state
+        # one ladder per sweep: the shrinks of a ``bc_source`` sweep and the
+        # fault rungs of ``_handle_fault`` share its site and state
         ladder = RecoveryLadder(
             self.engine, site="serve", retries=self.retries, retry_backoff=0.0
         )
@@ -737,9 +735,7 @@ class BCService:
         """Putback survivors at the queue front, re-charging admission."""
         for q in queries:
             q.state = QueryState.QUEUED
-            self.admission.readmit(
-                q.cost_estimate, memory_words=q.cost_memory_words
-            )
+            self.admission.readmit(q.cost_estimate)
             q.admission_released = False
         self.coalescer.putback(queries)
 
@@ -884,14 +880,10 @@ class BCService:
     def _release_admission(self, q: Query) -> None:
         """Un-charge a query's cost from the queue accounting exactly once."""
         with self._registry_lock:
-            if q.admission_released or (
-                q.cost_estimate <= 0 and q.cost_memory_words <= 0
-            ):
+            if q.admission_released or q.cost_estimate <= 0:
                 return
             q.admission_released = True
-        self.admission.release(
-            q.cost_estimate, memory_words=q.cost_memory_words
-        )
+        self.admission.release(q.cost_estimate)
 
     def _count(self, name: str, n: float = 1, **labels) -> None:
         """Bump one ``stats()`` counter and its obs mirror together."""

@@ -13,7 +13,12 @@ from repro.apps import (
     widest_path_widths,
 )
 from repro.dist import DistributedEngine
-from repro.graphs import Graph, uniform_random_graph_nm, with_random_weights
+from repro.graphs import (
+    Graph,
+    rmat_graph,
+    uniform_random_graph_nm,
+    with_random_weights,
+)
 from repro.machine import Machine
 
 
@@ -93,6 +98,19 @@ class TestConnectedComponents:
         labels = connected_components(g)
         assert labels[0] == labels[1] and labels[2] == labels[3]
         assert labels[0] != labels[2]
+
+    def test_directed_pins_one_adjacency(self):
+        # the symmetrized view is cached on the graph, so repeated calls on
+        # one engine share its pinned adjacency instead of adding one each
+        g = rmat_graph(7, 8, seed=1, directed=True)
+        ref = connected_components(g)
+        machine = Machine(4, faults="off", elastic="off", memory_words="off")
+        engine = DistributedEngine(machine)
+        runs = [connected_components(g, engine=engine) for _ in range(3)]
+        for labels in runs:
+            assert np.array_equal(labels, ref)
+        assert len(engine._adjacency) == 1
+        assert g.undirected() is g.undirected()
 
     def test_distributed(self, small_undirected):
         ref = connected_components(small_undirected)

@@ -25,7 +25,7 @@ from repro.elastic import (
     resolve_elastic,
 )
 from repro.faults import DeadlineExceeded, RankFailure
-from repro.graphs import uniform_random_graph_nm
+from repro.graphs import rmat_graph, uniform_random_graph_nm
 from repro.machine import Machine
 from repro.machine.grid import near_square_shape, nearest_feasible_p, survivor_map
 from repro.spgemm import PinnedPolicy, Square2DPolicy
@@ -392,6 +392,25 @@ class TestRecoveryDifferential:
         assert np.array_equal(res, ref)
         assert len(m.recoveries) == 1
 
+    def test_survivors_keep_the_rebuilt_invariants_charges(self):
+        # accounting restarts at the shrink, before the rebuild: each
+        # survivor ends charged exactly the invariant blocks and replicas
+        # it holds
+        g = rmat_graph(7, 8, seed=1)
+        m = Machine(4, faults="seed:0,crash@40:1", elastic="replica",
+                    memory_words="off")
+        eng = DistributedEngine(m)
+        mfbc(g, sources=np.arange(64), batch_size=32, engine=eng)
+        assert m.p == 3 and len(m.recoveries) == 1
+        held = np.zeros(m.p, dtype=np.int64)
+        for mat in eng._invariants:
+            for (i, j), owner in np.ndenumerate(mat.layout.ranks2d):
+                held[owner] += mat.blocks[i][j].words()
+            for buddy, _crc, rep in (mat._replicas or {}).values():
+                held[buddy] += rep.words()
+        assert held.min() > 0
+        assert [m.memory_used(r) for r in range(m.p)] == held.tolist()
+
 # ---------------------------------------------------------------------------
 # adaptive sampler × elastic recovery
 # ---------------------------------------------------------------------------
@@ -467,7 +486,7 @@ class TestAdaptiveRecovery:
 
 class TestCrashAndSqueezeSameBatch:
     """A scripted crash and a per-rank budget hit batch 0 of both drivers,
-    with replica recovery and cheap checking on: the memory rungs and the
+    with replica recovery and cheap checking on: the shrink rung and the
     elastic rung are rungs of one ladder, so the batch shrinks, recovers on
     the survivors and completes — bit-identical to the fault-free unbudgeted
     run, with a clean ledger."""

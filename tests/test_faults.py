@@ -24,6 +24,7 @@ from repro.faults import (
     payload_checksum,
     resolve_fault_plan,
 )
+from repro.graphs import rmat_graph
 from repro.machine import Group, Machine
 from repro.spgemm import Plan
 from repro.spgemm.selector import PinnedPolicy
@@ -429,6 +430,27 @@ class TestMfbcRetry:
             max_batches=1,
         )
         assert m.ledger.critical_time() - t_before >= 123.0
+
+    def test_retry_keeps_memory_accounting(self):
+        # a retry starts after the failed attempt's blocks were released, so
+        # the retried run's accounting is the fault-free run's — the pinned
+        # adjacency stays charged, and so does the peak
+        g = rmat_graph(7, 8, seed=1)
+
+        def run(faults):
+            m = Machine(4, faults=faults, elastic="off", memory_words="off")
+            engine = DistributedEngine(m)  # held: it pins the adjacency
+            mfbc(g, sources=np.arange(64), batch_size=32, engine=engine)
+            return m, engine
+
+        (ref, _ref_engine), (m, _engine) = run("off"), run(
+            "seed:0,corrupt@40,checksum:1"
+        )
+        assert ("batch", "recovered") in [
+            (e.kind, e.action) for e in m.faults.events
+        ]
+        assert m.memory_used() == ref.memory_used() > 0
+        assert m.memory_peak() == ref.memory_peak()
 
     def test_invalid_retry_arguments(self, small_undirected):
         with pytest.raises(ValueError, match="retries"):

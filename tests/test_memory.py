@@ -1,11 +1,11 @@
-"""repro.memory: spill-to-disk store, relief eviction, the memory rungs.
+"""repro.memory: spill-to-disk store, relief eviction, the shrink rung.
 
 Covers the checksummed :class:`SpillStore` (round-trip bit-exactness,
 write-then-verify torn-write handling, private per-store directories), DistMat
-block/replica eviction and lazy fault-in,
-:class:`RecoveryLadder` rung progression and re-arming, and the ISSUE's
-acceptance bar: a seed-graph MFBC run under a per-rank budget well below
-the unpressured peak completes **bit-identically** via the ladder with its
+block/replica eviction and lazy fault-in, :class:`RecoveryLadder`'s one
+memory rung, and the pressured-run bar: a seed-graph MFBC run under a
+per-rank budget well below the unpressured peak completes
+**bit-identically** through relief eviction and the shrink rung, with its
 tracked peak under the budget and spill traffic visible on the ledger and
 the memory report.
 
@@ -136,7 +136,8 @@ class TestEvictionAndRelief:
         engine = DistributedEngine(machine)
         mat = engine.adjacency(g)
         before = payload_checksum(engine.gather(mat))
-        freed = mat.spill_blocks(machine.memory.store())
+        store = machine.memory.store()
+        freed = sum(mat.spill_blocks(store, rank=r) for r in range(4))
         assert freed > 0
         # gather touches every block: each one faults back in from disk
         assert payload_checksum(engine.gather(mat)) == before
@@ -160,22 +161,10 @@ class TestEvictionAndRelief:
         machine = quiet(4, elastic="replica")
         engine = DistributedEngine(machine)
         mat = engine.adjacency(g)
-        assert mat.replica_words() > 0
+        assert mat._replicas
         machine.memory.relieve(0, 1)
         # a small request is satisfied from replicas alone: primaries stay
         assert not mat._spilled
-
-    def test_drop_and_rearm_redundancy(self):
-        g = seed_graph()
-        machine = quiet(4, elastic="replica")
-        engine = DistributedEngine(machine)
-        engine.adjacency(g)
-        words = engine.redundancy_words()
-        assert words > 0
-        assert engine.drop_redundancy() == words
-        assert engine.redundancy_words() == 0
-        assert engine.rearm_redundancy()
-        assert engine.redundancy_words() == words
 
     def test_allocation_failure_raises_after_relief_exhausted(self):
         machine = quiet(2, memory_words=1000)
@@ -186,36 +175,14 @@ class TestEvictionAndRelief:
 
 
 # ---------------------------------------------------------------------------
-# RecoveryLadder: the memory rungs' progression
+# RecoveryLadder: the shrink rung's progression
 # ---------------------------------------------------------------------------
 
 
-class _StubEngine:
-    """Minimal engine surface the ladder drives (drop/rearm hooks)."""
-
-    def __init__(self, machine, redundancy=512):
-        self.machine = machine
-        self._redundancy = redundancy
-        self.dropped = False
-
-    def redundancy_words(self):
-        return 0 if self.dropped else self._redundancy
-
-    def drop_redundancy(self):
-        if self.dropped:
-            return 0
-        self.dropped = True
-        return self._redundancy
-
-    def rearm_redundancy(self):
-        self.dropped = False
-        return True
-
-
 class TestMemoryLadder:
-    def test_rung_progression_shrink_spill_drop_exhaust(self, monkeypatch):
+    def test_rung_progression_shrink_exhaust(self):
         machine = quiet(2)
-        ladder = RecoveryLadder(_StubEngine(machine))
+        ladder = RecoveryLadder(DistributedEngine(machine))
         exc = MemoryLimitExceeded("boom")
         assert ladder.advance(exc, index=0, width=8) == "shrink_batch"
         assert ladder.width == 4
@@ -223,75 +190,39 @@ class TestMemoryLadder:
         assert ladder.width == 2
         assert ladder.advance(exc, index=0, width=2) == "shrink_batch"
         assert ladder.width == 1
-        monkeypatch.setattr(machine.memory, "spill_all", lambda: 4096)
-        assert ladder.advance(exc, index=0, width=1) == "spill"
-        assert ladder.advance(exc, index=0, width=1) == "drop_redundancy"
-        # exhausted: caller re-raises
+        # width 1: relief already spilled what it could, nothing narrows
+        # further, so the caller re-raises
         assert ladder.advance(exc, index=0, width=1) is None
-        assert ladder.rungs_taken == [
-            "shrink_batch", "shrink_batch", "shrink_batch",
-            "spill", "drop_redundancy",
-        ]
-
-    def test_spill_rung_skipped_when_nothing_spillable(self):
-        machine = quiet(2)
-        engine = _StubEngine(machine)
-        ladder = RecoveryLadder(engine)
-        exc = MemoryLimitExceeded("boom")
-        # nothing registered: spill_all frees 0, falls through to the drop
-        assert ladder.advance(exc, index=None, width=1) == "drop_redundancy"
-        assert engine.dropped
-
-    def test_after_success_rearms_once_pressure_clears(self):
-        machine = quiet(2, memory_words=10_000)
-        engine = _StubEngine(machine, redundancy=512)
-        ladder = RecoveryLadder(engine)
-        ladder.advance(MemoryLimitExceeded("boom"), index=0, width=1)
-        assert engine.dropped
-        # headroom 10_000 >= 2 * 512: replicas come back
-        ladder.after_success()
-        assert not engine.dropped
-        # and the drop rung is available again on the next pressure spike
-        assert (
-            ladder.advance(MemoryLimitExceeded("boom"), index=0, width=1)
-            == "drop_redundancy"
-        )
-
-    def test_after_success_keeps_drop_while_pressure_persists(self):
-        machine = quiet(2, memory_words=10_000)
-        engine = _StubEngine(machine, redundancy=512)
-        ladder = RecoveryLadder(engine)
-        ladder.advance(MemoryLimitExceeded("boom"), index=0, width=1)
-        machine.allocate(0, 9_500)  # headroom 500 < 2 * 512
-        ladder.after_success()
-        assert engine.dropped
+        assert ladder.rungs_taken == ["shrink_batch"] * 3
 
     def test_rungs_recorded_on_fault_plan(self):
         machine = Machine(
             2, faults=FaultPlan(seed=0), elastic="off", memory_words=UNLIMITED
         )
-        ladder = RecoveryLadder(_StubEngine(machine), site="mfbc")
+        ladder = RecoveryLadder(DistributedEngine(machine), site="mfbc")
         ladder.advance(MemoryLimitExceeded("boom"), index=0, width=4)
-        ladder.advance(MemoryLimitExceeded("boom"), index=0, width=1)
+        ladder.advance(MemoryLimitExceeded("boom"), index=0, width=2)
         sigs = [(e.kind, e.action, e.site) for e in machine.faults.events]
         assert sigs.count(("mem", "degraded", "mfbc")) == 2
 
-    def test_past_spill_rung_ledger_is_kernel_independent(self, tmp_path):
-        # the oracle chain's "same ledger across kernels and memory rungs"
-        # link: a batch run past the spill rung charges the same under the
-        # generic oracle as under the dispatched kernels
+    def test_relieved_run_ledger_is_kernel_independent(self, tmp_path):
+        # the oracle chain's "same ledger across kernels under memory
+        # pressure" link: a run whose allocations evict to the spill store
+        # charges the same under the generic oracle as under the dispatched
+        # kernels
         g = seed_graph()
+        probe = quiet(4)
+        run_mfbc(g, probe)
+        budget = int(probe.memory_peak() * 0.6)
         runs = {}
         for mode in KERNELS:
-            machine = quiet(4, spill_dir=str(tmp_path / mode))
-            engine = DistributedEngine(machine)
-            engine.adjacency(g)  # resident, spillable blocks for the rung
-            ladder = RecoveryLadder(engine)
-            exc = MemoryLimitExceeded("boom")
-            assert ladder.advance(exc, index=0, width=1) == "spill"
+            machine = quiet(
+                4, memory_words=budget, spill_dir=str(tmp_path / mode)
+            )
             with kernel(mode):
-                result = mfbc(g, batch_size=16, max_batches=1, engine=engine)
-            runs[mode] = (result.scores, machine.ledger.snapshot())
+                scores = run_mfbc(g, machine)
+            assert machine.memory.snapshot()["spilled_blocks"] > 0
+            runs[mode] = (scores, machine.ledger.snapshot())
         np.testing.assert_array_equal(runs["generic"][0], runs["auto"][0])
         assert runs["generic"][1] == runs["auto"][1]
 
@@ -363,10 +294,11 @@ class TestPressuredRuns:
         np.testing.assert_array_equal(scores, ref)
         assert machine.memory_peak() <= machine.memory_words
 
-    def test_torn_spill_writes_never_corrupt_scores(self, tmp_path):
+    @pytest.mark.parametrize("elastic", ["off", "replica"])
+    def test_torn_spill_writes_never_corrupt_scores(self, tmp_path, elastic):
         g, ref, peak0 = self._baseline()
         machine = Machine(
-            4, faults="seed:3,tear:1,limit:4", elastic="off",
+            4, faults="seed:3,tear:1,limit:4", elastic=elastic,
             memory_words=int(peak0 * 0.6), spill_dir=str(tmp_path),
         )
         scores = run_mfbc(g, machine)
@@ -406,8 +338,9 @@ def _rungs(machine):
 
 class TestBudgetTable:
     """Every driver completes under a per-rank budget — 16 sources of the
-    seed graph on p=3, whose unbudgeted peak is ~18k words/rank — taking
-    memory rungs only, bit-identically to the unbudgeted run.  (A retry made
+    seed graph on p=3, whose unbudgeted peak is ~18k words/rank — past
+    relief taking the shrink rung only, bit-identically to the unbudgeted
+    run.  (A retry made
     *inside* the ``except`` block kept the failed sweep's blocks charged
     through its traceback: ``mfbc_per_source`` and ``adaptive_bc`` raised.)"""
 
@@ -439,12 +372,10 @@ class TestBudgetTable:
         out = self._run(driver, g, machine)
         np.testing.assert_array_equal(out, ref)
         assert machine.memory_peak() <= budget
-        # memory rungs only, each noted with its caller's site; no elastic /
+        # the shrink rung only, noted with its caller's site; no elastic /
         # retry / abandoned note
         rungs = _rungs(machine)
-        assert {r for r, _ in rungs} <= {
-            "shrink_batch", "spill", "drop_redundancy"
-        }
+        assert {r for r, _ in rungs} <= {"shrink_batch"}
         assert {site for _, site in rungs} <= {driver}
         assert not [e for e in machine.faults.events if e.kind == "batch"]
 
@@ -533,7 +464,7 @@ class TestRungsCompose:
 
     def test_service_wave_survives_crash_and_squeeze(self):
         # one bc_source wave hit by a memory squeeze *and* a rank crash,
-        # with elastic recovery and cheap checking on: the memory rungs are
+        # with elastic recovery and cheap checking on: the shrink rung is
         # taken inside the sweep, the crash is recovered by _handle_fault
         # through the same ladder, and the answers do not move
         from repro.check import check_ledger

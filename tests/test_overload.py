@@ -161,27 +161,6 @@ class TestAdmission:
         assert exc.value.reason == "queue_seconds"
         ctl.admit(0.1)  # still fits
 
-    def test_queued_memory_bound(self):
-        ctl = AdmissionController(
-            OverloadConfig(max_queued=100, max_queued_memory_words=1000.0)
-        )
-        ctl.admit(0.0, memory_words=800.0)
-        with pytest.raises(AdmissionError) as exc:
-            ctl.admit(0.0, memory_words=300.0)
-        assert exc.value.reason == "queue_memory"
-        ctl.admit(0.0, memory_words=100.0)  # still fits
-        assert ctl.snapshot()["queued_memory_words"] == pytest.approx(900.0)
-        ctl.release(0.0, memory_words=800.0)
-        ctl.admit(0.0, memory_words=850.0)  # bound frees on release
-
-    def test_queued_memory_drives_pressure(self):
-        ctl = AdmissionController(
-            OverloadConfig(max_queued=100, max_queued_memory_words=1000.0)
-        )
-        ctl.admit(0.0, memory_words=500.0)
-        # one query of a hundred, but half the memory bound: memory wins
-        assert ctl.snapshot()["pressure"] == pytest.approx(0.5)
-
     def test_rate_limit_per_client(self):
         clock = FakeClock()
         ctl = AdmissionController(
@@ -491,17 +470,6 @@ class TestServiceOverload:
         assert "memory infeasible" in status["error"]
         assert stats["infeasible"] == 1
         assert stats["batches"] == before  # never burned a sweep
-
-    def test_memory_admission_charges_and_releases(self, graph):
-        cfg = OverloadConfig(max_queued_memory_words=1e12)
-        with _service(graph, memory_words=1 << 30, overload=cfg) as svc:
-            qids = [svc.submit("bc_source", source=i) for i in range(3)]
-            rows = [svc.result(q, timeout=60.0) for q in qids]
-            snap = svc.admission.snapshot()
-        for i, row in enumerate(rows):
-            np.testing.assert_allclose(row, _reference_row(graph, i))
-        # every completed query released its modeled-memory charge
-        assert snap["queued_memory_words"] == pytest.approx(0.0)
 
     def test_rate_limited_client_sheds(self, graph):
         cfg = OverloadConfig(client_rate=0.001, client_burst=1.0)
