@@ -45,7 +45,7 @@ def build_rows():
         home = np.arange(P).reshape(pr, pc)
         df = DistMat.distribute(f, machine, home, charge=False)
         da = DistMat.distribute(adj, machine, home, charge=False)
-        c, ops = execute_plan(plan, df, da, BF, home)
+        c, ops = execute_plan(plan, df, da, BF)
         got = c.gather(charge=False)
         if ref is None:
             ref = got
@@ -91,7 +91,7 @@ def test_ablation_selector_close_to_best(benchmark, save_table):
             home = np.arange(P).reshape(pr, pc)
             df = DistMat.distribute(f, machine, home, charge=False)
             da = DistMat.distribute(adj, machine, home, charge=False)
-            execute_plan(plan, df, da, BF, home)
+            execute_plan(plan, df, da, BF)
             t = machine.ledger.critical_time()
             if best_time is None or t < best_time:
                 best_time = t
@@ -103,7 +103,7 @@ def test_ablation_selector_close_to_best(benchmark, save_table):
         plan = AutoPolicy().select(
             machine, f.nrows, f.ncols, adj.ncols, f.nnz, adj.nnz
         )
-        execute_plan(plan, df, da, BF, home)
+        execute_plan(plan, df, da, BF)
         return plan.describe(), machine.ledger.critical_time(), best_time
 
     chosen, t_sel, t_best = benchmark.pedantic(run, rounds=1, iterations=1)

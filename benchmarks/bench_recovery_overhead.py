@@ -33,8 +33,9 @@ BATCH = 32
 REPS = 5
 OVERHEAD_CEILING = 0.02  # inert redundancy: <2% overhead
 
-CRASH_SPEC = "seed:3,crash@20:2"  # one scripted mid-batch rank failure
-# (a single batch of this configuration spans ~36 fault steps)
+CRASH_SPEC = "seed:3,crash@5:2"  # one scripted mid-batch rank failure
+# (a single batch of this configuration spans 8 fault steps; step 5 is the
+# first product's re-blocking of the frontier)
 
 
 def run_config(graph, elastic, faults="off"):
@@ -90,6 +91,7 @@ def test_recovery_overhead(save_table):
             graph, policy, faults=CRASH_SPEC
         )
         assert len(machine.recoveries) == 1, policy
+        assert not machine.faults.unfired(), policy
         rep = machine.recoveries[0]
         cats = machine.ledger.category_words
         fail_rows.append(

@@ -162,30 +162,45 @@ def report_pairs(name: str, runs: dict[str, list[dict]], firsts: list[str], boun
     return ok
 
 
+def _cell(value) -> str:
+    """One side of a compared metric: a hash abbreviated, a number grouped."""
+    return value[:12] if isinstance(value, str) else f"{value:,.6g}"
+
+
 def report_quick(name: str, quick: dict[str, dict]) -> None:
-    """Print the fixed-count comparison of one workload."""
+    """Print the fixed-count comparison of one workload: one line when every
+    compared value is identical, else a ``metric parent -> change (±%)``
+    table of the ones that differ."""
     parent, change = quick["parent"], quick["change"]
     keys = ["scores_sha", "ops_attempted", "ops_failed"]
-    differ = {k: (parent[k], change[k]) for k in keys if parent[k] != change[k]}
+    differ = [(k, parent[k], change[k]) for k in keys if parent[k] != change[k]]
     for metric in EXACT:
         if metric in parent["end_to_end"]:
             a, b = (q["end_to_end"][metric]["value"] for q in (parent, change))
             if a != b:
-                differ[metric] = (a, b)
+                differ.append((metric, a, b))
     counts = [
         m for m, v in parent["per_layer"].items() if v["unit"] in COUNT_UNITS
     ]
     for metric in counts:
         a, b = (q["per_layer"][metric]["value"] for q in (parent, change))
         if a != b:
-            differ[metric] = (a, b)
+            differ.append((metric, a, b))
     same = (
         f"scores_sha {parent['scores_sha'][:12]} ops_attempted {parent['ops_attempted']}"
         f" ops_failed {parent['ops_failed']}, exact metrics and {len(counts)} per-layer"
         " counts"
     )
-    verdict = "identical" if not differ else f"differs (parent, change): {differ}"
-    print(f"  {name:<17} {same} -- {verdict}")
+    if not differ:
+        print(f"  {name:<17} {same} -- identical")
+        return
+    print(f"  {name:<17} {same} -- {len(differ)} differ:")
+    width = max(len(m) for m, _, _ in differ)
+    left = max(len(_cell(a)) for _, a, _ in differ)
+    right = max(len(_cell(b)) for _, _, b in differ)
+    for metric, a, b in differ:
+        rel = f"({b / a - 1:+.1%})" if not isinstance(a, str) and a else ""
+        print(f"    {metric:<{width}}  {_cell(a):>{left}} -> {_cell(b):>{right}}  {rel}")
 
 
 def main(argv=None) -> int:

@@ -32,6 +32,10 @@ on — then asserts the liveness invariants the overload design promises:
    so a per-delivery *rate* high enough to fire reliably inside a 60 s
    run also corrupts most attempts of the first batches until ``limit``
    is spent — three in a row exhaust the service's retry ladder.
+9. **scripted faults fired** — every one-shot the spec scripts
+   (``crash@STEP``, ``corrupt@STEP``, ...) landed.  A step past the run's
+   last collective would leave the soak quietly fault-free, so a change to
+   how many collectives a sweep issues fails here, not silently.
 
 Run the CI smoke configuration::
 
@@ -278,6 +282,14 @@ def soak(graph, capacity_qps: float, args) -> tuple[dict, int]:
             "corruption-caught",
             caught > 0,
             f"{caught} corrupted payloads caught by the checksum guard",
+        )
+    if plan is not None and plan.script:
+        unfired = plan.unfired()
+        check(
+            "scripted-faults-fired",
+            not unfired,
+            f"never fired: {unfired}" if unfired
+            else f"all {len(plan.script)} scripted faults fired",
         )
     _print_checks(checks)
     print(f"  {report.summary()}")

@@ -246,7 +246,9 @@ def check_distmat(
             Violation(
                 site,
                 "ranks",
-                "two blocks share an owning rank (home layouts are 1:1)",
+                "two blocks share an owning rank (every layout the engine "
+                "builds is 1:1: the home grid, a plan's strips or grid, and "
+                "3D layers stacked along the dimension they split)",
                 {"grid": (pr, pc)},
             )
         )

@@ -7,8 +7,8 @@ coordinates.  Every change of layout asks the layout one question — which
 index ranges of a block overlap the target's blocks (:meth:`Layout.cut`).
 Elementwise operations (the CTF ``Transform``/``sparsify``/summation surface
 that MFBC's frontier logic uses) act block-by-block and are
-communication-free whenever the operands are co-distributed — the engine
-maintains that invariant.
+communication-free whenever the operands are co-distributed; when they are
+not, the operand with fewer nonzeros moves onto the other's layout.
 
 The paper's load-balance assumption (§5.2, balls-into-bins after random
 vertex relabeling) is what makes these oblivious even splits balanced.
@@ -663,23 +663,27 @@ class DistMat:
 
     # -- elementwise (communication-free on co-distributed operands) -------------
 
-    def _aligned(self, other: "DistMat") -> "DistMat":
-        """``other`` co-distributed with ``self``.
+    def _aligned(self, other: "DistMat") -> tuple["DistMat", "DistMat"]:
+        """``self`` and ``other`` co-distributed, in that order.
 
         Elementwise operations are communication-free when operands share a
-        distribution (the common case — the engine keeps working sets
-        aligned); otherwise the other operand is redistributed first, with
-        the traffic charged (CTF lets users "work obliviously of the data
-        distribution", §6.2).  Mixing machines is still an error: blocks on
-        different simulated machines cannot meet.
+        distribution; otherwise the operand with fewer nonzeros moves onto
+        the other's layout (``other`` on a tie), with the traffic charged
+        (CTF lets users "work obliviously of the data distribution", §6.2).
+        Products leave their outputs on their plans' layouts, so the cheaper
+        side is what decides where the result rests.  Mixing machines is
+        still an error: blocks on different simulated machines cannot meet.
         """
         if other.machine is not self.machine:
             raise ValueError(
                 "operands live on different machines and cannot be "
                 "co-distributed"
             )
-        # (itself, untouched, when it already is)
-        return other.redistribute(self.layout)
+        if other.layout == self.layout:
+            return self, other
+        if self.nnz < other.nnz:
+            return self.redistribute(other.layout), other
+        return self, other.redistribute(self.layout)
 
     def _blockwise(self, fn: Callable[[SpMat, tuple[int, int]], SpMat], monoid=None):
         pr, pc = self.grid_shape
@@ -694,8 +698,8 @@ class DistMat:
         return DistMat(self.machine, self.layout, blocks, monoid or self.monoid)
 
     def combine(self, other: "DistMat") -> "DistMat":
-        other = self._aligned(other)
-        return self._blockwise(
+        mine, other = self._aligned(other)
+        return mine._blockwise(
             lambda b, ij: b.combine(other.blocks[ij[0]][ij[1]])
         )
 
@@ -706,14 +710,14 @@ class DistMat:
         return self._blockwise(lambda b, ij: b.map(fn, monoid=monoid), monoid)
 
     def zip_filter(self, other: "DistMat", predicate) -> "DistMat":
-        other = self._aligned(other)
-        return self._blockwise(
+        mine, other = self._aligned(other)
+        return mine._blockwise(
             lambda b, ij: b.zip_filter(other.blocks[ij[0]][ij[1]], predicate)
         )
 
     def zip_map(self, other: "DistMat", fn, monoid: Monoid | None = None) -> "DistMat":
-        other = self._aligned(other)
-        return self._blockwise(
+        mine, other = self._aligned(other)
+        return mine._blockwise(
             lambda b, ij: b.zip_map(other.blocks[ij[0]][ij[1]], fn, monoid=monoid),
             monoid,
         )

@@ -1,10 +1,14 @@
 """The distributed execution engine for MFBC (and the CombBLAS baseline).
 
 Implements the :class:`~repro.core.engine.Engine` protocol over the
-simulated machine: matrices rest in a near-square machine-wide 2D "home"
-layout between operations; every generalized product goes through the
-selection policy (model-driven search by default) and one of the §5.2
-algorithm variants, then lands back in the home layout.
+simulated machine.  Matrices the engine scatters (:meth:`~DistributedEngine.matrix`,
+:meth:`~DistributedEngine.adjacency`) start on a near-square machine-wide 2D
+"home" grid; every generalized product goes through the selection policy
+(model-driven search by default) and one of the §5.2 algorithm variants,
+and its output stays on the layout its plan computed it on (layout
+persistence, §7.4).  A later product re-blocks an operand only onto a
+layout it is not already on, and an elementwise operation on two matrices
+that rest differently moves the one with fewer nonzeros.
 
 Loop-invariant operands — the adjacency matrix and its transpose, which
 every MFBC product reuses — are registered so the selector discounts their
@@ -162,11 +166,11 @@ class DistributedEngine:
         from repro.spgemm.variants import execute_plan
 
         # The variant executor slices per-frame sub-masks from a node-local
-        # mask.  No communication is charged for it: the mask is always a
-        # matrix already resting in the home layout (a previous product's
-        # output), and each sub-mask is consumed by the rank that assembles
-        # the matching C frame — the mask travels with output ownership,
-        # like the stationary-mask convention of GraphBLAS runtimes.
+        # mask.  No communication is charged for it, whatever layout the
+        # mask rests on (a previous product's output stays on its plan's
+        # layout): each sub-mask is taken to be consumed by the rank that
+        # assembles the matching C frame — the mask travels with output
+        # ownership, the stationary-mask convention of GraphBLAS runtimes.
         local_mask = None
         if mask is not None:
             local_mask = mask.gather(charge=False) if isinstance(mask, DistMat) else mask
@@ -210,7 +214,6 @@ class DistributedEngine:
                 a,
                 b,
                 spec,
-                self.home_ranks2d,
                 mask=local_mask,
                 mask_complement=mask_complement,
                 replication_cache=cache,
@@ -239,9 +242,9 @@ class DistributedEngine:
         on the next product, mirroring a restarted rank that lost its
         copies).  Memory accounting is left alone: the failed attempt's
         blocks were released by their finalizers before the retry starts,
-        and what stays charged — registered invariants, resting "home"
-        layouts — is still resident, the durable inputs a restart would
-        reload.
+        and what stays charged — registered invariants and the matrices the
+        driver still holds — is still resident, the durable inputs a
+        restart would reload.
         """
         self._replication_cache.clear()
         if obs.enabled():

@@ -22,7 +22,12 @@ elastic design:
    <repro.dist.distmat.DistMat.distribute>`, the scatter charged as
    category ``"recovery"``, and redundancy is re-established for the
    shrunken grid.  Rebuilt matrices are *adopted* into the original
-   objects, so references held by the driver stay valid.
+   objects, so references held by the driver stay valid.  The home grid
+   is only where the engine first scatters a matrix — a product's output
+   stays on its plan's layout — but the invariants are rebuilt there
+   because that is where they always rest: every product re-blocks them
+   from it (or serves them from the replication cache), never replaces
+   them.  Everything else the interrupted batch held is recomputed.
 4. **Resume** — the policy is rescaled to ``p'``, the replication cache is
    dropped, memory accounting resets, and the driver re-executes only the
    interrupted batch.

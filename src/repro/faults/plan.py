@@ -395,6 +395,12 @@ class FaultPlan:
         """The event sequence as comparable tuples (determinism checks)."""
         return [ev.signature() for ev in self.events]
 
+    def unfired(self) -> list[ScriptedFault]:
+        """The scripted one-shots that have not fired: a run that ends with
+        any left never exercised what its spec asked for (its step lies
+        beyond the collectives the run issued)."""
+        return [sc for sc in self.script if not sc.fired]
+
     # -- parsing -------------------------------------------------------------
 
     @classmethod

@@ -337,13 +337,22 @@ def main(argv: list[str] | None = None) -> int:
             server.shutdown()
         service.close()
     print(report.summary())
-    if service.machine.faults is not None:
+    faults = service.machine.faults
+    if faults is not None:
         print(
-            f"faults: {service.machine.faults.injected} injected, "
+            f"faults: {faults.injected} injected, "
             f"{len(service.machine.recoveries)} elastic recoveries"
         )
     if report.failed:
         print(f"FAIL: {report.failed} queries did not complete", file=sys.stderr)
+        return 1
+    if faults is not None and faults.unfired():
+        # a one-shot scripted past the run's last collective leaves the
+        # smoke fault-free: fail loudly instead of passing vacuously
+        print(
+            f"FAIL: scripted faults never fired: {faults.unfired()}",
+            file=sys.stderr,
+        )
         return 1
     print("PASS: zero failed queries")
     return 0

@@ -65,16 +65,19 @@ def execute_plan(
     a: DistMat,
     b: DistMat,
     spec: MatMulSpec,
-    home_ranks2d: np.ndarray,
     *,
     mask: SpMat | None = None,
     mask_complement: bool = False,
     replication_cache: dict | None = None,
 ) -> tuple[DistMat, int]:
-    """Run ``C = A •⟨⊕,f⟩ B`` under ``plan``; return C on the home grid.
+    """Run ``C = A •⟨⊕,f⟩ B`` under ``plan``; return C and the op count.
 
-    ``home_ranks2d`` is the machine-wide 2D rank grid that inputs live on
-    and the output is returned on (the engine's resting layout).
+    The operands may rest on any layout: each is re-blocked onto the
+    plan's layout only where it is not already there.  C is returned where
+    the plan computed it — the 1D strips, the 2D grid, or the 3D layers
+    stacked along the dimension they split — so the next product or
+    elementwise operation moves it only if it needs another blocking
+    (layout persistence, §7.4).
 
     ``mask`` is an optional node-local structural output mask with C's
     *global* shape (``mask_complement`` inverts its support).  Each variant
@@ -106,7 +109,7 @@ def execute_plan(
             plan.x, plan.yz, ranks3d, machine, a, b, spec,
             mask, mask_complement, replication_cache,
         )
-    return _onto(c, home_ranks2d), ops
+    return c, ops
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +519,7 @@ def _exec_3d(
         total_ops += ops
         outs.append(c_l)
     if x != "C":
-        # layer l's output sits at cuts[l] along d in C
-        offsets = np.zeros((p1, 2), dtype=np.int64)
-        offsets[:, _DIMS["C"].index(d)] = cuts[:-1]
-        pieces = [(c_l, *off) for c_l, off in zip(outs, offsets.tolist())]
-        return _reassemble(machine, pieces, size["m"], size["n"], monoid), total_ops
+        return _stack(outs, _DIMS["C"].index(d), cuts), total_ops
     # reduce across layers, block position by block position (fiber groups)
     base = outs[0]
     out_blocks = []
@@ -536,28 +535,23 @@ def _exec_3d(
     return DistMat(machine, base.layout, out_blocks, monoid), total_ops
 
 
-def _reassemble(
-    machine: Machine,
-    pieces: list[tuple[DistMat, int, int]],
-    nrows: int,
-    ncols: int,
-    monoid,
-) -> DistMat:
-    """Concatenate disjoint layer outputs into one machine-wide matrix.
+def _stack(outs: list[DistMat], axis: int, cuts: np.ndarray) -> DistMat:
+    """The layer outputs ``outs`` as one matrix: layer ``l`` holds C's range
+    ``[cuts[l], cuts[l + 1])`` along ``axis`` on its own sub-grid.
 
-    Pure reindexing: each layer's blocks keep their owners; the result lives
-    on the union grid described by stacked splits.  No data moves, so no
-    charge — the caller's final redistribution to the home layout pays the
-    real shuffle.
+    Pure relabelling: the layer grids are concatenated along ``axis`` and
+    their splits there offset by ``cuts[l]``; every block stays on the rank
+    that computed it, so nothing moves and nothing is charged.
     """
-    parts = []
-    for dm, roff, coff in pieces:
-        local = dm.gather(charge=False)
-        if local.nnz:
-            parts.append((local.rows + roff, local.cols + coff, local.vals))
-    full = SpMat._merged(nrows, ncols, parts, monoid)
-    p = machine.p
-    # provisional machine-wide 1 × p layout; caller redistributes to home
-    return DistMat.distribute(
-        full, machine, np.arange(p).reshape(1, p), charge=False
+    layouts = [c_l.layout for c_l in outs]
+    splits = [layouts[0].row_splits, layouts[0].col_splits]
+    splits[axis] = np.concatenate(
+        [(lay.row_splits, lay.col_splits)[axis][:-1] + lo for lay, lo in zip(layouts, cuts)]
+        + [cuts[-1:]]
     )
+    layout = Layout(np.concatenate([lay.ranks2d for lay in layouts], axis=axis), *splits)
+    if axis == 0:
+        blocks = [list(row) for c_l in outs for row in c_l.blocks]
+    else:
+        blocks = [[blk for c_l in outs for blk in c_l.blocks[i]] for i in range(len(splits[0]) - 1)]
+    return DistMat(outs[0].machine, layout, blocks, outs[0].monoid)

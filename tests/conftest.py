@@ -40,7 +40,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 #: the canonical home is :mod:`repro.check.strategies`.
 WEIGHT = WEIGHT_MONOID
 
-__all__ = ["KERNELS", "WEIGHT", "kernel", "random_weight_spmat"]
+__all__ = ["KERNELS", "WEIGHT", "assert_fired", "kernel", "random_weight_spmat"]
 
 #: the two routes a local product can take (see :func:`kernel`)
 KERNELS = ("generic", "auto")
@@ -59,6 +59,14 @@ def kernel(mode: str):
         if mode == "generic":
             patch.setattr(dispatch, "dispatch_spgemm", lambda *a, **k: None)
         yield
+
+
+def assert_fired(machine) -> None:
+    """Every scripted one-shot of ``machine``'s fault plan fired.  A fault
+    scripted at a step the run never reaches leaves the test fault-free, so
+    each test that scripts one asserts it landed."""
+    unfired = machine.faults.unfired()
+    assert not unfired, f"scripted faults never fired: {unfired}"
 
 
 @pytest.fixture(autouse=True, scope="session")

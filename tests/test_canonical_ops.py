@@ -25,10 +25,11 @@ from repro.check import check_spmat
 from repro.check import strategies as cst
 from repro.core import mfbc
 from repro.dist import DistMat, DistributedEngine, Layout
+from repro.dist.distmat import axis_block
 from repro.graphs import uniform_random_graph_nm
 from repro.machine import Machine
 from repro.sparse import SpMat
-from repro.spgemm.variants import _reassemble
+from repro.spgemm.variants import _stack
 
 #: one object per library monoid, so operands of a case share their monoid
 MONOIDS = [MinMonoid(), PlusMonoid(), MaxMonoid(), MULTPATH, CENTPATH]
@@ -327,21 +328,25 @@ def test_one_column_grid_roundtrip(monoid):
 
 
 @given(cst.spmats(max_side=9), st.booleans(), st.data())
-def test_reassemble(mat, by_rows, data):
+def test_stack(mat, by_rows, data):
+    """Two layer outputs splitting the matrix along one axis, stacked as
+    one matrix: every block stays the object its layer computed, and
+    nothing is charged."""
     machine = Machine(4)
-    layers = [np.array([[0, 1]]), np.array([[2], [3]])]
-    cut = data.draw(st.integers(0, mat.nrows if by_rows else mat.ncols))
-    pieces = []
-    for layer, (lo, hi) in zip(layers, [(0, cut), (cut, None)]):
-        if by_rows:
-            hi = mat.nrows if hi is None else hi
-            sub, off = mat.block(lo, hi, 0, mat.ncols), (lo, 0)
-        else:
-            hi = mat.ncols if hi is None else hi
-            sub, off = mat.block(0, mat.nrows, lo, hi), (0, lo)
-        pieces.append((DistMat.distribute(sub, machine, layer, charge=False), *off))
-    out = _reassemble(machine, pieces, mat.nrows, mat.ncols, mat.monoid)
+    axis = 0 if by_rows else 1
+    n = mat.shape[axis]
+    cuts = np.array([0, data.draw(st.integers(0, n)), n])
+    outs = []
+    for l in range(2):
+        sub = axis_block(mat, axis, int(cuts[l]), int(cuts[l + 1]))
+        layer = np.array([[2 * l, 2 * l + 1]])
+        grid = layer if by_rows else layer.T
+        outs.append(DistMat.distribute(sub, machine, grid, charge=False))
+    out = _stack(outs, axis, cuts)
     assert_distributed(out, mat)
+    assert machine.ledger.total_words == 0
+    held = [blk for c_l in outs for row in c_l.blocks for blk in row]
+    assert all(any(blk is h for h in held) for row in out.blocks for blk in row)
 
 
 # -- structural regression: the property cannot silently rot -------------------

@@ -227,6 +227,21 @@ class TestElementwiseParity:
         assert out.gather(charge=False).equals(a.combine(b))
         assert da.machine.ledger.total_words > w0  # re-alignment was charged
 
+    def test_sparser_operand_moves(self, rng):
+        """The operand with fewer nonzeros moves onto the other's layout, in
+        either argument position; on a tie ``other`` moves."""
+        machine = Machine(4)
+        dense = random_weight_spmat(rng, 12, 12, 0.6)
+        sparse = random_weight_spmat(rng, 12, 12, 0.1)
+        strips = Layout.even(column(4), 12, 12)
+        on_home = DistMat.distribute(dense, machine, home_grid(4))
+        on_strips = DistMat.distribute(sparse, machine, home_grid(4)).redistribute(strips)
+        assert on_home.combine(on_strips).layout == on_home.layout
+        assert on_strips.combine(on_home).layout == on_home.layout
+        twin = DistMat.distribute(dense, machine, home_grid(4)).redistribute(strips)
+        assert on_home.zip_map(twin, lambda x, y: x).layout == on_home.layout
+        assert twin.zip_filter(on_home, lambda x, y: x["w"] > 0).layout == strips
+
 
 class TestTranspose:
     def test_content(self, rng):

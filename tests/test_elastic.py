@@ -30,11 +30,11 @@ from repro.machine import Machine
 from repro.machine.grid import near_square_shape, nearest_feasible_p, survivor_map
 from repro.spgemm import PinnedPolicy, Square2DPolicy
 
-from conftest import random_weight_spmat
+from conftest import assert_fired, random_weight_spmat
 
 # one injected mid-batch crash; two crashes in distinct batches
 ONE_CRASH = "seed:3,crash@4:2"
-TWO_CRASHES = "seed:3,crash@4:2,crash@60:1"
+TWO_CRASHES = "seed:3,crash@4:2,crash@16:1"
 
 
 def quiet(p, **kw):
@@ -312,6 +312,7 @@ class TestRecoveryDifferential:
         assert rep.blocks_replica >= 1 and rep.words_restored > 0
         actions = [(e.kind, e.action) for e in m.faults.events]
         assert ("crash", "recovered") in actions
+        assert_fired(m)
         assert eng.stats["mismatches"] == 0
         assert check_ledger(m) == []
 
@@ -322,6 +323,7 @@ class TestRecoveryDifferential:
         assert np.array_equal(res, ref)
         assert [(r.p_before, r.p_after) for r in m.recoveries] == [(6, 5), (5, 4)]
         assert m.faults.injected == 2
+        assert_fired(m)
         assert check_ledger(m) == []
 
     def test_source_redundancy_recovers(self, graph):
@@ -331,17 +333,20 @@ class TestRecoveryDifferential:
         assert np.array_equal(res, ref)
         rep = m.recoveries[0]
         assert rep.blocks_source >= 1 and rep.blocks_replica == 0
+        assert_fired(m)
 
     def test_recovery_does_not_consume_retry_budget(self, graph):
         # retries=0 means a plain RankFailure would abort — elastic doesn't
         ref = scores_of(graph, quiet(6))
         m = Machine(6, faults=ONE_CRASH, elastic="replica")
         assert np.array_equal(scores_of(graph, m, retries=0), ref)
+        assert_fired(m)
         # no elastic (explicitly, the ladder leg sets REPRO_ELASTIC):
         # the same spec aborts
         m2 = Machine(6, faults=ONE_CRASH, elastic="off")
         with pytest.raises(RankFailure):
             scores_of(graph, m2, retries=0)
+        assert_fired(m2)
 
     def test_recovery_charges_ledger(self, graph):
         m = Machine(6, faults=ONE_CRASH, elastic="replica")
@@ -349,6 +354,7 @@ class TestRecoveryDifferential:
         cat = m.ledger.category_words
         assert cat.get("redundancy", 0.0) > 0.0  # upkeep + re-arming
         assert cat.get("recovery", 0.0) > 0.0  # redistribution traffic
+        assert_fired(m)
 
     def test_infeasible_grid_degrades_to_retry(self, graph):
         """CA-MFBC pinned at p=4, c=4 has no feasible grid below 4, so
@@ -363,6 +369,7 @@ class TestRecoveryDifferential:
         actions = [(e.kind, e.action) for e in m.faults.events]
         assert ("crash", "degraded") in actions
         assert ("batch", "recovered") in actions  # the retry rung caught it
+        assert_fired(m)
 
     def test_recovery_span_on_obs(self, graph):
         session = obs.enable()
@@ -382,6 +389,7 @@ class TestRecoveryDifferential:
         sp = spans[0]
         assert sp.args["p_before"] == 6 and sp.args["p_after"] == 5
         assert sp.args["blocks_replica"] >= 1
+        assert_fired(m)
 
     def test_checkpoint_composes_with_recovery(self, graph, tmp_path):
         """Elastic recovery and per-batch checkpointing stack: the run
@@ -391,17 +399,19 @@ class TestRecoveryDifferential:
         res = scores_of(graph, m, checkpoint=str(tmp_path / "ck.json"))
         assert np.array_equal(res, ref)
         assert len(m.recoveries) == 1
+        assert_fired(m)
 
     def test_survivors_keep_the_rebuilt_invariants_charges(self):
         # accounting restarts at the shrink, before the rebuild: each
         # survivor ends charged exactly the invariant blocks and replicas
         # it holds
         g = rmat_graph(7, 8, seed=1)
-        m = Machine(4, faults="seed:0,crash@40:1", elastic="replica",
+        m = Machine(4, faults="seed:0,crash@10:1", elastic="replica",
                     memory_words="off")
         eng = DistributedEngine(m)
         mfbc(g, sources=np.arange(64), batch_size=32, engine=eng)
         assert m.p == 3 and len(m.recoveries) == 1
+        assert_fired(m)
         held = np.zeros(m.p, dtype=np.int64)
         for mat in eng._invariants:
             for (i, j), owner in np.ndenumerate(mat.layout.ranks2d):
@@ -445,6 +455,7 @@ class TestAdaptiveRecovery:
         assert res.converged and res.width <= res.epsilon
         assert [(r.p_before, r.p_after) for r in m.recoveries] == [(6, 5)]
         assert m.faults.injected == 1
+        assert_fired(m)
 
     def test_retry_rung_bit_identical_without_elastic(self, graph):
         ref = self._run(graph, quiet(6))
@@ -453,6 +464,7 @@ class TestAdaptiveRecovery:
         assert np.array_equal(res.scores, ref.scores)
         assert res.samples_used == ref.samples_used
         assert m.recoveries == []
+        assert_fired(m)
         # the recovery note carries the adaptive driver's site tag
         assert ("batch", "recovered", "adaptive_bc") in [
             (e.kind, e.action, e.site) for e in m.faults.events
@@ -462,6 +474,7 @@ class TestAdaptiveRecovery:
         m = Machine(6, faults=ONE_CRASH, elastic="off")
         with pytest.raises(RankFailure):
             self._run(graph, m, retries=0)
+        assert_fired(m)
 
     def test_checkpoint_composes_with_recovery(self, graph, tmp_path):
         from repro.core.approx import adaptive_bc
@@ -471,6 +484,7 @@ class TestAdaptiveRecovery:
         res = self._run(graph, m, checkpoint=str(tmp_path / "ad.json"))
         assert np.array_equal(res.scores, ref.scores)
         assert len(m.recoveries) == 1
+        assert_fired(m)
         # the persisted sampler state resumes to the same converged answer,
         # even sequentially: the state is folded in sample order on any p
         resumed = adaptive_bc(
@@ -499,7 +513,7 @@ class TestCrashAndSqueezeSameBatch:
     def _machines(self, crash_step):
         ref = Machine(4, faults="off", elastic="off", memory_words=1 << 40)
         hit = Machine(
-            4, memory_words=12_000, faults=f"seed:1,crash@{crash_step}:1",
+            4, memory_words=11_000, faults=f"seed:1,crash@{crash_step}:1",
             elastic="replica", check="cheap",
         )
         return ref, hit
@@ -513,9 +527,10 @@ class TestCrashAndSqueezeSameBatch:
         recovered = notes.index(("batch", "recovered", site, 0))
         assert squeeze < recovered  # both inside batch 0
         assert [(r.p_before, r.p_after) for r in machine.recoveries] == [(4, 3)]
+        assert_fired(machine)
         assert check_ledger(machine) == []
 
-    @pytest.mark.parametrize("crash_step", [20, 30])
+    @pytest.mark.parametrize("crash_step", [9, 13])
     def test_mfbc(self, crash_step):
         g = self._graph()
         kw = dict(batch_size=16, sources=np.arange(16))
@@ -525,9 +540,12 @@ class TestCrashAndSqueezeSameBatch:
         assert np.array_equal(res, ref)
         self._assert_same_batch(m, "mfbc")
 
-    # at step 20 relief has spilled a block of the rank the shrink retires:
-    # recovery must fault it back in under the old numbering
-    @pytest.mark.parametrize("crash_step", [20, 30])
+    # the squeeze lands at step 7 (the budget overflows while MFBr's first
+    # product replicates Aᵀ) and halves the sweep; steps 9 and 13 crash
+    # inside the first and second half-sweep.  By then relief has spilled
+    # blocks the shrink's renumbering moves: recovery must fault them back
+    # in under the old numbering
+    @pytest.mark.parametrize("crash_step", [9, 13])
     def test_adaptive_bc(self, crash_step):
         from repro.core.approx import adaptive_bc
 

@@ -113,7 +113,7 @@ class TestBadWiring:
         da = DistMat.distribute(a, machine, grid)
         with pytest.raises(ValueError, match="cover"):
             execute_plan(
-                Plan(2, 1, 1, "A", "AB"), da, da, TROPICAL.matmul_spec(), grid
+                Plan(2, 1, 1, "A", "AB"), da, da, TROPICAL.matmul_spec()
             )
 
     def test_engine_mixing_detected_via_distribution(self, small_undirected):

@@ -29,7 +29,7 @@ from repro.machine import Group, Machine
 from repro.spgemm import Plan
 from repro.spgemm.selector import PinnedPolicy
 
-from conftest import random_weight_spmat
+from conftest import assert_fired, random_weight_spmat
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +277,15 @@ class TestCorruptionInsideProducts:
     batch to bit-identical scores; without it the damage reaches the scores.
     """
 
-    #: (pinned plan, scripted step, the collective it fires in) at p = 8
+    #: (pinned plan, scripted step, the collective it fires in) at p = 8.
+    #: Under 1D-B every product leaves C on the strips the next one reads,
+    #: so its only re-blockings carry seed frontiers, whose corruption (a
+    #: zero distance raised for every path alike) leaves the scores alone;
+    #: 1D-A re-blocks the adjacency onto its column strips in every
+    #: product, and step 7 is the second product's
     CASES = [
         pytest.param(Plan(8, 1, 1, "B", "AB"), 3, "bcast", id="1d-replicate"),
-        pytest.param(Plan(8, 1, 1, "B", "AB"), 5, "alltoall", id="1d-redistribute"),
+        pytest.param(Plan(8, 1, 1, "A", "AB"), 7, "alltoall", id="1d-redistribute"),
         pytest.param(Plan(1, 2, 4, "A", "AC"), 5, "sparse_reduce", id="2d-reduce"),
         pytest.param(Plan(2, 2, 2, "B", "AC"), 5, "bcast", id="3d-bcast"),
     ]
@@ -307,6 +312,7 @@ class TestCorruptionInsideProducts:
             ("batch", "recovered", "mfbc"),
         ]
         assert m.faults.events[-1].detail["error"] == "CorruptPayload"
+        assert_fired(m)
         assert np.array_equal(scores, ref)
 
     @pytest.mark.parametrize("plan, step, site", CASES)
@@ -318,6 +324,7 @@ class TestCorruptionInsideProducts:
         assert [(e.kind, e.action, e.site) for e in m.faults.events] == [
             ("corrupt", "injected", site)
         ]
+        assert_fired(m)
         assert not np.array_equal(scores, ref)
 
 
@@ -366,8 +373,9 @@ class TestMfbcRetry:
 
     def test_retries_zero_propagates_failure(self, small_undirected):
         # elastic="off": this test asserts the *non-elastic* abort path even
-        # under the CI ladder leg's ambient REPRO_ELASTIC
-        m = Machine(4, faults="seed:2,crash:0.01,limit:1", elastic="off")
+        # under the CI ladder leg's ambient REPRO_ELASTIC; step 9 is the
+        # second batch's first product
+        m = Machine(4, faults="crash@9", elastic="off")
         with pytest.raises(RankFailure):
             mfbc(
                 small_undirected,
@@ -375,6 +383,7 @@ class TestMfbcRetry:
                 engine=DistributedEngine(m),
                 retries=0,
             )
+        assert_fired(m)
 
     def test_exhausted_retries_abandon_with_event(
         self, small_undirected, monkeypatch
@@ -443,12 +452,14 @@ class TestMfbcRetry:
             mfbc(g, sources=np.arange(64), batch_size=32, engine=engine)
             return m, engine
 
+        # step 10: the second batch's first product re-blocks the frontier
         (ref, _ref_engine), (m, _engine) = run("off"), run(
-            "seed:0,corrupt@40,checksum:1"
+            "seed:0,corrupt@10,checksum:1"
         )
         assert ("batch", "recovered") in [
             (e.kind, e.action) for e in m.faults.events
         ]
+        assert_fired(m)
         assert m.memory_used() == ref.memory_used() > 0
         assert m.memory_peak() == ref.memory_peak()
 
@@ -474,7 +485,9 @@ class TestAcceptance:
         ref = mfbc(small_undirected, batch_size=8).scores
 
         store = MemoryCheckpointStore()
-        m = Machine(4, faults="seed:2,crash:0.01,limit:1", elastic="off")
+        # step 13: the third batch's first product (each batch after the
+        # first issues four collectives)
+        m = Machine(4, faults="crash@13", elastic="off")
         with pytest.raises(RankFailure):
             mfbc(
                 small_undirected,
@@ -483,8 +496,9 @@ class TestAcceptance:
                 retries=0,
                 checkpoint=store,
             )
+        assert_fired(m)
         state = store.load()
-        assert state is not None and state.batch_index >= 1  # died mid-run
+        assert state is not None and state.batch_index == 2  # died mid-run
 
         session = obs.enable()
         try:

@@ -31,7 +31,7 @@ from repro.graphs import rmat_graph
 from repro.machine import Machine, MemoryLimitExceeded
 from repro.memory import SpillError, SpillStore
 
-from conftest import KERNELS, kernel, random_weight_spmat
+from conftest import KERNELS, assert_fired, kernel, random_weight_spmat
 
 #: explicit "effectively unlimited" budget — opts a machine out of the CI
 #: leg's ambient REPRO_MEMORY without disabling the accounting
@@ -473,8 +473,10 @@ class TestRungsCompose:
         g = seed_graph()
         src = np.arange(16)
         ref = mfbc_per_source(g, src, engine=DistributedEngine(quiet(4)))
+        # the squeeze lands at step 7 and halves the sweep; step 13 crashes
+        # the second half-sweep's first product
         machine = Machine(
-            4, memory_words=12_000, faults="seed:1,crash@30:1",
+            4, memory_words=12_000, faults="seed:1,crash@13:1",
             elastic="replica", check="cheap",
         )
         with BCService(
@@ -485,6 +487,7 @@ class TestRungsCompose:
             stats = svc.stats()
         np.testing.assert_array_equal(np.vstack(rows), ref)
         assert stats["failed"] == 0 and stats["recoveries"] == 1
+        assert_fired(machine)
         assert machine.p == 3 and check_ledger(machine) == []
         notes = [(e.kind, e.action, e.site) for e in machine.faults.events]
         assert ("mem", "degraded", "serve") in notes
@@ -532,12 +535,16 @@ class TestMemoryReport:
     def test_inert_fault_plan_reports_the_same(self):
         # every run event goes through one emitter, so attaching a plan that
         # injects nothing must not move a row; the off-spellings are explicit
-        # because the CI ladder leg sets an ambient REPRO_FAULTS
+        # because the CI ladder leg sets an ambient REPRO_FAULTS.  The budget
+        # is the smallest round one the run completes in: a product's output
+        # stays on its plan's layout, and at the narrowest sweep 1D-B's row
+        # strips hold the one frontier row on a single rank (the home grid
+        # split its columns two ways), which needs 6 992 words there
         g = rmat_graph(8, 8, seed=0)
         reports = []
         for faults in ("off", "seed:0"):
             machine = Machine(
-                4, memory_words=6000, elastic="off", check="off", faults=faults
+                4, memory_words=7000, elastic="off", check="off", faults=faults
             )
             with obs.use() as session:
                 engine = DistributedEngine(machine)

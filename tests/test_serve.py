@@ -41,6 +41,8 @@ from repro.serve import (
     serve_http,
 )
 
+from conftest import assert_fired
+
 
 @pytest.fixture
 def graph():
@@ -647,13 +649,16 @@ class TestServiceDeadlines:
 
 class TestServiceFaults:
     def test_rank_failure_mid_batch_recovers_elastically(self, graph):
+        # the three queries coalesce into one sweep; step 5 is its first
+        # product's re-blocking
         with _service(
-            graph, faults="seed:3,crash@10:1", elastic="replica"
+            graph, faults="seed:3,crash@5:1", elastic="replica"
         ) as svc:
             ids = [svc.submit("bc_source", source=s) for s in range(3)]
             rows = [svc.result(qid, timeout=120.0) for qid in ids]
             stats = svc.stats()
             assert svc.machine.faults.injected >= 1
+            assert_fired(svc.machine)
             assert len(svc.machine.recoveries) >= 1
             assert stats["recoveries"] >= 1
             assert stats["failed"] == 0
@@ -663,10 +668,12 @@ class TestServiceFaults:
 
     def test_fault_without_elastic_takes_retry_ladder(self, graph):
         # a rank crash with elastic recovery off falls back to plain retries
-        with _service(graph, faults="seed:5,crash@8", retries=3) as svc:
+        # (step 4: the sweep's first product)
+        with _service(graph, faults="seed:5,crash@4", retries=3) as svc:
             row = svc.result(svc.submit("bc_source", source=2), timeout=120.0)
             stats = svc.stats()
             assert svc.machine.faults.injected >= 1
+            assert_fired(svc.machine)
         assert stats["retries"] >= 1
         assert stats["failed"] == 0
         assert np.array_equal(row, _reference_row(graph, 2))
@@ -713,15 +720,17 @@ class TestServiceFaults:
 
     def test_approx_bc_crash_takes_the_service_ladder(self):
         # a fixed-pivot query's crash is retried by the service (site
-        # "serve", counted, backoff-free), not inside its mfbc driver
+        # "serve", counted, backoff-free), not inside its mfbc driver; step 4
+        # is the sweep's first product
         g = rmat_graph(7, 8, seed=0)
-        machine = Machine(4, faults="seed:0,crash@8", elastic="off")
+        machine = Machine(4, faults="seed:0,crash@4", elastic="off")
         with BCService(g, machine=machine, batch_window=0.02) as svc:
             scores = svc.result(
                 svc.submit("approx_bc", samples=16, seed=0), timeout=120.0
             )
             stats = svc.stats()
         assert stats["retries"] == 1 and stats["failed"] == 0
+        assert_fired(machine)
         recovered = [
             e.site
             for e in machine.faults.events
@@ -744,6 +753,7 @@ class TestServiceFaults:
             scores = svc.result(svc.submit("bc"), timeout=120.0)
             stats = svc.stats()
             assert len(svc.machine.recoveries) == 1
+            assert_fired(svc.machine)
         assert stats["recoveries"] == 1 and stats["failed"] == 0
         ref = mfbc(graph, engine=DistributedEngine(Machine(4))).scores
         assert np.array_equal(scores, ref)

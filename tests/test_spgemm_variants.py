@@ -49,7 +49,7 @@ class TestAllPlansMatchSequential:
         a, b, da, db = dist_pair(rng, machine, 26, 26, 26)
         ref = spgemm(a, b, SPEC).matrix
         for plan in enumerate_plans(p):
-            c, ops = execute_plan(plan, da, db, SPEC, home(p))
+            c, ops = execute_plan(plan, da, db, SPEC)
             assert c.gather(charge=False).equals(ref), plan.describe()
             assert ops >= 0
 
@@ -59,7 +59,7 @@ class TestAllPlansMatchSequential:
         a, b, da, db = dist_pair(rng, machine, 7, 33, 19)
         ref = spgemm(a, b, SPEC).matrix
         for plan in enumerate_plans(p):
-            c, _ = execute_plan(plan, da, db, SPEC, home(p))
+            c, _ = execute_plan(plan, da, db, SPEC)
             assert c.gather(charge=False).equals(ref), plan.describe()
 
     def test_multpath_operand(self, rng):
@@ -76,7 +76,7 @@ class TestAllPlansMatchSequential:
         df = DistMat.distribute(f, machine, h, charge=False)
         dadj = DistMat.distribute(adj, machine, h, charge=False)
         for plan in enumerate_plans(p):
-            c, _ = execute_plan(plan, df, dadj, BF, h)
+            c, _ = execute_plan(plan, df, dadj, BF)
             assert c.gather(charge=False).equals(ref), plan.describe()
 
     def test_empty_frontier(self, rng):
@@ -89,7 +89,7 @@ class TestAllPlansMatchSequential:
         df = DistMat.distribute(f, machine, h, charge=False)
         dadj = DistMat.distribute(adj, machine, h, charge=False)
         for plan in enumerate_plans(p):
-            c, ops = execute_plan(plan, df, dadj, BF, h)
+            c, ops = execute_plan(plan, df, dadj, BF)
             assert c.nnz == 0 and ops == 0, plan.describe()
 
 
@@ -98,7 +98,7 @@ class TestPlanValidation:
         machine = Machine(4)
         a, b, da, db = dist_pair(rng, machine, 8, 8, 8)
         with pytest.raises(ValueError, match="does not cover"):
-            execute_plan(Plan(8, 1, 1, "A", "AB"), da, db, SPEC, home(4))
+            execute_plan(Plan(8, 1, 1, "A", "AB"), da, db, SPEC)
 
     def test_inner_dim_mismatch(self, rng):
         machine = Machine(2)
@@ -106,7 +106,7 @@ class TestPlanValidation:
         a = DistMat.distribute(random_weight_spmat(rng, 4, 5, 0.5), machine, h)
         b = DistMat.distribute(random_weight_spmat(rng, 6, 4, 0.5), machine, h)
         with pytest.raises(ValueError, match="inner dimension"):
-            execute_plan(Plan(2, 1, 1, "A", "AB"), a, b, SPEC, h)
+            execute_plan(Plan(2, 1, 1, "A", "AB"), a, b, SPEC)
 
     def test_plan_invalid_variant(self):
         with pytest.raises(ValueError, match="x must be"):
@@ -130,14 +130,14 @@ class TestCostAccounting:
         machine = Machine(4)
         a, b, da, db = dist_pair(rng, machine, 20, 20, 20, 0.4, 0.4)
         w0 = machine.ledger.critical_words()
-        execute_plan(Plan(1, 2, 2, "A", "AB"), da, db, SPEC, home(4))
+        execute_plan(Plan(1, 2, 2, "A", "AB"), da, db, SPEC)
         assert machine.ledger.critical_words() > w0
         assert machine.ledger.critical_msgs() > 0
 
     def test_compute_charged(self, rng):
         machine = Machine(4)
         a, b, da, db = dist_pair(rng, machine, 20, 20, 20, 0.4, 0.4)
-        execute_plan(Plan(1, 2, 2, "A", "AB"), da, db, SPEC, home(4))
+        execute_plan(Plan(1, 2, 2, "A", "AB"), da, db, SPEC)
         assert machine.ledger.compute_ops > 0
 
     def test_replication_cache_amortizes(self, rng):
@@ -146,16 +146,16 @@ class TestCostAccounting:
         a, b, da, db = dist_pair(rng, machine, 24, 24, 24, 0.3, 0.3)
         cache: dict = {}
         plan = Plan(2, 2, 2, "B", "AB")
-        execute_plan(plan, da, db, SPEC, home(8), replication_cache=cache)
+        execute_plan(plan, da, db, SPEC, replication_cache=cache)
         w1 = machine.ledger.total_words
-        execute_plan(plan, da, db, SPEC, home(8), replication_cache=cache)
+        execute_plan(plan, da, db, SPEC, replication_cache=cache)
         w2 = machine.ledger.total_words - w1
         assert w2 < w1  # replication traffic absent the second time
 
     def test_p1_output_no_comm(self, rng):
         machine = Machine(1, cost=CostParams(alpha=1.0, beta=1.0, compute_rate=1e9))
         a, b, da, db = dist_pair(rng, machine, 10, 10, 10, 0.4, 0.4)
-        execute_plan(Plan(1, 1, 1, "A", "AB"), da, db, SPEC, home(1))
+        execute_plan(Plan(1, 1, 1, "A", "AB"), da, db, SPEC)
         assert machine.ledger.critical_words() == 0.0
 
 
@@ -194,39 +194,43 @@ def _golden_plans(p):
 # Recorded at the commit before the collectives moved behind ``Group``
 # (``ledger.snapshot()`` plus ``category_words``); the refactor had to
 # reproduce every number, and so must any later change to a variant or to a
-# collective's charging convention (docs/performance_model.md §6).
+# collective's charging convention (docs/performance_model.md §6).  Re-pinned
+# once on purpose when C stopped going back to the home grid (layout
+# persistence): every entry lost exactly its trailing ``redistribute`` and
+# nothing else (the 2D plans, whose output grid is the home grid, kept
+# every number).
 # fmt: off
 GOLDEN_LEDGER = {
-    (8, '1D-A(p=8)'): {'time': 1.2506500000000001e-05, 'comm_time': 1.2492500000000001e-05, 'words': 394.0, 'msgs': 12.0, 'total_words': 3152.0, 'total_msgs': 96.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1616.0, 'replicate': 1536.0}},
-    (8, '1D-B(p=8)'): {'time': 1.3206999999999999e-05, 'comm_time': 1.3195e-05, 'words': 956.0, 'msgs': 12.0, 'total_words': 7648.0, 'total_msgs': 96.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 832.0, 'replicate': 6816.0}},
-    (8, '1D-C(p=8)'): {'time': 1.923625e-05, 'comm_time': 1.922125e-05, 'words': 977.0, 'msgs': 18.0, 'total_words': 7816.0, 'total_msgs': 144.0, 'compute_ops': 71.0, 'category_words': {'input': 2112.0, 'redistribute': 1480.0, 'reduce': 4224.0}},
+    (8, '1D-A(p=8)'): {'time': 9.411500000000001e-06, 'comm_time': 9.397500000000001e-06, 'words': 318.0, 'msgs': 9.0, 'total_words': 2544.0, 'total_msgs': 72.0, 'compute_ops': 71.0, 'category_words': {'replicate': 1536.0, 'redistribute': 1008.0}},
+    (8, '1D-B(p=8)'): {'time': 1.0111999999999999e-05, 'comm_time': 1.01e-05, 'words': 880.0, 'msgs': 9.0, 'total_words': 7040.0, 'total_msgs': 72.0, 'compute_ops': 71.0, 'category_words': {'replicate': 6816.0, 'redistribute': 224.0}},
+    (8, '1D-C(p=8)'): {'time': 1.614125e-05, 'comm_time': 1.612625e-05, 'words': 901.0, 'msgs': 15.0, 'total_words': 7208.0, 'total_msgs': 120.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 872.0, 'reduce': 4224.0, 'input': 2112.0}},
     (8, '2D-AB(2x4)'): {'time': 2.4526999999999997e-05, 'comm_time': 2.4514999999999995e-05, 'words': 412.0, 'msgs': 24.0, 'total_words': 2472.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'bcast': 2472.0}},
-    (8, '2D-BC(2x4)'): {'time': 2.7898749999999994e-05, 'comm_time': 2.7878749999999998e-05, 'words': 703.0, 'msgs': 27.0, 'total_words': 4704.0, 'total_msgs': 216.0, 'compute_ops': 71.0, 'category_words': {'bcast': 1704.0, 'redistribute': 888.0, 'reduce': 2112.0}},
-    (8, '2D-AC(2x4)'): {'time': 2.7518e-05, 'comm_time': 2.7495e-05, 'words': 396.0, 'msgs': 27.0, 'total_words': 1984.0, 'total_msgs': 216.0, 'compute_ops': 71.0, 'category_words': {'bcast': 768.0, 'redistribute': 160.0, 'reduce': 1056.0}},
-    (8, '3D-A,AB(2x2x2)'): {'time': 3.1357249999999995e-05, 'comm_time': 3.133625e-05, 'words': 1069.0, 'msgs': 30.0, 'total_words': 4720.0, 'total_msgs': 176.0, 'compute_ops': 71.0, 'category_words': {'bcast': 2472.0, 'redistribute': 1864.0, 'replicate': 384.0}},
-    (8, '3D-A,BC(2x2x2)'): {'time': 3.568299999999999e-05, 'comm_time': 3.565e-05, 'words': 1320.0, 'msgs': 34.0, 'total_words': 5860.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'bcast': 1704.0, 'redistribute': 2716.0, 'reduce': 1056.0, 'replicate': 384.0}},
-    (8, '3D-A,AC(2x2x2)'): {'time': 3.519025e-05, 'comm_time': 3.516124999999999e-05, 'words': 929.0, 'msgs': 34.0, 'total_words': 4296.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'bcast': 768.0, 'redistribute': 2088.0, 'reduce': 1056.0, 'replicate': 384.0}},
-    (8, '3D-B,AB(2x2x2)'): {'time': 3.2034e-05, 'comm_time': 3.201e-05, 'words': 1608.0, 'msgs': 30.0, 'total_words': 7880.0, 'total_msgs': 176.0, 'compute_ops': 71.0, 'category_words': {'bcast': 3792.0, 'redistribute': 2384.0, 'replicate': 1704.0}},
-    (8, '3D-B,BC(2x2x2)'): {'time': 3.676449999999998e-05, 'comm_time': 3.673749999999999e-05, 'words': 2190.0, 'msgs': 34.0, 'total_words': 10160.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'bcast': 3408.0, 'redistribute': 3992.0, 'reduce': 1056.0, 'replicate': 1704.0}},
-    (8, '3D-B,AC(2x2x2)'): {'time': 3.5378e-05, 'comm_time': 3.534500000000001e-05, 'words': 1076.0, 'msgs': 34.0, 'total_words': 5704.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'bcast': 384.0, 'redistribute': 2560.0, 'reduce': 1056.0, 'replicate': 1704.0}},
-    (8, '3D-C,AB(2x2x2)'): {'time': 3.44235e-05, 'comm_time': 3.44025e-05, 'words': 1122.0, 'msgs': 33.0, 'total_words': 5880.0, 'total_msgs': 200.0, 'compute_ops': 71.0, 'category_words': {'bcast': 2088.0, 'redistribute': 2736.0, 'reduce': 1056.0}},
-    (8, '3D-C,BC(2x2x2)'): {'time': 3.897700000000001e-05, 'comm_time': 3.8950000000000005e-05, 'words': 1560.0, 'msgs': 37.0, 'total_words': 7472.0, 'total_msgs': 216.0, 'compute_ops': 71.0, 'category_words': {'bcast': 1704.0, 'redistribute': 3576.0, 'reduce': 2192.0}},
-    (8, '3D-C,AC(2x2x2)'): {'time': 3.833150000000001e-05, 'comm_time': 3.830250000000001e-05, 'words': 1042.0, 'msgs': 37.0, 'total_words': 5488.0, 'total_msgs': 216.0, 'compute_ops': 71.0, 'category_words': {'bcast': 384.0, 'redistribute': 2912.0, 'reduce': 2192.0}},
-    (16, '1D-A(p=16)'): {'time': 1.639925e-05, 'comm_time': 1.639125e-05, 'words': 313.0, 'msgs': 16.0, 'total_words': 5008.0, 'total_msgs': 256.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1936.0, 'replicate': 3072.0}},
-    (16, '1D-B(p=16)'): {'time': 1.7166999999999997e-05, 'comm_time': 1.7154999999999998e-05, 'words': 924.0, 'msgs': 16.0, 'total_words': 14784.0, 'total_msgs': 256.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1152.0, 'replicate': 13632.0}},
-    (16, '1D-C(p=16)'): {'time': 2.5137750000000002e-05, 'comm_time': 2.5128750000000002e-05, 'words': 903.0, 'msgs': 24.0, 'total_words': 14448.0, 'total_msgs': 384.0, 'compute_ops': 71.0, 'category_words': {'input': 4224.0, 'redistribute': 1776.0, 'reduce': 8448.0}},
+    (8, '2D-BC(2x4)'): {'time': 2.7898749999999994e-05, 'comm_time': 2.7878749999999998e-05, 'words': 703.0, 'msgs': 27.0, 'total_words': 4704.0, 'total_msgs': 216.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 888.0, 'bcast': 1704.0, 'reduce': 2112.0}},
+    (8, '2D-AC(2x4)'): {'time': 2.7518e-05, 'comm_time': 2.7495e-05, 'words': 396.0, 'msgs': 27.0, 'total_words': 1984.0, 'total_msgs': 216.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 160.0, 'bcast': 768.0, 'reduce': 1056.0}},
+    (8, '3D-A,AB(2x2x2)'): {'time': 2.8262249999999992e-05, 'comm_time': 2.8241249999999997e-05, 'words': 993.0, 'msgs': 27.0, 'total_words': 4112.0, 'total_msgs': 152.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1256.0, 'replicate': 384.0, 'bcast': 2472.0}},
+    (8, '3D-A,BC(2x2x2)'): {'time': 3.2587999999999994e-05, 'comm_time': 3.2554999999999996e-05, 'words': 1244.0, 'msgs': 31.0, 'total_words': 5252.0, 'total_msgs': 168.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 2108.0, 'replicate': 384.0, 'bcast': 1704.0, 'reduce': 1056.0}},
+    (8, '3D-A,AC(2x2x2)'): {'time': 3.2095249999999994e-05, 'comm_time': 3.206624999999999e-05, 'words': 853.0, 'msgs': 31.0, 'total_words': 3688.0, 'total_msgs': 168.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1480.0, 'replicate': 384.0, 'bcast': 768.0, 'reduce': 1056.0}},
+    (8, '3D-B,AB(2x2x2)'): {'time': 2.8939000000000002e-05, 'comm_time': 2.8915000000000004e-05, 'words': 1532.0, 'msgs': 27.0, 'total_words': 7272.0, 'total_msgs': 152.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1776.0, 'replicate': 1704.0, 'bcast': 3792.0}},
+    (8, '3D-B,BC(2x2x2)'): {'time': 3.3669499999999987e-05, 'comm_time': 3.3642499999999995e-05, 'words': 2114.0, 'msgs': 31.0, 'total_words': 9552.0, 'total_msgs': 168.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 3384.0, 'replicate': 1704.0, 'bcast': 3408.0, 'reduce': 1056.0}},
+    (8, '3D-B,AC(2x2x2)'): {'time': 3.2283e-05, 'comm_time': 3.2250000000000005e-05, 'words': 1000.0, 'msgs': 31.0, 'total_words': 5096.0, 'total_msgs': 168.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1952.0, 'replicate': 1704.0, 'bcast': 384.0, 'reduce': 1056.0}},
+    (8, '3D-C,AB(2x2x2)'): {'time': 3.12985e-05, 'comm_time': 3.12775e-05, 'words': 1022.0, 'msgs': 30.0, 'total_words': 5080.0, 'total_msgs': 176.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1936.0, 'bcast': 2088.0, 'reduce': 1056.0}},
+    (8, '3D-C,BC(2x2x2)'): {'time': 3.585200000000001e-05, 'comm_time': 3.5825000000000003e-05, 'words': 1460.0, 'msgs': 34.0, 'total_words': 6672.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 2776.0, 'bcast': 1704.0, 'reduce': 2192.0}},
+    (8, '3D-C,AC(2x2x2)'): {'time': 3.520650000000001e-05, 'comm_time': 3.517750000000001e-05, 'words': 942.0, 'msgs': 34.0, 'total_words': 4688.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 2112.0, 'bcast': 384.0, 'reduce': 2192.0}},
+    (16, '1D-A(p=16)'): {'time': 1.234925e-05, 'comm_time': 1.234125e-05, 'words': 273.0, 'msgs': 12.0, 'total_words': 4368.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'replicate': 3072.0, 'redistribute': 1296.0}},
+    (16, '1D-B(p=16)'): {'time': 1.3101999999999998e-05, 'comm_time': 1.3089999999999998e-05, 'words': 872.0, 'msgs': 12.0, 'total_words': 13952.0, 'total_msgs': 192.0, 'compute_ops': 71.0, 'category_words': {'replicate': 13632.0, 'redistribute': 320.0}},
+    (16, '1D-C(p=16)'): {'time': 2.108775e-05, 'comm_time': 2.1078750000000002e-05, 'words': 863.0, 'msgs': 20.0, 'total_words': 13808.0, 'total_msgs': 320.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1136.0, 'reduce': 8448.0, 'input': 4224.0}},
     (16, '2D-AB(4x4)'): {'time': 3.2461e-05, 'comm_time': 3.2455e-05, 'words': 364.0, 'msgs': 32.0, 'total_words': 4176.0, 'total_msgs': 480.0, 'compute_ops': 71.0, 'category_words': {'bcast': 4176.0}},
-    (16, '2D-BC(4x4)'): {'time': 3.670225e-05, 'comm_time': 3.668625e-05, 'words': 549.0, 'msgs': 36.0, 'total_words': 6624.0, 'total_msgs': 576.0, 'compute_ops': 71.0, 'category_words': {'bcast': 3408.0, 'redistribute': 1104.0, 'reduce': 2112.0}},
-    (16, '2D-AC(4x4)'): {'time': 3.6436e-05, 'comm_time': 3.642e-05, 'words': 336.0, 'msgs': 36.0, 'total_words': 3136.0, 'total_msgs': 544.0, 'compute_ops': 71.0, 'category_words': {'bcast': 768.0, 'redistribute': 256.0, 'reduce': 2112.0}},
-    (16, '3D-A,AB(4x2x2)'): {'time': 6.169050000000001e-05, 'comm_time': 6.16675e-05, 'words': 1334.0, 'msgs': 60.0, 'total_words': 7240.0, 'total_msgs': 576.0, 'compute_ops': 71.0, 'category_words': {'bcast': 3240.0, 'redistribute': 3232.0, 'replicate': 768.0}},
-    (16, '3D-A,BC(4x2x2)'): {'time': 6.964524999999999e-05, 'comm_time': 6.961124999999999e-05, 'words': 1289.0, 'msgs': 68.0, 'total_words': 7612.0, 'total_msgs': 600.0, 'compute_ops': 71.0, 'category_words': {'bcast': 1704.0, 'redistribute': 4084.0, 'reduce': 1056.0, 'replicate': 768.0}},
-    (16, '3D-A,AC(4x2x2)'): {'time': 6.96275e-05, 'comm_time': 6.959250000000002e-05, 'words': 1274.0, 'msgs': 68.0, 'total_words': 7040.0, 'total_msgs': 600.0, 'compute_ops': 71.0, 'category_words': {'bcast': 1536.0, 'redistribute': 3680.0, 'reduce': 1056.0, 'replicate': 768.0}},
-    (16, '3D-B,AB(4x2x2)'): {'time': 6.314275e-05, 'comm_time': 6.311875e-05, 'words': 2495.0, 'msgs': 60.0, 'total_words': 14464.0, 'total_msgs': 560.0, 'compute_ops': 71.0, 'category_words': {'bcast': 7200.0, 'redistribute': 3856.0, 'replicate': 3408.0}},
-    (16, '3D-B,BC(4x2x2)'): {'time': 7.237475e-05, 'comm_time': 7.234374999999998e-05, 'words': 3475.0, 'msgs': 68.0, 'total_words': 18352.0, 'total_msgs': 592.0, 'compute_ops': 71.0, 'category_words': {'bcast': 6816.0, 'redistribute': 7072.0, 'reduce': 1056.0, 'replicate': 3408.0}},
-    (16, '3D-B,AC(4x2x2)'): {'time': 6.130674999999998e-05, 'comm_time': 6.127374999999999e-05, 'words': 1019.0, 'msgs': 60.0, 'total_words': 8880.0, 'total_msgs': 576.0, 'compute_ops': 71.0, 'category_words': {'bcast': 384.0, 'redistribute': 4032.0, 'reduce': 1056.0, 'replicate': 3408.0}},
-    (16, '3D-C,AB(4x2x2)'): {'time': 7.34415e-05, 'comm_time': 7.34125e-05, 'words': 1130.0, 'msgs': 72.0, 'total_words': 9800.0, 'total_msgs': 760.0, 'compute_ops': 71.0, 'category_words': {'bcast': 2088.0, 'redistribute': 5600.0, 'reduce': 2112.0}},
-    (16, '3D-C,BC(4x2x2)'): {'time': 8.204099999999998e-05, 'comm_time': 8.200999999999997e-05, 'words': 1608.0, 'msgs': 80.0, 'total_words': 11368.0, 'total_msgs': 800.0, 'compute_ops': 71.0, 'category_words': {'bcast': 1704.0, 'redistribute': 6416.0, 'reduce': 3248.0}},
-    (16, '3D-C,AC(4x2x2)'): {'time': 8.138949999999998e-05, 'comm_time': 8.13575e-05, 'words': 1086.0, 'msgs': 80.0, 'total_words': 9424.0, 'total_msgs': 792.0, 'compute_ops': 71.0, 'category_words': {'bcast': 384.0, 'redistribute': 5792.0, 'reduce': 3248.0}},
+    (16, '2D-BC(4x4)'): {'time': 3.670225e-05, 'comm_time': 3.668625e-05, 'words': 549.0, 'msgs': 36.0, 'total_words': 6624.0, 'total_msgs': 576.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 1104.0, 'bcast': 3408.0, 'reduce': 2112.0}},
+    (16, '2D-AC(4x4)'): {'time': 3.6436e-05, 'comm_time': 3.642e-05, 'words': 336.0, 'msgs': 36.0, 'total_words': 3136.0, 'total_msgs': 544.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 256.0, 'bcast': 768.0, 'reduce': 2112.0}},
+    (16, '3D-A,AB(4x2x2)'): {'time': 5.7640500000000005e-05, 'comm_time': 5.76175e-05, 'words': 1294.0, 'msgs': 56.0, 'total_words': 6600.0, 'total_msgs': 512.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 2592.0, 'replicate': 768.0, 'bcast': 3240.0}},
+    (16, '3D-A,BC(4x2x2)'): {'time': 6.559524999999999e-05, 'comm_time': 6.556124999999998e-05, 'words': 1249.0, 'msgs': 64.0, 'total_words': 6972.0, 'total_msgs': 536.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 3444.0, 'replicate': 768.0, 'bcast': 1704.0, 'reduce': 1056.0}},
+    (16, '3D-A,AC(4x2x2)'): {'time': 6.55775e-05, 'comm_time': 6.554250000000001e-05, 'words': 1234.0, 'msgs': 64.0, 'total_words': 6400.0, 'total_msgs': 536.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 3040.0, 'replicate': 768.0, 'bcast': 1536.0, 'reduce': 1056.0}},
+    (16, '3D-B,AB(4x2x2)'): {'time': 5.9092749999999994e-05, 'comm_time': 5.9068749999999996e-05, 'words': 2455.0, 'msgs': 56.0, 'total_words': 13824.0, 'total_msgs': 496.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 3216.0, 'replicate': 3408.0, 'bcast': 7200.0}},
+    (16, '3D-B,BC(4x2x2)'): {'time': 6.832474999999999e-05, 'comm_time': 6.829374999999998e-05, 'words': 3435.0, 'msgs': 64.0, 'total_words': 17712.0, 'total_msgs': 528.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 6432.0, 'replicate': 3408.0, 'bcast': 6816.0, 'reduce': 1056.0}},
+    (16, '3D-B,AC(4x2x2)'): {'time': 5.725674999999999e-05, 'comm_time': 5.722374999999999e-05, 'words': 979.0, 'msgs': 56.0, 'total_words': 8240.0, 'total_msgs': 512.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 3392.0, 'replicate': 3408.0, 'bcast': 384.0, 'reduce': 1056.0}},
+    (16, '3D-C,AB(4x2x2)'): {'time': 6.93265e-05, 'comm_time': 6.92975e-05, 'words': 1038.0, 'msgs': 68.0, 'total_words': 8328.0, 'total_msgs': 696.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 4128.0, 'bcast': 2088.0, 'reduce': 2112.0}},
+    (16, '3D-C,BC(4x2x2)'): {'time': 7.792599999999999e-05, 'comm_time': 7.789499999999997e-05, 'words': 1516.0, 'msgs': 76.0, 'total_words': 9896.0, 'total_msgs': 736.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 4944.0, 'bcast': 1704.0, 'reduce': 3248.0}},
+    (16, '3D-C,AC(4x2x2)'): {'time': 7.727449999999999e-05, 'comm_time': 7.72425e-05, 'words': 994.0, 'msgs': 76.0, 'total_words': 7952.0, 'total_msgs': 728.0, 'compute_ops': 71.0, 'category_words': {'redistribute': 4320.0, 'bcast': 384.0, 'reduce': 3248.0}},
 }
 # fmt: on
 
@@ -243,7 +247,7 @@ class TestGoldenLedger:
             h = home(p)
             df = DistMat.distribute(f, machine, h, charge=False)
             dadj = DistMat.distribute(adj, machine, h, charge=False)
-            c, _ = execute_plan(plan, df, dadj, BF, h)
+            c, _ = execute_plan(plan, df, dadj, BF)
             assert c.gather(charge=False).equals(ref), plan.describe()
             snap = machine.ledger.snapshot()
             snap["category_words"] = machine.ledger.category_words
@@ -282,7 +286,7 @@ def _charges_of(plan, p, mask):
     h = home(p)
     df = DistMat.distribute(f, machine, h, charge=False)
     dadj = DistMat.distribute(adj, machine, h, charge=False)
-    c, ops = execute_plan(plan, df, dadj, BF, h, mask=mask)
+    c, ops = execute_plan(plan, df, dadj, BF, mask=mask)
     assert c.gather(charge=False).equals(spgemm(f, adj, BF, mask=mask).matrix)
     return charges, ops
 
@@ -291,69 +295,71 @@ def _charges_of(plan, p, mask):
 # Recorded at the commit before §5.2 was written once over ``_DIMS``; the
 # ledger's max-merge cannot see the order of two collectives over the same
 # ranks, but the fault plan's step counter, the ambient ``REPRO_FAULTS`` CI
-# legs and ``repro trace`` all depend on it.
+# legs and ``repro trace`` all depend on it.  Re-pinned with the ledger above
+# when C stopped going home: each 1D and 3D sequence is its old one minus the
+# final home re-blocking.
 # fmt: off
 GOLDEN_SEQUENCE = {
-    (8, '1D-A(p=8)', False): (3, 546310306, 71),
-    (8, '1D-A(p=8)', True): (3, 3179789982, 36),
-    (8, '1D-B(p=8)', False): (3, 2886537782, 71),
-    (8, '1D-B(p=8)', True): (3, 823829514, 36),
-    (8, '1D-C(p=8)', False): (5, 302244153, 71),
-    (8, '1D-C(p=8)', True): (5, 2577709714, 36),
+    (8, '1D-A(p=8)', False): (2, 3636644272, 71),
+    (8, '1D-A(p=8)', True): (2, 3636644272, 36),
+    (8, '1D-B(p=8)', False): (2, 2785482997, 71),
+    (8, '1D-B(p=8)', True): (2, 2785482997, 36),
+    (8, '1D-C(p=8)', False): (4, 1135954060, 71),
+    (8, '1D-C(p=8)', True): (4, 3547094620, 36),
     (8, '2D-AB(2x4)', False): (24, 1843729238, 71),
     (8, '2D-AB(2x4)', True): (24, 1843729238, 36),
     (8, '2D-BC(2x4)', False): (25, 2470384900, 71),
     (8, '2D-BC(2x4)', True): (25, 2160061789, 36),
     (8, '2D-AC(2x4)', False): (25, 3409249977, 71),
     (8, '2D-AC(2x4)', True): (24, 2298339776, 36),
-    (8, '3D-A,AB(2x2x2)', False): (24, 3585000186, 71),
-    (8, '3D-A,AB(2x2x2)', True): (24, 1220113606, 36),
-    (8, '3D-A,BC(2x2x2)', False): (26, 3837669610, 71),
-    (8, '3D-A,BC(2x2x2)', True): (26, 2099681006, 36),
-    (8, '3D-A,AC(2x2x2)', False): (26, 1179499062, 71),
-    (8, '3D-A,AC(2x2x2)', True): (26, 110865630, 36),
-    (8, '3D-B,AB(2x2x2)', False): (24, 837735212, 71),
-    (8, '3D-B,AB(2x2x2)', True): (24, 2902025488, 36),
-    (8, '3D-B,BC(2x2x2)', False): (26, 2770218571, 71),
-    (8, '3D-B,BC(2x2x2)', True): (26, 4117341851, 36),
-    (8, '3D-B,AC(2x2x2)', False): (26, 365672155, 71),
-    (8, '3D-B,AC(2x2x2)', True): (26, 714526732, 36),
-    (8, '3D-C,AB(2x2x2)', False): (25, 728905897, 71),
-    (8, '3D-C,AB(2x2x2)', True): (25, 4005869140, 36),
-    (8, '3D-C,BC(2x2x2)', False): (27, 2172471680, 71),
-    (8, '3D-C,BC(2x2x2)', True): (27, 242599412, 36),
-    (8, '3D-C,AC(2x2x2)', False): (27, 2112192780, 71),
-    (8, '3D-C,AC(2x2x2)', True): (27, 2315655559, 36),
-    (16, '1D-A(p=16)', False): (3, 754737087, 71),
-    (16, '1D-A(p=16)', True): (3, 3617510664, 36),
-    (16, '1D-B(p=16)', False): (3, 387401216, 71),
-    (16, '1D-B(p=16)', True): (3, 4131990585, 36),
-    (16, '1D-C(p=16)', False): (5, 804365848, 71),
-    (16, '1D-C(p=16)', True): (5, 3734626234, 36),
+    (8, '3D-A,AB(2x2x2)', False): (23, 346229750, 71),
+    (8, '3D-A,AB(2x2x2)', True): (23, 346229750, 36),
+    (8, '3D-A,BC(2x2x2)', False): (25, 1837763396, 71),
+    (8, '3D-A,BC(2x2x2)', True): (25, 2429185874, 36),
+    (8, '3D-A,AC(2x2x2)', False): (25, 2422628692, 71),
+    (8, '3D-A,AC(2x2x2)', True): (25, 988033121, 36),
+    (8, '3D-B,AB(2x2x2)', False): (23, 2530609409, 71),
+    (8, '3D-B,AB(2x2x2)', True): (23, 2530609409, 36),
+    (8, '3D-B,BC(2x2x2)', False): (25, 983190404, 71),
+    (8, '3D-B,BC(2x2x2)', True): (25, 4266120511, 36),
+    (8, '3D-B,AC(2x2x2)', False): (25, 4221408443, 71),
+    (8, '3D-B,AC(2x2x2)', True): (25, 2072498019, 36),
+    (8, '3D-C,AB(2x2x2)', False): (24, 1799150530, 71),
+    (8, '3D-C,AB(2x2x2)', True): (24, 282455096, 36),
+    (8, '3D-C,BC(2x2x2)', False): (26, 1650076442, 71),
+    (8, '3D-C,BC(2x2x2)', True): (26, 3089431334, 36),
+    (8, '3D-C,AC(2x2x2)', False): (26, 4165193140, 71),
+    (8, '3D-C,AC(2x2x2)', True): (26, 2973638718, 36),
+    (16, '1D-A(p=16)', False): (2, 3495969956, 71),
+    (16, '1D-A(p=16)', True): (2, 3495969956, 36),
+    (16, '1D-B(p=16)', False): (2, 1655385251, 71),
+    (16, '1D-B(p=16)', True): (2, 1655385251, 36),
+    (16, '1D-C(p=16)', False): (4, 965939904, 71),
+    (16, '1D-C(p=16)', True): (4, 3538926522, 36),
     (16, '2D-AB(4x4)', False): (30, 649733104, 71),
     (16, '2D-AB(4x4)', True): (30, 649733104, 36),
     (16, '2D-BC(4x4)', False): (33, 3614880865, 71),
     (16, '2D-BC(4x4)', True): (32, 920053155, 36),
     (16, '2D-AC(4x4)', False): (31, 73218257, 71),
     (16, '2D-AC(4x4)', True): (30, 3451805739, 36),
-    (16, '3D-A,AB(4x2x2)', False): (42, 382427481, 71),
-    (16, '3D-A,AB(4x2x2)', True): (42, 3987336174, 36),
-    (16, '3D-A,BC(4x2x2)', False): (44, 1390699132, 71),
-    (16, '3D-A,BC(4x2x2)', True): (43, 2705312496, 36),
-    (16, '3D-A,AC(4x2x2)', False): (44, 972222429, 71),
-    (16, '3D-A,AC(4x2x2)', True): (43, 1230164359, 36),
-    (16, '3D-B,AB(4x2x2)', False): (38, 2906271465, 71),
-    (16, '3D-B,AB(4x2x2)', True): (38, 1448649822, 36),
-    (16, '3D-B,BC(4x2x2)', False): (42, 2676921298, 71),
-    (16, '3D-B,BC(4x2x2)', True): (42, 4236380538, 36),
-    (16, '3D-B,AC(4x2x2)', False): (38, 582339159, 71),
-    (16, '3D-B,AC(4x2x2)', True): (38, 4039806502, 36),
-    (16, '3D-C,AB(4x2x2)', False): (43, 2562902816, 71),
-    (16, '3D-C,AB(4x2x2)', True): (43, 2606238145, 36),
-    (16, '3D-C,BC(4x2x2)', False): (49, 2769668151, 71),
-    (16, '3D-C,BC(4x2x2)', True): (47, 1776602898, 36),
-    (16, '3D-C,AC(4x2x2)', False): (47, 784807859, 71),
-    (16, '3D-C,AC(4x2x2)', True): (45, 2299776940, 36),
+    (16, '3D-A,AB(4x2x2)', False): (41, 1561665741, 71),
+    (16, '3D-A,AB(4x2x2)', True): (41, 1561665741, 36),
+    (16, '3D-A,BC(4x2x2)', False): (43, 3474194987, 71),
+    (16, '3D-A,BC(4x2x2)', True): (42, 2485319986, 36),
+    (16, '3D-A,AC(4x2x2)', False): (43, 3879986127, 71),
+    (16, '3D-A,AC(4x2x2)', True): (42, 3495055669, 36),
+    (16, '3D-B,AB(4x2x2)', False): (37, 461935946, 71),
+    (16, '3D-B,AB(4x2x2)', True): (37, 461935946, 36),
+    (16, '3D-B,BC(4x2x2)', False): (41, 3469065096, 71),
+    (16, '3D-B,BC(4x2x2)', True): (41, 268058511, 36),
+    (16, '3D-B,AC(4x2x2)', False): (37, 3190129254, 71),
+    (16, '3D-B,AC(4x2x2)', True): (37, 158376454, 36),
+    (16, '3D-C,AB(4x2x2)', False): (42, 323283656, 71),
+    (16, '3D-C,AB(4x2x2)', True): (42, 3390992904, 36),
+    (16, '3D-C,BC(4x2x2)', False): (48, 3891343138, 71),
+    (16, '3D-C,BC(4x2x2)', True): (46, 1277490345, 36),
+    (16, '3D-C,AC(4x2x2)', False): (46, 1290167563, 71),
+    (16, '3D-C,AC(4x2x2)', True): (44, 586528055, 36),
 }
 # fmt: on
 
