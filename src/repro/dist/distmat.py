@@ -5,10 +5,25 @@ onto a 2D array of machine ranks; a :class:`DistMat` is one layout and its
 blocks, node-local :class:`~repro.sparse.SpMat` matrices in *local*
 coordinates.  Every change of layout asks the layout one question — which
 index ranges of a block overlap the target's blocks (:meth:`Layout.cut`).
-Elementwise operations (the CTF ``Transform``/``sparsify``/summation surface
-that MFBC's frontier logic uses) act block-by-block and are
+
+A matrix holds its nonzeros in one of two forms, never both: as the block
+grid, or *packed* — one ``SpMat`` over a flattened tile-major key space.
+Tile ``t = (i, j)`` (row-major grid order) owns the keys ``[off_t, off_t +
+h_t·w_t)`` (:attr:`Layout.offsets`), and an entry's key is ``off_t +
+local_row·w_t + local_col``; the packed ``SpMat`` has the matrix's shape, so
+on a ``p × 1`` strip layout its keys are the global keys ``row·ncols + col``
+and it *is* the matrix in global coordinates.  A packed matrix builds a
+block, as a view of its packed arrays, only where something reads it: read
+through :attr:`DistMat.blocks` (a 2D/3D plan step, a replica) it is cached;
+the one-pass readers — gather, redistribution, range extraction, transpose
+— build their blocks for that read only.  Elementwise
+operations (the CTF ``Transform``/``sparsify``/summation surface that MFBC's
+frontier logic uses) are one ``SpMat`` call on the packed operands —
+per-coordinate, so bit-identical to acting block by block — and are
 communication-free whenever the operands are co-distributed; when they are
-not, the operand with fewer nonzeros moves onto the other's layout.
+not, the operand with fewer nonzeros moves onto the other's layout.  Per-block
+mutation — spilling, repair, assignment — works on the block form, which a
+packed matrix turns into first.
 
 The paper's load-balance assumption (§5.2, balls-into-bins after random
 vertex relabeling) is what makes these oblivious even splits balanced.
@@ -19,10 +34,10 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from typing import Callable
 
 import numpy as np
 
+from repro.algebra.fields import concat_fields
 from repro.algebra.monoid import Monoid, stable_key_sort
 from repro.machine.machine import Machine
 from repro.sparse.spmatrix import SpMat
@@ -89,7 +104,8 @@ def _release_charge(holder: _MemCharge) -> None:
 
 
 class _LazyBlockRow:
-    """One row of a spilled matrix's block grid; faults blocks in on read."""
+    """One row of a packed or spilled matrix's block grid; builds or faults
+    blocks in on read."""
 
     __slots__ = ("_mat", "_i")
 
@@ -112,11 +128,13 @@ class _LazyBlockRow:
 
 
 class _LazyBlocks:
-    """Drop-in view over ``DistMat.blocks`` once any block has spilled.
+    """Drop-in view over ``DistMat.blocks`` of a packed matrix or one with
+    a spilled block.
 
     Supports exactly the access patterns the codebase uses — ``[i][j]``
-    indexing, row iteration, ``len`` — and transparently faults spilled
-    blocks back in from the store (charging the unspill) on first touch.
+    indexing, row iteration, ``len`` — building a packed matrix's blocks as
+    views on first read and transparently faulting spilled blocks back in
+    from the store (charging the unspill) on first touch.
     """
 
     __slots__ = ("_mat",)
@@ -149,6 +167,11 @@ def axis_block(mat: SpMat, axis: int, lo: int, hi: int) -> SpMat:
     return mat.block(*bounds)
 
 
+def _tile_of(splits: np.ndarray, x: int) -> int:
+    """The index of the block along ``splits`` that holds coordinate ``x``."""
+    return int(np.searchsorted(splits, x, side="right")) - 1
+
+
 class Layout:
     """Where a matrix's blocks live: a value, validated once.
 
@@ -158,7 +181,7 @@ class Layout:
     col_splits[-1]``.  Two layouts are equal when all three arrays are.
     """
 
-    __slots__ = ("ranks2d", "row_splits", "col_splits", "shape", "block_shapes")
+    __slots__ = ("ranks2d", "row_splits", "col_splits", "shape", "block_shapes", "offsets")
 
     def __init__(self, ranks2d, row_splits, col_splits) -> None:
         ranks2d = np.asarray(ranks2d, dtype=np.int64)
@@ -173,9 +196,13 @@ class Layout:
         self.row_splits = row_splits
         self.col_splits = col_splits
         self.shape = (int(row_splits[-1]), int(col_splits[-1]))
-        widths = np.diff(col_splits).tolist()
+        heights, widths = np.diff(row_splits), np.diff(col_splits)
         #: ``block_shapes[i][j]``: the ``(rows, cols)`` of block ``(i, j)``
-        self.block_shapes = [[(h, w) for w in widths] for h in np.diff(row_splits).tolist()]
+        self.block_shapes = [[(h, w) for w in widths.tolist()] for h in heights.tolist()]
+        #: ``offsets[t]``: the first packed key of tile ``t`` (row-major grid
+        #: order); ``offsets[-1]`` is ``nrows · ncols``
+        self.offsets = np.zeros(pr * pc + 1, dtype=np.int64)
+        np.cumsum(np.outer(heights, widths).ravel(), out=self.offsets[1:])
 
     @classmethod
     def even(cls, ranks2d, nrows: int, ncols: int) -> "Layout":
@@ -218,9 +245,24 @@ class Layout:
         """
         if not block.nnz:
             return []
+        rs, cs = self.row_splits, self.col_splits
+        (h, w), a, b = block.shape, _tile_of(rs, r0), _tile_of(cs, c0)
+        if r0 + h <= rs[a + 1] and c0 + w <= cs[b + 1]:
+            # the whole frame lies in one target block: one piece, no sort
+            if self.block_shapes[a][b] == (h, w):
+                return [(a, b, block)]
+            dr, dc = r0 - int(rs[a]), c0 - int(cs[b])
+            piece = SpMat(
+                *self.block_shapes[a][b],
+                block.rows + dr if dr else block.rows,
+                block.cols + dc if dc else block.cols,
+                block.vals,
+                block.monoid,
+                canonical=True,
+            )
+            return [(a, b, piece)]
         g_rows = block.rows + r0
         g_cols = block.cols + c0
-        rs, cs = self.row_splits, self.col_splits
         ti = np.searchsorted(rs, g_rows, side="right") - 1
         tj = np.searchsorted(cs, g_cols, side="right") - 1
         # group entries by target tile with one stable sort: each group keeps the
@@ -269,7 +311,9 @@ class DistMat:
     layout:
         The :class:`Layout`: owning ranks and block boundaries.
     blocks:
-        ``pr × pc`` nested list of local-coordinate :class:`SpMat` blocks.
+        ``pr × pc`` nested list of local-coordinate :class:`SpMat` blocks, or
+        one :class:`SpMat` of the layout's shape holding them packed (keys in
+        the tile-major key space of the module docstring).
     monoid:
         The shared element monoid.
     """
@@ -277,13 +321,15 @@ class DistMat:
     __slots__ = (
         "machine",
         "layout",
-        "blocks",
         "monoid",
         "_cached_t",
         "redundancy",
         "_replicas",
         "_source",
         "_memcharge",
+        "_pk",
+        "_tile_ends",
+        "_views",
         "_resident",
         "_spilled",
         "_spill_id",
@@ -291,20 +337,32 @@ class DistMat:
     )
 
     def __init__(
-        self, machine: Machine, layout: Layout, blocks: list[list[SpMat]], monoid: Monoid
+        self,
+        machine: Machine,
+        layout: Layout,
+        blocks: "list[list[SpMat]] | SpMat",
+        monoid: Monoid,
     ) -> None:
-        pr, pc = layout.ranks2d.shape
-        if len(blocks) != pr or any(len(row) != pc for row in blocks):
-            raise ValueError("blocks layout must match the rank grid shape")
-        for i, (row, shapes) in enumerate(zip(blocks, layout.block_shapes)):
-            for j, (blk, expect) in enumerate(zip(row, shapes)):
-                if blk.shape != expect:
-                    raise ValueError(
-                        f"block ({i},{j}) has shape {blk.shape}, expected {expect}"
-                    )
+        packed = None
+        if isinstance(blocks, SpMat):
+            if blocks.shape != layout.shape:
+                raise ValueError(
+                    f"packed matrix has shape {blocks.shape}, expected {layout.shape}"
+                )
+            packed, blocks = blocks, None
+        else:
+            pr, pc = layout.ranks2d.shape
+            blocks = [list(row) for row in blocks]  # this matrix's own grid
+            if len(blocks) != pr or any(len(row) != pc for row in blocks):
+                raise ValueError("blocks layout must match the rank grid shape")
+            for i, (row, shapes) in enumerate(zip(blocks, layout.block_shapes)):
+                for j, (blk, expect) in enumerate(zip(row, shapes)):
+                    if blk.shape != expect:
+                        raise ValueError(
+                            f"block ({i},{j}) has shape {blk.shape}, expected {expect}"
+                        )
         self.machine = machine
         self.layout = layout
-        self.blocks = blocks
         self.monoid = monoid
         #: the memoized transpose (a weak reference on the transpose's side)
         self._cached_t: "DistMat | weakref.ref | None" = None
@@ -314,18 +372,20 @@ class DistMat:
         self.redundancy = None
         self._replicas: dict | None = None
         self._source: SpMat | None = None
-        #: spill state: ``_resident`` is the raw nested block list (a cell is
+        #: the one resident form: ``_pk`` (packed; ``_tile_ends`` are its
+        #: tiles' entry boundaries, ``_views`` the blocks built from it so
+        #: far) or ``_resident``, the raw nested block list (a cell is
         #: ``None`` while its block lives in the spill store, keyed in
-        #: ``_spilled``); ``self.blocks`` becomes a lazy fault-in view the
-        #: first time anything spills
+        #: ``_spilled``)
+        self._pk: SpMat | None = packed
+        self._tile_ends: np.ndarray | None = None
+        self._views: dict[tuple[int, int], SpMat] = {}
         self._resident = blocks
         self._spilled: dict[tuple[int, int], object] = {}
         self._spill_id: int | None = None
         self._memcharge = _MemCharge(machine)
         charges: dict[int, int] = {}
-        flat = (blk for row in blocks for blk in row)
-        for r, blk in zip(layout.ranks2d.ravel().tolist(), flat):
-            w = blk.words()
+        for r, w in zip(layout.ranks2d.ravel().tolist(), self._tile_meta()[1]):
             if w:
                 charges[r] = charges.get(r, 0) + w
         self._memcharge.add(charges, site="distmat")
@@ -468,9 +528,6 @@ class DistMat:
                 continue
             setattr(self, slot, getattr(other, slot))
         self._cached_t = None
-        # the lazy view (if any) must point at *this* object, not the donor
-        if isinstance(self.blocks, _LazyBlocks):
-            self.blocks = _LazyBlocks(self)
         # take over the donor's memory charges: release what this object
         # held, then move ownership of the donor's holder to this object so
         # the donor's collection does not free blocks that now live here
@@ -504,30 +561,128 @@ class DistMat:
     def ncols(self) -> int:
         return self.layout.shape[1]
 
-    def _cell_meta(self):
-        """Yield ``(i, j, nnz, words)`` per block WITHOUT faulting spills in.
+    @property
+    def blocks(self):
+        """The ``pr × pc`` grid of local-coordinate blocks (``[i][j]``, row
+        iteration, ``len``): the block list itself, or a lazy view when the
+        matrix is packed or a block has spilled."""
+        if self._pk is None and not self._spilled:
+            return self._resident
+        return _LazyBlocks(self)
+
+    def _tile_meta(self) -> tuple[list[int], list[int]]:
+        """``(nnz, words)`` of every tile, in row-major grid order, WITHOUT
+        faulting spills in.
 
         Size queries must not defeat eviction: a spilled block's counts come
         from its segment metadata, so ``nnz``/``words`` on a partially
-        spilled matrix stay free.
+        spilled matrix stay free.  A packed matrix counts its tiles' entries
+        by their key ranges; a tile's words are what its block's
+        :meth:`~repro.sparse.SpMat.words` would be.
         """
-        pr, pc = self.grid_shape
-        raw = self._resident
-        for i in range(pr):
-            for j in range(pc):
-                blk = raw[i][j]
-                if blk is not None:
-                    yield i, j, blk.nnz, blk.words()
-                else:
+        if self._pk is not None:
+            nnz = np.diff(self._ends())
+            entry = 16 + sum(np.dtype(dt).itemsize for _, dt in self._pk.monoid.field_spec)
+            return nnz.tolist(), ((nnz * entry + 7) // 8).tolist()
+        nnz, words = [], []
+        for i, row in enumerate(self._resident):
+            for j, blk in enumerate(row):
+                if blk is None:
                     seg = self._spilled[(i, j)]
-                    yield i, j, seg.nnz, seg.words
+                    nnz.append(seg.nnz)
+                    words.append(seg.words)
+                else:
+                    nnz.append(blk.nnz)
+                    words.append(blk.words())
+        return nnz, words
 
     @property
     def nnz(self) -> int:
-        return sum(nnz for _i, _j, nnz, _w in self._cell_meta())
+        if self._pk is not None:
+            return self._pk.nnz
+        return sum(self._tile_meta()[0])
 
     def words(self) -> int:
-        return sum(w for _i, _j, _nnz, w in self._cell_meta())
+        return sum(self._tile_meta()[1])
+
+    # -- packed form ---------------------------------------------------------------
+
+    def _ends(self) -> np.ndarray:
+        """Entry boundaries of the tiles in the packed arrays (length ``T + 1``)."""
+        if self._tile_ends is None:
+            if self.grid_shape[1] == 1:  # strips: a tile is a run of global rows
+                self._tile_ends = np.searchsorted(self._pk.rows, self.layout.row_splits)
+            else:
+                self._tile_ends = np.searchsorted(self._pk.keys(), self.layout.offsets)
+        return self._tile_ends
+
+    def packed(self) -> SpMat:
+        """This matrix's nonzeros as one :class:`SpMat` over the tile-major
+        key space (on ``p × 1`` strips: the matrix in global coordinates).
+
+        A matrix held as blocks is packed here, faulting spilled blocks in,
+        and holds the packed form from then on.
+        """
+        if self._pk is None:
+            layout = self.layout
+            keys, vals = [], []
+            for t, (i, j) in enumerate(np.ndindex(*self.grid_shape)):
+                blk = self._block_at(i, j)
+                if blk.nnz:
+                    keys.append(blk.rows * blk.ncols + (blk.cols + layout.offsets[t]))
+                    vals.append(blk.vals)
+            if keys:
+                flat, vals = np.concatenate(keys), concat_fields(vals)
+            else:
+                flat, vals = np.empty(0, dtype=np.int64), self.monoid.empty()
+            rows, cols = np.divmod(flat, max(layout.shape[1], 1))
+            pk = SpMat(*layout.shape, rows, cols, vals, self.monoid, canonical=True)
+            pk._keys = flat
+            self._pk = pk
+            self._resident = None
+        return self._pk
+
+    def _view(self, i: int, j: int) -> SpMat:
+        """Block ``(i, j)`` of the packed form, built on first read and
+        cached."""
+        blk = self._views.get((i, j))
+        if blk is None:
+            blk = self._views[(i, j)] = self._slice(i, j)
+        return blk
+
+    def _slice(self, i: int, j: int) -> SpMat:
+        """Block ``(i, j)`` of the packed form, its value columns views of
+        the packed ones."""
+        pk, layout = self._pk, self.layout
+        t = i * self.grid_shape[1] + j
+        lo, hi = self._ends()[t : t + 2].tolist()
+        h, w = layout.block_shapes[i][j]
+        if self.grid_shape[1] == 1:  # strips: the packed keys are global
+            rows, cols = pk.rows[lo:hi] - layout.row_splits[i], pk.cols[lo:hi]
+        else:
+            rows, cols = np.divmod(pk.keys()[lo:hi] - layout.offsets[t], max(w, 1))
+        vals = {name: col[lo:hi] for name, col in pk.vals.items()}
+        return SpMat(h, w, rows, cols, vals, pk.monoid, canonical=True)
+
+    def _fresh_blocks(self):
+        """The block grid for one read: a packed matrix's blocks are built
+        for it and not cached, so they go when the reader drops them."""
+        if self._pk is None:
+            return self.blocks
+        pr, pc = self.grid_shape
+        return [[self._slice(i, j) for j in range(pc)] for i in range(pr)]
+
+    def _unpack(self) -> None:
+        """Hold this matrix as its block grid (views of the packed form) from
+        now on: the form per-block mutation works on."""
+        if self._pk is not None:
+            pr, pc = self.grid_shape
+            self._resident = [[self._view(i, j) for j in range(pc)] for i in range(pr)]
+            self._pk, self._tile_ends, self._views = None, None, {}
+
+    def _like(self, packed: SpMat, monoid: Monoid | None = None) -> "DistMat":
+        """A matrix on this layout holding ``packed``."""
+        return DistMat(self.machine, self.layout, packed, monoid or self.monoid)
 
     # -- spill / fault-in ---------------------------------------------------------
 
@@ -557,8 +712,11 @@ class DistMat:
 
         The unspill is charged against the owner rank's memory budget (which
         may trigger relief-eviction of colder blocks) and ledger time before
-        the bytes are read back and CRC-verified.
+        the bytes are read back and CRC-verified.  A packed matrix's block is
+        its view.
         """
+        if self._pk is not None:
+            return self._view(i, j)
         blk = self._resident[i][j]
         if blk is not None:
             return blk
@@ -578,6 +736,7 @@ class DistMat:
 
     def _set_block(self, i: int, j: int, blk: SpMat) -> None:
         """Assign a resident block (uncharged — callers own the accounting)."""
+        self._unpack()
         self._resident[i][j] = blk
         seg = self._spilled.pop((i, j), None)
         if seg is not None:
@@ -590,8 +749,10 @@ class DistMat:
         freed.
 
         A block is only released after the store's write-then-verify
-        read-back passes — a torn write leaves it resident.
+        read-back passes — a torn write leaves it resident.  A packed matrix
+        turns into its block grid first.
         """
+        self._unpack()
         freed = 0
         raw = self._resident
         for (i, j), owner in np.ndenumerate(self.layout.ranks2d):
@@ -600,8 +761,6 @@ class DistMat:
                 continue
             seg, w = self._evict(store, i, j, blk, int(owner), replica=False)
             if seg is not None:
-                if not isinstance(self.blocks, _LazyBlocks):
-                    self.blocks = _LazyBlocks(self)
                 self._spilled[(i, j)] = seg
                 raw[i][j] = None
                 freed += w
@@ -646,17 +805,26 @@ class DistMat:
     # -- gather -----------------------------------------------------------------
 
     def gather(self, *, charge: bool = True) -> SpMat:
-        """Reassemble the full matrix on a single node (CTF read-back path)."""
+        """Reassemble the full matrix on a single node (CTF read-back path).
+
+        On ``p × 1`` strips a packed matrix already is the full matrix: its
+        keys are the global keys, so nothing is merged.
+        """
         layout = self.layout
+        strips = self._pk is not None and self.grid_shape[1] == 1
+        if charge or not strips:
+            blocks = self._fresh_blocks()
+        if charge:
+            ranks, held = layout.by_owner(blocks)
+            self.machine.group(ranks).gather(held)
+        if strips:
+            return self._pk
         parts = []
-        for i, row in enumerate(self.blocks):
+        for i, row in enumerate(blocks):
             for j, b in enumerate(row):
                 if b.nnz:
                     r0, _, c0, _ = layout.bounds(i, j)
                     parts.append((b.rows + r0, b.cols + c0, b.vals))
-        if charge:
-            ranks, held = layout.by_owner(self.blocks)
-            self.machine.group(ranks).gather(held)
         # blocks tile the matrix disjointly, and a single block column
         # already concatenates in row-major order
         return SpMat._merged(*layout.shape, parts, self.monoid)
@@ -685,42 +853,23 @@ class DistMat:
             return self.redistribute(other.layout), other
         return self, other.redistribute(self.layout)
 
-    def _blockwise(self, fn: Callable[[SpMat, tuple[int, int]], SpMat], monoid=None):
-        pr, pc = self.grid_shape
-        flat = self.machine.executor.run_tasks(
-            [
-                (lambda b=self.blocks[i][j], ij=(i, j): fn(b, ij))
-                for i in range(pr)
-                for j in range(pc)
-            ]
-        )
-        blocks = [flat[i * pc : (i + 1) * pc] for i in range(pr)]
-        return DistMat(self.machine, self.layout, blocks, monoid or self.monoid)
-
     def combine(self, other: "DistMat") -> "DistMat":
         mine, other = self._aligned(other)
-        return mine._blockwise(
-            lambda b, ij: b.combine(other.blocks[ij[0]][ij[1]])
-        )
+        return mine._like(mine.packed().combine(other.packed()))
 
     def filter(self, predicate) -> "DistMat":
-        return self._blockwise(lambda b, ij: b.filter(predicate))
+        return self._like(self.packed().filter(predicate))
 
     def map(self, fn, monoid: Monoid | None = None) -> "DistMat":
-        return self._blockwise(lambda b, ij: b.map(fn, monoid=monoid), monoid)
+        return self._like(self.packed().map(fn, monoid=monoid), monoid)
 
     def zip_filter(self, other: "DistMat", predicate) -> "DistMat":
         mine, other = self._aligned(other)
-        return mine._blockwise(
-            lambda b, ij: b.zip_filter(other.blocks[ij[0]][ij[1]], predicate)
-        )
+        return mine._like(mine.packed().zip_filter(other.packed(), predicate))
 
     def zip_map(self, other: "DistMat", fn, monoid: Monoid | None = None) -> "DistMat":
         mine, other = self._aligned(other)
-        return mine._blockwise(
-            lambda b, ij: b.zip_map(other.blocks[ij[0]][ij[1]], fn, monoid=monoid),
-            monoid,
-        )
+        return mine._like(mine.packed().zip_map(other.packed(), fn, monoid=monoid), monoid)
 
     # -- structure ---------------------------------------------------------------
 
@@ -743,7 +892,8 @@ class DistMat:
         if cached is not None:
             return cached
         pr, pc = self.grid_shape
-        blocks = [[self.blocks[i][j].transpose() for i in range(pr)] for j in range(pc)]
+        grid = self._fresh_blocks()
+        blocks = [[grid[i][j].transpose() for i in range(pr)] for j in range(pc)]
         out = DistMat(self.machine, self.layout.T, blocks, self.monoid)
         self._cached_t = out
         out._cached_t = weakref.ref(self)
@@ -773,11 +923,13 @@ class DistMat:
         landing: list[list[tuple[list, int]]] = [[] for _ in participants]
         # cutting each source block against the target layout is
         # independent work; the pieces are merged in (i, j) order
-        sources = [(i, j) for i, j, nnz, _w in self._cell_meta() if nnz]
+        pc = self.grid_shape[1]
+        sources = [divmod(t, pc) for t, nnz in enumerate(self._tile_meta()[0]) if nnz]
+        grid = self._fresh_blocks()
         cuts = self.machine.executor.run_tasks(
             [
                 functools.partial(
-                    layout.cut, self.blocks[i][j], int(src.row_splits[i]), int(src.col_splits[j])
+                    layout.cut, grid[i][j], int(src.row_splits[i]), int(src.col_splits[j])
                 )
                 for i, j in sources
             ]
@@ -826,12 +978,13 @@ class DistMat:
         start = (np.clip(lo, old[:-1], old[1:]) - old[:-1]).tolist()
         stop = (np.clip(hi, old[:-1], old[1:]) - old[:-1]).tolist()
         pr, pc = self.grid_shape
+        grid = self._fresh_blocks()
         blocks = []
         for i in range(pr):
             row = []
             for j in range(pc):
                 b = (i, j)[axis]
-                row.append(axis_block(self.blocks[i][j], axis, start[b], stop[b]))
+                row.append(axis_block(grid[i][j], axis, start[b], stop[b]))
             blocks.append(row)
         layout = Layout(self.layout.ranks2d, *splits)
         return DistMat(self.machine, layout, blocks, self.monoid)

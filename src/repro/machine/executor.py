@@ -2,8 +2,8 @@
 
 The simulated machine models ``p`` ranks inside one Python interpreter.
 Between two collectives every rank has independent local work — the local
-products of the §5.2 variant executors, the per-block elementwise
-operations of :class:`~repro.dist.distmat.DistMat`, redistribution block
+products of the §5.2 variant executors (a 1D-B step's strips as one
+product), :class:`~repro.dist.distmat.DistMat` redistribution block
 packing — and :class:`LocalExecutor` runs it rank after rank on the
 simulation thread, results in submission order.  Ledger charges are
 issued by the callers in the same order, so gathered matrices and

@@ -52,7 +52,6 @@ from repro.sparse.spgemm import (
     SpGemmResult,
     _assemble_coords,
     _chunk_bounds,
-    count_ops,
 )
 from repro.sparse.spmatrix import SpMat
 
@@ -145,7 +144,10 @@ def _scipy_plus_times(
         return None
     if spec.monoid.field_spec[0][1] != np.dtype(np.float64):
         return None
-    total = count_ops(a, b)
+    ptr = b.row_pointer()
+    joined = np.zeros(a.nnz + 1, dtype=np.int64)
+    np.cumsum(ptr[a.cols + 1] - ptr[a.cols], out=joined[1:])
+    total = int(joined[-1])
     if total > chunk or total < _SCIPY_MIN_OPS:
         return None
     field = spec.f.field
@@ -171,7 +173,7 @@ def _scipy_plus_times(
         spec.monoid,
         canonical=True,
     )
-    return SpGemmResult(mat, total)
+    return SpGemmResult(mat, total, np.diff(joined[a.row_pointer()]))
 
 
 def _pathsum_kernel(
@@ -254,7 +256,8 @@ def _pathsum_compiled(
     for f, col in enumerate(sums):
         args.sum_in[f] = col.ctypes.data
     dtypes = dict(monoid.field_spec)
-    ops_done = 0
+    row_ops = np.zeros(a.nrows, dtype=np.int64)
+    row_ids = np.arange(a.nrows + 1)
     parts_rc: list[tuple[np.ndarray, np.ndarray]] = []
     parts_v: list[FieldArray] = []
     for lo, hi in _chunk_bounds(counts, chunk):
@@ -280,10 +283,13 @@ def _pathsum_compiled(
         if status:
             raise MemoryError("pathsum_chunk could not allocate its accumulator")
         n_runs, n_pairs = args.n_runs, args.n_pairs
-        ops_done += n_pairs
         if n_pairs == 0:
             continue
         starts = starts[:n_runs]
+        # runs are in key order: a row's runs are contiguous, and its pairs
+        # run from its first run's start to the next row's
+        first = np.searchsorted(rows[:n_runs], row_ids)
+        row_ops += np.diff(np.where(first < n_runs, starts[np.minimum(first, n_runs - 1)], n_pairs))
         vals: FieldArray = {wf: _head(w, n_runs)}
         for name, col in zip(names, layout):
             vals[name] = np.add.reduceat(col[:n_pairs], starts).astype(
@@ -291,5 +297,5 @@ def _pathsum_compiled(
             )
         parts_rc.append((_head(rows, n_runs), _head(cols, n_runs)))
         parts_v.append(vals)
-    return _assemble_coords(a.nrows, b.ncols, parts_rc, parts_v, monoid, ops_done)
+    return _assemble_coords(a.nrows, b.ncols, parts_rc, parts_v, monoid, row_ops)
 

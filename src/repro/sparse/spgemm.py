@@ -42,7 +42,11 @@ __all__ = [
     "spgemm",
     "SpGemmResult",
     "count_ops",
+    "DEFAULT_CHUNK",
 ]
+
+#: the bound on joined pairs materialized at once when a caller names none
+DEFAULT_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,9 @@ class SpGemmResult:
     #: With a mask this counts only the products that survive the mask (the
     #: saved work is the point of masking).
     ops: int
+    #: ``ops`` split by the row of A (length ``a.nrows``; ``ops ==
+    #: row_ops.sum()``): what charges each rank of a product over row strips
+    row_ops: np.ndarray
 
     def __iter__(self):
         """Unpack like the historical ``(matrix, ops)`` tuple."""
@@ -78,7 +85,7 @@ def spgemm(
     *,
     mask: SpMat | None = None,
     mask_complement: bool = False,
-    chunk: int = 1 << 22,
+    chunk: int = DEFAULT_CHUNK,
     kernel: str = "auto",
 ) -> SpGemmResult:
     """Compute ``C = A •⟨⊕,f⟩ B``, optionally masked, via the kernel tier.
@@ -119,7 +126,7 @@ def spgemm(
         )
     # A non-complemented empty mask annihilates the product outright.
     if mask is not None and mask.nnz == 0 and not mask_complement:
-        return SpGemmResult(SpMat.empty(*out_shape, spec.monoid), 0)
+        return _empty_result(a, b, spec)
     # An empty complemented mask excludes nothing: treat as unmasked.
     mask_keys = mask.keys() if (mask is not None and mask.nnz) else None
 
@@ -224,30 +231,40 @@ def _spgemm_generic(
     *,
     mask_keys: np.ndarray | None = None,
     mask_complement: bool = False,
-    chunk: int = 1 << 22,
+    chunk: int = DEFAULT_CHUNK,
 ) -> SpGemmResult:
     """The generic expansion-join kernel — correct for any MatMulSpec."""
     monoid = spec.monoid
     out_shape = (a.nrows, b.ncols)
     if a.nnz == 0 or b.nnz == 0:
-        return SpGemmResult(SpMat.empty(*out_shape, monoid), 0)
+        return _empty_result(a, b, spec)
 
-    ops_done = 0
+    a_ptr = a.row_pointer()
+    row_ops = np.zeros(a.nrows, dtype=np.int64)
     parts_rc: list[tuple[np.ndarray, np.ndarray]] = []
     parts_v: list[FieldArray] = []
     for a_idx, b_idx, keys in _expansion_chunks(
         a, b, mask_keys, mask_complement, chunk
     ):
-        ops_done += len(keys)
         if len(keys) == 0:
             continue
+        # the surviving pairs' A entries ascend, so A's row pointer cuts them
+        # into rows
+        row_ops += np.diff(np.searchsorted(a_idx, a_ptr))
         vals = spec.apply_f(take_fields(a.vals, a_idx), take_fields(b.vals, b_idx))
         del a_idx, b_idx
         keys, vals = monoid.reduce_by_key(keys, vals)
         # keys are ``row * ncols + col``
         parts_rc.append((keys // b.ncols, keys % b.ncols))
         parts_v.append(vals)
-    return _assemble_coords(*out_shape, parts_rc, parts_v, monoid, ops_done)
+    return _assemble_coords(*out_shape, parts_rc, parts_v, monoid, row_ops)
+
+
+def _empty_result(a: SpMat, b: SpMat, spec: MatMulSpec) -> SpGemmResult:
+    """The product that forms no pair: empty, zero ops on every row."""
+    return SpGemmResult(
+        SpMat.empty(a.nrows, b.ncols, spec.monoid), 0, np.zeros(a.nrows, dtype=np.int64)
+    )
 
 
 def _assemble_coords(
@@ -256,19 +273,20 @@ def _assemble_coords(
     parts_rc: list[tuple[np.ndarray, np.ndarray]],
     parts_v: list[FieldArray],
     monoid,
-    ops: int,
+    row_ops: np.ndarray,
 ) -> SpGemmResult:
     """Final construction from per-chunk reduced ``((rows, cols), vals)``
     partials — the one tail the generic kernel and every fast path finish
-    through.
+    through, with the per-row op counts they tallied.
 
     A single chunk's partial is already coordinate-unique and sorted, so a
     second reduce would be the identity — skip it and prune identity entries
     directly.  Multi-chunk partials can repeat a coordinate across chunks
     and go through the canonicalizing constructor.
     """
+    ops = int(row_ops.sum())
     if not parts_rc:
-        return SpGemmResult(SpMat.empty(nrows, ncols, monoid), ops)
+        return SpGemmResult(SpMat.empty(nrows, ncols, monoid), ops, row_ops)
     if len(parts_rc) == 1:
         (rows, cols), vals = parts_rc[0], parts_v[0]
         keep = ~monoid.is_identity(vals)
@@ -285,7 +303,7 @@ def _assemble_coords(
             concat_fields(parts_v),
             monoid,
         )
-    return SpGemmResult(mat, ops)
+    return SpGemmResult(mat, ops, row_ops)
 
 
 def _chunk_bounds(counts: np.ndarray, chunk: int) -> list[tuple[int, int]]:

@@ -426,19 +426,30 @@ class SpMat:
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "SpMat":
         """Extract rows [r0, r1) × cols [c0, c1) as a reindexed submatrix
-        (CTF ``slice``)."""
+        (CTF ``slice``).
+
+        The rows are sorted, so the row range is one contiguous run found by
+        binary search; columns are filtered inside that run only.  The full
+        frame is this matrix itself.
+        """
         if not (0 <= r0 <= r1 <= self.nrows and 0 <= c0 <= c1 <= self.ncols):
             raise ValueError(
                 f"block [{r0}:{r1}, {c0}:{c1}] out of bounds for shape {self.shape}"
             )
-        mask = (self.rows >= r0) & (self.rows < r1) & (self.cols >= c0) & (self.cols < c1)
-        idx = mask.nonzero()[0]
+        if (r0, r1, c0, c1) == (0, self.nrows, 0, self.ncols):
+            return self
+        lo, hi = np.searchsorted(self.rows, (r0, r1)).tolist()
+        rows, cols = self.rows[lo:hi], self.cols[lo:hi]
+        vals = {name: col[lo:hi] for name, col in self.vals.items()}
+        if c0 or c1 < self.ncols:
+            idx = ((cols >= c0) & (cols < c1)).nonzero()[0]
+            rows, cols, vals = rows[idx], cols[idx], take_fields(vals, idx)
         return SpMat(
             r1 - r0,
             c1 - c0,
-            self.rows[idx] - r0,
-            self.cols[idx] - c0,
-            take_fields(self.vals, idx),
+            rows - r0 if r0 else rows,
+            cols - c0 if c0 else cols,
+            vals,
             self.monoid,
             canonical=True,
         )

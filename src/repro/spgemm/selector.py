@@ -17,6 +17,7 @@ Two pinned policies reproduce the paper's named configurations:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +37,10 @@ __all__ = [
 ]
 
 
-def enumerate_plans(p: int) -> list[Plan]:
-    """Every (grid, variant) point of §5.2 for ``p`` ranks."""
+@functools.cache
+def enumerate_plans(p: int) -> tuple[Plan, ...]:
+    """Every (grid, variant) point of §5.2 for ``p`` ranks, built and
+    validated once per ``p`` (plans are immutable values)."""
     plans: list[Plan] = []
     for x in "ABC":
         plans.append(Plan(p, 1, 1, x, "AB"))
@@ -54,7 +57,7 @@ def enumerate_plans(p: int) -> list[Plan]:
         for x in "ABC":
             for yz in ("AB", "AC", "BC"):
                 plans.append(Plan(p1, p2, p3, x, yz))
-    return plans
+    return tuple(plans)
 
 
 def cheapest_plan(plans, estimate, cost, memory_words):

@@ -32,7 +32,9 @@ Layout conventions (C = A •⟨⊕,f⟩ B, A is m×k, B is k×n):
     are sparse-reduced along grid rows.
 * 1D variants degenerate: **A**/**B** replicate one operand with a single
   broadcast-class collective and block the others 1-dimensionally; **C**
-  forms full-size local partials and sparse-reduces them.
+  forms full-size local partials and sparse-reduces them.  **B**'s ``p``
+  strip products are one kernel call over A's packed strips, each rank
+  charged its strip's rows' ops (:func:`_strip_product`).
 * 3D variants nest: the 1D variant ``X`` runs over ``p1`` layers (replicating
   X or splitting/reducing), each layer running the 2D variant on its
   ``p2 × p3`` sub-grid.  Replication of a loop-invariant operand (MFBC's
@@ -51,9 +53,10 @@ from repro.algebra.matmul import MatMulSpec
 from repro.dist.distmat import DistMat, Layout, axis_block, even_splits
 from repro.machine.machine import Machine
 from repro.obs import api as obs
-# not called here (local products go through machine.executor), but
-# benchmarks/e2e/tracing.py patches the kernel under this module's name
-from repro.sparse.spgemm import spgemm  # noqa: F401
+# ``spgemm`` is not called here (local products go through
+# machine.executor), but benchmarks/e2e/tracing.py patches the kernel under
+# this module's name
+from repro.sparse.spgemm import DEFAULT_CHUNK, spgemm  # noqa: F401
 from repro.sparse.spmatrix import SpMat
 from repro.spgemm.plan import Plan
 
@@ -247,6 +250,14 @@ def _exec_1d(
         )
         local[x] = [whole] * p
     blocked = {name: _onto(mat, strips(name)) for name, mat in mats.items() if name != x}
+    if x == "B":
+        # A rests on p × 1 strips, C will too: one kernel call over A's
+        # packed strips, with the node-local mask as passed
+        grid = strips("C")
+        c, total_ops = _strip_product(
+            machine, blocked["A"], whole, spec, mask, mask_complement, grid[:, 0]
+        )
+        return DistMat(machine, Layout.even(grid, size["m"], size["n"]), c, spec.monoid), total_ops
     for name, dm in blocked.items():
         local[name] = [blk for row in dm.blocks for blk in row]
     # each rank's output frame is its strip of C along d, so it sees the
@@ -279,6 +290,82 @@ def _exec_1d(
     blocks = [prods[i * pc : (i + 1) * pc] for i in range(pr)]
     c = DistMat(machine, Layout.even(grid, size["m"], size["n"]), blocks, spec.monoid)
     return c, total_ops
+
+
+def _strip_product(
+    machine: Machine,
+    a: DistMat,
+    b: SpMat,
+    spec,
+    mask: SpMat | None,
+    mask_complement: bool,
+    ranks: np.ndarray,
+    chunk: int = DEFAULT_CHUNK,
+) -> tuple[SpMat, int]:
+    """``A • B`` for ``A`` on ``p × 1`` row strips and ``B`` whole on every
+    rank: the strips' local products as one kernel call over A's packed
+    form (its global coordinates), masked by the global ``mask``.
+
+    The kernel reduces every row on its own, so the rows of the one call are
+    the strips' rows bit for bit — provided no strip is cut at a different
+    join chunk than it would be alone.  A packed join above the kernel's
+    chunk is therefore cut only at strip boundaries: consecutive strips
+    share a call while their joins fit one chunk, and a strip above it runs
+    alone (``chunk`` is the one the executor's products run with).  Rank
+    ``ranks[r]`` is charged the ops of strip ``r``'s rows, in strip order.
+    Returns C (global coordinates) and the total ops.
+    """
+    packed = a.packed()
+    cuts = a.layout.row_splits
+    ends = np.searchsorted(packed.rows, cuts)
+    calls = [(0, len(cuts) - 1)]
+    ptr = b.row_pointer()
+    joined = np.zeros(packed.nnz + 1, dtype=np.int64)
+    np.cumsum(ptr[packed.cols + 1] - ptr[packed.cols], out=joined[1:])
+    if joined[-1] > chunk:
+        per_strip = np.diff(joined[ends]).tolist()
+        calls, lo, size = [], 0, 0
+        for r, join in enumerate(per_strip):
+            if r > lo and size + join > chunk:
+                calls.append((lo, r))
+                lo, size = r, 0
+            size += join
+        calls.append((lo, len(per_strip)))
+    pieces = [
+        packed if len(calls) == 1 else _entries(packed, int(ends[lo]), int(ends[hi]))
+        for lo, hi in calls
+    ]
+    results = machine.executor.run_spgemm(
+        [(piece, b) for piece in pieces],
+        spec,
+        masks=None if mask is None else [mask] * len(pieces),
+        mask_complement=mask_complement,
+    )
+    row_ops = sum(res.row_ops for res in results)
+    upto = np.zeros(a.nrows + 1, dtype=np.int64)
+    np.cumsum(row_ops, out=upto[1:])
+    for rank, ops in zip(ranks.tolist(), np.diff(upto[cuts]).tolist()):
+        machine.charge_compute([rank], float(ops))
+    if len(results) == 1:
+        c = results[0].matrix
+    else:
+        parts = [(res.matrix.rows, res.matrix.cols, res.matrix.vals) for res in results]
+        c = SpMat._merged(a.nrows, b.ncols, parts, spec.monoid)
+    return c, int(row_ops.sum())
+
+
+def _entries(mat: SpMat, lo: int, hi: int) -> SpMat:
+    """``mat``'s entries ``[lo, hi)`` in ``mat``'s frame (a contiguous run
+    of a canonical matrix is canonical)."""
+    return SpMat(
+        mat.nrows,
+        mat.ncols,
+        mat.rows[lo:hi],
+        mat.cols[lo:hi],
+        {name: col[lo:hi] for name, col in mat.vals.items()},
+        mat.monoid,
+        canonical=True,
+    )
 
 
 # ---------------------------------------------------------------------------

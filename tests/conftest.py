@@ -40,7 +40,14 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 #: the canonical home is :mod:`repro.check.strategies`.
 WEIGHT = WEIGHT_MONOID
 
-__all__ = ["KERNELS", "WEIGHT", "assert_fired", "kernel", "random_weight_spmat"]
+__all__ = [
+    "KERNELS",
+    "WEIGHT",
+    "assert_bits",
+    "assert_fired",
+    "kernel",
+    "random_weight_spmat",
+]
 
 #: the two routes a local product can take (see :func:`kernel`)
 KERNELS = ("generic", "auto")
@@ -59,6 +66,17 @@ def kernel(mode: str):
         if mode == "generic":
             patch.setattr(dispatch, "dispatch_spgemm", lambda *a, **k: None)
         yield
+
+
+def assert_bits(got, want) -> None:
+    """Same shape, coordinates and value bytes (``-0.0`` is not ``+0.0``)."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.rows, want.rows)
+    np.testing.assert_array_equal(got.cols, want.cols)
+    assert got.vals.keys() == want.vals.keys()
+    for name, col in want.vals.items():
+        assert got.vals[name].dtype == col.dtype
+        assert got.vals[name].tobytes() == col.tobytes()
 
 
 def assert_fired(machine) -> None:

@@ -1,16 +1,22 @@
 """Layout and DistMat: distribution, gather, redistribution, elementwise parity."""
 
 import gc
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.algebra.monoid import MinMonoid
+from repro.algebra.monoid import MinMonoid, PlusMonoid
+from repro.algebra.multpath import MULTPATH
+from repro.check import strategies as cst
 from repro.dist import DistMat, Layout, even_splits
 from repro.machine.grid import near_square_shape
 from repro.machine import Machine
+from repro.sparse import SpMat
 
-from conftest import random_weight_spmat
+from conftest import assert_bits, random_weight_spmat
 
 W = MinMonoid()
 
@@ -83,6 +89,27 @@ class TestLayout:
         t = layout.T
         assert t.bounds(2, 1) == (2, 9, 3, 10)
         assert int(t.ranks2d[2, 1]) == 1
+
+
+    def test_cut_of_a_block_inside_one_target(self, rng):
+        blk = random_weight_spmat(rng, 4, 5, 0.5)
+        layout = Layout(home_grid(4), [0, 4, 10], [0, 5, 12])
+        # the frames agree: the block itself
+        ((a, b, piece),) = layout.cut(blk, 0, 0)
+        assert (a, b) == (0, 0) and piece is blk
+        # inside target (1, 1) at offset (1, 2): one shifted piece
+        ((a, b, piece),) = layout.cut(blk, 5, 7)
+        assert (a, b) == (1, 1) and piece.shape == (6, 7)
+        assert piece.equals(
+            SpMat(6, 7, blk.rows + 1, blk.cols + 2, blk.vals, blk.monoid)
+        )
+
+    def test_block_of_the_full_frame_is_the_matrix(self, rng):
+        mat = random_weight_spmat(rng, 7, 6, 0.4)
+        assert mat.block(0, 7, 0, 6) is mat
+        keep = (mat.rows >= 2) & (mat.rows < 5) & (mat.cols < 4)
+        ref = SpMat(3, 4, mat.rows[keep] - 2, mat.cols[keep], {"w": mat.vals["w"][keep]}, W)
+        assert mat.block(2, 5, 0, 4).equals(ref)
 
 
 class TestDistributeGather:
@@ -305,3 +332,191 @@ class TestExtractRanges:
             da.extract_col_range(5, 20)
         with pytest.raises(ValueError):
             da.extract_row_range(-1, 5)
+
+
+# ---------------------------------------------------------------------------
+# the packed form: one SpMat per matrix, blocks as views
+# ---------------------------------------------------------------------------
+
+
+#: (name, the SpMat op, the DistMat op): one per elementwise method
+ELEMENTWISE = [
+    ("combine", lambda x, y: x.combine(y), lambda x, y: x.combine(y)),
+    ("filter", lambda x, y: x.filter(_over4), lambda x, y: x.filter(_over4)),
+    ("map", lambda x, y: x.map(_minus1), lambda x, y: x.map(_minus1)),
+    (
+        "zip_filter",
+        lambda x, y: x.zip_filter(y, _not_above),
+        lambda x, y: x.zip_filter(y, _not_above),
+    ),
+    ("zip_map", lambda x, y: x.zip_map(y, _least), lambda x, y: x.zip_map(y, _least)),
+]
+
+
+def _over4(v):
+    return v["w"] > 4
+
+
+def _minus1(v):
+    return {name: col - 1 for name, col in v.items()}
+
+
+def _not_above(av, bv):
+    return av["w"] <= bv["w"]
+
+
+def _least(av, bv):
+    return {name: np.minimum(col, bv[name]) for name, col in av.items()}
+
+
+@st.composite
+def packing_layouts(draw, shape):
+    """A layout of ``shape``: strips, rows of tiles or grids, even or uneven
+    (zero-width tiles included), possibly a transposed layout."""
+    pr, pc = draw(st.sampled_from([(1, 1), (4, 1), (1, 3), (2, 2), (3, 2), (16, 1)]))
+    transposed = draw(st.booleans())
+    if transposed:
+        pr, pc = pc, pr
+    m, n = shape[::-1] if transposed else shape
+    ranks2d = np.arange(pr * pc).reshape(pr, pc)
+    if draw(st.booleans()):
+        layout = Layout.even(ranks2d, m, n)
+    else:
+        cut = lambda size, parts: np.array(  # noqa: E731
+            [0, *sorted(draw(st.lists(st.integers(0, size), min_size=parts - 1,
+                                      max_size=parts - 1))), size]
+        )
+        layout = Layout(ranks2d, cut(m, pr), cut(n, pc))
+    return layout.T if transposed else layout
+
+
+class TestPackedElementwise:
+    """Every elementwise op on the packed form equals the same op on each
+    block pair, bit for bit, and charges what the blocks would."""
+
+    @given(
+        st.sampled_from([MinMonoid(), PlusMonoid(), MULTPATH]),
+        st.integers(1, 11),
+        st.integers(1, 11),
+        st.sampled_from(range(len(ELEMENTWISE))),
+        st.sampled_from(["blocks", "packed", "spilled"]),
+        st.data(),
+    )
+    def test_equals_the_per_block_reference(self, monoid, m, n, which, held, data):
+        a = data.draw(cst.spmats(monoid, shape=(m, n)))
+        b = data.draw(cst.spmats(monoid, shape=(m, n)))
+        layout = data.draw(packing_layouts((m, n)))
+        _name, on_blocks, on_dist = ELEMENTWISE[which]
+        with tempfile.TemporaryDirectory() as spill_dir:
+            machine = Machine(
+                16, faults="off", elastic="off", memory_words=1 << 40, spill_dir=spill_dir
+            )
+            da, db = (
+                DistMat.distribute(x, machine, np.arange(16).reshape(4, 4)).redistribute(layout)
+                for x in (a, b)
+            )
+            if held == "packed":
+                da.packed()
+            elif held == "spilled":
+                # rank 0's blocks leave for the store; the op faults them in
+                da.spill_blocks(machine.memory.store(), rank=0)
+            out = on_dist(da, db)
+            assert out.layout == layout
+            pr, pc = layout.ranks2d.shape
+            charged: dict[int, int] = {}
+            for i in range(pr):
+                for j in range(pc):
+                    bounds = layout.bounds(i, j)
+                    want = on_blocks(a.block(*bounds), b.block(*bounds))
+                    assert_bits(out.blocks[i][j], want)
+                    owner = int(layout.ranks2d[i, j])
+                    if want.words():
+                        charged[owner] = charged.get(owner, 0) + want.words()
+            assert out._memcharge.charged == charged
+            assert out.words() == sum(charged.values())
+            assert out.gather(charge=False).equals(on_blocks(a, b))
+
+    def test_strips_pack_to_the_global_matrix(self, rng):
+        mat = random_weight_spmat(rng, 23, 17, 0.3)
+        machine = Machine(4)
+        d = DistMat.distribute(mat, machine, home_grid(4)).redistribute(
+            Layout.even(column(4), *mat.shape)
+        )
+        assert_bits(d.packed(), mat)
+        assert d.gather(charge=False) is d.packed()  # no merge on strips
+        assert d.blocks[1][0] is d.blocks[1][0]  # a view is built once
+
+    def test_block_assignment_unpacks(self, rng):
+        mat = random_weight_spmat(rng, 12, 12, 0.4)
+        machine = Machine(4)
+        d = DistMat.distribute(mat, machine, home_grid(4))
+        d.packed()
+        empty = SpMat.empty(*d.layout.block_shapes[0][0], W)
+        d.blocks[0][0] = empty
+        assert d.blocks[0][0] is empty
+        assert d.nnz == mat.nnz - mat.block(*d.layout.bounds(0, 0)).nnz
+
+    def test_packed_shape_validated(self, rng):
+        mat = random_weight_spmat(rng, 10, 10, 0.3)
+        layout = Layout.even(column(2), 10, 11)
+        with pytest.raises(ValueError, match="packed matrix has shape"):
+            DistMat(Machine(2), layout, mat, W)
+
+
+class TestPackedStructure:
+    """Row and column ranges and gathers of the packed form equal the block
+    form's, bit for bit."""
+
+    @given(
+        st.sampled_from([MinMonoid(), MULTPATH]),
+        st.integers(1, 11),
+        st.integers(1, 11),
+        st.integers(0, 1),
+        st.data(),
+    )
+    def test_ranges_and_gather(self, monoid, m, n, axis, data):
+        mat = data.draw(cst.spmats(monoid, shape=(m, n)))
+        layout = data.draw(packing_layouts((m, n)))
+        size = (m, n)[axis]
+        lo = data.draw(st.integers(0, size))
+        hi = data.draw(st.integers(lo, size))
+        machine = Machine(16)
+        blocked = DistMat.distribute(mat, machine, np.arange(16).reshape(4, 4)).redistribute(
+            layout
+        )
+        packed = DistMat(machine, layout, blocked.packed(), monoid)
+        assert_bits(packed.gather(charge=False), mat)
+        blocked = DistMat(machine, layout, [list(row) for row in packed.blocks], monoid)
+        extract = ("extract_row_range", "extract_col_range")[axis]
+        got = getattr(packed, extract)(lo, hi)
+        want = getattr(blocked, extract)(lo, hi)
+        assert got.layout == want.layout
+        for got_row, want_row in zip(got.blocks, want.blocks):
+            for got_blk, want_blk in zip(got_row, want_row):
+                assert_bits(got_blk, want_blk)
+        assert got._memcharge.charged == want._memcharge.charged
+
+
+class TestElementwiseCallCount:
+    """An elementwise op is one SpMat call, whatever the grid."""
+
+    @pytest.mark.parametrize("p", [1, 4, 16])
+    @pytest.mark.parametrize("grid", [home_grid, column])
+    @pytest.mark.parametrize("which", range(len(ELEMENTWISE)))
+    def test_one_spmat_call_per_op(self, rng, monkeypatch, p, grid, which):
+        a = random_weight_spmat(rng, 40, 30, 0.2)
+        b = random_weight_spmat(rng, 40, 30, 0.2)
+        machine = Machine(p)
+        da, db = (DistMat.distribute(x, machine, grid(p)) for x in (a, b))
+        calls = []
+        for name in ("combine", "filter", "map", "zip_filter", "zip_map"):
+            original = getattr(SpMat, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(SpMat, name, counting)
+        name, _on_blocks, on_dist = ELEMENTWISE[which]
+        on_dist(da, db)
+        assert calls == [name]

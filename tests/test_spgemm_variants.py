@@ -6,23 +6,35 @@ all nine 3D nestings — run on real partitioned data and must reproduce the
 node-local product bit-for-bit, for single-field and multpath monoids alike.
 """
 
+import functools
 import zlib
 
 import numpy as np
 import pytest
 
-from repro.algebra import MULTPATH, TROPICAL, MatMulSpec, bellman_ford_action
-from repro.dist import DistMat
+from repro.algebra import (
+    MULTPATH,
+    REAL_PLUS_TIMES,
+    TROPICAL,
+    MatMulSpec,
+    bellman_ford_action,
+)
+from repro.dist import DistMat, Layout
+from repro.dist.distmat import axis_block
+from repro.machine import executor
 from repro.machine.grid import near_square_shape
 from repro.machine import CostParams, Machine
 from repro.sparse import SpMat, spgemm
+from repro.sparse.spgemm import DEFAULT_CHUNK
 from repro.spgemm import Plan, execute_plan
 from repro.spgemm.selector import enumerate_plans
+from repro.spgemm.variants import _strip_product
 
-from conftest import WEIGHT, random_weight_spmat
+from conftest import KERNELS, WEIGHT, assert_bits, kernel, random_weight_spmat
 
 SPEC = TROPICAL.matmul_spec()
 BF = MatMulSpec(MULTPATH, bellman_ford_action, "bf")
+PLUS = REAL_PLUS_TIMES.matmul_spec()
 
 
 def home(p):
@@ -157,6 +169,105 @@ class TestCostAccounting:
         a, b, da, db = dist_pair(rng, machine, 10, 10, 10, 0.4, 0.4)
         execute_plan(Plan(1, 1, 1, "A", "AB"), da, db, SPEC)
         assert machine.ledger.critical_words() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# 1D-B: the p strip products as one kernel call over A's packed strips
+# ---------------------------------------------------------------------------
+
+
+def _column(p):
+    return np.arange(p).reshape(p, 1)
+
+
+def _strip_operands(rng, machine, spec):
+    """A 13-row A on ``machine.p`` strips, some of them empty (no entry in a
+    row ≡ 1 mod 3) and, past 13 strips, some with no rows at all; and a
+    whole 30 × 30 B.  Sums (multiplicities, plus-times values) are
+    non-integer floats, so a row reduced in other pieces shows in the bits."""
+    m, n = 13, 30
+    b = random_weight_spmat(rng, n, n, 0.3)
+    a = random_weight_spmat(rng, m, n, 0.35)
+    a = a.filter(lambda v, rows=a.rows: rows % 3 != 1)
+    if spec is BF:
+        a = SpMat(m, n, a.rows, a.cols, MULTPATH.make(a.vals["w"], rng.random(a.nnz)), MULTPATH)
+    elif spec is PLUS:
+        a, b = (
+            SpMat(*x.shape, x.rows, x.cols, {"w": rng.random(x.nnz) + 0.5}, PLUS.monoid)
+            for x in (a, b)
+        )
+    layout = Layout.even(_column(machine.p), m, n)
+    da = DistMat.distribute(a, machine, home(machine.p), charge=False).redistribute(layout)
+    return da, b
+
+
+def _masks(rng, kind):
+    """``(mask, complement)`` of the 13 × 30 output for one masking case."""
+    if kind == "none":
+        return None, False
+    if kind.startswith("empty"):
+        return SpMat.empty(13, 30, WEIGHT), kind.endswith("complement")
+    return random_weight_spmat(rng, 13, 30, 0.5), kind == "complement"
+
+
+class TestStripProduct:
+    """The packed product gives every strip's product bit for bit and charges
+    each rank its strip's ops, in strip order."""
+
+    @pytest.mark.parametrize("route", KERNELS)
+    @pytest.mark.parametrize("spec", [BF, SPEC, PLUS], ids=["bf", "tropical", "plus"])
+    @pytest.mark.parametrize(
+        "masking", ["none", "mask", "complement", "empty", "empty-complement"]
+    )
+    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 300, 40], ids=["one", "groups", "cut"])
+    def test_equals_the_per_strip_products(self, rng, monkeypatch, route, spec, masking, chunk):
+        p = 16  # more strips than rows: some strips are empty by their splits
+        machine = Machine(p, faults="off", elastic="off", check="off", memory_words="off")
+        da, b = _strip_operands(rng, machine, spec)
+        mask, complement = _masks(rng, masking)
+        cuts = da.layout.row_splits.tolist()
+        # the executor's products run at the chunk the strips are grouped by
+        monkeypatch.setattr(executor, "spgemm", functools.partial(spgemm, chunk=chunk))
+        with kernel(route):
+            ref = [
+                spgemm(
+                    da.blocks[r][0],
+                    b,
+                    spec,
+                    mask=None if mask is None else axis_block(mask, 0, cuts[r], cuts[r + 1]),
+                    mask_complement=complement,
+                    chunk=chunk,
+                )
+                for r in range(p)
+            ]
+            charges = []
+            machine.charge_compute = lambda ranks, ops: charges.append((list(ranks), ops))
+            c, ops = _strip_product(
+                machine, da, b, spec, mask, complement, np.arange(p), chunk=chunk
+            )
+        assert any(blk.nnz == 0 for row in da.blocks for blk in row)
+        out = DistMat(machine, da.layout, c, spec.monoid)
+        for r, res in enumerate(ref):
+            assert_bits(out.blocks[r][0], res.matrix)
+            assert int(res.row_ops.sum()) == res.ops
+        assert charges == [([r], float(res.ops)) for r, res in enumerate(ref)]
+        assert ops == sum(res.ops for res in ref)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_one_kernel_call_per_product(self, rng, monkeypatch, masked):
+        p = 16
+        machine = Machine(p)
+        a, b, da, db = dist_pair(rng, machine, 40, 30, 30)
+        da = da.redistribute(Layout.even(_column(p), 40, 30))
+        calls = []
+        original = executor.spgemm
+        monkeypatch.setattr(
+            executor, "spgemm", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        mask = random_weight_spmat(rng, 40, 30, 0.5) if masked else None
+        c, _ = execute_plan(Plan(p, 1, 1, "B", "AB"), da, db, SPEC, mask=mask)
+        assert len(calls) == 1
+        assert c.gather(charge=False).equals(spgemm(a, b, SPEC, mask=mask).matrix)
 
 
 # ---------------------------------------------------------------------------
