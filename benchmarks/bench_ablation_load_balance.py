@@ -40,7 +40,7 @@ def block_imbalance(g) -> float:
     machine = Machine(P)
     home = np.arange(P).reshape(GRID, GRID)
     d = DistMat.distribute(g.adjacency(), machine, home, charge=False)
-    nnzs = np.array([[blk.nnz for blk in row] for row in d.blocks], dtype=float)
+    nnzs = np.array([[d.block(i, j).nnz for j in range(GRID)] for i in range(GRID)], dtype=float)
     return float(nnzs.max() / max(nnzs.mean(), 1e-12))
 
 

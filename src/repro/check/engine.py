@@ -220,10 +220,6 @@ class CheckedEngine:
         self._validate(out, "adjacency")
         return out
 
-    def register_invariant(self, mat) -> None:
-        self._validate(mat, "invariant")
-        self.engine.register_invariant(mat)
-
     def gather(self, mat) -> SpMat:
         out = self.engine.gather(mat)
         require_clean(check_spmat(out, site="gather"))

@@ -259,7 +259,7 @@ def check_distmat(
     schema = dmat.monoid.field_spec
     for i in range(pr):
         for j in range(pc):
-            blk = dmat.blocks[i][j]
+            blk = dmat.block(i, j)
             expect = layout.block_shapes[i][j]
             bsite = f"{site}.block[{i},{j}]"
             if blk.shape != expect:

@@ -35,8 +35,8 @@ class Engine(Protocol):
 
     Both engines implement the full protocol, so algorithm code never
     feature-tests its engine: ``spgemm`` always returns the
-    ``tuple[matrix, ops]`` pair, and ``register_invariant`` is always
-    callable (a no-op where there is nothing to amortize).
+    ``tuple[matrix, ops]`` pair.  ``adjacency`` is where an engine may pin
+    the loop-invariant operand whose replication it amortizes.
     """
 
     def matrix(
@@ -53,11 +53,6 @@ class Engine(Protocol):
 
     def adjacency(self, graph) -> object:
         """This engine's representation of ``graph``'s adjacency matrix."""
-        ...
-
-    def register_invariant(self, mat) -> None:
-        """Mark ``mat`` as loop-invariant so the engine may amortize work
-        that depends only on its identity (replication, transposes)."""
         ...
 
     def spgemm(
@@ -88,9 +83,6 @@ class SequentialEngine:
 
     def adjacency(self, graph) -> SpMat:
         return graph.adjacency()
-
-    def register_invariant(self, mat: SpMat) -> None:
-        """No-op: a single-node engine has no replication to amortize."""
 
     def spgemm(
         self,

@@ -12,11 +12,11 @@ Tile ``t = (i, j)`` (row-major grid order) owns the keys ``[off_t, off_t +
 h_t·w_t)`` (:attr:`Layout.offsets`), and an entry's key is ``off_t +
 local_row·w_t + local_col``; the packed ``SpMat`` has the matrix's shape, so
 on a ``p × 1`` strip layout its keys are the global keys ``row·ncols + col``
-and it *is* the matrix in global coordinates.  A packed matrix builds a
-block, as a view of its packed arrays, only where something reads it: read
-through :attr:`DistMat.blocks` (a 2D/3D plan step, a replica) it is cached;
-the one-pass readers — gather, redistribution, range extraction, transpose
-— build their blocks for that read only.  Elementwise
+and it *is* the matrix in global coordinates.  A tile is read one way,
+:meth:`DistMat.block`: the resident block, a spilled one faulted back in,
+or — on a packed matrix — a view of the packed arrays built for that read
+and not kept.  The one-pass readers (gather, redistribution, range
+extraction, transpose) read every tile through it once.  Elementwise
 operations (the CTF ``Transform``/``sparsify``/summation surface that MFBC's
 frontier logic uses) are one ``SpMat`` call on the packed operands —
 per-coordinate, so bit-identical to acting block by block — and are
@@ -101,56 +101,6 @@ class _MemCharge:
 
 def _release_charge(holder: _MemCharge) -> None:
     holder.release()
-
-
-class _LazyBlockRow:
-    """One row of a packed or spilled matrix's block grid; builds or faults
-    blocks in on read."""
-
-    __slots__ = ("_mat", "_i")
-
-    def __init__(self, mat: "DistMat", i: int) -> None:
-        self._mat = mat
-        self._i = i
-
-    def __len__(self) -> int:
-        return self._mat.grid_shape[1]
-
-    def __getitem__(self, j: int) -> SpMat:
-        return self._mat._block_at(self._i, j)
-
-    def __setitem__(self, j: int, blk: SpMat) -> None:
-        self._mat._set_block(self._i, j, blk)
-
-    def __iter__(self):
-        for j in range(len(self)):
-            yield self._mat._block_at(self._i, j)
-
-
-class _LazyBlocks:
-    """Drop-in view over ``DistMat.blocks`` of a packed matrix or one with
-    a spilled block.
-
-    Supports exactly the access patterns the codebase uses — ``[i][j]``
-    indexing, row iteration, ``len`` — building a packed matrix's blocks as
-    views on first read and transparently faulting spilled blocks back in
-    from the store (charging the unspill) on first touch.
-    """
-
-    __slots__ = ("_mat",)
-
-    def __init__(self, mat: "DistMat") -> None:
-        self._mat = mat
-
-    def __len__(self) -> int:
-        return self._mat.grid_shape[0]
-
-    def __getitem__(self, i: int) -> _LazyBlockRow:
-        return _LazyBlockRow(self._mat, i)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield _LazyBlockRow(self._mat, i)
 
 
 def even_splits(n: int, parts: int) -> np.ndarray:
@@ -329,7 +279,6 @@ class DistMat:
         "_memcharge",
         "_pk",
         "_tile_ends",
-        "_views",
         "_resident",
         "_spilled",
         "_spill_id",
@@ -373,13 +322,11 @@ class DistMat:
         self._replicas: dict | None = None
         self._source: SpMat | None = None
         #: the one resident form: ``_pk`` (packed; ``_tile_ends`` are its
-        #: tiles' entry boundaries, ``_views`` the blocks built from it so
-        #: far) or ``_resident``, the raw nested block list (a cell is
-        #: ``None`` while its block lives in the spill store, keyed in
-        #: ``_spilled``)
+        #: tiles' entry boundaries) or ``_resident``, the raw nested block
+        #: list (a cell is ``None`` while its block lives in the spill
+        #: store, keyed in ``_spilled``)
         self._pk: SpMat | None = packed
         self._tile_ends: np.ndarray | None = None
-        self._views: dict[tuple[int, int], SpMat] = {}
         self._resident = blocks
         self._spilled: dict[tuple[int, int], object] = {}
         self._spill_id: int | None = None
@@ -453,7 +400,7 @@ class DistMat:
         shipped: list[list[SpMat]] = [[] for _ in range(p)]
         for (i, j), owner in np.ndenumerate(self.layout.ranks2d):
             buddy = (int(owner) + policy.stride) % p
-            blk = self.blocks[i][j]
+            blk = self.block(i, j)
             replicas[(i, j)] = (buddy, payload_checksum(blk), blk)
             shipped[owner].append(blk)
         rep_charges: dict[int, int] = {}
@@ -509,7 +456,7 @@ class DistMat:
                     f"block ({i},{j}) lost with rank {owner}: no live "
                     f"replica and no retained source to rebuild from"
                 )
-            self.blocks[i][j] = blk
+            self._set_block(i, j, blk)
             stats["words"] += blk.words()
         self._cached_t = None
         return stats
@@ -519,7 +466,7 @@ class DistMat:
 
         Elastic recovery rebuilds an invariant matrix on the shrunken grid
         and adopts it into the original object, so long-lived references
-        (the MFBC driver's adjacency, the engine's invariant registry) stay
+        (the MFBC driver's adjacency, the engine's pinned adjacency) stay
         valid across the reconfiguration.
         """
         old_charge = self._memcharge
@@ -560,15 +507,6 @@ class DistMat:
     @property
     def ncols(self) -> int:
         return self.layout.shape[1]
-
-    @property
-    def blocks(self):
-        """The ``pr × pc`` grid of local-coordinate blocks (``[i][j]``, row
-        iteration, ``len``): the block list itself, or a lazy view when the
-        matrix is packed or a block has spilled."""
-        if self._pk is None and not self._spilled:
-            return self._resident
-        return _LazyBlocks(self)
 
     def _tile_meta(self) -> tuple[list[int], list[int]]:
         """``(nnz, words)`` of every tile, in row-major grid order, WITHOUT
@@ -627,7 +565,7 @@ class DistMat:
             layout = self.layout
             keys, vals = [], []
             for t, (i, j) in enumerate(np.ndindex(*self.grid_shape)):
-                blk = self._block_at(i, j)
+                blk = self.block(i, j)
                 if blk.nnz:
                     keys.append(blk.rows * blk.ncols + (blk.cols + layout.offsets[t]))
                     vals.append(blk.vals)
@@ -641,14 +579,6 @@ class DistMat:
             self._pk = pk
             self._resident = None
         return self._pk
-
-    def _view(self, i: int, j: int) -> SpMat:
-        """Block ``(i, j)`` of the packed form, built on first read and
-        cached."""
-        blk = self._views.get((i, j))
-        if blk is None:
-            blk = self._views[(i, j)] = self._slice(i, j)
-        return blk
 
     def _slice(self, i: int, j: int) -> SpMat:
         """Block ``(i, j)`` of the packed form, its value columns views of
@@ -664,21 +594,18 @@ class DistMat:
         vals = {name: col[lo:hi] for name, col in pk.vals.items()}
         return SpMat(h, w, rows, cols, vals, pk.monoid, canonical=True)
 
-    def _fresh_blocks(self):
-        """The block grid for one read: a packed matrix's blocks are built
-        for it and not cached, so they go when the reader drops them."""
-        if self._pk is None:
-            return self.blocks
+    def _grid(self) -> list[list[SpMat]]:
+        """Every block, read row by row: the grid a one-pass reader walks."""
         pr, pc = self.grid_shape
-        return [[self._slice(i, j) for j in range(pc)] for i in range(pr)]
+        return [[self.block(i, j) for j in range(pc)] for i in range(pr)]
 
     def _unpack(self) -> None:
         """Hold this matrix as its block grid (views of the packed form) from
         now on: the form per-block mutation works on."""
         if self._pk is not None:
             pr, pc = self.grid_shape
-            self._resident = [[self._view(i, j) for j in range(pc)] for i in range(pr)]
-            self._pk, self._tile_ends, self._views = None, None, {}
+            self._resident = [[self._slice(i, j) for j in range(pc)] for i in range(pr)]
+            self._pk, self._tile_ends = None, None
 
     def _like(self, packed: SpMat, monoid: Monoid | None = None) -> "DistMat":
         """A matrix on this layout holding ``packed``."""
@@ -707,16 +634,17 @@ class DistMat:
         except SpillError:
             return None
 
-    def _block_at(self, i: int, j: int) -> SpMat:
-        """The block at ``(i, j)``, faulting it in from the store if spilled.
+    def block(self, i: int, j: int) -> SpMat:
+        """The local-coordinate block ``(i, j)``: the one way to read a tile.
 
-        The unspill is charged against the owner rank's memory budget (which
-        may trigger relief-eviction of colder blocks) and ledger time before
-        the bytes are read back and CRC-verified.  A packed matrix's block is
-        its view.
+        A resident block is returned as held.  A spilled one is faulted in
+        from the store: the unspill is charged against the owner rank's
+        memory budget (which may trigger relief-eviction of colder blocks)
+        and ledger time before the bytes are read back and CRC-verified.  A
+        packed matrix builds a view of its packed arrays for this read.
         """
         if self._pk is not None:
-            return self._view(i, j)
+            return self._slice(i, j)
         blk = self._resident[i][j]
         if blk is not None:
             return blk
@@ -813,7 +741,7 @@ class DistMat:
         layout = self.layout
         strips = self._pk is not None and self.grid_shape[1] == 1
         if charge or not strips:
-            blocks = self._fresh_blocks()
+            blocks = self._grid()
         if charge:
             ranks, held = layout.by_owner(blocks)
             self.machine.group(ranks).gather(held)
@@ -892,8 +820,7 @@ class DistMat:
         if cached is not None:
             return cached
         pr, pc = self.grid_shape
-        grid = self._fresh_blocks()
-        blocks = [[grid[i][j].transpose() for i in range(pr)] for j in range(pc)]
+        blocks = [[self.block(i, j).transpose() for i in range(pr)] for j in range(pc)]
         out = DistMat(self.machine, self.layout.T, blocks, self.monoid)
         self._cached_t = out
         out._cached_t = weakref.ref(self)
@@ -925,7 +852,7 @@ class DistMat:
         # independent work; the pieces are merged in (i, j) order
         pc = self.grid_shape[1]
         sources = [divmod(t, pc) for t, nnz in enumerate(self._tile_meta()[0]) if nnz]
-        grid = self._fresh_blocks()
+        grid = self._grid()
         cuts = self.machine.executor.run_tasks(
             [
                 functools.partial(
@@ -978,14 +905,13 @@ class DistMat:
         start = (np.clip(lo, old[:-1], old[1:]) - old[:-1]).tolist()
         stop = (np.clip(hi, old[:-1], old[1:]) - old[:-1]).tolist()
         pr, pc = self.grid_shape
-        grid = self._fresh_blocks()
-        blocks = []
-        for i in range(pr):
-            row = []
-            for j in range(pc):
-                b = (i, j)[axis]
-                row.append(axis_block(grid[i][j], axis, start[b], stop[b]))
-            blocks.append(row)
+        blocks = [
+            [
+                axis_block(self.block(i, j), axis, start[(i, j)[axis]], stop[(i, j)[axis]])
+                for j in range(pc)
+            ]
+            for i in range(pr)
+        ]
         layout = Layout(self.layout.ranks2d, *splits)
         return DistMat(self.machine, layout, blocks, self.monoid)
 

@@ -10,13 +10,14 @@ persistence, §7.4).  A later product re-blocks an operand only onto a
 layout it is not already on, and an elementwise operation on two matrices
 that rest differently moves the one with fewer nonzeros.
 
-Loop-invariant operands — the adjacency matrix and its transpose, which
-every MFBC product reuses — are registered so the selector discounts their
-replication cost and the variant executor serves their replicas from a
-cache, reproducing the amortization in the proof of Theorem 5.1.  A graph's
-adjacency is distributed and registered once per engine: every later
-:meth:`DistributedEngine.adjacency` call for the same graph returns the
-same matrix, until :meth:`~DistributedEngine.release_invariants`.
+The loop-invariant operands are a graph's adjacency and its transpose,
+which every MFBC product reuses.  The engine pins them: the adjacency is
+distributed once per graph and every later :meth:`DistributedEngine.adjacency`
+call for the same graph returns the same matrix (its memoized transpose
+with it), until :meth:`~DistributedEngine.release_invariants`.  The selector
+discounts a pinned operand's replication cost and the variant executor
+serves its replicas from a cache, reproducing the amortization in the proof
+of Theorem 5.1.
 """
 
 from __future__ import annotations
@@ -80,14 +81,9 @@ class DistributedEngine:
         pr, pc = near_square_shape(machine.p)
         self.home_ranks2d = np.arange(machine.p).reshape(pr, pc)
         self._replication_cache: dict = {}
-        self._invariant_ids: set[int] = set()
-        # strong references keep invariant ids from being recycled by the GC
-        self._invariants: list[DistMat] = []
-        # the registered base matrices (not their transposes): what elastic
-        # recovery repairs and rebuilds on the survivor grid
-        self._invariant_bases: list[DistMat] = []
-        # id(graph) -> (graph, its pinned adjacency); holding the graph keeps
-        # its id from being recycled while the entry lives
+        # the loop invariants: id(graph) -> (graph, its pinned adjacency),
+        # which holds its memoized transpose; holding the graph keeps its id
+        # from being recycled while the entry lives
         self._adjacency: dict[int, tuple[object, DistMat]] = {}
         #: plans chosen per product, newest last (diagnostics / tests)
         self.plan_log: list = []
@@ -107,7 +103,7 @@ class DistributedEngine:
         return DistMat.distribute(local, self.machine, self.home_ranks2d)
 
     def adjacency(self, graph) -> DistMat:
-        """``graph``'s adjacency, distributed and registered on first use.
+        """``graph``'s adjacency, distributed and pinned on first use.
 
         Every later call for the same graph object returns the same matrix
         (elastic recovery rebuilds it in place), so queries and drivers
@@ -122,35 +118,32 @@ class DistributedEngine:
             self.home_ranks2d,
             redundancy=self.machine.elastic,
         )
-        self.register_invariant(mat)
         self._adjacency[id(graph)] = (graph, mat)
+        self._pin(mat)
         return mat
 
-    def register_invariant(self, mat: DistMat) -> None:
-        """Mark ``mat`` (and its memoized transpose) as loop-invariant."""
-        self._invariants.extend([mat, mat.transpose()])
-        self._invariant_bases.append(mat)
-        self._invariant_ids.add(id(mat))
-        self._invariant_ids.add(id(mat.transpose()))
-        # invariants are the long-lived resting state: exactly what the
-        # memory manager should evict to the spill store under pressure
+    def _pin(self, mat: DistMat) -> None:
+        """Build pinned ``mat``'s memoized transpose and make both spillable:
+        the long-lived resting state is exactly what the memory manager
+        should evict to the spill store under pressure."""
+        mat_t = mat.transpose()
         memory = getattr(self.machine, "memory", None)
         if memory is not None:
             memory.register(mat)
-            memory.register(mat.transpose())
+            memory.register(mat_t)
+
+    def _pinned(self, mat: DistMat) -> bool:
+        """Whether ``mat`` is a pinned adjacency or its transpose."""
+        return any(mat is adj or mat is adj.transpose() for _, adj in self._adjacency.values())
 
     def release_invariants(self) -> None:
-        """Forget every pinned adjacency, registered loop-invariant operand
-        and replica.
+        """Forget every pinned adjacency, its replicas and its redundancy.
 
         The serving layer calls this when the served graph is replaced: the
         old adjacency, its replication cache and its elastic redundancy
         would otherwise be kept alive across graph versions.
         """
         self._adjacency.clear()
-        self._invariants.clear()
-        self._invariant_bases.clear()
-        self._invariant_ids.clear()
         self._replication_cache.clear()
 
     def spgemm(
@@ -180,10 +173,7 @@ class DistributedEngine:
         if memory is not None:
             memory.touch(a)
             memory.touch(b)
-        amortized = frozenset(
-            (["A"] if id(a) in self._invariant_ids else [])
-            + (["B"] if id(b) in self._invariant_ids else [])
-        )
+        amortized = frozenset(name for name, mat in (("A", a), ("B", b)) if self._pinned(mat))
         with obs.span(
             "spgemm",
             cat="spgemm",
@@ -204,7 +194,7 @@ class DistributedEngine:
                 amortized=amortized,
             )
             self.plan_log.append(plan)
-            # Serve replicas from the cache only for invariant operands:
+            # Serve replicas from the cache only for pinned operands:
             # frontier matrices are freed every iteration and Python may
             # recycle their ids, so caching them would risk stale hits (and
             # buys nothing).
@@ -242,7 +232,7 @@ class DistributedEngine:
         on the next product, mirroring a restarted rank that lost its
         copies).  Memory accounting is left alone: the failed attempt's
         blocks were released by their finalizers before the retry starts,
-        and what stays charged — registered invariants and the matrices the
+        and what stays charged — the pinned adjacency and the matrices the
         driver still holds — is still resident, the durable inputs a
         restart would reload.
         """
@@ -253,10 +243,11 @@ class DistributedEngine:
     def recover_from(self, failure):
         """Elastic recovery: shrink onto the survivors of ``failure``.
 
-        Repairs the dead ranks' invariant blocks (checksummed replicas,
-        falling back to source re-materialization), shrinks the machine to
-        the nearest grid the selection policy can run on, rebuilds the home
-        layout and every registered invariant there, and returns the
+        Repairs the dead ranks' blocks of every pinned adjacency
+        (checksummed replicas, falling back to source re-materialization),
+        shrinks the machine to the nearest grid the selection policy can run
+        on, rebuilds the home layout and every pinned adjacency there, and
+        returns the
         :class:`~repro.elastic.RecoveryReport`.  Requires
         ``machine.elastic``; raises
         :class:`~repro.elastic.RecoveryError` when reconstruction is

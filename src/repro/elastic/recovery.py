@@ -14,7 +14,7 @@ elastic design:
    ranks outside the shrunken communicator).  :meth:`Machine.shrink
    <repro.machine.machine.Machine.shrink>` compacts the ledger onto the
    survivor numbering.
-3. **Repair + rebuild** — every registered invariant matrix repairs its
+3. **Repair + rebuild** — every pinned adjacency repairs its
    lost blocks in place (checksummed buddy replicas first, source
    re-materialization as fallback) and is gathered, uncharged, while the
    old numbering holds; after the shrink each is re-scattered onto the new
@@ -139,7 +139,7 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
         # it) is still in force: a block the memory manager spilled faults
         # back in on its old owner, which the shrink may retire
         blocks_replica = blocks_source = words_restored = 0
-        bases = list(engine._invariant_bases)
+        bases = [adj for _, adj in engine._adjacency.values()]
         repaired = []
         for mat in bases:
             stats = mat.repair_lost(dead)
@@ -156,14 +156,11 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
         pr, pc = near_square_shape(p_target)
         engine.home_ranks2d = np.arange(p_target).reshape(pr, pc)
 
-        # 3b. rebuild every invariant on the survivor grid.  The repaired
-        # global matrix is re-scattered (one collective, charged as
+        # 3b. rebuild every pinned adjacency on the survivor grid.  The
+        # repaired global matrix is re-scattered (one collective, charged as
         # category "recovery") and redundancy is re-established for the
         # new grid — both paid for, so post-recovery ledger invariants
         # hold without special-casing.
-        engine._invariants.clear()
-        engine._invariant_ids.clear()
-        engine._invariant_bases.clear()
         for mat, whole in zip(bases, repaired):
             # the scatter (category "recovery") and the re-armed redundancy
             # for the new grid (category "redundancy") are both charged,
@@ -176,7 +173,7 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
                 redundancy=machine.elastic,
             )
             mat._adopt(rebuilt)
-            engine.register_invariant(mat)
+            engine._pin(mat)
 
         # 4. resume: fresh caches, rescaled policy
         engine._replication_cache.clear()

@@ -538,26 +538,20 @@ class CostEstimator:
             rate = self._baseline_per_source()
         return self.units(algorithm, params) * rate
 
-    def estimate_memory_words(
-        self, algorithm: str, params: dict, *, width: float | None = None
-    ) -> float:
-        """Modeled per-rank peak words for the sweep answering this query.
+    def estimate_memory_words(self) -> float:
+        """Modeled per-rank peak words of a width-1 sweep: the floor the
+        memory ladder can shrink any query's sweep down to.
 
         Theorem 5.1's memory form: the resting adjacency footprint
         ``M = O(c·m/p)`` plus the ``n·n_b/p`` frontier/score working set
-        of an ``n_b``-wide batch.  ``width`` defaults to the query's
-        source-sweep units (clamped to ``n``); pass ``width=1`` for the
-        floor the memory ladder can shrink a sweep down to.
+        of an ``n_b``-wide batch, at ``n_b = 1``.
         """
         from repro.analysis.theory import mfbc_memory_words
 
         with self._lock:
             n, m = self._n, self._m
         p = max(int(self.machine.p), 1)
-        if width is None:
-            width = self.units(algorithm, params)
-        nb = min(max(float(width), 1.0), float(max(n, 1)))
-        return mfbc_memory_words(n, m, p) + n * nb / p
+        return mfbc_memory_words(n, m, p) + n / p
 
     def observe(
         self, algorithm: str, units: float, modeled_seconds: float

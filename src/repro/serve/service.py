@@ -318,7 +318,7 @@ class BCService:
         infeasible = None
         budget = self.machine.memory_words
         if budget is not None:
-            floor = self.estimator.estimate_memory_words(algorithm, params, width=1)
+            floor = self.estimator.estimate_memory_words()
             if floor > budget:
                 # not even a width-1 sweep fits the per-rank budget: the shrink
                 # rung has nothing left to narrow, so fail fast

@@ -259,7 +259,7 @@ def _exec_1d(
         )
         return DistMat(machine, Layout.even(grid, size["m"], size["n"]), c, spec.monoid), total_ops
     for name, dm in blocked.items():
-        local[name] = [blk for row in dm.blocks for blk in row]
+        local[name] = [dm.block(i, j) for i, j in np.ndindex(*dm.grid_shape)]
     # each rank's output frame is its strip of C along d, so it sees the
     # matching slice of the mask.  When C is the mover every rank forms a
     # full-shape partial and masks with the full mask; the masked ops total
@@ -425,11 +425,20 @@ def _exec_2d(
         name: _onto(mats[name], ranks2d.T if flipped[name] else ranks2d)
         for name in sorted(mats, key=lambda name: name != s)
     }
-    #: resting[name][i][j]: the block of operand ``name`` on ``ranks2d[i, j]``
-    resting = {
-        name: list(zip(*dm.blocks)) if flipped[name] else dm.blocks
-        for name, dm in rest.items()
-    }
+
+    def reader(dm: DistMat, flip: int):
+        """Block ``(i, j)`` of ``dm`` as it rests on ``ranks2d[i, j]``.  A
+        flipped operand's blocks are read here, column by column; any other
+        operand's when a step reads them (the order decides when a spilled
+        block faults in)."""
+        if not flip:
+            return dm.block
+        pr_t, pc_t = dm.grid_shape
+        cols = [[dm.block(i, j) for i in range(pr_t)] for j in range(pc_t)]
+        return lambda i, j: cols[i][j]
+
+    #: resting[name](i, j): the block of operand ``name`` on ``ranks2d[i, j]``
+    resting = {name: reader(dm, flipped[name]) for name, dm in rest.items()}
 
     #: the grid axis each mover travels along: the one its walked dimension
     #: is blocked over
@@ -474,7 +483,7 @@ def _exec_2d(
         """What ``ranks2d[i, j]`` multiplies: its resting block of the
         stationary operand, its line's piece of a moving one."""
         if name == s:
-            return resting[name][i][j]
+            return resting[name](i, j)
         return pieces[name][(j, i)[along[name]]]
 
     for t in range(lcm):
@@ -489,7 +498,7 @@ def _exec_2d(
             for line, group in enumerate(lines):
                 i, j = cell(axis, line, root)
                 piece = axis_block(
-                    resting[name][i][j], _DIMS[name].index(w), lo, lo + width
+                    resting[name](i, j), _DIMS[name].index(w), lo, lo + width
                 )
                 if piece.nnz:
                     piece = group.bcast(piece, root=root)
@@ -562,17 +571,16 @@ def _exec_3d(
     def replicate() -> list[DistMat]:
         """One copy of operand X per layer; broadcast charged once per fiber."""
         ref = _onto(mats[x], layers[0])
-        # fiber broadcasts: each (i, j) position's block travels to the
-        # p1 ranks {ranks3d[:, i, j]} — the W_X(X[p2, p3]) term.
-        blocks = [
-            [
-                machine.group(ranks3d[:, i, j]).bcast(blk, category="replicate")
-                if blk.nnz
-                else blk
-                for j, blk in enumerate(row)
-            ]
-            for i, row in enumerate(ref.blocks)
-        ]
+
+        def fiber(i: int, j: int) -> SpMat:
+            """Block ``(i, j)``, read just before it travels to the p1 ranks
+            {ranks3d[:, i, j]} — the W_X(X[p2, p3]) term."""
+            blk = ref.block(i, j)
+            if not blk.nnz:
+                return blk
+            return machine.group(ranks3d[:, i, j]).bcast(blk, category="replicate")
+
+        blocks = [[fiber(i, j) for j in range(p3)] for i in range(p2)]
         splits = ref.layout.row_splits, ref.layout.col_splits
         return [ref] + [
             DistMat(machine, Layout(layers[l], *splits), [list(row) for row in blocks], ref.monoid)
@@ -614,10 +622,10 @@ def _exec_3d(
         row = []
         for j in range(p3):
             acc = machine.group(ranks3d[:, i, j]).sparse_reduce(
-                [_nonempty(c_l.blocks[i][j]) for c_l in outs],
+                [_nonempty(c_l.block(i, j)) for c_l in outs],
                 SpMat.combine,
             )
-            row.append(base.blocks[i][j] if acc is None else acc)
+            row.append(base.block(i, j) if acc is None else acc)
         out_blocks.append(row)
     return DistMat(machine, base.layout, out_blocks, monoid), total_ops
 
@@ -636,9 +644,17 @@ def _stack(outs: list[DistMat], axis: int, cuts: np.ndarray) -> DistMat:
         [(lay.row_splits, lay.col_splits)[axis][:-1] + lo for lay, lo in zip(layouts, cuts)]
         + [cuts[-1:]]
     )
-    layout = Layout(np.concatenate([lay.ranks2d for lay in layouts], axis=axis), *splits)
+    ranks2d = np.concatenate([lay.ranks2d for lay in layouts], axis=axis)
     if axis == 0:
-        blocks = [list(row) for c_l in outs for row in c_l.blocks]
+        blocks = [
+            [c_l.block(i, j) for j in range(ranks2d.shape[1])]
+            for c_l in outs
+            for i in range(c_l.grid_shape[0])
+        ]
     else:
-        blocks = [[blk for c_l in outs for blk in c_l.blocks[i]] for i in range(len(splits[0]) - 1)]
+        blocks = [
+            [c_l.block(i, j) for c_l in outs for j in range(c_l.grid_shape[1])]
+            for i in range(ranks2d.shape[0])
+        ]
+    layout = Layout(ranks2d, *splits)
     return DistMat(outs[0].machine, layout, blocks, outs[0].monoid)

@@ -290,7 +290,7 @@ def assert_distributed(d: DistMat, mat: SpMat) -> None:
     pr, pc = d.grid_shape
     for i in range(pr):
         for j in range(pc):
-            assert_canonical(d.blocks[i][j], mat.block(*d.layout.bounds(i, j)))
+            assert_canonical(d.block(i, j), mat.block(*d.layout.bounds(i, j)))
     assert_canonical(d.gather(charge=False), mat)
 
 
@@ -345,8 +345,8 @@ def test_stack(mat, by_rows, data):
     out = _stack(outs, axis, cuts)
     assert_distributed(out, mat)
     assert machine.ledger.total_words == 0
-    held = [blk for c_l in outs for row in c_l.blocks for blk in row]
-    assert all(any(blk is h for h in held) for row in out.blocks for blk in row)
+    held = [c_l.block(*ij) for c_l in outs for ij in np.ndindex(*c_l.grid_shape)]
+    assert all(any(out.block(*ij) is h for h in held) for ij in np.ndindex(*out.grid_shape))
 
 
 # -- structural regression: the property cannot silently rot -------------------

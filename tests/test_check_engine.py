@@ -219,15 +219,15 @@ class TestMutationCatch:
 
         def corrupting(*args, **kwargs):
             out, ops = real(*args, **kwargs)
-            for row in out.blocks:
-                for j, blk in enumerate(row):
-                    if blk.nnz:
-                        vals = {k: v.copy() for k, v in blk.vals.items()}
-                        vals["w"][0] += 1.0
-                        row[j] = SpMat(
-                            blk.nrows, blk.ncols, blk.rows, blk.cols, vals, blk.monoid
-                        )
-                        return out, ops
+            for i, j in np.ndindex(*out.grid_shape):
+                blk = out.block(i, j)
+                if blk.nnz:
+                    vals = {k: v.copy() for k, v in blk.vals.items()}
+                    vals["w"][0] += 1.0
+                    out._set_block(
+                        i, j, SpMat(blk.nrows, blk.ncols, blk.rows, blk.cols, vals, blk.monoid)
+                    )
+                    return out, ops
             return out, ops
 
         monkeypatch.setattr(variants, "execute_plan", corrupting)

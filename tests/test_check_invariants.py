@@ -156,16 +156,16 @@ class TestCheckDistmat:
 
     def test_block_shape_mismatch(self):
         d = self._dist()
-        d.blocks[0][0] = SpMat.empty(1, 1, W)
+        d._set_block(0, 0, SpMat.empty(1, 1, W))
         assert "shape" in _rules(check_distmat(d))
 
     def test_noncanonical_block_surfaces_with_block_site(self):
         d = self._dist()
-        blk = d.blocks[1][1]
+        blk = d.block(1, 1)
         bad = _raw_spmat(
             blk.nrows, blk.ncols, [0, 0], [1, 1], {"w": [1.0, 2.0]}
         )
-        d.blocks[1][1] = bad
+        d._set_block(1, 1, bad)
         out = check_distmat(d)
         assert "unique" in _rules(out)
         assert any("block[1,1]" in v.site for v in out)
@@ -180,7 +180,7 @@ class TestCheckDistmat:
     def test_check_matrix_dispatches(self):
         d = self._dist()
         assert check_matrix(d) == []
-        assert check_matrix(d.blocks[0][0]) == []
+        assert check_matrix(d.block(0, 0)) == []
         assert _rules(check_matrix(object())) == {"type"}
 
 

@@ -155,8 +155,8 @@ def test_variant_classes_agree_across_kernels(seed, plan):
     def run(mode):
         machine = Machine(4)
         engine = DistributedEngine(machine, policy=PinnedPolicy(plan))
-        adj = engine.matrix(n, n, ar, ac, {"w": aw}, W)
-        engine.register_invariant(adj)
+        # pinned, so the amortized replication path stays exercised
+        adj = engine.adjacency(Graph(n, ar, ac, aw, directed=True))
         f = engine.matrix(
             len(srcs),
             n,

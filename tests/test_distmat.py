@@ -131,9 +131,9 @@ class TestDistributeGather:
         mat = random_weight_spmat(rng, 10, 10, 0.3)
         machine = Machine(4)
         d = DistMat.distribute(mat, machine, home_grid(4))
-        wrong = d.blocks[0][0].block(0, 2, 0, 2)  # too small for its slot
+        wrong = d.block(0, 0).block(0, 2, 0, 2)  # too small for its slot
         with pytest.raises(ValueError, match="shape"):
-            DistMat(machine, d.layout, [[wrong, d.blocks[0][1]], d.blocks[1]], W)
+            DistMat(machine, d.layout, [[wrong, d.block(0, 1)], [d.block(1, 0), d.block(1, 1)]], W)
 
     def test_memory_accounting(self, rng):
         mat = random_weight_spmat(rng, 20, 20, 0.5)
@@ -142,7 +142,7 @@ class TestDistributeGather:
         held = [machine.memory_used(r) for r in range(4)]
         assert sum(held) == d.words()
         for (i, j), owner in np.ndenumerate(d.layout.ranks2d):
-            assert held[owner] == d.blocks[i][j].words()
+            assert held[owner] == d.block(i, j).words()
 
 
 class TestRedistribute:
@@ -428,7 +428,7 @@ class TestPackedElementwise:
                 for j in range(pc):
                     bounds = layout.bounds(i, j)
                     want = on_blocks(a.block(*bounds), b.block(*bounds))
-                    assert_bits(out.blocks[i][j], want)
+                    assert_bits(out.block(i, j), want)
                     owner = int(layout.ranks2d[i, j])
                     if want.words():
                         charged[owner] = charged.get(owner, 0) + want.words()
@@ -444,7 +444,6 @@ class TestPackedElementwise:
         )
         assert_bits(d.packed(), mat)
         assert d.gather(charge=False) is d.packed()  # no merge on strips
-        assert d.blocks[1][0] is d.blocks[1][0]  # a view is built once
 
     def test_block_assignment_unpacks(self, rng):
         mat = random_weight_spmat(rng, 12, 12, 0.4)
@@ -452,8 +451,8 @@ class TestPackedElementwise:
         d = DistMat.distribute(mat, machine, home_grid(4))
         d.packed()
         empty = SpMat.empty(*d.layout.block_shapes[0][0], W)
-        d.blocks[0][0] = empty
-        assert d.blocks[0][0] is empty
+        d._set_block(0, 0, empty)
+        assert d.block(0, 0) is empty
         assert d.nnz == mat.nnz - mat.block(*d.layout.bounds(0, 0)).nnz
 
     def test_packed_shape_validated(self, rng):
@@ -486,14 +485,15 @@ class TestPackedStructure:
         )
         packed = DistMat(machine, layout, blocked.packed(), monoid)
         assert_bits(packed.gather(charge=False), mat)
-        blocked = DistMat(machine, layout, [list(row) for row in packed.blocks], monoid)
+        pr, pc = layout.ranks2d.shape
+        grid = [[packed.block(i, j) for j in range(pc)] for i in range(pr)]
+        blocked = DistMat(machine, layout, grid, monoid)
         extract = ("extract_row_range", "extract_col_range")[axis]
         got = getattr(packed, extract)(lo, hi)
         want = getattr(blocked, extract)(lo, hi)
         assert got.layout == want.layout
-        for got_row, want_row in zip(got.blocks, want.blocks):
-            for got_blk, want_blk in zip(got_row, want_row):
-                assert_bits(got_blk, want_blk)
+        for i, j in np.ndindex(pr, pc):
+            assert_bits(got.block(i, j), want.block(i, j))
         assert got._memcharge.charged == want._memcharge.charged
 
 

@@ -413,9 +413,10 @@ class TestRecoveryDifferential:
         assert m.p == 3 and len(m.recoveries) == 1
         assert_fired(m)
         held = np.zeros(m.p, dtype=np.int64)
-        for mat in eng._invariants:
+        pinned = [m for _, adj in eng._adjacency.values() for m in (adj, adj.transpose())]
+        for mat in pinned:
             for (i, j), owner in np.ndenumerate(mat.layout.ranks2d):
-                held[owner] += mat.blocks[i][j].words()
+                held[owner] += mat.block(i, j).words()
             for buddy, _crc, rep in (mat._replicas or {}).values():
                 held[buddy] += rep.words()
         assert held.min() > 0

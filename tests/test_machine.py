@@ -397,7 +397,3 @@ class TestEngineProtocol:
         assert isinstance(SequentialEngine(), Engine)
         assert isinstance(DistributedEngine(Machine(2)), Engine)
 
-    def test_sequential_register_invariant_is_noop(self, rng):
-        eng = SequentialEngine()
-        mat = random_weight_spmat(rng, 5, 5, 0.5)
-        assert eng.register_invariant(mat) is None

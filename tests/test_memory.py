@@ -323,6 +323,40 @@ class TestPressuredRuns:
             run_mfbc(g, machine)
 
 
+class TestRestingReadOrder:
+    """When a 2D plan step reads its resting operands' tiles.  A flipped
+    operand (one resting on the transposed grid) is read up front, column by
+    column; any other when a step reads it.  Under a budget that order
+    decides when a spilled tile of the pinned adjacency faults in, so it
+    moves the modeled clock: reading every operand lazily moves BC's time,
+    reading every operand up front moves AB's."""
+
+    @pytest.mark.parametrize(
+        "variant, time, words, reliefs, relieved",
+        [
+            ("2D-AB(2x2)", 0.009757848249999963, 336345.0, 30, 16500),
+            ("2D-BC(2x2)", 0.008896649749999985, 375605.0, 26, 15933),
+        ],
+    )
+    def test_budgeted_2d_ledger(self, tmp_path, variant, time, words, reliefs, relieved):
+        from repro.spgemm import PinnedPolicy
+        from repro.spgemm.selector import enumerate_plans
+
+        (plan,) = [p for p in enumerate_plans(4) if p.describe() == variant]
+        machine = Machine(
+            4, memory_words=4500, faults="off", elastic="off", check="off",
+            spill_dir=str(tmp_path),
+        )
+        engine = DistributedEngine(machine, policy=PinnedPolicy(plan))
+        g = rmat_graph(7, 8, seed=np.random.default_rng(3))
+        mfbc(g, batch_size=16, sources=np.arange(32), engine=engine)
+        snap = machine.ledger.snapshot()
+        memory = machine.memory.snapshot()
+        assert (snap["time"], snap["words"]) == (time, words)
+        assert machine.memory_peak() == 4498
+        assert (memory["reliefs"], memory["relieved_words"]) == (reliefs, relieved)
+
+
 # ---------------------------------------------------------------------------
 # one ladder for every driver: the budget table, and rungs that compose
 # ---------------------------------------------------------------------------

@@ -110,14 +110,14 @@ class TestPinnedAdjacency:
         assert engine.adjacency(graph) is adj
         assert machine.ledger.snapshot() == charged  # a hit moves nothing
         mfbc(graph, batch_size=15, engine=engine, max_batches=1)
-        assert engine.adjacency(graph) is adj and len(engine._invariants) == 2
+        assert engine.adjacency(graph) is adj and len(engine._adjacency) == 1
 
     def test_release_forgets_the_pinned_adjacency(self, graph):
         engine = DistributedEngine(Machine(4, faults="off", elastic="off", check="off"))
         adj = engine.adjacency(graph)
         engine.release_invariants()
         assert engine.adjacency(graph) is not adj
-        assert len(engine._invariants) == 2
+        assert len(engine._adjacency) == 1
 
 
 class TestEveryVariantEndToEnd:

@@ -344,15 +344,11 @@ class TestEstimator:
         from repro.machine.machine import Machine
 
         est = CostEstimator(Machine(4), graph)
-        floor = est.estimate_memory_words("bc_source", {"source": 0}, width=1)
+        floor = est.estimate_memory_words()
         # the estimator's m is the adjacency nnz (2m when undirected)
         assert floor == pytest.approx(
             mfbc_memory_words(est._n, est._m, 4) + graph.n / 4
         )
-        full = est.estimate_memory_words("bc", {})
-        # the n x nb working set grows with the batch width, the m/p term
-        # is width-independent
-        assert full - floor == pytest.approx(graph.n * (graph.n - 1) / 4)
 
 
 class TestServiceOverload:

@@ -355,13 +355,13 @@ class TestPinnedAdjacency:
                 svc.result(svc.submit(algorithm, **params), timeout=120.0)
                 used.append(machine.memory_used())
                 inputs.append(machine.ledger.category_words["input"])
-            pinned = len(svc.engine._invariants)
+            pinned = len(svc.engine._adjacency)
             svc.update_graph(rmat_graph(7, 8, seed=1))
-            released = (len(svc.engine._invariants), machine.memory_used())
+            released = (len(svc.engine._adjacency), machine.memory_used())
         assert used == [used[0]] * len(queries)
         # each query scatters its frontier seeds as input, never the graph again
         assert max(np.diff(inputs)) < adjacency_words
-        assert pinned == 2  # the adjacency and its transpose
+        assert pinned == 1  # one graph: its adjacency (and memoized transpose)
         assert released == (0, 0)
 
 

@@ -231,7 +231,7 @@ class TestStripProduct:
         with kernel(route):
             ref = [
                 spgemm(
-                    da.blocks[r][0],
+                    da.block(r, 0),
                     b,
                     spec,
                     mask=None if mask is None else axis_block(mask, 0, cuts[r], cuts[r + 1]),
@@ -245,10 +245,10 @@ class TestStripProduct:
             c, ops = _strip_product(
                 machine, da, b, spec, mask, complement, np.arange(p), chunk=chunk
             )
-        assert any(blk.nnz == 0 for row in da.blocks for blk in row)
+        assert any(da.block(r, 0).nnz == 0 for r in range(p))
         out = DistMat(machine, da.layout, c, spec.monoid)
         for r, res in enumerate(ref):
-            assert_bits(out.blocks[r][0], res.matrix)
+            assert_bits(out.block(r, 0), res.matrix)
             assert int(res.row_ops.sum()) == res.ops
         assert charges == [([r], float(res.ops)) for r, res in enumerate(ref)]
         assert ops == sum(res.ops for res in ref)
