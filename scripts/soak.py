@@ -41,7 +41,7 @@ Run the CI smoke configuration::
 
     python scripts/soak.py --duration 60 --factor 4 \
         --faults "seed:3,crash@25:1,corrupt@60,corrupt@400,checksum:1,tear:0.05,limit:6" \
-        --elastic replica --check cheap --memory-words 30000
+        --elastic on --check cheap --memory-words 30000
 
 ``--memory-words`` arms memory pressure under the storm: the soak service
 runs inside a per-rank budget (with ``tear:RATE`` injecting torn

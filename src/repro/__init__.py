@@ -75,12 +75,7 @@ from repro.core import (
     mfbr,
 )
 from repro.dist import DistMat, DistributedEngine
-from repro.elastic import (
-    ElasticPolicy,
-    RecoveryError,
-    RecoveryReport,
-    resolve_elastic,
-)
+from repro.elastic import RecoveryError, RecoveryReport, resolve_elastic
 from repro.faults import (
     CheckpointStore,
     CorruptCheckpoint,
@@ -193,7 +188,6 @@ __all__ = [
     "NpzCheckpointStore",
     "resolve_checkpoint_store",
     # elastic recovery
-    "ElasticPolicy",
     "resolve_elastic",
     "RecoveryError",
     "RecoveryReport",

@@ -20,7 +20,7 @@ Examples
         --checkpoint run.ckpt.json
     python -m repro trace g.txt --p 16 -o trace.json
     python -m repro trace g.txt --p 16 --faults seed:0,straggle:0.2
-    python -m repro serve g.txt --p 16 --port 8734 --elastic replica
+    python -m repro serve g.txt --p 16 --port 8734 --elastic on
     python -m repro info g.txt
 
 The run flags (``--faults``, ``--check``, ``--elastic``,
@@ -520,10 +520,7 @@ def _print_recovery_summary(machine) -> None:
     for rep in getattr(machine, "recoveries", ()):
         print(
             f"recovery          : p {rep.p_before} -> {rep.p_after}; "
-            f"dead={list(rep.dead)} retired={list(rep.retired)}; "
-            f"blocks repaired: {rep.blocks_replica} replica, "
-            f"{rep.blocks_source} source "
-            f"({rep.words_restored:.0f} words)"
+            f"dead={list(rep.dead)} retired={list(rep.retired)}"
         )
 
 

@@ -78,9 +78,10 @@ KNOBS: dict[str, Knob] = {
             "(off: the current directory)",
         ),
         Knob(
-            "elastic", "REPRO_ELASTIC", "--elastic", "POLICY",
-            "replica | replica:STRIDE | source",
-            "in-flight rank-failure recovery (docs/robustness.md)",
+            "elastic", "REPRO_ELASTIC", "--elastic", "MODE",
+            "on",
+            "in-flight rank-failure recovery: rebuild the pinned adjacency "
+            "from its graph on the survivors (docs/robustness.md)",
         ),
         Knob(
             "memory_words", "REPRO_MEMORY", "--memory-words", "WORDS",

@@ -10,7 +10,7 @@ row with what each rung costs and why it is exact.
 
 Only ``retry`` burns retry budget.  Memory pressure is relieved before
 the ladder sees it: the allocation that would overflow evicts the
-pressured rank's cold blocks and replicas to the spill store
+pressured rank's cold blocks to the spill store
 (:meth:`~repro.memory.MemoryManager.relieve`), so a
 :class:`~repro.machine.MemoryLimitExceeded` that reaches the ladder means
 that rank has nothing spillable left.  The one memory rung then narrows
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.elastic import RecoveryError
 from repro.faults.plan import DeadlineExceeded, FaultError, RankFailure, note
 from repro.machine.machine import MemoryLimitExceeded
 
@@ -157,9 +158,6 @@ class RecoveryLadder:
             or not hasattr(engine, "recover_from")
         ):
             return False
-        # deferred import: the coordinator pulls in repro.dist
-        from repro.elastic.recovery import RecoveryError
-
         try:
             report = engine.recover_from(exc)
         except RecoveryError as err:

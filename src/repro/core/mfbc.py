@@ -22,10 +22,11 @@ A batch that fails — an injected :class:`~repro.faults.FaultError`, or
 answered by the one recovery ladder (:mod:`repro.core.ladder`): narrow the
 sweep, never the batch (bit-identical; the overflowing allocation has
 already evicted what the pressured rank could spill), recover elastically
-from a :class:`~repro.faults.RankFailure` when the machine carries an
-:class:`~repro.elastic.ElasticPolicy` (only the interrupted batch
-re-executes on the survivors; never burns a retry), then retry up to
-``retries`` times with backoff charged to the machine's modeled clock.
+from a :class:`~repro.faults.RankFailure` when the machine has elastic
+recovery on (the pinned adjacency is rebuilt from the graph on the
+survivors and only the interrupted batch re-executes; never burns a
+retry), then retry up to ``retries`` times with backoff charged to the
+machine's modeled clock.
 :class:`~repro.faults.DeadlineExceeded` is terminal by design.  See
 docs/robustness.md, "The recovery ladder".
 """

@@ -7,8 +7,8 @@ stores, placed by one :class:`~repro.dist.distmat.Layout` value (rank grid
 + block boundaries), and every movement is a
 :class:`~repro.machine.collectives.Group` collective on the blocks that
 move — ``distribute`` a ``scatter``, ``gather`` a ``gather``,
-``redistribute`` an ``alltoall``, replica installation a ``shift`` — so
-the α-β ledger is charged with the real traffic.
+``redistribute`` an ``alltoall`` — so the α-β ledger is charged with the
+real traffic.
 
 :class:`~repro.dist.engine.DistributedEngine` implements the MFBC engine
 protocol on top: generalized products run through the CTF-style algorithm

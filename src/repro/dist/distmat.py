@@ -22,8 +22,8 @@ frontier logic uses) are one ``SpMat`` call on the packed operands —
 per-coordinate, so bit-identical to acting block by block — and are
 communication-free whenever the operands are co-distributed; when they are
 not, the operand with fewer nonzeros moves onto the other's layout.  Per-block
-mutation — spilling, repair, assignment — works on the block form, which a
-packed matrix turns into first.
+mutation — spilling, assignment — works on the block form, which a packed
+matrix turns into first.
 
 The paper's load-balance assumption (§5.2, balls-into-bins after random
 vertex relabeling) is what makes these oblivious even splits balanced.
@@ -50,21 +50,27 @@ _SPILL_IDS = itertools.count()
 
 
 class _MemCharge:
-    """One matrix's memory-accounting ownership: what it charged where.
+    """One matrix's resources: what it charged where, and its spilled
+    segments.
 
     Shared between the matrix and its GC finalizer, so blocks freed early
     (spilled) are not freed again at collection and an adopted matrix can
-    take over its donor's charges.  Charges from before a machine
+    take over its donor's charges.  Releasing drops the spilled segments
+    from the store with the charges, so a collected or adopted matrix
+    leaves no segment behind.  Charges from before a machine
     :meth:`~repro.machine.Machine.shrink` are epoch-stale: the rank arrays
-    were compacted, so stale holders stand down instead of mis-indexing.
+    were compacted, so stale holders free no words (their segments still
+    go).
     """
 
-    __slots__ = ("machine", "epoch", "charged", "released", "finalizer")
+    __slots__ = ("machine", "epoch", "charged", "spilled", "released", "finalizer")
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self.epoch = machine.epoch
         self.charged: dict[int, int] = {}
+        #: ``(i, j)`` -> the segment holding that block in the spill store
+        self.spilled: dict[tuple[int, int], object] = {}
         self.released = False
         self.finalizer = None
 
@@ -92,6 +98,11 @@ class _MemCharge:
         if self.released:
             return
         self.released = True
+        if self.spilled:
+            store = self.machine.memory.store()
+            for seg in self.spilled.values():
+                store.drop(seg.key)
+            self.spilled.clear()
         if self.machine.epoch != self.epoch:
             return
         for rank, words in self.charged.items():
@@ -273,9 +284,6 @@ class DistMat:
         "layout",
         "monoid",
         "_cached_t",
-        "redundancy",
-        "_replicas",
-        "_source",
         "_memcharge",
         "_pk",
         "_tile_ends",
@@ -315,22 +323,16 @@ class DistMat:
         self.monoid = monoid
         #: the memoized transpose (a weak reference on the transpose's side)
         self._cached_t: "DistMat | weakref.ref | None" = None
-        #: elastic redundancy (set by :meth:`distribute` when the machine
-        #: runs with an ElasticPolicy): the policy, the per-block checksummed
-        #: buddy replicas, and the source matrix for re-materialization
-        self.redundancy = None
-        self._replicas: dict | None = None
-        self._source: SpMat | None = None
         #: the one resident form: ``_pk`` (packed; ``_tile_ends`` are its
         #: tiles' entry boundaries) or ``_resident``, the raw nested block
         #: list (a cell is ``None`` while its block lives in the spill
-        #: store, keyed in ``_spilled``)
+        #: store, keyed in ``_spilled``, which ``_memcharge`` owns)
         self._pk: SpMat | None = packed
         self._tile_ends: np.ndarray | None = None
         self._resident = blocks
-        self._spilled: dict[tuple[int, int], object] = {}
         self._spill_id: int | None = None
         self._memcharge = _MemCharge(machine)
+        self._spilled = self._memcharge.spilled
         charges: dict[int, int] = {}
         for r, w in zip(layout.ranks2d.ravel().tolist(), self._tile_meta()[1]):
             if w:
@@ -351,21 +353,13 @@ class DistMat:
         *,
         charge: bool = True,
         category: str = "input",
-        redundancy=None,
     ) -> "DistMat":
         """Scatter a node-local matrix evenly onto ``ranks2d`` (root-owned input).
 
-        ``charge`` / ``category`` / ``redundancy`` are keyword-only.  Charged
-        as a scatter where the root owns the whole matrix — the
-        bulk-synchronous graph input path (CTF ``Tensor::write``) — under
-        ledger category ``category``.
-
-        ``redundancy`` (an :class:`~repro.elastic.ElasticPolicy`) arms
-        elastic recovery for this matrix: under ``"replica"`` every block is
-        copied to a buddy rank with a CRC-32 checksum and the replication
-        collective is charged to the ledger (category ``"redundancy"``);
-        under ``"source"`` the source matrix is retained for lost-block
-        re-materialization at zero steady-state cost.
+        ``charge`` / ``category`` are keyword-only.  Charged as a scatter
+        where the root owns the whole matrix — the bulk-synchronous graph
+        input path (CTF ``Tensor::write``) — under ledger category
+        ``category``.
         """
         layout = Layout.even(ranks2d, mat.nrows, mat.ncols)
         pr, pc = layout.ranks2d.shape
@@ -373,93 +367,7 @@ class DistMat:
         if charge:
             ranks, parts = layout.by_owner(blocks)
             machine.group(ranks).scatter(parts, category=category)
-        out = cls(machine, layout, blocks, mat.monoid)
-        if redundancy is not None:
-            out._install_redundancy(mat, redundancy, charge=charge)
-        return out
-
-    def _install_redundancy(self, source: SpMat, policy, *, charge: bool = True) -> None:
-        """Arm this matrix for elastic repair under ``policy``.
-
-        Replica mode ships every rank's blocks to its buddy
-        ``(owner + stride) % p`` — one
-        :meth:`~repro.machine.collectives.Group.shift`, charged by the
-        busiest sender (category ``"redundancy"``) — and records a CRC-32
-        per replica so repair can verify integrity before trusting it.
-        The source handle is kept in both modes as the re-materialization
-        fallback.
-        """
-        from repro.faults.plan import payload_checksum
-
-        self.redundancy = policy
-        self._source = source
-        if policy.redundancy != "replica":
-            return  # source mode: the retained source is the only fallback
-        p = self.machine.p
-        replicas: dict[tuple[int, int], tuple[int, int, SpMat]] = {}
-        shipped: list[list[SpMat]] = [[] for _ in range(p)]
-        for (i, j), owner in np.ndenumerate(self.layout.ranks2d):
-            buddy = (int(owner) + policy.stride) % p
-            blk = self.block(i, j)
-            replicas[(i, j)] = (buddy, payload_checksum(blk), blk)
-            shipped[owner].append(blk)
-        rep_charges: dict[int, int] = {}
-        for (_i, _j), (buddy, _crc, blk) in replicas.items():
-            w = blk.words()
-            if w:
-                rep_charges[buddy] = rep_charges.get(buddy, 0) + w
-        self._memcharge.add(rep_charges, site="redundancy")
-        self._replicas = replicas
-        if charge:
-            self.machine.world().shift(
-                shipped, policy.stride, category="redundancy"
-            )
-
-    def repair_lost(self, dead) -> dict[str, int]:
-        """Reconstruct blocks owned by ``dead`` ranks, in place.
-
-        Primary path: the checksummed buddy replica (skipped when the buddy
-        died too or the CRC no longer matches); fallback: re-slicing the
-        retained source matrix.  Raises
-        :class:`~repro.elastic.RecoveryError` when a lost block has neither.
-        Returns repair statistics (``replica`` / ``source`` block counts and
-        restored ``words``).
-        """
-        from repro.elastic.recovery import RecoveryError
-        from repro.faults.plan import payload_checksum
-
-        dead = set(int(r) for r in dead)
-        stats = {"replica": 0, "source": 0, "words": 0}
-        for (i, j), owner in np.ndenumerate(self.layout.ranks2d):
-            if owner not in dead:
-                continue
-            blk = None
-            rep = (self._replicas or {}).get((i, j))
-            if rep is not None:
-                buddy, crc, copy_ = rep
-                if buddy not in dead:
-                    if isinstance(copy_, SpMat):
-                        if payload_checksum(copy_) == crc:
-                            blk = copy_
-                            stats["replica"] += 1
-                    else:
-                        # replica was evicted to the spill store under
-                        # memory pressure; fetch verifies its CRC
-                        blk = self._fetch_segment(copy_, site="repair")
-                        if blk is not None:
-                            stats["replica"] += 1
-            if blk is None and self._source is not None:
-                blk = self._source.block(*self.layout.bounds(i, j))
-                stats["source"] += 1
-            if blk is None:
-                raise RecoveryError(
-                    f"block ({i},{j}) lost with rank {owner}: no live "
-                    f"replica and no retained source to rebuild from"
-                )
-            self._set_block(i, j, blk)
-            stats["words"] += blk.words()
-        self._cached_t = None
-        return stats
+        return cls(machine, layout, blocks, mat.monoid)
 
     def _adopt(self, other: "DistMat") -> None:
         """Become ``other`` in place (all slots copied).
@@ -613,26 +521,14 @@ class DistMat:
 
     # -- spill / fault-in ---------------------------------------------------------
 
-    def _seg_key(self, i: int, j: int, *, replica: bool = False) -> str:
+    def _seg_key(self, i: int, j: int) -> str:
         if self._spill_id is None:
             self._spill_id = next(_SPILL_IDS)
-        kind = "r" if replica else "b"
-        return f"m{self._spill_id}-{kind}{i}-{j}"
+        return f"m{self._spill_id}-b{i}-{j}"
 
     def _store(self):
         mgr = getattr(self.machine, "memory", None)
         return None if mgr is None else mgr.store()
-
-    def _fetch_segment(self, seg, *, site: str) -> SpMat | None:
-        from repro.memory.spill import SpillError
-
-        store = self._store()
-        if store is None:
-            return None
-        try:
-            return store.fetch(seg, site=site)
-        except SpillError:
-            return None
 
     def block(self, i: int, j: int) -> SpMat:
         """The local-coordinate block ``(i, j)``: the one way to read a tile.
@@ -687,46 +583,25 @@ class DistMat:
             blk = raw[i][j]
             if blk is None or owner != rank:
                 continue
-            seg, w = self._evict(store, i, j, blk, int(owner), replica=False)
+            seg, w = self._evict(store, i, j, blk, int(owner))
             if seg is not None:
                 self._spilled[(i, j)] = seg
                 raw[i][j] = None
                 freed += w
         return freed
 
-    def spill_replicas(self, store, rank: int) -> int:
-        """Evict the replica copies ``rank`` holds to ``store``; return words
-        freed.
-
-        Replicas are the coldest data by construction (only read at repair
-        time), so they go first under pressure.  A spilled replica still
-        repairs: its segment CRC is the integrity check the resident copy's
-        checksum used to provide.
-        """
-        freed = 0
-        for (i, j), (buddy, crc, payload) in list((self._replicas or {}).items()):
-            if not isinstance(payload, SpMat) or buddy != rank:
-                continue  # already spilled, or held elsewhere
-            seg, w = self._evict(store, i, j, payload, buddy, replica=True)
-            if seg is not None:
-                self._replicas[(i, j)] = (buddy, crc, seg)
-                freed += w
-        return freed
-
-    def _evict(self, store, i: int, j: int, payload: SpMat, owner: int, *, replica: bool):
-        """Spill one resident copy of block ``(i, j)`` held by ``owner``.
+    def _evict(self, store, i: int, j: int, payload: SpMat, owner: int):
+        """Spill resident block ``(i, j)`` held by ``owner``.
 
         Returns ``(segment, words freed)``; ``(None, 0)`` for a zero-word
-        copy and for a torn write, which leaves the copy resident.
+        block and for a torn write, which leaves the block resident.
         """
         w = payload.words()
         if w == 0:
             return None, 0
-        key = self._seg_key(i, j, replica=replica)
-        site = "replica" if replica else "spill"
-        seg = store.spill(key, payload, rank=owner, site=site)
+        seg = store.spill(self._seg_key(i, j), payload, rank=owner, site="spill")
         if seg is None:
-            return None, 0  # torn write detected: keep the copy resident
+            return None, 0  # torn write detected: keep the block resident
         self._memcharge.sub(owner, w)
         return seg, w
 

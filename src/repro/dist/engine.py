@@ -29,6 +29,7 @@ import numpy as np
 from repro.algebra.matmul import MatMulSpec
 from repro.algebra.monoid import Monoid
 from repro.dist.distmat import DistMat
+from repro.elastic import recover_engine
 from repro.machine.grid import near_square_shape
 from repro.machine.machine import Machine
 from repro.obs import api as obs
@@ -112,12 +113,7 @@ class DistributedEngine:
         pinned = self._adjacency.get(id(graph))
         if pinned is not None:
             return pinned[1]
-        mat = DistMat.distribute(
-            graph.adjacency(),
-            self.machine,
-            self.home_ranks2d,
-            redundancy=self.machine.elastic,
-        )
+        mat = DistMat.distribute(graph.adjacency(), self.machine, self.home_ranks2d)
         self._adjacency[id(graph)] = (graph, mat)
         self._pin(mat)
         return mat
@@ -137,11 +133,11 @@ class DistributedEngine:
         return any(mat is adj or mat is adj.transpose() for _, adj in self._adjacency.values())
 
     def release_invariants(self) -> None:
-        """Forget every pinned adjacency, its replicas and its redundancy.
+        """Forget every pinned adjacency and its replicas.
 
         The serving layer calls this when the served graph is replaced: the
-        old adjacency, its replication cache and its elastic redundancy
-        would otherwise be kept alive across graph versions.
+        old adjacency and its replication cache would otherwise be kept
+        alive across graph versions.
         """
         self._adjacency.clear()
         self._replication_cache.clear()
@@ -243,19 +239,13 @@ class DistributedEngine:
     def recover_from(self, failure):
         """Elastic recovery: shrink onto the survivors of ``failure``.
 
-        Repairs the dead ranks' blocks of every pinned adjacency
-        (checksummed replicas, falling back to source re-materialization),
-        shrinks the machine to the nearest grid the selection policy can run
-        on, rebuilds the home layout and every pinned adjacency there, and
-        returns the
-        :class:`~repro.elastic.RecoveryReport`.  Requires
-        ``machine.elastic``; raises
-        :class:`~repro.elastic.RecoveryError` when reconstruction is
-        impossible (caller falls back to retry/restart).
+        Shrinks the machine to the nearest grid the selection policy can run
+        on, rebuilds the home layout and every pinned adjacency there from
+        its graph, and returns the :class:`~repro.elastic.RecoveryReport`.
+        Requires ``machine.elastic``; raises
+        :class:`~repro.elastic.RecoveryError` when no feasible grid exists
+        (caller falls back to retry/restart).
         """
-        # deferred import: repro.elastic.recovery imports this module
-        from repro.elastic.recovery import recover_engine
-
         return recover_engine(self, failure)
 
 

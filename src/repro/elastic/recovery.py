@@ -1,9 +1,9 @@
-"""The recovery coordinator: shrink, repair, rebuild, resume.
+"""The recovery coordinator: shrink, rebuild, resume.
 
-When a collective raises :class:`~repro.faults.RankFailure` and the machine
-carries an :class:`~repro.elastic.ElasticPolicy`, the MFBC driver hands the
-engine to :func:`recover_engine`, which runs the four-step protocol of the
-elastic design:
+Elastic recovery is on or off (the ``elastic`` knob of :mod:`repro.config`,
+grammar ``on``).  When a collective raises :class:`~repro.faults.RankFailure`
+and the machine has it on, the MFBC driver hands the engine to
+:func:`recover_engine`, which runs the protocol of the elastic design:
 
 1. **Freeze** — synchronize the survivors' modeled clocks (a real recovery
    begins with failure detection + agreement, a barrier-class event) and
@@ -14,28 +14,27 @@ elastic design:
    ranks outside the shrunken communicator).  :meth:`Machine.shrink
    <repro.machine.machine.Machine.shrink>` compacts the ledger onto the
    survivor numbering.
-3. **Repair + rebuild** — every pinned adjacency repairs its
-   lost blocks in place (checksummed buddy replicas first, source
-   re-materialization as fallback) and is gathered, uncharged, while the
-   old numbering holds; after the shrink each is re-scattered onto the new
-   near-square home grid with :meth:`DistMat.distribute
-   <repro.dist.distmat.DistMat.distribute>`, the scatter charged as
-   category ``"recovery"``, and redundancy is re-established for the
-   shrunken grid.  Rebuilt matrices are *adopted* into the original
-   objects, so references held by the driver stay valid.  The home grid
-   is only where the engine first scatters a matrix — a product's output
-   stays on its plan's layout — but the invariants are rebuilt there
-   because that is where they always rest: every product re-blocks them
-   from it (or serves them from the replication cache), never replaces
-   them.  Everything else the interrupted batch held is recomputed.
+3. **Rebuild** — the adjacency and its transpose are the only distributed
+   state that outlives a batch (Algorithm 3; every frontier is recomputed
+   per batch), and the engine keeps each pinned adjacency beside its
+   graph, so the input a lost rank held can always be read again.  Each
+   pinned adjacency is scattered from its graph onto the new near-square
+   home grid with :meth:`DistMat.distribute
+   <repro.dist.distmat.DistMat.distribute>`, charged as category
+   ``"recovery"``, and *adopted* into the original object, so references
+   held by the driver stay valid.  The home grid is only where the engine
+   first scatters a matrix — a product's output stays on its plan's
+   layout — but the invariants are rebuilt there because that is where
+   they always rest: every product re-blocks them from it (or serves them
+   from the replication cache), never replaces them.
 4. **Resume** — the policy is rescaled to ``p'``, the replication cache is
    dropped, memory accounting resets, and the driver re-executes only the
    interrupted batch.
 
 Determinism: the survivor set is a pure function of the seeded fault plan,
-and every step here (grid choice, block repair, redistribution order) is
-deterministic given that set — so seeded runs make identical recovery
-decisions, and the recomputed batch is bit-identical to a fault-free one.
+and every step here (grid choice, scatter order) is deterministic given
+that set — so seeded runs make identical recovery decisions, and the
+recomputed batch is bit-identical to a fault-free one.
 """
 
 from __future__ import annotations
@@ -44,18 +43,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import config
 from repro.faults.plan import note
 from repro.obs import api as obs
 
-__all__ = ["RecoveryError", "RecoveryReport", "recover_engine"]
+__all__ = ["RecoveryError", "RecoveryReport", "recover_engine", "resolve_elastic"]
+
+
+def _parse_spec(spec) -> bool:
+    if spec is True:
+        return True
+    if not isinstance(spec, str):
+        raise TypeError(f"cannot resolve elastic spec from {type(spec).__name__}")
+    if spec.strip().lower() in ("on", "1", "true"):
+        return True
+    raise ValueError(f"unknown elastic spec {spec!r}; expected 'on' or 'off'")
+
+
+def resolve_elastic(spec=None) -> bool | None:
+    """``True`` when elastic recovery is on, ``None`` when it is off.
+
+    Accepts ``True``, a spec string, or ``None`` for the ambient
+    ``elastic`` knob (:mod:`repro.config`).
+    """
+    return config.ambient("elastic", spec, _parse_spec)
 
 
 class RecoveryError(RuntimeError):
     """Elastic recovery could not reconstruct the lost state.
 
-    Raised when a lost block has no live replica and no retained source,
-    or no feasible survivor grid exists.  Callers fall back to the next
-    rung of the robustness ladder (retry from checkpoint, then abort).
+    Raised when the failure names no rank or no feasible survivor grid
+    exists.  Callers fall back to the next rung of the robustness ladder
+    (retry from checkpoint, then abort).
     """
 
 
@@ -67,9 +86,6 @@ class RecoveryReport:
     retired: tuple[int, ...]  # alive ranks shed to reach a feasible grid
     p_before: int
     p_after: int
-    blocks_replica: int = 0  # lost blocks restored from checksummed replicas
-    blocks_source: int = 0  # lost blocks re-materialized from the source
-    words_restored: int = 0
     detail: dict = field(default_factory=dict)
 
 
@@ -77,12 +93,12 @@ def recover_engine(engine, failure) -> RecoveryReport:
     """Recover ``engine`` in place from a :class:`RankFailure`.
 
     Returns the :class:`RecoveryReport`; raises :class:`RecoveryError`
-    when no feasible grid or reconstruction path exists.
+    when no feasible survivor grid exists.
     """
     machine = engine.machine
     if machine.elastic is None:
         raise RecoveryError(
-            "machine has no elastic policy; construct it with elastic=... "
+            "machine has elastic recovery off; construct it with elastic='on' "
             "or set REPRO_ELASTIC"
         )
     rank = int(getattr(failure, "rank", -1))
@@ -106,8 +122,7 @@ def recover_engine(engine, failure) -> RecoveryReport:
 
 
 def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
-    # deferred imports: this module is reached from engine/mfbc at runtime,
-    # after repro.dist and repro.machine are fully initialized
+    # deferred imports: repro.machine and repro.dist import this package
     from repro.dist.distmat import DistMat
     from repro.machine.grid import near_square_shape, nearest_feasible_p
 
@@ -134,20 +149,6 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
         retired = survivors[p_target:]
         removed = sorted(dead + retired)
 
-        # 3a. repair the dead ranks' blocks — and gather each repaired
-        # matrix — while the old numbering (and the replica map keyed on
-        # it) is still in force: a block the memory manager spilled faults
-        # back in on its old owner, which the shrink may retire
-        blocks_replica = blocks_source = words_restored = 0
-        bases = [adj for _, adj in engine._adjacency.values()]
-        repaired = []
-        for mat in bases:
-            stats = mat.repair_lost(dead)
-            blocks_replica += stats["replica"]
-            blocks_source += stats["source"]
-            words_restored += stats["words"]
-            repaired.append(mat.gather(charge=False))
-
         machine.shrink(removed)
         # every pre-shrink holder is epoch-stale now and frees nothing, so
         # the survivors' accounting restarts here and the rebuilt invariants
@@ -156,21 +157,11 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
         pr, pc = near_square_shape(p_target)
         engine.home_ranks2d = np.arange(p_target).reshape(pr, pc)
 
-        # 3b. rebuild every pinned adjacency on the survivor grid.  The
-        # repaired global matrix is re-scattered (one collective, charged as
-        # category "recovery") and redundancy is re-established for the
-        # new grid — both paid for, so post-recovery ledger invariants
-        # hold without special-casing.
-        for mat, whole in zip(bases, repaired):
-            # the scatter (category "recovery") and the re-armed redundancy
-            # for the new grid (category "redundancy") are both charged,
-            # like the original installation's were
+        # 3. rebuild every pinned adjacency from its graph on the survivor
+        # grid: one scatter each, charged as category "recovery"
+        for graph, mat in engine._adjacency.values():
             rebuilt = DistMat.distribute(
-                whole,
-                machine,
-                engine.home_ranks2d,
-                category="recovery",
-                redundancy=machine.elastic,
+                graph.adjacency(), machine, engine.home_ranks2d, category="recovery"
             )
             mat._adopt(rebuilt)
             engine._pin(mat)
@@ -184,9 +175,6 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
             retired=tuple(retired),
             p_before=p_before,
             p_after=p_target,
-            blocks_replica=blocks_replica,
-            blocks_source=blocks_source,
-            words_restored=words_restored,
             detail={"site": site, "fault_step": step},
         )
         machine.recoveries.append(report)
@@ -199,16 +187,8 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
             p_before=p_before,
             p_after=p_target,
             retired=len(retired),
-            blocks_replica=blocks_replica,
-            blocks_source=blocks_source,
         )
         if obs.enabled():
-            sp.set(
-                p_after=p_target,
-                retired=len(retired),
-                blocks_replica=blocks_replica,
-                blocks_source=blocks_source,
-                words_restored=words_restored,
-            )
+            sp.set(p_after=p_target, retired=len(retired))
             obs.count("elastic.recoveries", 1.0, site=site or "recovery")
     return report

@@ -23,8 +23,8 @@ Fault kinds
     (``checksum:1``) the receiving collective detects the mismatch and
     raises :class:`CorruptPayload`, which the drivers' batch ladder
     retries; without it the corruption propagates silently, as on real
-    hardware.  (The set-up collectives — ``scatter`` / ``gather`` /
-    ``shift`` — run outside that ladder and are not hooked.)
+    hardware.  (The set-up collectives — ``scatter`` / ``gather`` — run
+    outside that ladder and are not hooked.)
 ``straggle``
     One participant's modeled clock is skewed forward by a random factor of
     ``skew`` seconds, charged straight to the ledger — a slow rank

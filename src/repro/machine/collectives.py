@@ -30,9 +30,8 @@ buffers are never mutated).  With the plan's opt-in checksum guard
 across the transfer and raises :class:`~repro.faults.CorruptPayload` on
 mismatch, which the drivers' batch ladder retries; without the guard the
 corruption propagates silently, as it would on real hardware.  ``scatter``
-/ ``gather`` / ``shift`` are the set-up path (graph input, result
-read-back, replica installation, the elastic re-scatter): they run outside
-any batch ladder, and replicas carry their own CRC, so the hook leaves
+/ ``gather`` are the set-up path (graph input, result read-back, the
+elastic re-scatter): they run outside any batch ladder, so the hook leaves
 them alone.
 """
 
@@ -256,22 +255,6 @@ class Group:
             return list(received)
         self._charge(x, LINEAR, category)
         return self._deliver(list(received), "alltoall")
-
-    def shift(
-        self, parts: Sequence, stride: int, *, category: str = "shift"
-    ) -> list:
-        """Participant ``i`` ships ``parts[i]`` to participant ``i + stride``
-        (cyclically); returns the parts as the receivers hold them.
-
-        A full-duplex neighbour exchange: weight 1, ``x`` = the largest
-        shipment; free when no word changes rank.
-        """
-        self._check(parts)
-        stride %= self.size
-        x = max(payload_words(p) for p in parts) if stride else 0
-        if x:
-            self._charge(x, LINEAR, category)
-        return [parts[i - stride] for i in range(self.size)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Group(ranks={self.ranks.tolist()})"

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import config
+from repro.elastic import resolve_elastic
 from repro.faults.plan import DeadlineExceeded, FaultPlan, note, resolve_fault_plan
 from repro.machine.collectives import TREE, Group
 from repro.machine.executor import LocalExecutor
@@ -205,11 +206,10 @@ class Machine:
         termination for straggler pile-ups and recovery storms that would
         otherwise spin forever.
     elastic:
-        In-flight rank-failure recovery: an
-        :class:`~repro.elastic.ElasticPolicy` or a spec string
-        (``"replica"`` / ``"replica:STRIDE"`` / ``"source"``).  The machine
-        only stores the policy; :class:`~repro.dist.DistributedEngine`
-        maintains the redundancy and the MFBC driver triggers the recovery.
+        In-flight rank-failure recovery, ``"on"`` (or ``True``) or off.  The
+        machine only stores the setting (``True`` or ``None``); the MFBC
+        driver triggers the recovery, which rebuilds the engine's pinned
+        adjacency from its graph on the survivors.
     """
 
     def __init__(
@@ -234,10 +234,9 @@ class Machine:
             self.faults if self.faults is not None and self.faults.armed else None
         )
         self.memory_words = config.ambient("memory_words", memory_words, _memory_words)
-        # deferred imports: repro.check and repro.elastic import repro.dist,
-        # which imports this module
+        # deferred imports: repro.check imports repro.dist, which imports
+        # this module
         from repro.check.engine import resolve_check_config
-        from repro.elastic.policy import resolve_elastic
         from repro.memory.manager import MemoryManager
 
         #: the spill/eviction manager (see docs/robustness.md, memory ladder)
@@ -537,7 +536,7 @@ class Machine:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         faults = f", faults={self.faults.describe()}" if self.faults else ""
         deadline = f", deadline={self.deadline}" if self.deadline is not None else ""
-        elastic = f", elastic={self.elastic.describe()}" if self.elastic else ""
+        elastic = ", elastic=on" if self.elastic else ""
         return (
             f"Machine(p={self.p}, M={self.memory_words}{faults}{deadline}{elastic})"
         )

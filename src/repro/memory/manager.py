@@ -3,14 +3,13 @@
 One :class:`MemoryManager` hangs off every :class:`~repro.machine.Machine`
 (``machine.memory``).  Long-lived matrices register themselves as
 *spillable* (the engine registers its loop invariants — the adjacency and
-its transpose — whose blocks and replica copies dominate the resting
-footprint); :meth:`touch` maintains recency so the eviction order is LRU.
+its transpose — whose blocks dominate the resting footprint);
+:meth:`touch` maintains recency so the eviction order is LRU.
 
 ``Machine.allocate`` calls :meth:`relieve` when a charge would overflow the
-per-rank budget: replicas on the pressured rank go first (cold by
-definition — they are only read at repair time), then the least recently
-used matrices' resident blocks, until enough words are freed or nothing
-spillable remains.  Only then does the allocation raise
+per-rank budget: the least recently used matrices' resident blocks on the
+pressured rank go, until enough words are freed or nothing spillable
+remains.  Only then does the allocation raise
 :class:`~repro.machine.MemoryLimitExceeded` — which the drivers'
 recovery ladder (:mod:`repro.core.ladder`) catches.
 
@@ -65,12 +64,16 @@ class MemoryManager:
     # -- registry -------------------------------------------------------------
 
     def register(self, mat) -> None:
-        """Mark ``mat`` (a :class:`~repro.dist.DistMat`) spillable."""
+        """Mark ``mat`` (a :class:`~repro.dist.DistMat`) spillable.
+
+        An entry whose referent is gone is replaced: ``id`` values are
+        recycled, so a new matrix can share a collected one's key.
+        """
         key = id(mat)
-        if key in self._registry:
-            self.touch(mat)
-            return
-        self._registry[key] = weakref.ref(mat)
+        entry = self._registry.pop(key, None)
+        if entry is None or entry() is not mat:
+            entry = weakref.ref(mat)
+        self._registry[key] = entry
 
     def touch(self, mat) -> None:
         """Bump ``mat`` to most-recently-used (protects in-flight operands)."""
@@ -95,9 +98,9 @@ class MemoryManager:
     def relieve(self, rank: int, need_words: int, *, site: str = "allocate") -> int:
         """Free at least ``need_words`` on ``rank`` by spilling; best effort.
 
-        Returns the words actually freed.  Replicas on the rank go first,
-        then LRU matrices' resident blocks.  Never raises: when nothing
-        spillable remains, the caller's budget check fails as before.
+        Returns the words actually freed, spilling LRU matrices' resident
+        blocks.  Never raises: when nothing spillable remains, the caller's
+        budget check fails as before.
         """
         if self._in_relief:
             return 0
@@ -108,13 +111,7 @@ class MemoryManager:
         freed = 0
         try:
             store = self.store()
-            candidates = self._live()
-            # replicas first: pure redundancy, only read at repair time
-            for mat in candidates:
-                if freed >= need_words:
-                    break
-                freed += mat.spill_replicas(store, rank=rank)
-            for mat in candidates:
+            for mat in self._live():
                 if freed >= need_words:
                     break
                 freed += mat.spill_blocks(store, rank=rank)

@@ -11,7 +11,7 @@ concurrent sources).
 Run standalone as the CI smoke::
 
     python -m repro.serve.loadgen --queries 120 --concurrency 8 \
-        --http --faults seed:3,crash@40:1 --elastic replica
+        --http --faults seed:3,crash@40:1 --elastic on
 
 which exits non-zero when any query fails — injected faults must recover
 transparently, never surface to a client.

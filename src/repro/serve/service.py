@@ -4,8 +4,8 @@ One-shot CLI/bench runs rebuild the simulated machine, redistribute the
 graph, and compute from scratch on every invocation.  The service instead
 keeps one engine on a warm :class:`~repro.machine.Machine`; the engine pins
 the served graph's distributed adjacency once per version — queries share
-that copy, and its replication cache and elastic redundancy stay armed
-between requests — and the service answers a concurrent query mix:
+that copy, and its replication cache stays warm between requests — and
+the service answers a concurrent query mix:
 
 * ``bc`` — exact betweenness centrality of every vertex;
 * ``bc_source`` — one source's dependency contribution (the unit the
@@ -27,8 +27,8 @@ timeline while any number of client threads submit/poll/cancel.  Faults
 compose with serving: a failed batch is answered by the drivers' own
 recovery ladder (:mod:`repro.core.ladder`) — a
 :class:`~repro.faults.RankFailure` mid-batch recovers elastically (grid
-shrink + block repair) and the batch transparently re-executes on the
-survivors, anything else burns one of ``retries`` — while what is serve
+shrink + the pinned adjacency rebuilt from the served graph) and the batch
+transparently re-executes on the survivors, anything else burns one of ``retries`` — while what is serve
 policy stays here: survivors requeue at the queue front with zero backoff,
 the circuit breaker counts the failure, and per-query ``deadline`` budgets
 reuse ``Machine(deadline=)`` — the strictest member of a batch arms the

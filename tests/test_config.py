@@ -41,11 +41,7 @@ PROBES = {
         ("full", "full"),
     ),
     "check_dir": (None, ("/tmp/ambient", "/tmp/ambient"), ("/tmp/arg", "/tmp/arg")),
-    "elastic": (
-        lambda m: _describe(m.elastic),
-        ("replica:2", "replica:2"),
-        ("source", "source"),
-    ),
+    "elastic": (lambda m: m.elastic, ("on", True), (True, True)),
     "memory_words": (lambda m: m.memory_words, ("20000", 20000), (12345, 12345)),
     "spill_dir": (
         lambda m: m.memory.spill_dir,

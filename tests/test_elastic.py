@@ -1,12 +1,13 @@
 """repro.elastic: in-flight rank-failure recovery.
 
-Covers the :class:`ElasticPolicy` spec grammar, the grid-shrink helpers
-(``survivor_map`` / ``nearest_feasible_p`` / ``Machine.shrink``), DistMat
-redundancy and lost-block repair, the Group epoch guard, the deadline
-guard, and the ISSUE's acceptance bars: seeded runs with one and two
-injected mid-batch rank failures complete *without restart*, bit-identical
-to fault-free runs of the same configuration, across the §5.2 variant
-policies, with post-recovery ledger invariants intact.
+Covers the on/off spec grammar, the grid-shrink helpers
+(``survivor_map`` / ``nearest_feasible_p`` / ``Machine.shrink``), the
+Group epoch guard, the deadline guard, and the acceptance bars: seeded
+runs with one and two injected mid-batch rank failures complete *without
+restart*, bit-identical to fault-free runs of the same configuration,
+across the §5.2 variant policies, with every pinned adjacency rebuilt from
+its graph — the one redundant copy, so armed recovery costs nothing — and
+post-recovery ledger invariants intact.
 """
 
 import numpy as np
@@ -17,20 +18,15 @@ from repro import obs
 from repro.check import check_ledger
 from repro.check import strategies as cst
 from repro.core import mfbc
-from repro.dist import DistMat, DistributedEngine
-from repro.elastic import (
-    ElasticPolicy,
-    RecoveryError,
-    RecoveryReport,
-    resolve_elastic,
-)
+from repro.dist import DistributedEngine
+from repro.elastic import RecoveryError, RecoveryReport, recover_engine, resolve_elastic
 from repro.faults import DeadlineExceeded, RankFailure
 from repro.graphs import rmat_graph, uniform_random_graph_nm
 from repro.machine import Machine
 from repro.machine.grid import near_square_shape, nearest_feasible_p, survivor_map
 from repro.spgemm import PinnedPolicy, Square2DPolicy
 
-from conftest import assert_fired, random_weight_spmat
+from conftest import assert_fired
 
 # one injected mid-batch crash; two crashes in distinct batches
 ONE_CRASH = "seed:3,crash@4:2"
@@ -56,53 +52,35 @@ def scores_of(g, machine, *, policy=None, **kw):
 
 
 class TestElasticSpec:
-    def test_default_replica(self):
-        pol = resolve_elastic("replica")
-        assert pol == ElasticPolicy()
-        assert pol.redundancy == "replica" and pol.stride == 1
-
-    @pytest.mark.parametrize("spec", ["on", "1", "true", "REPLICA"])
+    @pytest.mark.parametrize("spec", ["on", "1", "true", "ON", True])
     def test_aliases_for_default(self, spec):
-        assert resolve_elastic(spec) == ElasticPolicy()
+        assert resolve_elastic(spec) is True
 
     @pytest.mark.parametrize("spec", ["", "none", "off", "0", "false"])
     def test_off_aliases(self, spec):
         assert resolve_elastic(spec) is None
 
-    def test_replica_stride(self):
-        pol = resolve_elastic("replica:3")
-        assert pol.redundancy == "replica" and pol.stride == 3
-
-    def test_source(self):
-        assert resolve_elastic("source").redundancy == "source"
-
-    def test_describe_round_trips(self):
-        for pol in (ElasticPolicy(), ElasticPolicy(stride=2),
-                    ElasticPolicy(redundancy="source")):
-            assert resolve_elastic(pol.describe()) == pol
-
-    @pytest.mark.parametrize("spec", ["replica:x", "parity", "replica:-1"])
-    def test_bad_specs(self, spec):
-        with pytest.raises(ValueError):
+    # the three retired spellings get the grammar error, with no alias
+    @pytest.mark.parametrize(
+        "spec", ["replica", "REPLICA", "replica:2", "source", "replica:x", "parity", "replica:-1"]
+    )
+    def test_bad_specs(self, spec, monkeypatch):
+        with pytest.raises(ValueError, match="expected 'on' or 'off'"):
             resolve_elastic(spec)
-
-    def test_bad_policy_fields(self):
-        with pytest.raises(ValueError, match="redundancy"):
-            ElasticPolicy(redundancy="parity")
-        with pytest.raises(ValueError, match="stride"):
-            ElasticPolicy(stride=0)
+        monkeypatch.setenv("REPRO_ELASTIC", spec)
+        with pytest.raises(ValueError, match=r"REPRO_ELASTIC.*\(expected on\)"):
+            Machine(2)
 
     def test_policy_passthrough_and_type_error(self):
-        pol = ElasticPolicy(stride=2)
-        assert resolve_elastic(pol) is pol
+        assert resolve_elastic(True) is True
         with pytest.raises(TypeError):
             resolve_elastic(42)
 
     def test_machine_threads_policy_through(self, monkeypatch):
         monkeypatch.delenv("REPRO_ELASTIC", raising=False)
-        m = Machine(4, elastic="replica")
-        assert m.elastic == ElasticPolicy()
-        assert "elastic=replica" in repr(m)
+        m = Machine(4, elastic="on")
+        assert m.elastic is True
+        assert "elastic=on" in repr(m)
         assert Machine(4).elastic is None
 
 
@@ -168,66 +146,27 @@ class TestGridHelpers:
 
 
 # ---------------------------------------------------------------------------
-# DistMat redundancy + repair
+# what recovery rebuilds from
 # ---------------------------------------------------------------------------
 
 
-def _distribute(rng, m, policy, n=12):
-    mat = random_weight_spmat(rng, n, n, 0.4)
-    ranks2d = np.arange(m.p).reshape(near_square_shape(m.p))
-    return mat, DistMat.distribute(mat, m, ranks2d, redundancy=policy)
-
-
 class TestRedundancy:
-    def test_replica_charges_redundancy_category(self, rng):
-        m = quiet(4)
-        _, dm = _distribute(rng, m, ElasticPolicy())
-        assert m.ledger.category_words.get("redundancy", 0.0) > 0.0
-        assert dm._replicas and dm._source is not None
+    """The one redundant copy of the pinned adjacency is its graph, which the
+    engine keeps beside it: nothing else is held or shipped for recovery."""
 
-    def test_source_mode_is_free_while_healthy(self, rng):
-        m = quiet(4)
-        _, dm = _distribute(rng, m, ElasticPolicy(redundancy="source"))
-        assert "redundancy" not in m.ledger.category_words
-        assert not dm._replicas and dm._source is not None
+    def test_source_mode_is_free_while_healthy(self, graph):
+        runs = []
+        for elastic in ("off", "on"):
+            m = quiet(4, elastic=elastic)
+            runs.append((scores_of(graph, m), m.ledger.snapshot(), m.memory_peak()))
+        (off_scores, *off_cost), (on_scores, *on_cost) = runs
+        assert np.array_equal(on_scores, off_scores)
+        assert on_cost == off_cost
 
-    def test_repair_from_replica(self, rng):
+    def test_no_redundancy_raises(self):
         m = quiet(4)
-        mat, dm = _distribute(rng, m, ElasticPolicy())
-        dead_owner = int(dm.layout.ranks2d[0, 0])
-        stats = dm.repair_lost([dead_owner])
-        assert stats["replica"] >= 1 and stats["source"] == 0
-        got = dm.gather(charge=False)
-        assert np.array_equal(got.vals["w"], mat.vals["w"])
-
-    def test_repair_falls_back_to_source_when_buddy_dead(self, rng):
-        m = quiet(4)
-        mat, dm = _distribute(rng, m, ElasticPolicy())
-        owner = int(dm.layout.ranks2d[0, 0])
-        buddy = (owner + 1) % m.p
-        stats = dm.repair_lost([owner, buddy])
-        assert stats["source"] >= 1
-        got = dm.gather(charge=False)
-        assert np.array_equal(got.vals["w"], mat.vals["w"])
-
-    def test_corrupt_replica_detected_by_crc(self, rng):
-        m = quiet(4)
-        mat, dm = _distribute(rng, m, ElasticPolicy())
-        # find a replicated block and silently flip a stored value
-        (i, j), (buddy, crc, copy_) = next(iter(dm._replicas.items()))
-        if len(copy_.vals["w"]):
-            copy_.vals["w"][0] += 1.0
-            owner = int(dm.layout.ranks2d[i, j])
-            stats = dm.repair_lost([owner])
-            assert stats["source"] >= 1  # CRC mismatch forced the fallback
-            got = dm.gather(charge=False)
-            assert np.array_equal(got.vals["w"], mat.vals["w"])
-
-    def test_no_redundancy_raises(self, rng):
-        m = quiet(4)
-        _, dm = _distribute(rng, m, None)
-        with pytest.raises(RecoveryError, match="no live replica"):
-            dm.repair_lost([int(dm.layout.ranks2d[0, 0])])
+        with pytest.raises(RecoveryError, match="elastic recovery off"):
+            recover_engine(DistributedEngine(m), RankFailure(1, step=1, site="bcast"))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +191,7 @@ class TestDeadline:
     def test_deadline_is_terminal_in_mfbc(self, small_undirected):
         # neither retries nor elastic recovery may mask a blown deadline;
         # the budget admits setup (~2.6 µs modeled) but not the batch loop
-        m = Machine(4, deadline=1e-4, faults="seed:0", elastic="replica")
+        m = Machine(4, deadline=1e-4, faults="seed:0", elastic="on")
         with pytest.raises(DeadlineExceeded):
             scores_of(small_undirected, m, retries=3)
         actions = [(e.kind, e.action) for e in m.faults.events]
@@ -301,7 +240,7 @@ class TestRecoveryDifferential:
         ref = scores_of(
             graph, quiet(p_after), policy=_policy(policy_name, p_after)
         )
-        m = Machine(p, faults=ONE_CRASH, elastic="replica", check="cheap")
+        m = Machine(p, faults=ONE_CRASH, elastic="on", check="cheap")
         eng = DistributedEngine(m, policy=_policy(policy_name, p))
         res = mfbc(graph, batch_size=8, engine=eng)
         assert np.array_equal(res.scores, ref)
@@ -309,7 +248,6 @@ class TestRecoveryDifferential:
         rep = m.recoveries[0]
         assert isinstance(rep, RecoveryReport)
         assert rep.p_before == p and rep.p_after == m.p == p_after
-        assert rep.blocks_replica >= 1 and rep.words_restored > 0
         actions = [(e.kind, e.action) for e in m.faults.events]
         assert ("crash", "recovered") in actions
         assert_fired(m)
@@ -318,7 +256,7 @@ class TestRecoveryDifferential:
 
     def test_two_failures_bit_identical(self, graph):
         ref = scores_of(graph, quiet(6))
-        m = Machine(6, faults=TWO_CRASHES, elastic="replica", check="cheap")
+        m = Machine(6, faults=TWO_CRASHES, elastic="on", check="cheap")
         res = scores_of(graph, m)
         assert np.array_equal(res, ref)
         assert [(r.p_before, r.p_after) for r in m.recoveries] == [(6, 5), (5, 4)]
@@ -327,18 +265,25 @@ class TestRecoveryDifferential:
         assert check_ledger(m) == []
 
     def test_source_redundancy_recovers(self, graph):
-        ref = scores_of(graph, quiet(6))
-        m = Machine(6, faults=ONE_CRASH, elastic="source")
-        res = scores_of(graph, m)
-        assert np.array_equal(res, ref)
-        rep = m.recoveries[0]
-        assert rep.blocks_source >= 1 and rep.blocks_replica == 0
+        """The source of a recovery is the graph: the pinned adjacency is
+        scattered afresh from it onto the survivors' home grid — one charged
+        scatter — and adopted into the object the driver holds."""
+        m = Machine(6, faults=ONE_CRASH, elastic="on")
+        eng = DistributedEngine(m)
+        adj = eng.adjacency(graph)
+        ref = mfbc(graph, batch_size=8, engine=DistributedEngine(quiet(6))).scores
+        assert np.array_equal(mfbc(graph, batch_size=8, engine=eng).scores, ref)
         assert_fired(m)
+        assert m.p == 5 and eng.adjacency(graph) is adj
+        assert np.array_equal(adj.layout.ranks2d, eng.home_ranks2d)
+        assert adj.layout.ranks2d.shape == near_square_shape(5)
+        assert adj.gather(charge=False).equals(graph.adjacency())
+        assert m.ledger.category_words["recovery"] > 0.0
 
     def test_recovery_does_not_consume_retry_budget(self, graph):
         # retries=0 means a plain RankFailure would abort — elastic doesn't
         ref = scores_of(graph, quiet(6))
-        m = Machine(6, faults=ONE_CRASH, elastic="replica")
+        m = Machine(6, faults=ONE_CRASH, elastic="on")
         assert np.array_equal(scores_of(graph, m, retries=0), ref)
         assert_fired(m)
         # no elastic (explicitly, the ladder leg sets REPRO_ELASTIC):
@@ -349,11 +294,10 @@ class TestRecoveryDifferential:
         assert_fired(m2)
 
     def test_recovery_charges_ledger(self, graph):
-        m = Machine(6, faults=ONE_CRASH, elastic="replica")
+        m = Machine(6, faults=ONE_CRASH, elastic="on")
         scores_of(graph, m)
         cat = m.ledger.category_words
-        assert cat.get("redundancy", 0.0) > 0.0  # upkeep + re-arming
-        assert cat.get("recovery", 0.0) > 0.0  # redistribution traffic
+        assert cat.get("recovery", 0.0) > 0.0  # the rebuild's scatter
         assert_fired(m)
 
     def test_infeasible_grid_degrades_to_retry(self, graph):
@@ -362,7 +306,7 @@ class TestRecoveryDifferential:
         the plain retry ladder, which still completes the run."""
         pol = PinnedPolicy.ca_mfbc(4, 4)
         ref = scores_of(graph, quiet(4), policy=PinnedPolicy.ca_mfbc(4, 4))
-        m = Machine(4, faults=ONE_CRASH, elastic="replica")
+        m = Machine(4, faults=ONE_CRASH, elastic="on")
         res = scores_of(graph, m, policy=pol, retries=2)
         assert np.array_equal(res, ref)
         assert m.recoveries == []  # no successful elastic recovery
@@ -374,7 +318,7 @@ class TestRecoveryDifferential:
     def test_recovery_span_on_obs(self, graph):
         session = obs.enable()
         try:
-            m = Machine(6, faults=ONE_CRASH, elastic="replica")
+            m = Machine(6, faults=ONE_CRASH, elastic="on")
             scores_of(graph, m)
         finally:
             obs.disable()
@@ -388,14 +332,14 @@ class TestRecoveryDifferential:
         assert len(spans) == 1
         sp = spans[0]
         assert sp.args["p_before"] == 6 and sp.args["p_after"] == 5
-        assert sp.args["blocks_replica"] >= 1
+        assert sp.args["retired"] == 0
         assert_fired(m)
 
     def test_checkpoint_composes_with_recovery(self, graph, tmp_path):
         """Elastic recovery and per-batch checkpointing stack: the run
         recovers in-flight and the checkpoint file tracks every batch."""
         ref = scores_of(graph, quiet(6))
-        m = Machine(6, faults=ONE_CRASH, elastic="replica")
+        m = Machine(6, faults=ONE_CRASH, elastic="on")
         res = scores_of(graph, m, checkpoint=str(tmp_path / "ck.json"))
         assert np.array_equal(res, ref)
         assert len(m.recoveries) == 1
@@ -403,10 +347,9 @@ class TestRecoveryDifferential:
 
     def test_survivors_keep_the_rebuilt_invariants_charges(self):
         # accounting restarts at the shrink, before the rebuild: each
-        # survivor ends charged exactly the invariant blocks and replicas
-        # it holds
+        # survivor ends charged exactly the invariant blocks it holds
         g = rmat_graph(7, 8, seed=1)
-        m = Machine(4, faults="seed:0,crash@10:1", elastic="replica",
+        m = Machine(4, faults="seed:0,crash@10:1", elastic="on",
                     memory_words="off")
         eng = DistributedEngine(m)
         mfbc(g, sources=np.arange(64), batch_size=32, engine=eng)
@@ -417,8 +360,6 @@ class TestRecoveryDifferential:
         for mat in pinned:
             for (i, j), owner in np.ndenumerate(mat.layout.ranks2d):
                 held[owner] += mat.block(i, j).words()
-            for buddy, _crc, rep in (mat._replicas or {}).values():
-                held[buddy] += rep.words()
         assert held.min() > 0
         assert [m.memory_used(r) for r in range(m.p)] == held.tolist()
 
@@ -447,7 +388,7 @@ class TestAdaptiveRecovery:
     def test_elastic_recovery_bit_identical(self, graph):
         ref = self._run(graph, quiet(6))
         assert ref.converged
-        m = Machine(6, faults=ONE_CRASH, elastic="replica")
+        m = Machine(6, faults=ONE_CRASH, elastic="on")
         res = self._run(graph, m)
         assert np.array_equal(res.scores, ref.scores)
         assert res.width_history == ref.width_history
@@ -481,7 +422,7 @@ class TestAdaptiveRecovery:
         from repro.core.approx import adaptive_bc
 
         ref = self._run(graph, quiet(6))
-        m = Machine(6, faults=ONE_CRASH, elastic="replica")
+        m = Machine(6, faults=ONE_CRASH, elastic="on")
         res = self._run(graph, m, checkpoint=str(tmp_path / "ad.json"))
         assert np.array_equal(res.scores, ref.scores)
         assert len(m.recoveries) == 1
@@ -501,7 +442,7 @@ class TestAdaptiveRecovery:
 
 class TestCrashAndSqueezeSameBatch:
     """A scripted crash and a per-rank budget hit batch 0 of both drivers,
-    with replica recovery and cheap checking on: the shrink rung and the
+    with elastic recovery and cheap checking on: the shrink rung and the
     elastic rung are rungs of one ladder, so the batch shrinks, recovers on
     the survivors and completes — bit-identical to the fault-free unbudgeted
     run, with a clean ledger."""
@@ -515,7 +456,7 @@ class TestCrashAndSqueezeSameBatch:
         ref = Machine(4, faults="off", elastic="off", memory_words=1 << 40)
         hit = Machine(
             4, memory_words=11_000, faults=f"seed:1,crash@{crash_step}:1",
-            elastic="replica", check="cheap",
+            elastic="on", check="cheap",
         )
         return ref, hit
 
@@ -541,11 +482,11 @@ class TestCrashAndSqueezeSameBatch:
         assert np.array_equal(res, ref)
         self._assert_same_batch(m, "mfbc")
 
-    # the squeeze lands at step 7 (the budget overflows while MFBr's first
+    # the squeeze lands at step 6 (the budget overflows while MFBr's first
     # product replicates Aᵀ) and halves the sweep; steps 9 and 13 crash
-    # inside the first and second half-sweep.  By then relief has spilled
-    # blocks the shrink's renumbering moves: recovery must fault them back
-    # in under the old numbering
+    # inside the first and second half-sweep.  At step 9 relief has spilled
+    # a tile of the pinned adjacency: recovery drops it with the old matrix
+    # and rebuilds the adjacency from the graph on the survivors
     @pytest.mark.parametrize("crash_step", [9, 13])
     def test_adaptive_bc(self, crash_step):
         from repro.core.approx import adaptive_bc

@@ -202,7 +202,7 @@ class TestAdaptiveSamplerFaults:
         g = uniform_random_graph_nm(40, 4.0, seed=1)
         quiet = Machine(6, faults="off", elastic="off")
         ref = adaptive_bc(g, engine=DistributedEngine(quiet), **self.KW)
-        m = Machine(6, faults="seed:5,crash:0.02,limit:2", elastic="replica")
+        m = Machine(6, faults="seed:5,crash:0.02,limit:2", elastic="on")
         res = adaptive_bc(g, engine=DistributedEngine(m), **self.KW)
         assert m.faults.injected == 2
         assert [(r.p_before, r.p_after) for r in m.recoveries] == [(6, 5), (5, 4)]
@@ -218,7 +218,7 @@ class TestAdaptiveSamplerFaults:
         from repro.graphs import uniform_random_graph_nm
 
         g = uniform_random_graph_nm(40, 4.0, seed=1)
-        m = Machine(4, deadline=1e-4, faults="seed:0", elastic="replica")
+        m = Machine(4, deadline=1e-4, faults="seed:0", elastic="on")
         with pytest.raises(DeadlineExceeded):
             adaptive_bc(g, engine=DistributedEngine(m), retries=3, **self.KW)
         actions = [(e.kind, e.action, e.site) for e in m.faults.events]

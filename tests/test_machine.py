@@ -290,19 +290,6 @@ class TestGroups:
         g.alltoall([[], [], []], [[], [], []])
         assert m.ledger.total_msgs == 2 * 3
 
-    def test_shift_charges_largest_shipment(self):
-        m = Machine(4)
-        g = m.world()
-        parts = [np.ones(1), np.ones(5), np.ones(2), None]
-        out = g.shift(parts, 1, category="redundancy")
-        assert out[2] is parts[1] and out[0] is None
-        assert m.ledger.critical_words() == 5
-        assert m.ledger.category_words == {"redundancy": 5.0 * 4}
-        # a full turn (or only empty shipments) moves nothing
-        g.shift(parts, 4)
-        g.shift([None] * 4, 1)
-        assert m.ledger.total_words == 5.0 * 4
-
     def test_single_rank_group_is_free_and_undelivered(self):
         m = Machine(4, faults="seed:0,corrupt:1,checksum:1")
         g = m.group([2])

@@ -2,7 +2,8 @@
 
 Covers the checksummed :class:`SpillStore` (round-trip bit-exactness,
 write-then-verify torn-write handling, private per-store directories), DistMat
-block/replica eviction and lazy fault-in, :class:`RecoveryLadder`'s one
+block eviction and lazy fault-in, the registry and the store across pinned
+adjacency swaps, :class:`RecoveryLadder`'s one
 memory rung, and the pressured-run bar: a seed-graph MFBC run under a
 per-rank budget well below the unpressured peak completes
 **bit-identically** through relief eviction and the shrink rung, with its
@@ -156,15 +157,44 @@ class TestEvictionAndRelief:
         assert machine.memory_used(0) < used
         assert machine.memory.snapshot()["reliefs"] == 1
 
-    def test_replicas_evicted_before_primary_blocks(self):
+    def test_repinned_adjacency_stays_registered_and_leaves_no_segments(self, tmp_path):
+        """Releasing and re-pinning the adjacency (what ``update_graph``
+        does) keeps both new pinned matrices in the relief registry even
+        when they reuse a collected matrix's ``id``, and a collected or
+        adopted matrix takes its spilled segments out of the store."""
+        import gc
+
         g = seed_graph()
-        machine = quiet(4, elastic="replica")
+        machine = quiet(4, memory_words=6000, spill_dir=str(tmp_path))
         engine = DistributedEngine(machine)
-        mat = engine.adjacency(g)
-        assert mat._replicas
-        machine.memory.relieve(0, 1)
-        # a small request is satisfied from replicas alone: primaries stay
-        assert not mat._spilled
+        store = machine.memory.store()
+        for _ in range(3):
+            mfbc(g, batch_size=64, engine=engine)
+            mat = engine.adjacency(g)
+            live = machine.memory._live()
+            assert any(m is mat for m in live)
+            assert any(m is mat.transpose() for m in live)
+            engine.release_invariants()
+            del mat, live
+            gc.collect()
+            spilled = sum(len(m._spilled) for m in machine.memory._live())
+            assert len(os.listdir(store.directory)) == spilled
+        assert machine.memory.reliefs > 0
+
+    def test_register_replaces_an_entry_whose_referent_is_gone(self):
+        import weakref
+
+        class Collected:
+            pass
+
+        machine = quiet(4)
+        mat = DistributedEngine(machine).adjacency(seed_graph())
+        gone = Collected()
+        # a collected matrix's entry under the id the new matrix reuses
+        machine.memory._registry[id(mat)] = weakref.ref(gone)
+        del gone
+        machine.memory.register(mat)
+        assert any(m is mat for m in machine.memory._live())
 
     def test_allocation_failure_raises_after_relief_exhausted(self):
         machine = quiet(2, memory_words=1000)
@@ -294,7 +324,7 @@ class TestPressuredRuns:
         np.testing.assert_array_equal(scores, ref)
         assert machine.memory_peak() <= machine.memory_words
 
-    @pytest.mark.parametrize("elastic", ["off", "replica"])
+    @pytest.mark.parametrize("elastic", ["off", "on"])
     def test_torn_spill_writes_never_corrupt_scores(self, tmp_path, elastic):
         g, ref, peak0 = self._baseline()
         machine = Machine(
@@ -305,16 +335,6 @@ class TestPressuredRuns:
         np.testing.assert_array_equal(scores, ref)
         store = machine.memory._store
         assert store is not None and store.torn_writes >= 1
-
-    def test_pressure_with_replica_elastic_still_bit_identical(self, tmp_path):
-        g, ref, peak0 = self._baseline()
-        machine = quiet(
-            4, elastic="replica",
-            memory_words=int(peak0 * 0.7), spill_dir=str(tmp_path),
-        )
-        scores = run_mfbc(g, machine)
-        np.testing.assert_array_equal(scores, ref)
-        assert machine.memory_peak() <= machine.memory_words
 
     def test_infeasible_budget_is_terminal(self, tmp_path):
         g = seed_graph()
@@ -507,11 +527,11 @@ class TestRungsCompose:
         g = seed_graph()
         src = np.arange(16)
         ref = mfbc_per_source(g, src, engine=DistributedEngine(quiet(4)))
-        # the squeeze lands at step 7 and halves the sweep; step 13 crashes
-        # the second half-sweep's first product
+        # the squeeze lands at step 6 and halves the sweep; step 13 crashes
+        # a product of the second half-sweep
         machine = Machine(
             4, memory_words=12_000, faults="seed:1,crash@13:1",
-            elastic="replica", check="cheap",
+            elastic="on", check="cheap",
         )
         with BCService(
             g, machine=machine, max_batch=16, batch_window=5.0

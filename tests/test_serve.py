@@ -652,7 +652,7 @@ class TestServiceFaults:
         # the three queries coalesce into one sweep; step 5 is its first
         # product's re-blocking
         with _service(
-            graph, faults="seed:3,crash@5:1", elastic="replica"
+            graph, faults="seed:3,crash@5:1", elastic="on"
         ) as svc:
             ids = [svc.submit("bc_source", source=s) for s in range(3)]
             rows = [svc.result(qid, timeout=120.0) for qid in ids]
@@ -748,7 +748,7 @@ class TestServiceFaults:
         # the crash lands inside mfbc's own batch loop (retries=0, elastic
         # rung): the service still reports the recovery
         with _service(
-            graph, faults="seed:3,crash@10:1", elastic="replica"
+            graph, faults="seed:3,crash@10:1", elastic="on"
         ) as svc:
             scores = svc.result(svc.submit("bc"), timeout=120.0)
             stats = svc.stats()
