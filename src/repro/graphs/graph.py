@@ -42,7 +42,8 @@ class Graph:
     """
 
     __slots__ = (
-        "n", "src", "dst", "weight", "directed", "name", "_unweighted", "_undirected"
+        "n", "src", "dst", "weight", "directed", "name",
+        "_unweighted", "_undirected", "_adjacency",
     )
 
     def __init__(
@@ -102,6 +103,7 @@ class Graph:
         self.name = name
         self._unweighted = None
         self._undirected = None
+        self._adjacency: SpMat | None = None
 
     # -- basic properties ----------------------------------------------------
 
@@ -152,9 +154,32 @@ class Graph:
         )
 
     def adjacency(self) -> SpMat:
-        """The adjacency matrix over the tropical weight monoid."""
-        r, c, w = self._both_directions()
-        return SpMat(self.n, self.n, r, c, {"w": w}, WEIGHT_MONOID)
+        """The adjacency matrix over the tropical weight monoid, built on
+        first use and kept (as :meth:`undirected`), so every engine, batch
+        and elastic rebuild shares one matrix and its memoized transpose.
+
+        Canonical by construction: the edge list is sorted by ``(src, dst)``,
+        unique, loop-free and weighted positive, so a directed graph's
+        triples are the matrix as they stand, and an undirected graph's two
+        orientations are disjoint parts of one :meth:`SpMat._merged` (one
+        key sort, nothing to fold) — a symmetric matrix, its own transpose.
+        """
+        if self._adjacency is None:
+            w = {"w": self.edge_weights()}
+            if self.directed:
+                adj = SpMat(
+                    self.n, self.n, self.src, self.dst, w, WEIGHT_MONOID, canonical=True
+                )
+            else:
+                adj = SpMat._merged(
+                    self.n,
+                    self.n,
+                    [(self.src, self.dst, w), (self.dst, self.src, w)],
+                    WEIGHT_MONOID,
+                )
+                adj._symmetric = True
+            self._adjacency = adj
+        return self._adjacency
 
     def adjacency_scipy(self, transpose: bool = False) -> scipy.sparse.csr_matrix:
         """CSR adjacency with weight data (for scipy-based baselines).

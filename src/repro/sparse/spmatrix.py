@@ -10,6 +10,7 @@ additive identity defines sparsity).
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +50,10 @@ class SpMat:
         skip canonicalization (internal fast path).
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "cols", "vals", "monoid", "_rowptr", "_keys")
+    __slots__ = (
+        "nrows", "ncols", "rows", "cols", "vals", "monoid",
+        "_rowptr", "_keys", "_t", "_symmetric", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -85,6 +89,8 @@ class SpMat:
         self.monoid = monoid
         self._rowptr: np.ndarray | None = None
         self._keys: np.ndarray | None = None
+        self._t: "SpMat | weakref.ref | None" = None
+        self._symmetric = False
         if canonical:
             self.rows, self.cols, self.vals = rows, cols, vals
         else:
@@ -126,15 +132,18 @@ class SpMat:
         parts: Sequence[tuple[np.ndarray, np.ndarray, FieldArray]],
         monoid: Monoid,
     ) -> "SpMat":
-        """``⊕`` of canonical ``(rows, cols, vals)`` parts in one frame.
+        """``⊕`` of ``(rows, cols, vals)`` parts in one frame.
 
-        Each part must be sorted, unique and identity-free over ``monoid``
-        (a canonical matrix's triples, possibly shifted by a constant).
-        Parts that already concatenate in ascending key order need no work;
-        otherwise one stable key sort merges them.  ``⊕`` and identity
-        pruning run only if two parts share a coordinate — on the same
-        sorted sequence the canonicalizing constructor would reduce, so the
-        values are bit-identical to it.
+        Each part must be unique and identity-free over ``monoid`` (a
+        canonical matrix's triples, possibly shifted by a constant, or
+        reordered).  Being sorted only saves the sort: parts that already
+        concatenate in ascending key order need no work; otherwise one
+        stable key sort merges them.  ``⊕`` and identity pruning run only
+        if two parts share a coordinate — on the same sorted sequence the
+        canonicalizing constructor would reduce, so the values are
+        bit-identical to it.  Parts disjoint from each other (a
+        distribution's tiles, an undirected adjacency's two orientations)
+        fold nothing.
         """
         if not parts:
             return cls.empty(nrows, ncols, monoid)
@@ -412,9 +421,24 @@ class SpMat:
 
     def transpose(self) -> "SpMat":
         """The transposed matrix (values unchanged): a permutation of the
-        entries, so one key sort and nothing to fold or prune."""
+        entries, so one key sort and nothing to fold or prune.
+
+        Memoized as :meth:`DistMat.transpose <repro.dist.DistMat.transpose>`
+        is, so a loop invariant (MFBr's ``Aᵀ``) is sorted once: this matrix
+        holds its transpose, and the transpose holds this matrix only
+        weakly, so the pair is no reference cycle and is freed when the
+        last reference goes.  A matrix its builder marked symmetric (an
+        undirected graph's adjacency) is its own transpose.
+        """
+        if self._symmetric:
+            return self
+        cached = self._t
+        if isinstance(cached, weakref.ref):
+            cached = cached()
+        if cached is not None:
+            return cached
         _, order = stable_key_sort(self.cols * self.nrows + self.rows)
-        return SpMat(
+        out = SpMat(
             self.ncols,
             self.nrows,
             self.cols[order],
@@ -423,6 +447,9 @@ class SpMat:
             self.monoid,
             canonical=True,
         )
+        self._t = out
+        out._t = weakref.ref(self)
+        return out
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "SpMat":
         """Extract rows [r0, r1) × cols [c0, c1) as a reindexed submatrix

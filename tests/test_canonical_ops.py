@@ -11,6 +11,8 @@ stays off the canonicalizing constructor.
 """
 
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,10 +25,11 @@ from repro.algebra.monoid import MaxMonoid, MinMonoid, PlusMonoid
 from repro.algebra.multpath import MULTPATH
 from repro.check import check_spmat
 from repro.check import strategies as cst
-from repro.core import mfbc
+from repro.core import SequentialEngine, mfbc
 from repro.dist import DistMat, DistributedEngine, Layout
 from repro.dist.distmat import axis_block
-from repro.graphs import uniform_random_graph_nm
+from repro.graphs import Graph, uniform_random_graph_nm
+from repro.graphs.graph import WEIGHT_MONOID
 from repro.machine import Machine
 from repro.sparse import SpMat
 from repro.spgemm.variants import _stack
@@ -266,6 +269,51 @@ def test_transpose(a):
     assert_canonical(a.transpose().transpose(), a)
 
 
+# -- a graph's adjacency ---------------------------------------------------------
+
+
+@st.composite
+def edge_lists(draw, max_n=8):
+    """A graph from a raw edge list, directed or not, weighted or not:
+    parallel edges (with different weights), self-loops and no edges at all
+    are all drawn."""
+    n = draw(st.integers(1, max_n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
+    weight = None
+    if draw(st.booleans()):
+        weight = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.25]),
+                                        min_size=len(edges), max_size=len(edges))))
+    return Graph(n, src, dst, weight, directed=draw(st.booleans()))
+
+
+@given(edge_lists())
+def test_adjacency_is_canonical_as_built(g):
+    """The edge list is sorted, unique and loop-free, so the adjacency needs
+    no reducing constructor: bit for bit what that constructor makes of
+    both orientations, built once per graph."""
+    r, c, w = g._both_directions()
+    ref = SpMat(g.n, g.n, r, c, {"w": w}, WEIGHT_MONOID)
+    adj = g.adjacency()
+    assert_canonical(adj, ref)
+    assert [col.tobytes() for col in columns(adj)] == [col.tobytes() for col in columns(ref)]
+    assert g.adjacency() is adj
+
+
+@given(edge_lists())
+def test_adjacency_transpose_is_memoized(g):
+    adj = g.adjacency()
+    t = adj.transpose()
+    assert adj.transpose() is t
+    if g.directed:
+        assert_canonical(t, SpMat(g.n, g.n, adj.cols, adj.rows, adj.vals, adj.monoid))
+        assert t.transpose() is adj
+    else:  # symmetric: its own transpose, no copy
+        assert t is adj
+
+
 # -- redistribution -----------------------------------------------------------
 
 
@@ -381,12 +429,44 @@ def test_redistribute_and_gather_reduce_nothing(monkeypatch, rng):
     assert calls == [] and builds == []
 
 
-def test_mfbc_stays_off_the_canonicalizing_constructor(monkeypatch):
+def assert_mfbc_stays_off_the_canonicalizing_constructor(monkeypatch, engine):
     g = uniform_random_graph_nm(96, 6.0, seed=5)
-    engine = DistributedEngine(Machine(4))
     builds = count_calls(monkeypatch, SpMat, "_canonicalize")
     result = mfbc(g, sources=np.arange(12), batch_size=6, engine=engine)
     assert result.scores.shape == (g.n,)
-    # what is left builds from raw triples: the adjacency matrix and each of
-    # the two batches' seed frontier (the parent commit made 771 on this run)
-    assert len(builds) <= 3
+    # what is left builds from raw triples: each of the two batches' seed
+    # frontier (the adjacency is canonical as built from the graph's sorted
+    # edge list; an early version of the engine made 771 on this run)
+    assert len(builds) <= 2
+
+
+def test_mfbc_stays_off_the_canonicalizing_constructor(monkeypatch):
+    assert_mfbc_stays_off_the_canonicalizing_constructor(
+        monkeypatch, DistributedEngine(Machine(4))
+    )
+
+
+def test_sequential_mfbc_stays_off_the_canonicalizing_constructor(monkeypatch):
+    assert_mfbc_stays_off_the_canonicalizing_constructor(monkeypatch, SequentialEngine())
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_dropped_graph_frees_its_matrices_without_the_cyclic_collector(directed):
+    """A graph holds its adjacency, the adjacency its memoized transpose,
+    and the transpose the adjacency only weakly (a symmetric one is its own
+    transpose): no reference cycle, so dropping the graph frees both at
+    once, not whenever the cyclic collector next runs."""
+    g = uniform_random_graph_nm(64, 4.0, seed=3)
+    if directed:
+        g = Graph(g.n, g.src, g.dst, directed=True)
+    gc.disable()
+    try:
+        mfbc(g, sources=np.arange(8), batch_size=4)
+        adj = g.adjacency()
+        held = [weakref.ref(m.vals["w"]) for m in (adj, adj.transpose())]
+        del adj
+        assert all(ref() is not None for ref in held)
+        del g
+        assert all(ref() is None for ref in held)
+    finally:
+        gc.enable()
