@@ -498,7 +498,7 @@ def adaptive_bc(
         delta=delta,
     ):
         with obs.span("adjacency", cat="phase"):
-            adj = engine.adjacency(graph)
+            engine.adjacency(graph)
         sweep_width = batch_size  # the width that fit carries to later batches
         while not converged and cursor < max_samples:
             if max_batches is not None and executed >= max_batches:
@@ -508,7 +508,7 @@ def adaptive_bc(
             batch = np.random.default_rng([seed, batch_index]).integers(
                 0, n, size=count, dtype=np.int64
             )
-            rows, sweep = per_source_rows(engine, graph, adj, batch)
+            rows, sweep = per_source_rows(engine, graph, batch)
 
             def attempt_batch(attempt, width):
                 with obs.span(

@@ -23,10 +23,10 @@ answered by the one recovery ladder (:mod:`repro.core.ladder`): narrow the
 sweep, never the batch (bit-identical; the overflowing allocation has
 already evicted what the pressured rank could spill), recover elastically
 from a :class:`~repro.faults.RankFailure` when the machine has elastic
-recovery on (the pinned adjacency is rebuilt from the graph on the
-survivors and only the interrupted batch re-executes; never burns a
-retry), then retry up to ``retries`` times with backoff charged to the
-machine's modeled clock.
+recovery on (the adjacency is pinned again from the graph on the
+survivors and only the interrupted batch re-executes, asking the engine
+for it afresh; never burns a retry), then retry up to ``retries`` times
+with backoff charged to the machine's modeled clock.
 :class:`~repro.faults.DeadlineExceeded` is terminal by design.  See
 docs/robustness.md, "The recovery ladder".
 """
@@ -223,14 +223,14 @@ def mfbc(
         batch_size=batch_size,
     ):
         with obs.span("adjacency", cat="phase"):
-            adj = engine.adjacency(graph)
+            engine.adjacency(graph)
         # the shrink rung narrows the sweep, never the batch: later batches
         # start at the width that fit
         width = batch_size
         executed = 0
         while lo < len(sources):
             batch = sources[lo : lo + batch_size]
-            sweep = _sweeper(engine, adj, batch, fold)
+            sweep = _sweeper(engine, graph, batch, fold)
 
             def attempt_batch(attempt, width):
                 with obs.span(
@@ -313,13 +313,13 @@ def mfbc_per_source(
         "mfbc_per_source", cat="run", n=graph.n, sources=len(sources)
     ):
         with obs.span("adjacency", cat="phase"):
-            adj = engine.adjacency(graph)
-        out, sweep = per_source_rows(engine, graph, adj, sources)
+            engine.adjacency(graph)
+        out, sweep = per_source_rows(engine, graph, sources)
         ladder.run(lambda _, width: sweep(width), width=len(sources))
     return out
 
 
-def per_source_rows(engine, graph, adj, sources):
+def per_source_rows(engine, graph, sources):
     """``(out, sweep)``: per-source score rows of ``sources``, and the
     resumable ``sweep(width)`` (see :func:`_sweeper`) that fills them.
 
@@ -334,24 +334,26 @@ def per_source_rows(engine, graph, adj, sources):
         # scatter — no accumulation-order concerns
         out[offset + rows, cols] = weights
 
-    return out, _sweeper(engine, adj, sources, fold)
+    return out, _sweeper(engine, graph, sources, fold)
 
 
-def _sweeper(engine, adj, sources, fold):
+def _sweeper(engine, graph, sources, fold):
     """The one sweep body: ``sweep(width)`` runs MFBF → MFBr → accumulate
     over ``sources`` in ``width``-wide sub-sweeps, handing each one's
     ``(offset, rows, cols, weights, stats)`` to ``fold``.
 
     Progress outlives a failed attempt: a re-attempt (narrower, after the
     shrink rung) resumes after the sub-sweeps already folded, which are
-    neither recomputed nor counted twice.  Each sub-sweep's T and Z are
-    released before the next one starts, so a narrower sweep's peak is its
-    own.
+    neither recomputed nor counted twice.  Each attempt asks the engine for
+    ``graph``'s adjacency, so one after an elastic recovery reads the
+    re-pinned matrix.  Each sub-sweep's T and Z are released before the
+    next one starts, so a narrower sweep's peak is its own.
     """
     done = 0
 
     def sweep(width):
         nonlocal done
+        adj = engine.adjacency(graph)
         while done < len(sources):
             part = sources[done : done + width]
             stats = BatchStats(sources=len(part))

@@ -25,6 +25,11 @@ not, the operand with fewer nonzeros moves onto the other's layout.  Per-block
 mutation — spilling, assignment — works on the block form, which a packed
 matrix turns into first.
 
+A matrix's derived state lives on it: its memoized transpose, and — on a
+loop invariant the engine pins (a graph's adjacency and that transpose) —
+a memo of the replicas the SpGEMM variants made of it, so a replica lives
+exactly as long as the matrix it copies.
+
 The paper's load-balance assumption (§5.2, balls-into-bins after random
 vertex relabeling) is what makes these oblivious even splits balanced.
 """
@@ -54,16 +59,15 @@ class _MemCharge:
     segments.
 
     Shared between the matrix and its GC finalizer, so blocks freed early
-    (spilled) are not freed again at collection and an adopted matrix can
-    take over its donor's charges.  Releasing drops the spilled segments
-    from the store with the charges, so a collected or adopted matrix
-    leaves no segment behind.  Charges from before a machine
+    (spilled) are not freed again at collection.  Releasing drops the
+    spilled segments from the store with the charges, so a collected
+    matrix leaves no segment behind.  Charges from before a machine
     :meth:`~repro.machine.Machine.shrink` are epoch-stale: the rank arrays
     were compacted, so stale holders free no words (their segments still
     go).
     """
 
-    __slots__ = ("machine", "epoch", "charged", "spilled", "released", "finalizer")
+    __slots__ = ("machine", "epoch", "charged", "spilled", "released")
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
@@ -72,7 +76,6 @@ class _MemCharge:
         #: ``(i, j)`` -> the segment holding that block in the spill store
         self.spilled: dict[tuple[int, int], object] = {}
         self.released = False
-        self.finalizer = None
 
     def _stale(self) -> bool:
         return self.released or self.machine.epoch != self.epoch
@@ -108,10 +111,6 @@ class _MemCharge:
         for rank, words in self.charged.items():
             self.machine.free(rank, words)
         self.charged = {}
-
-
-def _release_charge(holder: _MemCharge) -> None:
-    holder.release()
 
 
 def even_splits(n: int, parts: int) -> np.ndarray:
@@ -284,6 +283,7 @@ class DistMat:
         "layout",
         "monoid",
         "_cached_t",
+        "_replicas",
         "_memcharge",
         "_pk",
         "_tile_ends",
@@ -323,6 +323,9 @@ class DistMat:
         self.monoid = monoid
         #: the memoized transpose (a weak reference on the transpose's side)
         self._cached_t: "DistMat | weakref.ref | None" = None
+        #: a pinned loop invariant's replicas, keyed by how they were made
+        #: (``None`` on every matrix the engine has not pinned)
+        self._replicas: dict | None = None
         #: the one resident form: ``_pk`` (packed; ``_tile_ends`` are its
         #: tiles' entry boundaries) or ``_resident``, the raw nested block
         #: list (a cell is ``None`` while its block lives in the spill
@@ -338,9 +341,7 @@ class DistMat:
             if w:
                 charges[r] = charges.get(r, 0) + w
         self._memcharge.add(charges, site="distmat")
-        self._memcharge.finalizer = weakref.finalize(
-            self, _release_charge, self._memcharge
-        )
+        weakref.finalize(self, self._memcharge.release)
 
     # -- construction -----------------------------------------------------------
 
@@ -368,35 +369,6 @@ class DistMat:
             ranks, parts = layout.by_owner(blocks)
             machine.group(ranks).scatter(parts, category=category)
         return cls(machine, layout, blocks, mat.monoid)
-
-    def _adopt(self, other: "DistMat") -> None:
-        """Become ``other`` in place (all slots copied).
-
-        Elastic recovery rebuilds an invariant matrix on the shrunken grid
-        and adopts it into the original object, so long-lived references
-        (the MFBC driver's adjacency, the engine's pinned adjacency) stay
-        valid across the reconfiguration.
-        """
-        old_charge = self._memcharge
-        for slot in self.__slots__:
-            if slot == "__weakref__":
-                continue
-            setattr(self, slot, getattr(other, slot))
-        self._cached_t = None
-        # take over the donor's memory charges: release what this object
-        # held, then move ownership of the donor's holder to this object so
-        # the donor's collection does not free blocks that now live here
-        if old_charge is not self._memcharge:
-            old_fin = old_charge.finalizer
-            if old_fin is not None:
-                old_fin.detach()
-            old_charge.release()
-            donor_fin = self._memcharge.finalizer
-            if donor_fin is not None:
-                donor_fin.detach()
-            self._memcharge.finalizer = weakref.finalize(
-                self, _release_charge, self._memcharge
-            )
 
     # -- properties ----------------------------------------------------------------
 
@@ -682,8 +654,8 @@ class DistMat:
         No traffic: block ``(i,j)`` stays on its rank and becomes block
         ``(j,i)`` of the transposed grid (CTF's data-reordering happens
         lazily at the next redistribution).  The result is memoized so that
-        loop-invariant transposes (MFBr's ``Aᵀ``) keep a stable identity —
-        which is what lets the engine's replication cache amortize them.
+        loop-invariant transposes (MFBr's ``Aᵀ``) keep a stable identity, and
+        with it the replicas the engine pins on them.
         The memo holds the transpose, and the transpose holds this matrix
         only weakly: the pair is no reference cycle, so its memory charges
         are released when the last reference goes, not whenever the cyclic

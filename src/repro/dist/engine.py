@@ -11,13 +11,15 @@ layout it is not already on, and an elementwise operation on two matrices
 that rest differently moves the one with fewer nonzeros.
 
 The loop-invariant operands are a graph's adjacency and its transpose,
-which every MFBC product reuses.  The engine pins them: the adjacency is
-distributed once per graph and every later :meth:`DistributedEngine.adjacency`
-call for the same graph returns the same matrix (its memoized transpose
-with it), until :meth:`~DistributedEngine.release_invariants`.  The selector
-discounts a pinned operand's replication cost and the variant executor
-serves its replicas from a cache, reproducing the amortization in the proof
-of Theorem 5.1.
+which every MFBC product reuses.  The engine pins them, one way
+(:meth:`DistributedEngine._pin`): the adjacency is distributed once per
+graph and every later :meth:`DistributedEngine.adjacency` call for the same
+graph returns the same matrix (its memoized transpose with it), until an
+elastic recovery pins it again on the survivors or
+:meth:`~DistributedEngine.release_invariants` drops it.  A pinned matrix
+carries a replica memo: the selector discounts its replication cost and the
+variant executor keeps its replicas there, reproducing the amortization in
+the proof of Theorem 5.1; they die with the matrix.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ class DistributedEngine:
             active.modeled_clock = machine.ledger.critical_time
         pr, pc = near_square_shape(machine.p)
         self.home_ranks2d = np.arange(machine.p).reshape(pr, pc)
-        self._replication_cache: dict = {}
         # the loop invariants: id(graph) -> (graph, its pinned adjacency),
         # which holds its memoized transpose; holding the graph keeps its id
         # from being recycled while the entry lives
@@ -107,40 +108,40 @@ class DistributedEngine:
         """``graph``'s adjacency, distributed and pinned on first use.
 
         Every later call for the same graph object returns the same matrix
-        (elastic recovery rebuilds it in place), so queries and drivers
-        sharing an engine share one copy.
+        until an elastic recovery pins a new one, so queries and drivers
+        sharing an engine share one copy; drivers ask again per attempt.
         """
         pinned = self._adjacency.get(id(graph))
-        if pinned is not None:
-            return pinned[1]
-        mat = DistMat.distribute(graph.adjacency(), self.machine, self.home_ranks2d)
+        return self._pin(graph) if pinned is None else pinned[1]
+
+    def _pin(self, graph, category: str = "input") -> DistMat:
+        """Pin ``graph``'s adjacency: the one way, on first use and on
+        elastic recovery.
+
+        Scatters it onto the home grid (charged as ``category``), records
+        it, builds its memoized transpose, gives both a replica memo, and
+        makes both spillable: the long-lived resting state is exactly what
+        the memory manager should evict to the spill store under pressure.
+        """
+        mat = DistMat.distribute(
+            graph.adjacency(), self.machine, self.home_ranks2d, category=category
+        )
         self._adjacency[id(graph)] = (graph, mat)
-        self._pin(mat)
+        memory = getattr(self.machine, "memory", None)
+        for pinned in (mat, mat.transpose()):
+            pinned._replicas = {}
+            if memory is not None:
+                memory.register(pinned)
         return mat
 
-    def _pin(self, mat: DistMat) -> None:
-        """Build pinned ``mat``'s memoized transpose and make both spillable:
-        the long-lived resting state is exactly what the memory manager
-        should evict to the spill store under pressure."""
-        mat_t = mat.transpose()
-        memory = getattr(self.machine, "memory", None)
-        if memory is not None:
-            memory.register(mat)
-            memory.register(mat_t)
-
-    def _pinned(self, mat: DistMat) -> bool:
-        """Whether ``mat`` is a pinned adjacency or its transpose."""
-        return any(mat is adj or mat is adj.transpose() for _, adj in self._adjacency.values())
-
     def release_invariants(self) -> None:
-        """Forget every pinned adjacency and its replicas.
+        """Forget every pinned adjacency; its transpose and replicas go with it.
 
         The serving layer calls this when the served graph is replaced: the
-        old adjacency and its replication cache would otherwise be kept
-        alive across graph versions.
+        old adjacency and its replicas would otherwise be kept alive across
+        graph versions.
         """
         self._adjacency.clear()
-        self._replication_cache.clear()
 
     def spgemm(
         self,
@@ -169,7 +170,9 @@ class DistributedEngine:
         if memory is not None:
             memory.touch(a)
             memory.touch(b)
-        amortized = frozenset(name for name, mat in (("A", a), ("B", b)) if self._pinned(mat))
+        amortized = frozenset(
+            name for name, mat in (("A", a), ("B", b)) if mat._replicas is not None
+        )
         with obs.span(
             "spgemm",
             cat="spgemm",
@@ -190,19 +193,8 @@ class DistributedEngine:
                 amortized=amortized,
             )
             self.plan_log.append(plan)
-            # Serve replicas from the cache only for pinned operands:
-            # frontier matrices are freed every iteration and Python may
-            # recycle their ids, so caching them would risk stale hits (and
-            # buys nothing).
-            cache = self._replication_cache if plan.x in amortized else None
             out, ops = execute_plan(
-                plan,
-                a,
-                b,
-                spec,
-                mask=local_mask,
-                mask_complement=mask_complement,
-                replication_cache=cache,
+                plan, a, b, spec, mask=local_mask, mask_complement=mask_complement
             )
             # fixed per-product setup overhead on every rank (see CostParams)
             self.machine.charge_overhead(self.machine.cost.product_overhead)
@@ -224,15 +216,17 @@ class DistributedEngine:
     def recover(self) -> None:
         """Reset transient state after an injected failure, before a retry.
 
-        Drops the replication cache (replicas are rebuilt — and recharged —
-        on the next product, mirroring a restarted rank that lost its
-        copies).  Memory accounting is left alone: the failed attempt's
-        blocks were released by their finalizers before the retry starts,
-        and what stays charged — the pinned adjacency and the matrices the
-        driver still holds — is still resident, the durable inputs a
-        restart would reload.
+        Empties the pinned matrices' replica memos (replicas are rebuilt —
+        and recharged — on the next product, mirroring a restarted rank that
+        lost its copies).  Memory accounting is left alone: the failed
+        attempt's blocks were released by their finalizers before the retry
+        starts, and what stays charged — the pinned adjacency and the
+        matrices the driver still holds — is still resident, the durable
+        inputs a restart would reload.
         """
-        self._replication_cache.clear()
+        for _, adj in self._adjacency.values():
+            adj._replicas.clear()
+            adj.transpose()._replicas.clear()
         if obs.enabled():
             obs.count("engine.recoveries", 1.0)
 
@@ -240,8 +234,8 @@ class DistributedEngine:
         """Elastic recovery: shrink onto the survivors of ``failure``.
 
         Shrinks the machine to the nearest grid the selection policy can run
-        on, rebuilds the home layout and every pinned adjacency there from
-        its graph, and returns the :class:`~repro.elastic.RecoveryReport`.
+        on, rebuilds the home layout, pins every graph's adjacency there
+        again, and returns the :class:`~repro.elastic.RecoveryReport`.
         Requires ``machine.elastic``; raises
         :class:`~repro.elastic.RecoveryError` when no feasible grid exists
         (caller falls back to retry/restart).

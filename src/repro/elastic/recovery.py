@@ -14,22 +14,23 @@ and the machine has it on, the MFBC driver hands the engine to
    ranks outside the shrunken communicator).  :meth:`Machine.shrink
    <repro.machine.machine.Machine.shrink>` compacts the ledger onto the
    survivor numbering.
-3. **Rebuild** — the adjacency and its transpose are the only distributed
+3. **Re-pin** — the adjacency and its transpose are the only distributed
    state that outlives a batch (Algorithm 3; every frontier is recomputed
    per batch), and the engine keeps each pinned adjacency beside its
-   graph, so the input a lost rank held can always be read again.  Each
-   pinned adjacency is scattered from its graph onto the new near-square
-   home grid with :meth:`DistMat.distribute
-   <repro.dist.distmat.DistMat.distribute>`, charged as category
-   ``"recovery"``, and *adopted* into the original object, so references
-   held by the driver stay valid.  The home grid is only where the engine
-   first scatters a matrix — a product's output stays on its plan's
-   layout — but the invariants are rebuilt there because that is where
-   they always rest: every product re-blocks them from it (or serves them
-   from the replication cache), never replaces them.
-4. **Resume** — the policy is rescaled to ``p'``, the replication cache is
-   dropped, memory accounting resets, and the driver re-executes only the
-   interrupted batch.
+   graph, so the input a lost rank held can always be read again.  The
+   engine's entries are cleared and each graph's adjacency is pinned again
+   the way first use pins it (``DistributedEngine._pin``): scattered onto
+   the new near-square home grid, charged as category ``"recovery"``, with
+   a fresh transpose and empty replica memos.  The old matrices are
+   epoch-stale: nothing spills them, and they are collected with the last
+   reference.  The home grid is only where the engine first scatters a
+   matrix — a product's output stays on its plan's layout — but the
+   invariants are pinned there because that is where they always rest:
+   every product re-blocks them from it (or reads their replica memo),
+   never replaces them.
+4. **Resume** — the policy is rescaled to ``p'``, memory accounting
+   resets, and the driver re-executes only the interrupted batch, asking
+   the engine for the adjacency again.
 
 Determinism: the survivor set is a pure function of the seeded fault plan,
 and every step here (grid choice, scatter order) is deterministic given
@@ -122,8 +123,7 @@ def recover_engine(engine, failure) -> RecoveryReport:
 
 
 def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
-    # deferred imports: repro.machine and repro.dist import this package
-    from repro.dist.distmat import DistMat
+    # deferred import: repro.machine imports this package
     from repro.machine.grid import near_square_shape, nearest_feasible_p
 
     with obs.span(
@@ -151,23 +151,20 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
 
         machine.shrink(removed)
         # every pre-shrink holder is epoch-stale now and frees nothing, so
-        # the survivors' accounting restarts here and the rebuilt invariants
-        # below charge what they hold
+        # the survivors' accounting restarts here and the re-pinned
+        # invariants below charge what they hold
         machine.reset_memory()
         pr, pc = near_square_shape(p_target)
         engine.home_ranks2d = np.arange(p_target).reshape(pr, pc)
 
-        # 3. rebuild every pinned adjacency from its graph on the survivor
-        # grid: one scatter each, charged as category "recovery"
-        for graph, mat in engine._adjacency.values():
-            rebuilt = DistMat.distribute(
-                graph.adjacency(), machine, engine.home_ranks2d, category="recovery"
-            )
-            mat._adopt(rebuilt)
-            engine._pin(mat)
+        # 3. pin every graph's adjacency again on the survivor grid: one
+        # scatter each, charged as category "recovery"
+        graphs = [graph for graph, _ in engine._adjacency.values()]
+        engine._adjacency.clear()
+        for graph in graphs:
+            engine._pin(graph, category="recovery")
 
-        # 4. resume: fresh caches, rescaled policy
-        engine._replication_cache.clear()
+        # 4. resume on the rescaled policy
         engine.policy = engine.policy.rescale(p_target)
 
         report = RecoveryReport(

@@ -83,11 +83,13 @@ class MemoryManager:
             self._registry[key] = entry
 
     def _live(self):
-        """Registered matrices oldest-first, dropping dead weakrefs."""
+        """Registered matrices oldest-first, dropping dead weakrefs and
+        matrices from before a :meth:`~repro.machine.Machine.shrink`, which
+        hold no words on the shrunken machine."""
         out = []
         for key in list(self._registry):
             mat = self._registry[key]()
-            if mat is None:
+            if mat is None or mat._memcharge._stale():
                 del self._registry[key]
             else:
                 out.append(mat)

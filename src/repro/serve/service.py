@@ -4,7 +4,7 @@ One-shot CLI/bench runs rebuild the simulated machine, redistribute the
 graph, and compute from scratch on every invocation.  The service instead
 keeps one engine on a warm :class:`~repro.machine.Machine`; the engine pins
 the served graph's distributed adjacency once per version — queries share
-that copy, and its replication cache stays warm between requests — and
+that copy, and the replicas it carries stay warm between requests — and
 the service answers a concurrent query mix:
 
 * ``bc`` — exact betweenness centrality of every vertex;

@@ -37,9 +37,12 @@ Layout conventions (C = A •⟨⊕,f⟩ B, A is m×k, B is k×n):
   charged its strip's rows' ops (:func:`_strip_product`).
 * 3D variants nest: the 1D variant ``X`` runs over ``p1`` layers (replicating
   X or splitting/reducing), each layer running the 2D variant on its
-  ``p2 × p3`` sub-grid.  Replication of a loop-invariant operand (MFBC's
-  adjacency matrix) is cached and charged once — the amortization the proof
-  of Theorem 5.1 relies on.
+  ``p2 × p3`` sub-grid.
+
+A replicated operand the engine pinned (MFBC's adjacency or its transpose)
+keeps its replicas in its own memo (``DistMat._replicas``), so they are
+charged once and reused by every later product — the amortization the
+proof of Theorem 5.1 relies on.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ def execute_plan(
     *,
     mask: SpMat | None = None,
     mask_complement: bool = False,
-    replication_cache: dict | None = None,
 ) -> tuple[DistMat, int]:
     """Run ``C = A •⟨⊕,f⟩ B`` under ``plan``; return C and the op count.
 
@@ -100,17 +102,14 @@ def execute_plan(
         )
     kind = plan.kind
     if kind == "1d":
-        c, ops = _exec_1d(
-            plan.x, machine, a, b, spec, mask, mask_complement, replication_cache
-        )
+        c, ops = _exec_1d(plan.x, machine, a, b, spec, mask, mask_complement)
     elif kind == "2d":
         ranks2d = np.arange(machine.p).reshape(plan.p2, plan.p3)
         c, ops = _exec_2d(plan.yz, ranks2d, machine, a, b, spec, mask, mask_complement)
     else:
         ranks3d = np.arange(machine.p).reshape(plan.p1, plan.p2, plan.p3)
         c, ops = _exec_3d(
-            plan.x, plan.yz, ranks3d, machine, a, b, spec,
-            mask, mask_complement, replication_cache,
+            plan.x, plan.yz, ranks3d, machine, a, b, spec, mask, mask_complement
         )
     return c, ops
 
@@ -173,24 +172,19 @@ def _nonempty(mat: SpMat | None) -> SpMat | None:
     return mat if mat is not None and mat.nnz else None
 
 
-def _replicate_cached(
-    cache: dict | None,
-    key,
-    build,
-):
-    """Fetch a replicated operand from the cache or build-and-charge it."""
-    if cache is not None and key in cache:
-        if obs.enabled():
-            obs.count("spgemm.replication_cache", 1.0, outcome="hit")
-            obs.set_attr(replication_cache="hit")
-        return cache[key]
-    value = build()
-    if cache is not None:
-        cache[key] = value
-        if obs.enabled():
-            obs.count("spgemm.replication_cache", 1.0, outcome="miss")
-            obs.set_attr(replication_cache="miss")
-    return value
+def _replicated(mat: DistMat, key: tuple, build):
+    """``mat``'s replicas made by ``build``: built and charged on every call,
+    unless ``mat`` is pinned, whose memo builds them once."""
+    memo = mat._replicas
+    if memo is None:
+        return build()
+    outcome = "hit" if key in memo else "miss"
+    if outcome == "miss":
+        memo[key] = build()
+    if obs.enabled():
+        obs.count("spgemm.replicas", 1.0, outcome=outcome)
+        obs.set_attr(replicas=outcome)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +220,6 @@ def _exec_1d(
     spec,
     mask: SpMat | None,
     mask_complement: bool,
-    cache: dict | None,
 ) -> tuple[DistMat, int]:
     p = machine.p
     world = machine.world()
@@ -243,9 +236,9 @@ def _exec_1d(
     # tell, but the fault plan's step counter can); A before B otherwise.
     local = {}
     if x != "C":
-        whole = _replicate_cached(
-            cache,
-            ("1d" + x, id(mats[x])),
+        whole = _replicated(
+            mats[x],
+            ("1d" + x,),
             lambda: world.bcast(mats[x].gather(charge=False), category="replicate"),
         )
         local[x] = [whole] * p
@@ -557,7 +550,6 @@ def _exec_3d(
     spec,
     mask: SpMat | None,
     mask_complement: bool,
-    cache: dict | None,
 ) -> tuple[DistMat, int]:
     p1, p2, p3 = ranks3d.shape
     mats = {"A": a, "B": b}
@@ -589,9 +581,7 @@ def _exec_3d(
 
     # X moves first when it is an operand; per layer A before B
     if x != "C":
-        copies = _replicate_cached(
-            cache, ("3d" + x, id(mats[x]), p1, p2, p3), replicate
-        )
+        copies = _replicated(mats[x], ("3d" + x, p1, p2, p3), replicate)
     layer_mats: dict[str, DistMat] = {}
     outs = []
     for l in range(p1):

@@ -10,6 +10,9 @@ its graph — the one redundant copy, so armed recovery costs nothing — and
 post-recovery ledger invariants intact.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,20 +268,29 @@ class TestRecoveryDifferential:
         assert check_ledger(m) == []
 
     def test_source_redundancy_recovers(self, graph):
-        """The source of a recovery is the graph: the pinned adjacency is
-        scattered afresh from it onto the survivors' home grid — one charged
-        scatter — and adopted into the object the driver holds."""
+        """The source of a recovery is the graph: the engine pins its
+        adjacency again on the survivors' home grid — one charged scatter.
+        The pre-fault matrix is no longer the engine's, and it is collected
+        (by refcount) once the last caller holding it lets go."""
         m = Machine(6, faults=ONE_CRASH, elastic="on")
         eng = DistributedEngine(m)
-        adj = eng.adjacency(graph)
+        old = eng.adjacency(graph)
         ref = mfbc(graph, batch_size=8, engine=DistributedEngine(quiet(6))).scores
         assert np.array_equal(mfbc(graph, batch_size=8, engine=eng).scores, ref)
         assert_fired(m)
-        assert m.p == 5 and eng.adjacency(graph) is adj
+        adj = eng.adjacency(graph)
+        assert m.p == 5 and adj is not old
         assert np.array_equal(adj.layout.ranks2d, eng.home_ranks2d)
         assert adj.layout.ranks2d.shape == near_square_shape(5)
         assert adj.gather(charge=False).equals(graph.adjacency())
         assert m.ledger.category_words["recovery"] > 0.0
+        gone = weakref.ref(old)
+        gc.disable()
+        try:
+            del old
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_recovery_does_not_consume_retry_budget(self, graph):
         # retries=0 means a plain RankFailure would abort — elastic doesn't

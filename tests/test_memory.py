@@ -157,11 +157,25 @@ class TestEvictionAndRelief:
         assert machine.memory_used(0) < used
         assert machine.memory.snapshot()["reliefs"] == 1
 
+    def test_relief_skips_matrices_from_before_a_shrink(self):
+        """A pinned matrix from before ``Machine.shrink`` holds no charged
+        words on the shrunken machine: relief neither spills it nor counts
+        its blocks as freed (nor charges spill I/O for them)."""
+        machine = quiet(4)
+        engine = DistributedEngine(machine)
+        engine.adjacency(rmat_graph(6, 8, seed=0))
+        machine.shrink([3])
+        machine.reset_memory()
+        assert machine.memory.relieve(0, 1) == 0
+        assert machine.memory.snapshot()["reliefs"] == 0
+        assert machine.ledger.category_words.get("spill", 0.0) == 0.0
+        assert machine.memory._live() == []
+
     def test_repinned_adjacency_stays_registered_and_leaves_no_segments(self, tmp_path):
         """Releasing and re-pinning the adjacency (what ``update_graph``
         does) keeps both new pinned matrices in the relief registry even
-        when they reuse a collected matrix's ``id``, and a collected or
-        adopted matrix takes its spilled segments out of the store."""
+        when they reuse a collected matrix's ``id``, and a collected matrix
+        takes its spilled segments out of the store."""
         import gc
 
         g = seed_graph()

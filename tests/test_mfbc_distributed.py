@@ -1,15 +1,18 @@
 """Distributed MFBC on the simulated machine: equivalence + cost sanity."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import mfbc
 from repro.dist import DistributedEngine
 from repro.machine.grid import near_square_shape
-from repro.graphs import uniform_random_graph_nm, with_random_weights
+from repro.graphs import rmat_graph, uniform_random_graph_nm, with_random_weights
 from repro.machine import Machine
 from repro.machine.machine import MemoryLimitExceeded
-from repro.spgemm import PinnedPolicy, Plan, Square2DPolicy
+from repro.spgemm import AutoPolicy, PinnedPolicy, Plan, Square2DPolicy
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +121,37 @@ class TestPinnedAdjacency:
         engine.release_invariants()
         assert engine.adjacency(graph) is not adj
         assert len(engine._adjacency) == 1
+
+    @pytest.mark.parametrize(
+        "policy, key",
+        [(AutoPolicy, ("1dB",)), (lambda: PinnedPolicy.ca_mfbc(16, 4), ("3dB", 4, 2, 2))],
+        ids=["1D-B", "3D-B"],
+    )
+    def test_release_frees_the_pinned_pair_and_its_replicas(self, policy, key):
+        """After ``release_invariants()`` the pinned adjacency, its transpose
+        and every replica are freed by refcount alone: no replica memo holds
+        the matrix it belongs to (a 3D memo would if layer 0 were the
+        operand itself)."""
+        g = rmat_graph(6, 8, seed=0)
+        machine = Machine(16, faults="off", elastic="off", check="off", memory_words="off")
+        engine = DistributedEngine(machine, policy=policy())
+        unpinned = machine.memory_used()
+        mfbc(g, batch_size=16, engine=engine, max_batches=1)
+        adj = engine.adjacency(g)
+        pair = (adj, adj.transpose())
+        refs = [weakref.ref(m) for m in pair]
+        for m in pair:
+            replicas = m._replicas[key]
+            copies = replicas if isinstance(replicas, list) else [replicas]
+            refs += [weakref.ref(r) for r in copies]
+        del adj, pair, m, replicas, copies
+        gc.disable()
+        try:
+            engine.release_invariants()
+            assert [r() for r in refs] == [None] * len(refs)
+            assert machine.memory_used() == unpinned
+        finally:
+            gc.enable()
 
 
 class TestEveryVariantEndToEnd:

@@ -299,8 +299,9 @@ class TestMetrics:
         )
         assert metrics.total("spgemm.products") > 0
         assert metrics.total("selector.selections") > 0
-        # adjacency replication cache: first product misses, later ones hit
-        assert metrics.get_count("spgemm.replication_cache", outcome="hit") >= 0
+        # the pinned adjacency's replica memo: first product misses, later
+        # ones hit
+        assert metrics.get_count("spgemm.replicas", outcome="hit") >= 0
 
 
 class TestSessionStack:

@@ -19,15 +19,16 @@ from repro.algebra import (
     MatMulSpec,
     bellman_ford_action,
 )
-from repro.dist import DistMat, Layout
+from repro.dist import DistMat, DistributedEngine, Layout
 from repro.dist.distmat import axis_block
 from repro.machine import executor
+from repro.graphs import rmat_graph
 from repro.machine.grid import near_square_shape
 from repro.machine import CostParams, Machine
 from repro.sparse import SpMat, spgemm
 from repro.sparse.spgemm import DEFAULT_CHUNK
 from repro.spgemm import Plan, execute_plan
-from repro.spgemm.selector import enumerate_plans
+from repro.spgemm.selector import PinnedPolicy, enumerate_plans
 from repro.spgemm.variants import _strip_product
 
 from conftest import KERNELS, WEIGHT, assert_bits, kernel, random_weight_spmat
@@ -152,17 +153,23 @@ class TestCostAccounting:
         execute_plan(Plan(1, 2, 2, "A", "AB"), da, db, SPEC)
         assert machine.ledger.compute_ops > 0
 
-    def test_replication_cache_amortizes(self, rng):
-        """Second product with the same cached operand replicates for free."""
-        machine = Machine(8)
-        a, b, da, db = dist_pair(rng, machine, 24, 24, 24, 0.3, 0.3)
-        cache: dict = {}
-        plan = Plan(2, 2, 2, "B", "AB")
-        execute_plan(plan, da, db, SPEC, replication_cache=cache)
-        w1 = machine.ledger.total_words
-        execute_plan(plan, da, db, SPEC, replication_cache=cache)
-        w2 = machine.ledger.total_words - w1
-        assert w2 < w1  # replication traffic absent the second time
+    def test_pinned_operand_replicates_once(self, rng):
+        """A pinned operand keeps its replicas: the second product with it
+        charges no replicate words (1D-B and 3D B-AB)."""
+        for plan in (Plan(8, 1, 1, "B", "AB"), Plan(2, 2, 2, "B", "AB")):
+            machine = Machine(8)
+            engine = DistributedEngine(machine, policy=PinnedPolicy(plan))
+            adj = engine.adjacency(rmat_graph(5, 4, seed=0))
+            frontier = DistMat.distribute(
+                random_weight_spmat(rng, 6, adj.nrows, 0.3), machine, engine.home_ranks2d
+            )
+            moved = []
+            for _ in range(2):
+                before = machine.ledger.category_words.get("replicate", 0.0)
+                engine.spgemm(frontier, adj, SPEC)
+                moved.append(machine.ledger.category_words.get("replicate", 0.0) - before)
+            assert moved[0] > 0.0 and moved[1] == 0.0, plan.describe()
+            assert len(adj._replicas) == 1
 
     def test_p1_output_no_comm(self, rng):
         machine = Machine(1, cost=CostParams(alpha=1.0, beta=1.0, compute_rate=1e9))
