@@ -76,6 +76,14 @@ from repro.serve.loadgen import (  # noqa: E402
     generate_queries,
     run_load,
 )
+from repro.serve.overload import (  # noqa: E402
+    BREAKER_RESET,
+    BREAKER_THRESHOLD,
+    BROWNOUT_HIGH,
+    BROWNOUT_LOW,
+    SHED_HIGH,
+    SHED_LOW,
+)
 
 #: soak mix adds whole-graph exact ``bc`` so brownout has something to
 #: downgrade (the default mix is all per-source / already-approximate)
@@ -387,7 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"soak: {args.factor}x overload for {args.duration:.0f}s, "
         f"faults={args.faults!r}, elastic={args.elastic!r}, "
-        f"max_queued={args.max_queued}"
+        f"max_queued={args.max_queued}, "
+        f"brownout={BROWNOUT_HIGH}/{BROWNOUT_LOW}, shed={SHED_HIGH}/{SHED_LOW}, "
+        f"breaker={BREAKER_THRESHOLD}@{BREAKER_RESET}s"
     )
     record, rc = soak(graph, capacity, args)
     if args.json:

@@ -359,8 +359,6 @@ def adaptive_bc(
     checkpoint: "CheckpointStore | str | None" = None,
     resume_from: "CheckpointStore | str | None" = None,
     retries: int = 2,
-    retry_backoff: float = 0.05,
-    retry_jitter_seed: int = 0,
 ) -> AdaptiveBCResult:
     """Adaptive-sampling BC with a provable (ε, δ) error bound.
 
@@ -398,7 +396,7 @@ def adaptive_bc(
         Same contract as :func:`~repro.core.mfbc.mfbc`; the persisted state
         additionally carries the sampler moments, and a resumed run is
         bit-identical to an uninterrupted one.
-    retries, retry_backoff, retry_jitter_seed:
+    retries:
         The per-batch recovery ladder, exactly as on
         :func:`~repro.core.mfbc.mfbc` (the shrink rung and elastic recovery
         included): under a budget a sample batch is swept as narrower
@@ -408,13 +406,7 @@ def adaptive_bc(
     engine = engine or SequentialEngine()
     epsilon, delta = validate_epsilon_delta(epsilon, delta)
     seed = normalize_seed(seed)
-    ladder = RecoveryLadder(
-        engine,
-        site="adaptive_bc",
-        retries=retries,
-        retry_backoff=retry_backoff,
-        retry_jitter_seed=retry_jitter_seed,
-    )
+    ladder = RecoveryLadder(engine, site="adaptive_bc", retries=retries)
     n = graph.n
     machine = getattr(engine, "machine", None)
 

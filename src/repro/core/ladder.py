@@ -47,8 +47,9 @@ class RecoveryLadder:
     """One driver's ladder state (see the module docstring for the policy).
 
     ``site`` tags every note with the calling driver (``mfbc`` /
-    ``adaptive_bc`` / ``serve``); ``retries`` / ``retry_backoff`` /
-    ``retry_jitter_seed`` are the drivers' keywords of the same names.
+    ``adaptive_bc`` / ``serve``); ``retries`` is the drivers' keyword of
+    the same name, and ``retry_backoff`` the base of the modeled backoff
+    (the drivers' 0.05 s; the service requeues with none).
     ``width`` holds the (possibly shrunken) sweep width to re-attempt with
     and ``attempt`` the retries the current batch has burned — ``run``
     zeroes it per batch; a caller that re-attempts across calls (the
@@ -62,7 +63,6 @@ class RecoveryLadder:
         site: str = "mfbc",
         retries: int = 2,
         retry_backoff: float = 0.05,
-        retry_jitter_seed: int = 0,
     ) -> None:
         if retries < 0:
             raise ValueError(f"retries must be non-negative, got {retries}")
@@ -75,7 +75,6 @@ class RecoveryLadder:
         self.site = site
         self.retries = retries
         self.retry_backoff = retry_backoff
-        self.retry_jitter_seed = retry_jitter_seed
         self.width: int | None = None
         self.attempt = 0
         self.rungs_taken: list[str] = []
@@ -179,12 +178,9 @@ class RecoveryLadder:
         if recover is not None:
             recover()
         # decorrelated jitter: draw from [base, 3·prev], capped at
-        # base·2^(retries-1)
+        # base·2^(retries-1), the RNG keyed on the batch index
         base = self.retry_backoff
-        rng, prev = self._jitter or (
-            np.random.default_rng([self.retry_jitter_seed, index]),
-            base,
-        )
+        rng, prev = self._jitter or (np.random.default_rng([0, index]), base)
         cap = base * (2.0 ** max(self.retries - 1, 0))
         backoff = min(cap, float(rng.uniform(base, prev * 3.0)))
         self._jitter = (rng, backoff)

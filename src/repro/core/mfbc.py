@@ -111,8 +111,6 @@ def mfbc(
     checkpoint: "CheckpointStore | str | None" = None,
     resume_from: "CheckpointStore | str | None" = None,
     retries: int = 2,
-    retry_backoff: float = 0.05,
-    retry_jitter_seed: int = 0,
 ) -> MFBCResult:
     """Compute betweenness centrality of every vertex of ``graph``.
 
@@ -151,18 +149,11 @@ def mfbc(
     retries:
         How many times to re-run a batch that died with an injected
         :class:`~repro.faults.FaultError` before giving up.  Each retry
-        first calls the engine's ``recover()`` hook (when it has one).
-    retry_backoff:
-        Base backoff in modeled seconds, charged to the machine via
-        ``charge_overhead`` — restarts are not free.
-    retry_jitter_seed:
-        Seed for the decorrelated-jitter backoff: each retry sleeps
-        ``min(base·2^(retries-1), U[base, 3·prev])`` with the RNG keyed on
-        ``(seed, batch_index)``, so drivers launched with different seeds
-        retrying through the same fault storm desynchronize instead of
-        backing off in lockstep, while a fixed seed keeps every run
-        bit-reproducible.  (The serving layer requeues with zero backoff
-        and never passes it.)
+        first calls the engine's ``recover()`` hook (when it has one) and
+        charges a decorrelated-jitter backoff to the modeled clock —
+        restarts are not free: ``min(0.05·2^(retries-1), U[0.05, 3·prev])``
+        seconds, the RNG keyed on the batch index, so every run is
+        bit-reproducible.
 
     Returns
     -------
@@ -171,13 +162,7 @@ def mfbc(
     undirected unordered-pair convention).
     """
     engine = engine or SequentialEngine()
-    ladder = RecoveryLadder(
-        engine,
-        site="mfbc",
-        retries=retries,
-        retry_backoff=retry_backoff,
-        retry_jitter_seed=retry_jitter_seed,
-    )
+    ladder = RecoveryLadder(engine, site="mfbc", retries=retries)
     if sources is None:
         sources = np.arange(graph.n, dtype=np.int64)
     else:

@@ -21,8 +21,8 @@ Endpoints (all JSON):
 
 Overload surfaces here as **HTTP 503 + Retry-After**: a shed submission
 (:class:`~repro.serve.overload.AdmissionError`) returns
-``{"error": ..., "reason": "overloaded|queue_full|queue_seconds|"
-"rate_limited|circuit_open|draining", "retry_after": seconds}`` with the
+``{"error": ..., "reason": "overloaded|queue_seconds|rate_limited|"
+"circuit_open|draining", "retry_after": seconds}`` with the
 ``Retry-After`` header set from the admission controller's drain-rate
 estimate.  Brownout-degraded answers carry ``degraded: true`` (plus
 ``requested_algorithm``/``stale_version``) in the query status.  The

@@ -69,14 +69,38 @@ class ServiceState(str, Enum):
         return self in (ServiceState.OK, ServiceState.DEGRADED)
 
 
+#: brownout band over queue pressure: degrade above high, recover below low
+BROWNOUT_HIGH, BROWNOUT_LOW = 0.60, 0.30
+#: shed band: reject above high, re-admit below low.  A full queue
+#: (pressure 1) is always above ``SHED_HIGH``, so the count bound rejects
+#: as ``overloaded``
+SHED_HIGH, SHED_LOW = 0.90, 0.50
+#: fixed-pivot sample count and pivot seed of brownout-degraded ``bc``
+#: answers (a fixed seed lets degraded answers cache)
+BROWNOUT_SAMPLES, BROWNOUT_SEED = 8, 0
+#: graph-version generations kept for stale-while-degraded serving
+STALE_DEPTH = 1
+#: consecutive fault-ladder failures that open the circuit, and the wall
+#: seconds it stays open before a half-open probe
+BREAKER_THRESHOLD, BREAKER_RESET = 5, 5.0
+#: watchdog poll interval and the heartbeat age that flags the dispatcher
+#: as stalled, wall seconds
+WATCHDOG_INTERVAL, STALL_TIMEOUT = 0.2, 30.0
+#: Retry-After clamp, wall seconds
+RETRY_AFTER_FLOOR, RETRY_AFTER_CAP = 0.05, 30.0
+#: EWMA weight of a completed batch's charged cost in the cost estimate
+COST_SMOOTHING = 0.3
+
+
 @dataclass(frozen=True)
 class OverloadConfig:
-    """Knobs for admission, brownout/shedding watermarks, and the breaker.
+    """Admission bounds, per-client rate limits and the brownout answer.
 
     Pressure is ``max(queued_count / max_queued,
     queued_seconds / max_queued_seconds)`` — the count bound protects
     latency under many cheap queries, the modeled-seconds bound under few
-    expensive ones.  Watermarks are fractions of that pressure.
+    expensive ones.  The watermarks over it, the breaker and the watchdog
+    are the module constants above.
     """
 
     #: queue bound by query count
@@ -88,37 +112,14 @@ class OverloadConfig:
     client_rate: float | None = None
     #: per-client burst capacity (bucket size)
     client_burst: float = 20.0
-    #: brownout band: degrade above high, recover below low
-    brownout_high: float = 0.60
-    brownout_low: float = 0.30
-    #: shed band: reject above high, re-admit below low
-    shed_high: float = 0.90
-    shed_low: float = 0.50
     #: how brownout answers exact ``bc`` traffic: ``"approx_bc"`` runs the
-    #: fixed-pivot estimator (``brownout_samples`` pivots, no error bound),
+    #: fixed-pivot estimator (``BROWNOUT_SAMPLES`` pivots, no error bound),
     #: ``"adaptive_bc"`` runs the (ε, δ) adaptive sampler — costlier but the
     #: degraded answer still carries a provable error bound
     brownout_algorithm: str = "approx_bc"
-    #: fixed-pivot sample count for brownout-degraded ``bc`` answers
-    brownout_samples: int = 8
-    #: pivot seed for degraded answers (fixed → degraded answers cache)
-    brownout_seed: int = 0
     #: accuracy target for ``brownout_algorithm="adaptive_bc"`` answers
     brownout_epsilon: float = 0.1
     brownout_delta: float = 0.1
-    #: graph-version generations kept for stale-while-degraded serving
-    stale_depth: int = 1
-    #: consecutive fault-ladder failures that open the circuit
-    breaker_threshold: int = 5
-    #: wall seconds the circuit stays open before a half-open probe
-    breaker_reset: float = 5.0
-    #: watchdog poll interval (dispatcher liveness), wall seconds
-    watchdog_interval: float = 0.2
-    #: heartbeat age that flags the dispatcher as stalled, wall seconds
-    stall_timeout: float = 30.0
-    #: Retry-After clamp (wall seconds)
-    retry_after_floor: float = 0.05
-    retry_after_cap: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_queued <= 0:
@@ -126,25 +127,6 @@ class OverloadConfig:
         if self.max_queued_seconds is not None and self.max_queued_seconds <= 0:
             raise ValueError(
                 f"max_queued_seconds must be positive, got {self.max_queued_seconds}"
-            )
-        for name, high, low in (
-            ("brownout", self.brownout_high, self.brownout_low),
-            ("shed", self.shed_high, self.shed_low),
-        ):
-            if not 0 < low < high:
-                raise ValueError(
-                    f"{name} watermarks need 0 < low < high, got "
-                    f"low={low}, high={high}"
-                )
-        if self.brownout_high > self.shed_high:
-            raise ValueError("brownout_high must not exceed shed_high")
-        if self.breaker_threshold <= 0:
-            raise ValueError(
-                f"breaker_threshold must be positive, got {self.breaker_threshold}"
-            )
-        if self.brownout_samples <= 0:
-            raise ValueError(
-                f"brownout_samples must be positive, got {self.brownout_samples}"
             )
         if self.brownout_algorithm not in ("approx_bc", "adaptive_bc"):
             raise ValueError(
@@ -154,15 +136,13 @@ class OverloadConfig:
         from repro.core.approx import validate_epsilon_delta
 
         validate_epsilon_delta(self.brownout_epsilon, self.brownout_delta)
-        if self.stale_depth < 0:
-            raise ValueError(f"stale_depth must be >= 0, got {self.stale_depth}")
 
 
 class AdmissionError(RuntimeError):
     """Submission rejected before queueing (shed, rate limit, queue bound).
 
-    ``reason`` is one of ``queue_full`` / ``queue_seconds`` /
-    ``rate_limited`` / ``overloaded`` / ``circuit_open`` / ``draining``;
+    ``reason`` is one of ``overloaded`` / ``queue_seconds`` /
+    ``rate_limited`` / ``circuit_open`` / ``draining``;
     ``retry_after`` is the wall-seconds hint surfaced as the HTTP
     ``Retry-After`` header (None when retrying cannot help soon).
     """
@@ -241,20 +221,15 @@ class AdmissionController:
         return p
 
     def _update_state_locked(self) -> None:
-        cfg = self.config
         p = self._pressure_locked()
         shed, brown = self.shedding_active, self.brownout_active
-        if p >= cfg.shed_high:
+        if p >= SHED_HIGH:
             self.shedding_active = True
-        elif self.shedding_active and p <= cfg.shed_low:
+        elif self.shedding_active and p <= SHED_LOW:
             self.shedding_active = False
-        if p >= cfg.brownout_high:
+        if p >= BROWNOUT_HIGH:
             self.brownout_active = True
-        elif (
-            self.brownout_active
-            and p <= cfg.brownout_low
-            and not self.shedding_active
-        ):
+        elif self.brownout_active and p <= BROWNOUT_LOW and not self.shedding_active:
             self.brownout_active = False
         if obs.enabled():
             obs.gauge("serve.overload.pressure", p)
@@ -278,11 +253,12 @@ class AdmissionController:
     def admit(self, cost_seconds: float, client: str | None = None) -> None:
         """Admit one query of modeled cost ``cost_seconds`` or raise.
 
-        Check order: shed state → count bound → modeled-seconds bound →
-        per-client rate limit.  On success the queue accounting is already
-        charged when this returns.  Queued queries hold no blocks, so memory
-        is no queue bound: the machine's per-rank budget bounds the one
-        sweep that runs.
+        Check order: shed state → modeled-seconds bound → per-client rate
+        limit.  The count bound needs no check of its own: a full queue is
+        pressure 1, above ``SHED_HIGH``, so it is already shedding.  On
+        success the queue accounting is already charged when this returns.
+        Queued queries hold no blocks, so memory is no queue bound: the
+        machine's per-rank budget bounds the one sweep that runs.
         """
         cfg = self.config
         with self._lock:
@@ -291,12 +267,6 @@ class AdmissionController:
                     "overloaded",
                     "service is shedding load (queue pressure above the shed "
                     "watermark)",
-                    self._retry_after_locked(),
-                )
-            if self.queued_count + 1 > cfg.max_queued:
-                raise AdmissionError(
-                    "queue_full",
-                    f"queue full ({self.queued_count}/{cfg.max_queued} queries)",
                     self._retry_after_locked(),
                 )
             if (
@@ -323,7 +293,7 @@ class AdmissionController:
                         "rate_limited",
                         f"client {key or '(anonymous)'} over its "
                         f"{cfg.client_rate}/s rate limit",
-                        max(wait, cfg.retry_after_floor),
+                        max(wait, RETRY_AFTER_FLOOR),
                     )
             self.queued_count += 1
             self.queued_seconds += cost_seconds
@@ -358,9 +328,8 @@ class AdmissionController:
             return self._retry_after_locked()
 
     def _retry_after_locked(self) -> float:
-        cfg = self.config
         est = self.queued_count * self._wall_per_query
-        return min(max(est, cfg.retry_after_floor), cfg.retry_after_cap)
+        return min(max(est, RETRY_AFTER_FLOOR), RETRY_AFTER_CAP)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -385,21 +354,13 @@ class CircuitBreaker:
 
     ``record_failure`` is called once per batch that entered the
     fault-recovery ladder and did not come back clean; ``record_success``
-    once per batch the machine completed.  ``threshold`` consecutive
-    failures open the circuit; after ``reset_timeout`` wall seconds one
-    probe batch is allowed through (half-open) — its outcome closes or
-    re-opens the circuit.
+    once per batch the machine completed.  ``BREAKER_THRESHOLD``
+    consecutive failures open the circuit; after ``BREAKER_RESET`` wall
+    seconds one probe batch is allowed through (half-open) — its outcome
+    closes or re-opens the circuit.
     """
 
-    def __init__(
-        self, threshold: int = 5, reset_timeout: float = 5.0, clock=time.monotonic
-    ) -> None:
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        if reset_timeout <= 0:
-            raise ValueError(f"reset_timeout must be positive, got {reset_timeout}")
-        self.threshold = int(threshold)
-        self.reset_timeout = float(reset_timeout)
+    def __init__(self, clock=time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._state = BreakerState.CLOSED
@@ -420,7 +381,7 @@ class CircuitBreaker:
                 return True
             now = self._clock()
             if self._state is BreakerState.OPEN:
-                if now - self._opened_at < self.reset_timeout:
+                if now - self._opened_at < BREAKER_RESET:
                     return False
                 self._transition_locked(BreakerState.HALF_OPEN)
                 self._probe_inflight = True
@@ -444,7 +405,7 @@ class CircuitBreaker:
             self._probe_inflight = False
             if self._state is BreakerState.HALF_OPEN or (
                 self._state is BreakerState.CLOSED
-                and self._failures >= self.threshold
+                and self._failures >= BREAKER_THRESHOLD
             ):
                 self._opened_at = self._clock()
                 self.opened_total += 1
@@ -454,7 +415,7 @@ class CircuitBreaker:
         with self._lock:
             if self._state is not BreakerState.OPEN:
                 return 0.0
-            return max(0.0, self.reset_timeout - (self._clock() - self._opened_at))
+            return max(0.0, BREAKER_RESET - (self._clock() - self._opened_at))
 
     def _transition_locked(self, state: BreakerState) -> None:
         self._state = state
@@ -470,13 +431,13 @@ class CostEstimator:
     ~``m·log₂n`` elementary operations and the per-product overhead over a
     ``log₂n``-deep frontier evolution).  Every completed batch then feeds
     the ledger's *actually charged* modeled cost back through a
-    per-algorithm EWMA, so the estimate converges on the served graph's
-    real frontier behavior within a few sweeps.
+    per-algorithm EWMA (weight ``COST_SMOOTHING``), so the estimate
+    converges on the served graph's real frontier behavior within a few
+    sweeps.
     """
 
-    def __init__(self, machine, graph, *, smoothing: float = 0.3) -> None:
+    def __init__(self, machine, graph) -> None:
         self.machine = machine
-        self.smoothing = float(smoothing)
         self._lock = threading.Lock()
         self._per_unit: dict[str, float] = {}
         self.rebind(graph)
@@ -565,4 +526,4 @@ class CostEstimator:
             if prev is None:
                 self._per_unit[algorithm] = per
             else:
-                self._per_unit[algorithm] = prev + self.smoothing * (per - prev)
+                self._per_unit[algorithm] = prev + COST_SMOOTHING * (per - prev)

@@ -66,6 +66,11 @@ from repro.obs import api as obs
 from repro.serve.cache import ScoreCache, cache_key
 from repro.serve.coalescer import Coalescer, Query, QueryState
 from repro.serve.overload import (
+    BROWNOUT_SAMPLES,
+    BROWNOUT_SEED,
+    STALE_DEPTH,
+    STALL_TIMEOUT,
+    WATCHDOG_INTERVAL,
     AdmissionController,
     AdmissionError,
     CircuitBreaker,
@@ -148,12 +153,12 @@ class BCService:
         Batch re-executions allowed per injected non-rank fault (rank
         failures take the elastic path first, which never burns retries).
     overload:
-        An :class:`~repro.serve.overload.OverloadConfig` tuning admission
-        bounds, brownout/shed watermarks, the circuit breaker, and the
-        watchdog.  The defaults admit generously (1024 queued queries, no
-        modeled-seconds bound, no rate limit) so light traffic never sees
-        the machinery; production configs tighten them (see
-        ``docs/serving.md``).
+        An :class:`~repro.serve.overload.OverloadConfig`: admission
+        bounds, per-client rate limits and the brownout answer.  The
+        defaults admit generously (1024 queued queries, no modeled-seconds
+        bound, no rate limit) so light traffic never sees the machinery;
+        the watermarks, the circuit breaker and the watchdog are
+        :mod:`repro.serve.overload`'s constants (see ``docs/serving.md``).
     """
 
     def __init__(
@@ -184,9 +189,7 @@ class BCService:
         self.coalescer = Coalescer(max_batch=max_batch, window=batch_window)
         self.overload = overload or OverloadConfig()
         self.admission = AdmissionController(self.overload)
-        self.breaker = CircuitBreaker(
-            self.overload.breaker_threshold, self.overload.breaker_reset
-        )
+        self.breaker = CircuitBreaker()
         self.estimator = CostEstimator(machine, graph)
         self._queries: dict[str, Query] = {}
         #: guards the registry, the counters and every query state change;
@@ -279,13 +282,13 @@ class BCService:
                 params = {
                     "epsilon": float(cfg.brownout_epsilon),
                     "delta": float(cfg.brownout_delta),
-                    "seed": cfg.brownout_seed,
+                    "seed": BROWNOUT_SEED,
                 }
             else:
                 algorithm = "approx_bc"
                 params = {
-                    "samples": min(cfg.brownout_samples, self.graph.n),
-                    "seed": cfg.brownout_seed,
+                    "samples": min(BROWNOUT_SAMPLES, self.graph.n),
+                    "seed": BROWNOUT_SEED,
                 }
             degraded = True
         query = Query(
@@ -297,10 +300,10 @@ class BCService:
             client=client,
         )
         cached = self.cache.get(cache_key(version, algorithm, params))
-        if cached is None and self.admission.brownout_active and cfg.stale_depth:
+        if cached is None and self.admission.brownout_active:
             # brownout: a stale answer beats a shed one — look back through
             # the retained generations before charging the queue
-            for v in range(version - 1, max(version - 1 - cfg.stale_depth, -1), -1):
+            for v in range(version - 1, max(version - 1 - STALE_DEPTH, -1), -1):
                 cached = self.cache.peek(cache_key(v, algorithm, params))
                 if cached is not None:
                     self._count("stale", algorithm=requested)
@@ -411,7 +414,7 @@ class BCService:
         to the version current when their batch executes); the engine
         releases the old graph's pinned adjacency and pins the new one on
         the next sweep.  The score
-        cache retains the newest ``overload.stale_depth`` older generations
+        cache retains the newest ``STALE_DEPTH`` older generations
         for brownout stale serving and purges everything beyond them.
         """
         with self._exec_lock:
@@ -419,9 +422,7 @@ class BCService:
             self.graph_version += 1
             self.engine.release_invariants()
             self.estimator.rebind(graph)
-            self.cache.invalidate(
-                before_version=self.graph_version - self.overload.stale_depth
-            )
+            self.cache.invalidate(before_version=self.graph_version - STALE_DEPTH)
             if obs.enabled():
                 obs.count("serve.graph_updates", 1.0)
             return self.graph_version
@@ -545,7 +546,7 @@ class BCService:
 
     def _watchdog_loop(self) -> None:
         """Supervise the dispatcher: restart it dead, flag it stalled."""
-        while not self._stop.wait(self.overload.watchdog_interval):
+        while not self._stop.wait(WATCHDOG_INTERVAL):
             if self._closed:
                 return
             if not self._dispatcher.is_alive():
@@ -560,7 +561,7 @@ class BCService:
                 continue
             stalled = (
                 len(self.coalescer) > 0
-                and time.monotonic() - self._heartbeat > self.overload.stall_timeout
+                and time.monotonic() - self._heartbeat > STALL_TIMEOUT
             )
             if stalled and not self._stalled and obs.enabled():
                 obs.count("serve.overload.dispatcher_stall", 1.0)

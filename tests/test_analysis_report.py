@@ -108,7 +108,7 @@ class TestLiteralReports:
         from repro.obs.metrics import Metrics
 
         m = Metrics()
-        m.count("serve.overload.shed", 4, reason="queue_full")
+        m.count("serve.overload.shed", 4, reason="queue_seconds")
         m.count("serve.overload.degraded", 2, algorithm="bc_all")
         m.count("serve.overload.state", 1, transition="normal->brownout")
         m.count("serve.overload.dispatcher_restart", 1)
@@ -117,7 +117,7 @@ class TestLiteralReports:
             "overload events (serve.overload.*):\n"
             "             event             label  count\n"
             "------------------  ----------------  -----\n"
-            "              shed        queue_full      4\n"
+            "              shed     queue_seconds      4\n"
             "          degraded            bc_all      2\n"
             "             state  normal->brownout      1\n"
             "dispatcher_restart                        1"

@@ -13,6 +13,7 @@ import pytest
 
 from repro import obs
 from repro.core import mfbc
+from repro.core.ladder import RecoveryLadder
 from repro.dist import DistributedEngine
 from repro.faults import (
     CorruptPayload,
@@ -405,7 +406,6 @@ class TestMfbcRetry:
                 batch_size=8,
                 engine=DistributedEngine(m),
                 retries=2,
-                retry_backoff=0.01,
             )
         actions = [(e.kind, e.action) for e in m.faults.events]
         assert actions.count(("batch", "recovered")) == 2
@@ -415,30 +415,35 @@ class TestMfbcRetry:
         import sys
 
         mfbc_mod = sys.modules["repro.core.mfbc"]
-        calls = {"n": 0}
         real_mfbf = mfbc_mod.mfbf
 
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RankFailure(0, 0, "mfbf")
-            return real_mfbf(*args, **kwargs)
+        def run(failures):
+            calls = {"n": 0}
 
-        monkeypatch.setattr(mfbc_mod, "mfbf", flaky)
-        # the synthetic mfbf fault must be the only one: opt out of any
-        # ambient REPRO_FAULTS plan (the CI fault leg sets one) and of
-        # ambient elastic recovery (the ladder leg), which would skip retry
-        m = Machine(4, faults="off", elastic="off")
-        t_before = m.ledger.critical_time()
-        mfbc_mod.mfbc(
-            small_undirected,
-            batch_size=8,
-            engine=DistributedEngine(m),
-            retries=1,
-            retry_backoff=123.0,
-            max_batches=1,
-        )
-        assert m.ledger.critical_time() - t_before >= 123.0
+            def flaky(*args, **kwargs):
+                calls["n"] += 1
+                if calls["n"] <= failures:
+                    raise RankFailure(0, 0, "mfbf")
+                return real_mfbf(*args, **kwargs)
+
+            monkeypatch.setattr(mfbc_mod, "mfbf", flaky)
+            # the synthetic mfbf fault must be the only one: opt out of any
+            # ambient REPRO_FAULTS plan (the CI fault leg sets one) and of
+            # ambient elastic recovery (the ladder leg), which would skip
+            # retry
+            m = Machine(4, faults="off", elastic="off")
+            mfbc_mod.mfbc(
+                small_undirected,
+                batch_size=8,
+                engine=DistributedEngine(m),
+                retries=1,
+                max_batches=1,
+            )
+            return m.ledger.critical_time()
+
+        # one retry: the backoff is its cap, base·2^(retries-1) = the 0.05 s
+        # base itself
+        assert run(1) - run(0) >= 0.05
 
     def test_retry_keeps_memory_accounting(self):
         # a retry starts after the failed attempt's blocks were released, so
@@ -467,7 +472,7 @@ class TestMfbcRetry:
         with pytest.raises(ValueError, match="retries"):
             mfbc(small_undirected, retries=-1)
         with pytest.raises(ValueError, match="retry_backoff"):
-            mfbc(small_undirected, retry_backoff=-0.1)
+            RecoveryLadder(DistributedEngine(Machine(2)), retry_backoff=-0.1)
 
 
 # ---------------------------------------------------------------------------

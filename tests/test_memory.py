@@ -493,7 +493,6 @@ class TestRungsCompose:
         )
         res = mfbc(
             g, batch_size=8, sources=np.arange(8), retries=retries,
-            retry_backoff=1.0, retry_jitter_seed=7,
             engine=DistributedEngine(machine),
         )
         backoffs = [
@@ -528,6 +527,8 @@ class TestRungsCompose:
         )
         _, plain = self._mfbc(g, retries=2)
         assert [a for a, _ in backoffs] == [1, 2]
+        # the drivers' 0.05 s base, capped at base·2^(retries-1)
+        assert all(0.05 <= b <= 0.1 for _, b in backoffs)
         assert backoffs == plain
 
     def test_service_wave_survives_crash_and_squeeze(self):

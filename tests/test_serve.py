@@ -304,7 +304,7 @@ class TestServiceCache:
             assert version == 1
             res_new = svc.result(svc.submit("bc_source", source=1), timeout=60.0)
             status = svc.poll(svc.submit("bc_source", source=1))
-            # the default overload config retains stale_depth=1 generation
+            # the service retains STALE_DEPTH = 1 older generation
             # for brownout stale serving; a second swap purges version 0
             assert svc.cache.invalidated == 0
             svc.update_graph(graph)
