@@ -188,6 +188,9 @@ def test_kernel_throughput(benchmark, save_table):
     # the "auto" path columns are the compiled kernel's: one that did not
     # load is a failure, not a slower table of the generic kernel twice
     assert _native.pathsum() is not None, "the compiled path kernel (gcc) did not load"
+    # SpMat.combine / align_values locate keys with the library's merge; a
+    # silent fall back to np.searchsorted would lose that gain unseen
+    assert _native._library().merge_locate, "the merge entry point did not load"
     rows = benchmark.pedantic(build_rows, rounds=1, iterations=1)
     save_table(
         "kernel_throughput",

@@ -21,8 +21,8 @@ from repro.core.stats import MFBCStats
 from repro.machine.collectives import TREE
 from repro.machine.grid import log2ceil
 from repro.machine.machine import CostParams
-from repro.spgemm.costmodel import model_plan
-from repro.spgemm.selector import SelectionPolicy, cheapest_plan, enumerate_plans
+from repro.spgemm.costmodel import PlanTable
+from repro.spgemm.selector import SelectionPolicy, cheapest_plan, plan_table
 
 __all__ = ["ModeledRun", "model_run"]
 
@@ -81,12 +81,12 @@ def model_run(
     nnz_adj = graph.nnz_adjacency
 
     if policy is None:
-        plans = enumerate_plans(p)
+        table = plan_table(p)
     else:
         from repro.machine.machine import Machine
 
         probe = Machine(p, cost=cost)
-        plans = [policy.select(probe, 1, 1, 1, 1, 1)]
+        table = PlanTable([policy.select(probe, 1, 1, 1, 1, 1)])
 
     comm_s = 0.0
     compute_s = 0.0
@@ -110,9 +110,9 @@ def model_run(
             # The adjacency matrix is always the second (B) operand of MFBC's
             # products and its replication is amortized across the whole run.
             _plan, est, _seconds, _feasible = cheapest_plan(
-                plans,
-                lambda plan: model_plan(
-                    plan, nb, n, n, it.frontier_nnz, nnz_adj,
+                table,
+                table.price(
+                    nb, n, n, it.frontier_nnz, nnz_adj,
                     nnz_c=it.product_nnz, ops=it.ops, amortized=frozenset("B"),
                 ),
                 cost,

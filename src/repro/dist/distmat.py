@@ -106,10 +106,9 @@ class _MemCharge:
             for seg in self.spilled.values():
                 store.drop(seg.key)
             self.spilled.clear()
-        if self.machine.epoch != self.epoch:
+        if self.machine.epoch != self.epoch or not self.charged:
             return
-        for rank, words in self.charged.items():
-            self.machine.free(rank, words)
+        self.machine.free(list(self.charged), list(self.charged.values()))
         self.charged = {}
 
 

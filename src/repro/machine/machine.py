@@ -305,8 +305,19 @@ class Machine:
 
         Used by :class:`~repro.dist.DistMat` to charge its blocks: a raise
         partway through must not leave earlier ranks charged, or the
-        driver's retry after a ladder rung would double-count them.
+        driver's retry after a ladder rung would double-count them.  When
+        every rank fits the budget the whole allocation is one array
+        update; otherwise the ranks are allocated one by one in ``charges``
+        order (relief, then raise and roll back), as :meth:`allocate` does.
         """
+        ranks = np.fromiter(charges, dtype=np.int64, count=len(charges))
+        words = np.fromiter(charges.values(), dtype=np.int64, count=len(charges))
+        used = self._mem_used[ranks] + words
+        budget = self.memory_words
+        if budget is None or not (used > budget).any():
+            self._mem_used[ranks] = used
+            self._mem_peak[ranks] = np.maximum(self._mem_peak[ranks], used)
+            return
         done: list[tuple[int, int]] = []
         try:
             for rank, words in charges.items():
@@ -317,8 +328,11 @@ class Machine:
                 self.free(rank, words)
             raise
 
-    def free(self, rank: int, words: int) -> None:
-        self._mem_used[rank] = max(0, self._mem_used[rank] - int(words))
+    def free(self, rank, words) -> None:
+        """Release ``words`` on ``rank`` — or, given arrays, ``words[i]`` on
+        each of the distinct ``rank[i]`` — never below zero."""
+        words = np.asarray(words, dtype=np.int64)
+        self._mem_used[rank] = np.maximum(self._mem_used[rank] - words, 0)
 
     def memory_used(self, rank: int | None = None) -> int:
         if rank is None:
@@ -440,14 +454,48 @@ class Machine:
         if self.deadline is not None:
             self._check_deadline("p2p")
 
-    def charge_compute(self, ranks: np.ndarray | list[int], ops_per_rank: float) -> None:
-        """Charge local computation (modeled time only; no traffic)."""
+    def charge_compute(self, ranks: np.ndarray | list[int], ops) -> None:
+        """Charge local computation (modeled time only; no traffic): ``ops``
+        elementary operations on every rank of ``ranks``, or ``ops[i]`` on
+        ``ranks[i]`` — one plan step's per-rank work in one call.
+
+        The charges land in ``ranks`` order.  With a deadline, the first
+        charge whose rank's clock passes it is the last that lands before
+        :class:`~repro.faults.DeadlineExceeded` raises, exactly as if each
+        rank had been charged on its own.
+        """
         ranks = np.asarray(ranks, dtype=np.int64)
-        self.ledger.time[ranks] += ops_per_rank / self.cost.compute_rate
-        self.ledger.compute_ops += ops_per_rank * len(ranks)
-        self.ledger.compute_per_rank[ranks] += ops_per_rank
+        if not ranks.size:
+            return  # a step no rank works in charges nothing
+        ops = np.broadcast_to(np.asarray(ops, dtype=float), ranks.shape)
+        seconds = ops / self.cost.compute_rate
+        if self.deadline is not None:
+            land = self._landing(ranks, seconds)
+            ranks, ops, seconds = ranks[:land], ops[:land], seconds[:land]
+        led = self.ledger
+        np.add.at(led.time, ranks, seconds)
+        np.add.at(led.compute_per_rank, ranks, ops)
+        total = led.compute_ops
+        for charge in ops.tolist():  # in charge order, as rank-by-rank adds
+            total += charge
+        led.compute_ops = total
         if self.deadline is not None:
             self._check_deadline("compute")
+
+    def _landing(self, ranks: np.ndarray, seconds: np.ndarray) -> int:
+        """How many of the per-rank compute charges ``seconds`` on ``ranks``
+        land: all of them, or up to and including the first that takes the
+        critical path past the deadline."""
+        clock = self.ledger.time.copy()
+        np.add.at(clock, ranks, seconds)
+        if clock.max() <= self.deadline:
+            return len(ranks)
+        clock = self.ledger.time.copy()
+        for i, (rank, dt) in enumerate(zip(ranks.tolist(), seconds.tolist())):
+            clock[rank] += dt
+            if clock.max() > self.deadline:
+                return i + 1
+        return len(ranks)
 
     def charge_overhead(self, seconds: float) -> None:
         """Charge a fixed per-operation overhead on every rank (bulk

@@ -1,14 +1,21 @@
-"""Build-on-first-use loader for the compiled path kernel (``_pathsum.c``).
+"""Build-on-first-use loader for the compiled library (``_pathsum.c``).
 
-:func:`pathsum` compiles the one C file beside this module with ``gcc`` into
-a per-user cache directory, loads it with :mod:`ctypes` and returns its entry
-point — or ``None`` wherever any step fails (no compiler, no writable cache
-directory, a file in the cache that is not our library), in which case
-:mod:`repro.sparse.dispatch` declines the product and the generic kernel
-serves it: same bits, slower.
-Nothing happens at import; the first multpath / centpath product pays for the
-build (≈ 0.1 s, once per cache directory) or the load (≈ 2 ms, once per
-process).
+The first use compiles the one C file beside this module with ``gcc`` into
+a per-user cache directory and loads it with :mod:`ctypes`.  It has two entry
+points:
+
+* :func:`pathsum` returns the path kernel, ``pathsum_chunk``, which
+  :mod:`repro.sparse.dispatch` hands multpath / centpath products;
+* :func:`locate` places sorted keys in sorted keys by a galloping merge
+  (``merge_locate``), for :meth:`~repro.sparse.SpMat.combine` and
+  :meth:`~repro.sparse.SpMat.align_values`.
+
+Wherever any step fails (no compiler, no writable cache directory, a file in
+the cache that is not our library) :func:`pathsum` returns ``None``, so
+dispatch declines the product and the generic kernel serves it, and
+:func:`locate` falls back to :func:`numpy.searchsorted`: the same bits either
+way, slower.  Nothing happens at import; the first use pays for the build
+(≈ 0.1 s, once per cache directory) or the load (≈ 2 ms, once per process).
 
 The library is cached under a hash of the source, the flags, the compiler's
 version banner and the machine type, written under a temporary name and moved
@@ -33,7 +40,7 @@ import numpy as np
 
 from repro import config
 
-__all__ = ["PathsumArgs", "pathsum", "words", "STATUS_NAN", "MAX_SUM"]
+__all__ = ["PathsumArgs", "pathsum", "locate", "words", "STATUS_NAN", "MAX_SUM"]
 
 _SOURCE = Path(__file__).with_name("_pathsum.c")
 #: no ``-ffast-math``, and no fused multiply-add: a pair's weight is one IEEE add
@@ -155,21 +162,23 @@ def _build(cc: str, target: Path) -> bool:
             os.unlink(tmp)
 
 
-def _load(path: Path) -> Callable[..., int] | None:
+def _load(path: Path) -> ctypes.CDLL | None:
     try:
-        fn = ctypes.CDLL(str(path)).pathsum_chunk
+        lib = ctypes.CDLL(str(path))
+        pathsum_chunk, merge_locate = lib.pathsum_chunk, lib.merge_locate
     except (OSError, AttributeError):  # truncated, foreign, or not a library
         return None
-    fn.argtypes = [ctypes.POINTER(PathsumArgs)]
-    fn.restype = ctypes.c_int
-    return fn
+    pathsum_chunk.argtypes = [ctypes.POINTER(PathsumArgs)]
+    pathsum_chunk.restype = ctypes.c_int
+    merge_locate.argtypes = [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2
+    merge_locate.restype = None
+    return lib
 
 
 @functools.cache
-def pathsum() -> Callable[..., int] | None:
-    """``pathsum_chunk(args: PathsumArgs) -> status`` from the compiled
-    library (``ctypes`` passes the struct by reference), built if the cache
-    is cold; ``None`` when it cannot be had.
+def _library() -> ctypes.CDLL | None:
+    """The compiled library, built if the cache is cold; ``None`` when it
+    cannot be had.
 
     Decided once per process.  Two threads asking at the same cold moment
     both build and both publish a complete file; either result serves.
@@ -183,7 +192,38 @@ def pathsum() -> Callable[..., int] | None:
             continue
         target = directory / name
         if target.exists() or _build(cc, target):
-            # a file that is there but does not load stays: the generic
-            # kernel serves, and nothing is rebuilt on every start
+            # a file that is there but does not load stays: the fallbacks
+            # serve, and nothing is rebuilt on every start
             return _load(target)
     return None
+
+
+def pathsum() -> Callable[..., int] | None:
+    """``pathsum_chunk(args: PathsumArgs) -> status`` (``ctypes`` passes the
+    struct by reference), or ``None`` when the library cannot be had."""
+    lib = _library()
+    return None if lib is None else lib.pathsum_chunk
+
+
+def locate(haystack: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For ascending ``needles`` in ascending ``haystack`` (one-dimensional
+    integer keys): the lower-bound positions, ``np.searchsorted(haystack,
+    needles)``, and whether each needle is there.
+
+    One galloping merge in C; :func:`numpy.searchsorted` gives the same
+    integers where the library does not load (or a side is not an int64
+    column).
+    """
+    lib = _library()
+    hay, keys = words(haystack, np.int64), words(needles, np.int64)
+    if lib is None or hay is None or keys is None:
+        pos = np.searchsorted(haystack, needles)
+        if not len(haystack):
+            return pos, np.zeros(len(needles), dtype=bool)
+        return pos, haystack[np.minimum(pos, len(haystack) - 1)] == needles
+    pos = np.empty(len(keys), dtype=np.int64)
+    hit = np.empty(len(keys), dtype=np.bool_)
+    lib.merge_locate(
+        hay.ctypes.data, len(hay), keys.ctypes.data, len(keys), pos.ctypes.data, hit.ctypes.data
+    )
+    return pos, hit

@@ -1,4 +1,5 @@
-/* Row-wise masked sparse accumulator for the multpath / centpath products.
+/* Row-wise masked sparse accumulator for the multpath / centpath products,
+ * and the key merge SpMat.combine / align_values locate with (at the end).
  *
  * One call reduces one expansion chunk — A's entries [lo, hi), each joined
  * against its row of B — to the exact inputs of the numpy reduction in
@@ -177,4 +178,30 @@ done:
     g->n_runs = n_runs;
     g->n_pairs = n_pairs;
     return status;
+}
+
+/* For each of the n ascending `needles`, its lower-bound position in the m
+ * ascending keys of `hay` (np.searchsorted's integer) and whether it is
+ * there.  One merge from left to right: a needle gallops from the previous
+ * one's position (1, 2, 4, ... keys ahead) and binary-searches the last
+ * step, so the n needles cost O(n log(m/n) + n) comparisons, never more
+ * than the n log m of a search per needle. */
+void merge_locate(const int64_t *hay, int64_t m, const int64_t *needles, int64_t n,
+                  int64_t *pos, uint8_t *hit)
+{
+    int64_t at = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t key = needles[i];
+        if (at < m && hay[at] < key) {
+            int64_t below = at, step = 1; /* hay[below] < key */
+            while (below + step < m && hay[below + step] < key) {
+                below += step;
+                step <<= 1;
+            }
+            const int64_t end = below + step < m ? below + step : m;
+            at = lower_bound(hay + below + 1, hay + end, key) - hay;
+        }
+        pos[i] = at;
+        hit[i] = at < m && hay[at] == key;
+    }
 }

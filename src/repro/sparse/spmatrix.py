@@ -23,6 +23,7 @@ from repro.algebra.fields import (
     take_fields,
 )
 from repro.algebra.monoid import Monoid, stable_key_sort
+from repro.sparse._native import locate
 
 __all__ = ["SpMat"]
 
@@ -292,9 +293,10 @@ class SpMat:
     def combine(self, other: "SpMat") -> "SpMat":
         """Elementwise monoid accumulation ``self ⊕ other`` (union of supports).
 
-        ``other``'s keys are located in this matrix's with one binary search
-        each; no entry of ``self`` that ``other`` misses is compared, moved
-        twice or re-sorted.  A hit is folded as ``self ⊕ other`` — the pair,
+        ``other``'s keys are located in this matrix's by one galloping merge
+        (:func:`~repro.sparse._native.locate`), which also tells the hits;
+        no entry of ``self`` that ``other`` misses is moved twice or
+        re-sorted.  A hit is folded as ``self ⊕ other`` — the pair,
         in the order, that a stable merge would reduce — into a copy of the
         value columns; a miss is spliced in at its sorted position.
         """
@@ -306,8 +308,7 @@ class SpMat:
         if not self.nnz:
             return other
         keys, rows, cols, vals = self.keys(), self.rows, self.cols, self.vals
-        pos = np.searchsorted(keys, other.keys())
-        hit = keys[np.minimum(pos, len(keys) - 1)] == other.keys()
+        pos, hit = locate(keys, other.keys())
         dead = False
         if hit.any():
             at = pos[hit]
@@ -372,8 +373,8 @@ class SpMat:
         other_keys = other.keys()
         out = other.monoid.identity_array(len(my_keys))
         if len(other_keys):
-            pos = np.minimum(np.searchsorted(other_keys, my_keys), len(other_keys) - 1)
-            found = (other_keys[pos] == my_keys).nonzero()[0]
+            pos, hit = locate(other_keys, my_keys)
+            found = hit.nonzero()[0]
             src = pos[found]
             for name, col in out.items():
                 col[found] = other.vals[name][src]

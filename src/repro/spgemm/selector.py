@@ -1,9 +1,10 @@
 """Cost-model-driven algorithm selection (CTF's mapping search, §6.2).
 
-For every product, :class:`AutoPolicy` enumerates the full §5.2 space —
+For every product, :class:`AutoPolicy` prices the full §5.2 space —
 three 1D variants, three 2D variants over every ``pr × pc`` factorization,
-nine 3D variants over every ``p1 × p2 × p3`` factorization — evaluates the
-closed-form α-β model with the operands' *actual* nonzero counts (output
+nine 3D variants over every ``p1 × p2 × p3`` factorization, enumerated and
+tabled once per ``p`` (:func:`plan_table`) — with the closed-form α-β model
+in one array pass over the operands' *actual* nonzero counts (output
 nonzeros estimated by the uniform-sparsity model), filters by the machine's
 memory budget, and picks the cheapest plan.
 
@@ -21,10 +22,12 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.machine.grid import factorizations
 from repro.machine.machine import Machine, MemoryLimitExceeded
 from repro.obs import api as obs
-from repro.spgemm.costmodel import model_plan
+from repro.spgemm.costmodel import CostEstimate, PlanTable
 from repro.spgemm.plan import Plan
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "PinnedPolicy",
     "Square2DPolicy",
     "enumerate_plans",
+    "plan_table",
     "cheapest_plan",
 ]
 
@@ -60,30 +64,39 @@ def enumerate_plans(p: int) -> tuple[Plan, ...]:
     return tuple(plans)
 
 
-def cheapest_plan(plans, estimate, cost, memory_words):
-    """The one selection loop: estimate → memory-filter → argmin.
+@functools.cache
+def plan_table(p: int) -> PlanTable:
+    """:func:`enumerate_plans` as a :class:`PlanTable`, built once per ``p``."""
+    return PlanTable(enumerate_plans(p))
 
-    ``estimate(plan)`` prices one plan; plans whose estimate exceeds
-    ``memory_words`` (``None`` = unbounded) are skipped, ties within 1e-18
-    modeled seconds go to the smaller ``p1``.  Returns ``(plan, estimate,
-    modeled seconds, feasible count)``; ``plan`` is ``None`` when nothing
-    fits, and the caller raises its own error.
+
+def cheapest_plan(table: PlanTable, est: CostEstimate, cost, memory_words):
+    """The one selection loop: memory-filter → argmin over a priced table.
+
+    ``est`` is ``table.price(...)``.  Plans whose estimate exceeds
+    ``memory_words`` (``None`` = unbounded) are skipped; the rest are
+    scanned in table order and ties within 1e-18 modeled seconds go to the
+    smaller ``p1``.  Returns ``(plan, estimate, modeled seconds, feasible
+    count)``; ``plan`` is ``None`` when nothing fits, and the caller raises
+    its own error.
     """
-    best: Plan | None = None
-    best_est = None
+    times = est.time(cost.alpha, cost.beta, cost.compute_rate).tolist()
+    if memory_words is None:
+        rows = range(len(times))
+    else:
+        rows = np.flatnonzero(est.memory_words <= memory_words).tolist()
+    p1 = table.p1.tolist()
+    best = None
     best_time = math.inf
-    feasible = 0
-    for plan in plans:
-        est = estimate(plan)
-        if memory_words is not None and est.memory_words > memory_words:
-            continue
-        feasible += 1
-        t = est.time(cost.alpha, cost.beta, cost.compute_rate)
+    for i in rows:
+        t = times[i]
         if t < best_time - 1e-18 or (
-            abs(t - best_time) <= 1e-18 and best is not None and plan.p1 < best.p1
+            abs(t - best_time) <= 1e-18 and best is not None and p1[i] < p1[best]
         ):
-            best, best_est, best_time = plan, est, t
-    return best, best_est, best_time, feasible
+            best, best_time = i, t
+    if best is None:
+        return None, None, best_time, 0
+    return table.plans[best], est.row(best), best_time, len(rows)
 
 
 class SelectionPolicy:
@@ -130,12 +143,10 @@ class AutoPolicy(SelectionPolicy):
 
     def select(self, machine, m, k, n, nnz_a, nnz_b, amortized=frozenset()):
         with obs.span("select", cat="selector") as sp:
-            plans = enumerate_plans(machine.p)
+            table = plan_table(machine.p)
             best, _est, best_time, feasible = cheapest_plan(
-                plans,
-                lambda plan: model_plan(
-                    plan, m, k, n, nnz_a, nnz_b, amortized=amortized
-                ),
+                table,
+                table.price(m, k, n, nnz_a, nnz_b, amortized=amortized),
                 machine.cost,
                 machine.memory_words,
             )
@@ -146,7 +157,7 @@ class AutoPolicy(SelectionPolicy):
                 )
             if obs.enabled():
                 sp.set(
-                    candidates=len(plans),
+                    candidates=len(table.plans),
                     feasible=feasible,
                     chosen=best.describe(),
                     modeled_seconds=best_time,

@@ -142,8 +142,7 @@ def _local_mul_batch(
         masks=masks,
         mask_complement=mask_complement,
     )
-    for (rank, _, _), res in zip(tasks, results):
-        machine.charge_compute([rank], float(res.ops))
+    machine.charge_compute([rank for rank, _, _ in tasks], [res.ops for res in results])
     return [res.matrix for res in results], sum(res.ops for res in results)
 
 
@@ -337,8 +336,7 @@ def _strip_product(
     row_ops = sum(res.row_ops for res in results)
     upto = np.zeros(a.nrows + 1, dtype=np.int64)
     np.cumsum(row_ops, out=upto[1:])
-    for rank, ops in zip(ranks.tolist(), np.diff(upto[cuts]).tolist()):
-        machine.charge_compute([rank], float(ops))
+    machine.charge_compute(ranks, np.diff(upto[cuts]))
     if len(results) == 1:
         c = results[0].matrix
     else:

@@ -91,9 +91,9 @@ def assert_fired(machine) -> None:
 def _pathsum_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:  # the environment: child processes too
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        _native.pathsum.cache_clear()
+        _native._library.cache_clear()
         yield
-    _native.pathsum.cache_clear()
+    _native._library.cache_clear()
 
 
 @pytest.fixture

@@ -425,7 +425,7 @@ class TestCompiledPathsum:
             for (x, y), m in zip(pairs, masks)
         ]
         monkeypatch.setattr(_native, "_cache_dirs", lambda: [tmp_path / "cache"])
-        _native.pathsum.cache_clear()
+        _native._library.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -441,7 +441,7 @@ class TestCompiledPathsum:
                         _assert_same_bits(g, w)
         finally:
             sys.setswitchinterval(interval)
-            _native.pathsum.cache_clear()
+            _native._library.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@ the local-work loop, and the keyword-only constructor audit."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.algebra import TROPICAL
 from repro.algebra.monoid import MinMonoid
 from repro.core.engine import Engine, SequentialEngine
 from repro.dist import DistMat, DistributedEngine
+from repro.faults import DeadlineExceeded
 from repro.machine import (
     CostParams,
     Group,
@@ -204,6 +207,111 @@ class TestMemory:
         assert m.memory_used() == 0 and m.memory_peak() == 0
         m.allocate(1, 70)  # the compacted survivor index, freshly charged
         assert m.memory_used() == 70 and m.memory_peak(1) == 70
+
+
+def _charge_each(machine, ranks, ops):
+    """The per-rank reference of one step's compute charge: one call per
+    rank, stopping at the first that raises."""
+    for rank, o in zip(ranks, ops):
+        machine.charge_compute([rank], o)
+
+
+def _allocate_each(machine, charges):
+    """The per-rank reference of ``charge_allocation``: ``allocate`` rank by
+    rank in ``charges`` order, rolled back on a raise."""
+    done = []
+    try:
+        for rank, words in charges.items():
+            machine.allocate(rank, words)
+            done.append((rank, words))
+    except MemoryLimitExceeded:
+        for rank, words in done:
+            machine.free(rank, words)
+        raise
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except (DeadlineExceeded, MemoryLimitExceeded) as exc:
+        return type(exc)
+    return None
+
+
+class TestBatchedCharges:
+    """A step's vector charge is its per-rank charges, in rank order."""
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.lists(st.integers(0, 50), min_size=p, max_size=p),
+                st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, 40)), max_size=10),
+            )
+        ),
+        st.none() | st.integers(1, 120),
+    )
+    def test_compute_vector_keeps_the_deadline_trip_point(self, case, deadline):
+        p, start, step = case
+        ranks, ops = [r for r, _ in step], [float(o) for _, o in step]
+        machines = [
+            Machine(p, cost=CostParams(alpha=1.0, beta=1.0, compute_rate=2.0))
+            for _ in range(2)
+        ]
+        for m in machines:
+            m.charge_compute(np.arange(p), start)  # clocks start uneven
+            m.deadline = deadline
+        outcomes = [
+            _outcome(lambda: machines[0].charge_compute(ranks, ops)),
+            _outcome(lambda: _charge_each(machines[1], ranks, ops)),
+        ]
+        assert outcomes[0] == outcomes[1]
+        vec, each = (m.ledger for m in machines)
+        assert np.array_equal(vec.time, each.time)
+        assert np.array_equal(vec.compute_per_rank, each.compute_per_rank)
+        assert vec.compute_ops == each.compute_ops
+
+    def test_deadline_stops_after_the_first_rank_past_it(self):
+        m = Machine(4, cost=CostParams(alpha=1.0, beta=1.0, compute_rate=1.0), deadline=10.0)
+        with pytest.raises(DeadlineExceeded):
+            m.charge_compute([3, 1, 2, 0], [4.0, 11.0, 12.0, 1.0])
+        # rank 3 landed, rank 1 tripped the deadline and landed, 2 and 0 did not
+        assert m.ledger.time.tolist() == [0.0, 11.0, 0.0, 4.0]
+        assert m.ledger.compute_ops == 15.0
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.lists(st.integers(0, 60), min_size=p, max_size=p),
+                st.dictionaries(st.integers(0, p - 1), st.integers(0, 60)),
+            )
+        ),
+        st.none() | st.integers(1, 100),
+    )
+    def test_allocation_equals_the_per_rank_loop(self, case, budget):
+        p, start, charges = case
+        machines = [Machine(p, memory_words=budget) for _ in range(2)]
+        for m in machines:
+            m.memory_words = None  # the starting usage may sit over the budget
+            for rank, words in enumerate(start):
+                m.allocate(rank, words)
+                m.free(rank, words // 2)
+            m.memory_words = budget
+        outcomes = [
+            _outcome(lambda: machines[0].charge_allocation(charges)),
+            _outcome(lambda: _allocate_each(machines[1], charges)),
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert np.array_equal(machines[0]._mem_used, machines[1]._mem_used)
+        assert np.array_equal(machines[0]._mem_peak, machines[1]._mem_peak)
+
+    def test_free_arrays_clamp_at_zero(self):
+        m = Machine(3)
+        m.charge_allocation({0: 10, 1: 20, 2: 30})
+        m.free(np.array([2, 0]), np.array([5, 15]))
+        assert m._mem_used.tolist() == [0, 20, 25]
+        assert m.memory_peak() == 30
 
 
 class TestGroups:

@@ -18,12 +18,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.algebra import MULTPATH
 from repro.algebra.monoid import MinWeightTieSumMonoid
 from repro.check import strategies as cst
 from repro.core.specs import BELLMAN_FORD_SPEC
 from repro.sparse import SpMat, _native, spgemm
+
+from conftest import assert_bits
 
 spgemm_mod = sys.modules[spgemm.__module__]
 
@@ -37,9 +41,9 @@ def cache(tmp_path, monkeypatch):
     """A cold, private cache directory and an undecided loader."""
     directory = tmp_path / "cache"
     monkeypatch.setattr(_native, "_cache_dirs", lambda: [directory])
-    _native.pathsum.cache_clear()
+    _native._library.cache_clear()
     yield directory
-    _native.pathsum.cache_clear()
+    _native._library.cache_clear()
 
 
 def _operands():
@@ -86,11 +90,11 @@ class TestFallsBackQuietly:
         blocker = tmp_path / "file"
         blocker.write_text("")
         monkeypatch.setattr(_native, "_cache_dirs", lambda: [blocker / "cache"])
-        _native.pathsum.cache_clear()
+        _native._library.cache_clear()
         try:
             _assert_generic_serves(capfd)
         finally:
-            _native.pathsum.cache_clear()
+            _native._library.cache_clear()
 
     def test_cache_directory_others_can_write(self, cache, capfd):
         cache.mkdir()
@@ -123,7 +127,7 @@ class TestBuilds:
         (library,) = cache.iterdir()
         assert library.name == _native._library_name(GCC)
         stamp = library.stat().st_mtime_ns
-        _native.pathsum.cache_clear()
+        _native._library.cache_clear()
         assert _native.pathsum() is not None  # loaded, not rebuilt
         assert library.stat().st_mtime_ns == stamp
         assert capfd.readouterr().err == ""
@@ -133,12 +137,12 @@ class TestBuilds:
         blocker.write_text("")
         second = tmp_path / "second"
         monkeypatch.setattr(_native, "_cache_dirs", lambda: [blocker / "cache", second])
-        _native.pathsum.cache_clear()
+        _native._library.cache_clear()
         try:
             assert _native.pathsum() is not None
             assert len(list(second.iterdir())) == 1
         finally:
-            _native.pathsum.cache_clear()
+            _native._library.cache_clear()
 
     def test_default_directories(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
@@ -180,7 +184,7 @@ class TestBuilds:
     def test_import_builds_and_loads_nothing(self, tmp_path):
         script = (
             "import repro, repro.sparse._native as n\n"
-            "assert n.pathsum.cache_info().currsize == 0\n"
+            "assert n._library.cache_info().currsize == 0\n"
         )
         env = {
             **os.environ,
@@ -238,6 +242,78 @@ class TestOperandsAreNeverMisread:
         )
         got = spgemm(a32, b, BELLMAN_FORD_SPEC)
         assert got.ops == want.ops and got.matrix.equals(want.matrix)
+
+
+def _keys(draw_from):
+    """Sorted, unique int64 keys."""
+    return st.lists(draw_from, unique=True, max_size=60).map(
+        lambda xs: np.array(sorted(xs), dtype=np.int64)
+    )
+
+
+def _reference(haystack, needles):
+    pos = np.searchsorted(haystack, needles)
+    hit = np.isin(needles, haystack)
+    return pos, hit
+
+
+_SHAPES = {
+    "both empty": ([], []),
+    "empty haystack": ([], [3, 5]),
+    "no needles": ([1, 2, 3], []),
+    "disjoint below": ([10, 20, 30], [1, 2, 3]),
+    "disjoint above": ([1, 2, 3], [10, 20, 30]),
+    "interleaved": ([0, 2, 4, 6], [1, 3, 5, 7]),
+    "needles nested": (list(range(0, 100, 3)), [3, 30, 33, 99]),
+    "haystack nested": ([30, 31, 32], list(range(0, 100))),
+    "equal": ([-5, 0, 7], [-5, 0, 7]),
+    "past the end": ([1, 2, 3], [3, 4, 2**62]),
+    "n << m": (list(range(0, 20000, 2)), [-1, 5000, 5001, 19998, 30000]),
+    "n >> m": ([-7, 4000, 12345], list(range(-10, 20000, 3))),
+}
+
+
+class TestLocate:
+    """The merge entry point places keys exactly as ``np.searchsorted``."""
+
+    @needs_gcc
+    @given(_keys(st.integers(-(2**62), 2**62)), _keys(st.integers(-(2**62), 2**62)))
+    def test_equals_searchsorted(self, haystack, needles):
+        assert _native._library() is not None
+        pos, hit = _native.locate(haystack, needles)
+        want_pos, want_hit = _reference(haystack, needles)
+        assert pos.dtype == np.int64 and hit.dtype == np.bool_
+        assert np.array_equal(pos, want_pos) and np.array_equal(hit, want_hit)
+
+    @needs_gcc
+    @given(_keys(st.integers(0, 40)), _keys(st.integers(0, 40)))
+    def test_equals_searchsorted_on_overlapping_keys(self, haystack, needles):
+        pos, hit = _native.locate(haystack, needles)
+        want_pos, want_hit = _reference(haystack, needles)
+        assert np.array_equal(pos, want_pos) and np.array_equal(hit, want_hit)
+
+    @pytest.mark.parametrize("loaded", [True, False], ids=["merge", "fallback"])
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_shapes(self, monkeypatch, loaded, shape):
+        if loaded and _native._library() is None:
+            pytest.skip("the compiled library did not load")
+        if not loaded:
+            monkeypatch.setattr(_native, "_library", lambda: None)
+        haystack, needles = (np.array(x, dtype=np.int64) for x in _SHAPES[shape])
+        pos, hit = _native.locate(haystack, needles)
+        want_pos, want_hit = _reference(haystack, needles)
+        assert np.array_equal(pos, want_pos) and np.array_equal(hit, want_hit)
+
+    def test_combine_and_align_take_the_same_bits_without_the_library(
+        self, rng, monkeypatch
+    ):
+        state = cst.random_weight_spmat(rng, 9, 11, 0.6)
+        update = cst.random_weight_spmat(rng, 9, 11, 0.3)
+        merged, aligned = state.combine(update), update.align_values(state)
+        monkeypatch.setattr(_native, "_library", lambda: None)
+        assert_bits(state.combine(update), merged)
+        for name, col in update.align_values(state).items():
+            assert col.tobytes() == aligned[name].tobytes()
 
 
 def test_c_source_ships_with_the_package():

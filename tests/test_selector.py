@@ -4,6 +4,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine import CostParams, Machine
 from repro.machine.machine import MemoryLimitExceeded
@@ -17,7 +19,7 @@ from repro.spgemm import (
     estimate_ops,
     model_plan,
 )
-from repro.spgemm.selector import enumerate_plans
+from repro.spgemm.selector import cheapest_plan, enumerate_plans, plan_table
 
 
 class TestEstimators:
@@ -241,3 +243,89 @@ class TestEnumeration:
         assert len(enumerate_plans(16)) > len(enumerate_plans(4)) > len(
             enumerate_plans(2)
         )
+
+
+# ---------------------------------------------------------------------------
+# the table pricer against the per-plan loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _scalar_estimate(plan, nnz_a, nnz_b, nnz_c, ops, amortized):
+    """One plan priced in plain Python floats, term by term in ``model_plan``'s
+    order (the reference the array pricer must reproduce bit for bit)."""
+    p1, p2, p3, p = plan.p1, plan.p2, plan.p3, plan.p
+    nnz = {"A": nnz_a, "B": nnz_b, "C": nnz_c}
+    msgs = words = 0.0
+    memory = (nnz_a + nnz_b + nnz_c) / p
+    if p1 > 1:
+        if plan.x not in amortized:
+            msgs += 2.0 * math.ceil(math.log2(p1))
+            words += 2.0 * nnz[plan.x] / (p2 * p3)
+        memory += nnz[plan.x] * p1 / p
+    if p2 * p3 > 1:
+        y, z = (nnz[v] if v == plan.x else nnz[v] / p1 for v in plan.yz)
+        msgs += 2.0 * math.lcm(p2, p3) * math.ceil(math.log2(p2 * p3))
+        words += 2.0 * (y / p2 + z / p3)
+        memory += y / p2 + z / p3
+    return msgs, words, ops / p, memory
+
+
+def _scalar_choice(plans, estimates, cost, budget):
+    """The per-plan selection loop: memory filter, argmin, ties within 1e-18
+    to the smaller ``p1``."""
+    best, best_time, feasible = None, math.inf, 0
+    for plan, (msgs, words, flops, memory) in zip(plans, estimates):
+        if budget is not None and memory > budget:
+            continue
+        feasible += 1
+        t = msgs * cost.alpha + words * cost.beta + flops / cost.compute_rate
+        if t < best_time - 1e-18 or (
+            abs(t - best_time) <= 1e-18 and best is not None and plan.p1 < best.p1
+        ):
+            best, best_time = plan, t
+    return best, best_time, feasible
+
+
+class TestTablePricer:
+    @settings(max_examples=300)  # cheap examples; rounding differences are rare
+    @given(
+        st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 64, 128, 256]),
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+        st.integers(0, 10**7),
+        st.integers(0, 10**7),
+        st.none() | st.tuples(st.integers(0, 10**7), st.integers(0, 10**9)),
+        st.sampled_from([frozenset(), frozenset("B"), frozenset("A"), frozenset("ABC")]),
+        st.none() | st.floats(0.0, 1.5),
+        st.sampled_from([CostParams(), CostParams(alpha=1e-3, beta=1e-9)]),
+    )
+    def test_choice_equals_the_per_plan_loop(
+        self, p, m, k, nnz_a, nnz_b, given_sizes, amortized, budget_share, cost
+    ):
+        """Plan, estimate, modeled seconds and feasible count — bit for bit."""
+        n = m
+        nnz_c, ops = given_sizes or (None, None)
+        table = plan_table(p)
+        est = table.price(m, k, n, nnz_a, nnz_b, nnz_c, ops, amortized)
+        if given_sizes is None:
+            nnz_c = estimate_nnz_c(m, k, n, nnz_a, nnz_b)
+            ops = estimate_ops(m, k, n, nnz_a, nnz_b)
+        estimates = [
+            _scalar_estimate(plan, nnz_a, nnz_b, nnz_c, ops, amortized)
+            for plan in table.plans
+        ]
+        for i, want in enumerate(estimates):
+            row = est.row(i)
+            assert (row.msgs, row.words, row.flops, row.memory_words) == want, table.plans[i]
+        # budgets from unbounded down to below every plan's memory
+        budget = None
+        if budget_share is not None:
+            budget = budget_share * max(e[3] for e in estimates)
+        plan, row, seconds, feasible = cheapest_plan(table, est, cost, budget)
+        want_plan, want_seconds, want_feasible = _scalar_choice(
+            table.plans, estimates, cost, budget
+        )
+        assert (plan, seconds, feasible) == (want_plan, want_seconds, want_feasible)
+        if plan is not None:
+            assert row == est.row(table.plans.index(plan))
+            assert row == model_plan(plan, m, k, n, nnz_a, nnz_b, nnz_c, ops, amortized)

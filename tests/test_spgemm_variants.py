@@ -247,8 +247,8 @@ class TestStripProduct:
                 )
                 for r in range(p)
             ]
-            charges = []
-            machine.charge_compute = lambda ranks, ops: charges.append((list(ranks), ops))
+            led = machine.ledger
+            before = led.time.copy(), led.compute_per_rank.copy()
             c, ops = _strip_product(
                 machine, da, b, spec, mask, complement, np.arange(p), chunk=chunk
             )
@@ -257,7 +257,11 @@ class TestStripProduct:
         for r, res in enumerate(ref):
             assert_bits(out.block(r, 0), res.matrix)
             assert int(res.row_ops.sum()) == res.ops
-        assert charges == [([r], float(res.ops)) for r, res in enumerate(ref)]
+        # each rank is charged its own strip's ops, and only those
+        want = np.array([float(res.ops) for res in ref])
+        assert np.array_equal(led.compute_per_rank - before[1], want)
+        assert np.array_equal(led.time, before[0] + want / machine.cost.compute_rate)
+        assert led.compute_ops == sum(res.ops for res in ref)
         assert ops == sum(res.ops for res in ref)
 
     @pytest.mark.parametrize("masked", [False, True])
