@@ -91,15 +91,16 @@ class PlanTable:
                 for plan in self.plans
             ],
             dtype=np.int64,
-        ).reshape(-1, 6)
+        )
         self.p1, self.p2, self.p3, self.x, self.y, self.z = cols.T
         #: the 1D level runs (``W_X``) / the 2D level runs (``W_YZ``)
         self.outer = self.p1 > 1
         self.inner = self.p2 * self.p3 > 1
+        # (⌈log₂ 1⌉ = 0: a level that does not run sends nothing)
         self.msgs_x = np.array([TREE * log2ceil(p1) for p1 in self.p1.tolist()])
         self.msgs_yz = np.array(
             [
-                TREE * math.lcm(p2, p3) * log2ceil(p2 * p3) if p2 * p3 > 1 else 0.0
+                TREE * math.lcm(p2, p3) * log2ceil(p2 * p3)
                 for p2, p3 in zip(self.p2.tolist(), self.p3.tolist())
             ]
         )
