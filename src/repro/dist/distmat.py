@@ -15,8 +15,9 @@ on a ``p × 1`` strip layout its keys are the global keys ``row·ncols + col``
 and it *is* the matrix in global coordinates.  A tile is read one way,
 :meth:`DistMat.block`: the resident block, a spilled one faulted back in,
 or — on a packed matrix — a view of the packed arrays built for that read
-and not kept.  The one-pass readers (gather, redistribution, range
-extraction, transpose) read every tile through it once.  Elementwise
+and not kept.  The one-pass readers (gather, redistribution, transpose,
+range extraction of a block grid) read every tile through it once; a
+packed matrix's range is one pass over its packed arrays.  Elementwise
 operations (the CTF ``Transform``/``sparsify``/summation surface that MFBC's
 frontier logic uses) are one ``SpMat`` call on the packed operands —
 per-coordinate, so bit-identical to acting block by block — and are
@@ -42,7 +43,7 @@ import weakref
 
 import numpy as np
 
-from repro.algebra.fields import concat_fields
+from repro.algebra.fields import concat_fields, take_fields
 from repro.algebra.monoid import Monoid, stable_key_sort
 from repro.machine.machine import Machine
 from repro.sparse.spmatrix import SpMat
@@ -140,7 +141,9 @@ class Layout:
     col_splits[-1]``.  Two layouts are equal when all three arrays are.
     """
 
-    __slots__ = ("ranks2d", "row_splits", "col_splits", "shape", "block_shapes", "offsets")
+    __slots__ = (
+        "ranks2d", "row_splits", "col_splits", "shape", "block_shapes", "offsets", "_tiling"
+    )
 
     def __init__(self, ranks2d, row_splits, col_splits) -> None:
         ranks2d = np.asarray(ranks2d, dtype=np.int64)
@@ -162,12 +165,16 @@ class Layout:
         #: order); ``offsets[-1]`` is ``nrows · ncols``
         self.offsets = np.zeros(pr * pc + 1, dtype=np.int64)
         np.cumsum(np.outer(heights, widths).ravel(), out=self.offsets[1:])
+        self._tiling: np.ndarray | None = None
 
     @classmethod
     def even(cls, ranks2d, nrows: int, ncols: int) -> "Layout":
-        """``ranks2d`` blocking an ``nrows × ncols`` matrix evenly."""
-        pr, pc = np.shape(ranks2d)
-        return cls(ranks2d, even_splits(nrows, pr), even_splits(ncols, pc))
+        """``ranks2d`` blocking an ``nrows × ncols`` matrix evenly.
+
+        A value, so one object serves every request for it: its arrays are
+        read-only, and comparing it with itself is free."""
+        ranks2d = np.asarray(ranks2d, dtype=np.int64)
+        return _even_layout(ranks2d.tobytes(), ranks2d.shape, int(nrows), int(ncols))
 
     @property
     def T(self) -> "Layout":
@@ -182,6 +189,19 @@ class Layout:
             and np.array_equal(self.row_splits, other.row_splits)
             and np.array_equal(self.col_splits, other.col_splits)
         )
+
+    def tiling(self) -> np.ndarray:
+        """``(r0, r1, c0, c1, owner)`` of every tile of nonzero area, one
+        column each in row-major grid order: where a matrix on this layout
+        lives.  Two layouts with equal tilings differ only in zero-area
+        tiles, so they hold a matrix alike and share its packed key space.
+        Computed once per layout."""
+        if self._tiling is None:
+            t = np.flatnonzero(np.diff(self.offsets))
+            i, j = np.divmod(t, self.ranks2d.shape[1])
+            rs, cs = self.row_splits, self.col_splits
+            self._tiling = np.stack([rs[i], rs[i + 1], cs[j], cs[j + 1], self.ranks2d.ravel()[t]])
+        return self._tiling
 
     def bounds(self, i: int, j: int) -> tuple[int, int, int, int]:
         """Global ``(r0, r1, c0, c1)`` of block ``(i, j)`` (``SpMat.block``'s order)."""
@@ -258,6 +278,20 @@ class Layout:
                     row.append(SpMat._merged(*shape, parts, monoid))
             blocks.append(row)
         return blocks
+
+
+@functools.lru_cache(maxsize=1024)
+def _even_layout(ranks: bytes, shape: tuple[int, int], nrows: int, ncols: int) -> Layout:
+    """The even layout :meth:`Layout.even` hands every caller, its arrays
+    read-only (the grid is read from ``ranks``, a read-only buffer)."""
+    layout = Layout(
+        np.frombuffer(ranks, dtype=np.int64).reshape(shape),
+        even_splits(nrows, shape[0]),
+        even_splits(ncols, shape[1]),
+    )
+    for arr in (layout.row_splits, layout.col_splits, layout.offsets):
+        arr.flags.writeable = False
+    return layout
 
 
 class DistMat:
@@ -680,12 +714,24 @@ class DistMat:
         :meth:`~repro.machine.collectives.Group.alltoall` over both grids'
         ranks, sized by the busiest rank's sent+received volume (CTF's
         sparse-to-sparse redistribution kernel, §6.2).  A target equal to
-        the current layout returns this matrix itself.
+        the current layout returns this matrix itself.  A target with the
+        same tiling (:meth:`Layout.tiling`) is a relabelling: no piece would
+        change rank, so nothing is cut, moved or charged, and the target
+        holds this matrix's packed arrays.
         """
         src = self.layout
         if layout == src:
             return self  # already there: nothing to pack, move or hold twice
+        if layout.shape == src.shape and np.array_equal(src.tiling(), layout.tiling()):
+            # the two key spaces are one: packing reads the blocks in the
+            # exchange's order, so a spilled one faults in as it would
+            return DistMat(self.machine, layout, self.packed(), self.monoid)
+        return self._exchange(layout)
 
+    def _exchange(self, layout: Layout) -> "DistMat":
+        """:meth:`redistribute` onto a target with another tiling: cut every
+        block against it and exchange the pieces that change rank."""
+        src = self.layout
         pieces: list[list[list[SpMat]]] = [[[] for _ in row] for row in layout.block_shapes]
         participants = np.unique(np.concatenate([src.ranks2d.ravel(), layout.ranks2d.ravel()]))
         index = {int(r): k for k, r in enumerate(participants)}
@@ -738,7 +784,8 @@ class DistMat:
 
         The resulting splits along ``axis`` are the old ones clipped to the
         range, so the rank grid is unchanged (blocks fully outside become
-        empty).
+        empty): the next re-blocking has the same participants.  A packed
+        matrix is re-keyed in one pass over its packed arrays.
         """
         splits = [self.layout.row_splits, self.layout.col_splits]
         old = splits[axis]
@@ -747,9 +794,14 @@ class DistMat:
                 f"{('row', 'column')[axis]} range [{lo}, {hi}) out of bounds"
             )
         splits[axis] = np.clip(old, lo, hi) - lo
+        layout = Layout(self.layout.ranks2d, *splits)
         # the local range each block along ``axis`` keeps
-        start = (np.clip(lo, old[:-1], old[1:]) - old[:-1]).tolist()
-        stop = (np.clip(hi, old[:-1], old[1:]) - old[:-1]).tolist()
+        start = np.clip(lo, old[:-1], old[1:]) - old[:-1]
+        stop = np.clip(hi, old[:-1], old[1:]) - old[:-1]
+        if self._pk is not None:
+            packed = self._packed_range(axis, start, stop, layout)
+            return DistMat(self.machine, layout, packed, self.monoid)
+        start, stop = start.tolist(), stop.tolist()
         pr, pc = self.grid_shape
         blocks = [
             [
@@ -758,8 +810,42 @@ class DistMat:
             ]
             for i in range(pr)
         ]
-        layout = Layout(self.layout.ranks2d, *splits)
         return DistMat(self.machine, layout, blocks, self.monoid)
+
+    def _packed_range(
+        self, axis: int, start: np.ndarray, stop: np.ndarray, layout: Layout
+    ) -> SpMat:
+        """The packed form of :meth:`_extract_range`'s result on ``layout``:
+        every entry whose local coordinate along ``axis`` lies in its tile's
+        ``[start, stop)`` (indexed by the tile's grid row or column), re-keyed
+        into ``layout``'s key space.  Entries keep their order within a tile
+        and tiles keep theirs, so the keys stay ascending: canonical.
+
+        A row range keeps one run of keys per tile, each shifted by one
+        constant, so it is found by binary search; a column range is decided
+        entry by entry."""
+        pk, src = self._pk, self.layout
+        keys, pc = pk.keys(), self.grid_shape[1]
+        tiles = np.arange(len(src.offsets) - 1)
+        width = np.diff(src.col_splits)[tiles % pc]
+        if axis == 0:
+            first = src.offsets[:-1] + start[tiles // pc] * width
+            ends = np.searchsorted(keys, [first, src.offsets[:-1] + stop[tiles // pc] * width])
+            counts = ends[1] - ends[0]
+            keep = np.arange(counts.sum()) + np.repeat(ends[0] - (np.cumsum(counts) - counts), counts)
+            keys = keys[keep] + np.repeat(layout.offsets[:-1] - first, counts)
+        else:
+            tile = np.repeat(tiles, np.diff(self._ends()))
+            row, col = np.divmod(keys - src.offsets[tile], np.maximum(width[tile], 1))
+            lo = start[tile % pc]
+            keep = ((col >= lo) & (col < stop[tile % pc])).nonzero()[0]
+            tile, row, col = tile[keep], row[keep], col[keep] - lo[keep]
+            keys = layout.offsets[tile] + row * np.diff(layout.col_splits)[tile % pc] + col
+        rows, cols = np.divmod(keys, max(layout.shape[1], 1))
+        vals = pk.vals if len(keep) == pk.nnz else take_fields(pk.vals, keep)
+        out = SpMat(*layout.shape, rows, cols, vals, pk.monoid, canonical=True)
+        out._keys = keys
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.algebra.centpath import CENTPATH
 from repro.algebra.fields import concat_fields, take_fields
+from repro.algebra import TROPICAL
 from repro.algebra.monoid import MaxMonoid, MinMonoid, PlusMonoid
 from repro.algebra.multpath import MULTPATH
 from repro.check import check_spmat
@@ -32,7 +33,8 @@ from repro.graphs import Graph, uniform_random_graph_nm
 from repro.graphs.graph import WEIGHT_MONOID
 from repro.machine import Machine
 from repro.sparse import SpMat
-from repro.spgemm.variants import _stack
+from repro.sparse.spgemm import spgemm
+from repro.spgemm.variants import _block_diag, _stack, _task_products
 
 #: one object per library monoid, so operands of a case share their monoid
 MONOIDS = [MinMonoid(), PlusMonoid(), MaxMonoid(), MULTPATH, CENTPATH]
@@ -395,6 +397,76 @@ def test_stack(mat, by_rows, data):
     assert machine.ledger.total_words == 0
     held = [c_l.block(*ij) for c_l in outs for ij in np.ndindex(*c_l.grid_shape)]
     assert all(any(out.block(*ij) is h for h in held) for ij in np.ndindex(*out.grid_shape))
+
+
+# -- a plan step's stacked product ------------------------------------------------
+
+
+@st.composite
+def diagonals(draw, max_side=5):
+    """One to four matrices over one monoid object, zero-sided ones included."""
+    monoid = draw(st.sampled_from(MONOIDS))
+    count = draw(st.integers(1, 4))
+    return [draw(cst.spmats(monoid, min_side=0, max_side=max_side)) for _ in range(count)]
+
+
+@given(diagonals())
+def test_block_diagonal_stack(mats):
+    diag = _block_diag(mats)
+    shifted = [
+        SpMat(int(diag.rows[-1]), int(diag.cols[-1]), m.rows + r, m.cols + c, m.vals, m.monoid,
+              canonical=True)
+        for m, r, c in zip(mats, diag.rows, diag.cols)
+    ]
+    # the constructor sees the pieces last first
+    ref = SpMat(*diag.mat.shape, *triples(shifted[::-1]), mats[0].monoid)
+    assert_canonical(diag.mat, ref)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)), min_size=1, max_size=5),
+    st.data(),
+)
+def test_step_product_task_views(plan, data):
+    """Every task's product is a view of the step's one stacked product."""
+    spec = TROPICAL.matmul_spec()
+    monoid = spec.monoid
+    ys = [data.draw(cst.spmats(monoid, min_side=0, max_side=6)) for _ in range(3)]
+    tasks = [
+        (rank, data.draw(cst.spmats(monoid, shape=(m, ys[k].nrows))), ys[k])
+        for rank, (m, k) in enumerate(plan)
+    ]
+    prods, _ = _task_products(Machine(len(tasks)), tasks, spec)
+    for (_, x, y), out in zip(tasks, prods):
+        want = spgemm(x, y, spec, kernel="generic").matrix
+        assert_canonical(out, SpMat(*want.shape, *triples([want]), monoid))
+
+
+@given(cst.spmats(max_side=9), st.integers(0, 1), st.data())
+def test_packed_range(mat, axis, data):
+    """A packed matrix's row or column range, re-keyed in one pass, against
+    its tiles' keys in the range's layout, through the constructor."""
+    ranks2d = data.draw(cst.grids(6))
+    layout = Layout(
+        ranks2d,
+        data.draw(splits(mat.nrows, ranks2d.shape[0])),
+        data.draw(splits(mat.ncols, ranks2d.shape[1])),
+    )
+    d = DistMat.distribute(mat, Machine(6), ranks2d, charge=False).redistribute(layout)
+    d.packed()
+    size = mat.shape[axis]
+    lo = data.draw(st.integers(0, size))
+    hi = data.draw(st.integers(lo, size))
+    got = (d.extract_row_range, d.extract_col_range)[axis](lo, hi)
+    part = axis_block(mat, axis, lo, hi)
+    keys, vals = [], []
+    for t, (i, j) in reversed(list(enumerate(np.ndindex(*ranks2d.shape)))):
+        blk = part.block(*got.layout.bounds(i, j))
+        keys.append(got.layout.offsets[t] + blk.rows * blk.ncols + blk.cols)
+        vals.append(blk.vals)
+    rows, cols = np.divmod(np.concatenate(keys), max(got.ncols, 1))
+    ref = SpMat(*got.shape, rows, cols, concat_fields(vals), mat.monoid)
+    assert_canonical(got.packed(), ref)
 
 
 # -- structural regression: the property cannot silently rot -------------------

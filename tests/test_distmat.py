@@ -12,6 +12,8 @@ from repro.algebra.monoid import MinMonoid, PlusMonoid
 from repro.algebra.multpath import MULTPATH
 from repro.check import strategies as cst
 from repro.dist import DistMat, Layout, even_splits
+from repro.dist.distmat import axis_block
+from repro.machine.collectives import Group
 from repro.machine.grid import near_square_shape
 from repro.machine import Machine
 from repro.sparse import SpMat
@@ -495,6 +497,130 @@ class TestPackedStructure:
         for i, j in np.ndindex(pr, pc):
             assert_bits(got.block(i, j), want.block(i, j))
         assert got._memcharge.charged == want._memcharge.charged
+
+
+class TestPackedRange:
+    """A packed matrix's row or column range, re-keyed in one pass, equals
+    the per-block reference bit for bit and charges each rank what the
+    blocks would; block-held and partly spilled sources take the block path
+    to the same result."""
+
+    @given(
+        st.sampled_from([MinMonoid(), MULTPATH]),
+        st.integers(1, 11),
+        st.integers(1, 11),
+        st.integers(0, 1),
+        st.sampled_from(["aligned", "unaligned", "empty", "full"]),
+        st.sampled_from(["packed", "blocks", "spilled"]),
+        st.data(),
+    )
+    def test_equals_the_per_block_reference(self, monoid, m, n, axis, span, held, data):
+        mat = data.draw(cst.spmats(monoid, shape=(m, n)))
+        layout = data.draw(packing_layouts((m, n)))
+        size = (m, n)[axis]
+        if span == "aligned":  # both ends on tile boundaries
+            cuts = (layout.row_splits, layout.col_splits)[axis].tolist()
+            lo, hi = sorted(data.draw(st.sampled_from(cuts)) for _ in range(2))
+        elif span == "unaligned":
+            lo = data.draw(st.integers(0, size))
+            hi = data.draw(st.integers(lo, size))
+        elif span == "empty":
+            lo = hi = data.draw(st.integers(0, size))
+        else:
+            lo, hi = 0, size
+        with tempfile.TemporaryDirectory() as spill_dir:
+            machine = Machine(
+                16, faults="off", elastic="off", memory_words=1 << 40, spill_dir=spill_dir
+            )
+            d = DistMat.distribute(mat, machine, np.arange(16).reshape(4, 4)).redistribute(
+                layout
+            )
+            if held == "packed":
+                d.packed()
+            elif held == "spilled":
+                d._unpack()
+                d.spill_blocks(machine.memory.store(), rank=0)
+            got = (d.extract_row_range, d.extract_col_range)[axis](lo, hi)
+            assert (got._pk is not None) == (held == "packed")
+            splits = [layout.row_splits, layout.col_splits]
+            splits[axis] = np.clip(splits[axis], lo, hi) - lo
+            assert got.layout == Layout(layout.ranks2d, *splits)
+            ref = axis_block(mat, axis, lo, hi)
+            charged: dict[int, int] = {}
+            for i, j in np.ndindex(*layout.ranks2d.shape):
+                want = ref.block(*got.layout.bounds(i, j))
+                assert_bits(got.block(i, j), want)
+                owner = int(layout.ranks2d[i, j])
+                if want.words():
+                    charged[owner] = charged.get(owner, 0) + want.words()
+            assert got._memcharge.charged == charged
+
+
+def _layer_operand(rng, machine, held):
+    """Rows ``[lo, hi)`` of a matrix stacked over four 2 × 2 layers (a 3D
+    plan's output): the layer's tiles on an 8 × 2 grid, every other tile of
+    zero height — and the layer's own 2 × 2 grid."""
+    ranks = np.arange(16).reshape(8, 2)
+    rows = even_splits(40, 4)
+    row_splits = np.concatenate(
+        [even_splits(int(b - a), 2)[:-1] + a for a, b in zip(rows[:-1], rows[1:])] + [rows[-1:]]
+    )
+    mat = random_weight_spmat(rng, 40, 30, 0.3)
+    stacked = DistMat.distribute(mat, machine, home_grid(16), charge=False).redistribute(
+        Layout(ranks, row_splits, even_splits(30, 2))
+    )
+    if held == "packed":
+        stacked.packed()
+    lo, hi = int(rows[1]), int(rows[2])
+    return stacked.extract_row_range(lo, hi), ranks[2:4], mat.block(lo, hi, 0, 30)
+
+
+#: a fault plan that counts every charged collective and injects nothing
+ARMED = "seed:1,checksum:1"
+
+
+class TestRelabel:
+    """A re-blocking onto a layout with the same tiling moves nothing: it is
+    a relabelling, free of collectives, charges and fault steps."""
+
+    @pytest.mark.parametrize("held", ["packed", "blocks"])
+    def test_equal_tiling_is_a_free_relabel(self, rng, monkeypatch, held):
+        machine = Machine(16, faults=ARMED)
+        d, layer, want = _layer_operand(rng, machine, held)
+        target = Layout.even(layer, *d.shape)
+        assert target.ranks2d.shape != d.grid_shape
+        assert np.array_equal(d.layout.tiling(), target.tiling())
+        cut = d._exchange(target)
+        step, snap = machine.faults.step, machine.ledger.snapshot()
+        monkeypatch.setattr(
+            Group, "alltoall", lambda *a, **k: pytest.fail("an all-to-all for a relabel")
+        )
+        moved = d.redistribute(target)
+        assert machine.faults.step == step and machine.ledger.snapshot() == snap
+        assert moved.layout == target
+        assert moved.packed() is d.packed()
+        for ij in np.ndindex(*target.ranks2d.shape):
+            assert_bits(moved.block(*ij), cut.block(*ij))
+        assert_bits(moved.gather(charge=False), want)
+
+    def test_one_owner_changed_still_exchanges(self, rng, monkeypatch):
+        runs, calls = [], []
+        original = Group.alltoall
+        monkeypatch.setattr(
+            Group, "alltoall", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        for move in ("redistribute", "_exchange"):
+            machine = Machine(16, faults=ARMED)
+            d, layer, want = _layer_operand(np.random.default_rng(7), machine, "packed")
+            swapped = layer.copy()
+            swapped[0, 0], swapped[0, 1] = layer[0, 1], layer[0, 0]
+            step = machine.faults.step
+            calls.clear()
+            moved = getattr(d, move)(Layout.even(swapped, *d.shape))
+            assert calls == [1] and machine.faults.step > step
+            assert_bits(moved.gather(charge=False), want)
+            runs.append(machine.ledger.snapshot())
+        assert runs[0] == runs[1] and runs[0]["words"] > 0
 
 
 class TestElementwiseCallCount:

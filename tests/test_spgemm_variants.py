@@ -7,6 +7,8 @@ node-local product bit-for-bit, for single-field and multpath monoids alike.
 """
 
 import functools
+import math
+import sys
 import zlib
 
 import numpy as np
@@ -29,7 +31,7 @@ from repro.sparse import SpMat, spgemm
 from repro.sparse.spgemm import DEFAULT_CHUNK
 from repro.spgemm import Plan, execute_plan
 from repro.spgemm.selector import PinnedPolicy, enumerate_plans
-from repro.spgemm.variants import _strip_product
+from repro.spgemm.variants import _block_diag, _step_product, _task_products
 
 from conftest import KERNELS, WEIGHT, assert_bits, kernel, random_weight_spmat
 
@@ -218,7 +220,8 @@ def _masks(rng, kind):
 
 
 class TestStripProduct:
-    """The packed product gives every strip's product bit for bit and charges
+    """A 1D-B step's product over A's packed strips (the step product's
+    zero-copy case) gives every strip's product bit for bit and charges
     each rank its strip's ops, in strip order."""
 
     @pytest.mark.parametrize("route", KERNELS)
@@ -249,9 +252,12 @@ class TestStripProduct:
             ]
             led = machine.ledger
             before = led.time.copy(), led.compute_per_rank.copy()
-            c, ops = _strip_product(
-                machine, da, b, spec, mask, complement, np.arange(p), chunk=chunk
+            calls, per_strip = _step_product(
+                machine, np.arange(p), da.packed(), da.layout.row_splits, b, spec,
+                mask, complement, chunk=chunk,
             )
+        parts = [(prod.rows, prod.cols, prod.vals) for _, _, prod in calls]
+        c, ops = SpMat._merged(da.nrows, b.ncols, parts, spec.monoid), int(per_strip.sum())
         assert any(da.block(r, 0).nnz == 0 for r in range(p))
         out = DistMat(machine, da.layout, c, spec.monoid)
         for r, res in enumerate(ref):
@@ -279,6 +285,187 @@ class TestStripProduct:
         c, _ = execute_plan(Plan(p, 1, 1, "B", "AB"), da, db, SPEC, mask=mask)
         assert len(calls) == 1
         assert c.gather(charge=False).equals(spgemm(a, b, SPEC, mask=mask).matrix)
+
+
+# ---------------------------------------------------------------------------
+# every plan step: one kernel call over the stacked tasks
+# ---------------------------------------------------------------------------
+
+variants = sys.modules[_task_products.__module__]
+
+
+def _per_task(machine, tasks, spec, *, masks=None, mask_complement=False, diag=None,
+              chunk=DEFAULT_CHUNK):
+    """The reference the step product replaces: one kernel call per task,
+    then one charge of the tasks' ops in task order."""
+
+    def right(y):
+        if diag is None:
+            return y
+        return diag.mat.block(*(int(b) for b in (*diag.rows[y : y + 2], *diag.cols[y : y + 2])))
+
+    results = [
+        spgemm(x, right(y), spec, mask=None if masks is None else masks[t],
+               mask_complement=mask_complement, chunk=chunk)
+        for t, (_, x, y) in enumerate(tasks)
+    ]
+    machine.charge_compute([rank for rank, _, _ in tasks], [res.ops for res in results])
+    return [res.matrix for res in results], sum(res.ops for res in results)
+
+
+def _charges(monkeypatch, machine):
+    """Every ``charge_compute`` of ``machine`` from now on, as ``(ranks, ops)``."""
+    seen = []
+    original = machine.charge_compute
+
+    def recording(ranks, ops):
+        seen.append((np.asarray(ranks).tolist(), np.broadcast_to(
+            np.asarray(ops, dtype=float), np.shape(ranks)).tolist()))
+        return original(ranks, ops)
+
+    monkeypatch.setattr(machine, "charge_compute", recording)
+    return seen
+
+
+def _valued(rng, mat, spec, left):
+    """``mat``'s pattern with values of ``spec``'s left (or right) operand:
+    non-integer sums, so a row reduced in other pieces shows in the bits."""
+    if spec is BF and left:
+        return SpMat(*mat.shape, mat.rows, mat.cols,
+                     MULTPATH.make(mat.vals["w"], rng.random(mat.nnz)), MULTPATH)
+    if spec is PLUS:
+        return SpMat(*mat.shape, mat.rows, mat.cols, {"w": rng.random(mat.nnz) + 0.5},
+                     PLUS.monoid)
+    return mat
+
+
+def _step_tasks(rng, spec):
+    """Six tasks on three right operands: the first shared by three tasks,
+    one left operand empty and one with no rows, ranks out of order."""
+    ys = [random_weight_spmat(rng, k, n, 0.3) for k, n in ((30, 30), (20, 25), (30, 12))]
+    ys = [_valued(rng, y, spec, left=False) for y in ys]
+    plan = [(5, 6, 0), (2, 4, 0), (7, 5, 1), (0, 7, 0), (3, 0, 2), (1, 6, 2)]
+    tasks = []
+    for t, (rank, m, y) in enumerate(plan):
+        x = random_weight_spmat(rng, m, ys[y].nrows, 0.0 if t == 1 else 0.35)
+        tasks.append((rank, _valued(rng, x, spec, left=True), y))
+    return tasks, ys
+
+
+def _step_masks(rng, tasks, ys, kind):
+    """Per-task masks (each of its task's output shape) for one masking case."""
+    if kind == "none":
+        return None, False
+    shapes = [(x.nrows, ys[y].ncols) for _, x, y in tasks]
+    if kind.startswith("empty"):
+        return [SpMat.empty(*shape, WEIGHT) for shape in shapes], kind.endswith("complement")
+    return [random_weight_spmat(rng, *shape, 0.5) for shape in shapes], kind == "complement"
+
+
+class TestStepProduct:
+    """A plan step's stacked product gives every task's product bit for bit
+    and issues the per-task charges, in task order, in one call."""
+
+    @pytest.mark.parametrize("route", KERNELS)
+    @pytest.mark.parametrize("spec", [BF, SPEC, PLUS], ids=["bf", "tropical", "plus"])
+    @pytest.mark.parametrize(
+        "masking", ["none", "mask", "complement", "empty", "empty-complement"]
+    )
+    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 300, 40], ids=["one", "groups", "cut"])
+    def test_equals_the_per_task_products(self, rng, monkeypatch, route, spec, masking, chunk):
+        tasks, ys = _step_tasks(rng, spec)
+        masks, complement = _step_masks(rng, tasks, ys, masking)
+        monkeypatch.setattr(executor, "spgemm", functools.partial(spgemm, chunk=chunk))
+        # the right operands named per task (distinct objects, one shared by
+        # three tasks), or as the caller's block diagonal
+        for operands in ("named", "diagonal"):
+            diag = _block_diag(ys) if operands == "diagonal" else None
+            named = tasks if diag else [(rank, x, ys[y]) for rank, x, y in tasks]
+            outs = []
+            for run in (_per_task, _task_products):
+                machine = Machine(8, faults="off", elastic="off", check="off",
+                                  memory_words="off")
+                seen = _charges(monkeypatch, machine)
+                with kernel(route):
+                    prods, ops = run(machine, named, spec, masks=masks,
+                                     mask_complement=complement, diag=diag, chunk=chunk)
+                outs.append((prods, ops, seen, machine.ledger.snapshot()))
+            (want, want_ops, want_seen, want_led), (got, got_ops, seen, led) = outs
+            assert len(got) == len(want) == len(tasks)
+            for g, w in zip(got, want):
+                assert_bits(g, w)
+            assert got_ops == want_ops and seen == want_seen and led == want_led
+            assert len(seen) == 1
+
+    def test_a_step_without_tasks_charges_nothing(self, monkeypatch):
+        machine = Machine(4)
+        seen = _charges(monkeypatch, machine)
+        assert _task_products(machine, [], SPEC) == ([], 0)
+        assert seen == [([], [])] and machine.ledger.compute_ops == 0
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize(
+        "p, plan",
+        [(4, Plan(4, 1, 1, x, "AB")) for x in "AC"]
+        + [(6, Plan(1, 2, 3, "A", yz)) for yz in ("AB", "BC", "AC")]
+        + [(8, Plan(2, 2, 2, x, yz)) for x in "ABC" for yz in ("AB", "BC", "AC")],
+        ids=lambda v: v.describe() if isinstance(v, Plan) else str(v),
+    )
+    def test_plans_match_the_per_task_products(self, rng, monkeypatch, p, plan, masked):
+        """Every plan computes, charges and issues what it did with one kernel
+        call per task — empty tasks and shared or distinct right operands
+        included — in at most one call per step."""
+        a = _valued(rng, random_weight_spmat(rng, 14, 23, 0.25), BF, left=True)
+        b = random_weight_spmat(rng, 23, 17, 0.25)
+        mask = random_weight_spmat(rng, 14, 17, 0.5) if masked else None
+        runs = []
+        for local in (_per_task, _task_products):
+            monkeypatch.setattr(variants, "_task_products", local)
+            machine = Machine(p, faults="off", elastic="off", check="off", memory_words="off")
+            da, db = (DistMat.distribute(x, machine, home(p), charge=False) for x in (a, b))
+            seen = _charges(monkeypatch, machine)
+            calls = []
+            original = executor.spgemm
+            monkeypatch.setattr(
+                executor, "spgemm", lambda *a, **k: calls.append(1) or original(*a, **k)
+            )
+            c, ops = execute_plan(plan, da, db, BF, mask=mask, mask_complement=masked)
+            monkeypatch.setattr(executor, "spgemm", original)
+            runs.append((c, ops, seen, machine.ledger.snapshot(), len(calls)))
+        (want, want_ops, want_seen, want_led, _), (got, ops, seen, led, calls) = runs
+        assert got.layout == want.layout
+        for ij in np.ndindex(*got.grid_shape):
+            assert_bits(got.block(*ij), want.block(*ij))
+        assert ops == want_ops and seen == want_seen and led == want_led
+        steps = math.lcm(plan.p2, plan.p3)
+        assert calls <= {"1d": 1, "2d": steps, "3d": plan.p1 * steps}[plan.kind]
+
+    def test_ca_mfbc_step_calls_and_memoized_diagonal(self, rng, monkeypatch):
+        """CA-MFBC's ``Plan(4, 2, 2, "B", "AC")`` at p = 16 makes at most 8
+        kernel calls a product, and each layer's stationary block diagonal
+        is built once, with the pinned adjacency's replicas."""
+        plan = Plan(4, 2, 2, "B", "AC")
+        machine = Machine(16)
+        engine = DistributedEngine(machine, policy=PinnedPolicy(plan))
+        adj = engine.adjacency(rmat_graph(6, 8, seed=0))
+        frontier = DistMat.distribute(
+            random_weight_spmat(rng, 24, adj.nrows, 0.2), machine, engine.home_ranks2d
+        )
+        calls = []
+        original = executor.spgemm
+        monkeypatch.setattr(
+            executor, "spgemm", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        keys = [("diag", "3dB", 4, 2, 2, l) for l in range(4)]
+        held = []
+        for _ in range(2):
+            calls.clear()
+            c, _ = engine.spgemm(frontier, adj, SPEC)
+            assert 0 < len(calls) <= 8
+            held.append([adj._replicas[key] for key in keys])
+        assert all(x is y for x, y in zip(*held))
+        want = spgemm(frontier.gather(charge=False), adj.gather(charge=False), SPEC).matrix
+        assert_bits(c.gather(charge=False), want)
 
 
 # ---------------------------------------------------------------------------
