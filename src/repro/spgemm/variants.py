@@ -187,7 +187,7 @@ def _task_products(
     """
     ranks = [rank for rank, _, _ in tasks]
     if not tasks:
-        # a step no rank works in: nothing runs, and the charge is empty
+        # a step no rank works in still issues its (empty) charge, as every step does
         machine.charge_compute(ranks, [])
         return [], 0
     if diag is None:

@@ -440,6 +440,26 @@ class TestStepProduct:
         steps = math.lcm(plan.p2, plan.p3)
         assert calls <= {"1d": 1, "2d": steps, "3d": plan.p1 * steps}[plan.kind]
 
+    def test_a_stationary_b_delivered_anew_is_not_memoized(self, rng):
+        """A pinned B the plan re-blocks arrives by an all-to-all in every
+        product, which a fault may corrupt, so its diagonal is built from
+        what arrived each time: under silent corruption three products
+        equal those of the same B unpinned (no memo), bit for bit."""
+        plan = Plan(1, 4, 2, "A", "AC")  # p = 8 rests on 2 × 4: B is re-blocked
+        frontier = random_weight_spmat(rng, 12, 32, 0.3)
+        runs = []
+        for pinned in (True, False):
+            machine = Machine(8, faults="seed:5,corrupt:0.5")
+            engine = DistributedEngine(machine, policy=PinnedPolicy(plan))
+            adj = engine.adjacency(rmat_graph(5, 8, seed=0))
+            if not pinned:
+                adj._replicas = None
+            f = DistMat.distribute(frontier, machine, engine.home_ranks2d)
+            runs.append([engine.spgemm(f, adj, SPEC)[0].gather(charge=False) for _ in range(3)])
+            assert machine.faults.injected > 0
+        for got, want in zip(*runs):
+            assert_bits(got, want)
+
     def test_ca_mfbc_step_calls_and_memoized_diagonal(self, rng, monkeypatch):
         """CA-MFBC's ``Plan(4, 2, 2, "B", "AC")`` at p = 16 makes at most 8
         kernel calls a product, and each layer's stationary block diagonal
