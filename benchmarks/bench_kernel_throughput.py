@@ -27,6 +27,8 @@ DENSITIES = [0.002, 0.01]
 #: largest of eight runs when the compiled path kernel landed (1.10–1.27x)
 #: + 10 %
 MULTPATH_GAP_MAX = 1.4
+#: timings per kernel and product in the throughput table (best of)
+REPEATS = 5
 #: unchecked / checked timings per density in the check-overhead table
 CHECK_REPEATS = 15
 
@@ -39,15 +41,18 @@ def _mats(rng, density, monoid):
     return a
 
 
-def _throughput(a, b, spec, repeats=3, kernel="generic", mask=None):
-    best = float("inf")
-    ops = None
-    for _ in range(repeats):
-        with obs.timed("bench.kernel_spgemm", spec=spec.name, kernel=kernel) as t:
-            res = spgemm(a, b, spec, kernel=kernel, mask=mask)
-        best = min(best, t.seconds)
-        ops = res.ops
-    return (ops / best if best > 0 else 0.0), ops
+def _throughput(a, b, spec, kernels=("generic", "auto"), mask=None):
+    """Mops/s per kernel, best of ``REPEATS``, and the product's ops.  The
+    kernels take turns inside each repeat, so a noisy stretch of the machine
+    lands on every one of them, not on the one timed last."""
+    best = dict.fromkeys(kernels, float("inf"))
+    for _ in range(REPEATS):
+        for kernel in kernels:
+            with obs.timed("bench.kernel_spgemm", spec=spec.name, kernel=kernel) as t:
+                res = spgemm(a, b, spec, kernel=kernel, mask=mask)
+            best[kernel] = min(best[kernel], t.seconds)
+    rates = [res.ops / t if t > 0 else 0.0 for t in best.values()]
+    return *rates, res.ops
 
 
 def build_rows():
@@ -65,8 +70,7 @@ def build_rows():
         a_p = _mats(rng, density, plus)
         b_p = _mats(rng, density, plus)
         spec_p = REAL_PLUS_TIMES.matmul_spec()
-        rate_p, ops = _throughput(a_p, b_p, spec_p)
-        rate_pf, _ = _throughput(a_p, b_p, spec_p, kernel="auto")
+        rate_p, rate_pf, ops = _throughput(a_p, b_p, spec_p)
 
         # scipy reference producing the same canonical deliverable: raw
         # ``sa @ sb`` leaves column indices unsorted, which nothing
@@ -75,7 +79,7 @@ def build_rows():
         sa = scipy.sparse.csr_matrix((a_p.vals["w"], (a_p.rows, a_p.cols)), shape=(N, N))
         sb = scipy.sparse.csr_matrix((b_p.vals["w"], (b_p.rows, b_p.cols)), shape=(N, N))
         best_scipy = float("inf")
-        for _ in range(3):
+        for _ in range(REPEATS):
             with obs.timed("bench.scipy_spgemm") as t:
                 c = (sa @ sb).tocsc().tocsr()
                 c.eliminate_zeros()
@@ -85,7 +89,7 @@ def build_rows():
         a_t = _mats(rng, density, tropical)
         b_t = _mats(rng, density, tropical)
         spec_t = TROPICAL.matmul_spec()
-        rate_t, _ = _throughput(a_t, b_t, spec_t)
+        rate_t, _ = _throughput(a_t, b_t, spec_t, kernels=("generic",))
 
         f = SpMat(
             64,
@@ -95,8 +99,7 @@ def build_rows():
             MULTPATH.make(rng.integers(1, 9, 3000), np.ones(3000)),
             MULTPATH,
         )
-        rate_m, _ = _throughput(f, a_t, bf)
-        rate_mf, _ = _throughput(f, a_t, bf, kernel="auto")
+        rate_m, rate_mf, _ = _throughput(f, a_t, bf)
 
         z = SpMat(
             64,
@@ -107,8 +110,7 @@ def build_rows():
             CENTPATH,
             canonical=True,
         )
-        rate_c, _ = _throughput(z, a_t, BRANDES_SPEC, mask=full)
-        rate_cf, _ = _throughput(z, a_t, BRANDES_SPEC, kernel="auto", mask=full)
+        rate_c, rate_cf, _ = _throughput(z, a_t, BRANDES_SPEC, mask=full)
 
         rows.append(
             (

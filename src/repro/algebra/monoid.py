@@ -351,6 +351,12 @@ class MinWeightTieSumMonoid(Monoid):
         on run length and operand order, so the sums are bit-identical to
         that reduction's.  The run's weight is its first tied entry's, as
         under the lexsort, so a signed zero survives.
+
+        The compiled path kernel has a twin of these sums, ``run_sum`` in
+        ``repro/sparse/_pathsum.c``: numpy's pairwise grouping of this
+        layout, zeros never stored.  A change to the layout changes both,
+        and the probe in :mod:`repro.sparse._native` (C against
+        ``np.add.reduceat`` on this layout) with them.
         """
         pick = np.minimum if self.select == "min" else np.maximum
         tied = w_sorted == pick.reduceat(w_sorted, starts)[seg_id]

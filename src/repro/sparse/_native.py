@@ -10,12 +10,21 @@ points:
   (``merge_locate``), for :meth:`~repro.sparse.SpMat.combine` and
   :meth:`~repro.sparse.SpMat.align_values`.
 
+The path kernel sums each run's tied payloads in C, copying the grouping of
+numpy's pairwise summation that ``np.add.reduceat`` — the generic kernel's
+``tie_sum`` — uses.  That grouping is numpy's to change, so each load runs a
+probe (:func:`_sums_agree`): canned runs of 1–300 items summed by the
+library's ``run_sums`` and by ``np.add.reduceat``, compared bit for bit.  On
+any mismatch :func:`pathsum` returns ``None``.
+
 Wherever any step fails (no compiler, no writable cache directory, a file in
-the cache that is not our library) :func:`pathsum` returns ``None``, so
-dispatch declines the product and the generic kernel serves it, and
-:func:`locate` falls back to :func:`numpy.searchsorted`: the same bits either
-way, slower.  Nothing happens at import; the first use pays for the build
-(≈ 0.1 s, once per cache directory) or the load (≈ 2 ms, once per process).
+the cache that is not our library, a failed probe) :func:`pathsum` returns
+``None``, so dispatch declines the product and the generic kernel serves it,
+and :func:`locate` falls back to :func:`numpy.searchsorted` (after a failed
+probe it keeps the merge, which sums nothing): the same bits either way,
+slower.  Nothing happens at import; the first use pays for the build
+(≈ 0.1 s, once per cache directory) or the load (≈ 2 ms, once per process,
+and ≈ 0.7 ms for the probe).
 
 The library is cached under a hash of the source, the flags, the compiler's
 version banner and the machine type, written under a temporary name and moved
@@ -40,7 +49,10 @@ import numpy as np
 
 from repro import config
 
-__all__ = ["PathsumArgs", "pathsum", "locate", "words", "STATUS_NAN", "MAX_SUM"]
+__all__ = [
+    "PathsumArgs", "pathsum", "locate", "words", "run_sums",
+    "STATUS_NAN", "MAX_SUM", "SUM_DTYPES",
+]
 
 _SOURCE = Path(__file__).with_name("_pathsum.c")
 #: no ``-ffast-math``, and no fused multiply-add: a pair's weight is one IEEE add
@@ -51,6 +63,12 @@ _BUILD_TIMEOUT_S = 60
 #: carry (``_pathsum.c``)
 STATUS_NAN = 1
 MAX_SUM = 2
+#: the payload dtypes C sums, a float64 field's and an int64 field's (by
+#: index: ``PathsumArgs.sum_int``); any other column is declined
+SUM_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
+#: the probe's longest run: two levels into numpy's recursive split (a
+#: run of L items sums L - 1 of them pairwise, split above 128)
+_PROBE_MAX_LEN = 300
 
 
 class PathsumArgs(ctypes.Structure):
@@ -73,14 +91,14 @@ class PathsumArgs(ctypes.Structure):
         ("negate", ctypes.c_int32),
         ("select_max", ctypes.c_int32),
         ("n_sum", ctypes.c_int32),
+        ("sum_int", ctypes.c_int32 * MAX_SUM),
         ("sum_in", ctypes.c_void_p * MAX_SUM),
         ("sum_out", ctypes.c_void_p * MAX_SUM),
         ("out_rows", ctypes.c_void_p),
         ("out_cols", ctypes.c_void_p),
-        ("out_starts", ctypes.c_void_p),
         ("out_w", ctypes.c_void_p),
+        ("row_ops", ctypes.c_void_p),
         ("n_runs", ctypes.c_int64),
-        ("n_pairs", ctypes.c_int64),
     ]
 
 
@@ -165,14 +183,84 @@ def _build(cc: str, target: Path) -> bool:
 def _load(path: Path) -> ctypes.CDLL | None:
     try:
         lib = ctypes.CDLL(str(path))
-        pathsum_chunk, merge_locate = lib.pathsum_chunk, lib.merge_locate
+        pathsum_chunk, merge_locate, run_sums = lib.pathsum_chunk, lib.merge_locate, lib.run_sums
     except (OSError, AttributeError):  # truncated, foreign, or not a library
         return None
     pathsum_chunk.argtypes = [ctypes.POINTER(PathsumArgs)]
     pathsum_chunk.restype = ctypes.c_int
     merge_locate.argtypes = [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2
     merge_locate.restype = None
+    run_sums.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 2 + [
+        ctypes.c_int64, ctypes.c_void_p,
+    ]
+    run_sums.restype = None
+    lib.sums_agree = _sums_agree(lib)
     return lib
+
+
+def run_sums(
+    lib: ctypes.CDLL, layout: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """``np.add.reduceat(layout, starts)`` as the path kernel sums runs
+    (``_pathsum.c``'s ``run_sums``), for a float64 ``layout`` whose run
+    ``r`` is ``counts[r] >= 1`` ties followed by zeros — ``tie_sum``'s."""
+    layout, starts, counts = (
+        np.ascontiguousarray(x, dtype=t)
+        for x, t in ((layout, np.float64), (starts, np.int64), (counts, np.int64))
+    )
+    out = np.empty(len(starts), dtype=np.float64)
+    lib.run_sums(
+        layout.ctypes.data, len(layout), starts.ctypes.data, counts.ctypes.data,
+        len(starts), out.ctypes.data,
+    )
+    return out
+
+
+def _reference_sums(layout: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """What the generic kernel sums runs with (``tie_sum``)."""
+    return np.add.reduceat(layout, starts)
+
+
+def _probe_runs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The probe's canned tie-then-zero layout, its run starts and tie counts.
+
+    Runs of 1 to 300 items — every length through numpy's left-to-right
+    regime and its eight lanes (up to 129 items), every fifth after that,
+    through its recursive split — with one tie, about half or all tied, in
+    turn; then fully tied runs of 2 to 33 items four times over (a
+    grouping change among few items rounds differently in few runs); then
+    runs of ``−0.0`` ties, one, half or all of the run.  The payloads,
+    ``±1/k`` and every fifth scaled by 2³⁰, round differently under another
+    grouping, and ``±0.0`` sit among them.
+    """
+    signed = [np.arange(1, 141), np.arange(141, _PROBE_MAX_LEN + 1, 5)]
+    zeros = [np.arange(1, 20), np.arange(127, 132), np.arange(255, 260)]
+    lens = np.concatenate([*signed, np.arange(4 * 32) % 32 + 2, *zeros])
+    counts = lens.copy()
+    counts[::3], counts[1::3] = 1, (lens[1::3] + 1) // 2
+    n_signed, n_zero = sum(map(len, signed)), sum(map(len, zeros))
+    counts[n_signed:-n_zero] = lens[n_signed:-n_zero]
+    starts = np.zeros(len(lens), dtype=np.int64)
+    np.cumsum(lens[:-1], out=starts[1:])
+    layout = 1.0 / np.arange(1.0, starts[-1] + lens[-1] + 1.0)
+    layout[1::3] *= -1.0
+    layout[::5] *= 2.0**30
+    layout[::7], layout[3::11] = -0.0, 0.0
+    layout[starts[-n_zero] :] = -0.0
+    (part,) = (counts < lens).nonzero()
+    for start, end in zip((starts + counts)[part].tolist(), (starts + lens)[part].tolist()):
+        layout[start:end] = 0.0
+    return layout, starts, counts
+
+
+def _sums_agree(lib: ctypes.CDLL) -> bool:
+    """True iff C's run sums equal ``np.add.reduceat``'s bit for bit on the
+    canned runs: the path kernel's payload sums copy numpy's pairwise
+    grouping, which is numpy's choice and could change under us."""
+    layout, starts, counts = _probe_runs()
+    want = _reference_sums(layout, starts)
+    got = run_sums(lib, layout, starts, counts)
+    return bool(np.array_equal(got.view(np.uint64), want.view(np.uint64)))
 
 
 @functools.cache
@@ -200,9 +288,10 @@ def _library() -> ctypes.CDLL | None:
 
 def pathsum() -> Callable[..., int] | None:
     """``pathsum_chunk(args: PathsumArgs) -> status`` (``ctypes`` passes the
-    struct by reference), or ``None`` when the library cannot be had."""
+    struct by reference), or ``None`` when the library cannot be had or its
+    run sums did not match ``np.add.reduceat``'s at load."""
     lib = _library()
-    return None if lib is None else lib.pathsum_chunk
+    return None if lib is None or not lib.sums_agree else lib.pathsum_chunk
 
 
 def locate(haystack: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

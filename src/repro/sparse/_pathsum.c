@@ -2,20 +2,27 @@
  * and the key merge SpMat.combine / align_values locate with (at the end).
  *
  * One call reduces one expansion chunk — A's entries [lo, hi), each joined
- * against its row of B — to the exact inputs of the numpy reduction in
- * MinWeightTieSumMonoid.tie_sum: the output coordinates in key order, each
- * run's weight, each run's start, and per payload field the `col` array
- * (a run's tied entries first, in join order, zeros behind).  It never adds
- * two payloads: np.add.reduceat does every sum, on the same layout, so the
- * result cannot differ from the generic kernel's by a bit.  (Built by
- * repro.sparse._native with -ffp-contract=off and no -ffast-math: the one
- * floating-point operation here is the IEEE add that forms a pair's weight.)
+ * against its row of B — to what MinWeightTieSumMonoid.tie_sum returns for
+ * it: the output coordinates in key order, each run's best weight, and per
+ * payload field each run's tie sum; it also adds each row's surviving pairs
+ * to the caller's row_ops.  (Built by repro.sparse._native with
+ * -ffp-contract=off and no -ffast-math: every floating-point operation here
+ * is one IEEE add, the add numpy makes.)
  *
  * Per row of A, pass 1 stamps the row's mask columns, forms each surviving
  * pair's weight and keeps per output column the run length and the best
  * weight as first achieved; the touched columns are then ordered (a bitmap
- * scan) and each run given `run length` slots; pass 2 recomputes the weights
- * and copies the tied pairs' payload words to the front of their run.
+ * scan) and each run given `run length` slots of a per-row scratch; pass 2
+ * recomputes the weights and copies the tied pairs' payloads to the front
+ * of their run; each run is then summed by run_sum.
+ *
+ * run_sum is the C twin of tie_sum's np.add.reduceat over the layout "the
+ * run's tied payloads in join order, then +0.0 up to the run length": the
+ * first tie plus numpy's pairwise sum of the rest (pairwise below).  The
+ * padding zeros are never stored.  That grouping is numpy's, not a
+ * contract, so repro.sparse._native probes run_sums against np.add.reduceat
+ * once per process and withholds this kernel on any mismatch.  int64
+ * fields add with wrapping, in any order: integer addition is associative.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -23,6 +30,12 @@
 
 enum { PATHSUM_OK = 0, PATHSUM_NAN = 1, PATHSUM_NOMEM = 2 };
 enum { MAX_SUM = 2 };
+
+/* one 8-byte payload item: a float64 or an int64 field's */
+typedef union {
+    double d;
+    uint64_t u;
+} payload;
 
 typedef struct {
     /* A, canonical (row-major) order; the chunk is entries [lo, hi) */
@@ -40,19 +53,80 @@ typedef struct {
     int32_t negate;     /* weight is aw - bw (Brandes), else aw + bw */
     int32_t select_max; /* larger weight wins (centpath), else smaller */
     int32_t n_sum;      /* payload fields, each an 8-byte column of A */
-    const uint64_t *sum_in[MAX_SUM];
-    uint64_t *sum_out[MAX_SUM]; /* zero-filled, one slot per joined pair */
+    int32_t sum_int[MAX_SUM]; /* 1: an int64 field, 0: a float64 one */
+    const payload *sum_in[MAX_SUM];
     /* one slot per run (<= joined pairs) */
-    int64_t *out_rows, *out_cols, *out_starts;
+    payload *sum_out[MAX_SUM];
+    int64_t *out_rows, *out_cols;
     double *out_w;
-    int64_t n_runs, n_pairs; /* written on return */
+    int64_t *row_ops; /* one per row of A: += the row's surviving pairs */
+    int64_t n_runs;   /* written on return */
 } pathsum_args;
 
 typedef struct {
     double best;
     int64_t count; /* surviving pairs on this column; 0 = untouched */
-    int64_t slot;  /* next free slot of the run during pass 2 */
+    int64_t slot;  /* next free scratch slot of the run during pass 2 */
 } accum;
+
+/* numpy's pairwise summation (pairwise_sum_DOUBLE, numpy 2.x) of the n
+ * items whose first k are t[0 .. k) and the rest +0.0.  Below 8 items: left
+ * to right from -0.0; up to 128: eight lanes seeded with items 0..7, folded
+ * ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the n % 8 tail; above: split at
+ * n/2 rounded down to a multiple of 8.  Adding +0.0 to a sum twice is adding
+ * it once, so a run of zeros costs one add per lane and nothing is stored.
+ * n >= 1: run_sum never asks for the sum of nothing. */
+static double pairwise(const payload *t, int64_t k, int64_t n)
+{
+    if (k == 0) /* n >= 1 zeros */
+        return 0.0;
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < k; i++)
+            res += t[i].d;
+        return k < n ? res + 0.0 : res;
+    }
+    if (n <= 128) {
+        const int64_t body = n - n % 8;
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = j < k ? t[j].d : 0.0;
+        for (i = 8; i < body && i < k; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += i + j < k ? t[i + j].d : 0.0;
+        if (i < body) /* zeros alone from here to the tail */
+            for (int j = 0; j < 8; j++)
+                r[j] += 0.0;
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (i = body; i < n; i++)
+            res += i < k ? t[i].d : 0.0;
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(t, k < n2 ? k : n2, n2) + pairwise(t + n2, k > n2 ? k - n2 : 0, n - n2);
+}
+
+/* np.add.reduceat's value for one run of `len` items, the k >= 1 ties t
+ * first: the first item, then the pairwise sum of the rest added to it. */
+static double run_sum(const payload *t, int64_t k, int64_t len)
+{
+    return len == 1 ? t[0].d : t[0].d + pairwise(t + 1, k - 1, len - 1);
+}
+
+/* np.add.reduceat(layout, starts) as pathsum_chunk computes it, for a
+ * layout of `size` items whose run r (from starts[r] to the next start) is
+ * counts[r] >= 1 ties, then zeros — which are never read.  The probe's
+ * entry point. */
+void run_sums(const payload *layout, int64_t size, const int64_t *starts, const int64_t *counts,
+              int64_t n, double *out)
+{
+    for (int64_t r = 0; r < n; r++) {
+        const int64_t end = r + 1 < n ? starts[r + 1] : size;
+        out[r] = run_sum(layout + starts[r], counts[r], end - starts[r]);
+    }
+}
 
 /* Sort the nt distinct column indices in `touched`, all below n, through
  * the (all-zero, and left all-zero) bitmap `bits`: nt + n/64 steps. */
@@ -87,13 +161,14 @@ int pathsum_chunk(pathsum_args *g)
     const int masked = g->mask_keys != NULL;
     const unsigned char absent = g->complement != 0; /* stamp of a column outside the mask */
     const int64_t *mask = g->mask_keys, *mask_end = mask + g->n_mask;
-    int64_t n_runs = 0, n_pairs = 0;
+    int64_t n_runs = 0, cap = 0;
     int status = PATHSUM_OK;
 
     accum *acc = calloc((size_t)n, sizeof *acc);
     int64_t *touched = malloc((size_t)n * sizeof *touched);
     uint64_t *bits = calloc((size_t)(n + 63) / 64, sizeof *bits);
     unsigned char *keep = masked ? malloc((size_t)n) : NULL;
+    payload *scratch[MAX_SUM] = {NULL}; /* per field: one row's runs, ties first */
     if (!acc || !touched || !bits || (masked && !keep)) {
         status = PATHSUM_NOMEM;
         goto done;
@@ -137,35 +212,65 @@ int pathsum_chunk(pathsum_args *g)
         }
 
         order_columns(touched, nt, bits, n);
+        int64_t pairs = 0;
         for (int64_t t = 0; t < nt; t++) {
-            accum *c = &acc[touched[t]];
-            g->out_rows[n_runs] = i;
-            g->out_cols[n_runs] = touched[t];
-            g->out_w[n_runs] = c->best;
-            g->out_starts[n_runs] = n_pairs;
-            c->slot = n_pairs;
-            n_pairs += c->count;
-            n_runs++;
+            acc[touched[t]].slot = pairs;
+            pairs += acc[touched[t]].count;
         }
-
-        for (int64_t q = p; q < pe; q++) {
-            const int64_t k = g->a_cols[q];
-            const double aw = g->a_w[q];
-            for (int64_t r = g->b_ptr[k]; r < g->b_ptr[k + 1]; r++) {
-                const int64_t j = g->b_cols[r];
-                if (masked && !keep[j])
-                    continue;
-                const double w = g->negate ? aw - g->b_w[r] : aw + g->b_w[r];
-                if (w == acc[j].best) {
-                    const int64_t s = acc[j].slot++;
-                    for (int f = 0; f < g->n_sum; f++)
-                        g->sum_out[f][s] = g->sum_in[f][q];
+        if (g->n_sum && pairs > cap) {
+            cap = pairs > 2 * cap ? pairs : 2 * cap;
+            for (int f = 0; f < g->n_sum; f++) {
+                payload *grown = realloc(scratch[f], (size_t)cap * sizeof *grown);
+                if (!grown) {
+                    status = PATHSUM_NOMEM;
+                    goto done;
                 }
+                scratch[f] = grown;
             }
         }
 
-        for (int64_t t = 0; t < nt; t++)
-            acc[touched[t]].count = 0;
+        if (g->n_sum)
+            for (int64_t q = p; q < pe; q++) {
+                const int64_t k = g->a_cols[q];
+                const double aw = g->a_w[q];
+                for (int64_t r = g->b_ptr[k]; r < g->b_ptr[k + 1]; r++) {
+                    const int64_t j = g->b_cols[r];
+                    if (masked && !keep[j])
+                        continue;
+                    const double w = g->negate ? aw - g->b_w[r] : aw + g->b_w[r];
+                    if (w == acc[j].best) {
+                        const int64_t s = acc[j].slot++;
+                        for (int f = 0; f < g->n_sum; f++)
+                            scratch[f][s] = g->sum_in[f][q];
+                    }
+                }
+            }
+
+        /* run t holds slots [start, start + count): its ties, then losers */
+        for (int64_t t = 0, start = 0; t < nt; t++) {
+            accum *c = &acc[touched[t]];
+            const int64_t ties = g->n_sum ? c->slot - start : 0;
+            g->out_rows[n_runs] = i;
+            g->out_cols[n_runs] = touched[t];
+            g->out_w[n_runs] = c->best;
+            for (int f = 0; f < g->n_sum; f++) {
+                const payload *run = scratch[f] + start;
+                payload *out = &g->sum_out[f][n_runs];
+                if (g->sum_int[f]) {
+                    uint64_t sum = 0;
+                    for (int64_t s = 0; s < ties; s++)
+                        sum += run[s].u;
+                    out->u = sum;
+                } else {
+                    out->d = run_sum(run, ties, c->count);
+                }
+            }
+            n_runs++;
+            start += c->count;
+            c->count = 0;
+        }
+        g->row_ops[i] += pairs;
+
         for (const int64_t *m = m0; m < m1; m++)
             keep[*m - i * n] = absent;
     }
@@ -175,8 +280,9 @@ done:
     free(touched);
     free(bits);
     free(keep);
+    for (int f = 0; f < MAX_SUM; f++)
+        free(scratch[f]);
     g->n_runs = n_runs;
-    g->n_pairs = n_pairs;
     return status;
 }
 

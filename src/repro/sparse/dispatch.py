@@ -12,8 +12,9 @@ paper's stack (§6.2):
   expansion chunk and is large enough to repay the CSR conversion;
 * **multpath / centpath** (the Bellman-Ford and Brandes actions of §4.1/§4.2)
   → a compiled row-wise accumulator (``_pathsum.c``) that never forms the
-  joined pairs as a table and copies payload words for the tied entries
-  alone; where it cannot be built or loaded the generic kernel serves.
+  joined pairs as a table and finishes each output entry in C: its best
+  weight, its tied payload sums and its row's ops; where it cannot be built
+  or loaded, or its sums fail the load-time probe, the generic kernel serves.
 
 Every other product — the remaining semirings (tropical min-plus, bottleneck
 max-min, label-propagation min/left, …) included — runs the generic kernel.
@@ -21,8 +22,9 @@ max-min, label-propagation min/left, …) included — runs the generic kernel.
 Every fast path is **bit-identical** to the generic kernel after
 canonicalization: the path kernel cuts the join at the generic kernel's
 chunk bounds (:func:`repro.sparse.spgemm._chunk_bounds`), filters by the
-mask inside the join and reduces with the same primitive in the same order;
-scipy accumulates in the same order.
+mask inside the join and sums each run's payloads with numpy's pairwise
+grouping, which :mod:`repro.sparse._native` checks against
+``np.add.reduceat`` once per process; scipy accumulates in the same order.
 Every product dispatches; ``spgemm(..., kernel="generic")`` is how an
 oracle skips this tier — ``repro.check`` differential replay recomputes
 references that way, making the generic kernel the oracle for this tier.
@@ -191,11 +193,12 @@ def _pathsum_kernel(
     unchanged and only add (Bellman-Ford) or subtract (Brandes) the weights,
     so the pairs never need to exist as rows of a table: the compiled
     row-wise accumulator (``_pathsum.c``, built on first use by
-    :mod:`repro.sparse._native`) walks the join and lays each chunk out for
-    the ``add.reduceat`` that :meth:`MinWeightTieSumMonoid.tie_sum` runs, so
-    it is bit-identical to the generic kernel.  Declines — the generic
-    kernel serves — where the library is not to be had or an operand is not
-    one C can read.
+    :mod:`repro.sparse._native`) walks the join and returns each chunk's
+    entries with their weights and tie sums — the sums grouped as
+    :meth:`MinWeightTieSumMonoid.tie_sum`'s ``np.add.reduceat`` groups them,
+    which the loader's probe checks — so it is bit-identical to the generic
+    kernel.  Declines — the generic kernel serves — where the library is not
+    to be had, failed the probe, or an operand is not one C can read.
     """
     compiled = _native.pathsum()
     if compiled is None:
@@ -217,15 +220,18 @@ def _pathsum_compiled(
     mask_complement: bool,
     chunk: int,
 ) -> SpGemmResult | None:
-    """One ``pathsum_chunk`` call per expansion chunk, ``add.reduceat`` over
-    what it lays out; ``None`` (decline) for operands C cannot read as
-    they are.
+    """One ``pathsum_chunk`` call per expansion chunk; ``None`` (decline)
+    for operands C cannot read as they are — a column that is not 8-byte
+    items, or a payload that is neither float64 nor int64.
 
     Per chunk the C side returns the output coordinates in key order, each
-    run's weight and start, and per sum field the array ``tie_sum`` calls
-    ``col`` — a run's tied payloads first, in join order, ``+0.0`` behind.
-    The chunks are :func:`_chunk_bounds`'s, so a row cut by a boundary is
-    reduced in the same two pieces as by the generic kernel.
+    run's weight and, per sum field, each run's tie sum (float64: the first
+    tie plus numpy's pairwise sum of the other ties and the run's zero pads;
+    int64: a wrapping sum), and adds each row's surviving pairs to
+    ``row_ops``.  What stays here is the chunking, the mask keys, the error
+    codes and :func:`_assemble_coords`.  The chunks are
+    :func:`_chunk_bounds`'s, so a row cut by a boundary is reduced in the
+    same two pieces as by the generic kernel.
     """
     if a.ncols != b.nrows:  # C indexes B's row pointer by A's columns
         raise ValueError(f"inner dimension mismatch: {a.shape} × {b.shape}")
@@ -237,10 +243,11 @@ def _pathsum_compiled(
     sums = [_native.words(a.vals[name]) for name in names]
     if len(sums) > _native.MAX_SUM or any(
         x is None for x in (a_rows, a_cols, b_cols, aw, bw, *sums)
-    ):
+    ) or any(col.dtype not in _native.SUM_DTYPES for col in sums):
         return None
     ptr = b.row_pointer()
     counts = ptr[a_cols + 1] - ptr[a_cols]
+    row_ops = np.zeros(a.nrows, dtype=np.int64)
     args = _native.PathsumArgs(
         a_rows=a_rows.ctypes.data, a_cols=a_cols.ctypes.data, a_w=aw.ctypes.data,
         b_ptr=ptr.ctypes.data, b_cols=b_cols.ctypes.data, b_w=bw.ctypes.data,
@@ -249,15 +256,15 @@ def _pathsum_compiled(
         negate=spec.f is brandes_action,
         select_max=monoid.select == "max",
         n_sum=len(sums),
+        row_ops=row_ops.ctypes.data,
     )
     if mask_keys is not None:
         mask_keys = np.ascontiguousarray(mask_keys, dtype=np.int64)
         args.mask_keys, args.n_mask = mask_keys.ctypes.data, len(mask_keys)
     for f, col in enumerate(sums):
         args.sum_in[f] = col.ctypes.data
+        args.sum_int[f] = col.dtype == np.int64
     dtypes = dict(monoid.field_spec)
-    row_ops = np.zeros(a.nrows, dtype=np.int64)
-    row_ids = np.arange(a.nrows + 1)
     parts_rc: list[tuple[np.ndarray, np.ndarray]] = []
     parts_v: list[FieldArray] = []
     for lo, hi in _chunk_bounds(counts, chunk):
@@ -269,33 +276,24 @@ def _pathsum_compiled(
         # handed fewer slots than it can fill
         row_runs = 1 + np.count_nonzero(a_rows[lo + 1 : hi] != a_rows[lo : hi - 1])
         room = min(joined, int(row_runs) * b.ncols)
-        rows, cols, starts = (np.empty(room, dtype=np.int64) for _ in range(3))
+        rows, cols = (np.empty(room, dtype=np.int64) for _ in range(2))
         w = np.empty(room, dtype=np.float64)
-        layout = [np.zeros(joined, dtype=col.dtype) for col in sums]
+        run_sums = [np.empty(room, dtype=col.dtype) for col in sums]
         args.lo, args.hi = lo, hi
-        args.out_rows, args.out_cols = rows.ctypes.data, cols.ctypes.data
-        args.out_starts, args.out_w = starts.ctypes.data, w.ctypes.data
-        for f, col in enumerate(layout):
-            args.sum_out[f] = col.ctypes.data
+        args.out_rows, args.out_cols, args.out_w = rows.ctypes.data, cols.ctypes.data, w.ctypes.data
+        for f, out in enumerate(run_sums):
+            args.sum_out[f] = out.ctypes.data
         status = compiled(args)  # by reference: argtypes is a pointer
         if status == _native.STATUS_NAN:
             raise ValueError("NaN weight in a tie-sum reduction")
         if status:
             raise MemoryError("pathsum_chunk could not allocate its accumulator")
-        n_runs, n_pairs = args.n_runs, args.n_pairs
-        if n_pairs == 0:
+        n_runs = args.n_runs
+        if n_runs == 0:
             continue
-        starts = starts[:n_runs]
-        # runs are in key order: a row's runs are contiguous, and its pairs
-        # run from its first run's start to the next row's
-        first = np.searchsorted(rows[:n_runs], row_ids)
-        row_ops += np.diff(np.where(first < n_runs, starts[np.minimum(first, n_runs - 1)], n_pairs))
         vals: FieldArray = {wf: _head(w, n_runs)}
-        for name, col in zip(names, layout):
-            vals[name] = np.add.reduceat(col[:n_pairs], starts).astype(
-                dtypes[name], copy=False
-            )
+        for name, out in zip(names, run_sums):
+            vals[name] = _head(out, n_runs).astype(dtypes[name], copy=False)
         parts_rc.append((_head(rows, n_runs), _head(cols, n_runs)))
         parts_v.append(vals)
     return _assemble_coords(a.nrows, b.ncols, parts_rc, parts_v, monoid, row_ops)
-

@@ -330,6 +330,39 @@ def _assert_same_bits(got, want):
         assert np.array_equal(x.vals[name].view(np.uint64), col.view(np.uint64)), name
 
 
+@st.composite
+def _long_run_products(draw, a_monoid):
+    """Runs of up to ≈ 300 pairs: past numpy's left-to-right regime (≥ 9
+    pairs go through eight lanes) and its recursive split (> 129), the
+    regimes the compiled kernel's payload sums reproduce in C."""
+    m, k, n = draw(st.integers(1, 3)), draw(st.integers(1, 300)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(monoid, nrows, ncols, density):
+        rows, cols = (rng.random((nrows, ncols)) < density).nonzero()
+        vals = {}
+        for name, dtype in monoid.field_spec:
+            if dtype == np.int64:
+                vals[name] = rng.integers(-3, 4, len(rows))
+            else:  # a small weight pool: ties interleave with losers
+                pool = _LONG_RUN_WEIGHTS if name == "w" else _PAYLOADS
+                vals[name] = rng.choice(np.array(pool), len(rows))
+        keep = ~monoid.is_identity(vals)
+        vals = {name: col[keep] for name, col in vals.items()}
+        return SpMat(nrows, ncols, rows[keep], cols[keep], vals, monoid, canonical=True)
+
+    a = operand(a_monoid, m, k, draw(st.sampled_from([0.3, 0.9, 1.0])))
+    b = operand(WEIGHT_MONOID, k, n, draw(st.sampled_from([0.5, 1.0])))
+    mask = draw(st.none() | st.just(operand(WEIGHT_MONOID, m, n, 0.6)))
+    complement = draw(st.booleans()) if mask is not None else False
+    # the small chunks cut a row's join, and so its runs, between chunks
+    chunk = draw(st.sampled_from([7, 100, 250, 1 << 22]))
+    return a, b, mask, complement, chunk
+
+
+_LONG_RUN_WEIGHTS = [0.0, -0.0, 1.0, 2.0]
+
+
 def _random_path_spmat(rng, monoid, m, n, density=0.5):
     rows, cols = (rng.random((m, n)) < density).nonzero()
     vals = {
@@ -442,6 +475,38 @@ class TestCompiledPathsum:
         finally:
             sys.setswitchinterval(interval)
             _native._library.cache_clear()
+
+    @PATHSUM_SPECS
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_long_runs_match_generic_bitwise(self, spec, a_monoid, data):
+        if _native.pathsum() is None:
+            pytest.skip("compiled path kernel unavailable here")
+        product = data.draw(_long_run_products(a_monoid))
+        want = _outcome(*product[:2], spec, *product[2:], "generic")
+        _assert_same_bits(_outcome(*product[:2], spec, *product[2:], "auto"), want)
+
+    def test_run_sums_equal_reduceat_on_tie_then_zero_layouts(self):
+        """Every run length 1–300 with every tie count 1…length, the C sum
+        against ``np.add.reduceat`` over ``tie_sum``'s layout."""
+        lib = _native._library()
+        if lib is None:
+            pytest.skip("compiled library unavailable here")
+        rng = np.random.default_rng(17)
+        for length in range(1, 301):
+            counts = np.arange(1, length + 1)  # run r: r + 1 ties, then zeros
+            starts = np.arange(0, length * length, length)
+            behind = np.arange(length) >= counts[:, None]
+            for value in (
+                rng.choice(np.array(_PAYLOADS), (length, length))
+                * rng.choice([1.0, 1e-9, 1e9], (length, length)),
+                np.full((length, length), -0.0),
+            ):
+                value[behind] = 0.0
+                layout = value.ravel()
+                want = np.add.reduceat(layout, starts)
+                got = _native.run_sums(lib, layout, starts, counts)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), length
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.algebra import MULTPATH
 from repro.algebra.monoid import MinWeightTieSumMonoid
 from repro.check import strategies as cst
@@ -121,6 +122,31 @@ class TestFallsBackQuietly:
 
 
 @needs_gcc
+class TestSumProbe:
+    """Bit-identity of the compiled payload sums rests on C grouping a run's
+    additions as ``np.add.reduceat`` does; the loader checks that once per
+    process and withholds the path kernel when it does not hold."""
+
+    @needs_gcc
+    def test_loaded_library_passes(self, cache):
+        assert _native._library().sums_agree and _native.pathsum() is not None
+
+    @needs_gcc
+    def test_numpy_summing_another_way_withholds_the_kernel(self, cache, monkeypatch, capfd):
+        # a numpy whose reduceat added each run left to right
+        def left_to_right(layout, starts):
+            return np.array([np.cumsum(run)[-1] for run in np.split(layout, starts[1:])])
+
+        monkeypatch.setattr(_native, "_reference_sums", left_to_right)
+        metrics = obs.Metrics()
+        with obs.use(metrics=metrics):
+            _assert_generic_serves(capfd)
+        outcomes = {dict(labels)["outcome"] for labels in metrics.series("kernel.dispatch")}
+        assert outcomes == {"declined"}
+        # the key merge does not sum: it stays compiled
+        assert _native._library() is not None
+
+
 class TestBuilds:
     def test_builds_once_into_the_cache(self, cache, capfd):
         assert _native.pathsum() is not None
@@ -242,6 +268,23 @@ class TestOperandsAreNeverMisread:
         )
         got = spgemm(a32, b, BELLMAN_FORD_SPEC)
         assert got.ops == want.ops and got.matrix.equals(want.matrix)
+
+    def test_sum_column_of_another_eight_byte_type_is_declined(self, monkeypatch):
+        # uint64 multiplicities: the width C reads, but C sums float64 and
+        # int64 payloads alone and would add these as one of the two
+        wide = MinWeightTieSumMonoid(
+            [("w", np.float64), ("m", np.uint64)], {"w": np.inf, "m": 0}
+        )
+        a, b, _ = _operands()
+        vals = {"w": a.vals["w"], "m": np.arange(1, a.nnz + 1, dtype=np.uint64) << 40}
+        a64 = SpMat(*a.shape, a.rows, a.cols, vals, wide)
+        want = spgemm(a64, b, BELLMAN_FORD_SPEC, kernel="generic")
+        monkeypatch.setattr(
+            _native, "pathsum", lambda: lambda args: pytest.fail("handed to C")
+        )
+        got = spgemm(a64, b, BELLMAN_FORD_SPEC)
+        assert got.ops == want.ops
+        assert_bits(got.matrix, want.matrix)
 
 
 def _keys(draw_from):
