@@ -188,8 +188,11 @@ def test_check_overhead(benchmark, save_table):
 
 def test_kernel_throughput(benchmark, save_table):
     # the "auto" path columns are the compiled kernel's: one that did not
-    # load is a failure, not a slower table of the generic kernel twice
-    assert _native.pathsum() is not None, "the compiled path kernel (gcc) did not load"
+    # load, or whose run sums failed the load-time probe against numpy's, is
+    # a failure, not a slower table of the generic kernel twice
+    assert _native.pathsum() is not None, (
+        "the compiled path kernel (gcc) did not load or failed its sum probe"
+    )
     # SpMat.combine / align_values locate keys with the library's merge; a
     # silent fall back to np.searchsorted would lose that gain unseen
     assert _native._library().merge_locate, "the merge entry point did not load"

@@ -217,7 +217,7 @@ int pathsum_chunk(pathsum_args *g)
             acc[touched[t]].slot = pairs;
             pairs += acc[touched[t]].count;
         }
-        if (g->n_sum && pairs > cap) {
+        if (pairs > cap) {
             cap = pairs > 2 * cap ? pairs : 2 * cap;
             for (int f = 0; f < g->n_sum; f++) {
                 payload *grown = realloc(scratch[f], (size_t)cap * sizeof *grown);
@@ -229,27 +229,26 @@ int pathsum_chunk(pathsum_args *g)
             }
         }
 
-        if (g->n_sum)
-            for (int64_t q = p; q < pe; q++) {
-                const int64_t k = g->a_cols[q];
-                const double aw = g->a_w[q];
-                for (int64_t r = g->b_ptr[k]; r < g->b_ptr[k + 1]; r++) {
-                    const int64_t j = g->b_cols[r];
-                    if (masked && !keep[j])
-                        continue;
-                    const double w = g->negate ? aw - g->b_w[r] : aw + g->b_w[r];
-                    if (w == acc[j].best) {
-                        const int64_t s = acc[j].slot++;
-                        for (int f = 0; f < g->n_sum; f++)
-                            scratch[f][s] = g->sum_in[f][q];
-                    }
+        for (int64_t q = p; q < pe; q++) {
+            const int64_t k = g->a_cols[q];
+            const double aw = g->a_w[q];
+            for (int64_t r = g->b_ptr[k]; r < g->b_ptr[k + 1]; r++) {
+                const int64_t j = g->b_cols[r];
+                if (masked && !keep[j])
+                    continue;
+                const double w = g->negate ? aw - g->b_w[r] : aw + g->b_w[r];
+                if (w == acc[j].best) {
+                    const int64_t s = acc[j].slot++;
+                    for (int f = 0; f < g->n_sum; f++)
+                        scratch[f][s] = g->sum_in[f][q];
                 }
             }
+        }
 
         /* run t holds slots [start, start + count): its ties, then losers */
         for (int64_t t = 0, start = 0; t < nt; t++) {
             accum *c = &acc[touched[t]];
-            const int64_t ties = g->n_sum ? c->slot - start : 0;
+            const int64_t ties = c->slot - start;
             g->out_rows[n_runs] = i;
             g->out_cols[n_runs] = touched[t];
             g->out_w[n_runs] = c->best;
