@@ -50,8 +50,8 @@ class Semiring:
         """The :class:`MatMulSpec` computing ``C = A •⟨⊕,⊗⟩ B``.
 
         ``name`` overrides the diagnostic label (e.g. an app using the
-        tropical semiring under its own phase name) without losing the
-        structural :class:`SemiringAction` the kernel dispatcher recognizes.
+        tropical semiring under its own phase name); the action is the same
+        structural :class:`SemiringAction` either way.
         """
         return MatMulSpec(
             monoid=self.add_monoid,
@@ -64,11 +64,12 @@ class Semiring:
 class SemiringAction:
     """Structural ``f(a, b) = {field: a.field ⊗ b.field}``.
 
-    The structural form (rather than a closure) is what makes a spec
-    *recognizable*: the kernel dispatcher (:mod:`repro.sparse.dispatch`)
-    routes a spec whose ``f`` is a :class:`SemiringAction` multiplying with
-    ``np.multiply`` over a single-field plus monoid to scipy's compiled
-    ``csr @ csr``.
+    The structural form (rather than a closure) keeps the operator
+    inspectable: two actions over the same ``⊗`` and field compare equal
+    and print as what they compute.  No fast path claims a semiring
+    product — the kernel dispatcher (:mod:`repro.sparse.dispatch`) leaves
+    every one, plus-times included, to the generic kernel, whose
+    ``np.add.reduceat`` grouping of each sum is the bits' definition.
     """
 
     multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]

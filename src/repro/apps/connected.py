@@ -20,7 +20,7 @@ __all__ = ["connected_components"]
 
 _MIN = MinMonoid()
 #: action: a frontier label crosses an edge unchanged — the (min, left)
-#: semiring, named so the kernel-dispatch tier recognizes it
+#: semiring, named ``cc`` for its phase label and for replay
 _SPEC = Semiring(
     add_monoid=_MIN, multiply=left_project, name="cc"
 ).matmul_spec()

@@ -1,9 +1,11 @@
 """Triangle counting via masked sparse matrix multiplication.
 
 A classic SpGEMM application: with a 0/1 adjacency matrix ``B``,
-``(B²)(i,j)`` counts the 2-paths from i to j; masking by the adjacency and
-summing counts every triangle six times (ordered vertex pairs of each
-triangle).  Runs through the same generalized-matmul stack as MFBC.
+``(B²)(i,j)`` counts the 2-paths from i to j.  The product is masked by
+the adjacency itself, ``C⟨B⟩ = B·B`` (the GraphBLAS formulation), so a
+wedge that does not close a triangle is never formed; summing C counts
+every triangle six times (ordered vertex pairs of each triangle).  Runs
+through the same generalized-matmul stack as MFBC.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ def triangle_count(graph: Graph, *, engine: Engine | None = None) -> int:
     ones = engine.matrix(
         graph.n, graph.n, base.rows, base.cols, {"w": base.vals["w"] * 0 + 1.0}, plus
     )
-    two_paths, _ = engine.spgemm(ones, ones, _SPEC)
-    wedges_on_edges = two_paths.zip_filter(ones, lambda pv, av: av["w"] > 0)
+    wedges_on_edges, _ = engine.spgemm(ones, ones, _SPEC, mask=ones)
     local = engine.gather(wedges_on_edges)
     total = float(local.vals["w"].sum()) if local.nnz else 0.0
     return int(round(total / 6.0))

@@ -95,27 +95,17 @@ def _monoid_registry() -> dict[str, Monoid]:
 
 
 def _spec_registry() -> dict[str, MatMulSpec]:
-    from repro.algebra.semiring import MAX_MIN, REAL_PLUS_TIMES, TROPICAL
+    """The replayable specs by name: the very objects the apps and
+    :mod:`repro.core.specs` multiply with, so a replayed case is recomputed
+    with the operator its run used (``bf`` is an alias)."""
+    from repro.algebra.semiring import MAX_MIN, TROPICAL
+    from repro.apps import bfs, connected, sssp, triangles, widest_path
     from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC
 
-    reg = {
-        "tropical": TROPICAL.matmul_spec(),
-        "real": REAL_PLUS_TIMES.matmul_spec(),
-        "max-min": MAX_MIN.matmul_spec(),
-        "bellman-ford": BELLMAN_FORD_SPEC,
-        "bf": BELLMAN_FORD_SPEC,
-        "brandes": BRANDES_SPEC,
-    }
-    # the apps' renamed semiring specs (same operators, diagnostic names)
-    from repro.algebra.monoid import MinMonoid
-    from repro.algebra.semiring import Semiring, left_project
-
-    reg["bfs"] = TROPICAL.matmul_spec(name="bfs")
-    reg["sssp"] = TROPICAL.matmul_spec(name="sssp")
-    reg["widest"] = MAX_MIN.matmul_spec(name="widest")
-    reg["cc"] = Semiring(
-        add_monoid=MinMonoid(), multiply=left_project, name="cc"
-    ).matmul_spec()
+    specs = [TROPICAL.matmul_spec(), MAX_MIN.matmul_spec(), BELLMAN_FORD_SPEC, BRANDES_SPEC]
+    specs += [app._SPEC for app in (bfs, connected, sssp, triangles, widest_path)]
+    reg = {spec.name: spec for spec in specs}
+    reg["bf"] = BELLMAN_FORD_SPEC
     return reg
 
 

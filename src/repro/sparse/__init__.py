@@ -7,9 +7,9 @@ of the distributed engine are made of.  The generalized SpGEMM kernel in
 :mod:`repro.sparse.spgemm` implements ``C = A •⟨⊕,f⟩ B`` for any
 :class:`~repro.algebra.matmul.MatMulSpec` with vectorized join + reduce,
 with optional GraphBLAS-style output masks; :mod:`repro.sparse.dispatch`
-routes the two recognized families — plus-times and the multpath/centpath
-path sums — to bit-identical fast paths, and every other spec (min-plus,
-max-min, ...) to the generic kernel.
+routes the one recognized family — the multpath/centpath path sums — to a
+bit-identical compiled fast path, and every other spec (plus-times,
+min-plus, max-min, ...) to the generic kernel.
 """
 
 from repro.sparse.spgemm import SpGemmResult, count_ops, spgemm

@@ -1,38 +1,39 @@
-"""Kernel dispatch tier: semiring-recognizing fast paths for SpGEMM.
+"""Kernel dispatch tier: the one semiring-recognizing fast path for SpGEMM.
 
 The generalized monoid kernel in :mod:`repro.sparse.spgemm` pays a
 "generality tax" — field-array dict plumbing, schema validation, and a
-monoid-dispatch reduction — on every product.  This module recognizes
-structure in a :class:`~repro.algebra.matmul.MatMulSpec` and routes it to a
-specialized kernel, playing the role MKL's compiled sparse BLAS plays in the
-paper's stack (§6.2):
+monoid-dispatch reduction — on every product.  This module recognizes the
+MFBC hot loop's structure in a :class:`~repro.algebra.matmul.MatMulSpec` and
+routes it to a specialized kernel, playing the role MKL's compiled sparse
+BLAS plays in the paper's stack (§6.2):
 
-* **plus-times** (:class:`PlusMonoid` + ``np.multiply`` semiring action) →
-  scipy's compiled ``csr @ csr`` when the product is unmasked, fits one
-  expansion chunk and is large enough to repay the CSR conversion;
 * **multpath / centpath** (the Bellman-Ford and Brandes actions of §4.1/§4.2)
   → a compiled row-wise accumulator (``_pathsum.c``) that never forms the
   joined pairs as a table and finishes each output entry in C: its best
   weight, its tied payload sums and its row's ops; where it cannot be built
   or loaded, or its sums fail the load-time probe, the generic kernel serves.
 
-Every other product — the remaining semirings (tropical min-plus, bottleneck
-max-min, label-propagation min/left, …) included — runs the generic kernel.
+Every other product — plus-times, tropical min-plus, bottleneck max-min,
+label-propagation min/left, … — runs the generic kernel.
 
-Every fast path is **bit-identical** to the generic kernel after
+The fast path is **bit-identical** to the generic kernel after
 canonicalization: the path kernel cuts the join at the generic kernel's
 chunk bounds (:func:`repro.sparse.spgemm._chunk_bounds`), filters by the
 mask inside the join and sums each run's payloads with numpy's pairwise
 grouping, which :mod:`repro.sparse._native` checks against
-``np.add.reduceat`` once per process; scipy accumulates in the same order.
+``np.add.reduceat`` once per process.  A library kernel that sums each
+output entry left to right cannot keep that contract on real-valued
+payloads: ``reduceat`` adds a run's first term to the pairwise sum of the
+rest, so the run ``[1e16, 1, 1]`` reads ``1e16 + 2`` here and ``1e16``
+there (``docs/performance_model.md`` §4).
 Every product dispatches; ``spgemm(..., kernel="generic")`` is how an
 oracle skips this tier — ``repro.check`` differential replay recomputes
 references that way, making the generic kernel the oracle for this tier.
 It is not a run setting: no knob, flag or environment variable selects it.
 
-There is no registry: :func:`dispatch_spgemm` asks the two recognizers in
-order, and a new fast path is a new branch there, held to the same
-bit-identity contract.
+There is no registry: :func:`dispatch_spgemm` asks the one recognizer, and
+a new fast path is a new branch there, held to the same bit-identity
+contract.
 """
 
 from __future__ import annotations
@@ -40,14 +41,11 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.sparse
 
 from repro.algebra.centpath import CentpathMonoid, brandes_action
 from repro.algebra.fields import FieldArray
 from repro.algebra.matmul import MatMulSpec
-from repro.algebra.monoid import PlusMonoid
 from repro.algebra.multpath import MultpathMonoid, bellman_ford_action
-from repro.algebra.semiring import SemiringAction
 from repro.obs import api as obs
 from repro.sparse import _native
 from repro.sparse.spgemm import (
@@ -59,11 +57,6 @@ from repro.sparse.spmatrix import SpMat
 
 __all__ = ["dispatch_spgemm"]
 
-#: Below this ops count the scipy conversion is skipped (its fixed
-#: CSR-build cost outweighs the compiled multiply on trivial products).
-_SCIPY_MIN_OPS = 4096
-
-
 def dispatch_spgemm(
     a: SpMat,
     b: SpMat,
@@ -73,23 +66,19 @@ def dispatch_spgemm(
     mask_complement: bool,
     chunk: int,
 ) -> SpGemmResult | None:
-    """Route one product to its fast path: plus-times first, then path-sum.
+    """Route one product to the path-sum fast path.
 
-    Returns ``None`` when no fast path applies or the one that applies
+    Returns ``None`` when the spec is not recognized or the fast path
     declines — the caller runs the generic kernel.  Emits one
     ``kernel.dispatch{kernel, outcome, phase}`` count per decision.
     """
     if a.nnz == 0 or b.nnz == 0:
         return None  # the generic empty path is already optimal
-    if _recognize_plus_times(spec):
-        kernel = "plus-times"
-        result = _scipy_plus_times(a, b, spec, mask_keys=mask_keys, chunk=chunk)
-    else:
-        kernel = _recognize_pathsum(spec)
-        if kernel is None:
-            _count_dispatch("generic", "unrecognized", spec.name)
-            return None
-        result = _pathsum_kernel(a, b, spec, mask_keys, mask_complement, chunk)
+    kernel = _recognize_pathsum(spec)
+    if kernel is None:
+        _count_dispatch("generic", "unrecognized", spec.name)
+        return None
+    result = _pathsum_kernel(a, b, spec, mask_keys, mask_complement, chunk)
     _count_dispatch(kernel, "declined" if result is None else "hit", spec.name)
     return result
 
@@ -102,16 +91,6 @@ def _count_dispatch(kernel: str, outcome: str, phase: str) -> None:
 # -- recognition -------------------------------------------------------------
 
 
-def _recognize_plus_times(spec: MatMulSpec) -> bool:
-    f = spec.f
-    return (
-        isinstance(f, SemiringAction)
-        and f.multiply is np.multiply
-        and isinstance(spec.monoid, PlusMonoid)
-        and spec.monoid.field_names == (f.field,)
-    )
-
-
 def _recognize_pathsum(spec: MatMulSpec) -> str | None:
     """``"multpath"`` / ``"centpath"`` for the Bellman-Ford / Brandes specs."""
     if spec.f is bellman_ford_action and isinstance(spec.monoid, MultpathMonoid):
@@ -122,60 +101,6 @@ def _recognize_pathsum(spec: MatMulSpec) -> str | None:
 
 
 # -- kernels -----------------------------------------------------------------
-
-
-def _scipy_plus_times(
-    a: SpMat,
-    b: SpMat,
-    spec: MatMulSpec,
-    *,
-    mask_keys: np.ndarray | None,
-    chunk: int,
-) -> SpGemmResult | None:
-    """Compiled ``csr @ csr`` for the (R, +, ×) semiring.
-
-    Bit-identity with the generic kernel holds because scipy accumulates
-    each C(i,j) over k ascending exactly as the generic single-chunk
-    ``add.reduceat`` does (an initial ``+0.0`` can only differ on the sign
-    of a zero, and zero results are pruned by both sides); it therefore
-    declines multi-chunk products, whose per-chunk partial sums group
-    differently, and masked products, which the generic kernel filters
-    in-expansion.
-    """
-    if mask_keys is not None:
-        return None
-    if spec.monoid.field_spec[0][1] != np.dtype(np.float64):
-        return None
-    ptr = b.row_pointer()
-    joined = np.zeros(a.nnz + 1, dtype=np.int64)
-    np.cumsum(ptr[a.cols + 1] - ptr[a.cols], out=joined[1:])
-    total = int(joined[-1])
-    if total > chunk or total < _SCIPY_MIN_OPS:
-        return None
-    field = spec.f.field
-    sa = scipy.sparse.csr_matrix(
-        (a.vals[field], (a.rows, a.cols)), shape=a.shape
-    )
-    sb = scipy.sparse.csr_matrix(
-        (b.vals[field], (b.rows, b.cols)), shape=b.shape
-    )
-    c = sa @ sb
-    # canonicalize: the CSC round-trip is two linear counting-sort passes,
-    # measurably faster than csr_sort_indices' per-row comparison sorts on
-    # the dense products this path exists for (and bit-identical to them)
-    c = c.tocsc().tocsr()
-    c.eliminate_zeros()
-    coo = c.tocoo()
-    mat = SpMat(
-        a.nrows,
-        b.ncols,
-        coo.row.astype(np.int64),
-        coo.col.astype(np.int64),
-        {field: coo.data.astype(np.float64, copy=False)},
-        spec.monoid,
-        canonical=True,
-    )
-    return SpGemmResult(mat, total, np.diff(joined[a.row_pointer()]))
 
 
 def _pathsum_kernel(
@@ -204,11 +129,6 @@ def _pathsum_kernel(
     if compiled is None:
         return None
     return _pathsum_compiled(compiled, a, b, spec, mask_keys, mask_complement, chunk)
-
-
-def _head(buf: np.ndarray, n: int) -> np.ndarray:
-    """``buf[:n]``, copied when a view would pin a buffer twice its size."""
-    return buf[:n] if 2 * n >= len(buf) else buf[:n].copy()
 
 
 def _pathsum_compiled(
@@ -291,9 +211,13 @@ def _pathsum_compiled(
         n_runs = args.n_runs
         if n_runs == 0:
             continue
-        vals: FieldArray = {wf: _head(w, n_runs)}
+        # shrink to the runs in place: a view would pin all of ``room``.
+        # Only this loop's names refer to the buffers, hence no refcheck.
+        for buf in (rows, cols, w, *run_sums):
+            buf.resize(n_runs, refcheck=False)
+        vals: FieldArray = {wf: w}
         for name, out in zip(names, run_sums):
-            vals[name] = _head(out, n_runs).astype(dtypes[name], copy=False)
-        parts_rc.append((_head(rows, n_runs), _head(cols, n_runs)))
+            vals[name] = out.astype(dtypes[name], copy=False)
+        parts_rc.append((rows, cols))
         parts_v.append(vals)
     return _assemble_coords(a.nrows, b.ncols, parts_rc, parts_v, monoid, row_ops)

@@ -21,10 +21,11 @@ Algorithm (the *generic* kernel): a sort-free hash-free *expansion join* —
 Large expansions are processed in bounded chunks so peak memory stays
 proportional to ``chunk`` rather than ``ops(A, B)``.
 
-The public :func:`spgemm` entry point routes recognized specs through the
-kernel-dispatch tier (:mod:`repro.sparse.dispatch`) — scipy's compiled
-plus-times path and the fused multpath/centpath kernel — both of which are
-bit-identical (post-canonicalization) to the generic kernel here.
+The public :func:`spgemm` entry point routes every product through the
+kernel-dispatch tier (:mod:`repro.sparse.dispatch`), whose one fast path —
+the compiled multpath/centpath kernel — is bit-identical
+(post-canonicalization) to the generic kernel here; every other spec,
+plus-times included, runs the generic kernel.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ from repro.obs import api as obs
 # ``spgemm`` is not called here (local products go through
 # machine.executor), but benchmarks/e2e/tracing.py patches the kernel under
 # this module's name
-from repro.sparse.spgemm import DEFAULT_CHUNK, spgemm  # noqa: F401
+from repro.sparse.spgemm import DEFAULT_CHUNK, _chunk_bounds, spgemm  # noqa: F401
 from repro.sparse.spmatrix import SpMat
 from repro.spgemm.plan import Plan
 
@@ -251,8 +251,10 @@ def _step_product(
     products bit for bit — provided no task is cut at a different join
     chunk than it would be alone.  A stacked join above the kernel's
     ``chunk`` (the one the executor's products run with) is therefore cut
-    only at task boundaries: consecutive tasks share a call while their
-    joins fit one chunk, and a task above it runs alone.  Rank ``ranks[t]``
+    only at task boundaries, by the kernel's own rule
+    (:func:`~repro.sparse.spgemm._chunk_bounds` over the per-task joins):
+    consecutive tasks share a call while their joins fit one chunk, and a
+    task above it runs alone.  Rank ``ranks[t]``
     is charged the ops of task ``t``'s rows, in task order, in one
     ``charge_compute``.
 
@@ -260,19 +262,10 @@ def _step_product(
     and the per-task ops.
     """
     ends = np.searchsorted(left.rows, cuts)
-    groups = [(0, len(cuts) - 1)]
     ptr = right.row_pointer()
     joined = np.zeros(left.nnz + 1, dtype=np.int64)
     np.cumsum(ptr[left.cols + 1] - ptr[left.cols], out=joined[1:])
-    if joined[-1] > chunk:
-        per_task = np.diff(joined[ends]).tolist()
-        groups, lo, size = [], 0, 0
-        for t, join in enumerate(per_task):
-            if t > lo and size + join > chunk:
-                groups.append((lo, t))
-                lo, size = t, 0
-            size += join
-        groups.append((lo, len(per_task)))
+    groups = _chunk_bounds(np.diff(joined[ends]), chunk)
     pieces = [
         left if len(groups) == 1 else _entries(left, int(ends[lo]), int(ends[hi]))
         for lo, hi in groups

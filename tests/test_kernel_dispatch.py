@@ -6,6 +6,7 @@ chunking, for every recognized semiring, masked or not.  The generic kernel
 is the oracle throughout.
 """
 
+import importlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kernel
+from conftest import assert_bits, kernel
 from repro import mfbc, obs, rmat_graph
 from repro.algebra import (
     CENTPATH,
@@ -29,7 +30,7 @@ from repro.algebra import (
 )
 from repro.algebra.monoid import MinMonoid, PlusMonoid
 from repro.check import strategies as cst
-from repro.check.replay import ReplayCase, load_case, replay, save_case
+from repro.check.replay import ReplayCase, load_case, replay, resolve_spec, save_case
 from repro.check.strategies import WEIGHT_MONOID
 from repro.core.engine import SequentialEngine
 from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC
@@ -37,7 +38,6 @@ from repro.dist import DistributedEngine
 from repro.machine import Machine
 from repro.sparse import SpGemmResult, SpMat, spgemm
 from repro.sparse import _native
-from repro.sparse import dispatch as dispatch_mod
 from repro.sparse.dispatch import dispatch_spgemm
 
 spgemm_mod = sys.modules[spgemm.__module__]
@@ -66,8 +66,8 @@ class TestRecognition:
     @pytest.mark.parametrize(
         "spec, path, field",
         [
-            (REAL_PLUS_TIMES.matmul_spec(), "plus-times", "w"),
-            # every other semiring runs the generic kernel
+            # every semiring runs the generic kernel, plus-times included
+            pytest.param(REAL_PLUS_TIMES.matmul_spec(), None, "w", id="spec0-plus-times-w"),
             (TROPICAL.matmul_spec(), None, None),
             (TROPICAL.matmul_spec(name="bfs"), None, None),
             (MAX_MIN.matmul_spec(), None, None),
@@ -87,7 +87,6 @@ class TestRecognition:
         if path is None:
             assert (labels["kernel"], labels["outcome"]) == ("generic", "unrecognized")
         else:
-            # small plus-times products decline the CSR round trip
             assert labels["kernel"] == path
             assert labels["outcome"] in ("hit", "declined")
 
@@ -152,22 +151,18 @@ class TestModeKnob:
                 build_parser().parse_args([command, "g.txt", "--kernel", "generic"])
             assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
-    def test_dispatch_counter(self, rng, monkeypatch):
+    def test_dispatch_counter(self, rng):
         a = cst.random_weight_spmat(rng, 6, 6, 0.5)
         metrics = obs.Metrics()
         with obs.use(metrics=metrics):
             spgemm(a, a, TROPICAL.matmul_spec(), kernel="auto")
-            # too small to repay the CSR conversion: scipy declines
+            # plus-times has no fast path, at any size
             spgemm(a, a, REAL_PLUS_TIMES.matmul_spec(), kernel="auto")
-            monkeypatch.setattr(dispatch_mod, "_SCIPY_MIN_OPS", 0)
-            spgemm(a, a, REAL_PLUS_TIMES.matmul_spec(), kernel="auto")
+            big = _plus_spmat(_spread(rng, 40, 40, 1.0, 0))
+            spgemm(big, big, REAL_PLUS_TIMES.matmul_spec(), kernel="auto")
 
-        def count(kernel, outcome):
-            return metrics.total("kernel.dispatch", kernel=kernel, outcome=outcome)
-
-        assert count("generic", "unrecognized") == 1.0
-        assert count("plus-times", "declined") == 1.0
-        assert count("plus-times", "hit") == 1.0
+        assert metrics.total("kernel.dispatch") == 3.0
+        assert metrics.total("kernel.dispatch", kernel="generic", outcome="unrecognized") == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +175,27 @@ def _assert_identical(a, b, spec, mask, complement, chunk):
         a, b, spec, mask=mask, mask_complement=complement, chunk=chunk,
         kernel="generic",
     )
-    # with the small-product guard lifted (scipy on tiny operands), then as is
-    for min_ops in (0, dispatch_mod._SCIPY_MIN_OPS):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dispatch_mod, "_SCIPY_MIN_OPS", min_ops)
-            got = spgemm(
-                a, b, spec, mask=mask, mask_complement=complement, chunk=chunk,
-                kernel="auto",
-            )
-        assert got.matrix.equals(gen.matrix), min_ops
-        assert got.ops == gen.ops, min_ops
+    got = spgemm(
+        a, b, spec, mask=mask, mask_complement=complement, chunk=chunk,
+        kernel="auto",
+    )
+    assert got.matrix.equals(gen.matrix)
+    assert got.ops == gen.ops
+
+
+def _spread(rng, m, n, density, decades):
+    """A dense ``m × n`` array of real payloads of either sign spread over
+    ``decades`` decades, zero outside a ``density`` share of the cells."""
+    dense = rng.choice([-1.0, 1.0], (m, n)) * 10.0 ** rng.uniform(
+        -decades / 2, decades / 2, (m, n)
+    )
+    dense[rng.random((m, n)) >= density] = 0.0
+    return dense
+
+
+def _plus_spmat(dense):
+    rows, cols = dense.nonzero()
+    return SpMat(*dense.shape, rows, cols, {"w": dense[rows, cols]}, PlusMonoid())
 
 
 @st.composite
@@ -239,12 +245,45 @@ class TestDifferentialFuzz:
         _assert_identical(a, b, spec, mask, complement, chunk)
 
     def test_scipy_point_is_bitwise(self, rng):
-        # big enough that auto takes the compiled scipy plus-times path
-        mask = rng.random((48, 48)) < 0.5
-        r, c = mask.nonzero()
-        vals = rng.integers(1, 9, len(r)).astype(np.float64)
-        a = SpMat(48, 48, r, c, {"w": vals}, PlusMonoid())
-        _assert_identical(a, a, REAL_PLUS_TIMES.matmul_spec(), None, False, 1 << 22)
+        # a dense real-valued plus-times point, every entry of C the sum of
+        # ≥ 3 products over 16 decades: a kernel summing each entry left to
+        # right (scipy's csr @ csr) gets many of them wrong in the last bits.
+        # A's row 0 makes C(0, 0) the run [1e16, 1, 1]: the generic kernel
+        # adds the first term to the pairwise sum of the rest, 1e16 + 2.
+        da, db = _spread(rng, 48, 48, 0.7, 16), _spread(rng, 48, 48, 0.7, 16)
+        da[0] = 0.0
+        da[0, :3] = [1e16, 1.0, 1.0]
+        db[:3] = _spread(rng, 3, 48, 1.0, 16)
+        db[:3, 0] = 1.0
+        terms = (da != 0).astype(np.int64) @ (db != 0).astype(np.int64)
+        assert terms[terms > 0].min() >= 3
+        a, b, spec = _plus_spmat(da), _plus_spmat(db), REAL_PLUS_TIMES.matmul_spec()
+        want = spgemm(a, b, spec, kernel="generic")
+        assert (want.matrix.rows[0], want.matrix.cols[0]) == (0, 0)
+        assert want.matrix.vals["w"][0] == 1e16 + 2.0
+        got = spgemm(a, b, spec, kernel="auto")
+        assert_bits(got.matrix, want.matrix)
+        assert got.ops == want.ops
+
+    @given(
+        shape=st.tuples(*[st.integers(20, 32)] * 3),
+        density=st.sampled_from([0.8, 0.9, 1.0]),
+        decades=st.integers(0, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_plus_times_real_payloads_are_bitwise(self, shape, density, decades, seed):
+        # products of ≥ 4 096 ops with real payloads: auto sums every entry
+        # of C as the generic kernel groups it, whatever size the product is
+        rng = np.random.default_rng(seed)
+        m, k, n = shape
+        a = _plus_spmat(_spread(rng, m, k, density, decades))
+        b = _plus_spmat(_spread(rng, k, n, density, decades))
+        spec = REAL_PLUS_TIMES.matmul_spec()
+        want = spgemm(a, b, spec, kernel="generic")
+        got = spgemm(a, b, spec, kernel="auto")
+        assert_bits(got.matrix, want.matrix)
+        assert got.ops == want.ops
 
     def test_empty_operands(self):
         for monoid, spec in [
@@ -646,3 +685,15 @@ class TestReplayCases:
         loaded = load_case(v1)
         assert loaded.mask is None and not loaded.mask_complement
         assert replay(loaded).matches
+
+    @pytest.mark.parametrize(
+        "app", ["bfs", "connected", "sssp", "triangles", "widest_path"]
+    )
+    def test_app_specs_resolve_to_the_objects_the_apps_run(self, app):
+        spec = importlib.import_module(f"repro.apps.{app}")._SPEC
+        assert resolve_spec(spec.name) is spec
+
+    def test_core_specs_resolve_to_themselves(self):
+        assert resolve_spec("bellman-ford") is BELLMAN_FORD_SPEC
+        assert resolve_spec("bf") is BELLMAN_FORD_SPEC
+        assert resolve_spec("brandes") is BRANDES_SPEC
