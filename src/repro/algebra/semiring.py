@@ -67,9 +67,8 @@ class SemiringAction:
     The structural form (rather than a closure) keeps the operator
     inspectable: two actions over the same ``⊗`` and field compare equal
     and print as what they compute.  No fast path claims a semiring
-    product — the kernel dispatcher (:mod:`repro.sparse.dispatch`) leaves
-    every one, plus-times included, to the generic kernel, whose
-    ``np.add.reduceat`` grouping of each sum is the bits' definition.
+    product: the kernel dispatcher (:mod:`repro.sparse.dispatch`) leaves
+    every one, plus-times included, to the generic kernel.
     """
 
     multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]
