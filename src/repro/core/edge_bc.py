@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.engine import Engine, SequentialEngine
-from repro.core.mfbf import mfbf
+from repro.core.mfbf import equal_weights, mfbf
 from repro.core.mfbr import mfbr
 from repro.graphs.graph import Graph
 
@@ -78,13 +78,14 @@ def edge_betweenness_centrality(
         raise ValueError(f"batch_size must be positive, got {batch_size}")
 
     adj = engine.adjacency(graph)
+    bfs = equal_weights(graph)
     w = graph.edge_weights()
     src, dst = graph.src, graph.dst
     scores = np.zeros(graph.m)
 
     for lo in range(0, len(sources), batch_size):
         batch = sources[lo : lo + batch_size]
-        t_mat = mfbf(adj, batch, engine=engine)
+        t_mat = mfbf(adj, batch, engine=engine, equal_weights=bfs)
         z_mat = mfbr(adj, t_mat, engine=engine)
         t_local = engine.gather(t_mat)
         z_local = engine.gather(z_mat)

@@ -41,7 +41,7 @@ import numpy as np
 from repro.algebra.monoid import PlusMonoid
 from repro.core.engine import Engine, SequentialEngine
 from repro.core.ladder import RecoveryLadder
-from repro.core.mfbf import mfbf
+from repro.core.mfbf import equal_weights, mfbf
 from repro.core.mfbr import mfbr
 from repro.core.stats import BatchStats, MFBCStats
 from repro.faults.checkpoint import (
@@ -335,6 +335,7 @@ def _sweeper(engine, graph, sources, fold):
     next one starts, so a narrower sweep's peak is its own.
     """
     done = 0
+    bfs = equal_weights(graph)
 
     def sweep(width):
         nonlocal done
@@ -343,7 +344,7 @@ def _sweeper(engine, graph, sources, fold):
             part = sources[done : done + width]
             stats = BatchStats(sources=len(part))
             with obs.span("mfbf", cat="phase"):
-                t_mat = mfbf(adj, part, engine=engine, stats=stats)
+                t_mat = mfbf(adj, part, engine=engine, stats=stats, equal_weights=bfs)
             with obs.span("mfbr", cat="phase"):
                 z_mat = mfbr(adj, t_mat, engine=engine, stats=stats)
             with obs.span("accumulate", cat="phase"):

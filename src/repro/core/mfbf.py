@@ -18,6 +18,16 @@ Implementation notes relative to the paper's pseudocode:
 * The paper stores dead frontier entries as the explicit marker ``(∞, 0)``;
   here dead entries are simply *unstored* — ``(∞, 0)`` is the multpath
   identity, and canonical :class:`SpMat` never stores identities.
+* When every edge weight is equal (an unweighted graph, or one distinct
+  weight), iteration ``j`` is a BFS level: a vertex's first ``j``-edge
+  paths are its shortest, so any product entry on a vertex already in T
+  would lose to it.  The product is then masked by the complement of T's
+  support — only pairs landing on unvisited vertices are formed — and is
+  itself the new frontier, merged into T over disjoint supports (GraphBLAS
+  BC's complemented-mask product and ``add_nointersect``).  Masking only
+  drops pairs of other output keys, so every surviving entry sums the same
+  terms in the same order: T is bit-identical to the Bellman-Ford
+  iteration's (docs/performance_model.md §5).
 """
 
 from __future__ import annotations
@@ -29,7 +39,14 @@ from repro.core.engine import Engine, SequentialEngine
 from repro.core.specs import BELLMAN_FORD_SPEC
 from repro.core.stats import BatchStats, IterationStats
 
-__all__ = ["mfbf"]
+__all__ = ["mfbf", "equal_weights"]
+
+
+def equal_weights(graph) -> bool:
+    """Whether every edge of ``graph`` weighs the same: MFBF's iterations
+    are then BFS levels (``mfbf(..., equal_weights=True)``)."""
+    w = graph.weight
+    return w is None or not len(w) or bool((w == w[0]).all())
 
 
 def mfbf(
@@ -39,6 +56,7 @@ def mfbf(
     engine: Engine | None = None,
     stats: BatchStats | None = None,
     max_iterations: int | None = None,
+    equal_weights: bool = False,
 ):
     """Run MFBF from ``sources`` over adjacency matrix ``adj``.
 
@@ -56,6 +74,10 @@ def mfbf(
     max_iterations:
         Safety bound; defaults to ``n`` (no shortest path has ≥ n edges, so
         hitting the bound indicates a non-positive-weight cycle or a bug).
+    equal_weights:
+        ``adj``'s stored weights are all equal (:func:`equal_weights` of its
+        graph): run each iteration as a BFS level, its product masked by
+        the complement of T.  Same T, bit for bit.
 
     Returns
     -------
@@ -88,8 +110,14 @@ def mfbf(
     for _ in range(max_iterations):
         if frontier.nnz == 0:
             return t_mat
-        # Explore nodes adjacent to the frontier (line 4).
-        product, ops = engine.spgemm(frontier, adj, BELLMAN_FORD_SPEC)
+        # Explore nodes adjacent to the frontier (line 4); with equal
+        # weights, only the unvisited ones.
+        if equal_weights:
+            product, ops = engine.spgemm(
+                frontier, adj, BELLMAN_FORD_SPEC, mask=t_mat, mask_complement=True
+            )
+        else:
+            product, ops = engine.spgemm(frontier, adj, BELLMAN_FORD_SPEC)
         if stats is not None:
             stats.iterations.append(
                 IterationStats("mfbf", frontier.nnz, product.nnz, ops)
@@ -98,7 +126,8 @@ def mfbf(
         t_mat = t_mat.combine(product)
         # New frontier (line 6): product entries that survived accumulation —
         # weight equal to the updated optimum.  (t.w ≤ p.w always holds.)
-        frontier = product.zip_filter(
+        # A masked product is new vertices only: all of it survives.
+        frontier = product if equal_weights else product.zip_filter(
             t_mat, lambda pv, tv: pv["w"] <= tv["w"]
         )
     raise RuntimeError(

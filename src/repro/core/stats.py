@@ -19,7 +19,9 @@ class IterationStats:
 
     phase: str  # "mfbf" or "mfbr"
     frontier_nnz: int  # nnz(F_i), the product's sparse operand
-    product_nnz: int  # nnz(G_i), the product output before filtering
+    # nnz(G_i), the product output before filtering; on equal weights MFBF's
+    # product is masked to unvisited vertices, so it counts new vertices only
+    product_nnz: int
     ops: int  # elementary nonzero products formed
 
 

@@ -563,6 +563,37 @@ class DistMat:
         store.drop(seg.key)
         return blk
 
+    def region(self, r0: int, r1: int, c0: int, c1: int) -> SpMat:
+        """Global rows ``[r0, r1)`` × columns ``[c0, c1)``, in the region's
+        own coordinates, read from the tiles it overlaps.
+
+        A region that is a tile is that tile as :meth:`block` reads it, and
+        one inside a tile a cut of it; packed ``p × 1`` strips hold global
+        coordinates, so there a region is cut from the packed matrix (the
+        whole matrix is the packed matrix itself).  Any other region merges
+        the pieces of the tiles it overlaps, read in row-major grid order.
+        Nothing is charged; a spilled tile faults in as any read does.
+        """
+        if self._pk is not None and self.grid_shape[1] == 1:
+            return self._pk.block(r0, r1, c0, c1)
+        rs, cs = self.layout.row_splits, self.layout.col_splits
+        # the tiles of nonzero area that overlap the region
+        rows = range(int(np.searchsorted(rs[1:], r0, "right")), int(np.searchsorted(rs[:-1], r1)))
+        cols = range(int(np.searchsorted(cs[1:], c0, "right")), int(np.searchsorted(cs[:-1], c1)))
+        parts = []
+        for i, j in itertools.product(rows, cols):
+            t0, _, u0, _ = self.layout.bounds(i, j)
+            h, w = self.layout.block_shapes[i][j]
+            lo_r, lo_c = max(r0, t0), max(c0, u0)
+            piece = self.block(i, j).block(
+                lo_r - t0, min(r1, t0 + h) - t0, lo_c - u0, min(c1, u0 + w) - u0
+            )
+            if len(rows) * len(cols) == 1:
+                return piece
+            if piece.nnz:
+                parts.append((piece.rows + (lo_r - r0), piece.cols + (lo_c - c0), piece.vals))
+        return SpMat._merged(r1 - r0, c1 - c0, parts, self.monoid)
+
     def _set_block(self, i: int, j: int, blk: SpMat) -> None:
         """Assign a resident block (uncharged — callers own the accounting)."""
         self._unpack()

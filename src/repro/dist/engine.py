@@ -155,15 +155,8 @@ class DistributedEngine:
         # deferred import: repro.spgemm.variants itself imports repro.dist
         from repro.spgemm.variants import execute_plan
 
-        # The variant executor slices per-frame sub-masks from a node-local
-        # mask.  No communication is charged for it, whatever layout the
-        # mask rests on (a previous product's output stays on its plan's
-        # layout): each sub-mask is taken to be consumed by the rank that
-        # assembles the matching C frame — the mask travels with output
-        # ownership, the stationary-mask convention of GraphBLAS runtimes.
-        local_mask = None
-        if mask is not None:
-            local_mask = mask.gather(charge=False) if isinstance(mask, DistMat) else mask
+        # a mask is handed over where it rests: each frame's sub-mask is read
+        # from its tiles, uncharged (execute_plan)
         # in-flight operands become most-recently-used so relief-eviction
         # under memory pressure picks colder matrices first
         memory = getattr(self.machine, "memory", None)
@@ -194,7 +187,7 @@ class DistributedEngine:
             )
             self.plan_log.append(plan)
             out, ops = execute_plan(
-                plan, a, b, spec, mask=local_mask, mask_complement=mask_complement
+                plan, a, b, spec, mask=mask, mask_complement=mask_complement
             )
             # fixed per-product setup overhead on every rank (see CostParams)
             self.machine.charge_overhead(self.machine.cost.product_overhead)

@@ -9,12 +9,14 @@
  * -ffp-contract=off and no -ffast-math: every floating-point operation here
  * is one IEEE add, the add numpy makes.)
  *
- * Per row of A, pass 1 stamps the row's mask columns, forms each surviving
- * pair's weight and keeps per output column the run length and the best
- * weight as first achieved; the touched columns are then ordered (a bitmap
- * scan) and each run given `run length` slots of a per-row scratch; pass 2
- * recomputes the weights and copies the tied pairs' payloads to the front
- * of their run; each run is then summed by run_sum.
+ * Per row of A, a masked product first stamps the row's mask columns and
+ * lists the row's surviving pairs (join order, no branch on the mask: a
+ * partly masked row would mispredict it on every pair, in both passes).
+ * Pass 1 forms each surviving pair's weight and keeps per output column the
+ * run length and the best weight as first achieved; the touched columns are
+ * then ordered (a bitmap scan) and each run given `run length` slots of a
+ * per-row scratch; pass 2 recomputes the weights and copies the tied pairs'
+ * payloads to the front of their run; each run is then summed by run_sum.
  *
  * run_sum is the C twin of tie_sum's np.add.reduceat over the layout "the
  * run's tied payloads in join order, then +0.0 up to the run length": the
@@ -155,6 +157,25 @@ static const int64_t *lower_bound(const int64_t *lo, const int64_t *hi, int64_t 
     return lo;
 }
 
+/* The statements for every surviving pair (q, r) — A's entry q, B's entry
+ * r — of the row [p, pe), in join order, with aw = A's weight of q: the
+ * listed survivors of a masked row, the whole join of an unmasked one. */
+#define FOR_EACH_PAIR(...)                                                      \
+    for (int64_t q = p, s = 0; q < pe; q++) {                                   \
+        const int64_t k = g->a_cols[q];                                         \
+        const double aw = g->a_w[q];                                            \
+        if (masked) {                                                           \
+            for (const int64_t s_end = kept_end[q - p]; s < s_end; s++) {       \
+                const int64_t r = kept[s];                                      \
+                __VA_ARGS__                                                     \
+            }                                                                   \
+        } else {                                                                \
+            for (int64_t r = g->b_ptr[k]; r < g->b_ptr[k + 1]; r++) {           \
+                __VA_ARGS__                                                     \
+            }                                                                   \
+        }                                                                       \
+    }
+
 int pathsum_chunk(pathsum_args *g)
 {
     const int64_t n = g->ncols;
@@ -169,6 +190,8 @@ int pathsum_chunk(pathsum_args *g)
     uint64_t *bits = calloc((size_t)(n + 63) / 64, sizeof *bits);
     unsigned char *keep = masked ? malloc((size_t)n) : NULL;
     payload *scratch[MAX_SUM] = {NULL}; /* per field: one row's runs, ties first */
+    /* a masked row's surviving B entries, and where each A entry's survivors end */
+    int64_t *kept = NULL, *kept_end = NULL, kept_cap = 0, ends_cap = 0;
     if (!acc || !touched || !bits || (masked && !keep)) {
         status = PATHSUM_NOMEM;
         goto done;
@@ -186,30 +209,54 @@ int pathsum_chunk(pathsum_args *g)
             for (m1 = m0; m1 < mask_end && *m1 < (i + 1) * n; m1++)
                 keep[*m1 - i * n] = !absent;
             mask = m1;
+
+            int64_t joined = 0;
+            for (int64_t q = p; q < pe; q++)
+                joined += g->b_ptr[g->a_cols[q] + 1] - g->b_ptr[g->a_cols[q]];
+            if (joined > kept_cap) {
+                kept_cap = joined > 2 * kept_cap ? joined : 2 * kept_cap;
+                int64_t *grown = realloc(kept, (size_t)kept_cap * sizeof *grown);
+                if (!grown) {
+                    status = PATHSUM_NOMEM;
+                    goto done;
+                }
+                kept = grown;
+            }
+            if (pe - p > ends_cap) {
+                ends_cap = pe - p > 2 * ends_cap ? pe - p : 2 * ends_cap;
+                int64_t *grown = realloc(kept_end, (size_t)ends_cap * sizeof *grown);
+                if (!grown) {
+                    status = PATHSUM_NOMEM;
+                    goto done;
+                }
+                kept_end = grown;
+            }
+            int64_t ns = 0;
+            for (int64_t q = p; q < pe; q++) {
+                for (int64_t r = g->b_ptr[g->a_cols[q]]; r < g->b_ptr[g->a_cols[q] + 1]; r++) {
+                    kept[ns] = r;
+                    ns += keep[g->b_cols[r]];
+                }
+                kept_end[q - p] = ns;
+            }
         }
 
         int64_t nt = 0;
-        for (int64_t q = p; q < pe; q++) {
-            const int64_t k = g->a_cols[q];
-            const double aw = g->a_w[q];
-            for (int64_t r = g->b_ptr[k]; r < g->b_ptr[k + 1]; r++) {
-                const int64_t j = g->b_cols[r];
-                if (masked && !keep[j])
-                    continue;
-                const double w = g->negate ? aw - g->b_w[r] : aw + g->b_w[r];
-                if (w != w) {
-                    status = PATHSUM_NAN;
-                    goto done;
-                }
-                accum *c = &acc[j];
-                if (c->count++ == 0) {
-                    touched[nt++] = j;
-                    c->best = w;
-                } else if (g->select_max ? w > c->best : w < c->best) {
-                    c->best = w; /* strict: an equal weight keeps the first one's bits */
-                }
+        FOR_EACH_PAIR(
+            const int64_t j = g->b_cols[r];
+            const double w = g->negate ? aw - g->b_w[r] : aw + g->b_w[r];
+            if (w != w) {
+                status = PATHSUM_NAN;
+                goto done;
             }
-        }
+            accum *c = &acc[j];
+            if (c->count++ == 0) {
+                touched[nt++] = j;
+                c->best = w;
+            } else if (g->select_max ? w > c->best : w < c->best) {
+                c->best = w; /* strict: an equal weight keeps the first one's bits */
+            }
+        )
 
         order_columns(touched, nt, bits, n);
         int64_t pairs = 0;
@@ -229,21 +276,15 @@ int pathsum_chunk(pathsum_args *g)
             }
         }
 
-        for (int64_t q = p; q < pe; q++) {
-            const int64_t k = g->a_cols[q];
-            const double aw = g->a_w[q];
-            for (int64_t r = g->b_ptr[k]; r < g->b_ptr[k + 1]; r++) {
-                const int64_t j = g->b_cols[r];
-                if (masked && !keep[j])
-                    continue;
-                const double w = g->negate ? aw - g->b_w[r] : aw + g->b_w[r];
-                if (w == acc[j].best) {
-                    const int64_t s = acc[j].slot++;
-                    for (int f = 0; f < g->n_sum; f++)
-                        scratch[f][s] = g->sum_in[f][q];
-                }
+        FOR_EACH_PAIR(
+            const int64_t j = g->b_cols[r];
+            const double w = g->negate ? aw - g->b_w[r] : aw + g->b_w[r];
+            if (w == acc[j].best) {
+                const int64_t slot = acc[j].slot++;
+                for (int f = 0; f < g->n_sum; f++)
+                    scratch[f][slot] = g->sum_in[f][q];
             }
-        }
+        )
 
         /* run t holds slots [start, start + count): its ties, then losers */
         for (int64_t t = 0, start = 0; t < nt; t++) {
@@ -279,6 +320,8 @@ done:
     free(touched);
     free(bits);
     free(keep);
+    free(kept);
+    free(kept_end);
     for (int f = 0; f < MAX_SUM; f++)
         free(scratch[f]);
     g->n_runs = n_runs;

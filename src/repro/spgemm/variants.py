@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,7 +79,7 @@ def execute_plan(
     b: DistMat,
     spec: MatMulSpec,
     *,
-    mask: SpMat | None = None,
+    mask: DistMat | SpMat | None = None,
     mask_complement: bool = False,
 ) -> tuple[DistMat, int]:
     """Run ``C = A •⟨⊕,f⟩ B`` under ``plan``; return C and the op count.
@@ -91,12 +91,16 @@ def execute_plan(
     elementwise operation moves it only if it needs another blocking
     (layout persistence, §7.4).
 
-    ``mask`` is an optional node-local structural output mask with C's
-    *global* shape (``mask_complement`` inverts its support).  Each variant
-    slices the exact sub-mask covering every local product's output frame,
-    so masked results — and masked ``ops`` totals, because the join pairs
-    are partitioned disjointly and each pair's survival is decided by the
-    same global mask — are identical across all plans.
+    ``mask`` is an optional structural output mask with C's shape
+    (``mask_complement`` inverts its support), read where it rests: a
+    distributed mask on any layout, or a node-local one.  Each variant reads
+    the exact sub-mask covering every local product's output frame from the
+    mask's own tiles (:meth:`DistMat.region`: a frame that is a tile is a
+    view of that tile), uncharged — the sub-mask is consumed by the rank
+    that assembles the matching C frame, the stationary-mask convention of
+    GraphBLAS runtimes.  Masked results — and masked ``ops`` totals, because
+    the join pairs are partitioned disjointly and each pair's survival is
+    decided by the same mask — are identical across all plans.
     """
     machine = a.machine
     if plan.p != machine.p:
@@ -107,6 +111,8 @@ def execute_plan(
         raise ValueError(
             f"mask shape {mask.shape} != output shape {(a.nrows, b.ncols)}"
         )
+    if mask is not None:
+        mask = mask.region if isinstance(mask, DistMat) else mask.block
     kind = plan.kind
     if kind == "1d":
         c, ops = _exec_1d(plan.x, machine, a, b, spec, mask, mask_complement)
@@ -297,6 +303,18 @@ def _entries(mat: SpMat, lo: int, hi: int) -> SpMat:
     )
 
 
+#: ``read(r0, r1, c0, c1)``: a mask's sub-matrix over global rows
+#: ``[r0, r1)`` and columns ``[c0, c1)`` of C, in that frame's coordinates
+_Frames = Callable[[int, int, int, int], SpMat]
+
+
+def _shifted(read: _Frames, axis: int, lo: int) -> _Frames:
+    """``read`` for the part of C that starts at ``lo`` along ``axis``."""
+    if axis == 0:
+        return lambda r0, r1, c0, c1: read(r0 + lo, r1 + lo, c0, c1)
+    return lambda r0, r1, c0, c1: read(r0, r1, c0 + lo, c1 + lo)
+
+
 def _onto(mat: DistMat, ranks2d: np.ndarray) -> DistMat:
     """``mat`` blocked evenly on ``ranks2d`` (itself when it already is)."""
     return mat.redistribute(Layout.even(ranks2d, mat.nrows, mat.ncols))
@@ -375,7 +393,7 @@ def _exec_1d(
     a: DistMat,
     b: DistMat,
     spec,
-    mask: SpMat | None,
+    mask: _Frames | None,
     mask_complement: bool,
 ) -> tuple[DistMat, int]:
     p = machine.p
@@ -403,12 +421,13 @@ def _exec_1d(
     if x == "B":
         # A rests on p × 1 strips, C will too: A's packed strips already are
         # the stacked left operand (global coordinates), the whole B the
-        # block diagonal of one, and the node-local mask as passed their frame
+        # block diagonal of one, and the whole mask their frame
         grid = strips("C")
         strips_a = blocked["A"]
         calls, ops = _step_product(
             machine, grid[:, 0], strips_a.packed(), strips_a.layout.row_splits,
-            whole, spec, mask, mask_complement,
+            whole, spec, None if mask is None else mask(0, size["m"], 0, size["n"]),
+            mask_complement,
         )
         c = calls[0][2]
         if len(calls) > 1:
@@ -425,13 +444,10 @@ def _exec_1d(
     # pairs disjointly.
     masks = None
     if mask is not None and x == "C":
-        masks = [mask] * p
-    elif mask is not None:
-        cuts = even_splits(size[d], p)
-        masks = [
-            axis_block(mask, _DIMS["C"].index(d), int(cuts[r]), int(cuts[r + 1]))
-            for r in range(p)
-        ]
+        masks = [mask(0, size["m"], 0, size["n"])] * p
+    elif mask is not None:  # x is A, so d is n: C's column strips
+        cuts = even_splits(size["n"], p)
+        masks = [mask(0, size["m"], int(cuts[r]), int(cuts[r + 1])) for r in range(p)]
     prods, total_ops = _task_products(
         machine,
         [(r, local["A"][r], local["B"][r]) for r in range(p)],
@@ -462,14 +478,14 @@ def _exec_2d(
     a: DistMat,
     b: DistMat,
     spec,
-    mask: SpMat | None = None,
+    mask: _Frames | None = None,
     mask_complement: bool = False,
     memo: tuple[DistMat, tuple] | None = None,
 ) -> tuple[DistMat, int]:
-    """The 2D variant ``yz`` on ``ranks2d``.  ``memo = (owner, key)`` is
-    where a stationary B that rests as ``b`` keeps its block diagonal:
-    ``owner``'s replica memo, so a pinned loop invariant (or a replica of
-    one) builds it once."""
+    """The 2D variant ``yz`` on ``ranks2d``.  ``mask`` reads the sub-mask
+    of a frame of this C.  ``memo = (owner, key)`` is where a stationary B
+    that rests as ``b`` keeps its block diagonal: ``owner``'s replica memo,
+    so a pinned loop invariant (or a replica of one) builds it once."""
     pr, pc = ranks2d.shape
     mats = {"A": a, "B": b}
     size = {"m": a.nrows, "k": a.ncols, "n": b.ncols}
@@ -553,15 +569,15 @@ def _exec_2d(
     c_axis = along.get("C", 1)
     order = sorted(np.ndindex(pr, pc), key=lambda ij: ij[1 - c_axis])
     # a product's output frame is C's stripe or step chunk along each of its
-    # dimensions; the sub-mask of each distinct frame is cut once (for a
-    # stationary C the frames are loop-invariant)
+    # dimensions; the sub-mask of each distinct frame is read once (for a
+    # stationary C the frames are loop-invariant: C's own tiles)
     frames: dict[tuple[int, ...], SpMat] = {}
 
     def frame_mask(i: int, j: int, t: int) -> SpMat:
         spans = {"m": c_rows[i : i + 2], "n": c_cols[j : j + 2], w: steps[t : t + 2]}
         key = (*spans["m"].tolist(), *spans["n"].tolist())
         if key not in frames:
-            frames[key] = mask.block(*key)
+            frames[key] = mask(*key)
         return frames[key]
 
     pieces: dict[str, list[SpMat]] = {}
@@ -659,7 +675,7 @@ def _exec_3d(
     a: DistMat,
     b: DistMat,
     spec,
-    mask: SpMat | None,
+    mask: _Frames | None,
     mask_complement: bool,
 ) -> tuple[DistMat, int]:
     p1, p2, p3 = ranks3d.shape
@@ -703,11 +719,11 @@ def _exec_3d(
             else:
                 extract = (mat.extract_row_range, mat.extract_col_range)
                 layer_mats[name] = _onto(extract[_DIMS[name].index(d)](lo, hi), layers[l])
-        # layer l owns C's range [lo, hi) along d: its sub-mask.  When C is
-        # the mover every layer's partial spans all of C: the full mask.
+        # layer l owns C's range [lo, hi) along d: its frames start there.
+        # When C is the mover every layer's partial spans all of C.
         mask_l = mask
         if mask is not None and x != "C":
-            mask_l = axis_block(mask, _DIMS["C"].index(d), lo, hi)
+            mask_l = _shifted(mask, _DIMS["C"].index(d), lo)
         c_l, ops = _exec_2d(
             yz, layers[l], machine, layer_mats["A"], layer_mats["B"], spec,
             mask_l, mask_complement,

@@ -646,3 +646,59 @@ class TestElementwiseCallCount:
         name, _on_blocks, on_dist = ELEMENTWISE[which]
         on_dist(da, db)
         assert calls == [name]
+
+
+class TestRegion:
+    """A frame's sub-matrix read from the tiles it overlaps equals the cut of
+    the gathered matrix, whatever the two tilings, and gathers nothing."""
+
+    @given(
+        st.sampled_from([MinMonoid(), MULTPATH]),
+        st.integers(1, 11),
+        st.integers(1, 11),
+        st.sampled_from(["packed", "blocks", "spilled"]),
+        st.data(),
+    )
+    def test_frames_equal_the_cuts_of_the_gather(self, monoid, m, n, held, data):
+        mat = data.draw(cst.spmats(monoid, shape=(m, n)))
+        layout = data.draw(packing_layouts((m, n)))
+        frames = data.draw(packing_layouts((m, n)))
+        with tempfile.TemporaryDirectory() as spill_dir:
+            machine = Machine(
+                16, faults="off", elastic="off", memory_words=1 << 40, spill_dir=spill_dir
+            )
+            d = DistMat.distribute(mat, machine, home_grid(16)).redistribute(layout)
+            if held == "packed":
+                d.packed()
+            elif held == "spilled":
+                d._unpack()
+                d.spill_blocks(machine.memory.store(), rank=0)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(DistMat, "gather", lambda *a, **k: pytest.fail("a gather"))
+                got = [d.region(*frames.bounds(*ij)) for ij in np.ndindex(*frames.ranks2d.shape)]
+                whole = d.region(0, m, 0, n)
+            gathered = d.gather(charge=False)
+            for ij, sub in zip(np.ndindex(*frames.ranks2d.shape), got):
+                assert_bits(sub, gathered.block(*frames.bounds(*ij)))
+            assert_bits(whole, gathered)
+
+    @pytest.mark.parametrize("held", ["packed", "blocks"])
+    def test_a_tile_is_read_as_the_tile(self, rng, held):
+        mat = random_weight_spmat(rng, 23, 17, 0.3)
+        d = DistMat.distribute(mat, Machine(4), home_grid(4))
+        if held == "packed":
+            d.packed()
+        for ij in np.ndindex(*d.grid_shape):
+            tile = d.region(*d.layout.bounds(*ij))
+            assert_bits(tile, d.block(*ij))
+            if held == "blocks":
+                assert tile is d.block(*ij)
+
+    def test_packed_strips_are_read_as_the_packed_matrix(self, rng):
+        mat = random_weight_spmat(rng, 23, 17, 0.3)
+        d = DistMat.distribute(mat, Machine(4), home_grid(4)).redistribute(
+            Layout.even(column(4), *mat.shape)
+        )
+        packed = d.packed()
+        assert d.region(0, 23, 0, 17) is packed
+        assert_bits(d.region(3, 20, 2, 9), mat.block(3, 20, 2, 9))

@@ -693,6 +693,11 @@ class TestReplayCases:
         spec = importlib.import_module(f"repro.apps.{app}")._SPEC
         assert resolve_spec(spec.name) is spec
 
+    def test_the_combblas_spec_resolves_to_the_object_the_baseline_runs(self):
+        # the package re-exports the function under the module's name
+        combblas_bc = importlib.import_module("repro.baselines.combblas_bc")
+        assert resolve_spec(combblas_bc._SPEC.name) is combblas_bc._SPEC
+
     def test_core_specs_resolve_to_themselves(self):
         assert resolve_spec("bellman-ford") is BELLMAN_FORD_SPEC
         assert resolve_spec("bf") is BELLMAN_FORD_SPEC

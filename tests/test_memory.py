@@ -365,12 +365,15 @@ class TestRestingReadOrder:
     moves the modeled clock: reading every operand lazily moves BC's time,
     reading every operand up front moves AB's."""
 
+    # re-pinned when equal-weight MFBF became a masked BFS: fewer ops and
+    # smaller products, so fewer reliefs (the words of BC's re-blockings too)
     @pytest.mark.parametrize(
         "variant, time, words, reliefs, relieved",
         [
-            ("2D-AB(2x2)", 0.009757848249999963, 336345.0, 30, 16500),
-            ("2D-BC(2x2)", 0.008896649749999985, 375605.0, 26, 15933),
+            ("2D-AB(2x2)", 0.009328876249999972, 336345.0, 24, 13275),
+            ("2D-BC(2x2)", 0.008400796749999996, 356341.0, 22, 12708),
         ],
+        ids=["2D-AB(2x2)", "2D-BC(2x2)"],
     )
     def test_budgeted_2d_ledger(self, tmp_path, variant, time, words, reliefs, relieved):
         from repro.spgemm import PinnedPolicy
@@ -389,6 +392,46 @@ class TestRestingReadOrder:
         assert (snap["time"], snap["words"]) == (time, words)
         assert machine.memory_peak() == 4498
         assert (memory["reliefs"], memory["relieved_words"]) == (reliefs, relieved)
+
+
+class TestSpilledMaskTiles:
+    """A product's mask is read where it rests, tile by tile: a spilled tile
+    of T faults in when a frame reads it, and a tile no frame reads stays in
+    the store."""
+
+    def test_budgeted_ca_mfbc_reads_spilled_t_tiles(self, tmp_path):
+        from repro.check import check_ledger
+        from repro.spgemm import PinnedPolicy
+
+        g = seed_graph()
+        runs = []
+        for budget, spill in ((UNLIMITED, False), (3000, True)):
+            machine = Machine(
+                16, memory_words=budget, faults="off", elastic="off", check="off",
+                spill_dir=str(tmp_path / str(spill)),
+            )
+            engine = DistributedEngine(machine, policy=PinnedPolicy.ca_mfbc(p=16, c=4))
+            inner, spilled = engine.spgemm, []
+
+            def spgemm(a, b, spec, *, mask=None, mask_complement=False):
+                # every tile of the mask (T, or MFBr's Z) leaves for the store
+                if spill and mask is not None:
+                    store = machine.memory.store()
+                    spilled.append(sum(mask.spill_blocks(store, r) for r in range(16)))
+                return inner(a, b, spec, mask=mask, mask_complement=mask_complement)
+
+            engine.spgemm = spgemm
+            scores = mfbc(g, batch_size=32, sources=np.arange(64), engine=engine).scores
+            runs.append((scores, machine, sum(spilled)))
+        (ref, _, _), (scores, machine, spilled) = runs
+        np.testing.assert_array_equal(scores, ref)
+        assert check_ledger(machine) == []
+        assert machine.memory_peak() <= 3000
+        memory = machine.memory.snapshot()
+        # pinned: frames read in place restore less than was spilled; a
+        # gathered mask would restore every tile (1 486 blocks, 282 068 words)
+        assert spilled == 281495
+        assert (memory["restored_blocks"], memory["restored_words"]) == (1451, 266494)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,40 @@ class TestEveryVariantEndToEnd:
         assert np.allclose(res.scores, ref, atol=1e-8), yz
 
 
+class TestMasksReadInPlace:
+    """Every masked product of a run — MFBF's complemented T, MFBr's T and
+    Z — reads its mask where it rests: no mask is gathered."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [AutoPolicy(), Square2DPolicy(), PinnedPolicy.ca_mfbc(16, c=4)],
+        ids=["auto", "square2d", "ca"],
+    )
+    def test_no_mask_is_gathered(self, graph, reference, monkeypatch, policy):
+        from repro.dist import DistMat
+
+        masks, gathered = {}, []  # masks held, so no id is recycled
+        spgemm, gather = DistributedEngine.spgemm, DistMat.gather
+
+        def recording(self, a, b, spec, *, mask=None, mask_complement=False):
+            if mask is not None:
+                masks[id(mask)] = mask
+            return spgemm(self, a, b, spec, mask=mask, mask_complement=mask_complement)
+
+        def watched(self, *args, **kwargs):
+            if id(self) in masks:
+                gathered.append(self)
+            return gather(self, *args, **kwargs)
+
+        monkeypatch.setattr(DistributedEngine, "spgemm", recording)
+        monkeypatch.setattr(DistMat, "gather", watched)
+        p = 9 if isinstance(policy, Square2DPolicy) else 16
+        engine = DistributedEngine(Machine(p), policy=policy)
+        res = mfbc(graph, batch_size=15, engine=engine)
+        assert np.allclose(res.scores, reference, atol=1e-8)
+        assert masks and not gathered
+
+
 class TestMemoryBudget:
     def test_budget_violation_raises(self, graph):
         machine = Machine(4, memory_words=4)

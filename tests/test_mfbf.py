@@ -3,11 +3,21 @@
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import mfbf
+from repro.check import strategies as cst
+from repro.core import SequentialEngine, mfbf
+from repro.core.mfbf import equal_weights
 from repro.core.stats import BatchStats
 from repro.baselines.sssp import bfs_sssp, dijkstra_sssp
+from repro.dist import DistributedEngine
 from repro.graphs import Graph, uniform_random_graph_nm, with_random_weights
+from repro.machine import Machine
+from repro.spgemm import PinnedPolicy
+from repro.spgemm.plan import Plan
+
+from conftest import assert_bits
 
 
 def run_mfbf(graph, sources, **kw):
@@ -136,3 +146,55 @@ class TestValidation:
     def test_max_iterations_guard(self, small_undirected):
         with pytest.raises(RuntimeError, match="converge"):
             run_mfbf(small_undirected, [0], max_iterations=1)
+
+
+#: pinned plans at p = 8: the three 1D movers, the three 2D variants and
+#: one 3D plan per mover
+_PLANS = (
+    [Plan(8, 1, 1, x, "AB") for x in "ABC"]
+    + [Plan(1, 2, 4, "A", yz) for yz in ("AB", "BC", "AC")]
+    + [Plan(2, 2, 2, x, yz) for x, yz in (("A", "AB"), ("B", "AC"), ("C", "BC"))]
+)
+
+
+class TestEqualWeightLevels:
+    """With every weight equal, MFBF's masked BFS levels give T bit for bit
+    what Bellman-Ford gives on the same graph carried with an explicit
+    weight array, on the sequential engine and under pinned 1D, 2D and 3D
+    plans."""
+
+    @settings(max_examples=40)
+    @given(
+        cst.graphs(weighted=False, max_n=12),
+        st.sampled_from([None, 1.0, 2.5]),
+        st.sampled_from([None, *_PLANS]),
+        st.data(),
+    )
+    def test_masked_levels_keep_the_bellman_ford_bits(self, base, weight, plan, data):
+        ones = np.full(base.m, 1.0 if weight is None else weight)
+        carried = Graph(base.n, base.src, base.dst, ones, directed=base.directed)
+        graph = base if weight is None else carried
+        assert equal_weights(graph) and not equal_weights(
+            Graph(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0]))
+        )
+        sources = np.array(
+            data.draw(st.lists(st.integers(0, base.n - 1), min_size=1, max_size=4, unique=True))
+        )
+        runs = []
+        for g, masked in ((carried, False), (graph, True)):
+            if plan is None:
+                engine = SequentialEngine()
+            else:
+                machine = Machine(8, faults="off", elastic="off", check="off", memory_words="off")
+                engine = DistributedEngine(machine, policy=PinnedPolicy(plan))
+            stats = BatchStats(sources=len(sources))
+            t = mfbf(engine.adjacency(g), sources, engine=engine, stats=stats,
+                     equal_weights=masked)
+            runs.append((engine.gather(t), stats))
+        (want, plain), (got, levels) = runs
+        assert_bits(got, want)
+        assert levels.mfbf_iterations == plain.mfbf_iterations
+        assert levels.total_ops <= plain.total_ops
+        # a level's product is its new vertices only: each (source, vertex)
+        # pair but the sources themselves is formed once
+        assert levels.total_product_nnz == want.nnz - len(sources)

@@ -597,9 +597,10 @@ def _golden_mask():
     return SpMat(6, 48, r[keep], c[keep], {"w": np.ones(int(keep.sum()))}, WEIGHT)
 
 
-def _charges_of(plan, p, mask):
+def _charges_of(plan, p, mask, resting=None):
     """Run one golden product; return its ordered ``(category, ranks, words,
-    weight)`` charges and its ops total."""
+    weight)`` charges and its ops total.  With ``resting`` (a rank grid) the
+    mask is handed over distributed, resting there."""
     f, adj = _golden_operands()
     machine = Machine(p, faults="off", elastic="off", check="off", memory_words="off")
     charges = []
@@ -615,7 +616,10 @@ def _charges_of(plan, p, mask):
     h = home(p)
     df = DistMat.distribute(f, machine, h, charge=False)
     dadj = DistMat.distribute(adj, machine, h, charge=False)
-    c, ops = execute_plan(plan, df, dadj, BF, mask=mask)
+    held = mask
+    if resting is not None:
+        held = DistMat.distribute(mask, machine, resting, charge=False)
+    c, ops = execute_plan(plan, df, dadj, BF, mask=held)
     assert c.gather(charge=False).equals(spgemm(f, adj, BF, mask=mask).matrix)
     return charges, ops
 
@@ -705,3 +709,24 @@ class TestGoldenSequence:
                 f"{plan.describe()} masked={masked}:\n"
                 + "\n".join(map(repr, charges))
             )
+
+    @pytest.mark.parametrize("p", sorted(_GOLDEN_GRIDS))
+    @pytest.mark.parametrize("resting", ["home", "strips", "transposed"])
+    def test_a_distributed_mask_is_read_where_it_rests_uncharged(self, p, resting, monkeypatch):
+        """A mask resting on any layout — the home grid, row strips, or a grid
+        unlike every plan's — gives each plan kind the pinned collectives and
+        ops of the node-local mask, and is never gathered."""
+        gather = DistMat.gather
+
+        def guarded(self, *args, **kwargs):
+            # the golden mask is the one 6 × 48 WEIGHT matrix
+            assert (self.monoid, self.shape) != (WEIGHT, (6, 48)), "a mask was gathered"
+            return gather(self, *args, **kwargs)
+
+        monkeypatch.setattr(DistMat, "gather", guarded)
+        grid = {"home": home(p), "strips": np.arange(p).reshape(p, 1),
+                "transposed": home(p).T[::-1]}[resting]
+        for plan in _golden_plans(p):
+            charges, ops = _charges_of(plan, p, _golden_mask(), resting=grid)
+            got = (len(charges), zlib.crc32(repr(charges).encode()), ops)
+            assert got == GOLDEN_SEQUENCE[p, plan.describe(), True], plan.describe()
