@@ -112,12 +112,13 @@ def mfbf(
             return t_mat
         # Explore nodes adjacent to the frontier (line 4); with equal
         # weights, only the unvisited ones.
-        if equal_weights:
-            product, ops = engine.spgemm(
-                frontier, adj, BELLMAN_FORD_SPEC, mask=t_mat, mask_complement=True
-            )
-        else:
-            product, ops = engine.spgemm(frontier, adj, BELLMAN_FORD_SPEC)
+        product, ops = engine.spgemm(
+            frontier,
+            adj,
+            BELLMAN_FORD_SPEC,
+            mask=t_mat if equal_weights else None,
+            mask_complement=equal_weights,
+        )
         if stats is not None:
             stats.iterations.append(
                 IterationStats("mfbf", frontier.nnz, product.nnz, ops)

@@ -79,7 +79,7 @@ def execute_plan(
     b: DistMat,
     spec: MatMulSpec,
     *,
-    mask: DistMat | SpMat | None = None,
+    mask: DistMat | None = None,
     mask_complement: bool = False,
 ) -> tuple[DistMat, int]:
     """Run ``C = A •⟨⊕,f⟩ B`` under ``plan``; return C and the op count.
@@ -92,13 +92,13 @@ def execute_plan(
     (layout persistence, §7.4).
 
     ``mask`` is an optional structural output mask with C's shape
-    (``mask_complement`` inverts its support), read where it rests: a
-    distributed mask on any layout, or a node-local one.  Each variant reads
-    the exact sub-mask covering every local product's output frame from the
-    mask's own tiles (:meth:`DistMat.region`: a frame that is a tile is a
-    view of that tile), uncharged — the sub-mask is consumed by the rank
-    that assembles the matching C frame, the stationary-mask convention of
-    GraphBLAS runtimes.  Masked results — and masked ``ops`` totals, because
+    (``mask_complement`` inverts its support), read where it rests, on any
+    layout.  Each variant reads the exact sub-mask covering every local
+    product's output frame from the mask's own tiles
+    (:meth:`DistMat.region`: a frame that is a tile is a view of that
+    tile), uncharged — the sub-mask is consumed by the rank that assembles
+    the matching C frame, the stationary-mask convention of GraphBLAS
+    runtimes.  Masked results — and masked ``ops`` totals, because
     the join pairs are partitioned disjointly and each pair's survival is
     decided by the same mask — are identical across all plans.
     """
@@ -112,7 +112,7 @@ def execute_plan(
             f"mask shape {mask.shape} != output shape {(a.nrows, b.ncols)}"
         )
     if mask is not None:
-        mask = mask.region if isinstance(mask, DistMat) else mask.block
+        mask = mask.region
     kind = plan.kind
     if kind == "1d":
         c, ops = _exec_1d(plan.x, machine, a, b, spec, mask, mask_complement)

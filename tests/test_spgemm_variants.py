@@ -282,7 +282,8 @@ class TestStripProduct:
             executor, "spgemm", lambda *a, **k: calls.append(1) or original(*a, **k)
         )
         mask = random_weight_spmat(rng, 40, 30, 0.5) if masked else None
-        c, _ = execute_plan(Plan(p, 1, 1, "B", "AB"), da, db, SPEC, mask=mask)
+        dmask = None if mask is None else DistMat.distribute(mask, machine, home(p), charge=False)
+        c, _ = execute_plan(Plan(p, 1, 1, "B", "AB"), da, db, SPEC, mask=dmask)
         assert len(calls) == 1
         assert c.gather(charge=False).equals(spgemm(a, b, SPEC, mask=mask).matrix)
 
@@ -429,7 +430,10 @@ class TestStepProduct:
             monkeypatch.setattr(
                 executor, "spgemm", lambda *a, **k: calls.append(1) or original(*a, **k)
             )
-            c, ops = execute_plan(plan, da, db, BF, mask=mask, mask_complement=masked)
+            dmask = None
+            if mask is not None:
+                dmask = DistMat.distribute(mask, machine, home(p), charge=False)
+            c, ops = execute_plan(plan, da, db, BF, mask=dmask, mask_complement=masked)
             monkeypatch.setattr(executor, "spgemm", original)
             runs.append((c, ops, seen, machine.ledger.snapshot(), len(calls)))
         (want, want_ops, want_seen, want_led, _), (got, ops, seen, led, calls) = runs
@@ -599,8 +603,8 @@ def _golden_mask():
 
 def _charges_of(plan, p, mask, resting=None):
     """Run one golden product; return its ordered ``(category, ranks, words,
-    weight)`` charges and its ops total.  With ``resting`` (a rank grid) the
-    mask is handed over distributed, resting there."""
+    weight)`` charges and its ops total.  The mask rests on ``resting`` (a
+    rank grid; the home grid by default)."""
     f, adj = _golden_operands()
     machine = Machine(p, faults="off", elastic="off", check="off", memory_words="off")
     charges = []
@@ -616,9 +620,9 @@ def _charges_of(plan, p, mask, resting=None):
     h = home(p)
     df = DistMat.distribute(f, machine, h, charge=False)
     dadj = DistMat.distribute(adj, machine, h, charge=False)
-    held = mask
-    if resting is not None:
-        held = DistMat.distribute(mask, machine, resting, charge=False)
+    held = None
+    if mask is not None:
+        held = DistMat.distribute(mask, machine, h if resting is None else resting, charge=False)
     c, ops = execute_plan(plan, df, dadj, BF, mask=held)
     assert c.gather(charge=False).equals(spgemm(f, adj, BF, mask=mask).matrix)
     return charges, ops
@@ -711,11 +715,11 @@ class TestGoldenSequence:
             )
 
     @pytest.mark.parametrize("p", sorted(_GOLDEN_GRIDS))
-    @pytest.mark.parametrize("resting", ["home", "strips", "transposed"])
-    def test_a_distributed_mask_is_read_where_it_rests_uncharged(self, p, resting, monkeypatch):
-        """A mask resting on any layout — the home grid, row strips, or a grid
-        unlike every plan's — gives each plan kind the pinned collectives and
-        ops of the node-local mask, and is never gathered."""
+    @pytest.mark.parametrize("resting", ["strips", "transposed"])
+    def test_a_mask_is_read_where_it_rests_uncharged(self, p, resting, monkeypatch):
+        """A mask resting on another layout than the home grid — row strips,
+        or a grid unlike every plan's — gives each plan kind the pinned
+        collectives and ops, and is never gathered."""
         gather = DistMat.gather
 
         def guarded(self, *args, **kwargs):
@@ -724,8 +728,7 @@ class TestGoldenSequence:
             return gather(self, *args, **kwargs)
 
         monkeypatch.setattr(DistMat, "gather", guarded)
-        grid = {"home": home(p), "strips": np.arange(p).reshape(p, 1),
-                "transposed": home(p).T[::-1]}[resting]
+        grid = {"strips": np.arange(p).reshape(p, 1), "transposed": home(p).T[::-1]}[resting]
         for plan in _golden_plans(p):
             charges, ops = _charges_of(plan, p, _golden_mask(), resting=grid)
             got = (len(charges), zlib.crc32(repr(charges).encode()), ops)
