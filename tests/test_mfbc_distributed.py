@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import mfbc
-from repro.dist import DistributedEngine
+from repro.dist import DistMat, DistributedEngine
 from repro.machine.grid import near_square_shape
 from repro.graphs import rmat_graph, uniform_random_graph_nm, with_random_weights
 from repro.machine import Machine
@@ -194,8 +194,6 @@ class TestMasksReadInPlace:
         ids=["auto", "square2d", "ca"],
     )
     def test_no_mask_is_gathered(self, graph, reference, monkeypatch, policy):
-        from repro.dist import DistMat
-
         masks, gathered = {}, []  # masks held, so no id is recycled
         spgemm, gather = DistributedEngine.spgemm, DistMat.gather
 
