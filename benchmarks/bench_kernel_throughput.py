@@ -22,7 +22,7 @@ from repro import obs
 from repro.algebra import CENTPATH, MULTPATH, REAL_PLUS_TIMES, TROPICAL, MatMulSpec
 from repro.algebra import bellman_ford_action
 from repro.algebra.monoid import MinMonoid, PlusMonoid
-from repro.core.specs import BRANDES_SPEC
+from repro.core.specs import BRANDES_SPEC, SUCCESSOR_SPEC
 from repro.sparse import SpMat, _native, spgemm
 
 N = 2000
@@ -31,6 +31,10 @@ DENSITIES = [0.002, 0.01]
 #: largest of eight runs when the compiled path kernel landed (1.10–1.27x)
 #: + 10 %
 MULTPATH_GAP_MAX = 1.4
+#: ratchet on MFBr's successor count: the tie-masked product under auto
+#: must take at most this share of the product it replaced (the whole
+#: T-masked join, then the tie filter); measured 0.40-0.55 when it landed
+SUCCESSOR_SHARE_MAX = 0.75
 #: timings per kernel and product in the throughput table (best of)
 REPEATS = 5
 #: unchecked / checked timings per density in the check-overhead table
@@ -236,3 +240,74 @@ def test_kernel_throughput(benchmark, save_table):
         assert float(kpf) >= 0.8 * float(kp)
         assert float(kmf) >= 0.8 * float(km)
         assert float(kcf) >= 0.8 * float(kc)
+
+
+def build_successor_rows():
+    """MFBr's successor count (its lines 1-2) on the ork stand-in, 8
+    sources: the tie-masked product, which forms only the pairs whose weight
+    is T's distance, against the product it replaced — every pair of the
+    T-masked join, then ``zip_filter`` keeping the runs that tie.  Both give
+    the same matrix, bit for bit (asserted)."""
+    from repro.core import mfbf
+    from repro.graphs import snap_standin
+
+    rng = np.random.default_rng(0)
+    graph = snap_standin("ork", seed=rng)
+    adj = graph.adjacency()
+    t = mfbf(adj, rng.choice(graph.n, 8, replace=False), equal_weights=True)
+    seed = t.map(
+        lambda tv: CENTPATH.make(tv["w"], np.zeros(len(tv["w"])), np.ones(len(tv["w"]))),
+        monoid=CENTPATH,
+    )
+    adj_t = adj.transpose()
+
+    def filtered():
+        cand = spgemm(seed, adj_t, BRANDES_SPEC, mask=t)
+        return cand.matrix.zip_filter(t, lambda cv, tv: cv["w"] == tv["w"]), cand.ops
+
+    def tied(kernel):
+        res = spgemm(seed, adj_t, SUCCESSOR_SPEC, mask=t, kernel=kernel)
+        return res.matrix, res.ops
+
+    runs = {"filtered": filtered, "generic": lambda: tied("generic"), "auto": lambda: tied("auto")}
+    best = dict.fromkeys(runs, float("inf"))
+    out = {}
+    for _ in range(REPEATS):
+        for name, run in runs.items():
+            with obs.timed("bench.successor_count", variant=name) as timer:
+                out[name] = run()
+            best[name] = min(best[name], timer.seconds)
+    want = out["filtered"][0]
+    for name in ("generic", "auto"):
+        got = out[name][0]
+        assert np.array_equal(got.keys(), want.keys())
+        assert all(got.vals[f].tobytes() == want.vals[f].tobytes() for f in want.vals)
+    return [
+        (
+            name,
+            f"{out[name][1]:,}",
+            f"{best[name] * 1e3:.2f}",
+            f"{best[name] / best['filtered']:.2f}",
+        )
+        for name in runs
+    ]
+
+
+def test_successor_count(benchmark, save_table):
+    assert _native.pathsum() is not None, (
+        "the compiled path kernel (gcc) did not load or failed its sum probe"
+    )
+    rows = benchmark.pedantic(build_successor_rows, rounds=1, iterations=1)
+    save_table(
+        "successor_count",
+        f"Supplementary: MFBr's successor count on the ork stand-in (8 sources, "
+        f"best of {REPEATS}) — the tie-masked product against the T-masked "
+        f"join plus the tie filter it replaced (same matrix, bit for bit)",
+        ["product", "pairs formed", "ms", "share of filtered"],
+        rows,
+    )
+    ms = {name: float(t) for name, _, t, _ in rows}
+    # ratchet: the tie mask's gain on the product it replaced
+    assert ms["auto"] <= SUCCESSOR_SHARE_MAX * ms["filtered"], rows
+    # and the compiled tie rule loses no more than 20 % to the generic one
+    assert ms["auto"] <= ms["generic"] / 0.8, rows

@@ -35,11 +35,18 @@ class MatMulSpec:
         Vectorized elementwise map combining joined A/B nonzero values.
     name:
         Human-readable label used in logs and cost reports.
+    tie_mask:
+        Keep a joined pair only if its weight (the output monoid's
+        ``weight_field``, after ``f``) equals the weight of the mask entry
+        at its output coordinate.  Such a product needs a mask, not
+        complemented; pairs that lose are not formed and not counted in
+        ``ops``.
     """
 
     monoid: Monoid
     f: ElementMap
     name: str = "matmul"
+    tie_mask: bool = False
 
     def apply_f(self, a_vals: FieldArray, b_vals: FieldArray) -> FieldArray:
         """Apply ``f`` and validate the output schema in one place."""

@@ -100,9 +100,12 @@ def _spec_registry() -> dict[str, MatMulSpec]:
     with the operator its run used (``bf`` is an alias)."""
     from repro.algebra.semiring import MAX_MIN, TROPICAL
     from repro.apps import bfs, connected, sssp, triangles, widest_path
-    from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC
+    from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC, SUCCESSOR_SPEC
 
-    specs = [TROPICAL.matmul_spec(), MAX_MIN.matmul_spec(), BELLMAN_FORD_SPEC, BRANDES_SPEC]
+    specs = [
+        TROPICAL.matmul_spec(), MAX_MIN.matmul_spec(),
+        BELLMAN_FORD_SPEC, BRANDES_SPEC, SUCCESSOR_SPEC,
+    ]
     specs += [app._SPEC for app in (bfs, connected, sssp, triangles, widest_path)]
     reg = {spec.name: spec for spec in specs}
     reg["bf"] = BELLMAN_FORD_SPEC

@@ -10,11 +10,8 @@ source.  A vertex joins the frontier exactly when *all* of its DAG successors
 have propagated their finalized factor; the centpath counter implements this
 gate:
 
-1. counters are initialized to the successor count ``nsucc(s, v)`` — found
-   with one generalized product over the transposed adjacency matrix that
-   counts, for each ``v``, the edges ``(v, u)`` with
-   ``τ(s,u) − A(v,u) = τ(s,v)`` (the max-weight tie-count of the centpath
-   monoid does the counting);
+1. counters are initialized to the successor count ``nsucc(s, v)``: the
+   edges ``(v, u)`` with ``τ(s,u) − A(v,u) = τ(s,v)``;
 2. every frontier entry carries counter ``−1``; valid contributions (weight
    tie with ``τ(s,v)``) therefore decrement the receiver's counter while
    accumulating ``1/σ̄(s,u) + ζ(s,u)`` into its partial factor;
@@ -23,6 +20,20 @@ gate:
    looked for only among the entries a contribution just touched — an
    untouched 0 has fired already — and all fired counters are parked at
    ``−1`` in one pass on return.
+
+Against the paper's pseudocode, two products form fewer pairs, with the
+same Z bit for bit (docs/performance_model.md §5):
+
+* Lines 1–2 count successors with one product over the transposed
+  adjacency, whose max-weight tie-count does the counting.  The paper
+  forms every candidate and keeps those tying with τ; here the product runs
+  under a tie mask (``SUCCESSOR_SPEC``): only the pairs whose weight equals
+  T's τ are formed, so leaves and non-DAG edges cost nothing.
+* Line 6's back-propagation product is masked to the *pending* vertices,
+  those whose counter is still positive: a vertex that has fired, or fires
+  now, has received its last tying contribution, so nothing landing there
+  could count.  The pending set is filtered from Z once and then loses each
+  iteration's fired vertices by a difference against the new frontier.
 
 As in :mod:`repro.core.mfbf`, "empty" centpath entries are simply unstored
 (the centpath identity is ``(−∞, 0, 0)``; see :mod:`repro.algebra.centpath`
@@ -35,7 +46,7 @@ import numpy as np
 
 from repro.algebra.centpath import CENTPATH
 from repro.core.engine import Engine, SequentialEngine
-from repro.core.specs import BRANDES_SPEC
+from repro.core.specs import BRANDES_SPEC, SUCCESSOR_SPEC
 from repro.core.stats import BatchStats, IterationStats
 
 __all__ = ["mfbr"]
@@ -77,16 +88,12 @@ def mfbr(
         lambda tv: {"w": tv["w"], "p": np.zeros(len(tv["w"])), "c": np.ones(len(tv["w"]), dtype=np.int64)},
         monoid=CENTPATH,
     )
-    # Only candidates landing on T's support can survive the zip_filter
-    # below, so the product is masked to it — masked-out products are never
-    # formed (the GraphBLAS idiom; values are untouched because masking
-    # drops whole output coordinates before the reduction).
-    cand, ops0 = engine.spgemm(seed, adj_t, BRANDES_SPEC, mask=t_mat)
+    # Only the pairs whose weight ties with τ(s, v) — the DAG edges — are
+    # formed: their tie-count is nsucc.  Leaves and unreachable vertices get
+    # no entry.
+    nsucc, ops0 = engine.spgemm(seed, adj_t, SUCCESSOR_SPEC, mask=t_mat)
     if stats is not None:
-        stats.iterations.append(IterationStats("mfbr", seed.nnz, cand.nnz, ops0))
-    # Keep only candidates matching the true distance: their tie-count is
-    # nsucc.  Candidates at unreachable vertices vanish (no T entry).
-    nsucc = cand.zip_filter(t_mat, lambda cv, tv: cv["w"] == tv["w"])
+        stats.iterations.append(IterationStats("mfbr", seed.nnz, nsucc.nnz, ops0))
 
     # Z(s,v) = (τ, 0, nsucc) on the reachable support: reuse ``seed``'s
     # (τ, 0, 1) entries and overwrite the counter with the aligned successor
@@ -96,6 +103,7 @@ def mfbr(
         lambda zv, sv: {"w": zv["w"], "p": zv["p"], "c": sv["c"]},
         monoid=CENTPATH,
     )
+    del seed, nsucc
 
     # --- initial frontier: DAG leaves, value (τ, 1/σ̄, −1) (lines 3-4).
     def fire(ready, t_ref):
@@ -109,8 +117,10 @@ def mfbr(
             monoid=CENTPATH,
         )
 
-    ready = z_mat.filter(lambda zv: zv["c"] == 0)
-    frontier = fire(ready, t_mat)
+    # The vertices still waiting on a successor: the only ones a
+    # contribution can tie with (a vertex fires once, after its last one).
+    pending = z_mat.filter(lambda zv: zv["c"] > 0)
+    frontier = fire(z_mat.filter(lambda zv: zv["c"] == 0), t_mat)
     for _ in range(max_iterations):
         if frontier.nnz == 0:
             # Fired counters are final and, by Lemma 4.2, received nothing
@@ -119,23 +129,28 @@ def mfbr(
                 lambda zv: {"w": zv["w"], "p": zv["p"], "c": np.where(zv["c"] == 0, -1, zv["c"])}
             )
         # Back-propagate the frontier of centralities (line 6), masked to
-        # Z's support: contributions elsewhere cannot tie with a finalized
-        # weight, so they would be dropped by the zip_filter anyway.
-        product, ops = engine.spgemm(frontier, adj_t, BRANDES_SPEC, mask=z_mat)
+        # the pending vertices: a contribution anywhere else cannot tie.
+        product, ops = engine.spgemm(frontier, adj_t, BRANDES_SPEC, mask=pending)
         if stats is not None:
             stats.iterations.append(
                 IterationStats("mfbr", frontier.nnz, product.nnz, ops)
             )
-        # Valid contributions tie with τ(s, v); others are discarded — this is
-        # the max-weight selection of ⊗ played against Z's finalized weights.
-        valid = product.zip_filter(z_mat, lambda pv, zv: pv["w"] == zv["w"])
+        # Valid contributions tie with τ(s, v) (pending keeps Z's weights);
+        # others are discarded — the max-weight selection of ⊗ played
+        # against the finalized weights.
+        valid = product.zip_filter(pending, lambda pv, zv: pv["w"] == zv["w"])
+        del product
         # Accumulate centralities and decrement counters (line 8): the
         # centpath ⊗ sums p and c on the weight tie.
         z_mat = z_mat.combine(valid)
         # New frontier (lines 9-11): a counter can only have reached zero
         # where a contribution just landed, so only those entries are read.
         ready = valid.zip_map(z_mat, lambda vv, zv: zv).filter(lambda zv: zv["c"] == 0)
+        del valid
         frontier = fire(ready, t_mat)
+        del ready
+        # the fired leave the pending set (the frontier's counters are −1)
+        pending = pending.zip_filter(frontier, lambda pv, fv: fv["c"] == 0)
     raise RuntimeError(
         f"MFBr did not converge within {max_iterations} iterations; "
         "the shortest-path DAG counters are inconsistent (corrupt T input?)"

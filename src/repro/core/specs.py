@@ -2,13 +2,16 @@
 
 ``BELLMAN_FORD_SPEC`` is ``•⟨⊕,f⟩`` of §4.1.2 (multpath monoid + BF action);
 ``BRANDES_SPEC`` is ``•⟨⊗,g⟩`` of §4.2.2 (centpath monoid + Brandes action).
+``SUCCESSOR_SPEC`` is ``BRANDES_SPEC`` under a tie mask: MFBr's successor
+count forms only the pairs whose weight equals the mask's (T's) distance.
 """
 
 from repro.algebra.centpath import CENTPATH, brandes_action
 from repro.algebra.matmul import MatMulSpec
 from repro.algebra.multpath import MULTPATH, bellman_ford_action
 
-__all__ = ["BELLMAN_FORD_SPEC", "BRANDES_SPEC"]
+__all__ = ["BELLMAN_FORD_SPEC", "BRANDES_SPEC", "SUCCESSOR_SPEC"]
 
 BELLMAN_FORD_SPEC = MatMulSpec(MULTPATH, bellman_ford_action, name="bellman-ford")
 BRANDES_SPEC = MatMulSpec(CENTPATH, brandes_action, name="brandes")
+SUCCESSOR_SPEC = MatMulSpec(CENTPATH, brandes_action, name="successor", tie_mask=True)

@@ -87,7 +87,9 @@ class PathsumArgs(ctypes.Structure):
         ("ncols", ctypes.c_int64),
         ("mask_keys", ctypes.c_void_p),
         ("n_mask", ctypes.c_int64),
+        ("mask_w", ctypes.c_void_p),
         ("complement", ctypes.c_int32),
+        ("tie", ctypes.c_int32),
         ("negate", ctypes.c_int32),
         ("select_max", ctypes.c_int32),
         ("n_sum", ctypes.c_int32),

@@ -12,6 +12,9 @@
  * Per row of A, a masked product first stamps the row's mask columns and
  * lists the row's surviving pairs (join order, no branch on the mask: a
  * partly masked row would mispredict it on every pair, in both passes).
+ * The stamp is a byte per column, or under a tie mask the mask entry's
+ * weight (NaN off the mask): a pair then survives iff its weight equals
+ * its column's stamp, which no weight does where the stamp is NaN.
  * Pass 1 forms each surviving pair's weight and keeps per output column the
  * run length and the best weight as first achieved; the touched columns are
  * then ordered (a bitmap scan) and each run given `run length` slots of a
@@ -26,6 +29,7 @@
  * once per process and withholds this kernel on any mismatch.  int64
  * fields add with wrapping, in any order: integer addition is associative.
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -51,7 +55,9 @@ typedef struct {
     /* sorted linear keys row * ncols + col of the mask; NULL = unmasked */
     const int64_t *mask_keys;
     int64_t n_mask;
+    const double *mask_w; /* with tie: the weights of the mask's entries */
     int32_t complement; /* keep a pair iff in_mask != complement */
+    int32_t tie;        /* keep a pair iff its weight is its mask entry's */
     int32_t negate;     /* weight is aw - bw (Brandes), else aw + bw */
     int32_t select_max; /* larger weight wins (centpath), else smaller */
     int32_t n_sum;      /* payload fields, each an 8-byte column of A */
@@ -180,6 +186,7 @@ int pathsum_chunk(pathsum_args *g)
 {
     const int64_t n = g->ncols;
     const int masked = g->mask_keys != NULL;
+    const int tie = masked && g->tie;
     const unsigned char absent = g->complement != 0; /* stamp of a column outside the mask */
     const int64_t *mask = g->mask_keys, *mask_end = mask + g->n_mask;
     int64_t n_runs = 0, cap = 0;
@@ -188,16 +195,19 @@ int pathsum_chunk(pathsum_args *g)
     accum *acc = calloc((size_t)n, sizeof *acc);
     int64_t *touched = malloc((size_t)n * sizeof *touched);
     uint64_t *bits = calloc((size_t)(n + 63) / 64, sizeof *bits);
-    unsigned char *keep = masked ? malloc((size_t)n) : NULL;
+    unsigned char *keep = masked && !tie ? malloc((size_t)n) : NULL;
+    double *stamp = tie ? malloc((size_t)n * sizeof *stamp) : NULL;
     payload *scratch[MAX_SUM] = {NULL}; /* per field: one row's runs, ties first */
     /* a masked row's surviving B entries, and where each A entry's survivors end */
     int64_t *kept = NULL, *kept_end = NULL, kept_cap = 0, ends_cap = 0;
-    if (!acc || !touched || !bits || (masked && !keep)) {
+    if (!acc || !touched || !bits || (masked && !keep && !stamp)) {
         status = PATHSUM_NOMEM;
         goto done;
     }
-    if (masked)
+    if (keep)
         memset(keep, absent, (size_t)n);
+    for (int64_t j = 0; stamp && j < n; j++)
+        stamp[j] = NAN;
 
     for (int64_t p = g->lo, pe; p < g->hi; p = pe) {
         const int64_t i = g->a_rows[p];
@@ -206,8 +216,12 @@ int pathsum_chunk(pathsum_args *g)
         const int64_t *m0 = mask, *m1 = mask;
         if (masked) { /* rows ascend, so the mask is consumed left to right */
             m0 = lower_bound(mask, mask_end, i * n);
-            for (m1 = m0; m1 < mask_end && *m1 < (i + 1) * n; m1++)
-                keep[*m1 - i * n] = !absent;
+            for (m1 = m0; m1 < mask_end && *m1 < (i + 1) * n; m1++) {
+                if (tie)
+                    stamp[*m1 - i * n] = g->mask_w[m1 - g->mask_keys];
+                else
+                    keep[*m1 - i * n] = !absent;
+            }
             mask = m1;
 
             int64_t joined = 0;
@@ -233,9 +247,15 @@ int pathsum_chunk(pathsum_args *g)
             }
             int64_t ns = 0;
             for (int64_t q = p; q < pe; q++) {
+                const double aw = g->a_w[q];
                 for (int64_t r = g->b_ptr[g->a_cols[q]]; r < g->b_ptr[g->a_cols[q] + 1]; r++) {
                     kept[ns] = r;
-                    ns += keep[g->b_cols[r]];
+                    if (tie) {
+                        const double w = g->negate ? aw - g->b_w[r] : aw + g->b_w[r];
+                        ns += w == stamp[g->b_cols[r]];
+                    } else {
+                        ns += keep[g->b_cols[r]];
+                    }
                 }
                 kept_end[q - p] = ns;
             }
@@ -311,8 +331,12 @@ int pathsum_chunk(pathsum_args *g)
         }
         g->row_ops[i] += pairs;
 
-        for (const int64_t *m = m0; m < m1; m++)
-            keep[*m - i * n] = absent;
+        for (const int64_t *m = m0; m < m1; m++) {
+            if (tie)
+                stamp[*m - i * n] = NAN;
+            else
+                keep[*m - i * n] = absent;
+        }
     }
 
 done:
@@ -320,6 +344,7 @@ done:
     free(touched);
     free(bits);
     free(keep);
+    free(stamp);
     free(kept);
     free(kept_end);
     for (int f = 0; f < MAX_SUM; f++)

@@ -63,6 +63,7 @@ def dispatch_spgemm(
     spec: MatMulSpec,
     *,
     mask_keys: np.ndarray | None,
+    mask_w: np.ndarray | None = None,
     mask_complement: bool,
     chunk: int,
 ) -> SpGemmResult | None:
@@ -78,7 +79,7 @@ def dispatch_spgemm(
     if kernel is None:
         _count_dispatch("generic", "unrecognized", spec.name)
         return None
-    result = _pathsum_kernel(a, b, spec, mask_keys, mask_complement, chunk)
+    result = _pathsum_kernel(a, b, spec, mask_keys, mask_w, mask_complement, chunk)
     _count_dispatch(kernel, "declined" if result is None else "hit", spec.name)
     return result
 
@@ -108,6 +109,7 @@ def _pathsum_kernel(
     b: SpMat,
     spec: MatMulSpec,
     mask_keys: np.ndarray | None,
+    mask_w: np.ndarray | None,
     mask_complement: bool,
     chunk: int,
 ) -> SpGemmResult | None:
@@ -128,7 +130,9 @@ def _pathsum_kernel(
     compiled = _native.pathsum()
     if compiled is None:
         return None
-    return _pathsum_compiled(compiled, a, b, spec, mask_keys, mask_complement, chunk)
+    return _pathsum_compiled(
+        compiled, a, b, spec, mask_keys, mask_w, mask_complement, chunk
+    )
 
 
 def _pathsum_compiled(
@@ -137,6 +141,7 @@ def _pathsum_compiled(
     b: SpMat,
     spec: MatMulSpec,
     mask_keys: np.ndarray | None,
+    mask_w: np.ndarray | None,
     mask_complement: bool,
     chunk: int,
 ) -> SpGemmResult | None:
@@ -148,10 +153,11 @@ def _pathsum_compiled(
     run's weight and, per sum field, each run's tie sum (float64: the first
     tie plus numpy's pairwise sum of the other ties and the run's zero pads;
     int64: a wrapping sum), and adds each row's surviving pairs to
-    ``row_ops``.  What stays here is the chunking, the mask keys, the error
-    codes and :func:`_assemble_coords`.  The chunks are
-    :func:`_chunk_bounds`'s, so a row cut by a boundary is reduced in the
-    same two pieces as by the generic kernel.
+    ``row_ops``.  ``mask_w`` (a tie-mask spec's) makes a pair survive only
+    if its weight equals its mask entry's.  What stays here is the
+    chunking, the mask keys, the error codes and :func:`_assemble_coords`.
+    The chunks are :func:`_chunk_bounds`'s, so a row cut by a boundary is
+    reduced in the same two pieces as by the generic kernel.
     """
     if a.ncols != b.nrows:  # C indexes B's row pointer by A's columns
         raise ValueError(f"inner dimension mismatch: {a.shape} × {b.shape}")
@@ -181,6 +187,11 @@ def _pathsum_compiled(
     if mask_keys is not None:
         mask_keys = np.ascontiguousarray(mask_keys, dtype=np.int64)
         args.mask_keys, args.n_mask = mask_keys.ctypes.data, len(mask_keys)
+    if mask_w is not None:
+        mask_w = _native.words(mask_w, np.float64)
+        if mask_w is None:
+            return None
+        args.mask_w, args.tie = mask_w.ctypes.data, True
     for f, col in enumerate(sums):
         args.sum_in[f] = col.ctypes.data
         args.sum_int[f] = col.dtype == np.int64

@@ -14,7 +14,9 @@ Algorithm (the *generic* kernel): a sort-free hash-free *expansion join* —
 3. an optional GraphBLAS-style output mask drops joined pairs whose output
    coordinate falls outside (or, complemented, inside) the mask's support
    *before* any value work — masked-out products are never formed;
-4. ``f`` maps the surviving joined value pairs;
+4. ``f`` maps the surviving joined value pairs; under a tie-mask spec
+   (:attr:`MatMulSpec.tie_mask`) only the pairs whose weight equals the
+   mask entry's stay;
 5. the monoid's ``reduce_by_key`` folds products landing on the same
    ``C(i,j)``.
 
@@ -103,7 +105,8 @@ def spgemm(
         coordinates in ``mask``'s support are computed (``mask_complement``
         inverts this: only coordinates *outside* the support — the
         ``mxmm_msa_cmask`` idiom that keeps frontier expansion from
-        materializing settled vertices).  Values of ``mask`` are ignored.
+        materializing settled vertices).  Values of ``mask`` are ignored,
+        except the weights a tie-mask spec compares against.
     mask_complement:
         Complement the mask's support (requires ``mask``).
     chunk:
@@ -120,6 +123,8 @@ def spgemm(
         raise ValueError(f"inner dimension mismatch: {a.shape} × {b.shape}")
     if mask_complement and mask is None:
         raise ValueError("mask_complement=True requires a mask")
+    if spec.tie_mask and (mask is None or mask_complement):
+        raise ValueError(f"{spec.name}: a tie-mask spec requires a mask, not complemented")
     out_shape = (a.nrows, b.ncols)
     if mask is not None and mask.shape != out_shape:
         raise ValueError(
@@ -130,6 +135,8 @@ def spgemm(
         return _empty_result(a, b, spec)
     # An empty complemented mask excludes nothing: treat as unmasked.
     mask_keys = mask.keys() if (mask is not None and mask.nnz) else None
+    # the weights a tie-mask spec's pairs must equal, aligned with mask_keys
+    mask_w = mask.vals[spec.monoid.weight_field] if spec.tie_mask else None
 
     # deferred import: dispatch imports this module's internals
     from repro.sparse import dispatch
@@ -140,13 +147,15 @@ def spgemm(
             b,
             spec,
             mask_keys=mask_keys,
+            mask_w=mask_w,
             mask_complement=mask_complement,
             chunk=chunk,
         )
         if result is not None:
             return result
     return _spgemm_generic(
-        a, b, spec, mask_keys=mask_keys, mask_complement=mask_complement, chunk=chunk
+        a, b, spec, mask_keys=mask_keys, mask_w=mask_w,
+        mask_complement=mask_complement, chunk=chunk,
     )
 
 
@@ -174,6 +183,20 @@ def _mask_filter(
     # mask match nothing)
     padded = np.append(mask_keys, space)
     return lambda keys: (padded[np.searchsorted(mask_keys, keys)] == keys) != complement
+
+
+def _mask_weight(
+    mask_keys: np.ndarray, mask_w: np.ndarray, space: int, expansion: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``weight(keys)``: the weights ``mask_w`` of the mask entries at
+    ``keys``, every one of which is in the sorted ``mask_keys`` — by a table
+    over the output space or a binary search per key, on
+    :func:`_mask_filter`'s rule."""
+    if space <= _MASK_TABLE_SPAN * expansion:
+        table = np.empty(space, dtype=mask_w.dtype)  # read only at mask keys
+        table[mask_keys] = mask_w
+        return table.__getitem__
+    return lambda keys: mask_w[np.searchsorted(mask_keys, keys)]
 
 
 def _expansion_chunks(
@@ -231,10 +254,14 @@ def _spgemm_generic(
     spec: MatMulSpec,
     *,
     mask_keys: np.ndarray | None = None,
+    mask_w: np.ndarray | None = None,
     mask_complement: bool = False,
     chunk: int = DEFAULT_CHUNK,
 ) -> SpGemmResult:
-    """The generic expansion-join kernel — correct for any MatMulSpec."""
+    """The generic expansion-join kernel — correct for any MatMulSpec.
+
+    ``mask_w`` (a tie-mask spec's mask weights, aligned with ``mask_keys``)
+    keeps, after ``f``, only the pairs whose weight equals their key's."""
     monoid = spec.monoid
     out_shape = (a.nrows, b.ncols)
     if a.nnz == 0 or b.nnz == 0:
@@ -244,16 +271,27 @@ def _spgemm_generic(
     row_ops = np.zeros(a.nrows, dtype=np.int64)
     parts_rc: list[tuple[np.ndarray, np.ndarray]] = []
     parts_v: list[FieldArray] = []
+    if mask_w is not None:
+        tie_weight = _mask_weight(mask_keys, mask_w, a.nrows * b.ncols, min(count_ops(a, b), chunk))
     for a_idx, b_idx, keys in _expansion_chunks(
         a, b, mask_keys, mask_complement, chunk
     ):
         if len(keys) == 0:
             continue
+        vals = spec.apply_f(take_fields(a.vals, a_idx), take_fields(b.vals, b_idx))
+        del b_idx
+        if mask_w is not None:
+            # every key is in the mask: a tie-mask spec is never complemented
+            ties = vals[monoid.weight_field] == tie_weight(keys)
+            if not ties.all():
+                idx = ties.nonzero()[0]
+                a_idx, keys, vals = a_idx[idx], keys[idx], take_fields(vals, idx)
         # the surviving pairs' A entries ascend, so A's row pointer cuts them
         # into rows
         row_ops += np.diff(np.searchsorted(a_idx, a_ptr))
-        vals = spec.apply_f(take_fields(a.vals, a_idx), take_fields(b.vals, b_idx))
-        del a_idx, b_idx
+        del a_idx
+        if len(keys) == 0:
+            continue
         keys, vals = monoid.reduce_by_key(keys, vals)
         # keys are ``row * ncols + col``
         parts_rc.append((keys // b.ncols, keys % b.ncols))

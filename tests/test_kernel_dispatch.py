@@ -6,6 +6,7 @@ chunking, for every recognized semiring, masked or not.  The generic kernel
 is the oracle throughout.
 """
 
+import dataclasses
 import importlib
 import json
 import sys
@@ -33,7 +34,8 @@ from repro.check import strategies as cst
 from repro.check.replay import ReplayCase, load_case, replay, resolve_spec, save_case
 from repro.check.strategies import WEIGHT_MONOID
 from repro.core.engine import SequentialEngine
-from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC
+from repro.algebra.multpath import bellman_ford_action
+from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC, SUCCESSOR_SPEC
 from repro.dist import DistributedEngine
 from repro.machine import Machine
 from repro.sparse import SpGemmResult, SpMat, spgemm
@@ -640,6 +642,116 @@ class TestEndToEnd:
 
 
 # ---------------------------------------------------------------------------
+# the tie mask: a pair survives only on its mask entry's weight
+# ---------------------------------------------------------------------------
+
+#: the Bellman-Ford product under a tie mask, so both path kernels' weight
+#: rules (a sum, a difference) meet the rule
+_TIE_BF_SPEC = MatMulSpec(MULTPATH, bellman_ford_action, name="tie-bf", tie_mask=True)
+
+TIE_SPECS = pytest.mark.parametrize(
+    "spec, a_monoid",
+    [(_TIE_BF_SPEC, MULTPATH), (SUCCESSOR_SPEC, CENTPATH)],
+    ids=["multpath", "centpath"],
+)
+
+
+#: few weights, so that pairs tie with the mask often: ±0.0, an infinity
+#: and NaN among them, on the mask's side too
+_TIE_WEIGHTS = (0.0, -0.0, 1.0, 2.0, np.inf, np.nan)
+
+
+@st.composite
+def _tie_operand(draw, monoid, nrows, ncols):
+    """A canonical matrix over ``monoid`` with each cell present by a coin
+    toss (rows left empty included), its weights from ``_TIE_WEIGHTS``."""
+    present = draw(st.lists(st.booleans(), min_size=nrows * ncols, max_size=nrows * ncols))
+    rows, cols = np.divmod(np.flatnonzero(present), ncols)
+    vals = {}
+    for name, dtype in monoid.field_spec:
+        if dtype == np.int64:
+            pool = st.integers(-3, 3)
+        else:
+            pool = st.sampled_from(_TIE_WEIGHTS if name == "w" else _PAYLOADS)
+        vals[name] = np.array(
+            draw(st.lists(pool, min_size=len(rows), max_size=len(rows))), dtype=dtype
+        )
+    keep = ~monoid.is_identity(vals)
+    vals = {name: col[keep] for name, col in vals.items()}
+    return SpMat(nrows, ncols, rows[keep], cols[keep], vals, monoid, canonical=True)
+
+
+@st.composite
+def _tie_products(draw, a_monoid):
+    """Products whose mask weights come from the pairs' own small pool, cut
+    at chunks that split rows."""
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    a = draw(_tie_operand(a_monoid, m, k))
+    b = draw(_tie_operand(WEIGHT_MONOID, k, n))
+    mask = draw(_tie_operand(WEIGHT_MONOID, m, n))
+    chunk = draw(st.sampled_from([1, 2, 3, 7, 1 << 22]))
+    return a, b, mask, chunk
+
+
+class TestTieMask:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf − inf
+    @TIE_SPECS
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_generic_bitwise(self, spec, a_monoid, data):
+        if _native.pathsum() is None:
+            pytest.skip("compiled path kernel unavailable here")
+        a, b, mask, chunk = data.draw(_tie_products(a_monoid))
+        want = _outcome(a, b, spec, mask, False, chunk, "generic")
+        _assert_same_bits(_outcome(a, b, spec, mask, False, chunk, "auto"), want)
+
+    @TIE_SPECS
+    def test_compiled_body_is_the_one_running(self, spec, a_monoid, rng, monkeypatch):
+        if _native.pathsum() is None:
+            pytest.skip("compiled path kernel unavailable here")
+        a = _random_path_spmat(rng, a_monoid, 5, 6)
+        b = cst.random_weight_spmat(rng, 6, 7, 0.6)
+        # the mask holds each entry's best weight: the product's winners tie
+        untied = dataclasses.replace(spec, tie_mask=False)
+        mask = spgemm(a, b, untied, kernel="generic").matrix.map(
+            lambda v: {"w": v["w"]}, monoid=WEIGHT_MONOID
+        )
+        for chunk in (2, 1 << 22):
+            want = spgemm(a, b, spec, mask=mask, chunk=chunk, kernel="generic")
+            assert 0 < want.ops < spgemm(a, b, untied, mask=mask, chunk=chunk).ops
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    spgemm_mod, "_spgemm_generic", lambda *a, **k: pytest.fail("declined")
+                )
+                got = spgemm(a, b, spec, mask=mask, chunk=chunk)
+            _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("kernel", ["generic", "auto"])
+    def test_only_tying_pairs_are_formed_and_counted(self, kernel):
+        # row 0 joins three pairs onto column 0 at weights 3 − 1, 3 − 2 and
+        # 4 − 2; the mask's 2.0 keeps the first and the last, c = 1 + 1
+        a = SpMat(1, 3, [0, 0, 0], [0, 1, 2], CENTPATH.make([3.0, 3.0, 4.0], [0.0] * 3, [1] * 3), CENTPATH)
+        b = SpMat(3, 1, [0, 1, 2], [0, 0, 0], {"w": np.array([1.0, 2.0, 2.0])}, WEIGHT_MONOID)
+        mask = SpMat(1, 1, [0], [0], {"w": np.array([2.0])}, WEIGHT_MONOID)
+        got = spgemm(a, b, SUCCESSOR_SPEC, mask=mask, kernel=kernel)
+        assert got.ops == 2 and got.row_ops.tolist() == [2]
+        assert got.matrix.vals["w"].tolist() == [2.0] and got.matrix.vals["c"].tolist() == [2]
+        # a NaN mask weight ties nothing, and no pair is formed
+        nan = SpMat(1, 1, [0], [0], {"w": np.array([np.nan])}, WEIGHT_MONOID, canonical=True)
+        none = spgemm(a, b, SUCCESSOR_SPEC, mask=nan, kernel=kernel)
+        assert none.ops == 0 and none.matrix.nnz == 0
+
+    def test_needs_a_plain_mask(self):
+        a = SpMat(1, 1, [0], [0], CENTPATH.make([1.0], [0.0], [1]), CENTPATH)
+        b = SpMat(1, 1, [0], [0], {"w": np.ones(1)}, WEIGHT_MONOID)
+        for kernel in ("generic", "auto"):
+            with pytest.raises(ValueError, match="tie-mask spec requires a mask"):
+                spgemm(a, b, SUCCESSOR_SPEC, kernel=kernel)
+            with pytest.raises(ValueError, match="tie-mask spec requires a mask"):
+                spgemm(a, b, SUCCESSOR_SPEC, mask=b, mask_complement=True, kernel=kernel)
+
+
+# ---------------------------------------------------------------------------
 # replay cases carry masks (v2) and still load v1 archives
 # ---------------------------------------------------------------------------
 
@@ -702,3 +814,25 @@ class TestReplayCases:
         assert resolve_spec("bellman-ford") is BELLMAN_FORD_SPEC
         assert resolve_spec("bf") is BELLMAN_FORD_SPEC
         assert resolve_spec("brandes") is BRANDES_SPEC
+
+    def test_successor_spec_resolves_to_itself(self):
+        assert resolve_spec("successor") is SUCCESSOR_SPEC
+
+    def test_tie_masked_case_replays_bit_for_bit(self, rng, tmp_path):
+        a = _random_path_spmat(rng, CENTPATH, 6, 6)
+        b = cst.random_weight_spmat(rng, 6, 6, 0.5)
+        mask = spgemm(a, b, BRANDES_SPEC, kernel="generic").matrix.map(
+            lambda v: {"w": v["w"]}, monoid=WEIGHT_MONOID
+        )
+        got = spgemm(a, b, SUCCESSOR_SPEC, mask=mask)
+        assert got.ops > 0
+        path = tmp_path / "case.npz"
+        save_case(
+            ReplayCase(a=a, b=b, spec_name="successor", got=got.matrix, got_ops=got.ops, mask=mask),
+            path,
+        )
+        loaded = load_case(path)
+        assert loaded.spec is SUCCESSOR_SPEC
+        ref = spgemm(loaded.a, loaded.b, loaded.spec, mask=loaded.mask, kernel="generic")
+        assert_bits(ref.matrix, got.matrix)
+        assert ref.ops == got.ops and replay(loaded).matches

@@ -366,12 +366,14 @@ class TestRestingReadOrder:
     reading every operand up front moves AB's."""
 
     # re-pinned when equal-weight MFBF became a masked BFS: fewer ops and
-    # smaller products, so fewer reliefs (the words of BC's re-blockings too)
+    # smaller products, so fewer reliefs (the words of BC's re-blockings too);
+    # again when MFBr stopped forming pairs that cannot count (AB 24 -> 5
+    # reliefs, BC 22 -> 1; the unbudgeted peak is 7 639 words/rank)
     @pytest.mark.parametrize(
         "variant, time, words, reliefs, relieved",
         [
-            ("2D-AB(2x2)", 0.009328876249999972, 336345.0, 24, 13275),
-            ("2D-BC(2x2)", 0.008400796749999996, 356341.0, 22, 12708),
+            ("2D-AB(2x2)", 0.0038293682499999913, 191003.0, 5, 2676),
+            ("2D-BC(2x2)", 0.0035679832499999928, 171471.0, 1, 1116),
         ],
         ids=["2D-AB(2x2)", "2D-BC(2x2)"],
     )
@@ -390,7 +392,7 @@ class TestRestingReadOrder:
         snap = machine.ledger.snapshot()
         memory = machine.memory.snapshot()
         assert (snap["time"], snap["words"]) == (time, words)
-        assert machine.memory_peak() == 4498
+        assert machine.memory_peak() == 4490
         assert (memory["reliefs"], memory["relieved_words"]) == (reliefs, relieved)
 
 
@@ -414,7 +416,7 @@ class TestSpilledMaskTiles:
             inner, spilled = engine.spgemm, []
 
             def spgemm(a, b, spec, *, mask=None, mask_complement=False):
-                # every tile of the mask (T, or MFBr's Z) leaves for the store
+                # every tile of the mask (T, or MFBr's pending set) leaves for the store
                 if spill and mask is not None:
                     store = machine.memory.store()
                     spilled.append(sum(mask.spill_blocks(store, r) for r in range(16)))
@@ -429,9 +431,27 @@ class TestSpilledMaskTiles:
         assert machine.memory_peak() <= 3000
         memory = machine.memory.snapshot()
         # pinned: frames read in place restore less than was spilled; a
-        # gathered mask would restore every tile (1 486 blocks, 282 068 words)
-        assert spilled == 281495
-        assert (memory["restored_blocks"], memory["restored_words"]) == (1451, 266494)
+        # gathered mask would restore every spilled tile.  Re-pinned when
+        # MFBr's products were masked to its pending vertices, a smaller Z
+        # subset than Z (spilled 281 495 -> 157 038 words, restored 1 451
+        # blocks / 266 494 words -> 1 103 / 145 097)
+        assert spilled == 157038
+        assert (memory["restored_blocks"], memory["restored_words"]) == (1103, 145097)
+
+
+class TestMfbrTemporaries:
+    """MFBr drops each temporary once it has been read — the successor seed
+    and counts, each product and its valid part, the ready set — so the
+    modeled peak is its working set, not whichever temporaries the loop
+    still binds when the next product allocates."""
+
+    def test_budgeted_mfbc_peak(self):
+        machine = Machine(4, memory_words=20_000, faults="off", elastic="off")
+        engine = DistributedEngine(machine)
+        mfbc(seed_graph(), batch_size=16, sources=np.arange(16), engine=engine)
+        # 12 801 words/rank while each temporary stayed bound until rebound
+        assert machine.memory_peak() == 9481
+        assert machine.memory.snapshot()["reliefs"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +469,9 @@ def _rungs(machine):
 
 class TestBudgetTable:
     """Every driver completes under a per-rank budget — 16 sources of the
-    seed graph on p=3, whose unbudgeted peak is ~18k words/rank — past
-    relief taking the shrink rung only, bit-identically to the unbudgeted
-    run.  (A retry made
+    seed graph on p=3, whose unbudgeted peak is ~14k words/rank (so 16 000
+    no longer squeezes it) — past relief taking the shrink rung only,
+    bit-identically to the unbudgeted run.  (A retry made
     *inside* the ``except`` block kept the failed sweep's blocks charged
     through its traceback: ``mfbc_per_source`` and ``adaptive_bc`` raised.)"""
 
@@ -497,8 +517,11 @@ class TestBudgetTable:
         ref = mfbc_per_source(
             g, self.SOURCES, engine=DistributedEngine(quiet(3))
         )
+        # re-tuned when MFBr stopped forming pairs that cannot count (the
+        # unbudgeted peak fell ~24k -> ~14k words/rank): 16 000 no longer
+        # squeezes the sweep
         machine = Machine(
-            3, memory_words=16_000, faults="seed:1", elastic="off"
+            3, memory_words=9_500, faults="seed:1", elastic="off"
         )
         # the window only closes early once max_batch queries are pending,
         # so the 16 queries share one sweep
@@ -586,9 +609,11 @@ class TestRungsCompose:
         src = np.arange(16)
         ref = mfbc_per_source(g, src, engine=DistributedEngine(quiet(4)))
         # the squeeze lands at step 6 and halves the sweep; step 13 crashes
-        # a product of the second half-sweep
+        # a product of the second half-sweep (budget re-tuned 12 000 -> 7 000
+        # with MFBr's narrowed products: the unbudgeted peak fell 16 071 ->
+        # 9 481 words/rank)
         machine = Machine(
-            4, memory_words=12_000, faults="seed:1,crash@13:1",
+            4, memory_words=7_000, faults="seed:1,crash@13:1",
             elastic="on", check="cheap",
         )
         with BCService(

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import assert_bits
+from mfbr_reference import mfbr_reference
 from repro.core import mfbf, mfbr
+from repro.core.mfbf import equal_weights
 from repro.core.engine import SequentialEngine
 from repro.core.stats import BatchStats
 from repro.dist import DistributedEngine
@@ -11,6 +16,7 @@ from repro.graphs import Graph, uniform_random_graph_nm, with_random_weights
 from repro.baselines.brandes import brandes_single_source
 from repro.baselines.sssp import bfs_sssp, dijkstra_sssp
 from repro.machine import Machine
+from repro.spgemm import PinnedPolicy, Plan
 
 
 def zeta_reference(graph, s):
@@ -139,3 +145,95 @@ class TestIsolatedCases:
         p = z.to_dense("p")[0]
         # centre 0: δ(1,0) = n-2 targets, σ̄ = 1 -> ζ = n-2
         assert p[0] == pytest.approx(n - 2)
+
+
+# ---------------------------------------------------------------------------
+# the narrowed products: the same Z as a literal Algorithm 2, fewer pairs
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _graphs(draw):
+    """Small graphs, directed or not: unweighted, integer-weighted, or every
+    edge at 2.5 (a weight whose sums are exact but not integers)."""
+    n = draw(st.integers(2, 14))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+    )
+    src = np.array([u for u, _ in pairs], dtype=np.int64)
+    dst = np.array([v for _, v in pairs], dtype=np.int64)
+    kind = draw(st.sampled_from(["unweighted", "integer", "constant"]))
+    weight = None
+    if kind == "integer":
+        weight = np.array(
+            draw(st.lists(st.integers(1, 4), min_size=len(pairs), max_size=len(pairs))),
+            dtype=np.float64,
+        )
+    elif kind == "constant":
+        weight = np.full(len(pairs), 2.5)
+    graph = Graph(n, src, dst, weight, directed=draw(st.booleans()))
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
+    return graph, np.array(sources, dtype=np.int64)
+
+
+#: pinned plans at p = 8, one of each dimension; C moves in the 1D one, so
+#: its partial products are summed across ranks
+_PLANS = {
+    "1D-C": Plan(8, 1, 1, "C", "AB"),
+    "2D-AB(2x4)": Plan(1, 2, 4, "A", "AB"),
+    "3D-C,BC(2x2x2)": Plan(2, 2, 2, "C", "BC"),
+}
+
+
+class TestNarrowedProducts:
+    """``mfbr`` forms only the pairs that can count: the successor count only
+    the pairs tying with τ, back-propagation only the pairs landing on a
+    vertex still waiting on a successor.  Z keeps every bit of a literal
+    Algorithm 2 (``tests/mfbr_reference.py``), in as many iterations, and
+    each product forms exactly the pairs the reference says can count."""
+
+    @pytest.mark.parametrize("where", ["sequential", *_PLANS])
+    @given(case=_graphs())
+    def test_same_bits_as_algorithm_2(self, where, case):
+        graph, sources = case
+
+        def engine():
+            if where == "sequential":
+                return SequentialEngine()
+            return DistributedEngine(Machine(8), policy=PinnedPolicy(_PLANS[where]))
+
+        ref_engine = engine()
+        adj = ref_engine.adjacency(graph)
+        t = mfbf(adj, sources, engine=ref_engine, equal_weights=equal_weights(graph))
+        want, ops, pending_ops = mfbr_reference(adj, t, engine=ref_engine)
+
+        run = engine()
+        adj = run.adjacency(graph)
+        t = mfbf(adj, sources, engine=run, equal_weights=equal_weights(graph))
+        stats = BatchStats(sources=len(sources))
+        got = mfbr(adj, t, engine=run, stats=stats)
+        assert_bits(run.gather(got), ref_engine.gather(want))
+        formed = [it.ops for it in stats.iterations]
+        assert stats.mfbr_iterations == len(ops)
+        assert formed == pending_ops
+        assert sum(formed) <= sum(ops)
+
+    def test_successor_count_is_the_filtered_candidates(self):
+        # the tie-masked product is the whole-join product filtered by T's
+        # weights, bit for bit: payloads p = +0.0 and c = 1 sum the same
+        from repro.algebra.centpath import CENTPATH
+        from repro.core.specs import BRANDES_SPEC, SUCCESSOR_SPEC
+        from repro.sparse import spgemm
+
+        g = with_random_weights(uniform_random_graph_nm(60, 5.0, seed=4), 1, 3, seed=4)
+        adj = g.adjacency()
+        t = mfbf(adj, np.array([0, 7, 19]))
+        seed = t.map(
+            lambda tv: CENTPATH.make(tv["w"], np.zeros(len(tv["w"])), np.ones(len(tv["w"]))),
+            monoid=CENTPATH,
+        )
+        for kernel in ("generic", "auto"):
+            whole = spgemm(seed, adj.transpose(), BRANDES_SPEC, mask=t, kernel=kernel)
+            ties = spgemm(seed, adj.transpose(), SUCCESSOR_SPEC, mask=t, kernel=kernel)
+            assert_bits(ties.matrix, whole.matrix.zip_filter(t, lambda cv, tv: cv["w"] == tv["w"]))
+            assert ties.ops == int(ties.matrix.vals["c"].sum()) < whole.ops
