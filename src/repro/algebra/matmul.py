@@ -18,9 +18,12 @@ from typing import Callable
 from repro.algebra.fields import FieldArray
 from repro.algebra.monoid import Monoid
 
-__all__ = ["MatMulSpec"]
+__all__ = ["MatMulSpec", "MASK_RULES"]
 
 ElementMap = Callable[[FieldArray, FieldArray], FieldArray]
+
+#: how a product's output mask decides which joined pairs are formed
+MASK_RULES = ("keep", "complement", "tie")
 
 
 @dataclass(frozen=True)
@@ -35,18 +38,26 @@ class MatMulSpec:
         Vectorized elementwise map combining joined A/B nonzero values.
     name:
         Human-readable label used in logs and cost reports.
-    tie_mask:
-        Keep a joined pair only if its weight (the output monoid's
-        ``weight_field``, after ``f``) equals the weight of the mask entry
-        at its output coordinate.  Such a product needs a mask, not
-        complemented; pairs that lose are not formed and not counted in
-        ``ops``.
+    mask_rule:
+        How a mask, when the product has one, decides which joined pairs
+        are formed: ``"keep"`` those whose output coordinate is in its
+        support, ``"complement"`` those outside it (the GraphBLAS
+        complemented mask), ``"tie"`` those in it whose weight (the output
+        monoid's ``weight_field``, after ``f``) equals the mask entry's.
+        Pairs not formed are not counted in ``ops``.  A ``"complement"``
+        or ``"tie"`` operator needs a mask.
     """
 
     monoid: Monoid
     f: ElementMap
     name: str = "matmul"
-    tie_mask: bool = False
+    mask_rule: str = "keep"
+
+    def __post_init__(self) -> None:
+        if self.mask_rule not in MASK_RULES:
+            raise ValueError(
+                f"{self.name}: mask_rule {self.mask_rule!r} is not one of {MASK_RULES}"
+            )
 
     def apply_f(self, a_vals: FieldArray, b_vals: FieldArray) -> FieldArray:
         """Apply ``f`` and validate the output schema in one place."""

@@ -8,6 +8,8 @@ set (the "screening" step of §2.3).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.algebra.monoid import MinMonoid
@@ -18,9 +20,9 @@ from repro.graphs.graph import Graph
 __all__ = ["bfs_levels"]
 
 _MIN = MinMonoid()
-# min-plus as a named semiring action so the kernel-dispatch tier
-# recognizes it (and repro.check can serialize it by name)
-_SPEC = TROPICAL.matmul_spec(name="bfs")
+# min-plus as a named semiring action (repro.check serializes it by name),
+# under a complemented mask: the frontier screen below
+_SPEC = replace(TROPICAL.matmul_spec(name="bfs"), mask_rule="complement")
 
 
 def bfs_levels(
@@ -57,8 +59,6 @@ def bfs_levels(
         # screen (§2.3) as a complemented mask: a BFS label, once set, is
         # final, so only unlabeled vertices can join the frontier — and
         # their products are never even formed
-        frontier, _ = engine.spgemm(
-            frontier, adj, _SPEC, mask=levels, mask_complement=True
-        )
+        frontier, _ = engine.spgemm(frontier, adj, _SPEC, mask=levels)
         levels = levels.combine(frontier)
     raise RuntimeError("BFS failed to converge — inconsistent adjacency")

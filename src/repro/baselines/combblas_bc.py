@@ -27,7 +27,7 @@ Differences from MFBC that the paper's evaluation exercises:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from repro.graphs.graph import Graph
 from repro.obs import api as obs
 
 __all__ = ["combblas_bc", "CombBLASResult"]
+
+#: the forward sweep's (+, ×) operator under a complemented mask
+_FORWARD = replace(_SPEC, name="combblas-forward", mask_rule="complement")
 
 
 @dataclass
@@ -146,9 +149,7 @@ def _one_batch(engine, adj, adj_t, batch, n, scores, result) -> None:
             # every stored count is positive) are expanded, so the settled
             # part of the frontier never even forms its products.  This is
             # the ``mxmm_msa_cmask`` idiom of GraphBLAS BC.
-            product, ops = engine.spgemm(
-                fringe, adj, _SPEC, mask=nsp, mask_complement=True
-            )
+            product, ops = engine.spgemm(fringe, adj, _FORWARD, mask=nsp)
             iterations.append(
                 IterationStats(_SPEC.name, fringe.nnz, product.nnz, ops)
             )

@@ -203,10 +203,12 @@ class CheckedEngine:
             require_clean(check_ledger(machine))
 
     def _local(self, mat) -> SpMat:
-        """A node-local view of ``mat`` without touching the ledger."""
+        """A node-local view of ``mat`` without touching the ledger or the
+        memory budget: a spilled tile is read from its segment and stays
+        spilled."""
         if isinstance(mat, SpMat):
             return mat
-        return mat.gather(charge=False)
+        return mat.gather(charge=False, peek=True)
 
     # -- the Engine protocol -------------------------------------------------
 
@@ -226,17 +228,15 @@ class CheckedEngine:
         self._validate_ledger()
         return out
 
-    def spgemm(self, a, b, spec, *, mask=None, mask_complement=False):
+    def spgemm(self, a, b, spec, *, mask=None):
         self._validate(a, "spgemm.operand_a")
         self._validate(b, "spgemm.operand_b")
-        out, ops = self.engine.spgemm(
-            a, b, spec, mask=mask, mask_complement=mask_complement
-        )
+        out, ops = self.engine.spgemm(a, b, spec, mask=mask)
         self.products += 1
         self._validate(out, "spgemm.result")
         self._validate_ledger()
         if self._should_replay():
-            self._replay(a, b, spec, out, ops, mask, mask_complement)
+            self._replay(a, b, spec, out, ops, mask)
         return out, ops
 
     def recover(self) -> None:
@@ -256,22 +256,19 @@ class CheckedEngine:
             return False
         return self.products % self.config.sample == 0
 
-    def _replay(self, a, b, spec, out, ops, mask=None, mask_complement=False) -> None:
+    def _replay(self, a, b, spec, out, ops, mask=None) -> None:
         ga, gb, gout = self._local(a), self._local(b), self._local(out)
         gmask = None if mask is None else self._local(mask)
         # reference via the *generic* kernel: the dispatch tier's fast paths
         # are among the things differential replay must be able to indict
-        ref = spgemm(
-            ga, gb, spec, mask=gmask, mask_complement=mask_complement,
-            kernel="generic",
-        )
+        ref = spgemm(ga, gb, spec, mask=gmask, kernel="generic")
         self.stats["replayed"] += 1
         if matrices_match(ref.matrix, gout) and int(ref.ops) == int(ops):
             return
         self.stats["mismatches"] += 1
-        self._fail(ga, gb, spec, gout, int(ops), ref, gmask, mask_complement)
+        self._fail(ga, gb, spec, gout, int(ops), ref, gmask)
 
-    def _diverges(self, ca: SpMat, cb: SpMat, spec, mask, mask_complement):
+    def _diverges(self, ca: SpMat, cb: SpMat, spec, mask):
         """Re-run a candidate through the inner engine.
 
         Returns ``(got, ops)`` when the candidate still diverges from the
@@ -285,20 +282,16 @@ class CheckedEngine:
                 _fresh(self.engine, cb),
                 spec,
                 mask=dmask,
-                mask_complement=mask_complement,
             )
             gout = self._local(got)
         except Exception:
             return SpMat.empty(ca.nrows, cb.ncols, spec.monoid), -1
-        ref = spgemm(
-            ca, cb, spec, mask=mask, mask_complement=mask_complement,
-            kernel="generic",
-        )
+        ref = spgemm(ca, cb, spec, mask=mask, kernel="generic")
         if matrices_match(ref.matrix, gout) and int(ref.ops) == int(ops):
             return None
         return gout, int(ops)
 
-    def _minimize(self, ga, gb, spec, got, ops, mask, mask_complement, budget: int = 48):
+    def _minimize(self, ga, gb, spec, got, ops, mask, budget: int = 48):
         """Greedy ddmin-style shrink: drop entry blocks while still diverging."""
         a, b = ga, gb
         for sel in ("a", "b"):
@@ -312,7 +305,7 @@ class CheckedEngine:
                     cand = _subset(mat, keep)
                     ca, cb = (cand, b) if sel == "a" else (a, cand)
                     budget -= 1
-                    res = self._diverges(ca, cb, spec, mask, mask_complement)
+                    res = self._diverges(ca, cb, spec, mask)
                     if res is not None:
                         mat = cand
                         if sel == "a":
@@ -327,7 +320,7 @@ class CheckedEngine:
                     chunk //= 2
         return a, b, got, ops
 
-    def _fail(self, ga, gb, spec, gout, ops, ref, mask=None, mask_complement=False) -> None:
+    def _fail(self, ga, gb, spec, gout, ops, ref, mask=None) -> None:
         if obs.enabled():
             obs.complete(
                 "check.mismatch",
@@ -343,9 +336,7 @@ class CheckedEngine:
             )
             obs.count("check.mismatches", 1.0, spec=spec.name)
         try:
-            ma, mb, mgot, mops = self._minimize(
-                ga, gb, spec, gout, ops, mask, mask_complement
-            )
+            ma, mb, mgot, mops = self._minimize(ga, gb, spec, gout, ops, mask)
         except Exception:  # minimization is best-effort, never load-bearing
             ma, mb, mgot, mops = ga, gb, gout, ops
         case = ReplayCase(
@@ -361,7 +352,6 @@ class CheckedEngine:
                 "minimized_nnz": {"a": ma.nnz, "b": mb.nnz},
             },
             mask=mask,
-            mask_complement=mask_complement,
         )
         case_path = script_path = None
         artifact_note = ""

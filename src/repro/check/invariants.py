@@ -221,10 +221,11 @@ def check_distmat(
 ) -> list[Violation]:
     """Validate a block distribution.
 
-    ``deep=True`` additionally gathers the matrix (uncharged — validation
-    must not perturb the cost model) and verifies that blocks tile
-    disjointly: the gathered canonical form must hold exactly the union of
-    the block entries, with nothing folded across blocks.
+    ``deep=True`` additionally gathers the matrix and verifies that blocks
+    tile disjointly: the gathered canonical form must hold exactly the union
+    of the block entries, with nothing folded across blocks.  Every read is
+    a :meth:`DistMat.peek` — validation must not perturb the cost model, so
+    a spilled tile is read from its segment, uncharged, and stays spilled.
     """
     out: list[Violation] = []
     layout = dmat.layout
@@ -259,7 +260,7 @@ def check_distmat(
     schema = dmat.monoid.field_spec
     for i in range(pr):
         for j in range(pc):
-            blk = dmat.block(i, j)
+            blk = dmat.peek(i, j)
             expect = layout.block_shapes[i][j]
             bsite = f"{site}.block[{i},{j}]"
             if blk.shape != expect:
@@ -280,7 +281,7 @@ def check_distmat(
             out += check_spmat(blk, site=bsite)
 
     if deep and not out:
-        gathered = dmat.gather(charge=False)
+        gathered = dmat.gather(charge=False, peek=True)
         block_nnz = dmat.nnz
         if gathered.nnz != block_nnz:
             out.append(

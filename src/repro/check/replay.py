@@ -70,9 +70,10 @@ def matrices_match(
             return False
     return True
 
-#: version 2 added the optional output mask (``mask`` / ``mask_complement``);
-#: version-1 archives still load (they simply have no mask).
-CASE_VERSION = 2
+#: version 2 added the optional output mask, with a complement flag beside
+#: the spec; version 3 reads the mask rule from the spec alone.  Version-1
+#: (no mask) and version-2 archives still load.
+CASE_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +101,16 @@ def _spec_registry() -> dict[str, MatMulSpec]:
     with the operator its run used (``bf`` is an alias)."""
     from repro.algebra.semiring import MAX_MIN, TROPICAL
     from repro.apps import bfs, connected, sssp, triangles, widest_path
-    from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC, SUCCESSOR_SPEC
+    from repro.baselines.combblas_bc import _FORWARD
+    from repro.core import specs as core
 
     specs = [
-        TROPICAL.matmul_spec(), MAX_MIN.matmul_spec(),
-        BELLMAN_FORD_SPEC, BRANDES_SPEC, SUCCESSOR_SPEC,
+        TROPICAL.matmul_spec(), MAX_MIN.matmul_spec(), _FORWARD,
+        core.BELLMAN_FORD_SPEC, core.BFS_LEVEL_SPEC, core.BRANDES_SPEC, core.SUCCESSOR_SPEC,
     ]
     specs += [app._SPEC for app in (bfs, connected, sssp, triangles, widest_path)]
     reg = {spec.name: spec for spec in specs}
-    reg["bf"] = BELLMAN_FORD_SPEC
+    reg["bf"] = core.BELLMAN_FORD_SPEC
     return reg
 
 
@@ -120,6 +122,16 @@ def resolve_spec(name: str) -> MatMulSpec:
             f"spec {name!r} is not replayable; known: {sorted(set(reg))}"
         )
     return reg[name]
+
+
+def _complemented(name: str) -> str:
+    """The registered complemented operator with ``name``'s monoid and
+    ``f``: what a version-2 archive's complement flag made of it."""
+    spec = resolve_spec(name)
+    for key, cand in _spec_registry().items():
+        if cand.mask_rule == "complement" and (cand.monoid, cand.f) == (spec.monoid, spec.f):
+            return key
+    raise KeyError(f"spec {name!r} has no replayable complemented operator")
 
 
 def _monoid_name(monoid: Monoid) -> str:
@@ -148,7 +160,6 @@ class ReplayCase:
     got_ops: int  #: the divergent elementary-product count
     info: dict = field(default_factory=dict)  #: engine description, indices…
     mask: SpMat | None = None  #: structural output mask, when the product had one
-    mask_complement: bool = False
 
     @property
     def spec(self) -> MatMulSpec:
@@ -229,7 +240,6 @@ def save_case(case: ReplayCase, path) -> None:
         "version": CASE_VERSION,
         "spec": case.spec_name,
         "got_ops": int(case.got_ops),
-        "mask_complement": bool(case.mask_complement),
         "info": case.info,
     }
     _pack(case.a, "a", arrays, meta)
@@ -244,19 +254,21 @@ def load_case(path) -> ReplayCase:
     """Load a case previously written by :func:`save_case`."""
     with np.load(os.fspath(path)) as archive:
         meta = json.loads(bytes(archive["meta"]).decode())
-        if meta.get("version") not in (1, CASE_VERSION):
+        if meta.get("version") not in (1, 2, CASE_VERSION):
             raise ValueError(
                 f"unsupported repro-case version {meta.get('version')}"
             )
+        spec_name = meta["spec"]
+        if meta.get("mask_complement"):  # a version-2 archive's complement flag
+            spec_name = _complemented(spec_name)
         return ReplayCase(
             a=_unpack(archive, "a", meta),
             b=_unpack(archive, "b", meta),
-            spec_name=meta["spec"],
+            spec_name=spec_name,
             got=_unpack(archive, "g", meta),
             got_ops=int(meta["got_ops"]),
             info=dict(meta.get("info", {})),
             mask=_unpack(archive, "m", meta) if "m" in meta else None,
-            mask_complement=bool(meta.get("mask_complement", False)),
         )
 
 
@@ -271,7 +283,6 @@ def replay(case: ReplayCase) -> ReplayReport:
         case.b,
         case.spec,
         mask=case.mask,
-        mask_complement=case.mask_complement,
         kernel="generic",
     )
     matrix_match = matrices_match(ref.matrix, case.got)

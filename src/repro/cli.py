@@ -469,6 +469,11 @@ def _cmd_simulate(args) -> int:
         print(f"\nwrote Chrome trace to {args.output} (load in ui.perfetto.dev)")
         if args.jsonl:
             print(f"wrote span/metric JSONL to {args.jsonl}")
+    if machine.faults is not None and machine.faults.unfired():
+        # a one-shot scripted past the run's last collective leaves the run
+        # fault-free: fail loudly instead of passing vacuously
+        print(f"FAIL: scripted faults never fired: {machine.faults.unfired()}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -55,18 +55,15 @@ class Engine(Protocol):
         """This engine's representation of ``graph``'s adjacency matrix."""
         ...
 
-    def spgemm(
-        self, a, b, spec: MatMulSpec, *, mask=None, mask_complement: bool = False
-    ) -> tuple[object, int]:
+    def spgemm(self, a, b, spec: MatMulSpec, *, mask=None) -> tuple[object, int]:
         """``(a •⟨⊕,f⟩ b, elementary product count)``.
 
         The unified return contract across engines: the product matrix in
         this engine's representation, and the number of elementary nonzero
         products formed (``ops(A, B)`` of §5.1; with a mask, only the
         products surviving the mask).  ``mask`` is an optional structural
-        output mask in this engine's matrix representation;
-        ``mask_complement`` inverts its support (the GraphBLAS
-        complemented-mask idiom).
+        output mask in this engine's matrix representation; ``spec`` says
+        how it decides.
         """
         ...
 
@@ -91,17 +88,16 @@ class SequentialEngine:
         spec: MatMulSpec,
         *,
         mask: SpMat | None = None,
-        mask_complement: bool = False,
     ) -> tuple[SpMat, int]:
         """``(a •⟨⊕,f⟩ b, elementary product count)`` — the unified
         :class:`Engine` contract."""
         if not obs.enabled():  # unguarded fast path: no span, no kwargs dict
-            result = spgemm(a, b, spec, mask=mask, mask_complement=mask_complement)
+            result = spgemm(a, b, spec, mask=mask)
             return result.matrix, result.ops
         with obs.span(
             "spgemm", cat="spgemm", phase=spec.name, frontier_nnz=a.nnz
         ) as sp:
-            result = spgemm(a, b, spec, mask=mask, mask_complement=mask_complement)
+            result = spgemm(a, b, spec, mask=mask)
             sp.set(product_nnz=result.matrix.nnz, ops=result.ops)
             obs.count("spgemm.products", 1.0, variant="sequential", phase=spec.name)
             obs.count(

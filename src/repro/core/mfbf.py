@@ -21,10 +21,11 @@ Implementation notes relative to the paper's pseudocode:
 * When every edge weight is equal (an unweighted graph, or one distinct
   weight), iteration ``j`` is a BFS level: a vertex's first ``j``-edge
   paths are its shortest, so any product entry on a vertex already in T
-  would lose to it.  The product is then masked by the complement of T's
-  support — only pairs landing on unvisited vertices are formed — and is
-  itself the new frontier, merged into T over disjoint supports (GraphBLAS
-  BC's complemented-mask product and ``add_nointersect``).  Masking only
+  would lose to it.  The product is then ``BFS_LEVEL_SPEC``'s, masked by
+  the complement of T's support — only pairs landing on unvisited vertices
+  are formed — and is itself the new frontier, merged into T over disjoint
+  supports (GraphBLAS BC's complemented-mask product and
+  ``add_nointersect``).  Masking only
   drops pairs of other output keys, so every surviving entry sums the same
   terms in the same order: T is bit-identical to the Bellman-Ford
   iteration's (docs/performance_model.md §5).
@@ -36,7 +37,7 @@ import numpy as np
 
 from repro.algebra.multpath import MULTPATH
 from repro.core.engine import Engine, SequentialEngine
-from repro.core.specs import BELLMAN_FORD_SPEC
+from repro.core.specs import BELLMAN_FORD_SPEC, BFS_LEVEL_SPEC
 from repro.core.stats import BatchStats, IterationStats
 
 __all__ = ["mfbf", "equal_weights"]
@@ -112,13 +113,10 @@ def mfbf(
             return t_mat
         # Explore nodes adjacent to the frontier (line 4); with equal
         # weights, only the unvisited ones.
-        product, ops = engine.spgemm(
-            frontier,
-            adj,
-            BELLMAN_FORD_SPEC,
-            mask=t_mat if equal_weights else None,
-            mask_complement=equal_weights,
-        )
+        if equal_weights:
+            product, ops = engine.spgemm(frontier, adj, BFS_LEVEL_SPEC, mask=t_mat)
+        else:
+            product, ops = engine.spgemm(frontier, adj, BELLMAN_FORD_SPEC)
         if stats is not None:
             stats.iterations.append(
                 IterationStats("mfbf", frontier.nnz, product.nnz, ops)

@@ -507,10 +507,11 @@ class DistMat:
         vals = {name: col[lo:hi] for name, col in pk.vals.items()}
         return SpMat(h, w, rows, cols, vals, pk.monoid, canonical=True)
 
-    def _grid(self) -> list[list[SpMat]]:
-        """Every block, read row by row: the grid a one-pass reader walks."""
-        pr, pc = self.grid_shape
-        return [[self.block(i, j) for j in range(pc)] for i in range(pr)]
+    def _grid(self, read=None) -> list[list[SpMat]]:
+        """Every block, read row by row by ``read`` (default :meth:`block`):
+        the grid a one-pass reader walks."""
+        read, (pr, pc) = read or self.block, self.grid_shape
+        return [[read(i, j) for j in range(pc)] for i in range(pr)]
 
     def _unpack(self) -> None:
         """Hold this matrix as its block grid (views of the packed form) from
@@ -562,6 +563,14 @@ class DistMat:
         del self._spilled[(i, j)]
         store.drop(seg.key)
         return blk
+
+    def peek(self, i: int, j: int) -> SpMat:
+        """Block ``(i, j)`` for a read that must not perturb the run
+        (validation): a spilled tile is read from its segment, CRC-verified
+        and uncharged, and stays spilled; any other is :meth:`block`'s."""
+        if self._pk is None and self._resident[i][j] is None:
+            return self._store().read(self._spilled[(i, j)])
+        return self.block(i, j)
 
     def region(self, r0: int, r1: int, c0: int, c1: int) -> SpMat:
         """Global rows ``[r0, r1)`` × columns ``[c0, c1)``, in the region's
@@ -643,16 +652,19 @@ class DistMat:
 
     # -- gather -----------------------------------------------------------------
 
-    def gather(self, *, charge: bool = True) -> SpMat:
+    def gather(self, *, charge: bool = True, peek: bool = False) -> SpMat:
         """Reassemble the full matrix on a single node (CTF read-back path).
 
-        On ``p × 1`` strips a packed matrix already is the full matrix: its
-        keys are the global keys, so nothing is merged.
+        ``peek`` reads every tile with :meth:`peek`, not :meth:`block`: the
+        uncharged ``gather(charge=False, peek=True)`` is a validation read,
+        which leaves spilled tiles spilled.  On ``p × 1`` strips a packed
+        matrix already is the full matrix: its keys are the global keys, so
+        nothing is merged.
         """
         layout = self.layout
         strips = self._pk is not None and self.grid_shape[1] == 1
         if charge or not strips:
-            blocks = self._grid()
+            blocks = self._grid(self.peek if peek else None)
         if charge:
             ranks, held = layout.by_owner(blocks)
             self.machine.group(ranks).gather(held)

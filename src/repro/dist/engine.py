@@ -150,7 +150,6 @@ class DistributedEngine:
         spec: MatMulSpec,
         *,
         mask=None,
-        mask_complement: bool = False,
     ) -> tuple[DistMat, int]:
         # deferred import: repro.spgemm.variants itself imports repro.dist
         from repro.spgemm.variants import execute_plan
@@ -186,9 +185,7 @@ class DistributedEngine:
                 amortized=amortized,
             )
             self.plan_log.append(plan)
-            out, ops = execute_plan(
-                plan, a, b, spec, mask=mask, mask_complement=mask_complement
-            )
+            out, ops = execute_plan(plan, a, b, spec, mask=mask)
             # fixed per-product setup overhead on every rank (see CostParams)
             self.machine.charge_overhead(self.machine.cost.product_overhead)
             if obs.enabled():

@@ -34,16 +34,12 @@ class LocalExecutor:
         spec,
         *,
         masks: Sequence[SpMat | None] | None = None,
-        mask_complement: bool = False,
     ) -> list[SpGemmResult]:
         """Run a batch of independent local products ``C_t = A_t • B_t``.
 
         ``masks`` (aligned with ``pairs``; ``None`` entries unmasked) are
-        per-task structural output masks, all sharing ``mask_complement``.
+        per-task structural output masks.
         """
         if masks is None:
             masks = [None] * len(pairs)
-        return [
-            spgemm(x, y, spec, mask=mk, mask_complement=mask_complement)
-            for (x, y), mk in zip(pairs, masks)
-        ]
+        return [spgemm(x, y, spec, mask=mk) for (x, y), mk in zip(pairs, masks)]

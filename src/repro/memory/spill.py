@@ -169,6 +169,14 @@ class SpillStore:
             obs.count("memory.spill.words", float(seg.words), op="unspill", site=site)
         return blk
 
+    def read(self, seg: "SpillSegment") -> SpMat:
+        """A segment's block for a read that leaves it spilled (validation):
+        CRC-verified like :meth:`fetch`, but neither charged nor counted."""
+        blk = self._read(seg)
+        if blk is None:
+            raise SpillError(f"spilled segment {seg.key!r} is not durable")
+        return blk
+
     def drop(self, key: str) -> None:
         """Remove the segment of ``key`` (the block went resident)."""
         with contextlib.suppress(FileNotFoundError):

@@ -88,8 +88,7 @@ class PathsumArgs(ctypes.Structure):
         ("mask_keys", ctypes.c_void_p),
         ("n_mask", ctypes.c_int64),
         ("mask_w", ctypes.c_void_p),
-        ("complement", ctypes.c_int32),
-        ("tie", ctypes.c_int32),
+        ("rule", ctypes.c_int32),  # MatMulSpec.mask_rule, by its index in MASK_RULES
         ("negate", ctypes.c_int32),
         ("select_max", ctypes.c_int32),
         ("n_sum", ctypes.c_int32),

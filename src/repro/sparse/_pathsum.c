@@ -36,6 +36,7 @@
 
 enum { PATHSUM_OK = 0, PATHSUM_NAN = 1, PATHSUM_NOMEM = 2 };
 enum { MAX_SUM = 2 };
+enum { RULE_KEEP = 0, RULE_COMPLEMENT = 1, RULE_TIE = 2 }; /* MatMulSpec.mask_rule */
 
 /* one 8-byte payload item: a float64 or an int64 field's */
 typedef union {
@@ -55,9 +56,8 @@ typedef struct {
     /* sorted linear keys row * ncols + col of the mask; NULL = unmasked */
     const int64_t *mask_keys;
     int64_t n_mask;
-    const double *mask_w; /* with tie: the weights of the mask's entries */
-    int32_t complement; /* keep a pair iff in_mask != complement */
-    int32_t tie;        /* keep a pair iff its weight is its mask entry's */
+    const double *mask_w; /* with RULE_TIE: the weights of the mask's entries */
+    int32_t rule;       /* keep a pair iff in the mask, iff not, iff its weight is the entry's */
     int32_t negate;     /* weight is aw - bw (Brandes), else aw + bw */
     int32_t select_max; /* larger weight wins (centpath), else smaller */
     int32_t n_sum;      /* payload fields, each an 8-byte column of A */
@@ -186,8 +186,8 @@ int pathsum_chunk(pathsum_args *g)
 {
     const int64_t n = g->ncols;
     const int masked = g->mask_keys != NULL;
-    const int tie = masked && g->tie;
-    const unsigned char absent = g->complement != 0; /* stamp of a column outside the mask */
+    const int tie = masked && g->rule == RULE_TIE;
+    const unsigned char absent = g->rule == RULE_COMPLEMENT; /* stamp of a column off the mask */
     const int64_t *mask = g->mask_keys, *mask_end = mask + g->n_mask;
     int64_t n_runs = 0, cap = 0;
     int status = PATHSUM_OK;

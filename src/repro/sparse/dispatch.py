@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.algebra.centpath import CentpathMonoid, brandes_action
 from repro.algebra.fields import FieldArray
-from repro.algebra.matmul import MatMulSpec
+from repro.algebra.matmul import MASK_RULES, MatMulSpec
 from repro.algebra.multpath import MultpathMonoid, bellman_ford_action
 from repro.obs import api as obs
 from repro.sparse import _native
@@ -64,7 +64,6 @@ def dispatch_spgemm(
     *,
     mask_keys: np.ndarray | None,
     mask_w: np.ndarray | None = None,
-    mask_complement: bool,
     chunk: int,
 ) -> SpGemmResult | None:
     """Route one product to the path-sum fast path.
@@ -79,7 +78,7 @@ def dispatch_spgemm(
     if kernel is None:
         _count_dispatch("generic", "unrecognized", spec.name)
         return None
-    result = _pathsum_kernel(a, b, spec, mask_keys, mask_w, mask_complement, chunk)
+    result = _pathsum_kernel(a, b, spec, mask_keys, mask_w, chunk)
     _count_dispatch(kernel, "declined" if result is None else "hit", spec.name)
     return result
 
@@ -110,7 +109,6 @@ def _pathsum_kernel(
     spec: MatMulSpec,
     mask_keys: np.ndarray | None,
     mask_w: np.ndarray | None,
-    mask_complement: bool,
     chunk: int,
 ) -> SpGemmResult | None:
     """Compiled path for the multpath/centpath monoids (MFBF/MFBr hot loop).
@@ -130,9 +128,7 @@ def _pathsum_kernel(
     compiled = _native.pathsum()
     if compiled is None:
         return None
-    return _pathsum_compiled(
-        compiled, a, b, spec, mask_keys, mask_w, mask_complement, chunk
-    )
+    return _pathsum_compiled(compiled, a, b, spec, mask_keys, mask_w, chunk)
 
 
 def _pathsum_compiled(
@@ -142,7 +138,6 @@ def _pathsum_compiled(
     spec: MatMulSpec,
     mask_keys: np.ndarray | None,
     mask_w: np.ndarray | None,
-    mask_complement: bool,
     chunk: int,
 ) -> SpGemmResult | None:
     """One ``pathsum_chunk`` call per expansion chunk; ``None`` (decline)
@@ -153,9 +148,10 @@ def _pathsum_compiled(
     run's weight and, per sum field, each run's tie sum (float64: the first
     tie plus numpy's pairwise sum of the other ties and the run's zero pads;
     int64: a wrapping sum), and adds each row's surviving pairs to
-    ``row_ops``.  ``mask_w`` (a tie-mask spec's) makes a pair survive only
-    if its weight equals its mask entry's.  What stays here is the
-    chunking, the mask keys, the error codes and :func:`_assemble_coords`.
+    ``row_ops``.  C reads ``spec.mask_rule``; under ``"tie"``, ``mask_w``
+    makes a pair survive only if its weight equals its mask entry's.  What
+    stays here is the chunking, the mask keys, the error codes and
+    :func:`_assemble_coords`.
     The chunks are :func:`_chunk_bounds`'s, so a row cut by a boundary is
     reduced in the same two pieces as by the generic kernel.
     """
@@ -178,7 +174,7 @@ def _pathsum_compiled(
         a_rows=a_rows.ctypes.data, a_cols=a_cols.ctypes.data, a_w=aw.ctypes.data,
         b_ptr=ptr.ctypes.data, b_cols=b_cols.ctypes.data, b_w=bw.ctypes.data,
         ncols=b.ncols,
-        complement=mask_complement,
+        rule=MASK_RULES.index(spec.mask_rule),
         negate=spec.f is brandes_action,
         select_max=monoid.select == "max",
         n_sum=len(sums),
@@ -191,7 +187,7 @@ def _pathsum_compiled(
         mask_w = _native.words(mask_w, np.float64)
         if mask_w is None:
             return None
-        args.mask_w, args.tie = mask_w.ctypes.data, True
+        args.mask_w = mask_w.ctypes.data
     for f, col in enumerate(sums):
         args.sum_in[f] = col.ctypes.data
         args.sum_int[f] = col.dtype == np.int64

@@ -12,10 +12,11 @@ Algorithm (the *generic* kernel): a sort-free hash-free *expansion join* —
    by vectorized repetition (this enumerates exactly the ``ops(A, B)``
    nonzero products of the paper's cost model);
 3. an optional GraphBLAS-style output mask drops joined pairs whose output
-   coordinate falls outside (or, complemented, inside) the mask's support
-   *before* any value work — masked-out products are never formed;
-4. ``f`` maps the surviving joined value pairs; under a tie-mask spec
-   (:attr:`MatMulSpec.tie_mask`) only the pairs whose weight equals the
+   coordinate falls outside (or, under a ``"complement"`` operator, inside)
+   the mask's support *before* any value work — masked-out products are
+   never formed;
+4. ``f`` maps the surviving joined value pairs; under a ``"tie"`` operator
+   (:attr:`MatMulSpec.mask_rule`) only the pairs whose weight equals the
    mask entry's stay;
 5. the monoid's ``reduce_by_key`` folds products landing on the same
    ``C(i,j)``.
@@ -65,11 +66,6 @@ class SpGemmResult:
     #: row_ops.sum()``): what charges each rank of a product over row strips
     row_ops: np.ndarray
 
-    def __iter__(self):
-        """Unpack like the historical ``(matrix, ops)`` tuple."""
-        yield self.matrix
-        yield self.ops
-
 
 def count_ops(a: SpMat, b: SpMat) -> int:
     """``ops(A, B)``: nonzero products of ``A •  B`` without forming them."""
@@ -87,7 +83,6 @@ def spgemm(
     spec: MatMulSpec,
     *,
     mask: SpMat | None = None,
-    mask_complement: bool = False,
     chunk: int = DEFAULT_CHUNK,
     kernel: str = "auto",
 ) -> SpGemmResult:
@@ -99,16 +94,15 @@ def spgemm(
         Operand matrices; ``a.ncols`` must equal ``b.nrows``.  ``a`` holds
         elements of ``f``'s first domain, ``b`` of its second.
     spec:
-        The ``•⟨⊕,f⟩`` operator; the output matrix lives over ``spec.monoid``.
+        The ``•⟨⊕,f⟩`` operator; the output matrix lives over ``spec.monoid``,
+        and ``spec.mask_rule`` says how ``mask`` decides.
     mask:
         Optional structural output mask with C's shape.  Only output
-        coordinates in ``mask``'s support are computed (``mask_complement``
-        inverts this: only coordinates *outside* the support — the
+        coordinates in ``mask``'s support are computed — under a
+        ``"complement"`` operator only coordinates *outside* it, the
         ``mxmm_msa_cmask`` idiom that keeps frontier expansion from
-        materializing settled vertices).  Values of ``mask`` are ignored,
-        except the weights a tie-mask spec compares against.
-    mask_complement:
-        Complement the mask's support (requires ``mask``).
+        materializing settled vertices.  Values of ``mask`` are ignored,
+        except the weights a ``"tie"`` operator compares against.
     chunk:
         Upper bound on the number of joined pairs materialized at once.
     kernel:
@@ -121,22 +115,21 @@ def spgemm(
         raise ValueError(f"unknown kernel {kernel!r}; expected 'auto' or 'generic'")
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimension mismatch: {a.shape} × {b.shape}")
-    if mask_complement and mask is None:
-        raise ValueError("mask_complement=True requires a mask")
-    if spec.tie_mask and (mask is None or mask_complement):
-        raise ValueError(f"{spec.name}: a tie-mask spec requires a mask, not complemented")
+    rule = spec.mask_rule
+    if rule != "keep" and mask is None:
+        raise ValueError(f"{spec.name}: a {rule!r} mask rule requires a mask")
     out_shape = (a.nrows, b.ncols)
     if mask is not None and mask.shape != out_shape:
         raise ValueError(
             f"mask shape {mask.shape} != output shape {out_shape}"
         )
-    # A non-complemented empty mask annihilates the product outright.
-    if mask is not None and mask.nnz == 0 and not mask_complement:
+    # An empty mask annihilates the product outright, unless complemented.
+    if mask is not None and mask.nnz == 0 and rule != "complement":
         return _empty_result(a, b, spec)
     # An empty complemented mask excludes nothing: treat as unmasked.
     mask_keys = mask.keys() if (mask is not None and mask.nnz) else None
-    # the weights a tie-mask spec's pairs must equal, aligned with mask_keys
-    mask_w = mask.vals[spec.monoid.weight_field] if spec.tie_mask else None
+    # the weights a tie operator's pairs must equal, aligned with mask_keys
+    mask_w = mask.vals[spec.monoid.weight_field] if rule == "tie" else None
 
     # deferred import: dispatch imports this module's internals
     from repro.sparse import dispatch
@@ -148,15 +141,11 @@ def spgemm(
             spec,
             mask_keys=mask_keys,
             mask_w=mask_w,
-            mask_complement=mask_complement,
             chunk=chunk,
         )
         if result is not None:
             return result
-    return _spgemm_generic(
-        a, b, spec, mask_keys=mask_keys, mask_w=mask_w,
-        mask_complement=mask_complement, chunk=chunk,
-    )
+    return _spgemm_generic(a, b, spec, mask_keys=mask_keys, mask_w=mask_w, chunk=chunk)
 
 
 #: a dense membership table over the output space answers mask lookups
@@ -202,11 +191,12 @@ def _mask_weight(
 def _expansion_chunks(
     a: SpMat,
     b: SpMat,
+    spec: MatMulSpec,
     mask_keys: np.ndarray | None,
-    mask_complement: bool,
     chunk: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield the (a_idx, b_idx, keys) expansion join in bounded chunks.
+    """Yield the (a_idx, b_idx, keys) expansion join in bounded chunks,
+    filtered by the support of the mask ``mask_keys`` on ``spec``'s rule.
 
     The single source of truth for join enumeration and in-expansion mask
     filtering in numpy.  The compiled path kernel in
@@ -223,7 +213,7 @@ def _expansion_chunks(
     keep = None
     if mask_keys is not None:
         keep = _mask_filter(
-            mask_keys, mask_complement, a.nrows * b.ncols, min(total, chunk)
+            mask_keys, spec.mask_rule == "complement", a.nrows * b.ncols, min(total, chunk)
         )
 
     def expand(lo: int, hi: int):
@@ -255,12 +245,11 @@ def _spgemm_generic(
     *,
     mask_keys: np.ndarray | None = None,
     mask_w: np.ndarray | None = None,
-    mask_complement: bool = False,
     chunk: int = DEFAULT_CHUNK,
 ) -> SpGemmResult:
     """The generic expansion-join kernel — correct for any MatMulSpec.
 
-    ``mask_w`` (a tie-mask spec's mask weights, aligned with ``mask_keys``)
+    ``mask_w`` (a tie operator's mask weights, aligned with ``mask_keys``)
     keeps, after ``f``, only the pairs whose weight equals their key's."""
     monoid = spec.monoid
     out_shape = (a.nrows, b.ncols)
@@ -273,15 +262,13 @@ def _spgemm_generic(
     parts_v: list[FieldArray] = []
     if mask_w is not None:
         tie_weight = _mask_weight(mask_keys, mask_w, a.nrows * b.ncols, min(count_ops(a, b), chunk))
-    for a_idx, b_idx, keys in _expansion_chunks(
-        a, b, mask_keys, mask_complement, chunk
-    ):
+    for a_idx, b_idx, keys in _expansion_chunks(a, b, spec, mask_keys, chunk):
         if len(keys) == 0:
             continue
         vals = spec.apply_f(take_fields(a.vals, a_idx), take_fields(b.vals, b_idx))
         del b_idx
         if mask_w is not None:
-            # every key is in the mask: a tie-mask spec is never complemented
+            # every key is in the mask: the tie rule keeps no key outside it
             ties = vals[monoid.weight_field] == tie_weight(keys)
             if not ties.all():
                 idx = ties.nonzero()[0]

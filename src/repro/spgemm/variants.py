@@ -80,7 +80,6 @@ def execute_plan(
     spec: MatMulSpec,
     *,
     mask: DistMat | None = None,
-    mask_complement: bool = False,
 ) -> tuple[DistMat, int]:
     """Run ``C = A •⟨⊕,f⟩ B`` under ``plan``; return C and the op count.
 
@@ -91,10 +90,10 @@ def execute_plan(
     elementwise operation moves it only if it needs another blocking
     (layout persistence, §7.4).
 
-    ``mask`` is an optional structural output mask with C's shape
-    (``mask_complement`` inverts its support), read where it rests, on any
-    layout.  Each variant reads the exact sub-mask covering every local
-    product's output frame from the mask's own tiles
+    ``mask`` is an optional structural output mask with C's shape, read
+    where it rests, on any layout; ``spec`` says how it decides.  Each
+    variant reads the exact sub-mask covering every local product's output
+    frame from the mask's own tiles
     (:meth:`DistMat.region`: a frame that is a tile is a view of that
     tile), uncharged — the sub-mask is consumed by the rank that assembles
     the matching C frame, the stationary-mask convention of GraphBLAS
@@ -115,18 +114,16 @@ def execute_plan(
         mask = mask.region
     kind = plan.kind
     if kind == "1d":
-        c, ops = _exec_1d(plan.x, machine, a, b, spec, mask, mask_complement)
+        c, ops = _exec_1d(plan.x, machine, a, b, spec, mask)
     elif kind == "2d":
         ranks2d = np.arange(machine.p).reshape(plan.p2, plan.p3)
         c, ops = _exec_2d(
-            plan.yz, ranks2d, machine, a, b, spec, mask, mask_complement,
+            plan.yz, ranks2d, machine, a, b, spec, mask,
             memo=(b, ("diag", plan.p2, plan.p3)),
         )
     else:
         ranks3d = np.arange(machine.p).reshape(plan.p1, plan.p2, plan.p3)
-        c, ops = _exec_3d(
-            plan.x, plan.yz, ranks3d, machine, a, b, spec, mask, mask_complement
-        )
+        c, ops = _exec_3d(plan.x, plan.yz, ranks3d, machine, a, b, spec, mask)
     return c, ops
 
 
@@ -175,7 +172,6 @@ def _task_products(
     spec,
     *,
     masks: list[SpMat] | None = None,
-    mask_complement: bool = False,
     diag: _Diag | None = None,
     chunk: int = DEFAULT_CHUNK,
 ) -> tuple[list[SpMat], int]:
@@ -212,9 +208,7 @@ def _task_products(
     frame = None
     if masks is not None:
         frame = _placed(int(cuts[-1]), diag.mat.ncols, masks, cuts, outer)
-    calls, ops = _step_product(
-        machine, ranks, left, cuts, diag.mat, spec, frame, mask_complement, chunk
-    )
+    calls, ops = _step_product(machine, ranks, left, cuts, diag.mat, spec, frame, chunk)
     prods = []
     for lo, hi, prod in calls:
         at = np.searchsorted(prod.rows, cuts[lo : hi + 1]).tolist()
@@ -242,7 +236,6 @@ def _step_product(
     right: SpMat,
     spec,
     mask: SpMat | None,
-    mask_complement: bool,
     chunk: int = DEFAULT_CHUNK,
 ) -> tuple[list[tuple[int, int, SpMat]], np.ndarray]:
     """One plan step's local products as one kernel call, ``left • right``.
@@ -280,7 +273,6 @@ def _step_product(
         [(piece, right) for piece in pieces],
         spec,
         masks=None if mask is None else [mask] * len(pieces),
-        mask_complement=mask_complement,
     )
     upto = np.zeros(left.nrows + 1, dtype=np.int64)
     np.cumsum(sum(res.row_ops for res in results), out=upto[1:])
@@ -394,7 +386,6 @@ def _exec_1d(
     b: DistMat,
     spec,
     mask: _Frames | None,
-    mask_complement: bool,
 ) -> tuple[DistMat, int]:
     p = machine.p
     world = machine.world()
@@ -427,7 +418,6 @@ def _exec_1d(
         calls, ops = _step_product(
             machine, grid[:, 0], strips_a.packed(), strips_a.layout.row_splits,
             whole, spec, None if mask is None else mask(0, size["m"], 0, size["n"]),
-            mask_complement,
         )
         c = calls[0][2]
         if len(calls) > 1:
@@ -453,7 +443,6 @@ def _exec_1d(
         [(r, local["A"][r], local["B"][r]) for r in range(p)],
         spec,
         masks=masks,
-        mask_complement=mask_complement,
     )
     if x == "C":
         total = world.sparse_reduce(prods, SpMat.combine)
@@ -479,7 +468,6 @@ def _exec_2d(
     b: DistMat,
     spec,
     mask: _Frames | None = None,
-    mask_complement: bool = False,
     memo: tuple[DistMat, tuple] | None = None,
 ) -> tuple[DistMat, int]:
     """The 2D variant ``yz`` on ``ranks2d``.  ``mask`` reads the sub-mask
@@ -632,7 +620,6 @@ def _exec_2d(
             tasks,
             spec,
             masks=None if mask is None else [frame_mask(*ij, t) for ij in live],
-            mask_complement=mask_complement,
             diag=diag,
         )
         total_ops += ops
@@ -676,7 +663,6 @@ def _exec_3d(
     b: DistMat,
     spec,
     mask: _Frames | None,
-    mask_complement: bool,
 ) -> tuple[DistMat, int]:
     p1, p2, p3 = ranks3d.shape
     mats = {"A": a, "B": b}
@@ -725,8 +711,7 @@ def _exec_3d(
         if mask is not None and x != "C":
             mask_l = _shifted(mask, _DIMS["C"].index(d), lo)
         c_l, ops = _exec_2d(
-            yz, layers[l], machine, layer_mats["A"], layer_mats["B"], spec,
-            mask_l, mask_complement,
+            yz, layers[l], machine, layer_mats["A"], layer_mats["B"], spec, mask_l,
             memo=(b, ("diag", "3dB", p1, p2, p3, l)) if x == "B" else None,
         )
         total_ops += ops

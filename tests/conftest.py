@@ -20,6 +20,7 @@ never writes into the user's cache.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "assert_bits",
     "assert_fired",
     "kernel",
+    "ruled",
     "random_weight_spmat",
 ]
 
@@ -77,6 +79,11 @@ def assert_bits(got, want) -> None:
     for name, col in want.vals.items():
         assert got.vals[name].dtype == col.dtype
         assert got.vals[name].tobytes() == col.tobytes()
+
+
+def ruled(spec, rule: str = "complement"):
+    """``spec``'s operator under the mask rule ``rule``."""
+    return spec if spec.mask_rule == rule else dataclasses.replace(spec, mask_rule=rule)
 
 
 def assert_fired(machine) -> None:

@@ -180,6 +180,26 @@ class TestSimulateAndInfo:
         )
         assert crc(out) and crc(out) == crc(clean)
 
+    @pytest.mark.parametrize(
+        "command, fault",
+        [("simulate", "corrupt@100000"), ("trace", "crash@100000:1")],
+    )
+    def test_a_scripted_fault_that_never_fires_fails_the_run(
+        self, graph_file, tmp_path, capsys, command, fault
+    ):
+        """A one-shot scripted past the run's last collective leaves the run
+        fault-free; the command says so and exits non-zero, after its
+        summary."""
+        path, _ = graph_file
+        args = [command, path, "--p", "4", "--faults", f"seed:1,{fault}"]
+        if command == "trace":
+            args += ["-o", str(tmp_path / "trace.json")]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "sources processed" in captured.out
+        assert "FAIL: scripted faults never fired" in captured.err
+        assert "100000" in captured.err
+
     def test_checkpoint_resumes_under_memory_budget(self, tmp_path, capsys):
         """Re-running a budgeted command resumes its checkpoint: the shrink
         rung narrows the sweep, not the batch, so the checkpoint records the

@@ -6,7 +6,6 @@ chunking, for every recognized semiring, masked or not.  The generic kernel
 is the oracle throughout.
 """
 
-import dataclasses
 import importlib
 import json
 import sys
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_bits, kernel
+from conftest import assert_bits, kernel, ruled
 from repro import mfbc, obs, rmat_graph
 from repro.algebra import (
     CENTPATH,
@@ -35,7 +34,7 @@ from repro.check.replay import ReplayCase, load_case, replay, resolve_spec, save
 from repro.check.strategies import WEIGHT_MONOID
 from repro.core.engine import SequentialEngine
 from repro.algebra.multpath import bellman_ford_action
-from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC, SUCCESSOR_SPEC
+from repro.core.specs import BELLMAN_FORD_SPEC, BFS_LEVEL_SPEC, BRANDES_SPEC, SUCCESSOR_SPEC
 from repro.dist import DistributedEngine
 from repro.machine import Machine
 from repro.sparse import SpGemmResult, SpMat, spgemm
@@ -58,7 +57,7 @@ def _dispatch_series(a, b, spec):
     """The one ``kernel.dispatch`` series a product lands in, as a label dict."""
     metrics = obs.Metrics()
     with obs.use(metrics=metrics):
-        dispatch_spgemm(a, b, spec, mask_keys=None, mask_complement=False, chunk=1 << 22)
+        dispatch_spgemm(a, b, spec, mask_keys=None, chunk=1 << 22)
     ((labels, count),) = metrics.series("kernel.dispatch").items()
     assert count == 1.0
     return dict(labels)
@@ -173,14 +172,9 @@ class TestModeKnob:
 
 
 def _assert_identical(a, b, spec, mask, complement, chunk):
-    gen = spgemm(
-        a, b, spec, mask=mask, mask_complement=complement, chunk=chunk,
-        kernel="generic",
-    )
-    got = spgemm(
-        a, b, spec, mask=mask, mask_complement=complement, chunk=chunk,
-        kernel="auto",
-    )
+    spec = ruled(spec, "complement" if complement else spec.mask_rule)
+    gen = spgemm(a, b, spec, mask=mask, chunk=chunk, kernel="generic")
+    got = spgemm(a, b, spec, mask=mask, chunk=chunk, kernel="auto")
     assert got.matrix.equals(gen.matrix)
     assert got.ops == gen.ops
 
@@ -350,10 +344,8 @@ def _path_products(draw, a_monoid):
 def _outcome(a, b, spec, mask, complement, chunk, kernel):
     """The product, or the message of the ``ValueError`` it raised."""
     try:
-        return spgemm(
-            a, b, spec, mask=mask, mask_complement=complement, chunk=chunk,
-            kernel=kernel,
-        )
+        spec = ruled(spec, "complement" if complement else spec.mask_rule)
+        return spgemm(a, b, spec, mask=mask, chunk=chunk, kernel=kernel)
     except ValueError as exc:
         return str(exc)
 
@@ -434,15 +426,12 @@ class TestCompiledPathsum:
         b = cst.random_weight_spmat(rng, 6, 7, 0.6)
         mask = cst.random_weight_spmat(rng, 5, 7, 0.5)
         for chunk in (2, 1 << 22):
-            want = spgemm(
-                a, b, spec, mask=mask, mask_complement=True, chunk=chunk,
-                kernel="generic",
-            )
+            want = spgemm(a, b, ruled(spec), mask=mask, chunk=chunk, kernel="generic")
             with monkeypatch.context() as patch:
                 patch.setattr(
                     spgemm_mod, "_spgemm_generic", lambda *a, **k: pytest.fail("declined")
                 )
-                got = spgemm(a, b, spec, mask=mask, mask_complement=True, chunk=chunk)
+                got = spgemm(a, b, ruled(spec), mask=mask, chunk=chunk)
             _assert_same_bits(got, want)
 
     @PATHSUM_SPECS
@@ -456,7 +445,7 @@ class TestCompiledPathsum:
             spgemm(a, b, spec)
         # masked out, the pair is never formed: neither kernel may look at it
         hidden = SpMat(1, 1, [0], [0], {"w": np.ones(1)}, WEIGHT_MONOID)
-        assert spgemm(a, b, spec, mask=hidden, mask_complement=True).ops == 0
+        assert spgemm(a, b, ruled(spec), mask=hidden).ops == 0
 
     @pytest.mark.parametrize("first", [0.0, -0.0])
     def test_tied_signed_zero_weights_keep_the_first(self, first):
@@ -569,7 +558,7 @@ class TestMaskSemantics:
         spec = TROPICAL.matmul_spec()
         full = spgemm(a, b, spec, kernel=kernel)
         kept = spgemm(a, b, spec, mask=mask, kernel=kernel)
-        comp = spgemm(a, b, spec, mask=mask, mask_complement=True, kernel=kernel)
+        comp = spgemm(a, b, ruled(spec), mask=mask, kernel=kernel)
         mk = set(zip(mask.rows.tolist(), mask.cols.tolist()))
         kept_keys = set(zip(kept.matrix.rows.tolist(), kept.matrix.cols.tolist()))
         comp_keys = set(zip(comp.matrix.rows.tolist(), comp.matrix.cols.tolist()))
@@ -587,7 +576,7 @@ class TestMaskSemantics:
         out = spgemm(a, b, spec, mask=empty, kernel=kernel)
         assert out.matrix.nnz == 0 and out.ops == 0
         # complemented empty mask excludes nothing
-        out = spgemm(a, b, spec, mask=empty, mask_complement=True, kernel=kernel)
+        out = spgemm(a, b, ruled(spec), mask=empty, kernel=kernel)
         ref = spgemm(a, b, spec, kernel="generic")
         assert out.matrix.equals(ref.matrix) and out.ops == ref.ops
 
@@ -608,8 +597,7 @@ class TestUnifiedApi:
         a = cst.random_weight_spmat(rng, 5, 5, 0.5)
         res = spgemm(a, a, TROPICAL.matmul_spec())
         assert isinstance(res, SpGemmResult)
-        mat, ops = res  # SpGemmResult unpacks like the old tuple
-        assert mat is res.matrix and ops == res.ops
+        assert res.ops == res.row_ops.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +635,7 @@ class TestEndToEnd:
 
 #: the Bellman-Ford product under a tie mask, so both path kernels' weight
 #: rules (a sum, a difference) meet the rule
-_TIE_BF_SPEC = MatMulSpec(MULTPATH, bellman_ford_action, name="tie-bf", tie_mask=True)
+_TIE_BF_SPEC = MatMulSpec(MULTPATH, bellman_ford_action, name="tie-bf", mask_rule="tie")
 
 TIE_SPECS = pytest.mark.parametrize(
     "spec, a_monoid",
@@ -712,7 +700,7 @@ class TestTieMask:
         a = _random_path_spmat(rng, a_monoid, 5, 6)
         b = cst.random_weight_spmat(rng, 6, 7, 0.6)
         # the mask holds each entry's best weight: the product's winners tie
-        untied = dataclasses.replace(spec, tie_mask=False)
+        untied = ruled(spec, "keep")
         mask = spgemm(a, b, untied, kernel="generic").matrix.map(
             lambda v: {"w": v["w"]}, monoid=WEIGHT_MONOID
         )
@@ -745,10 +733,11 @@ class TestTieMask:
         a = SpMat(1, 1, [0], [0], CENTPATH.make([1.0], [0.0], [1]), CENTPATH)
         b = SpMat(1, 1, [0], [0], {"w": np.ones(1)}, WEIGHT_MONOID)
         for kernel in ("generic", "auto"):
-            with pytest.raises(ValueError, match="tie-mask spec requires a mask"):
+            with pytest.raises(ValueError, match="'tie' mask rule requires a mask"):
                 spgemm(a, b, SUCCESSOR_SPEC, kernel=kernel)
-            with pytest.raises(ValueError, match="tie-mask spec requires a mask"):
-                spgemm(a, b, SUCCESSOR_SPEC, mask=b, mask_complement=True, kernel=kernel)
+        # one rule per operator: a complemented tie rule cannot be stated
+        with pytest.raises(ValueError, match="is not one of"):
+            ruled(SUCCESSOR_SPEC, "complement-tie")
 
 
 # ---------------------------------------------------------------------------
@@ -777,25 +766,63 @@ class TestReplayCases:
         save_case(case, path)
         loaded = load_case(path)
         assert loaded.mask is not None and loaded.mask.equals(mask)
-        assert not loaded.mask_complement
+        assert loaded.spec.mask_rule == "keep"
         assert replay(loaded).matches
+
+    @staticmethod
+    def _rewrite(path, out, **meta_changes):
+        """``path``'s archive saved at ``out`` with its meta changed."""
+        data = dict(np.load(path))
+        meta = json.loads(bytes(data["meta"]).decode())
+        meta.update(meta_changes)
+        data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(out, **data)
+        return out
 
     def test_v1_archive_still_loads(self, rng, tmp_path):
         case = self._case(rng, mask=None)
         path = tmp_path / "case.npz"
         save_case(case, path)
         # rewrite the archive as a pre-mask v1 case
-        data = dict(np.load(path))
-        meta = json.loads(bytes(data["meta"]).decode())
-        meta["version"] = 1
-        del meta["mask_complement"]
-        data["meta"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8
+        loaded = load_case(self._rewrite(path, tmp_path / "case_v1.npz", version=1))
+        assert loaded.mask is None
+        assert replay(loaded).matches
+
+    @pytest.mark.parametrize(
+        "base, operator",
+        [
+            ("bellman-ford", "repro.core.specs:BFS_LEVEL_SPEC"),
+            ("real", "repro.baselines.combblas_bc:_FORWARD"),
+            ("bfs", "repro.apps.bfs:_SPEC"),
+        ],
+        ids=["mfbf-level", "combblas-forward", "bfs-app"],
+    )
+    def test_v2_complemented_archive_replays_on_its_operator(self, base, operator, rng, tmp_path):
+        # a v2 archive named the plain operator and flagged the complement
+        # beside it; it loads as the complemented operator the caller runs
+        module, name = operator.split(":")
+        operator = getattr(importlib.import_module(module), name)
+        if operator.monoid is MULTPATH:
+            a = _random_path_spmat(rng, MULTPATH, 6, 6)
+        else:
+            a = cst.random_weight_spmat(rng, 6, 6, 0.5)
+            a = a.map(lambda v: {"w": v["w"]}, monoid=operator.monoid)
+        b = cst.random_weight_spmat(rng, 6, 6, 0.5)
+        mask = cst.random_weight_spmat(rng, 6, 6, 0.4)
+        got = spgemm(a, b, operator, mask=mask)
+        path = tmp_path / "case.npz"
+        save_case(
+            ReplayCase(a=a, b=b, spec_name=operator.name, got=got.matrix,
+                       got_ops=got.ops, mask=mask),
+            path,
         )
-        v1 = tmp_path / "case_v1.npz"
-        np.savez(v1, **data)
-        loaded = load_case(v1)
-        assert loaded.mask is None and not loaded.mask_complement
+        v2 = self._rewrite(path, tmp_path / "case_v2.npz", version=2, spec=base,
+                           mask_complement=True)
+        loaded = load_case(v2)
+        assert loaded.spec is operator and loaded.spec.mask_rule == "complement"
+        ref = spgemm(loaded.a, loaded.b, loaded.spec, mask=loaded.mask, kernel="generic")
+        assert_bits(ref.matrix, got.matrix)
+        assert ref.ops == got.ops < spgemm(a, b, ruled(operator, "keep")).ops
         assert replay(loaded).matches
 
     @pytest.mark.parametrize(
@@ -804,16 +831,44 @@ class TestReplayCases:
     def test_app_specs_resolve_to_the_objects_the_apps_run(self, app):
         spec = importlib.import_module(f"repro.apps.{app}")._SPEC
         assert resolve_spec(spec.name) is spec
+        # the BFS app's screen is its operator's complemented mask
+        assert spec.mask_rule == ("complement" if app == "bfs" else "keep")
 
     def test_the_combblas_spec_resolves_to_the_object_the_baseline_runs(self):
         # the package re-exports the function under the module's name
         combblas_bc = importlib.import_module("repro.baselines.combblas_bc")
         assert resolve_spec(combblas_bc._SPEC.name) is combblas_bc._SPEC
+        forward = combblas_bc._FORWARD
+        assert resolve_spec(forward.name) is forward and forward.mask_rule == "complement"
 
     def test_core_specs_resolve_to_themselves(self):
         assert resolve_spec("bellman-ford") is BELLMAN_FORD_SPEC
         assert resolve_spec("bf") is BELLMAN_FORD_SPEC
         assert resolve_spec("brandes") is BRANDES_SPEC
+        assert resolve_spec("bfs-level") is BFS_LEVEL_SPEC
+
+    @pytest.mark.parametrize("caller", ["mfbc", "bfs_levels", "combblas_bc"])
+    def test_every_operator_a_run_multiplies_with_resolves_to_itself(self, caller, monkeypatch):
+        # the registry holds the very objects a run multiplies with, each
+        # complemented operator under its own name
+        from repro import bfs_levels, combblas_bc
+
+        seen = {}
+        inner = SequentialEngine.spgemm
+
+        def recording(self, a, b, spec, *, mask=None):
+            seen[spec.name] = spec
+            return inner(self, a, b, spec, mask=mask)
+
+        monkeypatch.setattr(SequentialEngine, "spgemm", recording)
+        graph, sources = rmat_graph(5, 4, seed=3), np.arange(4)
+        if caller == "bfs_levels":
+            bfs_levels(graph, sources)
+        else:
+            {"mfbc": mfbc, "combblas_bc": combblas_bc}[caller](graph, sources=sources)
+        assert any(spec.mask_rule == "complement" for spec in seen.values())
+        for name, spec in seen.items():
+            assert resolve_spec(name) is spec
 
     def test_successor_spec_resolves_to_itself(self):
         assert resolve_spec("successor") is SUCCESSOR_SPEC

@@ -444,17 +444,17 @@ class TestLocalExecutor:
         masks = [None, pairs[0][0], None, None, pairs[1][1]]
         calls = []
 
-        def recording(x, y, spec, **kw):
-            calls.append((x, y, kw))
+        def recording(x, y, op, **kw):
+            calls.append((x, y, op, kw))
             return len(calls)
 
         monkeypatch.setattr(executor_module, "spgemm", recording)
-        got = ex.run_spgemm(pairs, spec, masks=masks, mask_complement=True)
+        got = ex.run_spgemm(pairs, spec, masks=masks)
         assert got == [1, 2, 3, 4, 5]
-        for (x, y, kw), (px, py), mk in zip(calls, pairs, masks, strict=True):
-            assert x is px and y is py
+        for (x, y, op, kw), (px, py), mk in zip(calls, pairs, masks, strict=True):
+            assert x is px and y is py and op is spec
             # no kernel keyword: every local product dispatches (spgemm's "auto")
-            assert kw == {"mask": mk, "mask_complement": True}
+            assert kw == {"mask": mk}
         assert ex.run_spgemm([], spec) == []
 
 

@@ -357,6 +357,38 @@ class TestPressuredRuns:
             run_mfbc(g, machine)
 
 
+class TestValidationReads:
+    """Checking reads spilled tiles from their segments, uncharged, and
+    leaves them spilled: it moves neither the ledger nor the memory
+    accounting."""
+
+    def test_a_peek_leaves_the_tile_spilled_and_charges_nothing(self, tmp_path):
+        machine = quiet(4, spill_dir=str(tmp_path))
+        mat = DistributedEngine(machine).adjacency(seed_graph())
+        want = mat.gather(charge=False)  # every tile resident
+        store = machine.memory.store()
+        assert sum(mat.spill_blocks(store, rank=r) for r in range(4)) > 0
+        spilled, used = dict(mat._spilled), machine.memory_used()
+        led, mem = machine.ledger.snapshot(), machine.memory.snapshot()
+        assert mat.gather(charge=False, peek=True).equals(want)
+        assert all(mat.peek(*ij).nnz == seg.nnz for ij, seg in spilled.items())
+        assert mat._spilled == spilled and machine.memory_used() == used
+        assert machine.ledger.snapshot() == led and machine.memory.snapshot() == mem
+
+    @pytest.mark.parametrize("budget", [3000, 4000])
+    def test_check_levels_keep_the_ledger_and_memory_accounting(self, tmp_path, budget):
+        runs = {}
+        for check in ("off", "cheap", "full"):
+            machine = quiet(4, memory_words=budget, check=check,
+                            spill_dir=str(tmp_path / check))
+            scores = mfbc(rmat_graph(7, 8, seed=0), batch_size=16, sources=np.arange(32),
+                          engine=DistributedEngine(machine)).scores
+            runs[check] = (scores.tobytes(), machine.ledger.snapshot(),
+                           machine.memory.snapshot())
+        assert runs["off"][2]["restored_blocks"] > 0  # the budget spills
+        assert runs["cheap"] == runs["off"] and runs["full"] == runs["off"]
+
+
 class TestRestingReadOrder:
     """When a 2D plan step reads its resting operands' tiles.  A flipped
     operand (one resting on the transposed grid) is read up front, column by
@@ -415,12 +447,12 @@ class TestSpilledMaskTiles:
             engine = DistributedEngine(machine, policy=PinnedPolicy.ca_mfbc(p=16, c=4))
             inner, spilled = engine.spgemm, []
 
-            def spgemm(a, b, spec, *, mask=None, mask_complement=False):
+            def spgemm(a, b, spec, *, mask=None):
                 # every tile of the mask (T, or MFBr's pending set) leaves for the store
                 if spill and mask is not None:
                     store = machine.memory.store()
                     spilled.append(sum(mask.spill_blocks(store, r) for r in range(16)))
-                return inner(a, b, spec, mask=mask, mask_complement=mask_complement)
+                return inner(a, b, spec, mask=mask)
 
             engine.spgemm = spgemm
             scores = mfbc(g, batch_size=32, sources=np.arange(64), engine=engine).scores

@@ -197,13 +197,15 @@ class TestMasksReadInPlace:
         masks, gathered = {}, []  # masks held, so no id is recycled
         spgemm, gather = DistributedEngine.spgemm, DistMat.gather
 
-        def recording(self, a, b, spec, *, mask=None, mask_complement=False):
+        def recording(self, a, b, spec, *, mask=None):
             if mask is not None:
                 masks[id(mask)] = mask
-            return spgemm(self, a, b, spec, mask=mask, mask_complement=mask_complement)
+            return spgemm(self, a, b, spec, mask=mask)
 
         def watched(self, *args, **kwargs):
-            if id(self) in masks:
+            # a checked run's validation read (REPRO_CHECK) peeks at tiles,
+            # uncharged, outside the product: only a product's gather counts
+            if id(self) in masks and not kwargs.get("peek"):
                 gathered.append(self)
             return gather(self, *args, **kwargs)
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ruled
 from repro.algebra.centpath import CENTPATH
 from repro.algebra.monoid import (
     MinWeightTieSumMonoid,
@@ -272,8 +273,8 @@ def test_masked_product_same_either_side_of_table_threshold(
         monkeypatch.setattr(kernel, "_MASK_TABLE_SPAN", span)
         for mode in ("generic", "auto"):
             results.append(
-                spgemm(front, adj, BRANDES_SPEC, mask=mask,
-                       mask_complement=complement, kernel=mode, chunk=97)
+                spgemm(front, adj, ruled(BRANDES_SPEC, "complement" if complement else "keep"),
+                       mask=mask, kernel=mode, chunk=97)
             )
     assert all(r.matrix.equals(results[0].matrix) for r in results)
     assert {r.ops for r in results} == {results[0].ops}

@@ -33,7 +33,7 @@ from repro.spgemm import Plan, execute_plan
 from repro.spgemm.selector import PinnedPolicy, enumerate_plans
 from repro.spgemm.variants import _block_diag, _step_product, _task_products
 
-from conftest import KERNELS, WEIGHT, assert_bits, kernel, random_weight_spmat
+from conftest import KERNELS, WEIGHT, assert_bits, kernel, random_weight_spmat, ruled
 
 SPEC = TROPICAL.matmul_spec()
 BF = MatMulSpec(MULTPATH, bellman_ford_action, "bf")
@@ -93,6 +93,45 @@ class TestAllPlansMatchSequential:
         for plan in enumerate_plans(p):
             c, _ = execute_plan(plan, df, dadj, BF)
             assert c.gather(charge=False).equals(ref), plan.describe()
+
+    @pytest.mark.parametrize("rule", ["keep", "complement", "tie"])
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_every_plan_under_every_rule(self, rng, p, rule):
+        """Every plan gives the generic kernel's bits and ops under each mask
+        rule, its mask resting on a layout no plan puts C on (one row of
+        uneven column tiles).  Weights and multiplicities are small
+        integers: ties are common and sums exact in any order."""
+        m, k, n = 7, 33, 19
+        a = random_weight_spmat(rng, m, k, 0.3)
+        a = SpMat(m, k, a.rows, a.cols,
+                  MULTPATH.make(rng.integers(1, 4, a.nnz), rng.integers(1, 4, a.nnz)), MULTPATH)
+        b = random_weight_spmat(rng, k, n, 0.3)
+        b = SpMat(k, n, b.rows, b.cols, {"w": rng.integers(1, 4, b.nnz).astype(float)}, WEIGHT)
+        # most of the unmasked product's keys, with its weights on some of
+        # them and others on the rest, and keys it has none on
+        full = spgemm(a, b, BF, kernel="generic").matrix
+        part = full.filter(lambda v: rng.random(len(v["w"])) < 0.7)
+        w = part.vals["w"] + (rng.random(part.nnz) < 0.4)
+        extra = random_weight_spmat(rng, m, n, 0.2)
+        extra = extra.filter(lambda v, keys=extra.keys(): ~np.isin(keys, full.keys()))
+        mask = SpMat(m, n, np.concatenate([part.rows, extra.rows]),
+                     np.concatenate([part.cols, extra.cols]),
+                     {"w": np.concatenate([w, extra.vals["w"]])}, WEIGHT)
+        spec = ruled(BF, rule)
+        want = spgemm(a, b, spec, mask=mask, kernel="generic")
+        assert 0 < want.ops < spgemm(a, b, BF).ops
+        machine = Machine(p, faults="off", elastic="off", check="off", memory_words="off")
+        inner = np.sort(rng.choice(np.arange(1, n), p - 1, replace=False))
+        cuts = np.concatenate([[0], inner, [n]])
+        dmask = DistMat.distribute(mask, machine, home(p), charge=False).redistribute(
+            Layout(np.arange(p).reshape(1, p), [0, m], cuts)
+        )
+        da, db = (DistMat.distribute(x, machine, home(p), charge=False) for x in (a, b))
+        for plan in enumerate_plans(p):
+            c, ops = execute_plan(plan, da, db, spec, mask=dmask)
+            assert c.layout != dmask.layout, plan.describe()
+            assert_bits(c.gather(charge=False), want.matrix)
+            assert ops == want.ops, plan.describe()
 
     def test_empty_frontier(self, rng):
         p = 4
@@ -210,13 +249,18 @@ def _strip_operands(rng, machine, spec):
     return da, b
 
 
+def _rule(kind: str) -> str:
+    """The mask rule of one masking case."""
+    return "complement" if kind.endswith("complement") else "keep"
+
+
 def _masks(rng, kind):
-    """``(mask, complement)`` of the 13 × 30 output for one masking case."""
+    """``(mask, rule)`` of the 13 × 30 output for one masking case."""
     if kind == "none":
-        return None, False
+        return None, "keep"
     if kind.startswith("empty"):
-        return SpMat.empty(13, 30, WEIGHT), kind.endswith("complement")
-    return random_weight_spmat(rng, 13, 30, 0.5), kind == "complement"
+        return SpMat.empty(13, 30, WEIGHT), _rule(kind)
+    return random_weight_spmat(rng, 13, 30, 0.5), _rule(kind)
 
 
 class TestStripProduct:
@@ -234,7 +278,8 @@ class TestStripProduct:
         p = 16  # more strips than rows: some strips are empty by their splits
         machine = Machine(p, faults="off", elastic="off", check="off", memory_words="off")
         da, b = _strip_operands(rng, machine, spec)
-        mask, complement = _masks(rng, masking)
+        mask, rule = _masks(rng, masking)
+        spec = ruled(spec, rule)
         cuts = da.layout.row_splits.tolist()
         # the executor's products run at the chunk the strips are grouped by
         monkeypatch.setattr(executor, "spgemm", functools.partial(spgemm, chunk=chunk))
@@ -245,7 +290,6 @@ class TestStripProduct:
                     b,
                     spec,
                     mask=None if mask is None else axis_block(mask, 0, cuts[r], cuts[r + 1]),
-                    mask_complement=complement,
                     chunk=chunk,
                 )
                 for r in range(p)
@@ -254,7 +298,7 @@ class TestStripProduct:
             before = led.time.copy(), led.compute_per_rank.copy()
             calls, per_strip = _step_product(
                 machine, np.arange(p), da.packed(), da.layout.row_splits, b, spec,
-                mask, complement, chunk=chunk,
+                mask, chunk=chunk,
             )
         parts = [(prod.rows, prod.cols, prod.vals) for _, _, prod in calls]
         c, ops = SpMat._merged(da.nrows, b.ncols, parts, spec.monoid), int(per_strip.sum())
@@ -295,8 +339,7 @@ class TestStripProduct:
 variants = sys.modules[_task_products.__module__]
 
 
-def _per_task(machine, tasks, spec, *, masks=None, mask_complement=False, diag=None,
-              chunk=DEFAULT_CHUNK):
+def _per_task(machine, tasks, spec, *, masks=None, diag=None, chunk=DEFAULT_CHUNK):
     """The reference the step product replaces: one kernel call per task,
     then one charge of the tasks' ops in task order."""
 
@@ -306,8 +349,7 @@ def _per_task(machine, tasks, spec, *, masks=None, mask_complement=False, diag=N
         return diag.mat.block(*(int(b) for b in (*diag.rows[y : y + 2], *diag.cols[y : y + 2])))
 
     results = [
-        spgemm(x, right(y), spec, mask=None if masks is None else masks[t],
-               mask_complement=mask_complement, chunk=chunk)
+        spgemm(x, right(y), spec, mask=None if masks is None else masks[t], chunk=chunk)
         for t, (_, x, y) in enumerate(tasks)
     ]
     machine.charge_compute([rank for rank, _, _ in tasks], [res.ops for res in results])
@@ -356,11 +398,11 @@ def _step_tasks(rng, spec):
 def _step_masks(rng, tasks, ys, kind):
     """Per-task masks (each of its task's output shape) for one masking case."""
     if kind == "none":
-        return None, False
+        return None, "keep"
     shapes = [(x.nrows, ys[y].ncols) for _, x, y in tasks]
     if kind.startswith("empty"):
-        return [SpMat.empty(*shape, WEIGHT) for shape in shapes], kind.endswith("complement")
-    return [random_weight_spmat(rng, *shape, 0.5) for shape in shapes], kind == "complement"
+        return [SpMat.empty(*shape, WEIGHT) for shape in shapes], _rule(kind)
+    return [random_weight_spmat(rng, *shape, 0.5) for shape in shapes], _rule(kind)
 
 
 class TestStepProduct:
@@ -375,7 +417,8 @@ class TestStepProduct:
     @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 300, 40], ids=["one", "groups", "cut"])
     def test_equals_the_per_task_products(self, rng, monkeypatch, route, spec, masking, chunk):
         tasks, ys = _step_tasks(rng, spec)
-        masks, complement = _step_masks(rng, tasks, ys, masking)
+        masks, rule = _step_masks(rng, tasks, ys, masking)
+        spec = ruled(spec, rule)
         monkeypatch.setattr(executor, "spgemm", functools.partial(spgemm, chunk=chunk))
         # the right operands named per task (distinct objects, one shared by
         # three tasks), or as the caller's block diagonal
@@ -388,8 +431,7 @@ class TestStepProduct:
                                   memory_words="off")
                 seen = _charges(monkeypatch, machine)
                 with kernel(route):
-                    prods, ops = run(machine, named, spec, masks=masks,
-                                     mask_complement=complement, diag=diag, chunk=chunk)
+                    prods, ops = run(machine, named, spec, masks=masks, diag=diag, chunk=chunk)
                 outs.append((prods, ops, seen, machine.ledger.snapshot()))
             (want, want_ops, want_seen, want_led), (got, got_ops, seen, led) = outs
             assert len(got) == len(want) == len(tasks)
@@ -433,7 +475,8 @@ class TestStepProduct:
             dmask = None
             if mask is not None:
                 dmask = DistMat.distribute(mask, machine, home(p), charge=False)
-            c, ops = execute_plan(plan, da, db, BF, mask=dmask, mask_complement=masked)
+            c, ops = execute_plan(plan, da, db, ruled(BF, "complement" if masked else "keep"),
+                                  mask=dmask)
             monkeypatch.setattr(executor, "spgemm", original)
             runs.append((c, ops, seen, machine.ledger.snapshot(), len(calls)))
         (want, want_ops, want_seen, want_led, _), (got, ops, seen, led, calls) = runs
