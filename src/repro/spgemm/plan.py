@@ -29,7 +29,7 @@ class Plan:
     p1: int
     p2: int
     p3: int
-    x: str  # 1D variant over p1 ("A", "B", or "C"); ignored when p1 == 1
+    x: str  # 1D variant over p1 ("A", "B", or "C"); ignored by a 2D plan
     yz: str  # 2D variant on p2 × p3 ("AB", "AC", "BC"); ignored when p2·p3 == 1
 
     def __post_init__(self) -> None:
@@ -55,8 +55,7 @@ class Plan:
 
     def describe(self) -> str:
         if self.kind == "1d":
-            q = self.p1 if self.p1 > 1 else self.p2 * self.p3
-            return f"1D-{self.x}(p={q})" if self.p1 > 1 else f"2D-{self.yz}(1x{q})"
+            return f"1D-{self.x}(p={self.p})"
         if self.kind == "2d":
             return f"2D-{self.yz}({self.p2}x{self.p3})"
         return f"3D-{self.x},{self.yz}({self.p1}x{self.p2}x{self.p3})"

@@ -33,15 +33,21 @@ Layout conventions (C = A •⟨⊕,f⟩ B, A is m×k, B is k×n):
 * 1D variants degenerate: **A**/**B** replicate one operand with a single
   broadcast-class collective and block the others 1-dimensionally; **C**
   forms full-size local partials and sparse-reduces them.
-* 3D variants nest: the 1D variant ``X`` runs over ``p1`` layers (replicating
-  X or splitting/reducing), each layer running the 2D variant on its
-  ``p2 × p3`` sub-grid.
+* 3D variants run the 2D variant ``YZ`` on each ``p2 × p3`` layer of a
+  ``p1 × p2 × p3`` rank array, the layers splitting the two matrices
+  other than ``X`` along the dimension X does not span.  An operand X
+  rests once on layer 0 and is broadcast along the fibers; the other
+  operands move in one re-blocking onto the layer grids stacked along
+  that dimension; a moving C is reduced along the fibers.  The layers
+  take each step together (:func:`_exec_grid`), and a 2D plan is the
+  one-layer case.
 
 Every local step — the ``p`` products of a 1D variant, the live grid
-cells of a 2D step — is one kernel call (:func:`_step_product`): the
-step's left operands stacked by rows against the block diagonal of its
-right operands, each rank charged its own rows' ops.  1D-B's packed
-strips against the replicated B already are that stack.
+cells of every layer's 2D step — is one kernel call
+(:func:`_step_product`): the step's left operands stacked by rows against
+the block diagonal of its distinct right operands, each rank charged its
+own rows' ops.  1D-B's packed strips against the replicated B already are
+that stack.
 
 A replicated operand the engine pinned (MFBC's adjacency or its transpose)
 keeps its replicas in its own memo (``DistMat._replicas``), so they are
@@ -112,19 +118,9 @@ def execute_plan(
         )
     if mask is not None:
         mask = mask.region
-    kind = plan.kind
-    if kind == "1d":
-        c, ops = _exec_1d(plan.x, machine, a, b, spec, mask)
-    elif kind == "2d":
-        ranks2d = np.arange(machine.p).reshape(plan.p2, plan.p3)
-        c, ops = _exec_2d(
-            plan.yz, ranks2d, machine, a, b, spec, mask,
-            memo=(b, ("diag", plan.p2, plan.p3)),
-        )
-    else:
-        ranks3d = np.arange(machine.p).reshape(plan.p1, plan.p2, plan.p3)
-        c, ops = _exec_3d(plan.x, plan.yz, ranks3d, machine, a, b, spec, mask)
-    return c, ops
+    if plan.kind == "1d":
+        return _exec_1d(plan.x, machine, a, b, spec, mask)
+    return _exec_grid(plan, machine, a, b, spec, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +296,6 @@ def _entries(mat: SpMat, lo: int, hi: int) -> SpMat:
 _Frames = Callable[[int, int, int, int], SpMat]
 
 
-def _shifted(read: _Frames, axis: int, lo: int) -> _Frames:
-    """``read`` for the part of C that starts at ``lo`` along ``axis``."""
-    if axis == 0:
-        return lambda r0, r1, c0, c1: read(r0 + lo, r1 + lo, c0, c1)
-    return lambda r0, r1, c0, c1: read(r0, r1, c0 + lo, c1 + lo)
-
-
-def _onto(mat: DistMat, ranks2d: np.ndarray) -> DistMat:
-    """``mat`` blocked evenly on ``ranks2d`` (itself when it already is)."""
-    return mat.redistribute(Layout.even(ranks2d, mat.nrows, mat.ncols))
-
-
 def _embed(piece: SpMat, nrows: int, ncols: int, roff: int, coff: int) -> SpMat:
     """Place ``piece`` into an ``nrows × ncols`` frame at offset (roff, coff)."""
     return SpMat(
@@ -362,7 +346,8 @@ def _replicated(mat: DistMat, key: tuple, build):
 #: Every layout, output frame, mask slice, piece offset and reduction root
 #: below is read from this table and three facts of §5.2:
 #: (i)   a level that moves X splits the other two matrices along the one
-#:       dimension X does not span (n for A, m for B, k for C);
+#:       dimension X does not span (n for A, m for B, k for C): layer ``l``
+#:       of ``p1`` owns the ``l``-th even range of it;
 #: (ii)  on a ``pr × pc`` grid the stationary matrix S — the one YZ does not
 #:       name — has its row dimension blocked over grid rows and its column
 #:       dimension over grid columns; the ``lcm(pr, pc)`` steps walk the
@@ -408,7 +393,11 @@ def _exec_1d(
             lambda: world.bcast(mats[x].gather(charge=False), category="replicate"),
         )
         local[x] = [whole] * p
-    blocked = {name: _onto(mat, strips(name)) for name, mat in mats.items() if name != x}
+    blocked = {
+        name: mat.redistribute(Layout.even(strips(name), *mat.shape))
+        for name, mat in mats.items()
+        if name != x
+    }
     if x == "B":
         # A rests on p × 1 strips, C will too: A's packed strips already are
         # the stacked left operand (global coordinates), the whole B the
@@ -456,32 +445,66 @@ def _exec_1d(
 
 
 # ---------------------------------------------------------------------------
-# 2D algorithms (§5.2.2)
+# 2D and 3D algorithms (§5.2.2, §5.2.3): the 2D variant YZ on p1 layers
 # ---------------------------------------------------------------------------
 
 
-def _exec_2d(
-    yz: str,
-    ranks2d: np.ndarray,
+@functools.lru_cache(maxsize=256)
+def _stacked(
+    shape: tuple[int, int, int], flip: bool, axis: int, nrows: int, ncols: int
+) -> Layout:
+    """Where an ``nrows × ncols`` matrix rests on the layers of the ``p1 ×
+    p2 × p3`` rank array ``arange(p).reshape(shape)``.
+
+    Layer ``l``'s grid (``ranks3d[l]``, transposed when ``flip``) blocks the
+    ``l``-th of ``p1`` even ranges along ``axis`` evenly, all of the other
+    dimension; the layer grids are concatenated along ``axis``, each one's
+    splits there offset by its range's start.  One layer is the plain even
+    layout.  A value, as :meth:`Layout.even`'s is: its arrays are read-only.
+    """
+    grids = np.arange(math.prod(shape)).reshape(shape)
+    if flip:
+        grids = grids.transpose(0, 2, 1)
+    if shape[0] == 1:
+        return Layout.even(grids[0], nrows, ncols)
+    extent = (nrows, ncols)
+    cuts = even_splits(extent[axis], shape[0])
+    splits = [even_splits(extent[1 - axis], grids.shape[2 - axis])] * 2
+    splits[axis] = np.concatenate(
+        [even_splits(int(hi - lo), grids.shape[1 + axis])[:-1] + lo
+         for lo, hi in zip(cuts[:-1], cuts[1:])] + [cuts[-1:]]
+    )
+    layout = Layout(np.concatenate(list(grids), axis=axis), *splits)
+    for arr in (layout.ranks2d, layout.row_splits, layout.col_splits, layout.offsets):
+        arr.flags.writeable = False
+    return layout
+
+
+def _exec_grid(
+    plan: Plan,
     machine: Machine,
     a: DistMat,
     b: DistMat,
     spec,
-    mask: _Frames | None = None,
-    memo: tuple[DistMat, tuple] | None = None,
+    mask: _Frames | None,
 ) -> tuple[DistMat, int]:
-    """The 2D variant ``yz`` on ``ranks2d``.  ``mask`` reads the sub-mask
-    of a frame of this C.  ``memo = (owner, key)`` is where a stationary B
-    that rests as ``b`` keeps its block diagonal: ``owner``'s replica memo,
-    so a pinned loop invariant (or a replica of one) builds it once."""
-    pr, pc = ranks2d.shape
+    """The 2D variant ``plan.yz`` on each ``p2 × p3`` layer of the plan's
+    ``p1 × p2 × p3`` rank array, every layer taking step ``t`` together.
+    ``mask`` reads the sub-mask of a frame of C.  A 2D plan is the one-layer
+    case: nothing is replicated or reduced across layers."""
+    p1, pr, pc = plan.p1, plan.p2, plan.p3
+    ranks3d = np.arange(machine.p).reshape(p1, pr, pc)
     mats = {"A": a, "B": b}
     size = {"m": a.nrows, "k": a.ncols, "n": b.ncols}
     monoid = spec.monoid
+    yz = plan.yz
     lcm = math.lcm(pr, pc)
     total_ops = 0
-    row_groups = [machine.group(ranks2d[i, :]) for i in range(pr)]
-    col_groups = [machine.group(ranks2d[:, j]) for j in range(pc)]
+
+    # -- fact (i): layer l owns cuts[l : l + 2] of d
+    x = plan.x if p1 > 1 else "C"
+    (d,) = set("mkn") - set(_DIMS[x])
+    cuts = even_splits(size[d], p1)
 
     # -- fact (ii): who is stationary, what the steps walk, who rests where
     (s,) = set("ABC") - set(yz)
@@ -489,11 +512,9 @@ def _exec_2d(
     (w,) = set("mkn") - {sr, sc}
 
     @functools.cache
-    def cut(dim: str, parts: int) -> np.ndarray:
-        """Boundaries of dimension ``dim`` blocked evenly ``parts`` ways."""
-        return even_splits(size[dim], parts)
-
-    steps = cut(w, lcm)
+    def cut(l: int, dim: str, parts: int) -> np.ndarray:
+        """Boundaries of layer ``l``'s range of ``dim`` blocked evenly ``parts`` ways."""
+        return even_splits(int(cuts[l + 1] - cuts[l]) if dim == d else size[dim], parts)
 
     def axis_of(name: str, dim: str) -> int:
         """The grid axis (0: over grid rows, 1: over grid columns) that
@@ -509,255 +530,220 @@ def _exec_2d(
         return (line, pos) if axis else (pos, line)
 
     #: an operand whose row dimension is blocked over grid columns rests on
-    #: the transposed grid
+    #: the transposed layer grids
     flipped = {name: axis_of(name, _DIMS[name][0]) for name in mats}
-    # the stationary operand is re-blocked (evenly) first, A before B otherwise
-    rest = {
-        name: _onto(mats[name], ranks2d.T if flipped[name] else ranks2d)
-        for name in sorted(mats, key=lambda name: name != s)
-    }
 
-    def reader(dm: DistMat, flip: int):
-        """Block ``(i, j)`` of ``dm`` as it rests on ``ranks2d[i, j]``.  A
-        flipped operand's blocks are read here, column by column; any other
-        operand's when a step reads them (the order decides when a spilled
-        block faults in)."""
+    def replicate() -> list[DistMat]:
+        """One copy of operand X per layer, resting as the layers read it: X
+        re-blocked onto layer 0's resting grid, then each block broadcast to
+        the p1 ranks of its fiber — the W_X(X[p2, p3]) term."""
+        grids = ranks3d.transpose(0, 2, 1) if flipped[x] else ranks3d
+        layout = Layout.even(grids[0], *mats[x].shape)
+        # a pinned X rests on every rank, so layer 0's copy is never X
+        # itself: X's memo never holds X (no reference cycle)
+        ref = mats[x].redistribute(layout)
+
+        def fiber(i: int, j: int) -> SpMat:
+            blk = ref.block(i, j)
+            if not blk.nnz:
+                return blk
+            return machine.group(grids[:, i, j]).bcast(blk, category="replicate")
+
+        blocks = [[fiber(i, j) for j in range(grids.shape[2])] for i in range(grids.shape[1])]
+        splits = layout.row_splits, layout.col_splits
+        return [ref] + [
+            DistMat(machine, Layout(grids[l], *splits), blocks, ref.monoid) for l in range(1, p1)
+        ]
+
+    # fact (iii), operands: X moves first, resting once and broadcast along
+    # its fibers; every other operand moves in one re-blocking onto the
+    # layers stacked along d, the stationary one first, A before B otherwise
+    rest: dict[str, "DistMat | list[DistMat]"] = {}
+    if x != "C":
+        # the memo key names X's resting form: "T" when it rests transposed
+        key = ("3d" + x, p1, pr, pc) + ("T",) * flipped[x]
+        rest[x] = _replicated(mats[x], key, replicate)
+    for name in sorted(mats, key=lambda name: name != s):
+        if name != x:
+            axis = _DIMS[name].index(d)
+            layout = _stacked((p1, pr, pc), flipped[name], axis, *mats[name].shape)
+            rest[name] = mats[name].redistribute(layout)
+
+    def reader(name: str):
+        """``(l, i, j) ->`` the block of operand ``name`` on ``ranks3d[l, i, j]``.
+        A flipped operand's blocks are read here, layer by layer and column
+        by column; any other operand's when a step reads them (the order
+        decides when a spilled block faults in)."""
+        dm, flip = rest[name], flipped[name]
+        qr, qc = (pc, pr) if flip else (pr, pc)
+        if name == x:
+            read = lambda l, i, j: dm[l].block(i, j)
+        elif _DIMS[name].index(d):  # the layer grids side by side
+            read = lambda l, i, j: dm.block(i, l * qc + j)
+        else:  # the layer grids one below the other
+            read = lambda l, i, j: dm.block(l * qr + i, j)
         if not flip:
-            return dm.block
-        pr_t, pc_t = dm.grid_shape
-        cols = [[dm.block(i, j) for i in range(pr_t)] for j in range(pc_t)]
-        return lambda i, j: cols[i][j]
+            return read
+        cols = [[[read(l, i, j) for i in range(qr)] for j in range(qc)] for l in range(p1)]
+        return lambda l, i, j: cols[l][i][j]
 
-    #: resting[name](i, j): the block of operand ``name`` on ``ranks2d[i, j]``
-    resting = {name: reader(dm, flipped[name]) for name, dm in rest.items()}
+    resting = {name: reader(name) for name in rest}
 
     #: the grid axis each mover travels along: the one its walked dimension
-    #: is blocked over
+    #: is blocked over; its lines on layer l are lines[l][axis]
     along = {name: axis_of(name, w) for name in yz}
+    lines = [
+        ([machine.group(g[:, j]) for j in range(pc)], [machine.group(g[i, :]) for i in range(pr)])
+        for g in ranks3d
+    ]
 
-    def route(name: str, t: int):
-        """Mover ``name`` at step ``t``: the grid axis it travels along, the
-        groups that are its lines, the position on every line that roots
-        the chunk, and the chunk's offset inside the root's block."""
+    def route(l: int, name: str, t: int):
+        """Mover ``name`` at layer ``l``'s step ``t``: the grid axis it
+        travels along, the groups that are its lines, the position on every
+        line that roots the chunk, and the chunk's offset inside the root's
+        block and width."""
         axis = along[name]
-        lines = (col_groups, row_groups)[axis]
-        root = t // (lcm // lines[0].size)
-        return axis, lines, root, int(steps[t] - cut(w, lines[0].size)[root])
+        q = lines[l][axis][0].size
+        root = t // (lcm // q)
+        lo, hi = cut(l, w, lcm)[t : t + 2].tolist()
+        return axis, lines[l][axis], root, lo - int(cut(l, w, q)[root]), hi - lo
 
-    # C always rests on ranks2d: its row dimension m is S's row dimension or
-    # the walked one, blocked over grid rows either way
-    c_layout = Layout.even(ranks2d, size["m"], size["n"])
-    c_rows, c_cols = c_layout.row_splits, c_layout.col_splits
-    c_blocks = [[SpMat.empty(*shape, monoid) for shape in row] for row in c_layout.block_shapes]
-    # a step's products are independent across the grid: they are batched
-    # through the executor in the order of the lines C is reduced along
-    # (grid rows when C is stationary); lines touch disjoint rank sets, so
-    # batching ahead of the per-line reductions leaves the ledger
-    # bit-identical
+    # C rests on each layer's grid: its row dimension m is S's row dimension
+    # or the walked one, blocked over grid rows either way
+    c_blocks = [
+        [
+            [SpMat.empty(h, width, monoid) for width in np.diff(cut(l, "n", pc)).tolist()]
+            for h in np.diff(cut(l, "m", pr)).tolist()
+        ]
+        for l in range(p1)
+    ]
+    # a step's products are independent across the grid and the layers:
+    # they are batched through the executor layer by layer, each in the
+    # order of the lines C is reduced along (grid rows when C is
+    # stationary); lines touch disjoint rank sets, so batching ahead of the
+    # per-line reductions leaves each layer's ledger as it was alone
     c_axis = along.get("C", 1)
     order = sorted(np.ndindex(pr, pc), key=lambda ij: ij[1 - c_axis])
     # a product's output frame is C's stripe or step chunk along each of its
-    # dimensions; the sub-mask of each distinct frame is read once (for a
-    # stationary C the frames are loop-invariant: C's own tiles)
+    # dimensions, offset by its layer's range of d; the sub-mask of each
+    # distinct frame is read once (for a stationary C the frames are
+    # loop-invariant: C's own tiles)
     frames: dict[tuple[int, ...], SpMat] = {}
 
-    def frame_mask(i: int, j: int, t: int) -> SpMat:
-        spans = {"m": c_rows[i : i + 2], "n": c_cols[j : j + 2], w: steps[t : t + 2]}
+    def frame_mask(l: int, i: int, j: int, t: int) -> SpMat:
+        spans = {"m": cut(l, "m", pr)[i : i + 2], "n": cut(l, "n", pc)[j : j + 2]}
+        spans[w] = cut(l, w, lcm)[t : t + 2]
+        if d in spans:
+            spans[d] = spans[d] + cuts[l]
         key = (*spans["m"].tolist(), *spans["n"].tolist())
         if key not in frames:
             frames[key] = mask(*key)
         return frames[key]
 
-    pieces: dict[str, list[SpMat]] = {}
+    pieces: dict[tuple[int, str], list[SpMat]] = {}
 
-    def operand(name: str, i: int, j: int) -> SpMat:
-        """What ``ranks2d[i, j]`` multiplies: its resting block of the
+    def operand(l: int, name: str, i: int, j: int) -> SpMat:
+        """What ``ranks3d[l, i, j]`` multiplies: its resting block of the
         stationary operand, its line's piece of a moving one."""
         if name == s:
-            return resting[name](i, j)
-        return pieces[name][(j, i)[along[name]]]
+            return resting[name](l, i, j)
+        return pieces[l, name][(j, i)[along[name]]]
 
-    def stationary_diag(held) -> _Diag:
-        """A stationary B's blocks, as a step read them, on the one block
-        diagonal every step multiplies against; kept with the replicas of
-        the loop invariant B is, if any (``memo``)."""
+    def stationary_diag(held) -> tuple[_Diag, dict]:
+        """A stationary B's blocks, as the first step read them, on the one
+        block diagonal every step multiplies against — one operand per
+        distinct block object, so layers holding one replica share it — and
+        the operand each cell multiplies.  Kept with B's replicas when B
+        rests as the pinned loop invariant or its replicas; a B re-blocked
+        by this product arrived anew, possibly corrupted by a fault."""
+        cells = list(np.ndindex(p1, pr, pc))
 
-        def build() -> _Diag:
-            return _block_diag([held[ij][1] for ij in np.ndindex(pr, pc)])
+        def build():
+            distinct = {id(held[c][1]): held[c][1] for c in cells}
+            index = {key: k for k, key in enumerate(distinct)}
+            which = {c: index[id(held[c][1])] for c in cells}
+            return _block_diag(list(distinct.values())), which
 
-        if memo is None or rest["B"] is not mats["B"]:
+        if x != "B" and rest["B"] is not b:
             return build()
-        return _memoized(*memo, build)
+        return _memoized(b, ("diag", plan), build)
 
-    diag = None
+    diag = which = None
     for t in range(lcm):
-        width = int(steps[t + 1] - steps[t])
-        # fact (iii), operands: A's pieces, then B's, each broadcast along
-        # its line from the rank it rests on (an empty piece is not sent)
-        for name in yz:
-            if name == "C":
-                continue
-            axis, lines, root, lo = route(name, t)
-            pieces[name] = []
-            for line, group in enumerate(lines):
-                i, j = cell(axis, line, root)
-                piece = axis_block(
-                    resting[name](i, j), _DIMS[name].index(w), lo, lo + width
-                )
-                if piece.nnz:
-                    piece = group.bcast(piece, root=root)
-                pieces[name].append(piece)
-        held = {(i, j): (operand("A", i, j), operand("B", i, j)) for i, j in order}
-        live = [ij for ij, (x, y) in held.items() if x.nnz and y.nnz]
-        tasks = [(int(ranks2d[ij]), *held[ij]) for ij in live]
+        held = {}
+        for l in range(p1):
+            # fact (iii), movers: A's pieces, then B's, each broadcast along
+            # its line from the rank it rests on (an empty piece is not sent)
+            for name in yz.replace("C", ""):
+                axis, line_groups, root, lo, width = route(l, name, t)
+                pieces[l, name] = []
+                for line, group in enumerate(line_groups):
+                    piece = axis_block(
+                        resting[name](l, *cell(axis, line, root)),
+                        _DIMS[name].index(w),
+                        lo,
+                        lo + width,
+                    )
+                    if piece.nnz:
+                        piece = group.bcast(piece, root=root)
+                    pieces[l, name].append(piece)
+            for i, j in order:
+                held[l, i, j] = (operand(l, "A", i, j), operand(l, "B", i, j))
+        live = [c for c, (u, v) in held.items() if u.nnz and v.nnz]
+        tasks = [(int(ranks3d[c]), *held[c]) for c in live]
         if s == "B":
-            # cell (i, j) multiplies operand i·pc + j of the stationary diagonal
             if diag is None:
-                diag = stationary_diag(held)
-            tasks = [(rank, x, i * pc + j) for (rank, x, _), (i, j) in zip(tasks, live)]
+                diag, which = stationary_diag(held)
+            tasks = [(rank, u, which[c]) for (rank, u, _), c in zip(tasks, live)]
         prods, ops = _task_products(
             machine,
             tasks,
             spec,
-            masks=None if mask is None else [frame_mask(*ij, t) for ij in live],
+            masks=None if mask is None else [frame_mask(*c, t) for c in live],
             diag=diag,
         )
         total_ops += ops
         outs = dict(zip(live, prods))
         if "C" not in yz:
-            # stationary C: every step's (i, j) product lands on its block
-            for (i, j), prod in outs.items():
+            # stationary C: every step's (l, i, j) product lands on its block
+            for (l, i, j), prod in outs.items():
                 if prod.nnz:
-                    c_blocks[i][j] = c_blocks[i][j].combine(prod)
+                    c_blocks[l][i][j] = c_blocks[l][i][j].combine(prod)
             continue
         # fact (iii), C: each line's partial chunks are sparse-reduced onto
         # the rank whose C block holds the chunk, and placed there
-        axis, lines, root, lo = route("C", t)
-        offset = [0, 0]
-        offset[_DIMS["C"].index(w)] = lo
-        for line, group in enumerate(lines):
-            partial = group.sparse_reduce(
-                [_nonempty(outs.get(cell(axis, line, pos))) for pos in range(group.size)],
-                SpMat.combine,
-                root=root,
-            )
-            if partial is not None:
-                i, j = cell(axis, line, root)
-                home = c_blocks[i][j]
-                placed = _embed(partial, home.nrows, home.ncols, *offset)
-                c_blocks[i][j] = home.combine(placed)
-    return DistMat(machine, c_layout, c_blocks, monoid), total_ops
-
-
-# ---------------------------------------------------------------------------
-# 3D algorithms (§5.2.3): 1D variant X over p1 nesting 2D variant YZ
-# ---------------------------------------------------------------------------
-
-
-def _exec_3d(
-    x: str,
-    yz: str,
-    ranks3d: np.ndarray,
-    machine: Machine,
-    a: DistMat,
-    b: DistMat,
-    spec,
-    mask: _Frames | None,
-) -> tuple[DistMat, int]:
-    p1, p2, p3 = ranks3d.shape
-    mats = {"A": a, "B": b}
-    size = {"m": a.nrows, "k": a.ncols, "n": b.ncols}
-    monoid = spec.monoid
-    layers = [ranks3d[l] for l in range(p1)]
-    total_ops = 0
-    (d,) = set("mkn") - set(_DIMS[x])  # fact (i): layer l owns cuts[l:l+2] of d
-    cuts = even_splits(size[d], p1)
-
-    def replicate() -> list[DistMat]:
-        """One copy of operand X per layer; broadcast charged once per fiber."""
-        ref = _onto(mats[x], layers[0])
-
-        def fiber(i: int, j: int) -> SpMat:
-            """Block ``(i, j)``, read just before it travels to the p1 ranks
-            {ranks3d[:, i, j]} — the W_X(X[p2, p3]) term."""
-            blk = ref.block(i, j)
-            if not blk.nnz:
-                return blk
-            return machine.group(ranks3d[:, i, j]).bcast(blk, category="replicate")
-
-        blocks = [[fiber(i, j) for j in range(p3)] for i in range(p2)]
-        splits = ref.layout.row_splits, ref.layout.col_splits
-        return [ref] + [
-            DistMat(machine, Layout(layers[l], *splits), [list(row) for row in blocks], ref.monoid)
-            for l in range(1, p1)
-        ]
-
-    # X moves first when it is an operand; per layer A before B
+        for l in range(p1):
+            axis, line_groups, root, lo, _ = route(l, "C", t)
+            offset = [0, 0]
+            offset[_DIMS["C"].index(w)] = lo
+            for line, group in enumerate(line_groups):
+                partial = group.sparse_reduce(
+                    [_nonempty(outs.get((l, *cell(axis, line, pos)))) for pos in range(group.size)],
+                    SpMat.combine,
+                    root=root,
+                )
+                if partial is not None:
+                    i, j = cell(axis, line, root)
+                    home = c_blocks[l][i][j]
+                    placed = _embed(partial, home.nrows, home.ncols, *offset)
+                    c_blocks[l][i][j] = home.combine(placed)
     if x != "C":
-        copies = _replicated(mats[x], ("3d" + x, p1, p2, p3), replicate)
-    layer_mats: dict[str, DistMat] = {}
-    outs = []
-    for l in range(p1):
-        lo, hi = int(cuts[l]), int(cuts[l + 1])
-        for name, mat in mats.items():
-            if name == x:
-                layer_mats[name] = copies[l]
-            else:
-                extract = (mat.extract_row_range, mat.extract_col_range)
-                layer_mats[name] = _onto(extract[_DIMS[name].index(d)](lo, hi), layers[l])
-        # layer l owns C's range [lo, hi) along d: its frames start there.
-        # When C is the mover every layer's partial spans all of C.
-        mask_l = mask
-        if mask is not None and x != "C":
-            mask_l = _shifted(mask, _DIMS["C"].index(d), lo)
-        c_l, ops = _exec_2d(
-            yz, layers[l], machine, layer_mats["A"], layer_mats["B"], spec, mask_l,
-            memo=(b, ("diag", "3dB", p1, p2, p3, l)) if x == "B" else None,
-        )
-        total_ops += ops
-        outs.append(c_l)
-    if x != "C":
-        return _stack(outs, _DIMS["C"].index(d), cuts), total_ops
-    # reduce across layers, block position by block position (fiber groups)
-    base = outs[0]
-    out_blocks = []
-    for i in range(p2):
-        row = []
-        for j in range(p3):
+        # C rests where its layers computed it, stacked along d: nothing moves
+        axis = _DIMS["C"].index(d)
+        layout = _stacked((p1, pr, pc), False, axis, size["m"], size["n"])
+        if axis:
+            blocks = [[blk for g in c_blocks for blk in g[i]] for i in range(pr)]
+        else:
+            blocks = [row for g in c_blocks for row in g]
+        return DistMat(machine, layout, blocks, monoid), total_ops
+    if p1 > 1:
+        # a moving C: the layers' partials are reduced per fiber, in layer
+        # order, onto layer 0
+        for i, j in np.ndindex(pr, pc):
             acc = machine.group(ranks3d[:, i, j]).sparse_reduce(
-                [_nonempty(c_l.block(i, j)) for c_l in outs],
-                SpMat.combine,
+                [_nonempty(g[i][j]) for g in c_blocks], SpMat.combine
             )
-            row.append(base.block(i, j) if acc is None else acc)
-        out_blocks.append(row)
-    return DistMat(machine, base.layout, out_blocks, monoid), total_ops
-
-
-def _stack(outs: list[DistMat], axis: int, cuts: np.ndarray) -> DistMat:
-    """The layer outputs ``outs`` as one matrix: layer ``l`` holds C's range
-    ``[cuts[l], cuts[l + 1])`` along ``axis`` on its own sub-grid.
-
-    Pure relabelling: the layer grids are concatenated along ``axis`` and
-    their splits there offset by ``cuts[l]``; every block stays on the rank
-    that computed it, so nothing moves and nothing is charged.
-    """
-    layouts = [c_l.layout for c_l in outs]
-    splits = [layouts[0].row_splits, layouts[0].col_splits]
-    splits[axis] = np.concatenate(
-        [(lay.row_splits, lay.col_splits)[axis][:-1] + lo for lay, lo in zip(layouts, cuts)]
-        + [cuts[-1:]]
-    )
-    ranks2d = np.concatenate([lay.ranks2d for lay in layouts], axis=axis)
-    if axis == 0:
-        blocks = [
-            [c_l.block(i, j) for j in range(ranks2d.shape[1])]
-            for c_l in outs
-            for i in range(c_l.grid_shape[0])
-        ]
-    else:
-        blocks = [
-            [c_l.block(i, j) for c_l in outs for j in range(c_l.grid_shape[1])]
-            for i in range(ranks2d.shape[0])
-        ]
-    layout = Layout(ranks2d, *splits)
-    return DistMat(outs[0].machine, layout, blocks, outs[0].monoid)
+            if acc is not None:
+                c_blocks[0][i][j] = acc
+    layout = Layout.even(ranks3d[0], size["m"], size["n"])
+    return DistMat(machine, layout, c_blocks[0], monoid), total_ops

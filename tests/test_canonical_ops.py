@@ -28,13 +28,13 @@ from repro.check import check_spmat
 from repro.check import strategies as cst
 from repro.core import SequentialEngine, mfbc
 from repro.dist import DistMat, DistributedEngine, Layout
-from repro.dist.distmat import axis_block
+from repro.dist.distmat import axis_block, even_splits
 from repro.graphs import Graph, uniform_random_graph_nm
 from repro.graphs.graph import WEIGHT_MONOID
 from repro.machine import Machine
 from repro.sparse import SpMat
 from repro.sparse.spgemm import spgemm
-from repro.spgemm.variants import _block_diag, _stack, _task_products
+from repro.spgemm.variants import _block_diag, _stacked, _task_products
 
 #: one object per library monoid, so operands of a case share their monoid
 MONOIDS = [MinMonoid(), PlusMonoid(), MaxMonoid(), MULTPATH, CENTPATH]
@@ -377,26 +377,40 @@ def test_one_column_grid_roundtrip(monoid):
     assert_distributed(col1.redistribute(Layout.even(column.T, *mat.shape)), mat)
 
 
-@given(cst.spmats(max_side=9), st.booleans(), st.data())
-def test_stack(mat, by_rows, data):
-    """Two layer outputs splitting the matrix along one axis, stacked as
-    one matrix: every block stays the object its layer computed, and
-    nothing is charged."""
-    machine = Machine(4)
+@given(
+    cst.spmats(max_side=9),
+    st.integers(1, 3),
+    st.sampled_from([(1, 1), (1, 3), (3, 1), (2, 2), (2, 3)]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_stacked_layout(mat, p1, grid, flip, by_rows):
+    """A plan's layers stacked along one axis: layer ``l``'s range of the
+    matrix, blocked evenly on its own grid (transposed when ``flip``), sits
+    at its offset in the stacked layout on the same ranks.  The layer
+    outputs placed there are the matrix: every block stays the object its
+    layer computed, and nothing is charged."""
+    pr, pc = grid
     axis = 0 if by_rows else 1
-    n = mat.shape[axis]
-    cuts = np.array([0, data.draw(st.integers(0, n)), n])
-    outs = []
-    for l in range(2):
+    machine = Machine(p1 * pr * pc)
+    layout = _stacked((p1, pr, pc), flip, axis, *mat.shape)
+    ranks3d = np.arange(machine.p).reshape(p1, pr, pc)
+    if p1 == 1:
+        assert layout is Layout.even(ranks3d[0].T if flip else ranks3d[0], *mat.shape)
+    cuts = even_splits(mat.shape[axis], p1)
+    blocks = [[None] * layout.ranks2d.shape[1] for _ in range(layout.ranks2d.shape[0])]
+    for l in range(p1):
         sub = axis_block(mat, axis, int(cuts[l]), int(cuts[l + 1]))
-        layer = np.array([[2 * l, 2 * l + 1]])
-        grid = layer if by_rows else layer.T
-        outs.append(DistMat.distribute(sub, machine, grid, charge=False))
-    out = _stack(outs, axis, cuts)
-    assert_distributed(out, mat)
+        out = DistMat.distribute(sub, machine, ranks3d[l].T if flip else ranks3d[l], charge=False)
+        qr, qc = out.grid_shape
+        for i, j in np.ndindex(qr, qc):
+            at = (l * qr + i, j) if axis == 0 else (i, l * qc + j)
+            assert layout.ranks2d[at] == out.layout.ranks2d[i, j]
+            blocks[at[0]][at[1]] = out.block(i, j)
+    stacked = DistMat(machine, layout, blocks, mat.monoid)
+    assert_distributed(stacked, mat)
     assert machine.ledger.total_words == 0
-    held = [c_l.block(*ij) for c_l in outs for ij in np.ndindex(*c_l.grid_shape)]
-    assert all(any(out.block(*ij) is h for h in held) for ij in np.ndindex(*out.grid_shape))
+    assert all(stacked.block(*ij) is blocks[ij[0]][ij[1]] for ij in np.ndindex(*stacked.grid_shape))
 
 
 # -- a plan step's stacked product ------------------------------------------------

@@ -466,9 +466,12 @@ class TestSpilledMaskTiles:
         # gathered mask would restore every spilled tile.  Re-pinned when
         # MFBr's products were masked to its pending vertices, a smaller Z
         # subset than Z (spilled 281 495 -> 157 038 words, restored 1 451
-        # blocks / 266 494 words -> 1 103 / 145 097)
+        # blocks / 266 494 words -> 1 103 / 145 097); again when the 3D layers
+        # began to step in lockstep: the run's second shrink_batch rung fires
+        # in MFBr rather than in a layer's re-blocking, so a different sweep
+        # is retried (restored 1 103 blocks / 145 097 words -> 1 109 / 147 601)
         assert spilled == 157038
-        assert (memory["restored_blocks"], memory["restored_words"]) == (1103, 145097)
+        assert (memory["restored_blocks"], memory["restored_words"]) == (1109, 147601)
 
 
 class TestMfbrTemporaries:
