@@ -43,7 +43,7 @@ import weakref
 
 import numpy as np
 
-from repro.algebra.fields import concat_fields, take_fields
+from repro.algebra.fields import concat_fields
 from repro.algebra.monoid import Monoid, stable_key_sort
 from repro.machine.machine import Machine
 from repro.sparse.spmatrix import SpMat
@@ -827,8 +827,7 @@ class DistMat:
 
         The resulting splits along ``axis`` are the old ones clipped to the
         range, so the rank grid is unchanged (blocks fully outside become
-        empty): the next re-blocking has the same participants.  A packed
-        matrix is re-keyed in one pass over its packed arrays.
+        empty): the next re-blocking has the same participants.
         """
         splits = [self.layout.row_splits, self.layout.col_splits]
         old = splits[axis]
@@ -839,12 +838,8 @@ class DistMat:
         splits[axis] = np.clip(old, lo, hi) - lo
         layout = Layout(self.layout.ranks2d, *splits)
         # the local range each block along ``axis`` keeps
-        start = np.clip(lo, old[:-1], old[1:]) - old[:-1]
-        stop = np.clip(hi, old[:-1], old[1:]) - old[:-1]
-        if self._pk is not None:
-            packed = self._packed_range(axis, start, stop, layout)
-            return DistMat(self.machine, layout, packed, self.monoid)
-        start, stop = start.tolist(), stop.tolist()
+        start = (np.clip(lo, old[:-1], old[1:]) - old[:-1]).tolist()
+        stop = (np.clip(hi, old[:-1], old[1:]) - old[:-1]).tolist()
         pr, pc = self.grid_shape
         blocks = [
             [
@@ -854,41 +849,6 @@ class DistMat:
             for i in range(pr)
         ]
         return DistMat(self.machine, layout, blocks, self.monoid)
-
-    def _packed_range(
-        self, axis: int, start: np.ndarray, stop: np.ndarray, layout: Layout
-    ) -> SpMat:
-        """The packed form of :meth:`_extract_range`'s result on ``layout``:
-        every entry whose local coordinate along ``axis`` lies in its tile's
-        ``[start, stop)`` (indexed by the tile's grid row or column), re-keyed
-        into ``layout``'s key space.  Entries keep their order within a tile
-        and tiles keep theirs, so the keys stay ascending: canonical.
-
-        A row range keeps one run of keys per tile, each shifted by one
-        constant, so it is found by binary search; a column range is decided
-        entry by entry."""
-        pk, src = self._pk, self.layout
-        keys, pc = pk.keys(), self.grid_shape[1]
-        tiles = np.arange(len(src.offsets) - 1)
-        width = np.diff(src.col_splits)[tiles % pc]
-        if axis == 0:
-            first = src.offsets[:-1] + start[tiles // pc] * width
-            ends = np.searchsorted(keys, [first, src.offsets[:-1] + stop[tiles // pc] * width])
-            counts = ends[1] - ends[0]
-            keep = np.arange(counts.sum()) + np.repeat(ends[0] - (np.cumsum(counts) - counts), counts)
-            keys = keys[keep] + np.repeat(layout.offsets[:-1] - first, counts)
-        else:
-            tile = np.repeat(tiles, np.diff(self._ends()))
-            row, col = np.divmod(keys - src.offsets[tile], np.maximum(width[tile], 1))
-            lo = start[tile % pc]
-            keep = ((col >= lo) & (col < stop[tile % pc])).nonzero()[0]
-            tile, row, col = tile[keep], row[keep], col[keep] - lo[keep]
-            keys = layout.offsets[tile] + row * np.diff(layout.col_splits)[tile % pc] + col
-        rows, cols = np.divmod(keys, max(layout.shape[1], 1))
-        vals = pk.vals if len(keep) == pk.nnz else take_fields(pk.vals, keep)
-        out = SpMat(*layout.shape, rows, cols, vals, pk.monoid, canonical=True)
-        out._keys = keys
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,9 +3,8 @@
 The simulated machine models ``p`` ranks inside one Python interpreter.
 Between two collectives every rank has independent local work — the local
 products of the §5.2 variant executors (a plan step's per-rank products
-stacked into one product, cut into a few only where a join above the
-kernel's chunk must split at a task boundary), :class:`~repro.dist.distmat.
-DistMat` redistribution block packing — and :class:`LocalExecutor` runs it
+stacked into one product), :class:`~repro.dist.distmat.DistMat`
+redistribution block packing — and :class:`LocalExecutor` runs it
 on the simulation thread, results in submission order.  Ledger charges are
 issued by the callers in the same order, so gathered matrices and
 ``ledger.snapshot()`` are a function of the inputs alone.

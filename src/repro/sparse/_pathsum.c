@@ -1,13 +1,15 @@
 /* Row-wise masked sparse accumulator for the multpath / centpath products,
  * and the key merge SpMat.combine / align_values locate with (at the end).
  *
- * One call reduces one expansion chunk — A's entries [lo, hi), each joined
- * against its row of B — to what MinWeightTieSumMonoid.tie_sum returns for
- * it: the output coordinates in key order, each run's best weight, and per
- * payload field each run's tie sum; it also adds each row's surviving pairs
- * to the caller's row_ops.  (Built by repro.sparse._native with
- * -ffp-contract=off and no -ffast-math: every floating-point operation here
- * is one IEEE add, the add numpy makes.)
+ * One call reduces one expansion chunk — A's entries [lo, hi), whole rows
+ * of A (the caller never cuts a row, so each output row is reduced here in
+ * one piece), each joined against its row of B — to what
+ * MinWeightTieSumMonoid.tie_sum returns for it: the output coordinates in
+ * key order, each run's best weight, and per payload field each run's tie
+ * sum; it also adds each row's surviving pairs to the caller's row_ops.
+ * (Built by repro.sparse._native with -ffp-contract=off and no
+ * -ffast-math: every floating-point operation here is one IEEE add, the
+ * add numpy makes.)
  *
  * Per row of A, a masked product first stamps the row's mask columns and
  * lists the row's surviving pairs (join order, no branch on the mask: a
@@ -45,7 +47,7 @@ typedef union {
 } payload;
 
 typedef struct {
-    /* A, canonical (row-major) order; the chunk is entries [lo, hi) */
+    /* A, canonical (row-major) order; the chunk is entries [lo, hi), whole rows */
     const int64_t *a_rows, *a_cols;
     const double *a_w;
     int64_t lo, hi;

@@ -17,11 +17,12 @@ Every other product — plus-times, tropical min-plus, bottleneck max-min,
 label-propagation min/left, … — runs the generic kernel.
 
 The fast path is **bit-identical** to the generic kernel after
-canonicalization: the path kernel cuts the join at the generic kernel's
-chunk bounds (:func:`repro.sparse.spgemm._chunk_bounds`), filters by the
-mask inside the join and sums each run's payloads with numpy's pairwise
-grouping, which :mod:`repro.sparse._native` checks against
-``np.add.reduceat`` once per process.  A library kernel that sums each
+canonicalization: like the generic kernel it reduces each output row in
+one piece (a join chunk is whole rows of A,
+:func:`repro.sparse.spgemm._chunk_bounds`), filters by the mask inside the
+join and sums each run's payloads with numpy's pairwise grouping, which
+:mod:`repro.sparse._native` checks against ``np.add.reduceat`` once per
+process.  A library kernel that sums each
 output entry left to right cannot keep that contract on real-valued
 payloads: ``reduceat`` adds a run's first term to the pairwise sum of the
 rest, so the run ``[1e16, 1, 1]`` reads ``1e16 + 2`` here and ``1e16``
@@ -152,8 +153,9 @@ def _pathsum_compiled(
     makes a pair survive only if its weight equals its mask entry's.  What
     stays here is the chunking, the mask keys, the error codes and
     :func:`_assemble_coords`.
-    The chunks are :func:`_chunk_bounds`'s, so a row cut by a boundary is
-    reduced in the same two pieces as by the generic kernel.
+    A chunk is whole rows of A (:func:`_chunk_bounds`), so no row is
+    reduced in pieces and the chunk never changes a bit; a row whose join
+    exceeds ``chunk`` is a call of its own.
     """
     if a.ncols != b.nrows:  # C indexes B's row pointer by A's columns
         raise ValueError(f"inner dimension mismatch: {a.shape} × {b.shape}")
@@ -194,7 +196,7 @@ def _pathsum_compiled(
     dtypes = dict(monoid.field_spec)
     parts_rc: list[tuple[np.ndarray, np.ndarray]] = []
     parts_v: list[FieldArray] = []
-    for lo, hi in _chunk_bounds(counts, chunk):
+    for lo, hi in _chunk_bounds(a_rows, counts, chunk):
         joined = int(counts[lo:hi].sum())
         if joined == 0:
             continue

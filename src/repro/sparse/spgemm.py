@@ -21,8 +21,10 @@ Algorithm (the *generic* kernel): a sort-free hash-free *expansion join* —
 5. the monoid's ``reduce_by_key`` folds products landing on the same
    ``C(i,j)``.
 
-Large expansions are processed in bounded chunks so peak memory stays
-proportional to ``chunk`` rather than ``ops(A, B)``.
+Large expansions are processed in chunks of whole rows of A, so peak memory
+stays proportional to ``chunk`` (or to the largest row's join) rather than
+``ops(A, B)``, and every output row is reduced in one piece: the chunk never
+changes a bit.
 
 The public :func:`spgemm` entry point routes every product through the
 kernel-dispatch tier (:mod:`repro.sparse.dispatch`), whose one fast path —
@@ -104,7 +106,12 @@ def spgemm(
         materializing settled vertices.  Values of ``mask`` are ignored,
         except the weights a ``"tie"`` operator compares against.
     chunk:
-        Upper bound on the number of joined pairs materialized at once.
+        Upper bound on the number of joined pairs materialized at once,
+        counted in whole rows of ``a``: a row whose join exceeds it is
+        materialized alone, so the bound is ``max(chunk, largest row
+        join)`` (the compiled path kernel holds a whole row's surviving
+        pairs at once anyway).  Rows are never split, so the product's bits
+        do not depend on it.
     kernel:
         ``"auto"`` (every caller of a run) routes the product through the
         dispatch tier; ``"generic"`` is the oracle's way of asking for the
@@ -199,10 +206,8 @@ def _expansion_chunks(
     filtered by the support of the mask ``mask_keys`` on ``spec``'s rule.
 
     The single source of truth for join enumeration and in-expansion mask
-    filtering in numpy.  The compiled path kernel in
-    :mod:`repro.sparse.dispatch` walks the same join cut at the same
-    :func:`_chunk_bounds`, which is what makes its per-chunk reductions
-    bit-identical.
+    filtering in numpy.  A chunk is whole rows of A (:func:`_chunk_bounds`),
+    so each output row's pairs are all in one chunk.
     """
     ptr = b.row_pointer()
     b_start = ptr[a.cols]
@@ -232,7 +237,7 @@ def _expansion_chunks(
                 return a_idx[idx], b_idx[idx], keys[idx]
         return a_idx, b_idx, keys
 
-    for lo, hi in _chunk_bounds(counts, chunk):
+    for lo, hi in _chunk_bounds(a.rows, counts, chunk):
         # yielded straight from the call: the suspended generator keeps no
         # reference, so a consumer's ``del`` really frees a chunk array
         yield expand(lo, hi)
@@ -305,49 +310,48 @@ def _assemble_coords(
     partials — the one tail the generic kernel and every fast path finish
     through, with the per-row op counts they tallied.
 
-    A single chunk's partial is already coordinate-unique and sorted, so a
-    second reduce would be the identity — skip it and prune identity entries
-    directly.  Multi-chunk partials can repeat a coordinate across chunks
-    and go through the canonicalizing constructor.
+    Each partial is coordinate-unique and sorted, and the chunks hold whole
+    rows in order, so the concatenated partials already are (a lone partial
+    is taken as it is): only identity entries are pruned.
     """
     ops = int(row_ops.sum())
     if not parts_rc:
         return SpGemmResult(SpMat.empty(nrows, ncols, monoid), ops, row_ops)
     if len(parts_rc) == 1:
         (rows, cols), vals = parts_rc[0], parts_v[0]
-        keep = ~monoid.is_identity(vals)
-        if not keep.all():
-            idx = keep.nonzero()[0]
-            rows, cols, vals = rows[idx], cols[idx], take_fields(vals, idx)
-        mat = SpMat(nrows, ncols, rows, cols, vals, monoid, canonical=True)
     else:
-        mat = SpMat(
-            nrows,
-            ncols,
-            np.concatenate([rows for rows, _ in parts_rc]),
-            np.concatenate([cols for _, cols in parts_rc]),
-            concat_fields(parts_v),
-            monoid,
-        )
+        rows = np.concatenate([rows for rows, _ in parts_rc])
+        cols = np.concatenate([cols for _, cols in parts_rc])
+        vals = concat_fields(parts_v)
+    keep = ~monoid.is_identity(vals)
+    if not keep.all():
+        idx = keep.nonzero()[0]
+        rows, cols, vals = rows[idx], cols[idx], take_fields(vals, idx)
+    mat = SpMat(nrows, ncols, rows, cols, vals, monoid, canonical=True)
     return SpGemmResult(mat, ops, row_ops)
 
 
-def _chunk_bounds(counts: np.ndarray, chunk: int) -> list[tuple[int, int]]:
-    """Partition ``range(len(counts))`` so each part's count-sum ≤ chunk.
+def _chunk_bounds(rows: np.ndarray, counts: np.ndarray, chunk: int) -> list[tuple[int, int]]:
+    """Partition A's entries ``range(len(counts))`` into runs of whole rows,
+    each joining at most ``chunk`` pairs: ``rows`` are the entries' rows
+    (ascending) and ``counts`` their joins.
 
-    A single index whose count exceeds ``chunk`` still gets its own part
-    (it cannot be subdivided at this level).
+    A row whose join exceeds ``chunk`` is a part of its own: a row is never
+    cut, so every output row is reduced in one piece, whatever the chunk.
     """
     if chunk <= 0:
         raise ValueError(f"chunk must be positive, got {chunk}")
-    csum = np.concatenate([[0], np.cumsum(counts)])
+    csum = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=csum[1:])
+    if csum[-1] <= chunk:
+        return [(0, len(counts))]
+    # a part may start only at a row's first entry
+    edges = np.concatenate(([0], np.flatnonzero(rows[1:] != rows[:-1]) + 1, [len(counts)]))
+    joined = csum[edges]
     bounds: list[tuple[int, int]] = []
     lo = 0
-    n = len(counts)
-    while lo < n:
-        hi = int(np.searchsorted(csum, csum[lo] + chunk, side="right")) - 1
-        if hi <= lo:
-            hi = lo + 1
-        bounds.append((lo, hi))
+    while lo < len(edges) - 1:
+        hi = max(int(np.searchsorted(joined, joined[lo] + chunk, side="right")) - 1, lo + 1)
+        bounds.append((int(edges[lo]), int(edges[hi])))
         lo = hi
     return bounds

@@ -72,7 +72,7 @@ from repro.obs import api as obs
 # ``spgemm`` is not called here (local products go through
 # machine.executor), but benchmarks/e2e/tracing.py patches the kernel under
 # this module's name
-from repro.sparse.spgemm import DEFAULT_CHUNK, _chunk_bounds, spgemm  # noqa: F401
+from repro.sparse.spgemm import spgemm  # noqa: F401
 from repro.sparse.spmatrix import SpMat
 from repro.spgemm.plan import Plan
 
@@ -169,7 +169,6 @@ def _task_products(
     *,
     masks: list[SpMat] | None = None,
     diag: _Diag | None = None,
-    chunk: int = DEFAULT_CHUNK,
 ) -> tuple[list[SpMat], int]:
     """Independent local products ``[(rank, x, y), ...]`` as one plan step;
     returns the products in task order and the total elementary operations.
@@ -204,23 +203,20 @@ def _task_products(
     frame = None
     if masks is not None:
         frame = _placed(int(cuts[-1]), diag.mat.ncols, masks, cuts, outer)
-    calls, ops = _step_product(machine, ranks, left, cuts, diag.mat, spec, frame, chunk)
-    prods = []
-    for lo, hi, prod in calls:
-        at = np.searchsorted(prod.rows, cuts[lo : hi + 1]).tolist()
-        for t in range(lo, hi):
-            a, b = at[t - lo], at[t - lo + 1]
-            prods.append(
-                SpMat(
-                    xs[t].nrows,
-                    int(widths[t]),
-                    prod.rows[a:b] - cuts[t],
-                    prod.cols[a:b] - outer[t],
-                    {name: col[a:b] for name, col in prod.vals.items()},
-                    prod.monoid,
-                    canonical=True,
-                )
-            )
+    prod, ops = _step_product(machine, ranks, left, cuts, diag.mat, spec, frame)
+    at = np.searchsorted(prod.rows, cuts).tolist()
+    prods = [
+        SpMat(
+            x.nrows,
+            int(widths[t]),
+            prod.rows[at[t] : at[t + 1]] - cuts[t],
+            prod.cols[at[t] : at[t + 1]] - outer[t],
+            {name: col[at[t] : at[t + 1]] for name, col in prod.vals.items()},
+            prod.monoid,
+            canonical=True,
+        )
+        for t, x in enumerate(xs)
+    ]
     return prods, int(ops.sum())
 
 
@@ -232,8 +228,7 @@ def _step_product(
     right: SpMat,
     spec,
     mask: SpMat | None,
-    chunk: int = DEFAULT_CHUNK,
-) -> tuple[list[tuple[int, int, SpMat]], np.ndarray]:
+) -> tuple[SpMat, np.ndarray]:
     """One plan step's local products as one kernel call, ``left • right``.
 
     Task ``t`` owns rows ``[cuts[t], cuts[t + 1])`` of the stacked ``left``
@@ -242,53 +237,21 @@ def _step_product(
     (:func:`_task_products` builds the three; a 1D-B step's packed strips
     against the whole B already are them).  A task's rows join only its own
     diagonal block, so its products land in its own frame, and the kernel
-    reduces every row on its own: the rows of the one call are the tasks'
-    products bit for bit — provided no task is cut at a different join
-    chunk than it would be alone.  A stacked join above the kernel's
-    ``chunk`` (the one the executor's products run with) is therefore cut
-    only at task boundaries, by the kernel's own rule
-    (:func:`~repro.sparse.spgemm._chunk_bounds` over the per-task joins):
-    consecutive tasks share a call while their joins fit one chunk, and a
-    task above it runs alone.  Rank ``ranks[t]``
-    is charged the ops of task ``t``'s rows, in task order, in one
+    reduces every row in one piece, whatever its join chunk: the rows of the
+    one call are the tasks' products bit for bit.  Rank ``ranks[t]`` is
+    charged the ops of task ``t``'s rows, in task order, in one
     ``charge_compute``.
 
-    Returns each call's product with the task range ``[lo, hi)`` it holds,
-    and the per-task ops.
+    Returns the product and the per-task ops.
     """
-    ends = np.searchsorted(left.rows, cuts)
-    ptr = right.row_pointer()
-    joined = np.zeros(left.nnz + 1, dtype=np.int64)
-    np.cumsum(ptr[left.cols + 1] - ptr[left.cols], out=joined[1:])
-    groups = _chunk_bounds(np.diff(joined[ends]), chunk)
-    pieces = [
-        left if len(groups) == 1 else _entries(left, int(ends[lo]), int(ends[hi]))
-        for lo, hi in groups
-    ]
-    results = machine.executor.run_spgemm(
-        [(piece, right) for piece in pieces],
-        spec,
-        masks=None if mask is None else [mask] * len(pieces),
+    (res,) = machine.executor.run_spgemm(
+        [(left, right)], spec, masks=None if mask is None else [mask]
     )
     upto = np.zeros(left.nrows + 1, dtype=np.int64)
-    np.cumsum(sum(res.row_ops for res in results), out=upto[1:])
+    np.cumsum(res.row_ops, out=upto[1:])
     ops = np.diff(upto[cuts])
     machine.charge_compute(ranks, ops)
-    return [(lo, hi, res.matrix) for (lo, hi), res in zip(groups, results)], ops
-
-
-def _entries(mat: SpMat, lo: int, hi: int) -> SpMat:
-    """``mat``'s entries ``[lo, hi)`` in ``mat``'s frame (a contiguous run
-    of a canonical matrix is canonical)."""
-    return SpMat(
-        mat.nrows,
-        mat.ncols,
-        mat.rows[lo:hi],
-        mat.cols[lo:hi],
-        {name: col[lo:hi] for name, col in mat.vals.items()},
-        mat.monoid,
-        canonical=True,
-    )
+    return res.matrix, ops
 
 
 #: ``read(r0, r1, c0, c1)``: a mask's sub-matrix over global rows
@@ -404,14 +367,10 @@ def _exec_1d(
         # block diagonal of one, and the whole mask their frame
         grid = strips("C")
         strips_a = blocked["A"]
-        calls, ops = _step_product(
+        c, ops = _step_product(
             machine, grid[:, 0], strips_a.packed(), strips_a.layout.row_splits,
             whole, spec, None if mask is None else mask(0, size["m"], 0, size["n"]),
         )
-        c = calls[0][2]
-        if len(calls) > 1:
-            parts = [(prod.rows, prod.cols, prod.vals) for _, _, prod in calls]
-            c = SpMat._merged(size["m"], size["n"], parts, spec.monoid)
         layout = Layout.even(grid, size["m"], size["n"])
         return DistMat(machine, layout, c, spec.monoid), int(ops.sum())
     for name, dm in blocked.items():

@@ -336,7 +336,7 @@ def _path_products(draw, a_monoid):
     b = draw(_path_operand(WEIGHT_MONOID, k, n))
     mask = draw(st.none() | cst.spmats(monoid=WEIGHT_MONOID, shape=(m, n)))
     complement = draw(st.booleans()) if mask is not None else False
-    # 1 and 3 cut rows of A between chunks
+    # at 1 and 3 a row joining more pairs than the chunk is a chunk of its own
     chunk = draw(st.sampled_from([1, 3, 7, 1 << 22]))
     return a, b, mask, complement, chunk
 
@@ -388,7 +388,7 @@ def _long_run_products(draw, a_monoid):
     b = operand(WEIGHT_MONOID, k, n, draw(st.sampled_from([0.5, 1.0])))
     mask = draw(st.none() | st.just(operand(WEIGHT_MONOID, m, n, 0.6)))
     complement = draw(st.booleans()) if mask is not None else False
-    # the small chunks cut a row's join, and so its runs, between chunks
+    # the small chunks are below a row's join: each such row is a chunk alone
     chunk = draw(st.sampled_from([7, 100, 250, 1 << 22]))
     return a, b, mask, complement, chunk
 
@@ -671,8 +671,8 @@ def _tie_operand(draw, monoid, nrows, ncols):
 
 @st.composite
 def _tie_products(draw, a_monoid):
-    """Products whose mask weights come from the pairs' own small pool, cut
-    at chunks that split rows."""
+    """Products whose mask weights come from the pairs' own small pool, at
+    chunks below a row's join (each such row a chunk of its own)."""
     m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
     a = draw(_tie_operand(a_monoid, m, k))
     b = draw(_tie_operand(WEIGHT_MONOID, k, n))

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.algebra import MULTPATH, REAL_PLUS_TIMES, TROPICAL, MatMulSpec
 from repro.algebra import bellman_ford_action
-from repro.algebra.monoid import MinMonoid
+from repro.algebra.monoid import MinMonoid, PlusMonoid
+from repro.core.specs import BELLMAN_FORD_SPEC, BRANDES_SPEC
 from repro.sparse import SpMat, spgemm
 from repro.sparse.spgemm import _chunk_bounds, count_ops
 
 from repro.check.strategies import random_weight_spmat
+from conftest import KERNELS, WEIGHT, assert_bits, ruled
 
 W = MinMonoid()
 
@@ -107,17 +109,81 @@ class TestChunking:
         assert got.matrix.equals(ref.matrix) and got.ops == ref.ops
 
     def test_chunk_bounds_cover(self):
-        counts = np.array([5, 0, 9, 2, 2, 100, 1])
-        bounds = _chunk_bounds(counts, 10)
+        # row joins 5, 11, 2, 110 and 1 against a chunk of 10
+        rows = np.array([0, 0, 1, 1, 2, 3, 3, 4])
+        counts = np.array([5, 0, 9, 2, 2, 60, 50, 1])
+        bounds = _chunk_bounds(rows, counts, 10)
         covered = []
         for lo, hi in bounds:
             assert hi > lo
+            assert lo == 0 or rows[lo] != rows[lo - 1]  # no part starts inside a row
+            assert counts[lo:hi].sum() <= 10 or len(set(rows[lo:hi])) == 1
             covered.extend(range(lo, hi))
         assert covered == list(range(len(counts)))
+        # each row above the chunk (rows 1 and 3) is a part of its own
+        assert bounds == [(0, 2), (2, 4), (4, 5), (5, 7), (7, 8)]
+        assert _chunk_bounds(rows, counts, 1 << 22) == [(0, 8)]
 
     def test_chunk_invalid_raises(self):
         with pytest.raises(ValueError, match="positive"):
-            _chunk_bounds(np.array([1]), 0)
+            _chunk_bounds(np.array([0]), np.array([1]), 0)
+
+    @pytest.mark.parametrize("route", KERNELS)
+    @pytest.mark.parametrize(
+        "payload, masking",
+        [
+            (payload, masking)
+            for payload in ("plus", "bf", "brandes")
+            for masking in ("none", "mask", "complement", "tie")
+            if (payload, masking) != ("plus", "tie")  # plus-times has no weight to tie
+        ],
+    )
+    def test_chunking_never_changes_a_bit(self, rng, route, payload, masking):
+        for _ in range(5):
+            a, b, spec = _real_product(rng, payload)
+            mask, spec = _chunk_mask(rng, a, b, spec, masking)
+            want = spgemm(a, b, spec, mask=mask, kernel=route)
+            for chunk in (1, 2, 7, 1 << 22):
+                got = spgemm(a, b, spec, mask=mask, chunk=chunk, kernel=route)
+                assert_bits(got.matrix, want.matrix)
+                assert np.array_equal(got.row_ops, want.row_ops)
+
+
+def _real_product(rng, payload):
+    """``(a, b, spec)``: a 6 × 40 by 40 × 5 product whose every entry sums
+    many real-valued terms (for the path payloads, of few weights, so they
+    tie), so that a row reduced in two pieces shows in the bits."""
+
+    def pattern(m, n):
+        rows, cols = (rng.random((m, n)) < 0.8).nonzero()
+        return m, n, rows, cols
+
+    left, right = pattern(6, 40), pattern(40, 5)
+    if payload == "plus":
+        a, b = (SpMat(*pat, {"w": rng.random(len(pat[2])) + 0.5}, PlusMonoid())
+                for pat in (left, right))
+        return a, b, REAL_PLUS_TIMES.matmul_spec()
+    spec = BELLMAN_FORD_SPEC if payload == "bf" else BRANDES_SPEC
+    nnz = len(left[2])
+    vals = {
+        name: (rng.random(nnz) if dtype == np.float64 and name != "w"
+               else rng.integers(1, 3, nnz)).astype(dtype)
+        for name, dtype in spec.monoid.field_spec
+    }
+    weights = {"w": rng.integers(1, 3, len(right[2])).astype(np.float64)}
+    return SpMat(*left, vals, spec.monoid), SpMat(*right, weights, WEIGHT), spec
+
+
+def _chunk_mask(rng, a, b, spec, masking):
+    """``(mask, spec)`` for one masking case of a 6 × 5 product."""
+    if masking == "none":
+        return None, spec
+    if masking == "tie":
+        # each entry's best weight: its winning pairs tie, the others do not
+        best = spgemm(a, b, spec, kernel="generic").matrix
+        return best.map(lambda v: {"w": v["w"]}, monoid=WEIGHT), ruled(spec, "tie")
+    rule = "keep" if masking == "mask" else "complement"
+    return random_weight_spmat(rng, 6, 5, 0.5), ruled(spec, rule)
 
 
 class TestMultpathProduct:

@@ -273,6 +273,15 @@ def _masks(rng, kind):
     return random_weight_spmat(rng, 13, 30, 0.5), _rule(kind)
 
 
+def _chunked_calls(monkeypatch, chunk):
+    """Run the executor's products at ``chunk``; returns the list that gets
+    one ``1`` per kernel call they make."""
+    calls = []
+    chunked = functools.partial(spgemm, chunk=chunk)
+    monkeypatch.setattr(executor, "spgemm", lambda *a, **k: calls.append(1) or chunked(*a, **k))
+    return calls
+
+
 class TestStripProduct:
     """A 1D-B step's product over A's packed strips (the step product's
     zero-copy case) gives every strip's product bit for bit and charges
@@ -291,8 +300,8 @@ class TestStripProduct:
         mask, rule = _masks(rng, masking)
         spec = ruled(spec, rule)
         cuts = da.layout.row_splits.tolist()
-        # the executor's products run at the chunk the strips are grouped by
-        monkeypatch.setattr(executor, "spgemm", functools.partial(spgemm, chunk=chunk))
+        # only the executor's product runs at the chunk: the references at the default
+        calls = _chunked_calls(monkeypatch, chunk)
         with kernel(route):
             ref = [
                 spgemm(
@@ -300,18 +309,16 @@ class TestStripProduct:
                     b,
                     spec,
                     mask=None if mask is None else axis_block(mask, 0, cuts[r], cuts[r + 1]),
-                    chunk=chunk,
                 )
                 for r in range(p)
             ]
             led = machine.ledger
             before = led.time.copy(), led.compute_per_rank.copy()
-            calls, per_strip = _step_product(
-                machine, np.arange(p), da.packed(), da.layout.row_splits, b, spec,
-                mask, chunk=chunk,
+            c, per_strip = _step_product(
+                machine, np.arange(p), da.packed(), da.layout.row_splits, b, spec, mask
             )
-        parts = [(prod.rows, prod.cols, prod.vals) for _, _, prod in calls]
-        c, ops = SpMat._merged(da.nrows, b.ncols, parts, spec.monoid), int(per_strip.sum())
+        ops = int(per_strip.sum())
+        assert calls == [1]  # one kernel call of one pair, at every chunk
         assert any(da.block(r, 0).nnz == 0 for r in range(p))
         out = DistMat(machine, da.layout, c, spec.monoid)
         for r, res in enumerate(ref):
@@ -349,7 +356,7 @@ class TestStripProduct:
 variants = sys.modules[_task_products.__module__]
 
 
-def _per_task(machine, tasks, spec, *, masks=None, diag=None, chunk=DEFAULT_CHUNK):
+def _per_task(machine, tasks, spec, *, masks=None, diag=None):
     """The reference the step product replaces: one kernel call per task,
     then one charge of the tasks' ops in task order."""
 
@@ -359,7 +366,7 @@ def _per_task(machine, tasks, spec, *, masks=None, diag=None, chunk=DEFAULT_CHUN
         return diag.mat.block(*(int(b) for b in (*diag.rows[y : y + 2], *diag.cols[y : y + 2])))
 
     results = [
-        spgemm(x, right(y), spec, mask=None if masks is None else masks[t], chunk=chunk)
+        spgemm(x, right(y), spec, mask=None if masks is None else masks[t])
         for t, (_, x, y) in enumerate(tasks)
     ]
     machine.charge_compute([rank for rank, _, _ in tasks], [res.ops for res in results])
@@ -429,7 +436,8 @@ class TestStepProduct:
         tasks, ys = _step_tasks(rng, spec)
         masks, rule = _step_masks(rng, tasks, ys, masking)
         spec = ruled(spec, rule)
-        monkeypatch.setattr(executor, "spgemm", functools.partial(spgemm, chunk=chunk))
+        # only the executor's product runs at the chunk: the references at the default
+        calls = _chunked_calls(monkeypatch, chunk)
         # the right operands named per task (distinct objects, one shared by
         # three tasks), or as the caller's block diagonal
         for operands in ("named", "diagonal"):
@@ -437,11 +445,12 @@ class TestStepProduct:
             named = tasks if diag else [(rank, x, ys[y]) for rank, x, y in tasks]
             outs = []
             for run in (_per_task, _task_products):
+                calls.clear()
                 machine = Machine(8, faults="off", elastic="off", check="off",
                                   memory_words="off")
                 seen = _charges(monkeypatch, machine)
                 with kernel(route):
-                    prods, ops = run(machine, named, spec, masks=masks, diag=diag, chunk=chunk)
+                    prods, ops = run(machine, named, spec, masks=masks, diag=diag)
                 outs.append((prods, ops, seen, machine.ledger.snapshot()))
             (want, want_ops, want_seen, want_led), (got, got_ops, seen, led) = outs
             assert len(got) == len(want) == len(tasks)
@@ -449,6 +458,7 @@ class TestStepProduct:
                 assert_bits(g, w)
             assert got_ops == want_ops and seen == want_seen and led == want_led
             assert len(seen) == 1
+            assert calls == [1]  # one kernel call of one pair, at every chunk
 
     def test_a_step_without_tasks_charges_nothing(self, monkeypatch):
         machine = Machine(4)
