@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-import scipy.sparse
 
 from repro.algebra.monoid import segments, stable_key_sort
 from repro.graphs.graph import Graph
@@ -20,14 +19,10 @@ from repro.graphs.graph import Graph
 __all__ = ["dijkstra_sssp", "bellman_ford_sssp", "bfs_sssp"]
 
 
-def _csr(graph: Graph) -> scipy.sparse.csr_matrix:
-    return graph.adjacency_scipy()
-
-
 def bfs_sssp(graph: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     """BFS distances/multiplicities for unweighted graphs (level-synchronous,
     vectorized per level)."""
-    adj = _csr(graph)
+    adj = graph.adjacency_scipy()
     n = graph.n
     dist = np.full(n, np.inf)
     sigma = np.zeros(n)
@@ -60,7 +55,7 @@ def dijkstra_sssp(graph: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     on distance ties with exact float comparison, which is safe here because
     all test weights are small integers (sums stay exactly representable).
     """
-    adj = _csr(graph)
+    adj = graph.adjacency_scipy()
     n = graph.n
     dist = np.full(n, np.inf)
     sigma = np.zeros(n)
@@ -94,7 +89,7 @@ def bellman_ford_sssp(
     The scalar (non-algebraic) version of MFBF for a single source — an
     independent implementation used to cross-check the matrix formulation.
     """
-    adj = _csr(graph)
+    adj = graph.adjacency_scipy()
     n = graph.n
     if max_iterations is None:
         max_iterations = n + 1

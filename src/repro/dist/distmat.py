@@ -141,9 +141,7 @@ class Layout:
     col_splits[-1]``.  Two layouts are equal when all three arrays are.
     """
 
-    __slots__ = (
-        "ranks2d", "row_splits", "col_splits", "shape", "block_shapes", "offsets", "_tiling"
-    )
+    __slots__ = ("ranks2d", "row_splits", "col_splits", "shape", "block_shapes", "offsets")
 
     def __init__(self, ranks2d, row_splits, col_splits) -> None:
         ranks2d = np.asarray(ranks2d, dtype=np.int64)
@@ -165,7 +163,6 @@ class Layout:
         #: order); ``offsets[-1]`` is ``nrows · ncols``
         self.offsets = np.zeros(pr * pc + 1, dtype=np.int64)
         np.cumsum(np.outer(heights, widths).ravel(), out=self.offsets[1:])
-        self._tiling: np.ndarray | None = None
 
     @classmethod
     def even(cls, ranks2d, nrows: int, ncols: int) -> "Layout":
@@ -189,19 +186,6 @@ class Layout:
             and np.array_equal(self.row_splits, other.row_splits)
             and np.array_equal(self.col_splits, other.col_splits)
         )
-
-    def tiling(self) -> np.ndarray:
-        """``(r0, r1, c0, c1, owner)`` of every tile of nonzero area, one
-        column each in row-major grid order: where a matrix on this layout
-        lives.  Two layouts with equal tilings differ only in zero-area
-        tiles, so they hold a matrix alike and share its packed key space.
-        Computed once per layout."""
-        if self._tiling is None:
-            t = np.flatnonzero(np.diff(self.offsets))
-            i, j = np.divmod(t, self.ranks2d.shape[1])
-            rs, cs = self.row_splits, self.col_splits
-            self._tiling = np.stack([rs[i], rs[i + 1], cs[j], cs[j + 1], self.ranks2d.ravel()[t]])
-        return self._tiling
 
     def bounds(self, i: int, j: int) -> tuple[int, int, int, int]:
         """Global ``(r0, r1, c0, c1)`` of block ``(i, j)`` (``SpMat.block``'s order)."""
@@ -757,23 +741,17 @@ class DistMat:
         :meth:`~repro.machine.collectives.Group.alltoall` over both grids'
         ranks, sized by the busiest rank's sent+received volume (CTF's
         sparse-to-sparse redistribution kernel, §6.2).  A target equal to
-        the current layout returns this matrix itself.  A target with the
-        same tiling (:meth:`Layout.tiling`) is a relabelling: no piece would
-        change rank, so nothing is cut, moved or charged, and the target
-        holds this matrix's packed arrays.
+        the current layout returns this matrix itself; one that puts every
+        nonzero tile on the rank already holding it sends no piece, so the
+        exchange charges nothing.
         """
-        src = self.layout
-        if layout == src:
+        if layout == self.layout:
             return self  # already there: nothing to pack, move or hold twice
-        if layout.shape == src.shape and np.array_equal(src.tiling(), layout.tiling()):
-            # the two key spaces are one: packing reads the blocks in the
-            # exchange's order, so a spilled one faults in as it would
-            return DistMat(self.machine, layout, self.packed(), self.monoid)
         return self._exchange(layout)
 
     def _exchange(self, layout: Layout) -> "DistMat":
-        """:meth:`redistribute` onto a target with another tiling: cut every
-        block against it and exchange the pieces that change rank."""
+        """:meth:`redistribute` onto another layout: cut every block against
+        it and exchange the pieces that change rank."""
         src = self.layout
         pieces: list[list[list[SpMat]]] = [[[] for _ in row] for row in layout.block_shapes]
         participants = np.unique(np.concatenate([src.ranks2d.ravel(), layout.ranks2d.ravel()]))

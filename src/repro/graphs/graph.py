@@ -11,7 +11,6 @@ self-loops are irrelevant to shortest paths and are dropped on construction.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
 
 from repro.algebra.monoid import MinMonoid, run_starts, stable_key_sort
 from repro.sparse.spmatrix import SpMat
@@ -181,12 +180,18 @@ class Graph:
             self._adjacency = adj
         return self._adjacency
 
-    def adjacency_scipy(self, transpose: bool = False) -> scipy.sparse.csr_matrix:
-        """CSR adjacency with weight data (for scipy-based baselines).
+    def adjacency_scipy(self, transpose: bool = False):
+        """CSR adjacency with weight data (a ``scipy.sparse.csr_matrix``, for
+        the scipy-based baselines and graph statistics).
 
         Unstored entries are *absent*, not ∞; callers must not interpret
         explicit zeros (there are none — weights are positive).
         """
+        # imported here: scipy.sparse (and csgraph, below) would add to every
+        # run's start-up time and memory, yet only the oracles and graph
+        # statistics need it, after a run
+        import scipy.sparse
+
         r, c, w = self._both_directions()
         if transpose:
             r, c = c, r
@@ -253,9 +258,7 @@ class Graph:
         Matches the 90-percentile effective diameter column ``d̄`` of the
         paper's Table 2 (computed on hop counts, ignoring weights).
         """
-        # imported here: csgraph (and the scipy.linalg it loads) is 40–95 ms
-        # of ``import repro`` that only three rarely called functions need
-        from scipy.sparse import csgraph
+        from scipy.sparse import csgraph  # off the start-up path (adjacency_scipy)
 
         from repro.utils.rng import as_rng
 
@@ -279,7 +282,7 @@ class Graph:
         Exact for graphs up to ``exact_limit`` vertices; otherwise a sampled
         lower bound (sufficient for reports — Table 2's ``d`` column).
         """
-        from scipy.sparse import csgraph  # off the start-up path, as above
+        from scipy.sparse import csgraph  # off the start-up path (adjacency_scipy)
 
         if self.m == 0:
             return 0

@@ -14,7 +14,6 @@ import weakref
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from repro.algebra.fields import (
     FieldArray,
@@ -162,25 +161,6 @@ class SpMat:
                 rows, cols = rows[order], cols[order]
         return cls(nrows, ncols, rows, cols, vals, monoid, canonical=True)
 
-    @classmethod
-    def from_scipy(
-        cls, mat: scipy.sparse.spmatrix, monoid: Monoid, field: str = "w"
-    ) -> "SpMat":
-        """Wrap a scipy sparse matrix as a single-field :class:`SpMat`."""
-        coo = mat.tocoo()
-        if [field] != [n for n, _ in monoid.field_spec]:
-            raise ValueError(
-                f"from_scipy requires a single-field monoid with field {field!r}"
-            )
-        return cls(
-            coo.shape[0],
-            coo.shape[1],
-            coo.row.astype(np.int64),
-            coo.col.astype(np.int64),
-            {field: coo.data},
-            monoid,
-        )
-
     # -- basic properties ----------------------------------------------------
 
     @property
@@ -213,12 +193,6 @@ class SpMat:
         )
 
     # -- conversion ----------------------------------------------------------
-
-    def to_scipy(self, field: str = "w") -> scipy.sparse.coo_matrix:
-        """Extract one value field as a scipy COO matrix (zeros are kept)."""
-        return scipy.sparse.coo_matrix(
-            (self.vals[field], (self.rows, self.cols)), shape=self.shape
-        )
 
     def to_dense(self, field: str, fill: object | None = None) -> np.ndarray:
         """Densify one value field, filling unstored entries.

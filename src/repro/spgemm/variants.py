@@ -529,10 +529,9 @@ def _exec_grid(
             rest[name] = mats[name].redistribute(layout)
 
     def reader(name: str):
-        """``(l, i, j) ->`` the block of operand ``name`` on ``ranks3d[l, i, j]``.
-        A flipped operand's blocks are read here, layer by layer and column
-        by column; any other operand's when a step reads them (the order
-        decides when a spilled block faults in)."""
+        """``(l, i, j) ->`` the block of operand ``name`` on ``ranks3d[l, i, j]``,
+        read when a step reads it (so a spilled block faults in then); a
+        flipped operand's is block ``(j, i)`` of its transposed layer grid."""
         dm, flip = rest[name], flipped[name]
         qr, qc = (pc, pr) if flip else (pr, pc)
         if name == x:
@@ -541,10 +540,7 @@ def _exec_grid(
             read = lambda l, i, j: dm.block(i, l * qc + j)
         else:  # the layer grids one below the other
             read = lambda l, i, j: dm.block(l * qr + i, j)
-        if not flip:
-            return read
-        cols = [[[read(l, i, j) for i in range(qr)] for j in range(qc)] for l in range(p1)]
-        return lambda l, i, j: cols[l][i][j]
+        return (lambda l, i, j: read(l, j, i)) if flip else read
 
     resting = {name: reader(name) for name in rest}
 

@@ -9,6 +9,7 @@ CI workflow, the benchmark's scrub list and the CLI's flag definitions
 saying the same thing.  Grammar assertions live with each subsystem's tests.
 """
 
+import json
 import pathlib
 import re
 import subprocess
@@ -264,22 +265,45 @@ def test_every_exported_name_resolves():
     assert not dangling
 
 
-def test_import_keeps_csgraph_off_the_start_up_path():
-    """``import repro`` is part of every run's set-up; ``scipy.sparse.csgraph``
-    (and the ``scipy.linalg`` it loads) serves three rarely called graph
-    functions, which import it themselves — and still work when called first."""
+def test_no_scipy_on_the_run_path(tmp_path):
+    """Every run pays for what ``import repro`` loads, and its peak memory
+    is read before the oracles run: the library's modules and a ``repro bc``
+    run load no scipy.  The oracles and graph statistics that need it
+    (``scipy.sparse``, and ``csgraph`` with the ``scipy.linalg`` it loads)
+    import it themselves, and still work when called first."""
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1 1\n1 2 1\n0 3 1\n3 2 1\n2 4 1\n4 5 3\n3 5 1\n")
     script = (
-        "import sys, repro\n"
-        "loaded = {'scipy.sparse.csgraph', 'scipy.linalg'} & set(sys.modules)\n"
+        "import json, sys\n"
+        "import repro, repro.core, repro.dist, repro.machine, repro.spgemm.selector\n"
+        "import repro.graphs, repro.baselines, repro.serve, repro.serve.loadgen\n"
+        "from repro.cli import main\n"
+        "path = sys.argv[1]\n"
+        "assert main(['bc', path, '-o', path + '.scores']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
-        "g = repro.uniform_random_graph_nm(40, 3.0, seed=1)\n"
-        "assert g.diameter_hops() > 0\n"
-        "assert 'scipy.sparse.csgraph' in sys.modules\n"
+        "g = repro.graphs.read_edgelist(path)\n"
+        "dist, sigma = repro.baselines.dijkstra_sssp(g, 0)\n"
+        "print(json.dumps({\n"
+        "    'bc': [float(x) for x in open(path + '.scores').read().split()],\n"
+        "    'brandes': repro.baselines.brandes_bc(g).tolist(),\n"
+        "    'dist': dist.tolist(), 'sigma': sigma.tolist(),\n"
+        "    'diameter': g.diameter_hops(), 'csgraph': 'scipy.sparse.csgraph' in sys.modules,\n"
+        "}))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, str(graph)],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got == {
+        "bc": [2.0, 2.0, 9.0, 9.0, 0.0, 0.0],
+        "brandes": [2.0, 2.0, 9.0, 9.0, 0.0, 0.0],
+        "dist": [0.0, 1.0, 2.0, 1.0, 3.0, 2.0],
+        "sigma": [1.0, 1.0, 2.0, 1.0, 2.0, 1.0],
+        "diameter": 3,
+        "csgraph": True,
+    }

@@ -390,12 +390,11 @@ class TestValidationReads:
 
 
 class TestRestingReadOrder:
-    """When a 2D plan step reads its resting operands' tiles.  A flipped
-    operand (one resting on the transposed grid) is read up front, column by
-    column; any other when a step reads it.  Under a budget that order
-    decides when a spilled tile of the pinned adjacency faults in, so it
-    moves the modeled clock: reading every operand lazily moves BC's time,
-    reading every operand up front moves AB's."""
+    """When a 2D plan step reads its resting operands' tiles: every operand,
+    flipped (resting on the transposed grid) or not, when a step reads it.
+    Under a budget that order decides when a spilled tile of the pinned
+    adjacency faults in, so it moves the modeled clock: these numbers pin
+    it."""
 
     # re-pinned when equal-weight MFBF became a masked BFS: fewer ops and
     # smaller products, so fewer reliefs (the words of BC's re-blockings too);

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from repro.algebra.monoid import MinMonoid, PlusMonoid
 from repro.algebra.multpath import MULTPATH
@@ -58,18 +57,6 @@ class TestConstruction:
     def test_empty(self):
         m = SpMat.empty(3, 4, MULTPATH)
         assert m.nnz == 0 and m.shape == (3, 4)
-
-    def test_from_to_scipy_roundtrip(self, rng):
-        sp = scipy.sparse.random(10, 8, density=0.3, random_state=1, format="coo")
-        sp.data[:] = np.abs(sp.data) + 1
-        m = SpMat.from_scipy(sp, W)
-        back = m.to_scipy("w").toarray()
-        assert np.allclose(back, sp.toarray())
-
-    def test_from_scipy_multifield_monoid_raises(self):
-        sp = scipy.sparse.eye(3, format="coo")
-        with pytest.raises(ValueError, match="single-field"):
-            SpMat.from_scipy(sp, MULTPATH)
 
     def test_to_dense_fill(self):
         m = mk(2, 2, [(0, 1, 3.0)])
