@@ -66,7 +66,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.cli import add_run_flags, build_machine  # noqa: E402
+from repro.cli import add_run_flags, build_machine, print_reports  # noqa: E402
 from repro.graphs import rmat_graph  # noqa: E402
 from repro.machine import Machine  # noqa: E402
 from repro.serve import BCService, OverloadConfig  # noqa: E402
@@ -253,17 +253,18 @@ def soak(graph, capacity_qps: float, args) -> tuple[dict, int]:
     )
     reference = _reference_rows(graph, probe_sources, args)
     for i, src in enumerate(probe_sources):
-        qid = service.submit("bc_source", source=int(src))
         try:
-            row = service.result(qid, timeout=120.0)
+            status = service.ask("bc_source", source=int(src), timeout=120.0)
         except Exception as exc:
             exact_ok, detail = False, f"verification query failed: {exc}"
             break
-        status = service.poll(qid)
+        if status["state"] != "done":
+            exact_ok, detail = False, f"verification query {status['state']}"
+            break
         if status["degraded"]:
             exact_ok, detail = False, "verification query answered degraded"
             break
-        if not np.array_equal(row, reference[i]):
+        if not np.array_equal(status["result"], reference[i]):
             exact_ok, detail = False, f"source {src} diverged from solo run"
             break
     check(
@@ -307,7 +308,7 @@ def soak(graph, capacity_qps: float, args) -> tuple[dict, int]:
         f"{machine_recoveries} elastic recoveries "
         f"({stats['recoveries']} inside served sweeps), "
         f"{stats['retries']} retries, breaker opened "
-        f"{service.breaker.opened_total}x, "
+        f"{service.metrics.get_count('serve.overload.breaker', state='open'):.0f}x, "
         f"{stats['dispatcher_restarts']} dispatcher restarts, "
         f"peak queue {stats['admission']['peak_queued']}"
     )
@@ -319,6 +320,7 @@ def soak(graph, capacity_qps: float, args) -> tuple[dict, int]:
             f"{mem.get('spilled_blocks', 0)} blocks spilled, "
             f"{mem.get('torn_writes', 0)} torn writes absorbed"
         )
+    print_reports(("cache", "overload"), service.metrics)
     record = {
         "factor": args.factor,
         "offered_qps": offered,

@@ -10,7 +10,6 @@ __all__ = [
     "format_trace_report",
     "cache_attribution",
     "overload_attribution",
-    "approx_attribution",
     "memory_attribution",
     "REPORTS",
     "format_report",
@@ -69,12 +68,12 @@ def trace_attribution(tracer, ledger) -> list[dict]:
 
 
 def cache_attribution(metrics) -> list[dict]:
-    """Per-algorithm serve-cache event totals from a metrics registry.
+    """Per-algorithm serve-cache event totals from a service's registry.
 
-    Reads the ``serve.cache.{hit,miss,invalidate}`` counter families the
-    serving layer emits (see :mod:`repro.serve.cache`); one row per
-    algorithm label plus the derived hit rate.  Empty when no cache events
-    were recorded (e.g. a plain ``repro trace`` run with no service).
+    Reads the ``serve.cache.{hit,miss,invalidate}`` counter families a
+    :class:`~repro.serve.cache.ScoreCache` counts into ``BCService.metrics``;
+    one row per algorithm label plus the derived hit rate.  Empty when no
+    cache events were recorded.
     """
     algorithms: set[str] = set()
     for name in ("serve.cache.hit", "serve.cache.miss", "serve.cache.invalidate"):
@@ -113,11 +112,12 @@ _OVERLOAD_COUNTERS: tuple[tuple[str, str], ...] = (
 
 
 def overload_attribution(metrics) -> list[dict]:
-    """Per-label overload event totals from a metrics registry.
+    """Per-label overload event totals from a service's registry.
 
     Reads the ``serve.overload.*`` counter families the admission
-    controller, watermark governor, circuit breaker, and watchdog emit
-    (see :mod:`repro.serve.overload`); one row per (event, label) pair.
+    controller, watermark governor, circuit breaker, and watchdog count
+    into ``BCService.metrics`` (see :mod:`repro.serve.overload`); one row
+    per (event, label) pair.
     Empty when no overload events were recorded — a service that never
     came under pressure produces an empty table, not a zero-filled one.
     """
@@ -129,36 +129,6 @@ def overload_attribution(metrics) -> list[dict]:
             count = metrics.get_count(name, **dict(labels))
             if count:
                 rows.append({"event": short, "label": label, "count": int(count)})
-    return rows
-
-
-def approx_attribution(metrics) -> list[dict]:
-    """Per-algorithm adaptive-sampling totals from a metrics registry.
-
-    Reads the ``approx.*`` counter/gauge families the adaptive sampler
-    emits (see :func:`repro.core.approx.adaptive_bc`): batches executed,
-    samples drawn, the last certified confidence width, and how many runs
-    converged versus hit their sample cap.  One row per algorithm label;
-    empty when no sampling ran under an active obs session.
-    """
-    algorithms: set[str] = set()
-    for name in ("approx.batches", "approx.samples", "approx.runs"):
-        for labels in metrics.series(name):
-            algorithms.add(dict(labels).get("algorithm", ""))
-    rows = []
-    for alg in sorted(algorithms):
-        converged = metrics.get_count("approx.runs", algorithm=alg, converged="true")
-        capped = metrics.get_count("approx.runs", algorithm=alg, converged="false")
-        rows.append(
-            {
-                "algorithm": alg,
-                "runs": int(converged + capped),
-                "converged": int(converged),
-                "batches": int(metrics.get_count("approx.batches", algorithm=alg)),
-                "samples": int(metrics.get_count("approx.samples", algorithm=alg)),
-                "last_width": metrics.get_gauge("approx.width", algorithm=alg),
-            }
-        )
     return rows
 
 
@@ -211,7 +181,9 @@ def memory_attribution(metrics) -> list[dict]:
     return rows
 
 
-#: the metric reports ``repro trace`` prints, in print order:
+#: the metric reports: ``repro serve`` (and the serve smoke and soak
+#: scripts) print ``cache`` and ``overload`` from ``BCService.metrics`` at
+#: shutdown, ``repro trace`` prints ``memory`` from its session:
 #: name -> (title, attribution function, headers, row dict -> cells)
 REPORTS: dict[str, tuple] = {
     "cache": (
@@ -231,19 +203,6 @@ REPORTS: dict[str, tuple] = {
         overload_attribution,
         ["event", "label", "count"],
         lambda r: [r["event"], r["label"], r["count"]],
-    ),
-    "approx": (
-        "adaptive sampling (approx.*)",
-        approx_attribution,
-        ["algorithm", "runs", "converged", "batches", "samples", "last width"],
-        lambda r: [
-            r["algorithm"],
-            r["runs"],
-            r["converged"],
-            r["batches"],
-            r["samples"],
-            "-" if r["last_width"] is None else r["last_width"],
-        ],
     ),
     "memory": (
         "memory pressure (memory.*)",

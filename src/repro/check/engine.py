@@ -72,9 +72,6 @@ class CheckConfig:
 
     mode: str
     sample: int = 0
-    #: where to write mismatch repro cases; ``None`` → the ambient
-    #: ``check_dir`` knob, else the current directory.
-    artifact_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("cheap", "full", "sample"):
@@ -355,9 +352,7 @@ class CheckedEngine:
         )
         case_path = script_path = None
         artifact_note = ""
-        directory = (
-            config.ambient("check_dir", self.config.artifact_dir) or os.getcwd()
-        )
+        directory = config.ambient("check_dir") or os.getcwd()
         try:
             case_path, script_path = emit_case(
                 case, directory, f"check-case-{self.products}"

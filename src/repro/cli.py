@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.config import KNOBS
 
-__all__ = ["main", "build_parser", "add_run_flags", "build_machine"]
+__all__ = ["main", "build_parser", "add_run_flags", "build_machine", "print_reports"]
 
 #: argparse keywords of the knob flags that are not plain strings
 _KNOB_ARGS = {"memory_words": {"type": int}}
@@ -478,7 +478,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _print_trace_reports(args, session, machine, res) -> None:
-    """Write the trace files; print the timeline and every captured report."""
+    """Write the trace files; print the timeline and the run's reports."""
     from repro import obs
     from repro.analysis import report
 
@@ -494,8 +494,15 @@ def _print_trace_reports(args, session, machine, res) -> None:
 
         print()
         print(format_fault_report(machine.faults))
-    for name in report.REPORTS:
-        table = report.format_report(name, session.metrics)
+    print_reports(("memory",), session.metrics)
+
+
+def print_reports(names, metrics) -> None:
+    """Print each named metric report that has rows, blank-line separated."""
+    from repro.analysis.report import format_report
+
+    for name in names:
+        table = format_report(name, metrics)
         if table:
             print()
             print(table)
@@ -593,6 +600,7 @@ def _cmd_serve(args) -> int:
             f"cache hit-rate {stats['cache']['hit_rate']:.1%}); "
             f"{stats['shed']} shed, {stats['degraded']} degraded"
         )
+        print_reports(("cache", "overload"), service.metrics)
     return 0
 
 

@@ -543,12 +543,6 @@ def adaptive_bc(
             )
             width_history.append(width)
             converged = width <= epsilon
-            if obs.enabled():
-                obs.count("approx.batches", 1.0, algorithm="adaptive_bc")
-                obs.count(
-                    "approx.samples", float(count), algorithm="adaptive_bc"
-                )
-                obs.gauge("approx.width", width, algorithm="adaptive_bc")
 
             if store is not None:
                 store.save(
@@ -571,13 +565,6 @@ def adaptive_bc(
                 )
 
     mean, _ = sampler.mean_and_variance()
-    if obs.enabled():
-        obs.count(
-            "approx.runs",
-            1.0,
-            algorithm="adaptive_bc",
-            converged=str(bool(converged)).lower(),
-        )
     return AdaptiveBCResult(
         scores=mean * raw_denom,
         epsilon=epsilon,

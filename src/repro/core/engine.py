@@ -10,7 +10,7 @@ algorithm code drives both execution modes:
   charging α-β communication costs.
 
 Both matrix types share the elementwise method surface (``combine``,
-``filter``, ``map``, ``zip_filter``, ``zip_map``, ``column_sums``), so the
+``filter``, ``map``, ``zip_filter``, ``zip_map``), so the
 engine protocol only needs to abstract construction and multiplication.
 """
 

@@ -12,12 +12,15 @@ tuple of its label items, so label order at the call site never matters.
 
 Aggregation across labels uses :meth:`Metrics.total` (sum of counter
 series matching a label subset) and :meth:`Metrics.series` (all series of
-one name).  Like the tracer, this module is stdlib-only.
+one name).  One lock guards every read and write, so threads may share a
+registry (a service's client threads, dispatcher and watchdog all count
+into ``BCService.metrics``).  Like the tracer, this module is stdlib-only.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 __all__ = ["Histogram", "Metrics"]
@@ -57,41 +60,50 @@ class Metrics:
         self._counters: dict[str, dict[LabelKey, float]] = {}
         self._gauges: dict[str, dict[LabelKey, float]] = {}
         self._histograms: dict[str, dict[LabelKey, Histogram]] = {}
+        self._lock = threading.Lock()
 
     # -- writes ---------------------------------------------------------------
 
     def count(self, name: str, value: float = 1.0, **labels) -> None:
-        series = self._counters.setdefault(name, {})
         k = _key(labels)
-        series[k] = series.get(k, 0.0) + float(value)
+        with self._lock:
+            series = self._counters.setdefault(name, {})
+            series[k] = series.get(k, 0.0) + float(value)
 
     def gauge(self, name: str, value: float, **labels) -> None:
-        self._gauges.setdefault(name, {})[_key(labels)] = float(value)
+        k = _key(labels)
+        with self._lock:
+            self._gauges.setdefault(name, {})[k] = float(value)
 
     def observe(self, name: str, value: float, **labels) -> None:
-        series = self._histograms.setdefault(name, {})
         k = _key(labels)
-        hist = series.get(k)
-        if hist is None:
-            hist = series[k] = Histogram()
-        hist.observe(value)
+        with self._lock:
+            series = self._histograms.setdefault(name, {})
+            hist = series.get(k)
+            if hist is None:
+                hist = series[k] = Histogram()
+            hist.observe(value)
 
     # -- reads ----------------------------------------------------------------
 
     def get_count(self, name: str, **labels) -> float:
-        return self._counters.get(name, {}).get(_key(labels), 0.0)
+        with self._lock:
+            return self._counters.get(name, {}).get(_key(labels), 0.0)
 
     def get_gauge(self, name: str, **labels) -> float | None:
-        return self._gauges.get(name, {}).get(_key(labels))
+        with self._lock:
+            return self._gauges.get(name, {}).get(_key(labels))
 
     def get_histogram(self, name: str, **labels) -> Histogram | None:
-        return self._histograms.get(name, {}).get(_key(labels))
+        with self._lock:
+            return self._histograms.get(name, {}).get(_key(labels))
 
     def series(self, name: str) -> dict[LabelKey, object]:
         """All series registered under ``name`` (any metric type)."""
-        for table in (self._counters, self._gauges, self._histograms):
-            if name in table:
-                return dict(table[name])
+        with self._lock:
+            for table in (self._counters, self._gauges, self._histograms):
+                if name in table:
+                    return dict(table[name])
         return {}
 
     def total(self, name: str, **labels) -> float:
@@ -102,42 +114,45 @@ class Metrics:
         ``total("machine.words", category="bcast")`` selects one.
         """
         want = set(labels.items())
-        return sum(
-            v
-            for k, v in self._counters.get(name, {}).items()
-            if want.issubset(set(k))
-        )
+        with self._lock:
+            return sum(
+                v
+                for k, v in self._counters.get(name, {}).items()
+                if want.issubset(set(k))
+            )
 
     def names(self) -> list[str]:
-        return sorted(
-            set(self._counters) | set(self._gauges) | set(self._histograms)
-        )
+        with self._lock:
+            return sorted(
+                set(self._counters) | set(self._gauges) | set(self._histograms)
+            )
 
     def snapshot(self) -> list[dict]:
         """Flat rows for reports / JSONL export."""
-        rows: list[dict] = []
-        for name in sorted(self._counters):
-            for k, v in sorted(self._counters[name].items(), key=lambda kv: repr(kv[0])):
-                rows.append(
-                    {"metric": name, "type": "counter", "labels": dict(k), "value": v}
-                )
-        for name in sorted(self._gauges):
-            for k, v in sorted(self._gauges[name].items(), key=lambda kv: repr(kv[0])):
-                rows.append(
-                    {"metric": name, "type": "gauge", "labels": dict(k), "value": v}
-                )
-        for name in sorted(self._histograms):
-            for k, h in sorted(self._histograms[name].items(), key=lambda kv: repr(kv[0])):
-                rows.append(
-                    {
-                        "metric": name,
-                        "type": "histogram",
-                        "labels": dict(k),
-                        "count": h.count,
-                        "total": h.total,
-                        "min": h.min if h.count else None,
-                        "max": h.max if h.count else None,
-                        "mean": h.mean,
-                    }
-                )
-        return rows
+        with self._lock:
+            rows: list[dict] = []
+            for name in sorted(self._counters):
+                for k, v in sorted(self._counters[name].items(), key=lambda kv: repr(kv[0])):
+                    rows.append(
+                        {"metric": name, "type": "counter", "labels": dict(k), "value": v}
+                    )
+            for name in sorted(self._gauges):
+                for k, v in sorted(self._gauges[name].items(), key=lambda kv: repr(kv[0])):
+                    rows.append(
+                        {"metric": name, "type": "gauge", "labels": dict(k), "value": v}
+                    )
+            for name in sorted(self._histograms):
+                for k, h in sorted(self._histograms[name].items(), key=lambda kv: repr(kv[0])):
+                    rows.append(
+                        {
+                            "metric": name,
+                            "type": "histogram",
+                            "labels": dict(k),
+                            "count": h.count,
+                            "total": h.total,
+                            "min": h.min if h.count else None,
+                            "max": h.max if h.count else None,
+                            "mean": h.mean,
+                        }
+                    )
+            return rows

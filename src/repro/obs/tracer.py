@@ -22,6 +22,7 @@ import it without dependency cycles.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -82,6 +83,10 @@ class Span:
 class Tracer:
     """Collects spans; one per capture session.
 
+    Each thread keeps its own stack of open spans, so a span's parent is
+    the innermost span the *calling thread* has open: a client thread's
+    span may close while the service's dispatcher has a sweep open.
+
     Parameters
     ----------
     modeled_clock:
@@ -94,8 +99,9 @@ class Tracer:
 
     def __init__(self, modeled_clock: Callable[[], float] | None = None) -> None:
         self.modeled_clock = modeled_clock
-        self.spans: list[Span] = []  # creation order; closed in LIFO order
-        self._stack: list[Span] = []
+        self.spans: list[Span] = []  # creation order; LIFO per thread
+        self._lock = threading.Lock()  # numbers and appends spans
+        self._local = threading.local()
         self._epoch = time.perf_counter()
 
     # -- recording -----------------------------------------------------------
@@ -104,34 +110,50 @@ class Tracer:
         """Wall seconds since this tracer's epoch."""
         return time.perf_counter() - self._epoch
 
+    def _open(self) -> list[Span]:
+        """The calling thread's stack of open spans."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
+
+    def _record(self, sp: Span) -> Span:
+        with self._lock:
+            sp.index = len(self.spans)
+            self.spans.append(sp)
+        return sp
+
     def current(self) -> Span | None:
-        """The innermost open span, or None."""
-        return self._stack[-1] if self._stack else None
+        """The calling thread's innermost open span, or None."""
+        stack = self._open()
+        return stack[-1] if stack else None
 
     def begin(self, name: str, cat: str = "", **attrs) -> Span:
-        parent = self._stack[-1].index if self._stack else None
-        sp = Span(
-            name=name,
-            cat=cat,
-            index=len(self.spans),
-            parent=parent,
-            depth=len(self._stack),
-            wall_ts=self.now(),
-            modeled_ts=self.modeled_clock() if self.modeled_clock else None,
-            args=dict(attrs),
+        stack = self._open()
+        sp = self._record(
+            Span(
+                name=name,
+                cat=cat,
+                index=-1,
+                parent=stack[-1].index if stack else None,
+                depth=len(stack),
+                wall_ts=self.now(),
+                modeled_ts=self.modeled_clock() if self.modeled_clock else None,
+                args=dict(attrs),
+            )
         )
-        self.spans.append(sp)
-        self._stack.append(sp)
+        stack.append(sp)
         return sp
 
     def end(self, span: Span) -> Span:
-        if not self._stack or self._stack[-1] is not span:
+        stack = self._open()
+        if not stack or stack[-1] is not span:
             raise RuntimeError(
                 f"span stack corrupted: closing {span.name!r} but the "
                 f"innermost open span is "
-                f"{self._stack[-1].name if self._stack else None!r}"
+                f"{stack[-1].name if stack else None!r}"
             )
-        self._stack.pop()
+        stack.pop()
         span.wall_dur = self.now() - span.wall_ts
         if span.modeled_ts is not None and self.modeled_clock is not None:
             span.modeled_dur = self.modeled_clock() - span.modeled_ts
@@ -158,24 +180,26 @@ class Tracer:
     ) -> Span:
         """Record an already-finished operation (e.g. one modeled collective).
 
-        The span is parented under the innermost open span but never enters
-        the open stack.  ``wall_ts`` defaults to "now" — pass the start time
-        explicitly when the operation had a real wall duration.
+        The span is parented under the calling thread's innermost open span
+        but never enters the open stack.  ``wall_ts`` defaults to "now" —
+        pass the start time explicitly when the operation had a real wall
+        duration.
         """
-        sp = Span(
-            name=name,
-            cat=cat,
-            index=len(self.spans),
-            parent=self._stack[-1].index if self._stack else None,
-            depth=len(self._stack),
-            wall_ts=self.now() if wall_ts is None else wall_ts,
-            wall_dur=wall_dur,
-            modeled_ts=modeled_ts,
-            modeled_dur=modeled_dur,
-            args=dict(args or {}),
+        stack = self._open()
+        return self._record(
+            Span(
+                name=name,
+                cat=cat,
+                index=-1,
+                parent=stack[-1].index if stack else None,
+                depth=len(stack),
+                wall_ts=self.now() if wall_ts is None else wall_ts,
+                wall_dur=wall_dur,
+                modeled_ts=modeled_ts,
+                modeled_dur=modeled_dur,
+                args=dict(args or {}),
+            )
         )
-        self.spans.append(sp)
-        return sp
 
     # -- queries --------------------------------------------------------------
 

@@ -6,11 +6,10 @@ matters.  A graph mutation bumps the service's version, after which every
 lookup for the new version misses and recomputes; :meth:`ScoreCache.invalidate`
 then purges the now-unreachable old-version entries.
 
-Every cache event lands in :mod:`repro.obs` as a counter
-(``serve.cache.hit`` / ``serve.cache.miss`` / ``serve.cache.invalidate``,
-labeled by algorithm) when a capture session is active, and always in the
-cache's own thread-safe totals — the `repro trace` summary table and the
-service's ``stats()`` read these respectively.
+Every cache event is counted once, in the cache's metrics registry
+(``serve.cache.hit`` / ``miss`` / ``invalidate`` / ``evict``, labeled by
+algorithm) — the service's, ``BCService.metrics``, or the cache's own when
+it stands alone.  ``stats()`` and the ``cache`` report read it.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from repro.obs import api as obs
+from repro.obs.metrics import Metrics
 
 __all__ = ["ScoreCache", "cache_key"]
 
@@ -35,16 +34,13 @@ class ScoreCache:
     while the dispatcher thread populates it after each sweep.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int = 4096, metrics: Metrics | None = None) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
+        self.metrics = Metrics() if metrics is None else metrics
         self._entries: OrderedDict[tuple, object] = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.invalidated = 0
-        self.evicted = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -52,19 +48,12 @@ class ScoreCache:
 
     def get(self, key: tuple):
         """The cached payload for ``key``, or None; counts a hit or miss."""
-        algorithm = key[1]
         with self._lock:
             value = self._entries.get(key)
             if value is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-        if obs.enabled():
-            if value is not None:
-                obs.count("serve.cache.hit", 1.0, algorithm=algorithm)
-            else:
-                obs.count("serve.cache.miss", 1.0, algorithm=algorithm)
+        event = "serve.cache.miss" if value is None else "serve.cache.hit"
+        self.metrics.count(event, algorithm=key[1])
         return value
 
     def peek(self, key: tuple):
@@ -79,8 +68,8 @@ class ScoreCache:
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evicted += 1
+                old, _ = self._entries.popitem(last=False)
+                self.metrics.count("serve.cache.evict", algorithm=old[1])
 
     def invalidate(self, *, before_version: int | None = None) -> int:
         """Drop entries older than ``before_version`` (all when None).
@@ -94,24 +83,22 @@ class ScoreCache:
                 if before_version is None or key[0] < before_version:
                     del self._entries[key]
                     dropped.append(key)
-            self.invalidated += len(dropped)
-        if obs.enabled():
-            for key in dropped:
-                obs.count("serve.cache.invalidate", 1.0, algorithm=key[1])
+        for key in dropped:
+            self.metrics.count("serve.cache.invalidate", algorithm=key[1])
         return len(dropped)
 
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidated": self.invalidated,
-                "evicted": self.evicted,
-                "hit_rate": self.hit_rate(),
-            }
+        """Entries, capacity and the event totals summed over algorithms."""
+        hits, misses, invalidated, evicted = (
+            int(self.metrics.total(f"serve.cache.{event}"))
+            for event in ("hit", "miss", "invalidate", "evict")
+        )
+        return {
+            "entries": len(self),
+            "capacity": self.capacity,
+            "hits": hits,
+            "misses": misses,
+            "invalidated": invalidated,
+            "evicted": evicted,
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        }

@@ -164,9 +164,11 @@ class _Handler(BaseHTTPRequestHandler):
         if not algorithm:
             raise ValueError("missing required field: algorithm")
         client = self.headers.get("X-Client-Id") or self.client_address[0]
+        wait = bool(body.get("wait"))
         try:
-            qid = self.service.submit(
+            status = self.service.ask(
                 str(algorithm),
+                timeout=float(body.get("timeout", 60.0)) if wait else 0.0,
                 source=body.get("source"),
                 samples=body.get("samples"),
                 seed=int(body.get("seed", 0)),
@@ -189,15 +191,9 @@ class _Handler(BaseHTTPRequestHandler):
                 headers,
             )
             return
-        if body.get("wait"):
-            timeout = float(body.get("timeout", 60.0))
-            self.service._get(qid).done.wait(timeout)
-            self._send(200, self.service.poll(qid))
-        else:
-            status = self.service.poll(qid)
-            # a submit-time cache hit already carries the answer
-            code = 200 if status["state"] == QueryState.DONE.value else 202
-            self._send(code, status)
+        # a submit-time cache hit already carries the answer
+        done = status["state"] == QueryState.DONE.value
+        self._send(200 if wait or done else 202, status)
 
     def _post_graph(self, body: dict) -> None:
         from repro.graphs.graph import Graph

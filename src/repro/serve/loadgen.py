@@ -147,6 +147,14 @@ def generate_queries(
 # -- clients ------------------------------------------------------------------
 
 
+def _outcome(status: dict) -> str:
+    """The load outcome of a finished query's poll status."""
+    state = status.get("state")
+    if state == "done":
+        return "degraded" if status.get("degraded") else "done"
+    return "expired" if state == "expired" else "failed"
+
+
 class DirectClient:
     """Submits straight into the service object (in-process load)."""
 
@@ -159,19 +167,13 @@ class DirectClient:
 
     def run_one(self, spec: dict) -> tuple[float, str]:
         from repro.serve.overload import AdmissionError
-        from repro.serve.service import QueryError
 
         t0 = time.perf_counter()
         try:
-            qid = self.service.submit(**spec, client=self.client)
+            status = self.service.ask(**spec, timeout=self.timeout, client=self.client)
+            outcome = _outcome(status)
         except AdmissionError:
-            return time.perf_counter() - t0, "shed"
-        try:
-            self.service.result(qid, timeout=self.timeout)
-            status = self.service.poll(qid)
-            outcome = "degraded" if status.get("degraded") else "done"
-        except QueryError as exc:
-            outcome = "expired" if exc.state == "expired" else "failed"
+            outcome = "shed"
         except Exception:
             outcome = "failed"
         return time.perf_counter() - t0, outcome
@@ -214,13 +216,7 @@ class HTTPClient:
                 "/v1/query",
                 {**spec, "wait": True, "timeout": self.timeout},
             )
-            state = status.get("state")
-            if state == "done":
-                outcome = "degraded" if status.get("degraded") else "done"
-            elif state == "expired":
-                outcome = "expired"
-            else:
-                outcome = "failed"
+            outcome = _outcome(status)
         except urllib.error.HTTPError as exc:
             outcome = "shed" if exc.code == 503 else "failed"
         except Exception:
@@ -292,7 +288,7 @@ def run_load(
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.cli import add_run_flags, build_machine
+    from repro.cli import add_run_flags, build_machine, print_reports
 
     parser = argparse.ArgumentParser(
         prog="repro.serve.loadgen",
@@ -343,6 +339,7 @@ def main(argv: list[str] | None = None) -> int:
             f"faults: {faults.injected} injected, "
             f"{len(service.machine.recoveries)} elastic recoveries"
         )
+    print_reports(("cache", "overload"), service.metrics)
     if report.failed:
         print(f"FAIL: {report.failed} queries did not complete", file=sys.stderr)
         return 1

@@ -28,7 +28,10 @@ over-subscription.  Four cooperating pieces:
   the ledger actually charged per swept source.
 
 Everything here is deliberately clock-injectable (``clock=``) so tests run
-deterministic; the service wires ``time.monotonic``.
+deterministic; the service wires ``time.monotonic``.  The controller and
+the breaker count their events (``serve.overload.state`` /
+``serve.overload.breaker``) into the ``metrics=`` registry they are given —
+the service's, ``BCService.metrics`` — or into their own.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.obs import api as obs
+from repro.obs.metrics import Metrics
 
 __all__ = [
     "ServiceState",
@@ -194,9 +197,15 @@ class AdmissionController:
     never re-run the checks, so retries cannot be shed by their own queue.
     """
 
-    def __init__(self, config: OverloadConfig, clock=time.monotonic) -> None:
+    def __init__(
+        self,
+        config: OverloadConfig,
+        clock=time.monotonic,
+        metrics: Metrics | None = None,
+    ) -> None:
         self.config = config
         self._clock = clock
+        self.metrics = Metrics() if metrics is None else metrics
         self._lock = threading.Lock()
         self.queued_count = 0
         self.queued_seconds = 0.0
@@ -231,22 +240,16 @@ class AdmissionController:
             self.brownout_active = True
         elif self.brownout_active and p <= BROWNOUT_LOW and not self.shedding_active:
             self.brownout_active = False
-        if obs.enabled():
-            obs.gauge("serve.overload.pressure", p)
-            if self.shedding_active != shed:
-                obs.count(
-                    "serve.overload.state",
-                    1.0,
-                    transition="shed_on" if self.shedding_active else "shed_off",
-                )
-            if self.brownout_active != brown:
-                obs.count(
-                    "serve.overload.state",
-                    1.0,
-                    transition=(
-                        "brownout_on" if self.brownout_active else "brownout_off"
-                    ),
-                )
+        if self.shedding_active != shed:
+            self.metrics.count(
+                "serve.overload.state",
+                transition="shed_on" if self.shedding_active else "shed_off",
+            )
+        if self.brownout_active != brown:
+            self.metrics.count(
+                "serve.overload.state",
+                transition="brownout_on" if self.brownout_active else "brownout_off",
+            )
 
     # -- admit / release ------------------------------------------------------
 
@@ -357,17 +360,18 @@ class CircuitBreaker:
     once per batch the machine completed.  ``BREAKER_THRESHOLD``
     consecutive failures open the circuit; after ``BREAKER_RESET`` wall
     seconds one probe batch is allowed through (half-open) — its outcome
-    closes or re-opens the circuit.
+    closes or re-opens the circuit.  Each transition counts one
+    ``serve.overload.breaker{state}`` event.
     """
 
-    def __init__(self, clock=time.monotonic) -> None:
+    def __init__(self, clock=time.monotonic, metrics: Metrics | None = None) -> None:
         self._clock = clock
+        self.metrics = Metrics() if metrics is None else metrics
         self._lock = threading.Lock()
         self._state = BreakerState.CLOSED
         self._failures = 0
         self._opened_at = 0.0
         self._probe_inflight = False
-        self.opened_total = 0
 
     @property
     def state(self) -> BreakerState:
@@ -408,7 +412,6 @@ class CircuitBreaker:
                 and self._failures >= BREAKER_THRESHOLD
             ):
                 self._opened_at = self._clock()
-                self.opened_total += 1
                 self._transition_locked(BreakerState.OPEN)
 
     def retry_after(self) -> float:
@@ -419,8 +422,7 @@ class CircuitBreaker:
 
     def _transition_locked(self, state: BreakerState) -> None:
         self._state = state
-        if obs.enabled():
-            obs.count("serve.overload.breaker", 1.0, state=state.value)
+        self.metrics.count("serve.overload.breaker", state=state.value)
 
 
 class CostEstimator:

@@ -48,12 +48,19 @@ a :class:`~repro.serve.overload.CircuitBreaker` fails batches fast during
 fault-recovery storms, and a watchdog restarts a dead dispatcher while
 :meth:`BCService.health` reports the truthful
 ``ok``/``degraded``/``overloaded``/``draining`` state.
+
+Every serving event is counted once, in :attr:`BCService.metrics` (one
+:class:`~repro.obs.metrics.Metrics` registry the cache, the admission
+controller and the breaker count into too); :meth:`BCService.stats` sums
+it through ``_STATS``, and the ``cache`` / ``overload`` reports of
+:mod:`repro.analysis.report` render it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,6 +70,7 @@ from repro.core.mfbc import mfbc, mfbc_per_source
 from repro.faults.plan import DeadlineExceeded, FaultError
 from repro.graphs.graph import Graph
 from repro.obs import api as obs
+from repro.obs.metrics import Metrics
 from repro.serve.cache import ScoreCache, cache_key
 from repro.serve.coalescer import Coalescer, Query, QueryState
 from repro.serve.overload import (
@@ -93,23 +101,25 @@ GRAPH_ALGORITHMS = frozenset(
 )
 ALGORITHMS = SOURCE_ALGORITHMS | GRAPH_ALGORITHMS
 
-#: the obs counter each ``stats()`` counter is mirrored to (see ``_count``)
-_OBS_MIRRORS = {
-    "batches": "serve.batches",
-    "recoveries": "serve.recoveries",
-    "shed": "serve.overload.shed",
-    "degraded": "serve.overload.degraded",
-    "stale": "serve.overload.stale",
-    "infeasible": "serve.overload.infeasible",
-    "breaker_fastfail": "serve.overload.breaker_fastfail",
-    "dispatcher_restarts": "serve.overload.dispatcher_restart",
-}
-#: the ``stats()`` counter of each terminal state (see ``_finish``)
-_OUTCOMES = {
-    QueryState.DONE: "completed",
-    QueryState.FAILED: "failed",
-    QueryState.EXPIRED: "expired",
-    QueryState.CANCELLED: "cancelled",
+#: each ``stats()`` counter: the registry counter it sums, and the labels
+#: a series must carry to count (``serve.queries``' outcome is the
+#: query's terminal :class:`QueryState` value)
+_STATS = {
+    "submitted": ("serve.submitted", {}),
+    "completed": ("serve.queries", {"outcome": "done"}),
+    "failed": ("serve.queries", {"outcome": "failed"}),
+    "expired": ("serve.queries", {"outcome": "expired"}),
+    "cancelled": ("serve.queries", {"outcome": "cancelled"}),
+    "batches": ("serve.batches", {}),
+    "swept_sources": ("serve.swept_sources", {}),
+    "recoveries": ("serve.recoveries", {}),
+    "retries": ("serve.retries", {}),
+    "shed": ("serve.overload.shed", {}),
+    "degraded": ("serve.overload.degraded", {}),
+    "stale": ("serve.overload.stale", {}),
+    "infeasible": ("serve.overload.infeasible", {}),
+    "breaker_fastfail": ("serve.overload.breaker_fastfail", {}),
+    "dispatcher_restarts": ("serve.overload.dispatcher_restart", {}),
 }
 
 
@@ -148,7 +158,8 @@ class BCService:
         Maximum sweep width ``k`` — the §5.3 time/storage knob applied to
         the query mix.
     cache_capacity:
-        LRU capacity of the versioned score cache.
+        LRU capacity of the versioned score cache, and the number of
+        finished queries kept pollable (the oldest is dropped first).
     retries:
         Batch re-executions allowed per injected non-rank fault (rank
         failures take the elastic path first, which never burns retries).
@@ -185,35 +196,22 @@ class BCService:
         self.graph = graph
         self.graph_version = 0
         self.retries = int(retries)
-        self.cache = ScoreCache(capacity=cache_capacity)
+        #: the one place a serving event is counted
+        self.metrics = Metrics()
+        self.cache = ScoreCache(capacity=cache_capacity, metrics=self.metrics)
         self.coalescer = Coalescer(max_batch=max_batch, window=batch_window)
         self.overload = overload or OverloadConfig()
-        self.admission = AdmissionController(self.overload)
-        self.breaker = CircuitBreaker()
+        self.admission = AdmissionController(self.overload, metrics=self.metrics)
+        self.breaker = CircuitBreaker(metrics=self.metrics)
         self.estimator = CostEstimator(machine, graph)
         self._queries: dict[str, Query] = {}
-        #: guards the registry, the counters and every query state change;
+        #: ids of finished queries still pollable, oldest first
+        self._finished: deque[str] = deque()
+        #: guards the query registry and every query state change;
         #: re-entrant so ``cancel`` can hold it across ``_finish``
         self._registry_lock = threading.RLock()
         #: serializes batch execution against graph mutation
         self._exec_lock = threading.Lock()
-        self._counters: dict[str, float] = {
-            "submitted": 0,
-            "completed": 0,
-            "failed": 0,
-            "expired": 0,
-            "cancelled": 0,
-            "batches": 0,
-            "swept_sources": 0,
-            "recoveries": 0,
-            "retries": 0,
-            "shed": 0,
-            "degraded": 0,
-            "stale": 0,
-            "infeasible": 0,
-            "breaker_fastfail": 0,
-            "dispatcher_restarts": 0,
-        }
         self._closed = False
         self._draining = False
         self._stalled = False
@@ -231,7 +229,29 @@ class BCService:
 
     # -- client API ----------------------------------------------------------
 
-    def submit(
+    def submit(self, algorithm: str, **params) -> str:
+        """Enqueue a query; returns its id for :meth:`poll` / :meth:`result`.
+
+        ``params`` are the keywords of :meth:`_submit`: ``source``,
+        ``samples``, ``seed``, ``epsilon``, ``delta``, ``deadline`` and
+        ``client``.
+        """
+        return self._submit(algorithm, **params).id
+
+    def ask(self, algorithm: str, *, timeout: float | None = None, **params) -> dict:
+        """:meth:`submit`, then wait up to ``timeout`` wall seconds for the
+        query to finish; returns its :meth:`poll` status (terminal unless
+        the wait timed out; ``timeout=0`` does not wait).
+
+        The caller holds the query throughout, so it gets the answer even
+        if the id stops being pollable first (``cache_capacity`` newer
+        queries finished).
+        """
+        query = self._submit(algorithm, **params)
+        query.done.wait(timeout)
+        return _status(query)
+
+    def _submit(
         self,
         algorithm: str,
         *,
@@ -242,8 +262,9 @@ class BCService:
         delta: float | None = None,
         deadline: float | None = None,
         client: str | None = None,
-    ) -> str:
-        """Enqueue a query; returns its id for :meth:`poll` / :meth:`result`.
+    ) -> Query:
+        """Enqueue a query (finished at once on a cache hit or when
+        infeasible) and return it.
 
         ``deadline`` is a modeled-seconds budget for the query's sweep
         (measured from when its batch starts executing on the machine).
@@ -306,7 +327,7 @@ class BCService:
             for v in range(version - 1, max(version - 1 - STALE_DEPTH, -1), -1):
                 cached = self.cache.peek(cache_key(v, algorithm, params))
                 if cached is not None:
-                    self._count("stale", algorithm=requested)
+                    self.metrics.count("serve.overload.stale", algorithm=requested)
                     query.degraded = True
                     query.requested_algorithm = requested
                     query.stale_version = version = v
@@ -316,7 +337,7 @@ class BCService:
             query.graph_version = version
             self._register(query)
             self._finish(query, QueryState.DONE, result=cached)
-            return query.id
+            return query
         estimate = self.estimator.estimate(algorithm, params)
         infeasible = None
         budget = self.machine.memory_words
@@ -336,56 +357,34 @@ class BCService:
                 f"exceeds the {deadline:.3e}s budget before queueing"
             )
         if infeasible is not None:
-            self._count("infeasible", algorithm=requested)
+            self.metrics.count("serve.overload.infeasible", algorithm=requested)
             self._register(query)
             self._finish(query, QueryState.EXPIRED, error=infeasible)
-            return query.id
+            return query
         if self._draining:
-            self._count("shed", reason="draining")
+            self.metrics.count("serve.overload.shed", reason="draining")
             raise AdmissionError(
                 "draining", "service is draining; not accepting new work", None
             )
         breaker_wait = self.breaker.retry_after()
         if breaker_wait > 0:
-            self._count("shed", reason="circuit_open")
+            self.metrics.count("serve.overload.shed", reason="circuit_open")
             raise CircuitOpen(
                 f"fault circuit open; retry in {breaker_wait:.2f}s", breaker_wait
             )
         try:
             self.admission.admit(estimate, client)
         except AdmissionError as exc:
-            self._count("shed", reason=exc.reason)
+            self.metrics.count("serve.overload.shed", reason=exc.reason)
             raise
         query.cost_estimate = estimate
         self._register(query)
         self.coalescer.put(query)
-        return query.id
+        return query
 
     def poll(self, query_id: str) -> dict:
         """Status snapshot: state plus result/error once terminal."""
-        q = self._get(query_id)
-        out = {
-            "id": q.id,
-            "algorithm": q.algorithm,
-            "params": dict(q.params),
-            "state": q.state.value,
-            "cache_hit": q.cache_hit,
-            "degraded": q.degraded,
-            "attempts": q.attempts,
-            "batch_size": q.batch_size,
-            "graph_version": q.graph_version,
-            "queue_seconds": q.queue_seconds,
-            "compute_seconds": q.compute_seconds,
-        }
-        if q.requested_algorithm is not None:
-            out["requested_algorithm"] = q.requested_algorithm
-        if q.stale_version is not None:
-            out["stale_version"] = q.stale_version
-        if q.state is QueryState.DONE:
-            out["result"] = q.result
-        elif q.state.terminal:
-            out["error"] = q.error
-        return out
+        return _status(self._get(query_id))
 
     def result(self, query_id: str, timeout: float | None = None):
         """Block until the query finishes; return its payload or raise."""
@@ -423,8 +422,7 @@ class BCService:
             self.engine.release_invariants()
             self.estimator.rebind(graph)
             self.cache.invalidate(before_version=self.graph_version - STALE_DEPTH)
-            if obs.enabled():
-                obs.count("serve.graph_updates", 1.0)
+            self.metrics.count("serve.graph_updates")
             return self.graph_version
 
     def health(self) -> dict:
@@ -464,9 +462,13 @@ class BCService:
         }
 
     def stats(self) -> dict:
-        """Service counters + cache stats + coalescing factor."""
-        with self._registry_lock:
-            counters = dict(self._counters)
+        """Service counters + cache stats + coalescing factor: the
+        registry's ``_STATS`` sums, as ints."""
+        with self._registry_lock:  # submitted and outcomes: one instant
+            counters = {
+                key: int(self.metrics.total(name, **labels))
+                for key, (name, labels) in _STATS.items()
+            }
         batches = counters["batches"]
         counters["coalescing_factor"] = (
             counters["swept_sources"] / batches if batches else 0.0
@@ -550,7 +552,7 @@ class BCService:
             if self._closed:
                 return
             if not self._dispatcher.is_alive():
-                self._count("dispatcher_restarts")
+                self.metrics.count("serve.overload.dispatcher_restart")
                 self._heartbeat = time.monotonic()
                 self._dispatcher = threading.Thread(
                     target=self._dispatch_loop,
@@ -563,8 +565,8 @@ class BCService:
                 len(self.coalescer) > 0
                 and time.monotonic() - self._heartbeat > STALL_TIMEOUT
             )
-            if stalled and not self._stalled and obs.enabled():
-                obs.count("serve.overload.dispatcher_stall", 1.0)
+            if stalled and not self._stalled:
+                self.metrics.count("serve.overload.dispatcher_stall")
             self._stalled = stalled
 
     def _execute(self, batch: list[Query]) -> None:
@@ -597,7 +599,9 @@ class BCService:
                 return
             if not self.breaker.allow():
                 wait = self.breaker.retry_after()
-                self._count("breaker_fastfail", len(remaining), algorithm=algorithm)
+                self.metrics.count(
+                    "serve.overload.breaker_fastfail", len(remaining), algorithm=algorithm
+                )
                 for q in remaining:
                     self._finish(
                         q,
@@ -642,11 +646,7 @@ class BCService:
             ) as sp:
                 results = self._compute(algorithm, queries, version, ladder)
                 modeled_cost = machine.ledger.critical_time() - start_modeled
-                if obs.enabled():
-                    sp.set(modeled_cost=modeled_cost)
-                    obs.observe(
-                        "serve.batch_size", float(len(queries)), algorithm=algorithm
-                    )
+                sp.set(modeled_cost=modeled_cost)
         except DeadlineExceeded:
             self.breaker.record_success()  # the machine itself is healthy
             elapsed = machine.ledger.critical_time() - start_modeled
@@ -666,7 +666,7 @@ class BCService:
                     f"({elapsed:.3e}s elapsed)",
                 )
             if survivors:
-                self._count("retries")
+                self.metrics.count("serve.retries")
                 self._requeue(survivors)
             return
         except FaultError as exc:
@@ -682,15 +682,15 @@ class BCService:
             # (ours in ``_handle_fault``, or ``mfbc`` / ``adaptive_bc``'s own)
             recovered = len(machine.recoveries) - recoveries
             if recovered:
-                self._count("recoveries", recovered, mode="elastic")
+                self.metrics.count("serve.recoveries", recovered, mode="elastic")
         compute = _wall() - t0
         self.breaker.record_success()
         self.estimator.observe(
             algorithm, self._batch_units(algorithm, queries), modeled_cost
         )
         self.admission.observe_drain(len(queries), compute)
-        self._count("batches", algorithm=algorithm)
-        self._count("swept_sources", len(queries))
+        self.metrics.count("serve.batches", algorithm=algorithm)
+        self.metrics.count("serve.swept_sources", len(queries), algorithm=algorithm)
         for q in queries:
             q.compute_seconds = compute
             q.graph_version = version
@@ -713,7 +713,7 @@ class BCService:
         # its most-retried member has
         ladder.attempt = max(q.attempts for q in queries) - 1
         rung = ladder.advance(
-            exc, index=int(self._counters["batches"]), width=len(queries)
+            exc, index=int(self.metrics.total("serve.batches")), width=len(queries)
         )
         if rung is None:
             for q in queries:
@@ -729,7 +729,7 @@ class BCService:
             for q in queries:
                 q.attempts -= 1
         else:
-            self._count("retries")
+            self.metrics.count("serve.retries")
         self._requeue(queries)
 
     def _requeue(self, queries: list[Query]) -> None:
@@ -886,35 +886,30 @@ class BCService:
             q.admission_released = True
         self.admission.release(q.cost_estimate)
 
-    def _count(self, name: str, n: float = 1, **labels) -> None:
-        """Bump one ``stats()`` counter and its obs mirror together."""
-        with self._registry_lock:
-            self._counters[name] += n
-        mirror = _OBS_MIRRORS.get(name)
-        if mirror is not None and obs.enabled():
-            obs.count(mirror, float(n), **labels)
-
     def _register(self, query: Query) -> None:
         """Make ``query`` pollable and count it submitted."""
         with self._registry_lock:
             self._queries[query.id] = query
-            self._counters["submitted"] += 1
+            self.metrics.count("serve.submitted", algorithm=query.algorithm)
 
     def _finish(self, q: Query, state: QueryState, *, result=None, error=None) -> None:
         """Move ``q`` to the terminal ``state``; count and note it once.
 
         The first terminal state wins: a query already finished (say,
         cancelled before its batch ran) keeps its state and is not counted
-        again.
+        again.  Only the newest ``cache.capacity`` finished queries stay
+        pollable: the oldest beyond them is forgotten.
         """
         with self._registry_lock:
             if q.state.terminal:
                 return
-            self._count(_OUTCOMES[state])
+            self.metrics.count("serve.queries", algorithm=q.algorithm, outcome=state.value)
             if state is QueryState.DONE and q.degraded:
-                self._count("degraded", algorithm=q.requested_algorithm or q.algorithm)
+                self.metrics.count(
+                    "serve.overload.degraded",
+                    algorithm=q.requested_algorithm or q.algorithm,
+                )
             if obs.enabled():
-                obs.count("serve.queries", 1.0, algorithm=q.algorithm, outcome=state.value)
                 obs.complete(
                     "serve.query",
                     cat="serve",
@@ -931,8 +926,37 @@ class BCService:
                         "attempts": q.attempts,
                     },
                 )
+            self._finished.append(q.id)
+            while len(self._finished) > self.cache.capacity:
+                del self._queries[self._finished.popleft()]
             # last: a client woken by ``done`` sees the counts already made
             q.finish(state, result=result, error=error)
+
+
+def _status(q: Query) -> dict:
+    """:meth:`BCService.poll`'s snapshot of one query."""
+    out = {
+        "id": q.id,
+        "algorithm": q.algorithm,
+        "params": dict(q.params),
+        "state": q.state.value,
+        "cache_hit": q.cache_hit,
+        "degraded": q.degraded,
+        "attempts": q.attempts,
+        "batch_size": q.batch_size,
+        "graph_version": q.graph_version,
+        "queue_seconds": q.queue_seconds,
+        "compute_seconds": q.compute_seconds,
+    }
+    if q.requested_algorithm is not None:
+        out["requested_algorithm"] = q.requested_algorithm
+    if q.stale_version is not None:
+        out["stale_version"] = q.stale_version
+    if q.state is QueryState.DONE:
+        out["result"] = q.result
+    elif q.state.terminal:
+        out["error"] = q.error
+    return out
 
 
 def _wall() -> float:

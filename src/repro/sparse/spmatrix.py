@@ -382,16 +382,6 @@ class SpMat:
         new_vals = fn({k: v.copy() for k, v in self.vals.items()}, other_vals)
         return self._with_values(new_vals, monoid)
 
-    def column_sums(self, field: str) -> np.ndarray:
-        """Per-column sums of one numeric field (dense length-``ncols``)."""
-        return np.bincount(
-            self.cols, weights=self.vals[field], minlength=self.ncols
-        )
-
-    def row_sums(self, field: str) -> np.ndarray:
-        """Per-row sums of one numeric field (dense length-``nrows``)."""
-        return np.bincount(self.rows, weights=self.vals[field], minlength=self.nrows)
-
     # -- structural operations -------------------------------------------------
 
     def transpose(self) -> "SpMat":

@@ -47,44 +47,10 @@ class TestFormatTable:
         assert "a" in out and "b" in out
 
 
-class TestApproxReport:
-    def test_empty_registry_renders_nothing(self):
-        from repro.analysis.report import approx_attribution, format_report
-        from repro.obs.metrics import Metrics
-
-        reg = Metrics()
-        assert approx_attribution(reg) == []
-        assert format_report("approx", reg) == ""
-
-    def test_counters_from_a_real_run(self):
-        from repro import obs
-        from repro.analysis.report import approx_attribution, format_report
-        from repro.core.approx import adaptive_bc
-        from repro.graphs import uniform_random_graph_nm
-
-        g = uniform_random_graph_nm(24, 3.0, seed=2)
-        session = obs.enable()
-        try:
-            res = adaptive_bc(g, epsilon=0.3, delta=0.2, seed=0, batch_size=8)
-        finally:
-            obs.disable()
-        rows = approx_attribution(session.metrics)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["algorithm"] == "adaptive_bc"
-        assert row["runs"] == 1
-        assert row["converged"] == int(res.converged)
-        assert row["batches"] == res.batches
-        assert row["samples"] == res.samples_used
-        assert row["last_width"] == pytest.approx(res.width)
-        out = format_report("approx", session.metrics)
-        assert "adaptive sampling (approx.*)" in out
-        assert "adaptive_bc" in out
-
-
 class TestLiteralReports:
     """Exact text of every report, from a hand-filled registry: the layout
-    is what ``repro trace`` prints, so a renderer change must show here."""
+    is what ``repro serve`` and ``repro trace`` print, so a renderer change
+    must show here."""
 
     def test_cache(self):
         from repro.analysis.report import format_report
@@ -121,26 +87,6 @@ class TestLiteralReports:
             "          degraded            bc_all      2\n"
             "             state  normal->brownout      1\n"
             "dispatcher_restart                        1"
-        )
-
-    def test_approx(self):
-        from repro.analysis.report import format_report
-        from repro.obs.metrics import Metrics
-
-        m = Metrics()
-        m.count("approx.runs", 2, algorithm="adaptive_bc", converged="true")
-        m.count("approx.runs", 1, algorithm="adaptive_bc", converged="false")
-        m.count("approx.batches", 7, algorithm="adaptive_bc")
-        m.count("approx.samples", 224, algorithm="adaptive_bc")
-        m.gauge("approx.width", 0.0625, algorithm="adaptive_bc")
-        m.count("approx.batches", 1, algorithm="approximate_bc")
-        m.count("approx.samples", 16, algorithm="approximate_bc")
-        assert format_report("approx", m) == (
-            "adaptive sampling (approx.*):\n"
-            "     algorithm  runs  converged  batches  samples  last width\n"
-            "--------------  ----  ---------  -------  -------  ----------\n"
-            "   adaptive_bc     3          2        7      224      0.0625\n"
-            "approximate_bc     0          0        1       16           -"
         )
 
     def test_memory(self):

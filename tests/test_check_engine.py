@@ -65,7 +65,7 @@ class TestResolveConfig:
         assert resolve_check_config("sample:5") == CheckConfig("sample", sample=5)
 
     def test_config_passthrough(self):
-        cfg = CheckConfig("sample", sample=3, artifact_dir="/tmp/x")
+        cfg = CheckConfig("sample", sample=3)
         assert resolve_check_config(cfg) is cfg
 
     @pytest.mark.parametrize("spec", ["verbose", "sample:", "sample:abc", "sample:0"])
@@ -177,9 +177,9 @@ class TestCleanRuns:
 # ---------------------------------------------------------------------------
 
 
-def _checked_product(tmp_path, p=4, n=12, seed=3):
-    cfg = CheckConfig("full", sample=1, artifact_dir=str(tmp_path))
-    engine = DistributedEngine(Machine(p, check=cfg))
+def _checked_product(tmp_path, monkeypatch, p=4, n=12, seed=3):
+    monkeypatch.setenv("REPRO_CHECK_DIR", str(tmp_path))
+    engine = DistributedEngine(Machine(p, check=CheckConfig("full", sample=1)))
     rng = np.random.default_rng(seed)
     return engine, _mat(engine, rng, n), _mat(engine, rng, n)
 
@@ -193,7 +193,7 @@ class TestMutationCatch:
             return out, ops + 1
 
         monkeypatch.setattr(variants, "execute_plan", lying)
-        engine, a, b = _checked_product(tmp_path)
+        engine, a, b = _checked_product(tmp_path, monkeypatch)
         with pytest.raises(CheckFailure) as err:
             engine.spgemm(a, b, TROP)
         failure = err.value
@@ -231,7 +231,7 @@ class TestMutationCatch:
             return out, ops
 
         monkeypatch.setattr(variants, "execute_plan", corrupting)
-        engine, a, b = _checked_product(tmp_path, seed=5)
+        engine, a, b = _checked_product(tmp_path, monkeypatch, seed=5)
         with pytest.raises(CheckFailure) as err:
             engine.spgemm(a, b, TROP)
         monkeypatch.setattr(variants, "execute_plan", real)
@@ -244,7 +244,7 @@ class TestMutationCatch:
         monkeypatch.setattr(
             variants, "execute_plan", lambda *a, **k: (lambda r: (r[0], r[1] + 1))(real(*a, **k))
         )
-        engine, a, b = _checked_product(tmp_path)
+        engine, a, b = _checked_product(tmp_path, monkeypatch)
         with pytest.raises(CheckFailure) as err:
             engine.spgemm(a, b, TROP)
         monkeypatch.undo()
@@ -277,7 +277,8 @@ class TestMutationCatch:
         monkeypatch.setattr(
             variants, "execute_plan", lambda *a, **k: (lambda r: (r[0], r[1] + 1))(real(*a, **k))
         )
-        cfg = CheckConfig("sample", sample=3, artifact_dir=str(tmp_path))
+        monkeypatch.setenv("REPRO_CHECK_DIR", str(tmp_path))
+        cfg = CheckConfig("sample", sample=3)
         engine = DistributedEngine(Machine(4, check=cfg))
         rng = np.random.default_rng(11)
         a, b = _mat(engine, rng, 10), _mat(engine, rng, 10)

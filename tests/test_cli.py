@@ -271,6 +271,45 @@ class TestTrace:
         assert not obs.enabled()
 
 
+class TestServe:
+    def test_shutdown_prints_the_cache_and_overload_tables(
+        self, graph_file, capsys, monkeypatch
+    ):
+        import threading
+
+        import repro.serve
+        from repro.serve import AdmissionError
+
+        path, _ = graph_file
+        real = repro.serve.serve_http
+
+        def drive(service):
+            # a miss, a hit and a shed (the queue holds one query), then
+            # the shutdown an interrupt or SIGTERM would ask for
+            service.result(service.submit("bc_source", source=0), timeout=60.0)
+            service.result(service.submit("bc_source", source=0), timeout=60.0)
+            with service._exec_lock:
+                service.submit("bc_source", source=1)
+                with pytest.raises(AdmissionError):
+                    service.submit("bc_source", source=2)
+
+        def serve_http(service, *args, **kwargs):
+            server = real(service, *args, **kwargs)
+            threading.Thread(
+                target=lambda: (drive(service), server.shutdown()), daemon=True
+            ).start()
+            return server
+
+        monkeypatch.setattr(repro.serve, "serve_http", serve_http)
+        assert main(["serve", path, "--p", "2", "--port", "0", "--max-queued", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "served 3 queries" in out and "1 shed" in out
+        cache = out.split("\ncache events (serve.cache.*):\n")[1].splitlines()
+        assert cache[2].split() == ["bc_source", "1", "3", "0", "25.0%"]
+        overload = out.split("\noverload events (serve.overload.*):\n")[1].splitlines()
+        assert overload[2].split() == ["shed", "overloaded", "1"]
+
+
 class TestVerify:
     def test_verify_passes(self, graph_file, capsys):
         path, _ = graph_file

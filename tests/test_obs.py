@@ -62,6 +62,36 @@ class TestSpanNesting:
         with pytest.raises(RuntimeError, match="stack corrupted"):
             tr.end(a)
 
+    def test_each_thread_nests_on_its_own_stack(self):
+        # a client's span closes while another thread (the service's
+        # dispatcher) still has a sweep open: neither is the other's parent
+        import threading
+
+        tr = obs.Tracer()
+        opened, closed = threading.Event(), threading.Event()
+        inside = {}
+
+        def sweep():
+            with tr.span("serve.batch") as batch:
+                with tr.span("adjacency") as phase:
+                    inside["batch"], inside["phase"] = batch, phase
+                    opened.set()
+                    closed.wait(10.0)
+
+        worker = threading.Thread(target=sweep)
+        with tr.span("client") as client:
+            worker.start()
+            assert opened.wait(10.0)
+            leaf = tr.complete("note")
+        closed.set()
+        worker.join(10.0)
+        assert not worker.is_alive()
+        assert client.closed and inside["batch"].closed
+        assert client.parent is None and inside["batch"].parent is None
+        assert inside["phase"].parent == inside["batch"].index
+        assert leaf.parent == client.index
+        assert [sp.index for sp in tr.spans] == list(range(len(tr.spans)))
+
     def test_modeled_clock_records_modeled_durations(self):
         clock = [0.0]
         tr = obs.Tracer(modeled_clock=lambda: clock[0])
@@ -278,6 +308,33 @@ class TestMetrics:
         assert (h.count, h.min, h.max) == (3, 1.0, 3.0)
         assert h.mean == pytest.approx(2.0)
         assert m.names() == ["imbalance", "lat"]
+
+    def test_threads_sharing_a_registry_lose_no_count(self):
+        # a service's client threads, dispatcher and watchdog share one
+        import sys
+        import threading
+
+        m, tr = obs.Metrics(), obs.Tracer()
+
+        def work():
+            for _ in range(2000):
+                m.count("serve.queries", outcome="done")
+                with tr.span("q"):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert m.total("serve.queries") == 8 * 2000
+        assert [sp.index for sp in tr.spans] == list(range(8 * 2000))
 
     def test_snapshot_rows(self):
         m = obs.Metrics()

@@ -335,7 +335,7 @@ class TestBreaker:
         assert brk.allow()
         brk.record_failure()
         assert brk.state is BreakerState.OPEN
-        assert brk.opened_total == 2
+        assert brk.metrics.get_count("serve.overload.breaker", state="open") == 2
         assert not brk.allow()
 
 
@@ -800,36 +800,31 @@ class TestRaces:
 
 
 # ---------------------------------------------------------------------------
-# obs counters surfaced by `repro trace`
+# the overload report, from a service's registry
 # ---------------------------------------------------------------------------
 
 
 class TestOverloadReport:
     def test_overload_events_render_in_report(self, graph):
-        from repro import obs
         from repro.analysis.report import (
             format_report,
             overload_attribution,
         )
 
         cfg = OverloadConfig(max_queued=1)
-        session = obs.enable()
-        try:
-            with _service(graph, overload=cfg, batch_window=0.0) as svc:
-                with svc._exec_lock:
-                    qid = svc.submit("bc_source", source=0)
-                    with pytest.raises(AdmissionError):
-                        svc.submit("bc_source", source=1)
-                svc.result(qid, timeout=60.0)
-                svc.admission.brownout_active = True
-                svc.result(svc.submit("bc"), timeout=60.0)
-                svc.admission.brownout_active = False
-        finally:
-            obs.disable()
-        rows = overload_attribution(session.metrics)
+        with _service(graph, overload=cfg, batch_window=0.0) as svc:
+            with svc._exec_lock:
+                qid = svc.submit("bc_source", source=0)
+                with pytest.raises(AdmissionError):
+                    svc.submit("bc_source", source=1)
+            svc.result(qid, timeout=60.0)
+            svc.admission.brownout_active = True
+            svc.result(svc.submit("bc"), timeout=60.0)
+            svc.admission.brownout_active = False
+        rows = overload_attribution(svc.metrics)
         events = {r["event"] for r in rows}
         assert "shed" in events and "degraded" in events
-        text = format_report("overload", session.metrics)
+        text = format_report("overload", svc.metrics)
         assert "serve.overload" in text and "shed" in text
 
     def test_empty_metrics_render_empty(self):

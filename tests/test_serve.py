@@ -169,8 +169,9 @@ class TestScoreCache:
         assert c.get(k) is None
         c.put(k, np.ones(3))
         assert np.array_equal(c.get(k), np.ones(3))
-        assert (c.hits, c.misses) == (1, 1)
-        assert c.hit_rate() == 0.5
+        stats = c.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert stats["hit_rate"] == 0.5
 
     def test_peek_counts_nothing(self):
         c = ScoreCache(capacity=4)
@@ -178,7 +179,7 @@ class TestScoreCache:
         assert c.peek(k) is None
         c.put(k, 1.0)
         assert c.peek(k) == 1.0
-        assert (c.hits, c.misses) == (0, 0)
+        assert (c.stats()["hits"], c.stats()["misses"]) == (0, 0)
 
     def test_lru_eviction(self):
         c = ScoreCache(capacity=2)
@@ -189,7 +190,7 @@ class TestScoreCache:
         c.put(keys[2], "c")
         assert c.peek(keys[1]) is None
         assert c.peek(keys[0]) == "a"
-        assert c.evicted == 1
+        assert c.metrics.get_count("serve.cache.evict", algorithm="bc_source") == 1
 
     def test_invalidate_before_version(self):
         c = ScoreCache(capacity=8)
@@ -213,17 +214,15 @@ class TestScoreCache:
         assert a == b
 
     def test_obs_counters_emitted(self):
-        c = ScoreCache()
+        # into the registry it is given (a service's), else its own
+        m = obs.Metrics()
+        c = ScoreCache(metrics=m)
         k = cache_key(0, "bc_source", {"source": 1})
-        session = obs.enable()
-        try:
-            c.get(k)
-            c.put(k, 1.0)
-            c.get(k)
-            c.invalidate()
-        finally:
-            obs.disable()
-        m = session.metrics
+        c.get(k)
+        c.put(k, 1.0)
+        c.get(k)
+        c.invalidate()
+        assert ScoreCache().metrics is not m
         assert m.get_count("serve.cache.miss", algorithm="bc_source") == 1
         assert m.get_count("serve.cache.hit", algorithm="bc_source") == 1
         assert m.get_count("serve.cache.invalidate", algorithm="bc_source") == 1
@@ -306,9 +305,9 @@ class TestServiceCache:
             status = svc.poll(svc.submit("bc_source", source=1))
             # the service retains STALE_DEPTH = 1 older generation
             # for brownout stale serving; a second swap purges version 0
-            assert svc.cache.invalidated == 0
+            assert svc.cache.stats()["invalidated"] == 0
             svc.update_graph(graph)
-            assert svc.cache.invalidated >= 1
+            assert svc.cache.stats()["invalidated"] >= 1
         assert not np.array_equal(res_old, res_new)
         assert np.array_equal(res_new, _reference_row(other, 1))
         assert status["cache_hit"] is True  # new version re-cached
@@ -482,6 +481,88 @@ class TestServiceAdaptive:
         assert params == {"epsilon": 0.1, "delta": 0.1, "seed": 0}
 
 
+#: ``stats()`` after ``TestStatsPin``'s scripted sequence, whole
+STATS_AFTER_SCRIPT = {
+    "graph_version": 2,
+    "queued": 0,
+    "p": 4,
+    "health": "ok",
+    "submitted": 6,
+    "completed": 4,
+    "failed": 0,
+    "expired": 1,
+    "cancelled": 1,
+    "batches": 3,
+    "swept_sources": 3,
+    "recoveries": 0,
+    "retries": 0,
+    "shed": 1,
+    "degraded": 1,
+    "stale": 0,
+    "infeasible": 1,
+    "breaker_fastfail": 0,
+    "dispatcher_restarts": 0,
+    "coalescing_factor": 1.0,
+    "admission": {
+        "queued_count": 0,
+        "queued_seconds": 0.0,
+        "peak_queued": 1,
+        "pressure": 0.0,
+        "brownout": False,
+        "shedding": False,
+    },
+    "breaker": "closed",
+    "cache": {
+        "entries": 0,
+        "capacity": 4096,
+        "hits": 1,
+        "misses": 6,
+        "invalidated": 3,
+        "evicted": 0,
+        "hit_rate": 1 / 7,
+    },
+}
+
+
+def _types(d: dict) -> dict:
+    return {
+        k: _types(v) if isinstance(v, dict) else type(v).__name__
+        for k, v in d.items()
+    }
+
+
+class TestStatsPin:
+    def test_scripted_sequence_pins_every_key_type_and_value(self, graph):
+        """A miss then a hit, a rate-limited shed, a brownout-degraded
+        ``bc``, a cancel, an ``update_graph`` invalidation and a
+        deadline-infeasible submit: the whole ``stats()`` dict after."""
+        from repro.serve import AdmissionError, OverloadConfig
+
+        other = uniform_random_graph_nm(36, 4.0, seed=8)
+        # one token per client and no refill within the test
+        cfg = OverloadConfig(client_rate=1e-3, client_burst=1)
+        with _service(graph, batch_window=0.0, overload=cfg) as svc:
+            svc.result(svc.submit("bc_source", source=0, client="a"), timeout=60.0)
+            svc.result(svc.submit("bc_source", source=0, client="b"), timeout=60.0)
+            svc.result(svc.submit("bc_source", source=1, client="c"), timeout=60.0)
+            with pytest.raises(AdmissionError) as shed:
+                svc.submit("bc_source", source=2, client="c")
+            assert shed.value.reason == "rate_limited"
+            svc.admission.brownout_active = True
+            brownout = svc.submit("bc", client="d")
+            svc.result(brownout, timeout=60.0)
+            assert svc.poll(brownout)["degraded"]
+            with svc._exec_lock:  # the dispatcher cannot start it
+                assert svc.cancel(svc.submit("bc_source", source=3, client="e"))
+            svc.update_graph(other)
+            svc.update_graph(graph)  # purges version 0 (STALE_DEPTH = 1)
+            late = svc.submit("bc_source", source=4, deadline=1e-30, client="f")
+            assert svc.poll(late)["state"] == "expired"
+            stats = svc.stats()
+        assert stats == STATS_AFTER_SCRIPT
+        assert _types(stats) == _types(STATS_AFTER_SCRIPT)
+
+
 class TestServiceLifecycle:
     def test_cancel_queued_query(self, graph):
         with _service(graph, batch_window=0.5) as svc:
@@ -496,11 +577,32 @@ class TestServiceLifecycle:
                 svc.result(victim, timeout=5.0)
         assert svc.cancel(blocker) is False  # terminal: not cancellable
 
+    def test_only_the_newest_finished_queries_stay_pollable(self, graph):
+        # cache_capacity bounds the finished queries kept, oldest first out;
+        # a queued query is never dropped
+        with _service(graph, cache_capacity=2, batch_window=0.0) as svc:
+            with svc._exec_lock:  # the dispatcher cannot start it
+                queued = svc.submit("bc_source", source=0)
+                late = [
+                    svc.submit("bc_source", source=s, deadline=1e-30)
+                    for s in range(1, 5)
+                ]
+                for qid in late[:2]:
+                    with pytest.raises(KeyError, match="unknown query id"):
+                        svc.poll(qid)
+                assert [svc.poll(q)["state"] for q in late[2:]] == ["expired"] * 2
+                assert svc.poll(queued)["state"] == "queued"
+            svc.result(queued, timeout=60.0)
+            with pytest.raises(KeyError):
+                svc.result(late[2])
+            assert svc.poll(late[3])["state"] == "expired"
+            assert len(svc._queries) == 2
+            assert svc.stats()["submitted"] == 5
+
     def test_first_terminal_state_wins(self, graph):
         # a batch that answers a query after a cancel landed must neither
         # revive it nor count it a second time
-        metrics = obs.Metrics()
-        with _service(graph) as svc, obs.use(metrics=metrics):
+        with _service(graph) as svc:
             q = Query(algorithm="bc_source", params={"source": 0})
             svc._register(q)
             assert svc.cancel(q.id)
@@ -508,20 +610,18 @@ class TestServiceLifecycle:
             stats = svc.stats()
         assert q.state is QueryState.CANCELLED and q.result is None
         assert (stats["submitted"], stats["cancelled"], stats["completed"]) == (1, 1, 0)
-        assert metrics.total("serve.queries") == 1
+        assert svc.metrics.total("serve.queries") == 1
 
     def test_cancels_and_drain_abandons_are_noted(self, graph, monkeypatch):
         monkeypatch.setattr(service_mod, "Coalescer", _StalledCoalescer)
-        metrics = obs.Metrics()
         svc = _service(graph)
-        with obs.use(metrics=metrics):
-            cancelled = svc.submit("bc_source", source=0)
-            abandoned = svc.submit("bc_source", source=1)
-            assert svc.cancel(cancelled)
-            svc.close(drain_timeout=0.0)
+        cancelled = svc.submit("bc_source", source=0)
+        abandoned = svc.submit("bc_source", source=1)
+        assert svc.cancel(cancelled)
+        svc.close(drain_timeout=0.0)
         assert svc.poll(abandoned)["state"] == "cancelled"
         assert svc.stats()["cancelled"] == 2
-        assert metrics.get_count(
+        assert svc.metrics.get_count(
             "serve.queries", algorithm="bc_source", outcome="cancelled"
         ) == 2
 
@@ -951,8 +1051,29 @@ class TestCLI:
         assert exc.value.code == 0
 
 
+def test_serving_events_are_counted_only_in_the_registry():
+    """``BCService.metrics`` is the one count of a serving event: no obs
+    counter, gauge or histogram mirrors it (the spans stay on the tracer)."""
+    import re
+    from pathlib import Path
+
+    import repro.core.approx
+    import repro.serve
+
+    sources = [*Path(repro.serve.__file__).parent.glob("*.py"), Path(repro.core.approx.__file__)]
+    mirrored = [
+        f"{path.name}:{n}"
+        for path in sources
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"obs\.(count|gauge|observe)\(", line)
+    ]
+    assert not mirrored
+    spans = Path(service_mod.__file__).read_text()
+    assert '"serve.batch"' in spans and '"serve.query"' in spans
+
+
 # ---------------------------------------------------------------------------
-# trace-report surfacing of the cache counters (satellite 3)
+# the cache report, from a service's registry
 # ---------------------------------------------------------------------------
 
 
@@ -960,16 +1081,12 @@ class TestCacheReport:
     def test_cache_events_render_in_report(self, graph):
         from repro.analysis.report import cache_attribution, format_report
 
-        session = obs.enable()
-        try:
-            with _service(graph) as svc:
-                svc.result(svc.submit("bc_source", source=0), timeout=60.0)
-                svc.result(svc.submit("bc_source", source=0), timeout=60.0)
-        finally:
-            obs.disable()
-        rows = cache_attribution(session.metrics)
+        with _service(graph) as svc:
+            svc.result(svc.submit("bc_source", source=0), timeout=60.0)
+            svc.result(svc.submit("bc_source", source=0), timeout=60.0)
+        rows = cache_attribution(svc.metrics)
         assert any(r["algorithm"] == "bc_source" and r["hits"] >= 1 for r in rows)
-        text = format_report("cache", session.metrics)
+        text = format_report("cache", svc.metrics)
         assert "serve.cache" in text and "bc_source" in text
 
     def test_empty_metrics_render_empty(self):

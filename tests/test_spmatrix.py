@@ -133,11 +133,6 @@ class TestElementwise:
         # where b has no entry, its PLUS identity 0 is used: 1.0 + 0 = 1.0
         assert out.get(0, 0)["w"] == 1.0
 
-    def test_column_and_row_sums(self):
-        a = mk(2, 3, [(0, 0, 1.0), (0, 2, 2.0), (1, 2, 3.0)], monoid=PLUS)
-        assert list(a.column_sums("w")) == [1.0, 0.0, 5.0]
-        assert list(a.row_sums("w")) == [3.0, 3.0]
-
 
 class TestStructural:
     def test_transpose_roundtrip(self, rng):
