@@ -331,7 +331,6 @@ class CheckedEngine:
                     "got_ops": ops,
                 },
             )
-            obs.count("check.mismatches", 1.0, spec=spec.name)
         try:
             ma, mb, mgot, mops = self._minimize(ga, gb, spec, gout, ops, mask)
         except Exception:  # minimization is best-effort, never load-bearing

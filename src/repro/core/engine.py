@@ -91,24 +91,11 @@ class SequentialEngine:
     ) -> tuple[SpMat, int]:
         """``(a •⟨⊕,f⟩ b, elementary product count)`` — the unified
         :class:`Engine` contract."""
-        if not obs.enabled():  # unguarded fast path: no span, no kwargs dict
-            result = spgemm(a, b, spec, mask=mask)
-            return result.matrix, result.ops
         with obs.span(
             "spgemm", cat="spgemm", phase=spec.name, frontier_nnz=a.nnz
         ) as sp:
             result = spgemm(a, b, spec, mask=mask)
             sp.set(product_nnz=result.matrix.nnz, ops=result.ops)
-            obs.count("spgemm.products", 1.0, variant="sequential", phase=spec.name)
-            obs.count(
-                "spgemm.product_nnz",
-                float(result.matrix.nnz),
-                variant="sequential",
-                phase=spec.name,
-            )
-            obs.count(
-                "spgemm.ops", float(result.ops), variant="sequential", phase=spec.name
-            )
         return result.matrix, result.ops
 
     def gather(self, mat: SpMat) -> SpMat:

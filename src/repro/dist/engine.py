@@ -189,13 +189,7 @@ class DistributedEngine:
             # fixed per-product setup overhead on every rank (see CostParams)
             self.machine.charge_overhead(self.machine.cost.product_overhead)
             if obs.enabled():
-                variant = plan.describe()
-                sp.set(variant=variant, product_nnz=out.nnz, ops=ops)
-                obs.count("spgemm.products", 1.0, variant=variant, phase=spec.name)
-                obs.count(
-                    "spgemm.product_nnz", float(out.nnz), variant=variant, phase=spec.name
-                )
-                obs.count("spgemm.ops", float(ops), variant=variant, phase=spec.name)
+                sp.set(variant=plan.describe(), product_nnz=out.nnz, ops=ops)
         return out, ops
 
     def gather(self, mat: DistMat) -> SpMat:
@@ -217,8 +211,6 @@ class DistributedEngine:
         for _, adj in self._adjacency.values():
             adj._replicas.clear()
             adj.transpose()._replicas.clear()
-        if obs.enabled():
-            obs.count("engine.recoveries", 1.0)
 
     def recover_from(self, failure):
         """Elastic recovery: shrink onto the survivors of ``failure``.

@@ -187,5 +187,4 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
         )
         if obs.enabled():
             sp.set(p_after=p_target, retired=len(retired))
-            obs.count("elastic.recoveries", 1.0, site=site or "recovery")
     return report

@@ -411,9 +411,6 @@ class Machine:
                     "volume_words": weight * words_per_rank * q,
                 },
             )
-            obs.count("machine.collectives", 1.0, category=category)
-            obs.count("machine.words", weight * words_per_rank * q, category=category)
-            obs.count("machine.msgs", msgs * q, category=category)
         if self.deadline is not None:
             self._check_deadline(category)
 
@@ -448,9 +445,6 @@ class Machine:
                 modeled_dur=t,
                 args={"ranks": 2, "words": words, "msgs": 1, "volume_words": words},
             )
-            obs.count("machine.collectives", 1.0, category="p2p")
-            obs.count("machine.words", words, category="p2p")
-            obs.count("machine.msgs", 1.0, category="p2p")
         if self.deadline is not None:
             self._check_deadline("p2p")
 

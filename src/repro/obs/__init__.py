@@ -4,7 +4,7 @@ Self-contained (stdlib-only) observability subsystem:
 
 * :mod:`repro.obs.tracer` — nested spans on two clocks (wall + modeled
   α-β ledger time), Chrome ``trace_event`` / JSONL export;
-* :mod:`repro.obs.metrics` — labeled counter / gauge / histogram series;
+* :mod:`repro.obs.metrics` — labeled counter series;
 * :mod:`repro.obs.api` — the zero-overhead-when-disabled global hooks
   that instrumented code calls (``obs.span``, ``obs.count``, ...);
 * :mod:`repro.obs.timeline` — text timeline + ledger reconciliation.
@@ -18,6 +18,7 @@ Typical capture::
     ...  # run the traced workload
     obs.disable()
     obs.write_chrome_trace(session.tracer, "trace.json")
+    machine.ledger.category_words["bcast"]   # the ledger holds the traffic
 """
 
 from repro.obs.api import (
@@ -26,13 +27,10 @@ from repro.obs.api import (
     Timer,
     complete,
     count,
-    default_metrics,
     disable,
     enable,
     enabled,
-    gauge,
     metrics,
-    observe,
     set_attr,
     set_modeled_clock,
     span,
@@ -40,7 +38,7 @@ from repro.obs.api import (
     tracer,
     use,
 )
-from repro.obs.metrics import Histogram, Metrics
+from repro.obs.metrics import Metrics
 from repro.obs.timeline import reconcile, render_timeline
 from repro.obs.tracer import (
     Span,
@@ -56,7 +54,6 @@ __all__ = [
     "Span",
     "Tracer",
     "Metrics",
-    "Histogram",
     "Session",
     "Timer",
     "NULL_SPAN",
@@ -75,12 +72,9 @@ __all__ = [
     "use",
     "tracer",
     "metrics",
-    "default_metrics",
     "span",
     "complete",
     "count",
-    "gauge",
-    "observe",
     "set_attr",
     "set_modeled_clock",
     "timed",

@@ -4,17 +4,16 @@ Instrumented code throughout the stack calls this module::
 
     from repro.obs import api as obs
 
-    if obs.enabled():                        # one truthiness check when off
-        obs.count("machine.words", w, category="bcast")
     with obs.span("spgemm", cat="spgemm") as sp:   # NULL_SPAN when off
         ...
-        sp.set(variant=plan.describe())
+        if obs.enabled():                    # one truthiness check when off
+            sp.set(variant=plan.describe())
 
 When no session is active every hook is a no-op: :func:`span` returns the
-shared :data:`NULL_SPAN` singleton without allocating, and
-:func:`count` / :func:`gauge` / :func:`observe` / :func:`complete` /
-:func:`set_attr` return immediately.  Hot paths additionally guard with
-:func:`enabled` so they do not even build argument dicts.
+shared :data:`NULL_SPAN` singleton without allocating, and :func:`count` /
+:func:`complete` / :func:`set_attr` return immediately.  Hot paths
+additionally guard with :func:`enabled` so they do not even build argument
+dicts.
 
 Sessions form a stack: :func:`enable` pushes a (tracer, metrics) pair that
 receives all events until :func:`disable` pops it.  :func:`use` is the
@@ -41,12 +40,9 @@ __all__ = [
     "use",
     "tracer",
     "metrics",
-    "default_metrics",
     "span",
     "complete",
     "count",
-    "gauge",
-    "observe",
     "set_attr",
     "set_modeled_clock",
     "timed",
@@ -80,10 +76,6 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 _SESSIONS: list[Session] = []
-
-#: registry that explicit :func:`timed` calls fall back to with no session
-#: active — benchmark timers always record somewhere.
-_DEFAULT_METRICS = Metrics()
 
 
 # -- session management -------------------------------------------------------
@@ -139,11 +131,6 @@ def tracer() -> Tracer | None:
 def metrics() -> Metrics | None:
     """The active session's metrics registry, or None."""
     return _SESSIONS[-1].metrics if _SESSIONS else None
-
-
-def default_metrics() -> Metrics:
-    """The always-available fallback registry used by :func:`timed`."""
-    return _DEFAULT_METRICS
 
 
 def set_modeled_clock(clock: Callable[[], float]) -> None:
@@ -205,27 +192,14 @@ def count(name: str, value: float = 1.0, **labels) -> None:
         _SESSIONS[-1].metrics.count(name, value, **labels)
 
 
-def gauge(name: str, value: float, **labels) -> None:
-    if _SESSIONS:
-        _SESSIONS[-1].metrics.gauge(name, value, **labels)
-
-
-def observe(name: str, value: float, **labels) -> None:
-    if _SESSIONS:
-        _SESSIONS[-1].metrics.observe(name, value, **labels)
-
-
 # -- the benchmark timer helper ----------------------------------------------
 
 
 class Timer:
-    """Wall-clock timer that lands its measurement in the metrics stream.
-
-    Unlike the passive hooks above, an explicitly-constructed timer always
-    records: into the active session's registry when one exists, else into
-    :func:`default_metrics`.  The measured duration is available as
-    ``.seconds`` after the block exits — a drop-in replacement for the
-    benches' hand-rolled ``time.perf_counter()`` pairs.
+    """Wall-clock timer: ``.seconds`` after the block exits, with or
+    without a session — a drop-in replacement for the benches'
+    hand-rolled ``time.perf_counter()`` pairs.  With a session active the
+    measurement also lands on its tracer as a ``timer`` span.
     """
 
     def __init__(self, name: str, labels: dict) -> None:
@@ -240,8 +214,6 @@ class Timer:
 
     def __exit__(self, *exc) -> bool:
         self.seconds = time.perf_counter() - self._t0
-        registry = _SESSIONS[-1].metrics if _SESSIONS else _DEFAULT_METRICS
-        registry.observe(self.name, self.seconds, **self.labels)
         if _SESSIONS:
             tr = _SESSIONS[-1].tracer
             tr.complete(

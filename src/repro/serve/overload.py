@@ -18,7 +18,11 @@ over-subscription.  Four cooperating pieces:
   degraded service (stale cache reads, exact ``bc`` downgraded to
   fixed-pivot ``approx_bc``); crossing the *shed* high watermark rejects
   new work outright.  Each band re-arms only below its low watermark, so
-  the service never flaps at a boundary.
+  single arrivals and releases never flap at a boundary.  That holds
+  while one sweep takes fewer queries than the shed band is wide,
+  ``max_batch < (SHED_HIGH - SHED_LOW) * max_queued``: a wider sweep
+  (32 of a 64-query queue, whose band is 25.6 queries) crosses the whole
+  band, and shedding turns off and on again once per sweep.
 * :class:`CircuitBreaker` — wraps the fault-recovery/retry ladder.
   Repeated recovery failures open the circuit: queued batches fail fast
   with a structured error instead of grinding the machine, and a half-open

@@ -162,7 +162,6 @@ class AutoPolicy(SelectionPolicy):
                     chosen=best.describe(),
                     modeled_seconds=best_time,
                 )
-                obs.count("selector.selections", 1.0, chosen=best.describe())
         return best
 
 

@@ -295,8 +295,7 @@ def _replicated(mat: DistMat, key: tuple, build):
     unless ``mat`` is pinned, whose memo builds them once."""
     outcome = None if mat._replicas is None else ("hit" if key in mat._replicas else "miss")
     out = _memoized(mat, key, build)
-    if outcome is not None and obs.enabled():
-        obs.count("spgemm.replicas", 1.0, outcome=outcome)
+    if outcome is not None:
         obs.set_attr(replicas=outcome)
     return out
 

@@ -25,17 +25,18 @@ def _no_leaked_sessions():
 
 @pytest.fixture
 def traced_run():
-    """One traced simulated MFBC run: (tracer, metrics, machine)."""
+    """One traced simulated MFBC run: (tracer, metrics, machine, engine,
+    result)."""
     g = uniform_random_graph_nm(100, 4.0, seed=3)
     machine = Machine(16)
     session = obs.enable()
     obs.set_modeled_clock(machine.ledger.critical_time)
     try:
         engine = DistributedEngine(machine)
-        mfbc(g, batch_size=32, engine=engine, max_batches=2)
+        result = mfbc(g, batch_size=32, engine=engine, max_batches=2)
     finally:
         obs.disable()
-    return session.tracer, session.metrics, machine
+    return session.tracer, session.metrics, machine, engine, result
 
 
 class TestSpanNesting:
@@ -103,7 +104,7 @@ class TestSpanNesting:
 
 class TestChromeExport:
     def test_schema_valid_and_loadable(self, traced_run):
-        tracer, _, _ = traced_run
+        tracer, *_ = traced_run
         trace = obs.chrome_trace(tracer)
         obs.validate_chrome_trace(trace)  # must not raise
         # round-trips through JSON
@@ -119,14 +120,14 @@ class TestChromeExport:
         assert {"run", "batch", "phase", "spgemm", "collective", "selector"} <= cats
 
     def test_spgemm_events_carry_variant_attrs(self, traced_run):
-        tracer, _, _ = traced_run
+        tracer, *_ = traced_run
         spg = tracer.find(cat="spgemm")
         assert spg
         for sp in spg:
             assert "variant" in sp.args and "product_nnz" in sp.args
 
     def test_collective_events_carry_traffic_attrs(self, traced_run):
-        tracer, _, _ = traced_run
+        tracer, *_ = traced_run
         colls = tracer.find(cat="collective")
         assert colls
         for sp in colls:
@@ -181,7 +182,7 @@ class TestChromeExport:
         assert len(lane_names) == len(coll_tids)
 
     def test_write_files(self, traced_run, tmp_path):
-        tracer, metrics, _ = traced_run
+        tracer, metrics, *_ = traced_run
         trace = obs.write_chrome_trace(tracer, tmp_path / "trace.json")
         with open(tmp_path / "trace.json") as fh:
             assert json.load(fh) == json.loads(json.dumps(trace))
@@ -194,15 +195,32 @@ class TestChromeExport:
 
 class TestReconciliation:
     def test_span_totals_match_ledger_within_1pct(self, traced_run):
-        tracer, _, machine = traced_run
+        tracer, _, machine, *_ = traced_run
         rec = obs.reconcile(tracer, machine.ledger)
         assert rec["ledger_seconds"] > 0
         assert rec["relative_error"] <= 0.01
 
+    def test_traced_run_records_agree(self, traced_run):
+        """Each run fact is recorded once; the records that describe the
+        same run agree: collective spans with the ledger, product spans
+        with the plan log and the run's stats."""
+        tracer, _, machine, engine, result = traced_run
+        colls = tracer.find(cat="collective")
+        words: dict[str, float] = {}
+        for sp in colls:
+            words[sp.name] = words.get(sp.name, 0.0) + sp.args["volume_words"]
+        assert words == pytest.approx(machine.ledger.category_words)
+        assert sum(words.values()) > 0
+        msgs = sum(sp.args["msgs"] * sp.args["ranks"] for sp in colls)
+        assert msgs == pytest.approx(machine.ledger.total_msgs)
+        products = tracer.find("spgemm", cat="spgemm")
+        assert products and len(products) == len(engine.plan_log)
+        assert sum(sp.args["ops"] for sp in products) == result.stats.total_ops
+
     def test_trace_attribution_covers_comm_time(self, traced_run):
         from repro.analysis.report import format_trace_report, trace_attribution
 
-        tracer, _, machine = traced_run
+        tracer, _, machine, *_ = traced_run
         rows = trace_attribution(tracer, machine.ledger)
         assert rows
         cats = {r["category"] for r in rows}
@@ -225,10 +243,11 @@ class TestDisabledMode:
             inner.set(anything=1)  # must not raise
         assert obs.complete("x", modeled_ts=0.0, modeled_dur=1.0) is None
         obs.count("c")
-        obs.gauge("g", 1.0)
-        obs.observe("h", 1.0)
         obs.set_attr(a=1)
         assert obs.tracer() is None and obs.metrics() is None
+        with obs.timed("bench.op", tag="t") as t:
+            time.sleep(0.001)
+        assert t.seconds >= 0.001
 
     def test_null_span_is_shared_singleton(self):
         assert obs.span("a") is obs.span("b")
@@ -297,18 +316,6 @@ class TestMetrics:
         m.count("words", 1.0, phase="fwd", category="bcast")
         assert m.get_count("words", category="bcast", phase="fwd") == 11.0
 
-    def test_gauge_and_histogram(self):
-        m = obs.Metrics()
-        m.gauge("imbalance", 1.5, p=4)
-        m.gauge("imbalance", 1.2, p=4)
-        assert m.get_gauge("imbalance", p=4) == 1.2
-        for v in (1.0, 3.0, 2.0):
-            m.observe("lat", v, op="bcast")
-        h = m.get_histogram("lat", op="bcast")
-        assert (h.count, h.min, h.max) == (3, 1.0, 3.0)
-        assert h.mean == pytest.approx(2.0)
-        assert m.names() == ["imbalance", "lat"]
-
     def test_threads_sharing_a_registry_lose_no_count(self):
         # a service's client threads, dispatcher and watchdog share one
         import sys
@@ -339,26 +346,15 @@ class TestMetrics:
     def test_snapshot_rows(self):
         m = obs.Metrics()
         m.count("c", 1.0, k="v")
-        m.gauge("g", 2.0)
-        m.observe("h", 3.0)
+        m.count("c", 2.0, k="v")
+        m.count("b")
         rows = m.snapshot()
-        assert {r["type"] for r in rows} == {"counter", "gauge", "histogram"}
+        assert rows == [
+            {"metric": "b", "type": "counter", "labels": {}, "value": 1.0},
+            {"metric": "c", "type": "counter", "labels": {"k": "v"}, "value": 3.0},
+        ]
+        assert m.names() == ["b", "c"]
         json.dumps(rows)  # exportable
-
-    def test_traced_run_metrics(self, traced_run):
-        _, metrics, machine = traced_run
-        # the metric stream reconciles with the ledger's flat totals
-        assert metrics.total("machine.words") == pytest.approx(
-            machine.ledger.total_words
-        )
-        assert metrics.total("machine.msgs") == pytest.approx(
-            machine.ledger.total_msgs
-        )
-        assert metrics.total("spgemm.products") > 0
-        assert metrics.total("selector.selections") > 0
-        # the pinned adjacency's replica memo: first product misses, later
-        # ones hit
-        assert metrics.get_count("spgemm.replicas", outcome="hit") >= 0
 
 
 class TestSessionStack:
@@ -396,20 +392,41 @@ class TestSessionStack:
 
 
 class TestTimer:
-    def test_timed_records_into_default_metrics_without_session(self):
-        before = obs.default_metrics().get_histogram("bench.op", tag="t")
-        count0 = before.count if before else 0
-        with obs.timed("bench.op", tag="t") as t:
-            time.sleep(0.001)
-        assert t.seconds >= 0.001
-        h = obs.default_metrics().get_histogram("bench.op", tag="t")
-        assert h.count == count0 + 1
-
     def test_timed_lands_in_active_session(self):
         session = obs.enable()
-        with obs.timed("bench.op2"):
+        with obs.timed("bench.op2", tag="t") as t:
             pass
         obs.disable()
-        assert session.metrics.get_histogram("bench.op2").count == 1
         spans = session.tracer.find("bench.op2", cat="timer")
-        assert len(spans) == 1 and spans[0].wall_dur >= 0
+        assert len(spans) == 1 and spans[0].wall_dur == t.seconds >= 0
+        assert spans[0].args == {"tag": "t"}
+        assert not session.metrics.names()
+
+
+def test_obs_counters_are_the_three_run_side_families():
+    """A counter is kept only where it is the one aggregate of its number:
+    ``kernel.dispatch``, ``faults.<action>`` and ``memory.spill.*``.  A
+    collective's traffic is on its span and in the ledger, a product's on
+    its span and the engine's plan log, a serving event in
+    ``BCService.metrics`` (the ``serve.*`` spans stay on the tracer); and
+    the registry holds counters only."""
+    import re
+    from pathlib import Path
+
+    import repro
+    from repro.serve import service
+
+    root = Path(repro.__file__).parent
+    found = {
+        (str(path.relative_to(root)), m.group(1))
+        for path in root.rglob("*.py")
+        for m in re.finditer(r"\bobs\.(count|gauge|observe)\(", path.read_text())
+    }
+    assert found == {
+        ("sparse/dispatch.py", "count"),
+        ("faults/plan.py", "count"),
+        ("memory/spill.py", "count"),
+    }
+    assert not hasattr(obs, "gauge") and not hasattr(obs, "observe")
+    spans = Path(service.__file__).read_text()
+    assert '"serve.batch"' in spans and '"serve.query"' in spans

@@ -44,6 +44,8 @@ from repro.serve.overload import (
     COST_SMOOTHING,
     RETRY_AFTER_CAP,
     RETRY_AFTER_FLOOR,
+    SHED_HIGH,
+    SHED_LOW,
     BreakerState,
 )
 
@@ -258,6 +260,33 @@ class TestAdmission:
         for _ in range(2):
             ctl.admit(0.0)
         assert not ctl.brownout_active and not ctl.shedding_active
+
+    @pytest.mark.parametrize("sweep", [32, 16])
+    def test_a_sweep_wider_than_the_shed_band_toggles_shedding(self, sweep):
+        # the soak's queue: 64 queued, a 0.9 -> 0.5 band of 25.6 queries;
+        # its max_batch of 32 is wider than the band, 16 is not
+        cfg = OverloadConfig(max_queued=64)
+        ctl = AdmissionController(cfg)
+
+        def fill():  # clients admit until shedding rejects them
+            with pytest.raises(AdmissionError):
+                while True:
+                    ctl.admit(0.0)
+
+        def transitions():
+            return [
+                ctl.metrics.get_count("serve.overload.state", transition=t)
+                for t in ("shed_on", "shed_off")
+            ]
+
+        fill()
+        assert ctl.shedding_active and transitions() == [1, 0]
+        for _ in range(sweep):  # one sweep takes its queries off the queue
+            ctl.release(0.0)
+        fill()
+        pairs = 1 if sweep > (SHED_HIGH - SHED_LOW) * cfg.max_queued else 0
+        assert pairs == (sweep == 32)
+        assert transitions() == [1 + pairs, pairs]
 
     def test_readmit_never_rejects(self):
         ctl = AdmissionController(OverloadConfig(max_queued=1))

@@ -1051,27 +1051,6 @@ class TestCLI:
         assert exc.value.code == 0
 
 
-def test_serving_events_are_counted_only_in_the_registry():
-    """``BCService.metrics`` is the one count of a serving event: no obs
-    counter, gauge or histogram mirrors it (the spans stay on the tracer)."""
-    import re
-    from pathlib import Path
-
-    import repro.core.approx
-    import repro.serve
-
-    sources = [*Path(repro.serve.__file__).parent.glob("*.py"), Path(repro.core.approx.__file__)]
-    mirrored = [
-        f"{path.name}:{n}"
-        for path in sources
-        for n, line in enumerate(path.read_text().splitlines(), 1)
-        if re.search(r"obs\.(count|gauge|observe)\(", line)
-    ]
-    assert not mirrored
-    spans = Path(service_mod.__file__).read_text()
-    assert '"serve.batch"' in spans and '"serve.query"' in spans
-
-
 # ---------------------------------------------------------------------------
 # the cache report, from a service's registry
 # ---------------------------------------------------------------------------
