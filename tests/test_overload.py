@@ -261,11 +261,12 @@ class TestAdmission:
             ctl.admit(0.0)
         assert not ctl.brownout_active and not ctl.shedding_active
 
-    @pytest.mark.parametrize("sweep", [32, 16])
-    def test_a_sweep_wider_than_the_shed_band_toggles_shedding(self, sweep):
+    @pytest.mark.parametrize("sweep, flaps", [(32, 1), (16, 0)])
+    def test_a_sweep_wider_than_the_shed_band_toggles_shedding(self, sweep, flaps):
         # the soak's queue: 64 queued, a 0.9 -> 0.5 band of 25.6 queries;
         # its max_batch of 32 is wider than the band, 16 is not
         cfg = OverloadConfig(max_queued=64)
+        assert (sweep > (SHED_HIGH - SHED_LOW) * cfg.max_queued) == bool(flaps)
         ctl = AdmissionController(cfg)
 
         def fill():  # clients admit until shedding rejects them
@@ -284,9 +285,7 @@ class TestAdmission:
         for _ in range(sweep):  # one sweep takes its queries off the queue
             ctl.release(0.0)
         fill()
-        pairs = 1 if sweep > (SHED_HIGH - SHED_LOW) * cfg.max_queued else 0
-        assert pairs == (sweep == 32)
-        assert transitions() == [1 + pairs, pairs]
+        assert transitions() == [1 + flaps, flaps]
 
     def test_readmit_never_rejects(self):
         ctl = AdmissionController(OverloadConfig(max_queued=1))
