@@ -76,7 +76,7 @@ def run(graph, policy, budget, faults) -> tuple:
         outcome = f"{zlib.crc32(scores.tobytes()):08x}"
     except Exception as exc:  # noqa: BLE001 - the failure is the row's outcome
         outcome = type(exc).__name__
-    memory = machine.memory
+    memory = machine.memory.snapshot()
     return (
         outcome,
         machine.p,
@@ -84,8 +84,8 @@ def run(graph, policy, budget, faults) -> tuple:
         f"{machine.ledger.critical_time():.6g}",
         int(machine.ledger.critical_words()),
         machine.memory_peak(),
-        memory.reliefs,
-        memory.relieved_words,
+        memory["reliefs"],
+        memory["relieved_words"],
         engine.spilled,
     )
 

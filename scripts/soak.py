@@ -66,7 +66,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.cli import add_run_flags, build_machine, print_reports  # noqa: E402
+from repro.cli import add_run_flags, build_machine, print_memory, print_reports  # noqa: E402
 from repro.graphs import rmat_graph  # noqa: E402
 from repro.machine import Machine  # noqa: E402
 from repro.serve import BCService, OverloadConfig  # noqa: E402
@@ -302,25 +302,16 @@ def soak(graph, capacity_qps: float, args) -> tuple[dict, int]:
         )
     _print_checks(checks)
     print(f"  {report.summary()}")
-    machine_recoveries = len(getattr(service.machine, "recoveries", ()))
     print(
         f"  service: {injected} faults injected, "
-        f"{machine_recoveries} elastic recoveries "
-        f"({stats['recoveries']} inside served sweeps), "
+        f"{stats['recoveries']} elastic recoveries, "
         f"{stats['retries']} retries, breaker opened "
         f"{service.metrics.get_count('serve.overload.breaker', state='open'):.0f}x, "
         f"{stats['dispatcher_restarts']} dispatcher restarts, "
         f"peak queue {stats['admission']['peak_queued']}"
     )
-    if args.memory_words is not None:
-        mem = service.machine.memory.snapshot()
-        print(
-            f"  memory: peak {service.machine.memory_peak()} words/rank "
-            f"(budget {args.memory_words}), {mem['reliefs']} reliefs, "
-            f"{mem.get('spilled_blocks', 0)} blocks spilled, "
-            f"{mem.get('torn_writes', 0)} torn writes absorbed"
-        )
     print_reports(("cache", "overload"), service.metrics)
+    print_memory(service.machine)
     record = {
         "factor": args.factor,
         "offered_qps": offered,

@@ -133,7 +133,7 @@ def overload_attribution(metrics) -> list[dict]:
 
 
 def memory_attribution(metrics) -> list[dict]:
-    """Per-site memory-pressure event totals from a metrics registry.
+    """Per-site memory-pressure event totals from a machine's registry.
 
     Reads the spill store's ``memory.spill.{events,words}`` traffic and the
     run events :func:`repro.faults.note` counts: torn spill writes
@@ -183,7 +183,8 @@ def memory_attribution(metrics) -> list[dict]:
 
 #: the metric reports: ``repro serve`` (and the serve smoke and soak
 #: scripts) print ``cache`` and ``overload`` from ``BCService.metrics`` at
-#: shutdown, ``repro trace`` prints ``memory`` from its session:
+#: shutdown; every command that runs a machine prints ``memory`` from
+#: ``machine.metrics`` (``repro.cli.print_memory``):
 #: name -> (title, attribution function, headers, row dict -> cells)
 REPORTS: dict[str, tuple] = {
     "cache": (

@@ -416,7 +416,7 @@ def _cmd_simulate(args) -> int:
     machine = build_machine(args)
     session = None
     if args.command == "trace":
-        session = obs.enable()
+        session = obs.enable(metrics=machine.metrics)
         obs.set_modeled_clock(machine.ledger.critical_time)
     try:
         engine = DistributedEngine(machine, policy=_build_policy(args))
@@ -455,7 +455,7 @@ def _cmd_simulate(args) -> int:
                 + "".join(f", {name} {k}" for name, k in tally.items())
                 + ")"
             )
-    _print_memory_summary(machine)
+    print_memory(machine)
     _print_recovery_summary(machine)
     _print_check_summary(engine)
     if session is not None:
@@ -494,7 +494,6 @@ def _print_trace_reports(args, session, machine, res) -> None:
 
         print()
         print(format_fault_report(machine.faults))
-    print_reports(("memory",), session.metrics)
 
 
 def print_reports(names, metrics) -> None:
@@ -508,24 +507,17 @@ def print_reports(names, metrics) -> None:
             print(table)
 
 
-def _print_memory_summary(machine) -> None:
-    memory = getattr(machine, "memory", None)
-    if memory is None:
-        return
-    snap = memory.snapshot()
-    if not (snap.get("reliefs") or snap.get("spilled_blocks")):
-        return
-    peak = machine.memory_peak()
-    budget = machine.memory_words
-    budget_txt = f"{budget}" if budget is not None else "unlimited"
-    print(
-        f"memory            : peak {peak:.0f} words/rank "
-        f"(budget {budget_txt}); {snap.get('reliefs', 0)} reliefs, "
-        f"{snap.get('spilled_blocks', 0)} blocks spilled "
-        f"({snap.get('spilled_words', 0)} words), "
-        f"{snap.get('restored_blocks', 0)} restored, "
-        f"{snap.get('torn_writes', 0)} torn writes"
-    )
+def print_memory(machine) -> None:
+    """The memory section: the peak against the budget, then the ``memory``
+    report of ``machine.metrics``; nothing when no memory event happened."""
+    from repro.analysis.report import format_report
+
+    table = format_report("memory", machine.metrics)
+    if table:  # relief, spills and the shrink rung happen under a budget only
+        print(
+            f"\nmemory            : peak {machine.memory_peak():.0f} words/rank "
+            f"(budget {machine.memory_words})\n{table}"
+        )
 
 
 def _print_recovery_summary(machine) -> None:
@@ -601,6 +593,7 @@ def _cmd_serve(args) -> int:
             f"{stats['shed']} shed, {stats['degraded']} degraded"
         )
         print_reports(("cache", "overload"), service.metrics)
+        print_memory(service.machine)
     return 0
 
 

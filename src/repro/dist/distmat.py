@@ -628,7 +628,7 @@ class DistMat:
         w = payload.words()
         if w == 0:
             return None, 0
-        seg = store.spill(self._seg_key(i, j), payload, rank=owner, site="spill")
+        seg = store.spill(self._seg_key(i, j), payload, rank=owner)
         if seg is None:
             return None, 0  # torn write detected: keep the block resident
         self._memcharge.sub(owner, w)

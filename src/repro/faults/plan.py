@@ -483,7 +483,7 @@ class FaultPlan:
             elif sc.kind == "crash":
                 sc.fired = True
                 rank = sc.rank if sc.rank is not None else int(ranks[0])
-                self._crash(rank, site)
+                self._crash(machine, rank, site)
         if (
             self.straggle
             and self._may_inject()
@@ -491,18 +491,18 @@ class FaultPlan:
         ):
             self._straggle(machine, int(self.rng.choice(ranks)), site)
         if self.crash and self._may_inject() and self.rng.random() < self.crash:
-            self._crash(int(self.rng.choice(ranks)), site)
+            self._crash(machine, int(self.rng.choice(ranks)), site)
 
     def _straggle(self, machine, rank: int, site: str) -> None:
         skew = self.skew * (0.5 + 1.5 * float(self.rng.random()))
         machine.ledger.time[rank] += skew
-        _emit(self, "straggle", "injected", site=site, rank=rank, skew_s=skew)
+        note(machine, "straggle", "injected", site=site, rank=rank, skew_s=skew)
 
-    def _crash(self, rank: int, site: str) -> None:
-        _emit(self, "crash", "injected", site=site, rank=rank)
+    def _crash(self, machine, rank: int, site: str) -> None:
+        note(machine, "crash", "injected", site=site, rank=rank)
         raise RankFailure(rank, self.step, site)
 
-    def deliver(self, payload, site: str):
+    def deliver(self, machine, payload, site: str):
         """Possibly corrupt one in-flight payload → ``(payload, corrupted)``.
 
         Called by the hooked :class:`~repro.machine.collectives.Group` ops
@@ -528,10 +528,10 @@ class FaultPlan:
         damaged = corrupt_copy(payload, self.rng)
         if damaged is payload:  # nothing corruptible in this payload
             return payload, False
-        _emit(self, "corrupt", "injected", site=site)
+        note(machine, "corrupt", "injected", site=site)
         return damaged, True
 
-    def take_tear(self, site: str) -> bool:
+    def take_tear(self) -> bool:
         """Should this spill-segment write be torn mid-file?
 
         Consumed by :class:`~repro.memory.SpillStore` immediately after the
@@ -570,20 +570,15 @@ def note(
 ) -> FaultEvent:
     """Record one run event: the one emitter every layer reports through.
 
-    An OOM, a ladder rung, a spill relief, a torn write, a deadline, a
-    resume or an elastic recovery goes here whether or not a fault plan is
-    attached.  ``machine`` may be ``None`` (a sequential engine).  With a
-    plan on ``machine.faults`` the event joins its ``events`` (what
-    :meth:`FaultPlan.signature` compares); with or without one it is
-    mirrored to obs the same way — a ``fault.<kind>`` trace event and one
-    ``faults.<action>{kind, site[, rung]}`` count — so a report reads the
-    same with an inert plan as with none.
+    An injected fault, an OOM, a ladder rung, a spill relief, a torn write,
+    a deadline, a resume or an elastic recovery goes here.  ``machine`` may
+    be ``None`` (a sequential engine).  The event is counted once, as
+    ``faults.<action>{kind, site[, rung]}`` in ``machine.metrics``, with or
+    without a fault plan or tracing; a plan on ``machine.faults`` also logs
+    it in ``events`` (what :meth:`FaultPlan.signature` compares), and an obs
+    session gets a ``fault.<kind>`` trace event.
     """
-    return _emit(getattr(machine, "faults", None), kind, action, site=site, rank=rank, **detail)
-
-
-def _emit(plan, kind, action, *, site, rank=None, **detail) -> FaultEvent:
-    """:func:`note`'s body; the plan's own injections enter here directly."""
+    plan = getattr(machine, "faults", None)
     ev = FaultEvent(
         kind=kind,
         action=action,
@@ -596,12 +591,14 @@ def _emit(plan, kind, action, *, site, rank=None, **detail) -> FaultEvent:
         plan.events.append(ev)
         if action == "injected":
             plan.injected += 1
-    if obs.enabled():
-        obs.complete(f"fault.{kind}", cat="fault", args=ev.to_dict())
+    metrics = getattr(machine, "metrics", None)
+    if metrics is not None:
         labels = {"kind": kind, "site": site}
         if "rung" in detail:
             labels["rung"] = detail["rung"]
-        obs.count(f"faults.{action}", 1.0, **labels)
+        metrics.count(f"faults.{action}", 1.0, **labels)
+    if obs.enabled():
+        obs.complete(f"fault.{kind}", cat="fault", args=ev.to_dict())
     return ev
 
 

@@ -120,7 +120,7 @@ class Group:
         if plan is None or self.size == 1:
             return payload
         sent_crc = payload_checksum(payload) if plan.checksum else None
-        payload, _ = plan.deliver(payload, site)
+        payload, _ = plan.deliver(self.machine, payload, site)
         if plan.checksum:
             received_crc = payload_checksum(payload)
             if received_crc != sent_crc:

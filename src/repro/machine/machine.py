@@ -27,6 +27,7 @@ from repro.machine.collectives import TREE, Group
 from repro.machine.executor import LocalExecutor
 from repro.machine.grid import log2ceil, survivor_map
 from repro.obs import api as obs
+from repro.obs.metrics import Metrics
 
 __all__ = [
     "CostParams",
@@ -234,6 +235,9 @@ class Machine:
             self.faults if self.faults is not None and self.faults.armed else None
         )
         self.memory_words = config.ambient("memory_words", memory_words, _memory_words)
+        #: the one counter registry of run events (:func:`repro.faults.note`),
+        #: spill traffic and a service's events, counted with or without tracing
+        self.metrics = Metrics()
         # deferred imports: repro.check imports repro.dist, which imports
         # this module
         from repro.check.engine import resolve_check_config

@@ -15,7 +15,8 @@ recovery ladder (:mod:`repro.core.ladder`) catches.
 
 Every spill/unspill round-trips through the checksummed
 :class:`~repro.memory.spill.SpillStore`, so relieved runs stay
-bit-identical to unpressured ones.
+bit-identical to unpressured ones.  A relief is counted once, as the run
+event ``faults.evicted{kind="spill"}`` in ``machine.metrics``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class MemoryManager:
         self._registry: dict[int, weakref.ref] = {}
         self._in_relief = False
         self.relieved_words = 0
-        self.reliefs = 0
 
     @property
     def machine(self):
@@ -120,23 +120,17 @@ class MemoryManager:
         finally:
             self._in_relief = False
         if freed:
-            self.reliefs += 1
             self.relieved_words += freed
-            note(
-                machine,
-                "spill",
-                "evicted",
-                site=site,
-                rank=rank,
-                words=int(freed),
-                needed=int(need_words),
-            )
+            note(machine, "spill", "evicted", site=site, rank=rank,
+                 words=int(freed), needed=int(need_words))
         return freed
 
     def snapshot(self) -> dict:
+        """Registered matrices and relieved words, plus counts summed from
+        ``machine.metrics`` (the store's once it exists)."""
         out = {
             "registered": len(self._registry),
-            "reliefs": self.reliefs,
+            "reliefs": int(self.machine.metrics.total("faults.evicted", kind="spill")),
             "relieved_words": self.relieved_words,
         }
         if self._store is not None:

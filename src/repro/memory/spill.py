@@ -20,7 +20,8 @@ can degrade relief but never corrupt data.  The ``tear`` fault kind
 
 Spill traffic is charged to the machine ledger under the ``"spill"``
 category (modeled local I/O: ``spill_alpha + words · spill_beta`` per
-segment) and surfaced via ``memory.spill.*`` obs counters.
+segment) and counted once, as ``memory.spill.{events,words}{op, site}`` in
+``machine.metrics`` beside the torn writes (``faults.detected{kind="tear"}``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from repro.faults.checkpoint import atomic_save_npz
 from repro.faults.plan import note, payload_checksum
-from repro.obs import api as obs
+from repro.obs.metrics import Metrics
 from repro.sparse.spmatrix import SpMat
 
 __all__ = ["SpillError", "SpillSegment", "SpillStore"]
@@ -98,7 +99,8 @@ class SpillStore:
         directory is removed when the store is garbage-collected.
     machine:
         Optional :class:`~repro.machine.Machine`; when given, spill and
-        unspill traffic is charged to its ledger (category ``"spill"``).
+        unspill traffic is charged to its ledger (category ``"spill"``) and
+        counted in ``machine.metrics``; without one, in the store's own.
     """
 
     def __init__(self, directory=None, *, machine=None) -> None:
@@ -107,20 +109,14 @@ class SpillStore:
         self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-spill-", dir=directory)
         self.directory = self._tmpdir.name
         self.machine = machine
-        #: running totals (also mirrored onto obs counters)
-        self.spilled_blocks = 0
-        self.restored_blocks = 0
-        self.spilled_words = 0
-        self.restored_words = 0
-        self.torn_writes = 0
+        self.metrics = Metrics() if machine is None else machine.metrics
 
     # -- spill / fetch --------------------------------------------------------
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.npz")
 
-    def spill(self, key: str, blk: SpMat, *, rank: int | None = None,
-              site: str = "spill") -> "SpillSegment | None":
+    def spill(self, key: str, blk: SpMat, *, rank: int | None = None) -> "SpillSegment | None":
         """Write ``blk`` as the segment of ``key``; verify; charge.
 
         Returns the segment handle, or ``None`` when the written segment
@@ -136,37 +132,25 @@ class SpillStore:
             meta={"nrows": blk.nrows, "ncols": blk.ncols, "crc": crc},
         )
         hook = getattr(self.machine, "_fault_hook", None)
-        if hook is not None and hook.take_tear(site):
-            note(self.machine, "tear", "injected", site=site, key=key)
+        if hook is not None and hook.take_tear():
+            note(self.machine, "tear", "injected", site="spill", key=key)
             _tear_file(path)
         seg = SpillSegment(key, path, crc, words, blk.monoid, nnz=blk.nnz)
         # write-then-verify: only a read-back that matches the CRC makes the
         # segment durable enough to drop the resident block
         if self._read(seg) is None:
-            self.torn_writes += 1
-            note(self.machine, "tear", "detected", site=site, key=key)
+            # noted on the machine, or on the store itself without one: either
+            # way the count lands in ``self.metrics``
+            note(self.machine or self, "tear", "detected", site="spill", key=key)
             os.remove(path)
             return None
-        self.spilled_blocks += 1
-        self.spilled_words += words
         self._charge(rank, words, op="spill")
-        if obs.enabled():
-            obs.count("memory.spill.events", 1.0, op="spill", site=site)
-            obs.count("memory.spill.words", float(words), op="spill", site=site)
         return seg
 
-    def fetch(self, seg: "SpillSegment", *, rank: int | None = None,
-              site: str = "unspill") -> SpMat:
+    def fetch(self, seg: "SpillSegment", *, rank: int | None = None) -> SpMat:
         """Read a segment back; raise :class:`SpillError` unless its CRC holds."""
-        blk = self._read(seg)
-        if blk is None:
-            raise SpillError(f"spilled segment {seg.key!r} is not durable")
-        self.restored_blocks += 1
-        self.restored_words += seg.words
+        blk = self.read(seg)
         self._charge(rank, seg.words, op="unspill")
-        if obs.enabled():
-            obs.count("memory.spill.events", 1.0, op="unspill", site=site)
-            obs.count("memory.spill.words", float(seg.words), op="unspill", site=site)
         return blk
 
     def read(self, seg: "SpillSegment") -> SpMat:
@@ -195,23 +179,23 @@ class SpillStore:
     # -- accounting -----------------------------------------------------------
 
     def _charge(self, rank, words, *, op) -> None:
+        # the ``site`` label is the op: the memory report's rows key on it
+        self.metrics.count("memory.spill.events", 1.0, op=op, site=op)
+        self.metrics.count("memory.spill.words", float(words), op=op, site=op)
         if self.machine is not None:
             self.machine.charge_spill(rank, words, op=op)
 
     def snapshot(self) -> dict:
+        """Blocks and words spilled and restored, and torn writes: sums of
+        :attr:`metrics`."""
+        m = self.metrics
         return {
-            "spilled_blocks": self.spilled_blocks,
-            "restored_blocks": self.restored_blocks,
-            "spilled_words": self.spilled_words,
-            "restored_words": self.restored_words,
-            "torn_writes": self.torn_writes,
+            "spilled_blocks": int(m.total("memory.spill.events", op="spill")),
+            "restored_blocks": int(m.total("memory.spill.events", op="unspill")),
+            "spilled_words": int(m.total("memory.spill.words", op="spill")),
+            "restored_words": int(m.total("memory.spill.words", op="unspill")),
+            "torn_writes": int(m.total("faults.detected", kind="tear")),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SpillStore({self.directory!r}, spilled={self.spilled_blocks}, "
-            f"restored={self.restored_blocks}, torn={self.torn_writes})"
-        )
 
 
 def _tear_file(path: str) -> None:

@@ -9,8 +9,9 @@ at the call site never matters.
 Aggregation across labels uses :meth:`Metrics.total` (sum of the series
 matching a label subset) and :meth:`Metrics.series` (all series of one
 name).  One lock guards every read and write, so threads may share a
-registry (a service's client threads, dispatcher and watchdog all count
-into ``BCService.metrics``).  Like the tracer, this module is stdlib-only.
+registry (every ``Machine`` holds one, ``machine.metrics``, and a
+service's client threads, dispatcher and watchdog all count into it as
+``BCService.metrics``).  Like the tracer, this module is stdlib-only.
 """
 
 from __future__ import annotations

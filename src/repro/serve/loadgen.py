@@ -288,7 +288,7 @@ def run_load(
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.cli import add_run_flags, build_machine, print_reports
+    from repro.cli import add_run_flags, build_machine, print_memory, print_reports
 
     parser = argparse.ArgumentParser(
         prog="repro.serve.loadgen",
@@ -340,6 +340,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{len(service.machine.recoveries)} elastic recoveries"
         )
     print_reports(("cache", "overload"), service.metrics)
+    print_memory(service.machine)
     if report.failed:
         print(f"FAIL: {report.failed} queries did not complete", file=sys.stderr)
         return 1

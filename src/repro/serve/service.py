@@ -49,11 +49,12 @@ fault-recovery storms, and a watchdog restarts a dead dispatcher while
 :meth:`BCService.health` reports the truthful
 ``ok``/``degraded``/``overloaded``/``draining`` state.
 
-Every serving event is counted once, in :attr:`BCService.metrics` (one
-:class:`~repro.obs.metrics.Metrics` registry the cache, the admission
-controller and the breaker count into too); :meth:`BCService.stats` sums
-it through ``_STATS``, and the ``cache`` / ``overload`` reports of
-:mod:`repro.analysis.report` render it.
+Every serving event is counted once, in :attr:`BCService.metrics`, which
+*is* the machine's counter registry, ``machine.metrics``: the cache, the
+admission controller and the breaker count into it beside the run events
+of the sweeps (an elastic recovery is ``faults.recovered{kind="crash"}``).
+:meth:`BCService.stats` sums it through ``_STATS``, and the ``cache`` /
+``overload`` / ``memory`` reports of :mod:`repro.analysis.report` render it.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from repro.core.mfbc import mfbc, mfbc_per_source
 from repro.faults.plan import DeadlineExceeded, FaultError
 from repro.graphs.graph import Graph
 from repro.obs import api as obs
-from repro.obs.metrics import Metrics
 from repro.serve.cache import ScoreCache, cache_key
 from repro.serve.coalescer import Coalescer, Query, QueryState
 from repro.serve.overload import (
@@ -112,7 +112,7 @@ _STATS = {
     "cancelled": ("serve.queries", {"outcome": "cancelled"}),
     "batches": ("serve.batches", {}),
     "swept_sources": ("serve.swept_sources", {}),
-    "recoveries": ("serve.recoveries", {}),
+    "recoveries": ("faults.recovered", {"kind": "crash"}),
     "retries": ("serve.retries", {}),
     "shed": ("serve.overload.shed", {}),
     "degraded": ("serve.overload.degraded", {}),
@@ -196,8 +196,8 @@ class BCService:
         self.graph = graph
         self.graph_version = 0
         self.retries = int(retries)
-        #: the one place a serving event is counted
-        self.metrics = Metrics()
+        #: the one place a serving event is counted: the machine's registry
+        self.metrics = machine.metrics
         self.cache = ScoreCache(capacity=cache_capacity, metrics=self.metrics)
         self.coalescer = Coalescer(max_batch=max_batch, window=batch_window)
         self.overload = overload or OverloadConfig()
@@ -634,7 +634,6 @@ class BCService:
         ladder = RecoveryLadder(
             self.engine, site="serve", retries=self.retries, retry_backoff=0.0
         )
-        recoveries = len(machine.recoveries)
         t0 = _wall()
         try:
             with obs.span(
@@ -678,11 +677,6 @@ class BCService:
             # read after a run; nothing reads it here, and a service lives
             # for millions of products
             self.engine.plan_log.clear()
-            # elastic recoveries this sweep took, whichever ladder took them
-            # (ours in ``_handle_fault``, or ``mfbc`` / ``adaptive_bc``'s own)
-            recovered = len(machine.recoveries) - recoveries
-            if recovered:
-                self.metrics.count("serve.recoveries", recovered, mode="elastic")
         compute = _wall() - t0
         self.breaker.record_success()
         self.estimator.observe(

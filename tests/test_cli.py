@@ -226,6 +226,28 @@ class TestSimulateAndInfo:
 
         assert crc(second) and crc(second) == crc(unbudgeted)
 
+    def test_simulate_prints_the_memory_table_trace_prints(self, tmp_path, capsys):
+        """The memory section is counted in the machine's registry, so a
+        budgeted run prints the same table with tracing on or off."""
+        g7 = str(tmp_path / "g7.txt")
+        assert main(["generate", "rmat", "--scale", "7", "--degree", "8",
+                     "--seed", "1", "-o", g7]) == 0
+        run = [g7, "--p", "4", "--memory-words", "6000",
+               "--faults", "seed:1,tear:0.3,limit:4"]
+        capsys.readouterr()
+        assert main(["simulate", *run]) == 0
+        simulated = capsys.readouterr().out
+        assert main(["trace", *run, "-o", str(tmp_path / "trace.json")]) == 0
+        traced = capsys.readouterr().out
+
+        def memory(out):
+            return out.split("\nmemory            : peak ")[1].split("\n\n")[0].rstrip()
+
+        table = memory(simulated)
+        assert "\nmemory pressure (memory.*):\n" in table
+        assert "spill.torn" in table and "ladder.shrink_batch" in table
+        assert table == memory(traced)
+
     def test_info(self, graph_file, capsys):
         path, n = graph_file
         assert main(["info", path]) == 0

@@ -555,4 +555,6 @@ class TestAcceptance:
             obs.disable()
         fault_spans = [sp for sp in session.tracer.spans if sp.cat == "fault"]
         assert len(fault_spans) == len(m.faults.events)
-        assert session.metrics.total("faults.injected") >= 1
+        # counted once, in the machine's registry, not the session's
+        assert m.metrics.total("faults.injected") == m.faults.injected >= 1
+        assert not session.metrics.series("faults.injected")

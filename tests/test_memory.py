@@ -20,7 +20,6 @@ import os
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.analysis.report import format_report, memory_attribution
 from repro.core import mfbc, mfbc_per_source
 from repro.core.approx import adaptive_bc
@@ -95,7 +94,7 @@ class TestSpillStore:
         store = SpillStore(tmp_path, machine=machine)
         blk = random_weight_spmat(rng, 8, 8, 0.3)
         assert store.spill("k", blk) is None  # torn: caller keeps it resident
-        assert store.torn_writes == 1
+        assert store.snapshot()["torn_writes"] == 1
         sigs = [(e.kind, e.action) for e in machine.faults.events]
         assert ("tear", "injected") in sigs and ("tear", "detected") in sigs
         seg = store.spill("k", blk)  # injection budget spent: durable now
@@ -123,6 +122,68 @@ class TestSpillStore:
         assert payload_checksum(a.fetch(a_seg)) == payload_checksum(a_blk)
         with pytest.raises(SpillError):
             b.fetch(b_seg)  # drop removed the segment, in its own store only
+
+
+#: ``machine.memory.snapshot()`` after ``TestSnapshotPin``'s script (the
+#: values the per-object ints gave before the counts moved to the registry)
+SNAPSHOT_AFTER_SCRIPT = {
+    "registered": 2,
+    "reliefs": 1,
+    "relieved_words": 240,
+    "spilled_blocks": 2,
+    "restored_blocks": 1,
+    "spilled_words": 489,
+    "restored_words": 249,
+    "torn_writes": 1,
+}
+
+
+class TestSnapshotPin:
+    def test_scripted_sequence_pins_the_whole_snapshot(self, tmp_path):
+        """A relief whose first spill write tears, a direct spill, a
+        ``peek`` of a spilled tile (which counts nothing) and a fault-in,
+        on one budgeted machine: the whole memory snapshot after."""
+        machine = Machine(
+            4, memory_words=10_000, faults="tear@1", elastic="off",
+            check="off", spill_dir=str(tmp_path),
+        )
+        mat = DistributedEngine(machine).adjacency(rmat_graph(6, 8, seed=0))
+        need = machine.memory_words - int(machine.memory_used(0)) + 1
+        machine.allocate(0, need)  # one word over budget: a relief on rank 0
+        machine.free(0, need)
+        assert mat.spill_blocks(machine.memory.store(), rank=1) > 0
+        i, j = min(k for k in mat._spilled if mat.layout.ranks2d[k] == 1)
+        mat.peek(i, j)
+        mat.block(i, j)
+        assert_fired(machine)
+        snap = machine.memory.snapshot()
+        assert snap == SNAPSHOT_AFTER_SCRIPT
+        assert {k: type(v) for k, v in snap.items()} == dict.fromkeys(snap, int)
+        # every count is a sum of the machine's one registry
+        m = machine.metrics
+        assert m.total("faults.evicted", kind="spill") == snap["reliefs"]
+        assert m.total("faults.detected", kind="tear") == snap["torn_writes"]
+        assert m.total("memory.spill.words", op="unspill") == snap["restored_words"]
+
+    def test_a_store_without_a_machine_counts_into_its_own_registry(self, tmp_path, rng):
+        blk = random_weight_spmat(rng, 12, 9, 0.3)
+        store, other = SpillStore(tmp_path), SpillStore(tmp_path)
+        seg = store.spill("k", blk)
+        store.read(seg)  # a validation read counts nothing
+        store.fetch(seg)
+        words = blk.words()
+        assert store.snapshot() == {
+            "spilled_blocks": 1,
+            "restored_blocks": 1,
+            "spilled_words": words,
+            "restored_words": words,
+            "torn_writes": 0,
+        }
+        assert store.metrics.get_count(
+            "memory.spill.events", op="spill", site="spill"
+        ) == 1
+        assert other.metrics is not store.metrics
+        assert other.snapshot()["spilled_blocks"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +254,7 @@ class TestEvictionAndRelief:
             gc.collect()
             spilled = sum(len(m._spilled) for m in machine.memory._live())
             assert len(os.listdir(store.directory)) == spilled
-        assert machine.memory.reliefs > 0
+        assert machine.metrics.total("faults.evicted", kind="spill") > 0
 
     def test_register_replaces_an_entry_whose_referent_is_gone(self):
         import weakref
@@ -348,7 +409,7 @@ class TestPressuredRuns:
         scores = run_mfbc(g, machine)
         np.testing.assert_array_equal(scores, ref)
         store = machine.memory._store
-        assert store is not None and store.torn_writes >= 1
+        assert store is not None and store.snapshot()["torn_writes"] >= 1
 
     def test_infeasible_budget_is_terminal(self, tmp_path):
         g = seed_graph()
@@ -676,32 +737,29 @@ class TestRungsCompose:
 
 class TestMemoryReport:
     def test_attribution_rows_and_report_render(self, tmp_path):
+        # counted in the machine's registry with no trace session on
         g = seed_graph()
         probe = quiet(4)
         run_mfbc(g, probe)
-        session = obs.enable()
-        try:
-            machine = quiet(
-                4, memory_words=int(probe.memory_peak() * 0.6),
-                spill_dir=str(tmp_path),
-            )
-            run_mfbc(g, machine)
-        finally:
-            obs.disable()
-        rows = memory_attribution(session.metrics)
+        machine = quiet(
+            4, memory_words=int(probe.memory_peak() * 0.6),
+            spill_dir=str(tmp_path),
+        )
+        run_mfbc(g, machine)
+        rows = memory_attribution(machine.metrics)
         events = {r["event"] for r in rows}
         assert "spill.spill" in events
         assert "relief" in events
         spilled = [r for r in rows if r["event"] == "spill.spill"]
         assert sum(r["words"] for r in spilled) > 0
-        text = format_report("memory", session.metrics)
+        text = format_report("memory", machine.metrics)
         assert "memory pressure" in text and "spill.spill" in text
 
     def test_report_empty_without_pressure(self):
-        session = obs.enable()
-        obs.disable()
-        assert memory_attribution(session.metrics) == []
-        assert format_report("memory", session.metrics) == ""
+        machine = quiet(4)
+        run_mfbc(seed_graph(), machine)
+        assert memory_attribution(machine.metrics) == []
+        assert format_report("memory", machine.metrics) == ""
 
     def test_inert_fault_plan_reports_the_same(self):
         # every run event goes through one emitter, so attaching a plan that
@@ -717,9 +775,8 @@ class TestMemoryReport:
             machine = Machine(
                 4, memory_words=7000, elastic="off", check="off", faults=faults
             )
-            with obs.use() as session:
-                engine = DistributedEngine(machine)
-                mfbc(g, engine=engine, batch_size=32, max_batches=2)
-            reports.append(format_report("memory", session.metrics))
+            engine = DistributedEngine(machine)
+            mfbc(g, engine=engine, batch_size=32, max_batches=2)
+            reports.append(format_report("memory", machine.metrics))
         assert "relief" in reports[0] and "ladder.shrink_batch" in reports[0]
         assert reports[1] == reports[0]

@@ -403,18 +403,20 @@ class TestTimer:
         assert not session.metrics.names()
 
 
-def test_obs_counters_are_the_three_run_side_families():
-    """A counter is kept only where it is the one aggregate of its number:
-    ``kernel.dispatch``, ``faults.<action>`` and ``memory.spill.*``.  A
-    collective's traffic is on its span and in the ledger, a product's on
-    its span and the engine's plan log, a serving event in
-    ``BCService.metrics`` (the ``serve.*`` spans stay on the tracer); and
-    the registry holds counters only."""
+def test_run_events_are_counted_once_in_the_machine_registry():
+    """A run event is counted once, in ``machine.metrics``, whether or not
+    tracing is on: the session counts only ``kernel.dispatch`` (a kernel has
+    no machine), the owning objects keep no second tally, and a service
+    counts into its machine's registry.  A collective's traffic is on its
+    span and in the ledger, a product's on its span and the engine's plan
+    log (the ``serve.*`` spans stay on the tracer); and the registry holds
+    counters only."""
     import re
     from pathlib import Path
 
     import repro
-    from repro.serve import service
+    from repro.memory import MemoryManager, SpillStore
+    from repro.serve import BCService, service
 
     root = Path(repro.__file__).parent
     found = {
@@ -422,11 +424,15 @@ def test_obs_counters_are_the_three_run_side_families():
         for path in root.rglob("*.py")
         for m in re.finditer(r"\bobs\.(count|gauge|observe)\(", path.read_text())
     }
-    assert found == {
-        ("sparse/dispatch.py", "count"),
-        ("faults/plan.py", "count"),
-        ("memory/spill.py", "count"),
-    }
+    assert found == {("sparse/dispatch.py", "count")}
     assert not hasattr(obs, "gauge") and not hasattr(obs, "observe")
+    store = SpillStore()
+    for name in ("spilled_blocks", "restored_blocks", "spilled_words",
+                 "restored_words", "torn_writes"):
+        assert not hasattr(store, name)
+    assert not hasattr(MemoryManager(Machine(1)), "reliefs")
+    m = Machine(2)
+    with BCService(uniform_random_graph_nm(16, 4.0, seed=0), machine=m) as svc:
+        assert svc.metrics is m.metrics
     spans = Path(service.__file__).read_text()
     assert '"serve.batch"' in spans and '"serve.query"' in spans
