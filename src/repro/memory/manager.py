@@ -43,6 +43,7 @@ class MemoryManager:
 
     def __init__(self, machine, spill_dir=None) -> None:
         self._machine_ref = weakref.ref(machine)
+        self._metrics = machine.metrics  # snapshots outlive the machine
         self.spill_dir = spill_dir
         self._store: SpillStore | None = None
         #: insertion-ordered LRU: key id(mat) -> weakref; the oldest entry
@@ -130,7 +131,7 @@ class MemoryManager:
         ``machine.metrics`` (the store's once it exists)."""
         out = {
             "registered": len(self._registry),
-            "reliefs": int(self.machine.metrics.total("faults.evicted", kind="spill")),
+            "reliefs": int(self._metrics.total("faults.evicted", kind="spill")),
             "relieved_words": self.relieved_words,
         }
         if self._store is not None:
