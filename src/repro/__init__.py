@@ -88,7 +88,6 @@ from repro.faults import (
     MemoryCheckpointStore,
     NpzCheckpointStore,
     RankFailure,
-    format_fault_report,
     resolve_checkpoint_store,
     resolve_fault_plan,
 )
@@ -180,7 +179,6 @@ __all__ = [
     "CorruptPayload",
     "DeadlineExceeded",
     "resolve_fault_plan",
-    "format_fault_report",
     "CheckpointStore",
     "CorruptCheckpoint",
     "MemoryCheckpointStore",

@@ -10,6 +10,7 @@ __all__ = [
     "format_trace_report",
     "cache_attribution",
     "overload_attribution",
+    "fault_attribution",
     "memory_attribution",
     "REPORTS",
     "format_report",
@@ -132,60 +133,72 @@ def overload_attribution(metrics) -> list[dict]:
     return rows
 
 
-def memory_attribution(metrics) -> list[dict]:
-    """Per-site memory-pressure event totals from a machine's registry.
+#: action columns of the ``faults`` report, in lifecycle order — injection
+#: first, then detection, then every recovery outcome, then the fatal ends;
+#: any other action (a relief's ``evicted``) follows these
+_FAULT_ACTIONS = (
+    "injected",
+    "detected",
+    "recovered",
+    "degraded",
+    "resumed",
+    "retired",
+    "abandoned",
+)
 
-    Reads the spill store's ``memory.spill.{events,words}`` traffic and the
-    run events :func:`repro.faults.note` counts: torn spill writes
-    (``faults.detected{kind="tear"}``), relief evictions
-    (``faults.evicted{kind="spill"}``) and the recovery-ladder rungs taken
-    (every ``faults.*`` series with a ``rung`` label).  Empty when the run
-    never came under memory pressure.
+
+def fault_attribution(metrics) -> list[dict]:
+    """Per-label-set run event totals from a machine's registry.
+
+    Reads the ``faults.<action>{kind, site[, rung]}`` counters
+    :func:`repro.faults.note` counts: one row per label set, with one key
+    per action the run recorded (lifecycle order, zero where that label
+    set saw none) and a ``rung`` key when any series carries one.  Empty
+    when the run recorded no event.
     """
-    rows: list[dict] = []
-    combos: set[tuple[str, str]] = set()
-    for name in ("memory.spill.events", "memory.spill.words"):
-        for labels in metrics.series(name):
-            d = dict(labels)
-            combos.add((d.get("op", ""), d.get("site", "")))
-    for op, site in sorted(combos):
-        rows.append(
-            {
-                "event": f"spill.{op}",
-                "site": site,
-                "count": int(
-                    metrics.get_count("memory.spill.events", op=op, site=site)
-                ),
-                "words": int(
-                    metrics.get_count("memory.spill.words", op=op, site=site)
-                ),
-            }
-        )
-    for event, name, kind in (
-        ("spill.torn", "faults.detected", "tear"),
-        ("relief", "faults.evicted", "spill"),
-    ):
-        for labels, count in sorted(metrics.series(name).items()):
-            d = dict(labels)
-            if d["kind"] == kind:
-                rows.append({"event": event, "site": d["site"], "count": int(count), "words": 0})
-    rungs: dict[tuple[str, str], float] = {}
+    counts: dict[tuple[str, str, str], dict[str, int]] = {}
     for name in metrics.names():
         if name.startswith("faults."):
             for labels, count in metrics.series(name).items():
                 d = dict(labels)
-                if "rung" in d:
-                    rungs[d["rung"], d["site"]] = rungs.get((d["rung"], d["site"]), 0) + count
-    for (rung, site), count in sorted(rungs.items()):
-        rows.append({"event": f"ladder.{rung}", "site": site, "count": int(count), "words": 0})
+                row = counts.setdefault((d["kind"], d["site"], d.get("rung", "")), {})
+                row[name.removeprefix("faults.")] = int(count)
+    seen = {a for row in counts.values() for a in row}
+    actions = [a for a in _FAULT_ACTIONS if a in seen]
+    actions += sorted(seen.difference(_FAULT_ACTIONS))
+    with_rung = any(rung for _, _, rung in counts)
+    rows = []
+    for (kind, site, rung), row in sorted(counts.items()):
+        head = {"kind": kind, "site": site, **({"rung": rung} if with_rung else {})}
+        rows.append({**head, **{a: row.get(a, 0) for a in actions}})
     return rows
+
+
+def memory_attribution(metrics) -> list[dict]:
+    """Per-op spill traffic totals from a machine's registry.
+
+    Reads the spill store's ``memory.spill.{events,words}{op}`` counters;
+    the relief evictions, torn writes and ladder rungs of a pressured run
+    are run events, in the ``faults`` report.  Empty when nothing was
+    spilled.
+    """
+    ops = {dict(labels)["op"] for labels in metrics.series("memory.spill.events")}
+    return [
+        {
+            "event": f"spill.{op}",
+            "count": int(metrics.get_count("memory.spill.events", op=op)),
+            "words": int(metrics.get_count("memory.spill.words", op=op)),
+        }
+        for op in sorted(ops)
+    ]
 
 
 #: the metric reports: ``repro serve`` (and the serve smoke and soak
 #: scripts) print ``cache`` and ``overload`` from ``BCService.metrics`` at
-#: shutdown; every command that runs a machine prints ``memory`` from
-#: ``machine.metrics`` (``repro.cli.print_memory``):
-#: name -> (title, attribution function, headers, row dict -> cells)
+#: shutdown; every command that runs a machine prints ``faults`` and
+#: ``memory`` from ``machine.metrics`` (``repro.cli.print_run_reports``):
+#: name -> (title, attribution function, headers or rows -> headers,
+#: row dict -> cells)
 REPORTS: dict[str, tuple] = {
     "cache": (
         "cache events (serve.cache.*)",
@@ -205,11 +218,17 @@ REPORTS: dict[str, tuple] = {
         ["event", "label", "count"],
         lambda r: [r["event"], r["label"], r["count"]],
     ),
+    "faults": (
+        "run events (faults.*)",
+        fault_attribution,
+        lambda rows: list(rows[0]),  # one column per action the run recorded
+        lambda r: ["-" if v == 0 else v for v in r.values()],
+    ),
     "memory": (
         "memory pressure (memory.*)",
         memory_attribution,
-        ["event", "site", "count", "words"],
-        lambda r: [r["event"], r["site"], r["count"], r["words"]],
+        ["event", "count", "words"],
+        lambda r: [r["event"], r["count"], r["words"]],
     ),
 }
 
@@ -224,6 +243,8 @@ def format_report(name: str, metrics) -> str:
     rows = attribution(metrics)
     if not rows:
         return ""
+    if callable(headers):
+        headers = headers(rows)
     return f"{title}:\n" + format_table(headers, [cells(r) for r in rows])
 
 

@@ -35,13 +35,19 @@ from __future__ import annotations
 import argparse
 import sys
 import zlib
-from collections import Counter
 
 import numpy as np
 
 from repro.config import KNOBS
 
-__all__ = ["main", "build_parser", "add_run_flags", "build_machine", "print_reports"]
+__all__ = [
+    "main",
+    "build_parser",
+    "add_run_flags",
+    "build_machine",
+    "print_reports",
+    "print_run_reports",
+]
 
 #: argparse keywords of the knob flags that are not plain strings
 _KNOB_ARGS = {"memory_words": {"type": int}}
@@ -444,18 +450,7 @@ def _cmd_simulate(args) -> int:
         # one number to compare two runs' scores by (bit-identity, e.g. a
         # recovered faulty run against the fault-free one)
         print(f"scores crc32      : {zlib.crc32(res.scores.tobytes()):08x}")
-        if machine.faults is not None:
-            tally = Counter(
-                f"{ev.kind}/{ev.action}" for ev in machine.faults.events
-            )
-            print(
-                f"faults            : {machine.faults.describe()} "
-                f"({machine.faults.injected} injected, "
-                f"{len(machine.faults.events)} events"
-                + "".join(f", {name} {k}" for name, k in tally.items())
-                + ")"
-            )
-    print_memory(machine)
+    print_run_reports(machine)
     _print_recovery_summary(machine)
     _print_check_summary(engine)
     if session is not None:
@@ -489,11 +484,6 @@ def _print_trace_reports(args, session, machine, res) -> None:
     print()
     print(obs.render_timeline(session.tracer))
     print(report.format_trace_report(session.tracer, machine.ledger))
-    if machine.faults is not None:
-        from repro.faults import format_fault_report
-
-        print()
-        print(format_fault_report(machine.faults))
 
 
 def print_reports(names, metrics) -> None:
@@ -507,16 +497,23 @@ def print_reports(names, metrics) -> None:
             print(table)
 
 
-def print_memory(machine) -> None:
-    """The memory section: the peak against the budget, then the ``memory``
-    report of ``machine.metrics``; nothing when no memory event happened."""
+def print_run_reports(machine) -> None:
+    """The run's event sections, every count read from ``machine.metrics``:
+    the fault plan when one is attached, the ``faults`` report, then the
+    peak against the budget when one is set and the ``memory`` report.  A
+    report with no events prints nothing; each event's step, rank and detail
+    stay in ``machine.faults.events`` and the trace's ``fault.<kind>``
+    events."""
     from repro.analysis.report import format_report
 
-    table = format_report("memory", machine.metrics)
-    if table:  # relief, spills and the shrink rung happen under a budget only
+    if machine.faults is not None:
+        print(f"\nfaults            : {machine.faults.describe()}")
+    print_reports(("faults",), machine.metrics)
+    if machine.memory_words is not None:  # only a budget relieves or spills
+        table = format_report("memory", machine.metrics)
         print(
             f"\nmemory            : peak {machine.memory_peak():.0f} words/rank "
-            f"(budget {machine.memory_words})\n{table}"
+            f"(budget {machine.memory_words})" + (f"\n{table}" if table else "")
         )
 
 
@@ -593,7 +590,7 @@ def _cmd_serve(args) -> int:
             f"{stats['shed']} shed, {stats['degraded']} degraded"
         )
         print_reports(("cache", "overload"), service.metrics)
-        print_memory(service.machine)
+        print_run_reports(service.machine)
     return 0
 
 

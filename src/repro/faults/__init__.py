@@ -37,7 +37,6 @@ from repro.faults.plan import (
     RankFailure,
     ScriptedFault,
     corrupt_copy,
-    format_fault_report,
     note,
     payload_checksum,
     resolve_fault_plan,
@@ -56,7 +55,6 @@ __all__ = [
     "resolve_fault_plan",
     "corrupt_copy",
     "payload_checksum",
-    "format_fault_report",
     # checkpoint / restart
     "CheckpointState",
     "CheckpointStore",

@@ -88,7 +88,6 @@ __all__ = [
     "resolve_fault_plan",
     "corrupt_copy",
     "payload_checksum",
-    "format_fault_report",
 ]
 
 #: default modeled straggler skew scale, in seconds.
@@ -616,68 +615,3 @@ def resolve_fault_plan(spec: "FaultPlan | str | None") -> "FaultPlan | None":
             f"faults must be a FaultPlan, spec string, or None, got {spec!r}"
         )
     return config.ambient("faults", spec, FaultPlan.from_spec)
-
-
-#: action columns of the fault summary table, in lifecycle order — injection
-#: first, then detection, then every recovery outcome, then the fatal ends.
-_REPORT_ACTIONS = (
-    "injected",
-    "detected",
-    "recovered",
-    "degraded",
-    "resumed",
-    "retired",
-    "abandoned",
-)
-
-
-def format_fault_report(plan: "FaultPlan | None") -> str:
-    """Text summary of a plan's event stream (the ``repro trace`` section).
-
-    Events are grouped by ``(kind, site)`` with one column per action, so a
-    crash that was injected at ``bcast`` and later elastically recovered
-    reads as one row — injected vs. recovered vs. fatal (``abandoned``)
-    outcomes are distinguishable at a glance instead of being scattered
-    over per-action tallies.
-    """
-    from repro.analysis.report import format_table  # lazy: imports this package
-
-    if plan is None:
-        return "faults: no fault plan attached"
-    lines = [f"fault injection summary (plan {plan.describe()}):"]
-    if not plan.events:
-        lines.append("  no fault events recorded")
-        return "\n".join(lines)
-    by_row: dict[tuple[str, str], dict[str, int]] = {}
-    extra_actions: list[str] = []
-    for ev in plan.events:
-        row = by_row.setdefault((ev.kind, ev.site), {})
-        row[ev.action] = row.get(ev.action, 0) + 1
-        if ev.action not in _REPORT_ACTIONS and ev.action not in extra_actions:
-            extra_actions.append(ev.action)
-    actions = [
-        a
-        for a in (*_REPORT_ACTIONS, *extra_actions)
-        if any(a in row for row in by_row.values())
-    ]
-    table = format_table(
-        ["kind", "site", *actions],
-        [
-            [kind, site, *(row.get(a, 0) or "-" for a in actions)]
-            for (kind, site), row in sorted(by_row.items())
-        ],
-    )
-    lines.extend("  " + ln for ln in table.splitlines())
-    lines.append("  events:")
-    for ev in plan.events:
-        rank = "-" if ev.rank is None else str(ev.rank)
-        detail = (
-            " " + " ".join(f"{k}={v}" for k, v in ev.detail.items())
-            if ev.detail
-            else ""
-        )
-        lines.append(
-            f"    step {ev.step:>5}  {ev.kind:<8} {ev.action:<9} "
-            f"rank {rank:>3}  {ev.site}{detail}"
-        )
-    return "\n".join(lines)

@@ -20,7 +20,7 @@ can degrade relief but never corrupt data.  The ``tear`` fault kind
 
 Spill traffic is charged to the machine ledger under the ``"spill"``
 category (modeled local I/O: ``spill_alpha + words · spill_beta`` per
-segment) and counted once, as ``memory.spill.{events,words}{op, site}`` in
+segment) and counted once, as ``memory.spill.{events,words}{op}`` in
 ``machine.metrics`` beside the torn writes (``faults.detected{kind="tear"}``).
 """
 
@@ -179,9 +179,8 @@ class SpillStore:
     # -- accounting -----------------------------------------------------------
 
     def _charge(self, rank, words, *, op) -> None:
-        # the ``site`` label is the op: the memory report's rows key on it
-        self.metrics.count("memory.spill.events", 1.0, op=op, site=op)
-        self.metrics.count("memory.spill.words", float(words), op=op, site=op)
+        self.metrics.count("memory.spill.events", 1.0, op=op)
+        self.metrics.count("memory.spill.words", float(words), op=op)
         if self.machine is not None:
             self.machine.charge_spill(rank, words, op=op)
 

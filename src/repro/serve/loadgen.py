@@ -288,7 +288,7 @@ def run_load(
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.cli import add_run_flags, build_machine, print_memory, print_reports
+    from repro.cli import add_run_flags, build_machine, print_reports, print_run_reports
 
     parser = argparse.ArgumentParser(
         prog="repro.serve.loadgen",
@@ -333,14 +333,9 @@ def main(argv: list[str] | None = None) -> int:
             server.shutdown()
         service.close()
     print(report.summary())
-    faults = service.machine.faults
-    if faults is not None:
-        print(
-            f"faults: {faults.injected} injected, "
-            f"{len(service.machine.recoveries)} elastic recoveries"
-        )
     print_reports(("cache", "overload"), service.metrics)
-    print_memory(service.machine)
+    print_run_reports(service.machine)
+    faults = service.machine.faults
     if report.failed:
         print(f"FAIL: {report.failed} queries did not complete", file=sys.stderr)
         return 1

@@ -94,47 +94,111 @@ class TestLiteralReports:
         from repro.obs.metrics import Metrics
 
         m = Metrics()
-        m.count("memory.spill.events", 3, op="spill", site="distmat")
-        m.count("memory.spill.words", 1200, op="spill", site="distmat")
-        m.count("memory.spill.events", 2, op="unspill", site="distmat")
-        m.count("memory.spill.words", 800, op="unspill", site="distmat")
-        m.count("faults.detected", 1, kind="tear", site="distmat")
-        m.count("faults.evicted", 4, kind="spill", site="spgemm")
-        m.count("faults.degraded", 2, kind="mem", rung="shrink_batch", site="mfbc.batch")
-        m.count("faults.detected", 3, kind="mem", site="spgemm")  # an OOM: no row
+        m.count("memory.spill.events", 3, op="spill")
+        m.count("memory.spill.words", 1200, op="spill")
+        m.count("memory.spill.events", 2, op="unspill")
+        m.count("memory.spill.words", 800, op="unspill")
+        m.count("faults.evicted", 4, kind="spill", site="spgemm")  # a run event: no row
         assert format_report("memory", m) == (
             "memory pressure (memory.*):\n"
-            "              event        site  count  words\n"
-            "-------------------  ----------  -----  -----\n"
-            "        spill.spill     distmat      3   1200\n"
-            "      spill.unspill     distmat      2    800\n"
-            "         spill.torn     distmat      1      0\n"
-            "             relief      spgemm      4      0\n"
-            "ladder.shrink_batch  mfbc.batch      2      0"
+            "        event  count  words\n"
+            "-------------  -----  -----\n"
+            "  spill.spill      3   1200\n"
+            "spill.unspill      2    800"
         )
 
     def test_faults(self):
-        from repro.faults import FaultEvent, FaultPlan, format_fault_report
+        from repro.analysis.report import format_report
+        from repro.obs.metrics import Metrics
 
-        plan = FaultPlan.from_spec("seed:3,crash:0.02,limit:2")
-        plan.events.extend(
-            [
-                FaultEvent("crash", "injected", 12, "bcast", rank=1),
-                FaultEvent("crash", "recovered", 12, "bcast", rank=1, detail={"p": 3}),
-                FaultEvent("batch", "recovered", 40, "mfbc.batch"),
-                FaultEvent("mem", "squeezed", 41, "spgemm", rank=0),
+        m = Metrics()
+        m.count("faults.injected", 1, kind="crash", site="bcast")
+        m.count("faults.recovered", 1, kind="crash", site="bcast")
+        m.count("faults.recovered", 1, kind="batch", site="mfbc.batch")
+        m.count("faults.evicted", 4, kind="spill", site="spgemm")
+        m.count("faults.detected", 3, kind="mem", site="spgemm")
+        m.count("faults.degraded", 2, kind="mem", rung="shrink_batch", site="mfbc.batch")
+        m.count("memory.spill.events", 3, op="spill")  # spill traffic: no row
+        assert format_report("faults", m) == (
+            "run events (faults.*):\n"
+            " kind        site          rung  injected  detected  recovered  degraded  evicted\n"
+            "-----  ----------  ------------  --------  --------  ---------  --------  -------\n"
+            "batch  mfbc.batch                       -         -          1         -        -\n"
+            "crash       bcast                       1         -          1         -        -\n"
+            "  mem  mfbc.batch  shrink_batch         -         -          -         2        -\n"
+            "  mem      spgemm                       -         3          -         -        -\n"
+            "spill      spgemm                       -         -          -         -        4"
+        )
+
+    def test_faults_without_a_rung_has_no_rung_column(self):
+        from repro.analysis.report import format_report
+        from repro.obs.metrics import Metrics
+
+        m = Metrics()
+        m.count("faults.injected", 2, kind="straggle", site="gather")
+        assert format_report("faults", m) == (
+            "run events (faults.*):\n"
+            "    kind    site  injected\n"
+            "--------  ------  --------\n"
+            "straggle  gather         2"
+        )
+
+
+class TestOneReportPerSeries:
+    """Every run-event and spill series of a machine's registry is rendered
+    by exactly one row of exactly one report: bumping the series moves one
+    row of one :data:`REPORTS` table and nothing else."""
+
+    def test_budgeted_run_with_a_crash_torn_writes_and_the_shrink_rung(self):
+        from repro.analysis.report import REPORTS
+        from repro.core import mfbc
+        from repro.dist import DistributedEngine
+        from repro.graphs import rmat_graph
+        from repro.machine import Machine
+        from repro.obs.metrics import Metrics
+
+        from conftest import assert_fired
+
+        machine = Machine(
+            4, memory_words=6000, faults="seed:1,crash@20:1,tear:0.3,limit:4",
+            elastic="on", check="off",
+        )
+        mfbc(rmat_graph(7, 8, seed=1), batch_size=32, engine=DistributedEngine(machine))
+        assert_fired(machine)
+        metrics = machine.metrics
+        series = [
+            (name, dict(labels))
+            for name in metrics.names()
+            if name.startswith(("faults.", "memory."))
+            for labels in metrics.series(name)
+        ]
+        kinds = {(name, labels.get("kind")) for name, labels in series}
+        assert {
+            ("faults.injected", "crash"),
+            ("faults.recovered", "crash"),
+            ("faults.injected", "tear"),
+            ("faults.detected", "tear"),
+            ("faults.detected", "mem"),
+            ("faults.degraded", "mem"),
+            ("faults.evicted", "spill"),
+            ("memory.spill.events", None),
+            ("memory.spill.words", None),
+        } <= kinds
+        assert any("rung" in labels for _, labels in series)
+
+        def tables(m):
+            return {name: entry[1](m) for name, entry in REPORTS.items()}
+
+        before = tables(metrics)
+        for name, labels in series:
+            bumped = Metrics()
+            for row in metrics.snapshot():
+                bumped.count(row["metric"], row["value"], **row["labels"])
+            bumped.count(name, 1000.0, **labels)
+            moved = [
+                (report, i)
+                for report, rows in tables(bumped).items()
+                for i, (old, new) in enumerate(zip(before[report], rows))
+                if old != new
             ]
-        )
-        assert format_fault_report(plan) == (
-            "fault injection summary (plan seed:3,crash:0.02,limit:2):\n"
-            "   kind        site  injected  recovered  squeezed\n"
-            "  -----  ----------  --------  ---------  --------\n"
-            "  batch  mfbc.batch         -          1         -\n"
-            "  crash       bcast         1          1         -\n"
-            "    mem      spgemm         -          -         1\n"
-            "  events:\n"
-            "    step    12  crash    injected  rank   1  bcast\n"
-            "    step    12  crash    recovered rank   1  bcast p=3\n"
-            "    step    40  batch    recovered rank   -  mfbc.batch\n"
-            "    step    41  mem      squeezed  rank   0  spgemm"
-        )
+            assert len(moved) == 1, (name, labels, moved)

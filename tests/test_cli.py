@@ -175,9 +175,12 @@ class TestSimulateAndInfo:
         assert main(base + ["--faults", "corrupt@5,checksum:1"]) == 0
         out = capsys.readouterr().out
         assert (
-            "(1 injected, 3 events, corrupt/injected 1, corrupt/detected 1, "
-            "batch/recovered 1)" in out
-        )
+            "run events (faults.*):\n"
+            "   kind      site  injected  detected  recovered\n"
+            "-------  --------  --------  --------  ---------\n"
+            "  batch      mfbc         -         -          1\n"
+            "corrupt  alltoall         1         1          -\n"
+        ) in out
         assert crc(out) and crc(out) == crc(clean)
 
     @pytest.mark.parametrize(
@@ -228,7 +231,8 @@ class TestSimulateAndInfo:
 
     def test_simulate_prints_the_memory_table_trace_prints(self, tmp_path, capsys):
         """The memory section is counted in the machine's registry, so a
-        budgeted run prints the same table with tracing on or off."""
+        budgeted run prints the same table with tracing on or off; the torn
+        writes and the shrink rung are run events, not memory rows."""
         g7 = str(tmp_path / "g7.txt")
         assert main(["generate", "rmat", "--scale", "7", "--degree", "8",
                      "--seed", "1", "-o", g7]) == 0
@@ -245,8 +249,33 @@ class TestSimulateAndInfo:
 
         table = memory(simulated)
         assert "\nmemory pressure (memory.*):\n" in table
-        assert "spill.torn" in table and "ladder.shrink_batch" in table
+        assert "spill.spill" in table and "tear" not in table and "shrink" not in table
         assert table == memory(traced)
+
+    def test_simulate_and_trace_print_the_same_run_sections(self, tmp_path, capsys):
+        """Both commands print the fault plan, the ``faults`` report and the
+        memory section through one function from the machine's registry, so
+        a run with crashes, elastic recoveries, stragglers and the shrink
+        rung prints the same sections with tracing on or off."""
+        g7 = str(tmp_path / "g7.txt")
+        assert main(["generate", "rmat", "--scale", "7", "--degree", "8",
+                     "--seed", "1", "-o", g7]) == 0
+        run = [g7, "--p", "4", "--memory-words", "3000", "--elastic", "on",
+               "--faults", "seed:1,crash:0.05,straggle:0.1,limit:3"]
+        capsys.readouterr()
+        assert main(["simulate", *run]) == 0
+        simulated = capsys.readouterr().out
+        assert main(["trace", *run, "-o", str(tmp_path / "trace.json")]) == 0
+        traced = capsys.readouterr().out
+
+        def sections(out):
+            return out.split("\nfaults            : ", 1)[1].split("\n\nreconciliation")[0].rstrip()
+
+        text = sections(simulated)
+        assert text.startswith("seed:1,crash:0.05,straggle:0.1,limit:3\n")
+        assert "\nrun events (faults.*):\n" in text and "shrink_batch" in text
+        assert "\nmemory            : peak " in text and "spill.spill" in text
+        assert text == sections(traced)
 
     def test_info(self, graph_file, capsys):
         path, n = graph_file

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.analysis.report import fault_attribution, format_report
 from repro.core import mfbc
 from repro.core.ladder import RecoveryLadder
 from repro.dist import DistributedEngine
@@ -21,7 +22,6 @@ from repro.faults import (
     MemoryCheckpointStore,
     RankFailure,
     corrupt_copy,
-    format_fault_report,
     payload_checksum,
     resolve_fault_plan,
 )
@@ -530,16 +530,15 @@ class TestAcceptance:
         mfbc(
             small_undirected, batch_size=8, engine=DistributedEngine(m), retries=3
         )
-        report = format_fault_report(m.faults)
-        assert "fault injection summary" in report
+        report = format_report("faults", m.metrics)
         # the attribution table groups counts by (kind, site) with one
         # column per recovery outcome
+        assert report.startswith("run events (faults.*):\n")
         assert "kind" in report and "injected" in report
-        crash_rows = [
-            ln for ln in report.splitlines() if ln.strip().startswith("crash")
-        ]
-        assert crash_rows  # the injected crashes are attributed to a site
-        assert format_fault_report(None) == "faults: no fault plan attached"
+        crash_rows = [r for r in fault_attribution(m.metrics) if r["kind"] == "crash"]
+        # the injected crashes are attributed to a site, once per plan event
+        assert crash_rows and sum(r["injected"] for r in crash_rows) == m.faults.injected
+        assert format_report("faults", Machine(4, faults="off").metrics) == ""
 
     def test_fault_events_mirrored_to_obs(self, small_undirected):
         session = obs.enable()

@@ -20,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis.report import format_report, memory_attribution
+from repro.analysis.report import fault_attribution, format_report, memory_attribution
 from repro.core import mfbc, mfbc_per_source
 from repro.core.approx import adaptive_bc
 from repro.core.ladder import RUNGS, RecoveryLadder
@@ -179,9 +179,7 @@ class TestSnapshotPin:
             "restored_words": words,
             "torn_writes": 0,
         }
-        assert store.metrics.get_count(
-            "memory.spill.events", op="spill", site="spill"
-        ) == 1
+        assert store.metrics.get_count("memory.spill.events", op="spill") == 1
         assert other.metrics is not store.metrics
         assert other.snapshot()["spilled_blocks"] == 0
 
@@ -748,22 +746,25 @@ class TestMemoryReport:
         run_mfbc(g, machine)
         rows = memory_attribution(machine.metrics)
         events = {r["event"] for r in rows}
-        assert "spill.spill" in events
-        assert "relief" in events
+        assert "spill.spill" in events and events <= {"spill.spill", "spill.unspill"}
         spilled = [r for r in rows if r["event"] == "spill.spill"]
         assert sum(r["words"] for r in spilled) > 0
         text = format_report("memory", machine.metrics)
         assert "memory pressure" in text and "spill.spill" in text
+        # the reliefs that spilled are run events, in the faults report
+        reliefs = [r for r in fault_attribution(machine.metrics) if r["kind"] == "spill"]
+        assert sum(r["evicted"] for r in reliefs) == machine.memory.snapshot()["reliefs"] > 0
 
     def test_report_empty_without_pressure(self):
         machine = quiet(4)
         run_mfbc(seed_graph(), machine)
         assert memory_attribution(machine.metrics) == []
         assert format_report("memory", machine.metrics) == ""
+        assert format_report("faults", machine.metrics) == ""
 
     def test_inert_fault_plan_reports_the_same(self):
         # every run event goes through one emitter, so attaching a plan that
-        # injects nothing must not move a row; the off-spellings are explicit
+        # injects nothing must not move a row of either report; the off-spellings are explicit
         # because the CI ladder leg sets an ambient REPRO_FAULTS.  The budget
         # is the smallest round one the run completes in: a product's output
         # stays on its plan's layout, and at the narrowest sweep 1D-B's row
@@ -777,6 +778,9 @@ class TestMemoryReport:
             )
             engine = DistributedEngine(machine)
             mfbc(g, engine=engine, batch_size=32, max_batches=2)
-            reports.append(format_report("memory", machine.metrics))
-        assert "relief" in reports[0] and "ladder.shrink_batch" in reports[0]
+            reports.append(
+                [format_report(name, machine.metrics) for name in ("faults", "memory")]
+            )
+        faults, memory = reports[0]
+        assert "evicted" in faults and "shrink_batch" in faults and "spill.spill" in memory
         assert reports[1] == reports[0]
