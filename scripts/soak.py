@@ -8,8 +8,9 @@ on — then asserts the liveness invariants the overload design promises:
 
 1. **no hang** — the soak finishes inside its wall budget and every
    submission reached a terminal outcome;
-2. **bounded queue** — observed queue depth never exceeds the configured
-   admission bound (sampled concurrently throughout the run);
+2. **bounded queue** — the coalescer's queue depth (what the admission
+   snapshot reads) never exceeds the configured admission bound (sampled
+   concurrently throughout the run);
 3. **zero non-shed failures** — every query is answered, degraded,
    expired-by-its-own-deadline, or shed with a structured 503; nothing
    fails for any other reason;
@@ -33,7 +34,7 @@ on — then asserts the liveness invariants the overload design promises:
    run also corrupts most attempts of the first batches until ``limit``
    is spent — three in a row exhaust the service's retry ladder.
 9. **scripted faults fired** — every one-shot the spec scripts
-   (``crash@STEP``, ``corrupt@STEP``, ...) landed.  A step past the run's
+   (``crash@STEP``, ``corrupt@STEP``, ``tear@STEP``) landed.  A step past the run's
    last collective would leave the soak quietly fault-free, so a change to
    how many collectives a sweep issues fails here, not silently.
 10. **memory pressure exercised** — under a per-rank budget, the storm
@@ -44,14 +45,14 @@ on — then asserts the liveness invariants the overload design promises:
 Run the CI smoke configuration::
 
     python scripts/soak.py --duration 60 --factor 4 \
-        --faults "seed:3,crash@25:1,corrupt@60,corrupt@400,checksum:1,tear:0.05,limit:6" \
+        --faults "seed:3,crash@25:1,corrupt@60,corrupt@400,tear@1,checksum:1,limit:6" \
         --elastic on --check cheap --memory-words 20000
 
 ``--memory-words`` arms memory pressure under the storm: the soak service
-runs inside a per-rank budget (with ``tear:RATE`` injecting torn
-spill-segment writes), so admission control, relief eviction to the spill
-store and every rung of the recovery ladder (shrink, elastic, retry)
-defend the same run — still with zero non-shed failures and bit-identical
+runs inside a per-rank budget (``tear@1`` tears the first spill-segment
+write, and invariant 9 fails a run that never spilled to tear), so
+admission control, relief eviction to the spill store and every rung of
+the recovery ladder (shrink, elastic, retry) defend the same run — still with zero non-shed failures and bit-identical
 post-storm answers.  The CI budget sits below the service's unpressured
 peak (26 326 words/rank on this graph), which invariant 10 checks.
 

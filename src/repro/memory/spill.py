@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.faults.checkpoint import atomic_save_npz
 from repro.faults.plan import note, payload_checksum
-from repro.obs.metrics import Metrics
 from repro.sparse.spmatrix import SpMat
 
 __all__ = ["SpillError", "SpillSegment", "SpillStore"]
@@ -98,18 +97,17 @@ class SpillStore:
         made (``None``: the system temporary directory).  The private
         directory is removed when the store is garbage-collected.
     machine:
-        Optional :class:`~repro.machine.Machine`; when given, spill and
+        The :class:`~repro.machine.Machine` the store serves: spill and
         unspill traffic is charged to its ledger (category ``"spill"``) and
-        counted in ``machine.metrics``; without one, in the store's own.
+        counted in ``machine.metrics``.
     """
 
-    def __init__(self, directory=None, *, machine=None) -> None:
+    def __init__(self, directory=None, *, machine) -> None:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
         self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-spill-", dir=directory)
         self.directory = self._tmpdir.name
         self.machine = machine
-        self.metrics = Metrics() if machine is None else machine.metrics
 
     # -- spill / fetch --------------------------------------------------------
 
@@ -131,7 +129,7 @@ class SpillStore:
             _block_payload(blk),
             meta={"nrows": blk.nrows, "ncols": blk.ncols, "crc": crc},
         )
-        hook = getattr(self.machine, "_fault_hook", None)
+        hook = self.machine._fault_hook
         if hook is not None and hook.take_tear():
             note(self.machine, "tear", "injected", site="spill", key=key)
             _tear_file(path)
@@ -139,9 +137,7 @@ class SpillStore:
         # write-then-verify: only a read-back that matches the CRC makes the
         # segment durable enough to drop the resident block
         if self._read(seg) is None:
-            # noted on the machine, or on the store itself without one: either
-            # way the count lands in ``self.metrics``
-            note(self.machine or self, "tear", "detected", site="spill", key=key)
+            note(self.machine, "tear", "detected", site="spill", key=key)
             os.remove(path)
             return None
         self._charge(rank, words, op="spill")
@@ -179,15 +175,15 @@ class SpillStore:
     # -- accounting -----------------------------------------------------------
 
     def _charge(self, rank, words, *, op) -> None:
-        self.metrics.count("memory.spill.events", 1.0, op=op)
-        self.metrics.count("memory.spill.words", float(words), op=op)
-        if self.machine is not None:
-            self.machine.charge_spill(rank, words, op=op)
+        m = self.machine.metrics
+        m.count("memory.spill.events", 1.0, op=op)
+        m.count("memory.spill.words", float(words), op=op)
+        self.machine.charge_spill(rank, words, op=op)
 
     def snapshot(self) -> dict:
         """Blocks and words spilled and restored, and torn writes: sums of
-        :attr:`metrics`."""
-        m = self.metrics
+        ``machine.metrics``."""
+        m = self.machine.metrics
         return {
             "spilled_blocks": int(m.total("memory.spill.events", op="spill")),
             "restored_blocks": int(m.total("memory.spill.events", op="unspill")),

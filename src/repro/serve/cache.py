@@ -8,8 +8,8 @@ then purges the now-unreachable old-version entries.
 
 Every cache event is counted once, in the cache's metrics registry
 (``serve.cache.hit`` / ``miss`` / ``invalidate`` / ``evict``, labeled by
-algorithm) — the service's, ``BCService.metrics``, or the cache's own when
-it stands alone.  ``stats()`` and the ``cache`` report read it.
+algorithm) — the service's, ``BCService.metrics``.  ``stats()`` and the
+``cache`` report read it.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ class ScoreCache:
     while the dispatcher thread populates it after each sweep.
     """
 
-    def __init__(self, capacity: int = 4096, metrics: Metrics | None = None) -> None:
+    def __init__(self, capacity: int = 4096, *, metrics: Metrics) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
-        self.metrics = Metrics() if metrics is None else metrics
+        self.metrics = metrics
         self._entries: OrderedDict[tuple, object] = OrderedDict()
         self._lock = threading.Lock()
 

@@ -12,6 +12,8 @@ answered against the version current when its batch executes (the service
 holds the execution lock across mutations), and its cache key is stamped
 then.  Two queries can therefore only land in one batch when they will be
 computed on the same graph.
+The pending deque is the service's one record of its queue: only the
+admission controller fills it, and it reads :meth:`Coalescer.depth`.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class Query:
     graph_version: int | None = None  # version the answer was computed at
     attempts: int = 0
     batch_size: int = 0  # width of the sweep that answered it
-    #: a-priori modeled-seconds cost charged to the admission controller
+    #: a-priori modeled-seconds cost, summed into the queue's modeled seconds
     cost_estimate: float = 0.0
     #: True when answered in brownout (downgraded algorithm or stale cache)
     degraded: bool = False
@@ -71,8 +73,6 @@ class Query:
     stale_version: int | None = None
     #: rate-limit principal (HTTP X-Client-Id / remote address)
     client: str | None = None
-    #: admission accounting latch — set once the cost has been released
-    admission_released: bool = field(default=False, repr=False)
     submitted_wall: float = field(default_factory=time.perf_counter)
     queue_seconds: float = 0.0
     compute_seconds: float = 0.0
@@ -124,19 +124,31 @@ class Coalescer:
         with self._cond:
             return len(self._pending)
 
-    def put(self, query: Query) -> None:
+    def depth(self) -> tuple[int, float]:
+        """Queued queries and their summed ``cost_estimate``, at one instant."""
+        with self._cond:
+            return self._depth_locked()
+
+    def _depth_locked(self) -> tuple[int, float]:
+        return len(self._pending), sum((q.cost_estimate for q in self._pending), 0.0)
+
+    def put(self, query: Query) -> tuple[int, float]:
+        """Queue ``query`` last; returns the :meth:`depth` after."""
         with self._cond:
             if self._closed:
                 raise RuntimeError("coalescer is closed")
             self._pending.append(query)
             self._cond.notify_all()
+            return self._depth_locked()
 
-    def putback(self, queries: list[Query]) -> None:
-        """Requeue ``queries`` at the front (deadline survivors, retries)."""
+    def putback(self, queries: list[Query]) -> tuple[int, float]:
+        """Requeue survivors (deadline, retry) first; returns the :meth:`depth` after."""
         with self._cond:
             for q in reversed(queries):
+                q.state = QueryState.QUEUED
                 self._pending.appendleft(q)
             self._cond.notify_all()
+            return self._depth_locked()
 
     def remove(self, query: Query) -> bool:
         """Withdraw a queued query (the cancel path)."""

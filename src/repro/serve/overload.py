@@ -6,10 +6,11 @@ defends against *load*-driven failure — the congestion collapse an
 unbounded FIFO plus jitter-free retries produce under sustained
 over-subscription.  Four cooperating pieces:
 
-* :class:`AdmissionController` — bounds the queue by **query count and
-  total modeled seconds** of queued work, enforces per-client token-bucket
-  rate limits, and rejects with a structured :class:`AdmissionError`
-  carrying a ``Retry-After`` hint.  The α-β cost model gives the service
+* :class:`AdmissionController` — the one way into the coalescer: bounds
+  its queue by **query count and total modeled seconds** (both read off
+  the coalescer), enforces per-client token-bucket rate limits, and
+  rejects with a structured :class:`AdmissionError` carrying a
+  ``Retry-After`` hint.  The α-β cost model gives the service
   something real deployments rarely have: an accurate *a-priori* per-query
   cost estimate (:class:`CostEstimator`), so admission is cost-aware — one
   whole-graph BC query and one BFS row are not the same unit of work.
@@ -18,7 +19,7 @@ over-subscription.  Four cooperating pieces:
   degraded service (stale cache reads, exact ``bc`` downgraded to
   fixed-pivot ``approx_bc``); crossing the *shed* high watermark rejects
   new work outright.  Each band re-arms only below its low watermark, so
-  single arrivals and releases never flap at a boundary.  That holds
+  single arrivals and departures never flap at a boundary.  That holds
   while one sweep takes fewer queries than the shed band is wide,
   ``max_batch < (SHED_HIGH - SHED_LOW) * max_queued``: a wider sweep
   (32 of a 64-query queue, whose band is 25.6 queries) crosses the whole
@@ -34,8 +35,8 @@ over-subscription.  Four cooperating pieces:
 Everything here is deliberately clock-injectable (``clock=``) so tests run
 deterministic; the service wires ``time.monotonic``.  The controller and
 the breaker count their events (``serve.overload.state`` /
-``serve.overload.breaker``) into the ``metrics=`` registry they are given —
-the service's, ``BCService.metrics`` — or into their own.
+``serve.overload.breaker``) into the ``metrics=`` registry they are given,
+the service's ``BCService.metrics``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.obs.metrics import Metrics
+from repro.serve.coalescer import Coalescer, Query
 
 __all__ = [
     "ServiceState",
@@ -103,8 +105,8 @@ COST_SMOOTHING = 0.3
 class OverloadConfig:
     """Admission bounds, per-client rate limits and the brownout answer.
 
-    Pressure is ``max(queued_count / max_queued,
-    queued_seconds / max_queued_seconds)`` — the count bound protects
+    Pressure is ``max(queued / max_queued, queued_seconds /
+    max_queued_seconds)`` over the coalescer's queue — the count bound protects
     latency under many cheap queries, the modeled-seconds bound under few
     expensive ones.  The watermarks over it, the breaker and the watchdog
     are the module constants above.
@@ -195,100 +197,112 @@ class TokenBucket:
 class AdmissionController:
     """Cost-aware queue bounds, per-client rate limits, and the governor.
 
-    The service calls :meth:`admit` at submit time, :meth:`release` when a
-    query leaves the queue (its batch started, or it was cancelled), and
-    :meth:`readmit` when retry/deadline survivors are put back — readmits
-    never re-run the checks, so retries cannot be shed by their own queue.
+    The one way into the :class:`~repro.serve.coalescer.Coalescer` it
+    bounds (:meth:`admit`; :meth:`requeue` never rejects), counting nothing
+    of its own.  The watermarks are evaluated at each rise and, if the queue
+    shrank since (a take, a cancel, a drain), before each read: the queue
+    only shrinks in between, so the pressure acted on is the lowest since.
     """
 
     def __init__(
         self,
         config: OverloadConfig,
+        coalescer: Coalescer,
+        *,
+        metrics: Metrics,
         clock=time.monotonic,
-        metrics: Metrics | None = None,
     ) -> None:
         self.config = config
+        self.coalescer = coalescer
+        self.metrics = metrics
         self._clock = clock
-        self.metrics = Metrics() if metrics is None else metrics
         self._lock = threading.Lock()
-        self.queued_count = 0
-        self.queued_seconds = 0.0
+        self._evaluated = 0  # queue depth at the last evaluation
         self.peak_queued = 0
-        self.brownout_active = False
-        self.shedding_active = False
+        self._brownout = self._shedding = False
         self._buckets: dict[str, TokenBucket] = {}
         #: EWMA of wall seconds the dispatcher needed per drained query —
         #: the drain rate behind the Retry-After hint
         self._wall_per_query = 0.01
 
-    # -- pressure and the watermark governor ---------------------------------
+    # -- the watermark governor ----------------------------------------------
 
-    def pressure(self) -> float:
+    @property
+    def brownout_active(self) -> bool:
+        """Brownout armed; a forced value holds until the queue changes."""
         with self._lock:
-            return self._pressure_locked()
+            self._settle_locked()
+            return self._brownout
 
-    def _pressure_locked(self) -> float:
-        p = self.queued_count / self.config.max_queued
+    @brownout_active.setter
+    def brownout_active(self, on: bool) -> None:
+        with self._lock:
+            self._settle_locked()
+            self._brownout = on
+
+    def _pressure(self, count: int, seconds: float) -> float:
+        p = count / self.config.max_queued
         if self.config.max_queued_seconds is not None:
-            p = max(p, self.queued_seconds / self.config.max_queued_seconds)
+            p = max(p, seconds / self.config.max_queued_seconds)
         return p
 
-    def _update_state_locked(self) -> None:
-        p = self._pressure_locked()
-        shed, brown = self.shedding_active, self.brownout_active
+    def _settle_locked(self) -> None:
+        if len(self.coalescer) < self._evaluated:
+            self._evaluate_locked(self.coalescer.depth())
+
+    def _evaluate_locked(self, depth: tuple[int, float]) -> None:
+        self._evaluated = count = depth[0]
+        self.peak_queued = max(self.peak_queued, count)
+        p = self._pressure(*depth)
+        shed, brown = self._shedding, self._brownout
         if p >= SHED_HIGH:
-            self.shedding_active = True
-        elif self.shedding_active and p <= SHED_LOW:
-            self.shedding_active = False
+            self._shedding = True
+        elif self._shedding and p <= SHED_LOW:
+            self._shedding = False
         if p >= BROWNOUT_HIGH:
-            self.brownout_active = True
-        elif self.brownout_active and p <= BROWNOUT_LOW and not self.shedding_active:
-            self.brownout_active = False
-        if self.shedding_active != shed:
+            self._brownout = True
+        elif self._brownout and p <= BROWNOUT_LOW and not self._shedding:
+            self._brownout = False
+        if self._shedding != shed:
             self.metrics.count(
                 "serve.overload.state",
-                transition="shed_on" if self.shedding_active else "shed_off",
+                transition="shed_on" if self._shedding else "shed_off",
             )
-        if self.brownout_active != brown:
+        if self._brownout != brown:
             self.metrics.count(
                 "serve.overload.state",
-                transition="brownout_on" if self.brownout_active else "brownout_off",
+                transition="brownout_on" if self._brownout else "brownout_off",
             )
 
-    # -- admit / release ------------------------------------------------------
+    # -- into the queue -------------------------------------------------------
 
-    def admit(self, cost_seconds: float, client: str | None = None) -> None:
-        """Admit one query of modeled cost ``cost_seconds`` or raise.
-
-        Check order: shed state → modeled-seconds bound → per-client rate
-        limit.  The count bound needs no check of its own: a full queue is
-        pressure 1, above ``SHED_HIGH``, so it is already shedding.  On
-        success the queue accounting is already charged when this returns.
-        Queued queries hold no blocks, so memory is no queue bound: the
-        machine's per-rank budget bounds the one sweep that runs.
-        """
+    def admit(self, query: Query) -> None:
+        """Queue ``query`` or raise: shed state → modeled-seconds bound →
+        ``query.client``'s rate limit.  A full queue is pressure 1, above
+        ``SHED_HIGH``, so the count bound needs no check of its own; queued
+        queries hold no blocks, so memory is no queue bound."""
         cfg = self.config
         with self._lock:
-            if self.shedding_active:
+            self._settle_locked()
+            if self._shedding:
                 raise AdmissionError(
                     "overloaded",
                     "service is shedding load (queue pressure above the shed "
                     "watermark)",
                     self._retry_after_locked(),
                 )
-            if (
-                cfg.max_queued_seconds is not None
-                and self.queued_seconds + cost_seconds > cfg.max_queued_seconds
-            ):
-                raise AdmissionError(
-                    "queue_seconds",
-                    f"queued work at {self.queued_seconds:.3e}s modeled "
-                    f"(+{cost_seconds:.3e}s would exceed the "
-                    f"{cfg.max_queued_seconds:.3e}s budget)",
-                    self._retry_after_locked(),
-                )
+            if cfg.max_queued_seconds is not None:
+                queued = self.coalescer.depth()[1]
+                if queued + query.cost_estimate > cfg.max_queued_seconds:
+                    raise AdmissionError(
+                        "queue_seconds",
+                        f"queued work at {queued:.3e}s modeled "
+                        f"(+{query.cost_estimate:.3e}s would exceed the "
+                        f"{cfg.max_queued_seconds:.3e}s budget)",
+                        self._retry_after_locked(),
+                    )
             if cfg.client_rate is not None:
-                key = client or ""
+                key = query.client or ""
                 bucket = self._buckets.get(key)
                 if bucket is None:
                     bucket = self._buckets[key] = TokenBucket(
@@ -302,25 +316,13 @@ class AdmissionController:
                         f"{cfg.client_rate}/s rate limit",
                         max(wait, RETRY_AFTER_FLOOR),
                     )
-            self.queued_count += 1
-            self.queued_seconds += cost_seconds
-            self.peak_queued = max(self.peak_queued, self.queued_count)
-            self._update_state_locked()
+            self._evaluate_locked(self.coalescer.put(query))
 
-    def release(self, cost_seconds: float) -> None:
-        """A query left the queue (batch started / cancelled / drained)."""
+    def requeue(self, queries: list[Query]) -> None:
+        """Put retry / deadline survivors back first; never rejects."""
         with self._lock:
-            self.queued_count = max(0, self.queued_count - 1)
-            self.queued_seconds = max(0.0, self.queued_seconds - cost_seconds)
-            self._update_state_locked()
-
-    def readmit(self, cost_seconds: float) -> None:
-        """Re-charge a putback (retry / deadline survivor); never rejects."""
-        with self._lock:
-            self.queued_count += 1
-            self.queued_seconds += cost_seconds
-            self.peak_queued = max(self.peak_queued, self.queued_count)
-            self._update_state_locked()
+            self._settle_locked()
+            self._evaluate_locked(self.coalescer.putback(queries))
 
     def observe_drain(self, n_queries: int, wall_seconds: float) -> None:
         """Feed the drain-rate EWMA behind the Retry-After hint."""
@@ -335,18 +337,20 @@ class AdmissionController:
             return self._retry_after_locked()
 
     def _retry_after_locked(self) -> float:
-        est = self.queued_count * self._wall_per_query
+        est = len(self.coalescer) * self._wall_per_query
         return min(max(est, RETRY_AFTER_FLOOR), RETRY_AFTER_CAP)
 
     def snapshot(self) -> dict:
         with self._lock:
+            self._settle_locked()
+            count, seconds = self.coalescer.depth()
             return {
-                "queued_count": self.queued_count,
-                "queued_seconds": self.queued_seconds,
+                "queued_count": count,
+                "queued_seconds": seconds,
                 "peak_queued": self.peak_queued,
-                "pressure": self._pressure_locked(),
-                "brownout": self.brownout_active,
-                "shedding": self.shedding_active,
+                "pressure": self._pressure(count, seconds),
+                "brownout": self._brownout,
+                "shedding": self._shedding,
             }
 
 
@@ -368,9 +372,9 @@ class CircuitBreaker:
     ``serve.overload.breaker{state}`` event.
     """
 
-    def __init__(self, clock=time.monotonic, metrics: Metrics | None = None) -> None:
+    def __init__(self, *, metrics: Metrics, clock=time.monotonic) -> None:
         self._clock = clock
-        self.metrics = Metrics() if metrics is None else metrics
+        self.metrics = metrics
         self._lock = threading.Lock()
         self._state = BreakerState.CLOSED
         self._failures = 0

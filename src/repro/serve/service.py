@@ -36,8 +36,9 @@ machine's modeled-time guard, and on expiry only the blown queries fail
 while the rest retry.
 
 Overload composes with both (:mod:`repro.serve.overload`): every
-submission passes a cost-aware :class:`~repro.serve.overload.AdmissionController`
-(queue bounds in queries *and* modeled seconds, per-client token buckets,
+submission and requeued batch enters the coalescer through a cost-aware
+:class:`~repro.serve.overload.AdmissionController` (queue bounds in queries
+*and* modeled seconds read off the coalescer, per-client token buckets,
 deadline-infeasibility rejection), watermark pressure arms brownout
 (stale cache reads, exact ``bc`` downgraded to fixed-pivot ``approx_bc``
 or the (ε, δ)-bounded ``adaptive_bc`` per
@@ -201,7 +202,9 @@ class BCService:
         self.cache = ScoreCache(capacity=cache_capacity, metrics=self.metrics)
         self.coalescer = Coalescer(max_batch=max_batch, window=batch_window)
         self.overload = overload or OverloadConfig()
-        self.admission = AdmissionController(self.overload, metrics=self.metrics)
+        self.admission = AdmissionController(
+            self.overload, self.coalescer, metrics=self.metrics
+        )
         self.breaker = CircuitBreaker(metrics=self.metrics)
         self.estimator = CostEstimator(machine, graph)
         self._queries: dict[str, Query] = {}
@@ -372,14 +375,16 @@ class BCService:
             raise CircuitOpen(
                 f"fault circuit open; retry in {breaker_wait:.2f}s", breaker_wait
             )
-        try:
-            self.admission.admit(estimate, client)
-        except AdmissionError as exc:
-            self.metrics.count("serve.overload.shed", reason=exc.reason)
-            raise
         query.cost_estimate = estimate
-        self._register(query)
-        self.coalescer.put(query)
+        # registered before the dispatcher can take it: a shed query is
+        # never registered, and no unregistered query is ever finished
+        with self._registry_lock:
+            try:
+                self.admission.admit(query)
+            except AdmissionError as exc:
+                self.metrics.count("serve.overload.shed", reason=exc.reason)
+                raise
+            self._register(query)
         return query
 
     def poll(self, query_id: str) -> dict:
@@ -403,7 +408,6 @@ class BCService:
                 return False
             self._finish(q, QueryState.CANCELLED, error="cancelled")
         self.coalescer.remove(q)
-        self._release_admission(q)
         return True
 
     def update_graph(self, graph: Graph) -> int:
@@ -509,7 +513,6 @@ class BCService:
         self._stop.set()
         self.coalescer.close()
         for q in self.coalescer.drain():
-            self._release_admission(q)
             self._finish(
                 q,
                 QueryState.CANCELLED,
@@ -571,8 +574,6 @@ class BCService:
 
     def _execute(self, batch: list[Query]) -> None:
         with self._exec_lock:
-            for q in batch:
-                self._release_admission(q)
             version = self.graph_version
             algorithm = batch[0].algorithm
             now = _wall()
@@ -666,7 +667,7 @@ class BCService:
                 )
             if survivors:
                 self.metrics.count("serve.retries")
-                self._requeue(survivors)
+                self.admission.requeue(survivors)
             return
         except FaultError as exc:
             self._handle_fault(queries, exc, ladder)
@@ -724,15 +725,7 @@ class BCService:
                 q.attempts -= 1
         else:
             self.metrics.count("serve.retries")
-        self._requeue(queries)
-
-    def _requeue(self, queries: list[Query]) -> None:
-        """Putback survivors at the queue front, re-charging admission."""
-        for q in queries:
-            q.state = QueryState.QUEUED
-            self.admission.readmit(q.cost_estimate)
-            q.admission_released = False
-        self.coalescer.putback(queries)
+        self.admission.requeue(queries)
 
     # -- kernels -------------------------------------------------------------
 
@@ -871,14 +864,6 @@ class BCService:
         if q is None:
             raise KeyError(f"unknown query id {query_id!r}")
         return q
-
-    def _release_admission(self, q: Query) -> None:
-        """Un-charge a query's cost from the queue accounting exactly once."""
-        with self._registry_lock:
-            if q.admission_released or q.cost_estimate <= 0:
-                return
-            q.admission_released = True
-        self.admission.release(q.cost_estimate)
 
     def _register(self, query: Query) -> None:
         """Make ``query`` pollable and count it submitted."""

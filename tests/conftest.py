@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
+import time
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ def assert_fired(machine) -> None:
     each test that scripts one asserts it landed."""
     unfired = machine.faults.unfired()
     assert not unfired, f"scripted faults never fired: {unfired}"
+
+
+def park(service, source: int = 0) -> str:
+    """Submit ``bc_source`` at ``source`` and wait until the dispatcher has
+    taken it off the queue; returns its id.  Under ``service._exec_lock``
+    the dispatcher then waits with that query outside the queue, so the
+    queries submitted next stay queued: they are what fills it."""
+    qid = service.submit("bc_source", source=source)
+    deadline = time.monotonic() + 30.0
+    while len(service.coalescer) and time.monotonic() < deadline:
+        time.sleep(0.002)
+    assert not len(service.coalescer), "the dispatcher never took the query"
+    return qid
 
 
 @pytest.fixture(autouse=True, scope="session")

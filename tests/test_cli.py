@@ -331,16 +331,20 @@ class TestServe:
         import repro.serve
         from repro.serve import AdmissionError
 
+        from conftest import park
+
         path, _ = graph_file
         real = repro.serve.serve_http
 
         def drive(service):
-            # a miss, a hit and a shed (the queue holds one query), then
-            # the shutdown an interrupt or SIGTERM would ask for
+            # a miss, a hit, one query parked in the dispatcher, one
+            # filling the queue (it holds one query) and a shed, then the
+            # shutdown an interrupt or SIGTERM would ask for
             service.result(service.submit("bc_source", source=0), timeout=60.0)
             service.result(service.submit("bc_source", source=0), timeout=60.0)
             with service._exec_lock:
-                service.submit("bc_source", source=1)
+                park(service, source=1)
+                service.submit("bc_source", source=3)
                 with pytest.raises(AdmissionError):
                     service.submit("bc_source", source=2)
 
@@ -354,9 +358,9 @@ class TestServe:
         monkeypatch.setattr(repro.serve, "serve_http", serve_http)
         assert main(["serve", path, "--p", "2", "--port", "0", "--max-queued", "1"]) == 0
         out = capsys.readouterr().out
-        assert "served 3 queries" in out and "1 shed" in out
+        assert "served 4 queries" in out and "1 shed" in out
         cache = out.split("\ncache events (serve.cache.*):\n")[1].splitlines()
-        assert cache[2].split() == ["bc_source", "1", "3", "0", "25.0%"]
+        assert cache[2].split() == ["bc_source", "1", "4", "0", "20.0%"]
         overload = out.split("\noverload events (serve.overload.*):\n")[1].splitlines()
         assert overload[2].split() == ["shed", "overloaded", "1"]
 

@@ -63,7 +63,7 @@ def run_mfbc(g, machine, *, batch=64):
 class TestSpillStore:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         blk = random_weight_spmat(rng, 12, 9, 0.3)
-        store = SpillStore(tmp_path)
+        store = SpillStore(tmp_path, machine=quiet(1))
         seg = store.spill("a-0-0", blk)
         assert seg is not None and seg.words == blk.words()
         back = store.fetch(seg)
@@ -103,7 +103,7 @@ class TestSpillStore:
 
     def test_fetch_raises_when_no_generation_durable(self, tmp_path, rng):
         blk = random_weight_spmat(rng, 6, 6, 0.3)
-        store = SpillStore(tmp_path)
+        store = SpillStore(tmp_path, machine=quiet(1))
         seg = store.spill("k", blk)
         with open(seg.path, "r+b") as fh:
             fh.truncate(4)
@@ -115,7 +115,7 @@ class TestSpillStore:
         # --spill-dir must neither overwrite nor delete each other's segments
         a_blk = random_weight_spmat(rng, 6, 6, 0.3)
         b_blk = random_weight_spmat(rng, 7, 5, 0.3)
-        a, b = SpillStore(tmp_path), SpillStore(tmp_path)
+        a, b = (SpillStore(tmp_path, machine=quiet(1)) for _ in range(2))
         a_seg = a.spill("m0-b0-0", a_blk)
         b_seg = b.spill("m0-b0-0", b_blk)
         b.drop("m0-b0-0")
@@ -164,24 +164,6 @@ class TestSnapshotPin:
         assert m.total("faults.evicted", kind="spill") == snap["reliefs"]
         assert m.total("faults.detected", kind="tear") == snap["torn_writes"]
         assert m.total("memory.spill.words", op="unspill") == snap["restored_words"]
-
-    def test_a_store_without_a_machine_counts_into_its_own_registry(self, tmp_path, rng):
-        blk = random_weight_spmat(rng, 12, 9, 0.3)
-        store, other = SpillStore(tmp_path), SpillStore(tmp_path)
-        seg = store.spill("k", blk)
-        store.read(seg)  # a validation read counts nothing
-        store.fetch(seg)
-        words = blk.words()
-        assert store.snapshot() == {
-            "spilled_blocks": 1,
-            "restored_blocks": 1,
-            "spilled_words": words,
-            "restored_words": words,
-            "torn_writes": 0,
-        }
-        assert store.metrics.get_count("memory.spill.events", op="spill") == 1
-        assert other.metrics is not store.metrics
-        assert other.snapshot()["spilled_blocks"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -426,7 +426,7 @@ def test_run_events_are_counted_once_in_the_machine_registry():
     }
     assert found == {("sparse/dispatch.py", "count")}
     assert not hasattr(obs, "gauge") and not hasattr(obs, "observe")
-    store = SpillStore()
+    store = SpillStore(machine=Machine(1))
     for name in ("spilled_blocks", "restored_blocks", "spilled_words",
                  "restored_words", "torn_writes"):
         assert not hasattr(store, name)

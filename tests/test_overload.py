@@ -24,21 +24,27 @@ from hypothesis import strategies as st
 
 from repro.graphs import uniform_random_graph_nm
 from repro.machine import Machine
+from repro.obs import Metrics
 from repro.serve import (
     AdmissionController,
     AdmissionError,
     BCService,
     CircuitBreaker,
     CircuitOpen,
+    Coalescer,
     CostEstimator,
     OverloadConfig,
+    Query,
     QueryError,
+    QueryState,
     ServiceState,
     TokenBucket,
 )
 from repro.serve.overload import (
     BREAKER_RESET,
     BREAKER_THRESHOLD,
+    BROWNOUT_HIGH,
+    BROWNOUT_LOW,
     BROWNOUT_SAMPLES,
     BROWNOUT_SEED,
     COST_SMOOTHING,
@@ -48,6 +54,8 @@ from repro.serve.overload import (
     SHED_LOW,
     BreakerState,
 )
+
+from conftest import park
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -161,105 +169,211 @@ class TestTokenBucket:
 # ---------------------------------------------------------------------------
 
 
+def _gate(cfg=None, *, max_batch=64, clock=None):
+    """An admission controller over a fresh coalescer, and the coalescer."""
+    queue = Coalescer(max_batch=max_batch)
+    ctl = AdmissionController(
+        cfg or OverloadConfig(), queue, metrics=Metrics(), clock=clock or FakeClock()
+    )
+    return ctl, queue
+
+
+def _q(cost=0.0, client=None):
+    return Query("bc_source", {"source": 0}, cost_estimate=cost, client=client)
+
+
+class EagerGovernor:
+    """Reference model: the queue as a list of costs, with the watermarks
+    evaluated after every single query that joins or leaves it."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.costs: list[float] = []
+        self.peak = 0
+        self.shedding = self.brownout = False
+        self.transitions = dict.fromkeys(
+            ("shed_on", "shed_off", "brownout_on", "brownout_off"), 0
+        )
+
+    def pressure(self):
+        p = len(self.costs) / self.cfg.max_queued
+        if self.cfg.max_queued_seconds is not None:
+            p = max(p, sum(self.costs, 0.0) / self.cfg.max_queued_seconds)
+        return p
+
+    def feed(self):
+        self.peak = max(self.peak, len(self.costs))
+        p = self.pressure()
+        shed = p >= SHED_HIGH or (self.shedding and p > SHED_LOW)
+        brown = p >= BROWNOUT_HIGH or (
+            self.brownout and (p > BROWNOUT_LOW or shed)
+        )
+        for name, was, now in (
+            ("shed", self.shedding, shed),
+            ("brownout", self.brownout, brown),
+        ):
+            if was != now:
+                self.transitions[f"{name}_{'on' if now else 'off'}"] += 1
+        self.shedding, self.brownout = shed, brown
+
+    def snapshot(self):
+        return {
+            "queued_count": len(self.costs),
+            "queued_seconds": sum(self.costs, 0.0),
+            "peak_queued": self.peak,
+            "pressure": self.pressure(),
+            "brownout": self.brownout,
+            "shedding": self.shedding,
+        }
+
+
 class TestAdmission:
     def test_count_bound(self):
         # a full queue is pressure 1, above the shed watermark: the count
         # bound rejects as ``overloaded``
-        ctl = AdmissionController(OverloadConfig(max_queued=2))
-        ctl.admit(0.1)
-        ctl.admit(0.1)
+        ctl, queue = _gate(OverloadConfig(max_queued=2), max_batch=1)
+        ctl.admit(_q(0.1))
+        ctl.admit(_q(0.1))
         with pytest.raises(AdmissionError) as exc:
-            ctl.admit(0.1)
+            ctl.admit(_q(0.1))
         assert exc.value.reason == "overloaded"
         assert exc.value.retry_after is not None
-        ctl.release(0.1)  # pressure 0.5: at the shed low watermark
-        ctl.admit(0.1)  # bound frees up
+        queue.take(timeout=0)  # pressure 0.5: at the shed low watermark
+        ctl.admit(_q(0.1))  # bound frees up
 
     @settings(max_examples=200, deadline=None)
     @given(
         max_queued=st.integers(1, 40),
         max_queued_seconds=st.none() | st.floats(0.01, 10.0),
+        max_batch=st.integers(1, 8),
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["admit", "release", "readmit"]),
+                st.sampled_from(
+                    ["admit", "take", "cancel", "requeue", "drain", "read"]
+                ),
                 st.floats(0.0, 2.0),
+                st.integers(0, 1000),
             ),
             max_size=150,
         ),
     )
     def test_count_bound_holds_and_rejects_as_overloaded(
-        self, max_queued, max_queued_seconds, ops
+        self, max_queued, max_queued_seconds, max_batch, ops
     ):
         cfg = OverloadConfig(
             max_queued=max_queued, max_queued_seconds=max_queued_seconds
         )
-        ctl = AdmissionController(cfg, clock=FakeClock())
-        queued: list[float] = []
-        for op, cost in ops:
-            if op == "release":
-                if queued:
-                    ctl.release(queued.pop())
-            elif op == "readmit":
-                ctl.readmit(cost)
-                queued.append(cost)
-            else:
-                full = ctl.queued_count >= max_queued
+        ctl, queue = _gate(cfg, max_batch=max_batch)
+        model = EagerGovernor(cfg)
+        queued: list[Query] = []  # the coalescer's order
+        taken: list[list[Query]] = []  # swept batches not yet requeued
+
+        def read():  # a read settles the controller: it must agree in full
+            assert ctl.snapshot() == model.snapshot()
+            assert {
+                t: ctl.metrics.get_count("serve.overload.state", transition=t)
+                for t in model.transitions
+            } == model.transitions
+
+        for op, cost, pick in ops:
+            if op == "admit":
+                full = len(queued) >= max_queued
+                q = _q(cost)
                 try:
-                    ctl.admit(cost)
+                    ctl.admit(q)
                 except AdmissionError as exc:
-                    if full:
+                    seconds = sum(model.costs, 0.0) + cost
+                    if model.shedding:
                         assert exc.reason == "overloaded"
+                    else:
+                        assert exc.reason == "queue_seconds"
+                        assert seconds > max_queued_seconds
                     continue
-                assert not full
-                assert ctl.queued_count <= max_queued
-                queued.append(cost)
+                assert not full and not model.shedding
+                queued.append(q)
+                model.costs.append(cost)
+                model.feed()
+            elif op == "take":
+                batch = queue.take(timeout=0)
+                if batch is None:
+                    assert not queued
+                    continue
+                assert batch == queued[: len(batch)]
+                taken.append(batch)
+                for _ in batch:
+                    del queued[0]
+                    del model.costs[0]
+                    model.feed()
+            elif op == "cancel":
+                if not queued:
+                    continue
+                i = pick % len(queued)
+                q = queued.pop(i)
+                q.state = QueryState.CANCELLED
+                assert queue.remove(q)
+                del model.costs[i]
+                model.feed()
+            elif op == "requeue":
+                if not taken:
+                    continue
+                batch = taken.pop(pick % len(taken))
+                ctl.requeue(batch)
+                queued[:0] = batch
+                for q in reversed(batch):
+                    model.costs.insert(0, q.cost_estimate)
+                    model.feed()
+            elif op == "drain":
+                assert queue.drain() == queued
+                while queued:
+                    queued.pop()
+                    model.costs.pop()
+                    model.feed()
+            else:
+                read()
+        read()
 
     def test_modeled_seconds_bound(self):
-        ctl = AdmissionController(
-            OverloadConfig(max_queued=100, max_queued_seconds=1.0)
-        )
-        ctl.admit(0.8)
+        ctl, _ = _gate(OverloadConfig(max_queued=100, max_queued_seconds=1.0))
+        ctl.admit(_q(0.8))
         with pytest.raises(AdmissionError) as exc:
-            ctl.admit(0.3)
+            ctl.admit(_q(0.3))
         assert exc.value.reason == "queue_seconds"
-        ctl.admit(0.1)  # still fits
+        ctl.admit(_q(0.1))  # still fits
 
     def test_rate_limit_per_client(self):
         clock = FakeClock()
-        ctl = AdmissionController(
-            OverloadConfig(client_rate=1.0, client_burst=2.0), clock=clock
-        )
-        ctl.admit(0.0, client="a")
-        ctl.admit(0.0, client="a")
+        ctl, _ = _gate(OverloadConfig(client_rate=1.0, client_burst=2.0), clock=clock)
+        ctl.admit(_q(client="a"))
+        ctl.admit(_q(client="a"))
         with pytest.raises(AdmissionError) as exc:
-            ctl.admit(0.0, client="a")
+            ctl.admit(_q(client="a"))
         assert exc.value.reason == "rate_limited"
-        ctl.admit(0.0, client="b")  # buckets are per client
+        ctl.admit(_q(client="b"))  # buckets are per client
         clock.advance(1.0)
-        ctl.admit(0.0, client="a")  # refilled
+        ctl.admit(_q(client="a"))  # refilled
 
     def test_hysteresis_bands(self):
-        ctl = AdmissionController(OverloadConfig(max_queued=10))
+        ctl, queue = _gate(OverloadConfig(max_queued=10), max_batch=1)
         for _ in range(6):  # pressure 0.6 → brownout arms
-            ctl.admit(0.0)
-        assert ctl.brownout_active and not ctl.shedding_active
+            ctl.admit(_q())
+        assert ctl.brownout_active and not ctl.snapshot()["shedding"]
         for _ in range(3):  # pressure 0.9 → shedding arms
-            ctl.admit(0.0)
-        assert ctl.shedding_active
+            ctl.admit(_q())
+        assert ctl.snapshot()["shedding"]
         with pytest.raises(AdmissionError) as exc:
-            ctl.admit(0.0)
+            ctl.admit(_q())
         assert exc.value.reason == "overloaded"
         for _ in range(4):  # pressure 0.5 → shed re-arms (low watermark)
-            ctl.release(0.0)
-        assert not ctl.shedding_active
+            queue.take(timeout=0)
+        assert not ctl.snapshot()["shedding"]
         assert ctl.brownout_active  # still above its own low watermark
         for _ in range(3):  # pressure 0.2 < 0.3 → brownout recovers
-            ctl.release(0.0)
+            queue.take(timeout=0)
         assert not ctl.brownout_active
         # no flapping: 0.4 is inside both bands → neither re-arms
         for _ in range(2):
-            ctl.admit(0.0)
-        assert not ctl.brownout_active and not ctl.shedding_active
+            ctl.admit(_q())
+        assert not ctl.brownout_active and not ctl.snapshot()["shedding"]
 
     @pytest.mark.parametrize("sweep, flaps", [(32, 1), (16, 0)])
     def test_a_sweep_wider_than_the_shed_band_toggles_shedding(self, sweep, flaps):
@@ -267,12 +381,12 @@ class TestAdmission:
         # its max_batch of 32 is wider than the band, 16 is not
         cfg = OverloadConfig(max_queued=64)
         assert (sweep > (SHED_HIGH - SHED_LOW) * cfg.max_queued) == bool(flaps)
-        ctl = AdmissionController(cfg)
+        ctl, queue = _gate(cfg, max_batch=sweep)
 
         def fill():  # clients admit until shedding rejects them
             with pytest.raises(AdmissionError):
                 while True:
-                    ctl.admit(0.0)
+                    ctl.admit(_q())
 
         def transitions():
             return [
@@ -281,33 +395,35 @@ class TestAdmission:
             ]
 
         fill()
-        assert ctl.shedding_active and transitions() == [1, 0]
-        for _ in range(sweep):  # one sweep takes its queries off the queue
-            ctl.release(0.0)
+        assert ctl.snapshot()["shedding"] and transitions() == [1, 0]
+        assert len(queue.take(timeout=0)) == sweep  # one sweep
         fill()
         assert transitions() == [1 + flaps, flaps]
 
-    def test_readmit_never_rejects(self):
-        ctl = AdmissionController(OverloadConfig(max_queued=1))
-        ctl.admit(0.5)
-        ctl.readmit(0.5)  # retry putback: over the bound, still accepted
-        assert ctl.queued_count == 2
-        assert ctl.queued_seconds == pytest.approx(1.0)
+    def test_requeue_never_rejects(self):
+        ctl, queue = _gate(OverloadConfig(max_queued=1))
+        ctl.admit(_q(0.5))
+        swept = queue.take(timeout=0)
+        ctl.admit(_q(0.5))  # the queue is full again
+        ctl.requeue(swept)  # retry: over the bound, still accepted
+        snap = ctl.snapshot()
+        assert snap["queued_count"] == 2 == len(queue)
+        assert snap["queued_seconds"] == pytest.approx(1.0)
+        assert snap["peak_queued"] == 2
 
     def test_retry_after_tracks_queue_depth(self):
-        ctl = AdmissionController(OverloadConfig())
+        ctl, _ = _gate()
         assert ctl.retry_after() == pytest.approx(RETRY_AFTER_FLOOR)  # empty
         ctl.observe_drain(1, 1.0)  # ~0.3s per query after one EWMA step
         for _ in range(5):
-            ctl.admit(0.0)
+            ctl.admit(_q())
         assert RETRY_AFTER_FLOOR < ctl.retry_after() < RETRY_AFTER_CAP
-        for _ in range(1000):
-            ctl.readmit(0.0)
+        ctl.requeue([_q() for _ in range(1000)])
         assert ctl.retry_after() == pytest.approx(RETRY_AFTER_CAP)  # clamped
 
     def test_snapshot_shape(self):
-        ctl = AdmissionController(OverloadConfig())
-        ctl.admit(0.25)
+        ctl, _ = _gate()
+        ctl.admit(_q(0.25))
         snap = ctl.snapshot()
         assert snap["queued_count"] == 1
         assert snap["queued_seconds"] == pytest.approx(0.25)
@@ -332,7 +448,7 @@ def _trip(brk):
 class TestBreaker:
     def test_opens_after_threshold_consecutive_failures(self):
         clock = FakeClock()
-        brk = CircuitBreaker(clock=clock)
+        brk = CircuitBreaker(metrics=Metrics(), clock=clock)
         for _ in range(BREAKER_THRESHOLD - 1):
             brk.record_failure()
         brk.record_success()  # success resets the consecutive count
@@ -346,7 +462,7 @@ class TestBreaker:
 
     def test_half_open_single_probe_then_close(self):
         clock = FakeClock()
-        brk = _trip(CircuitBreaker(clock=clock))
+        brk = _trip(CircuitBreaker(metrics=Metrics(), clock=clock))
         assert not brk.allow()
         clock.advance(BREAKER_RESET)
         assert brk.allow()  # the probe
@@ -358,7 +474,7 @@ class TestBreaker:
 
     def test_probe_failure_reopens(self):
         clock = FakeClock()
-        brk = _trip(CircuitBreaker(clock=clock))
+        brk = _trip(CircuitBreaker(metrics=Metrics(), clock=clock))
         clock.advance(BREAKER_RESET)
         assert brk.allow()
         brk.record_failure()
@@ -450,7 +566,8 @@ class TestServiceOverload:
         cfg = OverloadConfig(max_queued=2)
         with _service(graph, overload=cfg, batch_window=0.0) as svc:
             with svc._exec_lock:  # park the dispatcher so the queue fills
-                ids = [svc.submit("bc_source", source=i) for i in range(2)]
+                ids = [park(svc, source=4)]
+                ids += [svc.submit("bc_source", source=i) for i in range(2)]
                 with pytest.raises(AdmissionError) as exc:
                     svc.submit("bc_source", source=5)
                 assert exc.value.reason == "overloaded"
@@ -729,7 +846,8 @@ class TestSupervision:
             with urllib.request.urlopen(base + "/v1/healthz", timeout=10) as resp:
                 assert resp.status == 200
             with svc._exec_lock:
-                svc.submit("bc_source", source=1)  # queue full → shedding
+                park(svc, source=1)
+                svc.submit("bc_source", source=3)  # queue full → shedding
                 req = urllib.request.Request(
                     base + "/v1/query",
                     data=b'{"algorithm": "bc_source", "source": 2}',
@@ -788,12 +906,7 @@ class TestRaces:
     def test_cancel_mid_batch_releases_admission_once(self, graph):
         with _service(graph, batch_window=0.0) as svc:
             with svc._exec_lock:
-                qid = svc.submit("bc_source", source=1)
-                # wait for the dispatcher to claim the batch (queue empties)
-                deadline = time.monotonic() + 10.0
-                while len(svc.coalescer) and time.monotonic() < deadline:
-                    time.sleep(0.005)
-                assert len(svc.coalescer) == 0
+                qid = park(svc, source=1)
                 # cancel lands after take() but before execution
                 assert svc.cancel(qid) is True
             with pytest.raises(QueryError, match="cancelled"):
@@ -802,12 +915,12 @@ class TestRaces:
             while svc._inflight and time.monotonic() < deadline:
                 time.sleep(0.005)
             snap = svc.admission.snapshot()
-        assert snap["queued_count"] == 0  # released exactly once, not twice
+        assert snap["queued_count"] == 0  # left the queue once, at take()
         assert snap["queued_seconds"] == pytest.approx(0.0)
 
     def test_cancel_racing_batch_never_double_releases(self, graph):
-        # hammer submit/cancel against a live dispatcher: accounting must
-        # land at zero with no negative excursions baked into the snapshot
+        # hammer submit/cancel against a live dispatcher: the queue the
+        # snapshot reads must end empty
         with _service(graph, batch_window=0.005) as svc:
             ids = [svc.submit("bc_source", source=i % graph.n) for i in range(12)]
             for qid in ids[::2]:
@@ -842,7 +955,8 @@ class TestOverloadReport:
         cfg = OverloadConfig(max_queued=1)
         with _service(graph, overload=cfg, batch_window=0.0) as svc:
             with svc._exec_lock:
-                qid = svc.submit("bc_source", source=0)
+                qid = park(svc, source=0)
+                svc.submit("bc_source", source=2)  # queue full → shedding
                 with pytest.raises(AdmissionError):
                     svc.submit("bc_source", source=1)
             svc.result(qid, timeout=60.0)

@@ -27,12 +27,14 @@ from repro import obs
 from repro.core import mfbc
 from repro.core.mfbc import mfbc_per_source
 from repro.dist import DistributedEngine
-from repro.graphs import rmat_graph, uniform_random_graph_nm
-from repro.machine import Machine
+from repro.graphs import Graph, rmat_graph, uniform_random_graph_nm
+from repro.machine import CostParams, Machine
 from repro.serve import service as service_mod
 from repro.serve import (
+    AdmissionController,
     BCService,
     Coalescer,
+    OverloadConfig,
     Query,
     QueryError,
     QueryState,
@@ -113,13 +115,14 @@ class TestCoalescer:
         gone.state = QueryState.CANCELLED
         assert c.take(timeout=0.5) == [keep]
 
-    def test_putback_goes_to_front(self):
+    def test_requeue_goes_to_front(self):
         c = Coalescer(max_batch=1)
+        ctl = AdmissionController(OverloadConfig(), c, metrics=obs.Metrics())
         first, second = self._q(0), self._q(1)
-        c.put(first)
-        c.put(second)
+        ctl.admit(first)
+        ctl.admit(second)
         got = c.take(timeout=0.5)
-        c.putback(got)
+        ctl.requeue(got)
         assert c.take(timeout=0.5) == [first]
         assert c.take(timeout=0.5) == [second]
 
@@ -164,7 +167,7 @@ class TestCoalescer:
 
 class TestScoreCache:
     def test_hit_miss_counting(self):
-        c = ScoreCache(capacity=4)
+        c = ScoreCache(capacity=4, metrics=obs.Metrics())
         k = cache_key(0, "bc_source", {"source": 3})
         assert c.get(k) is None
         c.put(k, np.ones(3))
@@ -174,7 +177,7 @@ class TestScoreCache:
         assert stats["hit_rate"] == 0.5
 
     def test_peek_counts_nothing(self):
-        c = ScoreCache(capacity=4)
+        c = ScoreCache(capacity=4, metrics=obs.Metrics())
         k = cache_key(0, "bc", {})
         assert c.peek(k) is None
         c.put(k, 1.0)
@@ -182,7 +185,7 @@ class TestScoreCache:
         assert (c.stats()["hits"], c.stats()["misses"]) == (0, 0)
 
     def test_lru_eviction(self):
-        c = ScoreCache(capacity=2)
+        c = ScoreCache(capacity=2, metrics=obs.Metrics())
         keys = [cache_key(0, "bc_source", {"source": i}) for i in range(3)]
         c.put(keys[0], "a")
         c.put(keys[1], "b")
@@ -193,7 +196,7 @@ class TestScoreCache:
         assert c.metrics.get_count("serve.cache.evict", algorithm="bc_source") == 1
 
     def test_invalidate_before_version(self):
-        c = ScoreCache(capacity=8)
+        c = ScoreCache(capacity=8, metrics=obs.Metrics())
         old = cache_key(0, "bc", {})
         new = cache_key(1, "bc", {})
         c.put(old, "old")
@@ -204,7 +207,7 @@ class TestScoreCache:
         assert c.invalidate() == 1  # drop everything
 
     def test_none_payload_rejected(self):
-        c = ScoreCache()
+        c = ScoreCache(metrics=obs.Metrics())
         with pytest.raises(ValueError):
             c.put(cache_key(0, "bc", {}), None)
 
@@ -214,7 +217,7 @@ class TestScoreCache:
         assert a == b
 
     def test_obs_counters_emitted(self):
-        # into the registry it is given (a service's), else its own
+        # into the registry it is given, a service's
         m = obs.Metrics()
         c = ScoreCache(metrics=m)
         k = cache_key(0, "bc_source", {"source": 1})
@@ -222,7 +225,6 @@ class TestScoreCache:
         c.put(k, 1.0)
         c.get(k)
         c.invalidate()
-        assert ScoreCache().metrics is not m
         assert m.get_count("serve.cache.miss", algorithm="bc_source") == 1
         assert m.get_count("serve.cache.hit", algorithm="bc_source") == 1
         assert m.get_count("serve.cache.invalidate", algorithm="bc_source") == 1
@@ -561,6 +563,21 @@ class TestStatsPin:
             stats = svc.stats()
         assert stats == STATS_AFTER_SCRIPT
         assert _types(stats) == _types(STATS_AFTER_SCRIPT)
+
+
+class TestOneQueueRecord:
+    def test_zero_cost_queries_leave_the_admission_queue_empty(self):
+        # an isolated source's sweep charges nothing on a free machine, so the
+        # estimator learns a rate of 0 and every later estimate is 0.0: the
+        # admission controller once counted those queries in but never out
+        # (queued_count 5 against queued 0)
+        free = CostParams(alpha=0, beta=0, product_overhead=0, compute_rate=1e30)
+        machine = Machine(4, cost=free)
+        with BCService(Graph(8, [0], [1]), machine=machine, batch_window=0) as svc:
+            for source in range(2, 8):
+                svc.result(svc.submit("bc_source", source=source), timeout=60.0)
+            stats = svc.stats()
+        assert stats["admission"]["queued_count"] == stats["queued"] == 0
 
 
 class TestServiceLifecycle:
