@@ -34,9 +34,9 @@ on — then asserts the liveness invariants the overload design promises:
    run also corrupts most attempts of the first batches until ``limit``
    is spent — three in a row exhaust the service's retry ladder.
 9. **scripted faults fired** — every one-shot the spec scripts
-   (``crash@STEP``, ``corrupt@STEP``, ``tear@STEP``) landed.  A step past the run's
-   last collective would leave the soak quietly fault-free, so a change to
-   how many collectives a sweep issues fails here, not silently.
+   (``crash@STEP``, ``corrupt@STEP``, ``tear@STEP``) landed.  A step past
+   the run's last collective would leave the soak quietly fault-free, so a
+   change to how many collectives a sweep issues fails here, not silently.
 10. **memory pressure exercised** — under a per-rank budget, the storm
     relieved (``faults.evicted{kind="spill"}``) or spilled
     (``memory.spill.events``) at least once: a budget above the service's
@@ -52,9 +52,10 @@ Run the CI smoke configuration::
 runs inside a per-rank budget (``tear@1`` tears the first spill-segment
 write, and invariant 9 fails a run that never spilled to tear), so
 admission control, relief eviction to the spill store and every rung of
-the recovery ladder (shrink, elastic, retry) defend the same run — still with zero non-shed failures and bit-identical
-post-storm answers.  The CI budget sits below the service's unpressured
-peak (26 326 words/rank on this graph), which invariant 10 checks.
+the recovery ladder (shrink, elastic, retry) defend the same run — still
+with zero non-shed failures and bit-identical post-storm answers.  The CI
+budget sits below the service's unpressured peak (26 326 words/rank on
+this graph), which invariant 10 checks.
 
 Exit code 0 when every invariant held.
 """

@@ -12,6 +12,7 @@ answered against the version current when its batch executes (the service
 holds the execution lock across mutations), and its cache key is stamped
 then.  Two queries can therefore only land in one batch when they will be
 computed on the same graph.
+
 The pending deque is the service's one record of its queue: only the
 admission controller fills it, and it reads :meth:`Coalescer.depth`.
 """
