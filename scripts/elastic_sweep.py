@@ -62,7 +62,7 @@ class SweepEngine(DistributedEngine):
     def recover_from(self, failure):
         self.spilled += sum(
             len(m._spilled)
-            for _, adj in self._adjacency.values()
+            for _, adj, _ in self._adjacency.values()
             for m in (adj, adj.transpose())
         )
         return super().recover_from(failure)

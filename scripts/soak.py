@@ -40,7 +40,14 @@ on — then asserts the liveness invariants the overload design promises:
 10. **memory pressure exercised** — under a per-rank budget, the storm
     relieved (``faults.evicted{kind="spill"}``) or spilled
     (``memory.spill.events``) at least once: a budget above the service's
-    peak defends nothing.
+    peak defends nothing;
+11. **sweep width remembered** — the widest sweep width known to fit is
+    recorded beside each pinned adjacency, so the shrink rung
+    (``faults.degraded{kind="mem", rung="shrink_batch"}``) fires at most
+    ``⌈log₂ W⌉`` times per pin, ``W = max(max_batch,
+    default_batch_size(graph))``; a pin is the first one plus one per
+    elastic recovery and per graph update.  A driver that sweeps wide
+    again after every shrink fails here.
 
 Run the CI smoke configuration::
 
@@ -64,6 +71,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import threading
 import time
@@ -74,6 +82,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cli import add_run_flags, build_machine, print_reports, print_run_reports  # noqa: E402
+from repro.core.mfbc import default_batch_size  # noqa: E402
 from repro.graphs import rmat_graph  # noqa: E402
 from repro.machine import Machine  # noqa: E402
 from repro.serve import BCService, OverloadConfig  # noqa: E402
@@ -309,6 +318,18 @@ def soak(graph, capacity_qps: float, args) -> tuple[dict, int]:
             f"{relieved} reliefs, {spilled} blocks spilled under the "
             f"{machine.memory_words}-word budget "
             f"(peak {machine.memory_peak():.0f} words/rank)",
+        )
+        shrinks = int(
+            metrics.total("faults.degraded", kind="mem", rung="shrink_batch")
+        )
+        pins = 1 + stats["recoveries"] + int(metrics.total("serve.graph_updates"))
+        widest = max(args.max_batch, default_batch_size(graph))
+        per_pin = math.ceil(math.log2(widest))
+        check(
+            "sweep-width-remembered",
+            shrinks <= per_pin * pins,
+            f"{shrinks} shrink_batch rungs <= {per_pin * pins} "
+            f"(ceil(log2 {widest})={per_pin} per pin x {pins} pins)",
         )
     if plan is not None and plan.script:
         unfired = plan.unfired()

@@ -50,8 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.engine import Engine, SequentialEngine
-from repro.core.ladder import RecoveryLadder
-from repro.core.mfbc import default_batch_size, mfbc, per_source_rows
+from repro.core.mfbc import default_batch_size, mfbc, per_source_rows, run_batches
 from repro.faults.checkpoint import (
     CheckpointState,
     CheckpointStore,
@@ -400,13 +399,12 @@ def adaptive_bc(
         The per-batch recovery ladder, exactly as on
         :func:`~repro.core.mfbc.mfbc` (the shrink rung and elastic recovery
         included): under a budget a sample batch is swept as narrower
-        sub-sweeps — same rows, same estimate — and later batches start at
-        the width that fit.
+        sub-sweeps — same rows, same estimate — and later batches, and later
+        runs on the same engine and graph, start at the width that fit.
     """
     engine = engine or SequentialEngine()
     epsilon, delta = validate_epsilon_delta(epsilon, delta)
     seed = normalize_seed(seed)
-    ladder = RecoveryLadder(engine, site="adaptive_bc", retries=retries)
     n = graph.n
     machine = getattr(engine, "machine", None)
 
@@ -462,8 +460,8 @@ def adaptive_bc(
 
     sampler = SamplerState.empty(n)
     cursor = 0  # samples drawn so far
-    batch_index = 0
-    width = math.inf
+    start = 0  # batch index
+    half_width = math.inf
     width_history: list[float] = []
     if state is not None:
         sampler = SamplerState.from_payload(state.sampler["state"])
@@ -472,97 +470,64 @@ def adaptive_bc(
                 "checkpoint sampler state does not match this run's shape"
             )
         cursor = int(state.cursor)
-        batch_index = int(state.batch_index)
+        start = int(state.batch_index)
         width_history = [float(w) for w in state.sampler.get("width_history", [])]
-        width = width_history[-1] if width_history else math.inf
+        half_width = width_history[-1] if width_history else math.inf
 
     raw_denom = (n - 1) * (n - 2)
-    converged = width <= epsilon
-    executed = 0
+
+    def plan(index):
+        if half_width <= epsilon or cursor >= max_samples:
+            return None
+        # schedule keyed on (seed, batch index): resumable by construction
+        batch = np.random.default_rng([seed, index]).integers(
+            0, n, size=min(batch_size, max_samples - cursor), dtype=np.int64
+        )
+        rows, sweep = per_source_rows(engine, graph, batch)
+
+        def sweep_and_reduce(width):
+            sweep(width)
+            x_rows = rows * scale
+            # merging the per-rank partials is paid for (and can fail) like
+            # any collective, so it sits inside the recovery ladder with the
+            # sweep itself
+            with obs.span("reduce_state", cat="phase"):
+                _reduce_state(machine, x_rows)
+            return x_rows
+
+        return batch, sweep_and_reduce
+
+    def commit(x_rows, rounds):
+        # once per completed batch — retries and elastic re-executions
+        # never reach here twice
+        nonlocal cursor, half_width
+        sampler.update(x_rows)
+        cursor += len(x_rows)
+        _, var = sampler.mean_and_variance()
+        # round budget δ_r = δ/(r(r+1)) (Σ_r = δ), split over n vertices
+        round_failure = delta / (n * rounds * (rounds + 1))
+        half_width = float(bernstein_half_width(
+            var, sampler.total_samples, failure=round_failure, value_range=value_range
+        ).max())
+        width_history.append(half_width)
+
+    def snapshot(index):
+        mean, _ = sampler.mean_and_variance()
+        return CheckpointState(
+            cursor=cursor, batch_index=index, batch_size=batch_size, n=n,
+            sources_crc=crc, scores=mean * raw_denom, stats=[],
+            sampler={
+                "epsilon": epsilon, "delta": delta, "seed": seed,
+                "width_history": width_history, "state": sampler.to_payload(),
+            },
+        )
+
     t0 = time.perf_counter()
-    with obs.span(
-        "adaptive_bc",
-        cat="run",
-        n=n,
-        m=graph.nnz_adjacency,
-        batch_size=batch_size,
-        epsilon=epsilon,
-        delta=delta,
-    ):
-        with obs.span("adjacency", cat="phase"):
-            engine.adjacency(graph)
-        sweep_width = batch_size  # the width that fit carries to later batches
-        while not converged and cursor < max_samples:
-            if max_batches is not None and executed >= max_batches:
-                break
-            count = min(batch_size, max_samples - cursor)
-            # schedule keyed on (seed, batch index): resumable by construction
-            batch = np.random.default_rng([seed, batch_index]).integers(
-                0, n, size=count, dtype=np.int64
-            )
-            rows, sweep = per_source_rows(engine, graph, batch)
-
-            def attempt_batch(attempt, width):
-                with obs.span(
-                    "batch",
-                    cat="batch",
-                    index=batch_index,
-                    sources=len(batch),
-                    attempt=attempt,
-                ):
-                    sweep(width)
-                    x_rows = rows * scale
-                    # merging the per-rank partials is paid for (and can
-                    # fail) like any collective, so it sits inside the
-                    # recovery ladder with the sweep itself
-                    with obs.span("reduce_state", cat="phase"):
-                        _reduce_state(machine, x_rows)
-                return x_rows
-
-            x_rows = ladder.run(
-                attempt_batch, index=batch_index, width=min(sweep_width, count)
-            )
-            sweep_width = ladder.width
-            # fold exactly once per completed batch — retries and elastic
-            # re-executions above never reach this line twice
-            sampler.update(x_rows)
-            cursor += count
-            batch_index += 1
-            executed += 1
-
-            mean, var = sampler.mean_and_variance()
-            # round budget δ_r = δ/(r(r+1)) (Σ_r = δ), split over n vertices
-            round_failure = delta / (n * batch_index * (batch_index + 1))
-            width = float(
-                bernstein_half_width(
-                    var,
-                    sampler.total_samples,
-                    failure=round_failure,
-                    value_range=value_range,
-                ).max()
-            )
-            width_history.append(width)
-            converged = width <= epsilon
-
-            if store is not None:
-                store.save(
-                    CheckpointState(
-                        cursor=cursor,
-                        batch_index=batch_index,
-                        batch_size=batch_size,
-                        n=n,
-                        sources_crc=crc,
-                        scores=mean * raw_denom,
-                        stats=[],
-                        sampler={
-                            "epsilon": epsilon,
-                            "delta": delta,
-                            "seed": seed,
-                            "width_history": width_history,
-                            "state": sampler.to_payload(),
-                        },
-                    )
-                )
+    batches = run_batches(
+        engine, graph, "adaptive_bc", plan, snapshot, commit=commit, store=store,
+        index=start, max_batches=max_batches, retries=retries,
+        batch_size=batch_size, epsilon=epsilon, delta=delta,
+    )
 
     mean, _ = sampler.mean_and_variance()
     return AdaptiveBCResult(
@@ -570,9 +535,9 @@ def adaptive_bc(
         epsilon=epsilon,
         delta=delta,
         samples_used=sampler.total_samples,
-        batches=batch_index,
-        converged=bool(converged),
-        width=float(width),
+        batches=batches,
+        converged=half_width <= epsilon,
+        width=half_width,
         width_history=width_history,
         batch_size=batch_size,
         elapsed_seconds=time.perf_counter() - t0,

@@ -16,11 +16,14 @@ pressured rank's cold blocks to the spill store
 that rank has nothing spillable left.  The one memory rung then narrows
 the sweep — the ``n·n_b/p`` working set is the only term a re-attempt can
 shrink (§5.3) — bit-identically, because per-source rows never interact
-and scores accumulate strictly left to right; it halves the width, so it
-fires a bounded number of times.  Each elastic recovery strictly shrinks
-``p``, so storms terminate on their own; ``deadline`` is terminal because
-retrying cannot un-spend modeled time.  A failure no rung relieves is
-noted ``abandoned`` and re-raised by the caller.
+and scores accumulate strictly left to right.  It halves the width and
+records it beside the graph's pinned adjacency, where every attempt on
+that engine and graph starts, so it fires at most ``⌈log₂ W⌉`` times per
+pin for sweeps at most ``W`` wide (a sequential engine never shrinks).
+Each elastic recovery strictly shrinks ``p``, so storms terminate on their
+own; ``deadline`` is terminal because retrying cannot un-spend modeled
+time.  A failure no rung relieves is noted ``abandoned`` and re-raised by
+the caller.
 """
 
 from __future__ import annotations
@@ -46,19 +49,21 @@ RUNGS = (
 class RecoveryLadder:
     """One driver's ladder state (see the module docstring for the policy).
 
-    ``site`` tags every note with the calling driver (``mfbc`` /
-    ``adaptive_bc`` / ``serve``); ``retries`` is the drivers' keyword of
-    the same name, and ``retry_backoff`` the base of the modeled backoff
-    (the drivers' 0.05 s; the service requeues with none).
-    ``width`` holds the (possibly shrunken) sweep width to re-attempt with
-    and ``attempt`` the retries the current batch has burned — ``run``
-    zeroes it per batch; a caller that re-attempts across calls (the
-    service's requeue) sets it before asking ``advance``.
+    ``graph`` is the graph swept, whose recorded sweep width caps every
+    attempt; ``site`` tags every note with the calling driver
+    (``mfbc`` / ``adaptive_bc`` / ``serve``); ``retries`` is the drivers'
+    keyword of the same name, and ``retry_backoff`` the base of the
+    modeled backoff (the drivers' 0.05 s; the service requeues with none).
+    ``attempt`` is the retries the current batch has burned and
+    ``rungs_taken`` its rungs — ``run`` resets both per batch; a caller that
+    re-attempts across calls (the service's requeue) sets ``attempt``
+    before asking ``advance``.
     """
 
     def __init__(
         self,
         engine,
+        graph,
         *,
         site: str = "mfbc",
         retries: int = 2,
@@ -71,11 +76,11 @@ class RecoveryLadder:
                 f"retry_backoff must be non-negative, got {retry_backoff}"
             )
         self.engine = engine
+        self.graph = graph
         self.machine = getattr(engine, "machine", None)
         self.site = site
         self.retries = retries
         self.retry_backoff = retry_backoff
-        self.width: int | None = None
         self.attempt = 0
         self.rungs_taken: list[str] = []
         self._jitter = None  # (rng, previous backoff), built on first retry
@@ -83,6 +88,7 @@ class RecoveryLadder:
     def run(self, attempt, *, index: int | None = None, width: int = 1):
         """Call ``attempt(retries_burned, width)`` until it returns.
 
+        Every attempt runs at ``width`` capped by the graph's recorded width.
         ``index`` is the batch index (notes, jitter key); the default marks
         a sweep that is no batch of its own — ``mfbc_per_source`` inside
         the serving layer's batch — where only ``shrink_batch`` applies and
@@ -92,13 +98,15 @@ class RecoveryLadder:
         anything new is allocated.
         """
         self.attempt = 0
-        self.width = width
+        self.rungs_taken = []
         self._jitter = None
+        sweep_width = getattr(self.engine, "sweep_width", lambda _graph, w: w)
         while True:
+            capped = sweep_width(self.graph, width)
             try:
-                return attempt(self.attempt, self.width)
+                return attempt(self.attempt, capped)
             except (FaultError, MemoryLimitExceeded) as exc:
-                if self.advance(exc, index=index, width=self.width) is None:
+                if self.advance(exc, index=index, width=capped) is None:
                     raise
 
     def advance(self, exc, *, index: int | None, width: int) -> str | None:
@@ -142,11 +150,11 @@ class RecoveryLadder:
         return None
 
     def _shrink_batch(self, exc, index, width):
-        if width <= 1:
+        narrow = getattr(self.engine, "narrow_sweeps", None)
+        if width <= 1 or narrow is None or not narrow(self.graph, width // 2):
             return False
-        self.width = max(1, width // 2)
         self._emit(
-            "mem", "degraded", rung="shrink_batch", batch_size=self.width, was=width
+            "mem", "degraded", rung="shrink_batch", batch_size=width // 2, was=width
         )
         return True
 

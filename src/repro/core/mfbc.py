@@ -10,7 +10,8 @@ The batch size is the paper's time/storage tradeoff knob: MFBC performs
 ``⌈n/nb⌉`` batches while holding an ``n × nb`` working matrix; §5.3's
 analysis picks ``nb = c·m/n`` to fill the available memory.
 
-The batch boundary is also the driver's fault-tolerance unit.  With
+The batch boundary is also the fault-tolerance unit of the one batch
+loop, :func:`run_batches` (``mfbc``'s and ``adaptive_bc``'s).  With
 ``checkpoint=`` the accumulated scores and source cursor are persisted
 after every batch (see :mod:`repro.faults.checkpoint`), and
 ``resume_from=`` replays only the remaining batches — bit-identical to an
@@ -21,7 +22,9 @@ A batch that fails — an injected :class:`~repro.faults.FaultError`, or
 :class:`~repro.machine.MemoryLimitExceeded` under a per-rank budget — is
 answered by the one recovery ladder (:mod:`repro.core.ladder`): narrow the
 sweep, never the batch (bit-identical; the overflowing allocation has
-already evicted what the pressured rank could spill), recover elastically
+already evicted what the pressured rank could spill; the width that fit is
+recorded beside the pinned adjacency, so later batches and later runs on
+the same engine and graph start there), recover elastically
 from a :class:`~repro.faults.RankFailure` when the machine has elastic
 recovery on (the adjacency is pinned again from the graph on the
 survivors and only the interrupted batch re-executes, asking the engine
@@ -85,20 +88,16 @@ class MFBCResult:
         return traversals / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
 
 
-def default_batch_size(graph: Graph, memory_words: int | None = None) -> int:
-    """The paper's memory-driven batch size ``nb = c·m/n`` (§5.3 proof).
+def default_batch_size(graph: Graph) -> int:
+    """The paper's batch size ``nb = c·m/n`` (§5.3 proof) with c = 1:
+    ``max(average degree, 32)`` clamped to ``n``.
 
-    With no memory bound we default to ``max(average degree, 32)`` clamped to
-    ``n`` — the shape the proof of Theorem 5.1 selects with c = 1.
+    A memory budget does not size the batch: the recovery ladder narrows
+    the sweep to the width that fits and remembers it (see
+    :mod:`repro.core.ladder`).
     """
-    n = graph.n
     nnz = max(graph.nnz_adjacency, 1)
-    if memory_words is not None:
-        # T needs O(n · nb) words; keep it within the budget.
-        nb = max(1, memory_words // max(n, 1))
-    else:
-        nb = max(int(round(nnz / n)), 32)
-    return int(min(max(nb, 1), n))
+    return int(min(max(int(round(nnz / graph.n)), 32), graph.n))
 
 
 def mfbc(
@@ -162,11 +161,7 @@ def mfbc(
     undirected unordered-pair convention).
     """
     engine = engine or SequentialEngine()
-    ladder = RecoveryLadder(engine, site="mfbc", retries=retries)
-    if sources is None:
-        sources = np.arange(graph.n, dtype=np.int64)
-    else:
-        sources = np.asarray(sources, dtype=np.int64)
+    sources = np.asarray(np.arange(graph.n) if sources is None else sources, dtype=np.int64)
     src_crc = sources_checksum(sources)
 
     def same_sources(state, _batch_size):
@@ -186,11 +181,9 @@ def mfbc(
     scores = np.zeros(graph.n, dtype=np.float64)
     stats = MFBCStats()
     lo = 0
-    batch_index = 0
     if state is not None:
         scores[:] = state.scores
         lo = int(state.cursor)
-        batch_index = int(state.batch_index)
         stats.batches = stats_from_dicts(state.stats)
 
     def fold(_offset, _rows, cols, weights, sweep_stats):
@@ -199,56 +192,26 @@ def mfbc(
         np.add.at(scores, cols, weights)
         stats.batches.append(sweep_stats)
 
+    def plan(_index):
+        # the cursor moves when the batch is planned: a batch that fails
+        # ends the run before anything is saved
+        nonlocal lo
+        batch = sources[lo : lo + batch_size]
+        lo += len(batch)
+        return (batch, _sweeper(engine, graph, batch, fold)) if len(batch) else None
+
+    def snapshot(index):
+        return CheckpointState(
+            cursor=lo, batch_index=index, batch_size=batch_size, n=graph.n,
+            sources_crc=src_crc, scores=scores, stats=stats_to_dicts(stats.batches),
+        )
+
     t0 = time.perf_counter()
-    with obs.span(
-        "mfbc",
-        cat="run",
-        n=graph.n,
-        m=graph.nnz_adjacency,
+    run_batches(
+        engine, graph, "mfbc", plan, snapshot, store=store, max_batches=max_batches,
+        index=0 if state is None else int(state.batch_index), retries=retries,
         batch_size=batch_size,
-    ):
-        with obs.span("adjacency", cat="phase"):
-            engine.adjacency(graph)
-        # the shrink rung narrows the sweep, never the batch: later batches
-        # start at the width that fit
-        width = batch_size
-        executed = 0
-        while lo < len(sources):
-            batch = sources[lo : lo + batch_size]
-            sweep = _sweeper(engine, graph, batch, fold)
-
-            def attempt_batch(attempt, width):
-                with obs.span(
-                    "batch",
-                    cat="batch",
-                    index=batch_index,
-                    sources=len(batch),
-                    attempt=attempt,
-                ):
-                    sweep(width)
-
-            ladder.run(
-                attempt_batch, index=batch_index, width=min(width, len(batch))
-            )
-            width = ladder.width
-            batch_index += 1
-            executed += 1
-            lo += len(batch)
-            if store is not None:
-                store.save(
-                    CheckpointState(
-                        cursor=lo,
-                        batch_index=batch_index,
-                        batch_size=batch_size,
-                        n=graph.n,
-                        sources_crc=src_crc,
-                        scores=scores,
-                        stats=stats_to_dicts(stats.batches),
-                    )
-                )
-            if max_batches is not None and executed >= max_batches:
-                break
-
+    )
     elapsed = time.perf_counter() - t0
     return MFBCResult(
         scores=scores, stats=stats, batch_size=batch_size, elapsed_seconds=elapsed
@@ -293,7 +256,7 @@ def mfbc_per_source(
     sources = np.asarray(sources, dtype=np.int64)
     if len(sources) == 0:
         raise ValueError("empty source batch")
-    ladder = ladder or RecoveryLadder(engine, site="mfbc_per_source")
+    ladder = ladder or RecoveryLadder(engine, graph, site="mfbc_per_source")
     with obs.span(
         "mfbc_per_source", cat="run", n=graph.n, sources=len(sources)
     ):
@@ -320,6 +283,45 @@ def per_source_rows(engine, graph, sources):
         out[offset + rows, cols] = weights
 
     return out, _sweeper(engine, graph, sources, fold)
+
+
+def run_batches(
+    engine, graph, site, plan, snapshot, *, commit=None, store, index, max_batches,
+    retries, **attrs,
+) -> int:
+    """The one checkpointed batch loop, ``mfbc``'s and ``adaptive_bc``'s.
+
+    Under the ``site`` run span (with ``attrs``) it pins the adjacency and
+    runs batches from ``index`` on, at most ``max_batches``: ``plan(index)``
+    is a batch's ``(sources, sweep)`` (``None``: done), ``sweep(width)``
+    runs in the ``batch`` span under the recovery ladder, ``commit(result,
+    index + 1)`` folds its result in once, and a ``store`` saves
+    ``snapshot(index + 1)``.  Returns the index after the last batch.
+    """
+    ladder = RecoveryLadder(engine, graph, site=site, retries=retries)
+    stop = None if max_batches is None else index + max_batches
+    with obs.span(site, cat="run", n=graph.n, m=graph.nnz_adjacency, **attrs):
+        with obs.span("adjacency", cat="phase"):
+            engine.adjacency(graph)
+        while stop is None or index < stop:
+            planned = plan(index)
+            if planned is None:
+                break
+            batch, sweep = planned
+
+            def attempt(retry, width):
+                with obs.span(
+                    "batch", cat="batch", index=index, sources=len(batch), attempt=retry
+                ):
+                    return sweep(width)
+
+            result = ladder.run(attempt, index=index, width=len(batch))
+            index += 1
+            if commit is not None:
+                commit(result, index)
+            if store is not None:
+                store.save(snapshot(index))
+    return index
 
 
 def _sweeper(engine, graph, sources, fold):

@@ -19,11 +19,14 @@ elastic recovery pins it again on the survivors or
 :meth:`~DistributedEngine.release_invariants` drops it.  A pinned matrix
 carries a replica memo: the selector discounts its replication cost and the
 variant executor keeps its replicas there, reproducing the amortization in
-the proof of Theorem 5.1; they die with the matrix.
+the proof of Theorem 5.1; they die with the matrix.  Beside it the engine
+records the widest sweep width known to fit the budget, which every later
+sweep of the graph starts at (:meth:`~DistributedEngine.sweep_width`).
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -83,10 +86,10 @@ class DistributedEngine:
             active.modeled_clock = machine.ledger.critical_time
         pr, pc = near_square_shape(machine.p)
         self.home_ranks2d = np.arange(machine.p).reshape(pr, pc)
-        # the loop invariants: id(graph) -> (graph, its pinned adjacency),
-        # which holds its memoized transpose; holding the graph keeps its id
-        # from being recycled while the entry lives
-        self._adjacency: dict[int, tuple[object, DistMat]] = {}
+        # the loop invariants: id(graph) -> [graph, its pinned adjacency
+        # (holding its memoized transpose), the widest sweep width known to
+        # fit]; holding the graph keeps its id from being recycled
+        self._adjacency: dict[int, list] = {}
         #: plans chosen per product, newest last (diagnostics / tests)
         self.plan_log: list = []
 
@@ -126,7 +129,7 @@ class DistributedEngine:
         mat = DistMat.distribute(
             graph.adjacency(), self.machine, self.home_ranks2d, category=category
         )
-        self._adjacency[id(graph)] = (graph, mat)
+        self._adjacency[id(graph)] = [graph, mat, math.inf]
         memory = getattr(self.machine, "memory", None)
         for pinned in (mat, mat.transpose()):
             pinned._replicas = {}
@@ -134,8 +137,24 @@ class DistributedEngine:
                 memory.register(pinned)
         return mat
 
+    def sweep_width(self, graph, width: int) -> int:
+        """``width``, capped at the widest sweep width known to fit beside
+        ``graph``'s pinned adjacency; it goes with the pin."""
+        pinned = self._adjacency.get(id(graph))
+        return width if pinned is None else min(width, pinned[2])
+
+    def narrow_sweeps(self, graph, width: int) -> bool:
+        """Record that sweeps of ``graph`` wider than ``width`` do not fit
+        (the shrink rung's, the record's one writer); False when ``graph``
+        is not pinned."""
+        pinned = self._adjacency.get(id(graph))
+        if pinned is not None:
+            pinned[2] = min(pinned[2], width)
+        return pinned is not None
+
     def release_invariants(self) -> None:
-        """Forget every pinned adjacency; its transpose and replicas go with it.
+        """Forget every pinned adjacency; its transpose, replicas and sweep
+        width go with it.
 
         The serving layer calls this when the served graph is replaced: the
         old adjacency and its replicas would otherwise be kept alive across
@@ -208,7 +227,7 @@ class DistributedEngine:
         matrices the driver still holds — is still resident, the durable
         inputs a restart would reload.
         """
-        for _, adj in self._adjacency.values():
+        for _, adj, _ in self._adjacency.values():
             adj._replicas.clear()
             adj.transpose()._replicas.clear()
 

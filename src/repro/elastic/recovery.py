@@ -158,8 +158,9 @@ def _recover_locked(engine, machine, rank, step, site, dead) -> RecoveryReport:
         engine.home_ranks2d = np.arange(p_target).reshape(pr, pc)
 
         # 3. pin every graph's adjacency again on the survivor grid: one
-        # scatter each, charged as category "recovery"
-        graphs = [graph for graph, _ in engine._adjacency.values()]
+        # scatter each, charged as category "recovery"; the sweep widths
+        # that fit the old grid go with the old pins
+        graphs = [graph for graph, _, _ in engine._adjacency.values()]
         engine._adjacency.clear()
         for graph in graphs:
             engine._pin(graph, category="recovery")

@@ -633,7 +633,7 @@ class BCService:
         # one ladder per sweep: the shrinks of a ``bc_source`` sweep and the
         # fault rungs of ``_handle_fault`` share its site and state
         ladder = RecoveryLadder(
-            self.engine, site="serve", retries=self.retries, retry_backoff=0.0
+            self.engine, self.graph, site="serve", retries=self.retries, retry_backoff=0.0
         )
         t0 = _wall()
         try:

@@ -368,7 +368,7 @@ class TestRecoveryDifferential:
         assert m.p == 3 and len(m.recoveries) == 1
         assert_fired(m)
         held = np.zeros(m.p, dtype=np.int64)
-        pinned = [m for _, adj in eng._adjacency.values() for m in (adj, adj.transpose())]
+        pinned = [m for _, adj, _ in eng._adjacency.values() for m in (adj, adj.transpose())]
         for mat in pinned:
             for (i, j), owner in np.ndenumerate(mat.layout.ranks2d):
                 held[owner] += mat.block(i, j).words()

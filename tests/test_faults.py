@@ -472,7 +472,9 @@ class TestMfbcRetry:
         with pytest.raises(ValueError, match="retries"):
             mfbc(small_undirected, retries=-1)
         with pytest.raises(ValueError, match="retry_backoff"):
-            RecoveryLadder(DistributedEngine(Machine(2)), retry_backoff=-0.1)
+            RecoveryLadder(
+                DistributedEngine(Machine(2)), small_undirected, retry_backoff=-0.1
+            )
 
 
 # ---------------------------------------------------------------------------

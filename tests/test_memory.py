@@ -267,14 +267,17 @@ class TestEvictionAndRelief:
 class TestMemoryLadder:
     def test_rung_progression_shrink_exhaust(self):
         machine = quiet(2)
-        ladder = RecoveryLadder(DistributedEngine(machine))
+        g = seed_graph()
+        engine = DistributedEngine(machine)
+        engine.adjacency(g)
+        ladder = RecoveryLadder(engine, g)
         exc = MemoryLimitExceeded("boom")
         assert ladder.advance(exc, index=0, width=8) == "shrink_batch"
-        assert ladder.width == 4
+        assert engine.sweep_width(g, 8) == 4
         assert ladder.advance(exc, index=0, width=4) == "shrink_batch"
-        assert ladder.width == 2
+        assert engine.sweep_width(g, 8) == 2
         assert ladder.advance(exc, index=0, width=2) == "shrink_batch"
-        assert ladder.width == 1
+        assert engine.sweep_width(g, 8) == 1
         # width 1: relief already spilled what it could, nothing narrows
         # further, so the caller re-raises
         assert ladder.advance(exc, index=0, width=1) is None
@@ -284,7 +287,10 @@ class TestMemoryLadder:
         machine = Machine(
             2, faults=FaultPlan(seed=0), elastic="off", memory_words=UNLIMITED
         )
-        ladder = RecoveryLadder(DistributedEngine(machine), site="mfbc")
+        g = seed_graph()
+        engine = DistributedEngine(machine)
+        engine.adjacency(g)
+        ladder = RecoveryLadder(engine, g, site="mfbc")
         ladder.advance(MemoryLimitExceeded("boom"), index=0, width=4)
         ladder.advance(MemoryLimitExceeded("boom"), index=0, width=2)
         sigs = [(e.kind, e.action, e.site) for e in machine.faults.events]
@@ -589,9 +595,11 @@ class TestBudgetTable:
         from repro.serve import BCService
 
         g = seed_graph()
-        ref = mfbc_per_source(
-            g, self.SOURCES, engine=DistributedEngine(quiet(3))
-        )
+        waves = (self.SOURCES, self.SOURCES + 16)
+        refs = [
+            mfbc_per_source(g, src, engine=DistributedEngine(quiet(3)))
+            for src in waves
+        ]
         # re-tuned when MFBr stopped forming pairs that cannot count (the
         # unbudgeted peak fell ~24k -> ~14k words/rank): 16 000 no longer
         # squeezes the sweep
@@ -599,22 +607,78 @@ class TestBudgetTable:
             3, memory_words=9_500, faults="seed:1", elastic="off"
         )
         # the window only closes early once max_batch queries are pending,
-        # so the 16 queries share one sweep
+        # so each wave's 16 queries share one sweep
+        shrinks = []
         with BCService(
             g, machine=machine, max_batch=16, batch_window=5.0
         ) as svc:
-            ids = [svc.submit("bc_source", source=int(s)) for s in self.SOURCES]
-            rows = [svc.result(qid, timeout=120.0) for qid in ids]
+            for src, ref in zip(waves, refs):
+                ids = [svc.submit("bc_source", source=int(s)) for s in src]
+                rows = [svc.result(qid, timeout=120.0) for qid in ids]
+                np.testing.assert_array_equal(np.vstack(rows), ref)
+                shrinks.append(len(_rungs(machine)))
             stats = svc.stats()
-        assert stats["failed"] == 0 and stats["batches"] == 1
-        np.testing.assert_array_equal(np.vstack(rows), ref)
+        assert stats["failed"] == 0 and stats["batches"] == 2
         rungs = _rungs(machine)
         assert rungs and {site for _, site in rungs} == {"serve"}
+        # the second wave starts at the width the first one found
+        assert shrinks[0] > 0 and shrinks[1] == shrinks[0]
+
+    def _budgeted(self, budget=4_000):
+        machine = Machine(3, memory_words=budget, faults="seed:1", elastic="off")
+        return machine, DistributedEngine(machine)
+
+    def _mfbc(self, g, engine, sources=SOURCES, batch_size=16):
+        return mfbc(g, batch_size=batch_size, sources=sources, engine=engine)
+
+    def test_a_second_run_starts_at_the_width_that_fit(self):
+        g = seed_graph()
+        ref = self._mfbc(g, DistributedEngine(quiet(3))).scores
+        machine, engine = self._budgeted()
+        first = self._mfbc(g, engine)
+        shrinks = len(_rungs(machine))
+        second = self._mfbc(g, engine)
+        assert shrinks > 0 and len(_rungs(machine)) == shrinks
+        np.testing.assert_array_equal(first.scores, ref)
+        np.testing.assert_array_equal(second.scores, ref)
+        # the second run sweeps at the width the first one ended at
+        width = first.stats.batches[-1].sources
+        assert {b.sources for b in second.stats.batches} == {width}
+
+    def test_releasing_the_pin_forgets_the_width(self):
+        g = seed_graph()
+        machine, engine = self._budgeted()
+        shrinks = []
+        for release in (False, False, True):
+            if release:
+                engine.release_invariants()
+            self._mfbc(g, engine)
+            shrinks.append(len(_rungs(machine)) - sum(shrinks))
+        assert shrinks[0] > 0 and shrinks == [shrinks[0], 0, shrinks[0]]
+
+    def test_approx_queries_share_the_width(self):
+        from repro.core.approx import approximate_bc
+
+        g = seed_graph()
+        machine, engine = self._budgeted()
+        shrinks = []
+        for seed in (1, 2):
+            approximate_bc(g, 16, seed=seed, engine=engine)
+            shrinks.append(len(_rungs(machine)))
+        assert shrinks[0] > 0 and shrinks[1] == shrinks[0]
+
+    def test_a_narrow_run_does_not_lower_the_width(self):
+        g = seed_graph()
+        engine = DistributedEngine(quiet(3))
+        self._mfbc(g, engine, sources=np.array([0]), batch_size=1)
+        wide = self._mfbc(g, engine)
+        assert [b.sources for b in wide.stats.batches] == [16]
 
 
 class TestRungsCompose:
     def _flaky_mfbf(self, monkeypatch, failures):
-        """Make the next ``len(failures)`` sweeps raise, in order."""
+        """Make the next ``len(failures)`` sweeps raise, in order (``None``:
+        that sweep runs)."""
         import sys
 
         mfbc_mod = sys.modules["repro.core.mfbc"]
@@ -622,8 +686,9 @@ class TestRungsCompose:
         pending = list(failures)
 
         def flaky(*args, **kwargs):
-            if pending:
-                raise pending.pop(0)
+            failure = pending.pop(0) if pending else None
+            if failure is not None:
+                raise failure
             return real(*args, **kwargs)
 
         monkeypatch.setattr(mfbc_mod, "mfbf", flaky)
@@ -671,6 +736,30 @@ class TestRungsCompose:
         # the drivers' 0.05 s base, capped at base·2^(retries-1)
         assert all(0.05 <= b <= 0.1 for _, b in backoffs)
         assert backoffs == plain
+
+    def test_abandoned_note_lists_only_its_own_batch_rungs(self, monkeypatch):
+        # batch 0 shrinks 2 -> 1 and completes in two sub-sweeps; batch 1
+        # starts at the recorded width 1, runs out of memory and is
+        # abandoned: its note names no rung, not batch 0's shrink
+        g = seed_graph()
+        machine = Machine(
+            4, faults=FaultPlan(seed=0), elastic="off", memory_words=UNLIMITED
+        )
+        self._flaky_mfbf(
+            monkeypatch,
+            [MemoryLimitExceeded("boom"), None, None, MemoryLimitExceeded("boom")],
+        )
+        with pytest.raises(MemoryLimitExceeded):
+            mfbc(
+                g, batch_size=2, sources=np.arange(4), retries=0,
+                engine=DistributedEngine(machine),
+            )
+        notes = [
+            (e.action, e.detail.get("rungs"))
+            for e in machine.faults.events
+            if e.kind == "mem"
+        ]
+        assert notes == [("degraded", None), ("abandoned", "none")]
 
     def test_service_wave_survives_crash_and_squeeze(self):
         # one bc_source wave hit by a memory squeeze *and* a rank crash,

@@ -112,8 +112,6 @@ class TestBatching:
         g = uniform_random_graph_nm(200, 6.0, seed=0)
         nb = default_batch_size(g)
         assert 1 <= nb <= g.n
-        nb_mem = default_batch_size(g, memory_words=400)
-        assert nb_mem == max(1, 400 // g.n)
 
     def test_stats_summary(self, small_undirected):
         res = mfbc(small_undirected, batch_size=10)
