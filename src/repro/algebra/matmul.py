@@ -23,7 +23,7 @@ __all__ = ["MatMulSpec", "MASK_RULES"]
 ElementMap = Callable[[FieldArray, FieldArray], FieldArray]
 
 #: how a product's output mask decides which joined pairs are formed
-MASK_RULES = ("keep", "complement", "tie")
+MASK_RULES = ("keep", "complement", "tie", "bound")
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,13 @@ class MatMulSpec:
         are formed: ``"keep"`` those whose output coordinate is in its
         support, ``"complement"`` those outside it (the GraphBLAS
         complemented mask), ``"tie"`` those in it whose weight (the output
-        monoid's ``weight_field``, after ``f``) equals the mask entry's.
-        Pairs not formed are not counted in ``ops``.  A ``"complement"``
-        or ``"tie"`` operator needs a mask.
+        monoid's ``weight_field``, after ``f``) equals the mask entry's,
+        ``"bound"`` those whose weight does not lose to the mask entry at
+        their coordinate (``≤`` it under ``select="min"``, ``≥`` under
+        ``"max"``; a coordinate with no entry bounds nothing, and an empty
+        mask excludes nothing).  Pairs not formed are not counted in
+        ``ops``.  A ``"complement"``, ``"tie"`` or ``"bound"`` operator
+        needs a mask.
     """
 
     monoid: Monoid

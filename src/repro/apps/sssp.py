@@ -39,9 +39,11 @@ def _relax_to_fixpoint(engine, adj, seed, spec, improves, max_iterations):
     )
 
 _MIN = MinMonoid()
-# min-plus as a named semiring action so the kernel-dispatch tier
-# recognizes it (Bellman-Ford relaxations may *improve* stored distances,
-# so — unlike BFS — the product is deliberately not masked)
+# min-plus as a named semiring action (its name labels its products and
+# replays them).  Relaxations may *improve* stored distances, so — unlike
+# BFS — no structural mask applies, and the product stays unmasked: the
+# bound rule MFBF relaxes under (``RELAX_SPEC``) needs a monoid that names
+# an order (``select``), which ``MinMonoid`` does not
 _SPEC = TROPICAL.matmul_spec(name="sssp")
 
 

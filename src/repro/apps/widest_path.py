@@ -23,8 +23,10 @@ from repro.graphs.graph import Graph
 __all__ = ["widest_path_widths"]
 
 _MAX = MaxMonoid()
-# max-min as a named semiring action so the kernel-dispatch tier
-# recognizes it (relaxations may widen stored entries: not maskable)
+# max-min as a named semiring action (its name labels its products and
+# replays them).  Relaxations may widen stored entries, so no structural
+# mask applies, and the product stays unmasked: the bound rule needs a
+# monoid that names an order (``select``), which ``MaxMonoid`` does not
 _SPEC = MAX_MIN.matmul_spec(name="widest")
 
 

@@ -106,7 +106,8 @@ def _spec_registry() -> dict[str, MatMulSpec]:
 
     specs = [
         TROPICAL.matmul_spec(), MAX_MIN.matmul_spec(), _FORWARD,
-        core.BELLMAN_FORD_SPEC, core.BFS_LEVEL_SPEC, core.BRANDES_SPEC, core.SUCCESSOR_SPEC,
+        core.BELLMAN_FORD_SPEC, core.BFS_LEVEL_SPEC, core.RELAX_SPEC, core.BRANDES_SPEC,
+        core.SUCCESSOR_SPEC,
     ]
     specs += [app._SPEC for app in (bfs, connected, sssp, triangles, widest_path)]
     reg = {spec.name: spec for spec in specs}

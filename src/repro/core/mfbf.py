@@ -2,7 +2,7 @@
 
 Computes, for a batch of ``nb`` starting vertices ``s``, the multpath matrix
 ``T`` with ``T(s, v) = (τ(s,v), σ̄(s,v))``: shortest-path distance and
-multiplicity.  Each iteration relaxes *all* edges adjacent to vertices whose
+multiplicity.  Each iteration relaxes the edges adjacent to vertices whose
 path information changed in the previous iteration — the maximal frontier —
 via one generalized sparse matrix multiplication ``T̃ •⟨⊕,f⟩ A`` with the
 Bellman-Ford action ``f`` and the multpath monoid ``⊕``.
@@ -18,6 +18,15 @@ Implementation notes relative to the paper's pseudocode:
 * The paper stores dead frontier entries as the explicit marker ``(∞, 0)``;
   here dead entries are simply *unstored* — ``(∞, 0)`` is the multpath
   identity, and canonical :class:`SpMat` never stores identities.
+* The paper forms every relaxation and then keeps the product entries that
+  did not lose to T.  Here the product is ``RELAX_SPEC``'s, masked by T
+  under the ``"bound"`` rule: a relaxation is formed only if its weight is
+  ``≤`` T's at its key (every relaxation of a key not in T), so every entry
+  survives accumulation and the product is itself the new frontier.  A
+  surviving key keeps its best weight and its tied pairs in join order;
+  only pairs that lose drop out of its run, and multiplicities are integers
+  whose sums are exact in any grouping below 2⁵³ — T is bit-identical to
+  the unmasked iteration's (docs/performance_model.md §5).
 * When every edge weight is equal (an unweighted graph, or one distinct
   weight), iteration ``j`` is a BFS level: a vertex's first ``j``-edge
   paths are its shortest, so any product entry on a vertex already in T
@@ -37,7 +46,7 @@ import numpy as np
 
 from repro.algebra.multpath import MULTPATH
 from repro.core.engine import Engine, SequentialEngine
-from repro.core.specs import BELLMAN_FORD_SPEC, BFS_LEVEL_SPEC
+from repro.core.specs import BFS_LEVEL_SPEC, RELAX_SPEC
 from repro.core.stats import BatchStats, IterationStats
 
 __all__ = ["mfbf", "equal_weights"]
@@ -60,6 +69,10 @@ def mfbf(
     equal_weights: bool = False,
 ):
     """Run MFBF from ``sources`` over adjacency matrix ``adj``.
+
+    Weighted or not, each iteration forms only the relaxations that can
+    change T (the product is masked by T), and the product is the new
+    frontier.
 
     Parameters
     ----------
@@ -111,24 +124,20 @@ def mfbf(
     for _ in range(max_iterations):
         if frontier.nnz == 0:
             return t_mat
-        # Explore nodes adjacent to the frontier (line 4); with equal
-        # weights, only the unvisited ones.
-        if equal_weights:
-            product, ops = engine.spgemm(frontier, adj, BFS_LEVEL_SPEC, mask=t_mat)
-        else:
-            product, ops = engine.spgemm(frontier, adj, BELLMAN_FORD_SPEC)
+        # Explore nodes adjacent to the frontier (line 4), forming only the
+        # relaxations that do not lose to T; with equal weights, only the
+        # unvisited nodes.
+        spec = BFS_LEVEL_SPEC if equal_weights else RELAX_SPEC
+        product, ops = engine.spgemm(frontier, adj, spec, mask=t_mat)
         if stats is not None:
             stats.iterations.append(
                 IterationStats("mfbf", frontier.nnz, product.nnz, ops)
             )
         # Accumulate multiplicities (line 5): min weight wins, ties sum.
         t_mat = t_mat.combine(product)
-        # New frontier (line 6): product entries that survived accumulation —
-        # weight equal to the updated optimum.  (t.w ≤ p.w always holds.)
-        # A masked product is new vertices only: all of it survives.
-        frontier = product if equal_weights else product.zip_filter(
-            t_mat, lambda pv, tv: pv["w"] <= tv["w"]
-        )
+        # New frontier (line 6): the product entries that survived
+        # accumulation, which under the mask is every one of them.
+        frontier = product
     raise RuntimeError(
         f"MFBF did not converge within {max_iterations} iterations; "
         "the graph has a non-positive-weight cycle or inconsistent weights"

@@ -19,8 +19,9 @@ class IterationStats:
 
     phase: str  # "mfbf" or "mfbr"
     frontier_nnz: int  # nnz(F_i), the product's sparse operand
-    # nnz(G_i), the product output before filtering; on equal weights MFBF's
-    # product is masked to unvisited vertices, so it counts new vertices only,
+    # nnz(G_i), the product output; MFBF's product is masked by T, so it
+    # counts the entries that do not lose to T (on equal weights the
+    # unvisited vertices: new vertices only),
     # and MFBr's is masked to its pending vertices (the successor count's to
     # the vertices with a successor), so it counts those
     product_nnz: int

@@ -16,7 +16,12 @@
  * partly masked row would mispredict it on every pair, in both passes).
  * The stamp is a byte per column, or under a tie mask the mask entry's
  * weight (NaN off the mask): a pair then survives iff its weight equals
- * its column's stamp, which no weight does where the stamp is NaN.
+ * its column's stamp, which no weight does where the stamp is NaN.  Under
+ * a bound mask the stamp is the mask entry's weight too, and off the mask
+ * the infinity every weight beats (+inf when the smaller weight wins,
+ * -inf when the larger does): a pair survives iff its weight does not
+ * lose to the stamp, and a NaN weight or stamp never survives.  Each rule
+ * lists its survivors in a loop of its own.
  * Pass 1 forms each surviving pair's weight and keeps per output column the
  * run length and the best weight as first achieved; the touched columns are
  * then ordered (a bitmap scan) and each run given `run length` slots of a
@@ -38,7 +43,7 @@
 
 enum { PATHSUM_OK = 0, PATHSUM_NAN = 1, PATHSUM_NOMEM = 2 };
 enum { MAX_SUM = 2 };
-enum { RULE_KEEP = 0, RULE_COMPLEMENT = 1, RULE_TIE = 2 }; /* MatMulSpec.mask_rule */
+enum { RULE_KEEP = 0, RULE_COMPLEMENT = 1, RULE_TIE = 2, RULE_BOUND = 3 }; /* MatMulSpec.mask_rule */
 
 /* one 8-byte payload item: a float64 or an int64 field's */
 typedef union {
@@ -58,8 +63,9 @@ typedef struct {
     /* sorted linear keys row * ncols + col of the mask; NULL = unmasked */
     const int64_t *mask_keys;
     int64_t n_mask;
-    const double *mask_w; /* with RULE_TIE: the weights of the mask's entries */
-    int32_t rule;       /* keep a pair iff in the mask, iff not, iff its weight is the entry's */
+    const double *mask_w; /* with RULE_TIE / RULE_BOUND: the weights of the mask's entries */
+    int32_t rule;       /* keep a pair iff in the mask, iff not, iff its weight is the entry's,
+                           iff its weight does not lose to the entry's (any weight off the mask) */
     int32_t negate;     /* weight is aw - bw (Brandes), else aw + bw */
     int32_t select_max; /* larger weight wins (centpath), else smaller */
     int32_t n_sum;      /* payload fields, each an 8-byte column of A */
@@ -189,7 +195,11 @@ int pathsum_chunk(pathsum_args *g)
     const int64_t n = g->ncols;
     const int masked = g->mask_keys != NULL;
     const int tie = masked && g->rule == RULE_TIE;
+    const int bound = masked && g->rule == RULE_BOUND;
     const unsigned char absent = g->rule == RULE_COMPLEMENT; /* stamp of a column off the mask */
+    /* a weight stamp's column off the mask: no weight ties NaN, every
+     * weight but NaN is within the losing infinity */
+    const double off = tie ? NAN : g->select_max ? -INFINITY : INFINITY;
     const int64_t *mask = g->mask_keys, *mask_end = mask + g->n_mask;
     int64_t n_runs = 0, cap = 0;
     int status = PATHSUM_OK;
@@ -197,8 +207,8 @@ int pathsum_chunk(pathsum_args *g)
     accum *acc = calloc((size_t)n, sizeof *acc);
     int64_t *touched = malloc((size_t)n * sizeof *touched);
     uint64_t *bits = calloc((size_t)(n + 63) / 64, sizeof *bits);
-    unsigned char *keep = masked && !tie ? malloc((size_t)n) : NULL;
-    double *stamp = tie ? malloc((size_t)n * sizeof *stamp) : NULL;
+    unsigned char *keep = masked && !tie && !bound ? malloc((size_t)n) : NULL;
+    double *stamp = tie || bound ? malloc((size_t)n * sizeof *stamp) : NULL;
     payload *scratch[MAX_SUM] = {NULL}; /* per field: one row's runs, ties first */
     /* a masked row's surviving B entries, and where each A entry's survivors end */
     int64_t *kept = NULL, *kept_end = NULL, kept_cap = 0, ends_cap = 0;
@@ -209,7 +219,7 @@ int pathsum_chunk(pathsum_args *g)
     if (keep)
         memset(keep, absent, (size_t)n);
     for (int64_t j = 0; stamp && j < n; j++)
-        stamp[j] = NAN;
+        stamp[j] = off;
 
     for (int64_t p = g->lo, pe; p < g->hi; p = pe) {
         const int64_t i = g->a_rows[p];
@@ -219,7 +229,7 @@ int pathsum_chunk(pathsum_args *g)
         if (masked) { /* rows ascend, so the mask is consumed left to right */
             m0 = lower_bound(mask, mask_end, i * n);
             for (m1 = m0; m1 < mask_end && *m1 < (i + 1) * n; m1++) {
-                if (tie)
+                if (stamp)
                     stamp[*m1 - i * n] = g->mask_w[m1 - g->mask_keys];
                 else
                     keep[*m1 - i * n] = !absent;
@@ -248,18 +258,31 @@ int pathsum_chunk(pathsum_args *g)
                 kept_end = grown;
             }
             int64_t ns = 0;
-            for (int64_t q = p; q < pe; q++) {
-                const double aw = g->a_w[q];
-                for (int64_t r = g->b_ptr[g->a_cols[q]]; r < g->b_ptr[g->a_cols[q] + 1]; r++) {
-                    kept[ns] = r;
-                    if (tie) {
+            if (bound) {
+                for (int64_t q = p; q < pe; q++) {
+                    const double aw = g->a_w[q];
+                    for (int64_t r = g->b_ptr[g->a_cols[q]]; r < g->b_ptr[g->a_cols[q] + 1]; r++) {
+                        kept[ns] = r;
                         const double w = g->negate ? aw - g->b_w[r] : aw + g->b_w[r];
-                        ns += w == stamp[g->b_cols[r]];
-                    } else {
-                        ns += keep[g->b_cols[r]];
+                        const double at = stamp[g->b_cols[r]];
+                        ns += g->select_max ? w >= at : w <= at;
                     }
+                    kept_end[q - p] = ns;
                 }
-                kept_end[q - p] = ns;
+            } else {
+                for (int64_t q = p; q < pe; q++) {
+                    const double aw = g->a_w[q];
+                    for (int64_t r = g->b_ptr[g->a_cols[q]]; r < g->b_ptr[g->a_cols[q] + 1]; r++) {
+                        kept[ns] = r;
+                        if (tie) {
+                            const double w = g->negate ? aw - g->b_w[r] : aw + g->b_w[r];
+                            ns += w == stamp[g->b_cols[r]];
+                        } else {
+                            ns += keep[g->b_cols[r]];
+                        }
+                    }
+                    kept_end[q - p] = ns;
+                }
             }
         }
 
@@ -334,8 +357,8 @@ int pathsum_chunk(pathsum_args *g)
         g->row_ops[i] += pairs;
 
         for (const int64_t *m = m0; m < m1; m++) {
-            if (tie)
-                stamp[*m - i * n] = NAN;
+            if (stamp)
+                stamp[*m - i * n] = off;
             else
                 keep[*m - i * n] = absent;
         }

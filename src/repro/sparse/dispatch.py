@@ -150,7 +150,8 @@ def _pathsum_compiled(
     tie plus numpy's pairwise sum of the other ties and the run's zero pads;
     int64: a wrapping sum), and adds each row's surviving pairs to
     ``row_ops``.  C reads ``spec.mask_rule``; under ``"tie"``, ``mask_w``
-    makes a pair survive only if its weight equals its mask entry's.  What
+    makes a pair survive only if its weight equals its mask entry's, under
+    ``"bound"`` only if its weight does not lose to it.  What
     stays here is the chunking, the mask keys, the error codes and
     :func:`_assemble_coords`.
     A chunk is whole rows of A (:func:`_chunk_bounds`), so no row is

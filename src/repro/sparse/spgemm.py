@@ -17,7 +17,8 @@ Algorithm (the *generic* kernel): a sort-free hash-free *expansion join* —
    never formed;
 4. ``f`` maps the surviving joined value pairs; under a ``"tie"`` operator
    (:attr:`MatMulSpec.mask_rule`) only the pairs whose weight equals the
-   mask entry's stay;
+   mask entry's stay, under a ``"bound"`` operator only those whose weight
+   does not lose to it (every pair of a coordinate off the mask);
 5. the monoid's ``reduce_by_key`` folds products landing on the same
    ``C(i,j)``.
 
@@ -104,7 +105,8 @@ def spgemm(
         ``"complement"`` operator only coordinates *outside* it, the
         ``mxmm_msa_cmask`` idiom that keeps frontier expansion from
         materializing settled vertices.  Values of ``mask`` are ignored,
-        except the weights a ``"tie"`` operator compares against.
+        except the weights a ``"tie"`` or ``"bound"`` operator compares
+        against.
     chunk:
         Upper bound on the number of joined pairs materialized at once,
         counted in whole rows of ``a``: a row whose join exceeds it is
@@ -130,13 +132,17 @@ def spgemm(
         raise ValueError(
             f"mask shape {mask.shape} != output shape {out_shape}"
         )
-    # An empty mask annihilates the product outright, unless complemented.
-    if mask is not None and mask.nnz == 0 and rule != "complement":
+    # An empty mask annihilates the product outright, unless it rules out
+    # only what it holds: an empty complemented or bounding mask excludes
+    # nothing, so the product is unmasked.
+    if mask is not None and mask.nnz == 0 and rule in ("keep", "tie"):
         return _empty_result(a, b, spec)
-    # An empty complemented mask excludes nothing: treat as unmasked.
     mask_keys = mask.keys() if (mask is not None and mask.nnz) else None
-    # the weights a tie operator's pairs must equal, aligned with mask_keys
-    mask_w = mask.vals[spec.monoid.weight_field] if rule == "tie" else None
+    # the weights a tie or bound operator's pairs are compared with, aligned
+    # with mask_keys
+    mask_w = None
+    if mask_keys is not None and rule in _WEIGHT_RULES:
+        mask_w = mask.vals[spec.monoid.weight_field]
 
     # deferred import: dispatch imports this module's internals
     from repro.sparse import dispatch
@@ -158,6 +164,23 @@ def spgemm(
 #: a dense membership table over the output space answers mask lookups
 #: when the space is at most this many times the expansion it filters
 _MASK_TABLE_SPAN = 4
+
+#: the rules that compare a pair's weight with its mask entry's
+#: (:func:`_weight_rule`)
+_WEIGHT_RULES = ("tie", "bound")
+
+
+def _weight_rule(spec: MatMulSpec) -> tuple[Callable[..., np.ndarray], float]:
+    """``(survives, miss)`` of a tie or bound operator: ``survives(pair_w,
+    mask_w)`` — the pair's weight equals its mask entry's, or does not lose
+    to it (the bound's order is the output monoid's ``select``) — and what a
+    key off the mask reads: NaN, which ties nothing, or the infinity every
+    weight but NaN is within."""
+    if spec.mask_rule == "tie":
+        return np.equal, np.nan
+    if spec.monoid.select == "min":
+        return np.less_equal, np.inf
+    return np.greater_equal, -np.inf
 
 
 def _mask_filter(
@@ -182,17 +205,25 @@ def _mask_filter(
 
 
 def _mask_weight(
-    mask_keys: np.ndarray, mask_w: np.ndarray, space: int, expansion: int
+    mask_keys: np.ndarray, mask_w: np.ndarray, miss: float, space: int, expansion: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """``weight(keys)``: the weights ``mask_w`` of the mask entries at
-    ``keys``, every one of which is in the sorted ``mask_keys`` — by a table
+    ``keys``, ``miss`` at a key not in the sorted ``mask_keys`` — by a table
     over the output space or a binary search per key, on
     :func:`_mask_filter`'s rule."""
     if space <= _MASK_TABLE_SPAN * expansion:
-        table = np.empty(space, dtype=mask_w.dtype)  # read only at mask keys
+        table = np.full(space, miss, dtype=mask_w.dtype)
         table[mask_keys] = mask_w
         return table.__getitem__
-    return lambda keys: mask_w[np.searchsorted(mask_keys, keys)]
+    # sentinels past the ends: a key that is not there reads ``miss``
+    padded_keys = np.append(mask_keys, space)
+    padded_w = np.append(mask_w, miss)
+
+    def weight(keys):
+        pos = np.searchsorted(mask_keys, keys)
+        return padded_w[np.where(padded_keys[pos] == keys, pos, len(mask_keys))]
+
+    return weight
 
 
 def _expansion_chunks(
@@ -203,7 +234,8 @@ def _expansion_chunks(
     chunk: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield the (a_idx, b_idx, keys) expansion join in bounded chunks,
-    filtered by the support of the mask ``mask_keys`` on ``spec``'s rule.
+    filtered by the support of the mask ``mask_keys`` on ``spec``'s rule
+    (a ``"bound"`` rule decides on weights alone, after ``f``).
 
     The single source of truth for join enumeration and in-expansion mask
     filtering in numpy.  A chunk is whole rows of A (:func:`_chunk_bounds`),
@@ -216,7 +248,7 @@ def _expansion_chunks(
     if total == 0:
         return
     keep = None
-    if mask_keys is not None:
+    if mask_keys is not None and spec.mask_rule != "bound":
         keep = _mask_filter(
             mask_keys, spec.mask_rule == "complement", a.nrows * b.ncols, min(total, chunk)
         )
@@ -254,8 +286,10 @@ def _spgemm_generic(
 ) -> SpGemmResult:
     """The generic expansion-join kernel — correct for any MatMulSpec.
 
-    ``mask_w`` (a tie operator's mask weights, aligned with ``mask_keys``)
-    keeps, after ``f``, only the pairs whose weight equals their key's."""
+    ``mask_w`` (a tie or bound operator's mask weights, aligned with
+    ``mask_keys``) keeps, after ``f``, only the pairs whose weight equals
+    their key's, or does not lose to it (a key off the mask reads the
+    losing infinity: it bounds nothing)."""
     monoid = spec.monoid
     out_shape = (a.nrows, b.ncols)
     if a.nnz == 0 or b.nnz == 0:
@@ -266,17 +300,19 @@ def _spgemm_generic(
     parts_rc: list[tuple[np.ndarray, np.ndarray]] = []
     parts_v: list[FieldArray] = []
     if mask_w is not None:
-        tie_weight = _mask_weight(mask_keys, mask_w, a.nrows * b.ncols, min(count_ops(a, b), chunk))
+        survives, miss = _weight_rule(spec)
+        mask_weight = _mask_weight(
+            mask_keys, mask_w, miss, a.nrows * b.ncols, min(count_ops(a, b), chunk)
+        )
     for a_idx, b_idx, keys in _expansion_chunks(a, b, spec, mask_keys, chunk):
         if len(keys) == 0:
             continue
         vals = spec.apply_f(take_fields(a.vals, a_idx), take_fields(b.vals, b_idx))
         del b_idx
         if mask_w is not None:
-            # every key is in the mask: the tie rule keeps no key outside it
-            ties = vals[monoid.weight_field] == tie_weight(keys)
-            if not ties.all():
-                idx = ties.nonzero()[0]
+            kept = survives(vals[monoid.weight_field], mask_weight(keys))
+            if not kept.all():
+                idx = kept.nonzero()[0]
                 a_idx, keys, vals = a_idx[idx], keys[idx], take_fields(vals, idx)
         # the surviving pairs' A entries ascend, so A's row pointer cuts them
         # into rows

@@ -34,7 +34,13 @@ from repro.check.replay import ReplayCase, load_case, replay, resolve_spec, save
 from repro.check.strategies import WEIGHT_MONOID
 from repro.core.engine import SequentialEngine
 from repro.algebra.multpath import bellman_ford_action
-from repro.core.specs import BELLMAN_FORD_SPEC, BFS_LEVEL_SPEC, BRANDES_SPEC, SUCCESSOR_SPEC
+from repro.core.specs import (
+    BELLMAN_FORD_SPEC,
+    BFS_LEVEL_SPEC,
+    BRANDES_SPEC,
+    RELAX_SPEC,
+    SUCCESSOR_SPEC,
+)
 from repro.dist import DistributedEngine
 from repro.machine import Machine
 from repro.sparse import SpGemmResult, SpMat, spgemm
@@ -741,6 +747,137 @@ class TestTieMask:
 
 
 # ---------------------------------------------------------------------------
+# the bound mask: a pair survives unless its weight loses to its mask entry's
+# ---------------------------------------------------------------------------
+
+BOUND_SPECS = pytest.mark.parametrize(
+    "spec, a_monoid",
+    [(RELAX_SPEC, MULTPATH), (ruled(BRANDES_SPEC, "bound"), CENTPATH)],
+    ids=["multpath", "centpath"],
+)
+
+
+@st.composite
+def _bound_mask(draw, nrows, ncols):
+    """A mask whose rows are each absent, partly present or full, its
+    weights from ``_TIE_WEIGHTS`` (NaN and ±0.0 among them)."""
+    present = []
+    for _ in range(nrows):
+        row = draw(st.sampled_from(["absent", "partial", "full"]))
+        if row == "partial":
+            present += draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
+        else:
+            present += [row == "full"] * ncols
+    rows, cols = np.divmod(np.flatnonzero(present), ncols)
+    w = np.array(
+        draw(st.lists(st.sampled_from(_TIE_WEIGHTS), min_size=len(rows), max_size=len(rows))),
+        dtype=np.float64,
+    )
+    return SpMat(nrows, ncols, rows, cols, {"w": w}, WEIGHT_MONOID, canonical=True)
+
+
+@st.composite
+def _bound_products(draw, a_monoid):
+    """Products with real-valued payloads and weights from a small pool, so
+    that pairs tie with each other and with their mask entries, at chunks
+    below a row's join."""
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    a = draw(_tie_operand(a_monoid, m, k))
+    b = draw(_tie_operand(WEIGHT_MONOID, k, n))
+    mask = draw(_bound_mask(m, n))
+    chunk = draw(st.sampled_from([1, 2, 3, 7, 1 << 22]))
+    return a, b, mask, chunk
+
+
+def _admitted(a, b, spec, mask) -> np.ndarray:
+    """Per row of ``a``: the joined pairs whose weight does not lose to the
+    mask entry at their coordinate (an infinity that loses to every weight
+    where there is none), counted pair by pair."""
+    dense = {(i, j): w for i, j, w in zip(mask.rows.tolist(), mask.cols.tolist(), mask.vals["w"])}
+    best_max = spec.monoid.select == "max"
+    row_ops = np.zeros(a.nrows, dtype=np.int64)
+    for i, k, aw in zip(a.rows.tolist(), a.cols.tolist(), a.vals["w"]):
+        for j, bw in zip(b.cols[b.rows == k].tolist(), b.vals["w"][b.rows == k]):
+            with np.errstate(invalid="ignore"):
+                w = aw - bw if best_max else aw + bw
+            bound = dense.get((i, j), -np.inf if best_max else np.inf)
+            row_ops[i] += bool(w >= bound if best_max else w <= bound)
+    return row_ops
+
+
+class TestBoundMask:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf − inf
+    @BOUND_SPECS
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_generic_bitwise_and_forms_the_admitted_pairs(self, spec, a_monoid, data):
+        if _native.pathsum() is None:
+            pytest.skip("compiled path kernel unavailable here")
+        a, b, mask, chunk = data.draw(_bound_products(a_monoid))
+        want = _outcome(a, b, spec, mask, False, chunk, "generic")
+        _assert_same_bits(_outcome(a, b, spec, mask, False, chunk, "auto"), want)
+        if mask.nnz and not isinstance(want, str):
+            assert want.row_ops.tolist() == _admitted(a, b, spec, mask).tolist()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @BOUND_SPECS
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_an_empty_mask_bounds_nothing(self, spec, a_monoid, data):
+        a, b, _, chunk = data.draw(_bound_products(a_monoid))
+        empty = SpMat.empty(a.nrows, b.ncols, WEIGHT_MONOID)
+        want = _outcome(a, b, ruled(spec, "keep"), None, False, chunk, "generic")
+        for kernel in ("generic", "auto"):
+            _assert_same_bits(_outcome(a, b, spec, empty, False, chunk, kernel), want)
+
+    @BOUND_SPECS
+    def test_compiled_body_is_the_one_running(self, spec, a_monoid, rng, monkeypatch):
+        if _native.pathsum() is None:
+            pytest.skip("compiled path kernel unavailable here")
+        a = _random_path_spmat(rng, a_monoid, 5, 6)
+        b = cst.random_weight_spmat(rng, 6, 7, 0.6)
+        # the mask holds each entry's best weight on half the product's
+        # keys: some pairs lose to it, and the keys off it are unbounded
+        best = spgemm(a, b, ruled(spec, "keep"), kernel="generic").matrix
+        mask = best.filter(lambda v: np.arange(len(v["w"])) % 2 == 0).map(
+            lambda v: {"w": v["w"]}, monoid=WEIGHT_MONOID
+        )
+        for chunk in (2, 1 << 22):
+            want = spgemm(a, b, spec, mask=mask, chunk=chunk, kernel="generic")
+            assert 0 < want.ops < spgemm(a, b, ruled(spec, "keep"), chunk=chunk).ops
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    spgemm_mod, "_spgemm_generic", lambda *a, **k: pytest.fail("declined")
+                )
+                got = spgemm(a, b, spec, mask=mask, chunk=chunk)
+            _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("kernel", ["generic", "auto"])
+    def test_only_pairs_within_the_bound_are_formed_and_counted(self, kernel):
+        # row 0 joins three pairs onto column 0 at weights 1 + 1, 1 + 2 and
+        # 0 + 2; the mask's 2.0 keeps the first and the last, m = 1 + 4
+        # onto column 0, and row 1 (off the mask) forms its one pair
+        a = SpMat(2, 3, [0, 0, 0, 1], [0, 1, 2, 0], MULTPATH.make([1.0, 1.0, 0.0, 5.0], [1.0, 2.0, 4.0, 8.0]), MULTPATH)
+        b = SpMat(3, 1, [0, 1, 2], [0, 0, 0], {"w": np.array([1.0, 2.0, 2.0])}, WEIGHT_MONOID)
+        mask = SpMat(2, 1, [0], [0], {"w": np.array([2.0])}, WEIGHT_MONOID)
+        got = spgemm(a, b, RELAX_SPEC, mask=mask, kernel=kernel)
+        assert got.ops == 3 and got.row_ops.tolist() == [2, 1]
+        assert got.matrix.vals["w"].tolist() == [2.0, 6.0]
+        assert got.matrix.vals["m"].tolist() == [5.0, 8.0]
+        # a NaN mask weight bounds every pair out of its key
+        nan = SpMat(2, 1, [0], [0], {"w": np.array([np.nan])}, WEIGHT_MONOID, canonical=True)
+        row1 = spgemm(a, b, RELAX_SPEC, mask=nan, kernel=kernel)
+        assert row1.ops == 1 and row1.matrix.rows.tolist() == [1]
+
+    def test_needs_a_mask(self):
+        a = SpMat(1, 1, [0], [0], MULTPATH.make([1.0], [1.0]), MULTPATH)
+        b = SpMat(1, 1, [0], [0], {"w": np.ones(1)}, WEIGHT_MONOID)
+        for kernel in ("generic", "auto"):
+            with pytest.raises(ValueError, match="'bound' mask rule requires a mask"):
+                spgemm(a, b, RELAX_SPEC, kernel=kernel)
+
+
+# ---------------------------------------------------------------------------
 # replay cases carry masks (v2) and still load v1 archives
 # ---------------------------------------------------------------------------
 
@@ -846,12 +983,13 @@ class TestReplayCases:
         assert resolve_spec("bf") is BELLMAN_FORD_SPEC
         assert resolve_spec("brandes") is BRANDES_SPEC
         assert resolve_spec("bfs-level") is BFS_LEVEL_SPEC
+        assert resolve_spec("relax") is RELAX_SPEC
 
-    @pytest.mark.parametrize("caller", ["mfbc", "bfs_levels", "combblas_bc"])
+    @pytest.mark.parametrize("caller", ["mfbc", "weighted-mfbc", "bfs_levels", "combblas_bc"])
     def test_every_operator_a_run_multiplies_with_resolves_to_itself(self, caller, monkeypatch):
         # the registry holds the very objects a run multiplies with, each
-        # complemented operator under its own name
-        from repro import bfs_levels, combblas_bc
+        # complemented or bounding operator under its own name
+        from repro import bfs_levels, combblas_bc, with_random_weights
 
         seen = {}
         inner = SequentialEngine.spgemm
@@ -864,9 +1002,12 @@ class TestReplayCases:
         graph, sources = rmat_graph(5, 4, seed=3), np.arange(4)
         if caller == "bfs_levels":
             bfs_levels(graph, sources)
+        elif caller == "weighted-mfbc":
+            mfbc(with_random_weights(graph, 1, 9, seed=3), sources=sources)
         else:
             {"mfbc": mfbc, "combblas_bc": combblas_bc}[caller](graph, sources=sources)
-        assert any(spec.mask_rule == "complement" for spec in seen.values())
+        rule = "bound" if caller == "weighted-mfbc" else "complement"
+        assert any(spec.mask_rule == rule for spec in seen.values())
         for name, spec in seen.items():
             assert resolve_spec(name) is spec
 
@@ -888,6 +1029,29 @@ class TestReplayCases:
         )
         loaded = load_case(path)
         assert loaded.spec is SUCCESSOR_SPEC
+        ref = spgemm(loaded.a, loaded.b, loaded.spec, mask=loaded.mask, kernel="generic")
+        assert_bits(ref.matrix, got.matrix)
+        assert ref.ops == got.ops and replay(loaded).matches
+
+    def test_bound_masked_case_keeps_its_mask_weights(self, rng, tmp_path):
+        # a weighted MFBF relaxation: the frontier against T, whose weights
+        # decide which pairs are formed
+        a = _random_path_spmat(rng, MULTPATH, 6, 6)
+        b = cst.random_weight_spmat(rng, 6, 6, 0.5)
+        mask = spgemm(a, b, BELLMAN_FORD_SPEC, kernel="generic").matrix
+        mask = mask.filter(lambda v: np.arange(len(v["w"])) % 3 != 0).map(
+            lambda v: {"w": v["w"] - 1.0, "m": v["m"]}
+        )
+        got = spgemm(a, b, RELAX_SPEC, mask=mask)
+        assert 0 < got.ops < spgemm(a, b, BELLMAN_FORD_SPEC).ops
+        path = tmp_path / "case.npz"
+        save_case(
+            ReplayCase(a=a, b=b, spec_name="relax", got=got.matrix, got_ops=got.ops, mask=mask),
+            path,
+        )
+        loaded = load_case(path)
+        assert loaded.spec is RELAX_SPEC
+        assert_bits(loaded.mask, mask)
         ref = spgemm(loaded.a, loaded.b, loaded.spec, mask=loaded.mask, kernel="generic")
         assert_bits(ref.matrix, got.matrix)
         assert ref.ops == got.ops and replay(loaded).matches

@@ -18,6 +18,7 @@ from repro.spgemm import PinnedPolicy
 from repro.spgemm.plan import Plan
 
 from conftest import assert_bits
+from mfbf_reference import mfbf_reference
 
 
 def run_mfbf(graph, sources, **kw):
@@ -157,11 +158,64 @@ _PLANS = (
 )
 
 
+def _engine(plan):
+    """The sequential engine, or a p = 8 machine pinned to ``plan``."""
+    if plan is None:
+        return SequentialEngine()
+    machine = Machine(8, faults="off", elastic="off", check="off", memory_words="off")
+    return DistributedEngine(machine, policy=PinnedPolicy(plan))
+
+
+def _sources(data, n):
+    return np.array(
+        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
+    )
+
+
+@st.composite
+def _relaxation_graphs(draw):
+    """Small graphs, directed or not: integer-weighted, every edge at 2.5
+    (a weight whose sums are exact but not integers), or unweighted."""
+    base = draw(cst.graphs(weighted=False, max_n=12))
+    kind = draw(st.sampled_from(["integer", "constant", "unit"]))
+    if kind == "unit":
+        return base
+    weight = np.full(base.m, 2.5)
+    if kind == "integer":
+        weight = np.array(
+            draw(st.lists(st.integers(1, 4), min_size=base.m, max_size=base.m)), dtype=np.float64
+        )
+    return Graph(base.n, base.src, base.dst, weight, directed=base.directed)
+
+
+class TestBoundedRelaxation:
+    """Weighted MFBF forms only the relaxations that do not lose to T and
+    takes its product as the next frontier.  T keeps every bit of a literal
+    Algorithm 1 (``tests/mfbf_reference.py``), with the same frontiers in
+    as many iterations, on the sequential engine and under pinned 1D, 2D
+    and 3D plans; each product forms exactly the reference's pairs whose
+    weight is ``≤`` T's before the product."""
+
+    @settings(max_examples=60)
+    @given(_relaxation_graphs(), st.sampled_from([None, *_PLANS]), st.data())
+    def test_same_bits_as_algorithm_1(self, graph, plan, data):
+        sources = _sources(data, graph.n)
+        ref_engine, run = _engine(plan), _engine(plan)
+        want, frontiers, ops, bounded = mfbf_reference(
+            ref_engine.adjacency(graph), sources, engine=ref_engine
+        )
+        stats = BatchStats(sources=len(sources))
+        got = mfbf(run.adjacency(graph), sources, engine=run, stats=stats)
+        assert_bits(run.gather(got), ref_engine.gather(want))
+        assert [it.frontier_nnz for it in stats.iterations] == frontiers
+        formed = [it.ops for it in stats.iterations]
+        assert formed == bounded and sum(formed) <= sum(ops)
+
+
 class TestEqualWeightLevels:
     """With every weight equal, MFBF's masked BFS levels give T bit for bit
-    what Bellman-Ford gives on the same graph carried with an explicit
-    weight array, on the sequential engine and under pinned 1D, 2D and 3D
-    plans."""
+    what a literal Algorithm 1 gives (``tests/mfbf_reference.py``), on the
+    sequential engine and under pinned 1D, 2D and 3D plans."""
 
     @settings(max_examples=40)
     @given(
@@ -171,28 +225,25 @@ class TestEqualWeightLevels:
         st.data(),
     )
     def test_masked_levels_keep_the_bellman_ford_bits(self, base, weight, plan, data):
-        ones = np.full(base.m, 1.0 if weight is None else weight)
-        carried = Graph(base.n, base.src, base.dst, ones, directed=base.directed)
-        graph = base if weight is None else carried
+        graph = base
+        if weight is not None:
+            graph = Graph(base.n, base.src, base.dst, np.full(base.m, weight),
+                          directed=base.directed)
         assert equal_weights(graph)
-        sources = np.array(
-            data.draw(st.lists(st.integers(0, base.n - 1), min_size=1, max_size=4, unique=True))
+        sources = _sources(data, base.n)
+        ref_engine, run = _engine(plan), _engine(plan)
+        want, frontiers, ops, bounded = mfbf_reference(
+            ref_engine.adjacency(graph), sources, engine=ref_engine
         )
-        runs = []
-        for g, masked in ((carried, False), (graph, True)):
-            if plan is None:
-                engine = SequentialEngine()
-            else:
-                machine = Machine(8, faults="off", elastic="off", check="off", memory_words="off")
-                engine = DistributedEngine(machine, policy=PinnedPolicy(plan))
-            stats = BatchStats(sources=len(sources))
-            t = mfbf(engine.adjacency(g), sources, engine=engine, stats=stats,
-                     equal_weights=masked)
-            runs.append((engine.gather(t), stats))
-        (want, plain), (got, levels) = runs
-        assert_bits(got, want)
-        assert levels.mfbf_iterations == plain.mfbf_iterations
-        assert levels.total_ops <= plain.total_ops
+        levels = BatchStats(sources=len(sources))
+        t = mfbf(run.adjacency(graph), sources, engine=run, stats=levels, equal_weights=True)
+        want = ref_engine.gather(want)
+        assert_bits(run.gather(t), want)
+        assert levels.mfbf_iterations == len(frontiers)
+        # a level forms the pairs landing outside T, which on equal weights
+        # are the pairs that do not lose to T
+        assert [it.ops for it in levels.iterations] == bounded
+        assert levels.total_ops <= sum(ops)
         # a level's product is its new vertices only: each (source, vertex)
         # pair but the sources themselves is formed once
         assert levels.total_product_nnz == want.nnz - len(sources)

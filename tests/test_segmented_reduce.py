@@ -256,6 +256,24 @@ def test_mask_table_agrees_with_searchsorted(mask, complement, seed):
     assert np.array_equal(search(keys), member != complement)
 
 
+@given(
+    cst.spmats(monoid=cst.WEIGHT_MONOID, min_side=1, max_side=9),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.integers(0, 2**32 - 1),
+)
+def test_mask_weight_table_agrees_with_searchsorted(mask, miss, seed):
+    space = mask.nrows * mask.ncols
+    keys = np.random.default_rng(seed).integers(0, space, 50)
+    w = mask.vals["w"]
+    table = kernel._mask_weight(mask.keys(), w, miss, space, expansion=space)
+    search = kernel._mask_weight(mask.keys(), w, miss, space, expansion=0)
+    assert isinstance(getattr(table, "__self__", None), np.ndarray)
+    assert getattr(search, "__self__", None) is None
+    at = {key: x for key, x in zip(mask.keys().tolist(), w)}
+    want = np.array([at.get(key, miss) for key in keys.tolist()], dtype=np.float64)
+    assert same_bits(table(keys), want) and same_bits(search(keys), want)
+
+
 @pytest.mark.parametrize("complement", [False, True])
 def test_masked_product_same_either_side_of_table_threshold(
     monkeypatch, rng, complement

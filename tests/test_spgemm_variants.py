@@ -21,6 +21,7 @@ from repro.algebra import (
     MatMulSpec,
     bellman_ford_action,
 )
+from repro.algebra.matmul import MASK_RULES
 from repro.dist import DistMat, DistributedEngine, Layout
 from repro.dist.distmat import axis_block
 from repro.machine import executor
@@ -94,7 +95,7 @@ class TestAllPlansMatchSequential:
             c, _ = execute_plan(plan, df, dadj, BF)
             assert c.gather(charge=False).equals(ref), plan.describe()
 
-    @pytest.mark.parametrize("rule", ["keep", "complement", "tie"])
+    @pytest.mark.parametrize("rule", MASK_RULES)
     @pytest.mark.parametrize("p", [4, 8, 12])
     def test_every_plan_under_every_rule(self, rng, p, rule):
         """Every plan gives the generic kernel's bits and ops under each mask
