@@ -141,7 +141,7 @@ def spgemm(
     # the weights a tie or bound operator's pairs are compared with, aligned
     # with mask_keys
     mask_w = None
-    if mask_keys is not None and rule in _WEIGHT_RULES:
+    if mask_keys is not None and rule in ("tie", "bound"):
         mask_w = mask.vals[spec.monoid.weight_field]
 
     # deferred import: dispatch imports this module's internals
@@ -164,10 +164,6 @@ def spgemm(
 #: a dense membership table over the output space answers mask lookups
 #: when the space is at most this many times the expansion it filters
 _MASK_TABLE_SPAN = 4
-
-#: the rules that compare a pair's weight with its mask entry's
-#: (:func:`_weight_rule`)
-_WEIGHT_RULES = ("tie", "bound")
 
 
 def _weight_rule(spec: MatMulSpec) -> tuple[Callable[..., np.ndarray], float]:

@@ -857,7 +857,10 @@ class TestBoundMask:
         # row 0 joins three pairs onto column 0 at weights 1 + 1, 1 + 2 and
         # 0 + 2; the mask's 2.0 keeps the first and the last, m = 1 + 4
         # onto column 0, and row 1 (off the mask) forms its one pair
-        a = SpMat(2, 3, [0, 0, 0, 1], [0, 1, 2, 0], MULTPATH.make([1.0, 1.0, 0.0, 5.0], [1.0, 2.0, 4.0, 8.0]), MULTPATH)
+        a = SpMat(
+            2, 3, [0, 0, 0, 1], [0, 1, 2, 0],
+            MULTPATH.make([1.0, 1.0, 0.0, 5.0], [1.0, 2.0, 4.0, 8.0]), MULTPATH,
+        )
         b = SpMat(3, 1, [0, 1, 2], [0, 0, 0], {"w": np.array([1.0, 2.0, 2.0])}, WEIGHT_MONOID)
         mask = SpMat(2, 1, [0], [0], {"w": np.array([2.0])}, WEIGHT_MONOID)
         got = spgemm(a, b, RELAX_SPEC, mask=mask, kernel=kernel)
